@@ -1,9 +1,9 @@
 """Explicit lane assignments for batched delta application.
 
-``run_conflict_schedule`` / ``run_batched_schedule`` simulate LPT packing
-of conflict components onto parallel lanes but never materialise *which*
-transaction runs where — the assignment exists only inside the simulation.
-:func:`lpt_schedule` reproduces the exact same deterministic packing as a
+``run_conflict_schedule`` simulates LPT packing of conflict components
+onto parallel lanes but never materialises *which* transaction runs
+where — the assignment exists only inside the simulation.
+:func:`lpt_schedule` reproduces the same deterministic packing as a
 first-class :class:`LaneSchedule` value that the certifier can inspect and
 the integrators can be handed, and :func:`plant_lane_swap` derives the
 seeded ``swap-lane-ops`` fault from it for the race drill.
@@ -73,10 +73,12 @@ def lpt_schedule(
 ) -> LaneSchedule:
     """Deterministic LPT packing of conflict components onto lanes.
 
-    Mirrors ``run_conflict_schedule`` exactly: components are sorted by
-    total cost descending (stable, so equal-cost components keep graph
-    order) and each next component goes wholly to the earliest-free lane,
-    ties broken by lowest lane index.  Component members stay in capture
+    Mirrors ``run_conflict_schedule``: components are sorted by total
+    cost descending (stable, so equal-cost components keep graph order)
+    and each next component goes wholly to the earliest-free lane, ties
+    broken by lowest lane index (the simulation breaks exact ties by
+    event order, so tied lanes may swap numbers — loads and finish times
+    agree).  Component members stay in capture
     order on their lane, which is what makes the result certifiable.
 
     ``costs`` maps transaction id to its estimated apply cost; when

@@ -340,10 +340,10 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     )
     serial_report = integ_serial.integrate(groups)
     off_report = integ_off.integrate_batched(
-        groups, graph=graph_wide, lanes=LANES
+        groups, graph=graph_wide, schedule=lanes
     )
     on_report = integ_on.integrate_batched(
-        groups, graph=graph_wide, lanes=LANES
+        groups, graph=graph_wide, schedule=lanes
     )
     state_serial = _mirror_state(wh_serial)
     state_off = _mirror_state(wh_off)

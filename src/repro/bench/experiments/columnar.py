@@ -47,7 +47,7 @@ from ...semantics import SchemaCatalog, ViewMaintenancePlanner
 from ...transport.queue import PersistentQueue
 from ...transport.shipper import enqueue_op_deltas
 from ...warehouse.opdelta_integrator import OpDeltaIntegrator
-from ...warehouse.scheduler import run_batched_schedule
+from ...warehouse.scheduler import run_conflict_schedule
 from ...warehouse.warehouse import Warehouse
 from ...workloads.records import PartsGenerator, parts_schema, strip_timestamp
 from ..report import ExperimentResult
@@ -323,13 +323,13 @@ def run(
 
     row_stmts = sum(r.statements_issued for r in row_reports)
     col_stmts = sum(r.statements_issued for r in col_reports)
-    schedule_rows = run_batched_schedule(
-        [ms for r in row_reports for ms in r.per_component_ms],
+    schedule_rows = run_conflict_schedule(
+        [[ms] for r in row_reports for ms in r.per_component_ms],
         workers=workers,
         ops=row_stmts,
     )
-    schedule_col = run_batched_schedule(
-        [ms for r in col_reports for ms in r.per_component_ms],
+    schedule_col = run_conflict_schedule(
+        [[ms] for r in col_reports for ms in r.per_component_ms],
         workers=workers,
         ops=col_stmts,
     )

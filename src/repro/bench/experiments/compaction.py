@@ -16,7 +16,7 @@ Op-Deltas, then moved to the warehouse two ways:
 Equality of the two mirror and view states is the dynamic validation of
 the rewrite rules; the headline numbers are bytes shipped and the
 virtual-time apply span (per-component times replayed on worker lanes by
-:func:`repro.warehouse.run_batched_schedule`).
+:func:`repro.warehouse.run_conflict_schedule`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ...core.stores import FileLogStore
 from ...transport.queue import PersistentQueue
 from ...transport.shipper import enqueue_op_deltas
 from ...warehouse.opdelta_integrator import OpDeltaIntegrator
-from ...warehouse.scheduler import run_batched_schedule
+from ...warehouse.scheduler import run_conflict_schedule
 from ...warehouse.warehouse import Warehouse
 from ...workloads.records import parts_schema, strip_timestamp
 from ..report import ExperimentResult
@@ -228,8 +228,8 @@ def run(
     view_serial = wh_serial.view("parts_catalog").rows()
     view_batched = wh_batched.view("parts_catalog").rows()
 
-    schedule = run_batched_schedule(
-        batched_report.per_component_ms, workers=workers
+    schedule = run_conflict_schedule(
+        [[ms] for ms in batched_report.per_component_ms], workers=workers
     )
     apply_span = schedule.parallel_ms or batched_report.elapsed_ms
     speedup = serial_report.elapsed_ms / apply_span if apply_span else 1.0

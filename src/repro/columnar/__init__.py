@@ -10,14 +10,15 @@ dict environments; this package executes them per **batch**:
   SQL AST into ``(columns, position) -> value`` kernels, cached once per
   ``(plan fingerprint, table, kind, view)``;
 * :mod:`~repro.columnar.apply` — :class:`ColumnarApplier`, the columnar
-  group-apply mode of the op-delta integrator, with row-path fallback
-  barriers that preserve bit-for-bit state parity.
+  statement executor of the op-delta integrator's apply loop, with
+  fallback barriers onto :class:`RowApplier` (the row-path executor it
+  extends) that preserve bit-for-bit state parity.
 """
 
 # ``apply`` first: it pulls in ``repro.engine`` before anything touches
 # ``repro.sql``, which keeps this package importable on its own (the SQL
 # front end cannot initialise before the engine — see ``engine.remote``).
-from .apply import ColumnarApplier
+from .apply import ColumnarApplier, RowApplier
 from .batch import ColumnBatch, batch_from_insert_rows
 from .kernels import (
     CompileBarrier,
@@ -31,6 +32,7 @@ __all__ = [
     "ColumnarApplier",
     "CompileBarrier",
     "KernelCache",
+    "RowApplier",
     "batch_from_insert_rows",
     "compile_expression",
     "compile_predicate",

@@ -23,7 +23,7 @@ pins with XOR-SHA256 state digests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from ..engine.session import Session
 from ..engine.table import Table
@@ -45,20 +45,50 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..warehouse.views import MaterializedView
 
 
-class ColumnarApplier:
+class RowApplier:
+    """The row path: the session executor interprets every statement.
+
+    This is the statement executor of the serial and row-batched apply
+    configurations, the reference the parity tests compare against, and
+    what :class:`ColumnarApplier` falls back to across a compile barrier.
+    """
+
+    def __init__(self, session: Session) -> None:
+        self._session = session
+
+    def begin_component(self) -> None:
+        """A new transactional unit starts; the row path keeps no state."""
+
+    def apply_mirror(
+        self, statement: ast.Statement, txn: Transaction, cache_key: str
+    ) -> int:
+        """Replay one transformed statement; returns the rows affected."""
+        return self._session.execute_statement(statement).rows_affected
+
+    def apply_view(
+        self,
+        view: "MaterializedView",
+        op: "OpDelta",
+        txn: Transaction,
+        rule: "DeltaRule | None",
+    ) -> None:
+        """Maintain one SPJ view from an op by its (planned) delta rule."""
+        view.apply_operation(op, txn, rule=rule)
+
+
+class ColumnarApplier(RowApplier):
     """Applies transformed statements and view delta rules from batches."""
 
     def __init__(
         self,
         session: Session,
-        kernels: KernelCache | None = None,
         plan_fingerprint: str = "",
     ) -> None:
-        self._session = session
+        super().__init__(session)
         self._db = session.database
         self._clock = self._db.clock
         self._costs = self._db.costs
-        self.kernels = kernels if kernels is not None else KernelCache()
+        self.kernels = KernelCache()
         #: Stamp of the certified plan set the rule kernels belong to;
         #: part of every view-kernel cache key.
         self.plan_fingerprint = plan_fingerprint
@@ -68,6 +98,16 @@ class ColumnarApplier:
         self.statements = 0
         self.rows_batched = 0
         self.fallbacks = 0
+
+    def counters(self) -> tuple[int, int, int, int, int]:
+        """(statements, rows, fallbacks, kernel compiles, kernel hits)."""
+        return (
+            self.statements,
+            self.rows_batched,
+            self.fallbacks,
+            self.kernels.compiles,
+            self.kernels.hits,
+        )
 
     # ------------------------------------------------------------- lifecycle
     def begin_component(self) -> None:
@@ -89,13 +129,22 @@ class ColumnarApplier:
         try:
             if isinstance(statement, ast.InsertStmt) and statement.select is None:
                 return self._mirror_insert(statement, txn, cache_key)
-            if isinstance(statement, ast.UpdateStmt):
-                return self._mirror_update(statement, txn, cache_key)
-            if isinstance(statement, ast.DeleteStmt):
-                return self._mirror_delete(statement, txn, cache_key)
+            if isinstance(statement, (ast.UpdateStmt, ast.DeleteStmt)):
+                return self._batch_routine(statement)(
+                    self._db.table(statement.table),
+                    statement,
+                    lambda: statement.where,
+                    frozenset({statement.table}),
+                    ("mirror", statement.table, cache_key),
+                    txn,
+                )
         except CompileBarrier:
             pass
-        return self._mirror_fallback(statement)
+        # Row-path replay of a statement the kernels cannot cover.
+        self.fallbacks += 1
+        if statement.table is not None:
+            self._images.pop(statement.table, None)
+        return super().apply_mirror(statement, txn, cache_key)
 
     def _dispatch(self) -> None:
         """Per-statement cost of dispatching a compiled batch program."""
@@ -108,17 +157,6 @@ class ColumnarApplier:
             image = ColumnBatch.from_table(table)
             self._images[table.name] = image
         return image
-
-    def _invalidate(self, table_name: str) -> None:
-        self._images.pop(table_name, None)
-
-    def _mirror_fallback(self, statement: ast.Statement) -> int:
-        """Row-path replay of a statement the kernels cannot cover."""
-        self.fallbacks += 1
-        if statement.table is not None:
-            self._invalidate(statement.table)
-        result = self._session.execute_statement(statement)
-        return result.rows_affected
 
     def _mirror_insert(
         self, stmt: ast.InsertStmt, txn: Transaction, cache_key: str
@@ -153,6 +191,13 @@ class ColumnarApplier:
                         dict(zip(stmt.columns, literal_row))
                     )
                 )
+        self._insert_batch(table, rows, txn)
+        return len(rows)
+
+    def _insert_batch(
+        self, table: Table, rows: list[tuple[Any, ...]], txn: Transaction
+    ) -> None:
+        """Batch-insert ``rows``, keeping a live image of ``table`` current."""
         row_ids = table.insert_batch(txn, rows)
         self.rows_batched += len(rows)
         image = self._images.get(table.name)
@@ -160,32 +205,43 @@ class ColumnarApplier:
             for row_id in row_ids:
                 # Read back the stored values (validated and stamped).
                 image.append(table.read(row_id), row_id=row_id)
-        return len(rows)
 
-    def _mirror_update(
-        self, stmt: ast.UpdateStmt, txn: Transaction, cache_key: str
+    def _batch_routine(
+        self, stmt: ast.UpdateStmt | ast.DeleteStmt
+    ) -> Callable[..., int]:
+        """The batch routine — shared by mirror and view — for ``stmt``."""
+        if isinstance(stmt, ast.UpdateStmt):
+            return self._batch_update
+        return self._batch_delete
+
+    def _batch_update(
+        self,
+        table: Table,
+        stmt: ast.UpdateStmt,
+        where: Callable[[], ast.Expression | None],
+        qualifiers: frozenset[str],
+        cache_key: tuple[Hashable, ...],
+        txn: Transaction,
     ) -> int:
-        table = self._db.table(stmt.table)
+        """One compiled UPDATE over a table image — mirror or view.
+
+        ``where`` yields the predicate AST (the statement's own for a
+        mirror, narrowed by the view predicate for a view); it is only
+        called on a kernel-cache miss.  Returns the rows matched.
+        """
         image = self._image(table)
-        qualifiers = frozenset({stmt.table})
 
         def factory() -> tuple[Any, tuple[tuple[str, Any], ...]]:
-            predicate = compile_predicate(stmt.where, image.layout, qualifiers)
+            predicate = compile_predicate(where(), image.layout, qualifiers)
             assignments = tuple(
                 (a.column, compile_expression(a.expr, image.layout, qualifiers))
                 for a in stmt.assignments
             )
             return predicate, assignments
 
-        predicate, assignments = self.kernels.get(
-            ("mirror-update", stmt.table, cache_key), factory
-        )
-        self._dispatch()
+        predicate, assignments = self.kernels.get(("update", *cache_key), factory)
+        matched = self._matched(image, predicate)
         cols = image.columns
-        valid = image.valid
-        matched = [
-            pos for pos in range(len(valid)) if valid[pos] and predicate(cols, pos)
-        ]
         updates = [
             (
                 image.row_ids[pos],
@@ -196,30 +252,39 @@ class ColumnarApplier:
         results = table.update_batch(txn, updates)
         for pos, (_old, new_values) in zip(matched, results):
             image.set_row(pos, new_values)
-        self.rows_batched += len(matched)
         return len(matched)
 
-    def _mirror_delete(
-        self, stmt: ast.DeleteStmt, txn: Transaction, cache_key: str
+    def _batch_delete(
+        self,
+        table: Table,
+        stmt: ast.DeleteStmt,
+        where: Callable[[], ast.Expression | None],
+        qualifiers: frozenset[str],
+        cache_key: tuple[Hashable, ...],
+        txn: Transaction,
     ) -> int:
-        table = self._db.table(stmt.table)
+        """One compiled DELETE over a table image — mirror or view."""
         image = self._image(table)
-        qualifiers = frozenset({stmt.table})
         predicate = self.kernels.get(
-            ("mirror-delete", stmt.table, cache_key),
-            lambda: compile_predicate(stmt.where, image.layout, qualifiers),
+            ("delete", *cache_key),
+            lambda: compile_predicate(where(), image.layout, qualifiers),
         )
+        matched = self._matched(image, predicate)
+        table.delete_batch(txn, [image.row_ids[pos] for pos in matched])
+        for pos in matched:
+            image.mark_deleted(pos)
+        return len(matched)
+
+    def _matched(self, image: ColumnBatch, predicate: Any) -> list[int]:
+        """Dispatch one batch program; the live positions it selects."""
         self._dispatch()
         cols = image.columns
         valid = image.valid
         matched = [
             pos for pos in range(len(valid)) if valid[pos] and predicate(cols, pos)
         ]
-        table.delete_batch(txn, [image.row_ids[pos] for pos in matched])
-        for pos in matched:
-            image.mark_deleted(pos)
         self.rows_batched += len(matched)
-        return len(matched)
+        return matched
 
     # -------------------------------------------------------------- view path
     def apply_view(
@@ -239,46 +304,42 @@ class ColumnarApplier:
             return
         from ..core.opdelta import OpKind
 
-        if (
+        stmt = op.statement
+        columnar = not (
             rule is None
             or rule.action.value in ("dynamic", "source-query")
             or rule.needs_before_image
             or view.definition.join is not None
-        ):
-            self._view_fallback(view, op, txn, rule)
-            return
-        stmt = op.statement
-        cache_key = op.statement_text
+        )
         try:
             if (
-                op.kind is OpKind.INSERT
+                columnar
+                and op.kind is OpKind.INSERT
                 and isinstance(stmt, ast.InsertStmt)
                 and stmt.select is None
             ):
                 self._view_insert(view, stmt, txn)
-            elif isinstance(stmt, ast.UpdateStmt):
-                self._view_rewrite_update(view, stmt, txn, cache_key)
-            elif isinstance(stmt, ast.DeleteStmt):
-                self._view_rewrite_delete(view, stmt, txn, cache_key)
+            elif columnar and isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+                self._batch_routine(stmt)(
+                    view.table,
+                    stmt,
+                    lambda: view.narrowed(stmt.where),
+                    frozenset({view.definition.name, stmt.table}),
+                    ("view", view.definition.name, self.plan_fingerprint,
+                     op.statement_text),
+                    txn,
+                )
             else:
-                self._view_fallback(view, op, txn, rule)
-                return
+                columnar = False
         except CompileBarrier:
-            self._view_fallback(view, op, txn, rule)
+            columnar = False
+        if columnar:
+            view.note_columnar_refresh()
             return
-        view.note_columnar_refresh()
-
-    def _view_fallback(
-        self,
-        view: "MaterializedView",
-        op: "OpDelta",
-        txn: Transaction,
-        rule: "DeltaRule | None",
-    ) -> None:
-        """Hybrid-plan barrier: the row path maintains the view for this op."""
+        # Hybrid-plan barrier: the row path maintains the view for this op.
         self.fallbacks += 1
-        self._invalidate(view.definition.name)
-        view.apply_operation(op, txn, rule=rule)
+        self._images.pop(view.table.name, None)
+        super().apply_view(view, op, txn, rule)
 
     def _view_insert(
         self, view: "MaterializedView", stmt: ast.InsertStmt, txn: Transaction
@@ -319,88 +380,5 @@ class ColumnarApplier:
             for pos in range(batch.num_rows)
             if qualify(cols, pos)
         ]
-        if not projected:
-            return
-        row_ids = view.table.insert_batch(txn, projected)
-        self.rows_batched += len(projected)
-        image = self._images.get(view.definition.name)
-        if image is not None:
-            for row_id in row_ids:
-                image.append(view.table.read(row_id), row_id=row_id)
-
-    def _view_rewrite_update(
-        self,
-        view: "MaterializedView",
-        stmt: ast.UpdateStmt,
-        txn: Transaction,
-        cache_key: str,
-    ) -> None:
-        image = self._image(view.table)
-        qualifiers = frozenset({view.definition.name, stmt.table})
-
-        def factory() -> tuple[Any, tuple[tuple[str, Any], ...]]:
-            narrowed = view.narrowed(stmt.where)
-            predicate = compile_predicate(narrowed, image.layout, qualifiers)
-            assignments = tuple(
-                (a.column, compile_expression(a.expr, image.layout, qualifiers))
-                for a in stmt.assignments
-            )
-            return predicate, assignments
-
-        predicate, assignments = self.kernels.get(
-            (
-                "view-update",
-                view.definition.name,
-                self.plan_fingerprint,
-                cache_key,
-            ),
-            factory,
-        )
-        self._dispatch()
-        cols = image.columns
-        valid = image.valid
-        matched = [
-            pos for pos in range(len(valid)) if valid[pos] and predicate(cols, pos)
-        ]
-        updates = [
-            (
-                image.row_ids[pos],
-                {column: kernel(cols, pos) for column, kernel in assignments},
-            )
-            for pos in matched
-        ]
-        results = view.table.update_batch(txn, updates)
-        for pos, (_old, new_values) in zip(matched, results):
-            image.set_row(pos, new_values)
-        self.rows_batched += len(matched)
-
-    def _view_rewrite_delete(
-        self,
-        view: "MaterializedView",
-        stmt: ast.DeleteStmt,
-        txn: Transaction,
-        cache_key: str,
-    ) -> None:
-        image = self._image(view.table)
-        qualifiers = frozenset({view.definition.name, stmt.table})
-        predicate = self.kernels.get(
-            (
-                "view-delete",
-                view.definition.name,
-                self.plan_fingerprint,
-                cache_key,
-            ),
-            lambda: compile_predicate(
-                view.narrowed(stmt.where), image.layout, qualifiers
-            ),
-        )
-        self._dispatch()
-        cols = image.columns
-        valid = image.valid
-        matched = [
-            pos for pos in range(len(valid)) if valid[pos] and predicate(cols, pos)
-        ]
-        view.table.delete_batch(txn, [image.row_ids[pos] for pos in matched])
-        for pos in matched:
-            image.mark_deleted(pos)
-        self.rows_batched += len(matched)
+        if projected:
+            self._insert_batch(view.table, projected, txn)

@@ -6,7 +6,6 @@ transaction groups to the warehouse; transform and replay each group as a
 self-contained warehouse transaction.
 """
 
-from .apply import ApplyReport, OpDeltaApplier, replay_equivalence_check
 from .capture import CaptureEverythingLean, OpDeltaCapture, StatementAnalyzer
 from .hybrid import AlwaysHybridPolicy, ViewAwareHybridPolicy
 from .opdelta import OpDelta, OpDeltaTransaction, OpKind, classify_statement
@@ -43,7 +42,4 @@ __all__ = [
     "StatementTransformer",
     "TableMapping",
     "identity_mapping",
-    "OpDeltaApplier",
-    "ApplyReport",
-    "replay_equivalence_check",
 ]

@@ -12,7 +12,6 @@ from .scheduler import (
     QueryRecord,
     ScheduleReport,
     run_availability_experiment,
-    run_batched_schedule,
     run_conflict_schedule,
 )
 from .value_integrator import IntegrationReport, ValueDeltaIntegrator
@@ -36,6 +35,5 @@ __all__ = [
     "QueryRecord",
     "run_availability_experiment",
     "ScheduleReport",
-    "run_batched_schedule",
     "run_conflict_schedule",
 ]

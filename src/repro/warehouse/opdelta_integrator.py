@@ -7,6 +7,11 @@ self-contained, the integrator can interleave with OLAP queries — the
 availability experiment (:mod:`repro.warehouse.scheduler`) exploits the
 per-transaction timings this integrator reports.
 
+Every apply configuration — serial (:meth:`OpDeltaIntegrator.integrate`),
+row-batched and columnar (:meth:`OpDeltaIntegrator.integrate_batched`) —
+runs the same staged loop with one commit site; the entries only choose
+the transactional units, the rule lookup and the statement executor.
+
 When an :class:`~repro.analysis.OpDeltaAnalyzer` is supplied (or the
 capture pipeline already attached analysis records to the operations), the
 integrator additionally:
@@ -31,19 +36,19 @@ from ..analysis.certify import (
     InterferenceSanitizer,
     LaneSchedule,
     ScheduleCertifier,
-    lpt_schedule,
     single_lane_schedule,
 )
 from ..analysis.conflict import ConflictGraph
 from ..analysis.safety import Determinism
-from ..columnar import ColumnarApplier
-from ..core.apply import OpDeltaApplier
+from ..columnar import ColumnarApplier, RowApplier
 from ..core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from ..core.transform import StatementTransformer
 from ..engine.session import Session
+from ..engine.transactions import Transaction
 from ..errors import WarehouseError
 from ..obs.context import ambient_metrics
 from ..obs.pipeline.context import ambient_pipeline
+from ..obs.pipeline.recorder import PipelineRecorder
 from ..semantics.planner import (
     DeltaRule,
     MaintenancePlan,
@@ -52,12 +57,17 @@ from ..semantics.planner import (
 )
 from ..sql import ast_nodes as ast
 from .aggregates import MaterializedAggregateView
-from .value_integrator import IntegrationReport
+from .value_integrator import IntegrationReport, transactional_unit
 from .views import MaterializedView
 
 #: Resolves the delta rule for (view name, operation) — either the plain
 #: plan-catalog walk or the batched mode's per-window memo around it.
 RuleLookup = Callable[[str, OpDelta], "DeltaRule | None"]
+
+#: An op settled without a replay — (op, its source transaction, virtual
+#: time of the decision, pruned?) — held back for the post-commit record
+#: stage; not-pruned means a volatile DELETE whose before image is empty.
+_Skipped = tuple[OpDelta, OpDeltaTransaction, float, bool]
 
 
 class OpDeltaIntegrator:
@@ -88,7 +98,6 @@ class OpDeltaIntegrator:
         session: Session,
         transformer: StatementTransformer | None = None,
         views: Sequence[MaterializedView] = (),
-        maintain_mirrors: bool = True,
         analyzer: OpDeltaAnalyzer | None = None,
         aggregate_views: Sequence[MaterializedAggregateView] = (),
         plans: Mapping[str, MaintenancePlan] | None = None,
@@ -98,23 +107,19 @@ class OpDeltaIntegrator:
     ) -> None:
         self._session = session
         self._sanitizer = sanitizer
-        self._applier = OpDeltaApplier(session, transformer)
         self._views = list(views)
         self._aggregate_views = list(aggregate_views)
-        self._maintain_mirrors = maintain_mirrors
         self._transformer = (
             transformer if transformer is not None else StatementTransformer()
         )
         self._analyzer = analyzer
         self._plans = dict(plans) if plans is not None else {}
         #: base table -> names of the views an op on it maintains (lineage).
-        self._views_by_table: dict[str, tuple[str, ...]] = {}
+        self._views_by_table: dict[str, list[str]] = {}
         for view in [*self._views, *self._aggregate_views]:
-            base = view.definition.base_table
-            self._views_by_table[base] = self._views_by_table.get(base, ()) + (
-                view.definition.name,
-            )
-        for view in [*self._views, *self._aggregate_views]:
+            self._views_by_table.setdefault(
+                view.definition.base_table, []
+            ).append(view.definition.name)
             plan = self._plans.get(view.definition.name)
             if plan is None:
                 continue
@@ -140,20 +145,15 @@ class OpDeltaIntegrator:
         self._plan_fingerprint = plan_set_fingerprint(
             self._plans, self._plan_certificates
         )
-        #: fingerprint -> (table, kind, view) -> rule, surviving across
-        #: integrate_batched calls (one window used to rebuild this).
-        self._rule_memos: dict[
-            str, dict[tuple[str, OpKind, str], DeltaRule | None]
-        ] = {}
-        self._columnar: ColumnarApplier | None = None
-
-    def _columnar_applier(self) -> ColumnarApplier:
-        """The lazily-built, window-surviving columnar apply engine."""
-        if self._columnar is None:
-            self._columnar = ColumnarApplier(
-                self._session, plan_fingerprint=self._plan_fingerprint
-            )
-        return self._columnar
+        #: (table, kind, view) -> rule for this certified plan set; it
+        #: survives across integrate_batched calls (windows).
+        self._rule_memo: dict[tuple[str, OpKind, str], DeltaRule | None] = {}
+        #: The two statement executors: the row path, and the columnar
+        #: engine whose kernel cache survives across windows.
+        self._rows = RowApplier(session)
+        self._columnar = ColumnarApplier(
+            session, plan_fingerprint=self._plan_fingerprint
+        )
 
     def _verify_plans(self, verifier: object | None) -> None:
         """Pre-flight: demand a VERIFIED certificate for every plan used.
@@ -188,48 +188,40 @@ class OpDeltaIntegrator:
                 )
 
     def integrate(
-        self,
-        groups: Iterable[OpDeltaTransaction],
-        *,
-        certify: bool = True,
+        self, groups: Iterable[OpDeltaTransaction]
     ) -> IntegrationReport:
         """Apply each source transaction as its own warehouse transaction.
 
-        When an analyzer is attached, the apply order is first certified
-        as a single-lane schedule: the pre-flight proves the given order
-        preserves source order for every conflicting pair (out-of-order
-        windows are rejected before any statement runs).  ``certify=False``
-        opts out — the check is pure computation and costs no virtual
-        time, but callers replaying deliberately non-serial fixtures can
-        disable it.
+        The serial configuration of :meth:`_run`: one unit per source
+        transaction, all on a single lane, rules resolved by the plain
+        plan-catalog walk, statements replayed on the row path.  When an
+        analyzer is attached the given order is first certified as a
+        single-lane schedule — out-of-order windows are rejected before
+        any statement runs (pure computation, no virtual time).
         """
         groups = list(groups)
         report = IntegrationReport(mode="op-delta")
         report.plan_certificates = dict(self._plan_certificates)
-        clock = self._session.database.clock
-        started = clock.now
-        if certify and self._analyzer is not None and groups:
-            graph = self._analyzer.conflict_graph(groups)
-            self._certify_schedule(
-                groups, graph, single_lane_schedule(groups), report
-            )
-        for group in groups:
-            group_started = clock.now
-            self._apply_group(group, report)
-            report.transactions += 1
-            report.per_transaction_ms.append(clock.now - group_started)
-        report.elapsed_ms = clock.now - started
+        if not groups:
+            return report
+        analyzer = self._analyzer
+        graph = analyzer.conflict_graph(groups) if analyzer is not None else None
+        units = [
+            (f"op-delta integration of source transaction {g.txn_id}", [g])
+            for g in groups
+        ]
+        report.per_transaction_ms = self._run(
+            groups, graph, single_lane_schedule(groups), units, report,
+            self._rule_for, self._rows,
+        )
         return report
 
     def integrate_batched(
         self,
         groups: Iterable[OpDeltaTransaction],
         graph: ConflictGraph | None = None,
-        report: IntegrationReport | None = None,
         *,
-        lanes: int | None = None,
         schedule: LaneSchedule | None = None,
-        certify: bool = True,
         columnar: bool = False,
     ) -> IntegrationReport:
         """Group-commit apply: one warehouse transaction per conflict component.
@@ -238,13 +230,14 @@ class OpDeltaIntegrator:
         interleaving with OLAP queries at the price of one warehouse
         begin/commit — and one plan/rule resolution per view — *per
         captured transaction*.  For a compacted shippable window
-        (:mod:`repro.compaction`) that overhead dominates, so this mode:
+        (:mod:`repro.compaction`) that overhead dominates, so this
+        configuration of :meth:`_run`:
 
-        * merges each conflict-graph component into **one** warehouse
-          transaction (capture order inside the component is kept, and
-          components are mutually independent, so warehouse state is
-          identical to the per-transaction replay — boundaries are merged,
-          never reordered);
+        * makes each conflict-graph component **one** unit (capture order
+          inside the component is kept, and components are mutually
+          independent, so warehouse state is identical to the
+          per-transaction replay — boundaries are merged, never
+          reordered);
         * memoizes rule resolution per ``(table, kind, view)`` in a memo
           keyed on the plan-certificate hash that **survives across
           windows** — a repeated window over the same certified plan set
@@ -252,45 +245,29 @@ class OpDeltaIntegrator:
           (``report.rule_lookups`` / ``rule_cache_hits`` /
           ``rule_memo_preloaded``);
         * reports per-component apply times (``report.per_component_ms``)
-          that :func:`repro.warehouse.scheduler.run_batched_schedule`
+          that :func:`repro.warehouse.scheduler.run_conflict_schedule`
           replays on parallel worker lanes.
 
         ``graph`` defaults to the attached analyzer's conflict graph over
-        ``groups``.
+        ``groups``.  ``schedule`` is the lane assignment the pre-flight
+        certifies and the sanitizer observes on (e.g. from
+        :func:`~repro.analysis.certify.lpt_schedule`); without one the
+        actual serial component order is certified.
 
-        **Certification pre-flight.**  When an analyzer is attached and
-        ``certify`` is true (the default), the proposed apply order is
-        statically proven serializable by the
-        :class:`~repro.analysis.certify.ScheduleCertifier` before any
-        statement runs; a ``REJECTED`` certificate raises
-        :class:`~repro.errors.WarehouseError` with the positioned
-        ``RACE*`` findings.  ``schedule`` is the lane assignment to
-        certify (e.g. from :func:`~repro.analysis.certify.lpt_schedule`);
-        with ``lanes`` set one is derived by LPT packing, and with
-        neither the actual serial component order is certified.  When a
-        :class:`~repro.analysis.certify.InterferenceSanitizer` was passed
-        at construction, every settled op is additionally observed on its
-        schedule lane (timestamped with its own ``captured_at`` — no
-        clock reads, zero virtual-time overhead) so the runtime verdict
-        cross-checks the static one.
-
-        **Columnar mode.**  With ``columnar=True`` each component commits
-        from :class:`~repro.columnar.apply.ColumnarApplier` batch buffers:
-        one image scan per touched table per component, compiled kernels
-        instead of per-row interpretation, and the engine's batch DML
-        (columnar CPU factor, group WAL appends).  The certifier,
-        sanitizer and auditor contracts are unchanged — the pre-flight
-        runs before any statement, settled ops are observed and recorded
-        identically, and the final state is bit-for-bit the row path's.
+        **Columnar mode.**  ``columnar=True`` swaps the statement executor
+        for :class:`~repro.columnar.apply.ColumnarApplier`: one image
+        scan per touched table per component, compiled kernels instead of
+        per-row interpretation, and the engine's batch DML (columnar CPU
+        factor, group WAL appends), falling back to the row path across a
+        compile barrier.  Every other stage is the same code, so the
+        certifier, sanitizer and auditor contracts are unchanged and the
+        final state is bit-for-bit the row path's.
         """
         groups = list(groups)
-        if report is None:
-            report = IntegrationReport(
-                mode="op-delta-columnar" if columnar else "op-delta-batched"
-            )
+        report = IntegrationReport(
+            mode="op-delta-columnar" if columnar else "op-delta-batched"
+        )
         report.plan_certificates = dict(self._plan_certificates)
-        clock = self._session.database.clock
-        started = clock.now
         if not groups:
             return report
         if graph is None:
@@ -301,32 +278,19 @@ class OpDeltaIntegrator:
                 )
             graph = self._analyzer.conflict_graph(groups)
         by_id = {group.txn_id: group for group in groups}
-        covered = {txn_id for c in graph.components for txn_id in c}
-        missing = sorted(set(by_id) - covered)
-        if missing:
-            raise WarehouseError(
-                f"conflict graph does not cover transactions {missing}; "
-                "build it over the same window being applied"
-            )
+        units = [
+            (f"batched op-delta integration of component {tuple(c)}", members)
+            for c in graph.components
+            if (members := [by_id[txn_id] for txn_id in c if txn_id in by_id])
+        ]
         if schedule is None:
-            if lanes is not None:
-                schedule = lpt_schedule(groups, graph, lanes=lanes)
-            else:
-                # The batched integrator itself applies components
-                # serially in graph order; certify that actual order.
-                schedule = LaneSchedule(
-                    lanes=(
-                        tuple(
-                            txn_id
-                            for component in graph.components
-                            for txn_id in component
-                        ),
-                    )
-                )
-        if certify and self._analyzer is not None:
-            self._certify_schedule(groups, graph, schedule, report)
+            # The batched integrator itself applies components serially
+            # in graph order; certify that actual order.
+            schedule = LaneSchedule(
+                lanes=(tuple(t for c in graph.components for t in c),)
+            )
 
-        memo = self._rule_memos.setdefault(self._plan_fingerprint, {})
+        memo = self._rule_memo
         report.rule_memo_key = self._plan_fingerprint
         report.rule_memo_preloaded = len(memo)
 
@@ -340,62 +304,21 @@ class OpDeltaIntegrator:
             memo[key] = rule
             return rule
 
-        applier = self._columnar_applier() if columnar else None
+        applier = self._columnar if columnar else None
+        before = applier.counters() if applier is not None else ()
+        report.per_component_ms = self._run(
+            groups, graph, schedule, units, report, memoized_rule,
+            applier or self._rows,
+        )
+        report.components = len(report.per_component_ms)
         if applier is not None:
-            base_statements = applier.statements
-            base_rows = applier.rows_batched
-            base_fallbacks = applier.fallbacks
-            base_compiles = applier.kernels.compiles
-            base_hits = applier.kernels.hits
-
-        for component in graph.components:
-            members = [by_id[txn_id] for txn_id in component if txn_id in by_id]
-            if not members:
-                continue
-            component_started = clock.now
-            if applier is not None:
-                applier.begin_component()
-            self._session.begin()
-            txn = self._session.current_transaction
-            assert txn is not None
-            applied: list[tuple[OpDeltaTransaction, list[OpDelta]]] = []
-            try:
-                for group in members:
-                    settled: list[OpDelta] = []
-                    for op in group.operations:
-                        self._apply_op(
-                            op, txn, report, memoized_rule, settled,
-                            applier=applier,
-                        )
-                    applied.append((group, settled))
-            except Exception as exc:
-                if self._session.in_transaction:
-                    self._session.rollback()
-                raise WarehouseError(
-                    "batched op-delta integration of component "
-                    f"{tuple(component)} failed: {exc}"
-                ) from exc
-            self._session.commit()
-            for group, settled in applied:
-                self._record_applied(settled, group)
-                if self._sanitizer is not None:
-                    lane = schedule.lane_of(group.txn_id)
-                    for op in settled:
-                        self._sanitizer.observe(
-                            lane if lane is not None else 0,
-                            op,
-                            at_ms=op.captured_at,
-                        )
-            report.transactions += len(members)
-            report.components += 1
-            report.per_component_ms.append(clock.now - component_started)
-        report.elapsed_ms = clock.now - started
-        if applier is not None:
-            report.columnar_statements = applier.statements - base_statements
-            report.columnar_rows = applier.rows_batched - base_rows
-            report.columnar_fallbacks = applier.fallbacks - base_fallbacks
-            report.kernel_compiles = applier.kernels.compiles - base_compiles
-            report.kernel_cache_hits = applier.kernels.hits - base_hits
+            (
+                report.columnar_statements,
+                report.columnar_rows,
+                report.columnar_fallbacks,
+                report.kernel_compiles,
+                report.kernel_cache_hits,
+            ) = (now - then for now, then in zip(applier.counters(), before))
         metrics = ambient_metrics()
         if metrics is not None:
             metrics.counter("warehouse.batched.components").inc(report.components)
@@ -405,14 +328,78 @@ class OpDeltaIntegrator:
             )
         return report
 
-    def _certify_schedule(
+    def _run(
+        self,
+        groups: Sequence[OpDeltaTransaction],
+        graph: ConflictGraph | None,
+        schedule: LaneSchedule,
+        units: Sequence[tuple[str, Sequence[OpDeltaTransaction]]],
+        report: IntegrationReport,
+        rule_for: RuleLookup,
+        executor: RowApplier,
+    ) -> list[float]:
+        """The one apply pipeline every configuration runs.
+
+        *Pre-flight* (:meth:`_preflight`: graph coverage, schedule
+        certification), then per unit: *begin* →
+        *prepare/apply ops* → *maintain views* (inside
+        :meth:`_apply_op`) → *commit* → *record* lineage and sanitizer
+        observations → *time* the unit.  The public entries only choose
+        ``units`` (which transactions commit together, and how a failure
+        is described), ``rule_for`` and ``executor``.  Returns each
+        unit's virtual apply time and stamps ``report.elapsed_ms``.
+        """
+        clock = self._session.database.clock
+        started = clock.now
+        if graph is not None:
+            self._preflight(groups, graph, schedule, report)
+        unit_ms: list[float] = []
+        for what, members in units:
+            unit_started = clock.now
+            executor.begin_component()
+            skipped: list[_Skipped] = []
+            applied: list[tuple[OpDeltaTransaction, list[OpDelta]]] = []
+            with transactional_unit(self._session, what) as txn:
+                for group in members:
+                    settled: list[OpDelta] = []
+                    for op in group.operations:
+                        prepared = self._prepare(op, group, report, skipped)
+                        if prepared is not None:
+                            settled.append(prepared)
+                            self._apply_op(
+                                prepared, txn, report, rule_for, executor
+                            )
+                    applied.append((group, settled))
+            self._record(skipped, applied, schedule)
+            report.transactions += len(members)
+            unit_ms.append(clock.now - unit_started)
+        report.elapsed_ms = clock.now - started
+        return unit_ms
+
+    def _preflight(
         self,
         groups: Sequence[OpDeltaTransaction],
         graph: ConflictGraph,
         schedule: LaneSchedule,
         report: IntegrationReport,
     ) -> None:
-        """Mandatory pre-flight: refuse to run an uncertified schedule."""
+        """Mandatory checks before any statement runs.
+
+        The graph must cover the window being applied, and — whenever an
+        analyzer is attached — the proposed apply order must be statically
+        proven serializable by the
+        :class:`~repro.analysis.certify.ScheduleCertifier`; a ``REJECTED``
+        certificate raises with the positioned ``RACE*`` findings.
+        """
+        covered = {txn_id for c in graph.components for txn_id in c}
+        missing = sorted({g.txn_id for g in groups} - covered)
+        if missing:
+            raise WarehouseError(
+                f"conflict graph does not cover transactions {missing}; "
+                "build it over the same window being applied"
+            )
+        if self._analyzer is None:
+            return
         certifier = ScheduleCertifier.for_analyzer(self._analyzer)
         certificate = certifier.certify(groups, graph, schedule)
         report.certificate_verdict = certificate.verdict
@@ -424,93 +411,87 @@ class OpDeltaIntegrator:
                 + "; ".join(report.race_findings)
             )
 
-    def _apply_group(self, group: OpDeltaTransaction, report: IntegrationReport) -> None:
-        self._session.begin()
-        txn = self._session.current_transaction
-        assert txn is not None
-        settled: list[OpDelta] = []
-        try:
-            for op in group.operations:
-                self._apply_op(op, txn, report, self._rule_for, settled)
-        except Exception as exc:
-            if self._session.in_transaction:
-                self._session.rollback()
-            raise WarehouseError(
-                f"op-delta integration of source transaction {group.txn_id} "
-                f"failed: {exc}"
-            ) from exc
-        self._session.commit()
-        self._record_applied(settled, group)
+    def _record(
+        self,
+        skipped: list[_Skipped],
+        applied: list[tuple[OpDeltaTransaction, list[OpDelta]]],
+        schedule: LaneSchedule,
+    ) -> None:
+        """Post-commit: lineage to the recorder, replays to the sanitizer.
+
+        Nothing is reported before the unit's commit, so a rolled-back
+        unit leaves no APPLIED/PRUNED event behind and a retry records
+        each op once.  Ops settled without a replay keep the virtual time
+        their decision was made at; replayed ops are stamped with the
+        commit time and observed on their schedule lane (timestamped with
+        their own ``captured_at`` — no clock reads, zero virtual cost).
+        """
+        recorder = ambient_pipeline()
+        now = self._session.database.clock.now
+        if recorder is not None:
+            for op, group, at_ms, pruned in skipped:
+                if pruned:
+                    recorder.record_pruned(op, at_ms=at_ms, stage="apply")
+                else:
+                    self._record_applied(recorder, op, group, at_ms)
+        for group, settled in applied:
+            if recorder is not None:
+                for op in settled:
+                    self._record_applied(recorder, op, group, now)
+            if self._sanitizer is not None:
+                lane = schedule.lane_of(group.txn_id) or 0
+                for op in settled:
+                    self._sanitizer.observe(lane, op, at_ms=op.captured_at)
 
     def _record_applied(
-        self, settled: list[OpDelta], group: OpDeltaTransaction
+        self,
+        recorder: PipelineRecorder,
+        op: OpDelta,
+        group: OpDeltaTransaction,
+        at_ms: float,
     ) -> None:
-        """Report replayed ops to the ambient pipeline recorder, post-commit."""
-        recorder = ambient_pipeline()
-        if recorder is None or not settled:
-            return
-        now = self._session.database.clock.now
-        for op in settled:
-            recorder.record_applied(
-                op,
-                at_ms=now,
-                committed_at=group.committed_at,
-                views=self._views_by_table.get(op.table, ()),
-            )
+        recorder.record_applied(
+            op,
+            at_ms=at_ms,
+            committed_at=group.committed_at,
+            views=self._views_by_table.get(op.table, ()),
+        )
 
     def _apply_op(
         self,
         op: OpDelta,
-        txn: object,
+        txn: Transaction,
         report: IntegrationReport,
         rule_for: RuleLookup,
-        settled: list[OpDelta] | None = None,
-        applier: ColumnarApplier | None = None,
+        executor: RowApplier,
     ) -> None:
-        """Replay one operation onto the mirror and every attached view.
+        """Replay one prepared operation onto the mirror and every view.
 
-        With a :class:`~repro.columnar.ColumnarApplier` the mirror
-        statement and eligible view rules run as compiled batch programs;
-        without one (or across a compile barrier) the row path runs
-        verbatim.
+        ``executor`` runs the mirror statement and the SPJ view rules —
+        row at a time, or as compiled batch programs that fall back to
+        the row path across a compile barrier.
         """
-        prepared = self._prepare(op, report)
-        if prepared is None:
-            return
-        if settled is not None:
-            settled.append(prepared)
-        if self._maintain_mirrors:
-            with self._session.database.tracer.span(
-                "warehouse.apply.statement", table=prepared.table
-            ):
-                statement = self._transformer.transform(prepared.statement)
-                if applier is not None:
-                    affected = applier.apply_mirror(
-                        statement, txn, prepared.statement_text
-                    )
-                else:
-                    affected = self._session.execute_statement(
-                        statement
-                    ).rows_affected
-            report.statements_issued += 1
-            report.rows_affected += affected
+        with self._session.database.tracer.span(
+            "warehouse.apply.statement", table=op.table
+        ):
+            statement = self._transformer.transform(op.statement)
+            affected = executor.apply_mirror(statement, txn, op.statement_text)
+        report.statements_issued += 1
+        report.rows_affected += affected
         for view in self._views:
-            rule = rule_for(view.definition.name, prepared)
-            if applier is not None:
-                applier.apply_view(view, prepared, txn, rule)
-            else:
-                view.apply_operation(prepared, txn, rule=rule)
+            rule = rule_for(view.definition.name, op)
+            executor.apply_view(view, op, txn, rule)
             if (
                 rule is not None
                 and rule.action is not RuleAction.DYNAMIC
-                and prepared.table == view.definition.base_table
+                and op.table == view.definition.base_table
             ):
                 report.plan_rules_applied += 1
         for agg in self._aggregate_views:
-            if prepared.table != agg.definition.base_table:
+            if op.table != agg.definition.base_table:
                 continue
-            agg.apply_operation(prepared, txn)
-            rule = rule_for(agg.definition.name, prepared)
+            agg.apply_operation(op, txn)
+            rule = rule_for(agg.definition.name, op)
             if rule is not None and rule.action is not RuleAction.DYNAMIC:
                 report.plan_rules_applied += 1
 
@@ -526,23 +507,25 @@ class OpDeltaIntegrator:
 
     # ------------------------------------------------------- analyzer-driven
     def _prepare(
-        self, op: OpDelta, report: IntegrationReport
+        self,
+        op: OpDelta,
+        group: OpDeltaTransaction,
+        report: IntegrationReport,
+        skipped: list[_Skipped],
     ) -> OpDelta | None:
         """Apply the static-analysis verdict to one operation.
 
         Returns the (possibly rewritten) operation to replay, or ``None``
-        when the statement was pruned or resolved entirely by fallback.
+        when the statement was pruned or resolved entirely by fallback —
+        such an op joins ``skipped`` with the virtual time of the
+        decision, for the post-commit record stage.
         """
         record = self._record_for(op)
         if record is None:
             return op
         if record.pruned:
             report.statements_pruned += 1
-            recorder = ambient_pipeline()
-            if recorder is not None:
-                recorder.record_pruned(
-                    op, at_ms=self._session.database.clock.now, stage="apply"
-                )
+            skipped.append((op, group, self._session.database.clock.now, True))
             return None
         if record.pinnable:
             pinned = pin_time_functions(op.statement, op.captured_at)
@@ -551,15 +534,24 @@ class OpDeltaIntegrator:
                 op, statement_text=pinned.to_sql(), _parsed=pinned
             )
         if record.determinism is Determinism.VOLATILE:
-            return self._volatile_fallback(op, report)
+            rewritten = self._volatile_fallback(op, report)
+            if rewritten is None:
+                # The delete matched no rows at the source — a no-op
+                # replay still settles the op for lineage conservation.
+                skipped.append(
+                    (op, group, self._session.database.clock.now, False)
+                )
+            return rewritten
         return op
 
-    def _reject(self, op: OpDelta, reason: str) -> None:
+    def _rejected(self, op: OpDelta, reason: str, message: str) -> WarehouseError:
+        """Settle an unreplayable op as REJECTED; the error to raise for it."""
         recorder = ambient_pipeline()
         if recorder is not None:
             recorder.record_rejected_op(
                 op, at_ms=self._session.database.clock.now, reason=reason
             )
+        return WarehouseError(message)
 
     def _record_for(self, op: OpDelta) -> AnalysisRecord | None:
         if op.analysis is not None:
@@ -580,13 +572,12 @@ class OpDeltaIntegrator:
         the operation at all.
         """
         if op.kind is not OpKind.DELETE or op.before_image is None:
-            self._reject(
-                op, f"volatile {op.kind.value} without a recoverable after state"
-            )
-            raise WarehouseError(
+            raise self._rejected(
+                op,
+                f"volatile {op.kind.value} without a recoverable after state",
                 f"volatile {op.kind.value} on {op.table!r} cannot be replayed "
                 "from the operation alone; capture it with a hybrid policy "
-                "(before images) or route the table through value deltas"
+                "(before images) or route the table through value deltas",
             )
         # Only the table name is needed here; transforming the volatile
         # statement itself could fail on the very expressions (RANDOM() etc.)
@@ -595,24 +586,16 @@ class OpDeltaIntegrator:
         schema = self._session.database.table(target).schema
         key_index = schema.primary_key_index()
         if schema.primary_key is None or key_index is None:
-            self._reject(op, "volatile DELETE fallback without a primary key")
-            raise WarehouseError(
+            raise self._rejected(
+                op,
+                "volatile DELETE fallback without a primary key",
                 f"volatile DELETE fallback on {op.table!r} needs a primary "
-                "key to address the imaged rows"
+                "key to address the imaged rows",
             )
         report.fallback_images_applied += 1
         if not op.before_image:
-            # The delete matched no rows at the source — a no-op replay
-            # still settles the op for lineage conservation.
-            recorder = ambient_pipeline()
-            if recorder is not None:
-                recorder.record_applied(
-                    op, at_ms=self._session.database.clock.now
-                )
             return None
-        keys = tuple(
-            ast.Literal(row[key_index]) for row in op.before_image
-        )
+        keys = tuple(ast.Literal(row[key_index]) for row in op.before_image)
         where: ast.Expression
         if len(keys) == 1:
             where = ast.BinaryOp("=", ast.ColumnRef(schema.primary_key), keys[0])

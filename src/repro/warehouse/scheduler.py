@@ -225,13 +225,6 @@ class ScheduleReport:
         return self.serial_ms / self.parallel_ms
 
     @property
-    def serial_ops_per_s(self) -> float:
-        """Apply throughput of the serial baseline, in ops per virtual second."""
-        if self.serial_ms == 0 or not self.ops:
-            return 0.0
-        return self.ops / (self.serial_ms / 1000.0)
-
-    @property
     def parallel_ops_per_s(self) -> float:
         """Apply throughput across the worker lanes, in ops per virtual second."""
         if self.parallel_ms == 0 or not self.ops:
@@ -239,43 +232,11 @@ class ScheduleReport:
         return self.ops / (self.parallel_ms / 1000.0)
 
 
-def run_batched_schedule(
-    component_apply_ms: Sequence[float],
-    workers: int = 4,
-    metrics: MetricsLike | None = None,
-    ops: int = 0,
-) -> ScheduleReport:
-    """Replay batched group-commit apply times on parallel worker lanes.
-
-    ``component_apply_ms`` is :attr:`IntegrationReport.per_component_ms`
-    from :meth:`~repro.warehouse.OpDeltaIntegrator.integrate_batched`: the
-    whole conflict component is one warehouse transaction, so each entry is
-    an indivisible unit of lane work (a one-transaction component as far as
-    the schedule is concerned).
-
-    ``ops`` — the window's replayed statement count (typically
-    ``IntegrationReport.statements_issued``) — turns the report's
-    ``serial_ops_per_s`` / ``parallel_ops_per_s`` throughput properties
-    on; the columnar experiment uses them to compare row-at-a-time and
-    columnar apply at equal schedule shapes.
-    """
-    report = run_conflict_schedule(
-        [[ms] for ms in component_apply_ms], workers=workers, metrics=metrics
-    )
-    report.ops = ops
-    if ops:
-        registry = metrics if metrics is not None else ambient_metrics()
-        if registry is not None:
-            registry.gauge("warehouse.schedule.ops_per_s").set(
-                report.parallel_ops_per_s
-            )
-    return report
-
-
 def run_conflict_schedule(
     component_durations_ms: Sequence[Sequence[float]],
     workers: int = 4,
     metrics: MetricsLike | None = None,
+    ops: int = 0,
 ) -> ScheduleReport:
     """Simulate conflict-aware parallel delta application.
 
@@ -286,6 +247,16 @@ def run_conflict_schedule(
     components are mutually independent, so up to ``workers`` of them run
     concurrently.  The serial baseline is the sum of every duration — what
     a conflict-oblivious integrator would take.
+
+    A batched apply commits each component as one warehouse transaction,
+    so its :attr:`IntegrationReport.per_component_ms` replays as
+    one-element components: ``[[ms] for ms in report.per_component_ms]``.
+
+    ``ops`` — the window's replayed statement count (typically
+    ``IntegrationReport.statements_issued``) — turns the report's
+    ``parallel_ops_per_s`` throughput on; the columnar experiment uses
+    it to compare row-at-a-time and columnar apply at equal schedule
+    shapes.
     """
     if workers < 1:
         raise SimulationError(f"need at least one worker lane, got {workers}")
@@ -294,6 +265,7 @@ def run_conflict_schedule(
         components=len(component_durations_ms),
         transactions=sum(len(c) for c in component_durations_ms),
         serial_ms=sum(sum(c) for c in component_durations_ms),
+        ops=ops,
     )
     if not report.transactions:
         return report
@@ -330,4 +302,8 @@ def run_conflict_schedule(
         drain = metrics.histogram("warehouse.schedule.component_finish_ms")
         for finish in report.component_finish_ms:
             drain.observe(finish)
+        if ops:
+            metrics.gauge("warehouse.schedule.ops_per_s").set(
+                report.parallel_ops_per_s
+            )
     return report

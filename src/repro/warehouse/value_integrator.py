@@ -18,10 +18,12 @@ all inside a single warehouse transaction.  The per-statement overhead times
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..engine.session import Session
+from ..engine.transactions import Transaction
 from ..errors import WarehouseError
 from ..extraction.deltas import ChangeKind, DeltaBatch
 from ..obs.pipeline.context import ambient_pipeline
@@ -89,11 +91,30 @@ class IntegrationReport:
     kernel_cache_hits: int = 0
     columnar_fallbacks: int = 0
 
-    @property
-    def mean_transaction_ms(self) -> float:
-        if not self.per_transaction_ms:
-            return 0.0
-        return sum(self.per_transaction_ms) / len(self.per_transaction_ms)
+
+@contextmanager
+def transactional_unit(session: Session, what: str) -> Iterator[Transaction]:
+    """The one warehouse commit site: ``begin`` → body → ``commit``.
+
+    Every apply configuration — serial, row-batched and columnar Op-Delta
+    units, and the indivisible value-delta batch — runs its statements and
+    view maintenance inside this block.  Any failure in the body rolls the
+    whole unit back and surfaces as a typed
+    :class:`~repro.errors.WarehouseError` naming ``what`` was being
+    applied; nothing of a failed unit is ever visible.  REPRO006 flags a
+    session ``begin``/``commit``/``rollback`` anywhere else in the
+    integrator modules.
+    """
+    session.begin()
+    txn = session.current_transaction
+    assert txn is not None
+    try:
+        yield txn
+    except Exception as exc:
+        if session.in_transaction:
+            session.rollback()
+        raise WarehouseError(f"{what} failed: {exc}") from exc
+    session.commit()
 
 
 class ValueDeltaIntegrator:
@@ -110,9 +131,6 @@ class ValueDeltaIntegrator:
         self._table_map = table_map if table_map is not None else {}
         self._views = list(views)
         self._aggregate_views = list(aggregate_views)
-
-    def target_table(self, source_table: str) -> str:
-        return self._table_map.get(source_table, source_table)
 
     def integrate(self, batch: DeltaBatch) -> IntegrationReport:
         """Apply one batch as an indivisible warehouse transaction.
@@ -132,12 +150,11 @@ class ValueDeltaIntegrator:
                 "key to address warehouse rows"
             )
         key_index = batch.schema.primary_key_index()
-        target = self.target_table(batch.table)
+        target = self._table_map.get(batch.table, batch.table)
 
-        self._session.begin()
-        txn = self._session.current_transaction
-        assert txn is not None
-        try:
+        with transactional_unit(
+            self._session, f"value-delta integration of {batch.table!r}"
+        ) as txn:
             with self._session.database.tracer.span(
                 "warehouse.apply.value_batch", table=batch.table
             ):
@@ -147,19 +164,9 @@ class ValueDeltaIntegrator:
                     result = self._session.execute_statement(statement)
                     report.statements_issued += 1
                     report.rows_affected += result.rows_affected
-            for view in self._views:
+            for view in [*self._views, *self._aggregate_views]:
                 if view.definition.base_table == batch.table:
                     view.apply_value_delta(batch.records, txn)
-            for agg in self._aggregate_views:
-                if agg.definition.base_table == batch.table:
-                    agg.apply_value_delta(batch.records, txn)
-        except Exception as exc:
-            if self._session.in_transaction:
-                self._session.rollback()
-            raise WarehouseError(
-                f"value-delta integration of {batch.table!r} failed: {exc}"
-            ) from exc
-        self._session.commit()
         report.transactions = 1
         report.elapsed_ms = clock.now - started
         report.per_transaction_ms.append(report.elapsed_ms)
@@ -221,31 +228,27 @@ class ValueDeltaIntegrator:
     def _statements_for(
         self, record, target: str, key_column: str, key_index: int
     ) -> list[ast.Statement]:
-        def key_predicate(row: tuple[Any, ...]) -> ast.Expression:
-            return ast.BinaryOp(
+        """DELETE by key, then (unless the row is gone) INSERT the after image."""
+
+        def delete_stmt(row: tuple[Any, ...]) -> ast.DeleteStmt:
+            key = ast.BinaryOp(
                 "=", ast.ColumnRef(key_column), ast.Literal(row[key_index])
             )
+            return ast.DeleteStmt(target, key)
 
-        def insert_stmt(row: tuple[Any, ...]) -> ast.InsertStmt:
-            literals = tuple(ast.Literal(v) for v in row)
-            return ast.InsertStmt(target, None, rows=(literals,))
-
-        if record.kind is ChangeKind.INSERT:
-            assert record.after is not None
-            return [insert_stmt(record.after)]
         if record.kind is ChangeKind.DELETE:
             assert record.before is not None
-            return [ast.DeleteStmt(target, key_predicate(record.before))]
-        if record.kind is ChangeKind.UPDATE:
-            assert record.before is not None and record.after is not None
-            return [
-                ast.DeleteStmt(target, key_predicate(record.before)),
-                insert_stmt(record.after),
-            ]
-        # UPSERT (timestamp extraction): provenance unknown — delete any
-        # existing image, then insert the final state.
+            return [delete_stmt(record.before)]
         assert record.after is not None
+        # UPDATE replaces its before image.  UPSERT (timestamp extraction)
+        # has unknown provenance: delete any existing image of the final
+        # state, then insert it.
+        replaced = record.after
+        if record.kind is ChangeKind.UPDATE:
+            assert record.before is not None
+            replaced = record.before
+        literals = tuple(ast.Literal(v) for v in record.after)
         return [
-            ast.DeleteStmt(target, key_predicate(record.after)),
-            insert_stmt(record.after),
+            delete_stmt(replaced),
+            ast.InsertStmt(target, None, rows=(literals,)),
         ]

@@ -15,7 +15,7 @@ from repro.errors import TransportError, WarehouseError
 from repro.transport.network import NetworkModel
 from repro.transport.queue import PersistentQueue
 from repro.transport.shipper import FileShipper, enqueue_op_deltas
-from repro.warehouse import OpDeltaIntegrator, Warehouse, run_batched_schedule
+from repro.warehouse import OpDeltaIntegrator, Warehouse, run_conflict_schedule
 
 SCHEMA = TableSchema(
     "t",
@@ -146,14 +146,14 @@ class TestBatchedIntegration:
 
 class TestBatchedSchedule:
     def test_components_are_indivisible_lane_units(self):
-        report = run_batched_schedule([30.0, 20.0, 10.0], workers=2)
+        report = run_conflict_schedule([[30.0], [20.0], [10.0]], workers=2)
         assert report.components == 3
         assert report.transactions == 3
         assert report.serial_ms == 60.0
         assert report.parallel_ms == 30.0  # LPT: [30] vs [20, 10]
 
     def test_empty_schedule(self):
-        report = run_batched_schedule([], workers=2)
+        report = run_conflict_schedule([], workers=2)
         assert report.parallel_ms == 0.0
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     FileLogStore,
-    OpDeltaApplier,
     OpDeltaCapture,
     StatementTransformer,
     TableMapping,
@@ -13,6 +12,7 @@ from repro.core import (
 from repro.engine import Database
 from repro.errors import OpDeltaError, WarehouseError
 from repro.sql.parser import parse
+from repro.warehouse import OpDeltaIntegrator
 from repro.workloads import OltpWorkload, parts_schema, strip_timestamp
 
 
@@ -124,9 +124,10 @@ class TestApplier:
         workload.run_update(20)
         workload.run_insert(5)
         workload.run_delete(10, top_up=False)
-        applier = OpDeltaApplier(warehouse.internal_session())
-        report = applier.apply_all(store.drain())
-        assert report.transactions_applied == 3
+        integrator = OpDeltaIntegrator(warehouse.internal_session())
+        report = integrator.integrate(store.drain())
+        assert report.transactions == 3
+        assert len(report.per_transaction_ms) == 3
         schema = parts_schema()
         assert strip_timestamp(
             schema, (v for _r, v in source.table("parts").scan())
@@ -143,9 +144,9 @@ class TestApplier:
         session.execute("COMMIT")
         groups = store.drain()
         assert len(groups) == 1
-        applier = OpDeltaApplier(warehouse.internal_session())
+        integrator = OpDeltaIntegrator(warehouse.internal_session())
         commits_before = warehouse.transactions.commits
-        applier.apply_all(groups)
+        integrator.integrate(groups)
         # One source txn -> exactly one warehouse txn.
         assert warehouse.transactions.commits == commits_before + 1
 
@@ -170,9 +171,9 @@ class TestApplier:
             )
         )
         before = sorted(v for _r, v in warehouse.table("parts").scan())
-        applier = OpDeltaApplier(warehouse.internal_session())
+        integrator = OpDeltaIntegrator(warehouse.internal_session())
         with pytest.raises(WarehouseError):
-            applier.apply_transaction(poisoned)
+            integrator.integrate([poisoned])
         after = sorted(v for _r, v in warehouse.table("parts").scan())
         assert before == after  # nothing partially applied
 
@@ -180,5 +181,9 @@ class TestApplier:
         _source, _workload, _store, warehouse = pipeline
         from repro.core.opdelta import OpDeltaTransaction
 
-        applier = OpDeltaApplier(warehouse.internal_session())
-        assert applier.apply_transaction(OpDeltaTransaction(1)) == 0.0
+        before = sorted(v for _r, v in warehouse.table("parts").scan())
+        integrator = OpDeltaIntegrator(warehouse.internal_session())
+        report = integrator.integrate([OpDeltaTransaction(1)])
+        assert report.transactions == 1
+        assert report.statements_issued == 0 and report.rows_affected == 0
+        assert before == sorted(v for _r, v in warehouse.table("parts").scan())

@@ -1,5 +1,6 @@
 """The project-specific AST lint (tools/lint_rules.py)."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,60 @@ class TestRepro006WarehouseMutations:
             name=self.OUTSIDER,
         )
         assert violations == []
+
+    INTEGRATORS = (
+        "repro/warehouse/opdelta_integrator.py",
+        "repro/warehouse/value_integrator.py",
+    )
+
+    def test_txn_control_outside_the_unit_is_flagged(self, tmp_path):
+        for call in ("begin", "commit", "rollback"):
+            for name in self.INTEGRATORS:
+                violations = lint_source(
+                    tmp_path,
+                    f"def apply(self):\n    self._session.{call}()\n",
+                    name=name,
+                )
+                assert len(violations) == 1, (call, name)
+                assert "REPRO006" in violations[0]
+                assert f".{call}()" in violations[0]
+                assert "transactional_unit" in violations[0]
+
+    def test_txn_control_inside_the_unit_is_legal(self, tmp_path):
+        source = (
+            "def transactional_unit(session, what):\n"
+            "    session.begin()\n"
+            "    try:\n"
+            "        yield session.current_transaction\n"
+            "    except Exception:\n"
+            "        session.rollback()\n"
+            "        raise\n"
+            "    session.commit()\n"
+        )
+        for name in self.INTEGRATORS:
+            assert lint_source(tmp_path, source, name=name) == [], name
+
+    def test_txn_control_elsewhere_in_warehouse_is_legal(self, tmp_path):
+        # warehouse.py's bulk loads own their database transaction.
+        source = "def load(self):\n    txn = self.database.begin()\n"
+        assert lint_source(tmp_path, source, name=self.OUTSIDER) == []
+
+    def test_shipped_integrators_have_one_commit_site(self):
+        for name in self.INTEGRATORS:
+            tree = ast.parse((REPO / "src" / name).read_text())
+            calls = sorted(
+                node.func.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in lint_rules.TXN_CONTROL_METHODS
+            )
+            expected = (
+                ["begin", "commit", "rollback"]
+                if name.endswith("value_integrator.py")
+                else []
+            )
+            assert calls == expected, name
 
     def test_shipped_warehouse_package_is_clean(self):
         warehouse_dir = REPO / "src" / "repro" / "warehouse"

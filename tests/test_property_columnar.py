@@ -1,5 +1,7 @@
-"""Property test: columnar batched apply ≡ row-at-a-time serial apply.
+"""Property test: serial ≡ row-batched ≡ columnar apply.
 
+One helper replays a window through the integrator's single apply
+pipeline under each of its three configurations; every pair must agree.
 For random captured windows — inserts (with NULLs), literal and
 arithmetic updates, NULL-writing updates, range deletes, pinned ``NOW()``
 statements, and predicate-crossing updates that force the hybrid
@@ -10,6 +12,8 @@ digests.  The window is optionally compacted first (the coalescer's
 rewrites must stay columnar-safe), and hybrid-plan statements must
 barrier to the row path rather than diverge.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +170,25 @@ def states(wh):
     )
 
 
+#: The three configurations of the integrator's one apply pipeline.
+CONFIGURATIONS = ("serial", "row-batched", "columnar")
+
+
+def replay(configuration, window, graph, clock, initial_rows, view_defs,
+           analyzer, plans):
+    """One fresh warehouse, one window, one configuration of the pipeline."""
+    wh, integrator = build_warehouse(
+        configuration, clock, initial_rows, view_defs, analyzer, plans
+    )
+    if configuration == "serial":
+        report = integrator.integrate(window)
+    else:
+        report = integrator.integrate_batched(
+            window, graph, columnar=configuration == "columnar"
+        )
+    return states(wh), report
+
+
 @given(_operations, st.booleans())
 @settings(max_examples=12, deadline=None)
 def test_columnar_apply_is_bit_for_bit_the_row_apply(operations, compacted):
@@ -195,36 +218,33 @@ def test_columnar_apply_is_bit_for_bit_the_row_apply(operations, compacted):
     if not window:
         return
 
-    wh_serial, integ_serial = build_warehouse(
-        "serial", source.clock, initial_rows, view_defs, analyzer, plans
-    )
-    wh_rows, integ_rows = build_warehouse(
-        "rows", source.clock, initial_rows, view_defs, analyzer, plans
-    )
-    wh_col, integ_col = build_warehouse(
-        "col", source.clock, initial_rows, view_defs, analyzer, plans
-    )
-
     graph = analyzer.conflict_graph(window)
-    integ_serial.integrate(window)
-    integ_rows.integrate_batched(window, graph)
-    col_report = integ_col.integrate_batched(window, graph, columnar=True)
-
-    state_serial = states(wh_serial)
-    state_rows = states(wh_rows)
-    state_col = states(wh_col)
-    # Raw rows bit-for-bit across all three replays...
-    assert state_col == state_rows
-    assert state_col == state_serial
-    # ...and the auditor's XOR-SHA256 digests agree at every position.
-    for position, serial_state, col_state in zip(
-        ("mirror", "view", "pricey"), state_serial, state_col
-    ):
-        assert StateDigest.from_rows(serial_state) == StateDigest.from_rows(
-            col_state
-        ), position
+    outcomes = {
+        configuration: replay(
+            configuration, window, graph, source.clock, initial_rows,
+            view_defs, analyzer, plans,
+        )
+        for configuration in CONFIGURATIONS
+    }
+    for first, second in itertools.combinations(CONFIGURATIONS, 2):
+        state_a, report_a = outcomes[first]
+        state_b, report_b = outcomes[second]
+        pair = f"{first} vs {second}"
+        # Raw rows bit-for-bit across every pair of replays...
+        assert state_a == state_b, pair
+        # ...the auditor's XOR-SHA256 digests agree at every position...
+        for position, rows_a, rows_b in zip(
+            ("mirror", "view", "pricey"), state_a, state_b
+        ):
+            assert StateDigest.from_rows(rows_a) == StateDigest.from_rows(
+                rows_b
+            ), (pair, position)
+        # ...and so does the statement and row accounting.
+        assert report_a.statements_issued == report_b.statements_issued, pair
+        assert report_a.rows_affected == report_b.rows_affected, pair
     # The columnar mode really ran: every statement either batched or
     # fell back across a barrier, and the report accounts for both.
+    col_report = outcomes["columnar"][1]
     assert (
         col_report.columnar_statements > 0 or col_report.columnar_fallbacks > 0
     )

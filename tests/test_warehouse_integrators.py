@@ -2,11 +2,21 @@
 
 import pytest
 
+from repro.analysis import OpDeltaAnalyzer
+from repro.analysis.certify import InterferenceSanitizer
 from repro.core import FileLogStore, OpDeltaCapture
+from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.engine import Database
 from repro.errors import WarehouseError
 from repro.extraction import TriggerExtractor
 from repro.extraction.deltas import ChangeKind, DeltaBatch, DeltaRecord
+from repro.obs.pipeline import (
+    LifecycleKind,
+    PipelineAuditor,
+    PipelineRecorder,
+    observe_pipeline,
+)
+from repro.sql.parser import parse
 from repro.warehouse import OpDeltaIntegrator, ValueDeltaIntegrator, Warehouse
 from repro.workloads import OltpWorkload, parts_schema, strip_timestamp
 
@@ -152,3 +162,198 @@ class TestOpDeltaIntegrator:
             warehouse.database.internal_session()
         ).integrate(groups)
         assert op_report.elapsed_ms < value_report.elapsed_ms
+
+
+# ---------------------------------------------------------------------------
+# One apply pipeline, three configurations
+# ---------------------------------------------------------------------------
+
+ANALYZER = OpDeltaAnalyzer(
+    mirrored_tables={"parts"},
+    key_columns={"parts": "part_id"},
+    table_columns={"parts": parts_schema().column_names},
+)
+
+CONFIGURATIONS = ("serial", "row-batched", "columnar")
+
+
+def apply_window(integrator, groups, configuration):
+    """Run one window through the integrator under a named configuration."""
+    if configuration == "serial":
+        return integrator.integrate(groups)
+    return integrator.integrate_batched(
+        groups, columnar=configuration == "columnar"
+    )
+
+
+def op(txn_id, seq, sql, before_image=None):
+    parsed = parse(sql)
+    kind = {
+        "InsertStmt": OpKind.INSERT,
+        "UpdateStmt": OpKind.UPDATE,
+        "DeleteStmt": OpKind.DELETE,
+    }[type(parsed).__name__]
+    return OpDelta(
+        statement_text=sql,
+        table=parsed.table,
+        kind=kind,
+        txn_id=txn_id,
+        sequence=seq,
+        captured_at=1000.0,
+        before_image=before_image,
+    )
+
+
+#: Collides with the initially loaded row 0 at the warehouse.
+POISON = (
+    "INSERT INTO parts VALUES (0, 9, 'PN', 'd', 'new', 1, 1.0, NULL, 0)"
+)
+
+
+class TestOneApplyPipeline:
+    """The behaviours the deleted ``OpDeltaApplier`` pinned, on ``integrate``."""
+
+    def test_replay_converges_mirror(self, pipeline):
+        source, workload, store, _triggers, warehouse = pipeline
+        workload.run_update(20)
+        workload.run_insert(5)
+        workload.run_delete(10, top_up=False)
+        report = OpDeltaIntegrator(
+            warehouse.database.internal_session()
+        ).integrate(store.drain())
+        assert report.transactions == 3
+        assert len(report.per_transaction_ms) == 3
+        assert logical(warehouse.database) == logical(source)
+
+    def test_one_source_txn_is_exactly_one_warehouse_commit(self, pipeline):
+        _source, workload, store, _triggers, warehouse = pipeline
+        session = workload.session
+        session.execute("BEGIN")
+        session.execute("UPDATE parts SET status = 'a' WHERE part_ref < 3")
+        session.execute(
+            "UPDATE parts SET status = 'b' WHERE part_ref >= 3 AND part_ref < 6"
+        )
+        session.execute("COMMIT")
+        groups = store.drain()
+        assert len(groups) == 1
+        commits_before = warehouse.database.transactions.commits
+        report = OpDeltaIntegrator(
+            warehouse.database.internal_session()
+        ).integrate(groups)
+        assert report.statements_issued == 2
+        assert warehouse.database.transactions.commits == commits_before + 1
+
+    def test_empty_group_is_a_noop(self, pipeline):
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        before = sorted(v for _r, v in warehouse.database.table("parts").scan())
+        report = OpDeltaIntegrator(
+            warehouse.database.internal_session()
+        ).integrate([OpDeltaTransaction(1)])
+        assert report.statements_issued == 0 and report.rows_affected == 0
+        after = sorted(v for _r, v in warehouse.database.table("parts").scan())
+        assert before == after
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_failing_unit_rolls_back_and_raises_typed(
+        self, pipeline, configuration
+    ):
+        _source, workload, store, _triggers, warehouse = pipeline
+        workload.session.execute("BEGIN")
+        workload.session.execute(
+            "UPDATE parts SET status = 'ok' WHERE part_ref < 3"
+        )
+        workload.session.execute("COMMIT")
+        [poisoned] = store.drain()
+        poisoned.operations.append(op(poisoned.txn_id, 99, POISON))
+        database = warehouse.database
+        before = sorted(v for _r, v in database.table("parts").scan())
+        commits_before = database.transactions.commits
+        integrator = OpDeltaIntegrator(
+            database.internal_session(), analyzer=ANALYZER
+        )
+        with pytest.raises(WarehouseError, match="failed: "):
+            apply_window(integrator, [poisoned], configuration)
+        # Nothing partially applied, nothing committed, session reusable.
+        assert before == sorted(v for _r, v in database.table("parts").scan())
+        assert database.transactions.commits == commits_before
+        poisoned.operations.pop()
+        report = apply_window(integrator, [poisoned], configuration)
+        assert report.transactions == 1 and report.rows_affected == 3
+
+
+class TestRecordStage:
+    """Lineage and sanitizer observations are emitted post-commit only."""
+
+    def test_rolled_back_unit_leaves_no_lineage_and_retry_closes(
+        self, pipeline
+    ):
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        analyzer = OpDeltaAnalyzer(mirrored_tables=("parts",))
+        pruned = op(7, 0, "UPDATE audit_log SET note = 'x' WHERE event_id = 1")
+        noop = op(
+            7, 1, "DELETE FROM parts WHERE quantity < RANDOM()", before_image=[]
+        )
+        group = OpDeltaTransaction(
+            txn_id=7, operations=[pruned, noop, op(7, 2, POISON)]
+        )
+        integrator = OpDeltaIntegrator(
+            warehouse.database.internal_session(), analyzer=analyzer
+        )
+        recorder = PipelineRecorder(clock=warehouse.database.clock)
+        with observe_pipeline(recorder):
+            with pytest.raises(WarehouseError):
+                integrator.integrate([group])
+            # The unit never committed: no APPLIED/PRUNED event survives.
+            assert recorder.log.total(LifecycleKind.APPLIED) == 0
+            assert recorder.log.total(LifecycleKind.PRUNED) == 0
+            group.operations[2] = op(
+                7,
+                2,
+                "INSERT INTO parts VALUES (900001, 9, 'PN', 'd', 'new', 1, "
+                "1.0, NULL, 0)",
+            )
+            report = integrator.integrate([group])
+        assert report.statements_pruned == 1
+        assert report.fallback_images_applied == 1
+        assert recorder.log.total(LifecycleKind.PRUNED) == 1
+        assert recorder.log.total(LifecycleKind.APPLIED) == 2
+        for record in recorder.lineage.values():
+            assert len(record.applied_at) <= 1
+        audit = PipelineAuditor(recorder).audit()
+        assert audit.verdict == "CLEAN"
+        assert audit.conservation == {
+            "captured": 3,
+            "applied": 2,
+            "pruned": 1,
+            "absorbed": 0,
+            "rejected": 0,
+            "in_flight": 0,
+        }
+        # The no-op replay settles like any applied op of its transaction.
+        assert recorder.lineage["txn7:op1"].committed_at == group.committed_at
+
+    def test_serial_apply_is_observed_by_the_sanitizer(self, pipeline):
+        _source, workload, store, _triggers, warehouse = pipeline
+        workload.run_update(10)
+        workload.run_insert(5)
+        workload.run_delete(5, top_up=False)
+        groups = store.drain()
+        observed = []
+
+        class RecordingSanitizer(InterferenceSanitizer):
+            def observe(self, lane, op, at_ms):
+                observed.append((lane, op))
+                super().observe(lane, op, at_ms)
+
+        sanitizer = RecordingSanitizer.for_analyzer(2, ANALYZER)
+        report = OpDeltaIntegrator(
+            warehouse.database.internal_session(),
+            analyzer=ANALYZER,
+            sanitizer=sanitizer,
+        ).integrate(groups)
+        settled = [op for group in groups for op in group.operations]
+        assert report.statements_issued == len(settled) > 0
+        # Every settled op was observed, in apply order, on the one lane.
+        assert [op for _lane, op in observed] == settled
+        assert {lane for lane, _op in observed} == {0}
+        assert sanitizer.clean

@@ -58,7 +58,12 @@ are banned outside the integrator commit paths and the view/aggregate
 maintenance plans (``opdelta_integrator.py``, ``value_integrator.py``,
 ``views.py``, ``aggregates.py``).  Bulk initial loads are exempt when
 they say so explicitly: a call passing ``mode=...BULK_INTERNAL`` is
-seeding state before any delta exists, not applying one.
+seeding state before any delta exists, not applying one.  Inside the two
+integrator modules themselves there is exactly **one commit site**: a
+``.begin()`` / ``.commit()`` / ``.rollback()`` call anywhere but the
+``transactional_unit`` block every apply configuration shares is a
+second transaction boundary the rollback/lineage/sanitizer contract does
+not cover, and is flagged.
 
 **REPRO007 — delta rules come from the planner.**  The delta-rule
 verifier's certificates are keyed by the *compiled plan*: a
@@ -190,6 +195,12 @@ MUTATION_EXEMPT_SUFFIXES = (
     "warehouse/views.py",
     "warehouse/aggregates.py",
 )
+
+#: Transaction-control methods (REPRO006): in the integrator modules
+#: (:data:`BATCH_APPLY_SUFFIXES`) these may only be called from the one
+#: transactional-unit function.
+TXN_CONTROL_METHODS = frozenset({"begin", "commit", "rollback"})
+TRANSACTIONAL_UNIT_FUNCTION = "transactional_unit"
 
 #: The one module allowed to construct delta rules (REPRO007).
 DELTA_RULE_EXEMPT_SUFFIXES = ("semantics/planner.py",)
@@ -391,10 +402,20 @@ def lint_file(path: Path) -> list[str]:
     )
     obs_private_banned = OBS_PATH_FRAGMENT not in normalized
 
+    #: Calls inside the one transactional-unit function (REPRO006); None
+    #: outside the integrator modules, where the rule does not apply.
+    unit_calls: set[int] | None = None
     if COLUMNAR_PATH_FRAGMENT in normalized:
         violations.extend(_hot_loop_violations(path, tree, min_depth=1))
     elif normalized.endswith(BATCH_APPLY_SUFFIXES):
         violations.extend(_hot_loop_violations(path, tree, min_depth=2))
+        unit_calls = {
+            id(inner)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and function.name == TRANSACTIONAL_UNIT_FUNCTION
+            for inner in ast.walk(function)
+        }
 
     for node in ast.walk(tree):
         if isinstance(node, ast.ExceptHandler):
@@ -481,6 +502,18 @@ def lint_file(path: Path) -> list[str]:
                 "commit paths; route the change through OpDeltaIntegrator/"
                 "ValueDeltaIntegrator (or pass mode=...BULK_INTERNAL for a "
                 "pre-delta bulk load)"
+            )
+        if (
+            unit_calls is not None
+            and "." in name
+            and method in TXN_CONTROL_METHODS
+            and id(node) not in unit_calls
+        ):
+            violations.append(
+                f"{path}:{node.lineno}: REPRO006 .{method}() call outside "
+                f"{TRANSACTIONAL_UNIT_FUNCTION}(); the integrators have one "
+                "commit site — run the statements inside "
+                "'with transactional_unit(session, what) as txn:'"
             )
         if not parse_exempt and method == "parse":
             for arg in [*node.args, *(kw.value for kw in node.keywords)]:
