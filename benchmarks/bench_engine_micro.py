@@ -4,6 +4,11 @@ Unlike the experiment benches (which report deterministic *virtual* time),
 these measure the Python implementation itself: row codec, page ops, SQL
 parsing, DML statements, scans.  Useful for catching performance
 regressions in the substrate that the experiments run on.
+
+The row-vs-columnar pair at the bottom compares two *bindings* of the one
+SQL expression compiler (:mod:`repro.sql.expressions`) — a kernel over row
+tuples and a kernel over column arrays run the same interior-node code —
+and then the two statement-apply paths built on them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import pytest
 from repro.columnar import ColumnBatch, ColumnarApplier, compile_predicate
 from repro.engine import Database
 from repro.engine.rows import decode_row, encode_row
-from repro.sql.expressions import evaluate, is_true
+from repro.sql import expressions
 from repro.sql.parser import parse
 from repro.workloads import OltpWorkload, PartsGenerator, parts_schema
 
@@ -87,8 +92,8 @@ def test_sized_update_transaction(benchmark, populated):
 # --------------------------------------------------------- row vs columnar
 # The columnar experiment gates the *end-to-end* speedup in virtual time;
 # these pin down where the real-wall-clock win comes from, stage by stage:
-# predicate evaluation (dict env + interpreter per row vs compiled kernel
-# per position) and statement apply (executor row loop vs batch DML).
+# predicate evaluation (the one compiler bound to row tuples vs bound to
+# column arrays) and statement apply (executor row loop vs batch DML).
 
 _PREDICATE_SQL = "quantity > 500 AND status != 'retired'"
 
@@ -102,15 +107,12 @@ def parts_image(populated):
 def test_predicate_eval_row_at_a_time(benchmark, populated):
     database, _workload = populated
     where = parse(f"DELETE FROM parts WHERE {_PREDICATE_SQL}").where
-    names = parts_schema().column_names
+    bind = expressions.RowBinding(parts_schema().column_names)
+    kernel = expressions.compile_predicate(where, bind)
     rows = [values for _rid, values in database.table("parts").scan()]
 
     def row_filter():
-        return sum(
-            1
-            for values in rows
-            if is_true(evaluate(where, dict(zip(names, values))))
-        )
+        return sum(1 for values in rows if kernel(values, expressions.NO_SESSION))
 
     assert benchmark(row_filter) > 0
 

@@ -38,7 +38,7 @@ from ...engine.table import InsertMode
 from ...errors import AnalysisError, ReproError, WarehouseError
 from ...semantics.diagnostics import Severity
 from ...sql.executor import Executor
-from ...sql.expressions import evaluate, is_true
+from ...sql.expressions import NO_SESSION, RowBinding, compile_predicate
 from ...sql.parser import parse
 from .certificate import (
     DEFAULT_CERTIFICATE_CACHE,
@@ -666,14 +666,8 @@ class DeltaRuleVerifier:
         delta: OpDelta,
     ) -> list[tuple[Any, ...]]:
         where = delta.statement.where  # type: ignore[union-attr]
-        if where is None:
-            return list(rows)
-        matched = []
-        for row in rows:
-            env = dict(zip(schema.column_names, row))
-            if is_true(evaluate(where, env)):
-                matched.append(row)
-        return matched
+        matches = compile_predicate(where, RowBinding(schema.column_names))
+        return [row for row in rows if matches(row, NO_SESSION)]
 
     def _view_state(self, subject: _Subject, view: Any) -> Any:
         if subject.is_aggregate:

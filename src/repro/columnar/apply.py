@@ -11,9 +11,10 @@ logical mutations (validation, unique checks, index maintenance,
 triggers, undo, bit-identical WAL payloads) at the columnar CPU factor.
 
 **Parity invariant.**  For every statement the applier either (a)
-replays it columnar with kernels that are closure-compiled from the same
-AST the row path interprets, writing results back into the image so
-later statements read their writes, or (b) hits a
+replays it columnar with kernels the one SQL compiler built from the same
+AST — the code the row path runs, bound to column arrays — writing
+results back into the image so later statements read their writes, or (b)
+hits a
 :class:`~repro.columnar.kernels.CompileBarrier` / unsupported shape and
 falls back to the original row path verbatim, invalidating the affected
 image.  Either way the final table state is bit-for-bit the state the
@@ -30,9 +31,10 @@ from ..engine.table import Table
 from ..engine.transactions import Transaction
 from ..errors import SqlAnalysisError
 from ..sql import ast_nodes as ast
-from ..sql.expressions import evaluate
+from ..sql.expressions import NO_SESSION, compile_insert_rows
 from .batch import ColumnBatch
 from .kernels import (
+    BatchBinding,
     CompileBarrier,
     KernelCache,
     compile_expression,
@@ -46,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class RowApplier:
-    """The row path: the session executor interprets every statement.
+    """The row path: the session executor runs every statement.
 
     This is the statement executor of the serial and row-batched apply
     configurations, the reference the parity tests compare against, and
@@ -162,35 +164,16 @@ class ColumnarApplier(RowApplier):
         self, stmt: ast.InsertStmt, txn: Transaction, cache_key: str
     ) -> int:
         table = self._db.table(stmt.table)
-
-        def factory() -> tuple[tuple[Any, ...], ...]:
-            # Literal rows compile to value closures over no columns;
-            # volatile expressions barrier out to the row path here.
-            return tuple(
-                tuple(compile_expression(expr, {}) for expr in expr_row)
-                for expr_row in stmt.rows
-            )
-
-        compiled_rows = self.kernels.get(
-            ("mirror-insert", stmt.table, cache_key), factory
+        # Literal rows compile to kernels over no columns; volatile
+        # expressions barrier out to the row path here.
+        literal_rows = self.kernels.get(
+            ("mirror-insert", stmt.table, cache_key),
+            lambda: compile_insert_rows(
+                stmt, table.schema.column_names, SqlAnalysisError, BatchBinding({})
+            ),
         )
         self._dispatch()
-        rows: list[tuple[Any, ...]] = []
-        for closures in compiled_rows:
-            literal_row = tuple(closure((), 0) for closure in closures)
-            if stmt.columns is None:
-                rows.append(literal_row)
-            else:
-                if len(stmt.columns) != len(literal_row):
-                    raise SqlAnalysisError(
-                        f"INSERT names {len(stmt.columns)} columns but "
-                        f"supplies {len(literal_row)} values"
-                    )
-                rows.append(
-                    table.schema.values_from_mapping(
-                        dict(zip(stmt.columns, literal_row))
-                    )
-                )
+        rows = list(literal_rows(0))
         self._insert_batch(table, rows, txn)
         return len(rows)
 
@@ -359,21 +342,10 @@ class ColumnarApplier(RowApplier):
             factory,
         )
         self._dispatch()
-        # Base rows exactly as the row path computes them (same evaluator,
-        # same width check, same columns mapping with NULL for absences).
-        base_rows: list[tuple[Any, ...]] = []
-        for expr_row in stmt.rows:
-            values = tuple(evaluate(expr, {}) for expr in expr_row)
-            if stmt.columns is not None:
-                mapping = dict(zip(stmt.columns, values))
-                base_rows.append(
-                    tuple(mapping.get(name) for name in base_columns)
-                )
-            elif len(values) != len(base_columns):
-                raise CompileBarrier("INSERT width mismatch: row path raises")
-            else:
-                base_rows.append(values)
-        batch = ColumnBatch.from_rows(base_columns, base_rows)
+        # Base rows exactly as the row path computes them; a width
+        # mismatch barriers so that the row path raises its own error.
+        base_rows = compile_insert_rows(stmt, base_columns, CompileBarrier)
+        batch = ColumnBatch.from_rows(base_columns, base_rows(NO_SESSION))
         cols = batch.columns
         projected = [
             tuple(cols[slot][pos] for slot in project)

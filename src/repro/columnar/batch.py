@@ -1,10 +1,9 @@
 """ColumnBatch: parallel per-column arrays with a per-window row-id space.
 
-The row-at-a-time apply path materialises a ``dict`` environment per row
-per statement; a :class:`ColumnBatch` instead holds one Python list per
-column, a validity vector (live / deleted-in-window), derived null masks,
-and — when the batch mirrors an engine table — the physical
-:class:`~repro.engine.rows.RowId` of each position.  Positions (indexes
+The row-at-a-time apply path re-reads the table per statement; a
+:class:`ColumnBatch` instead holds one Python list per column, a validity
+vector (live / deleted-in-window), and — when the batch mirrors an engine
+table — the physical :class:`~repro.engine.rows.RowId` of each position.  Positions (indexes
 into the parallel arrays) form the *per-window row-id space*: every
 compiled kernel addresses rows by position, and converters map positions
 back to physical row ids at commit time.
@@ -16,7 +15,7 @@ the literal rows of shippable Op-Delta windows.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.rows import RowId
@@ -108,43 +107,5 @@ class ColumnBatch:
         """All positions ever allocated in this window's row-id space."""
         return len(self.valid)
 
-    @property
-    def live_count(self) -> int:
-        return sum(1 for alive in self.valid if alive)
-
-    def live_positions(self) -> list[int]:
-        """Live positions in physical (scan/append) order."""
-        return [pos for pos, alive in enumerate(self.valid) if alive]
-
-    def row(self, position: int) -> tuple[Any, ...]:
-        return tuple(column[position] for column in self.columns)
-
-    def column(self, name: str) -> list[Any]:
-        return self.columns[self.layout[name]]
-
-    def null_mask(self, name: str) -> list[bool]:
-        """True where the named column is NULL (over all positions)."""
-        return [value is None for value in self.columns[self.layout[name]]]
-
-    def rows(self) -> list[tuple[Any, ...]]:
-        """All live rows, in position order."""
-        return [self.row(pos) for pos, alive in enumerate(self.valid) if alive]
-
-    def __len__(self) -> int:
-        return self.num_rows
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ColumnBatch(columns={len(self.columns)}, rows={self.num_rows}, "
-            f"live={self.live_count})"
-        )
-
-
-def batch_from_insert_rows(
-    column_names: Sequence[str], literal_rows: Iterable[Mapping[str, Any]]
-) -> ColumnBatch:
-    """Convert evaluated INSERT rows (column->value mappings) to a batch."""
-    batch = ColumnBatch(column_names)
-    for mapping in literal_rows:
-        batch.append(tuple(mapping.get(name) for name in column_names))
-    return batch
+        return f"ColumnBatch(columns={len(self.columns)}, rows={self.num_rows})"

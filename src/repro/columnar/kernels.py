@@ -1,21 +1,18 @@
-"""Closure compilation of SQL expressions over column arrays.
+"""The column-batch binding of the SQL compiler, and the kernel cache.
 
-:func:`compile_expression` walks an AST **once** and returns a closure
-``(columns, position) -> value`` with every column reference bound to its
-array slot at compile time.  Evaluating a predicate over a batch is then
-a tight loop over positions — no per-row environment dicts, no per-node
-``isinstance`` dispatch.
+There is one expression compiler, :func:`repro.sql.expressions.compile_expression`;
+this module binds its leaves to a :class:`~repro.columnar.batch.ColumnBatch`:
+a kernel is ``(columns, position) -> value`` with every column reference
+resolved to its array slot at compile time, so evaluating a predicate over
+a batch is a tight loop over positions.
 
-The compiled closures are contractually **bit-for-bit equivalent** to
-:func:`repro.sql.expressions.evaluate`: they share the same helpers
-(``sql_truth``, ``check_comparable``, ``like_regex``,
-``apply_scalar_function``) and reproduce its Kleene three-valued logic,
-short-circuit order, and error messages exactly.  Anything the compiler
-cannot prove it can reproduce — volatile functions, unknown columns,
-aggregates — raises :class:`CompileBarrier`, and the caller falls back
-to the row-at-a-time path (which then raises or handles the case with
-the original semantics).  A barrier is a routing decision, never an
-error.
+The batch binding is **eager** where the row bindings are lazy.  A batch
+carries no session context and the row path owns the diagnostics, so a
+volatile function, an unknown column or qualifier, ``*``/an aggregate in
+scalar position and an unknown operator all raise :class:`CompileBarrier`
+at compile time, and the caller replays the statement on the row path
+(which then handles or raises with the original semantics).  A barrier is
+a routing decision, never an error.
 
 Compiled kernels are cached in a :class:`KernelCache` keyed by the plan
 fingerprint plus ``(table, kind, view)`` — the window memo seam of
@@ -25,44 +22,55 @@ set reuse closures instead of recompiling.
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Callable, Hashable, Sequence
 
-from ..errors import SqlAnalysisError
 from ..sql import ast_nodes as ast
-from ..sql.expressions import (
-    apply_scalar_function,
-    check_comparable,
-    like_regex,
-    sql_truth,
-)
+from ..sql import expressions
 
 #: A compiled scalar: (column arrays, position) -> SQL value.
 CompiledScalar = Callable[[Sequence[Sequence[Any]], int], Any]
-
-_COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-}
 
 
 class CompileBarrier(Exception):
     """The expression needs the row-at-a-time path (volatile, unknown...).
 
-    Not an error: the caller routes the statement through the original
-    evaluator, which reproduces the exact row-path behaviour (including
-    any error the expression would raise there).
+    Not an error: the caller routes the statement through the row path,
+    which reproduces the exact row-path behaviour (including any error the
+    expression would raise there).
     """
+
+
+class BatchBinding:
+    """Leaves over column arrays; what a batch cannot serve is a barrier.
+
+    ``layout`` maps column names to array slots; ``qualifiers`` is the set
+    of table names/aliases under which qualified references resolve to the
+    same slots.
+    """
+
+    def __init__(
+        self, layout: dict[str, int], qualifiers: frozenset[str] = frozenset()
+    ) -> None:
+        self._layout = layout
+        self._qualifiers = qualifiers
+
+    def column(self, ref: ast.ColumnRef) -> CompiledScalar:
+        if ref.table is not None and ref.table not in self._qualifiers:
+            raise CompileBarrier(f"unresolvable qualifier {ref.table!r}")
+        try:
+            slot = self._layout[ref.name]
+        except KeyError:
+            raise CompileBarrier(f"unknown column {ref.name!r}") from None
+        return lambda cols, i: cols[slot][i]
+
+    def volatile(self, name: str) -> CompiledScalar:
+        # NOW()/RANDOM()/user need session context the batch does not
+        # carry; pinned statements never contain them, so this is the
+        # barrier that routes genuinely volatile ops to the row path.
+        raise CompileBarrier(f"volatile function {name}")
+
+    def fail(self, message: str) -> CompiledScalar:
+        raise CompileBarrier(message)
 
 
 def compile_expression(
@@ -70,42 +78,8 @@ def compile_expression(
     layout: dict[str, int],
     qualifiers: frozenset[str] = frozenset(),
 ) -> CompiledScalar:
-    """Compile ``expr`` to a closure over column arrays.
-
-    ``layout`` maps column names to array slots; ``qualifiers`` is the
-    set of table names/aliases under which qualified references resolve
-    to the same slots (matching the executor's row environments).
-    """
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda cols, i: value
-    if isinstance(expr, ast.ColumnRef):
-        if expr.table is not None and expr.table not in qualifiers:
-            raise CompileBarrier(f"unresolvable qualifier {expr.table!r}")
-        try:
-            slot = layout[expr.name]
-        except KeyError:
-            raise CompileBarrier(f"unknown column {expr.name!r}") from None
-        return lambda cols, i: cols[slot][i]
-    if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, layout, qualifiers)
-    if isinstance(expr, ast.UnaryOp):
-        return _compile_unary(expr, layout, qualifiers)
-    if isinstance(expr, ast.InList):
-        return _compile_in_list(expr, layout, qualifiers)
-    if isinstance(expr, ast.Between):
-        return _compile_between(expr, layout, qualifiers)
-    if isinstance(expr, ast.Like):
-        return _compile_like(expr, layout, qualifiers)
-    if isinstance(expr, ast.IsNull):
-        inner = compile_expression(expr.expr, layout, qualifiers)
-        if expr.negated:
-            return lambda cols, i: inner(cols, i) is not None
-        return lambda cols, i: inner(cols, i) is None
-    if isinstance(expr, ast.FuncCall):
-        return _compile_func(expr, layout, qualifiers)
-    # Star, Aggregate, anything newer: the row path owns the diagnostics.
-    raise CompileBarrier(f"cannot compile {type(expr).__name__}")
+    """Compile ``expr`` to a kernel over column arrays."""
+    return expressions.compile_expression(expr, BatchBinding(layout, qualifiers))
 
 
 def compile_predicate(
@@ -114,211 +88,7 @@ def compile_predicate(
     qualifiers: frozenset[str] = frozenset(),
 ) -> Callable[[Sequence[Sequence[Any]], int], bool]:
     """Compile a WHERE clause to a position filter (SQL ``is_true``)."""
-    if where is None:
-        return lambda cols, i: True
-    compiled = compile_expression(where, layout, qualifiers)
-    return lambda cols, i: compiled(cols, i) is True
-
-
-def _compile_binary(
-    expr: ast.BinaryOp, layout: dict[str, int], qualifiers: frozenset[str]
-) -> CompiledScalar:
-    op = expr.op
-    left = compile_expression(expr.left, layout, qualifiers)
-    right = compile_expression(expr.right, layout, qualifiers)
-    if op == "AND":
-
-        def kleene_and(cols: Sequence[Sequence[Any]], i: int) -> Any:
-            lv = left(cols, i)
-            if lv is False:
-                return False
-            rv = right(cols, i)
-            if rv is False:
-                return False
-            if lv is None or rv is None:
-                return None
-            return sql_truth(lv) and sql_truth(rv)
-
-        return kleene_and
-    if op == "OR":
-
-        def kleene_or(cols: Sequence[Sequence[Any]], i: int) -> Any:
-            lv = left(cols, i)
-            if lv is True:
-                return True
-            rv = right(cols, i)
-            if rv is True:
-                return True
-            if lv is None or rv is None:
-                return None
-            return sql_truth(lv) or sql_truth(rv)
-
-        return kleene_or
-    if op in _COMPARISONS:
-        compare = _COMPARISONS[op]
-
-        def comparison(cols: Sequence[Sequence[Any]], i: int) -> Any:
-            lv = left(cols, i)
-            rv = right(cols, i)
-            if lv is None or rv is None:
-                return None
-            check_comparable(lv, rv, op)
-            return compare(lv, rv)
-
-        return comparison
-    if op in _ARITHMETIC:
-        arith = _ARITHMETIC[op]
-
-        def arithmetic(cols: Sequence[Sequence[Any]], i: int) -> Any:
-            lv = left(cols, i)
-            rv = right(cols, i)
-            if lv is None or rv is None:
-                return None
-            if not isinstance(lv, (int, float)) or not isinstance(
-                rv, (int, float)
-            ):
-                raise SqlAnalysisError(
-                    f"arithmetic {op!r} requires numbers, got {lv!r} and {rv!r}"
-                )
-            return arith(lv, rv)
-
-        return arithmetic
-    if op == "/":
-
-        def division(cols: Sequence[Sequence[Any]], i: int) -> Any:
-            lv = left(cols, i)
-            rv = right(cols, i)
-            if lv is None or rv is None:
-                return None
-            if not isinstance(lv, (int, float)) or not isinstance(
-                rv, (int, float)
-            ):
-                raise SqlAnalysisError(
-                    f"arithmetic '/' requires numbers, got {lv!r} and {rv!r}"
-                )
-            if rv == 0:
-                raise SqlAnalysisError("division by zero")
-            return lv / rv
-
-        return division
-    raise CompileBarrier(f"unknown binary operator {op!r}")
-
-
-def _compile_unary(
-    expr: ast.UnaryOp, layout: dict[str, int], qualifiers: frozenset[str]
-) -> CompiledScalar:
-    inner = compile_expression(expr.operand, layout, qualifiers)
-    if expr.op == "NOT":
-
-        def negate(cols: Sequence[Sequence[Any]], i: int) -> Any:
-            value = inner(cols, i)
-            if value is None:
-                return None
-            return not sql_truth(value)
-
-        return negate
-    if expr.op == "-":
-
-        def minus(cols: Sequence[Sequence[Any]], i: int) -> Any:
-            value = inner(cols, i)
-            if value is None:
-                return None
-            if not isinstance(value, (int, float)):
-                raise SqlAnalysisError(
-                    f"unary minus requires a number, got {value!r}"
-                )
-            return -value
-
-        return minus
-    raise CompileBarrier(f"unknown unary operator {expr.op!r}")
-
-
-def _compile_in_list(
-    expr: ast.InList, layout: dict[str, int], qualifiers: frozenset[str]
-) -> CompiledScalar:
-    subject = compile_expression(expr.expr, layout, qualifiers)
-    items = tuple(
-        compile_expression(item, layout, qualifiers) for item in expr.items
-    )
-    negated = expr.negated
-
-    def in_list(cols: Sequence[Sequence[Any]], i: int) -> Any:
-        value = subject(cols, i)
-        if value is None:
-            return None
-        saw_null = False
-        for item in items:
-            candidate = item(cols, i)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return not negated
-        if saw_null:
-            return None
-        return negated
-
-    return in_list
-
-
-def _compile_between(
-    expr: ast.Between, layout: dict[str, int], qualifiers: frozenset[str]
-) -> CompiledScalar:
-    subject = compile_expression(expr.expr, layout, qualifiers)
-    low = compile_expression(expr.low, layout, qualifiers)
-    high = compile_expression(expr.high, layout, qualifiers)
-    negated = expr.negated
-
-    def between(cols: Sequence[Sequence[Any]], i: int) -> Any:
-        value = subject(cols, i)
-        lo = low(cols, i)
-        hi = high(cols, i)
-        if value is None or lo is None or hi is None:
-            return None
-        check_comparable(value, lo, "BETWEEN")
-        check_comparable(value, hi, "BETWEEN")
-        result = lo <= value <= hi
-        return (not result) if negated else result
-
-    return between
-
-
-def _compile_like(
-    expr: ast.Like, layout: dict[str, int], qualifiers: frozenset[str]
-) -> CompiledScalar:
-    subject = compile_expression(expr.expr, layout, qualifiers)
-    # Pattern is static in the AST: the regex compiles once per kernel.
-    pattern = like_regex(expr.pattern)
-    negated = expr.negated
-
-    def like(cols: Sequence[Sequence[Any]], i: int) -> Any:
-        value = subject(cols, i)
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise SqlAnalysisError(f"LIKE requires a string, got {value!r}")
-        matched = pattern.match(value) is not None
-        return (not matched) if negated else matched
-
-    return like
-
-
-def _compile_func(
-    expr: ast.FuncCall, layout: dict[str, int], qualifiers: frozenset[str]
-) -> CompiledScalar:
-    if expr.function in ast.VOLATILE_FUNCTIONS:
-        # NOW()/RANDOM()/user need session context the batch does not
-        # carry; pinned statements never contain them, so this is the
-        # barrier that routes genuinely volatile ops to the row path.
-        raise CompileBarrier(f"volatile function {expr.function}")
-    name = expr.function
-    args = tuple(
-        compile_expression(arg, layout, qualifiers) for arg in expr.args
-    )
-
-    def func(cols: Sequence[Sequence[Any]], i: int) -> Any:
-        return apply_scalar_function(name, [arg(cols, i) for arg in args])
-
-    return func
+    return expressions.compile_predicate(where, BatchBinding(layout, qualifiers))
 
 
 class KernelCache:
@@ -334,7 +104,6 @@ class KernelCache:
         self._kernels: dict[Hashable, Any] = {}
         self.compiles = 0
         self.hits = 0
-        self.barriers = 0
 
     def get(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """The cached kernel for ``key``, compiling via ``factory`` once.
@@ -355,9 +124,5 @@ class KernelCache:
         else:
             self.hits += 1
         if isinstance(kernel, CompileBarrier):
-            self.barriers += 1
             raise kernel
         return kernel
-
-    def __len__(self) -> int:
-        return len(self._kernels)

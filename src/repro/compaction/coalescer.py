@@ -65,7 +65,12 @@ from ..obs.metrics import NULL_REGISTRY, MetricsLike
 from ..obs.pipeline.context import ambient_pipeline
 from ..obs.pipeline.events import lineage_key
 from ..sql import ast_nodes as ast
-from ..sql.expressions import evaluate, is_true, referenced_columns
+from ..sql.expressions import (
+    NO_SESSION,
+    RowBinding,
+    compile_predicate,
+    referenced_columns,
+)
 from .report import AbsorbedEdge, CompactionReport, ReorderObligation
 
 
@@ -402,16 +407,15 @@ class Coalescer:
         )
         if names is None or pk not in names:
             return False
-        rows: list[dict[str, Any]] = []
+        rows: list[tuple[Any, ...]] = []
         for row in insert.rows:
             if len(row) != len(names) or not all(
                 isinstance(expr, ast.Literal) for expr in row
             ):
                 return False
-            rows.append(
-                {name: expr.value for name, expr in zip(names, row)}  # type: ignore[union-attr]
-            )
-        inserted_keys = {env[pk] for env in rows}
+            rows.append(tuple(expr.value for expr in row))  # type: ignore[union-attr]
+        pk_slot = names.index(pk)
+        inserted_keys = {row[pk_slot] for row in rows}
         # (1) Nothing *but* inserted rows can match: the DELETE's range
         # must pin the primary key to points inside the inserted key set.
         # Inserted keys were fresh at the source, so any row with such a
@@ -426,13 +430,11 @@ class Coalescer:
             return False
         # (2) Every inserted row must actually match: evaluate the real
         # predicate (exact, unlike the range superset) on each row.
-        for env in rows:
-            try:
-                if not is_true(evaluate(delete.where, env)):
-                    return False
-            except SqlAnalysisError:
-                return False
-        return True
+        matches = compile_predicate(delete.where, RowBinding(names))
+        try:
+            return all(matches(row, NO_SESSION) for row in rows)
+        except SqlAnalysisError:
+            return False
 
     def _superseded(self, cand: _Entry, current: _Entry) -> bool:
         update = cand.op.statement

@@ -13,14 +13,21 @@ implemented by COTS software or by the wrapper approach".
 
 from __future__ import annotations
 
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from ..errors import SqlError, TransactionError
 from ..sql import ast_nodes as ast
-from ..sql.executor import Executor, Result
+
+# The module, not its classes: the executor is built on this package, so
+# when ``repro.sql`` is imported first it is still initialising here and
+# its names only exist by the time a session is created.
+from ..sql import executor as sql_executor
 from ..sql.parser import parse
 from .database import Database
 from .transactions import Transaction
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sql.executor import Result
 
 
 class CaptureHook(Protocol):
@@ -36,7 +43,7 @@ class Session:
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self._executor = Executor(database)
+        self._executor = sql_executor.Executor(database)
         self._txn: Transaction | None = None
         self._stmt_txn: Transaction | None = None
         #: Pre-submit observers of client DML (the COTS/wrapper seam).
@@ -98,13 +105,13 @@ class Session:
         """
         if isinstance(statement, ast.BeginStmt):
             self.begin()
-            return Result(plan="begin")
+            return sql_executor.Result(plan="begin")
         if isinstance(statement, ast.CommitStmt):
             self.commit()
-            return Result(plan="commit")
+            return sql_executor.Result(plan="commit")
         if isinstance(statement, ast.RollbackStmt):
             self.rollback()
-            return Result(plan="rollback")
+            return sql_executor.Result(plan="rollback")
 
         self.database.clock.advance(self.database.costs.stmt_overhead)
         self.statements_executed += 1

@@ -23,11 +23,16 @@ from ..engine.types import type_from_sql
 from ..errors import SqlAnalysisError
 from . import ast_nodes as ast
 from .expressions import (
+    CONSTANT,
     NOW_KEY,
     RANDOM_KEY,
     USER_KEY,
-    evaluate,
-    is_true,
+    Compiled,
+    RowBinding,
+    compile_expression,
+    compile_insert_rows,
+    compile_predicate,
+    insert_arranger,
     split_conjuncts,
 )
 
@@ -67,6 +72,39 @@ class _AccessPath:
     row_ids: Iterable[RowId] | None  # None means full scan
 
 
+class _Scope(RowBinding):
+    """One statement's row layout: which slot each column reference reads.
+
+    Joins concatenate value tuples, so a joined table's columns follow the
+    columns already in scope.  A bare name reads the right-most table that
+    has it; ``alias.name`` reads its own table.
+    """
+
+    def __init__(self, schema: TableSchema, alias: str) -> None:
+        super().__init__(())  # references resolve against the tables instead
+        self._tables: list[tuple[str, TableSchema, int]] = []
+        self._width = 0
+        self.add(schema, alias)
+
+    def add(self, schema: TableSchema, alias: str) -> None:
+        """Bring a table into scope, to the right of those already there."""
+        self._tables.append((alias, schema, self._width))
+        self._width += len(schema.columns)
+
+    def columns(self) -> list[str]:
+        """Column name per slot — what ``*`` selects."""
+        return [
+            name for _alias, schema, _offset in self._tables
+            for name in schema.column_names
+        ]
+
+    def slot(self, ref: ast.ColumnRef) -> int | None:
+        for alias, schema, offset in reversed(self._tables):
+            if ref.table in (None, alias) and schema.has_column(ref.name):
+                return offset + schema.column_index(ref.name)
+        return None
+
+
 class Executor:
     """Executes parsed statements against one :class:`Database`."""
 
@@ -76,13 +114,13 @@ class Executor:
         # stay deterministic, while the value still depends on how many
         # draws preceded it — exactly the volatility the analyzer flags.
         self._rng = random.Random(0x5EED)
-        self._stmt_env: dict[str, Any] = {}
+        self._context: dict[str, Any] = {}
 
     # ------------------------------------------------------------------ entry
     def execute(self, statement: ast.Statement, txn: Transaction) -> Result:
         # Session context for volatile functions, fixed per statement:
         # NOW() is the statement's virtual start time (SQL semantics).
-        self._stmt_env = {
+        self._context = {
             NOW_KEY: self._db.clock.now,
             RANDOM_KEY: self._rng.random,
             USER_KEY: self._db.name,
@@ -112,10 +150,12 @@ class Executor:
 
     # ----------------------------------------------------------------- SELECT
     def _select(self, stmt: ast.SelectStmt) -> Result:
+        context = self._context
         if stmt.table is None:
             # Constant SELECT (e.g. SELECT 1 + 1): no row columns in scope.
             row = tuple(
-                evaluate(item.expr, self._stmt_env) for item in stmt.items
+                compile_expression(item.expr, CONSTANT)((), context)
+                for item in stmt.items
             )
             columns = [self._item_name(item) for item in stmt.items]
             return Result(columns=columns, rows=[row], plan="const")
@@ -123,31 +163,40 @@ class Executor:
         base = self._db.table(stmt.table)
         base_alias = stmt.alias or stmt.table
         path = self._choose_path(base, base_alias, stmt.where)
-        envs = self._table_rows(base, base_alias, path)
+        scope = _Scope(base.schema, base_alias)
+        rows: Iterable[tuple[Any, ...]] = (
+            values for _row_id, values in self._candidates(base, path)
+        )
         plan_parts = [f"{stmt.table}:{path.description}"]
 
         for join in stmt.joins:
             right = self._db.table(join.table)
             right_alias = join.alias or join.table
-            envs = self._hash_join(envs, base_alias, right, right_alias, join)
+            left_key, right_key = self._join_sides(join, right_alias)
+            # The probe key reads the left side only: compile it before the
+            # joined table's names come into scope.
+            probe = compile_expression(left_key, scope)
+            rows = self._hash_join(rows, probe, right, right_key)
+            scope.add(right.schema, right_alias)
             plan_parts.append(f"join({join.table}:hash)")
 
         if stmt.where is not None:
-            envs = (env for env in envs if is_true(evaluate(stmt.where, env)))
+            keep = compile_predicate(stmt.where, scope)
+            rows = (row for row in rows if keep(row, context))
 
         aggregated = any(
             isinstance(item.expr, ast.Aggregate) for item in stmt.items
         ) or bool(stmt.group_by)
         if aggregated:
-            rows, columns = self._aggregate(stmt, envs)
+            result, columns = self._aggregate(stmt, rows, scope)
         else:
-            rows, columns = self._project(stmt, envs, base, base_alias)
+            result, columns = self._project(stmt, rows, scope)
 
         if stmt.order_by:
-            rows = self._order(rows, columns, stmt)
+            result = self._order(result, columns, stmt)
         if stmt.limit is not None:
-            rows = rows[: stmt.limit]
-        return Result(columns=columns, rows=rows, plan=" ".join(plan_parts))
+            result = result[: stmt.limit]
+        return Result(columns=columns, rows=result, plan=" ".join(plan_parts))
 
     def _choose_path(
         self, table: Table, alias: str, where: ast.Expression | None
@@ -207,49 +256,33 @@ class Executor:
             return column_side.name, op, value_side.value
         return None
 
-    def _table_rows(
-        self, table: Table, alias: str, path: _AccessPath
-    ) -> Iterator[dict[str, Any]]:
+    @staticmethod
+    def _candidates(
+        table: Table, path: _AccessPath
+    ) -> Iterable[tuple[RowId, tuple[Any, ...]]]:
+        """The rows the access path reads, before the predicate."""
         if path.row_ids is None:
-            for _row_id, values in table.scan():
-                yield self._env(table.schema, alias, values)
-        else:
-            for row_id in path.row_ids:
-                values = table.read(row_id)
-                yield self._env(table.schema, alias, values)
-
-    def _env(
-        self, schema: TableSchema, alias: str, values: tuple[Any, ...]
-    ) -> dict[str, Any]:
-        env: dict[str, Any] = dict(self._stmt_env)
-        for name, value in zip(schema.column_names, values):
-            env[name] = value
-            env[f"{alias}.{name}"] = value
-        env[f"__row__{alias}"] = values
-        return env
+            return table.scan()
+        return ((row_id, table.read(row_id)) for row_id in path.row_ids)
 
     def _hash_join(
         self,
-        left_envs: Iterable[dict[str, Any]],
-        base_alias: str,
+        left_rows: Iterable[tuple[Any, ...]],
+        probe: Compiled,
         right: Table,
-        right_alias: str,
-        join: ast.Join,
-    ) -> Iterator[dict[str, Any]]:
-        left_key, right_key = self._join_sides(join, right_alias)
+        right_key: ast.ColumnRef,
+    ) -> Iterator[tuple[Any, ...]]:
         build: dict[Any, list[tuple[Any, ...]]] = {}
         key_position = right.schema.column_index(right_key.name)
         for _row_id, values in right.scan():
             build.setdefault(values[key_position], []).append(values)
         probe_cpu = self._db.costs.row_scan_cpu
         clock = self._db.clock
-        for env in left_envs:
+        context = self._context
+        for row in left_rows:
             clock.advance(probe_cpu)
-            key = evaluate(left_key, env)
-            for values in build.get(key, ()):
-                merged = dict(env)
-                merged.update(self._env(right.schema, right_alias, values))
-                yield merged
+            for values in build.get(probe(row, context), ()):
+                yield row + values
 
     @staticmethod
     def _join_sides(join: ast.Join, right_alias: str) -> tuple[ast.ColumnRef, ast.ColumnRef]:
@@ -266,33 +299,35 @@ class Executor:
     def _project(
         self,
         stmt: ast.SelectStmt,
-        envs: Iterable[dict[str, Any]],
-        base: Table,
-        base_alias: str,
+        rows: Iterable[tuple[Any, ...]],
+        scope: _Scope,
     ) -> tuple[list[tuple[Any, ...]], list[str]]:
-        star_aliases = [base_alias] + [j.alias or j.table for j in stmt.joins]
-        star_schemas = [base.schema] + [self._db.table(j.table).schema for j in stmt.joins]
         columns: list[str] = []
+        kernels: list[Compiled | None] = []  # None: '*', the whole row
         for item in stmt.items:
             if isinstance(item.expr, ast.Star):
-                for schema in star_schemas:
-                    columns.extend(schema.column_names)
+                columns.extend(scope.columns())
+                kernels.append(None)
             else:
                 columns.append(self._item_name(item))
-        rows = []
-        for env in envs:
+                kernels.append(compile_expression(item.expr, scope))
+        context = self._context
+        projected = []
+        for row in rows:
             out: list[Any] = []
-            for item in stmt.items:
-                if isinstance(item.expr, ast.Star):
-                    for alias in star_aliases:
-                        out.extend(env[f"__row__{alias}"])
+            for kernel in kernels:
+                if kernel is None:
+                    out.extend(row)
                 else:
-                    out.append(evaluate(item.expr, env))
-            rows.append(tuple(out))
-        return rows, columns
+                    out.append(kernel(row, context))
+            projected.append(tuple(out))
+        return projected, columns
 
     def _aggregate(
-        self, stmt: ast.SelectStmt, envs: Iterable[dict[str, Any]]
+        self,
+        stmt: ast.SelectStmt,
+        rows: Iterable[tuple[Any, ...]],
+        scope: _Scope,
     ) -> tuple[list[tuple[Any, ...]], list[str]]:
         for item in stmt.items:
             if not isinstance(item.expr, (ast.Aggregate, ast.ColumnRef)):
@@ -306,35 +341,47 @@ class Executor:
                     raise SqlAnalysisError(
                         f"column {item.expr.name!r} must appear in GROUP BY"
                     )
-        groups: dict[tuple, list[dict[str, Any]]] = {}
-        for env in envs:
-            key = tuple(evaluate(ref, env) for ref in stmt.group_by)
-            groups.setdefault(key, []).append(env)
+        context = self._context
+        group_key = [compile_expression(ref, scope) for ref in stmt.group_by]
+        groups: dict[tuple, list[tuple[Any, ...]]] = {}
+        for row in rows:
+            key = tuple(kernel(row, context) for kernel in group_key)
+            groups.setdefault(key, []).append(row)
         if not stmt.group_by and not groups:
             groups[()] = []  # global aggregate over an empty input
         columns = [self._item_name(item) for item in stmt.items]
-        rows = []
+        arguments = [
+            compile_expression(item.expr.argument, scope)
+            if isinstance(item.expr, ast.Aggregate) and item.expr.argument is not None
+            else None
+            for item in stmt.items
+        ]
+        result = []
         for key, members in groups.items():
             out: list[Any] = []
-            for item in stmt.items:
+            for item, argument in zip(stmt.items, arguments):
                 if isinstance(item.expr, ast.Aggregate):
-                    out.append(self._aggregate_value(item.expr, members))
+                    out.append(
+                        self._aggregate_value(item.expr, argument, members, context)
+                    )
                 else:
                     position = [ref.name for ref in stmt.group_by].index(
                         item.expr.name  # type: ignore[union-attr]
                     )
                     out.append(key[position])
-            rows.append(tuple(out))
-        return rows, columns
+            result.append(tuple(out))
+        return result, columns
 
     @staticmethod
-    def _aggregate_value(agg: ast.Aggregate, members: list[dict[str, Any]]) -> Any:
-        if agg.argument is None:
+    def _aggregate_value(
+        agg: ast.Aggregate,
+        argument: Compiled | None,
+        members: list[tuple[Any, ...]],
+        context: dict[str, Any],
+    ) -> Any:
+        if argument is None:
             return len(members)
-        values = [
-            evaluate(agg.argument, env)
-            for env in members
-        ]
+        values = [argument(row, context) for row in members]
         values = [v for v in values if v is not None]
         if agg.function == "COUNT":
             return len(values)
@@ -389,79 +436,57 @@ class Executor:
     # -------------------------------------------------------------------- DML
     def _insert(self, stmt: ast.InsertStmt, txn: Transaction) -> Result:
         table = self._db.table(stmt.table)
+        columns = table.schema.column_names
         if stmt.select is not None:
+            arrange = insert_arranger(stmt, columns, SqlAnalysisError)
             selected = self._select(stmt.select)
-            count = 0
             for row in selected.rows:
-                values = self._arrange(table.schema, stmt.columns, row)
-                table.insert(txn, values, mode=InsertMode.BULK_INTERNAL)
-                count += 1
-            return Result(rows_affected=count, plan="insert-select")
+                table.insert(txn, arrange(row), mode=InsertMode.BULK_INTERNAL)
+            return Result(rows_affected=len(selected.rows), plan="insert-select")
         mode = InsertMode.BULK_CLIENT if len(stmt.rows) > 1 else InsertMode.STATEMENT
-        count = 0
-        for expr_row in stmt.rows:
-            literal_row = tuple(
-                evaluate(expr, self._stmt_env) for expr in expr_row
-            )
-            values = self._arrange(table.schema, stmt.columns, literal_row)
+        rows = compile_insert_rows(stmt, columns, SqlAnalysisError)
+        for values in rows(self._context):
             table.insert(txn, values, mode=mode)
-            count += 1
-        return Result(rows_affected=count, plan="insert")
+        return Result(rows_affected=len(stmt.rows), plan="insert")
 
-    @staticmethod
-    def _arrange(
-        schema: TableSchema, columns: tuple[str, ...] | None, row: tuple[Any, ...]
-    ) -> tuple[Any, ...]:
-        if columns is None:
-            return row
-        if len(columns) != len(row):
-            raise SqlAnalysisError(
-                f"INSERT names {len(columns)} columns but supplies {len(row)} values"
-            )
-        return schema.values_from_mapping(dict(zip(columns, row)))
+    def _matches(
+        self, table: Table, where: ast.Expression | None, scope: _Scope
+    ) -> tuple[str, list[tuple[RowId, tuple[Any, ...]]]]:
+        """The rows a DML statement touches, read before any is changed."""
+        path = self._choose_path(table, table.name, where)
+        keep = compile_predicate(where, scope)
+        context = self._context
+        matches = [
+            (row_id, values)
+            for row_id, values in self._candidates(table, path)
+            if keep(values, context)
+        ]
+        return path.description, matches
 
     def _update(self, stmt: ast.UpdateStmt, txn: Transaction) -> Result:
         table = self._db.table(stmt.table)
-        alias = stmt.table
-        path = self._choose_path(table, alias, stmt.where)
-        matches: list[tuple[RowId, dict[str, Any]]] = []
-        if path.row_ids is None:
-            for row_id, values in table.scan():
-                env = self._env(table.schema, alias, values)
-                if stmt.where is None or is_true(evaluate(stmt.where, env)):
-                    matches.append((row_id, env))
-        else:
-            for row_id in path.row_ids:
-                values = table.read(row_id)
-                env = self._env(table.schema, alias, values)
-                if stmt.where is None or is_true(evaluate(stmt.where, env)):
-                    matches.append((row_id, env))
-        for row_id, env in matches:
-            assignments = {
-                a.column: evaluate(a.expr, env) for a in stmt.assignments
-            }
-            table.update(txn, row_id, assignments)
-        return Result(rows_affected=len(matches), plan=f"update:{path.description}")
+        scope = _Scope(table.schema, table.name)
+        assignments = [
+            (a.column, compile_expression(a.expr, scope)) for a in stmt.assignments
+        ]
+        description, matches = self._matches(table, stmt.where, scope)
+        context = self._context
+        for row_id, values in matches:
+            table.update(
+                txn,
+                row_id,
+                {column: kernel(values, context) for column, kernel in assignments},
+            )
+        return Result(rows_affected=len(matches), plan=f"update:{description}")
 
     def _delete(self, stmt: ast.DeleteStmt, txn: Transaction) -> Result:
         table = self._db.table(stmt.table)
-        alias = stmt.table
-        path = self._choose_path(table, alias, stmt.where)
-        matches: list[RowId] = []
-        if path.row_ids is None:
-            for row_id, values in table.scan():
-                env = self._env(table.schema, alias, values)
-                if stmt.where is None or is_true(evaluate(stmt.where, env)):
-                    matches.append(row_id)
-        else:
-            for row_id in path.row_ids:
-                values = table.read(row_id)
-                env = self._env(table.schema, alias, values)
-                if stmt.where is None or is_true(evaluate(stmt.where, env)):
-                    matches.append(row_id)
-        for row_id in matches:
+        description, matches = self._matches(
+            table, stmt.where, _Scope(table.schema, table.name)
+        )
+        for row_id, _values in matches:
             table.delete(txn, row_id)
-        return Result(rows_affected=len(matches), plan=f"delete:{path.description}")
+        return Result(rows_affected=len(matches), plan=f"delete:{description}")
 
     # -------------------------------------------------------------------- DDL
     def _create_table(self, stmt: ast.CreateTableStmt) -> Result:

@@ -1,51 +1,160 @@
-"""Expression evaluation with SQL three-valued logic.
+"""The SQL expression evaluator: one compiler, three leaf bindings.
 
-Rows are presented to the evaluator as flat mappings that contain both the
-bare column names and their qualified ``alias.column`` spellings; the
-executor builds these environments.  Comparisons involving NULL yield
-``None`` (unknown); AND/OR follow Kleene logic; a WHERE clause keeps a row
-only when the predicate is exactly ``True``.
+:func:`compile_expression` walks an AST **once** and returns a closure of
+two arguments.  Every interior node — Kleene AND/OR, comparison,
+arithmetic, unary, IN, BETWEEN, LIKE, IS NULL, scalar functions — is
+written exactly once, here.  Comparisons involving NULL yield ``None``
+(unknown); a WHERE clause keeps a row only when the predicate is exactly
+``True``.
+
+What varies by caller is only the *binding*: how the two leaves that touch
+the outside world (column reference, volatile function) are read, and
+whether a node the compiler cannot express is diagnosed lazily or eagerly.
+The binding follows from the shape of the caller's data:
+
+* :class:`RowBinding` — ``kernel(row, context)`` over a value tuple, each
+  column reference resolved to a slot at compile time; ``context`` is the
+  statement's session context (:data:`NOW_KEY` ...), :data:`NO_SESSION`
+  where there is none.  Diagnostics are **lazy**: an unknown column, a
+  ``*``/aggregate in scalar position or an unknown operator compiles to a
+  closure that raises when a row actually reaches it.
+* :class:`MappingBinding` — ``kernel(env, env)`` over a name → value
+  mapping that also carries the session keys; the one-shot
+  :func:`evaluate` convenience.  Lazy, like the row binding.
+* :class:`repro.columnar.kernels.BatchBinding` — ``kernel(columns,
+  position)`` over the arrays of a ``ColumnBatch``.  Diagnostics are
+  **eager**: the same cases raise ``CompileBarrier`` at compile time and
+  the statement takes the row path.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
-from typing import Any, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 from ..errors import SqlAnalysisError
 from . import ast_nodes as ast
 
+#: A compiled expression.  The two arguments belong to the binding.
+Compiled = Callable[[Any, Any], Any]
+
+#: Session-context keys read by volatile functions.  ``__now__`` is the
+#: statement's virtual start time; ``__random__`` is a zero-argument draw
+#: from the session's seeded RNG; ``__user__`` identifies the session.
+#: Evaluating a volatile function without its key raises: the expression
+#: genuinely cannot be computed from the row alone, which is exactly what
+#: the static analyzer flags.
+NOW_KEY = "__now__"
+RANDOM_KEY = "__random__"
+USER_KEY = "__user__"
+
+#: The context of callers that evaluate outside any session.
+NO_SESSION: Mapping[str, Any] = MappingProxyType({})
+
+
+class Binding(Protocol):
+    """How a compiled expression reaches outside the AST."""
+
+    def column(self, ref: ast.ColumnRef) -> Compiled: ...
+
+    def volatile(self, name: str) -> Compiled: ...
+
+    def fail(self, message: str) -> Compiled:
+        """A node the compiler cannot express (``message`` says why)."""
+
+
+class MappingBinding:
+    """Leaves over a name → value mapping, passed as both arguments.
+
+    The mapping holds each column under its written spelling (``name`` or
+    ``alias.name``) next to the session keys.
+    """
+
+    def column(self, ref: ast.ColumnRef) -> Compiled:
+        key = ref.to_sql()
+
+        def lookup(env: Mapping[str, Any], context: Any) -> Any:
+            try:
+                return env[key]
+            except KeyError:
+                raise SqlAnalysisError(f"unknown column {key!r}") from None
+
+        return lookup
+
+    def volatile(self, name: str) -> Compiled:
+        if name in ast.TIME_FUNCTIONS:
+
+            def now(row: Any, context: Mapping[str, Any]) -> Any:
+                if NOW_KEY not in context:
+                    raise SqlAnalysisError(
+                        f"{name}() needs session time context (volatile function)"
+                    )
+                return context[NOW_KEY]
+
+            return now
+        if name == "RANDOM":
+
+            def rand(row: Any, context: Mapping[str, Any]) -> Any:
+                draw = context.get(RANDOM_KEY)
+                if draw is None:
+                    raise SqlAnalysisError(
+                        "RANDOM() needs session randomness (volatile)"
+                    )
+                return draw()
+
+            return rand
+
+        def user(row: Any, context: Mapping[str, Any]) -> Any:
+            value = context.get(USER_KEY)
+            if value is None:
+                raise SqlAnalysisError(
+                    f"{name}() needs a session context (volatile)"
+                )
+            return value
+
+        return user
+
+    def fail(self, message: str) -> Compiled:
+        def diagnose(row: Any, context: Any) -> Any:
+            raise SqlAnalysisError(message)
+
+        return diagnose
+
+
+class RowBinding(MappingBinding):
+    """Leaves over a row tuple: slots now, diagnostics when a row arrives.
+
+    ``columns`` names the slots of the row, each by the spelling a
+    reference to it uses (``name`` or ``alias.name``).
+    """
+
+    def __init__(self, columns: Sequence[str]) -> None:
+        self._layout = {name: slot for slot, name in enumerate(columns)}
+
+    def slot(self, ref: ast.ColumnRef) -> int | None:
+        """The slot ``ref`` reads; None when it names nothing in scope."""
+        return self._layout.get(ref.to_sql())
+
+    def column(self, ref: ast.ColumnRef) -> Compiled:
+        slot = self.slot(ref)
+        if slot is None:
+            return self.fail(f"unknown column {ref.to_sql()!r}")
+        return lambda row, context: row[slot]
+
+
+#: The binding of expressions with no column in scope (INSERT literals,
+#: constant SELECT): every column reference is unknown.
+CONSTANT = RowBinding(())
+
+_MAPPING = MappingBinding()
+
 
 def evaluate(expr: ast.Expression, env: Mapping[str, Any]) -> Any:
-    """Evaluate ``expr`` against a row environment."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.ColumnRef):
-        return _resolve(expr, env)
-    if isinstance(expr, ast.BinaryOp):
-        return _binary(expr, env)
-    if isinstance(expr, ast.UnaryOp):
-        return _unary(expr, env)
-    if isinstance(expr, ast.InList):
-        return _in_list(expr, env)
-    if isinstance(expr, ast.Between):
-        return _between(expr, env)
-    if isinstance(expr, ast.Like):
-        return _like(expr, env)
-    if isinstance(expr, ast.IsNull):
-        value = evaluate(expr.expr, env)
-        return (value is not None) if expr.negated else (value is None)
-    if isinstance(expr, ast.FuncCall):
-        return _func_call(expr, env)
-    if isinstance(expr, ast.Star):
-        raise SqlAnalysisError("'*' is only valid directly in a select list")
-    if isinstance(expr, ast.Aggregate):
-        raise SqlAnalysisError(
-            f"aggregate {expr.function} is only valid in a select list "
-            "or HAVING context"
-        )
-    raise SqlAnalysisError(f"cannot evaluate expression node {type(expr).__name__}")
+    """Evaluate ``expr`` once against a mapping environment."""
+    return compile_expression(expr, _MAPPING)(env, env)
 
 
 def is_true(value: Any) -> bool:
@@ -53,116 +162,208 @@ def is_true(value: Any) -> bool:
     return value is True
 
 
-def _resolve(ref: ast.ColumnRef, env: Mapping[str, Any]) -> Any:
-    key = f"{ref.table}.{ref.name}" if ref.table else ref.name
-    try:
-        return env[key]
-    except KeyError:
-        raise SqlAnalysisError(f"unknown column {key!r}") from None
+# ------------------------------------------------------------------ compiler
+def compile_expression(expr: ast.Expression, bind: Binding) -> Compiled:
+    """Compile ``expr`` to a closure over whatever ``bind`` reads from."""
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        return lambda row, context: value
+    if isinstance(expr, ast.ColumnRef):
+        return bind.column(expr)
+    if isinstance(expr, ast.BinaryOp):
+        return _compile_binary(expr, bind)
+    if isinstance(expr, ast.UnaryOp):
+        return _compile_unary(expr, bind)
+    if isinstance(expr, ast.InList):
+        return _compile_in_list(expr, bind)
+    if isinstance(expr, ast.Between):
+        return _compile_between(expr, bind)
+    if isinstance(expr, ast.Like):
+        return _compile_like(expr, bind)
+    if isinstance(expr, ast.IsNull):
+        inner = compile_expression(expr.expr, bind)
+        if expr.negated:
+            return lambda row, context: inner(row, context) is not None
+        return lambda row, context: inner(row, context) is None
+    if isinstance(expr, ast.FuncCall):
+        if expr.function in ast.VOLATILE_FUNCTIONS:
+            return bind.volatile(expr.function)
+        name = expr.function
+        args = tuple(compile_expression(arg, bind) for arg in expr.args)
+        return lambda row, context: apply_scalar_function(
+            name, [arg(row, context) for arg in args]
+        )
+    if isinstance(expr, ast.Star):
+        return bind.fail("'*' is only valid directly in a select list")
+    if isinstance(expr, ast.Aggregate):
+        return bind.fail(
+            f"aggregate {expr.function} is only valid in a select list "
+            "or HAVING context"
+        )
+    return bind.fail(f"cannot evaluate expression node {type(expr).__name__}")
 
 
-def _binary(expr: ast.BinaryOp, env: Mapping[str, Any]) -> Any:
+def compile_predicate(
+    where: ast.Expression | None, bind: Binding
+) -> Callable[[Any, Any], bool]:
+    """Compile a WHERE clause to a filter (SQL ``is_true``; None keeps all)."""
+    if where is None:
+        return lambda row, context: True
+    compiled = compile_expression(where, bind)
+    return lambda row, context: compiled(row, context) is True
+
+
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise SqlAnalysisError("division by zero")
+    return left / right
+
+
+_COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+}
+
+
+def _compile_binary(expr: ast.BinaryOp, bind: Binding) -> Compiled:
     op = expr.op
+    left = compile_expression(expr.left, bind)
+    right = compile_expression(expr.right, bind)
     if op == "AND":
-        left = evaluate(expr.left, env)
-        if left is False:
-            return False
-        right = evaluate(expr.right, env)
-        if right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return _truth(left) and _truth(right)
+
+        def kleene_and(row: Any, context: Any) -> Any:
+            lv = left(row, context)
+            if lv is False:
+                return False
+            rv = right(row, context)
+            if rv is False:
+                return False
+            if lv is None or rv is None:
+                return None
+            return _truth(lv) and _truth(rv)
+
+        return kleene_and
     if op == "OR":
-        left = evaluate(expr.left, env)
-        if left is True:
-            return True
-        right = evaluate(expr.right, env)
-        if right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return _truth(left) or _truth(right)
 
-    left = evaluate(expr.left, env)
-    right = evaluate(expr.right, env)
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        if left is None or right is None:
-            return None
-        _check_comparable(left, right, op)
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
-    if op in ("+", "-", "*", "/"):
-        if left is None or right is None:
-            return None
-        if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
-            raise SqlAnalysisError(
-                f"arithmetic {op!r} requires numbers, got {left!r} and {right!r}"
-            )
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if right == 0:
-            raise SqlAnalysisError("division by zero")
-        return left / right
-    raise SqlAnalysisError(f"unknown binary operator {op!r}")
+        def kleene_or(row: Any, context: Any) -> Any:
+            lv = left(row, context)
+            if lv is True:
+                return True
+            rv = right(row, context)
+            if rv is True:
+                return True
+            if lv is None or rv is None:
+                return None
+            return _truth(lv) or _truth(rv)
+
+        return kleene_or
+    if op in _COMPARISONS:
+        compare = _COMPARISONS[op]
+
+        def comparison(row: Any, context: Any) -> Any:
+            lv = left(row, context)
+            rv = right(row, context)
+            if lv is None or rv is None:
+                return None
+            _check_comparable(lv, rv, op)
+            return compare(lv, rv)
+
+        return comparison
+    if op in _ARITHMETIC:
+        arith = _ARITHMETIC[op]
+
+        def arithmetic(row: Any, context: Any) -> Any:
+            lv = left(row, context)
+            rv = right(row, context)
+            if lv is None or rv is None:
+                return None
+            if not isinstance(lv, (int, float)) or not isinstance(rv, (int, float)):
+                raise SqlAnalysisError(
+                    f"arithmetic {op!r} requires numbers, got {lv!r} and {rv!r}"
+                )
+            return arith(lv, rv)
+
+        return arithmetic
+    return bind.fail(f"unknown binary operator {op!r}")
 
 
-def _unary(expr: ast.UnaryOp, env: Mapping[str, Any]) -> Any:
-    value = evaluate(expr.operand, env)
+def _compile_unary(expr: ast.UnaryOp, bind: Binding) -> Compiled:
+    inner = compile_expression(expr.operand, bind)
     if expr.op == "NOT":
-        if value is None:
-            return None
-        return not _truth(value)
+
+        def negate(row: Any, context: Any) -> Any:
+            value = inner(row, context)
+            if value is None:
+                return None
+            return not _truth(value)
+
+        return negate
     if expr.op == "-":
+
+        def minus(row: Any, context: Any) -> Any:
+            value = inner(row, context)
+            if value is None:
+                return None
+            if not isinstance(value, (int, float)):
+                raise SqlAnalysisError(f"unary minus requires a number, got {value!r}")
+            return -value
+
+        return minus
+    return bind.fail(f"unknown unary operator {expr.op!r}")
+
+
+def _compile_in_list(expr: ast.InList, bind: Binding) -> Compiled:
+    subject = compile_expression(expr.expr, bind)
+    items = tuple(compile_expression(item, bind) for item in expr.items)
+    negated = expr.negated
+
+    def in_list(row: Any, context: Any) -> Any:
+        value = subject(row, context)
         if value is None:
             return None
-        if not isinstance(value, (int, float)):
-            raise SqlAnalysisError(f"unary minus requires a number, got {value!r}")
-        return -value
-    raise SqlAnalysisError(f"unknown unary operator {expr.op!r}")
+        saw_null = False
+        for item in items:
+            candidate = item(row, context)
+            if candidate is None:
+                saw_null = True
+            elif candidate == value:
+                return not negated
+        if saw_null:
+            return None
+        return negated
+
+    return in_list
 
 
-def _in_list(expr: ast.InList, env: Mapping[str, Any]) -> Any:
-    value = evaluate(expr.expr, env)
-    if value is None:
-        return None
-    saw_null = False
-    for item in expr.items:
-        candidate = evaluate(item, env)
-        if candidate is None:
-            saw_null = True
-        elif candidate == value and type(candidate) is not bool:
-            return not expr.negated
-        elif candidate == value:
-            return not expr.negated
-    if saw_null:
-        return None
-    return expr.negated
+def _compile_between(expr: ast.Between, bind: Binding) -> Compiled:
+    subject = compile_expression(expr.expr, bind)
+    low = compile_expression(expr.low, bind)
+    high = compile_expression(expr.high, bind)
+    negated = expr.negated
 
+    def between(row: Any, context: Any) -> Any:
+        value = subject(row, context)
+        lo = low(row, context)
+        hi = high(row, context)
+        if value is None or lo is None or hi is None:
+            return None
+        _check_comparable(value, lo, "BETWEEN")
+        _check_comparable(value, hi, "BETWEEN")
+        result = lo <= value <= hi
+        return (not result) if negated else result
 
-def _between(expr: ast.Between, env: Mapping[str, Any]) -> Any:
-    value = evaluate(expr.expr, env)
-    low = evaluate(expr.low, env)
-    high = evaluate(expr.high, env)
-    if value is None or low is None or high is None:
-        return None
-    _check_comparable(value, low, "BETWEEN")
-    _check_comparable(value, high, "BETWEEN")
-    result = low <= value <= high
-    return (not result) if expr.negated else result
+    return between
 
 
 @lru_cache(maxsize=512)
@@ -179,57 +380,28 @@ def _like_regex(pattern: str) -> re.Pattern[str]:
     return re.compile("".join(regex), re.DOTALL)
 
 
-def _like(expr: ast.Like, env: Mapping[str, Any]) -> Any:
-    value = evaluate(expr.expr, env)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise SqlAnalysisError(f"LIKE requires a string, got {value!r}")
-    matched = _like_regex(expr.pattern).match(value) is not None
-    return (not matched) if expr.negated else matched
+def _compile_like(expr: ast.Like, bind: Binding) -> Compiled:
+    subject = compile_expression(expr.expr, bind)
+    pattern = _like_regex(expr.pattern)
+    negated = expr.negated
 
+    def like(row: Any, context: Any) -> Any:
+        value = subject(row, context)
+        if value is None:
+            return None
+        if not isinstance(value, str):
+            raise SqlAnalysisError(f"LIKE requires a string, got {value!r}")
+        matched = pattern.match(value) is not None
+        return (not matched) if negated else matched
 
-#: Environment keys under which the executor exposes session state to
-#: volatile functions.  ``__now__`` is the statement's virtual start time;
-#: ``__random__`` is a zero-argument draw from the session's seeded RNG;
-#: ``__user__`` identifies the session.  Evaluating a volatile function
-#: without its key raises: the expression genuinely cannot be computed
-#: from the row alone, which is exactly what the static analyzer flags.
-NOW_KEY = "__now__"
-RANDOM_KEY = "__random__"
-USER_KEY = "__user__"
-
-
-def _func_call(expr: ast.FuncCall, env: Mapping[str, Any]) -> Any:
-    name = expr.function
-    if name in ast.TIME_FUNCTIONS:
-        if NOW_KEY not in env:
-            raise SqlAnalysisError(
-                f"{name}() needs session time context (volatile function)"
-            )
-        return env[NOW_KEY]
-    if name == "RANDOM":
-        draw = env.get(RANDOM_KEY)
-        if draw is None:
-            raise SqlAnalysisError("RANDOM() needs session randomness (volatile)")
-        return draw()
-    if name in ("SESSION_USER", "CURRENT_USER"):
-        user = env.get(USER_KEY)
-        if user is None:
-            raise SqlAnalysisError(f"{name}() needs a session context (volatile)")
-        return user
-    args = [evaluate(arg, env) for arg in expr.args]
-    return apply_scalar_function(name, args)
+    return like
 
 
 def apply_scalar_function(name: str, args: list[Any]) -> Any:
     """Apply a *pure* scalar function to already-evaluated arguments.
 
-    Shared between the tree-walking evaluator and the columnar closure
-    compiler (:mod:`repro.columnar.kernels`) so both paths agree on
-    every edge case.  Volatile functions (NOW, RANDOM, session user)
-    never reach here — they need session context and are handled by the
-    caller.
+    Volatile functions (NOW, RANDOM, session user) never reach here — they
+    read the session context and belong to the binding.
     """
     if name == "COALESCE":
         if not args:
@@ -279,76 +451,127 @@ def _check_comparable(left: Any, right: Any, op: str) -> None:
     )
 
 
-# Public seams for the columnar closure compiler: the compiled kernels
-# must reproduce this module's three-valued logic bit-for-bit, so they
-# call the *same* helpers instead of re-implementing them.
-sql_truth = _truth
-check_comparable = _check_comparable
-like_regex = _like_regex
+# --------------------------------------------------------- statement helpers
+def insert_arranger(
+    stmt: ast.InsertStmt,
+    columns: Sequence[str],
+    mismatch: Callable[[str], Exception],
+) -> Callable[[tuple[Any, ...]], tuple[Any, ...]]:
+    """How one row of ``stmt`` is laid out in ``columns`` order.
+
+    A positional INSERT keeps its values as written; a column-list INSERT
+    gets NULL for every column it does not name.  A row of the wrong width,
+    or a named column ``columns`` lacks, raises the caller's ``mismatch``
+    error when the first row is arranged.
+    """
+    positional = stmt.columns is None
+    names: Sequence[str] = columns if stmt.columns is None else stmt.columns
+    unknown = [] if positional else sorted(set(names) - set(columns))
+
+    def arrange(values: tuple[Any, ...]) -> tuple[Any, ...]:
+        if unknown:
+            raise mismatch(f"INSERT names unknown columns {unknown} of {stmt.table!r}")
+        if len(values) != len(names):
+            raise mismatch(
+                f"INSERT names {len(names)} columns but supplies {len(values)} values"
+            )
+        if positional:
+            return values
+        given = dict(zip(names, values))
+        return tuple(given.get(name) for name in columns)
+
+    return arrange
+
+
+def compile_insert_rows(
+    stmt: ast.InsertStmt,
+    columns: Sequence[str],
+    mismatch: Callable[[str], Exception],
+    bind: Binding = CONSTANT,
+) -> Callable[[Any], Iterator[tuple[Any, ...]]]:
+    """Compile the literal rows of ``stmt``.
+
+    The result maps a context (second kernel argument of ``bind``) to the
+    rows, evaluated one at a time and arranged in ``columns`` order.
+    """
+    arrange = insert_arranger(stmt, columns, mismatch)
+    compiled = [
+        [compile_expression(expr, bind) for expr in expr_row]
+        for expr_row in stmt.rows
+    ]
+
+    def rows(context: Any) -> Iterator[tuple[Any, ...]]:
+        for kernels in compiled:
+            yield arrange(tuple(kernel((), context) for kernel in kernels))
+
+    return rows
+
+
+def compile_after_image(
+    stmt: ast.UpdateStmt, columns: Sequence[str]
+) -> Callable[[Sequence[Any]], tuple[Any, ...]]:
+    """Compile ``stmt``'s SET list to a before image → after image function.
+
+    Every assignment reads the *before* image (SQL semantics), over rows in
+    ``columns`` order with bare names in scope and no session context.
+    """
+    bind = RowBinding(columns)
+    assignments = [
+        (bind.slot(ast.ColumnRef(a.column)), compile_expression(a.expr, bind))
+        for a in stmt.assignments
+    ]
+
+    def after_image(before: Sequence[Any]) -> tuple[Any, ...]:
+        after = list(before)
+        for slot, kernel in assignments:
+            value = kernel(before, NO_SESSION)
+            if slot is not None:  # a SET column the rows lack changes nothing
+                after[slot] = value
+        return tuple(after)
+
+    return after_image
+
+
+# ------------------------------------------------------------- AST analysis
+def _children(node: ast.Expression) -> tuple[ast.Expression, ...]:
+    """The expressions directly below ``node``."""
+    if isinstance(node, (ast.ColumnRef, ast.Literal)):  # most nodes are leaves
+        return ()
+    if isinstance(node, ast.BinaryOp):
+        return (node.left, node.right)
+    if isinstance(node, ast.UnaryOp):
+        return (node.operand,)
+    if isinstance(node, ast.InList):
+        return (node.expr, *node.items)
+    if isinstance(node, ast.Between):
+        return (node.expr, node.low, node.high)
+    if isinstance(node, (ast.Like, ast.IsNull)):
+        return (node.expr,)
+    if isinstance(node, ast.FuncCall):
+        return node.args
+    if isinstance(node, ast.Aggregate) and node.argument is not None:
+        return (node.argument,)
+    return ()
+
+
+def _nodes(expr: ast.Expression) -> list[ast.Expression]:
+    """``expr`` and every expression below it."""
+    found = [expr]
+    for node in found:  # grows while it is walked
+        found.extend(_children(node))
+    return found
 
 
 def referenced_columns(expr: ast.Expression) -> set[str]:
     """All column names referenced by an expression (unqualified spellings)."""
-    found: set[str] = set()
-
-    def walk(node: ast.Expression) -> None:
-        if isinstance(node, ast.ColumnRef):
-            found.add(node.name)
-        elif isinstance(node, ast.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, ast.InList):
-            walk(node.expr)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, ast.Between):
-            walk(node.expr)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, (ast.Like, ast.IsNull)):
-            walk(node.expr)
-        elif isinstance(node, ast.FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, ast.Aggregate) and node.argument is not None:
-            walk(node.argument)
-
-    walk(expr)
-    return found
+    return {node.name for node in _nodes(expr) if isinstance(node, ast.ColumnRef)}
 
 
 def referenced_functions(expr: ast.Expression | None) -> set[str]:
     """All scalar function names invoked anywhere in an expression."""
-    found: set[str] = set()
-
-    def walk(node: ast.Expression) -> None:
-        if isinstance(node, ast.FuncCall):
-            found.add(node.function)
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, ast.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, ast.InList):
-            walk(node.expr)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, ast.Between):
-            walk(node.expr)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, (ast.Like, ast.IsNull)):
-            walk(node.expr)
-        elif isinstance(node, ast.Aggregate) and node.argument is not None:
-            walk(node.argument)
-
-    if expr is not None:
-        walk(expr)
-    return found
+    if expr is None:
+        return set()
+    return {node.function for node in _nodes(expr) if isinstance(node, ast.FuncCall)}
 
 
 def split_conjuncts(expr: ast.Expression | None) -> list[ast.Expression]:

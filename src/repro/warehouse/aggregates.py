@@ -33,7 +33,13 @@ from ..engine.types import FLOAT, INTEGER
 from ..errors import EngineError, SelfMaintenanceError, WarehouseError
 from ..extraction.deltas import ChangeKind, DeltaRecord
 from ..sql import ast_nodes as ast
-from ..sql.expressions import evaluate, is_true
+from ..sql.expressions import (
+    NO_SESSION,
+    RowBinding,
+    compile_after_image,
+    compile_insert_rows,
+    compile_predicate,
+)
 from ..sql.parser import parse_expression
 
 #: Aggregate functions that are self-maintainable under insert+delete.
@@ -112,7 +118,9 @@ class MaterializedAggregateView:
         self.definition = definition
         self.base_schema = base_schema
         self._base_columns = base_schema.column_names
-        self._predicate = definition.predicate_ast()
+        self._qualifies = compile_predicate(
+            definition.predicate_ast(), RowBinding(self._base_columns)
+        )
         for name in definition.group_by:
             base_schema.column(name)  # validates
         for spec in definition.aggregates:
@@ -165,7 +173,7 @@ class MaterializedAggregateView:
         """Pure recomputation oracle (no storage)."""
         groups: dict[tuple, list[Sequence[Any]]] = {}
         for row in base_rows:
-            if not self._qualifies(row):
+            if not self._qualifies(row, NO_SESSION):
                 continue
             key = tuple(
                 row[self.base_schema.column_index(name)]
@@ -222,7 +230,11 @@ class MaterializedAggregateView:
         if op.table != self.definition.base_table:
             return
         if op.kind is OpKind.INSERT:
-            for row in self._rows_from_insert(op):
+            assert isinstance(op.statement, ast.InsertStmt)
+            rows = compile_insert_rows(
+                op.statement, self._base_columns, WarehouseError
+            )
+            for row in rows(NO_SESSION):
                 self._add_row(row, txn)
             return
         if op.before_image is None:
@@ -236,35 +248,13 @@ class MaterializedAggregateView:
             return
         statement = op.statement
         assert isinstance(statement, ast.UpdateStmt)
+        after_image = compile_after_image(statement, self._base_columns)
         for before in op.before_image:
-            env = dict(zip(self._base_columns, before))
-            after_map = dict(env)
-            for assignment in statement.assignments:
-                after_map[assignment.column] = evaluate(assignment.expr, env)
-            after = tuple(after_map[name] for name in self._base_columns)
+            after = after_image(before)
             self._remove_row(before, txn)
             self._add_row(after, txn)
 
     # --------------------------------------------------------------- internals
-    def _rows_from_insert(self, op: OpDelta) -> list[tuple]:
-        statement = op.statement
-        assert isinstance(statement, ast.InsertStmt)
-        rows = []
-        for expr_row in statement.rows:
-            values = tuple(evaluate(expr, {}) for expr in expr_row)
-            if statement.columns is not None:
-                mapping = dict(zip(statement.columns, values))
-                rows.append(tuple(mapping.get(c) for c in self._base_columns))
-            else:
-                rows.append(values)
-        return rows
-
-    def _qualifies(self, row: Sequence[Any]) -> bool:
-        if self._predicate is None:
-            return True
-        env = dict(zip(self._base_columns, row))
-        return is_true(evaluate(self._predicate, env))
-
     def _contribution(self, spec: AggregateSpec, row: Sequence[Any]) -> float | None:
         if spec.argument is None:
             return None
@@ -278,12 +268,12 @@ class MaterializedAggregateView:
         )
 
     def _add_row(self, row: Sequence[Any], txn: Transaction) -> None:
-        if not self._qualifies(row):
+        if not self._qualifies(row, NO_SESSION):
             return
         self._apply_contribution(row, txn, sign=+1)
 
     def _remove_row(self, row: Sequence[Any], txn: Transaction) -> None:
-        if not self._qualifies(row):
+        if not self._qualifies(row, NO_SESSION):
             return
         self._apply_contribution(row, txn, sign=-1)
 

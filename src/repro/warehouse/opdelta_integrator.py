@@ -256,10 +256,10 @@ class OpDeltaIntegrator:
 
         **Columnar mode.**  ``columnar=True`` swaps the statement executor
         for :class:`~repro.columnar.apply.ColumnarApplier`: one image
-        scan per touched table per component, compiled kernels instead of
-        per-row interpretation, and the engine's batch DML (columnar CPU
-        factor, group WAL appends), falling back to the row path across a
-        compile barrier.  Every other stage is the same code, so the
+        scan per touched table per component, kernels compiled once per
+        cache key and reused across windows, and the engine's batch DML
+        (columnar CPU factor, group WAL appends), falling back to the row
+        path across a compile barrier.  Every other stage is the same code, so the
         certifier, sanitizer and auditor contracts are unchanged and the
         final state is bit-for-bit the row path's.
         """

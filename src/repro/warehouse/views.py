@@ -16,7 +16,7 @@ base table — the equivalence the property tests check.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.opdelta import OpDelta, OpKind
 from ..core.selfmaint import Maintainability, ViewDefinition, classify_operation
@@ -30,7 +30,13 @@ from ..engine.transactions import Transaction
 from ..errors import WarehouseError
 from ..sql import ast_nodes as ast
 from ..sql.executor import Executor
-from ..sql.expressions import evaluate, is_true
+from ..sql.expressions import (
+    NO_SESSION,
+    RowBinding,
+    compile_after_image,
+    compile_insert_rows,
+    compile_predicate,
+)
 
 
 class MaterializedView:
@@ -57,7 +63,13 @@ class MaterializedView:
         self.definition = definition
         self.base_schema = base_schema
         self._base_columns = base_schema.column_names
+        self._projection = [
+            base_schema.column_index(name) for name in definition.columns
+        ]
         self._predicate = definition.predicate_ast()
+        self._qualifies_kernel = compile_predicate(
+            self._predicate, RowBinding(self._base_columns)
+        )
         self._key = definition.key_column
         if self._key is not None and self._key not in base_schema.column_names:
             raise WarehouseError(
@@ -161,18 +173,8 @@ class MaterializedView:
     def _apply_insert_op(self, op: OpDelta, txn: Transaction) -> None:
         stmt = op.statement
         assert isinstance(stmt, ast.InsertStmt)
-        for expr_row in stmt.rows:
-            values = tuple(evaluate(expr, {}) for expr in expr_row)
-            if stmt.columns is not None:
-                mapping = dict(zip(stmt.columns, values))
-                row = tuple(mapping.get(name) for name in self._base_columns)
-            else:
-                if len(values) != len(self._base_columns):
-                    raise WarehouseError(
-                        f"INSERT row width {len(values)} does not match base "
-                        f"table {self.base_schema.name!r}"
-                    )
-                row = values
+        rows = compile_insert_rows(stmt, self._base_columns, WarehouseError)
+        for row in rows(NO_SESSION):
             projected = self._qualify_and_project(row)
             if projected is not None:
                 self.table.insert(txn, projected)
@@ -222,12 +224,9 @@ class MaterializedView:
         assert op.kind is OpKind.UPDATE
         stmt = op.statement
         assert isinstance(stmt, ast.UpdateStmt)
+        after_image = compile_after_image(stmt, self._base_columns)
         for before in op.before_image:
-            env = dict(zip(self._base_columns, before))
-            after_map = dict(env)
-            for assignment in stmt.assignments:
-                after_map[assignment.column] = evaluate(assignment.expr, env)
-            after = tuple(after_map[name] for name in self._base_columns)
+            after = after_image(before)
             was_in = self._qualifies(before)
             now_in = self._qualifies(after)
             if was_in:
@@ -292,19 +291,15 @@ class MaterializedView:
 
     # --------------------------------------------------------------- plumbing
     def _qualifies(self, row: tuple[Any, ...] | None) -> bool:
-        if row is None:
-            return False
-        if self._predicate is None:
-            return True
-        env = dict(zip(self._base_columns, row))
-        return is_true(evaluate(self._predicate, env))
+        return row is not None and self._qualifies_kernel(row, NO_SESSION)
 
     def _project(self, row: tuple[Any, ...]) -> tuple[Any, ...]:
-        env: Mapping[str, Any] = dict(zip(self._base_columns, row))
-        projected = [env[name] for name in self.definition.columns]
+        projected = [row[slot] for slot in self._projection]
         join = self.definition.join
         if join is not None and join.columns:
-            dim_values = self._dim_lookup(env[join.left_column])
+            dim_values = self._dim_lookup(
+                row[self.base_schema.column_index(join.left_column)]
+            )
             for name in join.columns:
                 dim_schema = self._db.table(join.table).schema
                 projected.append(

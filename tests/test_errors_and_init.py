@@ -1,8 +1,19 @@
 """Tests for the exception hierarchy and package public surfaces."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import errors
+
+PACKAGE_DIR = Path(repro.__file__).resolve().parent
+SUBPACKAGES = sorted(
+    f"repro.{init.parent.name}" for init in PACKAGE_DIR.glob("*/__init__.py")
+)
 
 
 class TestErrorHierarchy:
@@ -64,9 +75,25 @@ class TestPublicSurfaces:
         for name in getattr(imported, "__all__", []):
             assert hasattr(imported, name), f"{module}.{name}"
 
-    def test_version(self):
-        import repro
+    @pytest.mark.parametrize(
+        "module",
+        SUBPACKAGES
+        + ["repro.sql.parser", "repro.sql.expressions", "repro.sql.executor"],
+    )
+    def test_importable_first_in_a_clean_interpreter(self, module):
+        # No package may depend on another having been imported before it:
+        # the evaluator in ``repro.sql`` is imported by six packages, and
+        # ``repro.sql`` used to initialise only after ``repro.engine``.
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
+    def test_version(self):
         assert repro.__version__
 
     def test_experiment_registry_complete(self):

@@ -657,6 +657,135 @@ class TestRepro008HotLoopDiscipline:
         assert ":3:" in violations[0]
 
 
+class TestRepro010OneEvaluator:
+    EVALUATOR = "repro/sql/expressions.py"
+
+    def test_evaluate_per_row_flagged(self, tmp_path):
+        source = (
+            "def matching(rows, where):\n"
+            "    out = []\n"
+            "    for row in rows:\n"
+            "        env = dict(zip(NAMES, row))\n"
+            "        if evaluate(where, env):\n"
+            "            out.append(row)\n"
+            "    return out\n"
+        )
+        violations = lint_source(tmp_path, source)
+        assert len(violations) == 1
+        assert "REPRO010" in violations[0] and ":5:" in violations[0]
+
+    def test_compile_per_row_flagged_in_comprehensions_and_while(self, tmp_path):
+        source = (
+            "def go(rows, stmt, layout):\n"
+            "    a = [compile_predicate(stmt.where, layout)(r, 0) for r in rows]\n"
+            "    b = (r for r in rows if expressions.evaluate(stmt.where, r))\n"
+            "    while rows:\n"
+            "        kernels.compile_expression(stmt.where, layout)\n"
+        )
+        violations = lint_source(tmp_path, source)
+        assert [v.split(":")[1] for v in violations] == ["2", "3", "5"]
+
+    def test_row_loop_around_an_expression_loop_flagged(self, tmp_path):
+        # The parent's UPDATE loop: per row, evaluate every assignment.
+        source = (
+            "def go(stmt, images):\n"
+            "    for before in images:\n"
+            "        env = dict(zip(NAMES, before))\n"
+            "        after = dict(env)\n"
+            "        for assignment in stmt.assignments:\n"
+            "            after[assignment.column] = evaluate(assignment.expr, env)\n"
+        )
+        violations = lint_source(tmp_path, source)
+        assert len(violations) == 1 and ":6:" in violations[0]
+
+    def test_compiling_each_expression_once_allowed(self, tmp_path):
+        source = (
+            "def go(stmt, rows, bind):\n"
+            "    kernels = [compile_expression(a.expr, bind) for a in stmt.assignments]\n"
+            "    for join in stmt.joins:\n"
+            "        left_key, right_key = sides(join)\n"
+            "        probe = compile_expression(left_key, bind)\n"
+            "    for expr_row in stmt.rows:\n"
+            "        values = tuple(evaluate(expr, {}) for expr in expr_row)\n"
+            "    keep = compile_predicate(stmt.where, bind)\n"
+            "    return [row for row in rows if keep(row, None)]\n"
+        )
+        assert lint_source(tmp_path, source) == []
+
+    def test_loop_iterable_is_outside_the_loop(self, tmp_path):
+        source = (
+            "def go(stmt, columns):\n"
+            "    for row in compile_insert_rows(stmt, columns, Error)(None):\n"
+            "        use(row)\n"
+            "    return [r for r in compile_insert_rows(stmt, columns, Error)(None)]\n"
+        )
+        assert lint_source(tmp_path, source) == []
+
+    def test_other_objects_evaluate_method_ignored(self, tmp_path):
+        source = (
+            "def go(engine, windows, objective):\n"
+            "    for now in windows:\n"
+            "        engine.evaluate(objective)\n"
+        )
+        assert lint_source(tmp_path, source) == []
+
+    def test_second_definition_of_an_evaluator_error_flagged(self, tmp_path):
+        source = (
+            "def divide(lv, rv):\n"
+            "    if rv == 0:\n"
+            "        raise SqlAnalysisError('division by zero')\n"
+            "    if not isinstance(lv, str):\n"
+            "        raise SqlAnalysisError(f'LIKE requires a string, got {lv!r}')\n"
+        )
+        violations = lint_source(tmp_path, source)
+        assert [v.split(":")[1] for v in violations] == ["3", "5"]
+        assert all("REPRO010" in v for v in violations)
+
+    def test_mentioning_an_evaluator_error_is_not_defining_it(self, tmp_path):
+        source = (
+            "def fold(exc, diags):\n"
+            "    if 'division by zero' in str(exc):\n"
+            "        diags.append('constant always fails: division by zero')\n"
+        )
+        assert lint_source(tmp_path, source) == []
+
+    def test_evaluator_module_is_exempt(self, tmp_path):
+        source = (
+            "def rows(compiled, stmt):\n"
+            "    for row in stmt.rows:\n"
+            "        compile_expression(stmt.where, None)\n"
+            "    raise SqlAnalysisError('division by zero')\n"
+        )
+        assert lint_source(tmp_path, source, name="other.py")
+        assert lint_source(tmp_path, source, name=self.EVALUATOR) == []
+
+    def test_shipped_tree_defines_each_interior_node_once(self):
+        # The structural half of "one evaluator": every interior-node
+        # diagnostic occurs exactly once under src/repro, in the evaluator,
+        # and nothing in the shipped tree compiles inside a row loop.
+        package = REPO / "src" / "repro"
+        sources = {
+            path: path.read_text(encoding="utf-8")
+            for path in sorted(package.rglob("*.py"))
+        }
+        evaluator = package / "sql" / "expressions.py"
+        for fragment in lint_rules.EVALUATOR_ERROR_FRAGMENTS:
+            if fragment == "division by zero":  # the constant folder names it
+                fragment = 'raise SqlAnalysisError("division by zero")'
+            holders = {
+                path: text.count(fragment)
+                for path, text in sources.items()
+                if fragment in text
+            }
+            assert holders == {evaluator: 1}, fragment
+        kernels = sources[package / "columnar" / "kernels.py"]
+        assert "SqlAnalysisError" not in kernels
+        for path in sources:
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO010" in v
+            ] == [], path
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

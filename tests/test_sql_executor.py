@@ -190,3 +190,70 @@ class TestDdl:
     def test_create_index_statement(self, session):
         session.execute("CREATE INDEX by_status ON parts (status) USING HASH")
         assert "by_status" in session.database.table("parts").index_names
+
+
+class TestRowLayoutAndLazyDiagnostics:
+    """What the per-statement row layout and the lazy row binding promise."""
+
+    def test_unknown_column_over_an_empty_table_returns_no_rows(self, session):
+        session.execute("CREATE TABLE empty (id INTEGER PRIMARY KEY)")
+        assert session.query("SELECT nope FROM empty WHERE nope = 1") == []
+        assert session.execute("UPDATE empty SET id = nope").rows_affected == 0
+        assert session.execute("DELETE FROM empty WHERE nope = 1").rows_affected == 0
+        assert session.query("SELECT SUM(nope) FROM empty") == [(None,)]
+
+    def test_unknown_column_raises_once_a_row_reaches_it(self, session):
+        with pytest.raises(SqlAnalysisError, match="unknown column 'nope'"):
+            session.query("SELECT part_id FROM parts WHERE nope = 1")
+        # ... and a short-circuit keeps every row away from it.
+        assert session.query("SELECT part_id FROM parts WHERE 1 = 2 AND nope = 1") == []
+
+    def test_bare_name_in_a_join_reads_the_joined_table(self, session):
+        session.execute("CREATE TABLE l (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)")
+        session.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)")
+        session.execute("INSERT INTO l VALUES (1, 10), (2, 20)")
+        session.execute("INSERT INTO r VALUES (1, 111), (2, 222)")
+        rows = session.query(
+            "SELECT v, l.v, x.v FROM l JOIN r x ON l.id = x.id ORDER BY l.v"
+        )
+        assert rows == [(111, 10, 111), (222, 20, 222)]
+        # The bare name also reads the joined table in WHERE.
+        assert session.query(
+            "SELECT l.v FROM l JOIN r ON l.id = r.id WHERE v = 222"
+        ) == [(20,)]
+
+    def test_star_over_a_join_is_base_columns_then_joined_columns(self, session):
+        result = session.execute(
+            "SELECT * FROM parts p JOIN suppliers s "
+            "ON p.supplier_id = s.supplier_id WHERE p.part_id = 7"
+        )
+        assert result.columns == [
+            "part_id", "part_ref", "part_no", "description", "status",
+            "quantity", "price", "last_modified", "supplier_id",
+            "supplier_id", "supplier_name", "region",
+        ]
+        (row,) = result.rows
+        assert row[0] == 7 and row[8] == row[9]
+        assert row[10] == f"Supplier {row[9]}"
+
+    def test_equal_literals_of_different_types_keep_their_types(self, session):
+        # Literal(1) == Literal(1.0) == Literal(True) with equal hashes: a
+        # value-keyed kernel memo would answer the second with the first.
+        first = session.scalar("SELECT 1")
+        second = session.scalar("SELECT 1.0")
+        assert (type(first), first) == (int, 1)
+        assert (type(second), second) == (float, 1.0)
+
+    def test_now_is_one_value_per_statement(self, session):
+        session.execute(
+            "UPDATE parts SET last_modified = NOW() WHERE part_id < 50"
+        )
+        stamps = session.query(
+            "SELECT last_modified FROM parts WHERE part_id < 50"
+        )
+        assert len(stamps) == 50 and len(set(stamps)) == 1
+        session.execute(
+            "CREATE TABLE log (id INTEGER PRIMARY KEY, at TIMESTAMP NOT NULL)"
+        )
+        session.execute("INSERT INTO log VALUES (1, NOW()), (2, NOW()), (3, NOW())")
+        assert len(set(session.query("SELECT at FROM log"))) == 1

@@ -1,19 +1,79 @@
-"""Tests for expression evaluation (SQL three-valued logic)."""
+"""Tests for expression evaluation (SQL three-valued logic).
+
+Every ``ev()`` call runs the expression through all three leaf bindings of
+the one compiler — mapping, row slot, column batch — and checks that they
+agree before handing the agreed outcome to the test.
+"""
 
 import pytest
 
+from repro.columnar import ColumnBatch, CompileBarrier
+from repro.columnar import compile_expression as compile_batch_kernel
 from repro.errors import SqlAnalysisError
+from repro.sql import ast_nodes as ast
 from repro.sql.expressions import (
+    NOW_KEY,
+    RANDOM_KEY,
+    USER_KEY,
+    NO_SESSION,
+    RowBinding,
+    compile_after_image,
+    compile_expression,
+    compile_insert_rows,
     evaluate,
     is_true,
     referenced_columns,
+    referenced_functions,
     split_conjuncts,
 )
-from repro.sql.parser import parse_expression
+from repro.sql.parser import parse, parse_expression
+
+SESSION_KEYS = (NOW_KEY, RANDOM_KEY, USER_KEY)
+
+
+def _outcome(thunk):
+    try:
+        value = thunk()
+    except (SqlAnalysisError, CompileBarrier) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def three_ways(expr, env):
+    """Evaluate ``expr`` on every binding; return (or raise) what they agree on.
+
+    ``env`` maps column spellings (``name`` or ``alias.name``) to values and
+    may carry the session keys.  The batch binding is eager, so it may answer
+    :class:`CompileBarrier` — but only for a volatile function or a column
+    that is not in scope.
+    """
+    keys = [key for key in env if key not in SESSION_KEYS]
+    row = tuple(env[key] for key in keys)
+    batch = ColumnBatch.from_rows([key.rpartition(".")[2] for key in keys], [row])
+    qualifiers = frozenset(key.rpartition(".")[0] for key in keys) - {""}
+
+    mapping = _outcome(lambda: evaluate(expr, env))
+    by_slot = _outcome(lambda: compile_expression(expr, RowBinding(keys))(row, env))
+    by_batch = _outcome(
+        lambda: compile_batch_kernel(expr, batch.layout, qualifiers)(batch.columns, 0)
+    )
+    assert by_slot == mapping
+    if by_batch[0] is CompileBarrier:
+        in_scope = {key.rpartition(".")[2] for key in keys}
+        assert (
+            referenced_functions(expr) & set(ast.VOLATILE_FUNCTIONS)
+            or referenced_columns(expr) - in_scope
+        ), f"unexpected barrier: {by_batch[1]}"
+    else:
+        assert by_batch == mapping
+    kind, value = mapping
+    if kind is SqlAnalysisError:
+        raise SqlAnalysisError(value)
+    return value
 
 
 def ev(text, **env):
-    return evaluate(parse_expression(text), env)
+    return three_ways(parse_expression(text), env)
 
 
 class TestComparisons:
@@ -117,7 +177,24 @@ class TestEnvironment:
 
     def test_qualified_reference(self):
         expr = parse_expression("t.col = 5")
-        assert evaluate(expr, {"t.col": 5}) is True
+        assert three_ways(expr, {"t.col": 5}) is True
+
+    def test_short_circuit_skips_an_unknown_column(self):
+        # Lazy diagnostics on the row side: the unknown column is only an
+        # error when a row reaches it.  (The batch side barriers instead.)
+        assert ev("1 = 2 AND nope = 1") is False
+        assert ev("1 = 1 OR nope = 1") is True
+        with pytest.raises(SqlAnalysisError, match="unknown column 'nope'"):
+            ev("1 = 1 AND nope = 1")
+
+    def test_scalar_position_diagnostics_are_lazy_too(self):
+        star = ast.BinaryOp("AND", parse_expression("1 = 2"), ast.Star())
+        assert evaluate(star, {}) is False
+        assert compile_expression(star, RowBinding(()))((), {}) is False
+        with pytest.raises(SqlAnalysisError, match="only valid directly"):
+            evaluate(ast.Star(), {})
+        with pytest.raises(CompileBarrier):
+            compile_batch_kernel(star, {})
 
 
 class TestAnalysisHelpers:
@@ -236,19 +313,63 @@ class TestScalarFunctions:
             ev("SESSION_USER()")
 
     def test_volatile_with_session_context(self):
-        from repro.sql.expressions import NOW_KEY, RANDOM_KEY, USER_KEY
-
         env = {NOW_KEY: 42.5, RANDOM_KEY: lambda: 0.25, USER_KEY: "wh"}
-        assert evaluate(parse_expression("NOW()"), env) == 42.5
-        assert evaluate(parse_expression("CURRENT_TIMESTAMP()"), env) == 42.5
-        assert evaluate(parse_expression("RANDOM()"), env) == 0.25
-        assert evaluate(parse_expression("SESSION_USER()"), env) == "wh"
+        assert three_ways(parse_expression("NOW()"), env) == 42.5
+        assert three_ways(parse_expression("CURRENT_TIMESTAMP()"), env) == 42.5
+        assert three_ways(parse_expression("RANDOM()"), env) == 0.25
+        assert three_ways(parse_expression("SESSION_USER()"), env) == "wh"
+
+    def test_volatile_is_a_barrier_on_the_batch_binding(self):
+        for text in ("NOW()", "RANDOM() < 1", "x = 1 AND SESSION_USER() = 'wh'"):
+            with pytest.raises(CompileBarrier, match="volatile"):
+                compile_batch_kernel(parse_expression(text), {"x": 0})
 
     def test_referenced_functions_walker(self):
-        from repro.sql.expressions import referenced_functions
-
         expr = parse_expression("ABS(a) + 1 > 0 AND s LIKE 'x%' OR NOW() > 5")
         assert referenced_functions(expr) == {"ABS", "NOW"}
         assert referenced_functions(None) == set()
         nested = parse_expression("COALESCE(ROUND(RANDOM()), 0) IN (1, LENGTH('a'))")
         assert referenced_functions(nested) == {"COALESCE", "ROUND", "RANDOM", "LENGTH"}
+
+
+class TestStatementHelpers:
+    """The INSERT-row and UPDATE after-image helpers every apply path shares."""
+
+    COLUMNS = ("a", "b", "c")
+
+    def test_insert_rows_in_column_order_with_null_for_unnamed(self):
+        named = parse("INSERT INTO t (c, a) VALUES (3, 1), (2 + 4, 4)")
+        rows = compile_insert_rows(named, self.COLUMNS, ValueError)
+        assert list(rows(NO_SESSION)) == [(1, None, 3), (4, None, 6)]
+        positional = parse("INSERT INTO t VALUES (1, NULL, 'x')")
+        rows = compile_insert_rows(positional, self.COLUMNS, ValueError)
+        assert list(rows(NO_SESSION)) == [(1, None, "x")]
+
+    def test_insert_rows_read_the_session_context(self):
+        stmt = parse("INSERT INTO t VALUES (1, NOW(), NOW())")
+        rows = compile_insert_rows(stmt, self.COLUMNS, ValueError)
+        assert list(rows({NOW_KEY: 7.5})) == [(1, 7.5, 7.5)]
+        with pytest.raises(SqlAnalysisError, match="volatile"):
+            list(rows(NO_SESSION))
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO t VALUES (1, 2)",
+            "INSERT INTO t (a, b) VALUES (1)",
+            "INSERT INTO t (a, nope) VALUES (1, 2)",
+        ],
+    )
+    def test_misfit_row_raises_the_callers_error_when_reached(self, sql):
+        class CallersError(Exception):
+            pass
+
+        rows = compile_insert_rows(parse(sql), self.COLUMNS, CallersError)
+        with pytest.raises(CallersError, match="INSERT names"):
+            list(rows(NO_SESSION))
+
+    def test_after_image_assignments_all_read_the_before_image(self):
+        stmt = parse("UPDATE t SET a = b, b = a + 1 WHERE c = 0")
+        after_image = compile_after_image(stmt, self.COLUMNS)
+        assert after_image((1, 10, 0)) == (10, 2, 0)
+        assert after_image([None, 5, 0]) == (5, None, 0)

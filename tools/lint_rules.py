@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Nine disciplines the standard linters cannot express:
+Ten disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -103,6 +103,22 @@ the stores' public accessors (``EventLog.counts`` / iteration,
 ``RingSeries.window()``, ``MetricsRegistry.instruments()``) or query
 the catalog.  Accesses through ``self``/``cls`` stay legal — a class
 may of course manage its own private state.
+
+**REPRO010 — one evaluator, compiled before the loop.**  SQL expressions
+have one meaning, defined in ``repro/sql/expressions.py``: a compiler that
+walks the AST once and returns a kernel.  Two things undo that.  (a) A call
+to ``evaluate(...)`` or to an expression-compile entry point
+(``compile_expression``, ``compile_predicate``, ``compile_insert_rows``,
+``compile_after_image``) inside a ``for``/``while``/comprehension that
+compiles the *same* expression on every pass — the expression argument
+names nothing the loop varies — pays the AST walk per row; compile before
+the loop and call the kernel inside it.  A loop over the expressions
+themselves (``for a in stmt.assignments: compile_expression(a.expr, ...)``)
+compiles each one once and stays legal.  (b) Raising one of the
+evaluator's interior-node diagnostics (``"LIKE requires a string"``,
+``"division by zero"``, ...) from any other module is a second definition
+of what an expression means.  The evaluator module itself is exempt from
+both.
 
 Usage::
 
@@ -245,6 +261,35 @@ OBS_PRIVATE_ATTRS = frozenset(
     }
 )
 
+#: The one module that defines what a SQL expression means (REPRO010).
+EVALUATOR_EXEMPT_SUFFIXES = ("repro/sql/expressions.py",)
+
+#: Entry points that walk an expression AST (REPRO010); their first
+#: argument is the expression (or the statement that holds it).
+EVALUATOR_ENTRY_POINTS = frozenset(
+    {
+        "evaluate",
+        "compile_expression",
+        "compile_predicate",
+        "compile_insert_rows",
+        "compile_after_image",
+    }
+)
+
+#: Modules through which the entry points may be spelled ``module.name``;
+#: any other ``<object>.evaluate(...)`` is some other object's method.
+EVALUATOR_MODULES = frozenset({"expressions", "kernels"})
+
+#: Interior-node diagnostics of the evaluator (REPRO010): raising one of
+#: these anywhere else re-implements the node.
+EVALUATOR_ERROR_FRAGMENTS = (
+    "LIKE requires a string",
+    "unary minus requires a number",
+    "requires numbers, got",
+    "division by zero",
+    "expected a boolean condition",
+)
+
 #: Registry methods whose first argument is a metric name.
 METRIC_METHODS = ("counter", "gauge", "histogram")
 
@@ -383,6 +428,105 @@ def _hot_loop_violations(
     return violations
 
 
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _names(node: ast.AST | None) -> set[str]:
+    if node is None:
+        return set()
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _loop_variant_names(loop: ast.AST) -> set[str]:
+    """Names whose value can differ between two passes of ``loop``.
+
+    The loop's own targets, then — to a fixed point — whatever its body
+    assigns from, or iterates over, something already variant.
+    """
+    if isinstance(loop, ast.For):
+        variant = _names(loop.target)
+    elif isinstance(loop, ast.While):
+        variant = set()
+    else:
+        variant = _names(loop.generators[0].target)  # type: ignore[attr-defined]
+    grew = True
+    while grew:
+        grew = False
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Assign):
+                source, targets = node.value, node.targets
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                source, targets = node.iter, [node.target]
+            else:
+                continue
+            bound = {
+                n.id
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+            if not bound <= variant and _names(source) & variant:
+                variant |= bound
+                grew = True
+    return variant
+
+
+def _evaluator_violations(path: Path, tree: ast.AST) -> list[str]:
+    """REPRO010: loop-invariant expression compiles, and second definitions."""
+    violations: list[str] = []
+
+    def visit(node: ast.AST, loops: list[set[str]]) -> None:
+        if isinstance(node, ast.Call):
+            name = dotted_name(node.func) or ""
+            module, _, method = name.rpartition(".")
+            subject = node.args[0] if node.args else None
+            if (
+                method in EVALUATOR_ENTRY_POINTS
+                and (not module or module.rsplit(".", 1)[-1] in EVALUATOR_MODULES)
+                and subject is not None
+                and any(not (_names(subject) & variant) for variant in loops)
+            ):
+                violations.append(
+                    f"{path}:{node.lineno}: REPRO010 {method}() walks the same "
+                    "expression on every pass of the enclosing loop; compile "
+                    "it once before the loop and call the kernel inside"
+                )
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            texts = [
+                text.value
+                for text in ast.walk(node.exc)
+                if isinstance(text, ast.Constant) and isinstance(text.value, str)
+            ]
+            for fragment in EVALUATOR_ERROR_FRAGMENTS:
+                if any(fragment in text for text in texts):
+                    violations.append(
+                        f"{path}:{node.lineno}: REPRO010 raising {fragment!r} "
+                        "re-implements an evaluator node; SQL expressions are "
+                        "defined once, in repro/sql/expressions.py"
+                    )
+        if isinstance(node, _LOOPS):
+            # What a loop iterates over is evaluated once, outside it.
+            first = (
+                node.iter if isinstance(node, ast.For)
+                else None if isinstance(node, ast.While)
+                else node.generators[0].iter
+            )
+            inner = [*loops, _loop_variant_names(node)]
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.comprehension):
+                    visit(child.iter, loops if child.iter is first else inner)
+                    for part in (child.target, *child.ifs):
+                        visit(part, inner)
+                else:
+                    visit(child, loops if child is first else inner)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(tree, [])
+    return violations
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -401,6 +545,8 @@ def lint_file(path: Path) -> list[str]:
         "verify" in path.name
     )
     obs_private_banned = OBS_PATH_FRAGMENT not in normalized
+    if not normalized.endswith(EVALUATOR_EXEMPT_SUFFIXES):
+        violations.extend(_evaluator_violations(path, tree))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
