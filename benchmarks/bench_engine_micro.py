@@ -5,6 +5,12 @@ these measure the Python implementation itself: row codec, page ops, SQL
 parsing, DML statements, scans.  Useful for catching performance
 regressions in the substrate that the experiments run on.
 
+The record codec and the column-pruned scan have their own numbers:
+``test_row_codec_roundtrip`` / ``test_row_decode`` time the compiled
+per-schema codec on one 112-byte ``parts`` record, and
+``test_full_scan_all_columns`` / ``test_pruned_scan_one_column`` time the
+same 10,000-row heap scan decoding nine columns and one.
+
 The row-vs-columnar pair at the bottom compares two *bindings* of the one
 SQL expression compiler (:mod:`repro.sql.expressions`) — a kernel over row
 tuples and a kernel over column arrays run the same interior-node code —
@@ -40,6 +46,12 @@ def test_row_codec_roundtrip(benchmark):
         return decode_row(schema, encode_row(schema, row))
 
     assert benchmark(roundtrip)[0] == 42
+
+
+def test_row_decode(benchmark):
+    schema = parts_schema()
+    record = encode_row(schema, PartsGenerator().row(42, timestamp=123.0))
+    assert benchmark(decode_row, schema, record)[0] == 42
 
 
 def test_sql_parse_update(benchmark):
@@ -78,6 +90,21 @@ def test_full_scan_aggregate(benchmark, populated):
     session = database.internal_session()
     count = benchmark(session.scalar, "SELECT COUNT(*) FROM parts")
     assert count >= 10_000
+
+
+def test_full_scan_all_columns(benchmark, populated):
+    database, _workload = populated
+    table = database.table("parts")
+    rows = benchmark(lambda: sum(len(values) for _rid, values in table.scan()))
+    assert rows >= 9 * 10_000
+
+
+def test_pruned_scan_one_column(benchmark, populated):
+    database, _workload = populated
+    table = database.table("parts")
+    part_ref = (table.schema.column_index("part_ref"),)
+    rows = benchmark(lambda: sum(len(values) for _rid, values in table.scan(part_ref)))
+    assert rows >= 10_000
 
 
 def test_sized_update_transaction(benchmark, populated):

@@ -67,14 +67,12 @@ class ColumnBatch:
         where the row path re-scans per statement.
         """
         batch = cls(table.schema.column_names)
-        columns = batch.columns
-        append_valid = batch.valid.append
-        append_rid = batch.row_ids.append
-        for row_id, values in table.scan():
-            for slot, value in enumerate(values):
-                columns[slot].append(value)
-            append_valid(True)
-            append_rid(row_id)
+        scanned = list(table.scan())
+        if scanned:
+            row_ids, rows = zip(*scanned)
+            batch.columns = [list(column) for column in zip(*rows)]
+            batch.valid = [True] * len(rows)
+            batch.row_ids = list(row_ids)
         return batch
 
     # ---------------------------------------------------------------- mutation

@@ -1,10 +1,11 @@
 """Table schemas: named, typed, fixed-width record layouts.
 
 A :class:`TableSchema` is an ordered list of :class:`Column` definitions plus
-an optional primary key.  It owns the binary record layout used by
-:mod:`repro.engine.rows`: a null bitmap followed by the fixed-width encoded
-columns, giving every table a constant record size — the paper's experiments
-are all phrased in terms of "100-byte records".
+an optional primary key.  It owns the binary record layout — a null bitmap
+followed by the fixed-width encoded columns, compiled once into a
+:class:`repro.engine.rows.RecordCodec` — which gives every table a constant
+record size: the paper's experiments are all phrased in terms of "100-byte
+records".
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import SchemaError
+from .rows import RecordCodec
 from .types import DataType, TimestampType
 
 
@@ -73,7 +75,10 @@ class TableSchema:
             else Column(column.name, column.datatype, nullable=False)
             for column in columns
         )
-        self._index_of: dict[str, int] = {c.name: i for i, c in enumerate(self.columns)}
+        self.column_names: tuple[str, ...] = tuple(c.name for c in self.columns)
+        self._index_of: dict[str, int] = {
+            name: i for i, name in enumerate(self.column_names)
+        }
 
         if primary_key is not None and primary_key not in self._index_of:
             raise SchemaError(f"primary key {primary_key!r} is not a column of {name!r}")
@@ -90,10 +95,10 @@ class TableSchema:
             )
         self.timestamp_column = timestamp_column
 
-        self._null_bitmap_bytes = (len(self.columns) + 7) // 8
-        self.record_size = self._null_bitmap_bytes + sum(
-            c.datatype.width for c in self.columns
-        )
+        #: The record layout, compiled once (see :mod:`repro.engine.rows`).
+        self.codec = RecordCodec(name, self.columns)
+        self.null_bitmap_bytes = self.codec.bitmap_bytes
+        self.record_size = self.codec.record_size
 
     # ------------------------------------------------------------------ access
     def __len__(self) -> int:
@@ -101,14 +106,6 @@ class TableSchema:
 
     def __iter__(self) -> Iterator[Column]:
         return iter(self.columns)
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
-    @property
-    def null_bitmap_bytes(self) -> int:
-        return self._null_bitmap_bytes
 
     def has_column(self, name: str) -> bool:
         return name in self._index_of

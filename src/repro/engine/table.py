@@ -24,7 +24,7 @@ from .buffer import BufferPool
 from .costs import CostModel
 from .heap import HeapFile
 from .index import BTreeIndex, HashIndex, Index
-from .rows import RowId, decode_row, encode_row
+from .rows import Decoder, RowId, decode_row, encode_row
 from .schema import TableSchema
 from .transactions import Transaction
 from .triggers import TriggerContext, TriggerEvent, TriggerSet, TriggerTiming
@@ -69,6 +69,8 @@ class Table:
         self._m_rows_scanned = metrics.counter("engine.table.rows_scanned")
         self._heap = HeapFile(buffer_pool, schema.record_size)
         self._indexes: dict[str, Index] = {}
+        #: Index name -> position of its key column, resolved at creation.
+        self._key_position: dict[str, int] = {}
         self.triggers = TriggerSet(clock, costs)
         self.auto_timestamp = auto_timestamp and schema.timestamp_column is not None
         self._ts_index = (
@@ -97,7 +99,7 @@ class Table:
         """Create an index and build it from the existing rows."""
         if name in self._indexes:
             raise CatalogError(f"index {name!r} already exists on {self.name!r}")
-        self.schema.column(column)  # raises on unknown column
+        position = self.schema.column_index(column)  # raises on unknown column
         if kind == "btree":
             index: Index = BTreeIndex(
                 name, column, self._clock, self._costs, unique, self._metrics
@@ -108,17 +110,18 @@ class Table:
             )
         else:
             raise CatalogError(f"unknown index kind {kind!r}")
-        position = self.schema.column_index(column)
+        key_of = self.schema.codec.decoder((position,))
         for row_id, record in self._heap.scan():
-            values = decode_row(self.schema, record)
-            index.insert(values[position], row_id)
+            index.insert(key_of(record)[0], row_id)
         self._indexes[name] = index
+        self._key_position[name] = position
         return index
 
     def drop_index(self, name: str) -> None:
         if name not in self._indexes:
             raise CatalogError(f"index {name!r} does not exist on {self.name!r}")
         del self._indexes[name]
+        del self._key_position[name]
 
     def index(self, name: str) -> Index:
         try:
@@ -158,9 +161,8 @@ class Table:
 
         record = encode_row(self.schema, values)
         row_id = self._heap.insert(record)
-        for index in self._indexes.values():
-            key = values[self.schema.column_index(index.column)]
-            index.insert(key, row_id)
+        for name, index in self._indexes.items():
+            index.insert(values[self._key_position[name]], row_id)
         self._log.append(
             LogRecordKind.INSERT, txn.txn_id, self.name, row_id, after=record
         )
@@ -240,9 +242,8 @@ class Table:
             self._fire(txn, TriggerEvent.DELETE, TriggerTiming.BEFORE, old_values, None)
 
         self._heap.delete(row_id)
-        for index in self._indexes.values():
-            key = old_values[self.schema.column_index(index.column)]
-            index.delete(key, row_id)
+        for name, index in self._indexes.items():
+            index.delete(old_values[self._key_position[name]], row_id)
         self._log.append(
             LogRecordKind.DELETE, txn.txn_id, self.name, row_id, before=old_record
         )
@@ -283,9 +284,8 @@ class Table:
                 self._fire(txn, TriggerEvent.INSERT, TriggerTiming.BEFORE, None, values)
             record = encode_row(self.schema, values)
             row_id = self._heap.insert(record)
-            for index in self._indexes.values():
-                key = values[self.schema.column_index(index.column)]
-                index.insert(key, row_id)
+            for name, index in self._indexes.items():
+                index.insert(values[self._key_position[name]], row_id)
             wal_entries.append(
                 (LogRecordKind.INSERT, txn.txn_id, self.name, row_id, None, record)
             )
@@ -372,9 +372,8 @@ class Table:
             if fire_triggers:
                 self._fire(txn, TriggerEvent.DELETE, TriggerTiming.BEFORE, old_values, None)
             self._heap.delete(row_id)
-            for index in self._indexes.values():
-                key = old_values[self.schema.column_index(index.column)]
-                index.delete(key, row_id)
+            for name, index in self._indexes.items():
+                index.delete(old_values[self._key_position[name]], row_id)
             wal_entries.append(
                 (LogRecordKind.DELETE, txn.txn_id, self.name, row_id, old_record, None)
             )
@@ -389,21 +388,38 @@ class Table:
         return results
 
     # ------------------------------------------------------------------- reads
-    def read(self, row_id: RowId) -> tuple[Any, ...]:
-        """Fetch one row by physical id."""
-        return decode_row(self.schema, self._heap.read(row_id))
+    def _decoder(self, columns: Sequence[int] | None) -> Decoder:
+        codec = self.schema.codec
+        return codec.decode if columns is None else codec.decoder(tuple(columns))
 
-    def scan(self) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
-        """Full scan in physical order, charging per-row scan CPU."""
+    def read(
+        self, row_id: RowId, columns: Sequence[int] | None = None
+    ) -> tuple[Any, ...]:
+        """Fetch one row by physical id.
+
+        ``columns`` — ascending column positions — narrows the result to
+        those columns' values; the default is the full row.
+        """
+        return self._decoder(columns)(self._heap.read(row_id))
+
+    def scan(
+        self, columns: Sequence[int] | None = None
+    ) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
+        """Full scan in physical order, charging per-row scan CPU.
+
+        Only the ``columns`` (ascending positions; default: all) are decoded
+        and yielded.  The scan CPU and the ``rows_scanned`` count are per
+        heap record, whatever is decoded of it.
+        """
         advance = self._clock.advance
         scan_cpu = self._costs.row_scan_cpu
-        schema = self.schema
+        decode = self._decoder(columns)
         scanned = 0
         try:
             for row_id, record in self._heap.scan():
                 advance(scan_cpu)
                 scanned += 1
-                yield row_id, decode_row(schema, record)
+                yield row_id, decode(record)
         finally:
             # One metrics update per scan, not per row, keeps the hot path
             # at a local integer bump even for million-row scans.
@@ -424,8 +440,8 @@ class Table:
         """Replay a logged INSERT at its original address (no log, no triggers)."""
         values = decode_row(self.schema, record)
         self._heap.place(row_id, record)
-        for index in self._indexes.values():
-            index.insert(values[self.schema.column_index(index.column)], row_id)
+        for name, index in self._indexes.items():
+            index.insert(values[self._key_position[name]], row_id)
 
     def redo_update(self, row_id: RowId, after: bytes) -> None:
         """Replay a logged UPDATE in place."""
@@ -437,8 +453,8 @@ class Table:
         """Replay a logged DELETE."""
         old_values = decode_row(self.schema, self._heap.read(row_id))
         self._heap.delete(row_id)
-        for index in self._indexes.values():
-            index.delete(old_values[self.schema.column_index(index.column)], row_id)
+        for name, index in self._indexes.items():
+            index.delete(old_values[self._key_position[name]], row_id)
 
     def truncate(self) -> int:
         """Remove all rows (minimal logging, like the real utility)."""
@@ -475,10 +491,10 @@ class Table:
         exclude: RowId | None = None,
         changed_from: tuple[Any, ...] | None = None,
     ) -> None:
-        for index in self._indexes.values():
+        for name, index in self._indexes.items():
             if not index.unique:
                 continue
-            position = self.schema.column_index(index.column)
+            position = self._key_position[name]
             key = values[position]
             if changed_from is not None and changed_from[position] == key:
                 continue  # key unchanged; the existing entry is this row's own
@@ -492,8 +508,8 @@ class Table:
     def _maintain_indexes(
         self, row_id: RowId, old_values: tuple[Any, ...], new_values: tuple[Any, ...]
     ) -> None:
-        for index in self._indexes.values():
-            position = self.schema.column_index(index.column)
+        for name, index in self._indexes.items():
+            position = self._key_position[name]
             old_key, new_key = old_values[position], new_values[position]
             if old_key != new_key:
                 index.delete(old_key, row_id)
@@ -515,9 +531,8 @@ class Table:
     # Undo helpers: physical compensation, no logging, no triggers.
     def _physical_delete(self, row_id: RowId, values: tuple[Any, ...]) -> None:
         self._heap.delete(row_id)
-        for index in self._indexes.values():
-            key = values[self.schema.column_index(index.column)]
-            index.delete(key, row_id)
+        for name, index in self._indexes.items():
+            index.delete(values[self._key_position[name]], row_id)
 
     def _physical_restore(
         self, row_id: RowId, current: tuple[Any, ...], previous: tuple[Any, ...]
@@ -527,9 +542,8 @@ class Table:
 
     def _physical_reinsert(self, values: tuple[Any, ...]) -> None:
         row_id = self._heap.insert(encode_row(self.schema, values))
-        for index in self._indexes.values():
-            key = values[self.schema.column_index(index.column)]
-            index.insert(key, row_id)
+        for name, index in self._indexes.items():
+            index.insert(values[self._key_position[name]], row_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Table({self.name!r}, rows={self.num_rows}, indexes={list(self._indexes)})"

@@ -1,8 +1,10 @@
 """Column datatypes with fixed-width binary codecs.
 
 The engine stores fixed-width records (the paper's experiments use 100-byte
-records throughout), so every datatype knows its exact on-page width and how
-to encode/decode itself with :mod:`struct`.
+records throughout), so every datatype knows its exact on-page width, the
+:mod:`struct` format of one stored value — the fragment it contributes to
+the whole-record codec :class:`repro.engine.rows.RecordCodec` compiles per
+schema — and how to encode/decode a single value on its own.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ class DataType(ABC):
 
     #: SQL spelling used by DDL and ``repr``.
     name: str = "?"
-
-    @property
-    @abstractmethod
-    def width(self) -> int:
-        """Exact encoded width in bytes."""
+    #: Exact encoded width in bytes.
+    width: int
+    #: ``struct`` format of one stored value (big-endian, no byte-order
+    #: prefix); packs and unpacks exactly ``width`` bytes.
+    struct_format: str
+    #: Whether the stored value is latin-1 text, which ``struct`` carries as
+    #: bytes: the record codec space-pads it going in and decodes it coming out.
+    is_text: bool = False
 
     @abstractmethod
     def validate(self, value: Any) -> Any:
@@ -51,11 +56,9 @@ class IntegerType(DataType):
     """64-bit signed integer."""
 
     name = "INTEGER"
-    _codec = struct.Struct(">q")
-
-    @property
-    def width(self) -> int:
-        return 8
+    width = 8
+    struct_format = "q"
+    _codec = struct.Struct(">" + struct_format)
 
     def validate(self, value: Any) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -75,11 +78,9 @@ class FloatType(DataType):
     """64-bit IEEE-754 float."""
 
     name = "FLOAT"
-    _codec = struct.Struct(">d")
-
-    @property
-    def width(self) -> int:
-        return 8
+    width = 8
+    struct_format = "d"
+    _codec = struct.Struct(">" + struct_format)
 
     def validate(self, value: Any) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -108,16 +109,15 @@ class CharType(DataType):
     """Fixed-width ``CHAR(n)`` string, space padded, latin-1 encoded."""
 
     name = "CHAR"
+    is_text = True
 
     def __init__(self, length: int) -> None:
         if length <= 0:
             raise SchemaError(f"CHAR length must be positive, got {length}")
         self.length = length
+        self.width = length
+        self.struct_format = f"{length}s"
         self.name = f"CHAR({length})"
-
-    @property
-    def width(self) -> int:
-        return self.length
 
     def validate(self, value: Any) -> str:
         if not isinstance(value, str):

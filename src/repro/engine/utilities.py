@@ -190,9 +190,8 @@ def ascii_load(
         clock.advance(costs.ascii_parse_row + costs.loader_row_cpu)
         record = encode_row(table.schema, values)
         row_id = table._heap.insert(record)
-        for index in table._indexes.values():
-            key = values[table.schema.column_index(index.column)]
-            index.insert(key, row_id)
+        for name, index in table._indexes.items():
+            index.insert(values[table._key_position[name]], row_id)
         loaded += 1
         rows_in_block += 1
         if rows_in_block >= per_page:

@@ -856,10 +856,8 @@ class _UnknownDataType(DataType):
     """Placeholder datatype for columns invented by erroneous statements."""
 
     name = "?"
-
-    @property
-    def width(self) -> int:  # pragma: no cover - never stored
-        return 0
+    width = 0  # never stored
+    struct_format = "0s"
 
     def validate(self, value: object) -> object:
         return value

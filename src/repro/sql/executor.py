@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..engine.database import Database
 from ..engine.rows import RowId
@@ -34,6 +34,7 @@ from .expressions import (
     compile_predicate,
     insert_arranger,
     split_conjuncts,
+    walk,
 )
 
 #: Ranges matching more than this fraction of the table fall back to a scan.
@@ -75,34 +76,73 @@ class _AccessPath:
 class _Scope(RowBinding):
     """One statement's row layout: which slot each column reference reads.
 
-    Joins concatenate value tuples, so a joined table's columns follow the
-    columns already in scope.  A bare name reads the right-most table that
-    has it; ``alias.name`` reads its own table.
+    A table in scope contributes only the columns the statement reads (see
+    :func:`_columns_read`), in schema order.  Joins concatenate value tuples,
+    so a joined table's columns follow the columns already in scope.  A bare
+    name reads the right-most table that has it; ``alias.name`` reads its
+    own table.
     """
 
-    def __init__(self, schema: TableSchema, alias: str) -> None:
+    def __init__(self) -> None:
         super().__init__(())  # references resolve against the tables instead
-        self._tables: list[tuple[str, TableSchema, int]] = []
+        # (alias, schema, column position -> slot) per table, in join order.
+        self._tables: list[tuple[str, TableSchema, dict[int, int]]] = []
         self._width = 0
-        self.add(schema, alias)
 
-    def add(self, schema: TableSchema, alias: str) -> None:
-        """Bring a table into scope, to the right of those already there."""
-        self._tables.append((alias, schema, self._width))
-        self._width += len(schema.columns)
+    def add(self, schema: TableSchema, alias: str, positions: Sequence[int]) -> None:
+        """Bring a table into scope, to the right of those already there.
+
+        ``positions`` are the columns of it that the scanned rows carry.
+        """
+        slots = {
+            position: self._width + offset
+            for offset, position in enumerate(positions)
+        }
+        self._tables.append((alias, schema, slots))
+        self._width += len(slots)
 
     def columns(self) -> list[str]:
         """Column name per slot — what ``*`` selects."""
         return [
-            name for _alias, schema, _offset in self._tables
-            for name in schema.column_names
+            schema.column_names[position]
+            for _alias, schema, slots in self._tables
+            for position in slots
         ]
 
     def slot(self, ref: ast.ColumnRef) -> int | None:
-        for alias, schema, offset in reversed(self._tables):
+        for alias, schema, slots in reversed(self._tables):
             if ref.table in (None, alias) and schema.has_column(ref.name):
-                return offset + schema.column_index(ref.name)
+                return slots.get(schema.column_index(ref.name))
         return None
+
+
+def _columns_read(
+    tables: Sequence[tuple[str, TableSchema]],
+    expressions: Iterable[ast.Expression | None],
+) -> list[tuple[int, ...]]:
+    """Per table of a statement, the column positions its expressions read.
+
+    ``tables`` are the statement's ``(alias, schema)`` in join order.  The
+    answer may be too wide — a bare name counts for every table that has the
+    column — but never too narrow, and deciding it never raises: on ``*`` or
+    a reference no table answers, every column of every table is read and
+    the compiled kernel is left to diagnose the reference when a row reaches
+    it.
+    """
+    read: list[set[int]] = [set() for _ in tables]
+    for expression in expressions:
+        if expression is None:
+            continue
+        for node in walk(expression):
+            resolved = False
+            if isinstance(node, ast.ColumnRef):
+                for (alias, schema), positions in zip(tables, read):
+                    if node.table in (None, alias) and schema.has_column(node.name):
+                        positions.add(schema.column_index(node.name))
+                        resolved = True
+            if not resolved and isinstance(node, (ast.ColumnRef, ast.Star)):
+                return [tuple(range(len(schema.columns))) for _alias, schema in tables]
+    return [tuple(sorted(positions)) for positions in read]
 
 
 class Executor:
@@ -162,22 +202,37 @@ class Executor:
 
         base = self._db.table(stmt.table)
         base_alias = stmt.alias or stmt.table
+        joined = [
+            (self._db.table(join.table), join.alias or join.table)
+            for join in stmt.joins
+        ]
+        base_read, *joined_read = _columns_read(
+            [(alias, table.schema) for table, alias in [(base, base_alias), *joined]],
+            [
+                stmt.where,
+                *(item.expr for item in stmt.items),
+                *stmt.group_by,
+                *(side for join in stmt.joins for side in (join.left, join.right)),
+            ],
+        )
         path = self._choose_path(base, base_alias, stmt.where)
-        scope = _Scope(base.schema, base_alias)
+        scope = _Scope()
+        scope.add(base.schema, base_alias, base_read)
         rows: Iterable[tuple[Any, ...]] = (
-            values for _row_id, values in self._candidates(base, path)
+            values for _row_id, values in self._candidates(base, path, base_read)
         )
         plan_parts = [f"{stmt.table}:{path.description}"]
 
-        for join in stmt.joins:
-            right = self._db.table(join.table)
-            right_alias = join.alias or join.table
+        for join, (right, right_alias), right_read in zip(
+            stmt.joins, joined, joined_read
+        ):
             left_key, right_key = self._join_sides(join, right_alias)
             # The probe key reads the left side only: compile it before the
             # joined table's names come into scope.
             probe = compile_expression(left_key, scope)
-            rows = self._hash_join(rows, probe, right, right_key)
-            scope.add(right.schema, right_alias)
+            build_key = right_read.index(right.schema.column_index(right_key.name))
+            rows = self._hash_join(rows, probe, right.scan(right_read), build_key)
+            scope.add(right.schema, right_alias, right_read)
             plan_parts.append(f"join({join.table}:hash)")
 
         if stmt.where is not None:
@@ -258,24 +313,23 @@ class Executor:
 
     @staticmethod
     def _candidates(
-        table: Table, path: _AccessPath
+        table: Table, path: _AccessPath, columns: Sequence[int]
     ) -> Iterable[tuple[RowId, tuple[Any, ...]]]:
-        """The rows the access path reads, before the predicate."""
+        """The rows the access path reads (their ``columns``), before the predicate."""
         if path.row_ids is None:
-            return table.scan()
-        return ((row_id, table.read(row_id)) for row_id in path.row_ids)
+            return table.scan(columns)
+        return ((row_id, table.read(row_id, columns)) for row_id in path.row_ids)
 
     def _hash_join(
         self,
         left_rows: Iterable[tuple[Any, ...]],
         probe: Compiled,
-        right: Table,
-        right_key: ast.ColumnRef,
+        right_rows: Iterable[tuple[RowId, tuple[Any, ...]]],
+        build_key: int,
     ) -> Iterator[tuple[Any, ...]]:
         build: dict[Any, list[tuple[Any, ...]]] = {}
-        key_position = right.schema.column_index(right_key.name)
-        for _row_id, values in right.scan():
-            build.setdefault(values[key_position], []).append(values)
+        for _row_id, values in right_rows:
+            build.setdefault(values[build_key], []).append(values)
         probe_cpu = self._db.costs.row_scan_cpu
         clock = self._db.clock
         context = self._context
@@ -450,26 +504,37 @@ class Executor:
         return Result(rows_affected=len(stmt.rows), plan="insert")
 
     def _matches(
-        self, table: Table, where: ast.Expression | None, scope: _Scope
-    ) -> tuple[str, list[tuple[RowId, tuple[Any, ...]]]]:
-        """The rows a DML statement touches, read before any is changed."""
+        self,
+        table: Table,
+        where: ast.Expression | None,
+        reads: Iterable[ast.Expression] = (),
+    ) -> tuple[str, _Scope, list[tuple[RowId, tuple[Any, ...]]]]:
+        """The rows a DML statement touches, read before any is changed.
+
+        Only the columns ``where`` and the ``reads`` expressions mention are
+        decoded; the returned scope is the layout of those narrow rows.
+        """
+        (columns,) = _columns_read([(table.name, table.schema)], [where, *reads])
+        scope = _Scope()
+        scope.add(table.schema, table.name, columns)
         path = self._choose_path(table, table.name, where)
         keep = compile_predicate(where, scope)
         context = self._context
         matches = [
             (row_id, values)
-            for row_id, values in self._candidates(table, path)
+            for row_id, values in self._candidates(table, path, columns)
             if keep(values, context)
         ]
-        return path.description, matches
+        return path.description, scope, matches
 
     def _update(self, stmt: ast.UpdateStmt, txn: Transaction) -> Result:
         table = self._db.table(stmt.table)
-        scope = _Scope(table.schema, table.name)
+        description, scope, matches = self._matches(
+            table, stmt.where, [a.expr for a in stmt.assignments]
+        )
         assignments = [
             (a.column, compile_expression(a.expr, scope)) for a in stmt.assignments
         ]
-        description, matches = self._matches(table, stmt.where, scope)
         context = self._context
         for row_id, values in matches:
             table.update(
@@ -481,9 +546,7 @@ class Executor:
 
     def _delete(self, stmt: ast.DeleteStmt, txn: Transaction) -> Result:
         table = self._db.table(stmt.table)
-        description, matches = self._matches(
-            table, stmt.where, _Scope(table.schema, table.name)
-        )
+        description, _scope, matches = self._matches(table, stmt.where)
         for row_id, _values in matches:
             table.delete(txn, row_id)
         return Result(rows_affected=len(matches), plan=f"delete:{description}")

@@ -554,7 +554,7 @@ def _children(node: ast.Expression) -> tuple[ast.Expression, ...]:
     return ()
 
 
-def _nodes(expr: ast.Expression) -> list[ast.Expression]:
+def walk(expr: ast.Expression) -> list[ast.Expression]:
     """``expr`` and every expression below it."""
     found = [expr]
     for node in found:  # grows while it is walked
@@ -564,14 +564,14 @@ def _nodes(expr: ast.Expression) -> list[ast.Expression]:
 
 def referenced_columns(expr: ast.Expression) -> set[str]:
     """All column names referenced by an expression (unqualified spellings)."""
-    return {node.name for node in _nodes(expr) if isinstance(node, ast.ColumnRef)}
+    return {node.name for node in walk(expr) if isinstance(node, ast.ColumnRef)}
 
 
 def referenced_functions(expr: ast.Expression | None) -> set[str]:
     """All scalar function names invoked anywhere in an expression."""
     if expr is None:
         return set()
-    return {node.function for node in _nodes(expr) if isinstance(node, ast.FuncCall)}
+    return {node.function for node in walk(expr) if isinstance(node, ast.FuncCall)}
 
 
 def split_conjuncts(expr: ast.Expression | None) -> list[ast.Expression]:

@@ -53,6 +53,46 @@ class TestBinaryCodec:
             "id": 1, "name": "a", "price": 2.0,
         }
 
+    def test_pruned_decoder_reads_only_its_columns(self, schema):
+        record = encode_row(schema, (7, None, 1.25))
+        assert schema.codec.decoder((0, 2))(record) == (7, 1.25)
+        assert schema.codec.decoder((1,))(record) == (None,)
+        assert schema.codec.decoder(())(record) == ()
+        # One compiled decoder per distinct column subset.
+        assert schema.codec.decoder((0, 2)) is schema.codec.decoder((0, 2))
+        with pytest.raises(StorageError):
+            schema.codec.decoder((1,))(record[:-1])
+        for positions in [(2, 0), (0, 0), (3,), (-1,)]:
+            with pytest.raises(StorageError, match="ascending positions"):
+                schema.codec.decoder(positions)
+
+
+class TestUnvalidatedValuesRaiseTypedErrors:
+    """``encode_row`` is reached by paths that skip ``validate_values``
+    (the Loader, undo): whatever does not fit must raise a StorageError
+    naming the column and the value — never a bare struct/unicode error,
+    and never a silently cut or padded record."""
+
+    def test_char_longer_than_its_column(self, schema):
+        with pytest.raises(StorageError, match=r"'x{13}' in t\.name"):
+            encode_row(schema, (1, "x" * 13, 1.0))
+
+    def test_integer_out_of_range(self, schema):
+        with pytest.raises(StorageError, match=r"9223372036854775808 in t\.id"):
+            encode_row(schema, (2**63, "a", 1.0))
+
+    def test_string_in_an_integer_column(self, schema):
+        with pytest.raises(StorageError, match=r"'seven' in t\.id"):
+            encode_row(schema, ("seven", "a", 1.0))
+
+    def test_text_outside_latin_1(self, schema):
+        with pytest.raises(StorageError, match=r"in t\.name"):
+            encode_row(schema, (1, "\u20ac", 1.0))
+
+    def test_integer_in_a_char_column(self, schema):
+        with pytest.raises(StorageError, match=r"12 in t\.name"):
+            encode_row(schema, (1, 12, 1.0))
+
 
 class TestRowId:
     def test_ordering(self):

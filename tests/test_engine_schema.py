@@ -35,6 +35,10 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             make_schema().column("missing")
 
+    def test_column_names_is_built_once(self):
+        schema = make_schema()
+        assert schema.column_names is schema.column_names
+
     def test_primary_key_made_not_null(self):
         schema = TableSchema("t", [Column("id", INTEGER)], primary_key="id")
         assert schema.column("id").nullable is False

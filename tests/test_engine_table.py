@@ -3,8 +3,16 @@
 import pytest
 
 from repro.engine import Database, InsertMode, TriggerEvent, TriggerTiming, Trigger
+from repro.engine.schema import Column, TableSchema
+from repro.engine.types import INTEGER, char
 from repro.engine.wal import LogRecordKind
-from repro.errors import CatalogError, ConstraintError, SchemaError, TriggerError
+from repro.errors import (
+    CatalogError,
+    ConstraintError,
+    SchemaError,
+    StorageError,
+    TriggerError,
+)
 
 from .conftest import insert_parts
 
@@ -155,6 +163,22 @@ class TestUndo:
         db.abort(txn)
         assert sorted(v for _r, v in items.scan()) == before
 
+    def test_unvalidated_overlong_char_raises_and_writes_nothing(self, db):
+        # Undo re-inserts an image without validating it: a value that does
+        # not fit must be refused, not cut to the column's width.
+        labels = db.create_table(
+            TableSchema(
+                "labels",
+                [Column("id", INTEGER, nullable=False), Column("label", char(12))],
+                primary_key="id",
+            )
+        )
+        with pytest.raises(StorageError, match=r"labels\.label"):
+            labels._physical_reinsert((1, "x" * 13))
+        assert labels.num_rows == 0
+        assert list(labels.scan()) == []
+        assert labels.lookup("id", 1) == []
+
 
 class TestTriggersOnTable:
     def test_trigger_fires_in_same_txn_and_rolls_back(self, db, items, small_schema):
@@ -260,6 +284,29 @@ class TestScanAndIndexes:
             items.insert(txn, (i, "x", float(i)))
         db.commit(txn)
         assert len(list(items.scan())) == 20
+
+    def test_scan_and_read_narrow_to_the_requested_columns(self, db, items):
+        txn = db.begin()
+        row_ids = [items.insert(txn, (i, None, float(i))) for i in range(20)]
+        db.commit(txn)
+        scanned = db.metrics.counter("engine.table.rows_scanned", db="test")
+        before = scanned.value
+
+        def costed(columns):
+            start = db.clock.now
+            rows = list(items.scan(columns))
+            return rows, db.clock.now - start
+
+        full, full_cost = costed(None)
+        narrow, narrow_cost = costed((0, 2))
+        nothing, nothing_cost = costed(())
+        assert narrow == [(rid, (v[0], v[2])) for rid, v in full]
+        assert [v for _rid, v in nothing] == [()] * 20
+        assert items.read(row_ids[3], (1, 2)) == (None, 3.0)
+        # A scan costs the same, and counts the same, whatever it decodes.
+        assert narrow_cost == pytest.approx(full_cost, rel=1e-9)
+        assert nothing_cost == pytest.approx(full_cost, rel=1e-9)
+        assert scanned.value - before == 60
 
     def test_create_index_builds_from_existing(self, db, items):
         txn = db.begin()

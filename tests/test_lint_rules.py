@@ -786,6 +786,67 @@ class TestRepro010OneEvaluator:
             ] == [], path
 
 
+class TestRepro011OneRecordFormat:
+    def test_struct_outside_the_codec_modules_flagged(self, tmp_path):
+        source = (
+            "import struct\n"
+            "HEADER = struct.Struct('>HH')\n"
+            "def frame(n):\n"
+            "    return struct.pack('>I', n)\n"
+        )
+        violations = lint_source(tmp_path, source, name="repro/engine/wal.py")
+        assert [v.split(":")[1] for v in violations] == ["1", "2", "4"]
+        assert all("REPRO011" in v for v in violations)
+        assert lint_source(
+            tmp_path, "from struct import unpack\n", name="repro/transport/wire.py"
+        )
+
+    def test_codec_modules_may_use_struct(self, tmp_path):
+        source = "import struct\nCODEC = struct.Struct('>q')\n"
+        for name in lint_rules.RECORD_FORMAT_SUFFIXES:
+            assert lint_source(tmp_path, source, name=name) == []
+
+    def test_per_field_loop_flagged_everywhere(self, tmp_path):
+        source = (
+            "def decode(schema, record, offset):\n"
+            "    values = []\n"
+            "    for column in schema.columns:\n"
+            "        width = column.datatype.width\n"
+            "        values.append(column.datatype.decode(record[offset:offset + width]))\n"
+            "        offset += width\n"
+            "    body = [c.datatype.encode(v) for c, v in zip(schema.columns, values)]\n"
+            "    while values:\n"
+            "        datatype.encode(values.pop())\n"
+            "    return values, body\n"
+        )
+        for name in ("module.py", "repro/engine/rows.py"):
+            violations = lint_source(tmp_path, source, name=name)
+            assert [v.split(":")[1] for v in violations] == ["5", "7", "9"]
+            assert all("REPRO011" in v for v in violations)
+
+    def test_single_value_calls_and_other_encodes_allowed(self, tmp_path):
+        source = (
+            "def key_bytes(column, value, rows):\n"
+            "    raw = column.datatype.encode(value)\n"
+            "    return [raw + text.encode('latin-1') for text in rows]\n"
+        )
+        assert lint_source(tmp_path, source) == []
+
+    def test_shipped_tree_has_one_record_format(self):
+        package = REPO / "src" / "repro"
+        holders = set()
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO011" in v
+            ] == [], path
+            if "import struct" in path.read_text(encoding="utf-8"):
+                holders.add(path.relative_to(package).as_posix())
+        assert holders == {"engine/types.py", "engine/rows.py", "engine/page.py"}
+        # The per-field API survives as the single-value codec only.
+        rows = (package / "engine" / "rows.py").read_text(encoding="utf-8")
+        assert "datatype.decode" not in rows and "datatype.encode" not in rows
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

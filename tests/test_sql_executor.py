@@ -257,3 +257,151 @@ class TestRowLayoutAndLazyDiagnostics:
         )
         session.execute("INSERT INTO log VALUES (1, NOW()), (2, NOW()), (3, NOW())")
         assert len(set(session.query("SELECT at FROM log"))) == 1
+
+
+class TestColumnPrunedScans:
+    """A statement decodes only the columns it reads; nothing else changes."""
+
+    @pytest.fixture
+    def sparse(self, session):
+        """30 rows with NULLs in the columns statements read and in the rest."""
+        session.execute(
+            "CREATE TABLE sparse (id INTEGER PRIMARY KEY, k INTEGER, a INTEGER, "
+            "b CHAR(8), c FLOAT)"
+        )
+        rows = []
+        for i in range(30):
+            k = None if i % 7 == 0 else i
+            a = None if i % 5 == 0 else i * 10
+            b = None if i % 4 == 0 else f"g{i % 3}"
+            c = None if i % 3 == 0 else i / 2
+            rows.append((i, k, a, b, c))
+            literals = ", ".join(
+                "NULL" if v is None else repr(v) for v in (i, k, a, b, c)
+            )
+            session.execute(f"INSERT INTO sparse VALUES ({literals})")
+        return rows
+
+    def test_range_update_delete_and_aggregate_match_a_recompute(
+        self, session, sparse
+    ):
+        updated = session.execute(
+            "UPDATE sparse SET a = a + 1 WHERE k BETWEEN 3 AND 12"
+        )
+        expected = [
+            (i, k, a + 1 if a is not None else None, b, c)
+            if k is not None and 3 <= k <= 12
+            else (i, k, a, b, c)
+            for i, k, a, b, c in sparse
+        ]
+        assert updated.rows_affected == 9
+        assert session.query("SELECT * FROM sparse ORDER BY id") == expected
+
+        deleted = session.execute("DELETE FROM sparse WHERE k >= 20 OR c IS NULL")
+        expected = [
+            row for row in expected
+            if not ((row[1] is not None and row[1] >= 20) or row[4] is None)
+        ]
+        assert deleted.rows_affected == 30 - len(expected)
+        assert session.query("SELECT * FROM sparse ORDER BY id") == expected
+
+        groups: dict = {}
+        for _i, k, a, b, _c in expected:
+            if k is not None and k < 15:
+                groups.setdefault(b, []).append(a)
+        recomputed = {
+            b: (
+                len(members),
+                len([a for a in members if a is not None]),
+                sum([a for a in members if a is not None]) or None,
+            )
+            for b, members in groups.items()
+        }
+        answer = session.query(
+            "SELECT b, COUNT(*), COUNT(a), SUM(a) FROM sparse WHERE k < 15 GROUP BY b"
+        )
+        assert len(answer) == len(recomputed) == 3  # g1, g2 and NULL
+        assert {row[0]: row[1:] for row in answer} == recomputed
+
+    def test_statements_reading_no_column_still_visit_every_row(
+        self, session, sparse
+    ):
+        assert session.scalar("SELECT COUNT(*) FROM sparse") == 30
+        assert session.query("SELECT 7 FROM sparse WHERE 1 = 1") == [(7,)] * 30
+        assert session.execute("UPDATE sparse SET c = 1.5").rows_affected == 30
+        assert session.execute("DELETE FROM sparse").rows_affected == 30
+
+    def test_joined_tables_sharing_column_names(self, session):
+        session.execute(
+            "CREATE TABLE l (id INTEGER PRIMARY KEY, v INTEGER, tag CHAR(4), "
+            "only_l FLOAT)"
+        )
+        session.execute(
+            "CREATE TABLE r (id INTEGER PRIMARY KEY, tag CHAR(4), v INTEGER, "
+            "only_r CHAR(6))"
+        )
+        session.execute(
+            "INSERT INTO l VALUES (1, 10, 'a', 0.5), (2, NULL, 'b', 1.5), "
+            "(3, 30, NULL, NULL)"
+        )
+        session.execute(
+            "INSERT INTO r VALUES (1, 'x', 111, 'one'), (2, 'y', 222, NULL), "
+            "(3, NULL, NULL, 'three')"
+        )
+        # Bare names read the right-most table that has them.
+        assert session.query(
+            "SELECT v, tag, only_l, only_r FROM l JOIN r ON l.id = r.id ORDER BY only_r"
+        ) == [(111, "x", 0.5, "one"), (None, None, None, "three"), (222, "y", 1.5, None)]
+        # Qualified names read their own table, wherever the columns sit.
+        assert session.query(
+            "SELECT a.v, b.v, a.tag, b.tag FROM l a JOIN r b ON a.id = b.id "
+            "WHERE b.v > 100 OR a.v = 30"
+        ) == [(10, 111, "a", "x"), (None, 222, "b", "y"), (30, None, None, None)]
+        # '*' is every column of every table, in join order.
+        result = session.execute(
+            "SELECT * FROM l a JOIN r b ON a.id = b.id WHERE a.id = 2"
+        )
+        assert result.columns == ["id", "v", "tag", "only_l", "id", "tag", "v", "only_r"]
+        assert result.rows == [(2, None, "b", 1.5, 2, "y", 222, None)]
+        assert session.query(
+            "SELECT *, b.v FROM l a JOIN r b ON a.id = b.id WHERE b.only_r = 'one'"
+        ) == [(1, 10, "a", 0.5, 1, "x", 111, "one", 111)]
+
+    def test_what_pruning_cannot_resolve_is_left_to_the_kernel(self, session):
+        session.execute("CREATE TABLE empty (id INTEGER PRIMARY KEY)")
+        # Nothing raises while deciding what to read ...
+        assert session.query(
+            "SELECT e.nope, x.id FROM empty e JOIN suppliers s "
+            "ON e.id = s.supplier_id WHERE other.id = 1"
+        ) == []
+        # ... and a row reaching the reference gets the usual diagnostic.
+        with pytest.raises(SqlAnalysisError, match="unknown column 'x.part_id'"):
+            session.query("SELECT part_ref FROM parts WHERE x.part_id = 1")
+        assert session.query(
+            "SELECT part_ref FROM parts WHERE part_id = 3 AND (1 = 1 OR nope = 1)"
+        ) == session.query("SELECT part_ref FROM parts WHERE part_id = 3")
+
+    def test_virtual_time_and_scan_counts_are_pinned(self):
+        """Host work moved; the modelled work did not.  The constants are
+        what this script cost before scans were column-pruned."""
+        from repro.workloads import parts_schema
+
+        database = Database("pin")
+        database.create_table(parts_schema(), auto_timestamp=True)
+        insert_parts(database, 500)
+        session = database.internal_session()
+        start = database.clock.now
+        assert session.execute(
+            "UPDATE parts SET status = 'held', quantity = quantity + 1 "
+            "WHERE part_ref BETWEEN 100 AND 149"
+        ).rows_affected == 50
+        assert session.execute(
+            "DELETE FROM parts WHERE part_ref BETWEEN 300 AND 319"
+        ).rows_affected == 20
+        assert len(session.query(
+            "SELECT status, COUNT(*), SUM(quantity) FROM parts "
+            "WHERE price > 100.0 GROUP BY status"
+        )) == 6
+        assert database.clock.now - start == 236.75499999993394
+        assert database.clock.now == 1567.8779999999194
+        assert database.metrics.total("engine.table.rows_scanned") == 1480

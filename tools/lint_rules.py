@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Ten disciplines the standard linters cannot express:
+Eleven disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -119,6 +119,21 @@ evaluator's interior-node diagnostics (``"LIKE requires a string"``,
 ``"division by zero"``, ...) from any other module is a second definition
 of what an expression means.  The evaluator module itself is exempt from
 both.
+
+**REPRO011 — the record format lives in one place.**  How a row becomes
+bytes is decided once per schema, by the codec ``repro/engine/rows.py``
+compiles from the format fragment each datatype in ``repro/engine/types.py``
+contributes (``repro/engine/page.py`` packs its own slot header).  (a) Any
+other module that imports ``struct`` or calls ``struct.<anything>(...)`` is
+laying out bytes on its own — a second definition of the format that WAL
+records, page images, dump files and state digests would have to agree
+with.  (b) A ``.datatype.decode(...)`` / ``.datatype.encode(...)`` call
+inside a ``for``/``while``/comprehension is the per-field record loop the
+compiled codec replaced (one Python-level call and one slice per column
+per row), and is flagged in every module: convert whole records with
+``decode_row``/``encode_row``, or a column subset with
+``schema.codec.decoder(positions)``.  The single-value
+``DataType.encode``/``decode`` API itself stays, for one value at a time.
 
 Usage::
 
@@ -288,6 +303,14 @@ EVALUATOR_ERROR_FRAGMENTS = (
     "requires numbers, got",
     "division by zero",
     "expected a boolean condition",
+)
+
+#: The modules that lay out bytes with ``struct`` (REPRO011): the datatype
+#: fragments, the record codec compiled from them, the page slot header.
+RECORD_FORMAT_SUFFIXES = (
+    "repro/engine/types.py",
+    "repro/engine/rows.py",
+    "repro/engine/page.py",
 )
 
 #: Registry methods whose first argument is a metric name.
@@ -527,6 +550,48 @@ def _evaluator_violations(path: Path, tree: ast.AST) -> list[str]:
     return violations
 
 
+def _record_format_violations(
+    path: Path, tree: ast.AST, struct_allowed: bool
+) -> list[str]:
+    """REPRO011: ``struct`` outside the codec modules; per-field record loops."""
+    violations: list[str] = []
+
+    def visit(node: ast.AST, in_loop: bool) -> None:
+        if not struct_allowed:
+            imported = (
+                isinstance(node, ast.Import)
+                and any(alias.name == "struct" for alias in node.names)
+            ) or (isinstance(node, ast.ImportFrom) and node.module == "struct")
+            called = isinstance(node, ast.Call) and (
+                dotted_name(node.func) or ""
+            ).startswith("struct.")
+            if imported or called:
+                violations.append(
+                    f"{path}:{node.lineno}: REPRO011 'struct' used outside the "
+                    "record-format modules; the byte layout of a row is "
+                    "defined once, by the codec in repro/engine/rows.py"
+                )
+        if (
+            in_loop
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("decode", "encode")
+            and (dotted_name(node.func.value) or "").rsplit(".", 1)[-1] == "datatype"
+        ):
+            violations.append(
+                f"{path}:{node.lineno}: REPRO011 per-field "
+                f"'.datatype.{node.func.attr}()' inside a loop re-creates the "
+                "record loop the compiled codec replaced; use decode_row/"
+                "encode_row or schema.codec.decoder(positions)"
+            )
+        inside = in_loop or isinstance(node, _LOOPS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return violations
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -547,6 +612,11 @@ def lint_file(path: Path) -> list[str]:
     obs_private_banned = OBS_PATH_FRAGMENT not in normalized
     if not normalized.endswith(EVALUATOR_EXEMPT_SUFFIXES):
         violations.extend(_evaluator_violations(path, tree))
+    violations.extend(
+        _record_format_violations(
+            path, tree, normalized.endswith(RECORD_FORMAT_SUFFIXES)
+        )
+    )
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
