@@ -264,14 +264,6 @@ class ScheduleCertifier:
             )
         return certificate
 
-    def certify_serial(
-        self, groups: Sequence[OpDeltaTransaction], graph: ConflictGraph
-    ) -> Certificate:
-        """Certify the given order as a single-lane schedule."""
-        from .schedule import single_lane_schedule
-
-        return self.certify(groups, graph, single_lane_schedule(groups))
-
     # -- individual obligations ---------------------------------------
 
     def _check_coverage(

@@ -444,11 +444,6 @@ def self_accumulation(
     return None
 
 
-def _self_op(column: str, expr: ast.Expression) -> str | None:
-    accumulation = self_accumulation(column, expr)
-    return None if accumulation is None else accumulation[0]
-
-
 def conjuncts_imply(
     stronger: ast.Expression | None, weaker: ast.Expression | None
 ) -> bool:

@@ -86,14 +86,11 @@ class Scope:
     #: Enumeration that was cut by the scope caps, for honest reporting.
     truncated: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def scenario_count(self) -> int:
-        ops = sum(len(v) for v in self.ops_by_kind.values())
-        return len(self.databases) * ops
-
-
 #: Fresh key values for inserted rows — outside the seeded key range.
 _INSERT_KEY_BASE = 90
+
+#: Most boundary literals a column's domain keeps (before the NULL).
+_DOMAIN_CAP = 3
 
 _STRING_DEFAULT = "aa"
 _STRING_OTHER = "zz"
@@ -197,8 +194,6 @@ def column_domain(
     schema: TableSchema,
     name: str,
     boundaries: dict[str, list[Any]],
-    *,
-    cap: int = 3,
 ) -> tuple[Any, ...]:
     """The candidate values an active column ranges over (NULL last)."""
     column = schema.column(name)
@@ -213,7 +208,7 @@ def column_domain(
         values.append(base)
     if len(values) < 2:
         values.append(_alternative(values[0], column))
-    values = values[:cap]
+    values = values[:_DOMAIN_CAP]
     if column.nullable and None not in values:
         values.append(None)
     return tuple(values)

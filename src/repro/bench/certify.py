@@ -46,10 +46,9 @@ from ..compaction import Coalescer
 from ..core.capture import OpDeltaCapture
 from ..core.stores import FileLogStore
 from ..errors import WarehouseError
-from ..warehouse.opdelta_integrator import OpDeltaIntegrator
 from ..warehouse.warehouse import Warehouse
 from ..workloads.records import parts_schema, strip_timestamp
-from .experiments.common import build_workload_database
+from .experiments.common import build_parts_warehouse, build_workload_database
 from .experiments.compaction import build_analyzer, _run_workload
 
 #: Version of the ``--certify --json`` document layout.  Bump on any
@@ -232,24 +231,6 @@ def _graph_stats(graph: ConflictGraph) -> dict[str, Any]:
     }
 
 
-def _build_warehouse(label: str, clock, initial_rows, analyzer, sanitizer=None):
-    schema = parts_schema()
-    warehouse = Warehouse(f"certify-wh-{label}", clock=clock)
-    warehouse.create_mirror(schema)
-    warehouse.initial_load_rows("parts", initial_rows)
-    view = warehouse.define_view(analyzer.views[0], schema)
-    txn = warehouse.database.begin()
-    view.initialize(initial_rows, txn)
-    warehouse.database.commit(txn)
-    integrator = OpDeltaIntegrator(
-        warehouse.database.internal_session(),
-        views=[view],
-        analyzer=analyzer,
-        sanitizer=sanitizer,
-    )
-    return warehouse, integrator
-
-
 def _mirror_state(warehouse: Warehouse) -> list:
     schema = parts_schema()
     return sorted(
@@ -328,15 +309,15 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     report.modes["compacted"] = compacted_summary
 
     # ---- state parity and sanitizer overhead ----------------------------
-    wh_serial, integ_serial = _build_warehouse(
-        "serial", source.clock, initial_rows, analyzer
+    wh_serial, integ_serial = build_parts_warehouse(
+        "certify-wh-serial", source.clock, initial_rows, analyzer
     )
-    wh_off, integ_off = _build_warehouse(
-        "batched-off", source.clock, initial_rows, analyzer
+    wh_off, integ_off = build_parts_warehouse(
+        "certify-wh-batched-off", source.clock, initial_rows, analyzer
     )
     sanitizer = InterferenceSanitizer.for_analyzer(LANES, analyzer)
-    wh_on, integ_on = _build_warehouse(
-        "batched-on", source.clock, initial_rows, analyzer, sanitizer=sanitizer
+    wh_on, integ_on = build_parts_warehouse(
+        "certify-wh-batched-on", source.clock, initial_rows, analyzer, sanitizer
     )
     serial_report = integ_serial.integrate(groups)
     off_report = integ_off.integrate_batched(
@@ -369,8 +350,8 @@ def run_certify(fault: str | None = None) -> CertifyReport:
         static = certifier.certify(groups, graph_wide, planted)
         drill_sanitizer = InterferenceSanitizer.for_analyzer(LANES, analyzer)
         dynamic = drill_sanitizer.replay(groups, planted)
-        wh_drill, integ_drill = _build_warehouse(
-            "drill", source.clock, initial_rows, analyzer
+        wh_drill, integ_drill = build_parts_warehouse(
+            "certify-wh-drill", source.clock, initial_rows, analyzer
         )
         integrator_rejected = False
         rejection = ""

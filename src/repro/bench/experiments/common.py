@@ -7,6 +7,8 @@ from ...engine.buffer import DEFAULT_POOL_PAGES
 from ...engine.database import Database
 from ...engine.schema import TableSchema
 from ...engine.table import InsertMode
+from ...warehouse.opdelta_integrator import OpDeltaIntegrator
+from ...warehouse.warehouse import Warehouse
 from ...workloads.oltp import OltpWorkload
 from ...workloads.records import PartsGenerator, parts_schema
 
@@ -53,7 +55,30 @@ def fill_plain_table(
     table = database.table(table_name)
     generator = PartsGenerator(seed=seed)
     txn = database.begin()
-    for row in generator.rows(rows):
-        table.insert(txn, row, mode=InsertMode.BULK_INTERNAL)
+    table.insert_many(txn, generator.rows(rows), mode=InsertMode.BULK_INTERNAL)
     database.commit(txn)
     database.checkpoint()
+
+
+def build_parts_warehouse(name: str, clock, initial_rows, analyzer, sanitizer=None):
+    """A loaded warehouse and the integrator that maintains it.
+
+    The warehouse mirrors ``parts`` and materialises the analyzer's first
+    view (the full-width ``parts_catalog``), both filled from
+    ``initial_rows``; the integrator applies Op-Deltas to the pair.
+    """
+    schema = parts_schema()
+    warehouse = Warehouse(name, clock=clock)
+    warehouse.create_mirror(schema)
+    warehouse.initial_load_rows("parts", initial_rows)
+    view = warehouse.define_view(analyzer.views[0], schema)
+    txn = warehouse.database.begin()
+    view.initialize(initial_rows, txn)
+    warehouse.database.commit(txn)
+    integrator = OpDeltaIntegrator(
+        warehouse.database.internal_session(),
+        views=[view],
+        analyzer=analyzer,
+        sanitizer=sanitizer,
+    )
+    return warehouse, integrator

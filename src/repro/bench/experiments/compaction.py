@@ -28,12 +28,10 @@ from ...core.selfmaint import ViewDefinition
 from ...core.stores import FileLogStore
 from ...transport.queue import PersistentQueue
 from ...transport.shipper import enqueue_op_deltas
-from ...warehouse.opdelta_integrator import OpDeltaIntegrator
 from ...warehouse.scheduler import run_conflict_schedule
-from ...warehouse.warehouse import Warehouse
 from ...workloads.records import parts_schema, strip_timestamp
 from ..report import ExperimentResult
-from .common import build_workload_database
+from .common import build_parts_warehouse, build_workload_database
 
 DEFAULT_TABLE_ROWS = 3_000
 DEFAULT_FOLD_TXNS = 6
@@ -184,28 +182,12 @@ def run(
     compacted, compaction = coalescer.compact_window(groups)
 
     # Two identically loaded warehouses, each with the mirror and the view.
-    schema = parts_schema()
-    view_def = build_analyzer().views[0]
-    warehouses = []
-    integrators = []
-    for label in ("serial", "batched"):
-        wh = Warehouse(f"cp-wh-{label}", clock=source.clock)
-        wh.create_mirror(schema)
-        wh.initial_load_rows("parts", initial_rows)
-        view = wh.define_view(view_def, schema)
-        txn = wh.database.begin()
-        view.initialize(initial_rows, txn)
-        wh.database.commit(txn)
-        warehouses.append(wh)
-        integrators.append(
-            OpDeltaIntegrator(
-                wh.database.internal_session(),
-                views=[view],
-                analyzer=analyzer,
-            )
-        )
-    wh_serial, wh_batched = warehouses
-    integ_serial, integ_batched = integrators
+    wh_serial, integ_serial = build_parts_warehouse(
+        "cp-wh-serial", source.clock, initial_rows, analyzer
+    )
+    wh_batched, integ_batched = build_parts_warehouse(
+        "cp-wh-batched", source.clock, initial_rows, analyzer
+    )
 
     # Serial baseline: the window verbatim, one warehouse txn per commit.
     serial_report = integ_serial.integrate(groups)
@@ -219,6 +201,7 @@ def run(
     )
     queue.ack_window(delivery_id for delivery_id, _payload in window)
 
+    schema = parts_schema()
     state_serial = strip_timestamp(
         schema, [v for _rid, v in wh_serial.database.table("parts").scan()]
     )

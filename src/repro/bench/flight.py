@@ -47,10 +47,7 @@ from ..obs.tracing import Tracer
 from ..semantics import SchemaCatalog, SemanticChecker
 from ..transport.queue import PersistentQueue
 from ..transport.shipper import enqueue_op_deltas
-from ..warehouse.opdelta_integrator import OpDeltaIntegrator
-from ..warehouse.warehouse import Warehouse
-from ..workloads.records import parts_schema
-from .experiments.common import build_workload_database
+from .experiments.common import build_parts_warehouse, build_workload_database
 from .experiments.compaction import build_analyzer
 
 #: Version of the ``--flight --json`` document layout.  Bump on any
@@ -173,6 +170,36 @@ def _window_workload(session, window: int, txns: int) -> None:
         session.commit()
 
 
+def slo_objectives() -> list[FreshnessSLO | LatencySLO]:
+    """The objective pair the flight and forensics drills both alert on."""
+    return [
+        FreshnessSLO(
+            "parts_catalog",
+            target_ms=FRESHNESS_TARGET_MS,
+            short_window_ms=SHORT_WINDOW_MS,
+            long_window_ms=LONG_WINDOW_MS,
+        ),
+        LatencySLO(
+            "end_to_end",
+            target_ms=LATENCY_TARGET_MS,
+            short_window_ms=SHORT_WINDOW_MS,
+            long_window_ms=LONG_WINDOW_MS,
+        ),
+    ]
+
+
+def apply_budget(queue: PersistentQueue, analyzer, integrator, budget: int) -> int:
+    """The consumer step: apply up to ``budget`` queued messages as one window."""
+    window = queue.receive_window(limit=budget)
+    if not window:
+        return 0
+    payloads = [payload for _id, payload in window]
+    graph = analyzer.conflict_graph(payloads)
+    integrator.integrate_batched(payloads, graph=graph)
+    queue.ack_window(did for did, _payload in window)
+    return len(window)
+
+
 def run_flight(sample: bool = True) -> FlightReport:
     """Run the windowed spike scenario under the full flight stack.
 
@@ -181,29 +208,12 @@ def run_flight(sample: bool = True) -> FlightReport:
     obs-overhead bench asserts the final virtual time matches exactly.
     """
     report = FlightReport(sampled=sample)
-    schema = parts_schema()
     analyzer = build_analyzer()
 
     metrics = MetricsRegistry()
     tracer = Tracer()
     flight = FlightRecorder(store=TimeSeriesStore(), metrics=metrics)
-    engine = SLOEngine(
-        flight.store,
-        [
-            FreshnessSLO(
-                "parts_catalog",
-                target_ms=FRESHNESS_TARGET_MS,
-                short_window_ms=SHORT_WINDOW_MS,
-                long_window_ms=LONG_WINDOW_MS,
-            ),
-            LatencySLO(
-                "end_to_end",
-                target_ms=LATENCY_TARGET_MS,
-                short_window_ms=SHORT_WINDOW_MS,
-                long_window_ms=LONG_WINDOW_MS,
-            ),
-        ],
-    )
+    engine = SLOEngine(flight.store, slo_objectives())
 
     with ExitStack() as stack:
         stack.enter_context(observe(metrics=metrics, tracer=tracer))
@@ -230,17 +240,8 @@ def run_flight(sample: bool = True) -> FlightReport:
         )
         capture.attach()
 
-        warehouse = Warehouse("flight-wh", clock=source.clock)
-        warehouse.create_mirror(schema)
-        warehouse.initial_load_rows("parts", initial_rows)
-        view = warehouse.define_view(analyzer.views[0], schema)
-        txn = warehouse.database.begin()
-        view.initialize(initial_rows, txn)
-        warehouse.database.commit(txn)
-        integrator = OpDeltaIntegrator(
-            warehouse.database.internal_session(),
-            views=[view],
-            analyzer=analyzer,
+        warehouse, integrator = build_parts_warehouse(
+            "flight-wh", source.clock, initial_rows, analyzer
         )
         queue: PersistentQueue = PersistentQueue(
             source.clock, name="flight", metrics=metrics
@@ -248,21 +249,11 @@ def run_flight(sample: bool = True) -> FlightReport:
         if sample:
             flight.watch_queue(queue)
 
-        def apply_budget(budget: int) -> int:
-            window = queue.receive_window(limit=budget)
-            if not window:
-                return 0
-            payloads = [payload for _id, payload in window]
-            graph = analyzer.conflict_graph(payloads)
-            integrator.integrate_batched(payloads, graph=graph)
-            queue.ack_window(did for did, _payload in window)
-            return len(window)
-
         for index, txns in enumerate(WINDOW_TXNS):
             _window_workload(workload.session, index, txns)
             groups = store.drain()
             enqueued = enqueue_op_deltas(queue, groups)
-            applied = apply_budget(APPLY_BUDGET)
+            applied = apply_budget(queue, analyzer, integrator, APPLY_BUDGET)
             now = source.clock.now
             if sample:
                 flight.sample_now(recorder, now)
@@ -288,7 +279,7 @@ def run_flight(sample: bool = True) -> FlightReport:
         # recovery is observed (and the alert clears) at a real instant.
         drain_round = 0
         while len(queue) or queue.in_flight:
-            applied = apply_budget(APPLY_BUDGET)
+            applied = apply_budget(queue, analyzer, integrator, APPLY_BUDGET)
             now = source.clock.now
             if sample:
                 flight.sample_now(recorder, now)

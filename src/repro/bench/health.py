@@ -46,10 +46,8 @@ from ..obs.pipeline import (
 from ..transport.network import NetworkModel
 from ..transport.queue import PersistentQueue
 from ..transport.shipper import FileShipper, enqueue_op_deltas
-from ..warehouse.opdelta_integrator import OpDeltaIntegrator
-from ..warehouse.warehouse import Warehouse
 from ..workloads.records import parts_schema, strip_timestamp
-from .experiments.common import build_workload_database
+from .experiments.common import build_parts_warehouse, build_workload_database
 from .experiments.compaction import build_analyzer, _run_workload
 
 #: Version of the ``--health --json`` document layout.  Bump on any
@@ -159,17 +157,8 @@ def _run_mode(mode: str, fault: str | None = None) -> PipelineSnapshot:
         capture.detach()
         groups = store.drain()
 
-        warehouse = Warehouse(f"health-wh-{mode}", clock=source.clock)
-        warehouse.create_mirror(schema)
-        warehouse.initial_load_rows("parts", initial_rows)
-        view = warehouse.define_view(analyzer.views[0], schema)
-        txn = warehouse.database.begin()
-        view.initialize(initial_rows, txn)
-        warehouse.database.commit(txn)
-        integrator = OpDeltaIntegrator(
-            warehouse.database.internal_session(),
-            views=[view],
-            analyzer=analyzer,
+        warehouse, integrator = build_parts_warehouse(
+            f"health-wh-{mode}", source.clock, initial_rows, analyzer
         )
 
         if mode == "plain":

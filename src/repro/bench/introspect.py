@@ -37,14 +37,7 @@ from ..core.capture import OpDeltaCapture
 from ..core.opdelta import PARSE_CACHE
 from ..core.stores import FileLogStore
 from ..obs.context import observe
-from ..obs.flight import (
-    CostAttributor,
-    FlightRecorder,
-    FreshnessSLO,
-    LatencySLO,
-    SLOEngine,
-    TimeSeriesStore,
-)
+from ..obs.flight import CostAttributor, FlightRecorder, SLOEngine, TimeSeriesStore
 from ..obs.introspect import MetaObservatory, StoreBundle, SystemCatalog
 from ..obs.metrics import MetricsRegistry
 from ..obs.pipeline import PipelineRecorder, observe_pipeline
@@ -52,11 +45,9 @@ from ..obs.tracing import Tracer
 from ..semantics import SchemaCatalog, SemanticChecker
 from ..transport.queue import PersistentQueue
 from ..transport.shipper import enqueue_op_deltas
-from ..warehouse.opdelta_integrator import OpDeltaIntegrator
-from ..warehouse.warehouse import Warehouse
-from ..workloads.records import parts_schema
-from .experiments.common import build_workload_database
+from .experiments.common import build_parts_warehouse, build_workload_database
 from .experiments.compaction import build_analyzer
+from .flight import apply_budget, slo_objectives
 
 #: Version of the ``--forensics --json`` document layout.  Bump on any
 #: structural change to :meth:`ForensicsReport.to_dict`.
@@ -73,12 +64,6 @@ APPLY_BUDGET = 3
 TABLE_ROWS = 120
 #: Rows touched by each source transaction's UPDATE.
 TXN_ROWS = 6
-
-#: SLO objectives (virtual ms): tight enough that the stall fires them.
-FRESHNESS_TARGET_MS = 120.0
-LATENCY_TARGET_MS = 400.0
-SHORT_WINDOW_MS = 60.0
-LONG_WINDOW_MS = 300.0
 
 #: Minimum fraction of the p99 op's end-to-end latency the queue
 #: segment must explain for the drill to call the stall proven.  Natural
@@ -227,7 +212,6 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
     additionally carries that query's result over the populated stores.
     """
     report = ForensicsReport()
-    schema = parts_schema()
     analyzer = build_analyzer()
     # Hermetic run: the process-wide parse and certificate caches make a
     # second in-process run cheaper than the first (warm lookups, skipped
@@ -241,23 +225,7 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
     metrics = MetricsRegistry()
     tracer = Tracer()
     flight = FlightRecorder(store=TimeSeriesStore(), metrics=metrics)
-    engine = SLOEngine(
-        flight.store,
-        [
-            FreshnessSLO(
-                "parts_catalog",
-                target_ms=FRESHNESS_TARGET_MS,
-                short_window_ms=SHORT_WINDOW_MS,
-                long_window_ms=LONG_WINDOW_MS,
-            ),
-            LatencySLO(
-                "end_to_end",
-                target_ms=LATENCY_TARGET_MS,
-                short_window_ms=SHORT_WINDOW_MS,
-                long_window_ms=LONG_WINDOW_MS,
-            ),
-        ],
-    )
+    engine = SLOEngine(flight.store, slo_objectives())
 
     with ExitStack() as stack:
         stack.enter_context(observe(metrics=metrics, tracer=tracer))
@@ -280,17 +248,8 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
         )
         capture.attach()
 
-        warehouse = Warehouse("forensics-wh", clock=source.clock)
-        warehouse.create_mirror(schema)
-        warehouse.initial_load_rows("parts", initial_rows)
-        view = warehouse.define_view(analyzer.views[0], schema)
-        txn = warehouse.database.begin()
-        view.initialize(initial_rows, txn)
-        warehouse.database.commit(txn)
-        integrator = OpDeltaIntegrator(
-            warehouse.database.internal_session(),
-            views=[view],
-            analyzer=analyzer,
+        warehouse, integrator = build_parts_warehouse(
+            "forensics-wh", source.clock, initial_rows, analyzer
         )
         queue: PersistentQueue = PersistentQueue(
             source.clock, name="forensics", metrics=metrics
@@ -306,22 +265,12 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
         catalog = SystemCatalog(bundle)
         observatory = MetaObservatory(catalog, verifier=verifier)
 
-        def apply_budget(budget: int) -> int:
-            window = queue.receive_window(limit=budget)
-            if not window:
-                return 0
-            payloads = [payload for _id, payload in window]
-            graph = analyzer.conflict_graph(payloads)
-            integrator.integrate_batched(payloads, graph=graph)
-            queue.ack_window(did for did, _payload in window)
-            return len(window)
-
         for index, txns in enumerate(WINDOW_TXNS):
             _window_workload(workload.session, index, txns)
             groups = store.drain()
             enqueued = enqueue_op_deltas(queue, groups)
             stalled = index in STALL_WINDOWS
-            applied = 0 if stalled else apply_budget(APPLY_BUDGET)
+            applied = 0 if stalled else apply_budget(queue, analyzer, integrator, APPLY_BUDGET)
             now = source.clock.now
             flight.sample_now(recorder, now)
             engine.evaluate(now)
@@ -342,7 +291,7 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
         # Drain the backlog at the normal budget.
         drain_round = 0
         while len(queue) or queue.in_flight:
-            applied = apply_budget(APPLY_BUDGET)
+            applied = apply_budget(queue, analyzer, integrator, APPLY_BUDGET)
             now = source.clock.now
             flight.sample_now(recorder, now)
             engine.evaluate(now)

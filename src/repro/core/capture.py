@@ -129,10 +129,6 @@ class OpDeltaCapture:
         manager.abort_listeners.remove(self._on_abort)
         self._attached = False
 
-    @property
-    def is_attached(self) -> bool:
-        return self._attached
-
     # ------------------------------------------------------------------- hooks
     def _on_statement(
         self, statement: ast.Statement, sql_text: str, session: Session

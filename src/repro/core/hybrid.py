@@ -20,10 +20,8 @@ from .selfmaint import Maintainability, ViewDefinition, combined_requirement
 class ViewAwareHybridPolicy:
     """Fetch before images exactly when some warehouse view needs them."""
 
-    def __init__(self, views: Iterable[ViewDefinition],
-                 fail_on_unmaintainable: bool = True) -> None:
+    def __init__(self, views: Iterable[ViewDefinition]) -> None:
         self._views = list(views)
-        self._fail = fail_on_unmaintainable
         self._cache: dict[tuple[str, OpKind], bool] = {}
 
     def requires_before_image(self, table: str, kind: OpKind) -> bool:
@@ -32,7 +30,7 @@ class ViewAwareHybridPolicy:
         if cached is not None:
             return cached
         requirement = combined_requirement(self._views, table, kind)
-        if requirement is Maintainability.NOT_SELF_MAINTAINABLE and self._fail:
+        if requirement is Maintainability.NOT_SELF_MAINTAINABLE:
             raise SelfMaintenanceError(
                 f"a view over {table!r} is not self-maintainable even with "
                 "before images (its join side is not available at the "

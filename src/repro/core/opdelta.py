@@ -22,11 +22,12 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from ..errors import OpDeltaError
+from ..errors import OpDeltaError, WarehouseError
 from ..obs.context import ambient_metrics
 from ..sql import ast_nodes as ast
+from ..sql.expressions import NO_SESSION, compile_after_image, compile_insert_rows
 from ..sql.parser import parse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -184,6 +185,34 @@ class OpDelta:
     @property
     def is_hybrid(self) -> bool:
         return self.before_image is not None
+
+
+def derive_row_images(
+    op: OpDelta, columns: Sequence[str]
+) -> Iterator[tuple[tuple[Any, ...] | None, tuple[Any, ...] | None]]:
+    """The value delta ``op`` stands for, as ``(before, after)`` row images.
+
+    Rows are in ``columns`` order and derived lazily, one pair at a time:
+    an INSERT's rows come from the statement's literals, a DELETE's images
+    are the before images as captured, and an UPDATE's after images are
+    computed from its SET list — which is why hybrid capture never ships
+    an after image.  UPDATE and DELETE need ``op.before_image``; callers
+    refuse a lean Op-Delta in their own words before iterating.
+    """
+    statement = op.statement
+    if op.kind is OpKind.INSERT:
+        assert isinstance(statement, ast.InsertStmt)
+        rows = compile_insert_rows(statement, columns, WarehouseError)
+        for row in rows(NO_SESSION):
+            yield None, row
+    elif op.kind is OpKind.DELETE:
+        for before in op.before_image:
+            yield before, None
+    else:
+        assert isinstance(statement, ast.UpdateStmt)
+        after_image = compile_after_image(statement, columns)
+        for before in op.before_image:
+            yield before, after_image(before)
 
 
 def classify_statement(statement: ast.Statement) -> tuple[OpKind, str]:

@@ -87,10 +87,6 @@ class OpDeltaStore(ABC):
     def peek(self) -> list[OpDeltaTransaction]:
         return list(self._committed)
 
-    @property
-    def pending_transactions(self) -> int:
-        return len(self._open_txns)
-
     # ------------------------------------------------------------- subclasses
     @abstractmethod
     def _persist(self, op: OpDelta, txn: Transaction) -> None: ...

@@ -81,7 +81,3 @@ class DiskManager:
         self._m_writes.inc()
         cost = self._costs.seq_page_write if sequential else self._costs.page_write
         self._clock.advance(cost)
-
-    def deallocate_page(self, page_no: int) -> None:
-        """Return a page to the free pool (used by TRUNCATE/DROP)."""
-        self._pages.pop(page_no, None)

@@ -10,12 +10,21 @@ This module is where the paper's measured effects are produced:
   pay reduced per-row CPU, which is why writing a delta *table* during
   timestamp extraction is cheaper per row than OLTP inserts but still far
   more expensive than writing a flat file (Table 2).
+
+Each mutation is written once, as a per-row core (``_insert_row``,
+``_update_row``, ``_delete_row``) taking the two things its callers differ
+in: the CPU charge for the row and where its WAL record goes.  The row
+entries log straight to :meth:`LogManager.append`; the ``*_batch`` entries
+(the columnar apply path) charge the columnar factor and group-append after
+the last row.  Row DML and batch DML are therefore the same mutation by
+construction — validation, unique checks, index maintenance, triggers,
+undo and WAL payloads cannot diverge (lint rule REPRO012).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..clock import VirtualClock
 from ..errors import CatalogError, ConstraintError, SchemaError
@@ -29,6 +38,10 @@ from .schema import TableSchema
 from .transactions import Transaction
 from .triggers import TriggerContext, TriggerEvent, TriggerSet, TriggerTiming
 from .wal import LogManager, LogRecordKind
+
+#: Where a mutation's WAL record goes: called with the positional arguments
+#: of :meth:`LogManager.append` (kind, txn id, table, row id, before, after).
+LogSink = Callable[..., Any]
 
 
 class InsertMode(enum.Enum):
@@ -141,6 +154,9 @@ class Table:
         return tuple(self._indexes)
 
     # --------------------------------------------------------------------- DML
+    # Row entries: log each record as it is made (appended, and charged,
+    # before the AFTER trigger).
+
     def insert(
         self,
         txn: Transaction,
@@ -149,29 +165,8 @@ class Table:
         fire_triggers: bool = True,
     ) -> RowId:
         """Insert one row; returns its RowId."""
-        values = self.schema.validate_values(tuple(values))
-        values = self._stamp(values)
-        self._check_unique(values)
-
-        factor = self._mode_factor(mode)
-        self._clock.advance(self._costs.row_insert_cpu * factor)
-
-        if fire_triggers:
-            self._fire(txn, TriggerEvent.INSERT, TriggerTiming.BEFORE, None, values)
-
-        record = encode_row(self.schema, values)
-        row_id = self._heap.insert(record)
-        for name, index in self._indexes.items():
-            index.insert(values[self._key_position[name]], row_id)
-        self._log.append(
-            LogRecordKind.INSERT, txn.txn_id, self.name, row_id, after=record
-        )
-        txn.rows_inserted += 1
-        txn.register_undo(lambda: self._physical_delete(row_id, values))
-
-        if fire_triggers:
-            self._fire(txn, TriggerEvent.INSERT, TriggerTiming.AFTER, None, values)
-        return row_id
+        row_cpu = self._costs.row_insert_cpu * self._mode_factor(mode)
+        return self._insert_row(txn, values, row_cpu, self._log.append, fire_triggers)
 
     def insert_many(
         self,
@@ -195,6 +190,114 @@ class Table:
         fire_triggers: bool = True,
     ) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
         """Apply column assignments to one row; returns (old, new) values."""
+        return self._update_row(
+            txn, (row_id, assignments), self._costs.row_update_cpu,
+            self._log.append, fire_triggers,
+        )
+
+    def delete(
+        self,
+        txn: Transaction,
+        row_id: RowId,
+        fire_triggers: bool = True,
+    ) -> tuple[Any, ...]:
+        """Delete one row; returns its old values."""
+        return self._delete_row(
+            txn, row_id, self._costs.row_delete_cpu, self._log.append, fire_triggers
+        )
+
+    # Batch entries (the columnar apply path): the same per-row cores at
+    # batch cost — see ``_batch``.
+
+    def insert_batch(
+        self,
+        txn: Transaction,
+        rows: Iterable[Sequence[Any]],
+        fire_triggers: bool = True,
+    ) -> list[RowId]:
+        """Columnar batch insert; returns the new RowIds in order."""
+        return self._batch(
+            self._insert_row, txn, rows, self._costs.row_insert_cpu, fire_triggers
+        )
+
+    def update_batch(
+        self,
+        txn: Transaction,
+        updates: Iterable[tuple[RowId, Mapping[str, Any]]],
+        fire_triggers: bool = True,
+    ) -> list[tuple[tuple[Any, ...], tuple[Any, ...]]]:
+        """Columnar batch update; returns (old, new) values per row."""
+        return self._batch(
+            self._update_row, txn, updates, self._costs.row_update_cpu, fire_triggers
+        )
+
+    def delete_batch(
+        self,
+        txn: Transaction,
+        row_ids: Iterable[RowId],
+        fire_triggers: bool = True,
+    ) -> list[tuple[Any, ...]]:
+        """Columnar batch delete; returns the old values per row."""
+        return self._batch(
+            self._delete_row, txn, row_ids, self._costs.row_delete_cpu, fire_triggers
+        )
+
+    def _batch(
+        self, mutate: Callable[..., Any], txn: Transaction,
+        items: Iterable[Any], row_cpu: float, fire_triggers: bool,
+    ) -> list[Any]:
+        """One row mutation per item, at batch cost; returns the results.
+
+        Per-row CPU is charged at the columnar factor (compiled kernels skip
+        per-row dispatch) and the rows' WAL records are group-appended, so
+        the fixed append cost is paid once.  The append is in ``finally``:
+        when a later row raises, the rows already in the heap still get
+        their records, and a caller that commits anyway leaves nothing
+        that recovery or log-scan extraction cannot see.
+        """
+        row_cpu *= self._costs.columnar_cpu_factor
+        entries: list[tuple[Any, ...]] = []
+
+        def log(*entry: Any) -> None:
+            entries.append(entry)
+
+        try:
+            return [mutate(txn, item, row_cpu, log, fire_triggers) for item in items]
+        finally:
+            self._log.append_batch(entries)
+
+    # The per-row cores: the body of each mutation, written once.  ``log``
+    # takes the positional arguments of ``LogManager.append``; each core takes
+    # what it mutates as one item (an update its ``(row_id, assignments)``
+    # pair) so that ``_batch`` drives all three alike.
+
+    def _insert_row(
+        self, txn: Transaction, values: Sequence[Any], row_cpu: float,
+        log: LogSink, fire_triggers: bool,
+    ) -> RowId:
+        values = self.schema.validate_values(tuple(values))
+        values = self._stamp(values)
+        self._check_unique(values)
+
+        self._clock.advance(row_cpu)
+
+        self._fire(fire_triggers, txn, TriggerTiming.BEFORE, None, values)
+
+        record = encode_row(self.schema, values)
+        row_id = self._heap.insert(record)
+        self._index_insert(row_id, values)
+        log(LogRecordKind.INSERT, txn.txn_id, self.name, row_id, None, record)
+        txn.rows_inserted += 1
+        txn.register_undo(lambda: self._physical_delete(row_id, values))
+
+        self._fire(fire_triggers, txn, TriggerTiming.AFTER, None, values)
+        return row_id
+
+    def _update_row(
+        self, txn: Transaction, target: tuple[RowId, Mapping[str, Any]],
+        row_cpu: float, log: LogSink, fire_triggers: bool,
+    ) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
+        row_id, assignments = target
         if not assignments:
             raise SchemaError("update requires at least one assignment")
         old_record = self._heap.read(row_id)
@@ -207,185 +310,39 @@ class Table:
             new_values = self._stamp(new_values, force=True)
         self._check_unique(new_values, exclude=row_id, changed_from=old_values)
 
-        self._clock.advance(self._costs.row_update_cpu)
+        self._clock.advance(row_cpu)
 
-        if fire_triggers:
-            self._fire(txn, TriggerEvent.UPDATE, TriggerTiming.BEFORE, old_values, new_values)
+        self._fire(fire_triggers, txn, TriggerTiming.BEFORE, old_values, new_values)
 
         new_record = encode_row(self.schema, new_values)
-        self._heap.overwrite(row_id, new_record)
-        self._maintain_indexes(row_id, old_values, new_values)
-        self._log.append(
-            LogRecordKind.UPDATE, txn.txn_id, self.name, row_id,
-            before=old_record, after=new_record,
-        )
+        self._physical_overwrite(row_id, new_record, old_values, new_values)
+        log(LogRecordKind.UPDATE, txn.txn_id, self.name, row_id, old_record, new_record)
         txn.rows_updated += 1
-        txn.register_undo(lambda: self._physical_restore(row_id, new_values, old_values))
+        txn.register_undo(
+            lambda: self._physical_overwrite(row_id, old_record, new_values, old_values)
+        )
 
-        if fire_triggers:
-            self._fire(txn, TriggerEvent.UPDATE, TriggerTiming.AFTER, old_values, new_values)
+        self._fire(fire_triggers, txn, TriggerTiming.AFTER, old_values, new_values)
         return old_values, new_values
 
-    def delete(
-        self,
-        txn: Transaction,
-        row_id: RowId,
-        fire_triggers: bool = True,
+    def _delete_row(
+        self, txn: Transaction, row_id: RowId, row_cpu: float,
+        log: LogSink, fire_triggers: bool,
     ) -> tuple[Any, ...]:
-        """Delete one row; returns its old values."""
         old_record = self._heap.read(row_id)
         old_values = decode_row(self.schema, old_record)
 
-        self._clock.advance(self._costs.row_delete_cpu)
+        self._clock.advance(row_cpu)
 
-        if fire_triggers:
-            self._fire(txn, TriggerEvent.DELETE, TriggerTiming.BEFORE, old_values, None)
+        self._fire(fire_triggers, txn, TriggerTiming.BEFORE, old_values, None)
 
-        self._heap.delete(row_id)
-        for name, index in self._indexes.items():
-            index.delete(old_values[self._key_position[name]], row_id)
-        self._log.append(
-            LogRecordKind.DELETE, txn.txn_id, self.name, row_id, before=old_record
-        )
+        self._physical_delete(row_id, old_values)
+        log(LogRecordKind.DELETE, txn.txn_id, self.name, row_id, old_record, None)
         txn.rows_deleted += 1
         txn.register_undo(lambda: self._physical_reinsert(old_values))
 
-        if fire_triggers:
-            self._fire(txn, TriggerEvent.DELETE, TriggerTiming.AFTER, old_values, None)
+        self._fire(fire_triggers, txn, TriggerTiming.AFTER, old_values, None)
         return old_values
-
-    # -------------------------------------------------------- columnar batch DML
-    # The batch entry points perform *exactly* the logical work of their
-    # row-at-a-time counterparts — same validation, unique checks, index
-    # maintenance, trigger firings, undo registrations, and bit-identical
-    # WAL record payloads in the same LSN order — but charge per-row CPU
-    # at the columnar factor (compiled kernels skip per-row dispatch) and
-    # group-append the statement's WAL records so the fixed append cost
-    # amortises over the batch.  State parity with the serial path is a
-    # hard invariant; only the virtual-time charges differ.
-
-    def insert_batch(
-        self,
-        txn: Transaction,
-        rows: Iterable[Sequence[Any]],
-        fire_triggers: bool = True,
-    ) -> list[RowId]:
-        """Columnar batch insert; returns the new RowIds in order."""
-        factor = self._costs.columnar_cpu_factor
-        row_cpu = self._costs.row_insert_cpu * factor
-        wal_entries = []
-        row_ids: list[RowId] = []
-        for raw in rows:
-            values = self.schema.validate_values(tuple(raw))
-            values = self._stamp(values)
-            self._check_unique(values)
-            self._clock.advance(row_cpu)
-            if fire_triggers:
-                self._fire(txn, TriggerEvent.INSERT, TriggerTiming.BEFORE, None, values)
-            record = encode_row(self.schema, values)
-            row_id = self._heap.insert(record)
-            for name, index in self._indexes.items():
-                index.insert(values[self._key_position[name]], row_id)
-            wal_entries.append(
-                (LogRecordKind.INSERT, txn.txn_id, self.name, row_id, None, record)
-            )
-            txn.rows_inserted += 1
-            txn.register_undo(
-                lambda rid=row_id, vals=values: self._physical_delete(rid, vals)
-            )
-            if fire_triggers:
-                self._fire(txn, TriggerEvent.INSERT, TriggerTiming.AFTER, None, values)
-            row_ids.append(row_id)
-        self._log.append_batch(wal_entries)
-        return row_ids
-
-    def update_batch(
-        self,
-        txn: Transaction,
-        updates: Iterable[tuple[RowId, Mapping[str, Any]]],
-        fire_triggers: bool = True,
-    ) -> list[tuple[tuple[Any, ...], tuple[Any, ...]]]:
-        """Columnar batch update; returns (old, new) values per row."""
-        factor = self._costs.columnar_cpu_factor
-        row_cpu = self._costs.row_update_cpu * factor
-        wal_entries = []
-        results: list[tuple[tuple[Any, ...], tuple[Any, ...]]] = []
-        for row_id, assignments in updates:
-            if not assignments:
-                raise SchemaError("update requires at least one assignment")
-            old_record = self._heap.read(row_id)
-            old_values = decode_row(self.schema, old_record)
-            new_list = list(old_values)
-            for column_name, value in assignments.items():
-                new_list[self.schema.column_index(column_name)] = value
-            new_values = self.schema.validate_values(new_list)
-            if self.auto_timestamp and self.schema.timestamp_column not in assignments:
-                new_values = self._stamp(new_values, force=True)
-            self._check_unique(new_values, exclude=row_id, changed_from=old_values)
-            self._clock.advance(row_cpu)
-            if fire_triggers:
-                self._fire(
-                    txn, TriggerEvent.UPDATE, TriggerTiming.BEFORE, old_values, new_values
-                )
-            new_record = encode_row(self.schema, new_values)
-            self._heap.overwrite(row_id, new_record)
-            self._maintain_indexes(row_id, old_values, new_values)
-            wal_entries.append(
-                (
-                    LogRecordKind.UPDATE,
-                    txn.txn_id,
-                    self.name,
-                    row_id,
-                    old_record,
-                    new_record,
-                )
-            )
-            txn.rows_updated += 1
-            txn.register_undo(
-                lambda rid=row_id, cur=new_values, prev=old_values: (
-                    self._physical_restore(rid, cur, prev)
-                )
-            )
-            if fire_triggers:
-                self._fire(
-                    txn, TriggerEvent.UPDATE, TriggerTiming.AFTER, old_values, new_values
-                )
-            results.append((old_values, new_values))
-        self._log.append_batch(wal_entries)
-        return results
-
-    def delete_batch(
-        self,
-        txn: Transaction,
-        row_ids: Iterable[RowId],
-        fire_triggers: bool = True,
-    ) -> list[tuple[Any, ...]]:
-        """Columnar batch delete; returns the old values per row."""
-        factor = self._costs.columnar_cpu_factor
-        row_cpu = self._costs.row_delete_cpu * factor
-        wal_entries = []
-        results: list[tuple[Any, ...]] = []
-        for row_id in row_ids:
-            old_record = self._heap.read(row_id)
-            old_values = decode_row(self.schema, old_record)
-            self._clock.advance(row_cpu)
-            if fire_triggers:
-                self._fire(txn, TriggerEvent.DELETE, TriggerTiming.BEFORE, old_values, None)
-            self._heap.delete(row_id)
-            for name, index in self._indexes.items():
-                index.delete(old_values[self._key_position[name]], row_id)
-            wal_entries.append(
-                (LogRecordKind.DELETE, txn.txn_id, self.name, row_id, old_record, None)
-            )
-            txn.rows_deleted += 1
-            txn.register_undo(
-                lambda vals=old_values: self._physical_reinsert(vals)
-            )
-            if fire_triggers:
-                self._fire(txn, TriggerEvent.DELETE, TriggerTiming.AFTER, old_values, None)
-            results.append(old_values)
-        self._log.append_batch(wal_entries)
-        return results
 
     # ------------------------------------------------------------------- reads
     def _decoder(self, columns: Sequence[int] | None) -> Decoder:
@@ -438,23 +395,21 @@ class Table:
     # ---------------------------------------------------------------- recovery
     def redo_insert(self, row_id: RowId, record: bytes) -> None:
         """Replay a logged INSERT at its original address (no log, no triggers)."""
-        values = decode_row(self.schema, record)
         self._heap.place(row_id, record)
-        for name, index in self._indexes.items():
-            index.insert(values[self._key_position[name]], row_id)
+        self._index_insert(row_id, decode_row(self.schema, record))
 
     def redo_update(self, row_id: RowId, after: bytes) -> None:
         """Replay a logged UPDATE in place."""
         old_values = decode_row(self.schema, self._heap.read(row_id))
-        self._heap.overwrite(row_id, after)
-        self._maintain_indexes(row_id, old_values, decode_row(self.schema, after))
+        self._physical_overwrite(
+            row_id, after, old_values, decode_row(self.schema, after)
+        )
 
     def redo_delete(self, row_id: RowId) -> None:
         """Replay a logged DELETE."""
-        old_values = decode_row(self.schema, self._heap.read(row_id))
-        self._heap.delete(row_id)
-        for name, index in self._indexes.items():
-            index.delete(old_values[self._key_position[name]], row_id)
+        self._physical_delete(
+            row_id, decode_row(self.schema, self._heap.read(row_id))
+        )
 
     def truncate(self) -> int:
         """Remove all rows (minimal logging, like the real utility)."""
@@ -505,9 +460,37 @@ class Table:
                         f"on {self.name!r}"
                     )
 
-    def _maintain_indexes(
-        self, row_id: RowId, old_values: tuple[Any, ...], new_values: tuple[Any, ...]
+    def _fire(
+        self, enabled: bool, txn: Transaction, timing: TriggerTiming,
+        old_values: tuple[Any, ...] | None, new_values: tuple[Any, ...] | None,
     ) -> None:
+        if not enabled or len(self.triggers) == 0:
+            return
+        if old_values is None:
+            event = TriggerEvent.INSERT
+        elif new_values is None:
+            event = TriggerEvent.DELETE
+        else:
+            event = TriggerEvent.UPDATE
+        context = TriggerContext(txn, self, event, old_values, new_values)
+        self.triggers.fire(timing, context)
+
+    # Physical mutations — no logging, no triggers — shared by the forward
+    # path, redo and undo (compensation).
+    def _index_insert(self, row_id: RowId, values: tuple[Any, ...]) -> None:
+        for name, index in self._indexes.items():
+            index.insert(values[self._key_position[name]], row_id)
+
+    def _physical_delete(self, row_id: RowId, values: tuple[Any, ...]) -> None:
+        self._heap.delete(row_id)
+        for name, index in self._indexes.items():
+            index.delete(values[self._key_position[name]], row_id)
+
+    def _physical_overwrite(
+        self, row_id: RowId, record: bytes,
+        old_values: tuple[Any, ...], new_values: tuple[Any, ...],
+    ) -> None:
+        self._heap.overwrite(row_id, record)
         for name, index in self._indexes.items():
             position = self._key_position[name]
             old_key, new_key = old_values[position], new_values[position]
@@ -515,35 +498,9 @@ class Table:
                 index.delete(old_key, row_id)
                 index.insert(new_key, row_id)
 
-    def _fire(
-        self,
-        txn: Transaction,
-        event: TriggerEvent,
-        timing: TriggerTiming,
-        old_values: tuple[Any, ...] | None,
-        new_values: tuple[Any, ...] | None,
-    ) -> None:
-        if len(self.triggers) == 0:
-            return
-        context = TriggerContext(txn, self, event, old_values, new_values)
-        self.triggers.fire(timing, context)
-
-    # Undo helpers: physical compensation, no logging, no triggers.
-    def _physical_delete(self, row_id: RowId, values: tuple[Any, ...]) -> None:
-        self._heap.delete(row_id)
-        for name, index in self._indexes.items():
-            index.delete(values[self._key_position[name]], row_id)
-
-    def _physical_restore(
-        self, row_id: RowId, current: tuple[Any, ...], previous: tuple[Any, ...]
-    ) -> None:
-        self._heap.overwrite(row_id, encode_row(self.schema, previous))
-        self._maintain_indexes(row_id, current, previous)
-
     def _physical_reinsert(self, values: tuple[Any, ...]) -> None:
         row_id = self._heap.insert(encode_row(self.schema, values))
-        for name, index in self._indexes.items():
-            index.insert(values[self._key_position[name]], row_id)
+        self._index_insert(row_id, values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Table({self.name!r}, rows={self.num_rows}, indexes={list(self._indexes)})"

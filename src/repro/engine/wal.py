@@ -83,14 +83,6 @@ class LogSegment:
     format_version: str
     records: list[LogRecord] = field(default_factory=list)
 
-    @property
-    def first_lsn(self) -> int | None:
-        return self.records[0].lsn if self.records else None
-
-    @property
-    def last_lsn(self) -> int | None:
-        return self.records[-1].lsn if self.records else None
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -204,11 +196,6 @@ class LogManager:
     def flushed_lsn(self) -> int:
         return self._flushed_lsn
 
-    @property
-    def current_lsn(self) -> int:
-        """LSN that the *next* record will receive."""
-        return self._next_lsn
-
     # ------------------------------------------------------------- checkpoint
     def checkpoint(self) -> LogSegment | None:
         """Close the active segment.
@@ -237,11 +224,6 @@ class LogManager:
     @property
     def archived_segments(self) -> tuple[LogSegment, ...]:
         return tuple(self._archived)
-
-    def archived_records(self) -> Iterator[LogRecord]:
-        """All records across archived segments, in LSN order."""
-        for segment in self._archived:
-            yield from segment.records
 
     def active_records(self) -> tuple[LogRecord, ...]:
         """Records not yet closed into a segment (for tests/inspection)."""

@@ -50,6 +50,11 @@ class ExtractionMethod(enum.Enum):
 #: apply is the Loader path — paper Table 1).
 STAGING_METHODS = frozenset({ExtractionMethod.SNAPSHOT_DIFF})
 
+#: Scales the non-op-delta estimates before comparison: above 1.0 the
+#: switcher is conservative about leaving the replay path (hysteresis
+#: against flapping on windows priced near the crossover).
+STAGING_BIAS = 1.1
+
 
 @dataclass(frozen=True)
 class TableProfile:
@@ -161,31 +166,23 @@ class AdaptiveExtractionSwitcher:
     """Prices a window per table under all five methods and routes it.
 
     ``profiles`` supplies table cardinalities/row widths (tables without
-    a profile default to :attr:`default_profile`).  ``staging_bias``
-    scales the non-op-delta estimates before comparison — above 1.0 the
-    switcher is conservative about leaving the replay path (hysteresis
-    against flapping on windows priced near the crossover).
+    a profile default to :attr:`default_profile`).
     """
 
     def __init__(
         self,
         costs: CostModel = DEFAULT_COST_MODEL,
         profiles: Mapping[str, TableProfile] | None = None,
-        staging_bias: float = 1.1,
         default_profile: TableProfile = TableProfile(rows=10_000),
     ) -> None:
         self._costs = costs
         self._profiles = dict(profiles) if profiles is not None else {}
-        self._staging_bias = staging_bias
         self.default_profile = default_profile
         #: Every decision ever taken, in window order (for reports).
         self.decisions: list[RoutingDecision] = []
 
     def profile_for(self, table: str) -> TableProfile:
         return self._profiles.get(table, self.default_profile)
-
-    def set_profile(self, table: str, profile: TableProfile) -> None:
-        self._profiles[table] = profile
 
     # ------------------------------------------------------------- estimates
     def estimate(self, shape: WindowShape) -> tuple[MethodEstimate, ...]:
@@ -336,7 +333,7 @@ class AdaptiveExtractionSwitcher:
         op_delta = estimates[0]
         best = op_delta
         for estimate in estimates[1:]:
-            if estimate.total_ms * self._staging_bias < best.total_ms:
+            if estimate.total_ms * STAGING_BIAS < best.total_ms:
                 best = estimate
         # Only methods with a staged warehouse path actually divert the
         # window; a cheaper pure-value-delta price is advisory (the ops

@@ -96,10 +96,6 @@ class DeltaTableWriter:
         seq = self.next_sequence()
         self._append(txn, seq, "D", "B", old)
 
-    def write_upsert(self, txn: Transaction, new: tuple[Any, ...]) -> None:
-        seq = self.next_sequence()
-        self._append(txn, seq, "P", "A", new)
-
     def _append(self, txn: Transaction, seq: int, op: str, img: str,
                 row: tuple[Any, ...]) -> None:
         values = (seq, op, img, txn.txn_id) + tuple(row)

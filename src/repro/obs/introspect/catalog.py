@@ -109,9 +109,8 @@ class SystemCatalog:
                 continue
             table = database.table(name)
             txn = database.begin()
-            for values in rows:
-                table.insert(
-                    txn, values, mode=InsertMode.BULK_INTERNAL, fire_triggers=False
-                )
+            table.insert_many(
+                txn, rows, mode=InsertMode.BULK_INTERNAL, fire_triggers=False
+            )
             database.commit(txn)
         return database

@@ -435,8 +435,5 @@ class MetaObservatory:
                 mismatched.append(view.definition.name)
         return mismatched
 
-    def view_rows(self, name: str) -> list[Row]:
-        return self._warehouse.view(name).rows()
-
     def close(self) -> None:
         self._capture.detach()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterator
 
 
 class LifecycleKind(enum.Enum):
@@ -62,37 +62,6 @@ class LifecycleKind(enum.Enum):
     #: its cost estimate; ops routed away from op-delta replay settle as
     #: ``PRUNED`` with a ``switcher-*`` stage so conservation closes).
     ROUTED = "routed"
-
-
-@runtime_checkable
-class LineageOp(Protocol):
-    """What the pipeline layer needs from an Op-Delta, structurally.
-
-    :mod:`repro.core.opdelta` imports :mod:`repro.obs.context`, so this
-    package must never import core at runtime — the dependency points
-    from core to obs, and lineage stays duck-typed.
-    """
-
-    @property
-    def table(self) -> str: ...
-    @property
-    def txn_id(self) -> int: ...
-    @property
-    def sequence(self) -> int: ...
-    @property
-    def captured_at(self) -> float: ...
-
-
-@runtime_checkable
-class LineageGroup(Protocol):
-    """One source transaction's ops, structurally (OpDeltaTransaction)."""
-
-    @property
-    def txn_id(self) -> int: ...
-    @property
-    def operations(self) -> Sequence[Any]: ...
-    @property
-    def committed_at(self) -> float | None: ...
 
 
 def lineage_key(op: Any) -> str:

@@ -83,9 +83,5 @@ class RWLock:
             head.event.succeed()
 
     @property
-    def held_exclusive(self) -> bool:
-        return self._writer
-
-    @property
     def active_readers(self) -> int:
         return self._readers

@@ -23,7 +23,6 @@ from ..engine.database import Database
 from ..engine.session import Session
 from ..engine.table import InsertMode
 from ..errors import ExtractionError
-from ..sql import ast_nodes as ast
 from ..sql.ast_nodes import sql_literal
 from ..workloads.records import PartsGenerator, parts_schema
 
@@ -142,9 +141,6 @@ class CotsSystem:
             f"DELETE FROM parts WHERE part_ref >= {low_ref} AND part_ref < {high_ref}"
         )
 
-    def part_count(self) -> int:
-        return self._db.table("parts").num_rows
-
     def part_rows(self) -> list[tuple]:
         return sorted(values for _rid, values in self._db.table("parts").scan())
 
@@ -167,8 +163,3 @@ class CotsSystem:
         for link in self.replication_links:
             link.forward(sql)
         return result.rows_affected
-
-
-def same_statement_on(statement: ast.Statement, session: Session):
-    """Helper: run a parsed statement on another system's session."""
-    return session.execute_statement(statement)

@@ -130,9 +130,6 @@ class MethodCallMapper:
             raise ExtractionError(f"method {method!r} is already mapped")
         self._translations[method] = translation
 
-    def is_mapped(self, method: str) -> bool:
-        return method in self._translations
-
     def translate(self, delta: MethodDelta) -> list[str]:
         translation = self._translations.get(delta.method)
         if translation is None:

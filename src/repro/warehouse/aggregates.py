@@ -9,7 +9,9 @@ maintainable aggregate views over one base table:
   ``SUM(col)`` and ``AVG(col)`` aggregates;
 * maintenance from value deltas **or** Op-Deltas with before images —
   inserts add to their group, deletes subtract, updates move contributions
-  between groups; a group whose count reaches zero disappears;
+  between groups; a group whose count reaches zero disappears.  Both feed
+  one ``(before, after)`` row-image routine: value deltas the images they
+  carry, Op-Deltas the images the operation derives;
 * ``MIN``/``MAX`` are rejected: they are *not* self-maintainable under
   deletions (removing the current minimum requires re-reading the base
   data, violating requirement 1 of §2.3) — the definition-time error states
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..core.opdelta import OpDelta, OpKind
+from ..core.opdelta import OpDelta, OpKind, derive_row_images
 from ..engine.database import Database
 from ..engine.schema import Column, TableSchema
 from ..engine.table import InsertMode, Table
@@ -33,13 +35,7 @@ from ..engine.types import FLOAT, INTEGER
 from ..errors import EngineError, SelfMaintenanceError, WarehouseError
 from ..extraction.deltas import ChangeKind, DeltaRecord
 from ..sql import ast_nodes as ast
-from ..sql.expressions import (
-    NO_SESSION,
-    RowBinding,
-    compile_after_image,
-    compile_insert_rows,
-    compile_predicate,
-)
+from ..sql.expressions import NO_SESSION, RowBinding, compile_predicate
 from ..sql.parser import parse_expression
 
 #: Aggregate functions that are self-maintainable under insert+delete.
@@ -208,50 +204,42 @@ class MaterializedAggregateView:
         self, records: Iterable[DeltaRecord], txn: Transaction
     ) -> None:
         for record in records:
-            if record.kind is ChangeKind.INSERT:
-                assert record.after is not None
-                self._add_row(record.after, txn)
-            elif record.kind is ChangeKind.DELETE:
-                assert record.before is not None
-                self._remove_row(record.before, txn)
-            elif record.kind is ChangeKind.UPDATE:
-                assert record.before is not None and record.after is not None
-                self._remove_row(record.before, txn)
-                self._add_row(record.after, txn)
-            else:
+            if record.kind is ChangeKind.UPSERT:
                 raise WarehouseError(
                     "aggregate views cannot apply UPSERT deltas: the before "
                     "contribution is unknown (timestamp extraction does not "
                     "carry it)"
                 )
+            self._apply_images(record.before, record.after, txn)
 
     def apply_operation(self, op: OpDelta, txn: Transaction) -> None:
         """Maintain from an Op-Delta; UPDATE/DELETE require before images."""
         if op.table != self.definition.base_table:
             return
-        if op.kind is OpKind.INSERT:
-            assert isinstance(op.statement, ast.InsertStmt)
-            rows = compile_insert_rows(
-                op.statement, self._base_columns, WarehouseError
-            )
-            for row in rows(NO_SESSION):
-                self._add_row(row, txn)
-            return
-        if op.before_image is None:
+        if op.kind is not OpKind.INSERT and op.before_image is None:
             raise WarehouseError(
                 f"aggregate view {self.definition.name!r} needs before images "
                 f"for {op.kind.value} operations (hybrid capture)"
             )
-        if op.kind is OpKind.DELETE:
-            for before in op.before_image:
-                self._remove_row(before, txn)
-            return
-        statement = op.statement
-        assert isinstance(statement, ast.UpdateStmt)
-        after_image = compile_after_image(statement, self._base_columns)
-        for before in op.before_image:
-            after = after_image(before)
+        for before, after in derive_row_images(op, self._base_columns):
+            self._apply_images(before, after, txn)
+
+    def _apply_images(
+        self,
+        before: Sequence[Any] | None,
+        after: Sequence[Any] | None,
+        txn: Transaction,
+    ) -> None:
+        """Turn one base-row ``(before, after)`` image pair into group updates.
+
+        The one place row images meet the view: the before image's
+        contribution leaves its group, the after image's joins its group.
+        Value deltas feed it the images they carry, Op-Deltas the images
+        :func:`~repro.core.opdelta.derive_row_images` derives.
+        """
+        if before is not None:
             self._remove_row(before, txn)
+        if after is not None:
             self._add_row(after, txn)
 
     # --------------------------------------------------------------- internals

@@ -55,16 +55,6 @@ class AvailabilityReport:
     queries: list[QueryRecord] = field(default_factory=list)
 
     @property
-    def queries_completed(self) -> int:
-        return len(self.queries)
-
-    @property
-    def mean_response_ms(self) -> float:
-        if not self.queries:
-            return 0.0
-        return sum(q.response_ms for q in self.queries) / len(self.queries)
-
-    @property
     def max_wait_ms(self) -> float:
         return max((q.wait_ms for q in self.queries), default=0.0)
 

@@ -11,14 +11,18 @@ source table inside the warehouse database and can be maintained either
   classic per-row image path.
 
 Both paths must produce the same state as recomputing the view from the
-base table — the equivalence the property tests check.
+base table — the equivalence the property tests check.  Wherever row
+images are involved they are one path: :meth:`MaterializedView._apply_images`
+turns a ``(before, after)`` pair into storage operations, fed by value
+deltas with the images they carry and by hybrid Op-Deltas with the images
+:func:`~repro.core.opdelta.derive_row_images` derives from the operation.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable
 
-from ..core.opdelta import OpDelta, OpKind
+from ..core.opdelta import OpDelta, OpKind, derive_row_images
 from ..core.selfmaint import Maintainability, ViewDefinition, classify_operation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,13 +34,7 @@ from ..engine.transactions import Transaction
 from ..errors import WarehouseError
 from ..sql import ast_nodes as ast
 from ..sql.executor import Executor
-from ..sql.expressions import (
-    NO_SESSION,
-    RowBinding,
-    compile_after_image,
-    compile_insert_rows,
-    compile_predicate,
-)
+from ..sql.expressions import NO_SESSION, RowBinding, compile_predicate
 
 
 class MaterializedView:
@@ -150,12 +148,10 @@ class MaterializedView:
         with self._db.tracer.span(
             "warehouse.view.apply_op", view=self.definition.name
         ):
-            if op.kind is OpKind.INSERT:
-                self._apply_insert_op(op, txn)
-            elif level is Maintainability.OP_ONLY:
+            if op.kind is not OpKind.INSERT and level is Maintainability.OP_ONLY:
                 self._apply_rewritten(op, txn)
             else:
-                self._apply_with_before_image(op, txn)
+                self._apply_derived_images(op, txn)
         self._m_refresh.inc()
         return level
 
@@ -170,15 +166,6 @@ class MaterializedView:
             return Maintainability.NEEDS_BEFORE_IMAGE
         return Maintainability.OP_ONLY
 
-    def _apply_insert_op(self, op: OpDelta, txn: Transaction) -> None:
-        stmt = op.statement
-        assert isinstance(stmt, ast.InsertStmt)
-        rows = compile_insert_rows(stmt, self._base_columns, WarehouseError)
-        for row in rows(NO_SESSION):
-            projected = self._qualify_and_project(row)
-            if projected is not None:
-                self.table.insert(txn, projected)
-
     def _apply_rewritten(self, op: OpDelta, txn: Transaction) -> None:
         """Execute the operation directly against the view storage table.
 
@@ -192,7 +179,7 @@ class MaterializedView:
             )
         elif isinstance(stmt, ast.DeleteStmt):
             rewritten = ast.DeleteStmt(self.definition.name, self._narrow(stmt.where))
-        else:  # pragma: no cover - inserts take _apply_insert_op
+        else:  # pragma: no cover - inserts take _apply_derived_images
             raise WarehouseError("unexpected statement kind on the rewrite path")
         self._executor.execute(rewritten, txn)
 
@@ -209,31 +196,39 @@ class MaterializedView:
             return self._predicate
         return ast.BinaryOp("AND", self._predicate, where)
 
-    def _apply_with_before_image(self, op: OpDelta, txn: Transaction) -> None:
-        if op.before_image is None:
+    def _apply_derived_images(self, op: OpDelta, txn: Transaction) -> None:
+        """Maintain from the value delta the operation derives (hybrid path).
+
+        An INSERT carries its rows; UPDATE/DELETE need the captured before
+        images, from which the operation itself yields the after images.
+        """
+        if op.kind is not OpKind.INSERT and op.before_image is None:
             raise WarehouseError(
                 f"view {self.definition.name!r} needs before images for this "
                 f"{op.kind.value} but the Op-Delta was captured lean "
                 "(configure a hybrid capture policy)"
             )
-        if op.kind is OpKind.DELETE:
-            for before in op.before_image:
-                if self._qualifies(before):
-                    self._delete_by_key(before, txn)
-            return
-        assert op.kind is OpKind.UPDATE
-        stmt = op.statement
-        assert isinstance(stmt, ast.UpdateStmt)
-        after_image = compile_after_image(stmt, self._base_columns)
-        for before in op.before_image:
-            after = after_image(before)
-            was_in = self._qualifies(before)
-            now_in = self._qualifies(after)
-            if was_in:
-                self._delete_by_key(before, txn)
-            if now_in:
-                projected = self._project(after)
-                self.table.insert(txn, projected)
+        for before, after in derive_row_images(op, self._base_columns):
+            self._apply_images(before, after, txn)
+
+    def _apply_images(
+        self,
+        before: tuple[Any, ...] | None,
+        after: tuple[Any, ...] | None,
+        txn: Transaction,
+    ) -> None:
+        """Turn one base-row ``(before, after)`` image pair into storage DML.
+
+        The one place row images meet the view: a qualifying before image
+        leaves, a qualifying after image enters.  Both maintenance paths
+        feed it — value deltas the images they carry, Op-Deltas the images
+        :func:`~repro.core.opdelta.derive_row_images` derives.
+        """
+        if self._qualifies(before):
+            self._delete_by_key(before, txn)
+        projected = self._qualify_and_project(after)
+        if projected is not None:
+            self.table.insert(txn, projected)
 
     # ------------------------------------------------------ columnar support
     # Public seams for :mod:`repro.columnar.apply`: the columnar fast path
@@ -269,25 +264,10 @@ class MaterializedView:
 
     def _apply_value_delta(self, records, txn: Transaction) -> None:
         for record in records:
-            kind = record.kind.name
-            if kind == "INSERT":
-                projected = self._qualify_and_project(record.after)
-                if projected is not None:
-                    self.table.insert(txn, projected)
-            elif kind == "DELETE":
-                if self._qualifies(record.before):
-                    self._delete_by_key(record.before, txn)
-            elif kind == "UPDATE":
-                if self._qualifies(record.before):
-                    self._delete_by_key(record.before, txn)
-                projected = self._qualify_and_project(record.after)
-                if projected is not None:
-                    self.table.insert(txn, projected)
-            else:  # UPSERT: provenance unknown — remove any old image, re-add
+            if record.kind.name == "UPSERT":
+                # Provenance unknown — remove any old image, then re-add.
                 self._delete_by_key_if_present(record.after, txn)
-                projected = self._qualify_and_project(record.after)
-                if projected is not None:
-                    self.table.insert(txn, projected)
+            self._apply_images(record.before, record.after, txn)
 
     # --------------------------------------------------------------- plumbing
     def _qualifies(self, row: tuple[Any, ...] | None) -> bool:

@@ -67,10 +67,6 @@ class Warehouse:
                 f"no mirror registered for source table {source_table!r}"
             ) from None
 
-    @property
-    def mirror_map(self) -> dict[str, str]:
-        return dict(self._mirrors)
-
     def initial_load(self, mirror_name: str, dump: AsciiFile) -> int:
         """Load a mirror from a full ASCII extract with the Loader utility."""
         return ascii_load(self.database, mirror_name, dump)
@@ -79,10 +75,7 @@ class Warehouse:
         """Load a mirror directly from row tuples (internal bulk path)."""
         table = self.database.table(mirror_name)
         txn = self.database.begin()
-        count = 0
-        for row in rows:
-            table.insert(txn, row, mode=InsertMode.BULK_INTERNAL)
-            count += 1
+        count = table.insert_many(txn, rows, mode=InsertMode.BULK_INTERNAL)
         self.database.commit(txn)
         return count
 
@@ -103,8 +96,7 @@ class Warehouse:
         table.truncate()
         staged = [tuple(row) for row in rows]
         txn = self.database.begin()
-        for row in staged:
-            table.insert(txn, row, mode=InsertMode.BULK_INTERNAL)
+        table.insert_many(txn, staged, mode=InsertMode.BULK_INTERNAL)
         for view in self._views.values():
             if view.definition.base_table == source_table:
                 view.table.truncate()

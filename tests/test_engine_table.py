@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.engine import Database, InsertMode, TriggerEvent, TriggerTiming, Trigger
+from repro.engine import (
+    Database,
+    InsertMode,
+    Trigger,
+    TriggerEvent,
+    TriggerTiming,
+    clone_schemas,
+    recover_from_archive,
+)
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INTEGER, char
 from repro.engine.wal import LogRecordKind
@@ -332,3 +340,186 @@ class TestScanAndIndexes:
         txn = db.begin()
         items.insert(txn, (1, "a", 1.0))
         db.commit(txn)
+
+
+# ---------------------------------------------------------------- batch DML
+#: One mixed script, as (entry, items) statements.  Row ids are resolved by
+#: primary key at run time so the same script drives both entry families.
+BATCH_SCRIPT = (
+    ("insert", [(i, f"n{i % 3}", float(i)) for i in range(1, 7)]),
+    ("update", [(1, {"price": 9.5}), (2, {"name": "moved"}), (3, {"item_id": 30})]),
+    ("delete", [4, 5]),
+    ("insert", [(7, "n1", 7.0), (8, "reuse", 8.0)]),
+    ("update", [(30, {"name": "n0", "price": 0.5})]),
+    ("delete", [1]),
+)
+
+
+def _scripted_table(name, small_schema):
+    """A fresh table with a unique, a secondary index and row triggers."""
+    database = Database(name)
+    table = database.create_table(small_schema)
+    table.create_index("by_name", "name", kind="hash")
+    firings = []
+    for event in TriggerEvent:
+        for timing in TriggerTiming:
+            table.triggers.add(
+                Trigger(
+                    f"{event.value}-{timing.value}", event, timing,
+                    lambda ctx: firings.append(
+                        (ctx.event, ctx.old_values, ctx.new_values)
+                    ),
+                )
+            )
+    return database, table, firings
+
+
+def _run_script(table, txn, batch, script=BATCH_SCRIPT):
+    """Run ``script`` through the row or the batch entries; returns results."""
+
+    def rid(key):
+        return table.lookup("item_id", key)[0][0]
+
+    results = []
+    for entry, items in script:
+        if entry == "insert":
+            results.append(
+                table.insert_batch(txn, items) if batch
+                else [table.insert(txn, row) for row in items]
+            )
+        elif entry == "update":
+            targets = [(rid(key), assignments) for key, assignments in items]
+            results.append(
+                table.update_batch(txn, targets) if batch
+                else [table.update(txn, *target) for target in targets]
+            )
+        else:
+            row_ids = [rid(key) for key in items]
+            results.append(
+                table.delete_batch(txn, row_ids) if batch
+                else [table.delete(txn, row_id) for row_id in row_ids]
+            )
+    return results
+
+
+def _physical_state(table):
+    """Heap records by RowId, and every index's entries for the live keys."""
+    heap = list(table._heap.scan())
+    indexes = {}
+    for name in table.index_names:
+        index, position = table.index(name), table._key_position[name]
+        keys = sorted({values[position] for _rid, values in table.scan()})
+        indexes[name] = (
+            index.num_entries, [(key, index.lookup(key)) for key in keys]
+        )
+    return heap, indexes
+
+
+def _wal(database):
+    return [
+        (r.kind, r.row_id, r.before, r.after)
+        for r in database.log.active_records()
+    ]
+
+
+class TestBatchEntries:
+    def test_row_and_batch_entries_are_the_same_mutation(self, small_schema):
+        row_db, row_table, row_firings = _scripted_table("row", small_schema)
+        batch_db, batch_table, batch_firings = _scripted_table("batch", small_schema)
+        assert row_db.clock.now == batch_db.clock.now
+
+        # The seeding insert commits; the rest of the script runs in a second
+        # transaction that is rolled back at the end.
+        seed, rest = BATCH_SCRIPT[:1], BATCH_SCRIPT[1:]
+        row_start, batch_start = row_db.clock.now, batch_db.clock.now
+        row_txn, batch_txn = row_db.begin(), batch_db.begin()
+        row_results = _run_script(row_table, row_txn, False, seed)
+        batch_results = _run_script(batch_table, batch_txn, True, seed)
+        row_db.commit(row_txn)
+        batch_db.commit(batch_txn)
+        row_txn, batch_txn = row_db.begin(), batch_db.begin()
+        row_results += _run_script(row_table, row_txn, False, rest)
+        batch_results += _run_script(batch_table, batch_txn, True, rest)
+        row_ms = row_db.clock.now - row_start
+        batch_ms = batch_db.clock.now - batch_start
+
+        assert row_results == batch_results
+        assert row_firings == batch_firings and row_firings
+        assert _wal(row_db) == _wal(batch_db)
+        assert _physical_state(row_table) == _physical_state(batch_table)
+
+        # The clocks differ by exactly the two modelled terms: per-row CPU
+        # at the columnar factor, and one group append per statement.
+        costs = row_db.costs
+        row_cpu = {
+            "insert": costs.row_insert_cpu,
+            "update": costs.row_update_cpu,
+            "delete": costs.row_delete_cpu,
+        }
+        changes = [r for r in row_db.log.active_records() if r.is_data_change()]
+        expected = 0.0
+        for entry, items in BATCH_SCRIPT:
+            records, changes = changes[: len(items)], changes[len(items):]
+            payload = sum(r.payload_bytes for r in records)
+            expected += len(items) * row_cpu[entry] * (1 - costs.columnar_cpu_factor)
+            expected += sum(costs.log_append(r.payload_bytes) for r in records)
+            expected -= costs.log_append_batch(payload, len(records))
+        assert not changes
+        assert row_ms - batch_ms == pytest.approx(expected, rel=1e-9)
+        assert batch_ms < row_ms
+
+        # Rollback undoes both the same way: back to the seeded rows.
+        row_db.abort(row_txn)
+        batch_db.abort(batch_txn)
+        assert _physical_state(row_table) == _physical_state(batch_table)
+        assert sorted(v for _rid, v in row_table.scan()) == sorted(
+            row_table.schema.validate_values(row) for row in BATCH_SCRIPT[0][1]
+        )
+
+    @pytest.mark.parametrize(
+        "failing",
+        [
+            # Second row collides with the first on the primary key.
+            ("insert", [(20, "a", 1.0), (20, "b", 2.0)]),
+            # Second row moves onto an existing primary key.
+            ("update", [(1, {"price": 5.0}), (2, {"item_id": 3})]),
+            # The second delete finds the slot already freed.
+            ("delete", [1, 1]),
+        ],
+        ids=lambda failing: failing[0],
+    )
+    @pytest.mark.parametrize("outcome", ["commit", "abort"])
+    def test_failed_batch_leaves_no_wal_gap(self, small_schema, failing, outcome):
+        database = Database("gap", archive_mode=True)
+        table = database.create_table(small_schema)
+        txn = database.begin()
+        row_ids = table.insert_batch(txn, [(i, "seed", float(i)) for i in (1, 2, 3)])
+        database.commit(txn)
+        before = list(table._heap.scan())
+
+        entry, items = failing
+        txn = database.begin()
+        with pytest.raises((ConstraintError, StorageError)):
+            if entry == "insert":
+                table.insert_batch(txn, items)
+            elif entry == "update":
+                table.update_batch(
+                    txn, [(row_ids[key - 1], a) for key, a in items]
+                )
+            else:
+                table.delete_batch(txn, [row_ids[key - 1] for key in items])
+        # The first row of the batch was mutated before the second raised.
+        assert list(table._heap.scan()) != before
+
+        if outcome == "abort":
+            database.abort(txn)
+            assert list(table._heap.scan()) == before
+            return
+        # A caller that commits anyway must leave a log that explains the
+        # heap: recovery from the archive reproduces the live table.
+        database.commit(txn)
+        database.checkpoint()
+        standby = Database("standby", clock=database.clock)
+        clone_schemas(database, standby)
+        recover_from_archive(standby, database.log.archived_segments)
+        assert list(standby.table("items")._heap.scan()) == list(table._heap.scan())

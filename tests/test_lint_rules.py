@@ -847,6 +847,96 @@ class TestRepro011OneRecordFormat:
         assert "datatype.decode" not in rows and "datatype.encode" not in rows
 
 
+class TestRepro012OneWritePath:
+    TABLE = "repro/engine/table.py"
+    VIEWS = "repro/warehouse/views.py"
+    AGGREGATES = "repro/warehouse/aggregates.py"
+
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO012" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    def test_second_copy_of_a_mutation_flagged(self, tmp_path):
+        source = (
+            "def _insert_row(self, txn, log):\n"
+            "    log(LogRecordKind.INSERT, txn.txn_id)\n"
+            "    txn.register_undo(lambda: None)\n"
+            "def _update_row(self, txn, log):\n"
+            "    log(LogRecordKind.UPDATE, txn.txn_id)\n"
+            "    txn.register_undo(lambda: None)\n"
+            "def _delete_row(self, txn, log):\n"
+            "    log(LogRecordKind.DELETE, txn.txn_id)\n"
+            "    txn.register_undo(lambda: None)\n"
+        )
+        assert lint_source(tmp_path, source, name=self.TABLE) == []
+        copy = (
+            "def insert_batch(self, txn, entries):\n"
+            "    entries.append((LogRecordKind.INSERT, txn.txn_id))\n"
+            "    txn.register_undo(lambda: None)\n"
+        )
+        violations = lint_source(tmp_path, source + copy, name=self.TABLE)
+        assert self.flagged(violations) == [11, 12]
+        # The budget is the table module's; other modules name kinds freely.
+        assert lint_source(tmp_path, source + copy, name="repro/engine/wal.py") == []
+
+    def test_second_row_image_routine_flagged(self, tmp_path):
+        spj = (
+            "def _apply_images(self, before, after, txn):\n"
+            "    self._delete_by_key(before, txn)\n"
+            "def _apply_value_delta(self, records, txn):\n"
+            "    for record in records:\n"
+            "        self._delete_by_key_if_present(record.after, txn)\n"
+        )
+        assert lint_source(tmp_path, spj, name=self.VIEWS) == []
+        spj += "        self._delete_by_key(record.before, txn)\n"
+        assert self.flagged(lint_source(tmp_path, spj, name=self.VIEWS)) == [6]
+
+        aggregate = (
+            "def _apply_images(self, before, after, txn):\n"
+            "    if before is not None:\n"
+            "        self._remove_row(before, txn)\n"
+            "    for row in ():\n"
+            "        self._remove_row(row, txn)\n"
+        )
+        assert lint_source(tmp_path, aggregate, name=self.AGGREGATES) == []
+        aggregate += (
+            "def apply_operation(self, op, txn):\n"
+            "    for before in op.before_image:\n"
+            "        self._remove_row(before, txn)\n"
+        )
+        violations = lint_source(tmp_path, aggregate, name=self.AGGREGATES)
+        assert self.flagged(violations) == [6]
+
+    def test_after_image_derived_in_one_module(self, tmp_path):
+        source = (
+            "from repro.sql.expressions import compile_after_image\n"
+            "def derive(stmt, columns):\n"
+            "    return compile_after_image(stmt, columns)\n"
+        )
+        for name in lint_rules.AFTER_IMAGE_SUFFIXES:
+            assert lint_source(tmp_path, source, name=name) == []
+        assert self.flagged(lint_source(tmp_path, source, name=self.VIEWS)) == [3]
+
+    def test_shipped_tree_writes_each_piece_once(self):
+        package = REPO / "src" / "repro"
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO012" in v
+            ] == [], path
+        # The budgets are met exactly, not merely under: the pieces exist.
+        table = (package / "engine" / "table.py").read_text(encoding="utf-8")
+        for kind in ("INSERT", "UPDATE", "DELETE"):
+            assert table.count(f"LogRecordKind.{kind}") == 1
+        assert table.count("register_undo(") == 3
+        callers = [
+            path.relative_to(package).as_posix()
+            for path in sorted(package.rglob("*.py"))
+            if "compile_after_image(" in path.read_text(encoding="utf-8")
+        ]
+        assert callers == ["core/opdelta.py", "sql/expressions.py"]
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

@@ -2,21 +2,32 @@
 
 Random workloads against random SPJ view definitions: maintaining the
 materialized view incrementally (op path with hybrid capture, and value
-path) must always equal recomputing it from the base table.
+path) must always equal recomputing it from the base table — and a hybrid
+Op-Delta must maintain SPJ and aggregate views exactly as the value delta
+it derives does.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    AlwaysHybridPolicy,
     FileLogStore,
     OpDeltaCapture,
     ViewAwareHybridPolicy,
     ViewDefinition,
 )
+from repro.core.opdelta import derive_row_images
 from repro.engine import Database
 from repro.extraction import TriggerExtractor
-from repro.warehouse import Warehouse
+from repro.extraction.deltas import ChangeKind, DeltaRecord
+from repro.obs.pipeline.auditor import StateDigest
+from repro.warehouse import (
+    AggregateSpec,
+    AggregateViewDefinition,
+    MaterializedAggregateView,
+    Warehouse,
+)
 from repro.workloads import OltpWorkload, parts_schema
 
 BASE = parts_schema().column_names
@@ -41,6 +52,17 @@ _operations = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+def _delta_record(before, after):
+    """The value-delta record carrying one derived image pair."""
+    if before is None:
+        kind = ChangeKind.INSERT
+    elif after is None:
+        kind = ChangeKind.DELETE
+    else:
+        kind = ChangeKind.UPDATE
+    return DeltaRecord(kind, (before or after)[0], before=before, after=after)
 
 
 def _compatible(projection, predicate):
@@ -72,16 +94,48 @@ def test_incremental_maintenance_equals_recompute(projection, predicate, operati
         ),
         parts_schema(),
     )
+    # The hybrid arm: an SPJ and an aggregate view maintained from hybrid
+    # Op-Deltas, and a twin of each maintained from the derived value delta.
+    spj_pair = [
+        warehouse.define_view(
+            ViewDefinition(
+                name, "parts", columns=projection, predicate=predicate,
+                key_column="part_id", base_columns=BASE,
+            ),
+            parts_schema(),
+        )
+        for name in ("v_hybrid", "v_derived")
+    ]
+    aggregate_pair = [
+        MaterializedAggregateView(
+            warehouse.database,
+            AggregateViewDefinition(
+                name, "parts", group_by=("status",), predicate=predicate,
+                aggregates=(
+                    AggregateSpec("COUNT"),
+                    AggregateSpec("SUM", "quantity"),
+                    AggregateSpec("AVG", "price"),
+                ),
+            ),
+            parts_schema(),
+        )
+        for name in ("a_hybrid", "a_derived")
+    ]
     initial = [v for _r, v in source.table("parts").scan()]
     txn = warehouse.database.begin()
-    op_view.initialize(initial, txn)
-    value_view.initialize(initial, txn)
+    for view in (op_view, value_view, *spj_pair, *aggregate_pair):
+        view.initialize(initial, txn)
     warehouse.database.commit(txn)
 
     store = FileLogStore(source)
     OpDeltaCapture(
         workload.session, store, tables={"parts"},
         hybrid_policy=ViewAwareHybridPolicy([definition]),
+    ).attach()
+    hybrid_store = FileLogStore(source)
+    OpDeltaCapture(
+        workload.session, hybrid_store, tables={"parts"},
+        hybrid_policy=AlwaysHybridPolicy(),
     ).attach()
     triggers = TriggerExtractor(source, "parts")
     triggers.install()
@@ -101,6 +155,16 @@ def test_incremental_maintenance_equals_recompute(projection, predicate, operati
         for op in group.operations:
             op_view.apply_operation(op, txn)
     value_view.apply_value_delta(triggers.drain_to_batch().records, txn)
+    hybrid_ops = [op for group in hybrid_store.drain() for op in group.operations]
+    derived = [
+        _delta_record(before, after)
+        for op in hybrid_ops
+        for before, after in derive_row_images(op, BASE)
+    ]
+    for from_ops, from_records in (spj_pair, aggregate_pair):
+        for op in hybrid_ops:
+            from_ops.apply_operation(op, txn)
+        from_records.apply_value_delta(derived, txn)
     warehouse.database.commit(txn)
 
     base_rows = [v for _r, v in source.table("parts").scan()]
@@ -116,3 +180,10 @@ def test_incremental_maintenance_equals_recompute(projection, predicate, operati
 
     assert normalise(op_view.rows()) == normalise(expected)
     assert normalise(value_view.rows()) == normalise(expected)
+    assert normalise(spj_pair[0].rows()) == normalise(expected)
+    for from_ops, from_records in (spj_pair, aggregate_pair):
+        assert StateDigest.from_rows(
+            values for _rid, values in from_ops.table.scan()
+        ) == StateDigest.from_rows(
+            values for _rid, values in from_records.table.scan()
+        )

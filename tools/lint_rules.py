@@ -135,6 +135,22 @@ per row), and is flagged in every module: convert whole records with
 ``schema.codec.decoder(positions)``.  The single-value
 ``DataType.encode``/``decode`` API itself stays, for one value at a time.
 
+**REPRO012 — one write path.**  Row DML and batch DML are the same
+mutation, and a hybrid Op-Delta maintains a view as the value delta it
+derives; both equalities hold because each piece of the write path is
+written once, and a second copy is how they were lost before.  So the
+copies are counted: in ``repro/engine/table.py`` each of
+``LogRecordKind.INSERT`` / ``UPDATE`` / ``DELETE`` is named once (the
+per-row core of that mutation, which row and batch entries share) and
+``register_undo(`` is called three times (one undo per core); in
+``repro/warehouse/views.py`` ``_delete_by_key(`` has one call site and in
+``repro/warehouse/aggregates.py`` ``_remove_row(`` is called from one
+routine (the row-image routine both maintenance paths feed); and
+``compile_after_image(`` is called only by the derivation function in
+``repro/core/opdelta.py`` (and the evaluator that defines it).  Every
+occurrence past the budget is flagged: extend the shared routine instead
+of restating it.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -314,6 +330,14 @@ RECORD_FORMAT_SUFFIXES = (
 )
 
 #: Registry methods whose first argument is a metric name.
+#: REPRO012: where each piece of the write path is written once.
+TABLE_SUFFIX = "repro/engine/table.py"
+SPJ_VIEW_SUFFIX = "repro/warehouse/views.py"
+AGGREGATE_VIEW_SUFFIX = "repro/warehouse/aggregates.py"
+#: The modules that may call ``compile_after_image`` (REPRO012): the
+#: evaluator that defines it and the one Op-Delta → row-image derivation.
+AFTER_IMAGE_SUFFIXES = ("repro/sql/expressions.py", "repro/core/opdelta.py")
+
 METRIC_METHODS = ("counter", "gauge", "histogram")
 
 #: ``<subsystem>.<object>.<event>``: >= 3 snake_case dot segments.
@@ -592,6 +616,74 @@ def _record_format_violations(
     return violations
 
 
+def _write_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
+    """REPRO012: occurrences past the budget of a write-path piece."""
+    violations: list[str] = []
+    nodes = list(ast.walk(tree))
+
+    def over_budget(found: list[ast.AST], budget: int, what: str) -> None:
+        for node in sorted(found, key=lambda n: n.lineno)[budget:]:
+            violations.append(
+                f"{path}:{node.lineno}: REPRO012 {what}; extend the shared "
+                "routine instead of restating it"
+            )
+
+    def calls_to(method: str) -> list[ast.AST]:
+        return [
+            node
+            for node in nodes
+            if isinstance(node, ast.Call)
+            and (dotted_name(node.func) or "").rsplit(".", 1)[-1] == method
+        ]
+
+    if normalized.endswith(TABLE_SUFFIX):
+        for kind in ("INSERT", "UPDATE", "DELETE"):
+            named = [
+                node
+                for node in nodes
+                if isinstance(node, ast.Attribute)
+                and node.attr == kind
+                and dotted_name(node.value) == "LogRecordKind"
+            ]
+            over_budget(
+                named, 1,
+                f"LogRecordKind.{kind} named again: the {kind.lower()} "
+                "mutation is written once, in the per-row core the row and "
+                "batch entries share",
+            )
+        over_budget(
+            calls_to("register_undo"), 3,
+            "a fourth register_undo(): each mutation registers its undo "
+            "once, in its per-row core",
+        )
+    if normalized.endswith(SPJ_VIEW_SUFFIX):
+        over_budget(
+            calls_to("_delete_by_key"), 1,
+            "a second _delete_by_key() call site: row images reach the view "
+            "storage through the one row-image routine",
+        )
+    if normalized.endswith(AGGREGATE_VIEW_SUFFIX):
+        removals = {id(call) for call in calls_to("_remove_row")}
+        routines = [
+            function
+            for function in nodes
+            if isinstance(function, ast.FunctionDef)
+            and any(id(inner) in removals for inner in ast.walk(function))
+        ]
+        over_budget(
+            routines, 1,
+            "_remove_row() called from a second routine: row images reach "
+            "the groups through the one row-image routine",
+        )
+    if not normalized.endswith(AFTER_IMAGE_SUFFIXES):
+        over_budget(
+            calls_to("compile_after_image"), 0,
+            "compile_after_image() outside repro/core/opdelta.py: the after "
+            "image of a hybrid Op-Delta is derived by derive_row_images()",
+        )
+    return violations
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -617,6 +709,7 @@ def lint_file(path: Path) -> list[str]:
             path, tree, normalized.endswith(RECORD_FORMAT_SUFFIXES)
         )
     )
+    violations.extend(_write_path_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
