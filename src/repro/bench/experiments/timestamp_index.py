@@ -13,7 +13,7 @@ selectivity threshold — so indexing only rescues the small-delta regime.
 from __future__ import annotations
 
 from ...extraction.timestamp import TimestampExtractor
-from ...sql.executor import INDEX_SELECTIVITY_THRESHOLD
+from ...sql.planner import INDEX_SELECTIVITY_THRESHOLD
 from ..report import ExperimentResult
 from .common import SMALL_POOL_PAGES, build_workload_database
 from .table2 import _restamp

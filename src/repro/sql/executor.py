@@ -1,11 +1,7 @@
-"""Planner and executor.
+"""The statement executor.
 
-The planner implements exactly the access-path behaviour the paper leans on
-in §3.1.1: an equality predicate on an indexed column uses the index; a
-range predicate uses a B-tree index only when the optimizer's statistics
-say the range is selective (default threshold 5% of the table), otherwise
-it falls back to a full table scan — "indices may not be used by the query
-optimizer if the deltas form a significant portion of the table".
+How each table is read — index lookup, index range scan or full scan — is
+decided by the one access-path chooser, :func:`repro.sql.planner.choose_path`.
 """
 
 from __future__ import annotations
@@ -33,15 +29,9 @@ from .expressions import (
     compile_insert_rows,
     compile_predicate,
     insert_arranger,
-    split_conjuncts,
     walk,
 )
-
-#: Ranges matching more than this fraction of the table fall back to a scan.
-INDEX_SELECTIVITY_THRESHOLD = 0.05
-
-_RANGE_OPS = {"<": ("high", False), "<=": ("high", True),
-              ">": ("low", False), ">=": ("low", True)}
+from .planner import AccessPath, choose_path
 
 
 @dataclass
@@ -63,14 +53,6 @@ class Result:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-@dataclass
-class _AccessPath:
-    """How the planner decided to read a table."""
-
-    description: str
-    row_ids: Iterable[RowId] | None  # None means full scan
 
 
 class _Scope(RowBinding):
@@ -215,7 +197,7 @@ class Executor:
                 *(side for join in stmt.joins for side in (join.left, join.right)),
             ],
         )
-        path = self._choose_path(base, base_alias, stmt.where)
+        path = choose_path(base, base_alias, stmt.where)
         scope = _Scope()
         scope.add(base.schema, base_alias, base_read)
         rows: Iterable[tuple[Any, ...]] = (
@@ -253,67 +235,9 @@ class Executor:
             result = result[: stmt.limit]
         return Result(columns=columns, rows=result, plan=" ".join(plan_parts))
 
-    def _choose_path(
-        self, table: Table, alias: str, where: ast.Expression | None
-    ) -> _AccessPath:
-        """Pick index lookup, index range scan, or full scan."""
-        for conjunct in split_conjuncts(where):
-            simple = self._simple_comparison(conjunct, table, alias)
-            if simple is None:
-                continue
-            column, op, value = simple
-            index = table.index_on(column)
-            if index is None:
-                continue
-            if op == "=":
-                return _AccessPath(f"index({index.name})", index.lookup(value))
-            if op in _RANGE_OPS and index.supports_range:
-                bound, inclusive = _RANGE_OPS[op]
-                low = value if bound == "low" else None
-                high = value if bound == "high" else None
-                matching = index.estimate_range(
-                    low, high,
-                    include_low=inclusive if bound == "low" else True,
-                    include_high=inclusive if bound == "high" else True,
-                )
-                total = max(1, table.num_rows)
-                if matching / total <= INDEX_SELECTIVITY_THRESHOLD:
-                    row_ids = index.range_scan(
-                        low, high,
-                        include_low=inclusive if bound == "low" else True,
-                        include_high=inclusive if bound == "high" else True,
-                    )
-                    return _AccessPath(f"index-range({index.name})", row_ids)
-        return _AccessPath("scan", None)
-
-    def _simple_comparison(
-        self, expr: ast.Expression, table: Table, alias: str
-    ) -> tuple[str, str, Any] | None:
-        """Match ``column OP literal`` (either operand order) on this table."""
-        if not isinstance(expr, ast.BinaryOp):
-            return None
-        if expr.op not in ("=", "<", "<=", ">", ">="):
-            return None
-        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-        candidates = [
-            (expr.left, expr.op, expr.right),
-            (expr.right, flip[expr.op], expr.left),
-        ]
-        for column_side, op, value_side in candidates:
-            if not isinstance(column_side, ast.ColumnRef):
-                continue
-            if column_side.table not in (None, alias, table.name):
-                continue
-            if not isinstance(value_side, ast.Literal):
-                continue
-            if not table.schema.has_column(column_side.name):
-                continue
-            return column_side.name, op, value_side.value
-        return None
-
     @staticmethod
     def _candidates(
-        table: Table, path: _AccessPath, columns: Sequence[int]
+        table: Table, path: AccessPath, columns: Sequence[int]
     ) -> Iterable[tuple[RowId, tuple[Any, ...]]]:
         """The rows the access path reads (their ``columns``), before the predicate."""
         if path.row_ids is None:
@@ -517,7 +441,7 @@ class Executor:
         (columns,) = _columns_read([(table.name, table.schema)], [where, *reads])
         scope = _Scope()
         scope.add(table.schema, table.name, columns)
-        path = self._choose_path(table, table.name, where)
+        path = choose_path(table, table.name, where)
         keep = compile_predicate(where, scope)
         context = self._context
         matches = [

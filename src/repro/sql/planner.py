@@ -1,0 +1,100 @@
+"""The access-path chooser: how one statement reads one table.
+
+:func:`choose_path` implements exactly the access-path behaviour the paper
+leans on in §3.1.1: an equality predicate on an indexed column uses the
+index; a range predicate uses a B-tree index only when the optimizer's
+statistics say the range is selective (default threshold 5% of the table),
+otherwise it falls back to a full table scan — "indices may not be used by
+the query optimizer if the deltas form a significant portion of the table".
+
+It is the one chooser.  The executor asks it for SELECT/UPDATE/DELETE, and
+the columnar applier asks it for the rows a component's statement reaches
+(:mod:`repro.columnar.apply`).  Either way the path is a *candidate filter*:
+the caller still runs the whole predicate over the rows it names.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterable
+
+from . import ast_nodes as ast
+from .expressions import split_conjuncts
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.rows import RowId
+    from ..engine.table import Table
+
+#: Ranges matching more than this fraction of the table fall back to a scan.
+INDEX_SELECTIVITY_THRESHOLD = 0.05
+
+_RANGE_OPS = {"<": ("high", False), "<=": ("high", True),
+              ">": ("low", False), ">=": ("low", True)}
+
+
+@dataclass
+class AccessPath:
+    """How the chooser decided to read a table."""
+
+    description: str
+    row_ids: Iterable["RowId"] | None  # None means full scan
+
+
+def choose_path(
+    table: "Table", alias: str, where: ast.Expression | None
+) -> AccessPath:
+    """Pick index lookup, index range scan, or full scan."""
+    for conjunct in split_conjuncts(where):
+        simple = _column_vs_literal(conjunct, table, alias)
+        if simple is None:
+            continue
+        column, op, value = simple
+        index = table.index_on(column)
+        if index is None:
+            continue
+        if op == "=":
+            return AccessPath(f"index({index.name})", index.lookup(value))
+        if op in _RANGE_OPS and index.supports_range:
+            bound, inclusive = _RANGE_OPS[op]
+            low = value if bound == "low" else None
+            high = value if bound == "high" else None
+            matching = index.estimate_range(
+                low, high,
+                include_low=inclusive if bound == "low" else True,
+                include_high=inclusive if bound == "high" else True,
+            )
+            total = max(1, table.num_rows)
+            if matching / total <= INDEX_SELECTIVITY_THRESHOLD:
+                row_ids = index.range_scan(
+                    low, high,
+                    include_low=inclusive if bound == "low" else True,
+                    include_high=inclusive if bound == "high" else True,
+                )
+                return AccessPath(f"index-range({index.name})", row_ids)
+    return AccessPath("scan", None)
+
+
+def _column_vs_literal(
+    expr: ast.Expression, table: "Table", alias: str
+) -> tuple[str, str, Any] | None:
+    """Match ``column OP literal`` (either operand order) on this table."""
+    if not isinstance(expr, ast.BinaryOp):
+        return None
+    if expr.op not in ("=", "<", "<=", ">", ">="):
+        return None
+    flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+    candidates = [
+        (expr.left, expr.op, expr.right),
+        (expr.right, flip[expr.op], expr.left),
+    ]
+    for column_side, op, value_side in candidates:
+        if not isinstance(column_side, ast.ColumnRef):
+            continue
+        if column_side.table not in (None, alias, table.name):
+            continue
+        if not isinstance(value_side, ast.Literal):
+            continue
+        if not table.schema.has_column(column_side.name):
+            continue
+        return column_side.name, op, value_side.value
+    return None
