@@ -64,7 +64,7 @@ def from_value(value: Any) -> SqlType:
 
 
 def comparable(left: SqlType, right: SqlType) -> bool:
-    """Mirror of the evaluator's ``_check_comparable``: num/num or str/str."""
+    """Mirror of the evaluator's ``check_comparable``: num/num or str/str."""
     if left.lenient or right.lenient:
         return True
     if left.is_numeric and right.is_numeric:

@@ -276,7 +276,7 @@ def _compile_binary(expr: ast.BinaryOp, bind: Binding) -> Compiled:
             rv = right(row, context)
             if lv is None or rv is None:
                 return None
-            _check_comparable(lv, rv, op)
+            check_comparable(lv, rv, op)
             return compare(lv, rv)
 
         return comparison
@@ -358,8 +358,8 @@ def _compile_between(expr: ast.Between, bind: Binding) -> Compiled:
         hi = high(row, context)
         if value is None or lo is None or hi is None:
             return None
-        _check_comparable(value, lo, "BETWEEN")
-        _check_comparable(value, hi, "BETWEEN")
+        check_comparable(value, lo, "BETWEEN")
+        check_comparable(value, hi, "BETWEEN")
         result = lo <= value <= hi
         return (not result) if negated else result
 
@@ -440,7 +440,8 @@ def _truth(value: Any) -> bool:
     raise SqlAnalysisError(f"expected a boolean condition, got {value!r}")
 
 
-def _check_comparable(left: Any, right: Any, op: str) -> None:
+def check_comparable(left: Any, right: Any, op: str) -> None:
+    """The comparability rule: two numbers or two strings, else a typed error."""
     numeric = (int, float)
     if isinstance(left, numeric) and isinstance(right, numeric):
         return

@@ -10,7 +10,10 @@ the query optimizer if the deltas form a significant portion of the table".
 It is the one chooser.  The executor asks it for SELECT/UPDATE/DELETE, and
 the columnar applier asks it for the rows a component's statement reaches
 (:mod:`repro.columnar.apply`).  Either way the path is a *candidate filter*:
-the caller still runs the whole predicate over the rows it names.
+the caller still runs the whole predicate over the rows it names, so what a
+predicate means — three-valued logic, typed diagnostics — stays with the
+evaluator.  A literal the evaluator would not compare with the column
+(NULL, or a string against a number) therefore never reaches an index.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..errors import SqlAnalysisError
 from . import ast_nodes as ast
-from .expressions import split_conjuncts
+from .expressions import check_comparable, split_conjuncts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.rows import RowId
@@ -77,7 +81,12 @@ def choose_path(
 def _column_vs_literal(
     expr: ast.Expression, table: "Table", alias: str
 ) -> tuple[str, str, Any] | None:
-    """Match ``column OP literal`` (either operand order) on this table."""
+    """Match ``column OP literal`` (either operand order) on this table.
+
+    Only a literal an index can be probed with matches: not NULL (the
+    comparison is UNKNOWN for every row) and comparable with the column's
+    values by the evaluator's own rule.
+    """
     if not isinstance(expr, ast.BinaryOp):
         return None
     if expr.op not in ("=", "<", "<=", ">", ">="):
@@ -92,9 +101,14 @@ def _column_vs_literal(
             continue
         if column_side.table not in (None, alias, table.name):
             continue
-        if not isinstance(value_side, ast.Literal):
+        if not isinstance(value_side, ast.Literal) or value_side.value is None:
             continue
         if not table.schema.has_column(column_side.name):
+            continue
+        stored = table.schema.column(column_side.name).datatype
+        try:
+            check_comparable("" if stored.is_text else 0, value_side.value, op)
+        except SqlAnalysisError:
             continue
         return column_side.name, op, value_side.value
     return None

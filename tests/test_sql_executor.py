@@ -61,6 +61,48 @@ class TestAccessPaths:
         assert "index" in result.plan
         assert result.rows == []
 
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "SELECT part_id FROM parts WHERE {column} {predicate}",
+            "UPDATE parts SET status = 'hit' WHERE {column} {predicate}",
+            "DELETE FROM parts WHERE {column} {predicate}",
+        ],
+        ids=["select", "update", "delete"],
+    )
+    @pytest.mark.parametrize(
+        "predicate",
+        ["= 'abc'", "< 'abc'", "= NULL"],
+        ids=["eq-string", "lt-string", "eq-null"],
+    )
+    def test_literal_an_index_cannot_hold_is_left_to_the_evaluator(
+        self, session, statement, predicate
+    ):
+        """The indexed key answers exactly as its unindexed twin does.
+
+        A bare ``TypeError`` from the B-tree's bisect used to escape here.
+        """
+
+        def outcome(column):
+            sql = statement.format(column=column, predicate=predicate)
+            try:
+                result = session.execute(sql)
+            except SqlAnalysisError as error:
+                return str(error)
+            return result.plan.split(":")[-1], result.rows, result.rows_affected
+
+        expected = outcome("part_ref")
+        assert outcome("part_id") == expected
+        if predicate == "= NULL":  # UNKNOWN for every row: nothing matches
+            assert expected == ("scan", [], 0)
+        else:
+            assert expected.startswith("cannot compare int with str using")
+
+    def test_float_literal_keeps_its_index_plan(self, session):
+        result = session.execute("SELECT part_id FROM parts WHERE part_id = 1.0")
+        assert "index(pk_parts)" in result.plan
+        assert result.rows == [(1,)]
+
 
 class TestSelectFeatures:
     def test_projection_names(self, session):
