@@ -1,20 +1,33 @@
 """Columnar group-apply: commit conflict components from batch buffers.
 
 :class:`ColumnarApplier` is the batched hot path the integrator's
-columnar mode drives.  Per conflict component it materialises each
-touched table **once** into a :class:`~repro.columnar.batch.ColumnBatch`
-image (one costed scan, where the row path re-scans per statement),
-replays every statement of the component against the image with
-compiled kernels (:mod:`repro.columnar.kernels`), and commits through
-the engine's batch DML entry points — which perform the identical
-logical mutations (validation, unique checks, index maintenance,
-triggers, undo, bit-identical WAL payloads) at the columnar CPU factor.
+columnar mode drives.  Every UPDATE/DELETE of a component — on a mirror
+or on a view's storage table — runs its compiled kernels
+(:mod:`repro.columnar.kernels`) over a
+:class:`~repro.columnar.batch.ColumnBatch` of the rows it can reach, and
+commits through the engine's batch DML entry points — which perform the
+identical logical mutations (validation, unique checks, index
+maintenance, triggers, undo, bit-identical WAL payloads) at the columnar
+CPU factor.
+
+**Which rows a batch holds** is the access-path chooser's decision
+(:func:`repro.sql.planner.choose_path`, the one the row executor asks):
+
+* a sargable conjunct on an indexed column — the key B-tree every mirror
+  and keyed view owns, or any secondary index — **gathers** just the
+  RowIds the index returns into a throwaway batch, so a PK-point
+  statement costs an index probe and a row read, whatever the table
+  holds;
+* no index path **images** the table: one costed scan transposes it into
+  a batch that stays resident and serves *every* later statement of the
+  component (where the row path re-scans per statement), each writing its
+  results back so later statements read their writes;
+* while an image is resident it is served without asking the chooser — it
+  already holds the component's writes.
 
 **Parity invariant.**  For every statement the applier either (a)
 replays it columnar with kernels the one SQL compiler built from the same
-AST — the code the row path runs, bound to column arrays — writing
-results back into the image so later statements read their writes, or (b)
-hits a
+AST — the code the row path runs, bound to column arrays — or (b) hits a
 :class:`~repro.columnar.kernels.CompileBarrier` / unsupported shape and
 falls back to the original row path verbatim, invalidating the affected
 image.  Either way the final table state is bit-for-bit the state the
@@ -32,6 +45,7 @@ from ..engine.transactions import Transaction
 from ..errors import SqlAnalysisError
 from ..sql import ast_nodes as ast
 from ..sql.expressions import NO_SESSION, compile_insert_rows
+from ..sql.planner import choose_path
 from .batch import ColumnBatch
 from .kernels import (
     BatchBinding,
@@ -116,7 +130,8 @@ class ColumnarApplier(RowApplier):
         """Reset per-component state: images never outlive their component.
 
         Components are mutually independent and may be replayed on
-        parallel lanes, so each one pays its own image scans.
+        parallel lanes, so each one pays its own image scans — and an
+        image is only as fresh as the writes made through this applier.
         """
         self._images.clear()
 
@@ -135,7 +150,7 @@ class ColumnarApplier(RowApplier):
                 return self._batch_routine(statement)(
                     self._db.table(statement.table),
                     statement,
-                    lambda: statement.where,
+                    statement.where,
                     frozenset({statement.table}),
                     ("mirror", statement.table, cache_key),
                     txn,
@@ -153,11 +168,27 @@ class ColumnarApplier(RowApplier):
         self.statements += 1
         self._clock.advance(self._costs.stmt_overhead * self._costs.columnar_cpu_factor)
 
-    def _image(self, table: Table) -> ColumnBatch:
+    def _batch(
+        self, table: Table, alias: str, where: ast.Expression | None
+    ) -> ColumnBatch:
+        """The rows of ``table`` a statement with predicate ``where`` must see.
+
+        The component's resident image when there is one (it already holds
+        the component's writes).  Otherwise whatever the access-path chooser
+        says: the rows an index reaches, gathered into a throwaway batch —
+        a candidate filter only, the statement's kernels still run over it —
+        or, with no index path, the whole table as the image that stays
+        resident for the rest of the component.
+        """
         image = self._images.get(table.name)
         if image is None:
-            image = ColumnBatch.from_table(table)
-            self._images[table.name] = image
+            reached = choose_path(table, alias, where).row_ids
+            if reached is not None:
+                row_ids = list(reached)
+                return ColumnBatch.from_rows(
+                    table.schema.column_names, map(table.read, row_ids), row_ids
+                )
+            image = self._images[table.name] = ColumnBatch.from_table(table)
         return image
 
     def _mirror_insert(
@@ -201,68 +232,68 @@ class ColumnarApplier(RowApplier):
         self,
         table: Table,
         stmt: ast.UpdateStmt,
-        where: Callable[[], ast.Expression | None],
+        where: ast.Expression | None,
         qualifiers: frozenset[str],
         cache_key: tuple[Hashable, ...],
         txn: Transaction,
     ) -> int:
-        """One compiled UPDATE over a table image — mirror or view.
+        """One compiled UPDATE over a batch of ``table`` — mirror or view.
 
-        ``where`` yields the predicate AST (the statement's own for a
-        mirror, narrowed by the view predicate for a view); it is only
-        called on a kernel-cache miss.  Returns the rows matched.
+        ``where`` is the predicate AST (the statement's own for a mirror,
+        narrowed by the view predicate for a view).  Returns the rows
+        matched.
         """
-        image = self._image(table)
+        batch = self._batch(table, stmt.table, where)
 
         def factory() -> tuple[Any, tuple[tuple[str, Any], ...]]:
-            predicate = compile_predicate(where(), image.layout, qualifiers)
+            predicate = compile_predicate(where, batch.layout, qualifiers)
             assignments = tuple(
-                (a.column, compile_expression(a.expr, image.layout, qualifiers))
+                (a.column, compile_expression(a.expr, batch.layout, qualifiers))
                 for a in stmt.assignments
             )
             return predicate, assignments
 
         predicate, assignments = self.kernels.get(("update", *cache_key), factory)
-        matched = self._matched(image, predicate)
-        cols = image.columns
+        matched = self._matched(batch, predicate)
+        cols = batch.columns
         updates = [
             (
-                image.row_ids[pos],
+                batch.row_ids[pos],
                 {column: kernel(cols, pos) for column, kernel in assignments},
             )
             for pos in matched
         ]
         results = table.update_batch(txn, updates)
         for pos, (_old, new_values) in zip(matched, results):
-            image.set_row(pos, new_values)
+            batch.set_row(pos, new_values)
         return len(matched)
 
     def _batch_delete(
         self,
         table: Table,
         stmt: ast.DeleteStmt,
-        where: Callable[[], ast.Expression | None],
+        where: ast.Expression | None,
         qualifiers: frozenset[str],
         cache_key: tuple[Hashable, ...],
         txn: Transaction,
     ) -> int:
-        """One compiled DELETE over a table image — mirror or view."""
-        image = self._image(table)
+        """One compiled DELETE over a batch of ``table`` — mirror or view."""
+        batch = self._batch(table, stmt.table, where)
         predicate = self.kernels.get(
             ("delete", *cache_key),
-            lambda: compile_predicate(where(), image.layout, qualifiers),
+            lambda: compile_predicate(where, batch.layout, qualifiers),
         )
-        matched = self._matched(image, predicate)
-        table.delete_batch(txn, [image.row_ids[pos] for pos in matched])
+        matched = self._matched(batch, predicate)
+        table.delete_batch(txn, [batch.row_ids[pos] for pos in matched])
         for pos in matched:
-            image.mark_deleted(pos)
+            batch.mark_deleted(pos)
         return len(matched)
 
-    def _matched(self, image: ColumnBatch, predicate: Any) -> list[int]:
+    def _matched(self, batch: ColumnBatch, predicate: Any) -> list[int]:
         """Dispatch one batch program; the live positions it selects."""
         self._dispatch()
-        cols = image.columns
-        valid = image.valid
+        cols = batch.columns
+        valid = batch.valid
         matched = [
             pos for pos in range(len(valid)) if valid[pos] and predicate(cols, pos)
         ]
@@ -306,7 +337,7 @@ class ColumnarApplier(RowApplier):
                 self._batch_routine(stmt)(
                     view.table,
                     stmt,
-                    lambda: view.narrowed(stmt.where),
+                    view.narrowed(stmt.where),
                     frozenset({view.definition.name, stmt.table}),
                     ("view", view.definition.name, self.plan_fingerprint,
                      op.statement_text),

@@ -8,9 +8,11 @@ into the parallel arrays) form the *per-window row-id space*: every
 compiled kernel addresses rows by position, and converters map positions
 back to physical row ids at commit time.
 
-Batches are built either from an engine table (one costed scan — the
-single scan then serves every statement of a conflict component) or from
-the literal rows of shippable Op-Delta windows.
+Batches are built from rows — the ones an index gathered for one
+statement, or the literal rows of shippable Op-Delta windows
+(:meth:`ColumnBatch.from_rows`) — or from a whole engine table
+(:meth:`ColumnBatch.from_table`: one costed scan, whose image then serves
+every statement of a conflict component that has no index path).
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ class ColumnBatch:
     def from_table(cls, table: "Table") -> "ColumnBatch":
         """One costed scan of an engine table into column arrays.
 
-        This is the only place the columnar path pays scan CPU: the
-        resulting image then serves *every* statement of the component,
-        where the row path re-scans per statement.
+        This is the only place the columnar path pays scan CPU, and only
+        for a statement no index reaches: the resulting image then serves
+        *every* statement of the component, where the row path re-scans
+        per statement.
         """
         batch = cls(table.schema.column_names)
         scanned = list(table.scan())
