@@ -23,12 +23,16 @@ and of view-relevance pruning (:mod:`repro.analysis.relevance`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..core.opdelta import OpKind, classify_statement
 from ..errors import AnalysisError
 from ..sql import ast_nodes as ast
 from ..sql.expressions import referenced_columns, split_conjuncts
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .safety import Determinism
 
 
 def _lt(a: Any, b: Any) -> bool | None:
@@ -349,6 +353,17 @@ class StatementFootprint:
         if isinstance(self.statement, ast.UpdateStmt):
             return self.statement.assignments
         return ()
+
+    @cached_property
+    def determinism(self) -> "Determinism":
+        """How much session state the statement depends on.
+
+        Classified on first use and kept with the footprint: the pairwise
+        provers ask it of the same footprint once per pair they judge.
+        """
+        from .safety import statement_determinism  # safety builds on this module
+
+        return statement_determinism(self.statement)
 
     def writes_column(self, column: str) -> bool:
         return self.writes_all_columns or column in self.writes

@@ -231,7 +231,7 @@ def is_idempotent(footprint: StatementFootprint) -> bool:
     any assigned column in the WHERE clause must be assigned a literal.
     INSERT is never idempotent (it adds a row per application).
     """
-    if statement_determinism(footprint.statement) is not Determinism.DETERMINISTIC:
+    if footprint.determinism is not Determinism.DETERMINISTIC:
         return False
     if footprint.kind.name == "DELETE":
         return True
@@ -275,11 +275,12 @@ def commutes(
     sets** (range or structural disjointness, key-disjoint inserts)
     survive; the pointwise-assignment arguments are disabled.
     """
-    det_a = statement_determinism(a.statement)
-    det_b = statement_determinism(b.statement)
     # Even TIME_DEPENDENT statements do not commute: swapping the order
     # shifts the virtual clock value each one evaluates under.
-    if det_a is not Determinism.DETERMINISTIC or det_b is not Determinism.DETERMINISTIC:
+    if (
+        a.determinism is not Determinism.DETERMINISTIC
+        or b.determinism is not Determinism.DETERMINISTIC
+    ):
         return False
     if a.table != b.table:
         return True

@@ -6,9 +6,11 @@ against a live engine and the final states compared.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
+from repro.analysis import safety
 from repro.analysis.rwsets import extract_footprint
 from repro.analysis.safety import (
     Determinism,
@@ -382,6 +384,66 @@ class TestImageReplayCommutes:
         assert commutes(self.imaged(a), fp(b), KEYS) == commutes(
             fp(b), self.imaged(a), KEYS
         )
+
+
+class TestFootprintCarriesDeterminism:
+    """The pairwise provers read a classification the footprint keeps."""
+
+    STATEMENTS = [
+        "UPDATE t SET a = 1 WHERE id >= 1 AND id < 2",
+        "UPDATE t SET a = 2 WHERE id >= 2 AND id < 3",
+        "UPDATE t SET a = a + 5",
+        "UPDATE t SET a = a * 2 WHERE b < 10",
+        "UPDATE t SET b = 1 WHERE a < 100",
+        "UPDATE t SET a = NOW() WHERE id = 1",
+        "UPDATE t SET a = RANDOM() WHERE id = 2",
+        "DELETE FROM t WHERE a < 50",
+        "DELETE FROM t WHERE id = 1",
+        "DELETE FROM t WHERE a < NOW()",
+        "INSERT INTO t (id, a, b) VALUES (10, 0, 0)",
+        "INSERT INTO t (id, a, b) VALUES (11, 0, 0)",
+        "INSERT INTO u (id) VALUES (1)",
+    ]
+
+    def test_answers_over_the_pair_matrix_do_not_depend_on_reuse(self):
+        shared = [fp(sql) for sql in self.STATEMENTS]
+        answers = []
+        for i, j in itertools.product(range(len(shared)), repeat=2):
+            fresh = commutes(fp(self.STATEMENTS[i]), fp(self.STATEMENTS[j]), KEYS)
+            assert commutes(shared[i], shared[j], KEYS) == fresh, (i, j)
+            answers.append(fresh)
+        assert True in answers and False in answers
+        for footprint, sql in zip(shared, self.STATEMENTS):
+            assert is_idempotent(footprint) == is_idempotent(fp(sql)), sql
+
+    def test_statement_is_classified_once_per_footprint(self, monkeypatch):
+        classified = []
+
+        def counting(statement):
+            classified.append(statement)
+            return statement_determinism(statement)
+
+        monkeypatch.setattr(safety, "statement_determinism", counting)
+        footprints = [fp(sql) for sql in self.STATEMENTS]
+        for a, b in itertools.product(footprints, repeat=2):
+            commutes(a, b, KEYS)
+        for footprint in footprints:
+            is_idempotent(footprint)
+        assert len(classified) == len(footprints)
+        assert {id(s) for s in classified} == {id(f.statement) for f in footprints}
+
+    def test_replace_neither_shares_nor_breaks_the_kept_value(self):
+        original = fp("UPDATE t SET a = NOW() WHERE id = 1")
+        assert original.determinism is Determinism.TIME_DEPENDENT
+        imaged = dataclasses.replace(original, image_replay=True)
+        assert "determinism" not in vars(imaged)
+        assert imaged.determinism is Determinism.TIME_DEPENDENT
+        assert imaged == dataclasses.replace(original, image_replay=True)
+        # Not shared: a replaced statement is classified for what it is.
+        pinned = dataclasses.replace(
+            original, statement=pin_time_functions(original.statement, 5.0)
+        )
+        assert pinned.determinism is Determinism.DETERMINISTIC
 
 
 if __name__ == "__main__":
