@@ -11,11 +11,19 @@ row-at-a-time replay: equal raw row sets and equal XOR-SHA256 state
 digests.  The window is optionally compacted first (the coalescer's
 rewrites must stay columnar-safe), and hybrid-plan statements must
 barrier to the row path rather than diverge.
+
+Statements reach their rows both ways in one window: ``part_ref`` ranges
+have no index (the columnar mode images the table), while ``part_id``
+points and narrow ``part_id`` ranges go through the key B-tree (it gathers
+just those rows).  Row-batched and columnar apply ask the same access-path
+chooser, so they must also agree on the *physical* layout — every table
+scans to the same ``(RowId, values)`` list.
 """
 
 import itertools
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import OpDeltaAnalyzer
@@ -23,6 +31,7 @@ from repro.compaction import Coalescer
 from repro.core import FileLogStore, OpDeltaCapture, ViewAwareHybridPolicy
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
+from repro.errors import WarehouseError
 from repro.obs.pipeline.auditor import StateDigest
 from repro.semantics import SchemaCatalog, ViewMaintenancePlanner
 from repro.warehouse import OpDeltaIntegrator, Warehouse
@@ -47,6 +56,10 @@ _operations = st.lists(
                 "update_predicate",
                 "update_now",
                 "delete",
+                "update_point",
+                "delete_point",
+                "update_pk_range",
+                "insert_then_point_update",
             ]
         ),
         st.integers(min_value=0, max_value=25),
@@ -133,10 +146,38 @@ def run_source_operations(session, operations):
                 f"UPDATE parts SET last_modified = NOW() "
                 f"WHERE part_ref >= {low} AND part_ref < {high}"
             )
-        else:  # delete
+        elif kind == "delete":
             session.execute(
                 f"DELETE FROM parts WHERE part_ref >= {low} "
                 f"AND part_ref < {high}"
+            )
+        elif kind == "update_point":
+            # Writes a column no range statement touches, so it commutes
+            # with them and usually forms a component of its own.
+            session.execute(
+                f"UPDATE parts SET supplier_id = {size} WHERE part_id = {offset}"
+            )
+        elif kind == "delete_point":
+            session.execute(f"DELETE FROM parts WHERE part_id = {offset}")
+        elif kind == "update_pk_range":
+            # The top of the key space: ``part_id >= 29`` is one row in
+            # thirty, under the chooser's selectivity threshold (B-tree
+            # range); a lower bound of 27 or 28 is over it (scan).
+            bottom = 29 - offset % 3
+            session.execute(
+                f"UPDATE parts SET quantity = quantity + {size} "
+                f"WHERE part_id >= {bottom} AND part_id <= {bottom + size}"
+            )
+        else:  # insert_then_point_update: the update reads the fresh key
+            pid = 500_000 + index
+            session.execute(
+                f"INSERT INTO parts ({_COLS}) VALUES ({pid}, {pid}, "
+                f"'PN-{pid}', 'fresh row', 'new', {480 + size * 10}, 9.5, "
+                "0, 7)"
+            )
+            session.execute(
+                f"UPDATE parts SET status = 'f{size}', quantity = quantity + "
+                f"{offset} WHERE part_id = {pid}"
             )
 
 
@@ -170,6 +211,14 @@ def states(wh):
     )
 
 
+def layout(wh):
+    """Every table as stored: ``(RowId, values)`` in physical order."""
+    return [
+        list(wh.database.table(name).scan())
+        for name in ("parts", "parts_catalog", "pricey_parts")
+    ]
+
+
 #: The three configurations of the integrator's one apply pipeline.
 CONFIGURATIONS = ("serial", "row-batched", "columnar")
 
@@ -186,12 +235,11 @@ def replay(configuration, window, graph, clock, initial_rows, view_defs,
         report = integrator.integrate_batched(
             window, graph, columnar=configuration == "columnar"
         )
-    return states(wh), report
+    return states(wh), report, layout(wh)
 
 
-@given(_operations, st.booleans())
-@settings(max_examples=12, deadline=None)
-def test_columnar_apply_is_bit_for_bit_the_row_apply(operations, compacted):
+def check_configurations_agree(operations, compacted):
+    """Capture ``operations`` at a source, replay the window three ways."""
     source = Database("prop-col-source")
     workload = OltpWorkload(source)
     workload.create_table()
@@ -227,8 +275,8 @@ def test_columnar_apply_is_bit_for_bit_the_row_apply(operations, compacted):
         for configuration in CONFIGURATIONS
     }
     for first, second in itertools.combinations(CONFIGURATIONS, 2):
-        state_a, report_a = outcomes[first]
-        state_b, report_b = outcomes[second]
+        state_a, report_a, _layout = outcomes[first]
+        state_b, report_b, _layout = outcomes[second]
         pair = f"{first} vs {second}"
         # Raw rows bit-for-bit across every pair of replays...
         assert state_a == state_b, pair
@@ -242,9 +290,78 @@ def test_columnar_apply_is_bit_for_bit_the_row_apply(operations, compacted):
         # ...and so does the statement and row accounting.
         assert report_a.statements_issued == report_b.statements_issued, pair
         assert report_a.rows_affected == report_b.rows_affected, pair
+    # Same chooser, same candidate order: the same physical layout.
+    assert outcomes["row-batched"][2] == outcomes["columnar"][2]
     # The columnar mode really ran: every statement either batched or
     # fell back across a barrier, and the report accounts for both.
     col_report = outcomes["columnar"][1]
     assert (
         col_report.columnar_statements > 0 or col_report.columnar_fallbacks > 0
     )
+
+
+def reorders_a_spent_delete(operations):
+    """Whether a point DELETE names a key an earlier range DELETE removed.
+
+    A known hole in the commutativity prover, kept out of the generated
+    windows and pinned by the strict ``xfail`` at the bottom: ``commutes``
+    lets any two DELETEs swap, but the point DELETE (which matched nothing
+    at the source) is replayed from its statement and the range DELETE from
+    its before image, so applied point-first the image's row is already gone.
+    """
+    removed: set[int] = set()
+    for kind, offset, size in operations:
+        if kind == "delete":
+            removed.update(range(offset, offset + size))
+        elif kind == "delete_point" and offset in removed:
+            return True
+    return False
+
+
+#: A window no statement of which needs a scan: points, a B-tree range at
+#: the top of the key space, an insert whose key the next statement updates,
+#: and a second update of an already-updated key.  Its conflict components
+#: are small, and the columnar mode gathers every batch through a key index.
+KEYED_WINDOW = [
+    ("update_point", 20, 1),
+    ("delete_point", 3, 1),
+    ("update_pk_range", 0, 3),
+    ("insert_then_point_update", 6, 2),
+    ("delete_point", 24, 2),
+    ("update_point", 20, 7),
+]
+#: The same with ``part_ref`` ranges between them.  Hybrid capture makes a
+#: range conflict with every statement, so this is one component: gathered
+#: batches until the first range images the tables, the image from then on.
+MIXED_WINDOW = [
+    *KEYED_WINDOW[:2],
+    ("update_literal", 0, 5),
+    *KEYED_WINDOW[2:],
+    ("delete", 10, 3),
+    ("update_point", 12, 5),
+]
+
+
+@given(_operations, st.booleans())
+@settings(max_examples=12, deadline=None)
+@example(KEYED_WINDOW, False)
+@example(MIXED_WINDOW, False)
+@example(MIXED_WINDOW, True)
+def test_columnar_apply_is_bit_for_bit_the_row_apply(operations, compacted):
+    assume(not reorders_a_spent_delete(operations))
+    check_configurations_agree(operations, compacted)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=WarehouseError,
+    reason="commutes() lets a point DELETE that matched nothing at the source "
+    "swap with the range DELETE that had removed its row; batched apply then "
+    "runs the point DELETE first (statement replay removes the row from the "
+    "keyed view) and the range DELETE's before image finds nothing to delete. "
+    "Serial apply is correct. Needs per-view replay kinds in the prover.",
+)
+def test_point_delete_of_a_row_a_range_delete_removed():
+    operations = [("update_literal", 0, 1), ("delete", 1, 1), ("delete_point", 1, 1)]
+    assert reorders_a_spent_delete(operations)
+    check_configurations_agree(operations, compacted=False)

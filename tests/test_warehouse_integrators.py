@@ -6,8 +6,9 @@ from repro.analysis import OpDeltaAnalyzer
 from repro.analysis.certify import InterferenceSanitizer
 from repro.core import FileLogStore, OpDeltaCapture
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
+from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
-from repro.errors import WarehouseError
+from repro.errors import SqlAnalysisError, WarehouseError
 from repro.extraction import TriggerExtractor
 from repro.extraction.deltas import ChangeKind, DeltaBatch, DeltaRecord
 from repro.obs.pipeline import (
@@ -16,6 +17,7 @@ from repro.obs.pipeline import (
     PipelineRecorder,
     observe_pipeline,
 )
+from repro.semantics import SchemaCatalog, ViewMaintenancePlanner
 from repro.sql.parser import parse
 from repro.warehouse import OpDeltaIntegrator, ValueDeltaIntegrator, Warehouse
 from repro.workloads import OltpWorkload, parts_schema, strip_timestamp
@@ -279,6 +281,186 @@ class TestOneApplyPipeline:
         poisoned.operations.pop()
         report = apply_window(integrator, [poisoned], configuration)
         assert report.transactions == 1 and report.rows_affected == 3
+
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    @pytest.mark.parametrize(
+        "predicate",
+        ["= 'abc'", "< 'abc'", "= NULL"],
+        ids=["eq-string", "lt-string", "eq-null"],
+    )
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "UPDATE parts SET status = 'hit' WHERE {column} {predicate}",
+            "DELETE FROM parts WHERE {column} {predicate}",
+        ],
+        ids=["update", "delete"],
+    )
+    def test_literal_the_key_index_cannot_hold_is_typed_or_matches_nothing(
+        self, pipeline, configuration, statement, predicate
+    ):
+        """Every configuration answers for the indexed key as for its
+        unindexed twin: the evaluator's typed error with the unit rolled
+        back, or (``= NULL``: UNKNOWN) no row — never the B-tree's
+        ``TypeError``."""
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        database = warehouse.database
+        before = sorted(v for _r, v in database.table("parts").scan())
+        integrator = OpDeltaIntegrator(
+            database.internal_session(), analyzer=ANALYZER
+        )
+
+        def outcome(column):
+            sql = statement.format(column=column, predicate=predicate)
+            group = OpDeltaTransaction(txn_id=1, operations=[op(1, 0, sql)])
+            try:
+                report = apply_window(integrator, [group], configuration)
+            except WarehouseError as error:
+                assert isinstance(error.__cause__, SqlAnalysisError)
+                return str(error.__cause__)
+            return report.rows_affected
+
+        expected = outcome("part_ref")
+        assert outcome("part_id") == expected
+        if predicate == "= NULL":
+            assert expected == 0
+        else:
+            assert expected.startswith("cannot compare int with str using")
+        assert before == sorted(v for _r, v in database.table("parts").scan())
+
+
+class TestKeyAddressedColumnarApply:
+    """A component's batch is the rows its statements reach, not the table.
+
+    The columnar applier asks the executor's access-path chooser: an index
+    path gathers just those rows, no path images the table once, and a
+    resident image serves whatever follows it in the component.
+    """
+
+    ROWS = 300  # what the ``pipeline`` fixture loads
+    FRESH = (
+        "INSERT INTO parts VALUES (900001, 900001, 'PN', 'd', 'new', 1, 1.0, "
+        "NULL, 0)"
+    )
+
+    @pytest.fixture
+    def keyed(self, pipeline):
+        """The mirror plus a full-width keyed view, columnar-maintained."""
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        schema = parts_schema()
+        definition = ViewDefinition(
+            name="parts_catalog",
+            base_table="parts",
+            columns=schema.column_names,
+            predicate=None,
+            key_column="part_id",
+            base_columns=schema.column_names,
+        )
+        database = warehouse.database
+        view = warehouse.define_view(definition, schema)
+        txn = database.begin()
+        view.initialize([v for _r, v in database.table("parts").scan()], txn)
+        database.commit(txn)
+        integrator = OpDeltaIntegrator(
+            database.internal_session(),
+            views=[view],
+            analyzer=OpDeltaAnalyzer(
+                views=[definition],
+                mirrored_tables={"parts"},
+                key_columns={"parts": "part_id"},
+                table_columns={"parts": schema.column_names},
+            ),
+            plans=ViewMaintenancePlanner(SchemaCatalog([schema])).plan_catalog(
+                [definition]
+            ),
+        )
+        return database, view, integrator
+
+    @staticmethod
+    def apply_component(database, integrator, *statements):
+        """Apply one component columnar; (report, rows scanned, index probes)."""
+        engine = database.metrics.labelled(db=database.name)
+        scanned = engine.counter("engine.table.rows_scanned")
+        probes = engine.counter("engine.index.probe")
+        before = scanned.value, probes.value
+        group = OpDeltaTransaction(
+            txn_id=1,
+            operations=[op(1, seq, sql) for seq, sql in enumerate(statements)],
+        )
+        report = integrator.integrate_batched([group], columnar=True)
+        assert report.components == 1 and report.columnar_fallbacks == 0
+        return report, scanned.value - before[0], probes.value - before[1]
+
+    @staticmethod
+    def row(table, part_id):
+        [(_row_id, values)] = table.lookup("part_id", part_id)
+        return values
+
+    def test_point_component_scans_nothing(self, keyed):
+        database, view, integrator = keyed
+        mirror = database.table("parts")
+        report, scanned, probes = self.apply_component(
+            database,
+            integrator,
+            "UPDATE parts SET status = 'hit' WHERE part_id = 7",
+            "DELETE FROM parts WHERE part_id = 9",
+        )
+        assert scanned == 0  # the parent imaged mirror and view: 2 x ROWS
+        assert probes == 4  # one key probe per statement per table
+        assert report.columnar_statements == 4 and report.rows_affected == 2
+        for table in (mirror, view.table):
+            assert self.row(table, 7)[4] == "hit"
+            assert table.lookup("part_id", 9) == []
+            assert table.num_rows == self.ROWS - 1
+
+    def test_range_images_each_table_once_and_serves_what_follows(self, keyed):
+        database, view, integrator = keyed
+        quantity = self.row(database.table("parts"), 7)[5]
+        _report, scanned, probes = self.apply_component(
+            database,
+            integrator,
+            "UPDATE parts SET status = 'first' WHERE part_id = 7",
+            "UPDATE parts SET quantity = quantity + 1 "
+            "WHERE part_ref >= 5 AND part_ref < 10",
+            "UPDATE parts SET status = 'second' WHERE part_id = 7",
+        )
+        assert scanned == 2 * self.ROWS  # mirror once, view once
+        # Only the first point statement asked an index; the second was
+        # served from the image the range statement left resident.
+        assert probes == 2
+        for table in (database.table("parts"), view.table):
+            assert self.row(table, 7)[4:6] == ("second", quantity + 1)
+
+    def test_point_update_reads_the_insert_before_it(self, keyed):
+        database, view, integrator = keyed
+        report, scanned, _probes = self.apply_component(
+            database,
+            integrator,
+            self.FRESH,
+            "UPDATE parts SET quantity = quantity + 41 WHERE part_id = 900001",
+        )
+        assert scanned == 0 and report.rows_affected == 2
+        for table in (database.table("parts"), view.table):
+            assert self.row(table, 900001)[5] == 42
+
+    def test_secondary_index_equality_gathers_every_match(self, pipeline):
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        database = warehouse.database
+        mirror = database.table("parts")
+        mirror.create_index("ix_parts_supplier", "supplier_id", kind="hash")
+        supplied = [v[0] for _r, v in mirror.scan() if v[8] == 3]
+        assert len(supplied) > 1
+        report, scanned, probes = self.apply_component(
+            database,
+            OpDeltaIntegrator(database.internal_session(), analyzer=ANALYZER),
+            "UPDATE parts SET status = 'sup3' WHERE supplier_id = 3",
+        )
+        assert (scanned, probes) == (0, 1)
+        assert report.rows_affected == len(supplied)
+        assert sorted(
+            v[0] for _r, v in mirror.scan() if v[4] == "sup3"
+        ) == sorted(supplied)
 
 
 class TestRecordStage:
