@@ -324,16 +324,12 @@ class MaterializedView:
                 "image-based maintenance cannot locate rows"
             )
         key_value = base_row[self.base_schema.column_index(self._key)]
+        # A projected key is the storage table's primary key (__init__), so
+        # the table has had its unique B-tree since it was created.
         index = self.table.index_on(self._key)
-        if index is not None:
-            matches = index.lookup(key_value)
-            if not matches:
-                return False
-            self.table.delete(txn, matches[0])
-            return True
-        position = self.table.schema.column_index(self._key)
-        for row_id, values in self.table.scan():
-            if values[position] == key_value:
-                self.table.delete(txn, row_id)
-                return True
-        return False
+        assert index is not None
+        matches = index.lookup(key_value)
+        if not matches:
+            return False
+        self.table.delete(txn, matches[0])
+        return True
