@@ -1,6 +1,7 @@
 """The project-specific AST lint (tools/lint_rules.py)."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -935,6 +936,84 @@ class TestRepro012OneWritePath:
             if "compile_after_image(" in path.read_text(encoding="utf-8")
         ]
         assert callers == ["core/opdelta.py", "sql/expressions.py"]
+
+
+class TestRepro013OneAccessPathChooser:
+    PLANNER = "repro/sql/planner.py"
+    TABLE = "repro/engine/table.py"
+    VIEWS = "repro/warehouse/views.py"
+    APPLIER = "repro/columnar/apply.py"
+
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO013" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    def test_index_probe_outside_the_chooser_flagged(self, tmp_path):
+        probe = "def path(table, column):\n    return table.index_on(column)\n"
+        for home in (self.PLANNER, self.TABLE, self.VIEWS):
+            assert lint_source(tmp_path, probe, name=home) == []
+        for elsewhere in (
+            "repro/sql/executor.py",
+            self.APPLIER,
+            "repro/warehouse/aggregates.py",
+        ):
+            violations = lint_source(tmp_path, probe, name=elsewhere)
+            assert self.flagged(violations) == [2], elsewhere
+            assert "choose_path" in violations[0]
+
+    def test_budgets_are_per_module(self, tmp_path):
+        second = (
+            "def choose_path(table, column):\n"
+            "    return table.index_on(column)\n"
+            "def another(table, column):\n"
+            "    return table.index_on(column)\n"
+        )
+        assert self.flagged(lint_source(tmp_path, second, name=self.PLANNER)) == [4]
+        # The two view look-ups (view key, dimension key) and no third.
+        assert lint_source(tmp_path, second, name=self.VIEWS) == []
+        third = second + "def more(table):\n    return table.index_on('k')\n"
+        assert self.flagged(lint_source(tmp_path, third, name=self.VIEWS)) == [6]
+
+    def test_table_image_has_one_call_site(self, tmp_path):
+        image = "def image(table):\n    return ColumnBatch.from_table(table)\n"
+        assert lint_source(tmp_path, image, name=self.APPLIER) == []
+        again = image + "def again(table):\n    return ColumnBatch.from_table(table)\n"
+        assert self.flagged(lint_source(tmp_path, again, name=self.APPLIER)) == [4]
+        assert self.flagged(
+            lint_source(tmp_path, image, name="repro/warehouse/views.py")
+        ) == [2]
+        # Defining the constructor is not calling it.
+        definition = (
+            "class ColumnBatch:\n"
+            "    @classmethod\n"
+            "    def from_table(cls, table):\n"
+            "        return cls(table.schema.column_names)\n"
+        )
+        assert lint_source(tmp_path, definition, name="repro/columnar/batch.py") == []
+
+    def test_shipped_tree_has_one_chooser(self):
+        package = REPO / "src" / "repro"
+        probes, images = {}, {}
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO013" in v
+            ] == [], path
+            text = path.read_text(encoding="utf-8")
+            name = path.relative_to(package).as_posix()
+            # Call sites only: not the definitions, not prose in docstrings.
+            if count := len(re.findall(r"(?<!def )\bindex_on\(", text)):
+                probes[name] = count
+            if count := len(re.findall(r"\bColumnBatch\.from_table\(", text)):
+                images[name] = count
+        # The budgets are met exactly: the chooser, Table.lookup, the view-key
+        # and dimension-key look-ups; and the applier's one table image.
+        assert probes == {
+            "engine/table.py": 1,
+            "sql/planner.py": 1,
+            "warehouse/views.py": 2,
+        }
+        assert images == {"columnar/apply.py": 1}
 
 
 class TestCommandLine:

@@ -151,6 +151,19 @@ routine (the row-image routine both maintenance paths feed); and
 occurrence past the budget is flagged: extend the shared routine instead
 of restating it.
 
+**REPRO013 — one access-path chooser.**  Whether a statement reads a table
+through an index or by scanning it is decided in one place,
+``choose_path`` in ``repro/sql/planner.py``, for the executor and the
+columnar applier alike; a module that probes ``index_on(`` on its own, or
+transposes a table with ``ColumnBatch.from_table(`` on its own, is a second
+chooser whose plans, costs and diagnostics nobody compares with the first.
+So the call sites are counted: ``index_on(`` is called once by the chooser,
+once by ``repro/engine/table.py`` (``Table.lookup``) and twice by
+``repro/warehouse/views.py`` (the view-key and dimension-key look-ups),
+and ``from_table(`` is called once, by ``repro/columnar/apply.py`` (the
+image a statement without an index path needs); anywhere else, and past
+those budgets, the call is flagged.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -337,6 +350,15 @@ AGGREGATE_VIEW_SUFFIX = "repro/warehouse/aggregates.py"
 #: The modules that may call ``compile_after_image`` (REPRO012): the
 #: evaluator that defines it and the one Op-Delta → row-image derivation.
 AFTER_IMAGE_SUFFIXES = ("repro/sql/expressions.py", "repro/core/opdelta.py")
+
+#: REPRO013: module suffix -> how many ``index_on(`` / ``from_table(``
+#: calls it may make; every other module may make none.
+INDEX_PROBE_BUDGETS = {
+    "repro/sql/planner.py": 1,
+    TABLE_SUFFIX: 1,
+    SPJ_VIEW_SUFFIX: 2,
+}
+TABLE_IMAGE_BUDGETS = {"repro/columnar/apply.py": 1}
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
 
@@ -684,6 +706,32 @@ def _write_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
     return violations
 
 
+def _access_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
+    """REPRO013: ``index_on(`` / ``from_table(`` calls past a module's budget."""
+    violations: list[str] = []
+    for method, budgets, advice in (
+        ("index_on", INDEX_PROBE_BUDGETS,
+         "ask repro.sql.planner.choose_path for the access path"),
+        ("from_table", TABLE_IMAGE_BUDGETS,
+         "the columnar applier builds the one table image a component needs"),
+    ):
+        budget = next(
+            (n for suffix, n in budgets.items() if normalized.endswith(suffix)), 0
+        )
+        calls = sorted(
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (dotted_name(node.func) or "").rsplit(".", 1)[-1] == method
+        )
+        violations.extend(
+            f"{path}:{lineno}: REPRO013 {method}() called outside the one "
+            f"access-path chooser; {advice}"
+            for lineno in calls[budget:]
+        )
+    return violations
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -710,6 +758,7 @@ def lint_file(path: Path) -> list[str]:
         )
     )
     violations.extend(_write_path_violations(path, tree, normalized))
+    violations.extend(_access_path_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
