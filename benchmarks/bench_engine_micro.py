@@ -187,3 +187,26 @@ def test_update_apply_columnar(benchmark, populated):
         return affected
 
     assert benchmark(columnar_apply) > 0
+
+
+_POINT_UPDATE_SQL = "UPDATE parts SET status = 'benched' WHERE part_id = 4242"
+
+
+def test_point_update_apply_columnar(benchmark, populated):
+    """One PK-point statement per fresh component: the per-statement cost the
+    host benchmark's ``opdelta_batched`` workload is made of (the batch is the
+    row the key index reaches, whatever the table holds)."""
+    database, _workload = populated
+    session = database.internal_session()
+    applier = ColumnarApplier(session)
+    statement = parse(_POINT_UPDATE_SQL)
+
+    def columnar_point_apply():
+        applier.begin_component()  # nothing resident: the chooser is asked
+        session.begin()
+        txn = session.current_transaction
+        affected = applier.apply_mirror(statement, txn, _POINT_UPDATE_SQL)
+        session.commit()
+        return affected
+
+    assert benchmark(columnar_point_apply) == 1
