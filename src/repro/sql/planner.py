@@ -60,21 +60,17 @@ def choose_path(
             return AccessPath(f"index({index.name})", index.lookup(value))
         if op in _RANGE_OPS and index.supports_range:
             bound, inclusive = _RANGE_OPS[op]
-            low = value if bound == "low" else None
-            high = value if bound == "high" else None
-            matching = index.estimate_range(
-                low, high,
-                include_low=inclusive if bound == "low" else True,
-                include_high=inclusive if bound == "high" else True,
+            # One-sided: the open side is None, and its flag is not read.
+            span = (
+                (value, None, inclusive, True)
+                if bound == "low"
+                else (None, value, True, inclusive)
             )
             total = max(1, table.num_rows)
-            if matching / total <= INDEX_SELECTIVITY_THRESHOLD:
-                row_ids = index.range_scan(
-                    low, high,
-                    include_low=inclusive if bound == "low" else True,
-                    include_high=inclusive if bound == "high" else True,
+            if index.estimate_range(*span) / total <= INDEX_SELECTIVITY_THRESHOLD:
+                return AccessPath(
+                    f"index-range({index.name})", index.range_scan(*span)
                 )
-                return AccessPath(f"index-range({index.name})", row_ids)
     return AccessPath("scan", None)
 
 

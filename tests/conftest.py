@@ -10,10 +10,9 @@ from repro.engine.types import FLOAT, INTEGER, TIMESTAMP, char
 from repro.workloads import OltpWorkload, PartsGenerator, parts_schema
 
 # Tier-1 is a gate, so it draws the same examples on every run.  Searching
-# for new counterexamples stays one flag away: hypothesis's own
-# ``--hypothesis-profile=explore`` overrides the profile loaded here.
+# for new counterexamples stays one flag away: ``--hypothesis-profile=default``
+# (hypothesis's own random profile) overrides the profile loaded here.
 settings.register_profile("tier1", derandomize=True)
-settings.register_profile("explore", derandomize=False)
 settings.load_profile("tier1")
 
 

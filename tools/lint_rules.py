@@ -638,6 +638,16 @@ def _record_format_violations(
     return violations
 
 
+def _calls_to(nodes: list[ast.AST], method: str) -> list[ast.AST]:
+    """The calls among ``nodes`` whose target's last name is ``method``."""
+    return [
+        node
+        for node in nodes
+        if isinstance(node, ast.Call)
+        and (dotted_name(node.func) or "").rsplit(".", 1)[-1] == method
+    ]
+
+
 def _write_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
     """REPRO012: occurrences past the budget of a write-path piece."""
     violations: list[str] = []
@@ -651,12 +661,7 @@ def _write_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
             )
 
     def calls_to(method: str) -> list[ast.AST]:
-        return [
-            node
-            for node in nodes
-            if isinstance(node, ast.Call)
-            and (dotted_name(node.func) or "").rsplit(".", 1)[-1] == method
-        ]
+        return _calls_to(nodes, method)
 
     if normalized.endswith(TABLE_SUFFIX):
         for kind in ("INSERT", "UPDATE", "DELETE"):
@@ -709,6 +714,7 @@ def _write_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
 def _access_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
     """REPRO013: ``index_on(`` / ``from_table(`` calls past a module's budget."""
     violations: list[str] = []
+    nodes = list(ast.walk(tree))
     for method, budgets, advice in (
         ("index_on", INDEX_PROBE_BUDGETS,
          "ask repro.sql.planner.choose_path for the access path"),
@@ -718,12 +724,7 @@ def _access_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[
         budget = next(
             (n for suffix, n in budgets.items() if normalized.endswith(suffix)), 0
         )
-        calls = sorted(
-            node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and (dotted_name(node.func) or "").rsplit(".", 1)[-1] == method
-        )
+        calls = sorted(node.lineno for node in _calls_to(nodes, method))
         violations.extend(
             f"{path}:{lineno}: REPRO013 {method}() called outside the one "
             f"access-path chooser; {advice}"
