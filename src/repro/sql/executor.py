@@ -2,6 +2,9 @@
 
 How each table is read — index lookup, index range scan or full scan — is
 decided by the one access-path chooser, :func:`repro.sql.planner.choose_path`.
+SELECT reads through the contract of :mod:`repro.sql.source` only, so it runs
+over anything that satisfies it; every other statement needs an engine
+:class:`Database` and a transaction.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .expressions import (
     walk,
 )
 from .planner import AccessPath, choose_path
+from .source import RowSource, SourceDatabase
 
 
 @dataclass
@@ -128,9 +132,9 @@ def _columns_read(
 
 
 class Executor:
-    """Executes parsed statements against one :class:`Database`."""
+    """Executes parsed statements against one database."""
 
-    def __init__(self, database: Database) -> None:
+    def __init__(self, database: SourceDatabase) -> None:
         self._db = database
         # Session randomness for RANDOM(): a *seeded* stream so whole runs
         # stay deterministic, while the value still depends on how many
@@ -139,7 +143,7 @@ class Executor:
         self._context: dict[str, Any] = {}
 
     # ------------------------------------------------------------------ entry
-    def execute(self, statement: ast.Statement, txn: Transaction) -> Result:
+    def execute(self, statement: ast.Statement, txn: Transaction | None) -> Result:
         # Session context for volatile functions, fixed per statement:
         # NOW() is the statement's virtual start time (SQL semantics).
         self._context = {
@@ -149,21 +153,27 @@ class Executor:
         }
         if isinstance(statement, ast.SelectStmt):
             return self._select(statement)
+        db = self._db
+        if txn is None or not isinstance(db, Database):
+            raise SqlAnalysisError(
+                f"{type(statement).__name__} needs an engine database and a "
+                f"transaction; {db.name!r} is read through SELECT only"
+            )
         if isinstance(statement, ast.InsertStmt):
-            return self._insert(statement, txn)
+            return self._insert(db, statement, txn)
         if isinstance(statement, ast.UpdateStmt):
-            return self._update(statement, txn)
+            return self._update(db, statement, txn)
         if isinstance(statement, ast.DeleteStmt):
-            return self._delete(statement, txn)
+            return self._delete(db, statement, txn)
         if isinstance(statement, ast.CreateTableStmt):
-            return self._create_table(statement)
+            return self._create_table(db, statement)
         if isinstance(statement, ast.CreateIndexStmt):
-            return self._create_index(statement)
+            return self._create_index(db, statement)
         if isinstance(statement, ast.DropTableStmt):
-            self._db.drop_table(statement.table)
+            db.drop_table(statement.table)
             return Result(plan="drop")
         if isinstance(statement, ast.TruncateStmt):
-            removed = self._db.table(statement.table).truncate()
+            removed = db.table(statement.table).truncate()
             return Result(rows_affected=removed, plan="truncate")
         raise SqlAnalysisError(
             f"executor cannot handle {type(statement).__name__} "
@@ -237,8 +247,8 @@ class Executor:
 
     @staticmethod
     def _candidates(
-        table: Table, path: AccessPath, columns: Sequence[int]
-    ) -> Iterable[tuple[RowId, tuple[Any, ...]]]:
+        table: RowSource, path: AccessPath, columns: Sequence[int]
+    ) -> Iterable[tuple[Any, tuple[Any, ...]]]:
         """The rows the access path reads (their ``columns``), before the predicate."""
         if path.row_ids is None:
             return table.scan(columns)
@@ -248,7 +258,7 @@ class Executor:
         self,
         left_rows: Iterable[tuple[Any, ...]],
         probe: Compiled,
-        right_rows: Iterable[tuple[RowId, tuple[Any, ...]]],
+        right_rows: Iterable[tuple[Any, tuple[Any, ...]]],
         build_key: int,
     ) -> Iterator[tuple[Any, ...]]:
         build: dict[Any, list[tuple[Any, ...]]] = {}
@@ -412,8 +422,8 @@ class Executor:
         return item.expr.to_sql()
 
     # -------------------------------------------------------------------- DML
-    def _insert(self, stmt: ast.InsertStmt, txn: Transaction) -> Result:
-        table = self._db.table(stmt.table)
+    def _insert(self, db: Database, stmt: ast.InsertStmt, txn: Transaction) -> Result:
+        table = db.table(stmt.table)
         columns = table.schema.column_names
         if stmt.select is not None:
             arrange = insert_arranger(stmt, columns, SqlAnalysisError)
@@ -451,8 +461,8 @@ class Executor:
         ]
         return path.description, scope, matches
 
-    def _update(self, stmt: ast.UpdateStmt, txn: Transaction) -> Result:
-        table = self._db.table(stmt.table)
+    def _update(self, db: Database, stmt: ast.UpdateStmt, txn: Transaction) -> Result:
+        table = db.table(stmt.table)
         description, scope, matches = self._matches(
             table, stmt.where, [a.expr for a in stmt.assignments]
         )
@@ -468,15 +478,15 @@ class Executor:
             )
         return Result(rows_affected=len(matches), plan=f"update:{description}")
 
-    def _delete(self, stmt: ast.DeleteStmt, txn: Transaction) -> Result:
-        table = self._db.table(stmt.table)
+    def _delete(self, db: Database, stmt: ast.DeleteStmt, txn: Transaction) -> Result:
+        table = db.table(stmt.table)
         description, _scope, matches = self._matches(table, stmt.where)
         for row_id, _values in matches:
             table.delete(txn, row_id)
         return Result(rows_affected=len(matches), plan=f"delete:{description}")
 
     # -------------------------------------------------------------------- DDL
-    def _create_table(self, stmt: ast.CreateTableStmt) -> Result:
+    def _create_table(self, db: Database, stmt: ast.CreateTableStmt) -> Result:
         columns = []
         primary_key = None
         for definition in stmt.columns:
@@ -490,10 +500,10 @@ class Executor:
                     )
                 primary_key = definition.name
         schema = TableSchema(stmt.table, columns, primary_key=primary_key)
-        self._db.create_table(schema)
+        db.create_table(schema)
         return Result(plan="create-table")
 
-    def _create_index(self, stmt: ast.CreateIndexStmt) -> Result:
-        table = self._db.table(stmt.table)
+    def _create_index(self, db: Database, stmt: ast.CreateIndexStmt) -> Result:
+        table = db.table(stmt.table)
         table.create_index(stmt.name, stmt.column, unique=stmt.unique, kind=stmt.kind)
         return Result(plan="create-index")

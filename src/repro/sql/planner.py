@@ -27,7 +27,7 @@ from .expressions import check_comparable, split_conjuncts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.rows import RowId
-    from ..engine.table import Table
+    from .source import RowSource
 
 #: Ranges matching more than this fraction of the table fall back to a scan.
 INDEX_SELECTIVITY_THRESHOLD = 0.05
@@ -45,7 +45,7 @@ class AccessPath:
 
 
 def choose_path(
-    table: "Table", alias: str, where: ast.Expression | None
+    table: "RowSource", alias: str, where: ast.Expression | None
 ) -> AccessPath:
     """Pick index lookup, index range scan, or full scan."""
     for conjunct in split_conjuncts(where):
@@ -66,7 +66,7 @@ def choose_path(
                 if bound == "low"
                 else (None, value, True, inclusive)
             )
-            total = max(1, table.num_rows)
+            total = max(1, index.num_entries)  # one entry per row of the table
             if index.estimate_range(*span) / total <= INDEX_SELECTIVITY_THRESHOLD:
                 return AccessPath(
                     f"index-range({index.name})", index.range_scan(*span)
@@ -75,7 +75,7 @@ def choose_path(
 
 
 def _column_vs_literal(
-    expr: ast.Expression, table: "Table", alias: str
+    expr: ast.Expression, table: "RowSource", alias: str
 ) -> tuple[str, str, Any] | None:
     """Match ``column OP literal`` (either operand order) on this table.
 

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.engine import Database
 from repro.errors import SqlAnalysisError
+from repro.sql.executor import Executor
+from repro.sql.parser import parse
 
 from .conftest import insert_parts
 
@@ -102,6 +105,90 @@ class TestAccessPaths:
         result = session.execute("SELECT part_id FROM parts WHERE part_id = 1.0")
         assert "index(pk_parts)" in result.plan
         assert result.rows == [(1,)]
+
+
+class ListSource:
+    """The read contract of :mod:`repro.sql.source` over a list: a copy of an
+    engine table's rows with no index; a row's position is its id."""
+
+    def __init__(self, table):
+        self.name = table.name
+        self.schema = table.schema
+        self.rows = [values for _row_id, values in table.scan()]
+
+    def scan(self, columns):
+        for position, row in enumerate(self.rows):
+            yield position, tuple(row[c] for c in columns)
+
+    def read(self, row_id, columns):
+        raise AssertionError("nothing planned an index path over this source")
+
+    def index_on(self, column):
+        return None
+
+
+class ListDatabase:
+    def __init__(self, database):
+        self.name = "lists"
+        self.clock = VirtualClock()
+        self.costs = database.costs
+        self._sources = {table.name: ListSource(table) for table in database.tables()}
+
+    def table(self, name):
+        return self._sources[name]
+
+
+class TestRowSources:
+    """SELECT runs over anything that satisfies the read contract."""
+
+    @pytest.mark.parametrize(
+        "sql, over_tables_plan",
+        [
+            ("SELECT * FROM parts WHERE part_id = 7", "parts:index(pk_parts)"),
+            (
+                "SELECT part_no, quantity FROM parts WHERE part_id < 3 "
+                "ORDER BY part_no",
+                "parts:index-range(pk_parts)",
+            ),
+            (
+                "SELECT status, COUNT(*), SUM(quantity) FROM parts "
+                "WHERE part_id >= 97 GROUP BY status",
+                "parts:index-range(pk_parts)",
+            ),
+            (
+                "SELECT p.part_id, s.region FROM parts p JOIN suppliers s "
+                "ON p.supplier_id = s.supplier_id WHERE p.part_id = 3",
+                "parts:index(pk_parts) join(suppliers:hash)",
+            ),
+        ],
+    )
+    def test_an_index_less_source_scans_to_the_same_rows(
+        self, session, sql, over_tables_plan
+    ):
+        over_tables = session.execute(sql)
+        assert over_tables.plan == over_tables_plan
+        # ListSource.read raises, so this also proves it is never called.
+        over_lists = Executor(ListDatabase(session.database)).execute(
+            parse(sql), None
+        )
+        assert over_lists.columns == over_tables.columns
+        assert over_lists.rows == over_tables.rows
+        assert over_lists.plan == over_tables_plan.replace(
+            over_tables_plan.split()[0], "parts:scan"
+        )
+
+    def test_only_select_runs_over_a_source(self, session):
+        lists = ListDatabase(session.database)
+        for sql in (
+            "DELETE FROM parts",
+            "UPDATE parts SET quantity = 0",
+            "INSERT INTO suppliers VALUES (99, 'x', 'y')",
+            "CREATE TABLE t (a INTEGER)",
+            "DROP TABLE parts",
+        ):
+            with pytest.raises(SqlAnalysisError, match="SELECT only"):
+                Executor(lists).execute(parse(sql), None)
+        assert len(lists.table("parts").rows) == 100
 
 
 class TestSelectFeatures:
