@@ -11,7 +11,8 @@ put each op, window and view where it is on the latency ladder).
 * :mod:`repro.obs.introspect.tables` — schemas + snapshot adapters;
 * :mod:`repro.obs.introspect.forensics` — the critical-path pass;
 * :mod:`repro.obs.introspect.catalog` — :class:`SystemCatalog`, the
-  parse → check → materialise → execute query path;
+  parse → check → execute query path (the executor reads the adapters'
+  rows in place);
 * :mod:`repro.obs.introspect.meta` — :class:`MetaObservatory`, the
   monitoring views the pipeline maintains incrementally over its own
   telemetry (the paper, dogfooded).

@@ -5,33 +5,81 @@ existing SQL front end.  A query runs through the same parser, the same
 :class:`~repro.semantics.checker.SemanticChecker` (resolving names
 against the system-table schemas, so a typo in a telemetry query gets
 the same positioned diagnostic as one in application SQL) and the same
-executor — the only introspection-specific machinery is the snapshot
-step that materialises the *referenced* tables into a scratch database.
+executor, which reads the stores where they live: each referenced table
+is its adapter's rows, served in place through the read contract of
+:mod:`repro.sql.source`.  Nothing is copied into an engine table, so no
+value is cut to a column width or re-encoded on the way.
 
 Two invariants the catalog enforces:
 
 * **Read-only.**  Only ``SELECT`` reaches the executor; any DML/DDL
   statement is refused before semantic analysis.
-* **Zero observer cost.**  The scratch database gets its own
-  :class:`~repro.clock.VirtualClock`, its own metrics registry and the
-  null tracer, so however expensive a telemetry query is, the observed
+* **Zero observer cost.**  What a query reads carries its own
+  :class:`~repro.clock.VirtualClock` and touches no metrics registry or
+  tracer, so however expensive a telemetry query is, the observed
   pipeline's virtual time, metrics and traces are untouched.  Adapters
   only read the live stores; nothing is written back.
 """
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence
+
 from ...clock import VirtualClock
-from ...engine.database import Database
-from ...engine.table import InsertMode
+from ...engine.costs import DEFAULT_COST_MODEL
 from ...errors import ObservabilityError
 from ...semantics.checker import SchemaCatalog, SemanticChecker
 from ...sql import ast_nodes as ast
 from ...sql.executor import Executor, Result
 from ...sql.parser import parse
-from ..metrics import MetricsRegistry
-from ..tracing import NULL_TRACER
-from .tables import SYS_TABLES, StoreBundle
+from .tables import SYS_TABLES, Row, StoreBundle, SysTable
+
+
+class _SysSource:
+    """One ``sys.*`` table as one query reads it: the adapter's rows, in place.
+
+    A row's position is its id.  There is no index, so the access-path
+    chooser always plans ``scan``.
+    """
+
+    def __init__(self, table: SysTable, bundle: StoreBundle) -> None:
+        self.name = table.name
+        self.schema = table.schema
+        self._rows = table.rows(bundle)
+
+    def read(self, row_id: int, columns: Sequence[int]) -> Row:
+        row = self._rows[row_id]
+        return tuple(row[c] for c in columns)
+
+    def scan(self, columns: Sequence[int]) -> Iterator[tuple[int, Row]]:
+        for row_id in range(len(self._rows)):
+            yield row_id, self.read(row_id, columns)
+
+    def index_on(self, column: str) -> None:
+        return None
+
+
+class _SysDatabase:
+    """What one query reads of a :class:`StoreBundle`.
+
+    A table's adapter runs on the query's first reference to it and the
+    rows are kept for the rest of the query, so a self-join sees one
+    snapshot; the next query starts over.  The CPU the executor charges
+    for join probes and sorts lands on a clock private to the query.
+    """
+
+    name = "sys"
+    costs = DEFAULT_COST_MODEL
+
+    def __init__(self, bundle: StoreBundle) -> None:
+        self._bundle = bundle
+        self._sources: dict[str, _SysSource] = {}
+        self.clock = VirtualClock()
+
+    def table(self, name: str) -> _SysSource:
+        if name not in self._sources:
+            self._sources[name] = _SysSource(SYS_TABLES[name], self._bundle)
+        return self._sources[name]
 
 
 class SystemCatalog:
@@ -39,6 +87,7 @@ class SystemCatalog:
 
     def __init__(self, bundle: StoreBundle) -> None:
         self._bundle = bundle
+        self._checker = SemanticChecker(self.schema_catalog())
 
     @property
     def bundle(self) -> StoreBundle:
@@ -66,51 +115,11 @@ class SystemCatalog:
                 "the system catalog is read-only: "
                 f"{type(statement).__name__} is not a SELECT"
             )
-        check = SemanticChecker(self.schema_catalog()).check_statement(statement)
+        check = self._checker.check_statement(statement)
         check.raise_if_errors(sql)
         checked = check.statement
         assert isinstance(checked, ast.SelectStmt)
         return self._execute(checked)
 
     def _execute(self, statement: ast.SelectStmt) -> Result:
-        database = self._scratch_database(self._referenced_tables(statement))
-        txn = database.begin()
-        try:
-            return Executor(database).execute(statement, txn)
-        finally:
-            database.commit(txn)
-
-    @staticmethod
-    def _referenced_tables(statement: ast.SelectStmt) -> list[str]:
-        names = [] if statement.table is None else [statement.table]
-        names.extend(join.table for join in statement.joins)
-        # Preserve first-reference order, drop duplicates.
-        return list(dict.fromkeys(names))
-
-    def _scratch_database(self, names: list[str]) -> Database:
-        """Materialise the referenced snapshots into an isolated engine.
-
-        The scratch database's clock starts at zero and advances only
-        with the query's own work; its metrics registry and null tracer
-        keep the observed pipeline's telemetry byte-identical whether or
-        not anyone is querying it.
-        """
-        database = Database(
-            "sys",
-            clock=VirtualClock(),
-            metrics=MetricsRegistry(),
-            tracer=NULL_TRACER,
-        )
-        for name in names:
-            sys_table = SYS_TABLES[name]
-            database.create_table(sys_table.schema)
-            rows = sys_table.rows(self._bundle)
-            if not rows:
-                continue
-            table = database.table(name)
-            txn = database.begin()
-            table.insert_many(
-                txn, rows, mode=InsertMode.BULK_INTERNAL, fire_triggers=False
-            )
-            database.commit(txn)
-        return database
+        return Executor(_SysDatabase(self._bundle)).execute(statement, txn=None)

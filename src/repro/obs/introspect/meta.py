@@ -283,8 +283,8 @@ class MetaObservatory:
         for source, table, captured, applied, lag_ms in result.rows:
             entity = f"{source}/{table}"[:48]
             desired[entity] = (
-                source,
-                table,
+                source[:24],
+                table[:24],
                 float(captured),
                 float(applied),
                 float(lag_ms),

@@ -21,10 +21,11 @@ The eight tables and their sources:
 ``sys.critical_path``  :class:`.forensics.CriticalPathAnalyzer`
 =====================  ====================================================
 
-String values are clipped to the declared CHAR width and sanitised to
-latin-1 (the engine's fixed-width record encoding) so no telemetry value
-— however exotic a statement detail gets — can make a snapshot fail to
-materialise.
+Rows are served to the executor as the adapter yields them (see
+:mod:`.catalog`): no value passes through a record codec, so text comes
+back whole and in its own characters, and each adapter yields exactly
+its column's Python type (``str`` / ``int`` / ``float``, or ``None``)
+because nothing downstream coerces.
 """
 
 from __future__ import annotations
@@ -48,12 +49,9 @@ Row = tuple[Any, ...]
 #: integrator's lane scheduler stamps it); absent means NULL.
 _LANE_PATTERN = re.compile(r"\blane=(\d+)\b")
 
-
-def clip(value: Any, width: int) -> str:
-    """Render ``value`` as a latin-1-safe string of at most ``width`` chars."""
-    text = "" if value is None else str(value)
-    text = text.encode("latin-1", "replace").decode("latin-1")
-    return text[:width]
+#: A text column.  Nothing stores these rows, so the width bounds nothing:
+#: the checker and the access-path chooser read only that it is text.
+TEXT = char(255)
 
 
 @dataclass
@@ -88,23 +86,23 @@ class SysTable:
 EVENTS_SCHEMA = TableSchema(
     "sys.events",
     [
-        Column("correlation_id", char(48), nullable=False),
-        Column("kind", char(16), nullable=False),
+        Column("correlation_id", TEXT, nullable=False),
+        Column("kind", TEXT, nullable=False),
         Column("at_ms", FLOAT, nullable=False),
-        Column("source", char(24)),
-        Column("table_name", char(24)),
+        Column("source", TEXT),
+        Column("table_name", TEXT),
         Column("txn_id", INTEGER),
         Column("sequence", INTEGER),
         Column("lane", INTEGER),
-        Column("detail", char(96)),
+        Column("detail", TEXT),
     ],
 )
 
 METRICS_SCHEMA = TableSchema(
     "sys.metrics",
     [
-        Column("name", char(96), nullable=False),
-        Column("kind", char(12), nullable=False),
+        Column("name", TEXT, nullable=False),
+        Column("kind", TEXT, nullable=False),
         Column("value", FLOAT, nullable=False),
     ],
 )
@@ -112,8 +110,8 @@ METRICS_SCHEMA = TableSchema(
 WATERMARKS_SCHEMA = TableSchema(
     "sys.watermarks",
     [
-        Column("source", char(24), nullable=False),
-        Column("table_name", char(24)),
+        Column("source", TEXT, nullable=False),
+        Column("table_name", TEXT),
         Column("low_seq", INTEGER),
         Column("high_seq", INTEGER),
         Column("captured", INTEGER),
@@ -130,7 +128,7 @@ WATERMARKS_SCHEMA = TableSchema(
 LAG_SCHEMA = TableSchema(
     "sys.lag",
     [
-        Column("stage", char(20), nullable=False),
+        Column("stage", TEXT, nullable=False),
         Column("sample_index", INTEGER, nullable=False),
         Column("value_ms", FLOAT, nullable=False),
     ],
@@ -139,7 +137,7 @@ LAG_SCHEMA = TableSchema(
 SERIES_SCHEMA = TableSchema(
     "sys.series",
     [
-        Column("series", char(64), nullable=False),
+        Column("series", TEXT, nullable=False),
         Column("sample_index", INTEGER, nullable=False),
         Column("at_ms", FLOAT, nullable=False),
         Column("value", FLOAT, nullable=False),
@@ -149,8 +147,8 @@ SERIES_SCHEMA = TableSchema(
 COST_SCHEMA = TableSchema(
     "sys.cost",
     [
-        Column("stage", char(20), nullable=False),
-        Column("entity", char(32), nullable=False),
+        Column("stage", TEXT, nullable=False),
+        Column("entity", TEXT, nullable=False),
         Column("self_ns", INTEGER, nullable=False),
         Column("self_ms", FLOAT, nullable=False),
         Column("spans", INTEGER, nullable=False),
@@ -160,32 +158,32 @@ COST_SCHEMA = TableSchema(
 SLO_SCHEMA = TableSchema(
     "sys.slo",
     [
-        Column("code", char(8), nullable=False),
-        Column("severity", char(8), nullable=False),
-        Column("state", char(8), nullable=False),
+        Column("code", TEXT, nullable=False),
+        Column("severity", TEXT, nullable=False),
+        Column("state", TEXT, nullable=False),
         Column("at_ms", FLOAT, nullable=False),
-        Column("objective", char(40), nullable=False),
-        Column("entity", char(32), nullable=False),
+        Column("objective", TEXT, nullable=False),
+        Column("entity", TEXT, nullable=False),
         Column("short_burn", FLOAT, nullable=False),
         Column("long_burn", FLOAT, nullable=False),
-        Column("message", char(120), nullable=False),
+        Column("message", TEXT, nullable=False),
     ],
 )
 
 CRITICAL_PATH_SCHEMA = TableSchema(
     "sys.critical_path",
     [
-        Column("correlation_id", char(48), nullable=False),
-        Column("source", char(24), nullable=False),
-        Column("table_name", char(24), nullable=False),
+        Column("correlation_id", TEXT, nullable=False),
+        Column("source", TEXT, nullable=False),
+        Column("table_name", TEXT, nullable=False),
         Column("window_index", INTEGER, nullable=False),
-        Column("views", char(64), nullable=False),
+        Column("views", TEXT, nullable=False),
         Column("check_ms", FLOAT, nullable=False),
         Column("ship_ms", FLOAT, nullable=False),
         Column("queue_ms", FLOAT, nullable=False),
         Column("apply_ms", FLOAT, nullable=False),
         Column("end_to_end_ms", FLOAT, nullable=False),
-        Column("critical_stage", char(12), nullable=False),
+        Column("critical_stage", TEXT, nullable=False),
     ],
 )
 
@@ -199,15 +197,15 @@ def _events_rows(bundle: StoreBundle) -> list[Row]:
         lane_match = _LANE_PATTERN.search(event.detail) if event.detail else None
         rows.append(
             (
-                clip(event.correlation_id, 48),
-                clip(event.kind.value, 16),
+                event.correlation_id,
+                event.kind.value,
                 float(event.at_ms),
-                clip(event.source, 24),
-                clip(event.table, 24),
+                event.source,
+                event.table,
                 event.txn_id,
                 event.sequence,
                 int(lane_match.group(1)) if lane_match else None,
-                clip(event.detail, 96),
+                event.detail,
             )
         )
     return rows
@@ -226,9 +224,7 @@ def _metrics_rows(bundle: StoreBundle) -> list[Row]:
             value = float(instrument.value)
         else:  # pragma: no cover - the registry mints only these three
             continue
-        rows.append(
-            (clip(instrument.qualified_name, 96), clip(instrument.kind, 12), value)
-        )
+        rows.append((instrument.qualified_name, instrument.kind, value))
     return rows
 
 
@@ -240,7 +236,7 @@ def _watermarks_rows(bundle: StoreBundle) -> list[Row]:
         source = bundle.recorder.sources[name]
         rows.append(
             (
-                clip(source.source, 24),
+                source.source,
                 None,
                 source.low_seq,
                 source.high_seq,
@@ -258,8 +254,8 @@ def _watermarks_rows(bundle: StoreBundle) -> list[Row]:
         table = bundle.recorder.tables[key]
         rows.append(
             (
-                clip(table.source, 24),
-                clip(table.table, 24),
+                table.source,
+                table.table,
                 None,
                 None,
                 None,
@@ -282,7 +278,7 @@ def _lag_rows(bundle: StoreBundle) -> list[Row]:
     for stage in sorted(bundle.recorder.lags):
         samples = bundle.recorder.lags[stage]
         for index, value in enumerate(samples.values):
-            rows.append((clip(stage, 20), index, float(value)))
+            rows.append((stage, index, float(value)))
     return rows
 
 
@@ -298,7 +294,7 @@ def _series_rows(bundle: StoreBundle) -> list[Row]:
         # index N, making retention loss visible as a gap from zero.
         base = series.recorded - len(series)
         for offset, (at_ms, value) in enumerate(series.window()):
-            rows.append((clip(name, 64), base + offset, float(at_ms), float(value)))
+            rows.append((name, base + offset, float(at_ms), float(value)))
     return rows
 
 
@@ -307,8 +303,8 @@ def _cost_rows(bundle: StoreBundle) -> list[Row]:
         return []
     return [
         (
-            clip(row.stage, 20),
-            clip(row.entity, 32),
+            row.stage,
+            row.entity,
             int(row.self_ns),
             float(row.self_ms),
             int(row.spans),
@@ -333,15 +329,15 @@ def _slo_rows(bundle: StoreBundle) -> list[Row]:
         return []
     return [
         (
-            clip(finding.code, 8),
-            clip(finding.severity, 8),
-            clip(_SLO_STATES.get(finding.code, "fired"), 8),
+            finding.code,
+            finding.severity,
+            _SLO_STATES.get(finding.code, "fired"),
             float(finding.at_ms),
-            clip(finding.objective, 40),
-            clip(finding.entity, 32),
+            finding.objective,
+            finding.entity,
             float(finding.short_burn),
             float(finding.long_burn),
-            clip(finding.message, 120),
+            finding.message,
         )
         for finding in bundle.slo.history
     ]
@@ -352,17 +348,17 @@ def _critical_path_rows(bundle: StoreBundle) -> list[Row]:
         return []
     return [
         (
-            clip(row.correlation_id, 48),
-            clip(row.source, 24),
-            clip(row.table, 24),
+            row.correlation_id,
+            row.source,
+            row.table,
             row.window_index,
-            clip(",".join(row.views), 64),
+            ",".join(row.views),
             row.check_ms,
             row.ship_ms,
             row.queue_ms,
             row.apply_ms,
             row.end_to_end_ms,
-            clip(row.critical_stage, 12),
+            row.critical_stage,
         )
         for row in CriticalPathAnalyzer(bundle.recorder).rows()
     ]

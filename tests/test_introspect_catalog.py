@@ -2,16 +2,28 @@
 
 import pytest
 
+from repro.bench import introspect as bench_introspect
 from repro.clock import VirtualClock
+from repro.engine import Database
+from repro.engine.table import InsertMode
+from repro.engine.types import FLOAT, INTEGER
 from repro.errors import ObservabilityError, SemanticError
 from repro.obs.flight import SLOEngine, TimeSeriesStore
 from repro.obs.flight.attribution import CostAttributor
 from repro.obs.flight.slo import FreshnessSLO
-from repro.obs.introspect import SYS_TABLES, StoreBundle, SystemCatalog
-from repro.obs.introspect.tables import clip
+from repro.obs.introspect import (
+    SYS_TABLES,
+    MetaObservatory,
+    StoreBundle,
+    SysTable,
+    SystemCatalog,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.pipeline import PipelineRecorder
 from repro.obs.tracing import Tracer
+from repro.semantics.checker import SemanticChecker
+from repro.sql.executor import Executor
+from repro.sql.parser import parse
 
 from .test_introspect_forensics import FakeGroup, FakeOp, two_round_recorder
 
@@ -41,6 +53,7 @@ def populated_bundle() -> StoreBundle:
     with tracer.span("warehouse.apply", clock=VirtualClock(), table="parts"):
         pass
     engine = SLOEngine(store, [FreshnessSLO("v", target_ms=10.0)])
+    engine.evaluate(3.0)  # no staleness samples yet: one SLO005 finding
     return StoreBundle(
         recorder=two_round_recorder(),
         metrics=metrics,
@@ -202,20 +215,188 @@ class TestIsolation:
         second = catalog.query("SELECT COUNT(*) FROM sys.events").scalar()
         assert second == first + 1
 
+    def test_a_self_join_reads_the_store_once(self, monkeypatch):
+        events = SYS_TABLES["sys.events"]
+        calls = []
+
+        def counted(bundle):
+            calls.append(bundle)
+            return events.rows(bundle)
+
+        monkeypatch.setitem(
+            SYS_TABLES, "sys.events", SysTable(events.schema, counted)
+        )
+        catalog = SystemCatalog(populated_bundle())
+        pairs = catalog.query(
+            "SELECT COUNT(*) FROM sys.events a "
+            "JOIN sys.events b ON a.correlation_id = b.correlation_id"
+        ).scalar()
+        assert pairs > 0
+        assert len(calls) == 1
+        catalog.query("SELECT COUNT(*) FROM sys.events")
+        assert len(calls) == 2  # the next query reads the store again
+
+
+#: Per table: a text column to group by, a column to test for NULL and a
+#: column to order by.
+PARITY_COLUMNS = {
+    "sys.events": ("kind", "lane", "at_ms"),
+    "sys.metrics": ("kind", "value", "name"),
+    "sys.watermarks": ("source", "table_name", "captured_ops"),
+    "sys.lag": ("stage", "value_ms", "value_ms"),
+    "sys.series": ("series", "value", "sample_index"),
+    "sys.cost": ("stage", "entity", "self_ns"),
+    "sys.slo": ("state", "message", "at_ms"),
+    "sys.critical_path": ("critical_stage", "views", "end_to_end_ms"),
+}
+
+PARITY_QUERIES = [
+    sql.format(table=table, group=group, nullable=nullable, order=order)
+    for table, (group, nullable, order) in PARITY_COLUMNS.items()
+    for sql in (
+        "SELECT * FROM {table}",
+        "SELECT COUNT(*) FROM {table}",
+        "SELECT {group}, COUNT(*) FROM {table} GROUP BY {group}",
+        "SELECT * FROM {table} WHERE {nullable} IS NULL",
+        "SELECT {order}, {group} FROM {table} ORDER BY {order} DESC LIMIT 2",
+    )
+] + [
+    "SELECT e.kind, cp.critical_stage, cp.queue_ms FROM sys.critical_path cp "
+    "JOIN sys.events e ON cp.correlation_id = e.correlation_id "
+    "WHERE e.kind = 'applied'",
+]
+
+
+class TestEngineParity:
+    """The route this catalog used to take — copy the adapters' rows into
+    real engine tables, then query those — kept here as the reference."""
+
+    @pytest.fixture(scope="class")
+    def routes(self):
+        bundle = populated_bundle()
+        database = Database("sys")
+        for sys_table in SYS_TABLES.values():
+            table = database.create_table(sys_table.schema)
+            txn = database.begin()
+            table.insert_many(
+                txn, sys_table.rows(bundle), mode=InsertMode.BULK_INTERNAL
+            )
+            database.commit(txn)
+        return SystemCatalog(bundle), database
+
+    @pytest.mark.parametrize("sql", PARITY_QUERIES)
+    def test_same_columns_rows_and_plan_as_the_engine_route(self, routes, sql):
+        catalog, database = routes
+        served = catalog.query(sql)
+        checked = SemanticChecker(catalog.schema_catalog()).check_sql(sql).statement
+        txn = database.begin()
+        try:
+            copied = Executor(database).execute(checked, txn)
+        finally:
+            database.commit(txn)
+        assert served.columns == copied.columns
+        assert served.rows == copied.rows
+        assert served.plan == copied.plan
+
+    def test_the_matrix_is_not_vacuous(self, routes):
+        catalog, _database = routes
+        for table, (_group, nullable, _order) in PARITY_COLUMNS.items():
+            assert catalog.query(f"SELECT COUNT(*) FROM {table}").scalar() > 0
+        nulls = catalog.query(
+            "SELECT COUNT(*) FROM sys.watermarks WHERE table_name IS NULL"
+        ).scalar()
+        assert nulls > 0
+
+
+def drill_bundle(monkeypatch) -> StoreBundle:
+    """The stores of one ``--forensics`` drill run."""
+    catalogs = []
+
+    class Spy(SystemCatalog):
+        def __init__(self, bundle):
+            super().__init__(bundle)
+            catalogs.append(self)
+
+    monkeypatch.setattr(bench_introspect, "SystemCatalog", Spy)
+    bench_introspect.run_forensics()
+    return catalogs[0].bundle
+
+
+class TestTypeFidelity:
+    """No record codec coerces a served value, so each adapter must yield
+    exactly its column's Python type."""
+
+    @staticmethod
+    def violations(bundle):
+        found = []
+        for name, sys_table in SYS_TABLES.items():
+            rows = sys_table.rows(bundle)
+            assert rows, f"{name} is empty: nothing checked"
+            for row in rows:
+                assert len(row) == len(sys_table.schema.columns)
+                for column, value in zip(sys_table.schema.columns, row):
+                    if value is None:
+                        if not column.nullable:
+                            found.append((name, column.name, value))
+                        continue
+                    expected = (
+                        str if column.datatype.is_text
+                        else int if column.datatype is INTEGER
+                        else float
+                    )
+                    assert column.datatype.is_text or column.datatype in (
+                        INTEGER, FLOAT
+                    )
+                    if type(value) is not expected:
+                        found.append((name, column.name, value))
+        return found
+
+    def test_populated_bundle(self):
+        assert self.violations(populated_bundle()) == []
+
+    def test_forensics_drill(self, monkeypatch):
+        assert self.violations(drill_bundle(monkeypatch)) == []
+
 
 class TestClipping:
-    def test_clip_bounds_width_and_charset(self):
-        assert clip("x" * 200, 96) == "x" * 96
-        assert clip(None, 8) == ""
-        assert clip("café → bar", 16) == "café ? bar"
+    """Nothing is: a value comes back as the store holds it."""
 
-    def test_oversize_event_detail_still_materialises(self):
+    @staticmethod
+    def rejected_detail(reason):
         recorder = PipelineRecorder()
         op = FakeOp(1, 0.0)
         recorder.record_captured(op, "src", 0.0)
-        recorder.record_rejected_op(op, 1.0, "reason " * 40)
+        recorder.record_rejected_op(op, 1.0, reason)
         catalog = SystemCatalog(StoreBundle(recorder=recorder))
-        detail = catalog.query(
+        return catalog.query(
             "SELECT detail FROM sys.events WHERE kind = 'rejected'"
         ).scalar()
-        assert len(detail) == 96
+
+    def test_oversize_event_detail_still_materialises(self):
+        reason = "reason " * 40
+        assert self.rejected_detail(reason) == reason  # all 280 characters
+
+    def test_event_detail_keeps_its_own_characters(self):
+        assert self.rejected_detail("part → café") == "part → café"
+
+    def test_the_observatory_cuts_names_to_its_own_columns(self):
+        """The catalog serves names whole; the monitoring tables are real
+        CHAR(24) engine columns, so the cut happens where they are stored."""
+        source = "a-source-name-longer-than-twenty-four-characters"
+        op = FakeOp(1, 0.0, table="a_table_name_longer_than_twenty_four_chars")
+        recorder = PipelineRecorder()
+        recorder.record_captured(op, source, 0.0)
+        recorder.record_applied(op, 4.0)
+        catalog = SystemCatalog(StoreBundle(recorder=recorder))
+        assert catalog.query(
+            "SELECT source, table_name FROM sys.watermarks "
+            "WHERE table_name IS NOT NULL"
+        ).rows == [(source, op.table)]
+        observatory = MetaObservatory(catalog)
+        try:
+            assert observatory.refresh().rows_changed == 1
+            assert observatory.refresh().rows_changed == 0
+            (backlog,) = observatory.views[0].rows()
+            assert backlog[1:3] == (f"{source}/{op.table}"[:48], source[:24])
+        finally:
+            observatory.close()
