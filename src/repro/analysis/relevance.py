@@ -14,7 +14,7 @@ mirrored base table).  Anything the extractor cannot bound stays relevant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..core.opdelta import OpKind
 from ..core.selfmaint import ViewDefinition
@@ -57,7 +57,8 @@ def statement_relevance(
     ) + tuple(
         view.name
         for view in aggregate_views
-        if _affects_aggregate(view, footprint)
+        if footprint.table == view.base_table
+        and _affects_base(view, _aggregate_interest_columns, footprint)
     )
     return RelevanceVerdict(
         relevant_views=relevant,
@@ -75,19 +76,9 @@ def _view_interest_columns(view: ViewDefinition) -> set[str]:
     return interest
 
 
-def _affects_view(view: ViewDefinition, footprint: StatementFootprint) -> bool:
-    if footprint.table == view.base_table:
-        return _affects_base(view, footprint)
-    if view.join is not None and footprint.table == view.join.table:
-        # Changing the dimension table can rewrite the view's joined
-        # columns; bounding that would need join-key tracking, so stay
-        # conservative.
-        return True
-    return False
-
-
 def _aggregate_interest_columns(view: "AggregateViewDefinition") -> set[str]:
-    """Base-table columns an aggregate view's group rows depend on."""
+    """Base-table columns an aggregate view's group rows depend on: a
+    grouping value, an aggregated input, or the selection predicate."""
     interest = set(view.group_by)
     for spec in view.aggregates:
         if spec.argument is not None:
@@ -98,72 +89,49 @@ def _aggregate_interest_columns(view: "AggregateViewDefinition") -> set[str]:
     return interest
 
 
-def _affects_aggregate(
-    view: "AggregateViewDefinition", footprint: StatementFootprint
-) -> bool:
-    """Same judgement as :func:`_affects_base`, for GROUP BY views.
-
-    An aggregate view observes a statement when the statement can change a
-    grouping value, an aggregated input, or a row's membership under the
-    view's selection predicate.
-    """
-    if footprint.table != view.base_table:
-        return False
-    view_range = range_from_predicate(view.predicate_ast())
-
-    if footprint.kind is OpKind.UPDATE:
-        if not footprint.writes & _aggregate_interest_columns(view):
-            return False
-        if (
-            footprint.row_range is not None
-            and footprint.row_range.disjoint_from(view_range)
-            and _cannot_enter_range(view_range, footprint)
-        ):
-            return False
+def _affects_view(view: ViewDefinition, footprint: StatementFootprint) -> bool:
+    if footprint.table == view.base_table:
+        return _affects_base(view, _view_interest_columns, footprint)
+    if view.join is not None and footprint.table == view.join.table:
+        # Changing the dimension table can rewrite the view's joined
+        # columns; bounding that would need join-key tracking, so stay
+        # conservative.
         return True
-
-    # INSERT / DELETE: relevant unless the rows provably fail the
-    # selection predicate (every insert/delete changes some group count).
-    if footprint.row_range is not None and footprint.row_range.disjoint_from(
-        view_range
-    ):
-        return False
-    return True
+    return False
 
 
-def _affects_base(view: ViewDefinition, footprint: StatementFootprint) -> bool:
+def _affects_base(
+    view: "ViewDefinition | AggregateViewDefinition",
+    interest_columns: Callable[[Any], set[str]],
+    footprint: StatementFootprint,
+) -> bool:
+    """Whether a statement on the view's base table can change its content.
+
+    The one judgement for both view kinds; ``interest_columns(view)`` — the
+    base-table columns the content depends on — is all they differ in, and
+    only an UPDATE asks for it.
+    """
     view_range = range_from_predicate(view.predicate_ast())
 
     if footprint.kind is OpKind.UPDATE:
-        # Column test: an UPDATE that assigns only columns the view neither
-        # projects nor selects on cannot change the view's content.
-        if not footprint.writes & _view_interest_columns(view):
+        # Column test: an UPDATE that assigns only columns the view does not
+        # depend on cannot change the view's content.
+        if not footprint.writes & interest_columns(view):
             return False
         # Row test: the affected rows provably lie outside the view's
         # selection range, and no assignment can move one inside it.
-        if (
+        return not (
             footprint.row_range is not None
             and footprint.row_range.disjoint_from(view_range)
             and _cannot_enter_range(view_range, footprint)
-        ):
-            return False
-        return True
+        )
 
-    if footprint.kind is OpKind.DELETE:
-        # Deleted rows provably were never in the view.
-        if footprint.row_range is not None and footprint.row_range.disjoint_from(
-            view_range
-        ):
-            return False
-        return True
-
-    # INSERT: irrelevant only when every inserted row provably fails the
-    # view's selection predicate.
-    if footprint.row_range is not None and footprint.row_range.disjoint_from(
+    # INSERT / DELETE: irrelevant only when every row provably fails the
+    # view's selection predicate (inserted rows never enter the view,
+    # deleted rows never were in it).
+    return footprint.row_range is None or not footprint.row_range.disjoint_from(
         view_range
-    ):
-        return False
-    return True
+    )
 
 
 def _cannot_enter_range(

@@ -4,6 +4,8 @@ Covers the verdicts themselves, capture-time annotation, the integrator's
 skip/pin/fallback paths, and transport-boundary pruning.
 """
 
+import functools
+
 import pytest
 
 from repro.analysis import (
@@ -18,6 +20,7 @@ from repro.engine import Database
 from repro.errors import WarehouseError
 from repro.sql.parser import parse
 from repro.warehouse import OpDeltaIntegrator, Warehouse
+from repro.warehouse.aggregates import AggregateSpec, AggregateViewDefinition
 from repro.workloads import OltpWorkload, parts_schema, strip_timestamp
 
 ACTIVE = ViewDefinition(
@@ -33,15 +36,33 @@ def fp(sql, table_columns=None):
     return extract_footprint(parse(sql), table_columns)
 
 
-def verdict(sql, views=(ACTIVE,), mirrored=()):
-    return statement_relevance(fp(sql), views, mirrored)
+#: The same selection as ``ACTIVE`` — and the same name, so the inherited
+#: assertions read alike — kept as a GROUP BY view.
+ACTIVE_TOTALS = AggregateViewDefinition(
+    name="active_parts",
+    base_table="parts",
+    group_by=("status",),
+    aggregates=(AggregateSpec("SUM", "quantity"),),
+    predicate="status = 'active'",
+)
+
+
+def verdict(sql, views=(ACTIVE,), mirrored=(), aggregate_views=()):
+    return statement_relevance(fp(sql), views, mirrored, aggregate_views)
 
 
 class TestStatementRelevance:
-    def test_other_table_is_pruned(self):
+    """Judged against the SPJ view ``ACTIVE``; ``TestAggregateRelevance``
+    re-runs every case against the GROUP BY view of the same selection."""
+
+    @pytest.fixture
+    def verdict(self):
+        return verdict
+
+    def test_other_table_is_pruned(self, verdict):
         assert verdict("UPDATE audit_log SET note = 'x' WHERE event_id = 1").pruned
 
-    def test_mirrored_table_is_never_pruned(self):
+    def test_mirrored_table_is_never_pruned(self, verdict):
         v = verdict(
             "UPDATE audit_log SET note = 'x' WHERE event_id = 1",
             mirrored=("audit_log",),
@@ -49,21 +70,21 @@ class TestStatementRelevance:
         assert not v.pruned
         assert v.mirror_relevant
 
-    def test_update_of_uninteresting_column_pruned(self):
+    def test_update_of_uninteresting_column_pruned(self, verdict):
         # 'description' is neither projected nor selected on.
         v = verdict("UPDATE parts SET description = 'new' WHERE part_id = 1")
         assert v.pruned
 
-    def test_update_of_projected_column_relevant(self):
+    def test_update_of_projected_column_relevant(self, verdict):
         v = verdict("UPDATE parts SET quantity = 5 WHERE part_id = 1")
         assert v.relevant_views == ("active_parts",)
 
-    def test_update_of_predicate_column_relevant(self):
+    def test_update_of_predicate_column_relevant(self, verdict):
         # status drives view membership even though the write may leave it
         # outside the view.
         assert not verdict("UPDATE parts SET status = 'retired'").pruned
 
-    def test_update_outside_view_range_pruned(self):
+    def test_update_outside_view_range_pruned(self, verdict):
         # Rows with status 'scrapped' are not in the view, and the literal
         # assignment cannot move them in.
         v = verdict(
@@ -71,32 +92,53 @@ class TestStatementRelevance:
         )
         assert v.pruned
 
-    def test_update_that_could_enter_range_relevant(self):
+    def test_update_that_could_enter_range_relevant(self, verdict):
         v = verdict(
             "UPDATE parts SET status = 'active' WHERE status = 'scrapped'"
         )
         assert not v.pruned
 
-    def test_delete_outside_view_range_pruned(self):
+    def test_delete_outside_view_range_pruned(self, verdict):
         assert verdict("DELETE FROM parts WHERE status = 'scrapped'").pruned
 
-    def test_delete_possibly_inside_relevant(self):
+    def test_delete_possibly_inside_relevant(self, verdict):
         assert not verdict("DELETE FROM parts WHERE part_id = 3").pruned
 
-    def test_insert_outside_view_predicate_pruned(self):
+    def test_insert_outside_view_predicate_pruned(self, verdict):
         v = verdict(
             "INSERT INTO parts (part_id, status) VALUES (99, 'scrapped')"
         )
         assert v.pruned
 
-    def test_insert_matching_view_predicate_relevant(self):
+    def test_insert_matching_view_predicate_relevant(self, verdict):
         v = verdict(
             "INSERT INTO parts (part_id, status) VALUES (99, 'active')"
         )
         assert not v.pruned
 
-    def test_no_views_no_mirror_everything_pruned(self):
-        assert verdict("UPDATE parts SET status = 'x'", views=()).pruned
+    def test_no_views_no_mirror_everything_pruned(self, verdict):
+        assert verdict(
+            "UPDATE parts SET status = 'x'", views=(), aggregate_views=()
+        ).pruned
+
+
+class TestAggregateRelevance(TestStatementRelevance):
+    @pytest.fixture
+    def verdict(self):
+        return functools.partial(
+            verdict, views=(), aggregate_views=(ACTIVE_TOTALS,)
+        )
+
+    def test_update_of_a_column_the_groups_do_not_depend_on_pruned(self, verdict):
+        # part_ref is not grouped on, aggregated or selected on — though the
+        # SPJ view projects it, so there the same statement is relevant.
+        sql = "UPDATE parts SET part_ref = 5 WHERE part_id = 1"
+        assert verdict(sql).pruned
+        assert not verdict(sql, views=(ACTIVE,), aggregate_views=()).pruned
+
+    def test_update_of_aggregated_input_relevant(self, verdict):
+        v = verdict("UPDATE parts SET quantity = quantity + 1")
+        assert v.relevant_views == ("active_parts",)
 
 
 class TestAnalyzerFacade:
