@@ -56,22 +56,32 @@ def _run_workload(metrics, tracer) -> float:
     return database.clock.now
 
 
+def _interleaved(*configurations) -> list[tuple[float, float]]:
+    """(virtual ms, best-of-N host seconds) per (metrics, tracer) factory pair.
+
+    Every round runs each configuration once and the order reverses from one
+    round to the next, so a drift of the box during the measurement lands on
+    every configuration alike instead of in the ratio between them.
+    """
+    best = [float("inf")] * len(configurations)
+    virtual: list[float | None] = [None] * len(configurations)
+    for round_index in range(REPEATS):
+        order = range(len(configurations))
+        for index in reversed(order) if round_index % 2 else order:
+            metrics_factory, tracer_factory = configurations[index]
+            metrics, tracer = metrics_factory(), tracer_factory()
+            started = time.perf_counter()
+            now = _run_workload(metrics, tracer)
+            best[index] = min(best[index], time.perf_counter() - started)
+            assert virtual[index] in (None, now), "workload itself is nondeterministic"
+            virtual[index] = now
+    return list(zip(virtual, best))
+
+
 def _timed(metrics_factory, tracer_factory) -> tuple[float, float]:
     """(virtual ms, best-of-N host seconds) for one configuration."""
-    best = float("inf")
-    virtual = None
-    for _ in range(REPEATS):
-        metrics, tracer = metrics_factory(), tracer_factory()
-        started = time.perf_counter()
-        now = _run_workload(metrics, tracer)
-        elapsed = time.perf_counter() - started
-        best = min(best, elapsed)
-        if virtual is None:
-            virtual = now
-        else:
-            assert now == virtual, "workload itself is nondeterministic"
-    assert virtual is not None
-    return virtual, best
+    (result,) = _interleaved((metrics_factory, tracer_factory))
+    return result
 
 
 def test_virtual_time_unchanged_by_instrumentation():
@@ -82,8 +92,9 @@ def test_virtual_time_unchanged_by_instrumentation():
 
 
 def test_wall_time_overhead_is_bounded(capsys):
-    virtual_null, wall_null = _timed(lambda: NULL_REGISTRY, lambda: NULL_TRACER)
-    virtual_real, wall_real = _timed(MetricsRegistry, Tracer)
+    (virtual_null, wall_null), (virtual_real, wall_real) = _interleaved(
+        (lambda: NULL_REGISTRY, lambda: NULL_TRACER), (MetricsRegistry, Tracer)
+    )
     ratio = wall_real / wall_null
     with capsys.disabled():
         print(
