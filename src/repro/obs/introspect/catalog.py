@@ -59,7 +59,7 @@ class _SysSource:
         return None
 
 
-class _SysDatabase:
+class _QuerySnapshot:
     """What one query reads of a :class:`StoreBundle`.
 
     A table's adapter runs on the query's first reference to it and the
@@ -122,4 +122,4 @@ class SystemCatalog:
         return self._execute(checked)
 
     def _execute(self, statement: ast.SelectStmt) -> Result:
-        return Executor(_SysDatabase(self._bundle)).execute(statement, txn=None)
+        return Executor(_QuerySnapshot(self._bundle)).execute(statement, txn=None)

@@ -1016,6 +1016,67 @@ class TestRepro013OneAccessPathChooser:
         assert images == {"columnar/apply.py": 1}
 
 
+class TestRepro014SysReadInPlace:
+    CATALOG = "repro/obs/introspect/catalog.py"
+    TABLES = "repro/obs/introspect/tables.py"
+    META = "repro/obs/introspect/meta.py"
+
+    COPY = (
+        "def scratch(schema, rows):\n"
+        "    database = Database('sys')\n"
+        "    table = database.create_table(schema)\n"
+        "    txn = database.begin()\n"
+        "    table.insert_many(txn, rows)\n"
+        "    database.commit(txn)\n"
+        "    return database\n"
+    )
+
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO014" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    def test_the_copy_is_flagged_call_by_call_in_the_catalog(self, tmp_path):
+        for home in (self.CATALOG, self.TABLES):
+            violations = lint_source(tmp_path, self.COPY, name=home)
+            assert self.flagged(violations) == [2, 3, 4, 5, 6], home
+            assert "repro.sql.source" in violations[0]
+
+    def test_only_the_observatory_builds_a_database_under_obs(self, tmp_path):
+        assert lint_source(tmp_path, self.COPY, name=self.META) == []
+        elsewhere = lint_source(
+            tmp_path, self.COPY, name="repro/obs/flight/recorder.py"
+        )
+        # Outside the catalog modules only the construction is the rule's.
+        assert self.flagged(elsewhere) == [2]
+        assert lint_source(
+            tmp_path, self.COPY, name="repro/bench/introspect.py"
+        ) == []
+
+    def test_a_source_named_like_a_database_is_not_one(self, tmp_path):
+        served = (
+            "def execute(bundle, statement):\n"
+            "    return Executor(_QuerySnapshot(bundle)).execute(statement, None)\n"
+        )
+        assert lint_source(tmp_path, served, name=self.CATALOG) == []
+
+    def test_shipped_obs_tree_reads_in_place(self):
+        obs = REPO / "src" / "repro" / "obs"
+        builders = []
+        for path in sorted(obs.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO014" in v
+            ] == [], path
+            text = path.read_text(encoding="utf-8")
+            if re.search(r"\bDatabase\(", text):
+                builders.append(path.relative_to(obs).as_posix())
+            if path.name in ("catalog.py", "tables.py"):
+                assert not re.search(
+                    r"\b(create_table|insert_many|begin|commit)\(", text
+                ), path
+        assert builders == ["introspect/meta.py"]
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

@@ -164,6 +164,16 @@ and ``from_table(`` is called once, by ``repro/columnar/apply.py`` (the
 image a statement without an index path needs); anywhere else, and past
 those budgets, the call is flagged.
 
+**REPRO014 — ``sys.*`` is read where it lives.**  A catalog query reads the
+observability stores in place, through the read contract of
+``repro/sql/source.py``; it used to copy every referenced store into a
+throwaway engine ``Database`` per query, through a fixed-width codec that
+cut and re-encoded the text.  So under ``repro/obs/`` a ``Database(``
+construction is allowed only in ``introspect/meta.py`` (the one documented
+place the obs layer drives the engine), and ``introspect/catalog.py`` /
+``introspect/tables.py`` call none of ``create_table(``, ``insert_many(``,
+``begin(``, ``commit(`` — the calls a copy would need.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -359,6 +369,16 @@ INDEX_PROBE_BUDGETS = {
     SPJ_VIEW_SUFFIX: 2,
 }
 TABLE_IMAGE_BUDGETS = {"repro/columnar/apply.py": 1}
+
+#: REPRO014: the one module under ``repro/obs/`` that may construct an
+#: engine ``Database``; the catalog modules, and the calls that would copy
+#: a store into one.
+OBS_ENGINE_SUFFIX = "repro/obs/introspect/meta.py"
+CATALOG_SUFFIXES = (
+    "repro/obs/introspect/catalog.py",
+    "repro/obs/introspect/tables.py",
+)
+COPY_METHODS = ("create_table", "insert_many", "begin", "commit")
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
 
@@ -733,6 +753,31 @@ def _access_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[
     return violations
 
 
+def _catalog_copy_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
+    """REPRO014: an engine ``Database`` built, or driven, by the obs read path."""
+    if OBS_PATH_FRAGMENT not in normalized:
+        return []
+    nodes = list(ast.walk(tree))
+    found: list[tuple[int, str]] = []
+    if not normalized.endswith(OBS_ENGINE_SUFFIX):
+        found.extend(
+            (node.lineno, "Database() constructed under repro/obs/ outside "
+             "introspect/meta.py")
+            for node in _calls_to(nodes, "Database")
+        )
+    if normalized.endswith(CATALOG_SUFFIXES):
+        found.extend(
+            (node.lineno, f"{method}() called by the system catalog")
+            for method in COPY_METHODS
+            for node in _calls_to(nodes, method)
+        )
+    return [
+        f"{path}:{lineno}: REPRO014 {what}; sys.* rows are served in place "
+        "through repro.sql.source, not copied into an engine table"
+        for lineno, what in sorted(found)
+    ]
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -760,6 +805,7 @@ def lint_file(path: Path) -> list[str]:
     )
     violations.extend(_write_path_violations(path, tree, normalized))
     violations.extend(_access_path_violations(path, tree, normalized))
+    violations.extend(_catalog_copy_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
