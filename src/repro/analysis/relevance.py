@@ -76,6 +76,17 @@ def _view_interest_columns(view: ViewDefinition) -> set[str]:
     return interest
 
 
+def _affects_view(view: ViewDefinition, footprint: StatementFootprint) -> bool:
+    if footprint.table == view.base_table:
+        return _affects_base(view, _view_interest_columns, footprint)
+    if view.join is not None and footprint.table == view.join.table:
+        # Changing the dimension table can rewrite the view's joined
+        # columns; bounding that would need join-key tracking, so stay
+        # conservative.
+        return True
+    return False
+
+
 def _aggregate_interest_columns(view: "AggregateViewDefinition") -> set[str]:
     """Base-table columns an aggregate view's group rows depend on: a
     grouping value, an aggregated input, or the selection predicate."""
@@ -87,17 +98,6 @@ def _aggregate_interest_columns(view: "AggregateViewDefinition") -> set[str]:
     if predicate is not None:
         interest |= referenced_columns(predicate)
     return interest
-
-
-def _affects_view(view: ViewDefinition, footprint: StatementFootprint) -> bool:
-    if footprint.table == view.base_table:
-        return _affects_base(view, _view_interest_columns, footprint)
-    if view.join is not None and footprint.table == view.join.table:
-        # Changing the dimension table can rewrite the view's joined
-        # columns; bounding that would need join-key tracking, so stay
-        # conservative.
-        return True
-    return False
 
 
 def _affects_base(

@@ -23,7 +23,7 @@ Two invariants the catalog enforces:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from ...clock import VirtualClock
 from ...engine.costs import DEFAULT_COST_MODEL

@@ -156,8 +156,9 @@ class Executor:
         db = self._db
         if txn is None or not isinstance(db, Database):
             raise SqlAnalysisError(
+                f"only SELECT runs over {db.name!r} as given: "
                 f"{type(statement).__name__} needs an engine database and a "
-                f"transaction; {db.name!r} is read through SELECT only"
+                "transaction"
             )
         if isinstance(statement, ast.InsertStmt):
             return self._insert(db, statement, txn)

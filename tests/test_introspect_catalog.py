@@ -23,7 +23,6 @@ from repro.obs.pipeline import PipelineRecorder
 from repro.obs.tracing import Tracer
 from repro.semantics.checker import SemanticChecker
 from repro.sql.executor import Executor
-from repro.sql.parser import parse
 
 from .test_introspect_forensics import FakeGroup, FakeOp, two_round_recorder
 
@@ -300,7 +299,7 @@ class TestEngineParity:
 
     def test_the_matrix_is_not_vacuous(self, routes):
         catalog, _database = routes
-        for table, (_group, nullable, _order) in PARITY_COLUMNS.items():
+        for table in PARITY_COLUMNS:
             assert catalog.query(f"SELECT COUNT(*) FROM {table}").scalar() > 0
         nulls = catalog.query(
             "SELECT COUNT(*) FROM sys.watermarks WHERE table_name IS NULL"
@@ -341,11 +340,7 @@ class TestTypeFidelity:
                         continue
                     expected = (
                         str if column.datatype.is_text
-                        else int if column.datatype is INTEGER
-                        else float
-                    )
-                    assert column.datatype.is_text or column.datatype in (
-                        INTEGER, FLOAT
+                        else {INTEGER: int, FLOAT: float}[column.datatype]
                     )
                     if type(value) is not expected:
                         found.append((name, column.name, value))

@@ -186,7 +186,7 @@ class TestRowSources:
             "CREATE TABLE t (a INTEGER)",
             "DROP TABLE parts",
         ):
-            with pytest.raises(SqlAnalysisError, match="SELECT only"):
+            with pytest.raises(SqlAnalysisError, match="only SELECT runs over 'lists'"):
                 Executor(lists).execute(parse(sql), None)
         assert len(lists.table("parts").rows) == 100
 
