@@ -10,7 +10,8 @@ answers the three questions the downstream layers ask:
 * *Can this statement be replayed?*  (``record.safe`` / ``record.pinnable``
   — volatile statements need the value-delta fallback.)
 * *Does anything at the warehouse care?*  (``record.pruned`` — if not,
-  the transport drops the statement.)
+  :meth:`OpDeltaAnalyzer.prune_window` drops the statement before the
+  window is handed to the transport.)
 * *Does this transaction conflict with that one?*  (``analyzer.commutes``
   feeding :func:`repro.analysis.conflict.build_conflict_graph`.)
 """
@@ -19,12 +20,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from ..core.opdelta import OpDelta, OpDeltaTransaction
 from ..core.selfmaint import ViewDefinition
 from ..obs.context import ambient_metrics
 from ..obs.metrics import NULL_REGISTRY, MetricsLike
+from ..obs.pipeline.context import ambient_pipeline
+from ..obs.pipeline.events import lineage_key
 from ..sql import ast_nodes as ast
 from .conflict import ConflictGraph, build_conflict_graph
 from .relevance import RelevanceVerdict, statement_relevance
@@ -33,7 +36,6 @@ from .safety import (
     Determinism,
     commutes,
     is_idempotent,
-    pin_time_functions,
     statement_determinism,
 )
 
@@ -149,13 +151,6 @@ class OpDeltaAnalyzer:
         return commutes(a.footprint, b.footprint, self.key_columns)
 
     # -------------------------------------------------------------- actions
-    def pin(self, op: OpDelta) -> OpDelta:
-        """A copy of ``op`` with its time functions pinned to capture time."""
-        pinned = pin_time_functions(op.statement, op.captured_at)
-        return dataclasses.replace(
-            op, statement_text=pinned.to_sql(), _parsed=pinned
-        )
-
     def prune_transaction(
         self, group: OpDeltaTransaction
     ) -> OpDeltaTransaction | None:
@@ -168,6 +163,29 @@ class OpDeltaAnalyzer:
         if len(kept) == len(group.operations):
             return group
         return dataclasses.replace(group, operations=kept)
+
+    def prune_window(
+        self, groups: Iterable[OpDeltaTransaction]
+    ) -> Iterator[OpDeltaTransaction]:
+        """Prune a window before it is shipped, settling what is dropped.
+
+        Every statement :meth:`prune_transaction` removes is recorded as
+        ``PRUNED`` at stage ``transport`` in the ambient lineage, so the
+        conservation law still closes over a pruned window.  Lazy on
+        purpose: the transport pulls one group at a time, so a group's
+        settlements land right before its own hand-off.
+        """
+        for group in groups:
+            kept = self.prune_transaction(group)
+            recorder = ambient_pipeline()
+            if recorder is not None and kept is not group:
+                survivors = () if kept is None else kept.operations
+                surviving = {lineage_key(op) for op in survivors}
+                for op in group.operations:
+                    if lineage_key(op) not in surviving:
+                        recorder.record_pruned(op, at_ms=None, stage="transport")
+            if kept is not None:
+                yield kept
 
     def conflict_graph(
         self, groups: Sequence[OpDeltaTransaction]

@@ -250,10 +250,14 @@ def run(
         capture.detach()
         window2 = store.drain()
 
-        # The columnar pipeline applies each window through the switcher,
-        # the queue, and the batched columnar integrator.
+        # The columnar pipeline routes each window through the switcher
+        # (diverted tables never reach the queue), then the queue and the
+        # batched columnar integrator.
         for window in (window1, window2):
-            enqueue_op_deltas(queue, window, switcher=switcher)
+            routed, _decisions = switcher.route_window(
+                window, at_ms=queue.clock.now
+            )
+            enqueue_op_deltas(queue, routed)
             received = queue.receive_window(limit=len(window) + 1)
             payloads = [payload for _id, payload in received]
             graph = analyzer.conflict_graph(payloads)

@@ -2,14 +2,12 @@
 
 from .network import NetworkModel, TransferRecord
 from .queue import PersistentQueue
-from .shipper import Compactor, FileShipper, TransactionPruner, enqueue_op_deltas
+from .shipper import FileShipper, enqueue_op_deltas
 
 __all__ = [
     "NetworkModel",
     "TransferRecord",
     "PersistentQueue",
     "FileShipper",
-    "TransactionPruner",
-    "Compactor",
     "enqueue_op_deltas",
 ]

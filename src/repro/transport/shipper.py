@@ -4,151 +4,29 @@ Wraps the network model with knowledge of the artifact kinds the
 extraction layer produces (ASCII files, Export dumps, log segments,
 Op-Delta transaction groups) so end-to-end experiments can move them with
 one call and the right payload sizes.
+
+Transport moves the window it is given and stamps its arrival; it does
+not decide what is in the window.  Routing, pruning, compaction and the
+re-proof of compaction obligations are plain calls the pipeline makes
+*before* handing the window over (``route_window``, ``prune_window``,
+``compact_window``, ``verify_compaction``) — each returns its result and
+settles the ops it drops itself (DESIGN.md, "One pipeline assembly").
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Iterable
 
-from ..compaction.report import CompactionReport
 from ..core.opdelta import OpDeltaTransaction
 from ..engine.snapshots import Snapshot
 from ..engine.utilities import AsciiFile, ExportDump
 from ..engine.wal import LogSegment
-from ..errors import TransportError
 from ..extraction.deltas import DeltaBatch
 from ..obs.context import ambient_tracer
 from ..obs.pipeline.context import ambient_pipeline
-from ..obs.pipeline.events import lineage_key
 from ..obs.tracing import NULL_TRACER
 from .network import NetworkModel
 from .queue import PersistentQueue
-
-
-class TransactionPruner(Protocol):
-    """View-relevance pruning at the transport boundary.
-
-    Structural stand-in for :class:`repro.analysis.OpDeltaAnalyzer` so the
-    transport layer stays independent of the analysis package: statements
-    no warehouse view can observe are dropped *before* they cost network
-    bytes or queue space.
-    """
-
-    def prune_transaction(
-        self, group: OpDeltaTransaction
-    ) -> OpDeltaTransaction | None: ...
-
-
-class Compactor(Protocol):
-    """Window rewriting at the transport boundary.
-
-    Structural stand-in for :class:`repro.compaction.Coalescer` (same
-    reasoning as :class:`TransactionPruner`): the shippable window is
-    rewritten — redundant statements folded, annihilated or fused — before
-    it costs network bytes or queue space.
-    """
-
-    def compact_window(
-        self, groups: Iterable[OpDeltaTransaction]
-    ) -> tuple[list[OpDeltaTransaction], CompactionReport]: ...
-
-
-class ReorderCertifier(Protocol):
-    """Compaction-reorder verification at the transport boundary.
-
-    Structural stand-in for
-    :class:`repro.analysis.certify.ScheduleCertifier` (same reasoning as
-    the other seams): every commutativity proof the compactor relied on
-    to move an effect is re-derived against the *uncompacted* window
-    before a single rewritten byte is shipped or enqueued.
-    """
-
-    def verify_compaction(
-        self,
-        groups: Iterable[OpDeltaTransaction],
-        obligations: Iterable[object],
-    ) -> "_CertificateLike": ...
-
-
-class _CertificateLike(Protocol):
-    @property
-    def certified(self) -> bool: ...
-    @property
-    def findings(self) -> tuple[object, ...]: ...
-
-
-class WindowRouter(Protocol):
-    """Adaptive extraction switching at the transport boundary.
-
-    Structural stand-in for
-    :class:`repro.extraction.switcher.AdaptiveExtractionSwitcher` (same
-    reasoning as the other seams): tables whose backlog is cheaper to
-    reload than to replay are diverted to bulk-load staging *before*
-    their ops cost network bytes or queue space.  The router records its
-    own lifecycle events (``ROUTED`` decisions, ``PRUNED`` settlements).
-    """
-
-    def route_window(
-        self,
-        groups: Iterable[OpDeltaTransaction],
-        at_ms: float | None = None,
-    ) -> tuple[list[OpDeltaTransaction], list[object]]: ...
-
-
-def _shippable_window(
-    groups: Iterable[OpDeltaTransaction],
-    pruner: TransactionPruner | None,
-    compactor: Compactor | None,
-    certifier: ReorderCertifier | None = None,
-) -> Iterable[OpDeltaTransaction]:
-    """Prune first (cheap, per-statement), then compact what remains.
-
-    With a ``certifier``, the compaction pass's reorder obligations are
-    re-proven against the uncompacted window; an unproven reordering
-    aborts the shipment with :class:`~repro.errors.TransportError` —
-    a miscompacted window must never reach the warehouse.
-    """
-    pruned = _pruned_groups(groups, pruner)
-    if compactor is None:
-        return pruned
-    if certifier is None:
-        compacted, _report = compactor.compact_window(pruned)
-        return compacted
-    window = list(pruned)
-    compacted, report = compactor.compact_window(window)
-    certificate = certifier.verify_compaction(
-        window, report.reorder_obligations
-    )
-    if not certificate.certified:
-        rendered = "; ".join(
-            getattr(f, "render", lambda: str(f))()
-            for f in certificate.findings
-        )
-        raise TransportError(
-            "compaction certification rejected the shippable window "
-            f"({len(certificate.findings)} finding(s)): {rendered}"
-        )
-    return compacted
-
-
-def _pruned_groups(
-    groups: Iterable[OpDeltaTransaction], pruner: TransactionPruner | None
-) -> Iterable[OpDeltaTransaction]:
-    if pruner is None:
-        yield from groups
-        return
-    for group in groups:
-        kept = pruner.prune_transaction(group)
-        recorder = ambient_pipeline()
-        if recorder is not None and kept is not group:
-            surviving = (
-                set() if kept is None else {lineage_key(op) for op in kept.operations}
-            )
-            for op in group.operations:
-                if lineage_key(op) not in surviving:
-                    recorder.record_pruned(op, at_ms=None, stage="transport")
-        if kept is not None:
-            yield kept
 
 
 class FileShipper:
@@ -177,14 +55,8 @@ class FileShipper:
         )
         return self._network.transfer(payload, "log-segments")
 
-    def ship_op_deltas(
-        self,
-        groups: Iterable[OpDeltaTransaction],
-        pruner: TransactionPruner | None = None,
-        compactor: Compactor | None = None,
-        certifier: ReorderCertifier | None = None,
-    ) -> float:
-        window = list(_shippable_window(groups, pruner, compactor, certifier))
+    def ship_op_deltas(self, groups: Iterable[OpDeltaTransaction]) -> float:
+        window = list(groups)
         payload = sum(group.size_bytes for group in window)
         tracer = ambient_tracer() or NULL_TRACER
         with tracer.span(
@@ -208,34 +80,17 @@ class FileShipper:
 def enqueue_op_deltas(
     queue: PersistentQueue[OpDeltaTransaction],
     groups: Iterable[OpDeltaTransaction],
-    pruner: TransactionPruner | None = None,
-    compactor: Compactor | None = None,
-    certifier: ReorderCertifier | None = None,
-    switcher: WindowRouter | None = None,
 ) -> int:
     """Feed Op-Delta groups into a persistent queue (one message per txn).
 
-    With a ``pruner``, statements irrelevant to every warehouse view are
-    dropped first and transactions left empty by pruning are not enqueued
-    at all.  With a ``compactor``, the surviving window is rewritten
-    (:mod:`repro.compaction`) before any message is enqueued, so the queue
-    stores — and later ships — the compacted statements.  With a
-    ``certifier``, the compactor's reorder obligations are re-proven
-    first and an unproven reordering raises
-    :class:`~repro.errors.TransportError` instead of enqueuing.  With a
-    ``switcher``, the adaptive extraction switcher routes each table's
-    slice of the window first — tables diverted to bulk-load staging
-    never reach the queue (the caller stages them via
-    :meth:`~repro.warehouse.warehouse.Warehouse.staging_refresh`).
+    ``groups`` may be lazy: each group is pulled, then enqueued, so a
+    transform that settles ops as it yields (``prune_window``) interleaves
+    its events with the queue's ENQUEUED stamps.
     """
-    if switcher is not None:
-        groups, _decisions = switcher.route_window(
-            groups, at_ms=queue.clock.now
-        )
     count = 0
     tracer = ambient_tracer() or NULL_TRACER
     with tracer.span("transport.queue.enqueue_window", clock=queue.clock):
-        for group in _shippable_window(groups, pruner, compactor, certifier):
+        for group in groups:
             queue.enqueue(group, group.size_bytes)
             count += 1
     recorder = ambient_pipeline()

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..analysis.analyzer import AnalysisRecord, OpDeltaAnalyzer, pin_time_functions
+from ..analysis.analyzer import AnalysisRecord, OpDeltaAnalyzer
 from ..analysis.certify import (
     InterferenceSanitizer,
     LaneSchedule,
@@ -39,7 +39,7 @@ from ..analysis.certify import (
     single_lane_schedule,
 )
 from ..analysis.conflict import ConflictGraph
-from ..analysis.safety import Determinism
+from ..analysis.safety import Determinism, pin_time_functions
 from ..columnar import ColumnarApplier, RowApplier
 from ..core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from ..core.transform import StatementTransformer

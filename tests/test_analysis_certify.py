@@ -20,7 +20,7 @@ from repro.analysis.safety import (
 )
 from repro.compaction.report import ReorderObligation
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
-from repro.errors import AnalysisError, TransportError
+from repro.errors import AnalysisError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.pipeline.context import observe_pipeline
 from repro.obs.pipeline.recorder import PipelineRecorder
@@ -443,31 +443,23 @@ class TestInterferenceSanitizer:
 
 class TestTransportCertifierSeam:
     def test_unproven_window_refuses_to_ship(self):
+        """What a pipeline does between compacting and shipping: re-prove
+        the obligations against the *uncompacted* window, ship only a
+        certified one.  A planted obligation must come back refused."""
         from repro.compaction import Coalescer
-        from repro.transport.shipper import _shippable_window
-
-        class VetoCertifier:
-            def verify_compaction(self, groups, obligations):
-                certifier = ScheduleCertifier(key_columns=KEYS)
-                groups = list(groups)
-                return certifier.verify_compaction(
-                    groups,
-                    [
-                        ReorderObligation(
-                            moved="txn1:op0",
-                            over="txn1:op1",
-                            table="t",
-                            txn_id=1,
-                            moved_sequence=99,
-                            over_sequence=1,
-                        )
-                    ],
-                )
 
         groups = [txn(1, DISJOINT[0], DISJOINT[1])]
-        with pytest.raises(TransportError):
-            list(
-                _shippable_window(
-                    groups, None, Coalescer(key_columns=KEYS), VetoCertifier()
-                )
-            )
+        _compacted, report = Coalescer(key_columns=KEYS).compact_window(groups)
+        planted = ReorderObligation(
+            moved="txn1:op0",
+            over="txn1:op1",
+            table="t",
+            txn_id=1,
+            moved_sequence=99,
+            over_sequence=1,
+        )
+        certificate = ScheduleCertifier(key_columns=KEYS).verify_compaction(
+            groups, [*report.reorder_obligations, planted]
+        )
+        assert not certificate.certified
+        assert [f.code for f in certificate.findings] == ["RACE005"]

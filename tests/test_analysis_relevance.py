@@ -386,7 +386,7 @@ class TestTransportPruning:
 
         analyzer = OpDeltaAnalyzer(views=(ACTIVE,))
         queue = PersistentQueue(VirtualClock())
-        count = enqueue_op_deltas(queue, self.make_groups(), pruner=analyzer)
+        count = enqueue_op_deltas(queue, analyzer.prune_window(self.make_groups()))
         assert count == 1  # txn 2 vanished entirely
         delivery = queue.receive()
         assert delivery is not None
@@ -403,6 +403,6 @@ class TestTransportPruning:
         groups = self.make_groups()
         full = FileShipper(NetworkModel(clock)).ship_op_deltas(groups)
         pruned = FileShipper(NetworkModel(clock)).ship_op_deltas(
-            groups, pruner=analyzer
+            analyzer.prune_window(groups)
         )
         assert pruned < full

@@ -163,16 +163,16 @@ class TestTransportHooks:
         shipper = FileShipper(NetworkModel(source.clock))
         coalescer = Coalescer(analyzer=ANALYZER)
         shipper.ship_op_deltas(groups)
-        shipper.ship_op_deltas(groups, compactor=coalescer)
+        compacted_window, _report = coalescer.compact_window(groups)
+        shipper.ship_op_deltas(compacted_window)
         verbatim, compacted = shipper._network.transfers[-2:]
         assert compacted.payload_bytes < verbatim.payload_bytes
 
     def test_enqueue_with_compactor_stores_compacted_window(self):
         source, _initial, groups = captured_window()
         queue = PersistentQueue(source.clock, name="pl-queue")
-        count = enqueue_op_deltas(
-            queue, groups, compactor=Coalescer(analyzer=ANALYZER)
-        )
+        compacted, _report = Coalescer(analyzer=ANALYZER).compact_window(groups)
+        count = enqueue_op_deltas(queue, compacted)
         assert count == len(queue)
         stored_ops = 0
         while (received := queue.receive()) is not None:

@@ -138,7 +138,7 @@ class TestTransportLineage:
             capture.detach()
             groups = capture.store.drain()
             shipper = FileShipper(NetworkModel(source.clock))
-            shipper.ship_op_deltas(groups, pruner=ANALYZER)
+            shipper.ship_op_deltas(ANALYZER.prune_window(groups))
         relevant = recorder.lineage["src:1"]
         pruned = recorder.lineage["src:2"]
         assert relevant.shipped_at is not None

@@ -130,14 +130,8 @@ def run_pipeline(variant, operations):
             FileShipper(NetworkModel(source.clock)).ship_op_deltas(groups)
             integrator.integrate(groups)
         elif variant == "pruned":
-            FileShipper(NetworkModel(source.clock)).ship_op_deltas(
-                groups, pruner=analyzer
-            )
-            surviving = [
-                kept
-                for kept in (analyzer.prune_transaction(g) for g in groups)
-                if kept is not None
-            ]
+            surviving = list(analyzer.prune_window(groups))
+            FileShipper(NetworkModel(source.clock)).ship_op_deltas(surviving)
             integrator.integrate(surviving)
         else:
             window = groups

@@ -157,3 +157,84 @@ class TestFileShipper:
         shipper.ship_op_deltas(store.drain())
         value_bytes, op_bytes = [t.payload_bytes for t in network.transfers]
         assert op_bytes * 100 < value_bytes
+
+
+class TestWindowHandOff:
+    """Transport moves the window it is given; transforms are the caller's."""
+
+    def test_entry_points_take_the_window_and_nothing_else(self):
+        import inspect
+
+        from repro.transport import enqueue_op_deltas
+
+        assert list(inspect.signature(FileShipper.ship_op_deltas).parameters) == [
+            "self",
+            "groups",
+        ]
+        assert list(inspect.signature(enqueue_op_deltas).parameters) == [
+            "queue",
+            "groups",
+        ]
+
+    def test_enqueueing_a_routed_window_keeps_the_event_sequence(self, clock):
+        """Route, then enqueue: ROUTED per table, PRUNED per diverted op,
+        ENQUEUED for what is left — the order the removed ``switcher``
+        option of ``enqueue_op_deltas`` recorded."""
+        from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
+        from repro.extraction.switcher import (
+            AdaptiveExtractionSwitcher,
+            TableProfile,
+        )
+        from repro.obs.pipeline import PipelineRecorder, observe_pipeline
+        from repro.transport import enqueue_op_deltas
+
+        def op(txn_id, sequence, table, assignment):
+            return OpDelta(
+                statement_text=f"UPDATE {table} SET {assignment} WHERE part_ref >= 0",
+                table=table,
+                kind=OpKind.UPDATE,
+                txn_id=txn_id,
+                sequence=sequence,
+                captured_at=1.0,
+            )
+
+        window = [
+            OpDeltaTransaction(
+                txn_id=1,
+                operations=[
+                    op(1, 0, "parts", "quantity = 1"),
+                    op(1, 1, "hot_parts", "quantity = 1"),
+                ],
+            ),
+            OpDeltaTransaction(
+                txn_id=2,
+                operations=[
+                    op(2, 0, "hot_parts", "quantity = 2"),
+                    op(2, 1, "hot_parts", "quantity = 3"),
+                ],
+            ),
+        ]
+        # Two live rows rewritten three times: reloading beats replaying.
+        switcher = AdaptiveExtractionSwitcher(
+            profiles={
+                "parts": TableProfile(rows=10_000),
+                "hot_parts": TableProfile(rows=2),
+            }
+        )
+        recorder = PipelineRecorder(clock=clock)
+        queue: PersistentQueue = PersistentQueue(clock, name="routed")
+        with observe_pipeline(recorder):
+            routed, decisions = switcher.route_window(window, at_ms=clock.now)
+            assert enqueue_op_deltas(queue, routed) == 1
+        assert [d.table for d in decisions if d.use_staging] == ["hot_parts"]
+        assert [
+            (event.kind.value, event.correlation_id, event.detail.split(" ")[0])
+            for event in recorder.log.events()
+        ] == [
+            ("routed", "switcher:hot_parts", "method=snapshot-diff"),
+            ("routed", "switcher:parts", "method=op-delta"),
+            ("pruned", "txn1:op1", "stage=switcher-snapshot-diff"),
+            ("pruned", "txn2:op0", "stage=switcher-snapshot-diff"),
+            ("pruned", "txn2:op1", "stage=switcher-snapshot-diff"),
+            ("enqueued", "txn1:op0", ""),
+        ]
