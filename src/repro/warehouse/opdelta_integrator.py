@@ -114,6 +114,8 @@ class OpDeltaIntegrator:
         )
         self._analyzer = analyzer
         self._plans = dict(plans) if plans is not None else {}
+        if analyzer is not None:
+            self._require_coverage(analyzer)
         #: base table -> names of the views an op on it maintains (lineage).
         self._views_by_table: dict[str, list[str]] = {}
         for view in [*self._views, *self._aggregate_views]:
@@ -154,6 +156,28 @@ class OpDeltaIntegrator:
         self._columnar = ColumnarApplier(
             session, plan_fingerprint=self._plan_fingerprint
         )
+
+    def _require_coverage(self, analyzer: OpDeltaAnalyzer) -> None:
+        """Refuse an analyzer that may prune what a maintained view needs.
+
+        Relevance keeps a statement only for the views, aggregate views and
+        mirrored tables the analyzer was told about; a view it has never
+        heard of would silently miss every statement pruned on its behalf.
+        """
+        known = {d.name for d in (*analyzer.views, *analyzer.aggregate_views)}
+        for view in [*self._views, *self._aggregate_views]:
+            definition = view.definition
+            if (
+                definition.name not in known
+                and definition.base_table not in analyzer.mirrored_tables
+            ):
+                raise WarehouseError(
+                    f"view {definition.name!r} is maintained by this integrator "
+                    "but unknown to its analyzer (not among its views or "
+                    f"aggregate views, and {definition.base_table!r} is not a "
+                    "mirrored table): relevance pruning would drop statements "
+                    "the view depends on"
+                )
 
     def _verify_plans(self, verifier: object | None) -> None:
         """Pre-flight: demand a VERIFIED certificate for every plan used.

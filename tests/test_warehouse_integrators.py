@@ -20,6 +20,11 @@ from repro.obs.pipeline import (
 from repro.semantics import SchemaCatalog, ViewMaintenancePlanner
 from repro.sql.parser import parse
 from repro.warehouse import OpDeltaIntegrator, ValueDeltaIntegrator, Warehouse
+from repro.warehouse.aggregates import (
+    AggregateSpec,
+    AggregateViewDefinition,
+    MaterializedAggregateView,
+)
 from repro.workloads import OltpWorkload, parts_schema, strip_timestamp
 
 
@@ -47,17 +52,59 @@ def logical(database):
     )
 
 
+#: Projects neither ``quantity`` nor ``supplier_id``: an UPDATE of
+#: ``quantity`` is irrelevant to it, but not to :data:`QTY_BY_SUPPLIER`.
+ACTIVE_PARTS = ViewDefinition(
+    name="active_parts",
+    base_table="parts",
+    columns=("part_id", "part_no", "status", "price"),
+    predicate="status = 'active'",
+    key_column="part_id",
+)
+
+QTY_BY_SUPPLIER = AggregateViewDefinition(
+    "qty_by_supplier",
+    "parts",
+    group_by=("supplier_id",),
+    aggregates=(AggregateSpec("COUNT"), AggregateSpec("SUM", "quantity")),
+)
+
+
+def define_views(warehouse):
+    """Both views over the loaded ``parts`` mirror, initialised from it."""
+    schema = parts_schema()
+    rows = [v for _r, v in warehouse.database.table("parts").scan()]
+    spj = warehouse.define_view(ACTIVE_PARTS, schema)
+    agg = MaterializedAggregateView(warehouse.database, QTY_BY_SUPPLIER, schema)
+    txn = warehouse.database.begin()
+    spj.initialize(rows, txn)
+    agg.initialize(rows, txn)
+    warehouse.database.commit(txn)
+    return spj, agg
+
+
 class TestValueDeltaIntegrator:
     def test_batch_converges_mirror(self, pipeline):
         source, workload, _store, triggers, warehouse = pipeline
-        workload.run_update(30)
+        spj, agg = define_views(warehouse)
+        workload.run_update(30)  # status flips out of the SPJ view
+        workload.run_update(10, assignment="status = 'active'")  # and in
+        workload.run_update(20, assignment="quantity = quantity + 5")
         workload.run_insert(10)
         workload.run_delete(15, top_up=False)
         batch = triggers.drain_to_batch()
-        integrator = ValueDeltaIntegrator(warehouse.database.internal_session())
+        integrator = ValueDeltaIntegrator(
+            warehouse.database.internal_session(),
+            views=[spj],
+            aggregate_views=[agg],
+        )
         report = integrator.integrate(batch)
         assert report.mode == "value-delta"
         assert logical(warehouse.database) == logical(source)
+        # The same batch maintained both views inside the one transaction.
+        mirror = [v for _r, v in warehouse.database.table("parts").scan()]
+        assert spj.rows() == spj.recompute(mirror)
+        assert agg.groups() == agg.recompute(mirror)
 
     def test_indivisible_batch_is_one_txn(self, pipeline):
         source, workload, _store, triggers, warehouse = pipeline
@@ -164,6 +211,44 @@ class TestOpDeltaIntegrator:
             warehouse.database.internal_session()
         ).integrate(groups)
         assert op_report.elapsed_ms < value_report.elapsed_ms
+
+    def test_analyzer_blind_to_a_maintained_view_is_refused(self, pipeline):
+        """An analyzer told of the SPJ view only would prune the quantity
+        UPDATE the aggregate view needs — the mirror and the aggregate
+        drifted from the source with no error.  Refused at construction."""
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        spj, agg = define_views(warehouse)
+        session = warehouse.database.internal_session()
+        with pytest.raises(WarehouseError, match="qty_by_supplier"):
+            OpDeltaIntegrator(
+                session,
+                views=[spj],
+                aggregate_views=[agg],
+                analyzer=OpDeltaAnalyzer(views=[ACTIVE_PARTS]),
+            )
+        # Naming the view, or mirroring its base table, is what it takes.
+        for analyzer in (
+            OpDeltaAnalyzer(
+                views=[ACTIVE_PARTS], aggregate_views=[QTY_BY_SUPPLIER]
+            ),
+            OpDeltaAnalyzer(mirrored_tables={"parts"}),
+        ):
+            OpDeltaIntegrator(
+                session, views=[spj], aggregate_views=[agg], analyzer=analyzer
+            )
+
+    def test_analyzer_keeps_an_aggregated_input_only_when_told_of_the_view(
+        self,
+    ):
+        bump = parse("UPDATE parts SET quantity = quantity + 100 WHERE part_ref < 10")
+        blind = OpDeltaAnalyzer(views=[ACTIVE_PARTS])
+        told = OpDeltaAnalyzer(
+            views=[ACTIVE_PARTS], aggregate_views=[QTY_BY_SUPPLIER]
+        )
+        assert blind.analyze_statement(bump).pruned
+        record = told.analyze_statement(bump)
+        assert not record.pruned
+        assert record.relevance.relevant_views == ("qty_by_supplier",)
 
 
 # ---------------------------------------------------------------------------
