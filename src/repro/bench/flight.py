@@ -1,7 +1,10 @@
 """``repro-bench --flight``: the flight-recorded pipeline run.
 
 Drives the seed workload through the flagship capture → queue → batched
-apply pipeline in **windows**, with the full observability stack on:
+apply pipeline in **windows**, with the full observability stack on.  The
+pipeline and its stack are assembled once, by :class:`WindowedPipeline`
+— the driver this pass and the ``--forensics`` drill
+(:mod:`repro.bench.introspect`) both run their own schedule on:
 
 * a :class:`~repro.obs.pipeline.PipelineRecorder` carrying a
   :class:`~repro.obs.flight.FlightRecorder` that samples lags, per-view
@@ -39,6 +42,7 @@ from ..obs.flight import (
     FreshnessSLO,
     LatencySLO,
     SLOEngine,
+    SLOFinding,
     TimeSeriesStore,
 )
 from ..obs.metrics import MetricsRegistry
@@ -170,34 +174,123 @@ def _window_workload(session, window: int, txns: int) -> None:
         session.commit()
 
 
-def slo_objectives() -> list[FreshnessSLO | LatencySLO]:
-    """The objective pair the flight and forensics drills both alert on."""
-    return [
-        FreshnessSLO(
-            "parts_catalog",
-            target_ms=FRESHNESS_TARGET_MS,
-            short_window_ms=SHORT_WINDOW_MS,
-            long_window_ms=LONG_WINDOW_MS,
-        ),
-        LatencySLO(
-            "end_to_end",
-            target_ms=LATENCY_TARGET_MS,
-            short_window_ms=SHORT_WINDOW_MS,
-            long_window_ms=LONG_WINDOW_MS,
-        ),
-    ]
+class WindowedPipeline:
+    """The flagship pipeline under the full observability stack, once.
 
+    Capture on a seeded ``parts`` source → drain → persistent queue →
+    receive → conflict graph → batched apply → ack, observed by a metrics
+    registry, a tracer, a pipeline recorder carrying the flight recorder,
+    and an SLO engine on the freshness / latency objective pair.  The
+    drills keep only what is theirs: the schedule (when to :meth:`produce`,
+    how much to :meth:`consume`), the shape of a timeline row and the
+    checks after the run.
 
-def apply_budget(queue: PersistentQueue, analyzer, integrator, budget: int) -> int:
-    """The consumer step: apply up to ``budget`` queued messages as one window."""
-    window = queue.receive_window(limit=budget)
-    if not window:
-        return 0
-    payloads = [payload for _id, payload in window]
-    graph = analyzer.conflict_graph(payloads)
-    integrator.integrate_batched(payloads, graph=graph)
-    queue.ack_window(did for did, _payload in window)
-    return len(window)
+    Entering builds the stack **inside** the ambient contexts, source
+    first: the source database binds the tracer at construction, so
+    capture-side spans reach the cost ledger.  With ``sample=False`` the
+    flight recorder is left out of the recorder and :meth:`observe`
+    samples nothing — the workload, tracer and pipeline are unchanged.
+    """
+
+    def __init__(self, name: str, table_rows: int, sample: bool = True) -> None:
+        self._name = name
+        self._table_rows = table_rows
+        self._sample = sample
+        self._analyzer = build_analyzer()
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer()
+        self.flight = FlightRecorder(store=TimeSeriesStore(), metrics=self.metrics)
+        self.engine = SLOEngine(
+            self.flight.store,
+            [
+                FreshnessSLO(
+                    "parts_catalog",
+                    target_ms=FRESHNESS_TARGET_MS,
+                    short_window_ms=SHORT_WINDOW_MS,
+                    long_window_ms=LONG_WINDOW_MS,
+                ),
+                LatencySLO(
+                    "end_to_end",
+                    target_ms=LATENCY_TARGET_MS,
+                    short_window_ms=SHORT_WINDOW_MS,
+                    long_window_ms=LONG_WINDOW_MS,
+                ),
+            ],
+        )
+
+    def __enter__(self) -> "WindowedPipeline":
+        name, analyzer = self._name, self._analyzer
+        with ExitStack() as stack:
+            stack.enter_context(observe(metrics=self.metrics, tracer=self.tracer))
+            source, workload = build_workload_database(
+                self._table_rows, name=f"{name}-source"
+            )
+            self.session = workload.session
+            self.clock = source.clock
+            initial_rows = [v for _rid, v in source.table("parts").scan()]
+            self._store = FileLogStore(source)
+            self.recorder = PipelineRecorder(
+                clock=self.clock,
+                metrics=self.metrics,
+                flight=self.flight if self._sample else None,
+            )
+            stack.enter_context(observe_pipeline(self.recorder))
+            capture = OpDeltaCapture(
+                self.session,
+                self._store,
+                tables={"parts"},
+                analyzer=analyzer,
+                checker=SemanticChecker(SchemaCatalog.from_database(source)),
+                source=f"{name}-source",
+            )
+            capture.attach()
+            stack.callback(capture.detach)
+            self.warehouse, self._integrator = build_parts_warehouse(
+                f"{name}-wh", self.clock, initial_rows, analyzer
+            )
+            self._queue: PersistentQueue = PersistentQueue(
+                self.clock, name=name, metrics=self.metrics
+            )
+            if self._sample:
+                self.flight.watch_queue(self._queue)
+            self._contexts = stack.pop_all()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._contexts.close()
+
+    def produce(self) -> int:
+        """Hand over what the source committed since the last call.
+
+        The window travels as captured: this pipeline's view is full-width
+        and its workload has nothing to coalesce, so there is no route /
+        prune / compact step between the drain and the queue.
+        """
+        return enqueue_op_deltas(self._queue, self._store.drain())
+
+    def consume(self, budget: int) -> int:
+        """The consumer step: apply up to ``budget`` queued messages as one window."""
+        window = self._queue.receive_window(limit=budget)
+        if not window:
+            return 0
+        payloads = [payload for _id, payload in window]
+        graph = self._analyzer.conflict_graph(payloads)
+        self._integrator.integrate_batched(payloads, graph=graph)
+        self._queue.ack_window(did for did, _payload in window)
+        return len(window)
+
+    def observe(self) -> tuple[float, list[SLOFinding]]:
+        """Sample every series and evaluate the SLOs at the current instant."""
+        now = self.clock.now
+        if not self._sample:
+            return now, []
+        self.flight.sample_now(self.recorder, now)
+        return now, self.engine.evaluate(now)
+
+    @property
+    def backlog(self) -> int:
+        """Messages the consumer still owes: queued plus in flight."""
+        return len(self._queue) + self._queue.in_flight
 
 
 def run_flight(sample: bool = True) -> FlightReport:
@@ -208,131 +301,54 @@ def run_flight(sample: bool = True) -> FlightReport:
     obs-overhead bench asserts the final virtual time matches exactly.
     """
     report = FlightReport(sampled=sample)
-    analyzer = build_analyzer()
+    with WindowedPipeline("flight", TABLE_ROWS, sample=sample) as pipeline:
+        recorder = pipeline.recorder
 
-    metrics = MetricsRegistry()
-    tracer = Tracer()
-    flight = FlightRecorder(store=TimeSeriesStore(), metrics=metrics)
-    engine = SLOEngine(flight.store, slo_objectives())
-
-    with ExitStack() as stack:
-        stack.enter_context(observe(metrics=metrics, tracer=tracer))
-        # Built inside the ambient context so the source database binds
-        # the tracer — capture-side spans must reach the cost ledger.
-        source, workload = build_workload_database(
-            TABLE_ROWS, name="flight-source"
-        )
-        initial_rows = [values for _rid, values in source.table("parts").scan()]
-        store = FileLogStore(source)
-        recorder = PipelineRecorder(
-            clock=source.clock,
-            metrics=metrics,
-            flight=flight if sample else None,
-        )
-        stack.enter_context(observe_pipeline(recorder))
-        capture = OpDeltaCapture(
-            workload.session,
-            store,
-            tables={"parts"},
-            analyzer=analyzer,
-            checker=SemanticChecker(SchemaCatalog.from_database(source)),
-            source="flight-source",
-        )
-        capture.attach()
-
-        warehouse, integrator = build_parts_warehouse(
-            "flight-wh", source.clock, initial_rows, analyzer
-        )
-        queue: PersistentQueue = PersistentQueue(
-            source.clock, name="flight", metrics=metrics
-        )
-        if sample:
-            flight.watch_queue(queue)
-
-        for index, txns in enumerate(WINDOW_TXNS):
-            _window_workload(workload.session, index, txns)
-            groups = store.drain()
-            enqueued = enqueue_op_deltas(queue, groups)
-            applied = apply_budget(queue, analyzer, integrator, APPLY_BUDGET)
-            now = source.clock.now
-            if sample:
-                flight.sample_now(recorder, now)
-            staleness = recorder.views["parts_catalog"].staleness_ms(
-                recorder.source_high_ms()
-            ) if "parts_catalog" in recorder.views else 0.0
-            window_findings = engine.evaluate(now) if sample else []
+        def observe_window(
+            txns: int = 0, spike: bool = False, enqueued: int = 0, applied: int = 0
+        ) -> None:
+            now, findings = pipeline.observe()
+            view = recorder.views.get("parts_catalog")
             report.windows.append(
                 {
-                    "window": index,
+                    "window": len(report.windows),
                     "at_ms": now,
                     "txns": txns,
-                    "spike": index in SPIKE_WINDOWS,
+                    "spike": spike,
                     "enqueued": enqueued,
                     "applied": applied,
-                    "queue_depth": len(queue) + queue.in_flight,
-                    "staleness_ms": staleness,
-                    "findings": [f.to_dict() for f in window_findings],
+                    "queue_depth": pipeline.backlog,
+                    "staleness_ms": 0.0
+                    if view is None
+                    else view.staleness_ms(recorder.source_high_ms()),
+                    "findings": [f.to_dict() for f in findings],
                 }
             )
+
+        for index, txns in enumerate(WINDOW_TXNS):
+            _window_workload(pipeline.session, index, txns)
+            enqueued = pipeline.produce()
+            applied = pipeline.consume(APPLY_BUDGET)
+            observe_window(txns, index in SPIKE_WINDOWS, enqueued, applied)
         # Post-schedule drain: the consumer keeps its per-window budget
         # until the backlog is gone, evaluating the SLOs each round so a
         # recovery is observed (and the alert clears) at a real instant.
-        drain_round = 0
-        while len(queue) or queue.in_flight:
-            applied = apply_budget(queue, analyzer, integrator, APPLY_BUDGET)
-            now = source.clock.now
-            if sample:
-                flight.sample_now(recorder, now)
-            drain_findings = engine.evaluate(now) if sample else []
-            staleness = recorder.views["parts_catalog"].staleness_ms(
-                recorder.source_high_ms()
-            )
-            report.windows.append(
-                {
-                    "window": len(WINDOW_TXNS) + drain_round,
-                    "at_ms": now,
-                    "txns": 0,
-                    "spike": False,
-                    "enqueued": 0,
-                    "applied": applied,
-                    "queue_depth": len(queue) + queue.in_flight,
-                    "staleness_ms": staleness,
-                    "findings": [f.to_dict() for f in drain_findings],
-                }
-            )
-            drain_round += 1
+        while pipeline.backlog:
+            observe_window(applied=pipeline.consume(APPLY_BUDGET))
         # Quiet period: advance virtual time past the short burn window
         # with read-only warehouse queries, then evaluate once more — with
         # no fresh violating samples in the window, every alert must clear.
-        reader = warehouse.database.internal_session()
-        quiet_until = source.clock.now + SHORT_WINDOW_MS
-        while source.clock.now <= quiet_until:
+        reader = pipeline.warehouse.database.internal_session()
+        quiet_until = pipeline.clock.now + SHORT_WINDOW_MS
+        while pipeline.clock.now <= quiet_until:
             reader.execute("SELECT * FROM parts WHERE part_id = 0")
-        now = source.clock.now
         if sample:
-            flight.sample_now(recorder, now)
-            quiet_findings = engine.evaluate(now)
-            report.windows.append(
-                {
-                    "window": len(WINDOW_TXNS) + drain_round,
-                    "at_ms": now,
-                    "txns": 0,
-                    "spike": False,
-                    "enqueued": 0,
-                    "applied": 0,
-                    "queue_depth": 0,
-                    "staleness_ms": recorder.views[
-                        "parts_catalog"
-                    ].staleness_ms(recorder.source_high_ms()),
-                    "findings": [f.to_dict() for f in quiet_findings],
-                }
-            )
-        capture.detach()
+            observe_window()
 
-    report.final_virtual_ms = source.clock.now
-    report.findings = [finding.to_dict() for finding in engine.history]
+    report.final_virtual_ms = pipeline.clock.now
+    report.findings = [finding.to_dict() for finding in pipeline.engine.history]
     if sample:
-        report.slo = engine.to_dict()
-        report.store = flight.store.to_dict()
-    report.ledger = CostAttributor().attribute(tracer).to_dict()
+        report.slo = pipeline.engine.to_dict()
+        report.store = pipeline.flight.store.to_dict()
+    report.ledger = CostAttributor().attribute(pipeline.tracer).to_dict()
     return report

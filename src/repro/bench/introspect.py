@@ -4,8 +4,11 @@ Drives the flagship capture → queue → batched-apply pipeline through a
 **seeded queue-stall drill**: mid-schedule the consumer stops draining
 for several windows while the producer keeps committing, so ops pile up
 on the persistent queue and queue-wait comes to dominate the tail.  The
-full observability stack is on (recorder, flight series, SLO engine,
-tracer), and when the run settles the pass turns the stores into a
+pipeline and the full observability stack (recorder, flight series, SLO
+engine, tracer) are :class:`~repro.bench.flight.WindowedPipeline`, the
+assembly the ``--flight`` pass runs too; this module owns only the stall
+schedule and the interrogation.  When the run settles the pass turns the
+stores into a
 :class:`~repro.obs.introspect.SystemCatalog` and interrogates it:
 
 * **Causal blame** — ``sys.critical_path`` must attribute the p99
@@ -28,26 +31,19 @@ for ad-hoc ``--sql`` queries over all eight ``sys.*`` tables.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..analysis.verify import CertificateCache, DeltaRuleVerifier
-from ..core.capture import OpDeltaCapture
 from ..core.opdelta import PARSE_CACHE
-from ..core.stores import FileLogStore
-from ..obs.context import observe
-from ..obs.flight import CostAttributor, FlightRecorder, SLOEngine, TimeSeriesStore
-from ..obs.introspect import MetaObservatory, StoreBundle, SystemCatalog
-from ..obs.metrics import MetricsRegistry
-from ..obs.pipeline import PipelineRecorder, observe_pipeline
-from ..obs.tracing import Tracer
-from ..semantics import SchemaCatalog, SemanticChecker
-from ..transport.queue import PersistentQueue
-from ..transport.shipper import enqueue_op_deltas
-from .experiments.common import build_parts_warehouse, build_workload_database
-from .experiments.compaction import build_analyzer
-from .flight import apply_budget, slo_objectives
+from ..obs.flight import CostAttributor
+from ..obs.introspect import (
+    CriticalPathAnalyzer,
+    MetaObservatory,
+    StoreBundle,
+    SystemCatalog,
+)
+from .flight import WindowedPipeline
 
 #: Version of the ``--forensics --json`` document layout.  Bump on any
 #: structural change to :meth:`ForensicsReport.to_dict`.
@@ -212,7 +208,6 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
     additionally carries that query's result over the populated stores.
     """
     report = ForensicsReport()
-    analyzer = build_analyzer()
     # Hermetic run: the process-wide parse and certificate caches make a
     # second in-process run cheaper than the first (warm lookups, skipped
     # small-scope proofs), which would leak into the hit/miss counters,
@@ -222,95 +217,49 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
     PARSE_CACHE.clear()
     verifier = DeltaRuleVerifier(cache=CertificateCache())
 
-    metrics = MetricsRegistry()
-    tracer = Tracer()
-    flight = FlightRecorder(store=TimeSeriesStore(), metrics=metrics)
-    engine = SLOEngine(flight.store, slo_objectives())
-
-    with ExitStack() as stack:
-        stack.enter_context(observe(metrics=metrics, tracer=tracer))
-        source, workload = build_workload_database(
-            TABLE_ROWS, name="forensics-source"
-        )
-        initial_rows = [values for _rid, values in source.table("parts").scan()]
-        store = FileLogStore(source)
-        recorder = PipelineRecorder(
-            clock=source.clock, metrics=metrics, flight=flight
-        )
-        stack.enter_context(observe_pipeline(recorder))
-        capture = OpDeltaCapture(
-            workload.session,
-            store,
-            tables={"parts"},
-            analyzer=analyzer,
-            checker=SemanticChecker(SchemaCatalog.from_database(source)),
-            source="forensics-source",
-        )
-        capture.attach()
-
-        warehouse, integrator = build_parts_warehouse(
-            "forensics-wh", source.clock, initial_rows, analyzer
-        )
-        queue: PersistentQueue = PersistentQueue(
-            source.clock, name="forensics", metrics=metrics
-        )
-        flight.watch_queue(queue)
-
+    with WindowedPipeline("forensics", TABLE_ROWS) as pipeline:
+        recorder = pipeline.recorder
         bundle = StoreBundle(
             recorder=recorder,
-            metrics=metrics,
-            series=flight.store,
-            slo=engine,
+            metrics=pipeline.metrics,
+            series=pipeline.flight.store,
+            slo=pipeline.engine,
         )
         catalog = SystemCatalog(bundle)
         observatory = MetaObservatory(catalog, verifier=verifier)
 
-        for index, txns in enumerate(WINDOW_TXNS):
-            _window_workload(workload.session, index, txns)
-            groups = store.drain()
-            enqueued = enqueue_op_deltas(queue, groups)
-            stalled = index in STALL_WINDOWS
-            applied = 0 if stalled else apply_budget(queue, analyzer, integrator, APPLY_BUDGET)
-            now = source.clock.now
-            flight.sample_now(recorder, now)
-            engine.evaluate(now)
+        def observe_window(
+            txns: int = 0, stalled: bool = False, enqueued: int = 0, applied: int = 0
+        ) -> None:
+            now, _findings = pipeline.observe()
             report.windows.append(
                 {
-                    "window": index,
+                    "window": len(report.windows),
                     "at_ms": now,
                     "txns": txns,
                     "stalled": stalled,
                     "enqueued": enqueued,
                     "applied": applied,
-                    "queue_depth": len(queue) + queue.in_flight,
+                    "queue_depth": pipeline.backlog,
                 }
             )
+
+        for index, txns in enumerate(WINDOW_TXNS):
+            _window_workload(pipeline.session, index, txns)
+            enqueued = pipeline.produce()
+            stalled = index in STALL_WINDOWS
+            applied = 0 if stalled else pipeline.consume(APPLY_BUDGET)
+            observe_window(txns, stalled, enqueued, applied)
         # Mid-run refresh: the backlog is at its peak, so the monitoring
         # views first materialise the stall (all inserts).
         report.meta_refreshes.append(observatory.refresh().to_dict())
         # Drain the backlog at the normal budget.
-        drain_round = 0
-        while len(queue) or queue.in_flight:
-            applied = apply_budget(queue, analyzer, integrator, APPLY_BUDGET)
-            now = source.clock.now
-            flight.sample_now(recorder, now)
-            engine.evaluate(now)
-            report.windows.append(
-                {
-                    "window": len(WINDOW_TXNS) + drain_round,
-                    "at_ms": now,
-                    "txns": 0,
-                    "stalled": False,
-                    "enqueued": 0,
-                    "applied": applied,
-                    "queue_depth": len(queue) + queue.in_flight,
-                }
-            )
-            drain_round += 1
-        capture.detach()
+        while pipeline.backlog:
+            observe_window(applied=pipeline.consume(APPLY_BUDGET))
 
-    report.final_virtual_ms = source.clock.now
-    bundle.ledger = CostAttributor().attribute(tracer)
+    clock = pipeline.clock
+    report.final_virtual_ms = clock.now
+    bundle.ledger = CostAttributor().attribute(pipeline.tracer)
     report.ledger = bundle.ledger.to_dict()
 
     # Post-drain refresh updates the backlog rows in place; the probe
@@ -330,7 +279,7 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
 
     # Zero observer cost: interrogating the catalog must not move the
     # observed pipeline's clock.
-    clock_before = source.clock.now
+    clock_before = clock.now
     for name in catalog.table_names:
         report.table_rows[name] = int(
             catalog.query(f"SELECT COUNT(*) FROM {name}").scalar()
@@ -340,8 +289,6 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
     report.conservation_matches = (
         report.conservation_sql == report.conservation_auditor
     )
-
-    from ..obs.introspect import CriticalPathAnalyzer
 
     forensics = CriticalPathAnalyzer(recorder)
     report.forensics = forensics.to_dict()
@@ -357,7 +304,7 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
             "columns": list(result.columns),
             "rows": [list(row) for row in result.rows],
         }
-    report.zero_cost_ok = source.clock.now == clock_before
+    report.zero_cost_ok = clock.now == clock_before
     return report
 
 
