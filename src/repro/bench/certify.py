@@ -43,13 +43,12 @@ from ..analysis.certify import (
 )
 from ..analysis.conflict import ConflictGraph, build_conflict_graph
 from ..compaction import Coalescer
-from ..core.capture import OpDeltaCapture
-from ..core.stores import FileLogStore
 from ..errors import WarehouseError
 from ..warehouse.warehouse import Warehouse
 from ..workloads.records import parts_schema, strip_timestamp
-from .experiments.common import build_parts_warehouse, build_workload_database
-from .experiments.compaction import build_analyzer, _run_workload
+from .experiments.common import build_parts_warehouse
+from .experiments.compaction import build_analyzer
+from .health import TXN_ROWS, capture_seed_window, seed_source
 
 #: Version of the ``--certify --json`` document layout.  Bump on any
 #: structural change to :meth:`CertifyReport.to_dict`.
@@ -65,14 +64,8 @@ FAULTS = ("swap-lane-ops",)
 #: Parallel lanes for the batched/compacted lane assignments.
 LANES = 3
 
-# Same smoke-sized seed workload as the health pass.
-TABLE_ROWS = 400
-FOLD_TXNS = 3
-CHURN_TXNS = 2
-SCRATCH_TXNS = 2
-INSERTS_PER_TXN = 4
-TXN_ROWS = 10
-#: Predicate-partition transaction pairs appended to the workload; each
+#: Predicate-partition transaction pairs appended to the health pass's
+#: seed window (:func:`~repro.bench.health.capture_seed_window`); each
 #: pair covers the same row range split by ``supplier_id = 7`` vs
 #: ``supplier_id <> 7`` — provably disjoint only for the widened prover.
 PARTITION_PAIRS = 2
@@ -195,32 +188,10 @@ def _run_hot_range_txns(session, base_ref: int) -> None:
     session.commit()
 
 
-def _capture_window(name: str):
-    """The certify workload captured once: (groups, analyzer, source, rows)."""
-    source, workload = build_workload_database(TABLE_ROWS, name=name)
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
-    analyzer = build_analyzer()
-    store = FileLogStore(source)
-    capture = OpDeltaCapture(
-        workload.session,
-        store,
-        tables={"parts"},
-        analyzer=analyzer,
-        source=name,
-    )
-    capture.attach()
-    _run_workload(
-        workload.session,
-        FOLD_TXNS,
-        CHURN_TXNS,
-        SCRATCH_TXNS,
-        INSERTS_PER_TXN,
-        TXN_ROWS,
-    )
-    _run_partition_txns(workload.session, PARTITION_PAIRS, base_ref=100)
-    _run_hot_range_txns(workload.session, base_ref=150)
-    capture.detach()
-    return store.drain(), analyzer, source, initial_rows
+def _run_certify_txns(session) -> None:
+    """What this pass appends to the seed window, after its last row range."""
+    _run_partition_txns(session, PARTITION_PAIRS, base_ref=100)
+    _run_hot_range_txns(session, base_ref=150)
 
 
 def _graph_stats(graph: ConflictGraph) -> dict[str, Any]:
@@ -248,7 +219,11 @@ def run_certify(fault: str | None = None) -> CertifyReport:
             f"unknown fault {fault!r}; available: {', '.join(FAULTS)}"
         )
     report = CertifyReport(fault=fault)
-    groups, analyzer, source, initial_rows = _capture_window("certify")
+    source, session, initial_rows = seed_source("certify")
+    analyzer = build_analyzer()
+    groups = capture_seed_window(
+        source, session, analyzer, extend=_run_certify_txns
+    )
     report.transactions = len(groups)
     report.operations = sum(len(g.operations) for g in groups)
 

@@ -78,6 +78,30 @@ def _build_warehouse(name: str, initial_rows, clock):
     return wh, spj, agg
 
 
+def run_workload(workload, transactions: int, txn_rows: int) -> None:
+    """Quantity bumps (aggregate inputs), status flips (view membership
+    transitions), range deletes, and fresh inserts."""
+    session = workload.session
+    for i in range(transactions):
+        low, high = i * txn_rows, (i + 1) * txn_rows
+        if i % 3 == 0:
+            session.execute(
+                f"UPDATE parts SET quantity = quantity + 5 "
+                f"WHERE part_ref >= {low} AND part_ref < {high}"
+            )
+        elif i % 3 == 1:
+            session.execute(
+                f"UPDATE parts SET status = 'retired' "
+                f"WHERE part_ref >= {low} AND part_ref < {high}"
+            )
+        else:
+            session.execute(
+                f"DELETE FROM parts WHERE part_ref >= {low} "
+                f"AND part_ref < {high}"
+            )
+    workload.run_insert(txn_rows)
+
+
 def run(
     table_rows: int = DEFAULT_TABLE_ROWS,
     transactions: int = DEFAULT_TRANSACTIONS,
@@ -102,33 +126,13 @@ def run(
     )
     capture.attach()
 
-    # Mixed workload: quantity bumps (aggregate inputs), status flips
-    # (view membership transitions), range deletes, and fresh inserts.
-    session = workload.session
-    for i in range(transactions):
-        low, high = i * txn_rows, (i + 1) * txn_rows
-        if i % 3 == 0:
-            session.execute(
-                f"UPDATE parts SET quantity = quantity + 5 "
-                f"WHERE part_ref >= {low} AND part_ref < {high}"
-            )
-        elif i % 3 == 1:
-            session.execute(
-                f"UPDATE parts SET status = 'retired' "
-                f"WHERE part_ref >= {low} AND part_ref < {high}"
-            )
-        else:
-            session.execute(
-                f"DELETE FROM parts WHERE part_ref >= {low} "
-                f"AND part_ref < {high}"
-            )
-    workload.run_insert(txn_rows)
+    run_workload(workload, transactions, txn_rows)
 
     # The seeded malformed statement: the checker rejects it inside the
     # capture hook, so it neither executes nor reaches the Op-Delta log.
     rejection: SemanticError | None = None
     try:
-        session.execute(
+        workload.session.execute(
             "UPDATE parts SET quantty = 0 "
             "WHERE part_ref >= 0 AND part_ref < 5"
         )

@@ -61,8 +61,9 @@ FLAGSHIP = "compacted"
 #: Injectable faults (``repro-bench --health --fault ...``).
 FAULTS = ("drop-queue-message",)
 
-# Smaller than the compaction experiment's defaults: the health pass runs
-# three whole pipelines and is part of the smoke path.
+# The seed window of the health and certify passes.  Smaller than the
+# compaction experiment's defaults: the health pass runs three whole
+# pipelines and is part of the smoke path.
 TABLE_ROWS = 400
 FOLD_TXNS = 3
 CHURN_TXNS = 2
@@ -126,36 +127,43 @@ def run_health(fault: str | None = None) -> HealthReport:
     return report
 
 
+def seed_source(name: str):
+    """The smoke-sized seed ``parts`` source: (database, session, rows)."""
+    source, workload = build_workload_database(TABLE_ROWS, name=name)
+    initial_rows = [values for _rid, values in source.table("parts").scan()]
+    return source, workload.session, initial_rows
+
+
+def capture_seed_window(source, session, analyzer, extend=None):
+    """Run the seed workload under Op-Delta capture; the drained window.
+
+    ``extend(session)`` appends the caller's own transactions while the
+    capture is still attached (the certify pass adds its partition and
+    hot-range pairs this way).
+    """
+    store = FileLogStore(source)
+    capture = OpDeltaCapture(
+        session, store, tables={"parts"}, analyzer=analyzer, source=source.name
+    )
+    capture.attach()
+    _run_workload(
+        session, FOLD_TXNS, CHURN_TXNS, SCRATCH_TXNS, INSERTS_PER_TXN, TXN_ROWS
+    )
+    if extend is not None:
+        extend(session)
+    capture.detach()
+    return store.drain()
+
+
 def _run_mode(mode: str, fault: str | None = None) -> PipelineSnapshot:
     """One capture-to-warehouse pipeline under its own recorder, audited."""
-    source, workload = build_workload_database(
-        TABLE_ROWS, name=f"health-{mode}"
-    )
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
+    source, session, initial_rows = seed_source(f"health-{mode}")
     schema = parts_schema()
     analyzer = build_analyzer()
-    store = FileLogStore(source)
     recorder = PipelineRecorder(clock=source.clock)
     components = None
     with observe_pipeline(recorder):
-        capture = OpDeltaCapture(
-            workload.session,
-            store,
-            tables={"parts"},
-            analyzer=analyzer,
-            source=f"health-{mode}",
-        )
-        capture.attach()
-        _run_workload(
-            workload.session,
-            FOLD_TXNS,
-            CHURN_TXNS,
-            SCRATCH_TXNS,
-            INSERTS_PER_TXN,
-            TXN_ROWS,
-        )
-        capture.detach()
-        groups = store.drain()
+        groups = capture_seed_window(source, session, analyzer)
 
         warehouse, integrator = build_parts_warehouse(
             f"health-wh-{mode}", source.clock, initial_rows, analyzer

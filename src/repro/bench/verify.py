@@ -47,11 +47,7 @@ from ..semantics import (
     SchemaCatalog,
     ViewMaintenancePlanner,
 )
-from ..warehouse.aggregates import (
-    AggregateSpec,
-    AggregateViewDefinition,
-    MaterializedAggregateView,
-)
+from ..warehouse.aggregates import MaterializedAggregateView
 from ..warehouse.opdelta_integrator import OpDeltaIntegrator
 from ..warehouse.warehouse import Warehouse
 from ..workloads.records import (
@@ -61,6 +57,7 @@ from ..workloads.records import (
     suppliers_schema,
 )
 from .experiments.common import build_workload_database
+from .experiments.semantics import AGG_VIEW, SPJ_VIEW, run_workload
 
 #: Version of the ``--verify-plans --json`` document layout.  Bump on any
 #: structural change to :meth:`VerifyReport.to_dict`.
@@ -69,7 +66,9 @@ SCHEMA_VERSION = 1
 #: Injectable faults (``repro-bench --verify-plans --fault ...``).
 FAULTS = ("corrupt-delta-rule",)
 
-# Smoke-sized seed workload, same shape as the semantics experiment.
+# Smoke-sized seed workload: the semantics experiment's two views (the
+# selective ``active_parts``, hybrid under status flips, and the
+# ``qty_by_supplier`` aggregate) and its mixed workload, at a smaller scale.
 TABLE_ROWS = 300
 TRANSACTIONS = 6
 TXN_ROWS = 20
@@ -84,15 +83,6 @@ MIRROR_VIEW = ViewDefinition(
     key_column="part_id",
 )
 
-#: Selective view: membership transitions under status flips (hybrid).
-SPJ_VIEW = ViewDefinition(
-    name="active_parts",
-    base_table="parts",
-    columns=("part_id", "part_no", "status", "quantity", "price"),
-    predicate="status = 'active'",
-    key_column="part_id",
-)
-
 #: Join view projecting a dimension attribute: the paper's "joined tables
 #: mirrored at the warehouse" hybrid case.
 JOIN_VIEW = ViewDefinition(
@@ -103,17 +93,6 @@ JOIN_VIEW = ViewDefinition(
     key_column="part_id",
     join=JoinSpec(
         "suppliers", "supplier_id", "supplier_id", columns=("supplier_name",)
-    ),
-)
-
-AGG_VIEW = AggregateViewDefinition(
-    "qty_by_supplier",
-    "parts",
-    group_by=("supplier_id",),
-    aggregates=(
-        AggregateSpec("COUNT"),
-        AggregateSpec("SUM", "quantity"),
-        AggregateSpec("AVG", "price"),
     ),
 )
 
@@ -251,28 +230,6 @@ def _build_warehouse(name: str, initial_rows: Sequence[tuple], clock):
     return wh, (mirror, spj, join), agg
 
 
-def _run_workload(session, workload) -> None:
-    """Quantity bumps, membership flips, range deletes, fresh inserts."""
-    for i in range(TRANSACTIONS):
-        low, high = i * TXN_ROWS, (i + 1) * TXN_ROWS
-        if i % 3 == 0:
-            session.execute(
-                f"UPDATE parts SET quantity = quantity + 5 "
-                f"WHERE part_ref >= {low} AND part_ref < {high}"
-            )
-        elif i % 3 == 1:
-            session.execute(
-                f"UPDATE parts SET status = 'retired' "
-                f"WHERE part_ref >= {low} AND part_ref < {high}"
-            )
-        else:
-            session.execute(
-                f"DELETE FROM parts WHERE part_ref >= {low} "
-                f"AND part_ref < {high}"
-            )
-    workload.run_insert(TXN_ROWS)
-
-
 def _wrong_sum_sign_factory(database, definition, schema: TableSchema):
     """Aggregate factory with the planted fault: retraction *adds* SUMs."""
 
@@ -404,7 +361,7 @@ def run_verify(fault: str | None = None) -> VerifyReport:
         hybrid_policy=PlanDrivenCapturePolicy(plans),
     )
     capture.attach()
-    _run_workload(workload.session, workload)
+    run_workload(workload, TRANSACTIONS, TXN_ROWS)
     capture.detach()
     groups = store.drain()
 
