@@ -11,10 +11,11 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import ReproError
 from ..obs.context import observe
@@ -25,55 +26,6 @@ from .report import render, render_analysis, render_compaction
 
 
 # --------------------------------------------------------------- report passes
-def _health_pass(args: argparse.Namespace) -> tuple[Any, str]:
-    from .health import run_health
-    from .report import render_health
-
-    report = run_health(fault=args.fault)
-    return report, render_health(report)
-
-
-def _certify_pass(args: argparse.Namespace) -> tuple[Any, str]:
-    from .certify import run_certify
-    from .report import render_certify
-
-    report = run_certify(fault=args.fault)
-    return report, render_certify(report)
-
-
-def _verify_pass(args: argparse.Namespace) -> tuple[Any, str]:
-    from .report import render_verify
-    from .verify import run_verify
-
-    report = run_verify(fault=args.fault)
-    return report, render_verify(report)
-
-
-def _flight_pass(args: argparse.Namespace) -> tuple[Any, str]:
-    from .flight import run_flight
-    from .report import render_flight
-
-    report = run_flight()
-    return report, render_flight(report)
-
-
-def _forensics_pass(args: argparse.Namespace) -> tuple[Any, str]:
-    from .introspect import run_forensics
-    from .report import render_forensics
-
-    report = run_forensics()
-    return report, render_forensics(report)
-
-
-def _sql_pass(args: argparse.Namespace) -> tuple[Any, str]:
-    from .introspect import run_sql
-    from .report import render_query_result
-
-    report = run_sql(args.sql)
-    assert report.query is not None
-    return report, render_query_result(report.query)
-
-
 @dataclass(frozen=True)
 class ReportPass:
     """One alternate report mode of the CLI (a ``--health``-style flag).
@@ -90,9 +42,12 @@ class ReportPass:
     summary: str
     #: Full ``--help`` text.
     help: str
-    #: Runs the pass; returns the report (``to_dict``/``exit_code``) and
-    #: its rendered text.
-    run: Callable[[argparse.Namespace], tuple[Any, str]]
+    #: Module of this package whose ``runner`` builds the report
+    #: (``to_dict``/``exit_code``); imported only when the pass runs.
+    module: str
+    runner: str
+    #: The :mod:`.report` function that renders it.
+    renderer: str
     #: The ``--fault`` choice that requires this pass, if any.
     fault: str | None = None
     #: argparse metavar for value-taking flags; ``None`` = store_true.
@@ -106,6 +61,20 @@ class ReportPass:
         value = getattr(args, self.dest)
         return value is not None and value is not False
 
+    def run(self, args: argparse.Namespace) -> tuple[Any, str]:
+        """Run the pass with the CLI values it declares; report and text."""
+        runner, renderer = (
+            getattr(importlib.import_module(f".{module}", __package__), name)
+            for module, name in ((self.module, self.runner), ("report", self.renderer))
+        )
+        if self.metavar is not None:
+            # A value-taking pass (``--sql``) renders the answer to its
+            # value, not the drill that produced it.
+            result = runner(getattr(args, self.dest))
+            return result, renderer(result.query)
+        result = runner() if self.fault is None else runner(fault=args.fault)
+        return result, renderer(result)
+
 
 REPORT_PASSES: tuple[ReportPass, ...] = (
     ReportPass(
@@ -115,7 +84,9 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "capture the seed workload through the plain, batched and compacted "
         "pipelines, audit lineage conservation, ordering and state digests, "
         "and print per-view freshness, per-stage lag and the auditor verdict",
-        run=_health_pass,
+        module="health",
+        runner="run_health",
+        renderer="render_health",
         fault="drop-queue-message",
     ),
     ReportPass(
@@ -126,7 +97,9 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "serializable, measure the widened commutativity prover's "
         "parallelism delta, and verify state parity and zero sanitizer "
         "overhead",
-        run=_certify_pass,
+        module="certify",
+        runner="run_certify",
+        renderer="render_certify",
         fault="swap-lane-ops",
     ),
     ReportPass(
@@ -137,7 +110,9 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "catalog over exhaustive small-scope micro-databases, prove the "
         "certificate cache is pay-once, and drive a captured workload "
         "through the integrator's certificate-gated pre-flight",
-        run=_verify_pass,
+        module="verify",
+        runner="run_verify",
+        renderer="render_verify",
         fault="corrupt-delta-rule",
     ),
     ReportPass(
@@ -148,7 +123,9 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "time-series/cost-attribution/SLO stack, and print the window "
         "timeline, the top-K cost profile and every burn-rate alert; the "
         "exit code reports whether the spike alert fired and cleared",
-        run=_flight_pass,
+        module="flight",
+        runner="run_flight",
+        renderer="render_flight",
     ),
     ReportPass(
         flag="--forensics",
@@ -160,7 +137,9 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "incremental monitoring views, and print per-window/per-view stage "
         "blame; the exit code is 0 only when the queue stage is blamed for "
         "the p99 end-to-end lag",
-        run=_forensics_pass,
+        module="introspect",
+        runner="run_forensics",
+        renderer="render_forensics",
     ),
     ReportPass(
         flag="--sql",
@@ -171,7 +150,9 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "deterministic forensics drill, and print the result rows; "
         "malformed or unresolvable queries exit 2 with a positioned "
         "diagnostic",
-        run=_sql_pass,
+        module="introspect",
+        runner="run_sql",
+        renderer="render_query_result",
         metavar="QUERY",
     ),
 )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ...clock import VirtualClock
 from ...engine.buffer import DEFAULT_POOL_PAGES
 from ...engine.database import Database
 from ...engine.schema import TableSchema
@@ -29,15 +28,10 @@ def build_workload_database(
     rows: int,
     buffer_pages: int = DEFAULT_POOL_PAGES,
     name: str = "source",
-    archive_mode: bool = False,
-    clock: VirtualClock | None = None,
-    seed: int = 42,
 ) -> tuple[Database, OltpWorkload]:
     """A source database with a populated PARTS table and its workload."""
-    database = Database(
-        name, clock=clock, buffer_pages=buffer_pages, archive_mode=archive_mode
-    )
-    workload = OltpWorkload(database, seed=seed)
+    database = Database(name, buffer_pages=buffer_pages)
+    workload = OltpWorkload(database)
     workload.create_table()
     workload.populate(rows)
     # Checkpoint so measurements start from a clean buffer — otherwise the
@@ -46,14 +40,12 @@ def build_workload_database(
     return database, workload
 
 
-def fill_plain_table(
-    database: Database, table_name: str, rows: int, seed: int = 7
-) -> None:
+def fill_plain_table(database: Database, table_name: str, rows: int) -> None:
     """Create and fill an unindexed PARTS-shaped table (untimed setup path)."""
     if not database.has_table(table_name):
         database.create_table(plain_parts_schema(table_name))
     table = database.table(table_name)
-    generator = PartsGenerator(seed=seed)
+    generator = PartsGenerator(seed=7)
     txn = database.begin()
     table.insert_many(txn, generator.rows(rows), mode=InsertMode.BULK_INTERNAL)
     database.commit(txn)
