@@ -1077,6 +1077,86 @@ class TestRepro014SysReadInPlace:
         assert builders == ["introspect/meta.py"]
 
 
+class TestRepro015OnePipelineAssembly:
+    SHIPPER = "repro/transport/shipper.py"
+    FLIGHT = "repro/bench/flight.py"
+
+    #: The fork this rule keeps out: a stand-in Protocol plus the
+    #: transforms called on the caller's behalf.
+    HOOKED = (
+        "class Compactor(Protocol):\n"
+        "    def compact_window(self, groups): ...\n"
+        "\n"
+        "def enqueue(queue, groups, pruner=None, compactor=None, certifier=None):\n"
+        "    groups, _ = switcher.route_window(groups)\n"
+        "    window = [pruner.prune_transaction(g) for g in groups]\n"
+        "    window = list(pruner.prune_window(window))\n"
+        "    compacted, report = compactor.compact_window(window)\n"
+        "    certifier.verify_compaction(window, report.reorder_obligations)\n"
+        "    return compacted\n"
+    )
+    STACK = (
+        "def run_drill():\n"
+        "    flight = FlightRecorder(store=TimeSeriesStore())\n"
+        "    engine = SLOEngine(flight.store, [])\n"
+        "    return flight, engine\n"
+    )
+
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO015" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    def test_transport_calls_no_window_transform(self, tmp_path):
+        violations = lint_source(tmp_path, self.HOOKED, name=self.SHIPPER)
+        assert self.flagged(violations) == [1, 5, 6, 7, 8, 9]
+        assert "derives from Protocol" in violations[0]
+        assert "route_window()" in violations[1]
+
+    def test_the_same_calls_are_the_pipelines_to_make(self, tmp_path):
+        for home in ("repro/bench/health.py", "repro/analysis/analyzer.py"):
+            assert lint_source(tmp_path, self.HOOKED, name=home) == [], home
+        moved = (
+            "def enqueue(queue, groups):\n"
+            "    for group in groups:\n"
+            "        queue.enqueue(group, group.size_bytes)\n"
+        )
+        assert lint_source(tmp_path, moved, name=self.SHIPPER) == []
+
+    def test_only_the_driver_builds_the_flight_stack_under_bench(self, tmp_path):
+        assert lint_source(tmp_path, self.STACK, name=self.FLIGHT) == []
+        for home in (
+            "repro/bench/introspect.py",
+            "repro/bench/experiments/flight.py",
+        ):
+            copied = lint_source(tmp_path, self.STACK, name=home)
+            assert self.flagged(copied) == [2, 3], home
+            assert "WindowedPipeline" in copied[0]
+        # The stores' own package, and the tests, construct them freely.
+        assert lint_source(
+            tmp_path, self.STACK, name="repro/obs/flight/series.py"
+        ) == []
+
+    def test_shipped_tree_assembles_once(self):
+        source = REPO / "src" / "repro"
+        for path in sorted(source.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO015" in v
+            ] == [], path
+        transforms = "|".join(lint_rules.WINDOW_TRANSFORMS)
+        for path in sorted((source / "transport").glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(rf"\bProtocol\b|\b({transforms})\(", text), path
+        builders = [
+            path.relative_to(source / "bench").as_posix()
+            for path in sorted((source / "bench").rglob("*.py"))
+            if re.search(
+                r"\b(FlightRecorder|SLOEngine)\(", path.read_text(encoding="utf-8")
+            )
+        ]
+        assert builders == ["flight.py"]
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

@@ -174,6 +174,19 @@ place the obs layer drives the engine), and ``introspect/catalog.py`` /
 ``introspect/tables.py`` call none of ``create_table(``, ``insert_many(``,
 ``begin(``, ``commit(`` — the calls a copy would need.
 
+**REPRO015 — one pipeline assembly.**  Transport moves the window it is
+given; what is *in* the window is decided by plain calls the pipeline makes
+first — ``route_window(``, ``prune_window(`` / ``prune_transaction(``,
+``compact_window(``, ``verify_compaction(`` — each returning its result and
+settling the ops it drops.  Transport once carried a second assembly of
+those calls behind seven off-by-default options and five structural
+``Protocol`` stand-ins, which no shipped pipeline used.  So under
+``repro/transport/`` no class derives from ``Protocol`` and none of those
+five transforms is called.  And the drills under ``repro/bench/`` build the
+flight-recorded stack once: ``FlightRecorder(`` and ``SLOEngine(`` are
+constructed in ``bench/flight.py`` only (``WindowedPipeline``) — a second
+construction site is the capture → queue → apply stanza copied again.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -379,6 +392,20 @@ CATALOG_SUFFIXES = (
     "repro/obs/introspect/tables.py",
 )
 COPY_METHODS = ("create_table", "insert_many", "begin", "commit")
+
+#: REPRO015: the window transforms transport must not call, and the one
+#: bench module that constructs the flight-recorded stack.
+TRANSPORT_PATH_FRAGMENT = "repro/transport/"
+WINDOW_TRANSFORMS = (
+    "compact_window",
+    "prune_transaction",
+    "prune_window",
+    "verify_compaction",
+    "route_window",
+)
+BENCH_PATH_FRAGMENT = "repro/bench/"
+FLIGHT_STACK_SUFFIX = "repro/bench/flight.py"
+FLIGHT_STACK_CLASSES = ("FlightRecorder", "SLOEngine")
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
 
@@ -778,6 +805,45 @@ def _catalog_copy_violations(path: Path, tree: ast.AST, normalized: str) -> list
     ]
 
 
+def _pipeline_assembly_violations(
+    path: Path, tree: ast.AST, normalized: str
+) -> list[str]:
+    """REPRO015: a window transform inside transport, or a second flight stack."""
+    nodes = list(ast.walk(tree))
+    found: list[tuple[int, str]] = []
+    if TRANSPORT_PATH_FRAGMENT in normalized:
+        found.extend(
+            (node.lineno, f"class {node.name} derives from Protocol under "
+             "repro/transport/: transport takes the window, not stand-ins for "
+             "what transforms it")
+            for node in nodes
+            if isinstance(node, ast.ClassDef)
+            and any(
+                (dotted_name(base) or "").rsplit(".", 1)[-1] == "Protocol"
+                for base in node.bases
+            )
+        )
+        found.extend(
+            (node.lineno, f"{method}() called under repro/transport/: window "
+             "transforms are plain calls the pipeline makes before shipping")
+            for method in WINDOW_TRANSFORMS
+            for node in _calls_to(nodes, method)
+        )
+    if BENCH_PATH_FRAGMENT in normalized and not normalized.endswith(
+        FLIGHT_STACK_SUFFIX
+    ):
+        found.extend(
+            (node.lineno, f"{name}() constructed under repro/bench/ outside "
+             "flight.py: drive bench.flight.WindowedPipeline instead of "
+             "assembling the stack again")
+            for name in FLIGHT_STACK_CLASSES
+            for node in _calls_to(nodes, name)
+        )
+    return [
+        f"{path}:{lineno}: REPRO015 {what}" for lineno, what in sorted(found)
+    ]
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -806,6 +872,7 @@ def lint_file(path: Path) -> list[str]:
     violations.extend(_write_path_violations(path, tree, normalized))
     violations.extend(_access_path_violations(path, tree, normalized))
     violations.extend(_catalog_copy_violations(path, tree, normalized))
+    violations.extend(_pipeline_assembly_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
