@@ -21,6 +21,7 @@ from ..errors import ReproError
 from ..obs.context import observe
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
+from . import report as reports
 from .experiments import REGISTRY
 from .report import render, render_analysis, render_compaction
 
@@ -63,10 +64,9 @@ class ReportPass:
 
     def run(self, args: argparse.Namespace) -> tuple[Any, str]:
         """Run the pass with the CLI values it declares; report and text."""
-        runner, renderer = (
-            getattr(importlib.import_module(f".{module}", __package__), name)
-            for module, name in ((self.module, self.runner), ("report", self.renderer))
-        )
+        module = importlib.import_module(f".{self.module}", __package__)
+        runner = getattr(module, self.runner)
+        renderer = getattr(reports, self.renderer)
         if self.metavar is not None:
             # A value-taking pass (``--sql``) renders the answer to its
             # value, not the drill that produced it.

@@ -1087,7 +1087,7 @@ class TestRepro015OnePipelineAssembly:
         "class Compactor(Protocol):\n"
         "    def compact_window(self, groups): ...\n"
         "\n"
-        "def enqueue(queue, groups, pruner=None, compactor=None, certifier=None):\n"
+        "def enqueue(queue, groups, switcher, pruner, compactor, certifier):\n"
         "    groups, _ = switcher.route_window(groups)\n"
         "    window = [pruner.prune_transaction(g) for g in groups]\n"
         "    window = list(pruner.prune_window(window))\n"
