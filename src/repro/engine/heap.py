@@ -110,16 +110,23 @@ class HeapFile:
             self._pages_with_space.remove(page_no)
         self._num_records += 1
 
-    def scan(self) -> Iterator[tuple[RowId, bytes]]:
-        """Yield every live record in page/slot order.
+    def pages(self) -> Iterator[tuple[int, list[tuple[int, bytes]]]]:
+        """Yield ``(page_no, live slots)`` page by page, one fetch per page.
 
-        The page list is snapshotted up front so a concurrent append (e.g. a
-        statement inserting into the table it reads, as INSERT..SELECT does)
-        does not revisit its own output.
+        The page list is snapshotted up front, and each page's slots when the
+        page is reached, so a concurrent append (e.g. a statement inserting
+        into the table it reads, as INSERT..SELECT does) does not revisit its
+        own output.  This is the one page walk: :meth:`Table.scan
+        <repro.engine.table.Table.scan>` runs its fused loop over it.
         """
+        fetch = self._pool.fetch
         for page_no in list(self._page_nos):
-            page = self._pool.fetch(page_no)
-            for slot_no, record in list(page.occupied_slots()):
+            yield page_no, fetch(page_no).occupied_slots()
+
+    def scan(self) -> Iterator[tuple[RowId, bytes]]:
+        """Every live ``(RowId, record)`` in page/slot order (index builds)."""
+        for page_no, slots in self.pages():
+            for slot_no, record in slots:
                 yield RowId(page_no, slot_no), record
 
     def truncate(self) -> int:

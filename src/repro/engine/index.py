@@ -83,6 +83,11 @@ class Index(ABC):
         """Ordered scan of keys in ``[low, high]`` (B-tree only)."""
         raise StorageError(f"index {self.name!r} does not support range scans")
 
+    def estimate_range(self, low: Any, high: Any,
+                       include_low: bool = True, include_high: bool = True) -> int:
+        """How many entries fall in ``[low, high]`` (B-tree only)."""
+        raise StorageError(f"index {self.name!r} does not support range scans")
+
     # ------------------------------------------------------------- subclasses
     @abstractmethod
     def _insert(self, key: Any, row_id: RowId) -> None: ...

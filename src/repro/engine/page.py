@@ -15,7 +15,6 @@ round-trip the on-disk image exactly.
 from __future__ import annotations
 
 import struct
-from typing import Iterator
 
 from ..errors import StorageError
 from .disk import PAGE_SIZE
@@ -106,11 +105,16 @@ class Page:
             self._free_hint = slot_no
         return record
 
-    def occupied_slots(self) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(slot_no, record)`` for every live record in slot order."""
-        for slot_no, record in enumerate(self._slots):
-            if record is not None:
-                yield slot_no, record
+    def occupied_slots(self) -> list[tuple[int, bytes]]:
+        """``(slot_no, record)`` of every live record, in slot order.
+
+        A new list, so the caller may change the page while it walks it.
+        """
+        return [
+            (slot_no, record)
+            for slot_no, record in enumerate(self._slots)
+            if record is not None
+        ]
 
     # ------------------------------------------------------------ serialization
     def to_bytes(self) -> bytes:

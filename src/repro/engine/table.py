@@ -360,23 +360,34 @@ class Table:
         return self._decoder(columns)(self._heap.read(row_id))
 
     def scan(
-        self, columns: Sequence[int] | None = None
+        self,
+        columns: Sequence[int] | None = None,
+        keep: Callable[[tuple[Any, ...]], Any] | None = None,
     ) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
         """Full scan in physical order, charging per-row scan CPU.
 
-        Only the ``columns`` (ascending positions; default: all) are decoded
-        and yielded.  The scan CPU and the ``rows_scanned`` count are per
-        heap record, whatever is decoded of it.
+        The one loop that reads a heap: per live record it charges the scan
+        CPU, counts the record, decodes the ``columns`` (ascending positions;
+        default: all) and — only for a row ``keep`` accepts (default: every
+        row) — builds the :class:`RowId` and yields.  The charge and the
+        ``rows_scanned`` count are per heap record, whatever is decoded of it
+        and whether or not it is kept; the clock is advanced once per record,
+        never by a page's worth at once, because n additions of x are not one
+        addition of n*x in floating point and virtual time is compared to the
+        bit.
         """
         advance = self._clock.advance
         scan_cpu = self._costs.row_scan_cpu
         decode = self._decoder(columns)
         scanned = 0
         try:
-            for row_id, record in self._heap.scan():
-                advance(scan_cpu)
-                scanned += 1
-                yield row_id, decode(record)
+            for page_no, slots in self._heap.pages():
+                for slot_no, record in slots:
+                    advance(scan_cpu)
+                    scanned += 1
+                    values = decode(record)
+                    if keep is None or keep(values):
+                        yield RowId(page_no, slot_no), values
         finally:
             # One metrics update per scan, not per row, keeps the hot path
             # at a local integer bump even for million-row scans.

@@ -23,7 +23,8 @@ Two invariants the catalog enforces:
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from typing import Any
 
 from ...clock import VirtualClock
 from ...engine.costs import DEFAULT_COST_MODEL
@@ -51,9 +52,13 @@ class _SysSource:
         row = self._rows[row_id]
         return tuple(row[c] for c in columns)
 
-    def scan(self, columns: Sequence[int]) -> Iterator[tuple[int, Row]]:
+    def scan(
+        self, columns: Sequence[int], keep: Callable[[Row], Any] | None = None
+    ) -> Iterator[tuple[int, Row]]:
         for row_id in range(len(self._rows)):
-            yield row_id, self.read(row_id, columns)
+            values = self.read(row_id, columns)
+            if keep is None or keep(values):
+                yield row_id, values
 
     def index_on(self, column: str) -> None:
         return None

@@ -14,6 +14,11 @@ Row ids are the source's own currency: whatever ``scan`` yields next to a
 row, ``read`` and the source's indexes take back.  A source without indexes
 answers ``index_on`` with ``None`` and is planned as ``scan``.
 
+``scan`` filters: the executor hands it the statement's compiled predicate as
+``keep`` (a function of the narrow value tuple alone), so a source examines
+every row but builds a row id and yields only for the rows kept.  What a
+source charges for a scan it charges per row examined, kept or not.
+
 INSERT/UPDATE/DELETE and DDL are outside the contract: they change an engine
 ``Database`` inside a transaction, and the executor refuses them over
 anything else.
@@ -21,7 +26,7 @@ anything else.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..clock import VirtualClock
@@ -36,8 +41,14 @@ class RowSource(Protocol):
     name: str
     schema: TableSchema
 
-    def scan(self, columns: Sequence[int]) -> Iterator[tuple[Any, tuple[Any, ...]]]:
-        """Every ``(row id, values)``; ``columns`` as for :meth:`read`."""
+    def scan(
+        self,
+        columns: Sequence[int],
+        keep: Callable[[tuple[Any, ...]], Any] | None = None,
+    ) -> Iterator[tuple[Any, tuple[Any, ...]]]:
+        """The ``(row id, values)`` of every row ``keep`` accepts (default:
+        every row); ``columns`` as for :meth:`read`, and ``keep`` is called
+        with those values."""
 
     def read(self, row_id: Any, columns: Sequence[int]) -> tuple[Any, ...]:
         """One row's values at the ascending ``columns`` positions."""

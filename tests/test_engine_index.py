@@ -98,6 +98,16 @@ class TestBTreeRange:
         with pytest.raises(StorageError):
             list(index.range_scan(1, 2))
 
+    def test_hash_refuses_the_estimate_as_it_refuses_the_scan(self):
+        # Both are declared on ``Index`` (the planner calls them on whatever
+        # ``index_on`` returned); only the B-tree answers.
+        index = HashIndex("h", "col", VirtualClock(), DEFAULT_COST_MODEL)
+        index.insert(1, RowId(0, 0))
+        with pytest.raises(StorageError, match="'h' does not support range scans"):
+            index.estimate_range(1, 2)
+        with pytest.raises(StorageError, match="'h' does not support range scans"):
+            list(index.range_scan(1, 2))
+
     def test_duplicates_in_range(self):
         index = BTreeIndex("b", "col", VirtualClock(), DEFAULT_COST_MODEL)
         index.insert(1, RowId(0, 0))

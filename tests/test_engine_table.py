@@ -342,6 +342,107 @@ class TestScanAndIndexes:
         db.commit(txn)
 
 
+def _holey_table(small_schema, rows=700):
+    """A table of several pages with freed slots in each."""
+    database = Database("test")
+    table = database.create_table(small_schema)
+    txn = database.begin()
+    row_ids = [
+        table.insert(txn, (i, None if i % 11 == 0 else f"n{i % 7}", float(i)))
+        for i in range(rows)
+    ]
+    for row_id in row_ids[::5]:
+        table.delete(txn, row_id)
+    database.commit(txn)
+    assert table.num_pages >= 3
+    return database, table
+
+
+class TestFilteringScan:
+    """``Table.scan(columns, keep)``: the predicate runs inside the one scan
+    loop, before a RowId exists; cost and count are per record examined."""
+
+    @pytest.mark.parametrize("columns", [None, (0, 2), (1,)])
+    def test_yields_what_an_unfiltered_scan_yields_for_the_kept_rows(
+        self, small_schema, columns
+    ):
+        _database, table = _holey_table(small_schema)
+
+        def keep(values):
+            return values[-1] is not None and str(values[-1]) > "2"
+
+        kept = list(table.scan(columns, keep))
+        assert kept == [pair for pair in table.scan(columns) if keep(pair[1])]
+        assert 0 < len(kept) < table.num_rows
+
+    def test_costs_and_counts_what_an_unfiltered_scan_does(self, small_schema):
+        (filtered_db, filtered), (plain_db, plain) = (
+            _holey_table(small_schema), _holey_table(small_schema)
+        )
+        assert filtered_db.clock.now == plain_db.clock.now
+        assert list(filtered.scan((0,), lambda values: values[0] % 9 == 0))
+        assert len(list(plain.scan((0,)))) == plain.num_rows
+        # Bit-equal, not approximately: one advance per record on both sides.
+        assert filtered_db.clock.now == plain_db.clock.now
+
+        def scanned(database):
+            return database.metrics.counter("engine.table.rows_scanned", db="test")
+
+        assert scanned(filtered_db).value == scanned(plain_db).value == plain.num_rows
+
+    def test_a_raising_keep_propagates_and_the_examined_records_count(
+        self, small_schema
+    ):
+        database, table = _holey_table(small_schema)
+        scanned = database.metrics.counter("engine.table.rows_scanned", db="test")
+        seen = []
+
+        def keep(values):
+            seen.append(values)
+            if len(seen) == 300:  # on the second page
+                raise ValueError("refused")
+            return True
+
+        before = scanned.value
+        with pytest.raises(ValueError, match="refused"):
+            list(table.scan(None, keep))
+        assert scanned.value - before == 300
+
+    def test_a_scan_that_keeps_nothing_builds_no_row_id(
+        self, small_schema, monkeypatch
+    ):
+        from repro.engine import table as table_module
+
+        _database, table = _holey_table(small_schema)
+        row_id_class = table_module.RowId
+        built = []
+
+        def counting_row_id(page_no, slot_no):
+            built.append((page_no, slot_no))
+            return row_id_class(page_no, slot_no)
+
+        # The name ``Table.scan`` resolves when it builds a row's address.
+        monkeypatch.setattr(table_module, "RowId", counting_row_id)
+        assert list(table.scan((0,), lambda values: False)) == []
+        assert built == []
+        assert len(list(table.scan((0,), lambda values: values[0] < 3))) == len(built) == 2
+
+    def test_insert_select_from_the_table_it_fills_terminates(self, small_schema):
+        database, table = _holey_table(small_schema)
+        before = sorted(values for _rid, values in table.scan())
+        session = database.internal_session()
+        result = session.execute(
+            "INSERT INTO items SELECT item_id + 1000, name, price FROM items "
+            "WHERE price >= 0"
+        )
+        assert result.rows_affected == len(before)
+        after = sorted(
+            values for _rid, values in table.scan(keep=lambda v: v[0] >= 1000)
+        )
+        assert after == [(k + 1000, name, price) for k, name, price in before]
+        assert table.num_rows == 2 * len(before)
+
+
 # ---------------------------------------------------------------- batch DML
 #: One mixed script, as (entry, items) statements.  Row ids are resolved by
 #: primary key at run time so the same script drives both entry families.

@@ -116,9 +116,11 @@ class ListSource:
         self.schema = table.schema
         self.rows = [values for _row_id, values in table.scan()]
 
-    def scan(self, columns):
+    def scan(self, columns, keep=None):
         for position, row in enumerate(self.rows):
-            yield position, tuple(row[c] for c in columns)
+            values = tuple(row[c] for c in columns)
+            if keep is None or keep(values):
+                yield position, values
 
     def read(self, row_id, columns):
         raise AssertionError("nothing planned an index path over this source")
