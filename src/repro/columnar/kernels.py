@@ -3,8 +3,8 @@
 There is one expression compiler, :func:`repro.sql.expressions.compile_expression`;
 this module binds its leaves to a :class:`~repro.columnar.batch.ColumnBatch`:
 a kernel is ``(columns, position) -> value`` with every column reference
-resolved to its array slot at compile time, so evaluating a predicate over
-a batch is a tight loop over positions.
+emitted as a read of its array slot (``cols[3][pos]``), so evaluating a
+predicate over a batch is a tight loop of one flat function over positions.
 
 The batch binding is **eager** where the row bindings are lazy.  A batch
 carries no session context and the row path owns the diagnostics, so a
@@ -17,7 +17,7 @@ a routing decision, never an error.
 Compiled kernels are cached in a :class:`KernelCache` keyed by the plan
 fingerprint plus ``(table, kind, view)`` — the window memo seam of
 ``integrate_batched`` — so repeated windows over the same certified plan
-set reuse closures instead of recompiling.
+set reuse kernels instead of recompiling.
 """
 
 from __future__ import annotations
@@ -54,22 +54,24 @@ class BatchBinding:
         self._layout = layout
         self._qualifiers = qualifiers
 
-    def column(self, ref: ast.ColumnRef) -> CompiledScalar:
+    parameters = "cols, pos"
+
+    def column(self, ref: ast.ColumnRef, hoist: expressions.Hoist) -> str:
         if ref.table is not None and ref.table not in self._qualifiers:
             raise CompileBarrier(f"unresolvable qualifier {ref.table!r}")
         try:
             slot = self._layout[ref.name]
         except KeyError:
             raise CompileBarrier(f"unknown column {ref.name!r}") from None
-        return lambda cols, i: cols[slot][i]
+        return f"cols[{slot}][pos]"
 
-    def volatile(self, name: str) -> CompiledScalar:
+    def volatile(self, name: str, hoist: expressions.Hoist) -> str:
         # NOW()/RANDOM()/user need session context the batch does not
         # carry; pinned statements never contain them, so this is the
         # barrier that routes genuinely volatile ops to the row path.
         raise CompileBarrier(f"volatile function {name}")
 
-    def fail(self, message: str) -> CompiledScalar:
+    def fail(self, message: str, hoist: expressions.Hoist) -> str:
         raise CompileBarrier(message)
 
 
@@ -97,7 +99,7 @@ class KernelCache:
 
     One instance lives on the integrator's columnar applier, so repeated
     windows over the same certified plan set (same fingerprint) reuse
-    closures across calls instead of recompiling per window.
+    kernels across calls instead of recompiling per window.
     """
 
     def __init__(self) -> None:

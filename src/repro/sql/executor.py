@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..engine.database import Database
 from ..engine.rows import RowId
@@ -187,7 +187,7 @@ class Executor:
         if stmt.table is None:
             # Constant SELECT (e.g. SELECT 1 + 1): no row columns in scope.
             row = tuple(
-                compile_expression(item.expr, CONSTANT)((), context)
+                compile_expression(item.expr, CONSTANT, context)(())
                 for item in stmt.items
             )
             columns = [self._item_name(item) for item in stmt.items]
@@ -211,8 +211,15 @@ class Executor:
         path = choose_path(base, base_alias, stmt.where)
         scope = _Scope()
         scope.add(base.schema, base_alias, base_read)
+        # Without a join the WHERE is applied where the base table is read.
+        # With one it stays above the join: it may read joined columns, and
+        # the probe charges for every base row it is handed.
+        pushed = None if stmt.joins else stmt.where
         rows: Iterable[tuple[Any, ...]] = (
-            values for _row_id, values in self._candidates(base, path, base_read)
+            values
+            for _row_id, values in self._candidates(
+                base, path, base_read, self._predicate(pushed, scope)
+            )
         )
         plan_parts = [f"{stmt.table}:{path.description}"]
 
@@ -222,15 +229,14 @@ class Executor:
             left_key, right_key = self._join_sides(join, right_alias)
             # The probe key reads the left side only: compile it before the
             # joined table's names come into scope.
-            probe = compile_expression(left_key, scope)
+            probe = compile_expression(left_key, scope, context)
             build_key = right_read.index(right.schema.column_index(right_key.name))
             rows = self._hash_join(rows, probe, right.scan(right_read), build_key)
             scope.add(right.schema, right_alias, right_read)
             plan_parts.append(f"join({join.table}:hash)")
 
-        if stmt.where is not None:
-            keep = compile_predicate(stmt.where, scope)
-            rows = (row for row in rows if keep(row, context))
+        if stmt.joins and stmt.where is not None:
+            rows = filter(self._predicate(stmt.where, scope), rows)
 
         aggregated = any(
             isinstance(item.expr, ast.Aggregate) for item in stmt.items
@@ -246,14 +252,28 @@ class Executor:
             result = result[: stmt.limit]
         return Result(columns=columns, rows=result, plan=" ".join(plan_parts))
 
+    def _predicate(
+        self, where: ast.Expression | None, scope: _Scope
+    ) -> Callable[[tuple[Any, ...]], bool] | None:
+        """``where`` as a filter of rows laid out as ``scope``; None keeps all."""
+        if where is None:
+            return None
+        return compile_predicate(where, scope, self._context)
+
     @staticmethod
     def _candidates(
-        table: RowSource, path: AccessPath, columns: Sequence[int]
+        table: RowSource,
+        path: AccessPath,
+        columns: Sequence[int],
+        keep: Callable[[tuple[Any, ...]], bool] | None,
     ) -> Iterable[tuple[Any, tuple[Any, ...]]]:
-        """The rows the access path reads (their ``columns``), before the predicate."""
+        """The rows the access path reads (their ``columns``) that ``keep``
+        accepts: the scan filters as it goes, an index path's rows are
+        filtered here."""
         if path.row_ids is None:
-            return table.scan(columns)
-        return ((row_id, table.read(row_id, columns)) for row_id in path.row_ids)
+            return table.scan(columns, keep)
+        rows = ((row_id, table.read(row_id, columns)) for row_id in path.row_ids)
+        return rows if keep is None else (row for row in rows if keep(row[1]))
 
     def _hash_join(
         self,
@@ -267,10 +287,9 @@ class Executor:
             build.setdefault(values[build_key], []).append(values)
         probe_cpu = self._db.costs.row_scan_cpu
         clock = self._db.clock
-        context = self._context
         for row in left_rows:
             clock.advance(probe_cpu)
-            for values in build.get(probe(row, context), ()):
+            for values in build.get(probe(row), ()):
                 yield row + values
 
     @staticmethod
@@ -299,8 +318,7 @@ class Executor:
                 kernels.append(None)
             else:
                 columns.append(self._item_name(item))
-                kernels.append(compile_expression(item.expr, scope))
-        context = self._context
+                kernels.append(compile_expression(item.expr, scope, self._context))
         projected = []
         for row in rows:
             out: list[Any] = []
@@ -308,7 +326,7 @@ class Executor:
                 if kernel is None:
                     out.extend(row)
                 else:
-                    out.append(kernel(row, context))
+                    out.append(kernel(row))
             projected.append(tuple(out))
         return projected, columns
 
@@ -331,16 +349,16 @@ class Executor:
                         f"column {item.expr.name!r} must appear in GROUP BY"
                     )
         context = self._context
-        group_key = [compile_expression(ref, scope) for ref in stmt.group_by]
+        group_key = [compile_expression(ref, scope, context) for ref in stmt.group_by]
         groups: dict[tuple, list[tuple[Any, ...]]] = {}
         for row in rows:
-            key = tuple(kernel(row, context) for kernel in group_key)
+            key = tuple(kernel(row) for kernel in group_key)
             groups.setdefault(key, []).append(row)
         if not stmt.group_by and not groups:
             groups[()] = []  # global aggregate over an empty input
         columns = [self._item_name(item) for item in stmt.items]
         arguments = [
-            compile_expression(item.expr.argument, scope)
+            compile_expression(item.expr.argument, scope, context)
             if isinstance(item.expr, ast.Aggregate) and item.expr.argument is not None
             else None
             for item in stmt.items
@@ -350,9 +368,7 @@ class Executor:
             out: list[Any] = []
             for item, argument in zip(stmt.items, arguments):
                 if isinstance(item.expr, ast.Aggregate):
-                    out.append(
-                        self._aggregate_value(item.expr, argument, members, context)
-                    )
+                    out.append(self._aggregate_value(item.expr, argument, members))
                 else:
                     position = [ref.name for ref in stmt.group_by].index(
                         item.expr.name  # type: ignore[union-attr]
@@ -366,11 +382,10 @@ class Executor:
         agg: ast.Aggregate,
         argument: Compiled | None,
         members: list[tuple[Any, ...]],
-        context: dict[str, Any],
     ) -> Any:
         if argument is None:
             return len(members)
-        values = [argument(row, context) for row in members]
+        values = [argument(row) for row in members]
         values = [v for v in values if v is not None]
         if agg.function == "COUNT":
             return len(values)
@@ -453,14 +468,8 @@ class Executor:
         scope = _Scope()
         scope.add(table.schema, table.name, columns)
         path = choose_path(table, table.name, where)
-        keep = compile_predicate(where, scope)
-        context = self._context
-        matches = [
-            (row_id, values)
-            for row_id, values in self._candidates(table, path, columns)
-            if keep(values, context)
-        ]
-        return path.description, scope, matches
+        keep = self._predicate(where, scope)
+        return path.description, scope, list(self._candidates(table, path, columns, keep))
 
     def _update(self, db: Database, stmt: ast.UpdateStmt, txn: Transaction) -> Result:
         table = db.table(stmt.table)
@@ -468,14 +477,12 @@ class Executor:
             table, stmt.where, [a.expr for a in stmt.assignments]
         )
         assignments = [
-            (a.column, compile_expression(a.expr, scope)) for a in stmt.assignments
+            (a.column, compile_expression(a.expr, scope, self._context))
+            for a in stmt.assignments
         ]
-        context = self._context
         for row_id, values in matches:
             table.update(
-                txn,
-                row_id,
-                {column: kernel(values, context) for column, kernel in assignments},
+                txn, row_id, {column: kernel(values) for column, kernel in assignments}
             )
         return Result(rows_affected=len(matches), plan=f"update:{description}")
 

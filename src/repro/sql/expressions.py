@@ -1,30 +1,48 @@
 """The SQL expression evaluator: one compiler, three leaf bindings.
 
-:func:`compile_expression` walks an AST **once** and returns a closure of
-two arguments.  Every interior node — Kleene AND/OR, comparison,
-arithmetic, unary, IN, BETWEEN, LIKE, IS NULL, scalar functions — is
-written exactly once, here.  Comparisons involving NULL yield ``None``
+:func:`compile_expression` walks an AST **once**, emits Python source for it
+and instantiates that source as **one** flat function of two arguments.
+Every interior node — Kleene AND/OR, comparison, arithmetic, unary, IN,
+BETWEEN, LIKE, IS NULL, scalar functions — is written exactly once, here, as
+the statements it contributes.  Comparisons involving NULL yield ``None``
 (unknown); a WHERE clause keeps a row only when the predicate is exactly
 ``True``.
 
-What varies by caller is only the *binding*: how the two leaves that touch
-the outside world (column reference, volatile function) are read, and
-whether a node the compiler cannot express is diagnosed lazily or eagerly.
-The binding follows from the shape of the caller's data:
+Everything in the source that is not a token this compiler chose is a
+**hoisted constant**: literal values, LIKE patterns, mapping keys, operator
+spellings and messages reach the function as parameters of its factory
+(``k0``, ``k1`` ...), never as text.  So no SQL is ever interpolated into
+source, and the source is a function of the expression's *shape* and the
+binding's slots alone — which is what makes the one bounded memo
+(:func:`_factory`: source text → factory) hit for every statement that
+differs from an earlier one only in its literals.
+
+The emitted fast paths are *type tests* (two ints, two strings ...); what
+they do not admit calls the checked helper of the node
+(:func:`check_comparable`, ``_truth``, ``_arithmetic`` ...), which computes
+or raises exactly as a row of that kind always did.
+
+What varies by caller is only the *binding*: the source of the two leaves
+that touch the outside world (column reference, volatile function), the
+kernel's parameters, and whether a node the compiler cannot express is
+diagnosed lazily or eagerly.  The binding follows from the shape of the
+caller's data:
 
 * :class:`RowBinding` — ``kernel(row, context)`` over a value tuple, each
-  column reference resolved to a slot at compile time; ``context`` is the
-  statement's session context (:data:`NOW_KEY` ...), :data:`NO_SESSION`
-  where there is none.  Diagnostics are **lazy**: an unknown column, a
-  ``*``/aggregate in scalar position or an unknown operator compiles to a
-  closure that raises when a row actually reaches it.
+  column reference resolved to a slot at compile time (``row[3]``);
+  ``context`` is the statement's session context (:data:`NOW_KEY` ...) and
+  defaults to the one given at compile time, :data:`NO_SESSION` where there
+  is none.  Diagnostics are **lazy**: an unknown column, a ``*``/aggregate
+  in scalar position or an unknown operator compiles to a call that raises
+  when a row actually reaches it.
 * :class:`MappingBinding` — ``kernel(env, env)`` over a name → value
-  mapping that also carries the session keys; the one-shot
-  :func:`evaluate` convenience.  Lazy, like the row binding.
+  mapping that also carries the session keys (a look-up under a hoisted
+  key); the one-shot :func:`evaluate` convenience.  Lazy, like the row
+  binding.
 * :class:`repro.columnar.kernels.BatchBinding` — ``kernel(columns,
-  position)`` over the arrays of a ``ColumnBatch``.  Diagnostics are
-  **eager**: the same cases raise ``CompileBarrier`` at compile time and
-  the statement takes the row path.
+  position)`` over the arrays of a ``ColumnBatch`` (``cols[3][pos]``).
+  Diagnostics are **eager**: the same cases raise ``CompileBarrier`` at
+  compile time and the statement takes the row path.
 """
 
 from __future__ import annotations
@@ -39,7 +57,10 @@ from ..errors import SqlAnalysisError
 from . import ast_nodes as ast
 
 #: A compiled expression.  The two arguments belong to the binding.
-Compiled = Callable[[Any, Any], Any]
+Compiled = Callable[..., Any]
+
+#: Hoists a value out of the source: takes the constant, returns its name.
+Hoist = Callable[[Any], str]
 
 #: Session-context keys read by volatile functions.  ``__now__`` is the
 #: statement's virtual start time; ``__random__`` is a zero-argument draw
@@ -56,13 +77,16 @@ NO_SESSION: Mapping[str, Any] = MappingProxyType({})
 
 
 class Binding(Protocol):
-    """How a compiled expression reaches outside the AST."""
+    """How emitted code reaches outside the AST: the source of its leaves."""
 
-    def column(self, ref: ast.ColumnRef) -> Compiled: ...
+    #: The kernel's parameter list, as written in its ``def``.
+    parameters: str
 
-    def volatile(self, name: str) -> Compiled: ...
+    def column(self, ref: ast.ColumnRef, hoist: Hoist) -> str: ...
 
-    def fail(self, message: str) -> Compiled:
+    def volatile(self, name: str, hoist: Hoist) -> str: ...
+
+    def fail(self, message: str, hoist: Hoist) -> str:
         """A node the compiler cannot express (``message`` says why)."""
 
 
@@ -73,55 +97,20 @@ class MappingBinding:
     ``alias.name``) next to the session keys.
     """
 
-    def column(self, ref: ast.ColumnRef) -> Compiled:
-        key = ref.to_sql()
+    parameters = "row, context=session"
 
-        def lookup(env: Mapping[str, Any], context: Any) -> Any:
-            try:
-                return env[key]
-            except KeyError:
-                raise SqlAnalysisError(f"unknown column {key!r}") from None
+    def column(self, ref: ast.ColumnRef, hoist: Hoist) -> str:
+        return f"_lookup(row, {hoist(ref.to_sql())})"
 
-        return lookup
-
-    def volatile(self, name: str) -> Compiled:
+    def volatile(self, name: str, hoist: Hoist) -> str:
         if name in ast.TIME_FUNCTIONS:
-
-            def now(row: Any, context: Mapping[str, Any]) -> Any:
-                if NOW_KEY not in context:
-                    raise SqlAnalysisError(
-                        f"{name}() needs session time context (volatile function)"
-                    )
-                return context[NOW_KEY]
-
-            return now
+            return f"_now(context, {hoist(name)})"
         if name == "RANDOM":
+            return "_random(context)"
+        return f"_user(context, {hoist(name)})"
 
-            def rand(row: Any, context: Mapping[str, Any]) -> Any:
-                draw = context.get(RANDOM_KEY)
-                if draw is None:
-                    raise SqlAnalysisError(
-                        "RANDOM() needs session randomness (volatile)"
-                    )
-                return draw()
-
-            return rand
-
-        def user(row: Any, context: Mapping[str, Any]) -> Any:
-            value = context.get(USER_KEY)
-            if value is None:
-                raise SqlAnalysisError(
-                    f"{name}() needs a session context (volatile)"
-                )
-            return value
-
-        return user
-
-    def fail(self, message: str) -> Compiled:
-        def diagnose(row: Any, context: Any) -> Any:
-            raise SqlAnalysisError(message)
-
-        return diagnose
+    def fail(self, message: str, hoist: Hoist) -> str:
+        return f"_fail({hoist(message)})"
 
 
 class RowBinding(MappingBinding):
@@ -138,11 +127,11 @@ class RowBinding(MappingBinding):
         """The slot ``ref`` reads; None when it names nothing in scope."""
         return self._layout.get(ref.to_sql())
 
-    def column(self, ref: ast.ColumnRef) -> Compiled:
+    def column(self, ref: ast.ColumnRef, hoist: Hoist) -> str:
         slot = self.slot(ref)
         if slot is None:
-            return self.fail(f"unknown column {ref.to_sql()!r}")
-        return lambda row, context: row[slot]
+            return self.fail(f"unknown column {ref.to_sql()!r}", hoist)
+        return f"row[{slot}]"
 
 
 #: The binding of expressions with no column in scope (INSERT literals,
@@ -163,207 +152,266 @@ def is_true(value: Any) -> bool:
 
 
 # ------------------------------------------------------------------ compiler
-def compile_expression(expr: ast.Expression, bind: Binding) -> Compiled:
-    """Compile ``expr`` to a closure over whatever ``bind`` reads from."""
-    if isinstance(expr, ast.Literal):
+def compile_expression(
+    expr: ast.Expression, bind: Binding, context: Mapping[str, Any] = NO_SESSION
+) -> Compiled:
+    """Compile ``expr`` to one function over whatever ``bind`` reads from.
+
+    ``context`` is the session context of a call that passes none.
+    """
+    if isinstance(expr, ast.Literal):  # a constant, with no source to emit
         value = expr.value
-        return lambda row, context: value
-    if isinstance(expr, ast.ColumnRef):
-        return bind.column(expr)
-    if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, bind)
-    if isinstance(expr, ast.UnaryOp):
-        return _compile_unary(expr, bind)
-    if isinstance(expr, ast.InList):
-        return _compile_in_list(expr, bind)
-    if isinstance(expr, ast.Between):
-        return _compile_between(expr, bind)
-    if isinstance(expr, ast.Like):
-        return _compile_like(expr, bind)
-    if isinstance(expr, ast.IsNull):
-        inner = compile_expression(expr.expr, bind)
-        if expr.negated:
-            return lambda row, context: inner(row, context) is not None
-        return lambda row, context: inner(row, context) is None
-    if isinstance(expr, ast.FuncCall):
-        if expr.function in ast.VOLATILE_FUNCTIONS:
-            return bind.volatile(expr.function)
-        name = expr.function
-        args = tuple(compile_expression(arg, bind) for arg in expr.args)
-        return lambda row, context: apply_scalar_function(
-            name, [arg(row, context) for arg in args]
-        )
-    if isinstance(expr, ast.Star):
-        return bind.fail("'*' is only valid directly in a select list")
-    if isinstance(expr, ast.Aggregate):
-        return bind.fail(
-            f"aggregate {expr.function} is only valid in a select list "
-            "or HAVING context"
-        )
-    return bind.fail(f"cannot evaluate expression node {type(expr).__name__}")
+        return lambda row, context=None: value
+    emitter = _Emitter(bind)
+    return emitter.instantiate(f"return {emitter.emit(expr)}", context)
 
 
 def compile_predicate(
-    where: ast.Expression | None, bind: Binding
-) -> Callable[[Any, Any], bool]:
+    where: ast.Expression | None,
+    bind: Binding,
+    context: Mapping[str, Any] = NO_SESSION,
+) -> Callable[..., bool]:
     """Compile a WHERE clause to a filter (SQL ``is_true``; None keeps all)."""
     if where is None:
-        return lambda row, context: True
-    compiled = compile_expression(where, bind)
-    return lambda row, context: compiled(row, context) is True
+        return lambda row, context=None: True
+    emitter = _Emitter(bind)
+    return emitter.instantiate(f"return {emitter.value(where)} is True", context)
 
 
-def _divide(left: Any, right: Any) -> Any:
-    if right == 0:
-        raise SqlAnalysisError("division by zero")
-    return left / right
+def emitted_source(expr: ast.Expression, bind: Binding) -> str:
+    """The source :func:`compile_expression` instantiates for ``expr``."""
+    emitter = _Emitter(bind)
+    return emitter.source(f"return {emitter.emit(expr)}")
 
 
-_COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+@lru_cache(maxsize=1024)
+def _factory(source: str) -> Callable[..., Compiled]:
+    """Instantiate emitted ``source`` once per shape: constants → kernel."""
+    scratch: dict[str, Any] = {}
+    exec(source, globals(), scratch)
+    return scratch["factory"]
+
+
+#: SQL comparison → the Python token emitted for it.
+_COMPARISONS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+#: SQL arithmetic → the Python token emitted on the fast path, and the
+#: operation the checked helper applies.
+_ARITHMETIC: dict[str, tuple[str, Callable[[Any, Any], Any]]] = {
+    "+": ("+", operator.add),
+    "-": ("-", operator.sub),
+    "*": ("*", operator.mul),
+    "/": ("/", operator.truediv),
 }
 
-_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _divide,
-}
+#: Kleene connective → (the value that decides it alone, the other one,
+#: the Python connective of the checked slow path).
+_LOGIC = {"AND": ("False", "True", "and"), "OR": ("True", "False", "or")}
+
+#: ``c`` (the class of a comparison's left operand) is none of the three
+#: classes the comparison fast path admits.
+_NOT_SCALAR = "(c is not int and c is not str and c is not float)"
 
 
-def _compile_binary(expr: ast.BinaryOp, bind: Binding) -> Compiled:
-    op = expr.op
-    left = compile_expression(expr.left, bind)
-    right = compile_expression(expr.right, bind)
-    if op == "AND":
-
-        def kleene_and(row: Any, context: Any) -> Any:
-            lv = left(row, context)
-            if lv is False:
-                return False
-            rv = right(row, context)
-            if rv is False:
-                return False
-            if lv is None or rv is None:
-                return None
-            return _truth(lv) and _truth(rv)
-
-        return kleene_and
-    if op == "OR":
-
-        def kleene_or(row: Any, context: Any) -> Any:
-            lv = left(row, context)
-            if lv is True:
-                return True
-            rv = right(row, context)
-            if rv is True:
-                return True
-            if lv is None or rv is None:
-                return None
-            return _truth(lv) or _truth(rv)
-
-        return kleene_or
-    if op in _COMPARISONS:
-        compare = _COMPARISONS[op]
-
-        def comparison(row: Any, context: Any) -> Any:
-            lv = left(row, context)
-            rv = right(row, context)
-            if lv is None or rv is None:
-                return None
-            check_comparable(lv, rv, op)
-            return compare(lv, rv)
-
-        return comparison
-    if op in _ARITHMETIC:
-        arith = _ARITHMETIC[op]
-
-        def arithmetic(row: Any, context: Any) -> Any:
-            lv = left(row, context)
-            rv = right(row, context)
-            if lv is None or rv is None:
-                return None
-            if not isinstance(lv, (int, float)) or not isinstance(rv, (int, float)):
-                raise SqlAnalysisError(
-                    f"arithmetic {op!r} requires numbers, got {lv!r} and {rv!r}"
-                )
-            return arith(lv, rv)
-
-        return arithmetic
-    return bind.fail(f"unknown binary operator {op!r}")
+@lru_cache(maxsize=None)
+def _constant_names(count: int) -> str:
+    """``, k0, k1 ...``: the factory parameters after ``session``."""
+    return "".join(f", k{n}" for n in range(count))
 
 
-def _compile_unary(expr: ast.UnaryOp, bind: Binding) -> Compiled:
-    inner = compile_expression(expr.operand, bind)
-    if expr.op == "NOT":
-
-        def negate(row: Any, context: Any) -> Any:
-            value = inner(row, context)
-            if value is None:
-                return None
-            return not _truth(value)
-
-        return negate
-    if expr.op == "-":
-
-        def minus(row: Any, context: Any) -> Any:
-            value = inner(row, context)
-            if value is None:
-                return None
-            if not isinstance(value, (int, float)):
-                raise SqlAnalysisError(f"unary minus requires a number, got {value!r}")
-            return -value
-
-        return minus
-    return bind.fail(f"unknown unary operator {expr.op!r}")
+def _number(name: str) -> str:
+    """The type test of the arithmetic fast paths."""
+    return f"({name}.__class__ is int or {name}.__class__ is float)"
 
 
-def _compile_in_list(expr: ast.InList, bind: Binding) -> Compiled:
-    subject = compile_expression(expr.expr, bind)
-    items = tuple(compile_expression(item, bind) for item in expr.items)
-    negated = expr.negated
+class _Emitter:
+    """One compilation: statements emitted so far, constants hoisted so far.
 
-    def in_list(row: Any, context: Any) -> Any:
-        value = subject(row, context)
-        if value is None:
-            return None
-        saw_null = False
-        for item in items:
-            candidate = item(row, context)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return not negated
-        if saw_null:
-            return None
-        return negated
+    ``emit`` appends the statements a node needs and returns an expression
+    for its value; ``value`` names that value (a local ``t<n>`` or a hoisted
+    ``k<n>``) right away, so operands are evaluated in the order written.
+    """
 
-    return in_list
+    def __init__(self, bind: Binding) -> None:
+        self._bind = bind
+        self._lines: list[str] = []
+        self._constants: list[Any] = []
+        self._indent = "  "
+        self._temps = 0
 
+    def hoist(self, value: Any) -> str:
+        self._constants.append(value)
+        return f"k{len(self._constants) - 1}"
 
-def _compile_between(expr: ast.Between, bind: Binding) -> Compiled:
-    subject = compile_expression(expr.expr, bind)
-    low = compile_expression(expr.low, bind)
-    high = compile_expression(expr.high, bind)
-    negated = expr.negated
+    def source(self, last: str) -> str:
+        self._add(last)
+        return (
+            f"def factory(session{_constant_names(len(self._constants))}):\n"
+            f" def kernel({self._bind.parameters}):\n"
+            + "\n".join(self._lines)
+            + "\n return kernel"
+        )
 
-    def between(row: Any, context: Any) -> Any:
-        value = subject(row, context)
-        lo = low(row, context)
-        hi = high(row, context)
-        if value is None or lo is None or hi is None:
-            return None
-        check_comparable(value, lo, "BETWEEN")
-        check_comparable(value, hi, "BETWEEN")
-        result = lo <= value <= hi
-        return (not result) if negated else result
+    def instantiate(self, last: str, context: Mapping[str, Any]) -> Compiled:
+        return _factory(self.source(last))(context, *self._constants)
 
-    return between
+    def _add(self, text: str) -> None:
+        """Append statements (one per line) at the current indentation."""
+        indent = self._indent
+        self._lines.append(indent + text.replace("\n", "\n" + indent))
+
+    def _temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
+    def value(self, expr: ast.Expression) -> str:
+        source = self.emit(expr)
+        if source.isidentifier():
+            return source
+        name = self._temp()
+        self._add(f"{name} = {source}")
+        return name
+
+    def emit(self, expr: ast.Expression) -> str:
+        if isinstance(expr, ast.Literal):
+            return self.hoist(expr.value)
+        if isinstance(expr, ast.ColumnRef):
+            return self._bind.column(expr, self.hoist)
+        if isinstance(expr, ast.BinaryOp):
+            return self._binary(expr)
+        if isinstance(expr, ast.UnaryOp):
+            return self._unary(expr)
+        if isinstance(expr, ast.InList):
+            return self._in_list(expr)
+        if isinstance(expr, ast.Between):
+            return self._between(expr)
+        if isinstance(expr, ast.Like):
+            return self._like(expr)
+        if isinstance(expr, ast.IsNull):
+            test = "is not None" if expr.negated else "is None"
+            return f"({self.value(expr.expr)} {test})"
+        if isinstance(expr, ast.FuncCall):
+            if expr.function in ast.VOLATILE_FUNCTIONS:
+                return self._bind.volatile(expr.function, self.hoist)
+            args = ", ".join([self.value(arg) for arg in expr.args])
+            return f"apply_scalar_function({self.hoist(expr.function)}, [{args}])"
+        if isinstance(expr, ast.Star):
+            message = "'*' is only valid directly in a select list"
+        elif isinstance(expr, ast.Aggregate):
+            message = (
+                f"aggregate {expr.function} is only valid in a select list "
+                "or HAVING context"
+            )
+        else:
+            message = f"cannot evaluate expression node {type(expr).__name__}"
+        return self._bind.fail(message, self.hoist)
+
+    def _binary(self, expr: ast.BinaryOp) -> str:
+        op = expr.op
+        if op in _LOGIC:
+            return self._logic(expr, *_LOGIC[op])
+        if op not in _COMPARISONS and op not in _ARITHMETIC:
+            return self._bind.fail(f"unknown binary operator {op!r}", self.hoist)
+        # Both sides are evaluated before the NULL test.
+        left, right, out = self.value(expr.left), self.value(expr.right), self._temp()
+        if op in _COMPARISONS:
+            self._add(
+                f"if {left} is None or {right} is None: {out} = None\n"
+                f"else:\n"
+                f" c = {left}.__class__\n"
+                f" if c is not {right}.__class__ or {_NOT_SCALAR}: "
+                f"check_comparable({left}, {right}, {self.hoist(op)})\n"
+                f" {out} = {left} {_COMPARISONS[op]} {right}"
+            )
+            return out
+        token = _ARITHMETIC[op][0]
+        nonzero = f" and {right}" if op == "/" else ""
+        self._add(
+            f"if {left} is None or {right} is None: {out} = None\n"
+            f"elif {_number(left)} and {_number(right)}{nonzero}: "
+            f"{out} = {left} {token} {right}\n"
+            f"else: {out} = _arithmetic({self.hoist(op)}, {left}, {right})"
+        )
+        return out
+
+    def _logic(self, expr: ast.BinaryOp, decides: str, other: str, word: str) -> str:
+        # The right side is not evaluated when the left decides alone (AND:
+        # False), and is when the left is NULL.
+        left, out = self.value(expr.left), self._temp()
+        self._add(f"if {left} is {decides}: {out} = {decides}\nelse:")
+        self._indent += " "
+        right = self.value(expr.right)
+        self._add(
+            f"if {right} is {decides}: {out} = {decides}\n"
+            f"elif {left} is {other} and {right} is {other}: {out} = {other}\n"
+            f"elif {left} is None or {right} is None: {out} = None\n"
+            f"else: {out} = _truth({left}) {word} _truth({right})"
+        )
+        self._indent = self._indent[:-1]
+        return out
+
+    def _unary(self, expr: ast.UnaryOp) -> str:
+        if expr.op == "NOT":
+            inner = self.value(expr.operand)
+            return (
+                f"(False if {inner} is True else True if {inner} is False "
+                f"else None if {inner} is None else not _truth({inner}))"
+            )
+        if expr.op == "-":
+            inner = self.value(expr.operand)
+            return (
+                f"(None if {inner} is None else -{inner} if {_number(inner)} "
+                f"else _negate({inner}))"
+            )
+        return self._bind.fail(f"unknown unary operator {expr.op!r}", self.hoist)
+
+    def _in_list(self, expr: ast.InList) -> str:
+        # A one-pass ``while`` so that the first match can ``break``: the
+        # items after it are not evaluated.  NULL subject, or no match and a
+        # NULL item, leave the answer unknown.
+        subject, out, saw_null = self.value(expr.expr), self._temp(), self._temp()
+        self._add(
+            f"{out} = None\n"
+            f"if {subject} is not None:\n"
+            f" {saw_null} = False\n"
+            f" while True:"
+        )
+        self._indent += "  "
+        for item in expr.items:
+            candidate = self.value(item)
+            self._add(
+                f"if {candidate} is None: {saw_null} = True\n"
+                f"elif {candidate} == {subject}: {out} = {not expr.negated}; break"
+            )
+        self._add(f"if not {saw_null}: {out} = {bool(expr.negated)}\nbreak")
+        self._indent = self._indent[:-2]
+        return out
+
+    def _between(self, expr: ast.Between) -> str:
+        subject, low, high = (
+            self.value(expr.expr), self.value(expr.low), self.value(expr.high)
+        )
+        out = self._temp()
+        negation = "not " if expr.negated else ""
+        self._add(
+            f"if {subject} is None or {low} is None or {high} is None: {out} = None\n"
+            f"else:\n"
+            f" c = {subject}.__class__\n"
+            f" if c is not {low}.__class__ or c is not {high}.__class__ "
+            f"or {_NOT_SCALAR}: _check_between({subject}, {low}, {high})\n"
+            f" {out} = {negation}{low} <= {subject} <= {high}"
+        )
+        return out
+
+    def _like(self, expr: ast.Like) -> str:
+        subject = self.value(expr.expr)
+        match = self.hoist(_like_regex(expr.pattern).match)
+        test = "is None" if expr.negated else "is not None"
+        return (
+            f"(None if {subject} is None else {match}({subject}) {test} "
+            f"if {subject}.__class__ is str "
+            f"else _like({match}, {subject}, {bool(expr.negated)}))"
+        )
 
 
 @lru_cache(maxsize=512)
@@ -380,21 +428,68 @@ def _like_regex(pattern: str) -> re.Pattern[str]:
     return re.compile("".join(regex), re.DOTALL)
 
 
-def _compile_like(expr: ast.Like, bind: Binding) -> Compiled:
-    subject = compile_expression(expr.expr, bind)
-    pattern = _like_regex(expr.pattern)
-    negated = expr.negated
+# ---------------------------------------------------- what emitted code calls
+# The checked form of each node: what a fast path's type test does not admit
+# lands here, and is computed or refused as it always was.
+def _lookup(env: Mapping[str, Any], key: str) -> Any:
+    try:
+        return env[key]
+    except KeyError:
+        raise SqlAnalysisError(f"unknown column {key!r}") from None
 
-    def like(row: Any, context: Any) -> Any:
-        value = subject(row, context)
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise SqlAnalysisError(f"LIKE requires a string, got {value!r}")
-        matched = pattern.match(value) is not None
-        return (not matched) if negated else matched
 
-    return like
+def _now(context: Mapping[str, Any], name: str) -> Any:
+    if NOW_KEY not in context:
+        raise SqlAnalysisError(
+            f"{name}() needs session time context (volatile function)"
+        )
+    return context[NOW_KEY]
+
+
+def _random(context: Mapping[str, Any]) -> Any:
+    draw = context.get(RANDOM_KEY)
+    if draw is None:
+        raise SqlAnalysisError("RANDOM() needs session randomness (volatile)")
+    return draw()
+
+
+def _user(context: Mapping[str, Any], name: str) -> Any:
+    value = context.get(USER_KEY)
+    if value is None:
+        raise SqlAnalysisError(f"{name}() needs a session context (volatile)")
+    return value
+
+
+def _fail(message: str) -> Any:
+    raise SqlAnalysisError(message)
+
+
+def _arithmetic(op: str, left: Any, right: Any) -> Any:
+    if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
+        raise SqlAnalysisError(
+            f"arithmetic {op!r} requires numbers, got {left!r} and {right!r}"
+        )
+    if op == "/" and right == 0:
+        raise SqlAnalysisError("division by zero")
+    return _ARITHMETIC[op][1](left, right)
+
+
+def _negate(value: Any) -> Any:
+    if not isinstance(value, (int, float)):
+        raise SqlAnalysisError(f"unary minus requires a number, got {value!r}")
+    return -value
+
+
+def _check_between(value: Any, low: Any, high: Any) -> None:
+    check_comparable(value, low, "BETWEEN")
+    check_comparable(value, high, "BETWEEN")
+
+
+def _like(match: Callable[[str], Any], value: Any, negated: bool) -> bool:
+    if not isinstance(value, str):
+        raise SqlAnalysisError(f"LIKE requires a string, got {value!r}")
+    matched = match(value) is not None
+    return (not matched) if negated else matched
 
 
 def apply_scalar_function(name: str, args: list[Any]) -> Any:

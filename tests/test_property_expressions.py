@@ -1,0 +1,323 @@
+"""Property test: the emitted expression code against a reference interpreter.
+
+``repro.sql.expressions`` compiles an AST to Python source and instantiates
+it; a compiler that emits code needs an oracle that does not.  ``reference``
+below is a plain tree-walking interpreter of the same language — NULLs,
+three-valued logic, typed diagnostics, evaluation order — written here, in
+the test, and sharing nothing with the compiler but the AST and the error
+class.  Random trees over every node kind, with NULLs, mixed int / float /
+str / bool operands and unknown columns, are evaluated by all three leaf
+bindings and by the oracle: the outcome (value and its type, or error type
+and message) must agree.
+
+``RANDOM()`` draws from a counter, one per evaluation, so a compiler that
+evaluated an operand it should have skipped (the right side of ``FALSE AND``,
+an IN item after the first match) or skipped one it should have evaluated
+shows up as a different value.
+"""
+
+import itertools
+import operator
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.columnar import ColumnBatch, CompileBarrier
+from repro.columnar import compile_expression as compile_batch_kernel
+from repro.errors import SqlAnalysisError
+from repro.sql import ast_nodes as ast
+from repro.sql.expressions import (
+    NOW_KEY,
+    RANDOM_KEY,
+    USER_KEY,
+    RowBinding,
+    compile_expression,
+    evaluate,
+    referenced_columns,
+    referenced_functions,
+)
+
+COMPARE = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv}
+
+
+def fail(message):
+    raise SqlAnalysisError(message)
+
+
+def number(value):
+    return isinstance(value, (int, float))
+
+
+def truth(value):
+    return value if isinstance(value, bool) else fail(
+        f"expected a boolean condition, got {value!r}"
+    )
+
+
+def comparable(left, right, op):
+    if not (number(left) and number(right)) and not (
+        isinstance(left, str) and isinstance(right, str)
+    ):
+        fail(
+            f"cannot compare {type(left).__name__} with "
+            f"{type(right).__name__} using {op!r}"
+        )
+
+
+def like(pattern, value):
+    regex = "".join(
+        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch) for ch in pattern
+    )
+    return re.fullmatch(regex, value, re.DOTALL) is not None
+
+
+def call(name, args, env):
+    if name in ast.TIME_FUNCTIONS:
+        return env[NOW_KEY] if NOW_KEY in env else fail(
+            f"{name}() needs session time context (volatile function)"
+        )
+    if name == "RANDOM":
+        return env[RANDOM_KEY]() if RANDOM_KEY in env else fail(
+            "RANDOM() needs session randomness (volatile)"
+        )
+    if name in ast.VOLATILE_FUNCTIONS:
+        return env[USER_KEY] if USER_KEY in env else fail(
+            f"{name}() needs a session context (volatile)"
+        )
+    if name == "COALESCE":
+        if not args:
+            fail("COALESCE needs at least one argument")
+        return next((value for value in args if value is not None), None)
+    if len(args) != 1:
+        fail(f"{name} takes exactly one argument, got {len(args)}")
+    (value,) = args
+    if value is None:
+        return None
+    if name in ("ABS", "ROUND"):
+        if not number(value):
+            fail(f"{name} requires a number, got {value!r}")
+        return abs(value) if name == "ABS" else round(value)
+    if name in ("UPPER", "LOWER", "LENGTH"):
+        if not isinstance(value, str):
+            fail(f"{name} requires a string, got {value!r}")
+        return {"UPPER": str.upper, "LOWER": str.lower, "LENGTH": len}[name](value)
+    fail(f"unknown function {name!r}")
+
+
+def reference(expr, env):
+    """What ``expr`` means over ``env``: a value, or a ``SqlAnalysisError``."""
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.ColumnRef):
+        key = expr.to_sql()
+        return env[key] if key in env else fail(f"unknown column {key!r}")
+    if isinstance(expr, ast.BinaryOp) and expr.op in ("AND", "OR"):
+        decides = expr.op == "OR"  # the value that settles it alone
+        left = reference(expr.left, env)
+        if left is decides:
+            return decides
+        right = reference(expr.right, env)
+        if right is decides:
+            return decides
+        if left is None or right is None:
+            return None
+        return truth(left) and truth(right) if expr.op == "AND" else (
+            truth(left) or truth(right)
+        )
+    if isinstance(expr, ast.BinaryOp):
+        left, right = reference(expr.left, env), reference(expr.right, env)
+        if left is None or right is None:
+            return None
+        if expr.op in COMPARE:
+            comparable(left, right, expr.op)
+            return COMPARE[expr.op](left, right)
+        if not number(left) or not number(right):
+            fail(f"arithmetic {expr.op!r} requires numbers, got {left!r} and {right!r}")
+        if expr.op == "/" and right == 0:
+            fail("division by zero")
+        return ARITH[expr.op](left, right)
+    if isinstance(expr, ast.UnaryOp):
+        value = reference(expr.operand, env)
+        if value is None:
+            return None
+        if expr.op == "NOT":
+            return not truth(value)
+        return -value if number(value) else fail(
+            f"unary minus requires a number, got {value!r}"
+        )
+    if isinstance(expr, ast.InList):
+        value = reference(expr.expr, env)
+        if value is None:
+            return None
+        saw_null = False
+        for item in expr.items:
+            candidate = reference(item, env)
+            if candidate is None:
+                saw_null = True
+            elif candidate == value:
+                return not expr.negated
+        return None if saw_null else expr.negated
+    if isinstance(expr, ast.Between):
+        value, low, high = (
+            reference(part, env) for part in (expr.expr, expr.low, expr.high)
+        )
+        if value is None or low is None or high is None:
+            return None
+        comparable(value, low, "BETWEEN")
+        comparable(value, high, "BETWEEN")
+        return (low <= value <= high) is not expr.negated
+    if isinstance(expr, ast.Like):
+        value = reference(expr.expr, env)
+        if value is None:
+            return None
+        if not isinstance(value, str):
+            fail(f"LIKE requires a string, got {value!r}")
+        return like(expr.pattern, value) is not expr.negated
+    if isinstance(expr, ast.IsNull):
+        return (reference(expr.expr, env) is None) is not expr.negated
+    assert isinstance(expr, ast.FuncCall), expr
+    if expr.function in ast.VOLATILE_FUNCTIONS:
+        return call(expr.function, [], env)
+    return call(expr.function, [reference(arg, env) for arg in expr.args], env)
+
+
+# ----------------------------------------------------------------- strategies
+# Trees are built by type — numeric, text and boolean sub-trees where the
+# language expects them — with one operand in seven drawn from *any* type, so
+# that most trees evaluate deep into themselves and the rest exercise every
+# diagnostic.  (Operands drawn uniformly die at the first comparison.)
+INTS, FLOATS = [0, 1, -2, 3, 7], [0.0, 1.5, -2.0, 3.0]
+STRINGS, BOOLS = ["", "a", "ab", "Ab%", "a_b"], [True, False]
+VALUES = st.sampled_from([None, *INTS, *FLOATS, *STRINGS, *BOOLS])
+#: Bare columns of one type each (NULL in any) and one behind a qualifier
+#: holding anything.
+COLUMNS = ("i", "f", "s", "b", "n", "t.q")
+ROWS = st.tuples(
+    *[st.sampled_from([None, *domain]) for domain in (INTS, FLOATS, STRINGS, BOOLS)],
+    st.none(),
+    VALUES,
+)
+PATTERNS = st.sampled_from(["", "a", "a%", "%b", "_", "a_b", "%", "Ab\\%", "a.b", "[a]"])
+NEGATED = st.booleans()
+
+
+def leaves(values, columns, volatile):
+    usual = [
+        st.sampled_from([None, *values]).map(ast.Literal),
+        st.sampled_from([ast.ColumnRef(name) for name in columns]),
+    ]
+    return st.one_of(
+        *usual * 4,
+        st.sampled_from(
+            [ast.ColumnRef("n"), ast.ColumnRef("q", "t")]
+            + [ast.FuncCall(name) for name in volatile]
+        ),
+    )
+
+
+#: What no row can evaluate: a column not in scope, calls of the wrong arity
+#: or of no known function.
+REFUSED = st.sampled_from(
+    [ast.ColumnRef("nope"), ast.FuncCall("NOPE", (ast.Literal(1),))]
+    + [ast.FuncCall(name) for name in ("COALESCE", "ABS", "UPPER")]
+    + [ast.FuncCall("ROUND", (ast.Literal(1.5), ast.Literal(2)))]
+)
+
+
+def function(names, *args):
+    return st.builds(ast.FuncCall, st.sampled_from(names), st.tuples(*args))
+
+
+def expressions(depth):
+    numeric = number_leaves = leaves(INTS + FLOATS, "if", ["NOW", "RANDOM"])
+    text = text_leaves = leaves(STRINGS, "s", ["SESSION_USER"])
+    boolean = boolean_leaves = leaves(BOOLS, "b", ["CURRENT_TIMESTAMP"])
+    for _ in range(depth):
+        anything = st.one_of(*[numeric, text, boolean] * 3, REFUSED)
+        n, t, b = (st.one_of(*[typed] * 6, anything) for typed in (numeric, text, boolean))
+        alike = st.one_of(st.tuples(n, n, n, n), st.tuples(t, t, t, t))
+        numeric = st.one_of(
+            number_leaves,
+            st.builds(ast.BinaryOp, st.sampled_from(list(ARITH)), n, n),
+            st.builds(ast.UnaryOp, st.just("-"), n),
+            function(["ABS", "ROUND", "COALESCE"], n),
+            function(["LENGTH"], t),
+            function(["COALESCE"], n, n),
+        )
+        text = st.one_of(text_leaves, function(["UPPER", "LOWER", "COALESCE"], t))
+        boolean = st.one_of(
+            boolean_leaves,
+            alike.flatmap(
+                lambda same: st.builds(
+                    ast.BinaryOp, st.sampled_from(list(COMPARE)), *map(st.just, same[:2])
+                )
+            ),
+            st.builds(ast.BinaryOp, st.sampled_from(["AND", "OR"]), b, b),
+            st.builds(ast.BinaryOp, st.sampled_from(["AND", "OR"]), b, b),
+            st.builds(ast.UnaryOp, st.just("NOT"), b),
+            alike.flatmap(
+                lambda same: st.builds(
+                    ast.InList, st.just(same[0]), st.just(same[1:]), NEGATED
+                )
+            ),
+            alike.flatmap(
+                lambda same: st.builds(ast.Between, *map(st.just, same[:3]), NEGATED)
+            ),
+            st.builds(ast.Like, t, PATTERNS, NEGATED),
+            st.builds(ast.IsNull, anything, NEGATED),
+        )
+    return st.one_of(boolean, boolean, numeric, text)
+
+
+EXPRESSIONS = expressions(depth=3)
+FULL_SESSION = (NOW_KEY, RANDOM_KEY, USER_KEY)
+SESSIONS = st.sampled_from([(), (NOW_KEY,), FULL_SESSION, FULL_SESSION, FULL_SESSION])
+
+
+def environment(row, session):
+    """A fresh name → value mapping; RANDOM() counts its draws from zero."""
+    env = dict(zip(COLUMNS, row))
+    draws = itertools.count(1)
+    context = {NOW_KEY: 42.5, RANDOM_KEY: lambda: next(draws) / 4, USER_KEY: "wh"}
+    env.update({key: context[key] for key in session})
+    return env
+
+
+def outcome(thunk):
+    try:
+        value = thunk()
+    except (SqlAnalysisError, CompileBarrier) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXPRESSIONS, ROWS, SESSIONS)
+def test_every_binding_agrees_with_the_reference_interpreter(expr, row, session):
+    expected = outcome(lambda: reference(expr, environment(row, session)))
+
+    env = environment(row, session)
+    assert outcome(lambda: evaluate(expr, env)) == expected
+
+    env = environment(row, session)
+    kernel = compile_expression(expr, RowBinding(COLUMNS))
+    assert outcome(lambda: kernel(row, env)) == expected
+
+    batch = ColumnBatch.from_rows([name.rpartition(".")[2] for name in COLUMNS], [row])
+    by_batch = outcome(
+        lambda: compile_batch_kernel(expr, batch.layout, frozenset({"t"}))(
+            batch.columns, 0
+        )
+    )
+    if by_batch[0] is CompileBarrier:
+        # The eager binding may refuse only what it cannot serve.
+        assert (
+            referenced_functions(expr) & set(ast.VOLATILE_FUNCTIONS)
+            or "nope" in referenced_columns(expr)
+        ), f"unexpected barrier: {by_batch[1]}"
+    else:
+        assert by_batch == expected
