@@ -208,6 +208,10 @@ _ARITHMETIC: dict[str, tuple[str, Callable[[Any, Any], Any]]] = {
 #: the Python connective of the checked slow path).
 _LOGIC = {"AND": ("False", "True", "and"), "OR": ("True", "False", "or")}
 
+#: How far emitted statements may be indented: Python compiles no block
+#: nested deeper than 100, and a node's own statements take up to two more.
+_DEEPEST = 95
+
 #: ``c`` (the class of a comparison's left operand) is none of the three
 #: classes the comparison fast path admits.
 _NOT_SCALAR = "(c is not int and c is not str and c is not float)"
@@ -263,6 +267,12 @@ class _Emitter:
     def _temp(self) -> str:
         self._temps += 1
         return f"t{self._temps}"
+
+    def _nest(self, levels: int) -> None:
+        """Indent what follows by ``levels`` more (fewer, when negative)."""
+        self._indent = " " * (len(self._indent) + levels)
+        if len(self._indent) > _DEEPEST:
+            raise SqlAnalysisError("expression is nested too deeply to compile")
 
     def value(self, expr: ast.Expression) -> str:
         source = self.emit(expr)
@@ -335,19 +345,27 @@ class _Emitter:
         return out
 
     def _logic(self, expr: ast.BinaryOp, decides: str, other: str, word: str) -> str:
-        # The right side is not evaluated when the left decides alone (AND:
-        # False), and is when the left is NULL.
-        left, out = self.value(expr.left), self._temp()
-        self._add(f"if {left} is {decides}: {out} = {decides}\nelse:")
-        self._indent += " "
-        right = self.value(expr.right)
-        self._add(
-            f"if {right} is {decides}: {out} = {decides}\n"
-            f"elif {left} is {other} and {right} is {other}: {out} = {other}\n"
-            f"elif {left} is None or {right} is None: {out} = None\n"
-            f"else: {out} = _truth({left}) {word} _truth({right})"
-        )
-        self._indent = self._indent[:-1]
+        # ``a AND b AND c`` leans left: walk that spine in a loop, so a long
+        # chain costs neither recursion here nor indentation in the source.
+        spine, first = [expr], expr.left
+        while isinstance(first, ast.BinaryOp) and first.op == expr.op:
+            spine.append(first)
+            first = first.left
+        out = self.value(first)
+        for node in reversed(spine):
+            # The right side is not evaluated when the left decides alone
+            # (AND: False), and is when the left is NULL.
+            left, out = out, self._temp()
+            self._add(f"if {left} is {decides}: {out} = {decides}\nelse:")
+            self._nest(1)
+            right = self.value(node.right)
+            self._add(
+                f"if {right} is {decides}: {out} = {decides}\n"
+                f"elif {left} is {other} and {right} is {other}: {out} = {other}\n"
+                f"elif {left} is None or {right} is None: {out} = None\n"
+                f"else: {out} = _truth({left}) {word} _truth({right})"
+            )
+            self._nest(-1)
         return out
 
     def _unary(self, expr: ast.UnaryOp) -> str:
@@ -376,7 +394,7 @@ class _Emitter:
             f" {saw_null} = False\n"
             f" while True:"
         )
-        self._indent += "  "
+        self._nest(2)
         for item in expr.items:
             candidate = self.value(item)
             self._add(
@@ -384,7 +402,7 @@ class _Emitter:
                 f"elif {candidate} == {subject}: {out} = {not expr.negated}; break"
             )
         self._add(f"if not {saw_null}: {out} = {bool(expr.negated)}\nbreak")
-        self._indent = self._indent[:-2]
+        self._nest(-2)
         return out
 
     def _between(self, expr: ast.Between) -> str:

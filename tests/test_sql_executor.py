@@ -11,8 +11,7 @@ from repro.sql.parser import parse
 from .conftest import insert_parts
 
 
-@pytest.fixture
-def session():
+def _session():
     database = Database("exec-test")
     s = database.internal_session()
     s.execute(
@@ -31,6 +30,11 @@ def session():
             f"INSERT INTO suppliers VALUES ({i}, 'Supplier {i}', 'R{i % 4}')"
         )
     return s
+
+
+@pytest.fixture
+def session():
+    return _session()
 
 
 class TestAccessPaths:
@@ -178,6 +182,26 @@ class TestRowSources:
         assert over_lists.plan == over_tables_plan.replace(
             over_tables_plan.split()[0], "parts:scan"
         )
+
+    def test_a_where_is_not_pushed_below_a_join(self):
+        # The probe charges once per base row it is handed, so a WHERE applied
+        # where the base table is read would move modelled time.
+        filtered, plain = _session(), _session()
+        join = (
+            "SELECT p.part_id, s.region FROM parts p JOIN suppliers s "
+            "ON p.supplier_id = s.supplier_id"
+        )
+        kept = filtered.execute(join + " WHERE p.status = 'active'")
+        everything = plain.execute(join)
+        assert kept.plan == everything.plan == "parts:scan join(suppliers:hash)"
+        assert 0 < len(kept.rows) < len(everything.rows) == 100
+        assert filtered.database.clock.now == plain.database.clock.now
+        # Without the join the same WHERE is the scan's filter, at the cost
+        # of the unfiltered scan.
+        alone = "SELECT part_id FROM parts"
+        assert len(filtered.query(alone + " WHERE status = 'active'")) == len(kept.rows)
+        assert len(plain.query(alone)) == 100
+        assert filtered.database.clock.now == plain.database.clock.now
 
     def test_only_select_runs_over_a_source(self, session):
         lists = ListDatabase(session.database)

@@ -5,21 +5,31 @@ the one compiler — mapping, row slot, column batch — and checks that they
 agree before handing the agreed outcome to the test.
 """
 
+import io
+import keyword
+import re
+import tokenize
+
 import pytest
 
 from repro.columnar import ColumnBatch, CompileBarrier
 from repro.columnar import compile_expression as compile_batch_kernel
+from repro.columnar.kernels import BatchBinding
 from repro.errors import SqlAnalysisError
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import (
     NOW_KEY,
     RANDOM_KEY,
     USER_KEY,
+    CONSTANT,
     NO_SESSION,
+    MappingBinding,
     RowBinding,
     compile_after_image,
     compile_expression,
     compile_insert_rows,
+    compile_predicate,
+    emitted_source,
     evaluate,
     is_true,
     referenced_columns,
@@ -330,6 +340,156 @@ class TestScalarFunctions:
         assert referenced_functions(None) == set()
         nested = parse_expression("COALESCE(ROUND(RANDOM()), 0) IN (1, LENGTH('a'))")
         assert referenced_functions(nested) == {"COALESCE", "ROUND", "RANDOM", "LENGTH"}
+
+
+#: Every node kind, under names and values that would be recognised in source.
+EVERY_NODE = (
+    "(col_qty >= 73519 AND col_qty < 73520 OR NOT (col_status LIKE 'pat%tern')) "
+    "AND col_qty IN (73521, col_ref, NULL) AND col_qty NOT BETWEEN 73522 AND 73523 "
+    "AND -col_qty + 73524 / 2 * 3 - 4 > ABS(col_ref) AND col_status IS NOT NULL "
+    "AND COALESCE(col_status, 'lit_text') <> UPPER('lit_text')"
+)
+LAZY_ONLY = " AND NOW() > 0 AND RANDOM() < 1 AND SESSION_USER() = 'lit_user' AND col_nope = 1"
+EVERY_COLUMN = ("col_qty", "col_status", "col_ref")
+
+#: What emitted source may name besides keywords, temporaries (``t3``) and
+#: hoisted constants (``k3``): the parameters, the one scratch local, the
+#: three classes of the fast paths and the checked helpers.
+VOCABULARY = {
+    "factory", "kernel", "session", "row", "context", "cols", "pos", "c",
+    "int", "str", "float", "__class__",
+    "check_comparable", "apply_scalar_function",
+    "_truth", "_arithmetic", "_negate", "_check_between", "_like",
+    "_lookup", "_now", "_random", "_user", "_fail",
+}
+
+
+def _foreign_tokens(source):
+    """The tokens of ``source`` that no compiler-chosen vocabulary explains."""
+    foreign = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.STRING:
+            foreign.append(token.string)
+        elif token.type == tokenize.NAME:
+            name = token.string
+            if not (
+                keyword.iskeyword(name)
+                or name in VOCABULARY
+                or re.fullmatch(r"[tk]\d+", name)
+            ):
+                foreign.append(name)
+        elif token.type == tokenize.NUMBER and not token.line.lstrip().startswith(
+            ("t", "if", "elif")
+        ):
+            foreign.append(token.string)
+    return foreign
+
+
+class TestEmittedCode:
+    """The compiler emits source; nothing the SQL says ever appears in it."""
+
+    @pytest.mark.parametrize(
+        "bind, text",
+        [
+            (RowBinding(EVERY_COLUMN), EVERY_NODE + LAZY_ONLY),
+            (MappingBinding(), EVERY_NODE + LAZY_ONLY),
+            (BatchBinding({name: n for n, name in enumerate(EVERY_COLUMN)}), EVERY_NODE),
+        ],
+        ids=["row", "mapping", "batch"],
+    )
+    def test_source_holds_only_what_the_compiler_chose(self, bind, text):
+        tree = ast.BinaryOp(
+            "OR",
+            parse_expression(text),
+            ast.BinaryOp("~", ast.Star(), ast.Aggregate("SUM", ast.ColumnRef("col_qty")))
+            if not isinstance(bind, BatchBinding)
+            else ast.Literal(False),
+        )
+        source = emitted_source(tree, bind)
+        assert _foreign_tokens(source) == []
+        # Slots are the only numbers: no literal, however it is spelled.
+        for text in ("7351", "2", "pat", "lit_", "col_", "ABS", "NOW", "BETWEEN",
+                     "unknown", "only valid", "<>"):
+            assert text not in re.sub(r"\b[tk]\d+\b|\[\d+\]", "", source), text
+
+    def test_a_hostile_literal_emits_the_source_of_a_benign_one(self):
+        bind = RowBinding(["status"])
+        hostile = "' + __import__(\"os\").system(\"x\") + '"
+        benign_tree = parse_expression("status = 'active'")
+        hostile_tree = ast.BinaryOp("=", ast.ColumnRef("status"), ast.Literal(hostile))
+        assert parse_expression("status = '" + hostile.replace("'", "''") + "'") == (
+            hostile_tree
+        )
+        assert emitted_source(hostile_tree, bind) == emitted_source(benign_tree, bind)
+        kernel = compile_expression(hostile_tree, bind)
+        assert kernel((hostile,)) is True
+        assert kernel(("active",)) is False
+
+    def test_a_hostile_like_pattern_emits_the_source_of_a_benign_one(self):
+        bind = RowBinding(["status"])
+        pattern = "a'\"\n\\%)]#\n  b_"
+        benign = ast.Like(ast.ColumnRef("status"), "act%")
+        hostile = ast.Like(ast.ColumnRef("status"), pattern)
+        assert emitted_source(hostile, bind) == emitted_source(benign, bind)
+        kernel = compile_expression(hostile, bind)
+        assert kernel(("a'\"\n\\ anything )]#\n  bX",)) is True
+        assert kernel(("a'\"\n\\)]#\n  b",)) is False  # '_' needs a character
+
+    def test_a_hostile_mapping_key_emits_the_source_of_a_benign_one(self):
+        bind = MappingBinding()
+        key = 'x"]; import os; row["'
+        benign = ast.BinaryOp("+", ast.ColumnRef("x"), ast.Literal(1))
+        hostile = ast.BinaryOp("+", ast.ColumnRef(key), ast.Literal(1))
+        assert emitted_source(hostile, bind) == emitted_source(benign, bind)
+        assert evaluate(hostile, {key: 41}) == 42
+        with pytest.raises(SqlAnalysisError, match="unknown column"):
+            evaluate(hostile, {"x": 41})
+
+    def test_predicates_differing_in_a_literal_share_one_code_object(self):
+        bind = RowBinding(["part_id", "status"])
+        seven = compile_predicate(parse_expression("part_id = 7"), bind)
+        eight = compile_predicate(parse_expression("part_id = 8"), bind)
+        text = compile_predicate(parse_expression("part_id = 'x'"), bind)
+        assert seven.__code__ is eight.__code__ is text.__code__
+        assert seven is not eight
+        assert (seven((7, "a")), eight((7, "a"))) == (True, False)
+        # The literal's type is not in the source either: the same code
+        # refuses the comparison when a row reaches it, as it always did.
+        with pytest.raises(SqlAnalysisError) as refusal:
+            text((7, "a"))
+        assert str(refusal.value) == "cannot compare int with str using '='"
+        other_shape = compile_predicate(parse_expression("status = 'x'"), bind)
+        assert other_shape.__code__ is not seven.__code__
+
+    def test_a_literal_on_its_own_is_a_constant_with_no_source(self):
+        from repro.sql import expressions
+
+        before = expressions._factory.cache_info()
+        kernels = [compile_expression(ast.Literal(n), CONSTANT) for n in range(50)]
+        assert [kernel(()) for kernel in kernels] == list(range(50))
+        assert kernels[3]((), {NOW_KEY: 1.0}) == 3
+        assert expressions._factory.cache_info() == before
+
+    def test_the_context_given_at_compile_time_is_the_default(self):
+        bind = RowBinding(["a"])
+        expr = parse_expression("a < NOW()")
+        kernel = compile_predicate(expr, bind, {NOW_KEY: 10.0})
+        assert kernel((5,)) is True
+        assert kernel((5,), {NOW_KEY: 1.0}) is False
+        with pytest.raises(SqlAnalysisError, match="volatile"):
+            compile_predicate(expr, bind)((5,))
+
+    def test_long_chains_stay_flat_and_deep_nesting_is_refused_typed(self):
+        bind = RowBinding(["a"])
+        chain = " AND ".join(["a = 1"] * 400)
+        assert compile_predicate(parse_expression(chain), bind)((1,)) is True
+        items = ", ".join(str(n) for n in range(400))
+        assert compile_predicate(parse_expression(f"a IN ({items})"), bind)((399,))
+        nested = ast.Literal(True)
+        for _ in range(120):
+            nested = ast.BinaryOp("AND", ast.Literal(True), nested)
+        with pytest.raises(SqlAnalysisError, match="nested too deeply"):
+            compile_expression(nested, bind)
 
 
 class TestStatementHelpers:
