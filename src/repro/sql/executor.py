@@ -282,9 +282,12 @@ class Executor:
         right_rows: Iterable[tuple[Any, tuple[Any, ...]]],
         build_key: int,
     ) -> Iterator[tuple[Any, ...]]:
+        # NULL = NULL is UNKNOWN, in ON as in WHERE: a NULL key is left out
+        # of the build side, so a NULL probe finds nothing either.
         build: dict[Any, list[tuple[Any, ...]]] = {}
         for _row_id, values in right_rows:
-            build.setdefault(values[build_key], []).append(values)
+            if values[build_key] is not None:
+                build.setdefault(values[build_key], []).append(values)
         probe_cpu = self._db.costs.row_scan_cpu
         clock = self._db.clock
         for row in left_rows:
@@ -391,10 +394,13 @@ class Executor:
             return len(values)
         if not values:
             return None
-        if agg.function == "SUM":
-            return sum(values)
-        if agg.function == "AVG":
-            return sum(values) / len(values)
+        if agg.function in ("SUM", "AVG"):
+            for value in values:
+                if not isinstance(value, (int, float)):
+                    raise SqlAnalysisError(
+                        f"aggregate {agg.function} requires a number, got {value!r}"
+                    )
+            return sum(values) if agg.function == "SUM" else sum(values) / len(values)
         if agg.function == "MIN":
             return min(values)
         if agg.function == "MAX":

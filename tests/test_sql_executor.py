@@ -282,6 +282,48 @@ class TestSelectFeatures:
         assert session.scalar("SELECT 2 + 3") == 5
 
 
+def _nullable(key="NULL"):
+    """``a(id, x, n) = {(1, key, 'p'), (2, 5, 'q')}``, ``b(id, y) = {(10, key), (20, 5)}``."""
+    s = Database("nullable").internal_session()
+    s.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, x INTEGER, n CHAR(8))")
+    s.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, y INTEGER)")
+    s.execute(f"INSERT INTO a VALUES (1, {key}, 'p'), (2, 5, 'q')")
+    s.execute(f"INSERT INTO b VALUES (10, {key}), (20, 5)")
+    return s
+
+
+@pytest.fixture
+def nullable():
+    return _nullable()
+
+
+class TestNullKeysAndTypedAggregates:
+    def test_null_does_not_join_null(self, nullable):
+        # ON a.x = b.y is the comparison WHERE a.x = b.y is: UNKNOWN on NULL.
+        join = "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y"
+        assert nullable.query(join) == [(2, 20)]
+        assert nullable.query(join + " WHERE a.x = b.y") == [(2, 20)]
+        assert nullable.query("SELECT a.id, b.id FROM b JOIN a ON a.x = b.y") == [(2, 20)]
+
+    def test_a_null_probe_key_is_still_charged_for(self, nullable):
+        # Modelled time is that of the same join over keys that do match.
+        matching = _nullable(key="7")
+        join = "SELECT a.id FROM a JOIN b ON a.x = b.y"
+        assert len(matching.query(join)) == 2 and len(nullable.query(join)) == 1
+        assert nullable.database.clock.now == matching.database.clock.now
+
+    @pytest.mark.parametrize("function", ["SUM", "AVG"])
+    def test_sum_and_avg_of_text_are_typed_errors(self, nullable, function):
+        with pytest.raises(
+            SqlAnalysisError, match=f"aggregate {function} requires a number, got 'p'"
+        ):
+            nullable.execute(f"SELECT {function}(n) FROM a")
+        assert nullable.scalar(f"SELECT {function}(x) FROM a") == 5
+
+    def test_min_and_max_of_text_keep_working(self, nullable):
+        assert nullable.query("SELECT MIN(n), MAX(n), COUNT(n) FROM a") == [("p", "q", 2)]
+
+
 class TestDml:
     def test_update_rows_affected(self, session):
         result = session.execute(
