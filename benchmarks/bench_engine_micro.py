@@ -11,6 +11,14 @@ per-schema codec on one 112-byte ``parts`` record, and
 ``test_full_scan_all_columns`` / ``test_pruned_scan_one_column`` time the
 same 10,000-row heap scan decoding nine columns and one.
 
+``test_scan_filter_no_match`` times the filtering scan end to end — a range
+UPDATE on the unindexed ``part_ref`` that examines all 10,000 records and
+keeps none, through the session — and ``test_compile_point_predicate`` the
+cost of compiling ``part_id = <literal>`` with a different literal every
+time: the expression compiler emits source, and this is the number that
+shows whether its shape-keyed memo holds (an un-hoisted literal would make
+every compile a fresh ``exec``, ~80 us instead of ~5).
+
 The row-vs-columnar pair at the bottom compares two *bindings* of the one
 SQL expression compiler (:mod:`repro.sql.expressions`) — a kernel over row
 tuples and a kernel over column arrays run the same interior-node code —
@@ -18,6 +26,8 @@ and then the two statement-apply paths built on them.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -105,6 +115,28 @@ def test_pruned_scan_one_column(benchmark, populated):
     part_ref = (table.schema.column_index("part_ref"),)
     rows = benchmark(lambda: sum(len(values) for _rid, values in table.scan(part_ref)))
     assert rows >= 10_000
+
+
+def test_scan_filter_no_match(benchmark, populated):
+    database, _workload = populated
+    session = database.internal_session()
+    sql = (
+        "UPDATE parts SET quantity = quantity + 1 "
+        "WHERE part_ref >= 90000000 AND part_ref < 90000100"
+    )
+    assert session.execute(sql).plan == "update:scan"
+    assert benchmark(lambda: session.execute(sql).rows_affected) == 0
+
+
+def test_compile_point_predicate(benchmark, populated):
+    database, _workload = populated
+    bind = expressions.RowBinding(parts_schema().column_names)
+    predicates = itertools.cycle(
+        parse(f"DELETE FROM parts WHERE part_id = {part_id}").where
+        for part_id in range(1_000)
+    )
+    kernel = benchmark(lambda: expressions.compile_predicate(next(predicates), bind))
+    assert kernel((0,) * 9) in (True, False)
 
 
 def test_sized_update_transaction(benchmark, populated):

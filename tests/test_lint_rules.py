@@ -1157,6 +1157,76 @@ class TestRepro015OnePipelineAssembly:
         assert builders == ["flight.py"]
 
 
+class TestRepro016TextBecomesCodeInOnePlace:
+    EMITTER = "repro/sql/expressions.py"
+
+    #: The one shape the rule admits.
+    FACTORY = (
+        "from functools import lru_cache\n"
+        "import re\n"
+        "\n"
+        "@lru_cache(maxsize=1024)\n"
+        "def _factory(source):\n"
+        "    scratch = {}\n"
+        "    exec(source, globals(), scratch)\n"
+        "    return scratch['factory']\n"
+        "\n"
+        "PATTERN = re.compile('x')\n"
+        "def evaluate(expr, env): return expr.eval(env)\n"
+    )
+
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO016" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    def test_the_memoised_factory_of_the_emitter_is_the_one_site(self, tmp_path):
+        assert lint_source(tmp_path, self.FACTORY, name=self.EMITTER) == []
+        # re.compile and a method called eval are not the builtins.
+        elsewhere = lint_source(tmp_path, self.FACTORY, name="repro/sql/planner.py")
+        assert self.flagged(elsewhere) == [7]
+        assert "exec() called outside the memoised factory" in elsewhere[0]
+
+    def test_every_other_module_calls_none_of_the_three(self, tmp_path):
+        for builtin in lint_rules.CODE_BUILTINS:
+            source = f"def run(text):\n    return {builtin}(text)\n"
+            for home in ("repro/columnar/kernels.py", "repro/bench/cli.py", "module.py"):
+                violations = lint_source(tmp_path, source, name=home)
+                assert self.flagged(violations) == [2], (builtin, home)
+
+    def test_in_the_emitter_it_is_one_call_inside_the_memo_on_a_plain_name(
+        self, tmp_path
+    ):
+        unmemoised = self.FACTORY.replace("@lru_cache(maxsize=1024)\n", "")
+        assert self.flagged(
+            lint_source(tmp_path, unmemoised, name=self.EMITTER)
+        ) == [6]
+        spliced = self.FACTORY.replace("exec(source,", "exec(source % values,")
+        violations = lint_source(tmp_path, spliced, name=self.EMITTER)
+        assert self.flagged(violations) == [7]
+        assert "never spliced at the call site" in violations[0]
+        twice = self.FACTORY.replace(
+            "    return scratch", "    eval(source)\n    return scratch"
+        )
+        violations = lint_source(tmp_path, twice, name=self.EMITTER)
+        assert self.flagged(violations) == [8]
+        assert "a second time" in violations[0]
+
+    def test_shipped_tree_instantiates_source_once(self):
+        source = REPO / "src" / "repro"
+        sites = []
+        for path in sorted(source.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO016" in v
+            ] == [], path
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1
+            ):
+                if re.search(r"(?<![\w.])(eval|exec|compile)\(", line):
+                    sites.append((path.relative_to(source).as_posix(), line.strip()))
+        assert sites == [("sql/expressions.py", "exec(source, globals(), scratch)")]
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

@@ -187,6 +187,20 @@ flight-recorded stack once: ``FlightRecorder(`` and ``SLOEngine(`` are
 constructed in ``bench/flight.py`` only (``WindowedPipeline``) — a second
 construction site is the capture → queue → apply stanza copied again.
 
+**REPRO016 — text becomes code in one place.**  The expression compiler
+emits Python source and instantiates it; what makes that safe is that the
+source is a function of the expression's *shape* alone — every literal,
+pattern, key and message reaches the code as a parameter of its factory —
+and that it is instantiated once per shape, behind one memo.  So the
+builtins ``eval(``, ``exec(`` and ``compile(`` (called by that bare name;
+``re.compile`` is something else) are called nowhere under ``src/repro``
+except **once**, in ``repro/sql/expressions.py``, inside the function the
+``lru_cache`` decorates, and that call's first argument is a plain name:
+the source arrives from the emitter whole, never assembled or spliced at
+the call site.  Any other call — another module, a second call, one outside
+the memoised function, one whose first argument is an expression — is
+flagged.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -406,6 +420,11 @@ WINDOW_TRANSFORMS = (
 BENCH_PATH_FRAGMENT = "repro/bench/"
 FLIGHT_STACK_SUFFIX = "repro/bench/flight.py"
 FLIGHT_STACK_CLASSES = ("FlightRecorder", "SLOEngine")
+
+#: REPRO016: the builtins that turn text into code, and the one module
+#: whose memoised factory may call one of them, once.
+CODE_BUILTINS = ("eval", "exec", "compile")
+EMITTER_SUFFIX = "repro/sql/expressions.py"
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
 
@@ -844,6 +863,56 @@ def _pipeline_assembly_violations(
     ]
 
 
+def _code_instantiation_violations(
+    path: Path, tree: ast.AST, normalized: str
+) -> list[str]:
+    """REPRO016: ``eval``/``exec``/``compile`` outside the one memoised factory."""
+    calls = sorted(
+        (
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in CODE_BUILTINS
+        ),
+        key=lambda node: node.lineno,
+    )
+    memoised: set[int] = set()
+    if calls and normalized.endswith(EMITTER_SUFFIX):
+        memoised = {
+            id(inner)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and any(
+                "lru_cache" in ast.dump(decorator)
+                for decorator in function.decorator_list
+            )
+            for inner in ast.walk(function)
+        }
+    violations: list[str] = []
+    allowed = 1
+    for node in calls:
+        name = node.func.id  # type: ignore[attr-defined]
+        if id(node) not in memoised:
+            why = (
+                "outside the memoised factory of repro/sql/expressions.py, the "
+                "one place emitted source is instantiated"
+            )
+        elif not (node.args and isinstance(node.args[0], ast.Name)):
+            why = (
+                "on an expression: the source arrives from the emitter as a "
+                "plain name and constants through the factory's parameters, "
+                "never spliced at the call site"
+            )
+        elif not allowed:
+            why = "a second time: emitted source is instantiated by one call"
+        else:
+            allowed = 0
+            continue
+        violations.append(f"{path}:{node.lineno}: REPRO016 {name}() called {why}")
+    return violations
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -873,6 +942,7 @@ def lint_file(path: Path) -> list[str]:
     violations.extend(_access_path_violations(path, tree, normalized))
     violations.extend(_catalog_copy_violations(path, tree, normalized))
     violations.extend(_pipeline_assembly_violations(path, tree, normalized))
+    violations.extend(_code_instantiation_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
