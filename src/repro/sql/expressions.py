@@ -175,7 +175,7 @@ def compile_predicate(
     if where is None:
         return lambda row, context=None: True
     emitter = _Emitter(bind)
-    return emitter.instantiate(f"return {emitter.value(where)} is True", context)
+    return emitter.instantiate(f"return {emitter.emit(where)} is True", context)
 
 
 def emitted_source(expr: ast.Expression, bind: Binding) -> str:
@@ -192,11 +192,16 @@ def _factory(source: str) -> Callable[..., Compiled]:
     return scratch["factory"]
 
 
-#: SQL comparison → the Python token emitted for it.
-_COMPARISONS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-
-#: SQL arithmetic → the Python token emitted on the fast path, and the
-#: operation the checked helper applies.
+#: SQL operator → the Python token emitted on the fast path, and the
+#: operation its checked helper applies.
+_COMPARISONS: dict[str, tuple[str, Callable[[Any, Any], Any]]] = {
+    "=": ("==", operator.eq),
+    "<>": ("!=", operator.ne),
+    "<": ("<", operator.lt),
+    "<=": ("<=", operator.le),
+    ">": (">", operator.gt),
+    ">=": (">=", operator.ge),
+}
 _ARITHMETIC: dict[str, tuple[str, Callable[[Any, Any], Any]]] = {
     "+": ("+", operator.add),
     "-": ("-", operator.sub),
@@ -208,13 +213,16 @@ _ARITHMETIC: dict[str, tuple[str, Callable[[Any, Any], Any]]] = {
 #: the Python connective of the checked slow path).
 _LOGIC = {"AND": ("False", "True", "and"), "OR": ("True", "False", "or")}
 
-#: How far emitted statements may be indented: Python compiles no block
-#: nested deeper than 100, and a node's own statements take up to two more.
-_DEEPEST = 95
+#: The classes the emitted type tests admit: operands of one of them (the
+#: same one, for a comparison) need no further check.
+_SCALARS = frozenset({int, float, str})
+_NUMBERS = frozenset({int, float})
 
-#: ``c`` (the class of a comparison's left operand) is none of the three
-#: classes the comparison fast path admits.
-_NOT_SCALAR = "(c is not int and c is not str and c is not float)"
+#: Per depth, the indentation of a statement and of its continuation lines.
+#: Python compiles no block nested deeper than 100, and a node's own
+#: statements take up to two levels more: deeper than this table goes, an
+#: expression is refused.
+_INDENTS = [(" " * depth, "\n" + " " * depth) for depth in range(96)]
 
 
 @lru_cache(maxsize=None)
@@ -223,24 +231,21 @@ def _constant_names(count: int) -> str:
     return "".join(f", k{n}" for n in range(count))
 
 
-def _number(name: str) -> str:
-    """The type test of the arithmetic fast paths."""
-    return f"({name}.__class__ is int or {name}.__class__ is float)"
-
-
 class _Emitter:
     """One compilation: statements emitted so far, constants hoisted so far.
 
-    ``emit`` appends the statements a node needs and returns an expression
-    for its value; ``value`` names that value (a local ``t<n>`` or a hoisted
-    ``k<n>``) right away, so operands are evaluated in the order written.
+    ``emit`` returns an expression for a node's value, appending first the
+    statements the node needs (only AND/OR and IN, whose operands are
+    evaluated conditionally, need any); ``value`` names that value (a local
+    ``t<n>`` or a hoisted ``k<n>``) right away, so operands are evaluated
+    once, in the order written.
     """
 
     def __init__(self, bind: Binding) -> None:
         self._bind = bind
         self._lines: list[str] = []
         self._constants: list[Any] = []
-        self._indent = "  "
+        self._depth = 2  # inside ``factory`` and ``kernel``
         self._temps = 0
 
     def hoist(self, value: Any) -> str:
@@ -261,18 +266,17 @@ class _Emitter:
 
     def _add(self, text: str) -> None:
         """Append statements (one per line) at the current indentation."""
-        indent = self._indent
-        self._lines.append(indent + text.replace("\n", "\n" + indent))
+        try:
+            indent, newline = _INDENTS[self._depth]
+        except IndexError:
+            raise SqlAnalysisError(
+                "expression is nested too deeply to compile"
+            ) from None
+        self._lines.append(indent + text.replace("\n", newline))
 
     def _temp(self) -> str:
         self._temps += 1
         return f"t{self._temps}"
-
-    def _nest(self, levels: int) -> None:
-        """Indent what follows by ``levels`` more (fewer, when negative)."""
-        self._indent = " " * (len(self._indent) + levels)
-        if len(self._indent) > _DEEPEST:
-            raise SqlAnalysisError("expression is nested too deeply to compile")
 
     def value(self, expr: ast.Expression) -> str:
         source = self.emit(expr)
@@ -320,29 +324,27 @@ class _Emitter:
         op = expr.op
         if op in _LOGIC:
             return self._logic(expr, *_LOGIC[op])
-        if op not in _COMPARISONS and op not in _ARITHMETIC:
+        if op in _COMPARISONS:
+            token, checked = _COMPARISONS[op][0], "_compare"
+        elif op in _ARITHMETIC:
+            token, checked = _ARITHMETIC[op][0], "_arithmetic"
+        else:
             return self._bind.fail(f"unknown binary operator {op!r}", self.hoist)
         # Both sides are evaluated before the NULL test.
-        left, right, out = self.value(expr.left), self.value(expr.right), self._temp()
-        if op in _COMPARISONS:
-            self._add(
-                f"if {left} is None or {right} is None: {out} = None\n"
-                f"else:\n"
-                f" c = {left}.__class__\n"
-                f" if c is not {right}.__class__ or {_NOT_SCALAR}: "
-                f"check_comparable({left}, {right}, {self.hoist(op)})\n"
-                f" {out} = {left} {_COMPARISONS[op]} {right}"
+        left, right = self.value(expr.left), self.value(expr.right)
+        if checked == "_compare":
+            admitted = f"{left}.__class__ is {right}.__class__ in _SCALARS"
+        else:
+            nonzero = f" and {right}" if op == "/" else ""
+            admitted = (
+                f"{left}.__class__ in _NUMBERS and {right}.__class__ in _NUMBERS"
+                + nonzero
             )
-            return out
-        token = _ARITHMETIC[op][0]
-        nonzero = f" and {right}" if op == "/" else ""
-        self._add(
-            f"if {left} is None or {right} is None: {out} = None\n"
-            f"elif {_number(left)} and {_number(right)}{nonzero}: "
-            f"{out} = {left} {token} {right}\n"
-            f"else: {out} = _arithmetic({self.hoist(op)}, {left}, {right})"
+        return (
+            f"(None if {left} is None or {right} is None "
+            f"else {left} {token} {right} if {admitted} "
+            f"else {checked}({self.hoist(op)}, {left}, {right}))"
         )
-        return out
 
     def _logic(self, expr: ast.BinaryOp, decides: str, other: str, word: str) -> str:
         # ``a AND b AND c`` leans left: walk that spine in a loop, so a long
@@ -357,7 +359,7 @@ class _Emitter:
             # (AND: False), and is when the left is NULL.
             left, out = out, self._temp()
             self._add(f"if {left} is {decides}: {out} = {decides}\nelse:")
-            self._nest(1)
+            self._depth += 1
             right = self.value(node.right)
             self._add(
                 f"if {right} is {decides}: {out} = {decides}\n"
@@ -365,7 +367,7 @@ class _Emitter:
                 f"elif {left} is None or {right} is None: {out} = None\n"
                 f"else: {out} = _truth({left}) {word} _truth({right})"
             )
-            self._nest(-1)
+            self._depth -= 1
         return out
 
     def _unary(self, expr: ast.UnaryOp) -> str:
@@ -378,8 +380,8 @@ class _Emitter:
         if expr.op == "-":
             inner = self.value(expr.operand)
             return (
-                f"(None if {inner} is None else -{inner} if {_number(inner)} "
-                f"else _negate({inner}))"
+                f"(None if {inner} is None else -{inner} "
+                f"if {inner}.__class__ in _NUMBERS else _negate({inner}))"
             )
         return self._bind.fail(f"unknown unary operator {expr.op!r}", self.hoist)
 
@@ -394,7 +396,7 @@ class _Emitter:
             f" {saw_null} = False\n"
             f" while True:"
         )
-        self._nest(2)
+        self._depth += 2
         for item in expr.items:
             candidate = self.value(item)
             self._add(
@@ -402,24 +404,20 @@ class _Emitter:
                 f"elif {candidate} == {subject}: {out} = {not expr.negated}; break"
             )
         self._add(f"if not {saw_null}: {out} = {bool(expr.negated)}\nbreak")
-        self._nest(-2)
+        self._depth -= 2
         return out
 
     def _between(self, expr: ast.Between) -> str:
         subject, low, high = (
             self.value(expr.expr), self.value(expr.low), self.value(expr.high)
         )
-        out = self._temp()
         negation = "not " if expr.negated else ""
-        self._add(
-            f"if {subject} is None or {low} is None or {high} is None: {out} = None\n"
-            f"else:\n"
-            f" c = {subject}.__class__\n"
-            f" if c is not {low}.__class__ or c is not {high}.__class__ "
-            f"or {_NOT_SCALAR}: _check_between({subject}, {low}, {high})\n"
-            f" {out} = {negation}{low} <= {subject} <= {high}"
+        return (
+            f"(None if {subject} is None or {low} is None or {high} is None "
+            f"else {negation}({low} <= {subject} <= {high} "
+            f"if {subject}.__class__ is {low}.__class__ is {high}.__class__ "
+            f"in _SCALARS else _between({subject}, {low}, {high})))"
         )
-        return out
 
     def _like(self, expr: ast.Like) -> str:
         subject = self.value(expr.expr)
@@ -482,6 +480,11 @@ def _fail(message: str) -> Any:
     raise SqlAnalysisError(message)
 
 
+def _compare(op: str, left: Any, right: Any) -> bool:
+    check_comparable(left, right, op)
+    return _COMPARISONS[op][1](left, right)
+
+
 def _arithmetic(op: str, left: Any, right: Any) -> Any:
     if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
         raise SqlAnalysisError(
@@ -498,9 +501,10 @@ def _negate(value: Any) -> Any:
     return -value
 
 
-def _check_between(value: Any, low: Any, high: Any) -> None:
+def _between(value: Any, low: Any, high: Any) -> bool:
     check_comparable(value, low, "BETWEEN")
     check_comparable(value, high, "BETWEEN")
+    return low <= value <= high
 
 
 def _like(match: Callable[[str], Any], value: Any, negated: bool) -> bool:

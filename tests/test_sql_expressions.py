@@ -353,14 +353,13 @@ LAZY_ONLY = " AND NOW() > 0 AND RANDOM() < 1 AND SESSION_USER() = 'lit_user' AND
 EVERY_COLUMN = ("col_qty", "col_status", "col_ref")
 
 #: What emitted source may name besides keywords, temporaries (``t3``) and
-#: hoisted constants (``k3``): the parameters, the one scratch local, the
-#: three classes of the fast paths and the checked helpers.
+#: hoisted constants (``k3``): the parameters, the classes the fast paths
+#: admit and the checked helpers.
 VOCABULARY = {
-    "factory", "kernel", "session", "row", "context", "cols", "pos", "c",
-    "int", "str", "float", "__class__",
-    "check_comparable", "apply_scalar_function",
-    "_truth", "_arithmetic", "_negate", "_check_between", "_like",
-    "_lookup", "_now", "_random", "_user", "_fail",
+    "factory", "kernel", "session", "row", "context", "cols", "pos",
+    "__class__", "str", "_SCALARS", "_NUMBERS",
+    "apply_scalar_function", "_truth", "_compare", "_arithmetic", "_negate",
+    "_between", "_like", "_lookup", "_now", "_random", "_user", "_fail",
 }
 
 
