@@ -241,6 +241,8 @@ class _Emitter:
     once, in the order written.
     """
 
+    __slots__ = ("_bind", "_lines", "_constants", "_depth", "_temps")
+
     def __init__(self, bind: Binding) -> None:
         self._bind = bind
         self._lines: list[str] = []
@@ -253,12 +255,11 @@ class _Emitter:
         return f"k{len(self._constants) - 1}"
 
     def source(self, last: str) -> str:
-        self._add(last)
+        """The whole definition: the statements so far, then ``last``."""
+        self._lines.append(f"  {last}\n return kernel")
         return (
             f"def factory(session{_constant_names(len(self._constants))}):\n"
-            f" def kernel({self._bind.parameters}):\n"
-            + "\n".join(self._lines)
-            + "\n return kernel"
+            f" def kernel({self._bind.parameters}):\n" + "\n".join(self._lines)
         )
 
     def instantiate(self, last: str, context: Mapping[str, Any]) -> Compiled:
