@@ -128,8 +128,7 @@ def test_scan_filter_no_match(benchmark, populated):
     assert benchmark(lambda: session.execute(sql).rows_affected) == 0
 
 
-def test_compile_point_predicate(benchmark, populated):
-    database, _workload = populated
+def test_compile_point_predicate(benchmark):
     bind = expressions.RowBinding(parts_schema().column_names)
     predicates = itertools.cycle(
         parse(f"DELETE FROM parts WHERE part_id = {part_id}").where

@@ -48,13 +48,13 @@ class BatchBinding:
     same slots.
     """
 
+    parameters = "cols, pos"
+
     def __init__(
         self, layout: dict[str, int], qualifiers: frozenset[str] = frozenset()
     ) -> None:
         self._layout = layout
         self._qualifiers = qualifiers
-
-    parameters = "cols, pos"
 
     def column(self, ref: ast.ColumnRef, hoist: expressions.Hoist) -> str:
         if ref.table is not None and ref.table not in self._qualifiers:

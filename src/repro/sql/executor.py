@@ -475,7 +475,8 @@ class Executor:
         scope.add(table.schema, table.name, columns)
         path = choose_path(table, table.name, where)
         keep = self._predicate(where, scope)
-        return path.description, scope, list(self._candidates(table, path, columns, keep))
+        matches = list(self._candidates(table, path, columns, keep))
+        return path.description, scope, matches
 
     def _update(self, db: Database, stmt: ast.UpdateStmt, txn: Transaction) -> Result:
         table = db.table(stmt.table)

@@ -225,7 +225,7 @@ _NUMBERS = frozenset({int, float})
 _INDENTS = [(" " * depth, "\n" + " " * depth) for depth in range(96)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _constant_names(count: int) -> str:
     """``, k0, k1 ...``: the factory parameters after ``session``."""
     return "".join(f", k{n}" for n in range(count))

@@ -884,8 +884,10 @@ def _code_instantiation_violations(
             for function in ast.walk(tree)
             if isinstance(function, ast.FunctionDef)
             and any(
-                "lru_cache" in ast.dump(decorator)
-                for decorator in function.decorator_list
+                (
+                    dotted_name(d.func if isinstance(d, ast.Call) else d) or ""
+                ).endswith("lru_cache")
+                for d in function.decorator_list
             )
             for inner in ast.walk(function)
         }
