@@ -272,8 +272,12 @@ class Executor:
         filtered here."""
         if path.row_ids is None:
             return table.scan(columns, keep)
-        rows = ((row_id, table.read(row_id, columns)) for row_id in path.row_ids)
-        return rows if keep is None else (row for row in rows if keep(row[1]))
+        return (
+            (row_id, values)
+            for row_id in path.row_ids
+            for values in [table.read(row_id, columns)]
+            if keep is None or keep(values)
+        )
 
     def _hash_join(
         self,
