@@ -28,16 +28,13 @@ from ..obs.context import ambient_metrics
 from ..obs.metrics import NULL_REGISTRY, MetricsLike
 from ..obs.pipeline.context import ambient_pipeline
 from ..obs.pipeline.events import lineage_key
+from ..scope import Scope
 from ..sql import ast_nodes as ast
+from ..sql.templates import shaped
 from .conflict import ConflictGraph, build_conflict_graph
-from .relevance import RelevanceVerdict, statement_relevance
+from .relevance import RelevanceVerdict, settle_relevance, shape_relevance
 from .rwsets import StatementFootprint, extract_footprint
-from .safety import (
-    Determinism,
-    commutes,
-    is_idempotent,
-    statement_determinism,
-)
+from .safety import Determinism, commutes, is_idempotent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..warehouse.aggregates import AggregateViewDefinition
@@ -111,6 +108,8 @@ class OpDeltaAnalyzer:
             else {}
         )
         self._metrics = metrics
+        #: What this analyzer's per-shape facts read: its view catalog.
+        self._scope = Scope()
 
     @property
     def metrics(self) -> MetricsLike:
@@ -122,13 +121,22 @@ class OpDeltaAnalyzer:
     # ------------------------------------------------------------- analysis
     def analyze_statement(self, statement: ast.Statement) -> AnalysisRecord:
         footprint = extract_footprint(statement, self.table_columns or None)
-        determinism = statement_determinism(statement)
-        relevance = statement_relevance(
-            footprint,
-            self.views,
-            self.mirrored_tables,
-            aggregate_views=self.aggregate_views,
+        determinism = footprint.determinism
+        # Which views a statement of this shape can reach at all is settled
+        # once per shape (from this footprint: the shape half reads no
+        # literal); the row tests run on this statement's own.
+        reach, _literals = shaped(
+            statement,
+            self._scope,
+            "relevance",
+            lambda _shape, _slot: shape_relevance(
+                footprint,
+                self.views,
+                self.mirrored_tables,
+                aggregate_views=self.aggregate_views,
+            ),
         )
+        relevance = settle_relevance(reach, footprint)
         record = AnalysisRecord(
             footprint=footprint,
             determinism=determinism,

@@ -52,17 +52,53 @@ def statement_relevance(
     aggregate_views: Sequence["AggregateViewDefinition"] = (),
 ) -> RelevanceVerdict:
     """Match a statement's footprint against the warehouse view catalog."""
-    relevant = tuple(
-        view.name for view in views if _affects_view(view, footprint)
-    ) + tuple(
-        view.name
+    return settle_relevance(
+        shape_relevance(footprint, views, mirrored_tables, aggregate_views),
+        footprint,
+    )
+
+
+#: What a statement's *shape* decides about its relevance: whether its table
+#: is mirrored, and — in verdict order — the views that survive the table and
+#: column tests (which read no literal), each with the selection range its
+#: row test will be run against (``None``: no row test can clear it).
+ShapeRelevance = tuple[bool, tuple[tuple[str, "PredicateRange | None"], ...]]
+
+
+def shape_relevance(
+    footprint: StatementFootprint,
+    views: Sequence[ViewDefinition],
+    mirrored_tables: Iterable[str] = (),
+    aggregate_views: Sequence["AggregateViewDefinition"] = (),
+) -> ShapeRelevance:
+    """The literal-free half of :func:`statement_relevance`."""
+    candidates = [
+        (view.name, view_range)
+        for view in views
+        for view_range in _candidate_view(view, footprint)
+    ] + [
+        (view.name, view_range)
         for view in aggregate_views
         if footprint.table == view.base_table
-        and _affects_base(view, _aggregate_interest_columns, footprint)
-    )
+        for view_range in _candidate_base(
+            view, _aggregate_interest_columns, footprint
+        )
+    ]
+    return footprint.table in set(mirrored_tables), tuple(candidates)
+
+
+def settle_relevance(
+    shape: ShapeRelevance, footprint: StatementFootprint
+) -> RelevanceVerdict:
+    """The verdict for one statement of the shape: the row tests."""
+    mirror_relevant, candidates = shape
     return RelevanceVerdict(
-        relevant_views=relevant,
-        mirror_relevant=footprint.table in set(mirrored_tables),
+        relevant_views=tuple(
+            name
+            for name, view_range in candidates
+            if view_range is None or _reaches(view_range, footprint)
+        ),
+        mirror_relevant=mirror_relevant,
     )
 
 
@@ -76,15 +112,17 @@ def _view_interest_columns(view: ViewDefinition) -> set[str]:
     return interest
 
 
-def _affects_view(view: ViewDefinition, footprint: StatementFootprint) -> bool:
+def _candidate_view(
+    view: ViewDefinition, footprint: StatementFootprint
+) -> list[PredicateRange | None]:
     if footprint.table == view.base_table:
-        return _affects_base(view, _view_interest_columns, footprint)
+        return _candidate_base(view, _view_interest_columns, footprint)
     if view.join is not None and footprint.table == view.join.table:
         # Changing the dimension table can rewrite the view's joined
         # columns; bounding that would need join-key tracking, so stay
         # conservative.
-        return True
-    return False
+        return [None]
+    return []
 
 
 def _aggregate_interest_columns(view: "AggregateViewDefinition") -> set[str]:
@@ -100,37 +138,36 @@ def _aggregate_interest_columns(view: "AggregateViewDefinition") -> set[str]:
     return interest
 
 
-def _affects_base(
+def _candidate_base(
     view: "ViewDefinition | AggregateViewDefinition",
     interest_columns: Callable[[Any], set[str]],
     footprint: StatementFootprint,
-) -> bool:
-    """Whether a statement on the view's base table can change its content.
+) -> list[PredicateRange | None]:
+    """The view's selection range, if a statement of this shape on its base
+    table could change its content; nothing when the shape rules it out.
 
     The one judgement for both view kinds; ``interest_columns(view)`` — the
     base-table columns the content depends on — is all they differ in, and
-    only an UPDATE asks for it.
+    only an UPDATE asks for it: one that assigns only columns the view does
+    not depend on cannot change the view's content.
     """
-    view_range = range_from_predicate(view.predicate_ast())
+    if footprint.kind is OpKind.UPDATE and not (
+        footprint.writes & interest_columns(view)
+    ):
+        return []
+    return [range_from_predicate(view.predicate_ast())]
 
-    if footprint.kind is OpKind.UPDATE:
-        # Column test: an UPDATE that assigns only columns the view does not
-        # depend on cannot change the view's content.
-        if not footprint.writes & interest_columns(view):
-            return False
-        # Row test: the affected rows provably lie outside the view's
-        # selection range, and no assignment can move one inside it.
-        return not (
-            footprint.row_range is not None
-            and footprint.row_range.disjoint_from(view_range)
-            and _cannot_enter_range(view_range, footprint)
-        )
 
-    # INSERT / DELETE: irrelevant only when every row provably fails the
-    # view's selection predicate (inserted rows never enter the view,
-    # deleted rows never were in it).
-    return footprint.row_range is None or not footprint.row_range.disjoint_from(
-        view_range
+def _reaches(view_range: PredicateRange, footprint: StatementFootprint) -> bool:
+    """The row test: can the rows this statement touches lie in the range?"""
+    row_range = footprint.row_range
+    if row_range is None or not row_range.disjoint_from(view_range):
+        return True
+    # The touched rows provably lie outside the view's selection range:
+    # inserted rows never enter the view, deleted rows never were in it, and
+    # an UPDATE matters only if an assignment can move one inside.
+    return footprint.kind is OpKind.UPDATE and not _cannot_enter_range(
+        view_range, footprint
     )
 
 

@@ -30,6 +30,7 @@ from ..core.opdelta import OpKind, classify_statement
 from ..errors import AnalysisError
 from ..sql import ast_nodes as ast
 from ..sql.expressions import referenced_columns, split_conjuncts
+from ..sql.templates import SHAPE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .safety import Determinism
@@ -118,9 +119,8 @@ class ColumnConstraint:
 
     @classmethod
     def points(cls, values: Sequence[Any]) -> "ColumnConstraint":
-        non_null = tuple(Interval.point(v) for v in values if v is not None)
-        has_null = any(v is None for v in values)
-        if has_null and not non_null:
+        non_null = tuple([Interval(v, v) for v in values if v is not None])
+        if values and not non_null:  # nothing but NULLs
             return cls(intervals=(), null_only=True)
         return cls(intervals=non_null)
 
@@ -378,10 +378,50 @@ def extract_footprint(
     ``table_columns`` optionally maps table name to its column order, which
     lets column-list-free ``INSERT INTO t VALUES (...)`` statements resolve
     their written columns and value points.
+
+    Everything but the ``row_range`` is a fact of the statement's shape (and
+    of the layout given for its table): for a parsed statement it is read off
+    the shape's template, and only the range is computed from this
+    statement's literals.
     """
     kind, table = classify_statement(statement)
-    layout = None if table_columns is None else table_columns.get(table)
+    columns = None if table_columns is None else table_columns.get(table)
+    layout = None if columns is None else tuple(columns)
+    binding = statement.binding
+    if binding is None:
+        return _footprint(statement, kind, table, layout)
+    template = binding.template
 
+    def bound() -> StatementFootprint:
+        shape = template.fact(
+            SHAPE,
+            ("footprint", layout),
+            lambda: _footprint(template.statement, kind, table, layout),
+        )
+        return StatementFootprint(
+            shape.table, shape.kind, shape.reads, shape.reads_all_columns,
+            shape.writes, shape.writes_all_columns, shape.where_columns,
+            row_range=_row_range(statement, layout), statement=statement,
+        )
+
+    return binding.fact(("footprint", layout), bound)
+
+
+def _row_range(
+    statement: ast.Statement, layout: Sequence[str] | None
+) -> PredicateRange | None:
+    """The part of a footprint that the statement's literals decide."""
+    if isinstance(statement, ast.InsertStmt):
+        return range_from_insert(statement, layout)
+    return range_from_predicate(statement.where)  # type: ignore[attr-defined]
+
+
+def _footprint(
+    statement: ast.Statement,
+    kind: OpKind,
+    table: str,
+    layout: Sequence[str] | None,
+) -> StatementFootprint:
     if isinstance(statement, ast.InsertStmt):
         names = statement.columns if statement.columns is not None else layout
         reads: set[str] = set()
@@ -397,7 +437,7 @@ def extract_footprint(
             writes=frozenset(names) if names is not None else frozenset(),
             writes_all_columns=True,
             where_columns=frozenset(),
-            row_range=range_from_insert(statement, layout),
+            row_range=_row_range(statement, layout),
             statement=statement,
         )
 
@@ -419,7 +459,7 @@ def extract_footprint(
             writes=frozenset(assigned),
             writes_all_columns=False,
             where_columns=frozenset(where_cols),
-            row_range=range_from_predicate(statement.where),
+            row_range=_row_range(statement, layout),
             statement=statement,
         )
 
@@ -437,7 +477,7 @@ def extract_footprint(
             writes=frozenset(),
             writes_all_columns=True,
             where_columns=frozenset(where_cols),
-            row_range=range_from_predicate(statement.where),
+            row_range=_row_range(statement, layout),
             statement=statement,
         )
 

@@ -53,6 +53,7 @@ from ..sql.expressions import (
     referenced_functions,
     split_conjuncts,
 )
+from ..sql.templates import SHAPE, shaped
 from .rwsets import StatementFootprint, extract_footprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,7 +91,16 @@ def expression_determinism(expr: ast.Expression | None) -> Determinism:
 
 
 def statement_determinism(statement: ast.Statement) -> Determinism:
-    """Classify a whole DML statement: the worst of its expressions."""
+    """Classify a whole DML statement: the worst of its expressions.
+
+    No literal decides it, so a parsed statement's class is its shape's.
+    """
+    return shaped(
+        statement, SHAPE, "determinism", lambda shape, _slot: _determinism(shape)
+    )[0]
+
+
+def _determinism(statement: ast.Statement) -> Determinism:
     worst = Determinism.DETERMINISTIC
 
     def fold(expr: ast.Expression | None) -> None:
@@ -209,9 +219,12 @@ def op_footprint(
     conflict graph, the schedule certifier, the interference sanitizer —
     must build footprints through this helper so they share one model.
     """
-    footprint = extract_footprint(
-        pin_time_functions(op.statement, op.captured_at), table_columns
-    )
+    footprint = extract_footprint(op.statement, table_columns)
+    if footprint.determinism is not Determinism.DETERMINISTIC:
+        # Only then is there a time function to pin.
+        footprint = extract_footprint(
+            pin_time_functions(op.statement, op.captured_at), table_columns
+        )
     if op.before_image is not None:
         footprint = dataclasses.replace(footprint, image_replay=True)
     return footprint
@@ -230,7 +243,16 @@ def is_idempotent(footprint: StatementFootprint) -> bool:
     rule: assigned columns must not appear among the assignment inputs, and
     any assigned column in the WHERE clause must be assigned a literal.
     INSERT is never idempotent (it adds a row per application).
+
+    The rule reads no literal's value, so the answer is the shape's.
     """
+    return shaped(
+        footprint.statement, SHAPE, "idempotent",
+        lambda _shape, _slot: _idempotent(footprint),
+    )[0]
+
+
+def _idempotent(footprint: StatementFootprint) -> bool:
     if footprint.determinism is not Determinism.DETERMINISTIC:
         return False
     if footprint.kind.name == "DELETE":

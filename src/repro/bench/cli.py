@@ -147,7 +147,8 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         help="run one read-only SELECT over the sys.* system tables "
         "(sys.events, sys.metrics, sys.watermarks, sys.lag, sys.series, "
         "sys.cost, sys.slo, sys.critical_path) snapshotted from the "
-        "deterministic forensics drill, and print the result rows; "
+        "deterministic forensics drill — or over sys.templates, the "
+        "process's statement template table — and print the result rows; "
         "malformed or unresolvable queries exit 2 with a positioned "
         "diagnostic",
         module="introspect",

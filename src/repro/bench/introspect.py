@@ -38,6 +38,7 @@ from ..analysis.verify import CertificateCache, DeltaRuleVerifier
 from ..core.opdelta import PARSE_CACHE
 from ..obs.flight import CostAttributor
 from ..obs.introspect import (
+    PROCESS_TABLES,
     CriticalPathAnalyzer,
     MetaObservatory,
     StoreBundle,
@@ -281,6 +282,8 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
     # observed pipeline's clock.
     clock_before = clock.now
     for name in catalog.table_names:
+        if name in PROCESS_TABLES:
+            continue  # not one of the drill's stores
         report.table_rows[name] = int(
             catalog.query(f"SELECT COUNT(*) FROM {name}").scalar()
         )

@@ -44,16 +44,19 @@ from ..engine.table import Table
 from ..engine.transactions import Transaction
 from ..errors import SqlAnalysisError
 from ..sql import ast_nodes as ast
-from ..sql.expressions import NO_SESSION, compile_insert_rows
-from ..sql.planner import choose_path
-from .batch import ColumnBatch
-from .kernels import (
-    BatchBinding,
-    CompileBarrier,
-    KernelCache,
-    compile_expression,
-    compile_predicate,
+from ..sql.expressions import (
+    CONSTANT,
+    NO_SESSION,
+    Maker,
+    Slot,
+    expression_maker,
+    insert_rows_maker,
+    predicate_maker,
 )
+from ..sql.planner import probes, settle_path
+from ..sql.templates import shaped
+from .batch import ColumnBatch
+from .kernels import BatchBinding, CompileBarrier, KernelCache, compile_predicate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.opdelta import OpDelta
@@ -75,9 +78,7 @@ class RowApplier:
     def begin_component(self) -> None:
         """A new transactional unit starts; the row path keeps no state."""
 
-    def apply_mirror(
-        self, statement: ast.Statement, txn: Transaction, cache_key: str
-    ) -> int:
+    def apply_mirror(self, statement: ast.Statement, txn: Transaction) -> int:
         """Replay one transformed statement; returns the rows affected."""
         return self._session.execute_statement(statement).rows_affected
 
@@ -136,23 +137,21 @@ class ColumnarApplier(RowApplier):
         self._images.clear()
 
     # ------------------------------------------------------------ mirror path
-    def apply_mirror(
-        self, statement: ast.Statement, txn: Transaction, cache_key: str
-    ) -> int:
+    def apply_mirror(self, statement: ast.Statement, txn: Transaction) -> int:
         """Replay one transformed statement on its mirror table.
 
         Returns the rows affected (matching the executor's Result).
         """
         try:
             if isinstance(statement, ast.InsertStmt) and statement.select is None:
-                return self._mirror_insert(statement, txn, cache_key)
+                return self._mirror_insert(statement, txn)
             if isinstance(statement, (ast.UpdateStmt, ast.DeleteStmt)):
                 return self._batch_routine(statement)(
                     self._db.table(statement.table),
                     statement,
-                    statement.where,
+                    _own_where,
                     frozenset({statement.table}),
-                    ("mirror", statement.table, cache_key),
+                    ("mirror",),
                     txn,
                 )
         except CompileBarrier:
@@ -161,7 +160,7 @@ class ColumnarApplier(RowApplier):
         self.fallbacks += 1
         if statement.table is not None:
             self._images.pop(statement.table, None)
-        return super().apply_mirror(statement, txn, cache_key)
+        return super().apply_mirror(statement, txn)
 
     def _dispatch(self) -> None:
         """Per-statement cost of dispatching a compiled batch program."""
@@ -169,20 +168,35 @@ class ColumnarApplier(RowApplier):
         self._clock.advance(self._costs.stmt_overhead * self._costs.columnar_cpu_factor)
 
     def _batch(
-        self, table: Table, alias: str, where: ast.Expression | None
+        self,
+        table: Table,
+        stmt: ast.UpdateStmt | ast.DeleteStmt,
+        where_of: "_WhereOf",
+        key: tuple[Hashable, ...],
     ) -> ColumnBatch:
-        """The rows of ``table`` a statement with predicate ``where`` must see.
+        """The rows of ``table`` a statement with predicate ``where_of(stmt)``
+        must see.
 
         The component's resident image when there is one (it already holds
         the component's writes).  Otherwise whatever the access-path chooser
-        says: the rows an index reaches, gathered into a throwaway batch —
-        a candidate filter only, the statement's kernels still run over it —
-        or, with no index path, the whole table as the image that stays
-        resident for the rest of the component.
+        says — which conjuncts an index could answer is the shape's, the
+        literal probed with the statement's: the rows an index reaches,
+        gathered into a throwaway batch — a candidate filter only, the
+        statement's kernels still run over it — or, with no index path, the
+        whole table as the image that stays resident for the rest of the
+        component.
         """
         image = self._images.get(table.name)
         if image is None:
-            reached = choose_path(table, alias, where).row_ids
+            found, literals = shaped(
+                stmt,
+                table.version,
+                ("reach", *key),
+                lambda shape, slot: probes(
+                    table, stmt.table, where_of(shape), slot
+                ),
+            )
+            reached = settle_path(found, literals).row_ids
             if reached is not None:
                 row_ids = list(reached)
                 return ColumnBatch.from_rows(
@@ -191,20 +205,21 @@ class ColumnarApplier(RowApplier):
             image = self._images[table.name] = ColumnBatch.from_table(table)
         return image
 
-    def _mirror_insert(
-        self, stmt: ast.InsertStmt, txn: Transaction, cache_key: str
-    ) -> int:
+    def _mirror_insert(self, stmt: ast.InsertStmt, txn: Transaction) -> int:
         table = self._db.table(stmt.table)
         # Literal rows compile to kernels over no columns; volatile
         # expressions barrier out to the row path here.
-        literal_rows = self.kernels.get(
-            ("mirror-insert", stmt.table, cache_key),
-            lambda: compile_insert_rows(
-                stmt, table.schema.column_names, SqlAnalysisError, BatchBinding({})
+        literal_rows, literals = self.kernels.get(
+            stmt,
+            table.version,
+            "mirror-insert",
+            lambda shape, slot: insert_rows_maker(
+                shape, table.schema.column_names, SqlAnalysisError,
+                BatchBinding({}), slot,
             ),
         )
         self._dispatch()
-        rows = list(literal_rows(0))
+        rows = list(literal_rows(literals)(0))
         self._insert_batch(table, rows, txn)
         return len(rows)
 
@@ -232,29 +247,31 @@ class ColumnarApplier(RowApplier):
         self,
         table: Table,
         stmt: ast.UpdateStmt,
-        where: ast.Expression | None,
+        where_of: "_WhereOf",
         qualifiers: frozenset[str],
-        cache_key: tuple[Hashable, ...],
+        key: tuple[Hashable, ...],
         txn: Transaction,
     ) -> int:
         """One compiled UPDATE over a batch of ``table`` — mirror or view.
 
-        ``where`` is the predicate AST (the statement's own for a mirror,
-        narrowed by the view predicate for a view).  Returns the rows
-        matched.
+        ``where_of`` gives the predicate AST of a statement (its own for a
+        mirror, narrowed by the view predicate for a view).  Returns the
+        rows matched.
         """
-        batch = self._batch(table, stmt.table, where)
+        batch = self._batch(table, stmt, where_of, key)
 
-        def factory() -> tuple[Any, tuple[tuple[str, Any], ...]]:
-            predicate = compile_predicate(where, batch.layout, qualifiers)
-            assignments = tuple(
-                (a.column, compile_expression(a.expr, batch.layout, qualifiers))
-                for a in stmt.assignments
+        def build(shape: ast.UpdateStmt, slot: Slot) -> tuple[Maker, Any]:
+            bind = BatchBinding(batch.layout, qualifiers)
+            return predicate_maker(where_of(shape), bind, slot), tuple(
+                (a.column, expression_maker(a.expr, bind, slot))
+                for a in shape.assignments
             )
-            return predicate, assignments
 
-        predicate, assignments = self.kernels.get(("update", *cache_key), factory)
-        matched = self._matched(batch, predicate)
+        (keep, sets), literals = self.kernels.get(
+            stmt, table.version, ("update", *key), build
+        )
+        matched = self._matched(batch, keep(literals, NO_SESSION))
+        assignments = [(column, kernel(literals, NO_SESSION)) for column, kernel in sets]
         cols = batch.columns
         updates = [
             (
@@ -272,18 +289,22 @@ class ColumnarApplier(RowApplier):
         self,
         table: Table,
         stmt: ast.DeleteStmt,
-        where: ast.Expression | None,
+        where_of: "_WhereOf",
         qualifiers: frozenset[str],
-        cache_key: tuple[Hashable, ...],
+        key: tuple[Hashable, ...],
         txn: Transaction,
     ) -> int:
         """One compiled DELETE over a batch of ``table`` — mirror or view."""
-        batch = self._batch(table, stmt.table, where)
-        predicate = self.kernels.get(
-            ("delete", *cache_key),
-            lambda: compile_predicate(where, batch.layout, qualifiers),
+        batch = self._batch(table, stmt, where_of, key)
+        keep, literals = self.kernels.get(
+            stmt,
+            table.version,
+            ("delete", *key),
+            lambda shape, slot: predicate_maker(
+                where_of(shape), BatchBinding(batch.layout, qualifiers), slot
+            ),
         )
-        matched = self._matched(batch, predicate)
+        matched = self._matched(batch, keep(literals, NO_SESSION))
         table.delete_batch(txn, [batch.row_ids[pos] for pos in matched])
         for pos in matched:
             batch.mark_deleted(pos)
@@ -337,10 +358,9 @@ class ColumnarApplier(RowApplier):
                 self._batch_routine(stmt)(
                     view.table,
                     stmt,
-                    view.narrowed(stmt.where),
+                    lambda shape: view.narrowed(shape.where),
                     frozenset({view.definition.name, stmt.table}),
-                    ("view", view.definition.name, self.plan_fingerprint,
-                     op.statement_text),
+                    ("view", view.definition.name, self.plan_fingerprint),
                     txn,
                 )
             else:
@@ -359,24 +379,28 @@ class ColumnarApplier(RowApplier):
         self, view: "MaterializedView", stmt: ast.InsertStmt, txn: Transaction
     ) -> None:
         base_columns = view.base_columns
-        base_layout = {name: slot for slot, name in enumerate(base_columns)}
 
-        def factory() -> tuple[Any, tuple[int, ...]]:
+        def build(shape: ast.InsertStmt, slot: Slot) -> tuple[Any, ...]:
+            base_layout = {name: at for at, name in enumerate(base_columns)}
             qualify = compile_predicate(view.predicate, base_layout)
             project = tuple(
                 base_layout[name] for name in view.definition.columns
             )
-            return qualify, project
+            # Base rows exactly as the row path computes them; a width
+            # mismatch barriers so that the row path raises its own error.
+            base_rows = insert_rows_maker(
+                shape, base_columns, CompileBarrier, CONSTANT, slot
+            )
+            return qualify, project, base_rows
 
-        qualify, project = self.kernels.get(
+        (qualify, project, base_rows), literals = self.kernels.get(
+            stmt,
+            view.table.version,
             ("view-insert", view.definition.name, self.plan_fingerprint),
-            factory,
+            build,
         )
         self._dispatch()
-        # Base rows exactly as the row path computes them; a width
-        # mismatch barriers so that the row path raises its own error.
-        base_rows = compile_insert_rows(stmt, base_columns, CompileBarrier)
-        batch = ColumnBatch.from_rows(base_columns, base_rows(NO_SESSION))
+        batch = ColumnBatch.from_rows(base_columns, base_rows(literals)(NO_SESSION))
         cols = batch.columns
         projected = [
             tuple(cols[slot][pos] for slot in project)
@@ -385,3 +409,11 @@ class ColumnarApplier(RowApplier):
         ]
         if projected:
             self._insert_batch(view.table, projected, txn)
+
+
+#: Gives the predicate a batch routine runs for a statement of some shape.
+_WhereOf = Callable[[Any], "ast.Expression | None"]
+
+
+def _own_where(statement: Any) -> ast.Expression | None:
+    return statement.where

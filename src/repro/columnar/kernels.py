@@ -14,18 +14,21 @@ at compile time, and the caller replays the statement on the row path
 (which then handles or raises with the original semantics).  A barrier is
 a routing decision, never an error.
 
-Compiled kernels are cached in a :class:`KernelCache` keyed by the plan
-fingerprint plus ``(table, kind, view)`` — the window memo seam of
-``integrate_batched`` — so repeated windows over the same certified plan
-set reuse kernels instead of recompiling.
+Compiled kernels are facts of a statement's *shape*: they are kept on the
+statement's template (:mod:`repro.sql.templates`), short of their literals,
+under the version of the table they run over, and :class:`KernelCache` only
+counts — so a window of statements that differ in their literals compiles
+once, and nothing here grows with the number of statements seen.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Sequence
 
+from ..scope import Scope
 from ..sql import ast_nodes as ast
 from ..sql import expressions
+from ..sql.templates import shaped
 
 #: A compiled scalar: (column arrays, position) -> SQL value.
 CompiledScalar = Callable[[Sequence[Sequence[Any]], int], Any]
@@ -94,37 +97,51 @@ def compile_predicate(
 
 
 class KernelCache:
-    """Compiled-kernel cache over the ``(fingerprint, table, kind, view)``
-    key space of the batched-apply memo seam.
+    """The counting front of the kernels kept on statement templates.
 
-    One instance lives on the integrator's columnar applier, so repeated
-    windows over the same certified plan set (same fingerprint) reuse
-    kernels across calls instead of recompiling per window.
+    A kernel is a fact of a statement's *shape* (and of the table it runs
+    over): it is built once, short of its literals, and filed on the shape's
+    template under the scope it is given — there is no store here to grow.
+    A statement of the shape supplies its own literal values to the maker it
+    gets back.  What this object keeps is the tally: one instance lives on
+    the integrator's columnar applier and counts what was built for it
+    (``compiles``) against what it found already there (``hits``).
     """
 
     def __init__(self) -> None:
-        self._kernels: dict[Hashable, Any] = {}
         self.compiles = 0
         self.hits = 0
 
-    def get(self, key: Hashable, factory: Callable[[], Any]) -> Any:
-        """The cached kernel for ``key``, compiling via ``factory`` once.
+    def get(
+        self,
+        statement: ast.Statement,
+        scope: Scope,
+        key: Hashable,
+        build: Callable[[Any, expressions.Slot], Any],
+    ) -> tuple[Any, Sequence[Any]]:
+        """``(kernels, literals)``: what ``build(shape_statement, slot)``
+        made of ``statement``'s shape, and the statement's literal values.
 
-        A :class:`CompileBarrier` from the factory is cached too (as the
-        barrier itself) so the row-path routing decision is also made
-        only once per key.
+        A :class:`CompileBarrier` from ``build`` is kept too (as the barrier
+        itself) so the row-path routing decision is also made only once per
+        shape; it is raised again for every statement of it.  A statement
+        with no template is its own shape: built for, every time.
         """
-        try:
-            kernel = self._kernels[key]
-        except KeyError:
-            self.compiles += 1
+        compiled = False
+
+        def counted(shape: ast.Statement, slot: expressions.Slot) -> Any:
+            nonlocal compiled
+            compiled = True
             try:
-                kernel = factory()
+                return build(shape, slot)
             except CompileBarrier as barrier:
-                kernel = barrier
-            self._kernels[key] = kernel
+                return barrier
+
+        kernels, literals = shaped(statement, scope, key, counted)
+        if compiled:
+            self.compiles += 1
         else:
             self.hits += 1
-        if isinstance(kernel, CompileBarrier):
-            raise kernel
-        return kernel
+        if isinstance(kernels, CompileBarrier):
+            raise kernels
+        return kernels, literals

@@ -71,6 +71,7 @@ from ..sql.expressions import (
     compile_predicate,
     referenced_columns,
 )
+from ..sql.parser import parse
 from .report import AbsorbedEdge, CompactionReport, ReorderObligation
 
 
@@ -463,10 +464,15 @@ class Coalescer:
         )
         return _Entry(op=op, footprint=footprint, coalescible=coalescible)
 
-    def _merged_entry(self, cand: _Entry, statement: ast.Statement) -> _Entry:
+    def _merged_entry(self, cand: _Entry, merged: ast.Statement) -> _Entry:
+        # An operation is its text — that is what ships.  The merged one is
+        # analysed, and later applied, as that text parses: through the
+        # template of its shape, like any captured statement.
+        text = merged.to_sql()
+        statement = parse(text)
         op = dataclasses.replace(
             cand.op,
-            statement_text=statement.to_sql(),
+            statement_text=text,
             _parsed=statement,
             analysis=(
                 self._analyzer.analyze_statement(statement)

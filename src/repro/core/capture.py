@@ -26,7 +26,7 @@ from ..engine.transactions import Transaction
 from ..errors import OpDeltaError
 from ..obs.pipeline.context import ambient_pipeline
 from ..sql import ast_nodes as ast
-from .opdelta import OpDelta, OpKind, classify_statement, seed_parse_cache
+from .opdelta import OpDelta, OpKind, classify_statement
 from .stores import OpDeltaStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -183,9 +183,8 @@ class OpDeltaCapture:
         if self._policy.requires_before_image(table, kind):
             before_image = self._fetch_before_image(statement, table, kind)
         self._sequence += 1
-        # The wrapper already holds the parsed statement; seeding the shared
-        # cache means no later consumer of this text ever re-parses it.
-        seed_parse_cache(sql_text, statement)
+        # The wrapper already holds the parsed statement: it rides along, so
+        # no later consumer of this record parses its text again.
         op = OpDelta(
             statement_text=sql_text,
             table=table,

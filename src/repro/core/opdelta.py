@@ -15,12 +15,17 @@ objects:
   the operation alone, the Op-Delta is augmented with the *before images*
   of the affected rows (``before_image``), and nothing more — the after
   image never needs capturing because the operation derives it.
+
+What ships is the statement **text**; the parsed statement a record carries is
+a process-local convenience.  A record that has only its text reads it through
+the statement template table (:data:`PARSE_CACHE`, keyed by statement shape):
+the grammar runs once per shape, and the bound statement brings its shape's
+footprint, plan and kernels with it (:mod:`repro.sql.templates`).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -28,7 +33,7 @@ from ..errors import OpDeltaError, WarehouseError
 from ..obs.context import ambient_metrics
 from ..sql import ast_nodes as ast
 from ..sql.expressions import NO_SESSION, compile_after_image, compile_insert_rows
-from ..sql.parser import parse
+from ..sql.parser import TEMPLATES, TemplateTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analysis.analyzer import AnalysisRecord
@@ -48,75 +53,14 @@ class OpKind(enum.Enum):
 OPDELTA_HEADER_BYTES = 24
 
 
-class ParseCache:
-    """Process-wide bounded LRU of parsed statements, keyed by text.
-
-    OLTP workloads repeat a small set of statement templates; without a
-    shared cache every :class:`OpDelta` instance re-parses its text the
-    first time ``.statement`` is read — once at capture, once again after
-    the record crosses the wire, once more in any analysis pass that only
-    has the text.  Parsed statements are frozen dataclasses, so sharing
-    one AST between records is safe.
-
-    Hit/miss totals are kept on the cache itself and mirrored into the
-    ambient metrics registry (``core.opdelta.parse_cache_hits`` /
-    ``..._misses``) when one is active.
-    """
-
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 1:
-            raise OpDeltaError(f"parse cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, ast.Statement] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, statement_text: str) -> ast.Statement | None:
-        """The cached parse of ``statement_text``, or ``None`` (counted)."""
-        statement = self._entries.get(statement_text)
-        registry = ambient_metrics()
-        if statement is not None:
-            self._entries.move_to_end(statement_text)
-            self.hits += 1
-            if registry is not None:
-                registry.counter("core.opdelta.parse_cache_hits").inc()
-            return statement
-        self.misses += 1
-        if registry is not None:
-            registry.counter("core.opdelta.parse_cache_misses").inc()
-        return None
-
-    def seed(self, statement_text: str, statement: ast.Statement) -> None:
-        """Install an already-parsed statement (capture-time warm-up)."""
-        self._entries[statement_text] = statement
-        self._entries.move_to_end(statement_text)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def parse(self, statement_text: str) -> ast.Statement:
-        """The parsed statement, from cache when possible."""
-        statement = self.lookup(statement_text)
-        if statement is None:
-            statement = parse(statement_text)
-            self.seed(statement_text, statement)
-        return statement
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-#: The shared process-wide cache :attr:`OpDelta.statement` reads through.
-PARSE_CACHE = ParseCache()
-
-
-def seed_parse_cache(statement_text: str, statement: ast.Statement) -> None:
-    """Warm the shared cache with a statement parsed elsewhere (capture)."""
-    PARSE_CACHE.seed(statement_text, statement)
+#: The statement template table under the names Op-Delta code has always
+#: used for it.  There is one table (:data:`repro.sql.parser.TEMPLATES`),
+#: keyed by statement *shape*: an :class:`OpDelta` whose text differs from an
+#: earlier one only in its literals is bound from that one's template —
+#: after the record crosses the wire, and in any analysis pass that only has
+#: the text — without the parser running again.
+ParseCache = TemplateTable
+PARSE_CACHE = TEMPLATES
 
 
 @dataclass
@@ -145,15 +89,21 @@ class OpDelta:
 
     @property
     def statement(self) -> ast.Statement:
-        """The parsed statement (lazily parsed via the shared cache).
+        """The parsed statement (lazily, through the template table).
 
-        Workload statements repeat a small set of templates, so the parse
-        goes through the process-wide :data:`PARSE_CACHE` — each distinct
-        text is parsed once no matter how many :class:`OpDelta` instances
-        carry it.
+        Workload statements repeat a small set of shapes, so the parse goes
+        through the process-wide :data:`PARSE_CACHE`: the grammar runs once
+        per shape no matter how many :class:`OpDelta` instances carry it.
         """
         if self._parsed is None:
+            hits = PARSE_CACHE.hits
             self._parsed = PARSE_CACHE.parse(self.statement_text)
+            registry = ambient_metrics()
+            if registry is not None:
+                if PARSE_CACHE.hits > hits:
+                    registry.counter("core.opdelta.parse_cache_hits").inc()
+                else:
+                    registry.counter("core.opdelta.parse_cache_misses").inc()
         return self._parsed
 
     @property

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..errors import OpDeltaError
+from ..scope import Scope
 from ..sql import ast_nodes as ast
 
 
@@ -58,15 +59,36 @@ class StatementTransformer:
 
     def __init__(self, mappings: Mapping[str, TableMapping] | None = None) -> None:
         self._mappings = dict(mappings) if mappings else {}
+        #: Stands for the mappings as they are: rewritten shapes are filed
+        #: under it, and a new mapping replaces it.
+        self._scope = Scope()
 
     def add(self, mapping: TableMapping) -> None:
         self._mappings[mapping.source_table] = mapping
+        self._scope = Scope()
 
     def mapping_for(self, table: str) -> TableMapping:
         return self._mappings.get(table, identity_mapping(table))
 
     # --------------------------------------------------------------- statements
     def transform(self, statement: ast.Statement) -> ast.Statement:
+        """``statement`` on the warehouse schema.
+
+        The rewrite moves literals without reading them, so a parsed
+        statement's shape is rewritten once and its literals bound into the
+        result; the statement returned is then a statement of the rewritten
+        shape, with that shape's template.
+        """
+        binding = statement.binding
+        if binding is None:
+            return self._transform(statement)
+        template = binding.template
+        rewritten = template.fact(
+            self._scope, "transform", lambda: template.rewritten(self._transform)
+        )
+        return rewritten.bind(binding.values, binding.shifts)
+
+    def _transform(self, statement: ast.Statement) -> ast.Statement:
         if isinstance(statement, ast.InsertStmt):
             return self._transform_insert(statement)
         if isinstance(statement, ast.UpdateStmt):

@@ -29,6 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from ..clock import VirtualClock
 from ..errors import CatalogError, ConstraintError, SchemaError
 from ..obs.metrics import MetricsLike, MetricsRegistry
+from ..scope import Scope
 from .buffer import BufferPool
 from .costs import CostModel
 from .heap import HeapFile
@@ -82,6 +83,10 @@ class Table:
         self._m_rows_scanned = metrics.counter("engine.table.rows_scanned")
         self._heap = HeapFile(buffer_pool, schema.record_size)
         self._indexes: dict[str, Index] = {}
+        #: Stands for the current index list (and its index objects): what
+        #: a statement's shape decided about reading this table is filed
+        #: under it, and CREATE/DROP INDEX and TRUNCATE replace it.
+        self.version = Scope()
         #: Index name -> position of its key column, resolved at creation.
         self._key_position: dict[str, int] = {}
         self.triggers = TriggerSet(clock, costs)
@@ -128,6 +133,7 @@ class Table:
             index.insert(key_of(record)[0], row_id)
         self._indexes[name] = index
         self._key_position[name] = position
+        self.version = Scope()
         return index
 
     def drop_index(self, name: str) -> None:
@@ -135,6 +141,7 @@ class Table:
             raise CatalogError(f"index {name!r} does not exist on {self.name!r}")
         del self._indexes[name]
         del self._key_position[name]
+        self.version = Scope()
 
     def index(self, name: str) -> Index:
         try:
@@ -431,6 +438,7 @@ class Table:
                 index.unique, self._metrics,
             )
             self._indexes[name] = rebuilt
+        self.version = Scope()
         return removed
 
     # --------------------------------------------------------------- internals

@@ -3,7 +3,7 @@
 Nine PRs of telemetry — lifecycle events, watermarks, lag histograms,
 flight-recorder series, cost ledgers, SLO findings — each grew its own
 bespoke renderer.  This package turns all of them into one queryable
-surface: eight read-only ``sys.*`` virtual tables served through the
+surface: read-only ``sys.*`` virtual tables served through the
 repo's own SQL front end, plus the forensics pass that assembles
 ``sys.critical_path`` (which stage — check, ship, queue or apply —
 put each op, window and view where it is on the latency ladder).
@@ -30,9 +30,10 @@ from .forensics import (
     critical_stage,
 )
 from .meta import MetaObservatory, MetaRefreshReport, TableDelta
-from .tables import SYS_TABLES, StoreBundle, SysTable
+from .tables import PROCESS_TABLES, SYS_TABLES, StoreBundle, SysTable
 
 __all__ = [
+    "PROCESS_TABLES",
     "SYS_TABLES",
     "CriticalPathAnalyzer",
     "CriticalPathRow",

@@ -8,7 +8,7 @@ mutate the store, never advance its clock, and tolerate a store that was
 never wired up (``None`` in the :class:`StoreBundle` yields an empty
 table, not an error).
 
-The eight tables and their sources:
+The tables and their sources:
 
 =====================  ====================================================
 ``sys.events``         :class:`~repro.obs.pipeline.events.EventLog`
@@ -19,7 +19,14 @@ The eight tables and their sources:
 ``sys.cost``           :class:`~repro.obs.flight.attribution.CostLedger`
 ``sys.slo``            :class:`~repro.obs.flight.slo.SLOEngine` history
 ``sys.critical_path``  :class:`.forensics.CriticalPathAnalyzer`
+``sys.templates``      the statement template table (process-wide)
 =====================  ====================================================
+
+``sys.templates`` is the odd one out: it reads
+:data:`repro.sql.parser.TEMPLATES`, which belongs to the process and to no
+bundle (:data:`PROCESS_TABLES`) — one row per statement shape with how often
+it was looked up, bound and had a fact built on it.  Counts only: what a
+template saved in host time is not something this package may read.
 
 Rows are served to the executor as the adapter yields them (see
 :mod:`.catalog`): no value passes through a record codec, so text comes
@@ -36,6 +43,7 @@ from typing import Any, Callable
 
 from ...engine.schema import Column, TableSchema
 from ...engine.types import FLOAT, INTEGER, char
+from ...sql.parser import TEMPLATES
 from ..flight.attribution import CostLedger
 from ..flight.series import TimeSeriesStore
 from ..flight.slo import SLOEngine
@@ -184,6 +192,18 @@ CRITICAL_PATH_SCHEMA = TableSchema(
         Column("apply_ms", FLOAT, nullable=False),
         Column("end_to_end_ms", FLOAT, nullable=False),
         Column("critical_stage", TEXT, nullable=False),
+    ],
+)
+
+TEMPLATES_SCHEMA = TableSchema(
+    "sys.templates",
+    [
+        Column("shape", TEXT, nullable=False),
+        Column("kind", TEXT, nullable=False),
+        Column("table_name", TEXT),
+        Column("hits", INTEGER, nullable=False),
+        Column("binds", INTEGER, nullable=False),
+        Column("builds", INTEGER, nullable=False),
     ],
 )
 
@@ -364,6 +384,20 @@ def _critical_path_rows(bundle: StoreBundle) -> list[Row]:
     ]
 
 
+def _templates_rows(bundle: StoreBundle) -> list[Row]:
+    return [
+        (
+            template.shape,
+            type(template.statement).__name__.removesuffix("Stmt").upper(),
+            getattr(template.statement, "table", None),
+            template.hits,
+            template.binds,
+            template.builds,
+        )
+        for template in TEMPLATES.templates()
+    ]
+
+
 #: The catalog: every virtual table, keyed by its qualified name.
 SYS_TABLES: dict[str, SysTable] = {
     table.name: table
@@ -376,5 +410,10 @@ SYS_TABLES: dict[str, SysTable] = {
         SysTable(COST_SCHEMA, _cost_rows),
         SysTable(SLO_SCHEMA, _slo_rows),
         SysTable(CRITICAL_PATH_SCHEMA, _critical_path_rows),
+        SysTable(TEMPLATES_SCHEMA, _templates_rows),
     )
 }
+
+#: The tables that read process-wide state rather than a bundle's stores: a
+#: report on one run's stores leaves them out.
+PROCESS_TABLES = frozenset({TEMPLATES_SCHEMA.name})

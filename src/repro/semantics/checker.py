@@ -35,9 +35,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from ..engine.schema import Column, TableSchema
 from ..engine.types import DataType
 from ..errors import SchemaError, SemanticError, SqlAnalysisError
+from ..scope import Scope
 from ..sql import ast_nodes as ast
-from ..sql.expressions import evaluate
+from ..sql.expressions import Slot, evaluate, no_slot
 from ..sql.parser import parse
+from ..sql.templates import StatementTemplate
 from . import diagnostics as diag
 from . import sqltypes
 from .diagnostics import Diagnostic, Severity
@@ -67,6 +69,9 @@ class SchemaCatalog:
 
     def __init__(self, schemas: Iterable[TableSchema] = ()) -> None:
         self._schemas: dict[str, TableSchema] = {s.name: s for s in schemas}
+        #: Stands for the schemas as they are: a checker files what it
+        #: concluded about a statement shape under it, and ``add`` replaces it.
+        self.version = Scope()
 
     @classmethod
     def from_database(cls, database: "Database") -> "SchemaCatalog":
@@ -74,6 +79,7 @@ class SchemaCatalog:
 
     def add(self, schema: TableSchema) -> None:
         self._schemas[schema.name] = schema
+        self.version = Scope()
 
     def schema(self, name: str) -> TableSchema | None:
         return self._schemas.get(name)
@@ -155,11 +161,40 @@ class _Scope:
         return candidates[0][1], None
 
 
+@dataclass(frozen=True)
+class _Fit:
+    """A verdict entry only a literal's *value* settles: does it fit?
+
+    ``then`` is the diagnostic (an implicit-coercion warning) that follows
+    when it does.
+    """
+
+    slot: int
+    column: Column
+    position: int | None
+    then: Diagnostic | None = None
+
+
 class SemanticChecker:
-    """Checks parsed statements against a :class:`SchemaCatalog`."""
+    """Checks parsed statements against a :class:`SchemaCatalog`.
+
+    What the checker concludes about a statement is a fact of its *shape*
+    and of the catalog — names, types, arity — except for two things a
+    literal's value decides: whether a constant fits its column (CHAR
+    overflow, a fractional number into INTEGER ...) and what a constant
+    subtree folds to.  So a parsed statement's verdict is worked out once per
+    shape and catalog version, with every fit test left open
+    (:class:`_Fit`), and replayed for each statement of the shape with its
+    own literals and source positions; a shape with anything to fold is
+    checked in full every time.
+    """
 
     def __init__(self, catalog: SchemaCatalog) -> None:
         self.catalog = catalog
+        #: While a shape's verdict is being worked out: which literal a
+        #: value stands for, and whether any folding was attempted.
+        self._slot: Slot = no_slot
+        self._folded = False
 
     # ------------------------------------------------------------- entrypoints
     def check_sql(self, sql: str) -> CheckResult:
@@ -167,6 +202,48 @@ class SemanticChecker:
         return self.check_statement(parse(sql))
 
     def check_statement(self, statement: ast.Statement) -> CheckResult:
+        binding = statement.binding
+        if binding is None:
+            return self._check(statement)
+        template = binding.template
+        verdict = template.fact(
+            self.catalog.version, "check", lambda: self._shape_verdict(template)
+        )
+        if verdict is None:
+            return self._check(statement)
+        diags: list[Diagnostic] = []
+        for entry in verdict:
+            found: Diagnostic | None
+            if not isinstance(entry, _Fit):
+                found = entry
+            else:
+                try:
+                    entry.column.datatype.validate(binding.values[entry.slot])
+                    found = entry.then
+                except SchemaError as exc:
+                    found = Diagnostic(
+                        diag.TYPE_MISMATCH, Severity.ERROR, str(exc), entry.position
+                    )
+            if found is not None:
+                position = binding.position(found.position)
+                if position != found.position:
+                    found = dataclasses.replace(found, position=position)
+                diags.append(found)
+        return CheckResult(statement, tuple(diags))
+
+    def _shape_verdict(
+        self, template: StatementTemplate
+    ) -> tuple[Diagnostic | _Fit, ...] | None:
+        """The diagnostics of every statement of a shape, fit tests open;
+        ``None`` when the shape has constants to fold."""
+        self._slot, self._folded = template.slot, False
+        try:
+            verdict = self._check(template.statement).diagnostics
+            return None if self._folded else verdict
+        finally:
+            self._slot = no_slot
+
+    def _check(self, statement: ast.Statement) -> CheckResult:
         diags: list[Diagnostic] = []
         if isinstance(statement, ast.InsertStmt):
             statement = self._check_insert(statement, diags)
@@ -442,6 +519,7 @@ class SemanticChecker:
         if column.datatype is _UNKNOWN_DATATYPE:
             return
         pos = ast.node_pos(expr)
+        slot = None
         if isinstance(expr, ast.Literal):
             # Constants (including folded subtrees) get the engine's exact
             # runtime validation: CHAR overflow, float-into-INTEGER, NULL
@@ -457,13 +535,18 @@ class SemanticChecker:
                         )
                     )
                 return
-            try:
-                column.datatype.validate(expr.value)
-            except SchemaError as exc:
-                diags.append(
-                    Diagnostic(diag.TYPE_MISMATCH, Severity.ERROR, str(exc), pos)
-                )
-                return
+            slot = self._slot(expr.value)
+            if slot is None:
+                try:
+                    column.datatype.validate(expr.value)
+                except SchemaError as exc:
+                    diags.append(
+                        Diagnostic(diag.TYPE_MISMATCH, Severity.ERROR, str(exc), pos)
+                    )
+                    return
+        # What the value's *type* settles; for a literal of a shape, what
+        # follows its own fit test when the verdict is replayed.
+        typed = len(diags)
         column_type = sqltypes.from_datatype(column.datatype)
         fit = sqltypes.assignment_fit(expr_type, column_type)
         if fit is Fit.ERROR and not isinstance(expr, ast.Literal):
@@ -486,6 +569,8 @@ class SemanticChecker:
                     pos,
                 )
             )
+        if slot is not None:
+            diags[typed:] = [_Fit(slot, column, pos, *diags[typed:])]  # type: ignore[list-item]
 
     def _infer(
         self,
@@ -811,6 +896,7 @@ class SemanticChecker:
     def _try_fold(
         self, expr: ast.Expression, diags: list[Diagnostic]
     ) -> ast.Expression:
+        self._folded = True
         try:
             value = evaluate(expr, {})
         except SqlAnalysisError as exc:

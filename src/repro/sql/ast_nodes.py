@@ -183,8 +183,16 @@ class Star(Expression):
 
 
 # ----------------------------------------------------------------- statements
+@dataclass(frozen=True)
 class Statement:
-    """Marker base class for statement nodes."""
+    """Base class for statement nodes."""
+
+    #: Where a *parsed* statement came from — its shape's template and its
+    #: own literals (:class:`repro.sql.templates.Binding`).  Only the
+    #: template sets it: a synthesised or rewritten statement
+    #: (``dataclasses.replace`` included) has none, because what its shape
+    #: decided is no longer known to hold.
+    binding: Any = field(default=None, init=False, compare=False, repr=False)
 
     def to_sql(self) -> str:
         raise NotImplementedError

@@ -27,15 +27,20 @@ from .expressions import (
     RANDOM_KEY,
     USER_KEY,
     Compiled,
+    Maker,
     RowBinding,
+    Slot,
     compile_expression,
-    compile_insert_rows,
     compile_predicate,
+    expression_maker,
     insert_arranger,
+    insert_rows_maker,
+    predicate_maker,
     walk,
 )
-from .planner import AccessPath, choose_path
+from .planner import AccessPath, Probe, choose_path, probes, settle_path
 from .source import RowSource, SourceDatabase
+from .templates import shaped
 
 
 @dataclass
@@ -129,6 +134,37 @@ def _columns_read(
             if not resolved and isinstance(node, (ast.ColumnRef, ast.Star)):
                 return [tuple(range(len(schema.columns))) for _alias, schema in tables]
     return [tuple(sorted(positions)) for positions in read]
+
+
+class _Access:
+    """How UPDATEs or DELETEs of one shape read and rewrite their table.
+
+    Everything here is decided without a literal's value — the columns
+    decoded, the conjuncts an index could answer, the emitted WHERE and SET
+    kernels short of their constants — so it is built once per shape and per
+    version of the table's catalog entry
+    (:attr:`repro.engine.table.Table.version`); a statement adds its
+    literals and the session context.
+    """
+
+    __slots__ = ("columns", "probes", "keep", "sets")
+
+    def __init__(
+        self, table: Table, stmt: ast.UpdateStmt | ast.DeleteStmt, slot: Slot
+    ) -> None:
+        assignments = getattr(stmt, "assignments", ())
+        (self.columns,) = _columns_read(
+            [(table.name, table.schema)],
+            [stmt.where, *(a.expr for a in assignments)],
+        )
+        scope = _Scope()
+        scope.add(table.schema, table.name, self.columns)
+        self.probes: list[Probe] = probes(table, table.name, stmt.where, slot)
+        #: The WHERE as a filter of the narrow rows.
+        self.keep: Maker = predicate_maker(stmt.where, scope, slot)
+        self.sets: list[tuple[str, Maker]] = [
+            (a.column, expression_maker(a.expr, scope, slot)) for a in assignments
+        ]
 
 
 class Executor:
@@ -458,38 +494,43 @@ class Executor:
                 table.insert(txn, arrange(row), mode=InsertMode.BULK_INTERNAL)
             return Result(rows_affected=len(selected.rows), plan="insert-select")
         mode = InsertMode.BULK_CLIENT if len(stmt.rows) > 1 else InsertMode.STATEMENT
-        rows = compile_insert_rows(stmt, columns, SqlAnalysisError)
-        for values in rows(self._context):
+        rows, literals = shaped(
+            stmt,
+            table.version,
+            "insert",
+            lambda shape, slot: insert_rows_maker(
+                shape, columns, SqlAnalysisError, CONSTANT, slot  # type: ignore[arg-type]
+            ),
+        )
+        for values in rows(literals)(self._context):
             table.insert(txn, values, mode=mode)
         return Result(rows_affected=len(stmt.rows), plan="insert")
 
     def _matches(
-        self,
-        table: Table,
-        where: ast.Expression | None,
-        reads: Iterable[ast.Expression] = (),
-    ) -> tuple[str, _Scope, list[tuple[RowId, tuple[Any, ...]]]]:
+        self, table: Table, stmt: ast.UpdateStmt | ast.DeleteStmt
+    ) -> tuple[str, _Access, Sequence[Any], list[tuple[RowId, tuple[Any, ...]]]]:
         """The rows a DML statement touches, read before any is changed.
 
-        Only the columns ``where`` and the ``reads`` expressions mention are
-        decoded; the returned scope is the layout of those narrow rows.
+        Only the columns its WHERE and SET expressions mention are decoded;
+        the returned access holds the layout of those narrow rows, and the
+        statement's literals come with it.
         """
-        (columns,) = _columns_read([(table.name, table.schema)], [where, *reads])
-        scope = _Scope()
-        scope.add(table.schema, table.name, columns)
-        path = choose_path(table, table.name, where)
-        keep = self._predicate(where, scope)
-        matches = list(self._candidates(table, path, columns, keep))
-        return path.description, scope, matches
+        access, literals = shaped(
+            stmt,
+            table.version,
+            "dml",
+            lambda shape, slot: _Access(table, shape, slot),  # type: ignore[arg-type]
+        )
+        path = settle_path(access.probes, literals)
+        keep = access.keep(literals, self._context) if stmt.where is not None else None
+        matches = list(self._candidates(table, path, access.columns, keep))
+        return path.description, access, literals, matches
 
     def _update(self, db: Database, stmt: ast.UpdateStmt, txn: Transaction) -> Result:
         table = db.table(stmt.table)
-        description, scope, matches = self._matches(
-            table, stmt.where, [a.expr for a in stmt.assignments]
-        )
+        description, access, literals, matches = self._matches(table, stmt)
         assignments = [
-            (a.column, compile_expression(a.expr, scope, self._context))
-            for a in stmt.assignments
+            (column, kernel(literals, self._context)) for column, kernel in access.sets
         ]
         for row_id, values in matches:
             table.update(
@@ -499,7 +540,7 @@ class Executor:
 
     def _delete(self, db: Database, stmt: ast.DeleteStmt, txn: Transaction) -> Result:
         table = db.table(stmt.table)
-        description, _scope, matches = self._matches(table, stmt.where)
+        description, _access, _literals, matches = self._matches(table, stmt)
         for row_id, _values in matches:
             table.delete(txn, row_id)
         return Result(rows_affected=len(matches), plan=f"delete:{description}")

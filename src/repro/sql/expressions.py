@@ -152,6 +152,20 @@ def is_true(value: Any) -> bool:
 
 
 # ------------------------------------------------------------------ compiler
+#: A compiled expression short of its literals: ``maker(values, context)``
+#: closes the kernel over one statement's literal values and session context.
+Maker = Callable[[Sequence[Any], Mapping[str, Any]], Compiled]
+
+#: Which literal of a statement's shape a value stands for (None: it is
+#: fixed) — :meth:`repro.sql.templates.StatementTemplate.slot`.
+Slot = Callable[[Any], "int | None"]
+
+
+def no_slot(value: Any) -> None:
+    """The :data:`Slot` of a statement that has no template: nothing varies."""
+    return None
+
+
 def compile_expression(
     expr: ast.Expression, bind: Binding, context: Mapping[str, Any] = NO_SESSION
 ) -> Compiled:
@@ -159,11 +173,7 @@ def compile_expression(
 
     ``context`` is the session context of a call that passes none.
     """
-    if isinstance(expr, ast.Literal):  # a constant, with no source to emit
-        value = expr.value
-        return lambda row, context=None: value
-    emitter = _Emitter(bind)
-    return emitter.instantiate(f"return {emitter.emit(expr)}", context)
+    return expression_maker(expr, bind, no_slot)((), context)
 
 
 def compile_predicate(
@@ -172,10 +182,33 @@ def compile_predicate(
     context: Mapping[str, Any] = NO_SESSION,
 ) -> Callable[..., bool]:
     """Compile a WHERE clause to a filter (SQL ``is_true``; None keeps all)."""
-    if where is None:
-        return lambda row, context=None: True
+    return predicate_maker(where, bind, no_slot)((), context)
+
+
+def expression_maker(expr: ast.Expression, bind: Binding, slot: Slot) -> Maker:
+    """Compile ``expr`` once for every statement of its shape.
+
+    The source is emitted, and its factory looked up, here; what a statement
+    of the shape still pays is one factory call with its own literals where
+    ``slot`` says a hoisted constant is one.
+    """
+    if isinstance(expr, ast.Literal):  # a constant, with no source to emit
+        index, value = slot(expr.value), expr.value
+        if index is None:
+            return lambda values, context: lambda row, context=None: value
+        return lambda values, context: lambda row, context=None: values[index]
     emitter = _Emitter(bind)
-    return emitter.instantiate(f"return {emitter.emit(where)} is True", context)
+    return emitter.maker(f"return {emitter.emit(expr)}", slot)
+
+
+def predicate_maker(
+    where: ast.Expression | None, bind: Binding, slot: Slot
+) -> Maker:
+    """:func:`compile_predicate`, once for every statement of the shape."""
+    if where is None:
+        return lambda values, context: lambda row, context=None: True
+    emitter = _Emitter(bind)
+    return emitter.maker(f"return {emitter.emit(where)} is True", slot)
 
 
 def emitted_source(expr: ast.Expression, bind: Binding) -> str:
@@ -246,12 +279,15 @@ class _Emitter:
     def __init__(self, bind: Binding) -> None:
         self._bind = bind
         self._lines: list[str] = []
-        self._constants: list[Any] = []
+        #: (value, via) per hoisted constant: the constant is ``via(value)``.
+        self._constants: list[tuple[Any, Callable[[Any], Any] | None]] = []
         self._depth = 2  # inside ``factory`` and ``kernel``
         self._temps = 0
 
-    def hoist(self, value: Any) -> str:
-        self._constants.append(value)
+    def hoist(self, value: Any, via: Callable[[Any], Any] | None = None) -> str:
+        """Name a constant: ``value``, or ``via(value)`` if given (so that a
+        constant *derived* from a literal can still be traced to it)."""
+        self._constants.append((value, via))
         return f"k{len(self._constants) - 1}"
 
     def source(self, last: str) -> str:
@@ -262,8 +298,28 @@ class _Emitter:
             f" def kernel({self._bind.parameters}):\n" + "\n".join(self._lines)
         )
 
-    def instantiate(self, last: str, context: Mapping[str, Any]) -> Compiled:
-        return _factory(self.source(last))(context, *self._constants)
+    def maker(self, last: str, slot: Slot) -> Maker:
+        """The factory with every constant given but the shape's literals."""
+        factory = _factory(self.source(last))
+        constants: list[Any] = []
+        varying: list[tuple[int, int, Callable[[Any], Any] | None]] = []
+        for at, (value, via) in enumerate(self._constants):
+            index = slot(value)
+            if index is None:
+                constants.append(value if via is None else via(value))
+            else:
+                constants.append(None)
+                varying.append((at, index, via))
+        if not varying:
+            return lambda values, context: factory(context, *constants)
+
+        def make(values: Sequence[Any], context: Mapping[str, Any]) -> Compiled:
+            given = constants.copy()
+            for at, index, via in varying:
+                given[at] = values[index] if via is None else via(values[index])
+            return factory(context, *given)
+
+        return make
 
     def _add(self, text: str) -> None:
         """Append statements (one per line) at the current indentation."""
@@ -422,13 +478,17 @@ class _Emitter:
 
     def _like(self, expr: ast.Like) -> str:
         subject = self.value(expr.expr)
-        match = self.hoist(_like_regex(expr.pattern).match)
+        match = self.hoist(expr.pattern, _like_matcher)
         test = "is None" if expr.negated else "is not None"
         return (
             f"(None if {subject} is None else {match}({subject}) {test} "
             f"if {subject}.__class__ is str "
             f"else _like({match}, {subject}, {bool(expr.negated)}))"
         )
+
+
+def _like_matcher(pattern: str) -> Callable[[str], Any]:
+    return _like_regex(pattern).match
 
 
 @lru_cache(maxsize=512)
@@ -613,17 +673,34 @@ def compile_insert_rows(
     The result maps a context (second kernel argument of ``bind``) to the
     rows, evaluated one at a time and arranged in ``columns`` order.
     """
+    return insert_rows_maker(stmt, columns, mismatch, bind, no_slot)(())
+
+
+def insert_rows_maker(
+    stmt: ast.InsertStmt,
+    columns: Sequence[str],
+    mismatch: Callable[[str], Exception],
+    bind: Binding,
+    slot: Slot,
+) -> Callable[[Sequence[Any]], Callable[[Any], Iterator[tuple[Any, ...]]]]:
+    """:func:`compile_insert_rows`, once for every statement of the shape:
+    maps a statement's literal values to its rows function."""
     arrange = insert_arranger(stmt, columns, mismatch)
-    compiled = [
-        [compile_expression(expr, bind) for expr in expr_row]
+    makers = [
+        [expression_maker(expr, bind, slot) for expr in expr_row]
         for expr_row in stmt.rows
     ]
 
-    def rows(context: Any) -> Iterator[tuple[Any, ...]]:
-        for kernels in compiled:
-            yield arrange(tuple(kernel((), context) for kernel in kernels))
+    def make(values: Sequence[Any]) -> Callable[[Any], Iterator[tuple[Any, ...]]]:
+        compiled = [[maker(values, NO_SESSION) for maker in row] for row in makers]
 
-    return rows
+        def rows(context: Any) -> Iterator[tuple[Any, ...]]:
+            for kernels in compiled:
+                yield arrange(tuple(kernel((), context) for kernel in kernels))
+
+        return rows
+
+    return make
 
 
 def compile_after_image(

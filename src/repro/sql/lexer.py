@@ -1,14 +1,32 @@
-"""SQL tokenizer.
+"""SQL lexer: one master regex, two readings of it.
 
-Produces a flat token stream for the recursive-descent parser.  String
-literals use single quotes with ``''`` escaping; identifiers are
-case-preserving but keywords are recognised case-insensitively.
+String literals use single quotes with ``''`` escaping; identifiers are
+case-preserving but keywords are recognised case-insensitively; ``--``
+starts a comment that runs to the end of the line.  Digits are ASCII
+``[0-9]``, an exponent needs digits, and a number may not run into an
+identifier (``12abc``, ``1e``): each is a :class:`SqlSyntaxError` with the
+position, like every other character the lexer cannot place.
+
+:func:`tokenize` reads a statement as the flat token stream the
+recursive-descent parser consumes.  :func:`literal_split` reads the same
+text as its **shape**: one C-level ``split`` on the literal alternatives of
+the same regex fragments cuts the text at every INTEGER / FLOAT / STRING
+literal and returns what is between them verbatim, each literal's kind, and
+the literal values.  Two texts with equal shape therefore have the same
+token stream up to the values of their literals — the key of the statement
+template table (:mod:`repro.sql.templates`) — and, because the text
+between literals is kept as written, every token of one sits where it sits
+in the other, shifted only by the lengths of the literals before it.  The
+kind is in the shape so that what is an error for a string (``part_id =
+'5'``) stays a fact of the shape; ``NULL`` is a keyword and so in the shape
+already.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import Any, NamedTuple
 
 from ..errors import SqlSyntaxError
 
@@ -36,8 +54,7 @@ class TokenKind(enum.Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     position: int
@@ -49,77 +66,97 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r})"
 
 
+_COMMENT = r"--[^\n]*"
+# The closing quote is one no quote follows: without that, a string the
+# text never closes would be "closed" by the first half of an escaped quote.
+_STRING = r"'(?:[^']|'')*'(?!')"
+_FLOAT = r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+"
+_INTEGER = r"[0-9]+"
+
+#: Every token, tried in this order after the white space before it; what
+#: ``finditer`` cannot place lands in the last group, one character at a time.
+_MASTER = re.compile(
+    rf"\s*(?:(?P<skip>{_COMMENT}|\Z)|(?P<STRING>{_STRING})|(?P<FLOAT>{_FLOAT})"
+    rf"|(?P<INTEGER>{_INTEGER})|(?P<word>\w+)"
+    rf"|(?P<SYMBOL>{'|'.join(map(re.escape, SYMBOLS))})|(?P<bad>.))",
+    re.DOTALL,
+)
+
+#: The literal alternatives of :data:`_MASTER`, searched for: a comment is
+#: matched first so that a quote or a digit inside it starts nothing, and a
+#: number starts only where a word could not be running (``t1``, ``a.5``).
+_LITERALS = re.compile(
+    rf"({_COMMENT})|({_STRING})|(?<![\w.])({_FLOAT})|(?<![\w.])({_INTEGER})"
+)
+
+_KINDS = {kind.name: kind for kind in TokenKind}
+_WORD_RUN = re.compile(r"\w*")
+
+#: What stands for a literal of each kind in a shape.
+INTEGER, FLOAT, STRING = "INTEGER", "FLOAT", "STRING"
+
+
 def tokenize(sql: str) -> list[Token]:
     """Tokenize a statement; raises :class:`SqlSyntaxError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    length = len(sql)
-    while i < length:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+    append = tokens.append
+    for match in _MASTER.finditer(sql):
+        group = match.lastgroup
+        if group == "skip":
             continue
-        if ch == "-" and sql.startswith("--", i):
-            newline = sql.find("\n", i)
-            i = length if newline == -1 else newline + 1
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            chunks: list[str] = []
-            while True:
-                if i >= length:
-                    raise SqlSyntaxError(f"unterminated string literal at {start}")
-                if sql[i] == "'":
-                    if i + 1 < length and sql[i + 1] == "'":
-                        chunks.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                chunks.append(sql[i])
-                i += 1
-            tokens.append(Token(TokenKind.STRING, "".join(chunks), start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < length and sql[i + 1].isdigit()):
-            start = i
-            saw_dot = False
-            saw_exp = False
-            while i < length:
-                c = sql[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not saw_dot and not saw_exp:
-                    saw_dot = True
-                    i += 1
-                elif c in "eE" and not saw_exp and i > start:
-                    saw_exp = True
-                    i += 1
-                    if i < length and sql[i] in "+-":
-                        i += 1
-                else:
-                    break
-            text = sql[start:i]
-            kind = TokenKind.FLOAT if (saw_dot or saw_exp) else TokenKind.INTEGER
-            tokens.append(Token(kind, text, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < length and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            upper = word.upper()
+        text, start = match.group(group), match.start(group)
+        if group == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise SqlSyntaxError(
+                    f"unexpected character {text[0]!r} at position {start}"
+                )
+            upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, start))
+                append(Token(TokenKind.KEYWORD, upper, start))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, start))
-            continue
-        for symbol in SYMBOLS:
-            if sql.startswith(symbol, i):
-                tokens.append(Token(TokenKind.SYMBOL, symbol, i))
-                i += len(symbol)
-                break
+                append(Token(TokenKind.IDENT, text, start))
+        elif group == "SYMBOL":
+            append(Token(TokenKind.SYMBOL, text, start))
+        elif group == "STRING":
+            append(Token(TokenKind.STRING, text[1:-1].replace("''", "'"), start))
+        elif group == "bad":
+            if text == "'":
+                raise SqlSyntaxError(f"unterminated string literal at {start}")
+            raise SqlSyntaxError(f"unexpected character {text!r} at position {start}")
         else:
-            raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token(TokenKind.EOF, "", length))
+            run = _WORD_RUN.match(sql, match.end()).group()  # type: ignore[union-attr]
+            if run:
+                raise SqlSyntaxError(
+                    f"malformed number {text + run!r} at position {start}"
+                )
+            append(Token(_KINDS[group], text, start))  # type: ignore[index]
+    append(Token(TokenKind.EOF, "", len(sql)))
     return tokens
+
+
+def literal_split(sql: str) -> tuple[tuple[Any, ...], list[Any], list[int]]:
+    """``(shape, values, lengths)`` of a statement text.
+
+    ``shape`` is the text cut at its literals, each replaced by its kind;
+    ``values`` are the literals as Python values and ``lengths`` how many
+    characters each took in the text, both in the order written.
+    """
+    parts = _LITERALS.split(sql)
+    values: list[Any] = []
+    lengths: list[int] = []
+    # parts: text, comment, string, float, integer, text, comment, ...
+    for at in range(2, len(parts), 5):
+        text = parts[at]
+        if text is not None:
+            values.append(text[1:-1].replace("''", "'"))
+            parts[at] = STRING
+        elif (text := parts[at + 1]) is not None:
+            values.append(float(text))
+            parts[at + 1] = FLOAT
+        elif (text := parts[at + 2]) is not None:
+            values.append(int(text))
+            parts[at + 2] = INTEGER
+        else:
+            continue  # a comment: kept in the shape as written
+        lengths.append(len(text))
+    return tuple(parts), values, lengths

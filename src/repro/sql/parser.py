@@ -1,4 +1,4 @@
-"""Recursive-descent SQL parser.
+"""Recursive-descent SQL parser, run once per statement *shape*.
 
 Grammar (informal)::
 
@@ -12,13 +12,26 @@ Grammar (informal)::
     delete      := DELETE FROM ident [WHERE expr]
     expr        := or_expr with the usual precedence
                    (OR < AND < NOT < comparison/IN/BETWEEN/LIKE/IS < +- < */ < unary)
+
+:func:`parse` is memoised per shape (:func:`repro.sql.lexer.literal_split`)
+in one bounded :class:`TemplateTable`: the grammar runs when a shape is first
+seen, and every later text of the shape is *bound* — its literals put into
+the slots of the shape's :class:`~repro.sql.templates.StatementTemplate`,
+its source positions shifted by its own literal lengths — so a diagnostic
+still points into the text that was actually given.  The statement returned
+carries its :attr:`~repro.sql.ast_nodes.Statement.binding`, which is how
+every layer below finds what it already knows about the shape.
 """
 
 from __future__ import annotations
 
-from ..errors import SqlSyntaxError
+from collections import OrderedDict
+from typing import Sequence
+
+from ..errors import SqlError, SqlSyntaxError
 from . import ast_nodes as ast
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, literal_split, tokenize
+from .templates import StatementTemplate, slot_text
 
 _COMPARISONS = ("=", "!=", "<>", "<=", ">=", "<", ">")
 _TYPE_KEYWORDS = (
@@ -26,11 +39,117 @@ _TYPE_KEYWORDS = (
     "FLOAT", "DOUBLE", "REAL", "TIMESTAMP",
 )
 _AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+_LITERALS = (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.STRING)
+
+#: How many shapes the process-wide table keeps (least recently used out).
+TEMPLATE_CAPACITY = 512
+
+
+class TemplateTable:
+    """Bounded LRU of statement templates, keyed by shape.
+
+    The one table between SQL text and everything that runs it: what used to
+    be a text-keyed parse cache, the kernel cache's statement-text keys and
+    the executor's per-execution compiles are all look-ups of a template
+    here, then of a fact on it.  Look-ups are counted on the table (and per
+    template: ``sys.templates``).
+    """
+
+    def __init__(self, capacity: int = TEMPLATE_CAPACITY) -> None:
+        if capacity < 1:
+            raise SqlError(f"template table capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._templates: OrderedDict[tuple, StatementTemplate] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._templates)
+
+    def templates(self) -> list[StatementTemplate]:
+        """The templates held, least recently used first."""
+        return list(self._templates.values())
+
+    def lookup(self, sql: str) -> ast.Statement | None:
+        """``sql`` bound by its shape's template, or ``None`` (counted)."""
+        shape, values, lengths = literal_split(sql)
+        template = self._find(shape)
+        return None if template is None else template.bind_text(values, lengths)
+
+    def parse(self, sql: str) -> ast.Statement:
+        """The statement ``sql`` spells; the grammar runs once per shape."""
+        shape, values, lengths = literal_split(sql)
+        template = self._find(shape)
+        if template is None:
+            template = self._build(sql, shape, lengths)
+            if template is None:
+                return _Parser(tokenize(sql), sql).parse_statement()
+        return template.bind_text(values, lengths)
+
+    def clear(self) -> None:
+        self._templates.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def _find(self, shape: tuple) -> StatementTemplate | None:
+        template = self._templates.get(shape)
+        if template is None:
+            self.misses += 1
+            return None
+        self._templates.move_to_end(shape)
+        self.hits += 1
+        template.hits += 1
+        return template
+
+    def _build(
+        self, sql: str, shape: tuple, lengths: Sequence[int]
+    ) -> StatementTemplate | None:
+        """Parse ``sql`` into the template of its shape and keep it.
+
+        The grammar runs on the tokens with every literal replaced by its
+        slot; should that fail, it runs on the text as written, so that what
+        is wrong with it is reported in its own words.  ``None`` when the
+        shape and the token stream disagree about the literals — never for a
+        text that parses, but a template is only as good as that agreement,
+        so it is checked.
+        """
+        tokens = tokenize(sql)
+        literals = [token for token in tokens if token.kind in _LITERALS]
+        kinds = [token.kind.value for token in literals]
+        # A literal's kind stands in the shape where its text stood.  The
+        # split can only miss a literal token (one right after a dot or a
+        # word character), never find one the tokenizer does not: the same
+        # kinds in the same number are the same literals.
+        if kinds != [part for at, part in enumerate(shape) if at % 5 > 1 and part]:
+            return None
+        slots = iter(range(len(literals)))
+        slotted = [
+            Token(token.kind, slot_text(token.kind.value, next(slots)), token.position)
+            if token.kind in _LITERALS else token
+            for token in tokens
+        ]
+        try:
+            statement = _Parser(slotted, sql).parse_statement()
+        except SqlSyntaxError:
+            _Parser(tokens, sql).parse_statement()
+            raise
+        template = StatementTemplate(
+            "".join(part for part in shape if part is not None),
+            statement, kinds, [token.position for token in literals], lengths,
+        )
+        self._templates[shape] = template
+        while len(self._templates) > self.capacity:
+            self._templates.popitem(last=False)
+        return template
+
+
+#: The process-wide table :func:`parse` reads through.
+TEMPLATES = TemplateTable()
 
 
 def parse(sql: str) -> ast.Statement:
     """Parse a single SQL statement (optional trailing ``;``)."""
-    return _Parser(tokenize(sql), sql).parse_statement()
+    return TEMPLATES.parse(sql)
 
 
 def parse_expression(sql: str) -> ast.Expression:

@@ -19,13 +19,14 @@ evaluator.  A literal the evaluator would not compare with the column
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..errors import SqlAnalysisError
 from . import ast_nodes as ast
-from .expressions import check_comparable, split_conjuncts
+from .expressions import Slot, check_comparable, no_slot, split_conjuncts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.index import Index
     from ..engine.rows import RowId
     from .source import RowSource
 
@@ -44,33 +45,65 @@ class AccessPath:
     row_ids: Iterable["RowId"] | None  # None means full scan
 
 
+@dataclass(frozen=True)
+class Probe:
+    """A sargable conjunct on an indexed column: ``column OP literal``.
+
+    Which conjuncts are probes is a fact of the statement's shape and the
+    table's index list; the literal is the statement's own — ``slot`` says
+    which one, ``value`` is it when the statement has no template.
+    """
+
+    index: "Index"
+    op: str
+    value: Any
+    slot: int | None
+
+
 def choose_path(
     table: "RowSource", alias: str, where: ast.Expression | None
 ) -> AccessPath:
     """Pick index lookup, index range scan, or full scan."""
+    return settle_path(probes(table, alias, where), ())
+
+
+def probes(
+    table: "RowSource", alias: str, where: ast.Expression | None,
+    slot: Slot = no_slot,
+) -> list[Probe]:
+    """The conjuncts of ``where`` an index of ``table`` could answer, in the
+    order written."""
+    found = []
     for conjunct in split_conjuncts(where):
         simple = _column_vs_literal(conjunct, table, alias)
         if simple is None:
             continue
         column, op, value = simple
         index = table.index_on(column)
-        if index is None:
-            continue
+        if index is not None and (
+            op == "=" or (op in _RANGE_OPS and index.supports_range)
+        ):
+            found.append(Probe(index, op, value, slot(value)))
+    return found
+
+
+def settle_path(found: Sequence[Probe], values: Sequence[Any]) -> AccessPath:
+    """The first probe worth taking, for a statement with these literals."""
+    for probe in found:
+        index, op = probe.index, probe.op
+        value = probe.value if probe.slot is None else values[probe.slot]
         if op == "=":
             return AccessPath(f"index({index.name})", index.lookup(value))
-        if op in _RANGE_OPS and index.supports_range:
-            bound, inclusive = _RANGE_OPS[op]
-            # One-sided: the open side is None, and its flag is not read.
-            span = (
-                (value, None, inclusive, True)
-                if bound == "low"
-                else (None, value, True, inclusive)
-            )
-            total = max(1, index.num_entries)  # one entry per row of the table
-            if index.estimate_range(*span) / total <= INDEX_SELECTIVITY_THRESHOLD:
-                return AccessPath(
-                    f"index-range({index.name})", index.range_scan(*span)
-                )
+        bound, inclusive = _RANGE_OPS[op]
+        # One-sided: the open side is None, and its flag is not read.
+        span = (
+            (value, None, inclusive, True)
+            if bound == "low"
+            else (None, value, True, inclusive)
+        )
+        total = max(1, index.num_entries)  # one entry per row of the table
+        if index.estimate_range(*span) / total <= INDEX_SELECTIVITY_THRESHOLD:
+            return AccessPath(f"index-range({index.name})", index.range_scan(*span))
     return AccessPath("scan", None)
 
 

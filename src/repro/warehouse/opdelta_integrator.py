@@ -499,7 +499,7 @@ class OpDeltaIntegrator:
             "warehouse.apply.statement", table=op.table
         ):
             statement = self._transformer.transform(op.statement)
-            affected = executor.apply_mirror(statement, txn, op.statement_text)
+            affected = executor.apply_mirror(statement, txn)
         report.statements_issued += 1
         report.rows_affected += affected
         for view in self._views:

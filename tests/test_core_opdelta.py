@@ -14,10 +14,9 @@ from repro.core.opdelta import (
     PARSE_CACHE,
     OpDelta,
     ParseCache,
-    seed_parse_cache,
 )
 from repro.engine import Database
-from repro.errors import OpDeltaError
+from repro.errors import OpDeltaError, SqlError
 from repro.sql.parser import parse
 from repro.workloads import OltpWorkload
 
@@ -97,17 +96,23 @@ class TestOpDeltaRecord:
 
 
 class TestParseCache:
+    """``ParseCache`` is the statement template table: keyed by shape."""
+
     def test_hit_and_miss_counted(self):
         cache = ParseCache(capacity=4)
         text = "DELETE FROM t WHERE a = 1"
         first = cache.parse(text)
         second = cache.parse(text)
-        assert first is second
+        assert first == second
         assert (cache.hits, cache.misses) == (1, 1)
+        # Another literal is the same shape: a hit, bound without the parser.
+        third = cache.parse("DELETE FROM t WHERE a = 22")
+        assert third.where.right.value == 22
+        assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
 
     def test_lru_eviction(self):
         cache = ParseCache(capacity=2)
-        texts = [f"DELETE FROM t WHERE a = {i}" for i in range(3)]
+        texts = [f"DELETE FROM t WHERE a{i} = 1" for i in range(3)]
         cache.parse(texts[0])
         cache.parse(texts[1])
         cache.parse(texts[0])  # refresh: texts[1] is now the LRU entry
@@ -116,21 +121,26 @@ class TestParseCache:
         assert cache.lookup(texts[0]) is not None
         assert cache.lookup(texts[1]) is None
 
-    def test_seed_avoids_reparse(self):
+    def test_seed_avoids_reparse(self, monkeypatch):
         cache = ParseCache(capacity=4)
-        text = "DELETE FROM t WHERE a = 1"
-        statement = parse(text)
-        cache.seed(text, statement)
-        assert cache.parse(text) is statement
-        assert cache.misses == 0
+        statement = cache.parse("DELETE FROM t WHERE a = 1")
+        # The shape is seeded: the grammar must not run for its next text.
+        monkeypatch.setattr(
+            "repro.sql.parser._Parser.parse_statement",
+            lambda self: pytest.fail("a seeded shape was parsed again"),
+        )
+        again = cache.parse("DELETE FROM t WHERE a = 1")
+        other = cache.parse("DELETE FROM t WHERE a = 7")
+        assert again == statement and other != statement
+        assert cache.misses == 1
 
     def test_capacity_validated(self):
-        with pytest.raises(OpDeltaError):
+        with pytest.raises(SqlError):
             ParseCache(capacity=0)
 
     def test_opdelta_reads_through_shared_cache(self):
         text = "DELETE FROM t WHERE a = 99887766"
-        seed_parse_cache(text, parse(text))
+        parse(text)
         hits = PARSE_CACHE.hits
         op = OpDelta(text, "t", OpKind.DELETE, 1, 1, 0.0)
         op.statement
@@ -139,13 +149,14 @@ class TestParseCache:
     def test_capture_seeds_shared_cache(self, source):
         database, workload = source
         store, capture = attach(source, FileLogStore)
-        misses = PARSE_CACHE.misses
         workload.session.execute("DELETE FROM parts WHERE part_ref = 123454321")
         capture.detach()
         (group,) = store.drain()
         (op,) = group.operations
+        lookups = PARSE_CACHE.hits + PARSE_CACHE.misses
         assert op.statement.table == "parts"
-        assert PARSE_CACHE.misses == misses  # capture seeded; no re-parse
+        # The captured statement rides along: the table is not asked again.
+        assert PARSE_CACHE.hits + PARSE_CACHE.misses == lookups
 
 
 class TestCaptureLifecycle:

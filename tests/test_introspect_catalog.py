@@ -12,6 +12,7 @@ from repro.obs.flight import SLOEngine, TimeSeriesStore
 from repro.obs.flight.attribution import CostAttributor
 from repro.obs.flight.slo import FreshnessSLO
 from repro.obs.introspect import (
+    PROCESS_TABLES,
     SYS_TABLES,
     MetaObservatory,
     StoreBundle,
@@ -87,7 +88,8 @@ class TestReadOnly:
 class TestEmptyBundle:
     def test_every_table_answers_count_star_with_zero(self):
         catalog = SystemCatalog(StoreBundle())
-        assert catalog.table_names == ALL_TABLES
+        # The bundle's tables, then the ones that read the process.
+        assert catalog.table_names == ALL_TABLES + tuple(sorted(PROCESS_TABLES))
         for name in ALL_TABLES:
             assert catalog.query(f"SELECT COUNT(*) FROM {name}").scalar() == 0
 
@@ -275,6 +277,8 @@ class TestEngineParity:
         bundle = populated_bundle()
         database = Database("sys")
         for sys_table in SYS_TABLES.values():
+            if sys_table.name in PROCESS_TABLES:
+                continue  # not the bundle's: nothing to compare a copy with
             table = database.create_table(sys_table.schema)
             txn = database.begin()
             table.insert_many(
@@ -395,3 +399,34 @@ class TestClipping:
             assert backlog[1:3] == (f"{source}/{op.table}"[:48], source[:24])
         finally:
             observatory.close()
+
+
+class TestTemplatesTable:
+    """``sys.templates``: the statement template table, read like any other."""
+
+    def test_one_row_per_shape_with_its_counts(self):
+        from repro.sql.parser import TEMPLATES, parse
+
+        TEMPLATES.clear()
+        for key in (3, 41, 41, 5_000):
+            parse(f"UPDATE sys_templates_probe SET c = 'x' WHERE k = {key}")
+        parse("DELETE FROM sys_templates_probe WHERE k = 7")
+        rows = SystemCatalog(StoreBundle()).query(
+            "SELECT shape, kind, table_name, hits, binds, builds "
+            "FROM sys.templates WHERE table_name = 'sys_templates_probe' "
+            "ORDER BY kind DESC"
+        ).rows
+        assert rows == [
+            (
+                "UPDATE sys_templates_probe SET c = STRING WHERE k = INTEGER",
+                "UPDATE", "sys_templates_probe", 3, 4, 0,
+            ),
+            (
+                "DELETE FROM sys_templates_probe WHERE k = INTEGER",
+                "DELETE", "sys_templates_probe", 0, 1, 0,
+            ),
+        ]
+
+    def test_reading_it_reports_no_host_time(self):
+        columns = SYS_TABLES["sys.templates"].schema.column_names
+        assert columns == ("shape", "kind", "table_name", "hits", "binds", "builds")

@@ -71,3 +71,71 @@ class TestTokenize:
         tokens = tokenize("SELECT a")
         assert tokens[0].position == 0
         assert tokens[1].position == 7
+
+
+class TestNumbersAreAsciiAndWhole:
+    """Each of these escaped as a bare ``ValueError`` from the parser, or was
+    silently read as something else, when the lexer went char by char."""
+
+    @pytest.mark.parametrize(
+        ("sql", "message"),
+        [
+            ("SELECT 1e FROM t", "malformed number '1e' at position 7"),
+            ("SELECT a FROM t WHERE b = 1e+", "malformed number '1e' at position 26"),
+            ("SELECT ² FROM t", "unexpected character '²' at position 7"),
+            ("SELECT a FROM t WHERE b = ٣", "unexpected character '٣' at position 26"),
+            ("SELECT 12abc FROM t", "malformed number '12abc' at position 7"),
+        ],
+    )
+    def test_raises_a_positioned_syntax_error(self, sql, message):
+        from repro.sql.parser import parse
+
+        for read in (tokenize, parse):
+            with pytest.raises(SqlSyntaxError) as caught:
+                read(sql)
+            assert str(caught.value) == message
+
+    def test_digits_inside_an_identifier_are_part_of_it(self):
+        assert kinds_and_texts("t1 a_2b") == [
+            (TokenKind.IDENT, "t1"),
+            (TokenKind.IDENT, "a_2b"),
+        ]
+
+    def test_exponent_with_digits_is_a_float(self):
+        assert kinds_and_texts("1e5 1.e5 1E+5 .5e-3") == [
+            (TokenKind.FLOAT, "1e5"),
+            (TokenKind.FLOAT, "1.e5"),
+            (TokenKind.FLOAT, "1E+5"),
+            (TokenKind.FLOAT, ".5e-3"),
+        ]
+
+
+class TestLiteralSplit:
+    def test_shape_keeps_the_text_and_names_the_kinds(self):
+        from repro.sql.lexer import literal_split
+
+        shape, values, lengths = literal_split(
+            "UPDATE t SET c = 'it''s' WHERE a = 17 AND d < 2.5"
+        )
+        assert "".join(part for part in shape if part is not None) == (
+            "UPDATE t SET c = STRING WHERE a = INTEGER AND d < FLOAT"
+        )
+        assert values == ["it's", 17, 2.5]
+        assert lengths == [7, 2, 3]
+
+    def test_only_the_kind_of_a_literal_is_in_the_shape(self):
+        from repro.sql.lexer import literal_split
+
+        point = literal_split("DELETE FROM t WHERE a = 5")[0]
+        assert point == literal_split("DELETE FROM t WHERE a = 99999")[0]
+        assert point != literal_split("DELETE FROM t WHERE a = '5'")[0]
+        assert point != literal_split("DELETE FROM t WHERE a = 5.0")[0]
+        assert point != literal_split("DELETE FROM t WHERE a = NULL")[0]
+
+    def test_a_comment_or_a_name_hides_what_looks_like_a_literal(self):
+        from repro.sql.lexer import literal_split
+
+        _shape, values, _lengths = literal_split(
+            "SELECT t1.c2 FROM t1 -- not 'a string', not 42\n WHERE x = 'a--b'"
+        )
+        assert values == ["a--b"]

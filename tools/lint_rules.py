@@ -30,12 +30,14 @@ engine bugs that the typed error hierarchy (:mod:`repro.errors`) exists to
 surface.  Catch the narrowest error type that the handled failure actually
 raises; a broad handler that logs, wraps or re-raises is fine.
 
-**REPRO004 — parse through the shared cache.**  Passing
-``<op>.statement_text`` to any ``parse(...)`` call bypasses the
-process-wide bounded LRU parse cache (``repro.core.opdelta.PARSE_CACHE``)
-and re-parses a statement the capture pipeline already parsed once.  Use
-the ``OpDelta.statement`` property (or ``PARSE_CACHE.parse``) instead;
-``core/opdelta.py`` itself is exempt (it implements the cache).
+**REPRO004 — an Op-Delta's statement is read, not re-parsed.**  Passing
+``<op>.statement_text`` to any ``parse(...)`` call binds, from the statement
+template table (``repro.sql.parser.TEMPLATES``), a second copy of a statement
+the record already carries — capture hands it over parsed — and skips the
+table's Op-Delta look-up accounting (``core.opdelta.parse_cache_hits`` /
+``_misses``).  Use the ``OpDelta.statement`` property, which reads through
+the template table once and keeps the result; ``core/opdelta.py`` itself is
+exempt (it is that read-through).
 
 **REPRO005 — flight modules take time as data.**  Modules under
 ``repro/obs/flight/`` are pure folds over timestamps handed to them
@@ -1067,9 +1069,10 @@ def lint_file(path: Path) -> list[str]:
                 ):
                     violations.append(
                         f"{path}:{node.lineno}: REPRO004 parsing "
-                        "'.statement_text' directly bypasses the shared "
-                        "parse cache; use the OpDelta.statement property "
-                        "(or repro.core.opdelta.PARSE_CACHE.parse)"
+                        "'.statement_text' directly binds a second copy of "
+                        "a statement the record already carries and skips "
+                        "the statement template table's Op-Delta "
+                        "accounting; use the OpDelta.statement property"
                     )
                     break
         if (
