@@ -133,17 +133,18 @@ def test_analyze_statement_template_hit(benchmark):
         views=[view], mirrored_tables={"parts"},
         key_columns={"parts": "part_id"}, table_columns={"parts": columns},
     )
-    statements = itertools.cycle([parse(next(texts)) for texts in [_point_updates()]
-                                  for _ in range(1_000)])
-    analyzer.analyze_statement(next(statements))
+    texts = _point_updates()
+    bindings = itertools.cycle([parse(next(texts)).binding for _ in range(1_000)])
+    analyzer.analyze_statement(parse(next(texts)))
 
     def analyze_fresh_statement():
-        # A new statement object each time: what is kept per statement
-        # (its footprint) is worked out again, what is kept per shape is not.
-        statement = next(statements)
-        return analyzer.analyze_statement(statement.binding.template.bind(
-            statement.binding.values, statement.binding.shifts
-        ))
+        # A new statement object each time (bound again from its literals):
+        # what is kept per statement — its footprint — is worked out again,
+        # what is kept per shape is not.
+        binding = next(bindings)
+        return analyzer.analyze_statement(
+            binding.template.bind(binding.values, binding.shifts)
+        )
 
     record = benchmark.pedantic(
         analyze_fresh_statement, iterations=200, rounds=100, warmup_rounds=2

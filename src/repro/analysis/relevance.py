@@ -62,7 +62,7 @@ def statement_relevance(
 #: is mirrored, and — in verdict order — the views that survive the table and
 #: column tests (which read no literal), each with the selection range its
 #: row test will be run against (``None``: no row test can clear it).
-ShapeRelevance = tuple[bool, tuple[tuple[str, "PredicateRange | None"], ...]]
+ShapeRelevance = tuple[bool, tuple[tuple[str, PredicateRange | None], ...]]
 
 
 def shape_relevance(

@@ -89,7 +89,6 @@ _LITERALS = re.compile(
     rf"({_COMMENT})|({_STRING})|(?<![\w.])({_FLOAT})|(?<![\w.])({_INTEGER})"
 )
 
-_KINDS = {kind.name: kind for kind in TokenKind}
 _WORD_RUN = re.compile(r"\w*")
 
 #: What stands for a literal of each kind in a shape.
@@ -129,7 +128,7 @@ def tokenize(sql: str) -> list[Token]:
                 raise SqlSyntaxError(
                     f"malformed number {text + run!r} at position {start}"
                 )
-            append(Token(_KINDS[group], text, start))  # type: ignore[index]
+            append(Token(TokenKind[group], text, start))  # type: ignore[misc]
     append(Token(TokenKind.EOF, "", len(sql)))
     return tokens
 

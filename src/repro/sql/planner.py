@@ -80,9 +80,7 @@ def probes(
             continue
         column, op, value = simple
         index = table.index_on(column)
-        if index is not None and (
-            op == "=" or (op in _RANGE_OPS and index.supports_range)
-        ):
+        if index is not None and (op == "=" or index.supports_range):
             found.append(Probe(index, op, value, slot(value)))
     return found
 
