@@ -195,7 +195,8 @@ def expression_maker(expr: ast.Expression, bind: Binding, slot: Slot) -> Maker:
     if isinstance(expr, ast.Literal):  # a constant, with no source to emit
         index, value = slot(expr.value), expr.value
         if index is None:
-            return lambda values, context: lambda row, context=None: value
+            constant = lambda row, context=None: value  # noqa: E731
+            return lambda values, context: constant
         return lambda values, context: lambda row, context=None: values[index]
     emitter = _Emitter(bind)
     return emitter.maker(f"return {emitter.emit(expr)}", slot)
@@ -206,7 +207,8 @@ def predicate_maker(
 ) -> Maker:
     """:func:`compile_predicate`, once for every statement of the shape."""
     if where is None:
-        return lambda values, context: lambda row, context=None: True
+        keep_all = lambda row, context=None: True  # noqa: E731
+        return lambda values, context: keep_all
     emitter = _Emitter(bind)
     return emitter.maker(f"return {emitter.emit(where)} is True", slot)
 
@@ -301,15 +303,14 @@ class _Emitter:
     def maker(self, last: str, slot: Slot) -> Maker:
         """The factory with every constant given but the shape's literals."""
         factory = _factory(self.source(last))
-        constants: list[Any] = []
-        varying: list[tuple[int, int, Callable[[Any], Any] | None]] = []
-        for at, (value, via) in enumerate(self._constants):
-            index = slot(value)
-            if index is None:
-                constants.append(value if via is None else via(value))
-            else:
-                constants.append(None)
-                varying.append((at, index, via))
+        varying = [
+            (at, index, via)
+            for at, (value, via) in enumerate(self._constants)
+            if slot is not no_slot and (index := slot(value)) is not None
+        ]
+        constants = [
+            value if via is None else via(value) for value, via in self._constants
+        ]
         if not varying:
             return lambda values, context: factory(context, *constants)
 

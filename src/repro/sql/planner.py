@@ -19,7 +19,7 @@ evaluator.  A literal the evaluator would not compare with the column
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
 from ..errors import SqlAnalysisError
 from . import ast_nodes as ast
@@ -45,8 +45,7 @@ class AccessPath:
     row_ids: Iterable["RowId"] | None  # None means full scan
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """A sargable conjunct on an indexed column: ``column OP literal``.
 
     Which conjuncts are probes is a fact of the statement's shape and the
@@ -87,9 +86,9 @@ def probes(
 
 def settle_path(found: Sequence[Probe], values: Sequence[Any]) -> AccessPath:
     """The first probe worth taking, for a statement with these literals."""
-    for probe in found:
-        index, op = probe.index, probe.op
-        value = probe.value if probe.slot is None else values[probe.slot]
+    for index, op, value, slot in found:
+        if slot is not None:
+            value = values[slot]
         if op == "=":
             return AccessPath(f"index({index.name})", index.lookup(value))
         bound, inclusive = _RANGE_OPS[op]
