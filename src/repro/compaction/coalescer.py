@@ -71,7 +71,6 @@ from ..sql.expressions import (
     compile_predicate,
     referenced_columns,
 )
-from ..sql.parser import parse
 from .report import AbsorbedEdge, CompactionReport, ReorderObligation
 
 
@@ -468,22 +467,15 @@ class Coalescer:
         # An operation is its text — that is what ships.  The merged one is
         # analysed, and later applied, as that text parses: through the
         # template of its shape, like any captured statement.
-        text = merged.to_sql()
-        statement = parse(text)
         op = dataclasses.replace(
-            cand.op,
-            statement_text=text,
-            _parsed=statement,
-            analysis=(
-                self._analyzer.analyze_statement(statement)
-                if self._analyzer is not None
-                else None
-            ),
+            cand.op, statement_text=merged.to_sql(), _parsed=None, analysis=None
         )
+        if self._analyzer is not None:
+            op.analysis = self._analyzer.analyze_statement(op.statement)
         footprint = (
             op.analysis.footprint
             if op.analysis is not None
-            else extract_footprint(statement, self._table_columns or None)
+            else extract_footprint(op.statement, self._table_columns or None)
         )
         return _Entry(op=op, footprint=footprint, coalescible=True)
 
