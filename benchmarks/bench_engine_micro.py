@@ -19,6 +19,17 @@ time: the expression compiler emits source, and this is the number that
 shows whether its shape-keyed memo holds (an un-hoisted literal would make
 every compile a fresh ``exec``, ~80 us instead of ~5).
 
+Reads work a heap page at a time, and each piece of that has its number:
+``test_page_decode_numeric`` / ``test_page_decode_text`` decode one full page
+of ``parts`` records (73) to one column and to all nine (compare with 73 x
+``test_row_decode``); ``test_scan_page_filter_no_match`` is the engine half of
+``test_scan_filter_no_match`` — ``Table.scan`` with the emitted loop form of
+the same WHERE, no session, no DML; ``test_values_only_scan`` reads all
+10,000 rows through ``Table.scan_values`` (compare with
+``test_full_scan_all_columns``, which also builds the row ids);
+``test_group_by_key_kernel`` groups those rows by ``status`` with the one
+``row -> tuple`` kernel; ``test_row_id_construct`` builds one ``RowId``.
+
 ``test_parse_template_hit`` / ``test_parse_template_miss`` time ``parse`` on
 PK-point UPDATE texts that differ in their literals, with the statement
 template table warm and cleared before every call (~13 us against ~75 on the
@@ -41,7 +52,7 @@ from repro.analysis import OpDeltaAnalyzer
 from repro.columnar import ColumnBatch, ColumnarApplier, compile_predicate
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
-from repro.engine.rows import decode_row, encode_row
+from repro.engine.rows import RowId, decode_row, encode_row
 from repro.sql import expressions
 from repro.sql.parser import TemplateTable, parse
 from repro.workloads import OltpWorkload, PartsGenerator, parts_schema
@@ -207,6 +218,67 @@ def test_scan_filter_no_match(benchmark, populated):
     assert benchmark(lambda: session.execute(sql).rows_affected) == 0
 
 
+def _parts_page():
+    schema = parts_schema()
+    generator = PartsGenerator()
+    per_page = 73  # 112-byte records on an 8 KiB page
+    return schema, [
+        encode_row(schema, generator.row(part_id, timestamp=123.0))
+        for part_id in range(per_page)
+    ]
+
+
+def test_page_decode_numeric(benchmark):
+    schema, records = _parts_page()
+    decode = schema.codec.page_decoder((schema.column_index("part_ref"),))
+    assert len(benchmark(decode, records)) == len(records)
+
+
+def test_page_decode_text(benchmark):
+    schema, records = _parts_page()
+    rows = benchmark(schema.codec.decode_page, records)
+    assert rows[42] == decode_row(schema, records[42])
+
+
+def test_scan_page_filter_no_match(benchmark, populated):
+    database, _workload = populated
+    table = database.table("parts")
+    part_ref = (table.schema.column_index("part_ref"),)
+    where = parse(
+        "DELETE FROM parts WHERE part_ref >= 90000000 AND part_ref < 90000100"
+    ).where
+    keep = expressions.compile_page_filter(where, expressions.RowBinding(["part_ref"]))
+    assert benchmark(lambda: list(table.scan(part_ref, keep))) == []
+
+
+def test_values_only_scan(benchmark, populated):
+    database, _workload = populated
+    table = database.table("parts")
+    rows = benchmark(lambda: sum(map(len, table.scan_values())))
+    assert rows >= 9 * 10_000
+
+
+def test_group_by_key_kernel(benchmark, populated):
+    database, _workload = populated
+    rows = list(database.table("parts").scan_values())
+    bind = expressions.RowBinding(parts_schema().column_names)
+    key = expressions.compile_row(
+        parse("SELECT COUNT(*) FROM parts GROUP BY status").group_by, bind
+    )
+
+    def group():
+        groups = {}
+        for row in rows:
+            groups.setdefault(key(row), []).append(row)
+        return groups
+
+    assert sum(map(len, benchmark(group).values())) == len(rows)
+
+
+def test_row_id_construct(benchmark):
+    assert benchmark(RowId, 3, 4) == RowId(3, 4)
+
+
 def test_compile_point_predicate(benchmark):
     bind = expressions.RowBinding(parts_schema().column_names)
     predicates = itertools.cycle(
@@ -251,7 +323,7 @@ def test_predicate_eval_row_at_a_time(benchmark, populated):
     where = parse(f"DELETE FROM parts WHERE {_PREDICATE_SQL}").where
     bind = expressions.RowBinding(parts_schema().column_names)
     kernel = expressions.compile_predicate(where, bind)
-    rows = [values for _rid, values in database.table("parts").scan()]
+    rows = list(database.table("parts").scan_values())
 
     def row_filter():
         return sum(1 for values in rows if kernel(values, expressions.NO_SESSION))

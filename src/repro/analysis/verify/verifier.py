@@ -533,7 +533,7 @@ class DeltaRuleVerifier:
         outcome = _ScenarioOutcome()
         kind = OpKind(op.kind)
 
-        pre_rows = [values for _rid, values in context["table"].scan()]
+        pre_rows = list(context["table"].scan_values())
         delta = OpDelta(
             statement_text=op.sql,
             table=subject.schema.name,
@@ -678,7 +678,7 @@ class DeltaRuleVerifier:
                 }
                 for key, entry in view.groups().items()
             }
-        rows = [values for _rid, values in view.table.scan()]
+        rows = list(view.table.scan_values())
         return sorted(rows, key=_sort_key)
 
     def _compare(
@@ -714,7 +714,7 @@ class DeltaRuleVerifier:
             assert subject.dim_schema is not None
             dim_by_key = {
                 row[subject.dim_schema.column_index(join.right_column)]: row
-                for _rid, row in context["database"].table(join.table).scan()
+                for row in context["database"].table(join.table).scan_values()
             }
             width = len(definition.columns)
             left_at = columns.index(join.left_column)

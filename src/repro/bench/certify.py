@@ -207,7 +207,7 @@ def _mirror_state(warehouse: Warehouse) -> list:
     return sorted(
         strip_timestamp(
             schema,
-            [v for _rid, v in warehouse.database.table("parts").scan()],
+            list(warehouse.database.table("parts").scan_values()),
         )
     )
 

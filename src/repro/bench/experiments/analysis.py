@@ -132,7 +132,7 @@ def run(
 
     # Two warehouses, identically loaded; one integrates in capture order,
     # the other in the conflict-graph interleaving.
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
+    initial_rows = list(source.table("parts").scan_values())
     warehouses = []
     for label in ("serial", "reordered"):
         wh = Warehouse(f"an-wh-{label}", clock=source.clock)
@@ -150,10 +150,10 @@ def run(
 
     schema = parts_schema()
     state_serial = strip_timestamp(
-        schema, [v for _rid, v in wh_serial.database.table("parts").scan()]
+        schema, list(wh_serial.database.table("parts").scan_values())
     )
     state_reordered = strip_timestamp(
-        schema, [v for _rid, v in wh_reordered.database.table("parts").scan()]
+        schema, list(wh_reordered.database.table("parts").scan_values())
     )
 
     # Replay the measured apply times on parallel worker lanes.

@@ -175,8 +175,8 @@ def run(
     source.commit(txn)
     source.checkpoint()
 
-    initial_rows = [v for _rid, v in source.table("parts").scan()]
-    hot_initial = [v for _rid, v in hot_table.scan()]
+    initial_rows = list(source.table("parts").scan_values())
+    hot_initial = list(hot_table.scan_values())
 
     analyzer = build_analyzer()
     view_def = analyzer.views[0]
@@ -268,7 +268,7 @@ def run(
             )
             queue.ack_window(d for d, _p in received)
         for table in switcher.staged_tables:
-            staged = [v for _rid, v in source.table(table).scan()]
+            staged = list(source.table(table).scan_values())
             wh_col.staging_refresh(table, staged)
 
     # Reference pipelines, outside the recorder: the serial one replays
@@ -281,12 +281,12 @@ def run(
         for payloads, graph in zip(windows, graphs)
     ]
     for table in switcher.staged_tables:
-        staged = [v for _rid, v in source.table(table).scan()]
+        staged = list(source.table(table).scan_values())
         wh_rows.staging_refresh(table, staged)
 
     # ----------------------------------------------------------- validation
     def mirror_rows(wh: Warehouse, table: str) -> list[tuple]:
-        return sorted(v for _rid, v in wh.database.table(table).scan())
+        return sorted(wh.database.table(table).scan_values())
 
     raw_rows_match = (
         mirror_rows(wh_rows, "parts") == mirror_rows(wh_col, "parts")

@@ -160,7 +160,7 @@ def run(
     workers: int = DEFAULT_WORKERS,
 ) -> ExperimentResult:
     source, workload = build_workload_database(table_rows, name="cp-source")
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
+    initial_rows = list(source.table("parts").scan_values())
     analyzer = build_analyzer()
     store = FileLogStore(source)
     capture = OpDeltaCapture(
@@ -203,10 +203,10 @@ def run(
 
     schema = parts_schema()
     state_serial = strip_timestamp(
-        schema, [v for _rid, v in wh_serial.database.table("parts").scan()]
+        schema, list(wh_serial.database.table("parts").scan_values())
     )
     state_batched = strip_timestamp(
-        schema, [v for _rid, v in wh_batched.database.table("parts").scan()]
+        schema, list(wh_batched.database.table("parts").scan_values())
     )
     view_serial = wh_serial.view("parts_catalog").rows()
     view_batched = wh_batched.view("parts_catalog").rows()

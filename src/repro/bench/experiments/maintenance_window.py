@@ -45,7 +45,7 @@ def run(
     # Two warehouses mirroring the source, one per integration path.
     wh_value = Warehouse("wh-value", clock=source.clock)
     wh_op = Warehouse("wh-op", clock=source.clock)
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
+    initial_rows = list(source.table("parts").scan_values())
     for wh in (wh_value, wh_op):
         wh.create_mirror(parts_schema())
         wh.initial_load_rows("parts", initial_rows)
@@ -116,10 +116,10 @@ def run(
     result.check(
         "warehouses converge to the same logical mirror state",
         strip_timestamp(
-            schema, (v for _r, v in wh_value.database.table("parts").scan())
+            schema, wh_value.database.table("parts").scan_values()
         )
         == strip_timestamp(
-            schema, (v for _r, v in wh_op.database.table("parts").scan())
+            schema, wh_op.database.table("parts").scan_values()
         ),
     )
     result.notes.append(

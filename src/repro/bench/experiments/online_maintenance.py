@@ -52,7 +52,7 @@ def run(
 
     wh_value = Warehouse("wh-value", clock=source.clock)
     wh_op = Warehouse("wh-op", clock=source.clock)
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
+    initial_rows = list(source.table("parts").scan_values())
     for wh in (wh_value, wh_op):
         wh.create_mirror(parts_schema())
         wh.initial_load_rows("parts", initial_rows)

@@ -108,7 +108,7 @@ def run(
     txn_rows: int = DEFAULT_TXN_ROWS,
 ) -> ExperimentResult:
     source, workload = build_workload_database(table_rows, name="sem-source")
-    initial_rows = [v for _r, v in source.table("parts").scan()]
+    initial_rows = list(source.table("parts").scan_values())
 
     # Static front matter: catalog, checker, plans, capture policy.
     catalog = SchemaCatalog.from_database(source)
@@ -164,9 +164,7 @@ def run(
     with source.clock.stopwatch() as rec_watch:
         for group in groups:
             rec_integrator.integrate([group])
-            mirror_rows = [
-                v for _r, v in wh_rec.database.table("parts").scan()
-            ]
+            mirror_rows = list(wh_rec.database.table("parts").scan_values())
             spj_rec.table.truncate()
             agg_rec.table.truncate()
             agg_rec._rebuild_directory()
@@ -177,7 +175,7 @@ def run(
     recompute_ms = rec_watch.elapsed
 
     # Oracle: recompute both views from the final source state.
-    final_rows = [v for _r, v in source.table("parts").scan()]
+    final_rows = list(source.table("parts").scan_values())
     expected_spj = spj_plan.recompute(final_rows)
     expected_groups = set(agg_plan.recompute(final_rows))
     speedup = recompute_ms / plan_ms if plan_ms else float("inf")

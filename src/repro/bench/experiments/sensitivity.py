@@ -67,7 +67,7 @@ def _one_model(costs: CostModel, table_rows: int, txn_rows: int) -> dict[str, fl
     batch = triggers.drain_to_batch()
     triggers.uninstall()
 
-    initial = [v for _r, v in source.table("parts").scan()]
+    initial = list(source.table("parts").scan_values())
     wh_value = Warehouse("sens-value", clock=source.clock, costs=costs)
     wh_op = Warehouse("sens-op", clock=source.clock, costs=costs)
     for wh in (wh_value, wh_op):

@@ -49,7 +49,7 @@ def run(
     reorg_workload_table = reorganised.create_table(parts_schema())
     txn = reorganised.begin()
     current = sorted(
-        (values for _rid, values in database.table("parts").scan()),
+        database.table("parts").scan_values(),
         key=lambda row: row[0],
     )
     for row in current:

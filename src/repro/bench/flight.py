@@ -227,7 +227,7 @@ class WindowedPipeline:
             )
             self.session = workload.session
             self.clock = source.clock
-            initial_rows = [v for _rid, v in source.table("parts").scan()]
+            initial_rows = list(source.table("parts").scan_values())
             self._store = FileLogStore(source)
             self.recorder = PipelineRecorder(
                 clock=self.clock,

@@ -130,7 +130,7 @@ def run_health(fault: str | None = None) -> HealthReport:
 def seed_source(name: str):
     """The smoke-sized seed ``parts`` source: (database, session, rows)."""
     source, workload = build_workload_database(TABLE_ROWS, name=name)
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
+    initial_rows = list(source.table("parts").scan_values())
     return source, workload.session, initial_rows
 
 
@@ -196,12 +196,12 @@ def _run_mode(mode: str, fault: str | None = None) -> PipelineSnapshot:
     audit = PipelineAuditor(recorder).audit(conflict_components=components)
     expected = StateDigest.from_rows(
         strip_timestamp(
-            schema, [v for _rid, v in source.table("parts").scan()]
+            schema, list(source.table("parts").scan_values())
         )
     )
     actual = StateDigest.from_rows(
         strip_timestamp(
-            schema, [v for _rid, v in warehouse.database.table("parts").scan()]
+            schema, list(warehouse.database.table("parts").scan_values())
         )
     )
     PipelineAuditor(recorder).check_digest(

@@ -270,7 +270,7 @@ def _run_drill(plans, definitions) -> dict[str, Any]:
     source, _workload = build_workload_database(
         20, name="verify-drill-source"
     )
-    initial_rows = [v for _r, v in source.table("parts").scan()]
+    initial_rows = list(source.table("parts").scan_values())
     wh = Warehouse("verify-drill-wh", clock=source.clock)
     wh.create_mirror(parts_schema())
     wh.initial_load_rows("parts", initial_rows)
@@ -352,7 +352,7 @@ def run_verify(fault: str | None = None) -> VerifyReport:
     source, workload = build_workload_database(
         TABLE_ROWS, name="verify-source"
     )
-    initial_rows = [v for _r, v in source.table("parts").scan()]
+    initial_rows = list(source.table("parts").scan_values())
     store = FileLogStore(source)
     capture = OpDeltaCapture(
         workload.session,
@@ -380,8 +380,8 @@ def run_verify(fault: str | None = None) -> VerifyReport:
     preflight_hits = cache.hits - hits_before
     apply_report = integrator.integrate(groups)
 
-    mirror_rows = [v for _r, v in wh.database.table("parts").scan()]
-    final_rows = [v for _r, v in source.table("parts").scan()]
+    mirror_rows = list(wh.database.table("parts").scan_values())
+    final_rows = list(source.table("parts").scan_values())
     view_parity = all(
         view.rows() == view.recompute(mirror_rows) for view in spj_views
     )

@@ -54,6 +54,23 @@ class VirtualClock:
         self._now += milliseconds
         return self._now
 
+    def advance_each(self, milliseconds: float, times: int) -> float:
+        """Charge ``milliseconds`` ``times`` times over; return the new time.
+
+        Bit-equal to ``times`` calls of :meth:`advance`: the additions are
+        performed one after another, never as one addition of the product,
+        because ``n`` additions of ``x`` are not ``n * x`` in floating point
+        and virtual time is compared to the bit.  This is the only way a
+        caller may charge a run of records at once.
+        """
+        if milliseconds < 0 or times < 0:
+            raise ValueError(f"cannot advance clock {times} x {milliseconds} ms")
+        now = self._now
+        for _ in range(times):
+            now += milliseconds
+        self._now = now
+        return now
+
     def timestamp(self) -> float:
         """Return a unique, strictly increasing virtual timestamp.
 

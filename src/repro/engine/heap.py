@@ -3,10 +3,16 @@
 A :class:`HeapFile` owns an ordered list of page numbers and a free-space
 list.  All access goes through the buffer pool so the cost of every
 operation emerges from hit/miss/write-back accounting.
+
+Reading the whole file is one walk, :meth:`HeapFile.pages`, a page at a time:
+each step is one buffer-pool fetch and hands over that page's live slot
+numbers and records as lists.  Everything that reads a heap in full — the
+table's scans, an index build, :meth:`HeapFile.scan` — is written on it.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator
 
 from ..errors import StorageError
@@ -110,24 +116,24 @@ class HeapFile:
             self._pages_with_space.remove(page_no)
         self._num_records += 1
 
-    def pages(self) -> Iterator[tuple[int, list[tuple[int, bytes]]]]:
-        """Yield ``(page_no, live slots)`` page by page, one fetch per page.
+    def pages(self) -> Iterator[tuple[int, list[int], list[bytes]]]:
+        """Yield ``(page_no, live slot numbers, their records)`` page by
+        page, one fetch per page.
 
         The page list is snapshotted up front, and each page's slots when the
         page is reached, so a concurrent append (e.g. a statement inserting
         into the table it reads, as INSERT..SELECT does) does not revisit its
-        own output.  This is the one page walk: :meth:`Table.scan
-        <repro.engine.table.Table.scan>` runs its fused loop over it.
+        own output.  This is the one page walk: :class:`Table
+        <repro.engine.table.Table>` decodes, filters and charges per step.
         """
         fetch = self._pool.fetch
         for page_no in list(self._page_nos):
-            yield page_no, fetch(page_no).occupied_slots()
+            yield page_no, *fetch(page_no).records()
 
     def scan(self) -> Iterator[tuple[RowId, bytes]]:
-        """Every live ``(RowId, record)`` in page/slot order (index builds)."""
-        for page_no, slots in self.pages():
-            for slot_no, record in slots:
-                yield RowId(page_no, slot_no), record
+        """Every live ``(RowId, record)`` in page/slot order."""
+        for page_no, slots, records in self.pages():
+            yield from zip(map(RowId, repeat(page_no), slots), records)
 
     def truncate(self) -> int:
         """Drop every page; returns the number of records removed."""

@@ -5,6 +5,12 @@ The B-tree is implemented as a sorted array with bisection — the asymptotics
 the experiments need (logarithmic probes, ordered range scans) without the
 node machinery.  Maintenance and probe costs are charged to the virtual
 clock here, so any code path that touches an index pays for it.
+
+A NULL key is an entry like any other for maintenance (it is charged,
+counted and found again by ``delete``) but lives outside the keyed
+structure: NULL satisfies neither ``=`` nor a range, so no probe returns it,
+it never collides in a unique index, and the sorted array never has to order
+it against a value.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ class Index(ABC):
         self._clock = clock
         self._costs = costs
         self._num_entries = 0
+        #: The rows whose key is NULL: entries no probe returns.
+        self._null_keyed: list[RowId] = []
         if metrics is None:
             metrics = MetricsRegistry()
         self._metrics = metrics
@@ -58,22 +66,32 @@ class Index(ABC):
     # ----------------------------------------------------------- maintenance
     def insert(self, key: Any, row_id: RowId) -> None:
         self._clock.advance(self._costs.index_insert)
-        if self.unique and self._contains_key(key):
+        if key is None:
+            self._null_keyed.append(row_id)
+        elif self.unique and self._contains_key(key):
             raise ConstraintError(
                 f"unique index {self.name!r} already contains key {key!r}"
             )
-        self._insert(key, row_id)
+        else:
+            self._insert(key, row_id)
         self._num_entries += 1
 
     def delete(self, key: Any, row_id: RowId) -> None:
         self._clock.advance(self._costs.index_delete)
-        self._delete(key, row_id)
+        if key is not None:
+            self._delete(key, row_id)
+        elif row_id in self._null_keyed:
+            self._null_keyed.remove(row_id)
+        else:
+            raise StorageError(
+                f"index {self.name!r}: entry ({key!r}, {row_id}) not found"
+            )
         self._num_entries -= 1
 
     # ----------------------------------------------------------------- probes
     def lookup(self, key: Any) -> list[RowId]:
-        """Return the RowIds for ``key`` (empty list if absent)."""
-        matches = self._lookup(key)
+        """Return the RowIds for ``key`` (empty list if absent, or NULL)."""
+        matches = [] if key is None else self._lookup(key)
         self._m_probes.inc()
         self._clock.advance(self._costs.index_lookup * max(1, len(matches)))
         return matches

@@ -10,11 +10,17 @@ Because every table stores fixed-width records (see
 Deleted slots are reusable.  The in-memory representation keeps decoded slot
 bytes in a list for speed; :meth:`Page.to_bytes`/:meth:`Page.from_bytes`
 round-trip the on-disk image exactly.
+
+A page is the unit reads work on: :meth:`Page.records` hands over the live
+slot numbers and their records as two parallel lists, which is what the
+page decoder (:meth:`repro.engine.rows.RecordCodec.page_decoder`) and the
+scan's filter take whole.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import compress
 
 from ..errors import StorageError
 from .disk import PAGE_SIZE
@@ -105,16 +111,15 @@ class Page:
             self._free_hint = slot_no
         return record
 
-    def occupied_slots(self) -> list[tuple[int, bytes]]:
-        """``(slot_no, record)`` of every live record, in slot order.
+    def records(self) -> tuple[list[int], list[bytes]]:
+        """The slot numbers of the live records and, beside them, the
+        records — two parallel lists in slot order.
 
-        A new list, so the caller may change the page while it walks it.
+        New lists, so the caller may change the page while it works on them.
+        (A record is never empty, so a slot is live exactly when it is true.)
         """
-        return [
-            (slot_no, record)
-            for slot_no, record in enumerate(self._slots)
-            if record is not None
-        ]
+        slots = self._slots
+        return list(compress(range(self.capacity), slots)), list(filter(None, slots))
 
     # ------------------------------------------------------------ serialization
     def to_bytes(self) -> bytes:

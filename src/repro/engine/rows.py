@@ -18,12 +18,23 @@ cannot do — str <-> padded bytes for the CHAR slots, and a fix-up of the
 NULL slots that runs only when the bitmap is non-zero.  A caller that reads
 only some columns asks :meth:`RecordCodec.decoder` for them and gets a
 ``Struct`` in which every other column is pad bytes, skipped in C.
+
+Reads work a heap **page** at a time: :meth:`RecordCodec.page_decoder`
+decodes all the records of one page with no Python step per record — the
+records joined into one image, one ``Struct.iter_unpack`` over it with the
+bitmap as pad bytes too, the CHAR columns converted column-wise through
+C-level ``map`` (``bytes.rstrip``, then ``bytes.decode``).  Whether any
+record has a NULL *among the wanted columns* is read off the page's bitmap
+bytes (a strided slice of the image, masked with ``bytes.translate``); only
+those records go through the single-record decoder.  The byte layout is the
+same either way.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from functools import total_ordering
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..errors import SchemaError, StorageError
@@ -34,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - schema.py imports this module
 #: Decodes one record into the values of the columns it was compiled for.
 Decoder = Callable[[bytes], tuple[Any, ...]]
 
+#: Decodes the records of one page into one value tuple per record.
+PageDecoder = Callable[[Sequence[bytes]], "list[tuple[Any, ...]]"]
+
 #: What an unvalidated value raises on its way into a record: ``pack`` on a
 #: wrong type or an out-of-range number, ``str.encode`` on non-latin-1 text,
 #: and a non-string where CHAR expects one.
@@ -42,15 +56,58 @@ _UNSTORABLE = (
 )
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class RowId:
-    """Physical address of a record: (page number, slot number)."""
+    """Physical address of a record: (page number, slot number).
+
+    Immutable; equal only to a ``RowId`` of the same address, hashed as the
+    ``(page_no, slot_no)`` pair and ordered by it (``<`` here, the rest
+    derived from it and ``==``).  Written by hand because
+    a scan builds one per row it yields: the two slots are filled through
+    their descriptors, which costs a third of what a frozen dataclass's
+    ``object.__setattr__`` calls do.
+    """
+
+    __slots__ = ("page_no", "slot_no")
 
     page_no: int
     slot_no: int
 
+    def __init__(self, page_no: int, slot_no: int) -> None:
+        _set_page_no(self, page_no)
+        _set_slot_no(self, slot_no)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a RowId")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a RowId")
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return RowId, (self.page_no, self.slot_no)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is RowId:
+            return (
+                self.page_no == other.page_no  # type: ignore[attr-defined]
+                and self.slot_no == other.slot_no  # type: ignore[attr-defined]
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.page_no, self.slot_no))
+
+    def __lt__(self, other: RowId) -> bool:
+        if other.__class__ is RowId:
+            return (self.page_no, self.slot_no) < (other.page_no, other.slot_no)
+        return NotImplemented
+
     def __repr__(self) -> str:
         return f"RowId({self.page_no}:{self.slot_no})"
+
+
+_set_page_no = RowId.page_no.__set__  # type: ignore[attr-defined]
+_set_slot_no = RowId.slot_no.__set__  # type: ignore[attr-defined]
 
 
 class RecordCodec:
@@ -59,7 +116,8 @@ class RecordCodec:
     Built once per :class:`~repro.engine.schema.TableSchema` from the format
     fragment each column's datatype contributes.  :meth:`encode` and
     :attr:`decode` convert whole rows; :meth:`decoder` compiles (and
-    remembers) the decoder of a subset of the columns.
+    remembers) the decoder of a subset of the columns, and
+    :meth:`page_decoder` the decoder of a whole page's records at once.
     """
 
     def __init__(self, table: str, columns: Sequence[Column]) -> None:
@@ -70,6 +128,7 @@ class RecordCodec:
         #: The decoders compiled so far, by the column positions they read:
         #: one entry per distinct column subset the schema's statements use.
         self._decoders: dict[tuple[int, ...], Decoder] = {}
+        self._page_decoders: dict[tuple[int, ...], PageDecoder] = {}
         everything = tuple(range(len(self._columns)))
         layout = self._layout(everything)
         self.record_size = layout.size
@@ -85,9 +144,12 @@ class RecordCodec:
         self._null_fill = layout.unpack(bytes(layout.size))[1:]
         #: Decodes a whole record into the full value tuple.
         self.decode: Decoder = self.decoder(everything)
+        #: Decodes one page's records into their full value tuples.
+        self.decode_page: PageDecoder = self.page_decoder(everything)
 
-    def _layout(self, positions: Sequence[int]) -> struct.Struct:
-        """The record as one Struct; columns not in ``positions`` are padding."""
+    def _layout(self, positions: Sequence[int], bitmap: str = "s") -> struct.Struct:
+        """The record as one Struct; columns not in ``positions`` are padding
+        (and so is the NULL bitmap, when ``bitmap`` is ``"x"``)."""
         wanted = set(positions)
         fields = [
             column.datatype.struct_format
@@ -95,7 +157,7 @@ class RecordCodec:
             else f"{column.datatype.width}x"
             for position, column in enumerate(self._columns)
         ]
-        return struct.Struct(f">{self.bitmap_bytes}s" + "".join(fields))
+        return struct.Struct(f">{self.bitmap_bytes}{bitmap}" + "".join(fields))
 
     # ----------------------------------------------------------------- encode
     def encode(self, values: Sequence[Any]) -> bytes:
@@ -148,6 +210,14 @@ class RecordCodec:
         )
 
     # ----------------------------------------------------------------- decode
+    def _text_slots(self, positions: Sequence[int]) -> tuple[int, ...]:
+        """Which of the values read at ``positions`` ``struct`` hands over
+        as CHAR bytes."""
+        return tuple(
+            slot for slot, position in enumerate(positions)
+            if self._columns[position].datatype.is_text
+        )
+
     def decoder(self, positions: tuple[int, ...]) -> Decoder:
         """The decoder of the columns at ``positions``, in record order.
 
@@ -173,17 +243,10 @@ class RecordCodec:
         # the few values they need, not the codec (no reference cycle).
         unpack = self._layout(positions).unpack
         no_nulls, table, record_size = self._no_nulls, self._table, self.record_size
-        text = tuple(
-            slot
-            for slot, position in enumerate(positions)
-            if self._columns[position].datatype.is_text
-        )
+        text = self._text_slots(positions)
 
         def mismatch(record: bytes) -> StorageError:
-            return StorageError(
-                f"record size {len(record)} does not match schema "
-                f"{table!r} ({record_size} bytes)"
-            )
+            return _wrong_size(record, table, record_size)
 
         def with_nulls(bitmap: bytes, values: list[Any]) -> tuple[Any, ...]:
             bits = int.from_bytes(bitmap, "little")
@@ -217,6 +280,61 @@ class RecordCodec:
             return with_nulls(bitmap, values)
 
         return decode
+
+    def page_decoder(self, positions: tuple[int, ...]) -> PageDecoder:
+        """The decoder of one page's records, reading the columns at
+        ``positions`` (as for :meth:`decoder`): a list of records in, the
+        list of their value tuples out.  Compiled on first use and kept.
+        """
+        try:
+            return self._page_decoders[positions]
+        except KeyError:
+            decode = self._page_decoders[positions] = self._compile_page(positions)
+            return decode
+
+    def _compile_page(self, positions: tuple[int, ...]) -> PageDecoder:
+        decode_one = self.decoder(positions)  # refuses positions out of order
+        unpack_all = self._layout(positions, bitmap="x").iter_unpack
+        table, record_size = self._table, self.record_size
+        text = self._text_slots(positions)
+        # Per bitmap byte that carries a wanted column: where it is in the
+        # record, and the translation that clears every other column's bit.
+        masks = []
+        for offset in range(self.bitmap_bytes):
+            wanted = sum(1 << p % 8 for p in positions if p // 8 == offset)
+            if wanted:
+                masks.append((offset, bytes(bits & wanted for bits in range(256))))
+
+        def decode_page(records: Sequence[bytes]) -> list[tuple[Any, ...]]:
+            image = b"".join(records)
+            if len(image) != len(records) * record_size:
+                wrong = next(r for r in records if len(r) != record_size)
+                raise _wrong_size(wrong, table, record_size)
+            rows = list(unpack_all(image))
+            if text and rows:
+                columns = list(zip(*rows))
+                for slot in text:
+                    # The pad is stripped as bytes: 0x20 is the space of
+                    # latin-1, and a shorter value is cheaper to decode.
+                    stripped = map(bytes.rstrip, columns[slot], repeat(b" "))
+                    columns[slot] = map(bytes.decode, stripped, repeat("latin-1"))
+                rows = list(zip(*columns))
+            for offset, wanted_bits in masks:
+                marked = image[offset::record_size].translate(wanted_bits)
+                if any(marked):  # a NULL the caller asked for: rare
+                    for at, bits in enumerate(marked):
+                        if bits:
+                            rows[at] = decode_one(records[at])
+            return rows
+
+        return decode_page
+
+
+def _wrong_size(record: bytes, table: str, record_size: int) -> StorageError:
+    return StorageError(
+        f"record size {len(record)} does not match schema "
+        f"{table!r} ({record_size} bytes)"
+    )
 
 
 def encode_row(schema: TableSchema, values: Sequence[Any]) -> bytes:

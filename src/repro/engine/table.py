@@ -24,6 +24,8 @@ undo and WAL payloads cannot diverge (lint rule REPRO012).
 from __future__ import annotations
 
 import enum
+from itertools import chain
+from operator import length_hint
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..clock import VirtualClock
@@ -34,15 +36,27 @@ from .buffer import BufferPool
 from .costs import CostModel
 from .heap import HeapFile
 from .index import BTreeIndex, HashIndex, Index
-from .rows import Decoder, RowId, decode_row, encode_row
+from .rows import RowId, decode_row, encode_row
 from .schema import TableSchema
 from .transactions import Transaction
 from .triggers import TriggerContext, TriggerEvent, TriggerSet, TriggerTiming
 from .wal import LogManager, LogRecordKind
 
+#: A scan's filter: called with an iterable over one page's rows (the narrow
+#: value tuples, in slot order), returns the ascending positions it keeps.
+#: It must take the rows one at a time and in order — that is how a filter
+#: that raises says which record it raised on.
+PageFilter = Callable[[Iterable[tuple[Any, ...]]], Sequence[int]]
+
 #: Where a mutation's WAL record goes: called with the positional arguments
 #: of :meth:`LogManager.append` (kind, txn id, table, row id, before, after).
 LogSink = Callable[..., Any]
+
+
+def _revert(undo: list[tuple[Any, ...]]) -> None:
+    """Run the ``(step, *arguments)`` of a failed mutation, last first."""
+    for step, *arguments in reversed(undo):
+        step(*arguments)
 
 
 class InsertMode(enum.Enum):
@@ -128,9 +142,10 @@ class Table:
             )
         else:
             raise CatalogError(f"unknown index kind {kind!r}")
-        key_of = self.schema.codec.decoder((position,))
-        for row_id, record in self._heap.scan():
-            index.insert(key_of(record)[0], row_id)
+        keys_of = self.schema.codec.page_decoder((position,))
+        for page_no, slots, records in self._heap.pages():
+            for slot_no, (key,) in zip(slots, keys_of(records)):
+                index.insert(key, RowId(page_no, slot_no))
         self._indexes[name] = index
         self._key_position[name] = position
         self.version = Scope()
@@ -291,8 +306,7 @@ class Table:
         self._fire(fire_triggers, txn, TriggerTiming.BEFORE, None, values)
 
         record = encode_row(self.schema, values)
-        row_id = self._heap.insert(record)
-        self._index_insert(row_id, values)
+        row_id = self._enter(self._heap.insert(record), values)
         log(LogRecordKind.INSERT, txn.txn_id, self.name, row_id, None, record)
         txn.rows_inserted += 1
         txn.register_undo(lambda: self._physical_delete(row_id, values))
@@ -352,10 +366,6 @@ class Table:
         return old_values
 
     # ------------------------------------------------------------------- reads
-    def _decoder(self, columns: Sequence[int] | None) -> Decoder:
-        codec = self.schema.codec
-        return codec.decode if columns is None else codec.decoder(tuple(columns))
-
     def read(
         self, row_id: RowId, columns: Sequence[int] | None = None
     ) -> tuple[Any, ...]:
@@ -364,41 +374,90 @@ class Table:
         ``columns`` — ascending column positions — narrows the result to
         those columns' values; the default is the full row.
         """
-        return self._decoder(columns)(self._heap.read(row_id))
+        codec = self.schema.codec
+        decode = codec.decode if columns is None else codec.decoder(tuple(columns))
+        return decode(self._heap.read(row_id))
 
     def scan(
         self,
         columns: Sequence[int] | None = None,
-        keep: Callable[[tuple[Any, ...]], Any] | None = None,
+        keep: PageFilter | None = None,
     ) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
         """Full scan in physical order, charging per-row scan CPU.
 
-        The one loop that reads a heap: per live record it charges the scan
-        CPU, counts the record, decodes the ``columns`` (ascending positions;
-        default: all) and — only for a row ``keep`` accepts (default: every
-        row) — builds the :class:`RowId` and yields.  The charge and the
-        ``rows_scanned`` count are per heap record, whatever is decoded of it
-        and whether or not it is kept; the clock is advanced once per record,
-        never by a page's worth at once, because n additions of x are not one
-        addition of n*x in floating point and virtual time is compared to the
-        bit.
+        Yields ``(RowId, values)`` of every record ``keep`` accepts (default:
+        every record), ``values`` being the ``columns`` (ascending positions;
+        default: all).  The charge and the ``rows_scanned`` count are per
+        heap record, whatever is decoded of it and whether or not it is kept,
+        and at every yield — and after an early ``close()`` — the clock and
+        the count stand where one ``advance`` per record up to the yielded
+        one leaves them: the records between two kept rows are charged in one
+        :meth:`~repro.clock.VirtualClock.advance_each` run when the second is
+        reached.  So a consumer may read or charge the clock between rows.
+        A :class:`RowId` is built only for a kept row.
         """
-        advance = self._clock.advance
-        scan_cpu = self._costs.row_scan_cpu
-        decode = self._decoder(columns)
-        scanned = 0
-        try:
-            for page_no, slots in self._heap.pages():
-                for slot_no, record in slots:
-                    advance(scan_cpu)
-                    scanned += 1
-                    values = decode(record)
-                    if keep is None or keep(values):
-                        yield RowId(page_no, slot_no), values
-        finally:
-            # One metrics update per scan, not per row, keeps the hot path
-            # at a local integer bump even for million-row scans.
-            self._m_rows_scanned.inc(scanned)
+        for page_no, slots, rows, kept in self._pages(columns, keep):
+            charged = 0
+            for at in kept:
+                self._charge(at + 1 - charged)
+                charged = at + 1
+                yield RowId(page_no, slots[at]), rows[at]
+            self._charge(len(rows) - charged)
+
+    def scan_values(
+        self, columns: Sequence[int] | None = None, keep: PageFilter | None = None
+    ) -> Iterator[tuple[Any, ...]]:
+        """The values :meth:`scan` yields, without the row ids, charged a
+        page at a time.
+
+        Every record of a page is charged (one ``advance_each`` run) before
+        the first kept row of the page is handed over, and no generator
+        frame is resumed per row.  The clock ends where :meth:`scan` leaves
+        it, so this is the read of every consumer that runs to the end and
+        neither reads nor charges the clock between two rows of a page — or
+        charges only the scan's own constant, as the join probe does:
+        additions of one constant commute with each other.
+        """
+        return chain.from_iterable(self._page_values(columns, keep))
+
+    def _page_values(
+        self, columns: Sequence[int] | None, keep: PageFilter | None
+    ) -> Iterator[list[tuple[Any, ...]]]:
+        for _page_no, _slots, rows, kept in self._pages(columns, keep):
+            self._charge(len(rows))
+            yield rows if keep is None else [rows[at] for at in kept]
+
+    def _charge(self, records: int) -> None:
+        """Charge and count a run of records examined, one by one."""
+        self._clock.advance_each(self._costs.row_scan_cpu, records)
+        self._m_rows_scanned.inc(records)
+
+    def _pages(
+        self, columns: Sequence[int] | None, keep: PageFilter | None
+    ) -> Iterator[tuple[int, list[int], list[tuple[Any, ...]], Sequence[int]]]:
+        """The one walk over the heap's records: per page, ``(page_no, slot
+        numbers, decoded rows, positions kept)``, nothing charged.
+
+        ``keep`` gets an iterator over the page's rows.  When it raises on
+        the k-th of them, exactly k records of the page were examined — the
+        iterator's length hint says how many were not — and they are charged
+        and counted here, as the record-at-a-time loop had by then.
+        """
+        decode = self.schema.codec.decode_page
+        if columns is not None:
+            decode = self.schema.codec.page_decoder(tuple(columns))
+        for page_no, slots, records in self._heap.pages():
+            rows = decode(records)
+            if keep is None:
+                yield page_no, slots, rows, range(len(rows))
+                continue
+            pending = iter(rows)
+            try:
+                kept = keep(pending)
+            except BaseException:
+                self._charge(len(rows) - length_hint(pending))
+                raise
+            yield page_no, slots, rows, kept
 
     def lookup(self, column: str, key: Any) -> list[tuple[RowId, tuple[Any, ...]]]:
         """Equality lookup through an index on ``column`` (must exist)."""
@@ -414,7 +473,7 @@ class Table:
     def redo_insert(self, row_id: RowId, record: bytes) -> None:
         """Replay a logged INSERT at its original address (no log, no triggers)."""
         self._heap.place(row_id, record)
-        self._index_insert(row_id, decode_row(self.schema, record))
+        self._enter(row_id, decode_row(self.schema, record))
 
     def redo_update(self, row_id: RowId, after: bytes) -> None:
         """Replay a logged UPDATE in place."""
@@ -495,10 +554,22 @@ class Table:
         self.triggers.fire(timing, context)
 
     # Physical mutations — no logging, no triggers — shared by the forward
-    # path, redo and undo (compensation).
-    def _index_insert(self, row_id: RowId, values: tuple[Any, ...]) -> None:
-        for name, index in self._indexes.items():
-            index.insert(values[self._key_position[name]], row_id)
+    # path, redo and undo (compensation).  Each is all or nothing: when an
+    # index refuses its entry, what was already done is taken back, so a
+    # statement that fails here leaves heap, indexes and row count as they
+    # were (nothing has been logged or registered for undo yet).
+    def _enter(self, row_id: RowId, values: tuple[Any, ...]) -> RowId:
+        """Index the row just placed at ``row_id`` — or take it out again."""
+        undo: list[tuple[Any, ...]] = [(self._heap.delete, row_id)]
+        try:
+            for name, index in self._indexes.items():
+                key = values[self._key_position[name]]
+                index.insert(key, row_id)
+                undo.append((index.delete, key, row_id))
+        except BaseException:
+            _revert(undo)
+            raise
+        return row_id
 
     def _physical_delete(self, row_id: RowId, values: tuple[Any, ...]) -> None:
         self._heap.delete(row_id)
@@ -509,17 +580,24 @@ class Table:
         self, row_id: RowId, record: bytes,
         old_values: tuple[Any, ...], new_values: tuple[Any, ...],
     ) -> None:
-        self._heap.overwrite(row_id, record)
-        for name, index in self._indexes.items():
-            position = self._key_position[name]
-            old_key, new_key = old_values[position], new_values[position]
-            if old_key != new_key:
-                index.delete(old_key, row_id)
-                index.insert(new_key, row_id)
+        undo: list[tuple[Any, ...]] = [
+            (self._heap.overwrite, row_id, self._heap.overwrite(row_id, record))
+        ]
+        try:
+            for name, index in self._indexes.items():
+                position = self._key_position[name]
+                old_key, new_key = old_values[position], new_values[position]
+                if old_key != new_key:
+                    index.delete(old_key, row_id)
+                    undo.append((index.insert, old_key, row_id))
+                    index.insert(new_key, row_id)
+                    undo.append((index.delete, new_key, row_id))
+        except BaseException:
+            _revert(undo)
+            raise
 
     def _physical_reinsert(self, values: tuple[Any, ...]) -> None:
-        row_id = self._heap.insert(encode_row(self.schema, values))
-        self._index_insert(row_id, values)
+        self._enter(self._heap.insert(encode_row(self.schema, values)), values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Table({self.name!r}, rows={self.num_rows}, indexes={list(self._indexes)})"

@@ -85,7 +85,7 @@ def export_table(database: Database, table_name: str) -> ExportDump:
         database.buffer_pool.flush_page(page_no)
         data = database.disk.read_page(page_no, sequential=True)
         page = Page.from_bytes(data)
-        for _slot, record in page.occupied_slots():
+        for record in page.records()[1]:
             clock.advance(costs.export_row_cpu)
             dump.records.append(record)
             rows_in_output_page += 1

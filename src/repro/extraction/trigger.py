@@ -170,7 +170,7 @@ class TriggerExtractor:
         with self._database.tracer.span(
             "extract.trigger.drain", table=self.table_name
         ):
-            rows = [values for _rid, values in writer.table.scan()]
+            rows = list(writer.table.scan_values())
             writer.truncate()
         self._database.metrics.counter(
             "extract.trigger.rows_drained", table=self.table_name

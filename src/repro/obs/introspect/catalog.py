@@ -23,11 +23,11 @@ Two invariants the catalog enforces:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
-from typing import Any
+from collections.abc import Sequence
 
 from ...clock import VirtualClock
 from ...engine.costs import DEFAULT_COST_MODEL
+from ...engine.table import PageFilter
 from ...errors import ObservabilityError
 from ...semantics.checker import SchemaCatalog, SemanticChecker
 from ...sql import ast_nodes as ast
@@ -52,13 +52,11 @@ class _SysSource:
         row = self._rows[row_id]
         return tuple(row[c] for c in columns)
 
-    def scan(
-        self, columns: Sequence[int], keep: Callable[[Row], Any] | None = None
-    ) -> Iterator[tuple[int, Row]]:
-        for row_id in range(len(self._rows)):
-            values = self.read(row_id, columns)
-            if keep is None or keep(values):
-                yield row_id, values
+    def scan_values(
+        self, columns: Sequence[int], keep: PageFilter | None = None
+    ) -> list[Row]:
+        rows = [self.read(row_id, columns) for row_id in range(len(self._rows))]
+        return rows if keep is None else [rows[at] for at in keep(rows)]
 
     def index_on(self, column: str) -> None:
         return None

@@ -383,7 +383,7 @@ class MetaObservatory:
         table = self._source.table(schema.name)
         # Current rows keyed by the natural entity string (column 1).
         current: dict[str, Row] = {
-            values[1]: tuple(values) for _rid, values in table.scan()
+            values[1]: tuple(values) for values in table.scan_values()
         }
         delta = TableDelta(table=schema.name)
         statements: list[str] = []
@@ -423,12 +423,9 @@ class MetaObservatory:
         """Names of monitoring views whose incremental state has drifted."""
         mismatched = []
         for view in self.views:
-            base_rows = [
-                values
-                for _rid, values in self._source.table(
-                    view.definition.base_table
-                ).scan()
-            ]
+            base_rows = list(
+                self._source.table(view.definition.base_table).scan_values()
+            )
             incremental = StateDigest.from_rows(view.rows())
             recomputed = StateDigest.from_rows(view.recompute(base_rows))
             if incremental.value != recomputed.value:

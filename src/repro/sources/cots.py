@@ -142,7 +142,7 @@ class CotsSystem:
         )
 
     def part_rows(self) -> list[tuple]:
-        return sorted(values for _rid, values in self._db.table("parts").scan())
+        return sorted(self._db.table("parts").scan_values())
 
     # --------------------------------------------------------------- internals
     def _notify(self, method: str, arguments: tuple) -> None:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..engine.database import Database
 from ..engine.rows import RowId
 from ..engine.schema import Column, TableSchema
-from ..engine.table import InsertMode, Table
+from ..engine.table import InsertMode, PageFilter, Table
 from ..engine.transactions import Transaction
 from ..engine.types import type_from_sql
 from ..errors import SqlAnalysisError
@@ -31,11 +31,12 @@ from .expressions import (
     RowBinding,
     Slot,
     compile_expression,
-    compile_predicate,
+    compile_page_filter,
+    compile_row,
     expression_maker,
     insert_arranger,
     insert_rows_maker,
-    predicate_maker,
+    page_filter_maker,
     walk,
 )
 from .planner import AccessPath, Probe, choose_path, probes, settle_path
@@ -160,8 +161,8 @@ class _Access:
         scope = _Scope()
         scope.add(table.schema, table.name, self.columns)
         self.probes: list[Probe] = probes(table, table.name, stmt.where, slot)
-        #: The WHERE as a filter of the narrow rows.
-        self.keep: Maker = predicate_maker(stmt.where, scope, slot)
+        #: The WHERE as a filter of the narrow rows, a page of them at a time.
+        self.keep: Maker = page_filter_maker(stmt.where, scope, slot)
         self.sets: list[tuple[str, Maker]] = [
             (a.column, expression_maker(a.expr, scope, slot)) for a in assignments
         ]
@@ -251,11 +252,8 @@ class Executor:
         # With one it stays above the join: it may read joined columns, and
         # the probe charges for every base row it is handed.
         pushed = None if stmt.joins else stmt.where
-        rows: Iterable[tuple[Any, ...]] = (
-            values
-            for _row_id, values in self._candidates(
-                base, path, base_read, self._predicate(pushed, scope)
-            )
+        rows = self._values(
+            base, path, base_read, compile_page_filter(pushed, scope, context)
         )
         plan_parts = [f"{stmt.table}:{path.description}"]
 
@@ -267,12 +265,17 @@ class Executor:
             # joined table's names come into scope.
             probe = compile_expression(left_key, scope, context)
             build_key = right_read.index(right.schema.column_index(right_key.name))
-            rows = self._hash_join(rows, probe, right.scan(right_read), build_key)
+            rows = self._hash_join(
+                rows, probe, right.scan_values(right_read), build_key
+            )
             scope.add(right.schema, right_alias, right_read)
             plan_parts.append(f"join({join.table}:hash)")
 
-        if stmt.joins and stmt.where is not None:
-            rows = filter(self._predicate(stmt.where, scope), rows)
+        above = stmt.where if stmt.joins else None
+        keep = compile_page_filter(above, scope, context)
+        if keep is not None:
+            joined_rows = list(rows)
+            rows = [joined_rows[at] for at in keep(joined_rows)]
 
         aggregated = any(
             isinstance(item.expr, ast.Aggregate) for item in stmt.items
@@ -288,44 +291,50 @@ class Executor:
             result = result[: stmt.limit]
         return Result(columns=columns, rows=result, plan=" ".join(plan_parts))
 
-    def _predicate(
-        self, where: ast.Expression | None, scope: _Scope
-    ) -> Callable[[tuple[Any, ...]], bool] | None:
-        """``where`` as a filter of rows laid out as ``scope``; None keeps all."""
-        if where is None:
-            return None
-        return compile_predicate(where, scope, self._context)
-
     @staticmethod
-    def _candidates(
+    def _values(
         table: RowSource,
         path: AccessPath,
         columns: Sequence[int],
-        keep: Callable[[tuple[Any, ...]], bool] | None,
-    ) -> Iterable[tuple[Any, tuple[Any, ...]]]:
-        """The rows the access path reads (their ``columns``) that ``keep``
-        accepts: the scan filters as it goes, an index path's rows are
-        filtered here."""
+        keep: PageFilter | None,
+    ) -> Iterable[tuple[Any, ...]]:
+        """What SELECT reads: the ``columns`` of the rows the access path
+        names that ``keep`` accepts."""
+        if path.row_ids is None:
+            return table.scan_values(columns, keep)
+        rows = (table.read(row_id, columns) for row_id in path.row_ids)
+        if keep is None:
+            return rows  # read one by one: a join probe charges in between
+        fetched = list(rows)
+        return [fetched[at] for at in keep(fetched)]
+
+    @staticmethod
+    def _candidates(
+        table: Table,
+        path: AccessPath,
+        columns: Sequence[int],
+        keep: PageFilter | None,
+    ) -> Iterable[tuple[RowId, tuple[Any, ...]]]:
+        """What UPDATE/DELETE read: ``_values`` with each row's id (the scan
+        filters as it goes, an index path's rows are filtered here)."""
         if path.row_ids is None:
             return table.scan(columns, keep)
-        return (
-            (row_id, values)
-            for row_id in path.row_ids
-            for values in [table.read(row_id, columns)]
-            if keep is None or keep(values)
-        )
+        row_ids = list(path.row_ids)
+        rows = [table.read(row_id, columns) for row_id in row_ids]
+        kept = range(len(rows)) if keep is None else keep(rows)
+        return [(row_ids[at], rows[at]) for at in kept]
 
     def _hash_join(
         self,
         left_rows: Iterable[tuple[Any, ...]],
         probe: Compiled,
-        right_rows: Iterable[tuple[Any, tuple[Any, ...]]],
+        right_rows: Iterable[tuple[Any, ...]],
         build_key: int,
     ) -> Iterator[tuple[Any, ...]]:
         # NULL = NULL is UNKNOWN, in ON as in WHERE: a NULL key is left out
         # of the build side, so a NULL probe finds nothing either.
         build: dict[Any, list[tuple[Any, ...]]] = {}
-        for _row_id, values in right_rows:
+        for values in right_rows:
             if values[build_key] is not None:
                 build.setdefault(values[build_key], []).append(values)
         probe_cpu = self._db.costs.row_scan_cpu
@@ -354,23 +363,15 @@ class Executor:
         scope: _Scope,
     ) -> tuple[list[tuple[Any, ...]], list[str]]:
         columns: list[str] = []
-        kernels: list[Compiled | None] = []  # None: '*', the whole row
         for item in stmt.items:
             if isinstance(item.expr, ast.Star):
                 columns.extend(scope.columns())
-                kernels.append(None)
             else:
                 columns.append(self._item_name(item))
-                kernels.append(compile_expression(item.expr, scope, self._context))
-        projected = []
-        for row in rows:
-            out: list[Any] = []
-            for kernel in kernels:
-                if kernel is None:
-                    out.extend(row)
-                else:
-                    out.append(kernel(row))
-            projected.append(tuple(out))
+        project = compile_row(
+            [item.expr for item in stmt.items], scope, self._context
+        )
+        projected = list(map(project, rows))
         return projected, columns
 
     def _aggregate(
@@ -392,13 +393,13 @@ class Executor:
                         f"column {item.expr.name!r} must appear in GROUP BY"
                     )
         context = self._context
-        group_key = [compile_expression(ref, scope, context) for ref in stmt.group_by]
         groups: dict[tuple, list[tuple[Any, ...]]] = {}
-        for row in rows:
-            key = tuple(kernel(row) for kernel in group_key)
-            groups.setdefault(key, []).append(row)
-        if not stmt.group_by and not groups:
-            groups[()] = []  # global aggregate over an empty input
+        if stmt.group_by:
+            group_key = compile_row(stmt.group_by, scope, context)
+            for row in rows:
+                groups.setdefault(group_key(row), []).append(row)
+        else:
+            groups[()] = list(rows)  # global aggregate, over no rows too
         columns = [self._item_name(item) for item in stmt.items]
         arguments = [
             compile_expression(item.expr.argument, scope, context)
@@ -522,7 +523,7 @@ class Executor:
             lambda shape, slot: _Access(table, shape, slot),  # type: ignore[arg-type]
         )
         path = settle_path(access.probes, literals)
-        keep = access.keep(literals, self._context) if stmt.where is not None else None
+        keep = access.keep(literals, self._context)
         matches = list(self._candidates(table, path, access.columns, keep))
         return path.description, access, literals, matches
 

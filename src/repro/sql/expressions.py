@@ -199,7 +199,7 @@ def expression_maker(expr: ast.Expression, bind: Binding, slot: Slot) -> Maker:
             return lambda values, context: constant
         return lambda values, context: lambda row, context=None: values[index]
     emitter = _Emitter(bind)
-    return emitter.maker(f"return {emitter.emit(expr)}", slot)
+    return emitter.maker(emitter.emit(expr), slot)
 
 
 def predicate_maker(
@@ -210,13 +210,54 @@ def predicate_maker(
         keep_all = lambda row, context=None: True  # noqa: E731
         return lambda values, context: keep_all
     emitter = _Emitter(bind)
-    return emitter.maker(f"return {emitter.emit(where)} is True", slot)
+    return emitter.maker(f"{emitter.emit(where)} is True", slot)
+
+
+def page_filter_maker(where: ast.Expression | None, bind: Binding, slot: Slot) -> Maker:
+    """The *loop form* of :func:`predicate_maker`: the same statements, run
+    for each row of an iterable inside one function.
+
+    ``filter(rows)`` returns the ascending positions of the rows the WHERE
+    keeps, taking the rows in order and one at a time, so it raises for the
+    row, and with the message, the per-row form does.  This is the form in
+    which a WHERE crosses into a scan
+    (:data:`repro.engine.table.PageFilter`): no Python call per record.
+    No WHERE is no filter: ``None``, which a scan takes for "keep all".
+    ``bind`` must be a :class:`RowBinding`.
+    """
+    if where is None:
+        return lambda values, context: None  # type: ignore[return-value]
+    emitter = _Emitter(bind, loop=True)
+    return emitter.maker(f"{emitter.emit(where)} is True", slot)
+
+
+def compile_page_filter(
+    where: ast.Expression | None, bind: Binding, context: Mapping[str, Any] = NO_SESSION
+) -> Compiled | None:
+    """:func:`page_filter_maker` for one statement with no template."""
+    return page_filter_maker(where, bind, no_slot)((), context)
+
+
+def compile_row(
+    items: Sequence[ast.Expression],
+    bind: Binding,
+    context: Mapping[str, Any] = NO_SESSION,
+) -> Compiled:
+    """Compile a select list or a GROUP BY key to one ``row -> tuple`` kernel.
+
+    The items are evaluated in the order written, each to the end before the
+    next begins; a ``*`` stands for the whole row (a :class:`RowBinding`'s).
+    """
+    emitter = _Emitter(bind)
+    parts = ["*row" if isinstance(i, ast.Star) else emitter.value(i) for i in items]
+    result = "(" + "".join(f"{part}, " for part in parts) + ")"
+    return emitter.maker(result, no_slot)((), context)
 
 
 def emitted_source(expr: ast.Expression, bind: Binding) -> str:
     """The source :func:`compile_expression` instantiates for ``expr``."""
     emitter = _Emitter(bind)
-    return emitter.source(f"return {emitter.emit(expr)}")
+    return emitter.source(emitter.emit(expr))
 
 
 @lru_cache(maxsize=1024)
@@ -255,9 +296,11 @@ _NUMBERS = frozenset({int, float})
 
 #: Per depth, the indentation of a statement and of its continuation lines.
 #: Python compiles no block nested deeper than 100, and a node's own
-#: statements take up to two levels more: deeper than this table goes, an
-#: expression is refused.
-_INDENTS = [(" " * depth, "\n" + " " * depth) for depth in range(96)]
+#: statements take up to two levels more: an expression whose statements
+#: would sit ``_DEEPEST`` levels inside its kernel is refused (the loop form
+#: sits one level further in, and refuses the same expressions).
+_DEEPEST = 96
+_INDENTS = [(" " * depth, "\n" + " " * depth) for depth in range(_DEEPEST + 1)]
 
 
 @lru_cache(maxsize=256)
@@ -274,16 +317,21 @@ class _Emitter:
     evaluated conditionally, need any); ``value`` names that value (a local
     ``t<n>`` or a hoisted ``k<n>``) right away, so operands are evaluated
     once, in the order written.
+
+    With ``loop``, the statements are the body of ``for at, row in
+    enumerate(rows)`` and the kernel returns the positions whose result is
+    true — the loop form of a row kernel, one call per batch of rows.
     """
 
-    __slots__ = ("_bind", "_lines", "_constants", "_depth", "_temps")
+    __slots__ = ("_bind", "_lines", "_constants", "_loop", "_depth", "_temps")
 
-    def __init__(self, bind: Binding) -> None:
+    def __init__(self, bind: Binding, loop: bool = False) -> None:
         self._bind = bind
         self._lines: list[str] = []
         #: (value, via) per hoisted constant: the constant is ``via(value)``.
         self._constants: list[tuple[Any, Callable[[Any], Any] | None]] = []
-        self._depth = 2  # inside ``factory`` and ``kernel``
+        self._loop = loop
+        self._depth = 2 + loop  # inside ``factory``, ``kernel`` and the loop
         self._temps = 0
 
     def hoist(self, value: Any, via: Callable[[Any], Any] | None = None) -> str:
@@ -292,17 +340,26 @@ class _Emitter:
         self._constants.append((value, via))
         return f"k{len(self._constants) - 1}"
 
-    def source(self, last: str) -> str:
-        """The whole definition: the statements so far, then ``last``."""
-        self._lines.append(f"  {last}\n return kernel")
+    def source(self, result: str) -> str:
+        """The whole definition: the statements so far, then ``result``
+        returned (for each row of the loop form: its position kept if true)."""
+        if self._loop:
+            opening = (
+                " def kernel(rows, context=session):\n  kept = []\n"
+                "  keep = kept.append\n  for at, row in enumerate(rows):\n"
+            )
+            self._lines.append(f"   if {result}: keep(at)\n  return kept")
+        else:
+            opening = f" def kernel({self._bind.parameters}):\n"
+            self._lines.append(f"  return {result}")
         return (
             f"def factory(session{_constant_names(len(self._constants))}):\n"
-            f" def kernel({self._bind.parameters}):\n" + "\n".join(self._lines)
+            + opening + "\n".join(self._lines) + "\n return kernel"
         )
 
-    def maker(self, last: str, slot: Slot) -> Maker:
+    def maker(self, result: str, slot: Slot) -> Maker:
         """The factory with every constant given but the shape's literals."""
-        factory = _factory(self.source(last))
+        factory = _factory(self.source(result))
         varying = [
             (at, index, via)
             for at, (value, via) in enumerate(self._constants)
@@ -324,12 +381,9 @@ class _Emitter:
 
     def _add(self, text: str) -> None:
         """Append statements (one per line) at the current indentation."""
-        try:
-            indent, newline = _INDENTS[self._depth]
-        except IndexError:
-            raise SqlAnalysisError(
-                "expression is nested too deeply to compile"
-            ) from None
+        if self._depth - self._loop >= _DEEPEST:
+            raise SqlAnalysisError("expression is nested too deeply to compile")
+        indent, newline = _INDENTS[self._depth]
         self._lines.append(indent + text.replace("\n", newline))
 
     def _temp(self) -> str:

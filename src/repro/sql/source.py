@@ -1,6 +1,6 @@
 """The read contract: what SELECT uses of a table and of a database.
 
-The read side of the executor (``_select``, ``_candidates``, ``_hash_join``,
+The read side of the executor (``_select``, ``_values``, ``_hash_join``,
 ``_project``, ``_aggregate``, ``_order``) and the access-path chooser
 (:func:`repro.sql.planner.choose_path`) use five things of a table and three
 of a database, plus its ``name`` for ``USER``.  They are stated here, once.
@@ -10,14 +10,20 @@ else that does — the ``sys.*`` catalog's per-query view of the observability
 stores (:mod:`repro.obs.introspect.catalog`) — is read by the same executor,
 planned by the same chooser, with no copy into an engine table.
 
-Row ids are the source's own currency: whatever ``scan`` yields next to a
-row, ``read`` and the source's indexes take back.  A source without indexes
-answers ``index_on`` with ``None`` and is planned as ``scan``.
+Row ids are the source's own currency: what its indexes hand out, ``read``
+takes back.  A source without indexes answers ``index_on`` with ``None``, is
+planned as ``scan`` and is never asked to ``read``.
 
-``scan`` filters: the executor hands it the statement's compiled predicate as
-``keep`` (a function of the narrow value tuple alone), so a source examines
-every row but builds a row id and yields only for the rows kept.  What a
-source charges for a scan it charges per row examined, kept or not.
+``scan_values`` is the values-only read, and it filters: the executor hands
+it the statement's WHERE in its one engine-crossing form, a *page filter*
+(:data:`repro.engine.table.PageFilter` — an iterable of narrow value tuples
+in, the ascending positions kept out), and the source applies it to whatever
+batch of rows it reads at once: a heap page for an engine table, everything
+for a list.  No row id is built and nothing is called per row.  What a
+source charges for a scan it charges per row examined, kept or not, and it
+may charge a batch's rows together before handing the first of them over:
+SELECT neither reads the clock between two rows nor charges it anything but
+the scan's own per-row constant (the join probe), so only the total shows.
 
 INSERT/UPDATE/DELETE and DDL are outside the contract: they change an engine
 ``Database`` inside a transaction, and the executor refuses them over
@@ -26,13 +32,14 @@ anything else.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..clock import VirtualClock
     from ..engine.costs import CostModel
     from ..engine.index import Index
     from ..engine.schema import TableSchema
+    from ..engine.table import PageFilter
 
 
 class RowSource(Protocol):
@@ -41,14 +48,14 @@ class RowSource(Protocol):
     name: str
     schema: TableSchema
 
-    def scan(
+    def scan_values(
         self,
         columns: Sequence[int],
-        keep: Callable[[tuple[Any, ...]], Any] | None = None,
-    ) -> Iterator[tuple[Any, tuple[Any, ...]]]:
-        """The ``(row id, values)`` of every row ``keep`` accepts (default:
-        every row); ``columns`` as for :meth:`read`, and ``keep`` is called
-        with those values."""
+        keep: PageFilter | None = None,
+    ) -> Iterable[tuple[Any, ...]]:
+        """The values of every row ``keep`` accepts (default: every row), in
+        the source's order; ``columns`` as for :meth:`read`, and ``keep`` is
+        given those values, a batch of rows at a time."""
 
     def read(self, row_id: Any, columns: Sequence[int]) -> tuple[Any, ...]:
         """One row's values at the ascending ``columns`` positions."""

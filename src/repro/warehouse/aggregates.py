@@ -147,7 +147,7 @@ class MaterializedAggregateView:
         """Current group values: key -> {label: aggregate value, 'count': n}."""
         out: dict[tuple, dict[str, Any]] = {}
         width = len(self.definition.group_by)
-        for _rid, values in self.table.scan():
+        for values in self.table.scan_values():
             key = tuple(values[:width])
             row: dict[str, Any] = {"count": values[width]}
             for position, spec in enumerate(self.definition.aggregates):

@@ -105,7 +105,7 @@ class MaterializedView:
 
     # ------------------------------------------------------------------ state
     def rows(self) -> list[tuple[Any, ...]]:
-        return sorted(values for _rid, values in self.table.scan())
+        return sorted(self.table.scan_values())
 
     def initialize(self, base_rows: Iterable[tuple[Any, ...]], txn: Transaction) -> int:
         """Populate the view from a full base-table extract."""

@@ -49,6 +49,58 @@ class TestCommonBehaviour:
         assert index._clock.now > before
 
 
+class TestNullKeys:
+    """A NULL key is an entry no probe returns (it satisfies neither ``=``
+    nor a range) and that ``delete`` finds again; the sorted array never has
+    to order it against a value."""
+
+    def test_null_keys_are_kept_beside_the_keyed_entries(self, index):
+        index.insert(5, RowId(0, 0))
+        index.insert(None, RowId(0, 1))  # the B-tree raised a bare TypeError
+        index.insert(None, RowId(0, 2))
+        index.insert(3, RowId(0, 3))
+        assert index.num_entries == 4
+        assert index.lookup(None) == []
+        assert index.lookup(5) == [RowId(0, 0)] and index.lookup(3) == [RowId(0, 3)]
+        index.delete(None, RowId(0, 1))
+        assert index.num_entries == 3
+        with pytest.raises(StorageError, match="not found"):
+            index.delete(None, RowId(0, 1))
+        index.delete(None, RowId(0, 2))
+        index.delete(5, RowId(0, 0))
+        assert index.num_entries == 1
+
+    def test_ranges_and_estimates_leave_them_out(self):
+        btree = BTreeIndex("ix", "col", VirtualClock(), DEFAULT_COST_MODEL)
+        for slot, key in enumerate([4, None, 1, None, 9]):
+            btree.insert(key, RowId(0, slot))
+        assert list(btree.range_scan(None, None)) == [
+            RowId(0, 2), RowId(0, 0), RowId(0, 4)
+        ]
+        assert btree.estimate_range(None, None) == 3
+        assert btree.estimate_range(2, None) == 2
+        assert list(btree.range_scan(None, 4)) == [RowId(0, 2), RowId(0, 0)]
+
+    @pytest.mark.parametrize("cls", [HashIndex, BTreeIndex])
+    def test_nulls_do_not_collide_in_a_unique_index(self, cls):
+        unique = cls("ix", "col", VirtualClock(), DEFAULT_COST_MODEL, unique=True)
+        unique.insert(None, RowId(0, 0))
+        unique.insert(None, RowId(0, 1))
+        unique.insert(1, RowId(0, 2))
+        with pytest.raises(ConstraintError):
+            unique.insert(1, RowId(0, 3))
+        assert unique.num_entries == 3
+
+    def test_a_null_key_costs_what_any_key_costs(self, index):
+        twin = type(index)("ix", "col", VirtualClock(), DEFAULT_COST_MODEL)
+        for key, other in ((None, 7), (None, 8)):
+            index.insert(key, RowId(0, 0))
+            twin.insert(other, RowId(0, 0))
+            index.delete(key, RowId(0, 0))
+            twin.delete(other, RowId(0, 0))
+        assert index._clock.now == twin._clock.now > 0
+
+
 class TestUniqueIndexes:
     @pytest.mark.parametrize("cls", [HashIndex, BTreeIndex])
     def test_unique_violation(self, cls):

@@ -67,6 +67,27 @@ class TestBinaryCodec:
                 schema.codec.decoder(positions)
 
 
+    def test_page_decoder_decodes_a_page_of_records(self, schema):
+        rows = [(7, None, 1.25), (8, "b  ", None), (9, "", 0.5)]
+        records = [encode_row(schema, row) for row in rows]
+        codec = schema.codec
+        assert codec.decode_page(records) == [(7, None, 1.25), (8, "b", None), (9, "", 0.5)]
+        assert codec.page_decoder((1,))(records) == [(None,), ("b",), ("",)]
+        assert codec.page_decoder(())(records) == [(), (), ()]
+        assert codec.decode_page([]) == []
+        assert codec.page_decoder((0, 2)) is codec.page_decoder((0, 2))
+        with pytest.raises(StorageError, match="ascending positions"):
+            codec.page_decoder((2, 0))
+
+    def test_page_decoder_refuses_a_wrong_sized_record(self, schema):
+        record = encode_row(schema, (7, "a", 1.25))
+        for page in ([record, record[:-1]], [record + b" "], [b""]):
+            with pytest.raises(StorageError, match="does not match schema 't'"):
+                schema.codec.decode_page(page)
+            with pytest.raises(StorageError, match="does not match schema 't'"):
+                schema.codec.page_decoder((0,))(page)
+
+
 class TestUnvalidatedValuesRaiseTypedErrors:
     """``encode_row`` is reached by paths that skip ``validate_values``
     (the Loader, undo): whatever does not fit must raise a StorageError
@@ -101,6 +122,43 @@ class TestRowId:
 
     def test_hashable(self):
         assert len({RowId(0, 1), RowId(0, 1), RowId(0, 2)}) == 2
+
+    def test_equal_to_a_row_id_of_the_same_address_only(self):
+        assert RowId(3, 4) == RowId(3, 4)
+        assert RowId(3, 4) != RowId(4, 3) and RowId(3, 4) != RowId(3, 5)
+        assert RowId(3, 4) != (3, 4) and (3, 4) != RowId(3, 4)
+        assert RowId(3, 4) != None  # noqa: E711 - the comparison is the test
+
+    def test_hashes_as_the_frozen_dataclass_did(self):
+        # hash((page_no, slot_no)): what a stored set or dict key relied on.
+        for address in [(0, 0), (3, 4), (2**40, 35)]:
+            assert hash(RowId(*address)) == hash(address)
+
+    def test_ordered_by_page_then_slot_among_row_ids_only(self):
+        ids = [RowId(1, 0), RowId(0, 7), RowId(0, 2), RowId(1, 0)]
+        assert sorted(ids) == [RowId(0, 2), RowId(0, 7), RowId(1, 0), RowId(1, 0)]
+        assert RowId(0, 7) <= RowId(0, 7) < RowId(1, 0) >= RowId(1, 0) > RowId(0, 9)
+        with pytest.raises(TypeError):
+            RowId(0, 1) < (0, 2)
+
+    def test_immutable(self):
+        row_id = RowId(3, 4)
+        with pytest.raises(AttributeError):
+            row_id.slot_no = 5
+        with pytest.raises(AttributeError):
+            del row_id.page_no
+        with pytest.raises(AttributeError):
+            row_id.extra = 1
+        assert (row_id.page_no, row_id.slot_no) == (3, 4)
+
+    def test_repr_and_copies(self):
+        import copy
+        import pickle
+
+        row_id = RowId(3, 4)
+        assert repr(row_id) == str(row_id) == "RowId(3:4)"
+        assert copy.copy(row_id) == copy.deepcopy(row_id) == row_id
+        assert pickle.loads(pickle.dumps(row_id)) == row_id
 
 
 class TestAsciiFormat:

@@ -67,7 +67,8 @@ class TestPage:
         page.delete(slots[2])
         restored = Page.from_bytes(page.to_bytes())
         assert restored.used == 4
-        assert dict(restored.occupied_slots()) == dict(page.occupied_slots())
+        assert restored.records() == page.records()
+        assert restored.records()[0] == [0, 1, 3, 4]
 
     def test_insert_at_specific_slot(self):
         page = Page(16)

@@ -11,6 +11,7 @@ from repro.engine import (
     clone_schemas,
     recover_from_archive,
 )
+from repro.engine.rows import RowId
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INTEGER, char
 from repro.engine.wal import LogRecordKind
@@ -23,6 +24,7 @@ from repro.errors import (
 )
 
 from .conftest import insert_parts
+from .reference_scan import rowwise
 
 
 @pytest.fixture
@@ -342,6 +344,89 @@ class TestScanAndIndexes:
         db.commit(txn)
 
 
+class TestIndexMaintenanceIsAllOrNothing:
+    """A row whose index maintenance raises leaves heap, every index and the
+    row count as they were; and a NULL key does not make it raise."""
+
+    @staticmethod
+    def _session():
+        session = Database("test").internal_session()
+        session.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)")
+        session.execute("INSERT INTO t VALUES (1, 10)")
+        return session
+
+    @staticmethod
+    def _state(table):
+        indexes = {
+            name: (
+                table.index(name).num_entries,
+                list(table.index(name)._null_keyed),
+                [table.index(name).lookup(key) for key in (1, 2, 3, 10, 20, 30)],
+            )
+            for name in table.index_names
+        }
+        return list(table._heap.scan()), indexes, table.num_rows
+
+    @pytest.mark.parametrize("kind", ["btree", "hash"])
+    def test_a_null_key_is_indexed_like_any_other(self, kind):
+        session = self._session()
+        session.execute(f"CREATE INDEX ib ON t (b) USING {kind}")
+        # The B-tree raised a bare TypeError from bisect here, and left the
+        # row of the failed statement in the heap and in pk_t.
+        session.execute("INSERT INTO t VALUES (2, NULL)")
+        session.execute("INSERT INTO t VALUES (3, NULL)")
+        assert session.query("SELECT * FROM t") == [(1, 10), (2, None), (3, None)]
+        by_key = session.execute("SELECT a FROM t WHERE b = 10")
+        assert (by_key.plan, by_key.rows) == ("t:index(ib)", [(1,)])
+        session.execute("UPDATE t SET b = 20 WHERE a = 2")
+        session.execute("UPDATE t SET b = NULL WHERE a = 1")
+        session.execute("DELETE FROM t WHERE a = 3")
+        assert session.query("SELECT * FROM t") == [(1, None), (2, 20)]
+        index = session.database.table("t").index("ib")
+        assert index.num_entries == 2
+        assert index.lookup(20) == [RowId(0, 1)] and index.lookup(10) == []
+
+    @pytest.fixture(params=["btree", "hash"])
+    def refusing(self, request, monkeypatch):
+        """A table whose second index refuses the key 30."""
+        session = self._session()
+        table = session.database.table("t")
+        index = table.create_index("ib", "b", kind=request.param)
+        placed = index._insert
+
+        def refuse_thirty(key, row_id):
+            if key == 30:
+                raise RuntimeError("refused")
+            placed(key, row_id)
+
+        monkeypatch.setattr(index, "_insert", refuse_thirty)
+        return session, table
+
+    def test_a_refused_insert_leaves_no_row(self, refusing):
+        session, table = refusing
+        before = self._state(table)
+        with pytest.raises(RuntimeError, match="refused"):
+            session.execute("INSERT INTO t VALUES (2, 30)")
+        assert self._state(table) == before
+        assert session.query("SELECT * FROM t") == [(1, 10)]
+        # Nothing of the failed statement is in pk_t: the key is free.
+        session.execute("INSERT INTO t VALUES (2, 20)")
+        assert session.query("SELECT * FROM t") == [(1, 10), (2, 20)]
+
+    def test_a_refused_key_change_leaves_the_row_as_it_was(self, refusing):
+        session, table = refusing
+        session.execute("INSERT INTO t VALUES (2, 20)")
+        before = self._state(table)
+        with pytest.raises(RuntimeError, match="refused"):
+            # Both keys change: pk_t has moved the row when ib refuses.
+            session.execute("UPDATE t SET a = 3, b = 30 WHERE a = 2")
+        assert self._state(table) == before
+        assert session.query("SELECT * FROM t WHERE a = 2") == [(2, 20)]
+        assert session.query("SELECT * FROM t WHERE a = 3") == []
+        session.execute("UPDATE t SET a = 3, b = 3 WHERE a = 2")
+        assert session.query("SELECT * FROM t") == [(1, 10), (3, 3)]
+
+
 def _holey_table(small_schema, rows=700):
     """A table of several pages with freed slots in each."""
     database = Database("test")
@@ -359,8 +444,8 @@ def _holey_table(small_schema, rows=700):
 
 
 class TestFilteringScan:
-    """``Table.scan(columns, keep)``: the predicate runs inside the one scan
-    loop, before a RowId exists; cost and count are per record examined."""
+    """``Table.scan(columns, keep)``: the filter runs on each page of the one
+    heap walk, before a RowId exists; cost and count are per record examined."""
 
     @pytest.mark.parametrize("columns", [None, (0, 2), (1,)])
     def test_yields_what_an_unfiltered_scan_yields_for_the_kept_rows(
@@ -371,7 +456,7 @@ class TestFilteringScan:
         def keep(values):
             return values[-1] is not None and str(values[-1]) > "2"
 
-        kept = list(table.scan(columns, keep))
+        kept = list(table.scan(columns, rowwise(keep)))
         assert kept == [pair for pair in table.scan(columns) if keep(pair[1])]
         assert 0 < len(kept) < table.num_rows
 
@@ -380,7 +465,7 @@ class TestFilteringScan:
             _holey_table(small_schema), _holey_table(small_schema)
         )
         assert filtered_db.clock.now == plain_db.clock.now
-        assert list(filtered.scan((0,), lambda values: values[0] % 9 == 0))
+        assert list(filtered.scan((0,), rowwise(lambda values: values[0] % 9 == 0)))
         assert len(list(plain.scan((0,)))) == plain.num_rows
         # Bit-equal, not approximately: one advance per record on both sides.
         assert filtered_db.clock.now == plain_db.clock.now
@@ -405,7 +490,7 @@ class TestFilteringScan:
 
         before = scanned.value
         with pytest.raises(ValueError, match="refused"):
-            list(table.scan(None, keep))
+            list(table.scan(None, rowwise(keep)))
         assert scanned.value - before == 300
 
     def test_a_scan_that_keeps_nothing_builds_no_row_id(
@@ -423,9 +508,10 @@ class TestFilteringScan:
 
         # The name ``Table.scan`` resolves when it builds a row's address.
         monkeypatch.setattr(table_module, "RowId", counting_row_id)
-        assert list(table.scan((0,), lambda values: False)) == []
+        assert list(table.scan((0,), lambda rows: [])) == []
         assert built == []
-        assert len(list(table.scan((0,), lambda values: values[0] < 3))) == len(built) == 2
+        low = rowwise(lambda values: values[0] < 3)
+        assert len(list(table.scan((0,), low))) == len(built) == 2
 
     def test_insert_select_from_the_table_it_fills_terminates(self, small_schema):
         database, table = _holey_table(small_schema)
@@ -437,7 +523,7 @@ class TestFilteringScan:
         )
         assert result.rows_affected == len(before)
         after = sorted(
-            values for _rid, values in table.scan(keep=lambda v: v[0] >= 1000)
+            table.scan_values(keep=rowwise(lambda v: v[0] >= 1000))
         )
         assert after == [(k + 1000, name, price) for k, name, price in before]
         assert table.num_rows == 2 * len(before)

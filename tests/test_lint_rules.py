@@ -1227,6 +1227,73 @@ class TestRepro016TextBecomesCodeInOnePlace:
         assert sites == [("sql/expressions.py", "exec(source, globals(), scratch)")]
 
 
+class TestRepro017RowIdsAreAskedForToBeUsed:
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO017" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    def test_a_comprehension_that_discards_the_row_id_is_flagged(self, tmp_path):
+        for clause in (
+            "[v for _rid, v in table.scan()]",
+            "sorted(values for _r, values in db.table('parts').scan())",
+            "{v[0]: v for _row_id, v in table.scan(columns)}",
+            "{v for _, v in self.table.scan()}",
+        ):
+            source = f"def rows(table, db, self, columns):\n    return {clause}\n"
+            violations = lint_source(tmp_path, source, name="repro/bench/verify.py")
+            assert self.flagged(violations) == [2], clause
+            assert "scan_values" in violations[0]
+
+    def test_a_used_row_id_another_read_and_a_for_statement_are_not(self, tmp_path):
+        source = (
+            "def directory(table, index, width):\n"
+            "    by_key = {v[:width]: rid for rid, v in table.scan()}\n"
+            "    ids = [rid for rid, _values in table.scan()]\n"
+            "    values = list(table.scan_values())\n"
+            "    ranged = [v for _rid, v in index.range_scan(1, 2)]\n"
+            "    pairs = [pair for pair in table.scan()]\n"
+            "    for _rid, v in table.scan():\n"
+            "        clock.advance(cost)\n"
+            "    return by_key, ids, values, ranged, pairs\n"
+        )
+        assert lint_source(tmp_path, source, name="repro/warehouse/views.py") == []
+
+    def test_a_consumer_that_charges_between_rows_has_its_budget(self, tmp_path):
+        dump = (
+            "def ascii_dump_table(database, table):\n"
+            "    return ascii_dump_rows(\n"
+            "        database, (values for _rid, values in table.scan())\n"
+            "    )\n"
+        )
+        assert lint_source(tmp_path, dump, name="repro/engine/utilities.py") == []
+        again = dump + "def more(table):\n    return [v for _r, v in table.scan()]\n"
+        assert self.flagged(
+            lint_source(tmp_path, again, name="repro/engine/utilities.py")
+        ) == [6]
+
+    def test_shipped_tree_discards_a_row_id_only_where_it_must(self):
+        package = REPO / "src" / "repro"
+        discarded = {}
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO017" in v
+            ] == [], path
+            text = path.read_text(encoding="utf-8")
+            if count := len(re.findall(r"for _\w*, \w+ in [^\n]*\.scan\(", text)):
+                discarded[path.relative_to(package).as_posix()] = count
+        # The comprehension budgets are met exactly; the two ``for``
+        # statements charge the clock (take_snapshot) or stop at the first
+        # match (the dimension look-up) between rows.
+        assert discarded == {
+            "bench/experiments/aggregate_views.py": 1,
+            "bench/experiments/freshness.py": 2,
+            "engine/snapshots.py": 1,
+            "engine/utilities.py": 1,
+            "warehouse/views.py": 1,
+        }
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

@@ -161,6 +161,32 @@ def test_pruned_decode_is_the_full_decode_restricted(layout):
         assert _identical(decode(record), tuple(full[i] for i in subset))
 
 
+@given(_layouts(), st.lists(st.integers(min_value=0, max_value=3), max_size=12))
+@settings(max_examples=300)
+def test_page_decoder_is_the_single_record_decoder_is_the_per_field_decode(
+    layout, order
+):
+    schema, sparse, dense, subset = layout
+    unread_nulls = tuple(
+        value if position in subset else None
+        for position, value in enumerate(dense)
+    )
+    kinds = (sparse, dense, unread_nulls, (None,) * len(schema.columns))
+    # A page of the four kinds of record in a drawn order (an empty page too).
+    records = [encode_row(schema, kinds[kind]) for kind in order]
+    for positions in (subset, tuple(range(len(schema.columns)))):
+        decode_one = schema.codec.decoder(positions)
+        one_by_one = [decode_one(record) for record in records]
+        assert _identical(schema.codec.page_decoder(positions)(records), one_by_one)
+        assert _identical(
+            one_by_one,
+            [
+                tuple(_reference_row(schema, record)[i] for i in positions)
+                for record in records
+            ],
+        )
+
+
 @given(_rows)
 def test_ascii_roundtrip(row):
     validated = SCHEMA.validate_values(row)

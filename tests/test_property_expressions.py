@@ -14,11 +14,20 @@ and message) must agree.
 evaluated an operand it should have skipped (the right side of ``FALSE AND``,
 an IN item after the first match) or skipped one it should have evaluated
 shows up as a different value.
+
+The two kernels built on the per-row form are held to it the same way: the
+*loop form* of a predicate (``compile_page_filter``: rows in, positions kept
+out — the form a WHERE crosses into a scan in) keeps the rows the per-row
+form keeps and raises for the same row with the same message, ``RANDOM()``
+drawing once per row in row order; and a ``row -> tuple`` kernel
+(``compile_row``: a select list, a GROUP BY key) is the tuple of its items'
+kernels, evaluated in the order written.
 """
 
 import itertools
 import operator
 import re
+from operator import length_hint
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +42,9 @@ from repro.sql.expressions import (
     USER_KEY,
     RowBinding,
     compile_expression,
+    compile_page_filter,
+    compile_predicate,
+    compile_row,
     evaluate,
     referenced_columns,
     referenced_functions,
@@ -321,3 +333,75 @@ def test_every_binding_agrees_with_the_reference_interpreter(expr, row, session)
         ), f"unexpected barrier: {by_batch[1]}"
     else:
         assert by_batch == expected
+
+
+def rows_outcome(rows, evaluate_row):
+    """What a row-at-a-time evaluation of ``rows`` comes to: the positions
+    whose value is true, or the first error and the row it was raised on."""
+    kept = []
+    for at, row in enumerate(rows):
+        try:
+            if evaluate_row(row) is True:
+                kept.append(at)
+        except SqlAnalysisError as exc:
+            return type(exc), str(exc), at
+    return kept
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXPRESSIONS, st.lists(ROWS, max_size=6), SESSIONS)
+def test_the_loop_form_of_a_predicate_is_its_per_row_form(expr, rows, session):
+    bind = RowBinding(COLUMNS)
+
+    # The oracle: the reference interpreter, row after row, one session (so
+    # one stream of RANDOM() draws) for the whole batch.
+    context = environment((), session)
+    expected = rows_outcome(
+        rows, lambda row: reference(expr, {**dict(zip(COLUMNS, row)), **context})
+    )
+
+    context = environment((), session)
+    per_row = compile_predicate(expr, bind)
+    assert rows_outcome(rows, lambda row: per_row(row, context)) == expected
+
+    context = environment((), session)
+    pending = iter(rows)
+    try:
+        by_loop = compile_page_filter(expr, bind)(pending, context)
+    except SqlAnalysisError as exc:
+        # The rows are taken one at a time: what is left says who raised.
+        by_loop = type(exc), str(exc), len(rows) - length_hint(pending) - 1
+    assert by_loop == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.one_of(EXPRESSIONS, EXPRESSIONS, st.just(ast.Star())), max_size=4),
+    ROWS,
+    SESSIONS,
+)
+def test_a_row_kernel_is_the_tuple_of_its_items_kernels(items, row, session):
+    bind = RowBinding(COLUMNS)
+
+    def item_by_item(evaluate_item):
+        out = []
+        for item in items:
+            if isinstance(item, ast.Star):
+                out.extend(row)
+            else:
+                out.append(evaluate_item(item))
+        return tuple(out)
+
+    env = environment(row, session)
+    expected = outcome(lambda: item_by_item(lambda item: reference(item, env)))
+
+    context = environment((), session)
+    kernels = {id(item): compile_expression(item, bind) for item in items}
+    # By ``repr``: inside a tuple 1 == 1.0 == True, and the types matter.
+    assert repr(outcome(
+        lambda: item_by_item(lambda item: kernels[id(item)](row, context))
+    )) == repr(expected)
+
+    context = environment((), session)
+    kernel = compile_row(items, bind)
+    assert repr(outcome(lambda: kernel(row, context))) == repr(expected)

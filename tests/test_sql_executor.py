@@ -120,11 +120,9 @@ class ListSource:
         self.schema = table.schema
         self.rows = [values for _row_id, values in table.scan()]
 
-    def scan(self, columns, keep=None):
-        for position, row in enumerate(self.rows):
-            values = tuple(row[c] for c in columns)
-            if keep is None or keep(values):
-                yield position, values
+    def scan_values(self, columns, keep=None):
+        rows = [tuple(row[c] for c in columns) for row in self.rows]
+        return rows if keep is None else [rows[at] for at in keep(rows)]
 
     def read(self, row_id, columns):
         raise AssertionError("nothing planned an index path over this source")
@@ -215,6 +213,56 @@ class TestRowSources:
             with pytest.raises(SqlAnalysisError, match="only SELECT runs over 'lists'"):
                 Executor(lists).execute(parse(sql), None)
         assert len(lists.table("parts").rows) == 100
+
+
+class TestPinnedCosts:
+    """What a scan-shaped statement costs, to the bit: ``clock.now`` after it
+    and the ``rows_scanned`` it added, as the record-at-a-time executor left
+    them on the 100-part, 20-supplier database of this module (two heap
+    pages of parts).  Reads work a page at a time; the charges are the same
+    additions in the same order."""
+
+    @pytest.mark.parametrize(
+        "sql, plan, rows, affected, now, scanned",
+        [
+            (   # the WHERE stays above the join, on all 100 probed rows
+                "SELECT p.part_id, s.region FROM parts p JOIN suppliers s "
+                "ON p.supplier_id = s.supplier_id "
+                "WHERE p.quantity > 300 AND s.region <> 'R1'",
+                "parts:scan join(suppliers:hash)", 47, 0,
+                "0x1.085916872afb8p+9", 120,
+            ),
+            (   # GROUP BY over a filtered scan
+                "SELECT status, COUNT(*), SUM(quantity) FROM parts "
+                "WHERE price > 20 GROUP BY status",
+                "parts:scan", 5, 0, "0x1.0854189374b93p+9", 100,
+            ),
+            (
+                "UPDATE parts SET quantity = quantity + 1 "
+                "WHERE part_ref >= 10 AND part_ref < 60",
+                "update:scan", 0, 50, "0x1.4a60e56041845p+9", 100,
+            ),
+            (
+                "DELETE FROM parts WHERE part_ref >= 40 AND status <> 'active'",
+                "delete:scan", 0, 48, "0x1.6b2916872afd3p+9", 100,
+            ),
+        ],
+    )
+    def test_a_scan_shaped_statement_costs_what_it_did(
+        self, session, sql, plan, rows, affected, now, scanned
+    ):
+        clock = session.database.clock
+        counter = session.database.metrics.counter(
+            "engine.table.rows_scanned", db="exec-test"
+        )
+        assert clock.now.hex() == "0x1.04b083126e971p+9"
+        before = counter.value
+        result = session.execute(sql)
+        assert (result.plan, len(result.rows), result.rows_affected) == (
+            plan, rows, affected
+        )
+        assert clock.now.hex() == now
+        assert counter.value - before == scanned
 
 
 class TestSelectFeatures:

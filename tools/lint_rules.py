@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Eleven disciplines the standard linters cannot express:
+Seventeen disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -202,6 +202,21 @@ the source arrives from the emitter whole, never assembled or spliced at
 the call site.  Any other call — another module, a second call, one outside
 the memoised function, one whose first argument is an expression — is
 flagged.
+
+**REPRO017 — a row id is asked for only to be used.**  ``Table.scan`` builds
+a ``RowId`` per row and resumes a generator per row so that its consumer may
+charge the clock, or stop, between two rows; a comprehension or generator
+expression that binds the row id to an underscore name
+(``[v for _rid, v in t.scan()]``) pays for both and uses neither.  The
+values-only read, ``Table.scan_values``, charges a page at a time and builds
+no row id.  So every such clause over a ``.scan(`` call is flagged — except,
+counted per module, where what consumes the generator charges the *same*
+clock between two rows (``ascii_dump_table`` feeding ``ascii_dump_rows``,
+the initial loads of the ``freshness`` and ``aggregate_views`` experiments
+into a warehouse on the source's clock): page-granular charging would
+reorder those additions, and virtual time is compared to the bit.  A
+``for`` statement is where such a consumer writes its loop
+(``take_snapshot``) and is not flagged.
 
 Usage::
 
@@ -427,6 +442,15 @@ FLIGHT_STACK_CLASSES = ("FlightRecorder", "SLOEngine")
 #: whose memoised factory may call one of them, once.
 CODE_BUILTINS = ("eval", "exec", "compile")
 EMITTER_SUFFIX = "repro/sql/expressions.py"
+
+#: REPRO017: module suffix -> how many comprehension clauses may discard
+#: the row id of a ``.scan(``: the consumer charges the scanned table's
+#: clock between rows, so the charge must stay row-granular.
+DISCARDED_ROW_ID_BUDGETS = {
+    "repro/engine/utilities.py": 1,
+    "repro/bench/experiments/freshness.py": 2,
+    "repro/bench/experiments/aggregate_views.py": 1,
+}
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
 
@@ -917,6 +941,35 @@ def _code_instantiation_violations(
     return violations
 
 
+def _discarded_row_id_violations(
+    path: Path, tree: ast.AST, normalized: str
+) -> list[str]:
+    """REPRO017: a comprehension over ``.scan(`` that throws the row id away."""
+    budget = next(
+        (
+            n for suffix, n in DISCARDED_ROW_ID_BUDGETS.items()
+            if normalized.endswith(suffix)
+        ),
+        0,
+    )
+    found = sorted(
+        node.iter.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.comprehension)
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Attribute)
+        and node.iter.func.attr == "scan"
+        and isinstance(node.target, ast.Tuple)
+        and isinstance(node.target.elts[0], ast.Name)
+        and node.target.elts[0].id.startswith("_")
+    )
+    return [
+        f"{path}:{lineno}: REPRO017 the row id of .scan() is discarded; "
+        "scan_values() reads the values alone, a page at a time"
+        for lineno in found[budget:]
+    ]
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -947,6 +1000,7 @@ def lint_file(path: Path) -> list[str]:
     violations.extend(_catalog_copy_violations(path, tree, normalized))
     violations.extend(_pipeline_assembly_violations(path, tree, normalized))
     violations.extend(_code_instantiation_violations(path, tree, normalized))
+    violations.extend(_discarded_row_id_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
