@@ -15,6 +15,12 @@ idiomatic way to measure the cost of a region of code::
         table.insert(row)
     elapsed_ms = watch.elapsed
 
+Virtual time is compared **to the bit** (artifacts are ``cmp``-ed), and
+float addition does not distribute: ``n`` charges of ``x`` are ``n``
+additions, never one addition of ``n * x``.  A caller that charges a run of
+records at once uses :meth:`VirtualClock.advance_each`, which performs them
+one after another; that is the only batching of the clock there is.
+
 When the measurement should be *kept* rather than consumed on the spot,
 use a :class:`repro.obs.Tracer` span instead — spans are stamped from this
 same clock, nest hierarchically, and export to Chrome-trace JSON, so a

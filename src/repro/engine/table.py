@@ -19,6 +19,15 @@ entries log straight to :meth:`LogManager.append`; the ``*_batch`` entries
 the last row.  Row DML and batch DML are therefore the same mutation by
 construction — validation, unique checks, index maintenance, triggers,
 undo and WAL payloads cannot diverge (lint rule REPRO012).
+
+Reads work a heap page at a time, on one walk (``Table._pages``): a page's
+records are decoded together, the statement's filter runs once over them,
+and the scan CPU is charged in runs of records — the same additions, in the
+same order relative to every other charge, as one ``advance`` per record.
+:meth:`Table.scan` yields ``(RowId, values)`` with the clock exact at every
+row, for consumers that charge between rows, stop early or need the ids
+(DML, ``take_snapshot``); :meth:`Table.scan_values` is the values-only read
+of everyone else (SELECT, the hash-join build side, state comparisons).
 """
 
 from __future__ import annotations
