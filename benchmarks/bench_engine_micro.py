@@ -52,6 +52,7 @@ from repro.analysis import OpDeltaAnalyzer
 from repro.columnar import ColumnBatch, ColumnarApplier, compile_predicate
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
+from repro.engine.page import slots_per_page
 from repro.engine.rows import RowId, decode_row, encode_row
 from repro.sql import expressions
 from repro.sql.parser import TemplateTable, parse
@@ -221,10 +222,9 @@ def test_scan_filter_no_match(benchmark, populated):
 def _parts_page():
     schema = parts_schema()
     generator = PartsGenerator()
-    per_page = 73  # 112-byte records on an 8 KiB page
     return schema, [
         encode_row(schema, generator.row(part_id, timestamp=123.0))
-        for part_id in range(per_page)
+        for part_id in range(slots_per_page(schema.record_size))  # 73
     ]
 
 

@@ -405,13 +405,14 @@ class Table:
         reached.  So a consumer may read or charge the clock between rows.
         A :class:`RowId` is built only for a kept row.
         """
+        charge = self._charge
         for page_no, slots, rows, kept in self._pages(columns, keep):
             charged = 0
             for at in kept:
-                self._charge(at + 1 - charged)
+                charge(at + 1 - charged)
                 charged = at + 1
                 yield RowId(page_no, slots[at]), rows[at]
-            self._charge(len(rows) - charged)
+            charge(len(rows) - charged)
 
     def scan_values(
         self, columns: Sequence[int] | None = None, keep: PageFilter | None = None

@@ -20,44 +20,29 @@ from hypothesis import strategies as st
 from repro.clock import VirtualClock
 from repro.engine import Database
 from repro.engine.schema import Column, TableSchema
-from repro.engine.types import FLOAT, INTEGER, TIMESTAMP, char
+from repro.engine.types import char
 
 from . import reference_scan
 from .reference_scan import rowwise
-
-_integers = st.one_of(
-    st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 1]),
-    st.integers(min_value=-(2**63), max_value=2**63 - 1),
-)
-_floats = st.one_of(
-    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf")]),
-    st.floats(allow_nan=False, width=64),
-)
+from .test_property_codec import _datatypes
+from .test_property_codec import _values_of as _any_value_of
 
 
 def _values_of(datatype):
-    if datatype is INTEGER:
-        return _integers
-    if datatype in (FLOAT, TIMESTAMP):
-        return _floats
-    # Any latin-1 text that fits: empty strings, trailing spaces (decoding
-    # strips exactly those), NUL, and the high bytes ``str.rstrip()`` without
-    # an argument would take for white space (0x85, 0xa0).
+    """The codec property's values, with the text cases a page decoder could
+    get wrong made certain: empty strings, trailing spaces (decoding strips
+    exactly those) and the high bytes a bare ``str.rstrip()`` would take for
+    white space (0x85, 0xa0)."""
+    if not datatype.is_text:
+        return _any_value_of(datatype)
     return st.one_of(
         st.sampled_from(["", " ", "x ", "\xa0", "a\x85", "\x1f "]).filter(
             lambda text: len(text) <= datatype.length
         ),
-        st.text(
-            alphabet=st.characters(min_codepoint=0, max_codepoint=255),
-            max_size=datatype.length,
-        ),
+        _any_value_of(datatype),
     )
 
 
-_datatypes = st.one_of(
-    st.sampled_from([INTEGER, FLOAT, TIMESTAMP]),
-    st.integers(min_value=1, max_value=24).map(char),
-)
 #: One wide column now and then: few records per page, so many pages.
 _wide = st.one_of(st.none(), st.integers(min_value=900, max_value=2500).map(char))
 
