@@ -54,8 +54,10 @@ from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
 from repro.engine.page import slots_per_page
 from repro.engine.rows import RowId, decode_row, encode_row
+from repro.extraction.deltas import ChangeKind, DeltaBatch, DeltaRecord
 from repro.sql import expressions
 from repro.sql.parser import TemplateTable, parse
+from repro.warehouse import ValueDeltaIntegrator
 from repro.workloads import OltpWorkload, PartsGenerator, parts_schema
 
 
@@ -397,3 +399,94 @@ def test_point_update_apply_columnar(benchmark, populated):
         return affected
 
     assert benchmark(columnar_point_apply) == 1
+
+
+# ------------------------------------------------------- value-delta apply
+# What the value integrator's maintenance window is made of: one DELETE by
+# key per delete record, DELETE + INSERT per update record, one array INSERT
+# per run of insert records — each batch of 100 records applied through
+# ``ValueDeltaIntegrator.integrate`` (one warehouse transaction), so the
+# numbers are per 100 records.  ``test_insert_row_with_expression`` is the
+# row that does need compiling: one INSERT text whose VALUES hold two
+# expressions beside the literals.
+
+_BATCH_ROWS = 100
+
+
+@pytest.fixture(scope="module")
+def mirror():
+    database = Database("mirror")
+    workload = OltpWorkload(database)
+    workload.create_table(auto_timestamp=False)
+    workload.populate(2_000)
+    generator = PartsGenerator()
+    rows = [generator.row(100_000 + at, timestamp=1.0) for at in range(_BATCH_ROWS)]
+    integrator = ValueDeltaIntegrator(database.internal_session())
+
+    def batch(kind, before=None, after=None):
+        records = [
+            DeltaRecord(
+                kind, row[0],
+                before=None if before is None else before[at],
+                after=None if after is None else after[at],
+            )
+            for at, row in enumerate(rows)
+        ]
+        return DeltaBatch("parts", database.table("parts").schema, records)
+
+    changed = [row[:5] + (row[5] + 1,) + row[6:] for row in rows]
+    batches = {
+        "insert": batch(ChangeKind.INSERT, after=rows),
+        "delete": batch(ChangeKind.DELETE, before=rows),
+        "update": batch(ChangeKind.UPDATE, before=rows, after=changed),
+    }
+    return integrator, batches
+
+
+def test_value_delta_delete_by_key(benchmark, mirror):
+    integrator, batches = mirror
+    report = benchmark.pedantic(
+        integrator.integrate, (batches["delete"],),
+        setup=lambda: integrator.integrate(batches["insert"]) and None,
+        rounds=60, warmup_rounds=2,
+    )
+    assert report.statements_issued == report.rows_affected == _BATCH_ROWS
+
+
+def test_value_delta_update_record(benchmark, mirror):
+    integrator, batches = mirror
+    integrator.integrate(batches["insert"])
+    try:
+        report = benchmark.pedantic(
+            integrator.integrate, (batches["update"],), rounds=60, warmup_rounds=2
+        )
+    finally:
+        integrator.integrate(batches["delete"])
+    assert report.statements_issued == report.rows_affected == 2 * _BATCH_ROWS
+
+
+def test_array_insert_100_rows(benchmark, mirror):
+    integrator, batches = mirror
+    integrator.integrate(batches["insert"])
+    report = benchmark.pedantic(
+        integrator.integrate, (batches["insert"],),
+        setup=lambda: integrator.integrate(batches["delete"]) and None,
+        rounds=60, warmup_rounds=2,
+    )
+    integrator.integrate(batches["delete"])
+    assert report.statements_issued == 1 and report.rows_affected == _BATCH_ROWS
+
+
+def test_insert_row_with_expression(benchmark, populated):
+    database, _workload = populated
+    session = database.internal_session()
+    counter = iter(range(200_000_000, 299_000_000))
+
+    def insert():
+        part_id = next(counter)
+        return session.execute(
+            f"INSERT INTO parts VALUES ({part_id}, {part_id}, 'PN-X', 'd', "
+            f"UPPER('new'), 1 + {part_id}, 1.0, NULL, 1)"
+        ).rows_affected
+
+    assert benchmark(insert) == 1

@@ -49,9 +49,9 @@ from ..sql.expressions import (
     NO_SESSION,
     Maker,
     Slot,
-    expression_maker,
     insert_rows_maker,
     predicate_maker,
+    set_list_maker,
 )
 from ..sql.planner import probes, settle_path
 from ..sql.templates import shaped
@@ -262,22 +262,19 @@ class ColumnarApplier(RowApplier):
 
         def build(shape: ast.UpdateStmt, slot: Slot) -> tuple[Maker, Any]:
             bind = BatchBinding(batch.layout, qualifiers)
-            return predicate_maker(where_of(shape), bind, slot), tuple(
-                (a.column, expression_maker(a.expr, bind, slot))
-                for a in shape.assignments
+            return predicate_maker(where_of(shape), bind, slot), set_list_maker(
+                shape.assignments, bind, slot
             )
 
         (keep, sets), literals = self.kernels.get(
             stmt, table.version, ("update", *key), build
         )
         matched = self._matched(batch, keep(literals, NO_SESSION))
-        assignments = [(column, kernel(literals, NO_SESSION)) for column, kernel in sets]
+        columns, maker = sets
+        new_values = maker(literals, NO_SESSION)
         cols = batch.columns
         updates = [
-            (
-                batch.row_ids[pos],
-                {column: kernel(cols, pos) for column, kernel in assignments},
-            )
+            (batch.row_ids[pos], dict(zip(columns, new_values(cols, pos))))
             for pos in matched
         ]
         results = table.update_batch(txn, updates)

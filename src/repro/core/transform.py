@@ -20,6 +20,7 @@ from typing import Mapping
 from ..errors import OpDeltaError
 from ..scope import Scope
 from ..sql import ast_nodes as ast
+from ..sql.templates import reshaped
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,7 @@ class StatementTransformer:
         result; the statement returned is then a statement of the rewritten
         shape, with that shape's template.
         """
-        binding = statement.binding
-        if binding is None:
-            return self._transform(statement)
-        template = binding.template
-        rewritten = template.fact(
-            self._scope, "transform", lambda: template.rewritten(self._transform)
-        )
-        return rewritten.bind(binding.values, binding.shifts)
+        return reshaped(statement, self._scope, "transform", self._transform)
 
     def _transform(self, statement: ast.Statement) -> ast.Statement:
         if isinstance(statement, ast.InsertStmt):

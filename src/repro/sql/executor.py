@@ -33,10 +33,10 @@ from .expressions import (
     compile_expression,
     compile_page_filter,
     compile_row,
-    expression_maker,
     insert_arranger,
     insert_rows_maker,
     page_filter_maker,
+    set_list_maker,
     walk,
 )
 from .planner import AccessPath, Probe, choose_path, probes, settle_path
@@ -163,9 +163,10 @@ class _Access:
         self.probes: list[Probe] = probes(table, table.name, stmt.where, slot)
         #: The WHERE as a filter of the narrow rows, a page of them at a time.
         self.keep: Maker = page_filter_maker(stmt.where, scope, slot)
-        self.sets: list[tuple[str, Maker]] = [
-            (a.column, expression_maker(a.expr, scope, slot)) for a in assignments
-        ]
+        #: The columns an UPDATE assigns, and their new values as one kernel.
+        self.sets: tuple[tuple[str, ...], Maker] = set_list_maker(
+            assignments, scope, slot
+        )
 
 
 class Executor:
@@ -530,13 +531,10 @@ class Executor:
     def _update(self, db: Database, stmt: ast.UpdateStmt, txn: Transaction) -> Result:
         table = db.table(stmt.table)
         description, access, literals, matches = self._matches(table, stmt)
-        assignments = [
-            (column, kernel(literals, self._context)) for column, kernel in access.sets
-        ]
+        columns, maker = access.sets
+        new_values = maker(literals, self._context)
         for row_id, values in matches:
-            table.update(
-                txn, row_id, {column: kernel(values) for column, kernel in assignments}
-            )
+            table.update(txn, row_id, dict(zip(columns, new_values(values))))
         return Result(rows_affected=len(matches), plan=f"update:{description}")
 
     def _delete(self, db: Database, stmt: ast.DeleteStmt, txn: Transaction) -> Result:

@@ -243,15 +243,37 @@ def compile_row(
     bind: Binding,
     context: Mapping[str, Any] = NO_SESSION,
 ) -> Compiled:
-    """Compile a select list or a GROUP BY key to one ``row -> tuple`` kernel.
+    """:func:`row_maker` for one statement with no template."""
+    return row_maker(items, bind, no_slot)((), context)
+
+
+def row_maker(items: Sequence[ast.Expression], bind: Binding, slot: Slot) -> Maker:
+    """A select list, GROUP BY key, VALUES row or SET list as one
+    ``row -> tuple`` kernel, once for every statement of the shape.
 
     The items are evaluated in the order written, each to the end before the
     next begins; a ``*`` stands for the whole row (a :class:`RowBinding`'s).
+    A list made only of literals has nothing to compile: it is *read* —
+    ``values[i]`` where ``slot`` says a literal is the shape's ``i``-th, the
+    value as written otherwise.
     """
+    if all(isinstance(item, ast.Literal) for item in items):
+        fixed = [item.value for item in items]  # type: ignore[union-attr]
+        found = [] if slot is no_slot else [slot(value) for value in fixed]
+        slots = [(at, index) for at, index in enumerate(found) if index is not None]
+
+        def read(values: Sequence[Any], context: Any) -> Compiled:
+            cells = fixed.copy()
+            for at, index in slots:
+                cells[at] = values[index]
+            row = tuple(cells)
+            return lambda _row, _context=None: row
+
+        return read
     emitter = _Emitter(bind)
     parts = ["*row" if isinstance(i, ast.Star) else emitter.value(i) for i in items]
     result = "(" + "".join(f"{part}, " for part in parts) + ")"
-    return emitter.maker(result, no_slot)((), context)
+    return emitter.maker(result, slot)
 
 
 def emitted_source(expr: ast.Expression, bind: Binding) -> str:
@@ -695,16 +717,19 @@ def insert_arranger(
 
     A positional INSERT keeps its values as written; a column-list INSERT
     gets NULL for every column it does not name.  A row of the wrong width,
-    or a named column ``columns`` lacks, raises the caller's ``mismatch``
-    error when the first row is arranged.
+    a named column ``columns`` lacks or a column named twice raises the
+    caller's ``mismatch`` error when the first row is arranged.
     """
     positional = stmt.columns is None
     names: Sequence[str] = columns if stmt.columns is None else stmt.columns
     unknown = [] if positional else sorted(set(names) - set(columns))
+    twice = _listed_twice(names)
 
     def arrange(values: tuple[Any, ...]) -> tuple[Any, ...]:
         if unknown:
             raise mismatch(f"INSERT names unknown columns {unknown} of {stmt.table!r}")
+        if twice is not None:
+            raise mismatch(f"column {twice!r} listed twice in INSERT")
         if len(values) != len(names):
             raise mismatch(
                 f"INSERT names {len(names)} columns but supplies {len(values)} values"
@@ -741,21 +766,36 @@ def insert_rows_maker(
     """:func:`compile_insert_rows`, once for every statement of the shape:
     maps a statement's literal values to its rows function."""
     arrange = insert_arranger(stmt, columns, mismatch)
-    makers = [
-        [expression_maker(expr, bind, slot) for expr in expr_row]
-        for expr_row in stmt.rows
-    ]
+    makers = [row_maker(expr_row, bind, slot) for expr_row in stmt.rows]
 
     def make(values: Sequence[Any]) -> Callable[[Any], Iterator[tuple[Any, ...]]]:
-        compiled = [[maker(values, NO_SESSION) for maker in row] for row in makers]
+        kernels = [maker(values, NO_SESSION) for maker in makers]
 
         def rows(context: Any) -> Iterator[tuple[Any, ...]]:
-            for kernels in compiled:
-                yield arrange(tuple(kernel((), context) for kernel in kernels))
+            for kernel in kernels:
+                yield arrange(kernel((), context))
 
         return rows
 
     return make
+
+
+def _listed_twice(names: Sequence[str]) -> str | None:
+    """The first of ``names`` that an earlier one already is."""
+    return next((n for at, n in enumerate(names) if n in names[:at]), None)
+
+
+def set_list_maker(
+    assignments: Sequence[ast.Assignment], bind: Binding, slot: Slot
+) -> tuple[tuple[str, ...], Maker]:
+    """The SET list of UPDATEs of one shape: the columns assigned, and the
+    :func:`row_maker` of their new values — all computed from the row as it
+    was.  A column assigned twice has no one new value: refused, per shape."""
+    columns = tuple(a.column for a in assignments)
+    twice = _listed_twice(columns)
+    if twice is not None:
+        raise SqlAnalysisError(f"column {twice!r} assigned twice")
+    return columns, row_maker([a.expr for a in assignments], bind, slot)
 
 
 def compile_after_image(
@@ -767,15 +807,13 @@ def compile_after_image(
     ``columns`` order with bare names in scope and no session context.
     """
     bind = RowBinding(columns)
-    assignments = [
-        (bind.slot(ast.ColumnRef(a.column)), compile_expression(a.expr, bind))
-        for a in stmt.assignments
-    ]
+    assigned, maker = set_list_maker(stmt.assignments, bind, no_slot)
+    slots = [bind.slot(ast.ColumnRef(column)) for column in assigned]
+    new_values = maker((), NO_SESSION)
 
     def after_image(before: Sequence[Any]) -> tuple[Any, ...]:
         after = list(before)
-        for slot, kernel in assignments:
-            value = kernel(before, NO_SESSION)
+        for slot, value in zip(slots, new_values(before, NO_SESSION)):
             if slot is not None:  # a SET column the rows lack changes nothing
                 after[slot] = value
         return tuple(after)

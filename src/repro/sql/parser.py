@@ -26,7 +26,7 @@ every layer below finds what it already knows about the shape.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from ..errors import SqlError, SqlSyntaxError
 from . import ast_nodes as ast
@@ -86,6 +86,23 @@ class TemplateTable:
                 return _Parser(tokenize(sql), sql).parse_statement()
         return template.bind_text(values, lengths)
 
+    def prepared(
+        self,
+        key: Hashable,
+        cells: Sequence[Any],
+        build: Callable[[list[Any]], ast.Statement],
+    ) -> StatementTemplate:
+        """The template of the statements a program builds under ``key``
+        with ``cells`` of these classes — written by ``build`` the first time
+        (:meth:`StatementTemplate.prepared`), looked up and counted like a
+        parsed shape's ever after; bind with ``template.bind(cells, ())``."""
+        # What a text splits into starts with text, so never with ``None``.
+        shape = (None, key, tuple(map(type, cells)))
+        template = self._find(shape)
+        if template is None:
+            template = self._keep(shape, StatementTemplate.prepared(cells, build))
+        return template
+
     def clear(self) -> None:
         self._templates.clear()
         self.hits = 0
@@ -133,10 +150,15 @@ class TemplateTable:
         except SqlSyntaxError:
             _Parser(tokens, sql).parse_statement()
             raise
-        template = StatementTemplate(
-            "".join(part for part in shape if part is not None),
-            statement, kinds, [token.position for token in literals], lengths,
+        return self._keep(
+            shape,
+            StatementTemplate(
+                "".join(part for part in shape if part is not None),
+                statement, kinds, [token.position for token in literals], lengths,
+            ),
         )
+
+    def _keep(self, shape: tuple, template: StatementTemplate) -> StatementTemplate:
         self._templates[shape] = template
         while len(self._templates) > self.capacity:
             self._templates.popitem(last=False)

@@ -40,6 +40,7 @@ from operator import sub
 from typing import Any, Callable, Hashable, Sequence, TypeVar
 from weakref import WeakKeyDictionary
 
+from ..errors import SqlAnalysisError
 from ..scope import Scope
 from . import ast_nodes as ast
 from .expressions import Slot, no_slot
@@ -63,13 +64,24 @@ _POSITION_FIELDS = frozenset({"pos", "table_pos"})
 _Rebuild = Callable[[Sequence[Any], Sequence[int]], Any]
 
 
+#: The literal kind a Python value is written as, by its class (``None`` is
+#: the keyword ``NULL``; a value of any other class is not SQL's).
+_KIND_OF = {int: INTEGER, float: FLOAT, str: STRING}
+
+
+def slot_value(kind: str, index: int) -> Any:
+    """The sentinel of slot ``index``."""
+    if kind == INTEGER:
+        return _INTEGER_SLOTS + index
+    if kind == FLOAT:
+        return _FLOAT_SLOTS + index
+    return f"{_STRING_SLOTS}{index}"
+
+
 def slot_text(kind: str, index: int) -> str:
     """The token text that parses to the sentinel of slot ``index``."""
-    if kind == INTEGER:
-        return str(_INTEGER_SLOTS + index)
-    if kind == FLOAT:
-        return repr(_FLOAT_SLOTS + index)
-    return f"{_STRING_SLOTS}{index}"
+    value = slot_value(kind, index)
+    return value if kind == STRING else repr(value)
 
 
 #: The scope of facts that read nothing but the shape.
@@ -139,6 +151,34 @@ class StatementTemplate:
             WeakKeyDictionary()
         )
 
+    @classmethod
+    def prepared(
+        cls, cells: Sequence[Any], build: Callable[[list[Any]], ast.Statement]
+    ) -> "StatementTemplate":
+        """The template of statements the *program* builds, not the parser.
+
+        ``cells`` are the values of one such statement and ``build(slots)``
+        writes its tree, putting ``ast.Literal(slots[i])`` where cell ``i``
+        goes: the sentinel of slot ``i`` for a cell that is a literal
+        (INTEGER / FLOAT / STRING by its Python class), the cell itself — a
+        fixed part of the shape — for ``NULL``, which is no literal token.
+        Slot ``i`` is cell ``i`` and no node has a position, so any statement
+        with cells of these classes is ``bind(cells, ())``.
+        """
+        kinds = [_KIND_OF.get(cell.__class__) for cell in cells]
+        if kinds.count(None) != list(cells).count(None):
+            raise SqlAnalysisError(f"not all SQL literals or NULL: {cells!r}")
+        slots = [
+            cell if kind is None else slot_value(kind, index)
+            for index, (cell, kind) in enumerate(zip(cells, kinds))
+        ]
+        statement = build(slots)
+        shape = statement.to_sql()
+        for slot, kind in zip(slots, kinds):
+            if kind is not None:
+                shape = shape.replace(ast.sql_literal(slot), kind)
+        return cls(shape, statement, kinds, (), ())
+
     # ------------------------------------------------------------------ slots
     def slot(self, value: Any) -> int | None:
         """Which literal ``value`` — found in :attr:`statement` — stands for.
@@ -174,6 +214,15 @@ class StatementTemplate:
 
     def _rebuilder(self, value: Any, field: str | None = None) -> _Rebuild | None:
         """How ``value`` differs between texts of the shape; None: it does not."""
+        # A slot's literal is rebuilt directly: the commonest node, and what
+        # a row of a prepared INSERT is made of.
+        index = self.slot(value.value) if isinstance(value, ast.Literal) else None
+        if index is not None:
+            pos = value.pos
+            behind = 0 if pos is None else bisect_left(self.starts, pos)
+            if behind == 0:
+                return lambda values, shifts: ast.Literal(values[index], pos)
+            return lambda values, by: ast.Literal(values[index], pos + by[behind])
         if dataclasses.is_dataclass(value) and not isinstance(value, type):
             names = [f.name for f in dataclasses.fields(value) if f.init]
             return self._composite(
@@ -267,4 +316,24 @@ def shaped(
     return (
         template.fact(scope, key, lambda: build(template.statement, template.slot)),
         binding.values,
+    )
+
+
+def reshaped(
+    statement: ast.Statement,
+    scope: Scope,
+    key: Hashable,
+    rewrite: Callable[[ast.Statement], ast.Statement],
+) -> ast.Statement:
+    """``rewrite(statement)``, for a rewrite that moves literals without
+    reading them: a statement with a template has its *shape* rewritten once
+    per ``scope`` (:meth:`StatementTemplate.rewritten`) and its own literals
+    bound into the result, so what comes back is a statement of the rewritten
+    shape, with that shape's template and facts."""
+    binding = statement.binding
+    if binding is None:
+        return rewrite(statement)
+    template = binding.template
+    return template.fact(scope, key, lambda: template.rewritten(rewrite)).bind(
+        binding.values, binding.shifts
     )

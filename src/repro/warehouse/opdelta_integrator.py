@@ -57,7 +57,7 @@ from ..semantics.planner import (
 )
 from ..sql import ast_nodes as ast
 from .aggregates import MaterializedAggregateView
-from .value_integrator import IntegrationReport, transactional_unit
+from .value_integrator import IntegrationReport, delete_by_key, transactional_unit
 from .views import MaterializedView
 
 #: Resolves the delta rule for (view name, operation) — either the plain
@@ -619,13 +619,16 @@ class OpDeltaIntegrator:
         report.fallback_images_applied += 1
         if not op.before_image:
             return None
-        keys = tuple(ast.Literal(row[key_index]) for row in op.before_image)
-        where: ast.Expression
+        keys = [row[key_index] for row in op.before_image]
         if len(keys) == 1:
-            where = ast.BinaryOp("=", ast.ColumnRef(schema.primary_key), keys[0])
-        else:
-            where = ast.InList(ast.ColumnRef(schema.primary_key), keys)
-        rewritten = ast.DeleteStmt(table=op.table, where=where)
+            rewritten = delete_by_key(op.table, schema.primary_key, keys[0])
+        else:  # as many shapes as images: a one-off tree
+            rewritten = ast.DeleteStmt(
+                op.table,
+                ast.InList(
+                    ast.ColumnRef(schema.primary_key), tuple(map(ast.Literal, keys))
+                ),
+            )
         return dataclasses.replace(
             op, statement_text=rewritten.to_sql(), _parsed=rewritten
         )

@@ -14,6 +14,18 @@ Concretely, for a batch of value deltas this integrator issues:
 all inside a single warehouse transaction.  The per-statement overhead times
 2x statements for updates is exactly why the paper's maintenance window is
 31.8% / 69.7% longer than Op-Delta's for deletes / updates.
+
+That overhead is the *modelled* one (``stmt_overhead`` on the virtual clock,
+charged per statement as ever).  On the host clock the DELETE by key and the
+single-row INSERT are the integrator's fixed repertoire, so they are **bound
+from prepared templates** (:func:`delete_by_key`, :func:`insert_row`; DESIGN.md
+"Statement templates"): the executor's per-shape work is done once per target
+table, not once per record.  Only the array INSERT of a run — as many shapes
+as runs have lengths — is built as a tree; its literal rows are read, not
+compiled.  A DELETE of a DELETE/UPDATE record must find its row: a before
+image that addresses nothing means the mirror is not the state the delta was
+extracted against, and the batch is refused (UPSERT, whose provenance is
+unknown by definition, stays lenient).
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from ..errors import WarehouseError
 from ..extraction.deltas import ChangeKind, DeltaBatch
 from ..obs.pipeline.context import ambient_pipeline
 from ..sql import ast_nodes as ast
+from ..sql.parser import TEMPLATES
 from .aggregates import MaterializedAggregateView
 from .views import MaterializedView
 
@@ -158,12 +171,17 @@ class ValueDeltaIntegrator:
             with self._session.database.tracer.span(
                 "warehouse.apply.value_batch", table=batch.table
             ):
-                for statement in self._batch_statements(
+                for statement, must_find in self._batch_statements(
                     batch, target, key_column, key_index
                 ):
                     result = self._session.execute_statement(statement)
                     report.statements_issued += 1
                     report.rows_affected += result.rows_affected
+                    if must_find and not result.rows_affected:
+                        raise WarehouseError(
+                            f"{statement.to_sql()} found no row to delete "
+                            "(mirror state diverged)"
+                        )
             for view in [*self._views, *self._aggregate_views]:
                 if view.definition.base_table == batch.table:
                     view.apply_value_delta(batch.records, txn)
@@ -196,25 +214,28 @@ class ValueDeltaIntegrator:
     # --------------------------------------------------------------- internals
     def _batch_statements(
         self, batch: DeltaBatch, target: str, key_column: str, key_index: int
-    ):
-        """Statements for a whole batch.
+    ) -> Iterator[tuple[ast.Statement, bool]]:
+        """``(statement, must find its row)`` for a whole batch.
 
         Runs of consecutive INSERT records collapse into one array-insert
         statement — "each original insert transaction will be captured as
         one value delta record which will be translated into one insert SQL
         statement", which is why insert maintenance costs the same under
         both delta representations.  Updates and deletes stay one (or two)
-        statements *per record*: their transaction context is lost.
+        statements *per record*: their transaction context is lost.  Those
+        two are the integrator's fixed repertoire and are bound from their
+        prepared templates; the array INSERT has as many shapes as runs have
+        lengths, and is built as the one-off tree it is.
         """
         pending_inserts: list[tuple[Any, ...]] = []
 
-        def flush():
+        def flush() -> Iterator[tuple[ast.Statement, bool]]:
             if pending_inserts:
                 rows = tuple(
                     tuple(ast.Literal(v) for v in row) for row in pending_inserts
                 )
                 pending_inserts.clear()
-                yield ast.InsertStmt(target, None, rows=rows)
+                yield ast.InsertStmt(target, None, rows=rows), False
 
         for record in batch.records:
             if record.kind is ChangeKind.INSERT:
@@ -222,33 +243,37 @@ class ValueDeltaIntegrator:
                 pending_inserts.append(record.after)
                 continue
             yield from flush()
-            yield from self._statements_for(record, target, key_column, key_index)
+            # DELETE by key, then (unless the row is gone) INSERT the after
+            # image.  UPDATE replaces its before image.  UPSERT (timestamp
+            # extraction) has unknown provenance: delete any existing image
+            # of the final state, then insert it.
+            known = record.kind is not ChangeKind.UPSERT
+            replaced = record.before if known else record.after
+            assert replaced is not None
+            yield delete_by_key(target, key_column, replaced[key_index]), known
+            if record.after is not None:
+                yield insert_row(target, record.after), False
         yield from flush()
 
-    def _statements_for(
-        self, record, target: str, key_column: str, key_index: int
-    ) -> list[ast.Statement]:
-        """DELETE by key, then (unless the row is gone) INSERT the after image."""
 
-        def delete_stmt(row: tuple[Any, ...]) -> ast.DeleteStmt:
-            key = ast.BinaryOp(
-                "=", ast.ColumnRef(key_column), ast.Literal(row[key_index])
-            )
-            return ast.DeleteStmt(target, key)
+def delete_by_key(table: str, key_column: str, key: Any) -> ast.Statement:
+    """``DELETE FROM table WHERE key_column = key``, bound from its template."""
+    return TEMPLATES.prepared(
+        ("delete by key", table, key_column),
+        (key,),
+        lambda slots: ast.DeleteStmt(
+            table, ast.BinaryOp("=", ast.ColumnRef(key_column), ast.Literal(slots[0]))
+        ),
+    ).bind((key,), ())
 
-        if record.kind is ChangeKind.DELETE:
-            assert record.before is not None
-            return [delete_stmt(record.before)]
-        assert record.after is not None
-        # UPDATE replaces its before image.  UPSERT (timestamp extraction)
-        # has unknown provenance: delete any existing image of the final
-        # state, then insert it.
-        replaced = record.after
-        if record.kind is ChangeKind.UPDATE:
-            assert record.before is not None
-            replaced = record.before
-        literals = tuple(ast.Literal(v) for v in record.after)
-        return [
-            delete_stmt(replaced),
-            ast.InsertStmt(target, None, rows=(literals,)),
-        ]
+
+def insert_row(table: str, row: tuple[Any, ...]) -> ast.Statement:
+    """``INSERT INTO table VALUES (row)``, bound from the template of rows
+    whose cells have these classes (a NULL cell is part of the shape)."""
+    return TEMPLATES.prepared(
+        ("insert row", table),
+        row,
+        lambda slots: ast.InsertStmt(
+            table, None, rows=(tuple(map(ast.Literal, slots)),)
+        ),
+    ).bind(row, ())

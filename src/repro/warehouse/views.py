@@ -5,8 +5,10 @@ source table inside the warehouse database and can be maintained either
 
 * from **Op-Deltas** (:meth:`MaterializedView.apply_operation`) — using the
   self-maintainability analysis: operations that are maintainable alone are
-  rewritten onto the view; operations that are not use the hybrid before
-  image; or
+  rewritten onto the view (once per statement *shape*: the rewrite is filed
+  on the operation's template, :func:`repro.sql.templates.reshaped`, so the
+  executor meets a statement whose access it already knows); operations
+  that are not use the hybrid before image; or
 * from **value deltas** (:meth:`MaterializedView.apply_value_delta`) — the
   classic per-row image path.
 
@@ -35,6 +37,7 @@ from ..errors import WarehouseError
 from ..sql import ast_nodes as ast
 from ..sql.executor import Executor
 from ..sql.expressions import NO_SESSION, RowBinding, compile_predicate
+from ..sql.templates import reshaped
 
 
 class MaterializedView:
@@ -170,18 +173,27 @@ class MaterializedView:
         """Execute the operation directly against the view storage table.
 
         Valid only on the OP_ONLY path: every referenced column is
-        projected, and membership cannot change.
+        projected, and membership cannot change.  The rewrite moves the
+        statement's literals without reading them, so a parsed statement's
+        shape is rewritten once (filed on its template under the storage
+        table's version) and its literals bound into the result — the
+        executor then finds that shape's access, as the mirror's does.
         """
-        stmt = op.statement
+        rewritten = reshaped(
+            op.statement, self.table.version, "view-rewrite", self._onto_storage
+        )
+        self._executor.execute(rewritten, txn)
+
+    def _onto_storage(self, stmt: ast.Statement) -> ast.Statement:
+        """``stmt`` as a statement on the storage table, narrowed to the view."""
         if isinstance(stmt, ast.UpdateStmt):
-            rewritten: ast.Statement = ast.UpdateStmt(
+            return ast.UpdateStmt(
                 self.definition.name, stmt.assignments, self._narrow(stmt.where)
             )
-        elif isinstance(stmt, ast.DeleteStmt):
-            rewritten = ast.DeleteStmt(self.definition.name, self._narrow(stmt.where))
-        else:  # pragma: no cover - inserts take _apply_derived_images
-            raise WarehouseError("unexpected statement kind on the rewrite path")
-        self._executor.execute(rewritten, txn)
+        if isinstance(stmt, ast.DeleteStmt):
+            return ast.DeleteStmt(self.definition.name, self._narrow(stmt.where))
+        # Inserts take _apply_derived_images.
+        raise WarehouseError("unexpected statement kind on the rewrite path")
 
     def _narrow(self, where: ast.Expression | None) -> ast.Expression | None:
         """Conjoin the view's selection predicate with the operation's WHERE.

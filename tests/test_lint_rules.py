@@ -1294,6 +1294,79 @@ class TestRepro017RowIdsAreAskedForToBeUsed:
         }
 
 
+class TestRepro018TheWarehouseBindsItsStatements:
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO018" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    TREES = (
+        "def statements_for(record, target, key):\n"
+        "    delete = ast.DeleteStmt(target, key)\n"
+        "    insert = ast.InsertStmt(target, None, rows=(record.after,))\n"
+        "    update = UpdateStmt(target, (), None)\n"
+        "    return delete, insert, update\n"
+    )
+
+    def test_a_tree_built_in_the_warehouse_is_flagged(self, tmp_path):
+        violations = lint_source(tmp_path, self.TREES, name="repro/warehouse/olap.py")
+        assert self.flagged(violations) == [2, 3, 4]
+        assert "DeleteStmt()" in violations[0] and "prepared" in violations[0]
+        # The rule is the warehouse's: the transformer and the coalescer
+        # rewrite whole statements, and are held to their own tests.
+        assert lint_source(tmp_path, self.TREES, name="repro/core/transform.py") == []
+
+    def test_a_template_builder_may_build(self, tmp_path):
+        source = (
+            "def delete_by_key(table, column, key):\n"
+            "    return TEMPLATES.prepared(\n"
+            "        ('delete by key', table, column), (key,),\n"
+            "        lambda slots: ast.DeleteStmt(table, equals(column, slots[0])),\n"
+            "    ).bind((key,), ())\n"
+            "class View:\n"
+            "    def apply(self, op, txn):\n"
+            "        return reshaped(op.statement, self.scope, 'view', self._onto)\n"
+            "    def _onto(self, stmt):\n"
+            "        if isinstance(stmt, ast.UpdateStmt):\n"
+            "            return ast.UpdateStmt(self.name, stmt.assignments, stmt.where)\n"
+            "        return ast.DeleteStmt(self.name, stmt.where)\n"
+            "    def derived(self, template):\n"
+            "        return template.rewritten(rewrite=self._onto)\n"
+            "    def _elsewhere(self, stmt):\n"
+            "        return ast.DeleteStmt(self.name, stmt.where)\n"
+        )
+        violations = lint_source(tmp_path, source, name="repro/warehouse/views.py")
+        assert self.flagged(violations) == [16]
+
+    def test_a_statement_with_a_shape_per_length_has_its_budget(self, tmp_path):
+        run = (
+            "def flush(target, pending):\n"
+            "    return ast.InsertStmt(target, None, rows=tuple(pending))\n"
+        )
+        for module in ("value_integrator.py", "opdelta_integrator.py"):
+            name = f"repro/warehouse/{module}"
+            assert lint_source(tmp_path, run, name=name) == []
+            assert self.flagged(
+                lint_source(tmp_path, run + self.TREES, name=name)
+            ) == [4, 5, 6]
+
+    def test_the_repository_builds_only_its_two_one_off_statements(self):
+        package = REPO / "src" / "repro" / "warehouse"
+        built = {}
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO018" in v
+            ] == [], path
+            text = path.read_text(encoding="utf-8")
+            if count := len(re.findall(r"ast\.(?:Insert|Update|Delete)Stmt\(", text)):
+                built[path.name] = count
+        # The array INSERT of a run and the two prepared builders; the IN-list
+        # DELETE of a multi-row fallback; the view's rewrite onto its storage.
+        assert built == {
+            "opdelta_integrator.py": 1, "value_integrator.py": 3, "views.py": 2,
+        }
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

@@ -1,5 +1,7 @@
 """Tests for the planner/executor: access paths, joins, aggregates, DML."""
 
+import dataclasses
+
 import pytest
 
 from repro.clock import VirtualClock
@@ -417,6 +419,39 @@ class TestDml:
         result = session.execute("UPDATE parts SET quantity = 0 WHERE part_id = 3")
         assert "index" in result.plan
         assert result.rows_affected == 1
+
+    # A column named twice used to take the last value written — silently,
+    # unless the optional SemanticChecker (SEM005) happened to be attached.
+    # ``templated`` runs the statement as parsed (the shape's template decides
+    # once); stripped of its binding it is built from afresh.
+    @staticmethod
+    def _run(session, sql, templated):
+        statement = parse(sql)
+        if not templated:
+            statement = dataclasses.replace(statement)
+            assert statement.binding is None
+        return session.execute_statement(statement)
+
+    @pytest.mark.parametrize("templated", [True, False])
+    def test_insert_naming_a_column_twice_is_refused(self, session, templated):
+        sql = (
+            "INSERT INTO suppliers (supplier_id, supplier_id, supplier_name, "
+            "region) VALUES (90, 91, 'twice', 'R0')"
+        )
+        for _again in range(2):  # the verdict is the shape's: same every time
+            with pytest.raises(SqlAnalysisError, match="'supplier_id' listed twice"):
+                self._run(session, sql, templated)
+        assert session.scalar("SELECT COUNT(*) FROM suppliers") == 20
+
+    @pytest.mark.parametrize("templated", [True, False])
+    def test_update_assigning_a_column_twice_is_refused(self, session, templated):
+        sql = "UPDATE suppliers SET region = 'a', region = 'b' WHERE supplier_id = 3"
+        for _again in range(2):
+            with pytest.raises(SqlAnalysisError, match="'region' assigned twice"):
+                self._run(session, sql, templated)
+        assert session.query(
+            "SELECT region FROM suppliers WHERE supplier_id = 3"
+        ) == [("R3",)]
 
 
 class TestDdl:

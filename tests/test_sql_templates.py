@@ -16,11 +16,13 @@ from repro.core.selfmaint import ViewDefinition
 from repro.engine import Column, Database, TableSchema
 from repro.engine.types import FLOAT, INTEGER, char
 from repro.errors import SqlAnalysisError, SqlSyntaxError
+from repro.extraction.deltas import ChangeKind, DeltaBatch, DeltaRecord
+from repro.obs.introspect import StoreBundle, SystemCatalog
 from repro.scope import Scope
 from repro.semantics import SchemaCatalog, SemanticChecker, ViewMaintenancePlanner
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import TEMPLATES, TemplateTable, parse
-from repro.warehouse import OpDeltaIntegrator, Warehouse
+from repro.warehouse import OpDeltaIntegrator, ValueDeltaIntegrator, Warehouse
 from repro.workloads import PartsGenerator, parts_schema, strip_timestamp
 
 
@@ -336,3 +338,71 @@ class TestKernelsAreKeptPerShape:
             cache.get(other, scope, "update", build)
         assert len(built) == 2  # once per shape, not once per statement
         assert (cache.compiles, cache.hits) == (2, 2)
+
+
+class TestPreparedTemplates:
+    """Statements the program builds bind a template it wrote itself."""
+
+    def test_a_prepared_template_binds_the_tree_the_program_would_build(self):
+        table = TemplateTable()
+
+        def build(slots):
+            return ast.InsertStmt("items", None, rows=(tuple(map(ast.Literal, slots)),))
+
+        row = (7, None, "it's")
+        template = table.prepared(("insert row", "items"), row, build)
+        assert template.shape == "INSERT INTO items VALUES (INTEGER, NULL, STRING)"
+        assert template.kinds == ("INTEGER", None, "STRING")
+        bound = template.bind(row, ())
+        assert bound == build(list(row)) and bound.binding.template is template
+        # Same key, same classes: the same template, whatever the values —
+        # a value that equals a slot sentinel included.
+        other = (1 << 60, None, "\x002")
+        assert table.prepared(("insert row", "items"), other, build) is template
+        assert template.bind(other, ()) == build(list(other))
+        assert (template.hits, template.binds, len(table)) == (1, 2, 1)
+        # A NULL cell is part of the shape, not a slot.
+        full = table.prepared(("insert row", "items"), (7, 3, "x"), build)
+        assert full is not template and len(table) == 2
+        assert full.shape == "INSERT INTO items VALUES (INTEGER, INTEGER, STRING)"
+        # A program key never meets the shape of a text.
+        assert table.lookup(template.shape) is None
+        with pytest.raises(SqlAnalysisError, match="SQL literals or NULL"):
+            table.prepared(("insert row", "items"), (7, True, "x"), build)
+
+    def test_five_thousand_update_records_bind_two_templates(self):
+        """One DELETE by key and one row INSERT per record: the value
+        integrator's whole repertoire, listed by ``sys.templates``."""
+        database = items_db("prepared")
+        rows = {values[0]: values for values in database.table("items").scan_values()}
+        integrator = ValueDeltaIntegrator(database.internal_session())
+        TEMPLATES.clear()
+        sequence = 0
+
+        def listed():
+            return SystemCatalog(StoreBundle()).query(
+                "SELECT shape, kind, hits, binds, builds FROM sys.templates "
+                "WHERE table_name = 'items' ORDER BY kind"
+            ).rows
+
+        for window in range(10):
+            batch = DeltaBatch("items", database.table("items").schema)
+            for _record in range(500):
+                sequence += 1
+                before = rows[sequence % 20]
+                after = rows[sequence % 20] = (before[0], sequence, before[2])
+                batch.append(
+                    DeltaRecord(ChangeKind.UPDATE, before[0], before=before, after=after)
+                )
+            report = integrator.integrate(batch)
+            assert report.statements_issued == report.rows_affected == 1000
+            if window == 0:
+                after_one_window = len(TEMPLATES)
+        assert sorted(database.table("items").scan_values()) == sorted(rows.values())
+        # No growth: two shapes after 500 records, two after 5,000; each was
+        # written once and had its one executor fact built once.
+        assert after_one_window == len(TEMPLATES) == 2
+        assert listed() == [
+            ("DELETE FROM items WHERE (k = INTEGER)", "DELETE", 4999, 5000, 1),
+            ("INSERT INTO items VALUES (INTEGER, INTEGER, STRING)", "INSERT", 4999, 5000, 1),
+        ]

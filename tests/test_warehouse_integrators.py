@@ -171,6 +171,57 @@ class TestValueDeltaIntegrator:
         assert logical(warehouse.database) == logical(source)
 
 
+    # A record whose before image addresses no mirror row means the mirror
+    # is not the state the delta was extracted against.  The view path has
+    # always refused that ("view state diverged"); the mirror used to skip a
+    # DELETE and to *insert* the after image of an UPDATE.
+    ABSENT = 9_999_999
+
+    def _absent_row(self, warehouse, **changes):
+        template = next(iter(warehouse.database.table("parts").scan_values()))
+        row = (self.ABSENT, self.ABSENT) + template[2:]
+        return row[:5] + (changes.get("quantity", row[5]),) + row[6:]
+
+    def test_delete_record_for_a_missing_row_is_refused(self, pipeline):
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        before = self._absent_row(warehouse)
+        batch = DeltaBatch("parts", parts_schema())
+        present = next(iter(warehouse.database.table("parts").scan_values()))
+        batch.append(DeltaRecord(ChangeKind.DELETE, present[0], before=present))
+        batch.append(DeltaRecord(ChangeKind.DELETE, self.ABSENT, before=before))
+        mirror = logical(warehouse.database)
+        integrator = ValueDeltaIntegrator(warehouse.database.internal_session())
+        with pytest.raises(WarehouseError, match="found no row to delete"):
+            integrator.integrate(batch)
+        # The whole batch rolled back, the DELETE that did find its row too.
+        assert logical(warehouse.database) == mirror
+
+    def test_update_record_for_a_missing_row_is_refused(self, pipeline):
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        before = self._absent_row(warehouse)
+        after = self._absent_row(warehouse, quantity=7)
+        batch = DeltaBatch("parts", parts_schema())
+        batch.append(
+            DeltaRecord(ChangeKind.UPDATE, self.ABSENT, before=before, after=after)
+        )
+        mirror = logical(warehouse.database)
+        integrator = ValueDeltaIntegrator(warehouse.database.internal_session())
+        with pytest.raises(WarehouseError, match="mirror state diverged"):
+            integrator.integrate(batch)
+        assert logical(warehouse.database) == mirror  # no phantom row
+
+    def test_upsert_of_an_absent_row_still_applies(self, pipeline):
+        """UPSERT's provenance is unknown by definition: nothing to find."""
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        after = self._absent_row(warehouse, quantity=7)
+        batch = DeltaBatch("parts", parts_schema())
+        batch.append(DeltaRecord(ChangeKind.UPSERT, self.ABSENT, after=after))
+        integrator = ValueDeltaIntegrator(warehouse.database.internal_session())
+        report = integrator.integrate(batch)
+        assert (report.statements_issued, report.rows_affected) == (2, 1)
+        assert after in set(warehouse.database.table("parts").scan_values())
+
+
 class TestOpDeltaIntegrator:
     def test_converges_and_preserves_boundaries(self, pipeline):
         source, workload, store, _triggers, warehouse = pipeline

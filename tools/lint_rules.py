@@ -218,6 +218,23 @@ reorder those additions, and virtual time is compared to the bit.  A
 ``for`` statement is where such a consumer writes its loop
 (``take_snapshot``) and is not flagged.
 
+**REPRO018 — the warehouse binds its statements, it does not build them.**
+A statement built as a tree has no template, so the executor runs every
+per-shape builder for it — columns read, sargable conjuncts, an emitter
+compile — every time; the value integrator once issued ~600 such statements
+per maintenance window.  The fixed repertoire of program-built DML goes
+through a template instead: ``TEMPLATES.prepared(key, cells, build)`` for a
+statement the program writes (``build`` is run once per shape),
+``reshaped(statement, scope, key, rewrite)`` / ``template.rewritten(rewrite)``
+for one it rewrites.  So under ``repro/warehouse/`` an ``InsertStmt(`` /
+``UpdateStmt(`` / ``DeleteStmt(`` construction is flagged unless it stands
+inside such a builder — a ``lambda`` or a function of the module passed to
+``prepared(`` / ``reshaped(`` / ``rewritten(`` — except, counted per module,
+for the statement that has as many shapes as its input has lengths: the
+array INSERT of a run of insert records (``value_integrator.py``) and the
+``IN``-list DELETE of a multi-row volatile fallback
+(``opdelta_integrator.py``), one each.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -450,6 +467,16 @@ DISCARDED_ROW_ID_BUDGETS = {
     "repro/engine/utilities.py": 1,
     "repro/bench/experiments/freshness.py": 2,
     "repro/bench/experiments/aggregate_views.py": 1,
+}
+
+#: REPRO018: the DML node classes, the calls whose function argument is a
+#: template builder, and module suffix -> how many statements may be built
+#: as one-off trees (as many shapes as the input has lengths).
+DML_NODE_CLASSES = ("InsertStmt", "UpdateStmt", "DeleteStmt")
+TEMPLATE_BUILDER_CALLS = ("prepared", "reshaped", "rewritten")
+ONE_OFF_STATEMENT_BUDGETS = {
+    "repro/warehouse/value_integrator.py": 1,
+    "repro/warehouse/opdelta_integrator.py": 1,
 }
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
@@ -970,6 +997,49 @@ def _discarded_row_id_violations(
     ]
 
 
+def _unprepared_statement_violations(
+    path: Path, tree: ast.AST, normalized: str
+) -> list[str]:
+    """REPRO018: warehouse DML built as a tree outside a template builder."""
+    if WAREHOUSE_PATH_FRAGMENT not in normalized:
+        return []
+    def last_name(node: ast.AST) -> str:
+        return (dotted_name(node) or "").rpartition(".")[2]
+
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    builders: list[ast.AST] = []
+    named: set[str] = set()
+    for call in calls:
+        if last_name(call.func) in TEMPLATE_BUILDER_CALLS:
+            for argument in [*call.args, *(k.value for k in call.keywords)]:
+                if isinstance(argument, ast.Lambda):
+                    builders.append(argument)
+                elif name := last_name(argument):
+                    named.add(name)
+    builders.extend(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in named
+    )
+    inside = {id(inner) for builder in builders for inner in ast.walk(builder)}
+    budget = next(
+        (
+            n for suffix, n in ONE_OFF_STATEMENT_BUDGETS.items()
+            if normalized.endswith(suffix)
+        ),
+        0,
+    )
+    found = sorted(
+        (call.lineno, last_name(call.func))
+        for call in calls
+        if last_name(call.func) in DML_NODE_CLASSES and id(call) not in inside
+    )
+    return [
+        f"{path}:{lineno}: REPRO018 {name}() built outside a template builder; "
+        "bind it from TEMPLATES.prepared(...) or rewrite it through reshaped(...)"
+        for lineno, name in found[budget:]
+    ]
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -1001,6 +1071,7 @@ def lint_file(path: Path) -> list[str]:
     violations.extend(_pipeline_assembly_violations(path, tree, normalized))
     violations.extend(_code_instantiation_violations(path, tree, normalized))
     violations.extend(_discarded_row_id_violations(path, tree, normalized))
+    violations.extend(_unprepared_statement_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
