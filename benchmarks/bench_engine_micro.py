@@ -36,6 +36,12 @@ template table warm and cleared before every call (~13 us against ~75 on the
 box this was written on), and ``test_analyze_statement_template_hit`` the
 analyzer's record for such a statement once its shape is known.
 
+``test_walk_predicate`` times the one AST traversal
+(:func:`repro.sql.ast_nodes.walk`) over a five-conjunct WHERE, and
+``test_transform_update_template_miss`` the transformer's rewrite of an
+UPDATE of a shape it has not filed yet — both built on the table of child
+fields derived from the node classes.
+
 The row-vs-columnar pair at the bottom compares two *bindings* of the one
 SQL expression compiler (:mod:`repro.sql.expressions`) — a kernel over row
 tuples and a kernel over column arrays run the same interior-node code —
@@ -50,6 +56,7 @@ import pytest
 
 from repro.analysis import OpDeltaAnalyzer
 from repro.columnar import ColumnBatch, ColumnarApplier, compile_predicate
+from repro.core import StatementTransformer, TableMapping
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
 from repro.engine.page import slots_per_page
@@ -132,6 +139,46 @@ def test_parse_template_miss(benchmark):
         parse_cold, iterations=200, rounds=30, warmup_rounds=1
     )
     assert statement.table == "parts" and table.misses == 1
+
+
+_FIVE_CONJUNCTS = (
+    "quantity > 10 AND supplier_id = 3 AND status <> 'retired' "
+    "AND price <= 99.5 AND part_ref >= 100"
+)
+
+
+def test_walk_predicate(benchmark):
+    """Every node of a five-conjunct WHERE: what the executor's
+    ``_columns_read`` pays per SELECT before anything is read."""
+    where = parse(f"DELETE FROM parts WHERE {_FIVE_CONJUNCTS}").where
+    nodes = benchmark.pedantic(
+        expressions.walk, (where,), iterations=200, rounds=150, warmup_rounds=2
+    )
+    assert len(nodes) == 19
+
+
+def test_transform_update_template_miss(benchmark):
+    """An UPDATE onto a renaming warehouse schema, its shape not yet filed:
+    the tree rewrite, the rewritten shape's template, one bind — what the
+    first statement of a shape costs at the integrator (every later one is a
+    bind)."""
+    names = parts_schema().column_names
+    mapping = TableMapping(
+        "parts", "dw_parts", {name: f"w_{name}" for name in names}, names
+    )
+    statement = parse(
+        "UPDATE parts SET status = 'revised', price = price * 1.05 "
+        f"WHERE {_FIVE_CONJUNCTS}"
+    )
+
+    def transform_cold():
+        # A transformer files rewritten shapes under its own scope.
+        return StatementTransformer({"parts": mapping}).transform(statement)
+
+    transformed = benchmark.pedantic(
+        transform_cold, iterations=50, rounds=60, warmup_rounds=1
+    )
+    assert transformed.table == "dw_parts" and "w_price" in transformed.to_sql()
 
 
 def test_analyze_statement_template_hit(benchmark):

@@ -29,7 +29,11 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from ..core.opdelta import OpKind, classify_statement
 from ..errors import AnalysisError
 from ..sql import ast_nodes as ast
-from ..sql.expressions import referenced_columns, split_conjuncts
+from ..sql.expressions import (
+    referenced_columns,
+    split_conjuncts,
+    statement_columns,
+)
 from ..sql.templates import SHAPE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -350,9 +354,7 @@ class StatementFootprint:
 
     @property
     def assignments(self) -> tuple[ast.Assignment, ...]:
-        if isinstance(self.statement, ast.UpdateStmt):
-            return self.statement.assignments
-        return ()
+        return getattr(self.statement, "assignments", ())  # an UPDATE's
 
     @cached_property
     def determinism(self) -> "Determinism":
@@ -422,65 +424,24 @@ def _footprint(
     table: str,
     layout: Sequence[str] | None,
 ) -> StatementFootprint:
+    if not ast.is_dml(statement):
+        raise AnalysisError(
+            f"cannot extract a footprint from {type(statement).__name__}"
+        )
+    where = getattr(statement, "where", None)  # an INSERT has none
     if isinstance(statement, ast.InsertStmt):
         names = statement.columns if statement.columns is not None else layout
-        reads: set[str] = set()
-        reads_all = statement.select is not None
-        for row in statement.rows:
-            for expr in row:
-                reads |= referenced_columns(expr)
-        return StatementFootprint(
-            table=table,
-            kind=kind,
-            reads=frozenset(reads),
-            reads_all_columns=reads_all,
-            writes=frozenset(names) if names is not None else frozenset(),
-            writes_all_columns=True,
-            where_columns=frozenset(),
-            row_range=_row_range(statement, layout),
-            statement=statement,
-        )
-
-    if isinstance(statement, ast.UpdateStmt):
-        where_cols = (
-            referenced_columns(statement.where)
-            if statement.where is not None
-            else set()
-        )
-        assigned = {a.column for a in statement.assignments}
-        inputs: set[str] = set()
-        for assignment in statement.assignments:
-            inputs |= referenced_columns(assignment.expr)
-        return StatementFootprint(
-            table=table,
-            kind=kind,
-            reads=frozenset(where_cols | inputs),
-            reads_all_columns=False,
-            writes=frozenset(assigned),
-            writes_all_columns=False,
-            where_columns=frozenset(where_cols),
-            row_range=_row_range(statement, layout),
-            statement=statement,
-        )
-
-    if isinstance(statement, ast.DeleteStmt):
-        where_cols = (
-            referenced_columns(statement.where)
-            if statement.where is not None
-            else set()
-        )
-        return StatementFootprint(
-            table=table,
-            kind=kind,
-            reads=frozenset(where_cols),
-            reads_all_columns=False,
-            writes=frozenset(),
-            writes_all_columns=True,
-            where_columns=frozenset(where_cols),
-            row_range=_row_range(statement, layout),
-            statement=statement,
-        )
-
-    raise AnalysisError(
-        f"cannot extract a footprint from {type(statement).__name__}"
+        writes = frozenset(names or ())
+    else:
+        writes = frozenset(a.column for a in getattr(statement, "assignments", ()))
+    return StatementFootprint(
+        table=table,
+        kind=kind,
+        reads=frozenset(statement_columns(statement)),
+        reads_all_columns=getattr(statement, "select", None) is not None,
+        writes=writes,
+        writes_all_columns=not isinstance(statement, ast.UpdateStmt),
+        where_columns=frozenset(() if where is None else referenced_columns(where)),
+        row_range=_row_range(statement, layout),
+        statement=statement,
     )

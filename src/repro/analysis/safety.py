@@ -82,7 +82,10 @@ _NON_TIME_VOLATILE = frozenset(ast.VOLATILE_FUNCTIONS) - frozenset(
 
 def expression_determinism(expr: ast.Expression | None) -> Determinism:
     """Classify one expression by the functions it invokes."""
-    functions = referenced_functions(expr)
+    return _determinism_of(referenced_functions(expr))
+
+
+def _determinism_of(functions: set[str]) -> Determinism:
     if functions & _NON_TIME_VOLATILE:
         return Determinism.VOLATILE
     if functions & frozenset(ast.TIME_FUNCTIONS):
@@ -101,37 +104,10 @@ def statement_determinism(statement: ast.Statement) -> Determinism:
 
 
 def _determinism(statement: ast.Statement) -> Determinism:
-    worst = Determinism.DETERMINISTIC
-
-    def fold(expr: ast.Expression | None) -> None:
-        nonlocal worst
-        level = expression_determinism(expr)
-        if _RANK[level] > _RANK[worst]:
-            worst = level
-
-    if isinstance(statement, ast.InsertStmt):
-        for row in statement.rows:
-            for expr in row:
-                fold(expr)
-        if statement.select is not None:
-            fold(statement.select.where)
-            for item in statement.select.items:
-                if isinstance(item.expr, ast.Expression):
-                    fold(item.expr)
-    elif isinstance(statement, ast.UpdateStmt):
-        fold(statement.where)
-        for assignment in statement.assignments:
-            fold(assignment.expr)
-    elif isinstance(statement, ast.DeleteStmt):
-        fold(statement.where)
-    return worst
-
-
-_RANK = {
-    Determinism.DETERMINISTIC: 0,
-    Determinism.TIME_DEPENDENT: 1,
-    Determinism.VOLATILE: 2,
-}
+    # The worst of its expressions is the class of all they call together.
+    return _determinism_of(
+        set().union(*map(referenced_functions, ast.expressions(statement)))
+    )
 
 
 def pin_time_functions(
@@ -146,62 +122,12 @@ def pin_time_functions(
     recoverable value and the caller must fall back to value deltas.
     """
 
-    def rewrite(expr: ast.Expression) -> ast.Expression:
-        if isinstance(expr, ast.FuncCall):
-            if expr.function in ast.TIME_FUNCTIONS:
-                return ast.Literal(at_ms)
-            return dataclasses.replace(
-                expr, args=tuple(rewrite(a) for a in expr.args)
-            )
-        if isinstance(expr, ast.BinaryOp):
-            return dataclasses.replace(
-                expr, left=rewrite(expr.left), right=rewrite(expr.right)
-            )
-        if isinstance(expr, ast.UnaryOp):
-            return dataclasses.replace(expr, operand=rewrite(expr.operand))
-        if isinstance(expr, ast.InList):
-            return dataclasses.replace(
-                expr,
-                expr=rewrite(expr.expr),
-                items=tuple(rewrite(i) for i in expr.items),
-            )
-        if isinstance(expr, ast.Between):
-            return dataclasses.replace(
-                expr,
-                expr=rewrite(expr.expr),
-                low=rewrite(expr.low),
-                high=rewrite(expr.high),
-            )
-        if isinstance(expr, (ast.Like, ast.IsNull)):
-            return dataclasses.replace(expr, expr=rewrite(expr.expr))
-        return expr
+    def pin(node: ast.Expression) -> ast.Expression:
+        if isinstance(node, ast.FuncCall) and node.function in ast.TIME_FUNCTIONS:
+            return ast.Literal(at_ms)
+        return node
 
-    if isinstance(statement, ast.UpdateStmt):
-        return dataclasses.replace(
-            statement,
-            assignments=tuple(
-                dataclasses.replace(a, expr=rewrite(a.expr))
-                for a in statement.assignments
-            ),
-            where=rewrite(statement.where)
-            if statement.where is not None
-            else None,
-        )
-    if isinstance(statement, ast.DeleteStmt):
-        return dataclasses.replace(
-            statement,
-            where=rewrite(statement.where)
-            if statement.where is not None
-            else None,
-        )
-    if isinstance(statement, ast.InsertStmt):
-        return dataclasses.replace(
-            statement,
-            rows=tuple(
-                tuple(rewrite(e) for e in row) for row in statement.rows
-            ),
-        )
-    return statement
+    return ast.map_expressions(statement, lambda expr: ast.rewrite(expr, pin))
 
 
 def op_footprint(
@@ -558,21 +484,15 @@ def _structurally_disjoint(
     each statement matches — and the values it reads from them — are
     identical in both orders.
     """
-    where_a = _where_clause(a.statement)
-    where_b = _where_clause(b.statement)
-    witness = predicates_disjoint(where_a, where_b)
+    witness = predicates_disjoint(
+        getattr(a.statement, "where", None), getattr(b.statement, "where", None)
+    )
     if witness is None:
         return False
     assigned = {x.column for x in a.assignments} | {
         x.column for x in b.assignments
     }
     return not (witness & assigned)
-
-
-def _where_clause(statement: ast.Statement) -> ast.Expression | None:
-    if isinstance(statement, (ast.UpdateStmt, ast.DeleteStmt)):
-        return statement.where
-    return None
 
 
 def _delete_update_commute(

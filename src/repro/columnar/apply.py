@@ -37,7 +37,7 @@ pins with XOR-SHA256 state digests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any
 
 from ..engine.session import Session
 from ..engine.table import Table
@@ -96,19 +96,12 @@ class RowApplier:
 class ColumnarApplier(RowApplier):
     """Applies transformed statements and view delta rules from batches."""
 
-    def __init__(
-        self,
-        session: Session,
-        plan_fingerprint: str = "",
-    ) -> None:
+    def __init__(self, session: Session) -> None:
         super().__init__(session)
         self._db = session.database
         self._clock = self._db.clock
         self._costs = self._db.costs
         self.kernels = KernelCache()
-        #: Stamp of the certified plan set the rule kernels belong to;
-        #: part of every view-kernel cache key.
-        self.plan_fingerprint = plan_fingerprint
         #: Per-component table images, keyed by physical table name.
         self._images: dict[str, ColumnBatch] = {}
         # Cumulative stats (the integrator reports per-window deltas).
@@ -146,14 +139,7 @@ class ColumnarApplier(RowApplier):
             if isinstance(statement, ast.InsertStmt) and statement.select is None:
                 return self._mirror_insert(statement, txn)
             if isinstance(statement, (ast.UpdateStmt, ast.DeleteStmt)):
-                return self._batch_routine(statement)(
-                    self._db.table(statement.table),
-                    statement,
-                    _own_where,
-                    frozenset({statement.table}),
-                    ("mirror",),
-                    txn,
-                )
+                return self._batched(self._db.table(statement.table), statement, txn)
         except CompileBarrier:
             pass
         # Row-path replay of a statement the kernels cannot cover.
@@ -168,14 +154,9 @@ class ColumnarApplier(RowApplier):
         self._clock.advance(self._costs.stmt_overhead * self._costs.columnar_cpu_factor)
 
     def _batch(
-        self,
-        table: Table,
-        stmt: ast.UpdateStmt | ast.DeleteStmt,
-        where_of: "_WhereOf",
-        key: tuple[Hashable, ...],
+        self, table: Table, stmt: ast.UpdateStmt | ast.DeleteStmt
     ) -> ColumnBatch:
-        """The rows of ``table`` a statement with predicate ``where_of(stmt)``
-        must see.
+        """The rows of ``table`` that ``stmt`` must see.
 
         The component's resident image when there is one (it already holds
         the component's writes).  Otherwise whatever the access-path chooser
@@ -191,10 +172,8 @@ class ColumnarApplier(RowApplier):
             found, literals = shaped(
                 stmt,
                 table.version,
-                ("reach", *key),
-                lambda shape, slot: probes(
-                    table, stmt.table, where_of(shape), slot
-                ),
+                "reach",
+                lambda shape, slot: probes(table, stmt.table, shape.where, slot),
             )
             reached = settle_path(found, literals).row_ids
             if reached is not None:
@@ -235,40 +214,28 @@ class ColumnarApplier(RowApplier):
                 # Read back the stored values (validated and stamped).
                 image.append(table.read(row_id), row_id=row_id)
 
-    def _batch_routine(
-        self, stmt: ast.UpdateStmt | ast.DeleteStmt
-    ) -> Callable[..., int]:
-        """The batch routine — shared by mirror and view — for ``stmt``."""
+    def _batched(
+        self, table: Table, stmt: ast.UpdateStmt | ast.DeleteStmt, txn: Transaction
+    ) -> int:
+        """One compiled UPDATE or DELETE over a batch of ``table``: a mirror
+        and the statement transformed onto it, or a view's storage and the
+        view's rewrite of the statement.  Returns the rows matched."""
         if isinstance(stmt, ast.UpdateStmt):
-            return self._batch_update
-        return self._batch_delete
+            return self._batch_update(table, stmt, txn)
+        return self._batch_delete(table, stmt, txn)
 
     def _batch_update(
-        self,
-        table: Table,
-        stmt: ast.UpdateStmt,
-        where_of: "_WhereOf",
-        qualifiers: frozenset[str],
-        key: tuple[Hashable, ...],
-        txn: Transaction,
+        self, table: Table, stmt: ast.UpdateStmt, txn: Transaction
     ) -> int:
-        """One compiled UPDATE over a batch of ``table`` — mirror or view.
-
-        ``where_of`` gives the predicate AST of a statement (its own for a
-        mirror, narrowed by the view predicate for a view).  Returns the
-        rows matched.
-        """
-        batch = self._batch(table, stmt, where_of, key)
+        batch = self._batch(table, stmt)
 
         def build(shape: ast.UpdateStmt, slot: Slot) -> tuple[Maker, Any]:
-            bind = BatchBinding(batch.layout, qualifiers)
-            return predicate_maker(where_of(shape), bind, slot), set_list_maker(
+            bind = BatchBinding(batch.layout, frozenset({shape.table}))
+            return predicate_maker(shape.where, bind, slot), set_list_maker(
                 shape.assignments, bind, slot
             )
 
-        (keep, sets), literals = self.kernels.get(
-            stmt, table.version, ("update", *key), build
-        )
+        (keep, sets), literals = self.kernels.get(stmt, table.version, "update", build)
         matched = self._matched(batch, keep(literals, NO_SESSION))
         columns, maker = sets
         new_values = maker(literals, NO_SESSION)
@@ -283,22 +250,15 @@ class ColumnarApplier(RowApplier):
         return len(matched)
 
     def _batch_delete(
-        self,
-        table: Table,
-        stmt: ast.DeleteStmt,
-        where_of: "_WhereOf",
-        qualifiers: frozenset[str],
-        key: tuple[Hashable, ...],
-        txn: Transaction,
+        self, table: Table, stmt: ast.DeleteStmt, txn: Transaction
     ) -> int:
-        """One compiled DELETE over a batch of ``table`` — mirror or view."""
-        batch = self._batch(table, stmt, where_of, key)
+        batch = self._batch(table, stmt)
         keep, literals = self.kernels.get(
             stmt,
             table.version,
-            ("delete", *key),
+            "delete",
             lambda shape, slot: predicate_maker(
-                where_of(shape), BatchBinding(batch.layout, qualifiers), slot
+                shape.where, BatchBinding(batch.layout, frozenset({shape.table})), slot
             ),
         )
         matched = self._matched(batch, keep(literals, NO_SESSION))
@@ -352,14 +312,7 @@ class ColumnarApplier(RowApplier):
             ):
                 self._view_insert(view, stmt, txn)
             elif columnar and isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
-                self._batch_routine(stmt)(
-                    view.table,
-                    stmt,
-                    lambda shape: view.narrowed(shape.where),
-                    frozenset({view.definition.name, stmt.table}),
-                    ("view", view.definition.name, self.plan_fingerprint),
-                    txn,
-                )
+                self._batched(view.table, view.rewritten(stmt), txn)
             else:
                 columnar = False
         except CompileBarrier:
@@ -393,7 +346,7 @@ class ColumnarApplier(RowApplier):
         (qualify, project, base_rows), literals = self.kernels.get(
             stmt,
             view.table.version,
-            ("view-insert", view.definition.name, self.plan_fingerprint),
+            "view-insert",
             build,
         )
         self._dispatch()
@@ -406,11 +359,3 @@ class ColumnarApplier(RowApplier):
         ]
         if projected:
             self._insert_batch(view.table, projected, txn)
-
-
-#: Gives the predicate a batch routine runs for a statement of some shape.
-_WhereOf = Callable[[Any], "ast.Expression | None"]
-
-
-def _own_where(statement: Any) -> ast.Expression | None:
-    return statement.where

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from ..errors import SelfMaintenanceError
 from ..sql import ast_nodes as ast
-from ..sql.expressions import referenced_columns
+from ..sql.expressions import referenced_columns, statement_columns
 from ..sql.parser import parse_expression
 from .opdelta import OpDelta, OpKind
 
@@ -77,12 +78,20 @@ class ViewDefinition:
     #: mirror; ``None`` means unknown (assume narrower than the base).
     base_columns: tuple[str, ...] | None = None
 
-    def predicate_ast(self) -> ast.Expression | None:
-        return parse_expression(self.predicate) if self.predicate else None
+    @cached_property
+    def _predicate(self) -> tuple[ast.Expression | None, frozenset[str]]:
+        """The predicate text parsed, and the columns it references: once per
+        definition (the instance is frozen, so neither can change)."""
+        if not self.predicate:
+            return None, frozenset()
+        tree = parse_expression(self.predicate)
+        return tree, frozenset(referenced_columns(tree))
 
-    def predicate_columns(self) -> set[str]:
-        expr = self.predicate_ast()
-        return referenced_columns(expr) if expr is not None else set()
+    def predicate_ast(self) -> ast.Expression | None:
+        return self._predicate[0]
+
+    def predicate_columns(self) -> frozenset[str]:
+        return self._predicate[1]
 
     @property
     def key_projected(self) -> bool:
@@ -91,12 +100,10 @@ class ViewDefinition:
     def __post_init__(self) -> None:
         if not self.columns:
             raise SelfMaintenanceError(f"view {self.name!r} projects no columns")
-        missing = self.predicate_columns() - set(self.columns)
-        # A predicate over non-projected columns is legal (it is evaluated
-        # against base rows, not view rows) — nothing to validate here, but
-        # touching predicate_columns early surfaces parse errors at
-        # definition time rather than at apply time.
-        del missing
+        # Parsed now, so that a malformed predicate fails where the view is
+        # defined rather than where it is first applied.  (A predicate over
+        # non-projected columns is legal: it is evaluated against base rows.)
+        self.predicate_ast()
 
 
 def classify_operation(view: ViewDefinition, op: OpDelta) -> Maintainability:
@@ -112,27 +119,21 @@ def classify_operation(view: ViewDefinition, op: OpDelta) -> Maintainability:
         return Maintainability.NOT_SELF_MAINTAINABLE
     if op.kind is OpKind.INSERT:
         return Maintainability.OP_ONLY
-    where = op.statement.where  # type: ignore[union-attr]
-    where_columns = referenced_columns(where) if where is not None else set()
+    # The rewrite-onto-the-view path evaluates everything the statement reads
+    # (its WHERE, its assignment inputs) and the view's own selection
+    # predicate against view rows, so all of it must be projected.
     projected = set(view.columns)
+    visible = (
+        statement_columns(op.statement) <= projected
+        and view.predicate_columns() <= projected
+    )
     if op.kind is OpKind.DELETE:
-        # The rewrite-onto-the-view path evaluates both the statement's
-        # WHERE and the view's own selection predicate against view rows,
-        # so the predicate columns must be projected too.
-        if (
-            view.key_projected
-            and where_columns <= projected
-            and view.predicate_columns() <= projected
-        ):
+        if view.key_projected and visible:
             return Maintainability.OP_ONLY
         return Maintainability.NEEDS_BEFORE_IMAGE
     # UPDATE
     assert op.kind is OpKind.UPDATE
-    assignments = op.statement.assignments  # type: ignore[union-attr]
-    assigned = {a.column for a in assignments}
-    assignment_inputs: set[str] = set()
-    for assignment in assignments:
-        assignment_inputs |= referenced_columns(assignment.expr)
+    assigned = {a.column for a in op.statement.assignments}  # type: ignore[union-attr]
     membership_affected = bool(assigned & view.predicate_columns())
     if (
         view.join is not None
@@ -144,13 +145,7 @@ def classify_operation(view: ViewDefinition, op: OpDelta) -> Maintainability:
         # required.  A join projecting no dimension columns materialises
         # nothing that could go stale.
         membership_affected = True
-    everything_visible = (
-        where_columns <= projected
-        and assigned <= projected
-        and assignment_inputs <= projected
-        and view.predicate_columns() <= projected
-    )
-    if everything_visible and not membership_affected:
+    if visible and assigned <= projected and not membership_affected:
         return Maintainability.OP_ONLY
     return Maintainability.NEEDS_BEFORE_IMAGE
 

@@ -15,7 +15,7 @@ disappear).  :class:`StatementTransformer` rewrites whole statements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..errors import OpDeltaError
 from ..scope import Scope
@@ -132,68 +132,44 @@ class StatementTransformer:
 
     def _transform_update(self, stmt: ast.UpdateStmt) -> ast.UpdateStmt:
         mapping = self.mapping_for(stmt.table)
-        assignments = []
-        for assignment in stmt.assignments:
-            target = mapping.target_column(assignment.column)
-            if target is None:
-                continue  # assignment to a dropped column vanishes
-            assignments.append(
-                ast.Assignment(target, self._transform_expr(assignment.expr, mapping))
-            )
+        # An assignment to a dropped column vanishes, whatever it read.
+        assignments = tuple(
+            ast.Assignment(target, assignment.expr)
+            for assignment in stmt.assignments
+            if (target := mapping.target_column(assignment.column)) is not None
+        )
         if not assignments:
             raise OpDeltaError(
                 f"UPDATE on {stmt.table!r} only assigns columns the warehouse "
                 "drops; nothing to apply"
             )
-        where = (
-            self._transform_expr(stmt.where, mapping) if stmt.where is not None else None
+        return ast.map_expressions(
+            ast.UpdateStmt(mapping.target_table, assignments, stmt.where),
+            _onto_target(mapping),
         )
-        return ast.UpdateStmt(mapping.target_table, tuple(assignments), where)
 
     def _transform_delete(self, stmt: ast.DeleteStmt) -> ast.DeleteStmt:
         mapping = self.mapping_for(stmt.table)
-        where = (
-            self._transform_expr(stmt.where, mapping) if stmt.where is not None else None
+        return ast.map_expressions(
+            ast.DeleteStmt(mapping.target_table, stmt.where), _onto_target(mapping)
         )
-        return ast.DeleteStmt(mapping.target_table, where)
 
-    # -------------------------------------------------------------- expressions
-    def _transform_expr(
-        self, expr: ast.Expression, mapping: TableMapping
-    ) -> ast.Expression:
-        if isinstance(expr, ast.Literal):
-            return expr
-        if isinstance(expr, ast.ColumnRef):
-            return ast.ColumnRef(mapping.require_target_column(expr.name))
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(
-                expr.op,
-                self._transform_expr(expr.left, mapping),
-                self._transform_expr(expr.right, mapping),
+
+def _onto_target(mapping: TableMapping) -> Callable[[ast.Expression], ast.Expression]:
+    """The expression rewrite of ``mapping``: every column reference becomes
+    a reference to its target column; the rest of the tree stands."""
+
+    def onto(node: ast.Expression) -> ast.Expression:
+        if isinstance(node, ast.ColumnRef):
+            return ast.ColumnRef(mapping.require_target_column(node.name))
+        if isinstance(node, ast.FuncCall) and node.is_volatile:
+            # Its value is the source session's: the warehouse's clock or
+            # random stream must never be asked for it.
+            raise OpDeltaError(
+                f"volatile {node.function}() in a statement on "
+                f"{mapping.source_table!r} reached the transformer: pin it or "
+                "fall back to the before image first"
             )
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, self._transform_expr(expr.operand, mapping))
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                self._transform_expr(expr.expr, mapping),
-                tuple(self._transform_expr(item, mapping) for item in expr.items),
-                expr.negated,
-            )
-        if isinstance(expr, ast.Between):
-            return ast.Between(
-                self._transform_expr(expr.expr, mapping),
-                self._transform_expr(expr.low, mapping),
-                self._transform_expr(expr.high, mapping),
-                expr.negated,
-            )
-        if isinstance(expr, ast.Like):
-            return ast.Like(
-                self._transform_expr(expr.expr, mapping), expr.pattern, expr.negated
-            )
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(
-                self._transform_expr(expr.expr, mapping), expr.negated
-            )
-        raise OpDeltaError(
-            f"cannot transform expression node {type(expr).__name__}"
-        )
+        return node
+
+    return lambda expr: ast.rewrite(expr, onto)

@@ -857,41 +857,14 @@ class SemanticChecker:
         opaque truth values.  Folding that provably fails at runtime
         (division by zero) is diagnosed as SEM009 and left unfolded.
         """
-        if isinstance(expr, ast.BinaryOp):
-            left = self._fold(expr.left, diags)
-            right = self._fold(expr.right, diags)
-            folded = dataclasses.replace(expr, left=left, right=right)
-            if expr.op in ("+", "-", "*", "/") and _all_literals((left, right)):
-                return self._try_fold(folded, diags)
-            return folded
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._fold(expr.operand, diags)
-            folded = dataclasses.replace(expr, operand=operand)
-            if expr.op == "-" and _all_literals((operand,)):
-                return self._try_fold(folded, diags)
-            return folded
-        if isinstance(expr, ast.FuncCall):
-            args = tuple(self._fold(arg, diags) for arg in expr.args)
-            folded = dataclasses.replace(expr, args=args)
-            if expr.function in ast.DETERMINISTIC_FUNCTIONS and _all_literals(args):
-                return self._try_fold(folded, diags)
-            return folded
-        if isinstance(expr, ast.InList):
-            return dataclasses.replace(
-                expr,
-                expr=self._fold(expr.expr, diags),
-                items=tuple(self._fold(item, diags) for item in expr.items),
-            )
-        if isinstance(expr, ast.Between):
-            return dataclasses.replace(
-                expr,
-                expr=self._fold(expr.expr, diags),
-                low=self._fold(expr.low, diags),
-                high=self._fold(expr.high, diags),
-            )
-        if isinstance(expr, (ast.Like, ast.IsNull)):
-            return dataclasses.replace(expr, expr=self._fold(expr.expr, diags))
-        return expr
+        def fold(node: ast.Expression) -> ast.Expression:
+            if _produces_value(node) and all(
+                isinstance(child, ast.Literal) for child in ast.children(node)
+            ):
+                return self._try_fold(node, diags)
+            return node
+
+        return ast.rewrite(expr, fold)
 
     def _try_fold(
         self, expr: ast.Expression, diags: list[Diagnostic]
@@ -918,8 +891,16 @@ class SemanticChecker:
         return expr
 
 
-def _all_literals(exprs: Iterable[ast.Expression]) -> bool:
-    return all(isinstance(e, ast.Literal) for e in exprs)
+def _produces_value(node: ast.Expression) -> bool:
+    """Arithmetic, unary minus or a deterministic scalar call: the nodes a
+    literal can stand for (a comparison or a connective keeps its structure)."""
+    if isinstance(node, ast.BinaryOp):
+        return node.op in ("+", "-", "*", "/")
+    if isinstance(node, ast.UnaryOp):
+        return node.op == "-"
+    return isinstance(node, ast.FuncCall) and (
+        node.function in ast.DETERMINISTIC_FUNCTIONS
+    )
 
 
 def _select_width(select: ast.SelectStmt, catalog: SchemaCatalog) -> int | None:

@@ -8,8 +8,26 @@ AST and re-render it for the warehouse schema.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from functools import partial
+from itertools import chain
+from operator import attrgetter, is_
+from types import NoneType, UnionType
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
+
+_T = TypeVar("_T")
 
 
 def sql_literal(value: Any) -> str:
@@ -390,36 +408,171 @@ class RollbackStmt(Statement):
         return "ROLLBACK"
 
 
+# ------------------------------------------------------------------ traversal
+# What lies below a node is stated once, by the types of its own fields: a
+# field typed as an expression — or an optional one, a tuple of them, a tuple
+# of rows of them — holds expressions, and a field typed as a dataclass that
+# holds expressions (``Assignment``, ``SelectItem``, a sub-SELECT ...) is
+# looked through.  Every walker and rewriter reads the table built from that;
+# only what gives a node *meaning* (``to_sql``, the parser, the evaluator's
+# emitter, the checker's inference) is written per node class.
+class _Field(NamedTuple):
+    """One field of a node class that holds expressions."""
+
+    name: str
+    #: 0: one node; 1: a tuple of them; 2: a tuple of rows of them.
+    depth: int
+    optional: bool
+    #: The nodes held are not expressions but dataclasses that hold them.
+    through: bool
+
+
+def _expression_fields(cls: type) -> tuple[_Field, ...]:
+    found = []
+    hints = get_type_hints(cls)
+    for spec in dataclasses.fields(cls):
+        hint, depth = hints[spec.name], 0
+        options = [arg for arg in get_args(hint) if arg is not NoneType]
+        optional = get_origin(hint) in (Union, UnionType) and len(options) == 1
+        if optional:  # ``X | None``
+            hint = options[0]
+        while get_origin(hint) is tuple:  # ``tuple[X, ...]``
+            hint, depth = get_args(hint)[0], depth + 1
+        if not isinstance(hint, type):
+            continue  # ``Any``: a value, not a node
+        through = not issubclass(hint, Expression)
+        if not through or (dataclasses.is_dataclass(hint) and _FIELDS[hint]):
+            found.append(_Field(spec.name, depth, optional, through))
+    return tuple(found)
+
+
+def _children_reader(cls: type) -> Callable[[Any], Sequence[Expression]] | None:
+    """How the children of a ``cls`` node are read; None for a leaf class."""
+    fields = _FIELDS[cls]
+    if not fields:
+        return None
+    names = [f.name for f in fields]
+    if [f.depth for f in fields] == [1]:
+        return attrgetter(*names)  # the one tuple, as it stands
+    if len(fields) > 1 and not any(f.depth or f.optional for f in fields):
+        return attrgetter(*names)
+    return lambda node: list(_below(node, fields))
+
+
+def _below(node: Any, fields: Sequence[_Field]) -> Iterator[Any]:
+    """The nodes the ``fields`` of ``node`` hold, in the order written."""
+    for name, depth, _optional, _through in fields:
+        value = getattr(node, name)
+        if depth == 2:
+            yield from chain.from_iterable(value)
+        elif depth:
+            yield from value
+        elif value is not None:
+            yield value
+
+
+class _PerClass(dict):  # type: ignore[type-arg]
+    """Node class → what ``read`` makes of it: asked once per class."""
+
+    def __init__(self, read: Callable[[type], Any]) -> None:
+        self._read = read
+
+    def __missing__(self, cls: type) -> Any:
+        value = self[cls] = self._read(cls)
+        return value
+
+
+_FIELDS: dict[type, tuple[_Field, ...]] = _PerClass(_expression_fields)
+_CHILDREN: dict[type, Any] = _PerClass(_children_reader)
+for _cls in Expression.__subclasses__():  # at import, not at the first walk
+    _CHILDREN[_cls]
+
+
+def children(node: Expression) -> Sequence[Expression]:
+    """The expressions directly below ``node``, in the order written."""
+    read = _CHILDREN[node.__class__]
+    return () if read is None else read(node)
+
+
+def walk(expr: Expression) -> list[Expression]:
+    """``expr`` and every expression below it, level by level."""
+    found = [expr]
+    for node in found:  # grows while it is walked
+        read = _CHILDREN[node.__class__]
+        if read is not None:
+            found.extend(read(node))
+    return found
+
+
+def expressions(statement: Any) -> list[Expression]:
+    """Every expression ``statement`` holds, in the order written: those of
+    its SET list, select list, VALUES rows, sub-SELECT ... included."""
+    found: list[Expression] = []
+    for held in _FIELDS[statement.__class__]:
+        for node in _below(statement, (held,)):
+            found.extend(expressions(node) if held.through else (node,))
+    return found
+
+
+def map_expressions(statement: _T, fn: Callable[[Expression], Expression]) -> _T:
+    """``statement`` with each expression :func:`expressions` lists replaced
+    by ``fn`` of it — the same object when ``fn`` changed none of them."""
+    node: Any = statement
+    changed = {}
+    for name, depth, _optional, through in _FIELDS[node.__class__]:
+        old = getattr(node, name)
+        new = _mapped(old, depth, partial(map_expressions, fn=fn) if through else fn)
+        if new is not old:
+            changed[name] = new
+    return dataclasses.replace(node, **changed) if changed else statement
+
+
+def _mapped(value: Any, depth: int, fn: Callable[[Any], Any]) -> Any:
+    """``value`` — a node, or tuples of them ``depth`` deep — through ``fn``;
+    ``value`` itself when every node came back as it went in."""
+    if value is None:
+        return None
+    if not depth:
+        return fn(value)
+    new = tuple([_mapped(item, depth - 1, fn) for item in value])
+    return value if all(map(is_, new, value)) else new
+
+
+def rewrite(expr: Expression, fn: Callable[[Expression], Expression]) -> Expression:
+    """``expr`` rebuilt bottom-up: ``fn`` sees each node after the nodes
+    below it, left to right, and returns the node to stand in its place.
+
+    A subtree ``fn`` leaves alone comes back as the same object; a node above
+    a change is copied with its other fields (``pos`` included) kept.  No
+    recursion: a chain of a thousand ANDs is as deep as a tree gets.
+    """
+    # Parents first and right to left, read backwards: children first and
+    # left to right.
+    order, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(children(node))
+    done: dict[int, Expression] = {}
+    rewritten = lambda child: done[id(child)]  # noqa: E731
+    for node in reversed(order):
+        done[id(node)] = fn(map_expressions(node, rewritten))
+    return done[id(expr)]
+
+
 def node_pos(expr: Expression | None) -> int | None:
     """The first known source position in an expression subtree.
 
     Rewritten/synthesised nodes have no position; this walks down to the
     nearest parsed descendant so diagnostics can still point somewhere.
     """
-    if expr is None:
-        return None
-    direct = getattr(expr, "pos", None)
-    if direct is not None:
-        return direct
-    children: Sequence[Expression] = ()
-    if isinstance(expr, BinaryOp):
-        children = (expr.left, expr.right)
-    elif isinstance(expr, UnaryOp):
-        children = (expr.operand,)
-    elif isinstance(expr, InList):
-        children = (expr.expr, *expr.items)
-    elif isinstance(expr, Between):
-        children = (expr.expr, expr.low, expr.high)
-    elif isinstance(expr, (Like, IsNull)):
-        children = (expr.expr,)
-    elif isinstance(expr, FuncCall):
-        children = expr.args
-    elif isinstance(expr, Aggregate) and expr.argument is not None:
-        children = (expr.argument,)
-    for child in children:
-        pos = node_pos(child)
+    stack = [] if expr is None else [expr]
+    while stack:
+        node = stack.pop()
+        pos = getattr(node, "pos", None)
         if pos is not None:
             return pos
+        stack.extend(reversed(children(node)))
     return None
 
 

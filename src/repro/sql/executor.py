@@ -153,10 +153,8 @@ class _Access:
     def __init__(
         self, table: Table, stmt: ast.UpdateStmt | ast.DeleteStmt, slot: Slot
     ) -> None:
-        assignments = getattr(stmt, "assignments", ())
         (self.columns,) = _columns_read(
-            [(table.name, table.schema)],
-            [stmt.where, *(a.expr for a in assignments)],
+            [(table.name, table.schema)], ast.expressions(stmt)
         )
         scope = _Scope()
         scope.add(table.schema, table.name, self.columns)
@@ -165,7 +163,7 @@ class _Access:
         self.keep: Maker = page_filter_maker(stmt.where, scope, slot)
         #: The columns an UPDATE assigns, and their new values as one kernel.
         self.sets: tuple[tuple[str, ...], Maker] = set_list_maker(
-            assignments, scope, slot
+            getattr(stmt, "assignments", ()), scope, slot
         )
 
 

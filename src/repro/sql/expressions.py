@@ -822,38 +822,18 @@ def compile_after_image(
 
 
 # ------------------------------------------------------------- AST analysis
-def _children(node: ast.Expression) -> tuple[ast.Expression, ...]:
-    """The expressions directly below ``node``."""
-    if isinstance(node, (ast.ColumnRef, ast.Literal)):  # most nodes are leaves
-        return ()
-    if isinstance(node, ast.BinaryOp):
-        return (node.left, node.right)
-    if isinstance(node, ast.UnaryOp):
-        return (node.operand,)
-    if isinstance(node, ast.InList):
-        return (node.expr, *node.items)
-    if isinstance(node, ast.Between):
-        return (node.expr, node.low, node.high)
-    if isinstance(node, (ast.Like, ast.IsNull)):
-        return (node.expr,)
-    if isinstance(node, ast.FuncCall):
-        return node.args
-    if isinstance(node, ast.Aggregate) and node.argument is not None:
-        return (node.argument,)
-    return ()
-
-
-def walk(expr: ast.Expression) -> list[ast.Expression]:
-    """``expr`` and every expression below it."""
-    found = [expr]
-    for node in found:  # grows while it is walked
-        found.extend(_children(node))
-    return found
+#: The one traversal (:mod:`repro.sql.ast_nodes`), under the name it has here.
+walk = ast.walk
 
 
 def referenced_columns(expr: ast.Expression) -> set[str]:
     """All column names referenced by an expression (unqualified spellings)."""
     return {node.name for node in walk(expr) if isinstance(node, ast.ColumnRef)}
+
+
+def statement_columns(statement: ast.Statement) -> set[str]:
+    """All column names referenced by any expression of a statement."""
+    return set().union(*map(referenced_columns, ast.expressions(statement)))
 
 
 def referenced_functions(expr: ast.Expression | None) -> set[str]:

@@ -24,6 +24,7 @@ self-maintainable decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..core.opdelta import OpDelta, OpKind, derive_row_images
@@ -88,8 +89,13 @@ class AggregateViewDefinition:
                 f"aggregate view {self.name!r} needs at least one aggregate"
             )
 
-    def predicate_ast(self) -> ast.Expression | None:
+    @cached_property
+    def _predicate(self) -> ast.Expression | None:
+        """The predicate text parsed: once per (frozen) definition."""
         return parse_expression(self.predicate) if self.predicate else None
+
+    def predicate_ast(self) -> ast.Expression | None:
+        return self._predicate
 
 
 class MaterializedAggregateView:

@@ -141,9 +141,8 @@ class OpDeltaIntegrator:
         self._plan_certificates: dict[str, str] = {}
         if verify and self._plans:
             self._verify_plans(verifier)
-        #: Plan-certificate hash: partitions the persistent rule memo and
-        #: the columnar kernel cache, so repeated windows over the same
-        #: certified plan set reuse resolutions and compiled closures.
+        #: Plan-certificate hash: names the persistent rule memo, so repeated
+        #: windows over the same certified plan set reuse resolutions.
         self._plan_fingerprint = plan_set_fingerprint(
             self._plans, self._plan_certificates
         )
@@ -153,9 +152,7 @@ class OpDeltaIntegrator:
         #: The two statement executors: the row path, and the columnar
         #: engine whose kernel cache survives across windows.
         self._rows = RowApplier(session)
-        self._columnar = ColumnarApplier(
-            session, plan_fingerprint=self._plan_fingerprint
-        )
+        self._columnar = ColumnarApplier(session)
 
     def _require_coverage(self, analyzer: OpDeltaAnalyzer) -> None:
         """Refuse an analyzer that may prune what a maintained view needs.

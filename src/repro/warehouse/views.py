@@ -22,6 +22,7 @@ deltas with the images they carry and by hybrid Op-Deltas with the images
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.opdelta import OpDelta, OpKind, derive_row_images
@@ -152,7 +153,7 @@ class MaterializedView:
             "warehouse.view.apply_op", view=self.definition.name
         ):
             if op.kind is not OpKind.INSERT and level is Maintainability.OP_ONLY:
-                self._apply_rewritten(op, txn)
+                self._executor.execute(self.rewritten(op.statement), txn)
             else:
                 self._apply_derived_images(op, txn)
         self._m_refresh.inc()
@@ -169,8 +170,10 @@ class MaterializedView:
             return Maintainability.NEEDS_BEFORE_IMAGE
         return Maintainability.OP_ONLY
 
-    def _apply_rewritten(self, op: OpDelta, txn: Transaction) -> None:
-        """Execute the operation directly against the view storage table.
+    def rewritten(self, statement: ast.Statement) -> ast.Statement:
+        """An UPDATE or DELETE on the base table as the one statement on the
+        storage table that maintains the view — what the row path executes
+        and the columnar path compiles.
 
         Valid only on the OP_ONLY path: every referenced column is
         projected, and membership cannot change.  The rewrite moves the
@@ -179,21 +182,27 @@ class MaterializedView:
         table's version) and its literals bound into the result — the
         executor then finds that shape's access, as the mirror's does.
         """
-        rewritten = reshaped(
-            op.statement, self.table.version, "view-rewrite", self._onto_storage
+        return reshaped(
+            statement, self.table.version, "view-rewrite", self._onto_storage
         )
-        self._executor.execute(rewritten, txn)
 
     def _onto_storage(self, stmt: ast.Statement) -> ast.Statement:
-        """``stmt`` as a statement on the storage table, narrowed to the view."""
+        """``stmt`` on the storage table: narrowed to the view, and every
+        reference qualified by the base table's name re-homed onto it."""
+        base, name = self.definition.base_table, self.definition.name
         if isinstance(stmt, ast.UpdateStmt):
-            return ast.UpdateStmt(
-                self.definition.name, stmt.assignments, self._narrow(stmt.where)
-            )
-        if isinstance(stmt, ast.DeleteStmt):
-            return ast.DeleteStmt(self.definition.name, self._narrow(stmt.where))
-        # Inserts take _apply_derived_images.
-        raise WarehouseError("unexpected statement kind on the rewrite path")
+            onto = ast.UpdateStmt(name, stmt.assignments, self._narrow(stmt.where))
+        elif isinstance(stmt, ast.DeleteStmt):
+            onto = ast.DeleteStmt(name, self._narrow(stmt.where))
+        else:  # inserts take _apply_derived_images
+            raise WarehouseError("unexpected statement kind on the rewrite path")
+
+        def rehome(node: ast.Expression) -> ast.Expression:
+            if isinstance(node, ast.ColumnRef) and node.table == base:
+                return dataclasses.replace(node, table=name)
+            return node
+
+        return ast.map_expressions(onto, lambda expr: ast.rewrite(expr, rehome))
 
     def _narrow(self, where: ast.Expression | None) -> ast.Expression | None:
         """Conjoin the view's selection predicate with the operation's WHERE.
@@ -243,9 +252,9 @@ class MaterializedView:
             self.table.insert(txn, projected)
 
     # ------------------------------------------------------ columnar support
-    # Public seams for :mod:`repro.columnar.apply`: the columnar fast path
-    # needs the view's predicate, base layout and the rewrite narrowing,
-    # without reaching into privates.  Semantics stay defined here.
+    # Public seams for :mod:`repro.columnar.apply`: the columnar insert path
+    # needs the view's predicate and base layout without reaching into
+    # privates.  Semantics stay defined here.
 
     @property
     def predicate(self) -> ast.Expression | None:
@@ -256,10 +265,6 @@ class MaterializedView:
     def base_columns(self) -> tuple[str, ...]:
         """Base-table column names, in storage order."""
         return tuple(self._base_columns)
-
-    def narrowed(self, where: ast.Expression | None) -> ast.Expression | None:
-        """The rewrite-path predicate: view predicate AND the op's WHERE."""
-        return self._narrow(where)
 
     def note_columnar_refresh(self) -> None:
         """Count a columnar maintenance application as a view refresh."""

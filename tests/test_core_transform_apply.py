@@ -9,7 +9,8 @@ from repro.core import (
     TableMapping,
     identity_mapping,
 )
-from repro.engine import Database
+from repro.engine import Column, Database, TableSchema
+from repro.engine.table import InsertMode
 from repro.errors import OpDeltaError, WarehouseError
 from repro.sql.parser import parse
 from repro.warehouse import OpDeltaIntegrator
@@ -98,6 +99,40 @@ class TestTransformer:
         with pytest.raises(OpDeltaError):
             StatementTransformer().transform(parse("SELECT 1"))
 
+    def test_function_arguments_are_mapped_like_any_other_reference(self):
+        mapping = TableMapping(
+            "parts", "dw_parts",
+            column_map={"description": "descr", "part_no": "pn", "quantity": "qty"},
+        )
+        transformer = StatementTransformer({"parts": mapping})
+        stmt = transformer.transform(
+            parse(
+                "UPDATE parts SET description = UPPER(description), "
+                "quantity = ABS(quantity - 100) WHERE LENGTH(part_no) > 5"
+            )
+        )
+        assert stmt.to_sql() == (
+            "UPDATE dw_parts SET descr = UPPER(descr), qty = ABS((qty - 100)) "
+            "WHERE (LENGTH(pn) > 5)"
+        )
+
+    def test_dropped_column_inside_a_function_argument_is_an_error(self):
+        mapping = TableMapping("parts", "dw_parts", column_map={"part_id": "pk"})
+        transformer = StatementTransformer({"parts": mapping})
+        with pytest.raises(OpDeltaError, match=r"parts\.part_no is dropped"):
+            transformer.transform(
+                parse("DELETE FROM parts WHERE part_id > 3 AND LENGTH(part_no) > 5")
+            )
+
+    @pytest.mark.parametrize("call", ["NOW()", "RANDOM()"])
+    def test_unpinned_volatile_call_is_refused_by_name(self, call):
+        """Mapped through, it would be evaluated on the warehouse's clock."""
+        refusal = rf"{call[:-2]}\(\).*pin it or fall back"
+        with pytest.raises(OpDeltaError, match=refusal):
+            StatementTransformer().transform(
+                parse(f"UPDATE parts SET price = ABS({call}) WHERE part_id = 1")
+            )
+
 
 class TestApplier:
     @pytest.fixture
@@ -134,6 +169,63 @@ class TestApplier:
         ) == strip_timestamp(
             schema, (v for _r, v in warehouse.table("parts").scan())
         )
+
+    FUNCTION_STATEMENTS = (
+        "UPDATE parts SET description = UPPER(description) WHERE part_ref < 40",
+        "UPDATE parts SET quantity = ABS(quantity - 100) WHERE part_ref >= 20",
+        "UPDATE parts SET status = 'long' WHERE LENGTH(part_no) > 5",
+        "DELETE FROM parts WHERE LENGTH(description) > 5 AND part_ref < 10",
+    )
+
+    def test_statements_calling_scalar_functions_replay(self, pipeline):
+        source, workload, store, warehouse = pipeline
+        for statement in self.FUNCTION_STATEMENTS:
+            assert workload.session.execute(statement).rows_affected > 0
+        report = OpDeltaIntegrator(warehouse.internal_session()).integrate(
+            store.drain()
+        )
+        assert report.statements_issued == len(self.FUNCTION_STATEMENTS)
+        schema = parts_schema()
+        assert strip_timestamp(
+            schema, source.table("parts").scan_values()
+        ) == strip_timestamp(schema, warehouse.table("parts").scan_values())
+
+    def test_statements_calling_scalar_functions_replay_through_a_column_map(self):
+        source = Database("fn-src")
+        workload = OltpWorkload(source)
+        workload.create_table()
+        workload.populate(150)
+        store = FileLogStore(source)
+        OpDeltaCapture(workload.session, store, tables={"parts"}).attach()
+        schema = parts_schema()
+        renamed = {"description": "descr", "quantity": "qty"}
+        warehouse = Database("fn-wh", clock=source.clock)
+        mirror = warehouse.create_table(
+            TableSchema(
+                "dw_parts",
+                [
+                    Column(renamed.get(c.name, c.name), c.datatype, c.nullable)
+                    for c in schema.columns
+                ],
+                primary_key="part_id",
+            )
+        )
+        txn = warehouse.begin()
+        for values in source.table("parts").scan_values():
+            mirror.insert(txn, values, mode=InsertMode.BULK_INTERNAL)
+        warehouse.commit(txn)
+        for statement in self.FUNCTION_STATEMENTS:
+            workload.session.execute(statement)
+        mapping = TableMapping(
+            "parts", "dw_parts",
+            column_map={c: renamed.get(c, c) for c in schema.column_names},
+        )
+        OpDeltaIntegrator(
+            warehouse.internal_session(), StatementTransformer({"parts": mapping})
+        ).integrate(store.drain())
+        assert strip_timestamp(
+            schema, source.table("parts").scan_values()
+        ) == strip_timestamp(schema, mirror.scan_values())
 
     def test_transaction_boundaries_preserved(self, pipeline):
         source, workload, store, warehouse = pipeline

@@ -11,6 +11,8 @@ sys.path.insert(0, str(REPO / "tools"))
 
 import lint_rules  # noqa: E402
 
+from repro.sql import ast_nodes  # noqa: E402
+
 
 def lint_source(tmp_path, source, name="module.py"):
     path = tmp_path / name
@@ -1364,6 +1366,85 @@ class TestRepro018TheWarehouseBindsItsStatements:
         # DELETE of a multi-row fallback; the view's rewrite onto its storage.
         assert built == {
             "opdelta_integrator.py": 1, "value_integrator.py": 3, "views.py": 2,
+        }
+
+
+class TestRepro019ANodesChildrenAreDeclaredOnce:
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO019" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    SWITCH = (
+        "def rename(expr, mapping):\n"
+        "    if isinstance(expr, ast.Literal):\n"
+        "        return expr\n"
+        "    if isinstance(expr, ast.ColumnRef):\n"
+        "        return ast.ColumnRef(mapping[expr.name])\n"
+        "    if isinstance(expr, ast.BinaryOp):\n"
+        "        return ast.BinaryOp(expr.op, rename(expr.left), rename(expr.right))\n"
+        "    if isinstance(expr, (ast.Like, ast.IsNull)):\n"
+        "        return dataclasses.replace(expr, expr=rename(expr.expr))\n"
+        "    raise ValueError(expr)\n"
+    )
+
+    def test_a_switch_over_the_node_classes_is_flagged(self, tmp_path):
+        violations = lint_source(tmp_path, self.SWITCH, name="repro/core/transform.py")
+        assert self.flagged(violations) == [1]
+        assert "rename() switches over 5" in violations[0]
+        assert "BinaryOp, ColumnRef, IsNull, Like, Literal" in violations[0]
+        # The declaration itself is where the classes are told apart.
+        assert lint_source(tmp_path, self.SWITCH, name="repro/sql/ast_nodes.py") == []
+
+    def test_a_nested_function_counts_for_the_one_around_it(self, tmp_path):
+        source = (
+            "class Checker:\n"
+            "    def fold(self, expr):\n"
+            "        def inner(node):\n"
+            "            if isinstance(node, BinaryOp): return 1\n"
+            "            if isinstance(node, UnaryOp): return 2\n"
+            "            if isinstance(node, (InList, Between)): return 3\n"
+            "        return inner(expr)\n"
+        )
+        violations = lint_source(tmp_path, source, name="repro/semantics/checker.py")
+        assert self.flagged(violations) == [2]
+        assert "Checker.fold()" in violations[0]
+
+    def test_acting_on_a_few_classes_is_what_a_traversal_does(self, tmp_path):
+        source = (
+            "def onto(node):\n"
+            "    if isinstance(node, ast.ColumnRef):\n"
+            "        return ast.ColumnRef(node.name)\n"
+            "    if isinstance(node, ast.FuncCall) and node.is_volatile:\n"
+            "        raise ValueError(node)\n"
+            "    if isinstance(node, (ast.Literal, dict, ast.SelectStmt)):\n"
+            "        return node\n"
+            "    return node\n"
+        )
+        assert lint_source(tmp_path, source, name="repro/core/transform.py") == []
+
+    def test_a_switch_that_gives_nodes_meaning_has_its_reason(self, tmp_path):
+        method = self.SWITCH.replace("rename", "emit").splitlines()
+        emit = "class _Emitter:\n" + "".join(f"    {line}\n" for line in method)
+        assert lint_source(tmp_path, emit, name="repro/sql/expressions.py") == []
+        # The budget is per function, not per module.
+        assert self.flagged(
+            lint_source(tmp_path, emit + self.SWITCH, name="repro/sql/expressions.py")
+        ) == [12]
+        assert all(reason for reason in lint_rules.SEMANTIC_SWITCHES.values())
+
+    def test_the_repository_switches_only_where_nodes_get_their_meaning(self):
+        package = REPO / "src" / "repro"
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO019" in v
+            ] == [], path
+        # Every budgeted switch still exists (a stale entry is a free pass).
+        for suffix, name in lint_rules.SEMANTIC_SWITCHES:
+            text = (REPO / "src" / suffix).read_text(encoding="utf-8")
+            assert f"def {name.rpartition('.')[2]}(" in text, (suffix, name)
+        assert set(lint_rules.EXPRESSION_NODE_CLASSES) == {
+            cls.__name__ for cls in ast_nodes.Expression.__subclasses__()
         }
 
 

@@ -12,6 +12,10 @@ digests.  The window is optionally compacted first (the coalescer's
 rewrites must stay columnar-safe), and hybrid-plan statements must
 barrier to the row path rather than diverge.
 
+About half the statements spell their WHERE references ``parts.column``:
+the transformer, the view rewrite and both executors must all read that as
+the bare name.
+
 Statements reach their rows both ways in one window: ``part_ref`` ranges
 have no index (the columnar mode images the table), while ``part_id``
 points and narrow ``part_id`` ranges go through the key B-tree (it gathers
@@ -104,6 +108,11 @@ def build_analyzer_and_plans():
 def run_source_operations(session, operations):
     for index, (kind, offset, size) in enumerate(operations):
         low, high = offset, offset + size
+        # Every WHERE reference, bare or qualified by the base table — the
+        # source accepts both, so every apply path must.
+        ref, key = ("parts.part_ref", "parts.part_id") if high % 2 else (
+            "part_ref", "part_id"
+        )
         if kind == "insert":
             pid = 500_000 + index
             session.execute(
@@ -120,17 +129,17 @@ def run_source_operations(session, operations):
         elif kind == "update_literal":
             session.execute(
                 f"UPDATE parts SET status = 'u{size}' "
-                f"WHERE part_ref >= {low} AND part_ref < {high}"
+                f"WHERE {ref} >= {low} AND {ref} < {high}"
             )
         elif kind == "update_arith":
             session.execute(
                 f"UPDATE parts SET quantity = quantity + {size} "
-                f"WHERE part_ref >= {low} AND part_ref < {high}"
+                f"WHERE {ref} >= {low} AND {ref} < {high}"
             )
         elif kind == "update_null":
             session.execute(
                 f"UPDATE parts SET description = NULL "
-                f"WHERE part_ref >= {low} AND part_ref < {high}"
+                f"WHERE {ref} >= {low} AND {ref} < {high}"
             )
         elif kind == "update_predicate":
             # Crosses the pricey_parts predicate boundary in both
@@ -139,26 +148,26 @@ def run_source_operations(session, operations):
             boundary = 450 + size * 20
             session.execute(
                 f"UPDATE parts SET quantity = {boundary} "
-                f"WHERE part_ref >= {low} AND part_ref < {high}"
+                f"WHERE {ref} >= {low} AND {ref} < {high}"
             )
         elif kind == "update_now":
             session.execute(
                 f"UPDATE parts SET last_modified = NOW() "
-                f"WHERE part_ref >= {low} AND part_ref < {high}"
+                f"WHERE {ref} >= {low} AND {ref} < {high}"
             )
         elif kind == "delete":
             session.execute(
-                f"DELETE FROM parts WHERE part_ref >= {low} "
-                f"AND part_ref < {high}"
+                f"DELETE FROM parts WHERE {ref} >= {low} "
+                f"AND {ref} < {high}"
             )
         elif kind == "update_point":
             # Writes a column no range statement touches, so it commutes
             # with them and usually forms a component of its own.
             session.execute(
-                f"UPDATE parts SET supplier_id = {size} WHERE part_id = {offset}"
+                f"UPDATE parts SET supplier_id = {size} WHERE {key} = {offset}"
             )
         elif kind == "delete_point":
-            session.execute(f"DELETE FROM parts WHERE part_id = {offset}")
+            session.execute(f"DELETE FROM parts WHERE {key} = {offset}")
         elif kind == "update_pk_range":
             # The top of the key space: ``part_id >= 29`` is one row in
             # thirty, under the chooser's selectivity threshold (B-tree
@@ -166,7 +175,7 @@ def run_source_operations(session, operations):
             bottom = 29 - offset % 3
             session.execute(
                 f"UPDATE parts SET quantity = quantity + {size} "
-                f"WHERE part_id >= {bottom} AND part_id <= {bottom + size}"
+                f"WHERE {key} >= {bottom} AND {key} <= {bottom + size}"
             )
         else:  # insert_then_point_update: the update reads the fresh key
             pid = 500_000 + index
@@ -177,7 +186,7 @@ def run_source_operations(session, operations):
             )
             session.execute(
                 f"UPDATE parts SET status = 'f{size}', quantity = quantity + "
-                f"{offset} WHERE part_id = {pid}"
+                f"{offset} WHERE {key} = {pid}"
             )
 
 

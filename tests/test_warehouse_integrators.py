@@ -15,6 +15,7 @@ from repro.obs.pipeline import (
     LifecycleKind,
     PipelineAuditor,
     PipelineRecorder,
+    StateDigest,
     observe_pipeline,
 )
 from repro.semantics import SchemaCatalog, ViewMaintenancePlanner
@@ -579,6 +580,51 @@ class TestKeyAddressedColumnarApply:
         assert scanned == 0 and report.rows_affected == 2
         for table in (database.table("parts"), view.table):
             assert self.row(table, 900001)[5] == 42
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_base_table_qualified_references_maintain_the_view_on_every_path(
+        self, pipeline, keyed, configuration
+    ):
+        """The view's rewrite is one statement, whichever executor runs it."""
+        source, workload, _store, _triggers, _warehouse = pipeline
+        database, view, integrator = keyed
+        statements = (
+            "UPDATE parts SET quantity = 7 WHERE parts.quantity > 15",
+            "DELETE FROM parts WHERE parts.part_id = 3",
+            "UPDATE parts SET price = parts.price + 1 WHERE parts.part_id = 4",
+        )
+        for sql in statements:
+            assert workload.session.execute(sql).rows_affected > 0
+        group = OpDeltaTransaction(
+            txn_id=1,
+            operations=[op(1, seq, sql) for seq, sql in enumerate(statements)],
+        )
+        report = apply_window(integrator, [group], configuration)
+        assert report.columnar_fallbacks == 0
+        expected = logical(source)
+        assert strip_timestamp(parts_schema(), view.rows()) == expected
+        assert logical(database) == expected
+        assert StateDigest.from_rows(
+            strip_timestamp(parts_schema(), view.rows())
+        ) == StateDigest.from_rows(expected)
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_some_other_tables_qualifier_stays_a_typed_error(
+        self, keyed, configuration
+    ):
+        database, view, integrator = keyed
+        before = view.rows()
+        group = OpDeltaTransaction(
+            txn_id=1,
+            operations=[
+                op(1, 0, "UPDATE parts SET quantity = 7 WHERE suppliers.quantity > 15")
+            ],
+        )
+        with pytest.raises(WarehouseError, match="unknown column") as raised:
+            apply_window(integrator, [group], configuration)
+        assert isinstance(raised.value.__cause__, SqlAnalysisError)
+        assert "suppliers.quantity" in str(raised.value)
+        assert view.rows() == before
 
     def test_secondary_index_equality_gathers_every_match(self, pipeline):
         _source, _workload, _store, _triggers, warehouse = pipeline

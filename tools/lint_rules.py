@@ -235,6 +235,20 @@ array INSERT of a run of insert records (``value_integrator.py``) and the
 ``IN``-list DELETE of a multi-row volatile fallback
 (``opdelta_integrator.py``), one each.
 
+**REPRO019 — a node's children are declared once.**  What lies below an
+expression node is derived from the node dataclasses' own field types in
+``repro/sql/ast_nodes.py`` (``children`` / ``walk`` / ``rewrite`` /
+``expressions`` / ``map_expressions``); a hand-written switch over the node
+classes is a second copy of that declaration, and the copies drifted — the
+transformer had no ``FuncCall`` arm, so no captured statement calling a
+scalar function could be applied anywhere.  So a top-level function or
+method whose ``isinstance`` tests (its nested functions' included) name four
+or more distinct expression-node classes is flagged outside ``ast_nodes.py``
+— except the switches that give each node its *meaning*, listed with their
+reasons in ``SEMANTIC_SWITCHES``: what a node evaluates to, what type it
+has, what it constrains.  A traversal never needs more than the one or two
+classes it acts on.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -477,6 +491,30 @@ TEMPLATE_BUILDER_CALLS = ("prepared", "reshaped", "rewritten")
 ONE_OFF_STATEMENT_BUDGETS = {
     "repro/warehouse/value_integrator.py": 1,
     "repro/warehouse/opdelta_integrator.py": 1,
+}
+
+#: REPRO019: the expression-node classes, the module that declares what
+#: lies below each, and (module suffix, function) -> why that function may
+#: still switch over them: it says what each node *means*.
+EXPRESSION_NODE_CLASSES = (
+    "Literal", "ColumnRef", "BinaryOp", "UnaryOp", "InList", "Between", "Like",
+    "IsNull", "FuncCall", "Aggregate", "Star",
+)
+NODE_SWITCH_LIMIT = 4
+AST_NODES_SUFFIX = "repro/sql/ast_nodes.py"
+SEMANTIC_SWITCHES = {
+    ("repro/sql/expressions.py", "_Emitter.emit"):
+        "the Python source each node evaluates as",
+    ("repro/semantics/checker.py", "SemanticChecker._infer"):
+        "the SQL type of each node, and its diagnostics",
+    ("repro/analysis/rwsets.py", "_constraint_from_conjunct"):
+        "the row range each recognised conjunct shape provably implies",
+    ("repro/analysis/safety.py", "conjunct_negations"):
+        "the exact three-valued negation each conjunct shape has",
+    ("repro/analysis/verify/domain.py", "_boundary_literals"):
+        "which comparisons of a view predicate contribute boundary values: "
+        "those under AND/OR/NOT only, so the walk's reach is narrower than "
+        "the tree and widening it would change every certified domain",
 }
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
@@ -1040,6 +1078,48 @@ def _unprepared_statement_violations(
     ]
 
 
+def _node_switch_violations(
+    path: Path, tree: ast.AST, normalized: str
+) -> list[str]:
+    """REPRO019: a hand-written switch over the expression-node classes."""
+    if normalized.endswith(AST_NODES_SUFFIX) or not isinstance(tree, ast.Module):
+        return []
+    # Top-level functions and methods, each with everything nested in it.
+    bodies = [("", tree.body)] + [
+        (f"{node.name}.", node.body)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    ]
+    violations = []
+    for prefix, body in bodies:
+        for function in body:
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            name = prefix + function.name
+            if any(
+                normalized.endswith(suffix) and name == allowed
+                for suffix, allowed in SEMANTIC_SWITCHES
+            ):
+                continue
+            tested = {
+                (dotted_name(cls) or "").rpartition(".")[2]
+                for call in ast.walk(function)
+                if isinstance(call, ast.Call)
+                and dotted_name(call.func) == "isinstance"
+                and len(call.args) == 2
+                for cls in getattr(call.args[1], "elts", [call.args[1]])
+            }.intersection(EXPRESSION_NODE_CLASSES)
+            if len(tested) >= NODE_SWITCH_LIMIT:
+                violations.append(
+                    f"{path}:{function.lineno}: REPRO019 {name}() switches "
+                    f"over {len(tested)} expression-node classes "
+                    f"({', '.join(sorted(tested))}); traverse with ast_nodes."
+                    "walk / rewrite / map_expressions, or give its reason in "
+                    "SEMANTIC_SWITCHES if it says what the nodes mean"
+                )
+    return violations
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -1072,6 +1152,7 @@ def lint_file(path: Path) -> list[str]:
     violations.extend(_code_instantiation_violations(path, tree, normalized))
     violations.extend(_discarded_row_id_violations(path, tree, normalized))
     violations.extend(_unprepared_statement_violations(path, tree, normalized))
+    violations.extend(_node_switch_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
