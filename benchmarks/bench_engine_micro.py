@@ -30,6 +30,13 @@ the same WHERE, no session, no DML; ``test_values_only_scan`` reads all
 ``test_group_by_key_kernel`` groups those rows by ``status`` with the one
 ``row -> tuple`` kernel; ``test_row_id_construct`` builds one ``RowId``.
 
+A page keeps its decoded rows until it is next written, so every repeated
+scan here (the module's table is written only by the DML benchmarks) reads
+kept decodes after its first round.  ``test_scan_kept_pages`` is that read
+on its own, ``test_scan_after_point_update`` the same read after a one-row
+UPDATE (one page decoded again) and ``test_point_update_write_count`` the
+UPDATE alone: the writer's side, which pays one integer add per page write.
+
 ``test_parse_template_hit`` / ``test_parse_template_miss`` time ``parse`` on
 PK-point UPDATE texts that differ in their literals, with the statement
 template table warm and cleared before every call (~13 us against ~75 on the
@@ -305,6 +312,59 @@ def test_values_only_scan(benchmark, populated):
     table = database.table("parts")
     rows = benchmark(lambda: sum(map(len, table.scan_values())))
     assert rows >= 9 * 10_000
+
+
+def _scan_three_columns(table):
+    """A read of ``part_id, status, quantity`` through ``scan_values``,
+    returning the row count."""
+    columns = tuple(
+        table.schema.column_index(name) for name in ("part_id", "status", "quantity")
+    )
+    return lambda: len(list(table.scan_values(columns)))
+
+
+def test_scan_kept_pages(benchmark, populated):
+    """Scans of a table nothing writes between them: every page's decode
+    is the one the scan before kept, so a scan is the walk and the charge."""
+    database, _workload = populated
+    assert benchmark(_scan_three_columns(database.table("parts"))) >= 10_000
+
+
+def _point_update(database):
+    """One committed engine-level UPDATE of one row (no SQL): one page
+    written, its kept decodes left behind."""
+    table = database.table("parts")
+    [(row_id, _values)] = table.lookup("part_id", 4242)
+    quantities = itertools.count()
+
+    def update():
+        txn = database.begin()
+        table.update(txn, row_id, {"quantity": next(quantities)})
+        database.commit(txn)
+
+    return table, update
+
+
+def test_scan_after_point_update(benchmark, populated):
+    """A point update, then the scan of ``test_scan_kept_pages``: the one
+    page written is decoded again, the others are read as kept."""
+    database, _workload = populated
+    table, update = _point_update(database)
+    scan = _scan_three_columns(table)
+
+    def update_then_scan():
+        update()
+        return scan()
+
+    assert benchmark(update_then_scan) >= 10_000
+
+
+def test_point_update_write_count(benchmark, populated):
+    """The writer's side of the kept decode: the point update alone, whose
+    page mutators each add one to the page's write count and do nothing else."""
+    database, _workload = populated
+    _table, update = _point_update(database)
+    benchmark.pedantic(update, iterations=50, rounds=100, warmup_rounds=2)
 
 
 def test_group_by_key_kernel(benchmark, populated):

@@ -4,20 +4,21 @@ A :class:`HeapFile` owns an ordered list of page numbers and a free-space
 list.  All access goes through the buffer pool so the cost of every
 operation emerges from hit/miss/write-back accounting.
 
-Reading the whole file is one walk, :meth:`HeapFile.pages`, a page at a time:
-each step is one buffer-pool fetch and hands over that page's live slot
-numbers and records as lists.  Everything that reads a heap in full — the
-table's scans, an index build, :meth:`HeapFile.scan` — is written on it.
+Reading the whole file is one walk, a page at a time: each step is one
+buffer-pool fetch and hands over that page's live slot numbers and, as
+lists, their records (:meth:`HeapFile.pages`: an index build,
+:meth:`HeapFile.scan`) or their decoded rows, kept on the page until it is
+next written (:meth:`HeapFile.decoded_pages`: the table's scans).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterator
+from typing import Any, Iterator
 
 from ..errors import StorageError
 from .buffer import BufferPool
-from .rows import RowId
+from .rows import PageDecoder, RowId
 
 
 class HeapFile:
@@ -123,12 +124,30 @@ class HeapFile:
         The page list is snapshotted up front, and each page's slots when the
         page is reached, so a concurrent append (e.g. a statement inserting
         into the table it reads, as INSERT..SELECT does) does not revisit its
-        own output.  This is the one page walk: :class:`Table
-        <repro.engine.table.Table>` decodes, filters and charges per step.
+        own output.  The raw records, read afresh: an index build and
+        :meth:`scan` take these; the table's scans take
+        :meth:`decoded_pages`.
         """
         fetch = self._pool.fetch
         for page_no in list(self._page_nos):
             yield page_no, *fetch(page_no).records()
+
+    def decoded_pages(
+        self, decode: PageDecoder
+    ) -> Iterator[tuple[int, list[int], list[tuple[Any, ...]]]]:
+        """:meth:`pages` with each page's records decoded by ``decode``:
+        ``(page_no, live slot numbers, their rows)``, the same fetches and
+        the same snapshots.
+
+        The pair is :meth:`Page.decoded <repro.engine.page.Page.decoded>`'s:
+        a page not written since its last read through ``decode`` is not
+        decoded again, and the lists are never changed once handed out.
+        This is the walk :class:`Table <repro.engine.table.Table>` filters
+        and charges per step.
+        """
+        fetch = self._pool.fetch
+        for page_no in list(self._page_nos):
+            yield page_no, *fetch(page_no).decoded(decode)
 
     def scan(self) -> Iterator[tuple[RowId, bytes]]:
         """Every live ``(RowId, record)`` in page/slot order."""

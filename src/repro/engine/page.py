@@ -14,16 +14,22 @@ round-trip the on-disk image exactly.
 A page is the unit reads work on: :meth:`Page.records` hands over the live
 slot numbers and their records as two parallel lists, which is what the
 page decoder (:meth:`repro.engine.rows.RecordCodec.page_decoder`) and the
-scan's filter take whole.
+scan's filter take whole.  :meth:`Page.decoded` keeps what a page decoder
+made of them until the page is next written: every mutator bumps a write
+count (all a writer pays), and a reader whose kept entry carries an older
+count decodes afresh.  The entries live on this object only, so a page
+evicted and read back (:meth:`Page.from_bytes`) starts with none.
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import compress
+from typing import Any
 
 from ..errors import StorageError
 from .disk import PAGE_SIZE
+from .rows import PageDecoder
 
 _HEADER = struct.Struct(">HH")
 
@@ -53,6 +59,10 @@ class Page:
         self._slots: list[bytes | None] = [None] * self.capacity
         self._used = 0
         self._free_hint = 0
+        #: Bumped by every mutator; what a kept decode is stamped with.
+        self._writes = 0
+        #: Page decoder -> (write count, live slots, rows) of its last read.
+        self._decoded: dict[PageDecoder, tuple[int, list[int], list[Any]]] = {}
 
     # ----------------------------------------------------------------- status
     @property
@@ -69,6 +79,7 @@ class Page:
         self._check_record(record)
         if not self.has_space:
             raise StorageError("page is full")
+        self._writes += 1
         for slot_no in range(self._free_hint, self.capacity):
             if self._slots[slot_no] is None:
                 self._slots[slot_no] = record
@@ -90,6 +101,7 @@ class Page:
             raise StorageError(f"slot {slot_no} out of range 0..{self.capacity - 1}")
         if self._slots[slot_no] is not None:
             raise StorageError(f"slot {slot_no} is already occupied")
+        self._writes += 1
         self._slots[slot_no] = record
         self._used += 1
 
@@ -100,11 +112,13 @@ class Page:
     def overwrite(self, slot_no: int, record: bytes) -> None:
         self._check_record(record)
         self._slot_or_raise(slot_no)
+        self._writes += 1
         self._slots[slot_no] = record
 
     def delete(self, slot_no: int) -> bytes:
         """Free a slot; returns the old record (for undo/before images)."""
         record = self._slot_or_raise(slot_no)
+        self._writes += 1
         self._slots[slot_no] = None
         self._used -= 1
         if slot_no < self._free_hint:
@@ -115,11 +129,30 @@ class Page:
         """The slot numbers of the live records and, beside them, the
         records — two parallel lists in slot order.
 
-        New lists, so the caller may change the page while it works on them.
-        (A record is never empty, so a slot is live exactly when it is true.)
+        New lists on every call, so the caller may change the page while it
+        works on them; nothing is kept (what a decoder makes of them is,
+        by :meth:`decoded`).  (A record is never empty, so a slot is live
+        exactly when it is true.)
         """
         slots = self._slots
         return list(compress(range(self.capacity), slots)), list(filter(None, slots))
+
+    def decoded(self, decode: PageDecoder) -> tuple[list[int], list[tuple[Any, ...]]]:
+        """The live slot numbers and ``decode`` of their records, kept.
+
+        The pair is kept per decoder, stamped with the page's write count,
+        and handed out again until a mutator bumps the count; the first read
+        after that decodes afresh and replaces it.  Neither list is changed
+        once handed out — by the page or by the caller — so the caller may
+        change the page while it works on them, as with :meth:`records`.
+        """
+        kept = self._decoded.get(decode)
+        if kept is not None and kept[0] == self._writes:
+            return kept[1], kept[2]
+        slots, records = self.records()
+        rows = decode(records)
+        self._decoded[decode] = (self._writes, slots, rows)
+        return slots, rows
 
     # ------------------------------------------------------------ serialization
     def to_bytes(self) -> bytes:

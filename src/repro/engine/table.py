@@ -21,9 +21,10 @@ construction — validation, unique checks, index maintenance, triggers,
 undo and WAL payloads cannot diverge (lint rule REPRO012).
 
 Reads work a heap page at a time, on one walk (``Table._pages``): a page's
-records are decoded together, the statement's filter runs once over them,
-and the scan CPU is charged in runs of records — the same additions, in the
-same order relative to every other charge, as one ``advance`` per record.
+records are decoded together (once per write of the page, not per read: the
+page keeps the decode), the statement's filter runs once over them, and the
+scan CPU is charged in runs of records — the same additions, in the same
+order relative to every other charge, as one ``advance`` per record.
 :meth:`Table.scan` yields ``(RowId, values)`` with the clock exact at every
 row, for consumers that charge between rows, stop early or need the ids
 (DML, ``take_snapshot``); :meth:`Table.scan_values` is the values-only read
@@ -448,6 +449,9 @@ class Table:
         """The one walk over the heap's records: per page, ``(page_no, slot
         numbers, decoded rows, positions kept)``, nothing charged.
 
+        The slot numbers and rows are the page's kept decode
+        (:meth:`HeapFile.decoded_pages`): shared with every later read of an
+        unwritten page, so neither this walk nor its consumers change them.
         ``keep`` gets an iterator over the page's rows.  When it raises on
         the k-th of them, exactly k records of the page were examined — the
         iterator's length hint says how many were not — and they are charged
@@ -456,8 +460,7 @@ class Table:
         decode = self.schema.codec.decode_page
         if columns is not None:
             decode = self.schema.codec.page_decoder(tuple(columns))
-        for page_no, slots, records in self._heap.pages():
-            rows = decode(records)
+        for page_no, slots, rows in self._heap.decoded_pages(decode):
             if keep is None:
                 yield page_no, slots, rows, range(len(rows))
                 continue

@@ -804,9 +804,12 @@ def compile_after_image(
     """Compile ``stmt``'s SET list to a before image → after image function.
 
     Every assignment reads the *before* image (SQL semantics), over rows in
-    ``columns`` order with bare names in scope and no session context.
+    ``columns`` order with no session context.  A column is in scope by its
+    bare name and qualified by the statement's table, as at the source.
     """
     bind = RowBinding(columns)
+    own = {f"{stmt.table}.{name}": slot for name, slot in bind._layout.items()}
+    bind._layout.update(own)
     assigned, maker = set_list_maker(stmt.assignments, bind, no_slot)
     slots = [bind.slot(ast.ColumnRef(column)) for column in assigned]
     new_values = maker((), NO_SESSION)

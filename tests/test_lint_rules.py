@@ -1448,6 +1448,61 @@ class TestRepro019ANodesChildrenAreDeclaredOnce:
         }
 
 
+class TestRepro020PageStateIsWrittenByThePage:
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO020" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    WRITES = (
+        "def tamper(page, heap, slot, record):\n"
+        "    page._slots[slot] = record\n"
+        "    page._writes += 1\n"
+        "    del page._decoded[heap.decode]\n"
+        "    heap.frame._decoded = {}\n"
+        "    first, page._slots = page._slots, []\n"
+        "    page._decoded[heap.decode][1][0] = record\n"
+        "    other._writes: int = 0\n"
+        "    del page._slots\n"
+    )
+
+    def test_a_write_outside_the_page_is_flagged(self, tmp_path):
+        violations = lint_source(tmp_path, self.WRITES, name="repro/engine/heap.py")
+        assert self.flagged(violations) == [2, 3, 4, 5, 6, 7, 8, 9]
+        assert "'._slots' written outside" in violations[0]
+        assert "'._writes'" in violations[1] and "'._decoded'" in violations[2]
+        # No budget anywhere else either.
+        for name in ("repro/engine/table.py", "repro/engine/buffer.py", "tests/x.py"):
+            assert len(lint_source(tmp_path, self.WRITES, name=name)) == 8
+
+    def test_the_page_writes_its_own_state(self, tmp_path):
+        assert lint_source(tmp_path, self.WRITES, name="repro/engine/page.py") == []
+
+    def test_reading_page_state_and_other_stores_are_not_writes(self, tmp_path):
+        source = (
+            "def look(page, decode, rows, store):\n"
+            "    slots = page._slots\n"
+            "    live = [s for s in page._slots if s]\n"
+            "    kept = page._decoded.get(decode)\n"
+            "    rows[page._writes] = kept\n"
+            "    store._slot = 1\n"
+            "    page.slots = []\n"
+            "    return slots, live\n"
+        )
+        assert lint_source(tmp_path, source, name="repro/engine/table.py") == []
+
+    def test_the_repository_writes_page_state_only_in_the_page(self):
+        package = REPO / "src" / "repro"
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO020" in v
+            ] == [], path
+        # The rule guards what the page really keeps.
+        page = (package / "engine" / "page.py").read_text(encoding="utf-8")
+        for attr in lint_rules.PAGE_STATE_ATTRS:
+            assert f"self.{attr}" in page, attr
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

@@ -12,9 +12,10 @@ digests.  The window is optionally compacted first (the coalescer's
 rewrites must stay columnar-safe), and hybrid-plan statements must
 barrier to the row path rather than diverge.
 
-About half the statements spell their WHERE references ``parts.column``:
-the transformer, the view rewrite and both executors must all read that as
-the bare name.
+About half the statements spell their WHERE and SET references
+``parts.column``: the transformer, the view rewrite, both executors and the
+after images derived from a hybrid op's SET list must all read that as the
+bare name.
 
 Statements reach their rows both ways in one window: ``part_ref`` ranges
 have no index (the columnar mode images the table), while ``part_id``
@@ -108,11 +109,13 @@ def build_analyzer_and_plans():
 def run_source_operations(session, operations):
     for index, (kind, offset, size) in enumerate(operations):
         low, high = offset, offset + size
-        # Every WHERE reference, bare or qualified by the base table — the
-        # source accepts both, so every apply path must.
-        ref, key = ("parts.part_ref", "parts.part_id") if high % 2 else (
-            "part_ref", "part_id"
-        )
+        # Every WHERE and SET reference, bare or qualified by the base table
+        # — the source accepts both, so every apply path must, the hybrid
+        # before-image path (which derives after images from the SET list)
+        # included.
+        ref, key, qty = ("parts.part_ref", "parts.part_id", "parts.quantity") if (
+            high % 2
+        ) else ("part_ref", "part_id", "quantity")
         if kind == "insert":
             pid = 500_000 + index
             session.execute(
@@ -133,7 +136,7 @@ def run_source_operations(session, operations):
             )
         elif kind == "update_arith":
             session.execute(
-                f"UPDATE parts SET quantity = quantity + {size} "
+                f"UPDATE parts SET quantity = {qty} + {size} "
                 f"WHERE {ref} >= {low} AND {ref} < {high}"
             )
         elif kind == "update_null":
@@ -174,7 +177,7 @@ def run_source_operations(session, operations):
             # range); a lower bound of 27 or 28 is over it (scan).
             bottom = 29 - offset % 3
             session.execute(
-                f"UPDATE parts SET quantity = quantity + {size} "
+                f"UPDATE parts SET quantity = {qty} + {size} "
                 f"WHERE {key} >= {bottom} AND {key} <= {bottom + size}"
             )
         else:  # insert_then_point_update: the update reads the fresh key
@@ -185,7 +188,7 @@ def run_source_operations(session, operations):
                 "0, 7)"
             )
             session.execute(
-                f"UPDATE parts SET status = 'f{size}', quantity = quantity + "
+                f"UPDATE parts SET status = 'f{size}', quantity = {qty} + "
                 f"{offset} WHERE {key} = {pid}"
             )
 
@@ -351,8 +354,18 @@ MIXED_WINDOW = [
 ]
 
 
+#: Qualified SET references on statements the predicated view needs before
+#: images for: their after images are derived from ``parts.quantity + n``.
+QUALIFIED_SET_WINDOW = [
+    ("update_arith", 0, 3),
+    ("insert_then_point_update", 6, 1),
+    ("update_pk_range", 0, 1),
+]
+
+
 @given(_operations, st.booleans())
 @settings(max_examples=12, deadline=None)
+@example(QUALIFIED_SET_WINDOW, False)
 @example(KEYED_WINDOW, False)
 @example(MIXED_WINDOW, False)
 @example(MIXED_WINDOW, True)

@@ -529,3 +529,13 @@ class TestStatementHelpers:
         after_image = compile_after_image(stmt, self.COLUMNS)
         assert after_image((1, 10, 0)) == (10, 2, 0)
         assert after_image([None, 5, 0]) == (5, None, 0)
+
+    def test_after_image_reads_a_column_qualified_by_the_statements_table(self):
+        for spelling in ("price", "parts.price"):
+            stmt = parse(f"UPDATE parts SET price = {spelling} + 1 WHERE part_id = 3")
+            assert compile_after_image(stmt, ["part_id", "price"])((3, 10.0)) == (
+                3, 11.0,
+            )
+        foreign = parse("UPDATE parts SET price = suppliers.price + 1")
+        with pytest.raises(SqlAnalysisError, match="unknown column 'suppliers.price'"):
+            compile_after_image(foreign, ["part_id", "price"])((3, 10.0))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import OpDeltaAnalyzer
 from repro.analysis.certify import InterferenceSanitizer
-from repro.core import FileLogStore, OpDeltaCapture
+from repro.core import FileLogStore, OpDeltaCapture, ViewAwareHybridPolicy
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
@@ -643,6 +643,112 @@ class TestKeyAddressedColumnarApply:
         assert sorted(
             v[0] for _r, v in mirror.scan() if v[4] == "sup3"
         ) == sorted(supplied)
+
+
+#: Needs before images for any UPDATE of ``quantity`` (membership may move).
+PRICEY_PARTS = ViewDefinition(
+    name="pricey_parts",
+    base_table="parts",
+    columns=("part_id", "status", "quantity", "price"),
+    predicate="quantity > 500",
+    key_column="part_id",
+    base_columns=parts_schema().column_names,
+)
+
+
+class TestHybridAfterImagesReadTheStatementsOwnTable:
+    """A hybrid op's after images are derived from its SET list, which may
+    spell a column ``parts.price`` as the source allows."""
+
+    @pytest.fixture
+    def hybrid(self):
+        schema = parts_schema()
+        source = Database("hybrid-src")
+        workload = OltpWorkload(source)
+        workload.create_table()
+        workload.populate(60)
+        rows = list(source.table("parts").scan_values())
+        analyzer = OpDeltaAnalyzer(
+            views=[PRICEY_PARTS],
+            mirrored_tables={"parts"},
+            key_columns={"parts": "part_id"},
+            table_columns={"parts": schema.column_names},
+        )
+        store = FileLogStore(source)
+        OpDeltaCapture(
+            workload.session, store, tables={"parts"}, analyzer=analyzer,
+            hybrid_policy=ViewAwareHybridPolicy([PRICEY_PARTS]),
+        ).attach()
+        plans = ViewMaintenancePlanner(SchemaCatalog([schema])).plan_catalog(
+            [PRICEY_PARTS]
+        )
+        return source, workload.session, store, rows, analyzer, plans
+
+    @staticmethod
+    def replay(hybrid, groups, configuration):
+        """A fresh warehouse with the view, one window, one configuration."""
+        source, _session, _store, rows, analyzer, plans = hybrid
+        warehouse = Warehouse(f"hybrid-{configuration}", clock=source.clock)
+        warehouse.create_mirror(parts_schema())
+        warehouse.initial_load_rows("parts", rows)
+        view = warehouse.define_view(PRICEY_PARTS, parts_schema())
+        txn = warehouse.database.begin()
+        view.initialize(rows, txn)
+        warehouse.database.commit(txn)
+        integrator = OpDeltaIntegrator(
+            warehouse.database.internal_session(),
+            views=[view], analyzer=analyzer, plans=plans,
+        )
+        return warehouse, view, lambda: apply_window(integrator, groups, configuration)
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    @pytest.mark.parametrize("table", ["", "parts."], ids=["bare", "qualified"])
+    def test_a_hybrid_op_replays_as_the_source_ran_it(
+        self, hybrid, table, configuration
+    ):
+        """Every path ends at the view recomputed from the source — the same
+        rows and the same digest whichever path and spelling."""
+        source, session, store, _rows, _analyzer, _plans = hybrid
+        for sql in (
+            f"UPDATE parts SET quantity = {table}quantity + 600, "
+            f"price = {table}price + 1 WHERE part_id = 3",
+            f"UPDATE parts SET quantity = {table}quantity - {table}quantity "
+            "WHERE part_ref >= 10 AND part_ref < 14",
+        ):
+            assert session.execute(sql).rows_affected > 0
+        groups = store.drain()
+        assert all(op.is_hybrid for group in groups for op in group.operations)
+        warehouse, view, apply = self.replay(hybrid, groups, configuration)
+        apply()
+        assert logical(warehouse.database) == logical(source)
+        expected = view.recompute(source.table("parts").scan_values())
+        assert view.rows() == expected
+        assert StateDigest.from_rows(view.rows()) == StateDigest.from_rows(expected)
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_some_other_tables_qualifier_stays_a_typed_error(
+        self, hybrid, configuration
+    ):
+        source, _session, _store, rows, _analyzer, _plans = hybrid
+        [three] = [row for row in rows if row[0] == 3]
+        group = OpDeltaTransaction(
+            txn_id=1,
+            operations=[
+                op(
+                    1, 0,
+                    "UPDATE parts SET quantity = suppliers.quantity + 600 "
+                    "WHERE part_id = 3",
+                    before_image=[three],
+                )
+            ],
+        )
+        warehouse, view, apply = self.replay(hybrid, [group], configuration)
+        before = view.rows(), logical(warehouse.database)
+        with pytest.raises(WarehouseError, match="unknown column") as raised:
+            apply()
+        assert isinstance(raised.value.__cause__, SqlAnalysisError)
+        assert "suppliers.quantity" in str(raised.value)
+        assert (view.rows(), logical(warehouse.database)) == before
 
 
 class TestRecordStage:

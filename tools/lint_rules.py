@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Seventeen disciplines the standard linters cannot express:
+Twenty disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -248,6 +248,16 @@ or more distinct expression-node classes is flagged outside ``ast_nodes.py``
 reasons in ``SEMANTIC_SWITCHES``: what a node evaluates to, what type it
 has, what it constrains.  A traversal never needs more than the one or two
 classes it acts on.
+
+**REPRO020 — page state is written by the page.**  A heap page keeps the
+rows each page decoder made of it, stamped with its write count, and hands
+them out again until the count moves (``Page.decoded``); every ``Page``
+mutator bumps the count.  A write to the slot array, the count or the kept
+decode from anywhere else would leave a stale decode that every later read
+is handed.  So outside ``repro/engine/page.py`` an assignment, augmented
+assignment, subscript store or ``del`` whose target is ``._slots``,
+``._writes`` or ``._decoded`` (or an item of one) is flagged, with no budget:
+change a page through its methods.
 
 Usage::
 
@@ -516,6 +526,11 @@ SEMANTIC_SWITCHES = {
         "those under AND/OR/NOT only, so the walk's reach is narrower than "
         "the tree and widening it would change every certified domain",
 }
+
+#: REPRO020: the page's state behind its kept decode — slot array, write
+#: count, kept entries — and the one module that may write it.
+PAGE_STATE_ATTRS = ("_slots", "_writes", "_decoded")
+PAGE_SUFFIX = "repro/engine/page.py"
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
 
@@ -1120,6 +1135,40 @@ def _node_switch_violations(
     return violations
 
 
+def _stored(target: ast.expr) -> list[ast.expr]:
+    """The single targets of an assignment or ``del`` target list."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [inner for element in target.elts for inner in _stored(element)]
+    if isinstance(target, ast.Starred):
+        return _stored(target.value)
+    return [target]
+
+
+def _page_state_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
+    """REPRO020: a page's slots, write count or kept decode written elsewhere."""
+    if normalized.endswith(PAGE_SUFFIX):
+        return []
+    targets: list[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets.extend(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+    found = []
+    for target in (single for group in targets for single in _stored(group)):
+        base = target
+        while isinstance(base, ast.Subscript):  # page._slots[i], page._decoded[k]
+            base = base.value
+        if isinstance(base, ast.Attribute) and base.attr in PAGE_STATE_ATTRS:
+            found.append((target.lineno, base.attr))
+    return [
+        f"{path}:{lineno}: REPRO020 '.{attr}' written outside "
+        "repro/engine/page.py; change a page through its own methods, which "
+        "bump the write count its kept decode is checked against"
+        for lineno, attr in sorted(found)
+    ]
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -1153,6 +1202,7 @@ def lint_file(path: Path) -> list[str]:
     violations.extend(_discarded_row_id_violations(path, tree, normalized))
     violations.extend(_unprepared_statement_violations(path, tree, normalized))
     violations.extend(_node_switch_violations(path, tree, normalized))
+    violations.extend(_page_state_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
