@@ -44,7 +44,6 @@ from .conflict import (
     ConflictGraph,
     build_conflict_graph,
     parallel_order,
-    transactions_conflict,
 )
 from .relevance import RelevanceVerdict, statement_relevance
 from .rwsets import (
@@ -95,7 +94,6 @@ __all__ = [
     "ConflictGraph",
     "build_conflict_graph",
     "parallel_order",
-    "transactions_conflict",
     "RelevanceVerdict",
     "statement_relevance",
     "ColumnConstraint",

@@ -12,8 +12,9 @@ answers the three questions the downstream layers ask:
 * *Does anything at the warehouse care?*  (``record.pruned`` — if not,
   :meth:`OpDeltaAnalyzer.prune_window` drops the statement before the
   window is handed to the transport.)
-* *Does this transaction conflict with that one?*  (``analyzer.commutes``
-  feeding :func:`repro.analysis.conflict.build_conflict_graph`.)
+* *Does this transaction conflict with that one?*  (:meth:`OpDeltaAnalyzer.
+  conflict_graph`: one :func:`~repro.analysis.safety.commutes` verdict per
+  op pair of the window, under this analyzer's catalogs.)
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..sql.templates import shaped
 from .conflict import ConflictGraph, build_conflict_graph
 from .relevance import RelevanceVerdict, settle_relevance, shape_relevance
 from .rwsets import StatementFootprint, extract_footprint
-from .safety import Determinism, commutes, is_idempotent
+from .safety import Determinism, is_idempotent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..warehouse.aggregates import AggregateViewDefinition
@@ -86,7 +87,9 @@ class OpDeltaAnalyzer:
     relevance pruning; ``key_columns`` (table → primary-key column) and
     ``table_columns`` (table → column order) sharpen the commutativity and
     footprint analyses.  All four are optional — each omission only makes
-    the analyzer more conservative, never unsound.
+    the analyzer more conservative, never unsound — except that ``views``
+    is also how the conflict graph learns which DELETEs a view replays from
+    their before images: a view it is not told of, it cannot keep apart.
     """
 
     def __init__(
@@ -155,9 +158,6 @@ class OpDeltaAnalyzer:
     def analyze_op(self, op: OpDelta) -> AnalysisRecord:
         return self.analyze_statement(op.statement)
 
-    def commutes(self, a: AnalysisRecord, b: AnalysisRecord) -> bool:
-        return commutes(a.footprint, b.footprint, self.key_columns)
-
     # -------------------------------------------------------------- actions
     def prune_transaction(
         self, group: OpDeltaTransaction
@@ -203,5 +203,6 @@ class OpDeltaAnalyzer:
             groups,
             table_columns=self.table_columns or None,
             key_columns=self.key_columns or None,
+            views=self.views,
             metrics=self.metrics,
         )

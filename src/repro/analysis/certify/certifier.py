@@ -1,9 +1,13 @@
 """Static serializability proofs for proposed parallel schedules.
 
 The certifier takes a window of captured transactions, the conflict graph
-that scheduling was based on, and a proposed :class:`LaneSchedule`, and
-*independently re-derives* every pairwise conflict from pinned statement
-footprints — it does not trust the graph's edges.  A schedule is
+that scheduling was based on, and a proposed :class:`LaneSchedule`.  It
+reads every pairwise verdict from the graph's
+:class:`~repro.analysis.conflict.CommutationRecord` — the one ``commutes``
+proof per op pair the graph's edges were drawn from, proved there on first
+read when the graph never asked — and never reads the graph's edges or
+components: a schedule is judged against the op pairs themselves, not
+against what the scheduler concluded from them.  A schedule is
 ``CERTIFIED`` only when:
 
 * every conflicting transaction pair preserves source (capture) order:
@@ -31,14 +35,8 @@ from typing import Any, Iterable, Mapping, Sequence
 from ...core.opdelta import OpDelta, OpDeltaTransaction
 from ...obs.context import ambient_metrics
 from ...obs.metrics import NULL_REGISTRY, MetricsLike
-from ..conflict import ConflictGraph
-from ..rwsets import StatementFootprint
-from ..safety import (
-    Determinism,
-    commutes,
-    op_footprint,
-    statement_determinism,
-)
+from ..conflict import CommutationRecord, ConflictGraph
+from ..safety import Determinism, statement_determinism
 from .schedule import LaneSchedule
 
 
@@ -141,10 +139,16 @@ def _is_barrier(op: OpDelta) -> bool:
 class ScheduleCertifier:
     """Prove a proposed lane assignment serializable — or refute it.
 
-    The catalogs must match the ones the conflict graph was built with
-    (:meth:`for_analyzer` copies them off an ``OpDeltaAnalyzer``): a
-    certifier running *blinder* than the scheduler would reject safe
-    schedules it merely cannot see the safety of.
+    :meth:`certify` judges under the catalogs and ``structural`` setting
+    the conflict graph was built with: it reads the graph's record.  The
+    catalogs given here are what :meth:`verify_compaction` builds its own
+    record with, and must match the graph's (:meth:`for_analyzer` copies
+    them off an ``OpDeltaAnalyzer``): a certifier running *blinder* than
+    the scheduler would reject safe reorderings it merely cannot see the
+    safety of.  It needs no view catalog: an obligation that passes the
+    barrier check moves no op with a before image, and an op without one
+    is rewritten onto every view it reaches (or fails to apply in any
+    order), so no view tells two such DELETEs apart.
     """
 
     def __init__(
@@ -152,12 +156,10 @@ class ScheduleCertifier:
         *,
         key_columns: Mapping[str, str] | None = None,
         table_columns: Mapping[str, Sequence[str]] | None = None,
-        structural: bool = True,
         metrics: MetricsLike | None = None,
     ) -> None:
         self._key_columns = key_columns
         self._table_columns = table_columns
-        self._structural = structural
         self._metrics = metrics
 
     @classmethod
@@ -169,37 +171,10 @@ class ScheduleCertifier:
             metrics=analyzer.metrics,
         )
 
-    # -- footprint plumbing -------------------------------------------
-
     def _registry(self) -> MetricsLike:
         if self._metrics is not None:
             return self._metrics
         return ambient_metrics() or NULL_REGISTRY
-
-    def _footprint(self, op: OpDelta) -> StatementFootprint:
-        # Shared replay-form footprint (pinned time, image-replay flag):
-        # the certifier must judge reordering on the same model the
-        # conflict graph was built with.
-        return op_footprint(op, self._table_columns)
-
-    def _commutes(self, a: StatementFootprint, b: StatementFootprint) -> bool:
-        return commutes(
-            a, b, self._key_columns, structural=self._structural
-        )
-
-    def _conflict_witness(
-        self,
-        ops_a: Sequence[OpDelta],
-        fps_a: Sequence[StatementFootprint],
-        ops_b: Sequence[OpDelta],
-        fps_b: Sequence[StatementFootprint],
-    ) -> tuple[OpDelta, OpDelta] | None:
-        """First non-commuting op pair between two transactions."""
-        for op_a, fp_a in zip(ops_a, fps_a):
-            for op_b, fp_b in zip(ops_b, fps_b):
-                if not self._commutes(fp_a, fp_b):
-                    return op_a, op_b
-        return None
 
     # -- certification ------------------------------------------------
 
@@ -211,13 +186,8 @@ class ScheduleCertifier:
     ) -> Certificate:
         """Statically prove ``schedule`` equivalent to the serial order."""
         groups = list(groups)
-        findings: list[RaceFinding] = []
-        findings.extend(self._check_coverage(groups, graph, schedule))
-        footprints = [
-            [self._footprint(op) for op in group.operations]
-            for group in groups
-        ]
-
+        record = graph.record
+        findings = self._check_coverage(groups, graph, schedule)
         pairs_checked = 0
         conflicting = 0
         # Source order is the window order: capture commits transactions
@@ -226,12 +196,7 @@ class ScheduleCertifier:
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 pairs_checked += 1
-                witness_pair = self._conflict_witness(
-                    groups[i].operations,
-                    footprints[i],
-                    groups[j].operations,
-                    footprints[j],
-                )
+                witness_pair = record.conflict(groups[i], groups[j])
                 if witness_pair is None:
                     continue
                 conflicting += 1
@@ -242,8 +207,8 @@ class ScheduleCertifier:
                 )
 
         reorder_checks = 0
-        for group, fps in zip(groups, footprints):
-            checked, reorder_findings = self._check_group_order(group, fps)
+        for group in groups:
+            checked, reorder_findings = self._check_group_order(group, record)
             reorder_checks += checked
             findings.extend(reorder_findings)
 
@@ -451,7 +416,7 @@ class ScheduleCertifier:
     def _check_group_order(
         self,
         group: OpDeltaTransaction,
-        footprints: Sequence[StatementFootprint],
+        record: CommutationRecord,
     ) -> tuple[int, list[RaceFinding]]:
         """Verify in-group op reorderings: proofs present, barriers kept."""
         findings: list[RaceFinding] = []
@@ -479,7 +444,7 @@ class ScheduleCertifier:
                             op_b=correlation_id(ops[j]),
                         )
                     )
-                elif not self._commutes(footprints[i], footprints[j]):
+                elif not record.commute(ops[i], ops[j]):
                     findings.append(
                         RaceFinding(
                             code="RACE003",
@@ -510,10 +475,14 @@ class ScheduleCertifier:
         :class:`~repro.compaction.report.CompactionReport` collected: each
         records that a combining statement's effect commuted past an
         intervening op.  The certifier re-derives each proof from the
-        *uncompacted* groups; a failed proof means the compactor reordered
-        something it should not have.
+        *uncompacted* groups, in a record of its own over that window; a
+        failed proof means the compactor reordered something it should not
+        have.
         """
         groups = list(groups)
+        record = CommutationRecord(
+            key_columns=self._key_columns, table_columns=self._table_columns
+        )
         ops_by_key: dict[tuple[int, int], OpDelta] = {
             (group.txn_id, op.sequence): op
             for group in groups
@@ -561,7 +530,7 @@ class ScheduleCertifier:
                     )
                 )
                 continue
-            if not self._commutes(self._footprint(moved), self._footprint(over)):
+            if not record.commute(moved, over):
                 findings.append(
                     RaceFinding(
                         code="RACE003",

@@ -121,12 +121,10 @@ class InterferenceSanitizer:
         *,
         key_columns: Mapping[str, str] | None = None,
         table_columns: Mapping[str, Sequence[str]] | None = None,
-        structural: bool = True,
     ) -> None:
         self._lanes = lanes
         self._key_columns = key_columns
         self._table_columns = table_columns
-        self._structural = structural
         self._clocks = [VectorClock.zero(lanes) for _ in range(lanes)]
         self._accesses: list[_Access] = []
         self._seen_pairs: set[tuple[str, str]] = set()
@@ -186,9 +184,7 @@ class InterferenceSanitizer:
         # still refuses (an INSERT a non-literal UPDATE's predicate
         # could capture, say) the pair stays a race — column overlap
         # below only picks the classification.
-        if commutes(
-            fp_a, fp_b, self._key_columns, structural=self._structural
-        ):
+        if commutes(fp_a, fp_b, self._key_columns):
             return
         writes_a = _write_columns(fp_a)
         writes_b = _write_columns(fp_b)

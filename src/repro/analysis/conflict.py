@@ -10,37 +10,84 @@ whole drain.
 The graph's connected components are the unit of parallelism: transactions
 inside a component must keep their capture order, components themselves
 are mutually independent.
+
+Each pair is proved once per window.  The graph carries the
+:class:`CommutationRecord` it was built from, and the schedule certifier
+reads its verdicts from there instead of proving the same pairs again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
-from ..core.opdelta import OpDeltaTransaction
+from ..core.opdelta import OpDelta, OpDeltaTransaction
+from ..core.selfmaint import ViewDefinition
 from ..obs.context import ambient_metrics
 from ..obs.metrics import NULL_REGISTRY, MetricsLike
 from .rwsets import StatementFootprint
 from .safety import commutes, op_footprint
 
 
-def transactions_conflict(
-    a: Sequence[StatementFootprint],
-    b: Sequence[StatementFootprint],
-    key_columns: Mapping[str, str] | None = None,
-    *,
-    structural: bool = True,
-) -> bool:
-    """Whether two transactions' statement footprints fail to commute.
+class CommutationRecord:
+    """Every commutation verdict of one window, each proved once.
 
-    ``structural=False`` disables the structural-disjointness widening of
-    the commutativity prover (see :mod:`repro.analysis.safety`).
+    An op's footprint is its replay form (:func:`~repro.analysis.safety.
+    op_footprint`), computed on first use.  An op pair's cell holds
+    ``commutes``' verdict, proved on first read; a transaction pair's entry
+    is its first non-commuting cell.  Whatever nobody asked for yet — a
+    transaction outside the graph, an in-group inversion — is proved by the
+    same code when it is first read.
+
+    Ops and transactions are keyed by identity, and the record keeps each
+    one it has seen alive, so no identity is reused while its entry stands.
+    A pair is keyed in the order it is asked: the structural widening can
+    find its proof in one orientation only.
     """
-    return any(
-        not commutes(fa, fb, key_columns, structural=structural)
-        for fa in a
-        for fb in b
-    )
+
+    def __init__(
+        self,
+        *,
+        key_columns: Mapping[str, str] | None = None,
+        table_columns: Mapping[str, Sequence[str]] | None = None,
+        views: Sequence[ViewDefinition] = (),
+        structural: bool = True,
+    ) -> None:
+        self._key_columns = key_columns
+        self._table_columns = table_columns
+        self._views = tuple(views)
+        self._structural = structural
+        self._footprints: dict[int, tuple[OpDelta, StatementFootprint]] = {}
+        self._cells: dict[tuple[int, int], bool] = {}
+        #: (id early, id late) -> (early, late, first non-commuting op pair)
+        self._witnesses: dict[tuple[int, int], tuple[Any, ...]] = {}
+
+    def footprint(self, op: OpDelta) -> StatementFootprint:
+        if id(op) not in self._footprints:
+            footprint = op_footprint(op, self._table_columns, self._views)
+            self._footprints[id(op)] = (op, footprint)
+        return self._footprints[id(op)][1]
+
+    def commute(self, a: OpDelta, b: OpDelta) -> bool:
+        """Whether ``a`` then ``b`` equals ``b`` then ``a``."""
+        key = (id(a), id(b))
+        if key not in self._cells:
+            self._cells[key] = commutes(
+                self.footprint(a), self.footprint(b), self._key_columns,
+                structural=self._structural,
+            )
+        return self._cells[key]
+
+    def conflict(
+        self, early: OpDeltaTransaction, late: OpDeltaTransaction
+    ) -> tuple[OpDelta, OpDelta] | None:
+        """The first op pair of ``early`` × ``late`` that does not commute."""
+        key = (id(early), id(late))
+        if key not in self._witnesses:
+            pairs = ((a, b) for a in early.operations for b in late.operations)
+            witness = next((p for p in pairs if not self.commute(*p)), None)
+            self._witnesses[key] = (early, late, witness)
+        return self._witnesses[key][2]
 
 
 @dataclass(frozen=True)
@@ -49,12 +96,14 @@ class ConflictGraph:
 
     ``components`` groups transaction ids into connected components, each
     listed in original capture order; singleton components are transactions
-    that conflict with nothing.
+    that conflict with nothing.  ``record`` holds the verdicts the edges
+    were drawn from.
     """
 
     txn_ids: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
+    record: CommutationRecord = field(compare=False, repr=False)
 
     @property
     def component_count(self) -> int:
@@ -76,14 +125,17 @@ def build_conflict_graph(
     *,
     table_columns: Mapping[str, Sequence[str]] | None = None,
     key_columns: Mapping[str, str] | None = None,
+    views: Sequence[ViewDefinition] = (),
     metrics: MetricsLike | None = None,
     structural: bool = True,
 ) -> ConflictGraph:
     """Build the conflict graph for a batch of captured transactions.
 
     ``table_columns``/``key_columns`` feed the footprint extractor and the
-    commutativity check (see :mod:`repro.analysis.safety`); supplying them
-    sharpens the analysis, omitting them only makes it more conservative.
+    commutativity check, and ``views`` — the warehouse's view catalog —
+    tells two DELETEs a view replays differently apart (see
+    :mod:`repro.analysis.safety`); supplying them sharpens the analysis,
+    omitting the column catalogs only makes it more conservative.
     ``structural=False`` runs the pre-widening commutativity prover, which
     is how the certify experiment measures the parallelism delta.
     """
@@ -95,10 +147,10 @@ def build_conflict_graph(
     # therefore conflict with everything.  Ops captured with before images
     # are marked for image replay, which restricts the commutativity
     # proofs to disjoint-row-set arguments (see ``safety.op_footprint``).
-    footprints = [
-        [op_footprint(op, table_columns) for op in g.operations]
-        for g in groups
-    ]
+    record = CommutationRecord(
+        key_columns=key_columns, table_columns=table_columns,
+        views=views, structural=structural,
+    )
     txn_ids = tuple(g.txn_id for g in groups)
     parent = list(range(len(groups)))
 
@@ -111,10 +163,7 @@ def build_conflict_graph(
     edges: list[tuple[int, int]] = []
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
-            if transactions_conflict(
-                footprints[i], footprints[j], key_columns,
-                structural=structural,
-            ):
+            if record.conflict(groups[i], groups[j]) is not None:
                 edges.append((txn_ids[i], txn_ids[j]))
                 root_i, root_j = find(i), find(j)
                 if root_i != root_j:
@@ -125,9 +174,7 @@ def build_conflict_graph(
     components = tuple(
         tuple(members) for _, members in sorted(by_root.items())
     )
-    graph = ConflictGraph(
-        txn_ids=txn_ids, edges=tuple(edges), components=components
-    )
+    graph = ConflictGraph(txn_ids, tuple(edges), components, record)
     registry.counter("analysis.conflict.edges").inc(len(edges))
     registry.gauge("analysis.conflict.components").set(len(components))
     registry.gauge("analysis.conflict.largest_component").set(

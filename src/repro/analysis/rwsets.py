@@ -351,6 +351,10 @@ class StatementFootprint:
     #: sound; pointwise-assignment arguments do not survive image replay
     #: (see :func:`repro.analysis.safety.commutes`).
     image_replay: bool = False
+    #: For a captured DELETE: the views that replay it from its before image
+    #: rather than its statement (see :func:`repro.analysis.safety.
+    #: op_footprint`).  Two DELETEs swap freely only when these agree.
+    image_views: frozenset[str] = frozenset()
 
     @property
     def assignments(self) -> tuple[ast.Assignment, ...]:

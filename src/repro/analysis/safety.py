@@ -32,8 +32,11 @@ NULL``.  The proof is sound only while the partitioning columns are
 invariant, so the widening additionally requires that neither statement
 assigns any column referenced by the contradicting conjunct pair.
 Passing ``structural=False`` recovers the original, more conservative
-prover — the certify bench experiment uses both to report the
-parallelism delta.
+prover.  The setting belongs to a window's conflict graph
+(:func:`~repro.analysis.conflict.build_conflict_graph`): the schedule
+certifier reads the verdicts the graph's record proved under it, and the
+certify bench experiment builds the graph both ways to report the
+parallelism delta.  The sanitizer and the coalescer prove with it on.
 
 Ops captured with **before images** (hybrid capture) are replayed from
 the image on views that need them, which is *not* plain statement
@@ -45,8 +48,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
+from ..core.opdelta import OpDelta, OpKind
+from ..core.selfmaint import Maintainability, ViewDefinition, classify_operation
 from ..sql import ast_nodes as ast
 from ..sql.expressions import (
     referenced_columns,
@@ -55,9 +60,6 @@ from ..sql.expressions import (
 )
 from ..sql.templates import SHAPE, shaped
 from .rwsets import StatementFootprint, extract_footprint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.opdelta import OpDelta
 
 
 class Determinism(enum.Enum):
@@ -131,8 +133,9 @@ def pin_time_functions(
 
 
 def op_footprint(
-    op: "OpDelta",
+    op: OpDelta,
     table_columns: Mapping[str, Sequence[str]] | None = None,
+    views: Sequence[ViewDefinition] = (),
 ) -> StatementFootprint:
     """The footprint of a captured op, in its *replay* form.
 
@@ -142,8 +145,16 @@ def op_footprint(
     maintenance replays those from the image rather than the statement,
     which narrows the commutativity proofs :func:`commutes` may use.
     Every consumer that reasons about reordering captured ops — the
-    conflict graph, the schedule certifier, the interference sanitizer —
-    must build footprints through this helper so they share one model.
+    conflict graph's record, the interference sanitizer — must build
+    footprints through this helper so they share one model.
+
+    A DELETE also records which of ``views`` replay it from its image
+    (``image_views``): the kind :func:`~repro.core.selfmaint.
+    classify_operation` decides is the one ``MaterializedView`` applies —
+    a plan's DELETE rule rewrites onto the view only where it answers
+    ``OP_ONLY`` for every statement, and defers to it otherwise — and an
+    aggregate view replays every DELETE from its image, so it never tells
+    two DELETEs apart.
     """
     footprint = extract_footprint(op.statement, table_columns)
     if footprint.determinism is not Determinism.DETERMINISTIC:
@@ -151,8 +162,15 @@ def op_footprint(
         footprint = extract_footprint(
             pin_time_functions(op.statement, op.captured_at), table_columns
         )
-    if op.before_image is not None:
-        footprint = dataclasses.replace(footprint, image_replay=True)
+    image_views = frozenset(
+        view.name for view in views
+        if op.kind is OpKind.DELETE and view.base_table == op.table
+        and classify_operation(view, op) is not Maintainability.OP_ONLY
+    )
+    if op.before_image is not None or image_views:
+        footprint = dataclasses.replace(
+            footprint, image_replay=op.before_image is not None, image_views=image_views
+        )
     return footprint
 
 
@@ -221,7 +239,9 @@ def commutes(
     their assigned columns are disjoint or their assignments commute
     pointwise.  Only proofs that establish provably **disjoint row
     sets** (range or structural disjointness, key-disjoint inserts)
-    survive; the pointwise-assignment arguments are disabled.
+    survive; the pointwise-assignment arguments are disabled.  Two
+    DELETEs that some view replays differently (their ``image_views``
+    differ) are held to the same disjoint-row-set proofs.
     """
     # Even TIME_DEPENDENT statements do not commute: swapping the order
     # shifts the virtual clock value each one evaluates under.
@@ -240,10 +260,16 @@ def commutes(
         kind_a, kind_b = kind_b, kind_a
 
     if kind_a == "DELETE" and kind_b == "DELETE":
-        # Always safe, images included: a row deleted by one statement at
-        # the source cannot appear in the other's image, so the captured
-        # key sets are disjoint by construction.
-        return True
+        # Replayed alike on every view, two DELETEs swap freely: statements
+        # delete in either order, and a row one deleted at the source cannot
+        # be in the other's image.  Where a view replays one from its image
+        # and the other from its statement, the statement can remove a row
+        # the image then fails to find (a point DELETE that matched nothing
+        # because an earlier range DELETE had removed its row): only
+        # disjoint row sets make that pair safe.
+        return a.image_views == b.image_views or _ranges_disjoint(a, b) or (
+            structural and _structurally_disjoint(a, b)
+        )
     if kind_a == "UPDATE" and kind_b == "UPDATE":
         return _updates_commute(
             a, b, structural=structural, image_replay=image_replay

@@ -227,16 +227,12 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     report.transactions = len(groups)
     report.operations = sum(len(g.operations) for g in groups)
 
-    graph_wide = build_conflict_graph(
-        groups,
-        table_columns=analyzer.table_columns or None,
-        key_columns=analyzer.key_columns or None,
-        structural=True,
-    )
+    graph_wide = analyzer.conflict_graph(groups)
     graph_conservative = build_conflict_graph(
         groups,
         table_columns=analyzer.table_columns or None,
         key_columns=analyzer.key_columns or None,
+        views=analyzer.views,
         structural=False,
     )
     certifier = ScheduleCertifier.for_analyzer(analyzer)
@@ -262,11 +258,7 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     obligations = certifier.verify_compaction(
         groups, compaction.reorder_obligations
     )
-    graph_compacted = build_conflict_graph(
-        compacted,
-        table_columns=analyzer.table_columns or None,
-        key_columns=analyzer.key_columns or None,
-    )
+    graph_compacted = analyzer.conflict_graph(compacted)
     compacted_certificate = certifier.certify(
         compacted,
         graph_compacted,

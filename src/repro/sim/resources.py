@@ -81,7 +81,3 @@ class RWLock:
             self._readers += 1
             self.shared_acquisitions += 1
             head.event.succeed()
-
-    @property
-    def active_readers(self) -> int:
-        return self._readers

@@ -1,5 +1,7 @@
 """Schedule certifier, interference sanitizer and the widened prover."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.certify import (
@@ -231,6 +233,17 @@ class TestScheduleCertifier:
             groups, graph, single_lane_schedule(groups)
         )
         assert any(f.code == "RACE006" for f in certificate.findings)
+
+    def test_the_graphs_edges_are_never_read(self):
+        # A graph claiming no conflict at all still cannot smuggle a
+        # cross-lane conflict past the certifier: it reads the op pairs.
+        groups = conflicting_groups()
+        graph = build_conflict_graph(groups, key_columns=KEYS)
+        blind = dataclasses.replace(graph, edges=(), components=((1,), (2,)))
+        certificate = ScheduleCertifier(key_columns=KEYS).certify(
+            groups, blind, LaneSchedule(lanes=((1,), (2,)))
+        )
+        assert [f.code for f in certificate.findings] == ["RACE001"]
 
     def test_metrics_account_for_checks_and_findings(self):
         registry = MetricsRegistry()

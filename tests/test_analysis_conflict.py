@@ -3,12 +3,12 @@
 import pytest
 
 from repro.analysis.conflict import (
+    CommutationRecord,
     build_conflict_graph,
     parallel_order,
-    transactions_conflict,
 )
-from repro.analysis.rwsets import extract_footprint
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
+from repro.core.selfmaint import ViewDefinition
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.parser import parse
@@ -39,23 +39,65 @@ def txn(txn_id, *statements):
     return OpDeltaTransaction(txn_id=txn_id, operations=ops)
 
 
-def fps(*sqls):
-    return [extract_footprint(parse(s)) for s in sqls]
-
-
 class TestTransactionsConflict:
     def test_any_non_commuting_pair_conflicts(self):
-        a = fps("UPDATE t SET a = 1 WHERE id >= 0 AND id < 10")
-        b = fps(
+        a = txn(1, "UPDATE t SET a = 1 WHERE id >= 0 AND id < 10")
+        b = txn(
+            2,
             "UPDATE t SET a = 2 WHERE id >= 10 AND id < 20",
             "UPDATE t SET a = 3 WHERE id >= 5 AND id < 8",
         )
-        assert transactions_conflict(a, b, KEYS)
+        record = CommutationRecord(key_columns=KEYS)
+        # The witness is the first op pair that does not commute.
+        assert record.conflict(a, b) == (a.operations[0], b.operations[1])
+        assert record.commute(a.operations[0], b.operations[0])
 
     def test_all_commuting_pairs_no_conflict(self):
-        a = fps("UPDATE t SET a = 1 WHERE id >= 0 AND id < 10")
-        b = fps("UPDATE t SET a = 2 WHERE id >= 10 AND id < 20")
-        assert not transactions_conflict(a, b, KEYS)
+        a = txn(1, "UPDATE t SET a = 1 WHERE id >= 0 AND id < 10")
+        b = txn(2, "UPDATE t SET a = 2 WHERE id >= 10 AND id < 20")
+        assert CommutationRecord(key_columns=KEYS).conflict(a, b) is None
+
+
+class TestDeletesReplayedDifferently:
+    """Two DELETEs swap freely only when every view replays them alike."""
+
+    #: Keeps ``id`` and ``a``: a DELETE on ``id`` is rewritten onto it, one
+    #: on the unprojected ``c`` is replayed from its before image.
+    NARROW = ViewDefinition(
+        name="narrow", base_table="t", columns=("id", "a"), key_column="id"
+    )
+
+    def window(
+        self,
+        first="DELETE FROM t WHERE c >= 1 AND c < 2",
+        second="DELETE FROM t WHERE id = 1",
+    ):
+        groups = [txn(1, first), txn(2, second)]
+        for group in groups:
+            group.operations[0].before_image = []
+        return groups
+
+    def test_a_view_replaying_them_differently_orders_them(self):
+        graph = build_conflict_graph(
+            self.window(), key_columns=KEYS, views=[self.NARROW]
+        )
+        assert graph.edges == ((1, 2),)
+
+    def test_alike_on_every_view_they_commute(self):
+        # No view, or both replayed from their images: no edge.
+        assert build_conflict_graph(self.window(), key_columns=KEYS).edges == ()
+        both_imaged = self.window(second="DELETE FROM t WHERE c = 5")
+        graph = build_conflict_graph(
+            both_imaged, key_columns=KEYS, views=[self.NARROW]
+        )
+        assert graph.edges == ()
+
+    def test_disjoint_rows_still_commute(self):
+        window = self.window(first="DELETE FROM t WHERE id >= 10 AND c = 1")
+        graph = build_conflict_graph(
+            window, key_columns=KEYS, views=[self.NARROW]
+        )
+        assert graph.edges == ()
 
 
 class TestBuildConflictGraph:

@@ -21,6 +21,7 @@ from repro.analysis.safety import (
     statement_determinism,
 )
 from repro.core import OpDelta, OpKind
+from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
 from repro.sql.parser import parse
 
@@ -383,6 +384,59 @@ class TestImageReplayCommutes:
         b = "UPDATE t SET b = 2 WHERE id < 3"
         assert commutes(self.imaged(a), fp(b), KEYS) == commutes(
             fp(b), self.imaged(a), KEYS
+        )
+
+
+class TestDeletesReplayedAlike:
+    """Two DELETEs swap freely only when every view replays them alike.
+
+    Where a view rewrites one onto itself and replays the other from its
+    before image, the statement can remove a row the image then fails to
+    find, so only disjoint row sets make the pair safe."""
+
+    #: A DELETE reading only ``id``/``a`` is rewritten onto it; one reading
+    #: ``b`` is replayed from its before image.
+    NARROW = ViewDefinition(
+        name="narrow", base_table="t", columns=("id", "a"), key_column="id"
+    )
+
+    def footprint(self, sql, kind=OpKind.DELETE, table="t"):
+        op = OpDelta(sql, table, kind, 1, 0, 0.0, before_image=[])
+        return op_footprint(op, views=[self.NARROW])
+
+    def test_op_footprint_names_the_views_replaying_the_image(self):
+        assert self.footprint("DELETE FROM t WHERE id = 1").image_views == set()
+        assert self.footprint("DELETE FROM t WHERE b < 5").image_views == {
+            "narrow"
+        }
+        # Only a DELETE, and only on the views over its table.
+        update = self.footprint("UPDATE t SET b = 1 WHERE b < 5", OpKind.UPDATE)
+        assert update.image_views == set()
+        other = self.footprint("DELETE FROM u WHERE b < 5", table="u")
+        assert other.image_views == set()
+
+    def test_replayed_differently_they_need_disjoint_rows(self):
+        point = self.footprint("DELETE FROM t WHERE id = 1")
+        assert not commutes(point, self.footprint("DELETE FROM t WHERE b < 5"), KEYS)
+        ranged = self.footprint("DELETE FROM t WHERE id > 1 AND b < 5")
+        assert commutes(point, ranged, KEYS)
+        assert commutes(ranged, point, KEYS)
+        # The structural widening counts as a disjointness proof too.
+        a = self.footprint("DELETE FROM t WHERE a = 1")
+        b = self.footprint("DELETE FROM t WHERE a <> 1 AND b < 5")
+        assert commutes(a, b, KEYS)
+        assert not commutes(a, b, KEYS, structural=False)
+
+    def test_replayed_alike_they_swap_freely(self):
+        assert commutes(
+            self.footprint("DELETE FROM t WHERE b < 5"),
+            self.footprint("DELETE FROM t WHERE b < 9"),
+            KEYS,
+        )
+        assert commutes(
+            self.footprint("DELETE FROM t WHERE id = 1"),
+            self.footprint("DELETE FROM t WHERE a < 9"),
+            KEYS,
         )
 
 

@@ -1503,6 +1503,64 @@ class TestRepro020PageStateIsWrittenByThePage:
             assert f"self.{attr}" in page, attr
 
 
+class TestRepro021OneCommutationVerdictPerPair:
+    RECORD = "repro/analysis/conflict.py"
+    SANITIZER = "repro/analysis/certify/sanitizer.py"
+    COALESCER = "repro/compaction/coalescer.py"
+    PROOF = "def proved(a, b, keys):\n    return commutes(a, b, keys)\n"
+
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO021" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    def test_a_proof_outside_the_record_is_flagged(self, tmp_path):
+        for home in (self.RECORD, self.SANITIZER, self.COALESCER):
+            assert lint_source(tmp_path, self.PROOF, name=home) == []
+        for elsewhere in (
+            "repro/analysis/certify/certifier.py",
+            "repro/analysis/analyzer.py",
+            "repro/warehouse/opdelta_integrator.py",
+        ):
+            violations = lint_source(tmp_path, self.PROOF, name=elsewhere)
+            assert self.flagged(violations) == [2], elsewhere
+            assert "ConflictGraph.record" in violations[0]
+
+    def test_budgets_are_per_module(self, tmp_path):
+        twice = self.PROOF + "def again(a, b):\n    return safety.commutes(a, b)\n"
+        for home in (self.RECORD, self.SANITIZER, self.COALESCER):
+            assert self.flagged(lint_source(tmp_path, twice, name=home)) == [4]
+
+    def test_reading_the_record_is_not_a_proof(self, tmp_path):
+        source = (
+            "def certify(record, a, b, early, late):\n"
+            "    return record.commute(a, b), record.conflict(early, late)\n"
+            "def commutes(a, b):\n"
+            "    return True\n"
+        )
+        assert lint_source(
+            tmp_path, source, name="repro/analysis/certify/certifier.py"
+        ) == []
+
+    def test_shipped_tree_proves_in_three_places(self):
+        package = REPO / "src" / "repro"
+        calls = {}
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO021" in v
+            ] == [], path
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if count := len(lint_rules._calls_to(list(ast.walk(tree)), "commutes")):
+                calls[path.relative_to(package).as_posix()] = count
+        # The budgets are met exactly: the record's cell, the sanitizer's
+        # pinned copies and the coalescer's uncompacted stream.
+        assert calls == {
+            "analysis/conflict.py": 1,
+            "analysis/certify/sanitizer.py": 1,
+            "compaction/coalescer.py": 1,
+        }
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

@@ -27,8 +27,7 @@ scans to the same ``(RowId, values)`` list.
 
 import itertools
 
-import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import OpDeltaAnalyzer
@@ -36,7 +35,6 @@ from repro.compaction import Coalescer
 from repro.core import FileLogStore, OpDeltaCapture, ViewAwareHybridPolicy
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
-from repro.errors import WarehouseError
 from repro.obs.pipeline.auditor import StateDigest
 from repro.semantics import SchemaCatalog, ViewMaintenancePlanner
 from repro.warehouse import OpDeltaIntegrator, Warehouse
@@ -312,24 +310,6 @@ def check_configurations_agree(operations, compacted):
     )
 
 
-def reorders_a_spent_delete(operations):
-    """Whether a point DELETE names a key an earlier range DELETE removed.
-
-    A known hole in the commutativity prover, kept out of the generated
-    windows and pinned by the strict ``xfail`` at the bottom: ``commutes``
-    lets any two DELETEs swap, but the point DELETE (which matched nothing
-    at the source) is replayed from its statement and the range DELETE from
-    its before image, so applied point-first the image's row is already gone.
-    """
-    removed: set[int] = set()
-    for kind, offset, size in operations:
-        if kind == "delete":
-            removed.update(range(offset, offset + size))
-        elif kind == "delete_point" and offset in removed:
-            return True
-    return False
-
-
 #: A window no statement of which needs a scan: points, a B-tree range at
 #: the top of the key space, an insert whose key the next statement updates,
 #: and a second update of an already-updated key.  Its conflict components
@@ -370,20 +350,16 @@ QUALIFIED_SET_WINDOW = [
 @example(MIXED_WINDOW, False)
 @example(MIXED_WINDOW, True)
 def test_columnar_apply_is_bit_for_bit_the_row_apply(operations, compacted):
-    assume(not reorders_a_spent_delete(operations))
     check_configurations_agree(operations, compacted)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=WarehouseError,
-    reason="commutes() lets a point DELETE that matched nothing at the source "
-    "swap with the range DELETE that had removed its row; batched apply then "
-    "runs the point DELETE first (statement replay removes the row from the "
-    "keyed view) and the range DELETE's before image finds nothing to delete. "
-    "Serial apply is correct. Needs per-view replay kinds in the prover.",
-)
 def test_point_delete_of_a_row_a_range_delete_removed():
+    """A point DELETE that matched nothing at the source, because an earlier
+    range DELETE had removed its row, stays after that DELETE.
+
+    ``pricey_parts`` replays the range DELETE (on unprojected ``part_ref``)
+    from its before image and the point DELETE from its statement: run
+    first, the statement would remove the row the image then fails to find.
+    """
     operations = [("update_literal", 0, 1), ("delete", 1, 1), ("delete_point", 1, 1)]
-    assert reorders_a_spent_delete(operations)
     check_configurations_agree(operations, compacted=False)

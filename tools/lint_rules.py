@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Twenty disciplines the standard linters cannot express:
+Twenty-one disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -258,6 +258,17 @@ is handed.  So outside ``repro/engine/page.py`` an assignment, augmented
 assignment, subscript store or ``del`` whose target is ``._slots``,
 ``._writes`` or ``._decoded`` (or an item of one) is flagged, with no budget:
 change a page through its methods.
+
+**REPRO021 — one commutation verdict per op pair per window.**  Whether two
+captured ops commute is proved by ``commutes``; a window's proofs are made
+once, by the ``CommutationRecord`` in ``repro/analysis/conflict.py``, which
+the conflict graph fills and the schedule certifier reads.  The certifier
+once re-proved every pair the graph had just proved, with a second copy of
+the footprints — two sets of proofs nobody compared.  So the call sites are
+counted: one in ``analysis/conflict.py`` (the record's cell), one each in
+``analysis/certify/sanitizer.py`` and ``compaction/coalescer.py``, which see
+ops no window record holds (the pinned copies apply runs, a stream before
+compaction); none anywhere else, the certifier included.
 
 Usage::
 
@@ -531,6 +542,14 @@ SEMANTIC_SWITCHES = {
 #: count, kept entries — and the one module that may write it.
 PAGE_STATE_ATTRS = ("_slots", "_writes", "_decoded")
 PAGE_SUFFIX = "repro/engine/page.py"
+
+#: REPRO021: module suffix -> how many ``commutes(`` calls it may make;
+#: every other module may make none.
+COMMUTES_BUDGETS = {
+    "repro/analysis/conflict.py": 1,
+    "repro/analysis/certify/sanitizer.py": 1,
+    "repro/compaction/coalescer.py": 1,
+}
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
 
@@ -1169,6 +1188,21 @@ def _page_state_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
     ]
 
 
+def _commutation_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
+    """REPRO021: ``commutes(`` calls past a module's budget."""
+    budget = next(
+        (n for suffix, n in COMMUTES_BUDGETS.items() if normalized.endswith(suffix)),
+        0,
+    )
+    calls = sorted(node.lineno for node in _calls_to(list(ast.walk(tree)), "commutes"))
+    return [
+        f"{path}:{lineno}: REPRO021 commutes() called outside the window's "
+        "commutation record; read the verdict from ConflictGraph.record "
+        "(CommutationRecord.commute / .conflict)"
+        for lineno in calls[budget:]
+    ]
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -1203,6 +1237,7 @@ def lint_file(path: Path) -> list[str]:
     violations.extend(_unprepared_statement_violations(path, tree, normalized))
     violations.extend(_node_switch_violations(path, tree, normalized))
     violations.extend(_page_state_violations(path, tree, normalized))
+    violations.extend(_commutation_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
