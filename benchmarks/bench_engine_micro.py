@@ -442,9 +442,7 @@ def test_predicate_eval_row_at_a_time(benchmark, populated):
 
 def test_predicate_eval_columnar_kernel(benchmark, populated, parts_image):
     where = parse(f"DELETE FROM parts WHERE {_PREDICATE_SQL}").where
-    kernel = compile_predicate(
-        where, parts_image.layout, frozenset({"parts"})
-    )
+    kernel = compile_predicate(where, parts_image.layout)
     cols = parts_image.columns
 
     def kernel_filter():

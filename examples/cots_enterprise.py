@@ -15,7 +15,15 @@ from repro.engine import export_table, import_dump
 from repro.engine.remote import LinkKind
 from repro.errors import ExtractionError, UtilityError
 from repro.extraction import TriggerExtractor
-from repro.sources import CotsSystem, IntegratedEnterprise, Reconciler, ReplicationLink
+from repro.sources import (
+    CotsSystem,
+    IntegratedEnterprise,
+    MethodCallMapper,
+    MethodDeltaApplier,
+    MiddlewareCapture,
+    Reconciler,
+    ReplicationLink,
+)
 from repro.warehouse import OpDeltaIntegrator, Warehouse
 from repro.workloads import parts_schema, strip_timestamp
 
@@ -39,12 +47,15 @@ def main() -> None:
     print("            crm replicated to a reporting replica over the LAN\n")
 
     # --- hazard 1: encapsulation ------------------------------------------
-    try:
-        erp.open_database_for_triggers()
-    except ExtractionError as exc:
-        print(f"[encapsulation] {exc}\n")
+    for open_database in (erp.open_database_for_triggers, erp.open_database_for_logs):
+        try:
+            open_database()
+        except ExtractionError as exc:
+            print(f"[encapsulation] {exc}")
+    print()
 
     # --- hazard 2: heterogeneity ------------------------------------------
+    assert enterprise.is_heterogeneous()  # ReproDB and OtherDB
     dump = export_table(crm.vendor_database(), "parts")
     try:
         import_dump(erp.vendor_database(), dump, table_name="staged")
@@ -113,13 +124,40 @@ def main() -> None:
     )
 
     # --- bonus: global serializability gap ---------------------------------
+    # Only the integration layer sees a cross-system transfer as one unit:
+    # captured there and mapped onto warehouse SQL (§2.4), each transfer
+    # replays as one warehouse transaction.
+    central = Warehouse("enterprise-wh", clock=enterprise.clock)
+    central.create_mirror(parts_schema())
+    central.initial_load_rows(
+        "parts", [row for s in enterprise.systems.values() for row in s.part_rows()]
+    )
+    middleware = MiddlewareCapture()
+    middleware.tap_enterprise(enterprise)
     before = enterprise.total_quantity([0, 50_000])
     enterprise.interleaved_transfers(0, 50_000, 5, 3)
     after = enterprise.total_quantity([0, 50_000])
+    mapper = MethodCallMapper()
+    mapper.register(
+        "transfer_quantity",
+        lambda args: [
+            f"UPDATE parts SET quantity = quantity - {args[2]} WHERE part_id = {args[0]}",
+            f"UPDATE parts SET quantity = quantity + {args[2]} WHERE part_id = {args[1]}",
+        ],
+    )
+    applier = MethodDeltaApplier(central.database.internal_session(), mapper)
+    applier.apply(middleware.drain())
+    session = central.database.internal_session()
+    for part_id in (0, 50_000):
+        assert session.scalar(
+            f"SELECT quantity FROM parts WHERE part_id = {part_id}"
+        ) == enterprise.total_quantity([part_id])
     print(
         f"\n[distribution] two cross-system transfers interleaved without a "
-        f"global coordinator (stock conserved: {before} -> {after}); only "
-        "business-level capture can preserve their boundaries"
+        f"global coordinator (stock conserved: {before} -> {after}); captured "
+        f"at the integration layer as {applier.calls_applied} business calls, "
+        f"they replay as {applier.calls_applied} warehouse transactions and "
+        "the mirror matches both parts"
     )
     del link
 

@@ -45,7 +45,7 @@ from .conflict import (
     build_conflict_graph,
     parallel_order,
 )
-from .relevance import RelevanceVerdict, statement_relevance
+from .relevance import RelevanceVerdict
 from .rwsets import (
     ColumnConstraint,
     Interval,
@@ -68,7 +68,6 @@ from .safety import (
     commutes,
     conjunct_negations,
     conjuncts_imply,
-    expression_determinism,
     is_idempotent,
     op_footprint,
     pin_time_functions,
@@ -95,7 +94,6 @@ __all__ = [
     "build_conflict_graph",
     "parallel_order",
     "RelevanceVerdict",
-    "statement_relevance",
     "ColumnConstraint",
     "Interval",
     "PredicateRange",
@@ -108,7 +106,6 @@ __all__ = [
     "conjunct_negations",
     "conjuncts_imply",
     "predicates_disjoint",
-    "expression_determinism",
     "is_idempotent",
     "self_accumulation",
     "statement_determinism",

@@ -10,8 +10,7 @@ answers the three questions the downstream layers ask:
 * *Can this statement be replayed?*  (``record.safe`` / ``record.pinnable``
   — volatile statements need the value-delta fallback.)
 * *Does anything at the warehouse care?*  (``record.pruned`` — if not,
-  :meth:`OpDeltaAnalyzer.prune_window` drops the statement before the
-  window is handed to the transport.)
+  the integrator skips the statement.)
 * *Does this transaction conflict with that one?*  (:meth:`OpDeltaAnalyzer.
   conflict_graph`: one :func:`~repro.analysis.safety.commutes` verdict per
   op pair of the window, under this analyzer's catalogs.)
@@ -19,16 +18,13 @@ answers the three questions the downstream layers ask:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..core.opdelta import OpDelta, OpDeltaTransaction
 from ..core.selfmaint import ViewDefinition
 from ..obs.context import ambient_metrics
 from ..obs.metrics import NULL_REGISTRY, MetricsLike
-from ..obs.pipeline.context import ambient_pipeline
-from ..obs.pipeline.events import lineage_key
 from ..scope import Scope
 from ..sql import ast_nodes as ast
 from ..sql.templates import shaped
@@ -159,42 +155,6 @@ class OpDeltaAnalyzer:
         return self.analyze_statement(op.statement)
 
     # -------------------------------------------------------------- actions
-    def prune_transaction(
-        self, group: OpDeltaTransaction
-    ) -> OpDeltaTransaction | None:
-        """Drop irrelevant statements; ``None`` when nothing survives."""
-        kept = [
-            op for op in group.operations if not self.analyze_op(op).pruned
-        ]
-        if not kept:
-            return None
-        if len(kept) == len(group.operations):
-            return group
-        return dataclasses.replace(group, operations=kept)
-
-    def prune_window(
-        self, groups: Iterable[OpDeltaTransaction]
-    ) -> Iterator[OpDeltaTransaction]:
-        """Prune a window before it is shipped, settling what is dropped.
-
-        Every statement :meth:`prune_transaction` removes is recorded as
-        ``PRUNED`` at stage ``transport`` in the ambient lineage, so the
-        conservation law still closes over a pruned window.  Lazy on
-        purpose: the transport pulls one group at a time, so a group's
-        settlements land right before its own hand-off.
-        """
-        for group in groups:
-            kept = self.prune_transaction(group)
-            recorder = ambient_pipeline()
-            if recorder is not None and kept is not group:
-                survivors = () if kept is None else kept.operations
-                surviving = {lineage_key(op) for op in survivors}
-                for op in group.operations:
-                    if lineage_key(op) not in surviving:
-                        recorder.record_pruned(op, at_ms=None, stage="transport")
-            if kept is not None:
-                yield kept
-
     def conflict_graph(
         self, groups: Sequence[OpDeltaTransaction]
     ) -> ConflictGraph:

@@ -49,13 +49,6 @@ class VectorClock:
         counts[lane] += 1
         return VectorClock(counts=tuple(counts))
 
-    def merge(self, other: "VectorClock") -> "VectorClock":
-        return VectorClock(
-            counts=tuple(
-                max(a, b) for a, b in zip(self.counts, other.counts)
-            )
-        )
-
     def happens_before(self, other: "VectorClock") -> bool:
         return self != other and all(
             a <= b for a, b in zip(self.counts, other.counts)
@@ -111,8 +104,7 @@ class InterferenceSanitizer:
     the :meth:`replay` driver) calls it for every operation it applies,
     in the order the operations actually run.  Accesses on the same lane
     are ordered by the lane's own clock; accesses on different lanes are
-    ordered only if a :meth:`fence` joined the clocks in between —
-    otherwise they are concurrent and conflicting pairs are races.
+    concurrent, and conflicting pairs are races.
     """
 
     def __init__(
@@ -162,13 +154,9 @@ class InterferenceSanitizer:
             if prior.lane == lane:
                 continue  # same-lane accesses are program-ordered
             if not prior.clock.concurrent_with(clock):
-                continue  # a fence ordered them
+                continue
             self._check_pair(prior, access)
         self._accesses.append(access)
-
-    def fence(self, lane: int, other: int) -> None:
-        """Order two lanes: ``other`` observed everything ``lane`` did."""
-        self._clocks[other] = self._clocks[other].merge(self._clocks[lane])
 
     # -- race classification ------------------------------------------
 

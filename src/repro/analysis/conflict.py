@@ -113,12 +113,6 @@ class ConflictGraph:
     def largest_component(self) -> int:
         return max((len(c) for c in self.components), default=0)
 
-    def component_of(self, txn_id: int) -> tuple[int, ...]:
-        for component in self.components:
-            if txn_id in component:
-                return component
-        raise KeyError(f"transaction {txn_id} is not in the graph")
-
 
 def build_conflict_graph(
     groups: Sequence[OpDeltaTransaction],

@@ -3,8 +3,8 @@
 The paper ships every captured statement to the warehouse; in practice
 many statements touch tables or columns no materialised view projects.
 Matching a statement's *write set* and *row range* against the view
-definitions at capture time lets the transport layer drop those deltas
-before they consume bandwidth or apply-time.
+definitions at capture time lets the integrator skip those deltas instead
+of applying them.
 
 The judgement is conservative in the usual direction: a statement is
 pruned only when it provably cannot change any view's content (nor a
@@ -45,19 +45,6 @@ class RelevanceVerdict:
         return not self.relevant_views and not self.mirror_relevant
 
 
-def statement_relevance(
-    footprint: StatementFootprint,
-    views: Sequence[ViewDefinition],
-    mirrored_tables: Iterable[str] = (),
-    aggregate_views: Sequence["AggregateViewDefinition"] = (),
-) -> RelevanceVerdict:
-    """Match a statement's footprint against the warehouse view catalog."""
-    return settle_relevance(
-        shape_relevance(footprint, views, mirrored_tables, aggregate_views),
-        footprint,
-    )
-
-
 #: What a statement's *shape* decides about its relevance: whether its table
 #: is mirrored, and — in verdict order — the views that survive the table and
 #: column tests (which read no literal), each with the selection range its
@@ -71,7 +58,8 @@ def shape_relevance(
     mirrored_tables: Iterable[str] = (),
     aggregate_views: Sequence["AggregateViewDefinition"] = (),
 ) -> ShapeRelevance:
-    """The literal-free half of :func:`statement_relevance`."""
+    """The literal-free half of a relevance verdict (:func:`settle_relevance`
+    is the other), matched against the warehouse view catalog."""
     candidates = [
         (view.name, view_range)
         for view in views

@@ -71,20 +71,10 @@ class Determinism(enum.Enum):
     #: Depends on unrecoverable session state (randomness, identity).
     VOLATILE = "volatile"
 
-    @property
-    def replayable(self) -> bool:
-        """Whether the statement can be replayed faithfully (possibly pinned)."""
-        return self is not Determinism.VOLATILE
-
 
 _NON_TIME_VOLATILE = frozenset(ast.VOLATILE_FUNCTIONS) - frozenset(
     ast.TIME_FUNCTIONS
 )
-
-
-def expression_determinism(expr: ast.Expression | None) -> Determinism:
-    """Classify one expression by the functions it invokes."""
-    return _determinism_of(referenced_functions(expr))
 
 
 def _determinism_of(functions: set[str]) -> Determinism:

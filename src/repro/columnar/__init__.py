@@ -18,12 +18,7 @@ the table per statement; this package executes them per **batch**:
 
 from .apply import ColumnarApplier, RowApplier
 from .batch import ColumnBatch
-from .kernels import (
-    CompileBarrier,
-    KernelCache,
-    compile_expression,
-    compile_predicate,
-)
+from .kernels import CompileBarrier, KernelCache, compile_predicate
 
 __all__ = [
     "ColumnBatch",
@@ -31,6 +26,5 @@ __all__ = [
     "CompileBarrier",
     "KernelCache",
     "RowApplier",
-    "compile_expression",
     "compile_predicate",
 ]

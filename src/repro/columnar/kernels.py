@@ -30,9 +30,6 @@ from ..sql import ast_nodes as ast
 from ..sql import expressions
 from ..sql.templates import shaped
 
-#: A compiled scalar: (column arrays, position) -> SQL value.
-CompiledScalar = Callable[[Sequence[Sequence[Any]], int], Any]
-
 
 class CompileBarrier(Exception):
     """The expression needs the row-at-a-time path (volatile, unknown...).
@@ -78,22 +75,12 @@ class BatchBinding:
         raise CompileBarrier(message)
 
 
-def compile_expression(
-    expr: ast.Expression,
-    layout: dict[str, int],
-    qualifiers: frozenset[str] = frozenset(),
-) -> CompiledScalar:
-    """Compile ``expr`` to a kernel over column arrays."""
-    return expressions.compile_expression(expr, BatchBinding(layout, qualifiers))
-
-
 def compile_predicate(
-    where: ast.Expression | None,
-    layout: dict[str, int],
-    qualifiers: frozenset[str] = frozenset(),
+    where: ast.Expression | None, layout: dict[str, int]
 ) -> Callable[[Sequence[Sequence[Any]], int], bool]:
-    """Compile a WHERE clause to a position filter (SQL ``is_true``)."""
-    return expressions.compile_predicate(where, BatchBinding(layout, qualifiers))
+    """Compile an unqualified WHERE clause to a position filter (only an
+    exact True keeps)."""
+    return expressions.compile_predicate(where, BatchBinding(layout))
 
 
 class KernelCache:

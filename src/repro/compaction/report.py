@@ -96,10 +96,6 @@ class CompactionReport:
     )
 
     @property
-    def ops_removed(self) -> int:
-        return self.ops_in - self.ops_out
-
-    @property
     def bytes_saved(self) -> int:
         return self.bytes_in - self.bytes_out
 
@@ -109,21 +105,6 @@ class CompactionReport:
         if self.bytes_in == 0:
             return 1.0
         return self.bytes_out / self.bytes_in
-
-    def merge(self, other: "CompactionReport") -> None:
-        """Fold another pass's accounting into this one (multi-window runs)."""
-        self.ops_in += other.ops_in
-        self.ops_out += other.ops_out
-        self.bytes_in += other.bytes_in
-        self.bytes_out += other.bytes_out
-        self.transactions_in += other.transactions_in
-        self.transactions_out += other.transactions_out
-        self.updates_folded += other.updates_folded
-        self.inserts_fused += other.inserts_fused
-        self.pairs_annihilated += other.pairs_annihilated
-        self.updates_superseded += other.updates_superseded
-        self.absorbed.extend(other.absorbed)
-        self.reorder_obligations.extend(other.reorder_obligations)
 
     def to_dict(self) -> dict[str, Any]:
         return {

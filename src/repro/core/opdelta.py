@@ -132,10 +132,6 @@ class OpDelta:
             )
         return size
 
-    @property
-    def is_hybrid(self) -> bool:
-        return self.before_image is not None
-
 
 def derive_row_images(
     op: OpDelta, columns: Sequence[str]

@@ -84,9 +84,6 @@ class OpDeltaStore(ABC):
         self._truncate_persisted()
         return groups
 
-    def peek(self) -> list[OpDeltaTransaction]:
-        return list(self._committed)
-
     # ------------------------------------------------------------- subclasses
     @abstractmethod
     def _persist(self, op: OpDelta, txn: Transaction) -> None: ...
@@ -146,10 +143,6 @@ class DatabaseLogStore(OpDeltaStore):
     def _truncate_persisted(self) -> None:
         self._table.truncate()
 
-    @property
-    def persisted_rows(self) -> int:
-        return self._table.num_rows
-
 
 @dataclass
 class _FileEntry:
@@ -196,10 +189,6 @@ class FileLogStore(OpDeltaStore):
 
     def _truncate_persisted(self) -> None:
         self._entries.clear()
-
-    @property
-    def file_lines(self) -> list[str]:
-        return [entry.payload for entry in self._entries]
 
     def uncommitted_garbage(self) -> int:
         """File entries belonging to transactions with no commit marker."""

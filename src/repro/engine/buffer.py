@@ -58,10 +58,6 @@ class BufferPool:
     def misses(self) -> int:
         return int(self._m_misses.value)
 
-    @property
-    def evictions(self) -> int:
-        return int(self._m_evictions.value)
-
     # ------------------------------------------------------------------ fetch
     def fetch(self, page_no: int) -> Page:
         """Return the page, charging a logical hit or a physical miss."""

@@ -47,10 +47,6 @@ class DiskManager:
     def writes(self) -> int:
         return int(self._m_writes.value)
 
-    @property
-    def num_pages(self) -> int:
-        return len(self._pages)
-
     def allocate_page(self) -> int:
         """Reserve a fresh page number (zero filled until first write)."""
         page_no = self._next_page_no

@@ -37,10 +37,6 @@ class HeapFile:
         return self._num_records
 
     @property
-    def num_pages(self) -> int:
-        return len(self._page_nos)
-
-    @property
     def page_numbers(self) -> tuple[int, ...]:
         return tuple(self._page_nos)
 

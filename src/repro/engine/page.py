@@ -66,10 +66,6 @@ class Page:
 
     # ----------------------------------------------------------------- status
     @property
-    def used(self) -> int:
-        return self._used
-
-    @property
     def has_space(self) -> bool:
         return self._used < self.capacity
 

@@ -24,11 +24,7 @@ from .wal import (
 )
 
 
-def recover_from_archive(
-    target: Database,
-    segments: Iterable[LogSegment],
-    strict_identity: bool = True,
-) -> int:
+def recover_from_archive(target: Database, segments: Iterable[LogSegment]) -> int:
     """Redo all committed changes from ``segments`` into ``target``.
 
     Parameters
@@ -38,17 +34,14 @@ def recover_from_archive(
         exist with schemas identical to the source's, and must be empty of
         conflicting state (recovery is a full-history replay).
     segments:
-        Archived log segments in order.
-    strict_identity:
-        Enforce product/version/format compatibility (the realistic
-        behaviour).  Tests can disable it to isolate other failure modes.
+        Archived log segments in order; each must match the target's
+        product, version and log format.
 
     Returns the number of data changes applied.
     """
     segments = list(segments)
-    if strict_identity:
-        for segment in segments:
-            require_compatible(segment, target.product, target.product_version)
+    for segment in segments:
+        require_compatible(segment, target.product, target.product_version)
 
     all_records = [record for segment in segments for record in segment.records]
     for first, second in zip(all_records, all_records[1:]):

@@ -347,11 +347,6 @@ def decode_row(schema: TableSchema, record: bytes) -> tuple[Any, ...]:
     return schema.codec.decode(record)
 
 
-def row_as_dict(schema: TableSchema, values: Sequence[Any]) -> dict[str, Any]:
-    """Zip a value tuple with the schema's column names."""
-    return dict(zip(schema.column_names, values))
-
-
 #: NULL marker in dump files (the convention real loaders use); it cannot
 #: collide with data because literal backslashes are escaped to ``\\``.
 ASCII_NULL = "\\N"

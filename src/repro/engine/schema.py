@@ -11,7 +11,7 @@ records".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import SchemaError
 from .rows import RecordCodec
@@ -151,16 +151,6 @@ class TableSchema:
             else:
                 canonical.append(column.datatype.validate(value))
         return tuple(canonical)
-
-    def values_from_mapping(self, mapping: Mapping[str, Any]) -> tuple[Any, ...]:
-        """Build a positional tuple from a column->value mapping.
-
-        Missing columns become NULL; unknown columns raise.
-        """
-        unknown = set(mapping) - set(self._index_of)
-        if unknown:
-            raise SchemaError(f"unknown columns for {self.name!r}: {sorted(unknown)}")
-        return tuple(mapping.get(c.name) for c in self.columns)
 
     # ------------------------------------------------------------------ derive
     def renamed(self, new_name: str) -> "TableSchema":

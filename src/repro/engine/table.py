@@ -109,7 +109,7 @@ class Table:
         self._indexes: dict[str, Index] = {}
         #: Stands for the current index list (and its index objects): what
         #: a statement's shape decided about reading this table is filed
-        #: under it, and CREATE/DROP INDEX and TRUNCATE replace it.
+        #: under it, and CREATE INDEX and TRUNCATE replace it.
         self.version = Scope()
         #: Index name -> position of its key column, resolved at creation.
         self._key_position: dict[str, int] = {}
@@ -125,10 +125,6 @@ class Table:
     @property
     def num_rows(self) -> int:
         return self._heap.num_records
-
-    @property
-    def num_pages(self) -> int:
-        return self._heap.num_pages
 
     @property
     def size_bytes(self) -> int:
@@ -161,13 +157,6 @@ class Table:
         self.version = Scope()
         return index
 
-    def drop_index(self, name: str) -> None:
-        if name not in self._indexes:
-            raise CatalogError(f"index {name!r} does not exist on {self.name!r}")
-        del self._indexes[name]
-        del self._key_position[name]
-        self.version = Scope()
-
     def index(self, name: str) -> Index:
         try:
             return self._indexes[name]
@@ -180,10 +169,6 @@ class Table:
             if index.column == column:
                 return index
         return None
-
-    @property
-    def index_names(self) -> tuple[str, ...]:
-        return tuple(self._indexes)
 
     # --------------------------------------------------------------------- DML
     # Row entries: log each record as it is made (appended, and charged,

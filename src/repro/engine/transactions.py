@@ -71,7 +71,6 @@ class TransactionManager:
     ) -> None:
         self._log = log
         self._next_txn_id = 1
-        self._active: dict[int, Transaction] = {}
         if metrics is None:
             metrics = MetricsRegistry()
         self._m_commits = metrics.counter("engine.txn.commit")
@@ -81,20 +80,9 @@ class TransactionManager:
         self.commit_listeners: list[Callable[[Transaction], None]] = []
         self.abort_listeners: list[Callable[[Transaction], None]] = []
 
-    # Read-through views of the registry counters, preserving the pre-obs
-    # ad-hoc attribute API (``manager.commits`` / ``manager.aborts``).
-    @property
-    def commits(self) -> int:
-        return int(self._m_commits.value)
-
-    @property
-    def aborts(self) -> int:
-        return int(self._m_aborts.value)
-
     def begin(self) -> Transaction:
         txn = Transaction(self._next_txn_id)
         self._next_txn_id += 1
-        self._active[txn.txn_id] = txn
         self._log.append(LogRecordKind.BEGIN, txn.txn_id)
         return txn
 
@@ -103,7 +91,6 @@ class TransactionManager:
         self._log.append(LogRecordKind.COMMIT, txn.txn_id)
         self._log.force()
         txn.state = TxnState.COMMITTED
-        self._active.pop(txn.txn_id, None)
         self._m_commits.inc()
         for listener in self.commit_listeners:
             listener(txn)
@@ -116,14 +103,6 @@ class TransactionManager:
             action()
         self._log.append(LogRecordKind.ABORT, txn.txn_id)
         txn.state = TxnState.ABORTED
-        self._active.pop(txn.txn_id, None)
         self._m_aborts.inc()
         for listener in self.abort_listeners:
             listener(txn)
-
-    @property
-    def active_transactions(self) -> tuple[Transaction, ...]:
-        return tuple(self._active.values())
-
-    def has_active(self) -> bool:
-        return bool(self._active)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..clock import VirtualClock
 from ..errors import LogError
@@ -115,19 +115,6 @@ class LogManager:
         self._m_bytes = metrics.counter("engine.wal.bytes")
         self._m_forces = metrics.counter("engine.wal.force")
 
-    # ------------------------------------------------------------------ stats
-    @property
-    def records_appended(self) -> int:
-        return int(self._m_records.value)
-
-    @property
-    def bytes_appended(self) -> int:
-        return int(self._m_bytes.value)
-
-    @property
-    def forces(self) -> int:
-        return int(self._m_forces.value)
-
     # ------------------------------------------------------------------ write
     def append(
         self,
@@ -192,10 +179,6 @@ class LogManager:
             self._flushed_lsn = self._active[-1].lsn
         return self._flushed_lsn
 
-    @property
-    def flushed_lsn(self) -> int:
-        return self._flushed_lsn
-
     # ------------------------------------------------------------- checkpoint
     def checkpoint(self) -> LogSegment | None:
         """Close the active segment.
@@ -225,10 +208,6 @@ class LogManager:
     def archived_segments(self) -> tuple[LogSegment, ...]:
         return tuple(self._archived)
 
-    def active_records(self) -> tuple[LogRecord, ...]:
-        """Records not yet closed into a segment (for tests/inspection)."""
-        return tuple(self._active)
-
     def drain_archive(self, up_to_segment: int | None = None) -> list[LogSegment]:
         """Remove and return archived segments (they have been 'shipped')."""
         if up_to_segment is None:
@@ -237,15 +216,6 @@ class LogManager:
         shipped = [s for s in self._archived if s.segment_id <= up_to_segment]
         self._archived = [s for s in self._archived if s.segment_id > up_to_segment]
         return shipped
-
-
-def records_for_tables(
-    records: Iterable[LogRecord], tables: set[str]
-) -> Iterator[LogRecord]:
-    """Filter a record stream down to data changes on the given tables."""
-    for record in records:
-        if record.is_data_change() and record.table in tables:
-            yield record
 
 
 def committed_txn_ids(records: Iterable[LogRecord]) -> set[int]:

@@ -78,19 +78,18 @@ class LogExtractor:
             reader_version if reader_version is not None else database.product_version
         )
 
-    def extract(self, drain: bool = True, checkpoint_first: bool = True) -> LogExtraction:
+    def extract(self, drain: bool = True) -> LogExtraction:
         """Decode archived segments into value deltas.
+
+        A checkpoint first makes the changes since the last one visible.
 
         Parameters
         ----------
         drain:
             Remove the decoded segments from the archive (they have been
             shipped).  Pass ``False`` to peek.
-        checkpoint_first:
-            Force a checkpoint so changes since the last one are visible.
         """
-        if checkpoint_first:
-            self._database.checkpoint()
+        self._database.checkpoint()
         segments = (
             self._database.log.drain_archive()
             if drain

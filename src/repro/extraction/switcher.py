@@ -162,27 +162,29 @@ class RoutingDecision:
         )
 
 
+#: The profile of a table the switcher was given none for.
+DEFAULT_PROFILE = TableProfile(rows=10_000)
+
+
 class AdaptiveExtractionSwitcher:
     """Prices a window per table under all five methods and routes it.
 
     ``profiles`` supplies table cardinalities/row widths (tables without
-    a profile default to :attr:`default_profile`).
+    a profile default to :data:`DEFAULT_PROFILE`).
     """
 
     def __init__(
         self,
         costs: CostModel = DEFAULT_COST_MODEL,
         profiles: Mapping[str, TableProfile] | None = None,
-        default_profile: TableProfile = TableProfile(rows=10_000),
     ) -> None:
         self._costs = costs
         self._profiles = dict(profiles) if profiles is not None else {}
-        self.default_profile = default_profile
         #: Every decision ever taken, in window order (for reports).
         self.decisions: list[RoutingDecision] = []
 
     def profile_for(self, table: str) -> TableProfile:
-        return self._profiles.get(table, self.default_profile)
+        return self._profiles.get(table, DEFAULT_PROFILE)
 
     # ------------------------------------------------------------- estimates
     def estimate(self, shape: WindowShape) -> tuple[MethodEstimate, ...]:

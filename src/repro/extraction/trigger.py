@@ -24,7 +24,7 @@ from typing import Any
 from ..engine.database import Database
 from ..engine.remote import LinkKind, RemoteSession, open_remote
 from ..engine.triggers import Trigger, TriggerContext, TriggerEvent, TriggerTiming
-from ..engine.utilities import AsciiFile, ExportDump, ascii_dump_table, export_table
+from ..engine.utilities import AsciiFile, ascii_dump_table
 from ..errors import ExtractionError
 from ..sql.ast_nodes import sql_literal
 from .deltas import DeltaBatch
@@ -90,10 +90,6 @@ class TriggerExtractor:
         for event in TriggerEvent:
             self._table.triggers.drop(self._trigger_name(event))
         self._installed = False
-
-    @property
-    def is_installed(self) -> bool:
-        return self._installed
 
     def _add_triggers(self, on_insert, on_update, on_delete) -> None:
         actions = {
@@ -184,11 +180,6 @@ class TriggerExtractor:
             "extract.trigger.delta_bytes", table=self.table_name
         ).inc(batch.size_bytes)
         return batch
-
-    def export_delta_table(self) -> ExportDump:
-        """Export the delta table (the extra step "output to table" needs)."""
-        self._require_local()
-        return export_table(self._database, self.delta_table_name)
 
     def ascii_dump_delta_table(self) -> AsciiFile:
         """ASCII-dump the delta table (portable alternative to Export)."""

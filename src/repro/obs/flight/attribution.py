@@ -160,16 +160,6 @@ class CostLedger:
     def row(self, stage: str, entity: str = NO_ENTITY) -> CostRow | None:
         return self._rows.get((stage, entity))
 
-    def stage_ns(self, stage: str) -> int:
-        return sum(
-            row.self_ns for row in self._rows.values() if row.stage == stage
-        )
-
-    def entity_ns(self, entity: str) -> int:
-        return sum(
-            row.self_ns for row in self._rows.values() if row.entity == entity
-        )
-
     def ledger_ns(self) -> int:
         """Sum of every row — equals :attr:`total_traced_ns` exactly."""
         return sum(row.self_ns for row in self._rows.values())

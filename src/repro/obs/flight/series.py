@@ -22,7 +22,7 @@ from collections import deque
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from ...errors import ObservabilityError
-from ..stats import nearest_rank_percentile, windowed_rate
+from ..stats import nearest_rank_percentile
 
 #: One recorded point: (virtual ms, value).
 Sample = tuple[float, float]
@@ -70,23 +70,6 @@ class RingSeries:
     def latest(self) -> Sample | None:
         return self._samples[-1] if self._samples else None
 
-    @property
-    def oldest_ms(self) -> float | None:
-        """Timestamp of the oldest *retained* sample."""
-        return self._samples[0][0] if self._samples else None
-
-    def covers(self, since_ms: float) -> bool:
-        """Whether the ring still holds every sample taken since ``since_ms``.
-
-        False means the query window reaches past the ring's retention —
-        evicted samples would have been in range, so windowed answers are
-        computed over a truncated window.
-        """
-        if self.dropped == 0:
-            return True
-        oldest = self.oldest_ms
-        return oldest is not None and oldest <= since_ms
-
     def window(
         self, since_ms: float | None = None, until_ms: float | None = None
     ) -> list[Sample]:
@@ -116,19 +99,6 @@ class RingSeries:
     ) -> float:
         """Nearest-rank percentile of the windowed samples (0.0 if empty)."""
         return nearest_rank_percentile(self.values(since_ms, until_ms), q)
-
-    def rate(
-        self,
-        since_ms: float | None = None,
-        until_ms: float | None = None,
-    ) -> float:
-        """Average change per virtual second over the windowed samples.
-
-        Built for cumulative signals (counters): the first and last
-        in-window samples bracket the change.  Under two in-window samples
-        there is no measurable movement — the rate is 0.0.
-        """
-        return windowed_rate(self.window(since_ms, until_ms))
 
     def mean(
         self,

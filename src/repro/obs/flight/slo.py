@@ -193,9 +193,6 @@ class SLOEngine:
         self._firing[objective.key] = False
 
     # -------------------------------------------------------------- evaluation
-    def is_firing(self, key: str) -> bool:
-        return self._firing.get(key, False)
-
     @property
     def firing(self) -> list[str]:
         return sorted(key for key, lit in self._firing.items() if lit)

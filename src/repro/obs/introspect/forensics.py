@@ -156,7 +156,6 @@ class CriticalPathAnalyzer:
     def __init__(self, recorder: PipelineRecorder) -> None:
         self._recorder = recorder
         self._rows: list[CriticalPathRow] | None = None
-        self._round_starts: dict[int, float] = {}
 
     # -------------------------------------------------------------- assembly
     def rows(self) -> list[CriticalPathRow]:
@@ -181,7 +180,6 @@ class CriticalPathAnalyzer:
                 in_applied_run = False
                 if event.kind is LifecycleKind.CHECKED:
                     checked_at.setdefault(event.correlation_id, event.at_ms)
-        self._round_starts = round_starts
 
         rows: list[CriticalPathRow] = []
         for correlation_id, record in self._recorder.lineage.items():
@@ -270,10 +268,6 @@ class CriticalPathAnalyzer:
             return None
         rank = max(1, math.ceil(0.99 * len(rows)))
         return rows[rank - 1]
-
-    def round_start_ms(self, index: int) -> float | None:
-        self.rows()  # ensure assembled
-        return self._round_starts.get(index)
 
     def to_dict(self) -> dict[str, Any]:
         p99 = self.p99_blame()

@@ -25,7 +25,6 @@ registry — it trades introspection for the last bit of speed.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left
 from collections.abc import Iterator
@@ -296,9 +295,6 @@ class MetricsRegistry:
                 assert isinstance(instrument, Histogram)
                 histograms[key] = instrument.summary()
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def __len__(self) -> int:
         return len(self._instruments)

@@ -153,14 +153,6 @@ class EventLog:
             return list(self._events)
         return [event for event in self._events if event.kind is kind]
 
-    def for_correlation(self, correlation_id: str) -> list[LineageEvent]:
-        """The retained per-stage history of one op, in pipeline order."""
-        return [
-            event
-            for event in self._events
-            if event.correlation_id == correlation_id
-        ]
-
     def total(self, kind: LifecycleKind) -> int:
         """How many events of ``kind`` were ever appended (pre-eviction)."""
         return self.counts.get(kind.value, 0)

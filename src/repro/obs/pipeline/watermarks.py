@@ -59,9 +59,6 @@ class SourceWatermark:
             self.settled += 1
             self._advance()
 
-    def is_pending(self, sequence: int) -> bool:
-        return sequence in self._pending
-
     def _advance(self) -> None:
         # The low watermark trails the smallest still-pending sequence;
         # with nothing pending it catches up to the high watermark.

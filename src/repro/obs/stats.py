@@ -2,16 +2,13 @@
 
 Both the pipeline layer's :class:`~repro.obs.pipeline.watermarks.LagSamples`
 and the flight recorder's :class:`~repro.obs.flight.series.RingSeries`
-answer the same two questions — "what is the p-th percentile of these
-samples?" and "how fast is this quantity moving over that window?" — so the
-arithmetic lives here once.
+answer "what is the p-th percentile of these samples?", so the arithmetic
+lives here once.
 
-Both functions are **exact**: nearest-rank percentiles return an actual
-observed sample (never an interpolation), and windowed rates divide exact
-virtual-millisecond deltas.  The percentile rank is computed in integer
-arithmetic (percent points, then a ceiling division) so that pinned
-regression values can never drift with floating-point rounding of
-``q * n``.
+The percentile is **exact**: nearest-rank returns an actual observed sample
+(never an interpolation), and the rank is computed in integer arithmetic
+(percent points, then a ceiling division) so that pinned regression values
+can never drift with floating-point rounding of ``q * n``.
 """
 
 from __future__ import annotations
@@ -33,21 +30,3 @@ def nearest_rank_percentile(values: Sequence[float], q: float) -> float:
     rank = max(1, -(-percent * len(ordered) // 100))  # ceil division
     return ordered[min(rank, len(ordered)) - 1]
 
-
-def windowed_rate(points: Sequence[tuple[float, float]]) -> float:
-    """The average rate of change over ``(at_ms, value)`` points, per second.
-
-    The rate is the value delta between the first and last point divided by
-    the virtual time between them (scaled to per-second).  Fewer than two
-    points — or points sharing one instant — have no measurable rate: 0.0.
-    Points must already be in non-decreasing ``at_ms`` order (ring series
-    record monotonically, so callers get this for free).
-    """
-    if len(points) < 2:
-        return 0.0
-    first_at, first_value = points[0]
-    last_at, last_value = points[-1]
-    elapsed_ms = last_at - first_at
-    if elapsed_ms <= 0:
-        return 0.0
-    return (last_value - first_value) / elapsed_ms * 1000.0

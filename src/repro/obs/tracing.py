@@ -20,13 +20,12 @@ holds such a view over the shared tracer.
 
 Export: :meth:`Tracer.chrome_trace_events` renders the spans as Chrome
 ``chrome://tracing`` / Perfetto "complete" (``ph: "X"``) events with
-microsecond timestamps, and :meth:`Tracer.to_chrome_json` wraps them in a
-loadable JSON document.
+microsecond timestamps; ``repro-bench --trace`` writes them as one loadable
+JSON document.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from ..clock import VirtualClock
@@ -146,21 +145,8 @@ class Tracer:
         span.end_ms = clock.now
 
     # ------------------------------------------------------------------ reads
-    @property
-    def open_depth(self) -> int:
-        return len(self._stack)
-
-    def root_spans(self) -> list[Span]:
-        return [span for span in self.spans if span.parent is None]
-
     def children(self, parent: Span) -> list[Span]:
         return [span for span in self.spans if span.parent is parent]
-
-    def total_root_ms(self) -> float:
-        """Sum of the closed root spans' durations."""
-        return sum(
-            span.duration_ms for span in self.root_spans() if not span.is_open
-        )
 
     # ----------------------------------------------------------------- export
     def chrome_trace_events(
@@ -193,13 +179,6 @@ class Tracer:
                 event["args"] = dict(span.args)
             events.append(event)
         return events
-
-    def to_chrome_json(self, indent: int | None = None) -> str:
-        document = {
-            "traceEvents": self.chrome_trace_events(),
-            "displayTimeUnit": "ms",
-        }
-        return json.dumps(document, indent=indent)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({len(self.spans)} spans)"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from ..errors import SimulationError
 
@@ -121,22 +121,3 @@ class Environment:
         if until is not None and until > self.now:
             self.now = until
         return self.now
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires when every input event has fired."""
-        events = list(events)
-        gate = Event(self)
-        remaining = len(events)
-        if remaining == 0:
-            self._schedule(self.now, gate)
-            return gate
-
-        def on_done(_event: Event) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0 and not gate.triggered:
-                gate.succeed()
-
-        for event in events:
-            event.add_callback(on_done)
-        return gate

@@ -23,7 +23,6 @@ from ..engine.database import Database
 from ..engine.session import Session
 from ..engine.table import InsertMode
 from ..errors import ExtractionError
-from ..sql.ast_nodes import sql_literal
 from ..workloads.records import PartsGenerator, parts_schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,13 +109,6 @@ class CotsSystem:
             table.insert(txn, row, mode=InsertMode.BULK_INTERNAL)
         self._db.commit(txn)
         return count
-
-    def create_part(self, part_id: int) -> None:
-        """Business operation: register one new part."""
-        self._notify("create_part", (part_id,))
-        row = self._generator.row(part_id)
-        literals = ", ".join(sql_literal(v) for v in row)
-        self._business(f"INSERT INTO parts VALUES ({literals})")
 
     def revise_parts(self, low_ref: int, high_ref: int, status: str = "revised") -> int:
         """Business operation: mark a contiguous range of parts revised."""

@@ -102,9 +102,6 @@ class MiddlewareCapture:
         captured, self._captured = self._captured, []
         return captured
 
-    def peek(self) -> list[MethodDelta]:
-        return list(self._captured)
-
     def __len__(self) -> int:
         return len(self._captured)
 

@@ -66,20 +66,3 @@ class ReplicationLink:
             self._remote.execute(self._buffer.popleft())
             applied += 1
         return applied
-
-    @property
-    def lagging(self) -> int:
-        return len(self._buffer)
-
-    def is_consistent(self) -> bool:
-        """Whether source and replica hold the same logical rows.
-
-        Timestamps are excluded: each database stamps rows from its own
-        clock position, so they legitimately differ between replicas.
-        """
-        from ..workloads.records import parts_schema, strip_timestamp
-
-        schema = parts_schema()
-        return strip_timestamp(schema, self.source.part_rows()) == strip_timestamp(
-            schema, self.replica.part_rows()
-        )

@@ -146,11 +146,6 @@ def evaluate(expr: ast.Expression, env: Mapping[str, Any]) -> Any:
     return compile_expression(expr, _MAPPING)(env, env)
 
 
-def is_true(value: Any) -> bool:
-    """SQL WHERE semantics: only an exact True keeps the row."""
-    return value is True
-
-
 # ------------------------------------------------------------------ compiler
 #: A compiled expression short of its literals: ``maker(values, context)``
 #: closes the kernel over one statement's literal values and session context.
@@ -181,7 +176,8 @@ def compile_predicate(
     bind: Binding,
     context: Mapping[str, Any] = NO_SESSION,
 ) -> Callable[..., bool]:
-    """Compile a WHERE clause to a filter (SQL ``is_true``; None keeps all)."""
+    """Compile a WHERE clause to a filter (only an exact True keeps a row;
+    None keeps all)."""
     return predicate_maker(where, bind, no_slot)((), context)
 
 

@@ -25,7 +25,7 @@ class TransferRecord:
 
 
 class NetworkModel:
-    """Charges round trips and payload transfer times."""
+    """Charges a round trip plus payload time per transfer."""
 
     def __init__(
         self,
@@ -39,12 +39,7 @@ class NetworkModel:
         if metrics is None:
             metrics = MetricsRegistry()
         self._m_bytes = metrics.counter("transport.network.bytes")
-        self._m_round_trips = metrics.counter("transport.network.round_trips")
         self._m_latency = metrics.histogram("transport.network.latency_ms")
-
-    @property
-    def bytes_moved(self) -> int:
-        return sum(t.payload_bytes for t in self.transfers)
 
     @property
     def clock(self) -> VirtualClock:
@@ -65,9 +60,3 @@ class NetworkModel:
         self._m_bytes.inc(payload_bytes)
         self._m_latency.observe(record.elapsed_ms)
         return record.elapsed_ms
-
-    def round_trip(self) -> float:
-        """One control-message round trip (acknowledgements etc.)."""
-        self._clock.advance(self._costs.lan_round_trip)
-        self._m_round_trips.inc()
-        return self._costs.lan_round_trip

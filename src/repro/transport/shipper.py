@@ -1,16 +1,16 @@
 """Shipping delta artifacts to the warehouse / staging area.
 
-Wraps the network model with knowledge of the artifact kinds the
-extraction layer produces (ASCII files, Export dumps, log segments,
-Op-Delta transaction groups) so end-to-end experiments can move them with
-one call and the right payload sizes.
+Wraps the network model with knowledge of the artifact kinds the pipelines
+ship (value-delta batches, log segments, Op-Delta transaction groups) so
+end-to-end experiments can move them with one call and the right payload
+sizes.
 
 Transport moves the window it is given and stamps its arrival; it does
-not decide what is in the window.  Routing, pruning, compaction and the
-re-proof of compaction obligations are plain calls the pipeline makes
-*before* handing the window over (``route_window``, ``prune_window``,
-``compact_window``, ``verify_compaction``) — each returns its result and
-settles the ops it drops itself (DESIGN.md, "One pipeline assembly").
+not decide what is in the window.  Routing, compaction and the re-proof
+of compaction obligations are plain calls the pipeline makes
+*before* handing the window over (``route_window``, ``compact_window``,
+``verify_compaction``) — each returns its result and settles the ops it
+drops itself (DESIGN.md, "One pipeline assembly").
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..core.opdelta import OpDeltaTransaction
-from ..engine.snapshots import Snapshot
-from ..engine.utilities import AsciiFile, ExportDump
 from ..engine.wal import LogSegment
 from ..extraction.deltas import DeltaBatch
 from ..obs.context import ambient_tracer
@@ -34,17 +32,6 @@ class FileShipper:
 
     def __init__(self, network: NetworkModel) -> None:
         self._network = network
-
-    def ship_ascii(self, file: AsciiFile) -> float:
-        return self._network.transfer(file.size_bytes, f"ascii:{file.schema.name}")
-
-    def ship_export(self, dump: ExportDump) -> float:
-        return self._network.transfer(dump.size_bytes, f"export:{dump.schema.name}")
-
-    def ship_snapshot(self, snapshot: Snapshot) -> float:
-        return self._network.transfer(
-            snapshot.size_bytes, f"snapshot:{snapshot.table_name}"
-        )
 
     def ship_value_deltas(self, batch: DeltaBatch) -> float:
         return self._network.transfer(batch.size_bytes, f"value-delta:{batch.table}")
@@ -84,8 +71,8 @@ def enqueue_op_deltas(
     """Feed Op-Delta groups into a persistent queue (one message per txn).
 
     ``groups`` may be lazy: each group is pulled, then enqueued, so a
-    transform that settles ops as it yields (``prune_window``) interleaves
-    its events with the queue's ENQUEUED stamps.
+    transform that settles ops as it yields interleaves its events with the
+    queue's ENQUEUED stamps.
     """
     count = 0
     tracer = ambient_tracer() or NULL_TRACER

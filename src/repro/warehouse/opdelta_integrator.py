@@ -88,9 +88,8 @@ class OpDeltaIntegrator:
     cached process-wide by (view SQL hash, schema fingerprint) — the
     proof is pay-once — and stamped onto every
     :class:`~repro.warehouse.value_integrator.IntegrationReport` this
-    integrator produces.  ``verify=False`` opts out (fixture replay,
-    deliberately broken plans under test); ``verifier=`` supplies a
-    configured verifier (scope bounds, a private cache, a metered clock).
+    integrator produces.  ``verifier=`` supplies a configured verifier
+    (scope bounds, a private cache, a metered clock, a planted fault).
     """
 
     def __init__(
@@ -103,7 +102,6 @@ class OpDeltaIntegrator:
         plans: Mapping[str, MaintenancePlan] | None = None,
         sanitizer: InterferenceSanitizer | None = None,
         verifier: object | None = None,
-        verify: bool = True,
     ) -> None:
         self._session = session
         self._sanitizer = sanitizer
@@ -139,7 +137,7 @@ class OpDeltaIntegrator:
                 )
         #: view name -> certificate stamp, copied onto every report.
         self._plan_certificates: dict[str, str] = {}
-        if verify and self._plans:
+        if self._plans:
             self._verify_plans(verifier)
         #: Plan-certificate hash: names the persistent rule memo, so repeated
         #: windows over the same certified plan set reuse resolutions.

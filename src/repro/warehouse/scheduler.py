@@ -64,19 +64,6 @@ class AvailabilityReport:
             return 0.0
         return sum(q.wait_ms for q in self.queries) / len(self.queries)
 
-    @property
-    def availability(self) -> float:
-        """Fraction of query latency that was useful work, not lock waiting.
-
-        1.0 means no query ever waited on maintenance (a fully online
-        warehouse); lower values mean the maintenance window was felt.
-        """
-        total_response = sum(q.response_ms for q in self.queries)
-        if total_response == 0:
-            return 1.0
-        total_wait = sum(q.wait_ms for q in self.queries)
-        return 1.0 - total_wait / total_response
-
     def fraction_within(self, sla_ms: float) -> float:
         """Fraction of queries answered within an SLA.
 

@@ -3,7 +3,7 @@
 Convenience facade tying the warehouse pieces together: mirror tables of
 source tables (targets for both integrators), materialized SPJ views, and
 the initial-load path ("Your Warehouse is Empty", the paper's companion
-report [29]) via the ASCII loader.
+report [29]).
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ from typing import Iterable, Sequence
 
 from ..clock import VirtualClock
 from ..core.selfmaint import ViewDefinition
-from ..engine.buffer import DEFAULT_POOL_PAGES
 from ..engine.costs import DEFAULT_COST_MODEL, CostModel
 from ..engine.database import Database
 from ..engine.schema import TableSchema
 from ..engine.session import Session
 from ..engine.table import InsertMode
-from ..engine.utilities import AsciiFile, ascii_load
 from ..errors import WarehouseError
 from .views import MaterializedView
 
@@ -31,16 +29,10 @@ class Warehouse:
         name: str = "warehouse",
         clock: VirtualClock | None = None,
         costs: CostModel = DEFAULT_COST_MODEL,
-        buffer_pages: int = DEFAULT_POOL_PAGES,
         product: str = "ReproDB",
-        product_version: str = "1.0",
     ) -> None:
-        self.database = Database(
-            name, clock=clock, costs=costs, buffer_pages=buffer_pages,
-            product=product, product_version=product_version,
-        )
+        self.database = Database(name, clock=clock, costs=costs, product=product)
         self._views: dict[str, MaterializedView] = {}
-        self._mirrors: dict[str, str] = {}
 
     @property
     def clock(self) -> VirtualClock:
@@ -50,32 +42,23 @@ class Warehouse:
         return self.database.connect()
 
     # ----------------------------------------------------------------- mirrors
-    def create_mirror(
-        self, source_schema: TableSchema, mirror_name: str | None = None
-    ) -> str:
-        """Create an empty mirror of a source table."""
-        name = mirror_name if mirror_name is not None else source_schema.name
-        self.database.create_table(source_schema.renamed(name))
-        self._mirrors[source_schema.name] = name
-        return name
-
-    def mirror_of(self, source_table: str) -> str:
-        try:
-            return self._mirrors[source_table]
-        except KeyError:
-            raise WarehouseError(
-                f"no mirror registered for source table {source_table!r}"
-            ) from None
-
-    def initial_load(self, mirror_name: str, dump: AsciiFile) -> int:
-        """Load a mirror from a full ASCII extract with the Loader utility."""
-        return ascii_load(self.database, mirror_name, dump)
+    def create_mirror(self, source_schema: TableSchema) -> None:
+        """Create an empty mirror of a source table, under the same name."""
+        self.database.create_table(source_schema)
 
     def initial_load_rows(self, mirror_name: str, rows: Iterable[Sequence]) -> int:
-        """Load a mirror directly from row tuples (internal bulk path)."""
+        """Load a mirror directly from row tuples (internal bulk path).
+
+        One transaction: a load that fails is aborted, so nothing of it
+        stays in the mirror, and the error is re-raised.
+        """
         table = self.database.table(mirror_name)
         txn = self.database.begin()
-        count = table.insert_many(txn, rows, mode=InsertMode.BULK_INTERNAL)
+        try:
+            count = table.insert_many(txn, rows, mode=InsertMode.BULK_INTERNAL)
+        except Exception:
+            self.database.abort(txn)
+            raise
         self.database.commit(txn)
         return count
 
@@ -87,20 +70,26 @@ class Warehouse:
         routes a table here when replaying its op-delta backlog would cost
         more than reloading its state: truncate (minimal logging, like the
         real utility), refill through the fully internal bulk path, then
-        re-derive every view over the table from the staged rows — all in
-        one warehouse transaction, so OLAP queries never see a half-loaded
-        mirror.  Returns the number of rows loaded.
+        re-derive every view over the table from the staged rows — the
+        refill and the re-derivation in one warehouse transaction, so OLAP
+        queries never see a half-loaded mirror.  A refill that fails is
+        aborted and its error re-raised; the truncates are not undone, so
+        the mirror (and each view truncated so far) is left empty, not
+        half-loaded.  Returns the number of rows loaded.
         """
-        mirror = self._mirrors.get(source_table, source_table)
-        table = self.database.table(mirror)
+        table = self.database.table(source_table)
         table.truncate()
         staged = [tuple(row) for row in rows]
         txn = self.database.begin()
-        table.insert_many(txn, staged, mode=InsertMode.BULK_INTERNAL)
-        for view in self._views.values():
-            if view.definition.base_table == source_table:
-                view.table.truncate()
-                view.initialize(staged, txn)
+        try:
+            table.insert_many(txn, staged, mode=InsertMode.BULK_INTERNAL)
+            for view in self._views.values():
+                if view.definition.base_table == source_table:
+                    view.table.truncate()
+                    view.initialize(staged, txn)
+        except Exception:
+            self.database.abort(txn)
+            raise
         self.database.commit(txn)
         return len(staged)
 

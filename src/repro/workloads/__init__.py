@@ -1,7 +1,6 @@
-"""Synthetic workloads: PARTS records, sized OLTP transactions, OLAP streams."""
+"""Synthetic workloads: PARTS records and sized OLTP transactions."""
 
 from .oltp import PAPER_TABLE_ROWS, PAPER_TXN_SIZES, OltpWorkload, TxnResult
-from .queries import ScheduledQuery, fixed_cadence_stream, measured_service_times
 from .records import PartsGenerator, parts_schema, strip_timestamp, suppliers_schema
 
 __all__ = [
@@ -13,7 +12,4 @@ __all__ = [
     "parts_schema",
     "suppliers_schema",
     "strip_timestamp",
-    "ScheduledQuery",
-    "fixed_cadence_stream",
-    "measured_service_times",
 ]

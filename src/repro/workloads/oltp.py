@@ -141,10 +141,6 @@ class OltpWorkload:
             self.top_up()
         return outcome
 
-    def run_mixed(self, size: int) -> list[TxnResult]:
-        """The paper's trio at one size: insert, update, delete."""
-        return [self.run_insert(size), self.run_update(size), self.run_delete(size)]
-
     # ----------------------------------------------------------------- plumbing
     def _live_prefix(self, size: int) -> tuple[int, int]:
         if self._next_id - self._min_live < size:

@@ -115,13 +115,7 @@ class TestBuildConflictGraph:
         assert set(graph.edges) == {(1, 3), (2, 3)}
         assert graph.component_count == 2
         assert graph.largest_component == 3
-        assert graph.component_of(1) == (1, 2, 3)
-        assert graph.component_of(4) == (4,)
-
-    def test_component_of_unknown_raises(self):
-        graph = build_conflict_graph(self.make_groups(), key_columns=KEYS)
-        with pytest.raises(KeyError):
-            graph.component_of(99)
+        assert sorted(graph.components) == [(1, 2, 3), (4,)]
 
     def test_metrics_emitted(self):
         registry = MetricsRegistry()

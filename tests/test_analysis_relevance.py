@@ -8,11 +8,8 @@ import functools
 
 import pytest
 
-from repro.analysis import (
-    OpDeltaAnalyzer,
-    extract_footprint,
-    statement_relevance,
-)
+from repro.analysis import OpDeltaAnalyzer, extract_footprint
+from repro.analysis.relevance import settle_relevance, shape_relevance
 from repro.core import FileLogStore, OpDeltaCapture
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.core.selfmaint import ViewDefinition
@@ -22,6 +19,8 @@ from repro.sql.parser import parse
 from repro.warehouse import OpDeltaIntegrator, Warehouse
 from repro.warehouse.aggregates import AggregateSpec, AggregateViewDefinition
 from repro.workloads import OltpWorkload, parts_schema, strip_timestamp
+
+from .pruning import prune_transaction, prune_window
 
 ACTIVE = ViewDefinition(
     name="active_parts",
@@ -48,7 +47,10 @@ ACTIVE_TOTALS = AggregateViewDefinition(
 
 
 def verdict(sql, views=(ACTIVE,), mirrored=(), aggregate_views=()):
-    return statement_relevance(fp(sql), views, mirrored, aggregate_views)
+    footprint = fp(sql)
+    return settle_relevance(
+        shape_relevance(footprint, views, mirrored, aggregate_views), footprint
+    )
 
 
 class TestStatementRelevance:
@@ -163,14 +165,14 @@ class TestAnalyzerFacade:
         keep = _op(1, 0, "UPDATE parts SET quantity = 1 WHERE part_id = 1")
         drop = _op(1, 1, "UPDATE audit_log SET note = 'x' WHERE event_id = 1")
         full = OpDeltaTransaction(txn_id=1, operations=[keep, drop])
-        pruned = analyzer.prune_transaction(full)
+        pruned = prune_transaction(analyzer, full)
         assert [op.statement_text for op in pruned.operations] == [
             keep.statement_text
         ]
         untouched = OpDeltaTransaction(txn_id=2, operations=[keep])
-        assert analyzer.prune_transaction(untouched) is untouched
+        assert prune_transaction(analyzer, untouched) is untouched
         empty = OpDeltaTransaction(txn_id=3, operations=[drop])
-        assert analyzer.prune_transaction(empty) is None
+        assert prune_transaction(analyzer, empty) is None
 
 
 def _op(txn_id, seq, sql, before_image=None, captured_at=1000.0):
@@ -386,7 +388,7 @@ class TestTransportPruning:
 
         analyzer = OpDeltaAnalyzer(views=(ACTIVE,))
         queue = PersistentQueue(VirtualClock())
-        count = enqueue_op_deltas(queue, analyzer.prune_window(self.make_groups()))
+        count = enqueue_op_deltas(queue, prune_window(analyzer, self.make_groups()))
         assert count == 1  # txn 2 vanished entirely
         delivery = queue.receive()
         assert delivery is not None
@@ -403,6 +405,6 @@ class TestTransportPruning:
         groups = self.make_groups()
         full = FileShipper(NetworkModel(clock)).ship_op_deltas(groups)
         pruned = FileShipper(NetworkModel(clock)).ship_op_deltas(
-            analyzer.prune_window(groups)
+            prune_window(analyzer, groups)
         )
         assert pruned < full

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from repro.analysis import safety
+from repro.analysis import OpDeltaAnalyzer, safety
 from repro.analysis.rwsets import extract_footprint
 from repro.analysis.safety import (
     Determinism,
@@ -63,9 +63,20 @@ class TestDeterminism:
         )
 
     def test_replayable(self):
-        assert Determinism.DETERMINISTIC.replayable
-        assert Determinism.TIME_DEPENDENT.replayable
-        assert not Determinism.VOLATILE.replayable
+        # As captured, after pinning the capture time, or not at all: the
+        # analyzer's record says which.
+        analyzer = OpDeltaAnalyzer()
+        records = [
+            analyzer.analyze_statement(parse(sql))
+            for sql in (
+                "UPDATE t SET a = 1 WHERE k = 1",
+                "UPDATE t SET ts = NOW() WHERE k = 1",
+                "UPDATE t SET a = RANDOM() WHERE k = 1",
+            )
+        ]
+        assert [(r.safe, r.pinnable) for r in records] == [
+            (True, False), (False, True), (False, False),
+        ]
 
 
 class TestPinning:

@@ -374,18 +374,6 @@ class TestIntegratorPreflight:
                 verifier=verifier(aggregate_factory=_wrong_sum_factory),
             )
 
-    def test_verify_false_opts_out(self):
-        wh, _view, agg = self._warehouse()
-        plan = planner().plan_aggregate(AGG_VIEW)
-        integrator = OpDeltaIntegrator(
-            wh.database.internal_session(),
-            aggregate_views=[agg],
-            plans={AGG_VIEW.name: plan},
-            verifier=verifier(aggregate_factory=_wrong_sum_factory),
-            verify=False,
-        )
-        assert integrator.integrate([]).plan_certificates == {}
-
     def test_preflight_uses_shared_cache(self):
         v = verifier()
         plan = planner().plan_view(FULL_VIEW)

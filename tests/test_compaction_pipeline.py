@@ -78,7 +78,7 @@ class TestBatchedIntegration:
     def test_batched_apply_matches_serial(self):
         source, initial, groups = captured_window()
         compacted, report = Coalescer(analyzer=ANALYZER).compact_window(groups)
-        assert report.ops_removed > 0
+        assert report.ops_out < report.ops_in
 
         wh_serial = loaded_warehouse("pl-serial", source.clock, initial)
         wh_batched = loaded_warehouse("pl-batched", source.clock, initial)

@@ -63,7 +63,7 @@ class TestOpDeltaRecord:
             text, "parts", OpKind.DELETE, 1, 1, 0.0,
             before_image=[(1, "a"), (2, "b")],
         )
-        assert hybrid.is_hybrid and hybrid.size_bytes > lean.size_bytes
+        assert hybrid.before_image is not None and hybrid.size_bytes > lean.size_bytes
 
     def test_lazy_reparse(self):
         op = OpDelta("DELETE FROM t WHERE a = 1", "t", OpKind.DELETE, 1, 1, 0.0)
@@ -223,9 +223,9 @@ class TestDatabaseLogStore:
         session = workload.session
         session.execute("BEGIN")
         session.execute("UPDATE parts SET status = 'x' WHERE part_ref < 5")
-        assert store.persisted_rows > 0
+        assert database.table(store.table_name).num_rows > 0
         session.execute("ROLLBACK")
-        assert store.persisted_rows == 0
+        assert database.table(store.table_name).num_rows == 0
 
     def test_insert_text_chunked(self, source):
         database, workload = source
@@ -233,15 +233,15 @@ class TestDatabaseLogStore:
         workload.run_insert(50)
         # One chunk row per ~100 chars of statement text: a 50-row insert
         # must need many chunk rows.
-        assert store.persisted_rows > 25
+        assert database.table(store.table_name).num_rows > 25
 
     def test_drain_truncates_log_table(self, source):
         store, _capture = attach(source, DatabaseLogStore)
-        _db, workload = source
+        database, workload = source
         workload.run_update(3)
         groups = store.drain()
         assert len(groups) == 1
-        assert store.persisted_rows == 0
+        assert database.table(store.table_name).num_rows == 0
 
 
 class TestFileLogStore:
@@ -249,7 +249,7 @@ class TestFileLogStore:
         store, _capture = attach(source, FileLogStore)
         _db, workload = source
         workload.run_update(2)
-        assert any(line.endswith("COMMIT") for line in store.file_lines)
+        assert any(entry.payload.endswith("COMMIT") for entry in store._entries)
 
     def test_aborted_entries_remain_as_garbage(self, source):
         """The non-transactionality trade-off of the file log."""

@@ -237,10 +237,10 @@ class TestApplier:
         groups = store.drain()
         assert len(groups) == 1
         integrator = OpDeltaIntegrator(warehouse.internal_session())
-        commits_before = warehouse.transactions.commits
+        commits_before = warehouse.metrics.value("engine.txn.commit", db=warehouse.name)
         integrator.integrate(groups)
         # One source txn -> exactly one warehouse txn.
-        assert warehouse.transactions.commits == commits_before + 1
+        assert warehouse.metrics.value("engine.txn.commit", db=warehouse.name) == commits_before + 1
 
     def test_failed_group_rolls_back_atomically(self, pipeline):
         source, workload, store, warehouse = pipeline

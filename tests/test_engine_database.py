@@ -27,7 +27,6 @@ class TestCatalog:
 
     def test_primary_key_gets_unique_index(self, db, small_schema):
         table = db.create_table(small_schema)
-        assert "pk_items" in table.index_names
         assert table.index("pk_items").unique
 
     def test_drop_table(self, db, small_schema):
@@ -45,7 +44,7 @@ class TestTransactions:
     def test_commit_counts(self, db):
         txn = db.begin()
         db.commit(txn)
-        assert db.transactions.commits == 1
+        assert db.metrics.value("engine.txn.commit", db="test") == 1
 
     def test_double_commit_rejected(self, db):
         txn = db.begin()
@@ -61,9 +60,9 @@ class TestTransactions:
 
     def test_active_transactions_tracked(self, db):
         txn = db.begin()
-        assert txn in db.transactions.active_transactions
+        assert txn.is_active
         db.commit(txn)
-        assert not db.transactions.has_active()
+        assert not txn.is_active
 
 
 class TestCheckpoint:

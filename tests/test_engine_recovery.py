@@ -74,16 +74,6 @@ class TestRecovery:
         with pytest.raises(Exception, match="cross-product"):
             recover_from_archive(target, archived_source.log.archived_segments)
 
-    def test_strict_identity_can_be_disabled(self, archived_source):
-        target = Database(
-            "standby", clock=archived_source.clock, product_version="2.0"
-        )
-        clone_schemas(archived_source, target)
-        recover_from_archive(
-            target, archived_source.log.archived_segments, strict_identity=False
-        )
-        assert target.table("parts").num_rows == archived_source.table("parts").num_rows
-
     def test_out_of_order_segments_rejected(self, archived_source):
         target = Database("standby", clock=archived_source.clock)
         clone_schemas(archived_source, target)

@@ -8,7 +8,6 @@ from repro.engine.rows import (
     encode_row,
     format_ascii,
     parse_ascii,
-    row_as_dict,
 )
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import FLOAT, INTEGER, char
@@ -47,11 +46,6 @@ class TestBinaryCodec:
     def test_decode_wrong_size(self, schema):
         with pytest.raises(StorageError):
             decode_row(schema, b"\x00" * 3)
-
-    def test_row_as_dict(self, schema):
-        assert row_as_dict(schema, (1, "a", 2.0)) == {
-            "id": 1, "name": "a", "price": 2.0,
-        }
 
     def test_pruned_decoder_reads_only_its_columns(self, schema):
         record = encode_row(schema, (7, None, 1.25))

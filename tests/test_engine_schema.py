@@ -88,15 +88,6 @@ class TestValidateValues:
         assert make_schema().validate_values((1, None, None, None))[1] is None
         del schema
 
-    def test_values_from_mapping_fills_missing_with_null(self):
-        schema = make_schema()
-        values = schema.values_from_mapping({"id": 7, "price": 1.5})
-        assert values == (7, None, 1.5, None)
-
-    def test_values_from_mapping_rejects_unknown(self):
-        with pytest.raises(SchemaError):
-            make_schema().values_from_mapping({"nope": 1})
-
 
 class TestDerivedSchemas:
     def test_renamed_preserves_shape(self):

@@ -17,7 +17,7 @@ class TestAutocommit:
     def test_statement_commits_automatically(self, session, db):
         session.execute("INSERT INTO items VALUES (1, 'a', 1.0)")
         assert not session.in_transaction
-        assert db.transactions.commits >= 1
+        assert db.metrics.value("engine.txn.commit", db="test") >= 1
         assert db.table("items").num_rows == 1
 
     def test_failed_statement_rolls_back(self, session, db):

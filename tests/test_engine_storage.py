@@ -10,6 +10,7 @@ from repro.engine.heap import HeapFile
 from repro.engine.page import Page, slots_per_page
 from repro.engine.rows import RowId
 from repro.errors import StorageError
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture
@@ -66,7 +67,7 @@ class TestPage:
         slots = [page.insert(bytes([i]) * 16) for i in range(5)]
         page.delete(slots[2])
         restored = Page.from_bytes(page.to_bytes())
-        assert restored.used == 4
+        assert restored._used == 4
         assert restored.records() == page.records()
         assert restored.records()[0] == [0, 1, 3, 4]
 
@@ -140,7 +141,7 @@ class TestBufferPool:
         for _ in range(12):  # evict it
             pool.create(16)
         restored = Page.from_bytes(disk.read_page(page_no, sequential=True))
-        assert restored.used == 1
+        assert restored._used == 1
 
     def test_flush_all_clears_dirty(self, pool):
         page_no, _ = pool.create(16)
@@ -148,10 +149,12 @@ class TestBufferPool:
         assert pool.flush_all() == 0
         del page_no
 
-    def test_capacity_enforced(self, pool):
+    def test_capacity_enforced(self, disk, clock):
+        registry = MetricsRegistry()
+        pool = BufferPool(disk, clock, DEFAULT_COST_MODEL, capacity=8, metrics=registry)
         for _ in range(50):
             pool.create(16)
-        assert pool.evictions >= 42
+        assert registry.value("engine.buffer.eviction") >= 42
 
     def test_minimum_capacity(self, disk, clock):
         with pytest.raises(ValueError):
@@ -191,7 +194,7 @@ class TestHeapFile:
         heap = HeapFile(pool, 2000)  # 4 records per page
         for i in range(10):
             heap.insert(bytes([i]) * 2000)
-        assert heap.num_pages >= 3
+        assert len(heap.page_numbers) >= 3
         assert heap.num_records == 10
 
     def test_truncate(self, pool):

@@ -11,7 +11,6 @@ from repro.engine.wal import (
     LogRecordKind,
     LogSegment,
     committed_txn_ids,
-    records_for_tables,
     require_compatible,
 )
 from repro.errors import LogError
@@ -30,9 +29,8 @@ class TestAppendAndForce:
 
     def test_force_advances_flushed_lsn(self, log):
         record = log.append(LogRecordKind.BEGIN, 1)
-        assert log.flushed_lsn < record.lsn
-        log.force()
-        assert log.flushed_lsn == record.lsn
+        assert log._flushed_lsn < record.lsn
+        assert log.force() == record.lsn
 
     def test_force_idempotent_without_new_records(self, log):
         log.append(LogRecordKind.BEGIN, 1)
@@ -65,7 +63,7 @@ class TestCheckpointAndArchive:
     def test_checkpoint_closes_active(self, log):
         log.append(LogRecordKind.BEGIN, 1)
         log.checkpoint()
-        assert log.active_records() == ()
+        assert log._active == []
 
     def test_segment_ids_increase(self, log):
         log.append(LogRecordKind.BEGIN, 1)
@@ -102,9 +100,12 @@ class TestRecordFilters:
         log.append(LogRecordKind.INSERT, 1, "b", RowId(0, 0), after=b"x")
         log.append(LogRecordKind.COMMIT, 1)
         segment = log.checkpoint()
-        filtered = list(records_for_tables(segment.records, {"a"}))
-        assert len(filtered) == 1
-        assert filtered[0].table == "a"
+        # What the log scanner keeps of a segment: one table's data changes.
+        kept = [r for r in segment.records if r.is_data_change() and r.table == "a"]
+        assert [(r.kind, r.table) for r in kept] == [(LogRecordKind.INSERT, "a")]
+        assert [r.is_data_change() for r in segment.records] == [
+            True, True, False, False,
+        ]
 
     def test_committed_txn_ids(self, log):
         log.append(LogRecordKind.BEGIN, 1)

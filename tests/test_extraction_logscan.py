@@ -68,7 +68,7 @@ class TestExtraction:
         workload.run_update(3)
         extractor = LogExtractor(database, tables={"parts"})
         extractor.extract(drain=False)
-        again = extractor.extract(drain=True, checkpoint_first=False)
+        again = extractor.extract(drain=True)
         assert len(again.batches["parts"]) == 3
 
     def test_no_direct_impact_on_user_transactions(self, source):

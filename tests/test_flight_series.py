@@ -21,8 +21,7 @@ class TestRingSeries:
         series = filled([(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)])
         assert len(series) == 3
         assert series.latest == (3.0, 30.0)
-        assert series.oldest_ms == 1.0
-        assert series.values() == [10.0, 20.0, 30.0]
+        assert series.window() == [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]
 
     def test_equal_timestamps_allowed(self):
         # Several samples at the same virtual instant are legitimate
@@ -64,18 +63,16 @@ class TestRingSeries:
 
 
 class TestEdgeCaseQueries:
-    """The satellite's percentile/rate edge cases, pinned."""
+    """The percentile and retention edge cases, pinned."""
 
     def test_empty_series(self):
         series = RingSeries("t.empty")
         assert series.percentile(0.5) == 0.0
         assert series.percentile(0.99) == 0.0
-        assert series.rate() == 0.0
         assert series.mean() == 0.0
         assert series.max() == 0.0
         assert series.values() == []
         assert series.latest is None
-        assert series.oldest_ms is None
 
     def test_single_sample(self):
         series = filled([(7.0, 42.0)])
@@ -83,16 +80,12 @@ class TestEdgeCaseQueries:
         assert series.percentile(0.0) == 42.0
         assert series.percentile(0.5) == 42.0
         assert series.percentile(1.0) == 42.0
-        # One sample brackets no change: no measurable rate.
-        assert series.rate() == 0.0
         assert series.mean() == 42.0
 
     def test_all_equal_samples(self):
         series = filled([(float(i), 5.0) for i in range(10)])
         for q in (0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
             assert series.percentile(q) == 5.0
-        # A flat cumulative signal moves at rate zero.
-        assert series.rate() == 0.0
         assert series.mean() == 5.0
 
     def test_percentile_nearest_rank_positions(self):
@@ -103,33 +96,21 @@ class TestEdgeCaseQueries:
         assert series.percentile(1.0) == 10.0
         assert series.percentile(0.0) == 1.0
 
-    def test_rate_over_cumulative_counter(self):
-        # 0 -> 30 over 3000 virtual ms = 10 units per virtual second.
-        series = filled([(0.0, 0.0), (1000.0, 10.0), (3000.0, 30.0)])
-        assert series.rate() == pytest.approx(10.0)
-        # Windowed: only the last 2000ms (10 -> 30) = 10/s as well.
-        assert series.rate(since_ms=500.0) == pytest.approx(10.0)
-
-    def test_rate_with_zero_elapsed_is_zero(self):
-        series = filled([(5.0, 1.0), (5.0, 9.0)])
-        assert series.rate() == 0.0
-
     def test_query_window_older_than_retention(self):
         series = RingSeries("t.short", capacity=4)
         for at_ms in range(10):
             series.record(float(at_ms), float(at_ms))
         # Ring retains at=6..9; a window reaching back to 0 is truncated.
-        assert not series.covers(0.0)
-        assert series.covers(6.0)
+        assert series.dropped == 6
         assert series.values(since_ms=-1.0) == [6.0, 7.0, 8.0, 9.0]
         # The windowed answers are still well-defined over what remains.
         assert series.percentile(0.5, since_ms=-1.0) == 7.0
-        assert series.rate(since_ms=-1.0) == pytest.approx(1000.0)
 
     def test_covers_true_before_any_eviction(self):
+        # Nothing evicted: every sample since any instant is still held.
         series = filled([(5.0, 1.0)])
-        assert series.covers(0.0)
-        assert RingSeries("t.none").covers(0.0)
+        assert (series.dropped, series.values(since_ms=0.0)) == (0, [1.0])
+        assert RingSeries("t.none").dropped == 0
 
 
 class TestTimeSeriesStore:

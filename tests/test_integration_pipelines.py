@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import FileLogStore, OpDeltaCapture
 from repro.engine import Database, clone_schemas, recover_from_archive
-from repro.engine.utilities import ascii_load
+from repro.engine.utilities import ascii_load, export_table
 from repro.extraction import (
     LogExtractor,
     TimestampExtractor,
@@ -100,7 +100,7 @@ class TestTriggerPipeline:
         extractor.install()
         churn(workload)
         # Table output requires the Export/Import extra step (§3).
-        dump = extractor.export_delta_table()
+        dump = export_table(source, extractor.delta_table_name)
         staged = Database("staging", clock=source.clock)
         from repro.engine.utilities import import_dump
 

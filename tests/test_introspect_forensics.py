@@ -84,8 +84,6 @@ class TestDecomposition:
         assert rows["src:1"].window_index == 0
         assert rows["src:2"].window_index == 0
         assert rows["src:3"].window_index == 1
-        assert analyzer.round_start_ms(0) == 50.0
-        assert analyzer.round_start_ms(1) == 80.0
 
     def test_unapplied_ops_get_no_row(self):
         recorder = PipelineRecorder()

@@ -1561,6 +1561,87 @@ class TestRepro021OneCommutationVerdictPerPair:
         }
 
 
+class TestRepro022ReachedByAProgram:
+    MODULE = (
+        '"""Names ``only_tested`` in a docstring, which does not count."""\n'
+        "def used():\n"
+        "    return 1\n"
+        "def only_tested():\n"
+        "    return only_tested  # naming itself does not count\n"
+        "class Thing:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 2\n"
+        "    def _private(self):\n"
+        "        return 3\n"
+    )
+
+    @staticmethod
+    def repo(tmp_path, example, test="from repro.mod import only_tested\n"):
+        """A repository whose package re-exports both functions."""
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            "from .mod import only_tested, used\n"
+            "__all__ = ['only_tested', 'used']\n"
+        )
+        (package / "mod.py").write_text(TestRepro022ReachedByAProgram.MODULE)
+        for tree, source in (("examples", example), ("tests", test)):
+            (tmp_path / tree).mkdir()
+            (tmp_path / tree / "demo.py").write_text(source)
+        return tmp_path
+
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO022" in v for v in violations)
+        return [v.split(" REPRO022 ")[1].split()[0] for v in violations]
+
+    def test_a_name_only_a_test_calls_is_flagged(self, tmp_path):
+        root = self.repo(tmp_path, "from repro.mod import Thing, used\nused()\n")
+        violations = lint_rules.reach_violations(root, exemptions={})
+        assert self.flagged(violations) == ["repro.mod.only_tested", "repro.mod.Thing.size"]
+        assert violations[0].startswith(f"{root / 'src/repro/mod.py'}:4:")
+
+    def test_a_name_an_example_calls_is_not_flagged(self, tmp_path):
+        example = (
+            "from repro import mod\n"
+            "mod.used(); mod.only_tested()\n"
+            "print(getattr(mod.Thing(), 'size'))\n"
+        )
+        root = self.repo(tmp_path, example)
+        assert lint_rules.reach_violations(root, exemptions={}) == []
+
+    def test_a_stale_exemption_is_flagged(self, tmp_path):
+        root = self.repo(tmp_path, "from repro.mod import Thing, used\nused()\n")
+        exemptions = {
+            "repro.mod.only_tested": "still unreached: a live exemption",
+            "repro.mod.Thing.size": "still unreached: a live exemption",
+            "repro.mod.used": "an example calls it now",
+            "repro.mod.gone": "deleted since",
+        }
+        violations = lint_rules.reach_violations(root, exemptions=exemptions)
+        assert [v.split("stale exemption ")[1] for v in violations] == [
+            "repro.mod.gone: it no longer exists; remove it from REACH_EXEMPTIONS",
+            "repro.mod.used: it has a caller now; remove it from REACH_EXEMPTIONS",
+        ]
+
+    def test_the_command_line_runs_it_on_a_package_tree(self, tmp_path):
+        root = self.repo(tmp_path, "")
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "tools" / "lint_rules.py"), "src/repro"],
+            capture_output=True, text=True, cwd=root,
+        )
+        assert proc.returncode == 1
+        # Then the shipped exemptions, which name nothing in this tree.
+        assert self.flagged(proc.stdout.splitlines())[:3] == [
+            "repro.mod.used", "repro.mod.only_tested", "repro.mod.Thing.size",
+        ]
+
+    def test_the_shipped_exemptions_are_live_and_give_reasons(self):
+        assert lint_rules.reach_violations(REPO) == []
+        assert all(reason.strip() for reason in lint_rules.REACH_EXEMPTIONS.values())
+
+
 class TestCommandLine:
     def run_cli(self, *args):
         return subprocess.run(

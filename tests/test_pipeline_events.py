@@ -103,7 +103,7 @@ class TestEventLog:
         log.append(event(kind=LifecycleKind.CAPTURED, cid="s:1", at=1.0))
         log.append(event(kind=LifecycleKind.CAPTURED, cid="s:2", at=2.0))
         log.append(event(kind=LifecycleKind.APPLIED, cid="s:1", at=3.0))
-        history = log.for_correlation("s:1")
+        history = [e for e in log.events() if e.correlation_id == "s:1"]
         assert [e.kind for e in history] == [
             LifecycleKind.CAPTURED,
             LifecycleKind.APPLIED,

@@ -20,6 +20,8 @@ from repro.transport.queue import PersistentQueue
 from repro.transport.shipper import FileShipper, enqueue_op_deltas
 from repro.warehouse import OpDeltaIntegrator, Warehouse
 
+from .pruning import prune_window
+
 SCHEMA = TableSchema(
     "t",
     [
@@ -138,7 +140,7 @@ class TestTransportLineage:
             capture.detach()
             groups = capture.store.drain()
             shipper = FileShipper(NetworkModel(source.clock))
-            shipper.ship_op_deltas(ANALYZER.prune_window(groups))
+            shipper.ship_op_deltas(prune_window(ANALYZER, groups))
         relevant = recorder.lineage["src:1"]
         pruned = recorder.lineage["src:2"]
         assert relevant.shipped_at is not None

@@ -48,7 +48,7 @@ class TestSourceWatermark:
         w.capture(1)
         w.settle(99)
         assert w.settled == 0
-        assert w.is_pending(1)
+        assert (w.in_flight, w.low_seq) == (1, 0)
 
     def test_to_dict_reports_the_in_flight_window(self):
         w = SourceWatermark(source="s")

@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import ColumnBatch, CompileBarrier
-from repro.columnar import compile_expression as compile_batch_kernel
+from repro.columnar.kernels import BatchBinding
 from repro.errors import SqlAnalysisError
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import (
@@ -321,7 +321,7 @@ def test_every_binding_agrees_with_the_reference_interpreter(expr, row, session)
 
     batch = ColumnBatch.from_rows([name.rpartition(".")[2] for name in COLUMNS], [row])
     by_batch = outcome(
-        lambda: compile_batch_kernel(expr, batch.layout, frozenset({"t"}))(
+        lambda: compile_expression(expr, BatchBinding(batch.layout, frozenset({"t"})))(
             batch.columns, 0
         )
     )

@@ -4,7 +4,7 @@ A heap page keeps what each page decoder made of it, stamped with its write
 count, and hands it out until a write moves the count (``Page.decoded``).
 Here random interleavings of every way a page changes — table DML, aborted
 transactions (undo), redo of inserts into freed slots, of updates and of
-deletes, TRUNCATE, CREATE / DROP INDEX — run on two tables of different
+deletes, TRUNCATE, CREATE INDEX — run on two tables of different
 layouts that share a buffer pool of two to eight pages, so pages are evicted
 and read back all the time.  Between them, ``scan`` and ``scan_values`` read
 random column subsets, with and without a filter, and after every write the
@@ -235,11 +235,8 @@ class Twin:
         elif kind == "truncate":
             table.truncate()
             live.clear()
-        elif kind == "index":
-            if "ix_k" in table.index_names:
-                table.drop_index("ix_k")
-            else:
-                table.create_index("ix_k", "k", kind=rest[0])
+        elif kind == "index" and "ix_k" not in table._indexes:
+            table.create_index("ix_k", "k", kind=rest[0])
         return live
 
     # -------------------------------------------------------------- reads

@@ -27,6 +27,8 @@ from repro.transport.shipper import FileShipper, enqueue_op_deltas
 from repro.warehouse import OpDeltaIntegrator, Warehouse
 from repro.workloads import OltpWorkload, parts_schema
 
+from .pruning import prune_window
+
 VARIANTS = ("plain", "pruned", "compacted", "batched")
 
 _operations = st.lists(
@@ -130,7 +132,7 @@ def run_pipeline(variant, operations):
             FileShipper(NetworkModel(source.clock)).ship_op_deltas(groups)
             integrator.integrate(groups)
         elif variant == "pruned":
-            surviving = list(analyzer.prune_window(groups))
+            surviving = list(prune_window(analyzer, groups))
             FileShipper(NetworkModel(source.clock)).ship_op_deltas(surviving)
             integrator.integrate(surviving)
         else:

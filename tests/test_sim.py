@@ -83,9 +83,11 @@ class TestEnvironment:
             yield env.timeout(delay)
 
         def waiter():
+            # Waiting on all of several processes: join each in turn.
             first = env.process(worker(5))
             second = env.process(worker(12))
-            yield env.all_of([first, second])
+            yield first
+            yield second
             log.append(env.now)
 
         env.process(waiter())

@@ -469,7 +469,7 @@ class TestDdl:
 
     def test_create_index_statement(self, session):
         session.execute("CREATE INDEX by_status ON parts (status) USING HASH")
-        assert "by_status" in session.database.table("parts").index_names
+        assert session.database.table("parts").index("by_status").column == "status"
 
 
 class TestRowLayoutAndLazyDiagnostics:

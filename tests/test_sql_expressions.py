@@ -13,7 +13,6 @@ import tokenize
 import pytest
 
 from repro.columnar import ColumnBatch, CompileBarrier
-from repro.columnar import compile_expression as compile_batch_kernel
 from repro.columnar.kernels import BatchBinding
 from repro.errors import SqlAnalysisError
 from repro.sql import ast_nodes as ast
@@ -31,7 +30,6 @@ from repro.sql.expressions import (
     compile_predicate,
     emitted_source,
     evaluate,
-    is_true,
     referenced_columns,
     referenced_functions,
     split_conjuncts,
@@ -65,7 +63,9 @@ def three_ways(expr, env):
     mapping = _outcome(lambda: evaluate(expr, env))
     by_slot = _outcome(lambda: compile_expression(expr, RowBinding(keys))(row, env))
     by_batch = _outcome(
-        lambda: compile_batch_kernel(expr, batch.layout, qualifiers)(batch.columns, 0)
+        lambda: compile_expression(expr, BatchBinding(batch.layout, qualifiers))(
+            batch.columns, 0
+        )
     )
     assert by_slot == mapping
     if by_batch[0] is CompileBarrier:
@@ -84,6 +84,11 @@ def three_ways(expr, env):
 
 def ev(text, **env):
     return three_ways(parse_expression(text), env)
+
+
+def keeps(text, **env):
+    """Whether a WHERE of ``text`` keeps the row ``env``."""
+    return compile_predicate(parse_expression(text), MappingBinding())(env, env)
 
 
 class TestComparisons:
@@ -126,9 +131,10 @@ class TestLogic:
         assert ev("NOT a = 1", a=None) is None
 
     def test_is_true_strict(self):
-        assert is_true(True)
-        assert not is_true(None)
-        assert not is_true(1)
+        # Only an exact TRUE keeps a row; UNKNOWN drops it like FALSE.
+        assert keeps("a = 1", a=1) is True
+        assert keeps("a = 1", a=None) is False
+        assert keeps("a = 1", a=2) is False
 
 
 class TestArithmetic:
@@ -204,7 +210,7 @@ class TestEnvironment:
         with pytest.raises(SqlAnalysisError, match="only valid directly"):
             evaluate(ast.Star(), {})
         with pytest.raises(CompileBarrier):
-            compile_batch_kernel(star, {})
+            compile_expression(star, BatchBinding({}))
 
 
 class TestAnalysisHelpers:
@@ -259,7 +265,7 @@ class TestNullEdgeCases:
 
     def test_not_null_is_unknown(self):
         assert ev("NOT a = 1", a=None) is None
-        assert is_true(ev("NOT a = 1", a=None)) is False
+        assert keeps("NOT a = 1", a=None) is False
 
 
 class TestNestedBooleans:
@@ -332,7 +338,7 @@ class TestScalarFunctions:
     def test_volatile_is_a_barrier_on_the_batch_binding(self):
         for text in ("NOW()", "RANDOM() < 1", "x = 1 AND SESSION_USER() = 'wh'"):
             with pytest.raises(CompileBarrier, match="volatile"):
-                compile_batch_kernel(parse_expression(text), {"x": 0})
+                compile_expression(parse_expression(text), BatchBinding({"x": 0}))
 
     def test_referenced_functions_walker(self):
         expr = parse_expression("ABS(a) + 1 > 0 AND s LIKE 'x%' OR NOW() > 5")

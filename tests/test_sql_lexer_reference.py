@@ -102,7 +102,9 @@ def workload_texts() -> list[str]:
     oltp.session.capture_hooks.append(
         lambda statement, text, session: texts.append(text)
     )
-    oltp.run_mixed(5)
+    oltp.run_insert(5)
+    oltp.run_update(5)
+    oltp.run_delete(5)
     oltp.run_update(3, assignment="quantity = quantity + 1")
     texts.extend(
         query.sql

@@ -146,22 +146,6 @@ class TestShapeFacts:
 class TestInvalidation:
     """A fact that read a schema or an index list dies with what it read."""
 
-    def test_drop_index_turns_a_planned_lookup_into_a_scan(self):
-        database = items_db()
-        database.table("items").create_index("ix_n", "n", kind="btree")
-        session = database.internal_session()
-        looked_up = session.execute("UPDATE items SET s = 'a' WHERE n = 1")
-        assert looked_up.plan == "update:index(ix_n)"
-        database.table("items").drop_index("ix_n")
-        scanned = session.execute("UPDATE items SET s = 'b' WHERE n = 2")
-        assert scanned.plan == "update:scan"
-        assert (looked_up.rows_affected, scanned.rows_affected) == (4, 4)
-        rows = dict(
-            (k, s) for k, _n, s in (v for _r, v in database.table("items").scan())
-        )
-        assert {k for k, s in rows.items() if s == "a"} == {1, 6, 11, 16}
-        assert {k for k, s in rows.items() if s == "b"} == {2, 7, 12, 17}
-
     def test_create_index_is_seen_by_a_shape_planned_as_a_scan(self):
         database = items_db()
         session = database.internal_session()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.clock import VirtualClock
+from repro.engine.costs import DEFAULT_COST_MODEL
 from repro.errors import TransportError
 from repro.transport import FileShipper, NetworkModel, PersistentQueue
 
@@ -26,7 +27,7 @@ class TestNetworkModel:
     def test_transfer_records_kept(self, network):
         network.transfer(100, "a")
         network.transfer(200, "b")
-        assert network.bytes_moved == 300
+        assert sum(t.payload_bytes for t in network.transfers) == 300
         assert [t.description for t in network.transfers] == ["a", "b"]
 
     def test_negative_payload_rejected(self, network):
@@ -34,9 +35,9 @@ class TestNetworkModel:
             network.transfer(-1)
 
     def test_round_trip(self, network, clock):
-        before = clock.now
-        network.round_trip()
-        assert clock.now > before
+        # Every transfer pays one LAN round trip, an empty one nothing else.
+        assert network.transfer(0, "ack") == DEFAULT_COST_MODEL.lan_round_trip
+        assert clock.now == DEFAULT_COST_MODEL.lan_round_trip
 
 
 class TestPersistentQueue:
@@ -109,8 +110,7 @@ class TestPersistentQueue:
 class TestFileShipper:
     def test_ships_every_artifact_kind(self, clock, network):
         from repro.core import FileLogStore, OpDeltaCapture
-        from repro.engine import Database, export_table, take_snapshot
-        from repro.engine.utilities import ascii_dump_table
+        from repro.engine import Database
         from repro.extraction import LogExtractor, TriggerExtractor
         from repro.workloads import OltpWorkload
 
@@ -126,14 +126,11 @@ class TestFileShipper:
         workload.run_update(10)
 
         shipper = FileShipper(network)
-        assert shipper.ship_ascii(ascii_dump_table(database, "parts")) > 0
-        assert shipper.ship_export(export_table(database, "parts")) > 0
-        assert shipper.ship_snapshot(take_snapshot(database, "parts")) > 0
         assert shipper.ship_value_deltas(triggers.drain_to_batch()) > 0
         assert shipper.ship_op_deltas(store.drain()) > 0
         outcome = LogExtractor(database, tables={"parts"}).extract()
         assert shipper.ship_log_segments(outcome.segments) > 0
-        assert len(network.transfers) == 6
+        assert len(network.transfers) == 3
 
     def test_op_delta_payload_far_smaller_than_value_delta(self, clock, network):
         """§4.1: Op-Delta 'minimizes the volume of data transported'."""

@@ -56,6 +56,10 @@ def logical(database):
     )
 
 
+def commits(database):
+    return database.metrics.value("engine.txn.commit", db=database.name)
+
+
 #: Projects neither ``quantity`` nor ``supplier_id``: an UPDATE of
 #: ``quantity`` is irrelevant to it, but not to :data:`QTY_BY_SUPPLIER`.
 ACTIVE_PARTS = ViewDefinition(
@@ -116,9 +120,9 @@ class TestValueDeltaIntegrator:
         workload.run_update(5)
         batch = triggers.drain_to_batch()
         integrator = ValueDeltaIntegrator(warehouse.database.internal_session())
-        commits_before = warehouse.database.transactions.commits
+        commits_before = commits(warehouse.database)
         integrator.integrate(batch)
-        assert warehouse.database.transactions.commits == commits_before + 1
+        assert commits(warehouse.database) == commits_before + 1
 
     def test_statement_blowup_for_updates(self, pipeline):
         """x-row update -> x deletes + x inserts (§4.1)."""
@@ -233,10 +237,10 @@ class TestOpDeltaIntegrator:
         workload.run_insert(5)
         groups = store.drain()
         integrator = OpDeltaIntegrator(warehouse.database.internal_session())
-        commits_before = warehouse.database.transactions.commits
+        commits_before = commits(warehouse.database)
         report = integrator.integrate(groups)
         assert report.transactions == 2
-        assert warehouse.database.transactions.commits == commits_before + 2
+        assert commits(warehouse.database) == commits_before + 2
         assert logical(warehouse.database) == logical(source)
 
     def test_per_transaction_timings_recorded(self, pipeline):
@@ -378,12 +382,12 @@ class TestOneApplyPipeline:
         session.execute("COMMIT")
         groups = store.drain()
         assert len(groups) == 1
-        commits_before = warehouse.database.transactions.commits
+        commits_before = commits(warehouse.database)
         report = OpDeltaIntegrator(
             warehouse.database.internal_session()
         ).integrate(groups)
         assert report.statements_issued == 2
-        assert warehouse.database.transactions.commits == commits_before + 1
+        assert commits(warehouse.database) == commits_before + 1
 
     def test_empty_group_is_a_noop(self, pipeline):
         _source, _workload, _store, _triggers, warehouse = pipeline
@@ -409,7 +413,7 @@ class TestOneApplyPipeline:
         poisoned.operations.append(op(poisoned.txn_id, 99, POISON))
         database = warehouse.database
         before = sorted(v for _r, v in database.table("parts").scan())
-        commits_before = database.transactions.commits
+        commits_before = commits(database)
         integrator = OpDeltaIntegrator(
             database.internal_session(), analyzer=ANALYZER
         )
@@ -417,7 +421,7 @@ class TestOneApplyPipeline:
             apply_window(integrator, [poisoned], configuration)
         # Nothing partially applied, nothing committed, session reusable.
         assert before == sorted(v for _r, v in database.table("parts").scan())
-        assert database.transactions.commits == commits_before
+        assert commits(database) == commits_before
         poisoned.operations.pop()
         report = apply_window(integrator, [poisoned], configuration)
         assert report.transactions == 1 and report.rows_affected == 3
@@ -720,7 +724,7 @@ class TestHybridAfterImagesReadTheStatementsOwnTable:
         ):
             assert session.execute(sql).rows_affected > 0
         groups = store.drain()
-        assert all(op.is_hybrid for group in groups for op in group.operations)
+        assert all(op.before_image is not None for group in groups for op in group.operations)
         warehouse, view, apply = self.replay(hybrid, groups, configuration)
         apply()
         assert logical(warehouse.database) == logical(source)

@@ -3,15 +3,13 @@
 import pytest
 
 from repro.engine import Database
-from repro.engine.utilities import ascii_dump_table
-from repro.errors import WarehouseError
+from repro.engine.utilities import ascii_dump_table, ascii_load
+from repro.errors import ConstraintError, WarehouseError
 from repro.warehouse import Warehouse, measure_mix_cost, standard_queries
 from repro.warehouse.olap import measure_query_cost
 from repro.workloads import (
     OltpWorkload,
     PartsGenerator,
-    fixed_cadence_stream,
-    measured_service_times,
     parts_schema,
     suppliers_schema,
 )
@@ -38,25 +36,48 @@ def loaded_warehouse():
 
 class TestWarehouseFacade:
     def test_mirror_map(self, loaded_warehouse):
+        # A mirror has its source table's name and layout.
         _source, warehouse = loaded_warehouse
-        assert warehouse.mirror_of("parts") == "parts"
-        with pytest.raises(WarehouseError):
-            warehouse.mirror_of("unknown")
-
-    def test_mirror_rename(self):
-        warehouse = Warehouse()
-        name = warehouse.create_mirror(parts_schema(), mirror_name="dw_parts")
-        assert name == "dw_parts"
-        assert warehouse.mirror_of("parts") == "dw_parts"
+        mirror = warehouse.database.table("parts")
+        assert mirror.schema.column_names == parts_schema().column_names
+        assert mirror.num_rows == 400
 
     def test_initial_load_via_loader(self, loaded_warehouse):
         source, _warehouse = loaded_warehouse
         dump = ascii_dump_table(source, "parts")
         fresh = Warehouse("fresh", clock=source.clock)
         fresh.create_mirror(parts_schema())
-        assert fresh.initial_load(
-            fresh.mirror_of("parts"), dump
-        ) == 400
+        assert ascii_load(fresh.database, "parts", dump) == 400
+
+    @staticmethod
+    def _watched_warehouse():
+        """An empty ``parts`` mirror, and the transactions it aborts."""
+        warehouse = Warehouse()
+        warehouse.create_mirror(parts_schema())
+        aborted = []
+        warehouse.database.transactions.abort_listeners.append(aborted.append)
+        return warehouse, aborted
+
+    def test_failed_bulk_load_is_aborted(self):
+        warehouse, aborted = self._watched_warehouse()
+        row = next(iter(PartsGenerator().rows(1)))
+        with pytest.raises(ConstraintError):
+            warehouse.initial_load_rows("parts", [row, row])
+        # Its transaction ended, and its first row went with it.
+        assert [txn.is_active for txn in aborted] == [False]
+        assert warehouse.database.table("parts").num_rows == 0
+        assert warehouse.initial_load_rows("parts", [row]) == 1
+        assert list(warehouse.database.table("parts").scan_values()) == [row]
+
+    def test_failed_staging_refresh_is_aborted(self):
+        warehouse, aborted = self._watched_warehouse()
+        rows = list(PartsGenerator().rows(3))
+        warehouse.initial_load_rows("parts", rows)
+        with pytest.raises(ConstraintError):
+            warehouse.staging_refresh("parts", [rows[0], rows[0], rows[1]])
+        # The truncate is not undone: empty, never half-loaded.
+        assert [txn.is_active for txn in aborted] == [False]
+        assert warehouse.database.table("parts").num_rows == 0
 
     def test_view_registry(self, loaded_warehouse):
         from repro.core import ViewDefinition
@@ -105,28 +126,3 @@ class TestOlapQueries:
         session = warehouse.database.internal_session()
         cost = measure_query_cost(warehouse.database, session, queries[0])
         assert cost > 0
-
-
-class TestQueryStreams:
-    def test_fixed_cadence_deterministic(self, loaded_warehouse):
-        _source, warehouse = loaded_warehouse
-        queries = standard_queries(
-            "parts", "price", "supplier_id", "status", "revised"
-        )
-        first = fixed_cadence_stream(queries, 100.0, 1_000.0, seed=3)
-        second = fixed_cadence_stream(queries, 100.0, 1_000.0, seed=3)
-        assert [(s.arrival_ms, s.query.name) for s in first] == [
-            (s.arrival_ms, s.query.name) for s in second
-        ]
-        assert len(first) == 11
-
-    def test_measured_service_times(self, loaded_warehouse):
-        _source, warehouse = loaded_warehouse
-        queries = standard_queries(
-            "parts", "price", "supplier_id", "status", "revised"
-        )
-        session = warehouse.database.internal_session()
-        costs = measured_service_times(
-            warehouse.database, session, queries, repeats=2
-        )
-        assert all(value > 0 for value in costs.values())

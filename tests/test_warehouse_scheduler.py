@@ -64,7 +64,7 @@ class TestReportMetrics:
         report = run_availability_experiment(
             [], 10.0, 50.0, mode="interleaved", horizon_ms=500.0
         )
-        assert report.availability == pytest.approx(1.0)
+        assert report.max_wait_ms == 0.0
         assert report.fraction_within(10.0) == 1.0
 
     def test_query_records_consistent(self):

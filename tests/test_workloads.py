@@ -97,8 +97,11 @@ class TestOltpWorkload:
         assert large > small
 
     def test_run_mixed(self, oltp):
-        results = oltp.run_mixed(20)
-        assert [r.kind for r in results] == ["insert", "update", "delete"]
+        # The paper's trio at one size, each touching exactly that many rows.
+        results = [oltp.run_insert(20), oltp.run_update(20), oltp.run_delete(20)]
+        assert [(r.kind, r.rows_affected) for r in results] == [
+            ("insert", 20), ("update", 20), ("delete", 20),
+        ]
 
 
 class TestStripTimestamp:

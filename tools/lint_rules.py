@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Twenty-one disciplines the standard linters cannot express:
+Twenty-two disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -269,6 +269,20 @@ counted: one in ``analysis/conflict.py`` (the record's cell), one each in
 ``analysis/certify/sanitizer.py`` and ``compaction/coalescer.py``, which see
 ops no window record holds (the pinned copies apply runs, a stream before
 compaction); none anywhere else, the certifier included.
+
+**REPRO022 — a public name in ``src/repro`` is reached by a program.**  The
+code reproduces the paper only where an experiment or an example reaches
+it; a function only a test calls is surface every refactor carries and no
+result depends on.  So every public function, method and property of
+``src/repro`` must be named by a *program*: the package itself, ``examples/``
+or ``benchmarks/``.  A module names an identifier through a ``Name``, an
+``Attribute``, an import alias or an identifier-shaped string; docstrings,
+``__all__`` lists, the import re-exports of an ``__init__.py`` and a
+function's references to itself do not count.  The exceptions are listed with their
+reasons in ``REACH_EXEMPTIONS``; an exemption whose name has since gained a
+caller, or no longer exists, is flagged as stale.  The rule is whole-tree:
+it runs when the linted path is a ``src/repro`` package, against the
+repository around it.
 
 Usage::
 
@@ -549,6 +563,25 @@ COMMUTES_BUDGETS = {
     "repro/analysis/conflict.py": 1,
     "repro/analysis/certify/sanitizer.py": 1,
     "repro/compaction/coalescer.py": 1,
+}
+
+#: REPRO022: the trees besides the package whose references count, and
+#: qualified name -> why a public name no program reaches stays.
+PROGRAM_TREES = ("examples", "benchmarks")
+REACH_EXEMPTIONS = {
+    "repro.sql.expressions.apply_scalar_function":
+        "called by name from the source the expression compiler emits",
+    "repro.sql.expressions.emitted_source":
+        "the injection-safety test seam: the source compile_expression "
+        "instantiates, which tests read for literals spliced into code",
+    "repro.transport.queue.PersistentQueue.nack":
+        "the redelivery path the fault matrix (ROADMAP item 2) drives",
+    "repro.transport.queue.PersistentQueue.recover":
+        "the consumer-crash recovery path the fault matrix (ROADMAP item 2) "
+        "drives",
+    "repro.core.stores.FileLogStore.uncommitted_garbage":
+        "what file-log recovery leaves behind, which the fault matrix "
+        "(ROADMAP item 2) checks after a torn write",
 }
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
@@ -1203,6 +1236,117 @@ def _commutation_violations(path: Path, tree: ast.AST, normalized: str) -> list[
     ]
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """``id``s of the docstring constants in ``tree``."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, *_DEFINITIONS))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _referenced_names(tree: ast.Module, package_init: bool) -> set[str]:
+    """REPRO022: the identifiers a module names (see the rule's docstring)."""
+    docstrings = _docstrings(tree)
+    found: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+        if isinstance(node, _DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            name = node.value
+        else:
+            name = ""
+        if name.isidentifier() and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for statement in tree.body:
+        if package_init and isinstance(statement, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(statement, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets
+        ):
+            continue
+        visit(statement, frozenset())
+    return found
+
+
+def _public_functions(tree: ast.Module, module: str) -> list[tuple[str, str, int]]:
+    """``(qualified name, name, line)`` of each public function and method."""
+    found: list[tuple[str, str, int]] = []
+
+    def scan(body: list[ast.stmt], prefix: str) -> None:
+        for node in body:
+            public = not getattr(node, "name", "_").startswith("_")
+            if public and isinstance(node, _DEFINITIONS):
+                found.append((f"{prefix}{node.name}", node.name, node.lineno))
+            elif public and isinstance(node, ast.ClassDef):
+                scan(node.body, f"{prefix}{node.name}.")
+
+    scan(tree.body, f"{module}.")
+    return found
+
+
+def reach_violations(
+    root: Path, exemptions: dict[str, str] | None = None
+) -> list[str]:
+    """REPRO022: public names of ``root/src/repro`` no program names."""
+    exemptions = REACH_EXEMPTIONS if exemptions is None else exemptions
+    package = root / "src" / "repro"
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in python_files([package, *(root / t for t in PROGRAM_TREES)])
+    }
+    reached: set[str] = set()
+    for path, tree in trees.items():
+        reached |= _referenced_names(tree, package_init=path.name == "__init__.py")
+    violations: list[str] = []
+    defined: dict[str, str] = {}
+    for path, tree in trees.items():
+        if package not in path.parents:
+            continue
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for qualified, name, lineno in _public_functions(tree, module):
+            defined[qualified] = name
+            if name not in reached and qualified not in exemptions:
+                violations.append(
+                    f"{path}:{lineno}: REPRO022 {qualified} is reached by no "
+                    "program (src/repro, examples/, benchmarks/); delete it, "
+                    "move it into tests/, or give a program a use for it"
+                )
+    for qualified in sorted(exemptions):
+        if qualified not in defined:
+            why = "no longer exists"
+        elif defined[qualified] in reached:
+            why = "has a caller now"
+        else:
+            continue
+        violations.append(
+            f"{package}: REPRO022 stale exemption {qualified}: it {why}; "
+            "remove it from REACH_EXEMPTIONS"
+        )
+    return violations
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -1431,6 +1575,9 @@ def main(argv: list[str] | None = None) -> int:
     for path in python_files(targets):
         violations.extend(lint_file(path))
         checked += 1
+    for target in targets:
+        if target.is_dir() and target.parts[-2:] == ("src", "repro"):
+            violations.extend(reach_violations(target.parent.parent))
     for line in violations:
         print(line)
     print(
