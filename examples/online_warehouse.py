@@ -12,14 +12,14 @@ Run:  python examples/online_warehouse.py
 """
 
 from repro.clock import format_duration
-from repro.core import (
-    FileLogStore,
-    OpDeltaCapture,
-    ViewAwareHybridPolicy,
-    ViewDefinition,
-)
+from repro.core import FileLogStore, OpDeltaCapture, ViewDefinition
 from repro.engine import Database
 from repro.extraction import TriggerExtractor
+from repro.semantics import (
+    PlanDrivenCapturePolicy,
+    SchemaCatalog,
+    ViewMaintenancePlanner,
+)
 from repro.warehouse import (
     OpDeltaIntegrator,
     ValueDeltaIntegrator,
@@ -47,10 +47,13 @@ def main() -> None:
         predicate="quantity > 500", key_column="part_id",
         base_columns=parts_schema().column_names,
     )
+    plans = ViewMaintenancePlanner(SchemaCatalog([parts_schema()])).plan_catalog(
+        [view_def]
+    )
     store = FileLogStore(source)
     OpDeltaCapture(
         workload.session, store, tables={"parts"},
-        hybrid_policy=ViewAwareHybridPolicy([view_def]),
+        hybrid_policy=PlanDrivenCapturePolicy(plans),
     ).attach()
     triggers = TriggerExtractor(source, "parts")
     triggers.install()

@@ -35,7 +35,6 @@ from .certify import (
     LaneSchedule,
     RaceFinding,
     ScheduleCertifier,
-    VectorClock,
     lpt_schedule,
     plant_lane_swap,
     single_lane_schedule,
@@ -84,7 +83,6 @@ __all__ = [
     "LaneSchedule",
     "RaceFinding",
     "ScheduleCertifier",
-    "VectorClock",
     "lpt_schedule",
     "plant_lane_swap",
     "single_lane_schedule",

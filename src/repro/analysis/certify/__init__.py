@@ -6,9 +6,9 @@ independently *proves* a proposed parallel schedule serializable before
 any delta is applied, and cross-checks the verdict at runtime:
 
 * :mod:`~repro.analysis.certify.schedule` — the explicit lane-assignment
-  model (:class:`LaneSchedule`), the deterministic LPT packer mirroring
-  ``run_conflict_schedule``, and the ``swap-lane-ops`` fault planter used
-  by the race drill.
+  model (:class:`LaneSchedule`), the one deterministic LPT packer (which
+  ``run_conflict_schedule`` folds too), and the ``swap-lane-ops`` fault
+  planter used by the race drill.
 * :mod:`~repro.analysis.certify.certifier` — :class:`ScheduleCertifier`
   re-derives every pairwise conflict from pinned statement footprints and
   emits positioned ``RACE001``–``RACE006`` findings (offending op pair,
@@ -16,13 +16,13 @@ any delta is applied, and cross-checks the verdict at runtime:
   serializable; :class:`Certificate` carries the verdict and the
   commuting-pair statistics.
 * :mod:`~repro.analysis.certify.sanitizer` — an opt-in
-  :class:`InterferenceSanitizer` stamping per-lane vector clocks on every
-  table write under virtual time and flagging unordered conflicting
-  accesses (``RACE101``–``RACE103``) as they happen.
+  :class:`InterferenceSanitizer` recording the lane of every table access
+  and flagging conflicting accesses on different lanes
+  (``RACE101``–``RACE103``) as they happen.
 """
 
 from .certifier import Certificate, RaceFinding, ScheduleCertifier
-from .sanitizer import InterferenceSanitizer, VectorClock
+from .sanitizer import InterferenceSanitizer
 from .schedule import (
     LaneSchedule,
     lpt_schedule,
@@ -36,7 +36,6 @@ __all__ = [
     "LaneSchedule",
     "RaceFinding",
     "ScheduleCertifier",
-    "VectorClock",
     "lpt_schedule",
     "plant_lane_swap",
     "single_lane_schedule",

@@ -1,10 +1,10 @@
-"""Runtime interference sanitizer: vector clocks over parallel lanes.
+"""Runtime interference sanitizer: conflicting accesses across lanes.
 
 The TSan-style dynamic cross-check of the static certificate.  When
-enabled, every applied operation is *observed* with the lane it ran on;
-the sanitizer stamps a per-lane :class:`VectorClock` on each table/row
-write and flags unordered conflicting accesses the moment the second
-access of a racy pair is observed:
+enabled, every applied operation is *observed* with the lane it ran on.
+Accesses on one lane are ordered by the lane; nothing orders two lanes, so
+the sanitizer flags conflicting accesses on different lanes the moment the
+second access of a racy pair is observed:
 
 * ``RACE101`` — lost update: concurrent writes to the same column where
   one side is a read-modify-write (``qty = qty + 1``); one increment is
@@ -35,37 +35,10 @@ from .schedule import LaneSchedule
 
 
 @dataclass(frozen=True)
-class VectorClock:
-    """One logical timestamp per lane; the partial order of parallelism."""
-
-    counts: tuple[int, ...]
-
-    @classmethod
-    def zero(cls, lanes: int) -> "VectorClock":
-        return cls(counts=(0,) * lanes)
-
-    def tick(self, lane: int) -> "VectorClock":
-        counts = list(self.counts)
-        counts[lane] += 1
-        return VectorClock(counts=tuple(counts))
-
-    def happens_before(self, other: "VectorClock") -> bool:
-        return self != other and all(
-            a <= b for a, b in zip(self.counts, other.counts)
-        )
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return not self.happens_before(other) and not other.happens_before(
-            self
-        )
-
-
-@dataclass(frozen=True)
 class _Access:
-    """One observed table access: who, where, when (logically)."""
+    """One observed table access: who and where."""
 
     lane: int
-    clock: VectorClock
     op: OpDelta
     footprint: StatementFootprint
     at_ms: float
@@ -103,8 +76,8 @@ class InterferenceSanitizer:
     ``observe(lane, op, at_ms)`` is the single seam: the integrator (or
     the :meth:`replay` driver) calls it for every operation it applies,
     in the order the operations actually run.  Accesses on the same lane
-    are ordered by the lane's own clock; accesses on different lanes are
-    concurrent, and conflicting pairs are races.
+    are ordered by the lane; accesses on different lanes are concurrent,
+    and conflicting pairs are races.
     """
 
     def __init__(
@@ -117,7 +90,6 @@ class InterferenceSanitizer:
         self._lanes = lanes
         self._key_columns = key_columns
         self._table_columns = table_columns
-        self._clocks = [VectorClock.zero(lanes) for _ in range(lanes)]
         self._accesses: list[_Access] = []
         self._seen_pairs: set[tuple[str, str]] = set()
         self._findings: list[RaceFinding] = []
@@ -144,18 +116,11 @@ class InterferenceSanitizer:
         """Record one applied operation and check it against history."""
         if not 0 <= lane < self._lanes:
             lane = lane % self._lanes if self._lanes else 0
-        clock = self._clocks[lane].tick(lane)
-        self._clocks[lane] = clock
         footprint = op_footprint(op, self._table_columns)
-        access = _Access(
-            lane=lane, clock=clock, op=op, footprint=footprint, at_ms=at_ms
-        )
+        access = _Access(lane=lane, op=op, footprint=footprint, at_ms=at_ms)
         for prior in self._accesses:
-            if prior.lane == lane:
-                continue  # same-lane accesses are program-ordered
-            if not prior.clock.concurrent_with(clock):
-                continue
-            self._check_pair(prior, access)
+            if prior.lane != lane:  # same-lane accesses are program-ordered
+                self._check_pair(prior, access)
         self._accesses.append(access)
 
     # -- race classification ------------------------------------------

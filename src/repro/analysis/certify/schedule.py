@@ -1,18 +1,17 @@
 """Explicit lane assignments for batched delta application.
 
-``run_conflict_schedule`` simulates LPT packing of conflict components
-onto parallel lanes but never materialises *which* transaction runs
-where — the assignment exists only inside the simulation.
-:func:`lpt_schedule` reproduces the same deterministic packing as a
-first-class :class:`LaneSchedule` value that the certifier can inspect and
-the integrators can be handed, and :func:`plant_lane_swap` derives the
-seeded ``swap-lane-ops`` fault from it for the race drill.
+:func:`lpt_pack` is the one packer of conflict components onto parallel
+lanes.  ``run_conflict_schedule`` reads the finish times it folds;
+:func:`lpt_schedule` turns its lane choices into a first-class
+:class:`LaneSchedule` value that the certifier can inspect and the
+integrators can be handed, and :func:`plant_lane_swap` derives the seeded
+``swap-lane-ops`` fault from it for the race drill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ...core.opdelta import OpDeltaTransaction
 from ...errors import AnalysisError
@@ -64,49 +63,53 @@ def single_lane_schedule(
     return LaneSchedule(lanes=(tuple(g.txn_id for g in groups),))
 
 
+def lpt_pack(
+    components: Sequence[Sequence[float]], lanes: int
+) -> list[tuple[int, int, float]]:
+    """Longest-processing-time packing: ``(component index, lane, finish
+    time)`` per component, in packing order.
+
+    Components are taken by total duration, longest first (a stable sort,
+    so equal totals keep their order), and each goes wholly to the lane
+    free earliest — the lowest-numbered one on a tie — whose clock it
+    advances one duration at a time, in order.
+    """
+    free_at = [0.0] * lanes
+    packed = []
+    for index in sorted(
+        range(len(components)), key=lambda i: sum(components[i]), reverse=True
+    ):
+        lane = min(range(lanes), key=lambda i: (free_at[i], i))
+        for duration in components[index]:
+            free_at[lane] += duration
+        packed.append((index, lane, free_at[lane]))
+    return packed
+
+
 def lpt_schedule(
     groups: Sequence[OpDeltaTransaction],
     graph: ConflictGraph,
     *,
     lanes: int = 4,
-    costs: Mapping[int, float] | None = None,
 ) -> LaneSchedule:
     """Deterministic LPT packing of conflict components onto lanes.
 
-    Mirrors ``run_conflict_schedule``: components are sorted by total
-    cost descending (stable, so equal-cost components keep graph order)
-    and each next component goes wholly to the earliest-free lane, ties
-    broken by lowest lane index (the simulation breaks exact ties by
-    event order, so tied lanes may swap numbers — loads and finish times
-    agree).  Component members stay in capture
-    order on their lane, which is what makes the result certifiable.
-
-    ``costs`` maps transaction id to its estimated apply cost; when
-    omitted the operation count is used — any *deterministic* proxy
-    yields a valid (certifiable) schedule, the proxy only affects packing
-    quality.
+    :func:`lpt_pack` over the graph's non-empty components, a transaction
+    costing its operation count — any *deterministic* proxy yields a valid
+    (certifiable) schedule, the proxy only affects packing quality.
+    Component members stay in capture order on their lane, which is what
+    makes the result certifiable.
     """
     if lanes < 1:
         raise AnalysisError(f"lane count must be >= 1, got {lanes}")
-    by_id = {g.txn_id: g for g in groups}
-
-    def txn_cost(txn_id: int) -> float:
-        if costs is not None and txn_id in costs:
-            return float(costs[txn_id])
-        group = by_id.get(txn_id)
-        return float(len(group.operations)) if group is not None else 0.0
-
-    queue = sorted(
-        (component for component in graph.components if component),
-        key=lambda component: sum(txn_cost(t) for t in component),
-        reverse=True,
-    )
-    free_at = [0.0] * lanes
+    operations = {g.txn_id: float(len(g.operations)) for g in groups}
+    components = [component for component in graph.components if component]
     assigned: list[list[int]] = [[] for _ in range(lanes)]
-    for component in queue:
-        lane = min(range(lanes), key=lambda i: (free_at[i], i))
-        assigned[lane].extend(component)
-        free_at[lane] += sum(txn_cost(t) for t in component)
+    for index, lane, _finish in lpt_pack(
+        [[operations.get(t, 0.0) for t in component] for component in components],
+        lanes,
+    ):
+        assigned[lane].extend(components[index])
     return LaneSchedule(lanes=tuple(tuple(lane) for lane in assigned))
 
 

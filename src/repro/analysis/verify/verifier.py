@@ -184,13 +184,12 @@ class DeltaRuleVerifier:
     def __init__(
         self,
         *,
-        scope: ScopeConfig | None = None,
         cache: CertificateCache | None = None,
         clock: VirtualClock | None = None,
         view_factory: ViewFactory | None = None,
         aggregate_factory: ViewFactory | None = None,
     ) -> None:
-        self._scope = scope if scope is not None else ScopeConfig()
+        self._scope = ScopeConfig()
         self.cache = cache if cache is not None else DEFAULT_CERTIFICATE_CACHE
         self._clock = clock
         self._view_factory = (
@@ -274,8 +273,6 @@ class DeltaRuleVerifier:
         definition: "ViewDefinition | AggregateViewDefinition",
         schema: TableSchema,
         finding: VerifyFinding,
-        *,
-        dim_schema: TableSchema | None = None,
     ) -> bool:
         """Re-execute a finding's counterexample concretely.
 
@@ -290,7 +287,7 @@ class DeltaRuleVerifier:
             plan,
             definition,
             schema,
-            dim_schema,
+            None,
             self._view_factory,
             self._aggregate_factory,
         )

@@ -21,12 +21,11 @@ import sys
 from typing import Iterable, Sequence, TextIO
 
 from ..core.selfmaint import ViewDefinition
-from ..engine.schema import Column, TableSchema
-from ..engine.types import INTEGER, char
 from ..errors import SqlError
 from ..semantics import SchemaCatalog, SemanticChecker, ViewMaintenancePlanner
 from ..warehouse.aggregates import AggregateSpec, AggregateViewDefinition
 from ..workloads.records import parts_schema, suppliers_schema
+from .experiments.analysis import audit_log_schema
 
 #: Statement shapes the bench workloads issue — the zero-false-positive set.
 SEED_STATEMENTS = (
@@ -64,19 +63,6 @@ SEED_AGGREGATE_VIEWS = (
         aggregates=(AggregateSpec("COUNT"), AggregateSpec("SUM", "quantity")),
     ),
 )
-
-
-def audit_log_schema(name: str = "audit_log") -> TableSchema:
-    """The analysis experiment's source-only side table."""
-    return TableSchema(
-        name,
-        [
-            Column("event_id", INTEGER, nullable=False),
-            Column("part_id", INTEGER, nullable=False),
-            Column("note", char(20)),
-        ],
-        primary_key="event_id",
-    )
 
 
 def seed_catalog() -> SchemaCatalog:

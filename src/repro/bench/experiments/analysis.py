@@ -32,15 +32,15 @@ from ..report import ExperimentResult
 from .common import build_workload_database
 
 DEFAULT_TABLE_ROWS = 4_000
-DEFAULT_TRANSACTIONS = 12
-DEFAULT_TXN_ROWS = 20
-DEFAULT_WORKERS = 4
+TRANSACTIONS = 12
+TXN_ROWS = 20
+WORKERS = 4
 
 
-def audit_log_schema(name: str = "audit_log") -> TableSchema:
+def audit_log_schema() -> TableSchema:
     """A side table only the source cares about (never shipped)."""
     return TableSchema(
-        name,
+        "audit_log",
         [
             Column("event_id", INTEGER, nullable=False),
             Column("part_id", INTEGER, nullable=False),
@@ -72,12 +72,7 @@ def build_analyzer() -> OpDeltaAnalyzer:
     )
 
 
-def run(
-    table_rows: int = DEFAULT_TABLE_ROWS,
-    transactions: int = DEFAULT_TRANSACTIONS,
-    txn_rows: int = DEFAULT_TXN_ROWS,
-    workers: int = DEFAULT_WORKERS,
-) -> ExperimentResult:
+def run(table_rows: int = DEFAULT_TABLE_ROWS) -> ExperimentResult:
     source, workload = build_workload_database(table_rows, name="an-source")
     source.create_table(audit_log_schema())
     analyzer = build_analyzer()
@@ -95,8 +90,8 @@ def run(
     # time-dependent repricing.
     session = workload.session
     audit_ops = 0
-    for i in range(transactions):
-        low, high = i * txn_rows, (i + 1) * txn_rows
+    for i in range(TRANSACTIONS):
+        low, high = i * TXN_ROWS, (i + 1) * TXN_ROWS
         session.execute(
             f"UPDATE parts SET status = 'revised' "
             f"WHERE part_ref >= {low} AND part_ref < {high}"
@@ -104,12 +99,12 @@ def run(
         if i % 3 == 0:
             session.execute(
                 f"INSERT INTO audit_log (event_id, part_id, note) "
-                f"VALUES ({i}, {i * txn_rows}, 'batch update')"
+                f"VALUES ({i}, {i * TXN_ROWS}, 'batch update')"
             )
             audit_ops += 1
     # Two genuinely conflicting updates: overlapping part_ref ranges, both
     # assigning status to different values — order matters.
-    overlap_low = transactions * txn_rows
+    overlap_low = TRANSACTIONS * TXN_ROWS
     session.execute(
         f"UPDATE parts SET status = 'active' "
         f"WHERE part_ref >= {overlap_low} AND part_ref < {overlap_low + 30}"
@@ -165,7 +160,7 @@ def run(
         [duration_of[txn_id] for txn_id in component]
         for component in graph.components
     ]
-    schedule = run_conflict_schedule(component_durations, workers=workers)
+    schedule = run_conflict_schedule(component_durations, workers=WORKERS)
 
     result = ExperimentResult(
         experiment_id="analysis",
@@ -173,8 +168,8 @@ def run(
         parameters={
             "table_rows": table_rows,
             "transactions": len(groups),
-            "txn_rows": txn_rows,
-            "workers": workers,
+            "txn_rows": TXN_ROWS,
+            "workers": WORKERS,
             "conflict_edges": len(graph.edges),
         },
         headers=["serial", "conflict-aware"],
@@ -222,7 +217,7 @@ def run(
         "the serial state bit-for-bit (timestamps excluded)."
     )
     result.notes.append(
-        f"Schedule: {graph.component_count} components on {workers} lanes, "
+        f"Schedule: {graph.component_count} components on {WORKERS} lanes, "
         f"speedup {schedule.speedup:.2f}x over serial."
     )
     return result

@@ -54,14 +54,14 @@ from ..report import ExperimentResult
 from .common import build_workload_database
 
 DEFAULT_TABLE_ROWS = 3_000
-DEFAULT_HOT_ROWS = 60
-DEFAULT_UPDATE_TXNS = 10
-DEFAULT_INSERT_TXNS = 4
-DEFAULT_INSERTS_PER_TXN = 6
-DEFAULT_SCRATCH_TXNS = 2
-DEFAULT_TXN_ROWS = 30
-DEFAULT_SURGE_TXNS = 30
-DEFAULT_WORKERS = 4
+HOT_ROWS = 60
+UPDATE_TXNS = 10
+INSERT_TXNS = 4
+INSERTS_PER_TXN = 6
+SCRATCH_TXNS = 2
+TXN_ROWS = 30
+SURGE_TXNS = 30
+WORKERS = 4
 
 _COLS = (
     "part_id, part_ref, part_no, description, status, quantity, price, "
@@ -98,10 +98,10 @@ def _insert(session, table: str, part_id: int, status: str = "new") -> None:
     )
 
 
-def _update_window(session, update_txns: int, txn_rows: int) -> None:
+def _update_window(session) -> None:
     """Range updates with stable statement texts (kernel-reusable)."""
-    for i in range(update_txns):
-        low, high = i * txn_rows, (i + 1) * txn_rows
+    for i in range(UPDATE_TXNS):
+        low, high = i * TXN_ROWS, (i + 1) * TXN_ROWS
         session.begin()
         session.execute(
             f"UPDATE parts SET status = 'revised' "
@@ -114,21 +114,19 @@ def _update_window(session, update_txns: int, txn_rows: int) -> None:
         session.commit()
 
 
-def _insert_window(
-    session, insert_txns: int, inserts_per_txn: int, base: int
-) -> None:
-    for i in range(insert_txns):
+def _insert_window(session, base: int) -> None:
+    for i in range(INSERT_TXNS):
         session.begin()
-        for j in range(inserts_per_txn):
-            _insert(session, "parts", base + i * inserts_per_txn + j)
+        for j in range(INSERTS_PER_TXN):
+            _insert(session, "parts", base + i * INSERTS_PER_TXN + j)
         session.commit()
 
 
-def _scratch_window(session, scratch_txns: int, txn_rows: int, base: int) -> None:
+def _scratch_window(session, base: int) -> None:
     """Scratch inserts deleted in the same transaction, plus range deletes."""
-    for i in range(scratch_txns):
-        low = 2_000 + i * (txn_rows // 4)
-        high = low + txn_rows // 4
+    for i in range(SCRATCH_TXNS):
+        low = 2_000 + i * (TXN_ROWS // 4)
+        high = low + TXN_ROWS // 4
         scratch = base + i
         session.begin()
         _insert(session, "parts", scratch, status="tmp")
@@ -139,9 +137,9 @@ def _scratch_window(session, scratch_txns: int, txn_rows: int, base: int) -> Non
         session.commit()
 
 
-def _surge_window(session, surge_txns: int) -> None:
+def _surge_window(session) -> None:
     """Backlog against the hot table: full-range churn, every transaction."""
-    for i in range(surge_txns):
+    for i in range(SURGE_TXNS):
         session.begin()
         session.execute(
             f"UPDATE hot_parts SET quantity = quantity + {i + 1} "
@@ -153,24 +151,14 @@ def _surge_window(session, surge_txns: int) -> None:
         session.commit()
 
 
-def run(
-    table_rows: int = DEFAULT_TABLE_ROWS,
-    hot_rows: int = DEFAULT_HOT_ROWS,
-    update_txns: int = DEFAULT_UPDATE_TXNS,
-    insert_txns: int = DEFAULT_INSERT_TXNS,
-    inserts_per_txn: int = DEFAULT_INSERTS_PER_TXN,
-    scratch_txns: int = DEFAULT_SCRATCH_TXNS,
-    txn_rows: int = DEFAULT_TXN_ROWS,
-    surge_txns: int = DEFAULT_SURGE_TXNS,
-    workers: int = DEFAULT_WORKERS,
-) -> ExperimentResult:
+def run(table_rows: int = DEFAULT_TABLE_ROWS) -> ExperimentResult:
     source, workload = build_workload_database(table_rows, name="col-source")
     schema = parts_schema()
     hot_schema = parts_schema("hot_parts")
     source.create_table(hot_schema)
     hot_table = source.table("hot_parts")
     txn = source.begin()
-    for row in PartsGenerator(seed=7).rows(hot_rows):
+    for row in PartsGenerator(seed=7).rows(HOT_ROWS):
         hot_table.insert(txn, row, mode=InsertMode.BULK_INTERNAL)
     source.commit(txn)
     source.checkpoint()
@@ -186,7 +174,7 @@ def run(
     switcher = AdaptiveExtractionSwitcher(
         profiles={
             "parts": TableProfile(rows=table_rows),
-            "hot_parts": TableProfile(rows=hot_rows),
+            "hot_parts": TableProfile(rows=HOT_ROWS),
         }
     )
 
@@ -231,11 +219,11 @@ def run(
     with observe_pipeline(recorder):
         # Window 1: the mixed parts workload plus the hot-table surge.
         capture.attach()
-        _update_window(workload.session, update_txns, txn_rows)
-        _insert_window(workload.session, insert_txns, inserts_per_txn, 900_000)
-        _scratch_window(workload.session, scratch_txns, txn_rows, 950_000)
-        _surge_window(workload.session, surge_txns)
-        low, high = update_txns * txn_rows, update_txns * txn_rows + txn_rows // 2
+        _update_window(workload.session)
+        _insert_window(workload.session, 900_000)
+        _scratch_window(workload.session, 950_000)
+        _surge_window(workload.session)
+        low, high = UPDATE_TXNS * TXN_ROWS, UPDATE_TXNS * TXN_ROWS + TXN_ROWS // 2
         workload.session.execute(
             f"UPDATE parts SET last_modified = NOW() "
             f"WHERE part_ref >= {low} AND part_ref < {high}"
@@ -245,8 +233,8 @@ def run(
         # Window 2: the identical update shapes (warm memo and kernels)
         # plus a fresh insert burst.
         capture.attach()
-        _update_window(workload.session, update_txns, txn_rows)
-        _insert_window(workload.session, insert_txns, inserts_per_txn, 960_000)
+        _update_window(workload.session)
+        _insert_window(workload.session, 960_000)
         capture.detach()
         window2 = store.drain()
 
@@ -329,12 +317,12 @@ def run(
     col_stmts = sum(r.statements_issued for r in col_reports)
     schedule_rows = run_conflict_schedule(
         [[ms] for r in row_reports for ms in r.per_component_ms],
-        workers=workers,
+        workers=WORKERS,
         ops=row_stmts,
     )
     schedule_col = run_conflict_schedule(
         [[ms] for r in col_reports for ms in r.per_component_ms],
-        workers=workers,
+        workers=WORKERS,
         ops=col_stmts,
     )
 
@@ -347,11 +335,11 @@ def run(
         title="Columnar hot-path apply: compiled kernels vs row-at-a-time",
         parameters={
             "table_rows": table_rows,
-            "hot_rows": hot_rows,
+            "hot_rows": HOT_ROWS,
             "windows": len(windows),
             "transactions": len(window1) + len(window2),
             "routed_tables": len(routed),
-            "workers": workers,
+            "workers": WORKERS,
         },
         headers=["serial", "batched-rows", "batched-columnar"],
         series={

@@ -38,8 +38,8 @@ DEFAULT_FOLD_TXNS = 6
 DEFAULT_CHURN_TXNS = 4
 DEFAULT_SCRATCH_TXNS = 3
 DEFAULT_INSERTS_PER_TXN = 6
-DEFAULT_TXN_ROWS = 20
-DEFAULT_WORKERS = 4
+TXN_ROWS = 20
+WORKERS = 4
 
 _COLS = (
     "part_id, part_ref, part_no, description, status, quantity, price, "
@@ -156,8 +156,6 @@ def run(
     churn_txns: int = DEFAULT_CHURN_TXNS,
     scratch_txns: int = DEFAULT_SCRATCH_TXNS,
     inserts_per_txn: int = DEFAULT_INSERTS_PER_TXN,
-    txn_rows: int = DEFAULT_TXN_ROWS,
-    workers: int = DEFAULT_WORKERS,
 ) -> ExperimentResult:
     source, workload = build_workload_database(table_rows, name="cp-source")
     initial_rows = list(source.table("parts").scan_values())
@@ -173,7 +171,7 @@ def run(
         churn_txns,
         scratch_txns,
         inserts_per_txn,
-        txn_rows,
+        TXN_ROWS,
     )
     capture.detach()
     groups = store.drain()
@@ -212,7 +210,7 @@ def run(
     view_batched = wh_batched.view("parts_catalog").rows()
 
     schedule = run_conflict_schedule(
-        [[ms] for ms in batched_report.per_component_ms], workers=workers
+        [[ms] for ms in batched_report.per_component_ms], workers=WORKERS
     )
     apply_span = schedule.parallel_ms or batched_report.elapsed_ms
     speedup = serial_report.elapsed_ms / apply_span if apply_span else 1.0
@@ -224,7 +222,7 @@ def run(
             "table_rows": table_rows,
             "transactions": len(groups),
             "conflict_components": batched_report.components,
-            "workers": workers,
+            "workers": WORKERS,
         },
         headers=["serial", "compacted+batched"],
         series={
@@ -287,7 +285,7 @@ def run(
     )
     result.notes.append(
         f"Apply: {serial_report.transactions} warehouse txns serial vs "
-        f"{batched_report.components} group commits on {workers} lanes; "
+        f"{batched_report.components} group commits on {WORKERS} lanes; "
         f"{serial_report.elapsed_ms:,.0f} ms -> {apply_span:,.0f} ms "
         f"({speedup:.2f}x)."
     )

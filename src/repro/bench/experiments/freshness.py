@@ -35,7 +35,7 @@ from .common import build_workload_database
 
 DEFAULT_TABLE_ROWS = 20_000
 DEFAULT_TXN_ROWS = 50
-DEFAULT_TXN_GAP_MS = 2_000.0
+TXN_GAP_MS = 2_000.0
 DEFAULT_TRANSACTIONS = 20
 #: Poll periods to sweep (virtual ms).
 DEFAULT_PERIODS = (60_000.0, 20_000.0, 5_000.0)
@@ -91,13 +91,12 @@ def run(
     txn_rows: int = DEFAULT_TXN_ROWS,
     periods: tuple[float, ...] = DEFAULT_PERIODS,
     transactions: int = DEFAULT_TRANSACTIONS,
-    txn_gap_ms: float = DEFAULT_TXN_GAP_MS,
 ) -> ExperimentResult:
     poll_pipeline_ms, empty_poll_ms = _measure_poll_pipeline(table_rows, txn_rows)
     stream_lag_ms = _measure_streaming_lag(table_rows, txn_rows)
 
-    commit_times = [i * txn_gap_ms for i in range(transactions)]
-    horizon = commit_times[-1] + txn_gap_ms
+    commit_times = [i * TXN_GAP_MS for i in range(transactions)]
+    horizon = commit_times[-1] + TXN_GAP_MS
 
     poll_mean_lag, poll_source_cost = [], []
     for period in periods:

@@ -27,10 +27,10 @@ from ..report import ExperimentResult
 from .common import build_workload_database
 
 DEFAULT_TABLE_ROWS = 20_000
-DEFAULT_SIZES = (10, 100, 1_000)
+SIZES = (10, 100, 1_000)
 
 
-def _arm(arm: str, table_rows: int, sizes: tuple[int, ...]) -> list[float]:
+def _arm(arm: str, table_rows: int) -> list[float]:
     database, workload = build_workload_database(table_rows, name=f"hy-{arm}")
     if arm == "trigger":
         extractor = TriggerExtractor(database, "parts")
@@ -42,15 +42,12 @@ def _arm(arm: str, table_rows: int, sizes: tuple[int, ...]) -> list[float]:
             workload.session, store, tables={"parts"}, hybrid_policy=policy
         )
         capture.attach()
-    return [workload.run_update(size).response_ms for size in sizes]
+    return [workload.run_update(size).response_ms for size in SIZES]
 
 
-def run(
-    table_rows: int = DEFAULT_TABLE_ROWS,
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-) -> ExperimentResult:
+def run(table_rows: int = DEFAULT_TABLE_ROWS) -> ExperimentResult:
     arms = {
-        name: _arm(name, table_rows, sizes)
+        name: _arm(name, table_rows)
         for name in ("base", "lean", "hybrid", "trigger")
     }
     overhead = {
@@ -61,7 +58,7 @@ def run(
         experiment_id="hybrid_capture",
         title="Hybrid Op-Delta capture cost (update transactions)",
         parameters={"table_rows": table_rows},
-        headers=[str(s) for s in sizes],
+        headers=[str(s) for s in SIZES],
         series={
             "lean_overhead": overhead["lean"],
             "hybrid_overhead": overhead["hybrid"],

@@ -13,11 +13,13 @@ implemented algorithm families on the same snapshot pair:
 
 from __future__ import annotations
 
+from functools import partial
+
 from ...engine.database import Database
 from ...engine.snapshots import take_snapshot
 from ...engine.table import InsertMode
 from ...extraction.deltas import apply_batch_to_rows
-from ...extraction.snapshot_diff import ALGORITHMS
+from ...extraction.snapshot_diff import ALGORITHMS, diff_window
 from ...workloads.records import parts_schema
 from ..report import ExperimentResult
 from .common import build_workload_database
@@ -64,10 +66,10 @@ def run(
     costs: dict[str, float] = {}
     record_counts: dict[str, float] = {}
     correct: dict[str, bool] = {}
-    for name, algorithm in ALGORITHMS.items():
-        kwargs = {"window": DEFAULT_WINDOW} if name == "window" else {}
+    algorithms = {**ALGORITHMS, "window": partial(diff_window, window=DEFAULT_WINDOW)}
+    for name, algorithm in algorithms.items():
         with database.clock.stopwatch() as watch:
-            batch = algorithm(database, old, new, **kwargs)
+            batch = algorithm(database, old, new)
         costs[name] = watch.elapsed
         record_counts[name] = float(len(batch))
         applied = sorted(apply_batch_to_rows(batch, old.rows, key_index))

@@ -41,8 +41,8 @@ class VirtualClock:
     the same value even if no cost was charged in between.
     """
 
-    def __init__(self, start_ms: float = 0.0) -> None:
-        self._now = float(start_ms)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._timestamp_seq = 0
 
     @property

@@ -46,7 +46,7 @@ dropped — an empty transaction has no observable effect).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 from ..analysis.analyzer import OpDeltaAnalyzer
 from ..analysis.rwsets import StatementFootprint, extract_footprint
@@ -121,23 +121,16 @@ class Coalescer:
     def __init__(
         self,
         analyzer: OpDeltaAnalyzer | None = None,
-        key_columns: Mapping[str, str] | None = None,
-        table_columns: Mapping[str, Sequence[str]] | None = None,
         clock: VirtualClock | None = None,
         metrics: MetricsLike | None = None,
     ) -> None:
         self._analyzer = analyzer
-        self._key_columns: dict[str, str] = dict(
-            analyzer.key_columns if analyzer is not None else (key_columns or {})
+        self._key_columns: dict[str, str] = (
+            dict(analyzer.key_columns) if analyzer is not None else {}
         )
-        self._table_columns: dict[str, tuple[str, ...]] = {
-            t: tuple(cols)
-            for t, cols in (
-                analyzer.table_columns
-                if analyzer is not None
-                else (table_columns or {})
-            ).items()
-        }
+        self._table_columns: dict[str, tuple[str, ...]] = (
+            dict(analyzer.table_columns) if analyzer is not None else {}
+        )
         self._clock = clock
         self._metrics = metrics
 

@@ -7,7 +7,7 @@ self-contained warehouse transaction.
 """
 
 from .capture import CaptureEverythingLean, OpDeltaCapture, StatementAnalyzer
-from .hybrid import AlwaysHybridPolicy, ViewAwareHybridPolicy
+from .hybrid import AlwaysHybridPolicy
 from .opdelta import OpDelta, OpDeltaTransaction, OpKind, classify_statement
 from .selfmaint import (
     JoinSpec,
@@ -15,10 +15,9 @@ from .selfmaint import (
     ViewDefinition,
     classify_operation,
     classify_static,
-    combined_requirement,
 )
 from .stores import DatabaseLogStore, FileLogStore, OpDeltaStore
-from .transform import StatementTransformer, TableMapping, identity_mapping
+from .transform import StatementTransformer, TableMapping
 
 __all__ = [
     "OpDelta",
@@ -36,10 +35,7 @@ __all__ = [
     "Maintainability",
     "classify_operation",
     "classify_static",
-    "combined_requirement",
-    "ViewAwareHybridPolicy",
     "AlwaysHybridPolicy",
     "StatementTransformer",
     "TableMapping",
-    "identity_mapping",
 ]

@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from ..errors import SelfMaintenanceError
 from ..sql import ast_nodes as ast
@@ -189,19 +188,3 @@ def _projects_full_row(view: ViewDefinition) -> bool:
     if view.base_columns is None:
         return False
     return set(view.columns) >= set(view.base_columns)
-
-
-def combined_requirement(
-    views: Sequence[ViewDefinition], table: str, kind: OpKind
-) -> Maintainability:
-    """The strongest requirement any view on ``table`` imposes for ``kind``."""
-    requirement = Maintainability.OP_ONLY
-    for view in views:
-        if view.base_table != table:
-            continue
-        level = classify_static(view, kind)
-        if level is Maintainability.NOT_SELF_MAINTAINABLE:
-            return level
-        if level is Maintainability.NEEDS_BEFORE_IMAGE:
-            requirement = level
-    return requirement

@@ -101,13 +101,12 @@ class OpDeltaStore(ABC):
 class DatabaseLogStore(OpDeltaStore):
     """Transactional Op-Delta log in a table of the source database."""
 
-    def __init__(self, database: Database, table_name: str = "opdelta_log") -> None:
+    def __init__(self, database: Database) -> None:
         super().__init__()
         self._database = database
-        self.table_name = table_name
-        if not database.has_table(table_name):
-            database.create_table(TableSchema(table_name, OPLOG_COLUMNS))
-        self._table = database.table(table_name)
+        if not database.has_table("opdelta_log"):
+            database.create_table(TableSchema("opdelta_log", OPLOG_COLUMNS))
+        self._table = database.table("opdelta_log")
         self._next_seq = 1
 
     def _persist(self, op: OpDelta, txn: Transaction) -> None:

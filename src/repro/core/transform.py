@@ -50,11 +50,6 @@ class TableMapping:
         return target
 
 
-def identity_mapping(table: str, target_table: str | None = None) -> TableMapping:
-    """Mapping that only renames the table (columns pass through)."""
-    return TableMapping(table, target_table if target_table else table)
-
-
 class StatementTransformer:
     """Rewrites captured DML onto the warehouse schema."""
 
@@ -69,7 +64,7 @@ class StatementTransformer:
         self._scope = Scope()
 
     def mapping_for(self, table: str) -> TableMapping:
-        return self._mappings.get(table, identity_mapping(table))
+        return self._mappings.get(table, TableMapping(table, table))
 
     # --------------------------------------------------------------- statements
     def transform(self, statement: ast.Statement) -> ast.Statement:

@@ -65,8 +65,8 @@ class DiskManager:
         self._clock.advance(cost)
         return data
 
-    def write_page(self, page_no: int, data: bytes, sequential: bool = False) -> None:
-        """Write a page, charging random write-back or sequential cost."""
+    def write_page(self, page_no: int, data: bytes) -> None:
+        """Write a page back, charging the random write cost."""
         if page_no not in self._pages:
             raise StorageError(f"write to unallocated page {page_no}")
         if len(data) != PAGE_SIZE:
@@ -75,5 +75,4 @@ class DiskManager:
             )
         self._pages[page_no] = bytes(data)
         self._m_writes.inc()
-        cost = self._costs.seq_page_write if sequential else self._costs.page_write
-        self._clock.advance(cost)
+        self._clock.advance(self._costs.page_write)

@@ -14,7 +14,7 @@ This module is where the paper's measured effects are produced:
 Each mutation is written once, as a per-row core (``_insert_row``,
 ``_update_row``, ``_delete_row``) taking the two things its callers differ
 in: the CPU charge for the row and where its WAL record goes.  The row
-entries log straight to :meth:`LogManager.append`; the ``*_batch`` entries
+entries append straight to :meth:`LogManager.append`; the ``*_batch`` entries
 (the columnar apply path) charge the columnar factor and group-append after
 the last row.  Row DML and batch DML are therefore the same mutation by
 construction — validation, unique checks, index maintenance, triggers,
@@ -190,12 +190,11 @@ class Table:
         txn: Transaction,
         rows: Iterable[Sequence[Any]],
         mode: InsertMode = InsertMode.BULK_CLIENT,
-        fire_triggers: bool = True,
     ) -> int:
         """Insert many rows through a bulk path; returns the count."""
         count = 0
         for values in rows:
-            self.insert(txn, values, mode=mode, fire_triggers=fire_triggers)
+            self.insert(txn, values, mode=mode)
             count += 1
         return count
 
@@ -212,56 +211,40 @@ class Table:
             self._log.append, fire_triggers,
         )
 
-    def delete(
-        self,
-        txn: Transaction,
-        row_id: RowId,
-        fire_triggers: bool = True,
-    ) -> tuple[Any, ...]:
+    def delete(self, txn: Transaction, row_id: RowId) -> tuple[Any, ...]:
         """Delete one row; returns its old values."""
         return self._delete_row(
-            txn, row_id, self._costs.row_delete_cpu, self._log.append, fire_triggers
+            txn, row_id, self._costs.row_delete_cpu, self._log.append, True
         )
 
     # Batch entries (the columnar apply path): the same per-row cores at
     # batch cost — see ``_batch``.
 
     def insert_batch(
-        self,
-        txn: Transaction,
-        rows: Iterable[Sequence[Any]],
-        fire_triggers: bool = True,
+        self, txn: Transaction, rows: Iterable[Sequence[Any]]
     ) -> list[RowId]:
         """Columnar batch insert; returns the new RowIds in order."""
-        return self._batch(
-            self._insert_row, txn, rows, self._costs.row_insert_cpu, fire_triggers
-        )
+        return self._batch(self._insert_row, txn, rows, self._costs.row_insert_cpu)
 
     def update_batch(
-        self,
-        txn: Transaction,
-        updates: Iterable[tuple[RowId, Mapping[str, Any]]],
-        fire_triggers: bool = True,
+        self, txn: Transaction, updates: Iterable[tuple[RowId, Mapping[str, Any]]]
     ) -> list[tuple[tuple[Any, ...], tuple[Any, ...]]]:
         """Columnar batch update; returns (old, new) values per row."""
         return self._batch(
-            self._update_row, txn, updates, self._costs.row_update_cpu, fire_triggers
+            self._update_row, txn, updates, self._costs.row_update_cpu
         )
 
     def delete_batch(
-        self,
-        txn: Transaction,
-        row_ids: Iterable[RowId],
-        fire_triggers: bool = True,
+        self, txn: Transaction, row_ids: Iterable[RowId]
     ) -> list[tuple[Any, ...]]:
         """Columnar batch delete; returns the old values per row."""
         return self._batch(
-            self._delete_row, txn, row_ids, self._costs.row_delete_cpu, fire_triggers
+            self._delete_row, txn, row_ids, self._costs.row_delete_cpu
         )
 
     def _batch(
         self, mutate: Callable[..., Any], txn: Transaction,
-        items: Iterable[Any], row_cpu: float, fire_triggers: bool,
+        items: Iterable[Any], row_cpu: float,
     ) -> list[Any]:
         """One row mutation per item, at batch cost; returns the results.
 
@@ -275,22 +258,22 @@ class Table:
         row_cpu *= self._costs.columnar_cpu_factor
         entries: list[tuple[Any, ...]] = []
 
-        def log(*entry: Any) -> None:
+        def append(*entry: Any) -> None:
             entries.append(entry)
 
         try:
-            return [mutate(txn, item, row_cpu, log, fire_triggers) for item in items]
+            return [mutate(txn, item, row_cpu, append, True) for item in items]
         finally:
             self._log.append_batch(entries)
 
-    # The per-row cores: the body of each mutation, written once.  ``log``
+    # The per-row cores: the body of each mutation, written once.  ``append``
     # takes the positional arguments of ``LogManager.append``; each core takes
     # what it mutates as one item (an update its ``(row_id, assignments)``
     # pair) so that ``_batch`` drives all three alike.
 
     def _insert_row(
         self, txn: Transaction, values: Sequence[Any], row_cpu: float,
-        log: LogSink, fire_triggers: bool,
+        append: LogSink, fire_triggers: bool,
     ) -> RowId:
         values = self.schema.validate_values(tuple(values))
         values = self._stamp(values)
@@ -302,7 +285,7 @@ class Table:
 
         record = encode_row(self.schema, values)
         row_id = self._enter(self._heap.insert(record), values)
-        log(LogRecordKind.INSERT, txn.txn_id, self.name, row_id, None, record)
+        append(LogRecordKind.INSERT, txn.txn_id, self.name, row_id, None, record)
         txn.rows_inserted += 1
         txn.register_undo(lambda: self._physical_delete(row_id, values))
 
@@ -311,7 +294,7 @@ class Table:
 
     def _update_row(
         self, txn: Transaction, target: tuple[RowId, Mapping[str, Any]],
-        row_cpu: float, log: LogSink, fire_triggers: bool,
+        row_cpu: float, append: LogSink, fire_triggers: bool,
     ) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
         row_id, assignments = target
         if not assignments:
@@ -332,7 +315,9 @@ class Table:
 
         new_record = encode_row(self.schema, new_values)
         self._physical_overwrite(row_id, new_record, old_values, new_values)
-        log(LogRecordKind.UPDATE, txn.txn_id, self.name, row_id, old_record, new_record)
+        append(
+            LogRecordKind.UPDATE, txn.txn_id, self.name, row_id, old_record, new_record
+        )
         txn.rows_updated += 1
         txn.register_undo(
             lambda: self._physical_overwrite(row_id, old_record, new_values, old_values)
@@ -343,7 +328,7 @@ class Table:
 
     def _delete_row(
         self, txn: Transaction, row_id: RowId, row_cpu: float,
-        log: LogSink, fire_triggers: bool,
+        append: LogSink, fire_triggers: bool,
     ) -> tuple[Any, ...]:
         old_record = self._heap.read(row_id)
         old_values = decode_row(self.schema, old_record)
@@ -353,9 +338,10 @@ class Table:
         self._fire(fire_triggers, txn, TriggerTiming.BEFORE, old_values, None)
 
         self._physical_delete(row_id, old_values)
-        log(LogRecordKind.DELETE, txn.txn_id, self.name, row_id, old_record, None)
+        append(LogRecordKind.DELETE, txn.txn_id, self.name, row_id, old_record, None)
         txn.rows_deleted += 1
-        txn.register_undo(lambda: self._physical_reinsert(old_values))
+        # Back at its own address: an earlier step's undo names this RowId.
+        txn.register_undo(lambda: self.redo_insert(row_id, old_record))
 
         self._fire(fire_triggers, txn, TriggerTiming.AFTER, old_values, None)
         return old_values
@@ -593,9 +579,6 @@ class Table:
         except BaseException:
             _revert(undo)
             raise
-
-    def _physical_reinsert(self, values: tuple[Any, ...]) -> None:
-        self._enter(self._heap.insert(encode_row(self.schema, values)), values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Table({self.name!r}, rows={self.num_rows}, indexes={list(self._indexes)})"

@@ -204,17 +204,9 @@ class LogManager:
         return None
 
     # ------------------------------------------------------------------- read
-    @property
-    def archived_segments(self) -> tuple[LogSegment, ...]:
-        return tuple(self._archived)
-
-    def drain_archive(self, up_to_segment: int | None = None) -> list[LogSegment]:
-        """Remove and return archived segments (they have been 'shipped')."""
-        if up_to_segment is None:
-            shipped, self._archived = self._archived, []
-            return shipped
-        shipped = [s for s in self._archived if s.segment_id <= up_to_segment]
-        self._archived = [s for s in self._archived if s.segment_id > up_to_segment]
+    def drain_archive(self) -> list[LogSegment]:
+        """Remove and return the archived segments (they have been 'shipped')."""
+        shipped, self._archived = self._archived, []
         return shipped
 
 

@@ -53,13 +53,7 @@ class LogExtraction:
 class LogExtractor:
     """Scans archived WAL segments into per-table value deltas."""
 
-    def __init__(
-        self,
-        database: Database,
-        tables: set[str] | None = None,
-        reader_product: str | None = None,
-        reader_version: str | None = None,
-    ) -> None:
+    def __init__(self, database: Database, tables: set[str] | None = None) -> None:
         if not database.log.archive_mode:
             raise ExtractionError(
                 f"database {database.name!r} does not have archiving turned "
@@ -68,40 +62,27 @@ class LogExtractor:
             )
         self._database = database
         self._tables = tables
-        # By default the reader is the same product/version tooling — the
-        # only configuration that actually works; mismatches model the
-        # license/compatibility hazards and raise LogError.
-        self.reader_product = (
-            reader_product if reader_product is not None else database.product
-        )
-        self.reader_version = (
-            reader_version if reader_version is not None else database.product_version
-        )
 
-    def extract(self, drain: bool = True) -> LogExtraction:
+    def extract(self) -> LogExtraction:
         """Decode archived segments into value deltas.
 
-        A checkpoint first makes the changes since the last one visible.
-
-        Parameters
-        ----------
-        drain:
-            Remove the decoded segments from the archive (they have been
-            shipped).  Pass ``False`` to peek.
+        A checkpoint first makes the changes since the last one visible; the
+        decoded segments leave the archive (they have been shipped).  The
+        reader is the database's own product and version tooling: a segment
+        another product or release wrote (the compatibility hazard) raises
+        :class:`~repro.errors.LogError`.
         """
         self._database.checkpoint()
-        segments = (
-            self._database.log.drain_archive()
-            if drain
-            else list(self._database.log.archived_segments)
-        )
+        segments = self._database.log.drain_archive()
         result = LogExtraction(segments=segments)
         costs = self._database.costs
         clock = self._database.clock
 
         all_records = [r for segment in segments for r in segment.records]
         for segment in segments:
-            require_compatible(segment, self.reader_product, self.reader_version)
+            require_compatible(
+                segment, self._database.product, self._database.product_version
+            )
         committed = committed_txn_ids(all_records)
 
         with self._database.tracer.span(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from ..core.opdelta import OpDelta, OpDeltaTransaction, OpKind
-from ..engine.costs import DEFAULT_COST_MODEL, CostModel
+from ..engine.costs import DEFAULT_COST_MODEL
 from ..obs.pipeline.context import ambient_pipeline
 
 
@@ -173,12 +173,8 @@ class AdaptiveExtractionSwitcher:
     a profile default to :data:`DEFAULT_PROFILE`).
     """
 
-    def __init__(
-        self,
-        costs: CostModel = DEFAULT_COST_MODEL,
-        profiles: Mapping[str, TableProfile] | None = None,
-    ) -> None:
-        self._costs = costs
+    def __init__(self, profiles: Mapping[str, TableProfile] | None = None) -> None:
+        self._costs = DEFAULT_COST_MODEL
         self._profiles = dict(profiles) if profiles is not None else {}
         #: Every decision ever taken, in window order (for reports).
         self.decisions: list[RoutingDecision] = []

@@ -21,7 +21,6 @@ from typing import Iterator
 
 from ..engine.database import Database
 from ..engine.schema import TableSchema
-from ..engine.session import Session
 from ..engine.utilities import AsciiFile, ExportDump, ascii_dump_rows, export_table
 from ..errors import ExtractionError
 from .deltas import ChangeKind, DeltaBatch, DeltaRecord
@@ -50,8 +49,7 @@ class TimestampExtraction:
 class TimestampExtractor:
     """Extracts rows modified after a cutoff from one source table."""
 
-    def __init__(self, database: Database, table_name: str,
-                 session: Session | None = None) -> None:
+    def __init__(self, database: Database, table_name: str) -> None:
         self._database = database
         self._table = database.table(table_name)
         if self._table.schema.timestamp_column is None:
@@ -62,7 +60,7 @@ class TimestampExtractor:
             )
         self.table_name = table_name
         self.timestamp_column = self._table.schema.timestamp_column
-        self._session = session if session is not None else database.internal_session()
+        self._session = database.internal_session()
 
     # ------------------------------------------------------------------ output
     def extract_to_file(self, since: float) -> TimestampExtraction:

@@ -36,18 +36,11 @@ class TriggerExtractor:
 
     TRIGGER_PREFIX = "cdc"
 
-    def __init__(
-        self,
-        database: Database,
-        table_name: str,
-        delta_table: str | None = None,
-    ) -> None:
+    def __init__(self, database: Database, table_name: str) -> None:
         self._database = database
         self._table = database.table(table_name)
         self.table_name = table_name
-        self.delta_table_name = (
-            delta_table if delta_table is not None else f"{table_name}_cdc"
-        )
+        self.delta_table_name = f"{table_name}_cdc"
         self._writer: DeltaTableWriter | None = None
         self._remote: RemoteSession | None = None
         self._remote_seq = 0

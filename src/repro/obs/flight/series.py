@@ -19,7 +19,7 @@ deterministic as the run that produced it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol
 
 from ...errors import ObservabilityError
 from ..stats import nearest_rank_percentile
@@ -27,24 +27,20 @@ from ..stats import nearest_rank_percentile
 #: One recorded point: (virtual ms, value).
 Sample = tuple[float, float]
 
-#: Default per-series retention (samples, not time): enough for hundreds
-#: of shipped windows while bounding a long-running pipeline's memory.
+#: Per-series retention (samples, not time): enough for hundreds of
+#: shipped windows while bounding a long-running pipeline's memory.
 DEFAULT_CAPACITY = 512
 
 
 class RingSeries:
     """One named signal's bounded, monotone virtual-time sample ring."""
 
-    __slots__ = ("name", "capacity", "_samples", "dropped", "recorded")
+    __slots__ = ("name", "_samples", "dropped", "recorded")
+    capacity = DEFAULT_CAPACITY
 
-    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ObservabilityError(
-                f"series {name!r} needs a positive capacity, got {capacity}"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.capacity = capacity
-        self._samples: deque[Sample] = deque(maxlen=capacity)
+        self._samples: deque[Sample] = deque(maxlen=DEFAULT_CAPACITY)
         #: Samples evicted by the ring bound (retention loss, counted).
         self.dropped = 0
         #: Samples ever recorded (pre-eviction).
@@ -91,21 +87,12 @@ class RingSeries:
     ) -> list[float]:
         return [value for _at, value in self.window(since_ms, until_ms)]
 
-    def percentile(
-        self,
-        q: float,
-        since_ms: float | None = None,
-        until_ms: float | None = None,
-    ) -> float:
-        """Nearest-rank percentile of the windowed samples (0.0 if empty)."""
-        return nearest_rank_percentile(self.values(since_ms, until_ms), q)
+    def percentile(self, q: float) -> float:
+        """Nearest-rank percentile of the retained samples (0.0 if empty)."""
+        return nearest_rank_percentile(self.values(), q)
 
-    def mean(
-        self,
-        since_ms: float | None = None,
-        until_ms: float | None = None,
-    ) -> float:
-        values = self.values(since_ms, until_ms)
+    def mean(self, since_ms: float | None = None) -> float:
+        values = self.values(since_ms)
         return sum(values) / len(values) if values else 0.0
 
     def max(
@@ -135,8 +122,7 @@ class TimeSeriesStore:
     a *history*, where an instrument holds a current value.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._series: dict[str, RingSeries] = {}
         #: Shipped windows sampled into the store.
         self.windows_sampled = 0
@@ -145,7 +131,7 @@ class TimeSeriesStore:
         """The named series, created empty on first use."""
         found = self._series.get(name)
         if found is None:
-            found = RingSeries(name, capacity=self._capacity)
+            found = RingSeries(name)
             self._series[name] = found
         return found
 
@@ -204,22 +190,15 @@ class FlightRecorder:
     shipped/enqueued window and the recorder forwards the announcement
     here with the window's virtual timestamp.  Optionally a metrics
     registry (cumulative counters and gauges become rate-queryable series)
-    and any number of queues (depth series) join each sample.
+    and any number of watched queues (depth series) join each sample.
     """
 
     def __init__(
-        self,
-        store: TimeSeriesStore | None = None,
-        metrics: Any | None = None,
-        metric_names: Iterable[str] | None = None,
-        queues: Sequence[DepthSource] = (),
+        self, store: TimeSeriesStore | None = None, metrics: Any | None = None
     ) -> None:
         self.store = store if store is not None else TimeSeriesStore()
         self._metrics = metrics
-        self._metric_names = (
-            frozenset(metric_names) if metric_names is not None else None
-        )
-        self._queues: list[DepthSource] = list(queues)
+        self._queues: list[DepthSource] = []
         #: Per-stage lag sample counts already folded into the store, so
         #: each window records the *new* samples' statistics, not the
         #: cumulative distribution.
@@ -291,18 +270,7 @@ class FlightRecorder:
         if self._metrics is None:
             return
         for instrument in self._metrics.instruments():
-            if (
-                self._metric_names is not None
-                and instrument.name not in self._metric_names
-            ):
-                continue
-            if instrument.kind == "counter":
-                self.store.record(
-                    f"metric.{instrument.qualified_name}",
-                    at_ms,
-                    instrument.value,
-                )
-            elif instrument.kind == "gauge":
+            if instrument.kind in ("counter", "gauge"):
                 self.store.record(
                     f"metric.{instrument.qualified_name}",
                     at_ms,

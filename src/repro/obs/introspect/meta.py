@@ -47,7 +47,7 @@ from ...engine.schema import Column, TableSchema
 from ...engine.types import FLOAT, INTEGER, char
 from ...errors import ObservabilityError
 from ...semantics.checker import SchemaCatalog, SemanticChecker
-from ...semantics.planner import ViewMaintenancePlanner
+from ...semantics.planner import PlanDrivenCapturePolicy, ViewMaintenancePlanner
 from ...sql.ast_nodes import sql_literal
 from ..metrics import MetricsRegistry
 from ..pipeline import StateDigest, suppress_pipeline
@@ -200,7 +200,6 @@ class MetaObservatory:
     def __init__(self, catalog: SystemCatalog, verifier: Any = None) -> None:
         from ...analysis.analyzer import OpDeltaAnalyzer
         from ...core.capture import OpDeltaCapture
-        from ...core.hybrid import ViewAwareHybridPolicy
         from ...core.stores import FileLogStore
         from ...warehouse.opdelta_integrator import OpDeltaIntegrator
         from ...warehouse.warehouse import Warehouse
@@ -233,14 +232,17 @@ class MetaObservatory:
             },
             metrics=self._metrics,
         )
+        plans = ViewMaintenancePlanner(
+            SchemaCatalog(_SCHEMAS)
+        ).plan_catalog(views=definitions)
         self._capture = OpDeltaCapture(
             self._session,
             self._store,
             tables={schema.name for schema in _SCHEMAS},
             # The burn view's predicate makes UPDATEs on obs_slo need
             # before images — the paper's hybrid augmentation, decided
-            # statically from the view definitions.
-            hybrid_policy=ViewAwareHybridPolicy(definitions),
+            # statically by the views' compiled plans.
+            hybrid_policy=PlanDrivenCapturePolicy(plans),
             analyzer=analyzer,
             checker=SemanticChecker(SchemaCatalog.from_database(self._source)),
             source="meta-observatory",
@@ -256,9 +258,6 @@ class MetaObservatory:
             )
             for definition in definitions
         ]
-        plans = ViewMaintenancePlanner(
-            SchemaCatalog(_SCHEMAS)
-        ).plan_catalog(views=definitions)
         self._integrator = OpDeltaIntegrator(
             self._warehouse.database.internal_session(),
             views=self.views,

@@ -36,7 +36,7 @@ from ..errors import ObservabilityError
 #: of lowercase words, enforced at creation time so typos fail fast.
 _NAME_PATTERN = re.compile(r"^[a-z0-9_]+\.[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
-#: Default histogram bucket upper bounds (virtual milliseconds): a 1-2.5-5
+#: Every histogram's bucket upper bounds (virtual milliseconds): a 1-2.5-5
 #: ladder from sub-millisecond index probes up to multi-minute maintenance
 #: windows.  Values above the last bound land in an overflow bucket.
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -120,18 +120,9 @@ class Histogram(Instrument):
     __slots__ = ("buckets", "bucket_counts", "count", "total", "min", "max")
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        labels: dict[str, Any],
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self, name: str, labels: dict[str, Any]) -> None:
         super().__init__(name, labels)
-        if list(buckets) != sorted(buckets) or len(set(buckets)) != len(buckets):
-            raise ObservabilityError(
-                f"histogram {name!r} buckets must be strictly increasing"
-            )
-        self.buckets = tuple(buckets)
+        self.buckets = DEFAULT_BUCKETS
         #: One slot per bound plus the overflow bucket.
         self.bucket_counts = [0] * (len(self.buckets) + 1)
         self.count = 0
@@ -221,17 +212,14 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, buckets: tuple[float, ...] | None = None, **labels: Any
-    ) -> Histogram:
-        extra = {} if buckets is None else {"buckets": tuple(buckets)}
-        return self._get(Histogram, name, labels, **extra)
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        return self._get(Histogram, name, labels)
 
     def labelled(self, **labels: Any) -> LabelledRegistry:
         """A view of this registry that stamps ``labels`` on every instrument."""
         return LabelledRegistry(self, labels)
 
-    def _get(self, cls: type, name: str, labels: dict[str, Any], **extra: Any):
+    def _get(self, cls: type, name: str, labels: dict[str, Any]):
         key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
@@ -240,7 +228,7 @@ class MetricsRegistry:
                     f"metric name {name!r} does not follow the "
                     "'<subsystem>.<object>.<event>' convention"
                 )
-            instrument = cls(name, dict(labels), **extra)
+            instrument = cls(name, dict(labels))
             self._instruments[key] = instrument
         elif type(instrument) is not cls:
             raise ObservabilityError(
@@ -328,12 +316,8 @@ class LabelledRegistry:
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._parent.gauge(name, **{**self._labels, **labels})
 
-    def histogram(
-        self, name: str, buckets: tuple[float, ...] | None = None, **labels: Any
-    ) -> Histogram:
-        return self._parent.histogram(
-            name, buckets=buckets, **{**self._labels, **labels}
-        )
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        return self._parent.histogram(name, **{**self._labels, **labels})
 
     def labelled(self, **labels: Any) -> LabelledRegistry:
         return LabelledRegistry(self._parent, {**self._labels, **labels})
@@ -358,9 +342,7 @@ class NullRegistry(MetricsRegistry):
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._GAUGE
 
-    def histogram(
-        self, name: str, buckets: tuple[float, ...] | None = None, **labels: Any
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._HISTOGRAM
 
     def labelled(self, **labels: Any) -> NullRegistry:  # type: ignore[override]

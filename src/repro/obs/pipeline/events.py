@@ -77,12 +77,13 @@ def lineage_key(op: Any) -> str:
     return f"txn{op.txn_id}:op{op.sequence}"
 
 
-def lineage_source(op: Any, default: str = "unstamped") -> str:
-    """The source half of an op's correlation id (``<source>:<seq>``)."""
+def lineage_source(op: Any) -> str:
+    """The source half of an op's correlation id (``<source>:<seq>``), or
+    ``"unstamped"``."""
     stamped = getattr(op, "lineage_id", None)
     if stamped and ":" in str(stamped):
         return str(stamped).rsplit(":", 1)[0]
-    return default
+    return "unstamped"
 
 
 @dataclass(frozen=True)
@@ -147,11 +148,6 @@ class EventLog:
 
     def __iter__(self) -> Iterator[LineageEvent]:
         return iter(self._events)
-
-    def events(self, kind: LifecycleKind | None = None) -> list[LineageEvent]:
-        if kind is None:
-            return list(self._events)
-        return [event for event in self._events if event.kind is kind]
 
     def total(self, kind: LifecycleKind) -> int:
         """How many events of ``kind`` were ever appended (pre-eviction)."""

@@ -149,14 +149,13 @@ class PipelineRecorder:
         self,
         clock: VirtualClock | None = None,
         metrics: MetricsLike | None = None,
-        log_capacity: int = 50_000,
         flight: WindowObserver | None = None,
     ) -> None:
         self._clock = clock
         self._metrics = metrics
         #: Optional per-shipped-window sampler (the flight recorder).
         self.flight = flight
-        self.log = EventLog(capacity=log_capacity)
+        self.log = EventLog()
         #: correlation id -> lineage, in first-observation order.
         self.lineage: dict[str, OpLineage] = {}
         self.sources: dict[str, SourceWatermark] = {}

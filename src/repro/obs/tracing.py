@@ -3,7 +3,7 @@
 A :class:`Tracer` records nested regions of work against a
 :class:`~repro.clock.VirtualClock`::
 
-    tracer = Tracer(clock)
+    tracer = Tracer().bound(clock)
     with tracer.span("extract.timestamp.scan"):
         ...
 
@@ -100,12 +100,12 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Records spans; optionally holds a default clock."""
+    """Records spans; a default clock is adopted with :meth:`bind`."""
 
     enabled = True
 
-    def __init__(self, clock: VirtualClock | None = None) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
+        self._clock: VirtualClock | None = None
         #: All spans in start order (closed in place as regions exit).
         self.spans: list[Span] = []
         self._stack: list[Span] = []

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 from ..core.opdelta import OpKind
 from ..core.selfmaint import Maintainability, ViewDefinition, classify_static
 from ..engine.schema import TableSchema
+from ..errors import SelfMaintenanceError
 from ..sql.parser import parse_expression
 from . import diagnostics as diag
 from .checker import SchemaCatalog, SemanticChecker
@@ -430,18 +431,25 @@ def _classify(
 
 
 class PlanDrivenCapturePolicy:
-    """Hybrid capture policy driven by compiled plans.
+    """The hybrid capture policy: driven by compiled plans.
 
-    Subsumes :func:`repro.core.selfmaint.combined_requirement`: before
-    images are fetched for exactly the (table, kind) pairs where some
-    view's compiled rule needs them — including aggregate views, which the
-    per-view-definition requirement could not see.
+    Before images are fetched for exactly the (table, kind) pairs where
+    some view's compiled rule needs them, aggregate views included.  A view
+    no capture can maintain — one whose plan needs a source query — is
+    refused here, before anything is captured for it.
     """
 
     def __init__(self, plans: Iterable[MaintenancePlan] | Mapping[str, MaintenancePlan]) -> None:
         if isinstance(plans, Mapping):
             plans = plans.values()
         self.plans: tuple[MaintenancePlan, ...] = tuple(plans)
+        for plan in self.plans:
+            if plan.classification is ViewClass.SOURCE_QUERY_NEEDED:
+                raise SelfMaintenanceError(
+                    f"view {plan.view!r} over {plan.base_table!r} is not "
+                    "self-maintainable even with before images (its plan "
+                    "needs a source query)"
+                )
 
     def requires_before_image(self, table: str, kind: OpKind) -> bool:
         return any(

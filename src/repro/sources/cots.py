@@ -4,7 +4,7 @@
 only expose APIs through which to access the encapsulated data."  A
 :class:`CotsSystem` owns a database that outsiders are not supposed to
 touch: delta extraction must either negotiate vendor cooperation
-(``allows_triggers`` / ``allows_log_access``) or attach at the wrapper
+(``allows_triggers``; the logs are never exposed) or attach at the wrapper
 seam — the COTS session's capture hooks, which is where Op-Delta lives.
 
 Business API methods issue SQL through the internal session and forward
@@ -15,10 +15,9 @@ essentially unaware of the replication").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from ..clock import VirtualClock
-from ..engine.costs import DEFAULT_COST_MODEL, CostModel
 from ..engine.database import Database
 from ..engine.session import Session
 from ..engine.table import InsertMode
@@ -36,25 +35,15 @@ class CotsSystem:
         self,
         name: str,
         clock: VirtualClock | None = None,
-        costs: CostModel = DEFAULT_COST_MODEL,
         product: str = "ReproDB",
-        product_version: str = "1.0",
         allows_triggers: bool = False,
-        allows_log_access: bool = False,
-        archive_mode: bool = False,
-        seed: int = 1,
     ) -> None:
         self.name = name
-        self._db = Database(
-            f"{name}-db", clock=clock, costs=costs,
-            product=product, product_version=product_version,
-            archive_mode=archive_mode,
-        )
+        self._db = Database(f"{name}-db", clock=clock, product=product)
         self.allows_triggers = allows_triggers
-        self.allows_log_access = allows_log_access
         self._db.create_table(parts_schema(), auto_timestamp=True)
         self._session = self._db.internal_session()
-        self._generator = PartsGenerator(seed=seed)
+        self._generator = PartsGenerator(seed=1)
         self.replication_links: list["ReplicationLink"] = []
         self.business_operations = 0
         #: Observers of business API invocations — the application/COTS
@@ -78,9 +67,9 @@ class CotsSystem:
     def vendor_database(self) -> Database:
         """Vendor-only access to the encapsulated database.
 
-        Extraction code must go through :meth:`open_database_for_triggers`
-        or :meth:`open_database_for_logs`, which enforce the vendor's
-        cooperation flags.
+        Extraction code must go through :meth:`open_database_for_triggers`,
+        which enforces the vendor's consent; :meth:`open_database_for_logs`
+        always refuses.
         """
         return self._db
 
@@ -92,13 +81,11 @@ class CotsSystem:
             )
         return self._db
 
-    def open_database_for_logs(self) -> Database:
-        if not self.allows_log_access:
-            raise ExtractionError(
-                f"COTS system {self.name!r} does not expose its database "
-                "logs (proprietary internals, §3.1.4)"
-            )
-        return self._db
+    def open_database_for_logs(self) -> NoReturn:
+        raise ExtractionError(
+            f"COTS system {self.name!r} does not expose its database "
+            "logs (proprietary internals, §3.1.4)"
+        )
 
     # ------------------------------------------------------------ business API
     def load_parts(self, count: int, start_id: int = 0) -> int:
@@ -146,8 +133,7 @@ class CotsSystem:
 
         Replication is COTS-level: the same *statement* is forwarded to each
         replica database over its link, outside any global transaction —
-        which is why replicas can briefly (or, after a failure, durably)
-        diverge, and why database-level extraction sees the change once per
+        which is why database-level extraction sees the change once per
         replica.
         """
         self.business_operations += 1

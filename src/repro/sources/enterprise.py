@@ -37,8 +37,8 @@ class Partition:
 class IntegratedEnterprise:
     """COTS systems glued together by (simulated) integration middleware."""
 
-    def __init__(self, clock: VirtualClock | None = None) -> None:
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self) -> None:
+        self.clock = VirtualClock()
         self._partitions: list[Partition] = []
         self.systems: dict[str, CotsSystem] = {}
         self.global_transactions = 0

@@ -172,13 +172,11 @@ def compile_expression(
 
 
 def compile_predicate(
-    where: ast.Expression | None,
-    bind: Binding,
-    context: Mapping[str, Any] = NO_SESSION,
+    where: ast.Expression | None, bind: Binding
 ) -> Callable[..., bool]:
     """Compile a WHERE clause to a filter (only an exact True keeps a row;
-    None keeps all)."""
-    return predicate_maker(where, bind, no_slot)((), context)
+    None keeps all); a call that passes no context has none."""
+    return predicate_maker(where, bind, no_slot)((), NO_SESSION)
 
 
 def expression_maker(expr: ast.Expression, bind: Binding, slot: Slot) -> Maker:
@@ -742,14 +740,13 @@ def compile_insert_rows(
     stmt: ast.InsertStmt,
     columns: Sequence[str],
     mismatch: Callable[[str], Exception],
-    bind: Binding = CONSTANT,
 ) -> Callable[[Any], Iterator[tuple[Any, ...]]]:
     """Compile the literal rows of ``stmt``.
 
-    The result maps a context (second kernel argument of ``bind``) to the
-    rows, evaluated one at a time and arranged in ``columns`` order.
+    The result maps a context (the second kernel argument) to the rows,
+    evaluated one at a time and arranged in ``columns`` order.
     """
-    return insert_rows_maker(stmt, columns, mismatch, bind, no_slot)(())
+    return insert_rows_maker(stmt, columns, mismatch, CONSTANT, no_slot)(())
 
 
 def insert_rows_maker(

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Sequence
 
-from ..errors import SqlError, SqlSyntaxError
+from ..errors import SqlSyntaxError
 from . import ast_nodes as ast
 from .lexer import Token, TokenKind, literal_split, tokenize
 from .templates import StatementTemplate, slot_text
@@ -41,7 +41,7 @@ _TYPE_KEYWORDS = (
 _AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 _LITERALS = (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.STRING)
 
-#: How many shapes the process-wide table keeps (least recently used out).
+#: How many shapes a template table keeps (least recently used out).
 TEMPLATE_CAPACITY = 512
 
 
@@ -55,10 +55,7 @@ class TemplateTable:
     template: ``sys.templates``).
     """
 
-    def __init__(self, capacity: int = TEMPLATE_CAPACITY) -> None:
-        if capacity < 1:
-            raise SqlError(f"template table capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._templates: OrderedDict[tuple, StatementTemplate] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -160,7 +157,7 @@ class TemplateTable:
 
     def _keep(self, shape: tuple, template: StatementTemplate) -> StatementTemplate:
         self._templates[shape] = template
-        while len(self._templates) > self.capacity:
+        while len(self._templates) > TEMPLATE_CAPACITY:
             self._templates.popitem(last=False)
         return template
 

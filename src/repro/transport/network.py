@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..clock import VirtualClock
-from ..engine.costs import DEFAULT_COST_MODEL, CostModel
+from ..engine.costs import DEFAULT_COST_MODEL
 from ..obs.metrics import MetricsLike, MetricsRegistry
 
 
@@ -30,11 +30,10 @@ class NetworkModel:
     def __init__(
         self,
         clock: VirtualClock,
-        costs: CostModel = DEFAULT_COST_MODEL,
         metrics: MetricsLike | None = None,
     ) -> None:
         self._clock = clock
-        self._costs = costs
+        self._costs = DEFAULT_COST_MODEL
         self.transfers: list[TransferRecord] = []
         if metrics is None:
             metrics = MetricsRegistry()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Generic, Iterable, TypeVar
 
 from ..clock import VirtualClock
-from ..engine.costs import DEFAULT_COST_MODEL, CostModel
+from ..engine.costs import DEFAULT_COST_MODEL
 from ..errors import TransportError
 from ..obs.metrics import MetricsLike, MetricsRegistry
 from ..obs.pipeline.context import ambient_pipeline
@@ -38,12 +38,11 @@ class PersistentQueue(Generic[T]):
     def __init__(
         self,
         clock: VirtualClock,
-        costs: CostModel = DEFAULT_COST_MODEL,
         name: str = "delta-queue",
         metrics: MetricsLike | None = None,
     ) -> None:
         self._clock = clock
-        self._costs = costs
+        self._costs = DEFAULT_COST_MODEL
         self.name = name
         self._ready: deque[_Envelope[T]] = deque()
         self._in_flight: dict[int, _Envelope[T]] = {}

@@ -265,7 +265,7 @@ class OpDeltaIntegrator:
           ``rule_memo_preloaded``);
         * reports per-component apply times (``report.per_component_ms``)
           that :func:`repro.warehouse.scheduler.run_conflict_schedule`
-          replays on parallel worker lanes.
+          packs onto parallel worker lanes.
 
         ``graph`` defaults to the attached analyzer's conflict graph over
         ``groups``.  ``schedule`` is the lane assignment the pre-flight

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..analysis.certify.schedule import lpt_pack
 from ..errors import SimulationError
 from ..obs.context import ambient_metrics
-from ..obs.metrics import MetricsLike
 from ..sim import Environment, LockMode, RWLock
 
 
@@ -84,7 +84,6 @@ def run_availability_experiment(
     maintenance_start_ms: float = 0.0,
     horizon_ms: float | None = None,
     unit_gap_ms: float = 0.0,
-    metrics: MetricsLike | None = None,
 ) -> AvailabilityReport:
     """Simulate maintenance against a concurrent OLAP query stream.
 
@@ -109,9 +108,9 @@ def run_availability_experiment(
         Pause between interleaved units — Op-Deltas arrive as source
         transactions commit, not back to back.  Ignored in batch mode
         (value deltas accumulate and apply in one window).
-    metrics:
-        Registry recording the maintenance window and the OLAP response
-        histogram; defaults to the ambient registry when one is active.
+
+    The ambient registry, when one is active, records the maintenance
+    window and the OLAP response histogram.
     """
     if mode not in ("batch", "interleaved"):
         raise SimulationError(f"unknown mode {mode!r}; use 'batch' or 'interleaved'")
@@ -164,8 +163,7 @@ def run_availability_experiment(
     env.process(maintenance(), name="maintenance")
     env.process(query_source(), name="query-source")
     env.run()
-    if metrics is None:
-        metrics = ambient_metrics()
+    metrics = ambient_metrics()
     if metrics is not None:
         metrics.gauge(
             "warehouse.maintenance.window_ms", mode=mode
@@ -188,8 +186,6 @@ class ScheduleReport:
     #: Operations (replayed statements) covered by the schedule, when the
     #: caller supplies per-component op counts — 0 otherwise.
     ops: int = 0
-    #: Busy time of each worker lane, for load-balance inspection.
-    worker_busy_ms: list[float] = field(default_factory=list)
     #: Virtual completion time of each component, in finish order — the
     #: pipeline-health view of how apply work drains across the lanes.
     component_finish_ms: list[float] = field(default_factory=list)
@@ -212,18 +208,18 @@ class ScheduleReport:
 def run_conflict_schedule(
     component_durations_ms: Sequence[Sequence[float]],
     workers: int = 4,
-    metrics: MetricsLike | None = None,
     ops: int = 0,
 ) -> ScheduleReport:
-    """Simulate conflict-aware parallel delta application.
+    """Conflict-aware parallel delta application, packed by :func:`lpt_pack`.
 
     ``component_durations_ms`` holds one inner sequence per conflict-graph
     component: the per-transaction apply times of that component, in
     capture order.  Transactions inside a component conflict, so each
     component is applied serially on whichever worker lane picks it up;
     components are mutually independent, so up to ``workers`` of them run
-    concurrently.  The serial baseline is the sum of every duration — what
-    a conflict-oblivious integrator would take.
+    concurrently, longest first, each to the lane free earliest.  The
+    serial baseline is the sum of every duration — what a
+    conflict-oblivious integrator would take.
 
     A batched apply commits each component as one warehouse transaction,
     so its :attr:`IntegrationReport.per_component_ms` replays as
@@ -247,31 +243,14 @@ def run_conflict_schedule(
     if not report.transactions:
         return report
 
-    env = Environment()
-    # Largest component first: classic LPT list scheduling keeps the lanes
-    # balanced without needing preemption.
-    queue = sorted(
-        (list(c) for c in component_durations_ms if c),
-        key=sum,
-        reverse=True,
+    report.component_finish_ms = sorted(
+        finish
+        for _index, _lane, finish in lpt_pack(
+            [c for c in component_durations_ms if c], workers
+        )
     )
-    busy = [0.0] * workers
-
-    def worker(lane: int):
-        while queue:
-            component = queue.pop(0)
-            for duration in component:
-                yield env.timeout(duration)
-                busy[lane] += duration
-            report.component_finish_ms.append(env.now)
-
-    for lane in range(workers):
-        env.process(worker(lane), name=f"apply-lane-{lane}")
-    env.run()
-    report.parallel_ms = env.now
-    report.worker_busy_ms = busy
-    if metrics is None:
-        metrics = ambient_metrics()
+    report.parallel_ms = report.component_finish_ms[-1]
+    metrics = ambient_metrics()
     if metrics is not None:
         metrics.gauge("warehouse.schedule.serial_ms").set(report.serial_ms)
         metrics.gauge("warehouse.schedule.parallel_ms").set(report.parallel_ms)

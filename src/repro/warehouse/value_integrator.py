@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from ..engine.session import Session
 from ..engine.transactions import Transaction
@@ -41,8 +41,6 @@ from ..extraction.deltas import ChangeKind, DeltaBatch
 from ..obs.pipeline.context import ambient_pipeline
 from ..sql import ast_nodes as ast
 from ..sql.parser import TEMPLATES
-from .aggregates import MaterializedAggregateView
-from .views import MaterializedView
 
 
 @dataclass
@@ -133,17 +131,8 @@ def transactional_unit(session: Session, what: str) -> Iterator[Transaction]:
 class ValueDeltaIntegrator:
     """Applies value-delta batches to warehouse mirror tables."""
 
-    def __init__(
-        self,
-        session: Session,
-        table_map: dict[str, str] | None = None,
-        views: Sequence[MaterializedView] = (),
-        aggregate_views: Sequence[MaterializedAggregateView] = (),
-    ) -> None:
+    def __init__(self, session: Session) -> None:
         self._session = session
-        self._table_map = table_map if table_map is not None else {}
-        self._views = list(views)
-        self._aggregate_views = list(aggregate_views)
 
     def integrate(self, batch: DeltaBatch) -> IntegrationReport:
         """Apply one batch as an indivisible warehouse transaction.
@@ -163,16 +152,15 @@ class ValueDeltaIntegrator:
                 "key to address warehouse rows"
             )
         key_index = batch.schema.primary_key_index()
-        target = self._table_map.get(batch.table, batch.table)
 
         with transactional_unit(
             self._session, f"value-delta integration of {batch.table!r}"
-        ) as txn:
+        ):
             with self._session.database.tracer.span(
                 "warehouse.apply.value_batch", table=batch.table
             ):
                 for statement, must_find in self._batch_statements(
-                    batch, target, key_column, key_index
+                    batch, key_column, key_index
                 ):
                     result = self._session.execute_statement(statement)
                     report.statements_issued += 1
@@ -182,9 +170,6 @@ class ValueDeltaIntegrator:
                             f"{statement.to_sql()} found no row to delete "
                             "(mirror state diverged)"
                         )
-            for view in [*self._views, *self._aggregate_views]:
-                if view.definition.base_table == batch.table:
-                    view.apply_value_delta(batch.records, txn)
         report.transactions = 1
         report.elapsed_ms = clock.now - started
         report.per_transaction_ms.append(report.elapsed_ms)
@@ -213,7 +198,7 @@ class ValueDeltaIntegrator:
 
     # --------------------------------------------------------------- internals
     def _batch_statements(
-        self, batch: DeltaBatch, target: str, key_column: str, key_index: int
+        self, batch: DeltaBatch, key_column: str, key_index: int
     ) -> Iterator[tuple[ast.Statement, bool]]:
         """``(statement, must find its row)`` for a whole batch.
 
@@ -227,6 +212,7 @@ class ValueDeltaIntegrator:
         prepared templates; the array INSERT has as many shapes as runs have
         lengths, and is built as the one-off tree it is.
         """
+        target = batch.table
         pending_inserts: list[tuple[Any, ...]] = []
 
         def flush() -> Iterator[tuple[ast.Statement, bool]]:

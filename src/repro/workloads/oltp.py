@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..engine.database import Database
-from ..engine.session import Session
 from ..engine.table import InsertMode
 from ..errors import ReproError
 from ..sql import ast_nodes as ast
@@ -49,17 +48,10 @@ class TxnResult:
 class OltpWorkload:
     """Drives sized transactions against a PARTS table."""
 
-    def __init__(
-        self,
-        database: Database,
-        session: Session | None = None,
-        table_name: str = "parts",
-        seed: int = 42,
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.table_name = table_name
-        self.session = session if session is not None else database.internal_session()
-        self.generator = PartsGenerator(seed=seed)
+        self.session = database.internal_session()
+        self.generator = PartsGenerator(seed=42)
         self._next_id = 0   # next fresh id to hand out
         self._min_live = 0  # oldest live id (deletes consume from here)
         self._steady_rows: int | None = None
@@ -67,12 +59,12 @@ class OltpWorkload:
     # ------------------------------------------------------------------- setup
     def create_table(self, auto_timestamp: bool = True) -> None:
         self.database.create_table(
-            parts_schema(self.table_name), auto_timestamp=auto_timestamp
+            parts_schema(), auto_timestamp=auto_timestamp
         )
 
     def populate(self, rows: int) -> None:
         """Fill the table (untimed path: direct bulk inserts, no statements)."""
-        table = self.database.table(self.table_name)
+        table = self.database.table("parts")
         txn = self.database.begin()
         for row in self.generator.rows(rows, start_id=self._next_id):
             table.insert(txn, row, mode=InsertMode.BULK_INTERNAL)
@@ -85,14 +77,14 @@ class OltpWorkload:
         """Restore the table to its steady-state size after deletes."""
         if self._steady_rows is None:
             return 0
-        missing = self._steady_rows - self.database.table(self.table_name).num_rows
+        missing = self._steady_rows - self.database.table("parts").num_rows
         if missing > 0:
             self.populate(missing)
         return max(0, missing)
 
     @property
     def live_rows(self) -> int:
-        return self.database.table(self.table_name).num_rows
+        return self.database.table("parts").num_rows
 
     # -------------------------------------------------------------- transactions
     def run_insert(self, size: int) -> TxnResult:
@@ -100,7 +92,7 @@ class OltpWorkload:
         rows = [self.generator.row(self._next_id + i) for i in range(size)]
         self._next_id += size
         statement = ast.InsertStmt(
-            self.table_name,
+            "parts",
             None,
             rows=tuple(
                 tuple(ast.Literal(value) for value in row) for row in rows
@@ -115,7 +107,7 @@ class OltpWorkload:
         """One UPDATE transaction touching exactly ``size`` rows via a scan."""
         low, high = self._live_prefix(size)
         sql = (
-            f"UPDATE {self.table_name} SET {assignment} "
+            f"UPDATE parts SET {assignment} "
             f"WHERE part_ref >= {low} AND part_ref < {high}"
         )
         clock = self.database.clock
@@ -128,7 +120,7 @@ class OltpWorkload:
         """One DELETE transaction removing exactly ``size`` rows via a scan."""
         low, high = self._live_prefix(size)
         sql = (
-            f"DELETE FROM {self.table_name} "
+            "DELETE FROM parts "
             f"WHERE part_ref >= {low} AND part_ref < {high}"
         )
         clock = self.database.clock

@@ -40,10 +40,10 @@ def parts_schema(name: str = "parts") -> TableSchema:
     )
 
 
-def suppliers_schema(name: str = "suppliers") -> TableSchema:
+def suppliers_schema() -> TableSchema:
     """A small dimension table for join views and OLAP joins."""
     return TableSchema(
-        name,
+        "suppliers",
         [
             Column("supplier_id", INTEGER, nullable=False),
             Column("supplier_name", char(24), nullable=False),
@@ -69,12 +69,15 @@ def strip_timestamp(schema: TableSchema, rows) -> list[tuple]:
     )
 
 
+#: Suppliers a generated part row references (``supplier_rows`` yields them).
+NUM_SUPPLIERS = 20
+
+
 class PartsGenerator:
     """Deterministic part-row generator."""
 
-    def __init__(self, seed: int = 20000229, num_suppliers: int = 20) -> None:
+    def __init__(self, seed: int = 20000229) -> None:
         self._rng = random.Random(seed)
-        self.num_suppliers = num_suppliers
 
     def row(self, part_id: int, timestamp: float | None = None) -> tuple:
         """One PARTS row with the given key."""
@@ -88,7 +91,7 @@ class PartsGenerator:
             rng.randint(0, 999),
             round(rng.uniform(0.5, 5000.0), 2),
             timestamp,
-            rng.randrange(self.num_suppliers),
+            rng.randrange(NUM_SUPPLIERS),
         )
 
     def rows(self, count: int, start_id: int = 0) -> Iterator[tuple]:
@@ -97,7 +100,7 @@ class PartsGenerator:
 
     def supplier_rows(self) -> Iterator[tuple]:
         regions = ("NW", "SW", "NE", "SE", "EU", "APAC")
-        for supplier_id in range(self.num_suppliers):
+        for supplier_id in range(NUM_SUPPLIERS):
             yield (
                 supplier_id,
                 f"Supplier {supplier_id:03d}",

@@ -92,9 +92,9 @@ def batch_statements(
 class TreeRouteIntegrator(ValueDeltaIntegrator):
     """The value integrator with every statement built as a tree."""
 
-    def _batch_statements(self, batch, target, key_column, key_index):
+    def _batch_statements(self, batch, key_column, key_index):
         for statement, record in batch_statements(
-            batch, target, key_column, key_index
+            batch, batch.table, key_column, key_index
         ):
             yield statement, (
                 isinstance(statement, ast.DeleteStmt)

@@ -8,7 +8,6 @@ from repro.analysis.certify import (
     InterferenceSanitizer,
     LaneSchedule,
     ScheduleCertifier,
-    VectorClock,
     lpt_schedule,
     plant_lane_swap,
     single_lane_schedule,
@@ -79,25 +78,6 @@ def certify(groups, schedule, **kwargs):
     return certifier.certify(groups, graph, schedule)
 
 
-class TestVectorClock:
-    def test_tick_orders_same_lane(self):
-        zero = VectorClock.zero(2)
-        one = zero.tick(0)
-        two = one.tick(0)
-        assert one.happens_before(two)
-        assert not two.happens_before(one)
-
-    def test_independent_lanes_are_concurrent(self):
-        a = VectorClock.zero(2).tick(0)
-        b = VectorClock.zero(2).tick(1)
-        assert a.concurrent_with(b)
-        assert b.concurrent_with(a)
-
-    def test_clock_never_precedes_itself(self):
-        clock = VectorClock.zero(3).tick(1)
-        assert not clock.happens_before(clock)
-
-
 class TestLaneSchedule:
     def test_positions_and_ids(self):
         schedule = LaneSchedule(lanes=((1, 3), (2,)))
@@ -136,11 +116,16 @@ class TestLptSchedule:
         assert lane.index(1) < lane.index(2)
 
     def test_costs_steer_the_packing_deterministically(self):
-        groups, graph = self.make()
-        first = lpt_schedule(groups, graph, lanes=2, costs={3: 100.0})
+        groups, _graph = self.make()
+        # A transaction costs its operation count: txn 3 with three outweighs
+        # the component {1, 2} and fills the first lane.
+        groups[2] = txn(3, *[groups[2].operations[0].statement_text] * 3)
+        graph = build_conflict_graph(groups, key_columns=KEYS)
+        first = lpt_schedule(groups, graph, lanes=2)
+        assert first.lanes[0] == (3,)
         # Costs only change which lane fills first, never the members.
         assert sorted(first.transaction_ids) == [1, 2, 3]
-        assert first == lpt_schedule(groups, graph, lanes=2, costs={3: 100.0})
+        assert first == lpt_schedule(groups, graph, lanes=2)
 
     def test_lane_count_must_be_positive(self):
         groups, graph = self.make()
@@ -445,10 +430,12 @@ class TestTransportCertifierSeam:
         """What a pipeline does between compacting and shipping: re-prove
         the obligations against the *uncompacted* window, ship only a
         certified one.  A planted obligation must come back refused."""
+        from repro.analysis import OpDeltaAnalyzer
         from repro.compaction import Coalescer
 
         groups = [txn(1, DISJOINT[0], DISJOINT[1])]
-        _compacted, report = Coalescer(key_columns=KEYS).compact_window(groups)
+        analyzer = OpDeltaAnalyzer(key_columns=KEYS)
+        _compacted, report = Coalescer(analyzer=analyzer).compact_window(groups)
         planted = ReorderObligation(
             moved="txn1:op0",
             over="txn1:op1",

@@ -10,6 +10,7 @@ from repro.analysis.conflict import (
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.core.selfmaint import ViewDefinition
 from repro.errors import SimulationError
+from repro.obs.context import observe
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.parser import parse
 from repro.warehouse import run_conflict_schedule
@@ -203,7 +204,8 @@ class TestRunConflictSchedule:
 
     def test_metrics_emitted(self):
         registry = MetricsRegistry()
-        run_conflict_schedule([[100.0], [100.0]], workers=2, metrics=registry)
+        with observe(metrics=registry):
+            run_conflict_schedule([[100.0], [100.0]], workers=2)
         gauges = registry.snapshot()["gauges"]
         assert gauges["warehouse.schedule.serial_ms"]["value"] == 200.0
         assert gauges["warehouse.schedule.parallel_ms"]["value"] == 100.0

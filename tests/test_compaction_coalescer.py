@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import OpDeltaAnalyzer
 from repro.compaction import Coalescer
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, classify_statement
 from repro.engine import Database
@@ -27,7 +28,9 @@ def make_group(txn_id, *sqls, before=None):
 
 
 def make_coalescer():
-    return Coalescer(key_columns=KEY_COLUMNS, table_columns=TABLE_COLUMNS)
+    return Coalescer(
+        analyzer=OpDeltaAnalyzer(key_columns=KEY_COLUMNS, table_columns=TABLE_COLUMNS)
+    )
 
 
 def compact(*groups):
@@ -171,7 +174,8 @@ class TestAnnihilation:
         assert out == []
 
     def test_no_key_catalog_no_annihilation(self):
-        coalescer = Coalescer(table_columns=TABLE_COLUMNS)  # no key columns
+        # No key columns: nothing says two statements address one row.
+        coalescer = Coalescer(analyzer=OpDeltaAnalyzer(table_columns=TABLE_COLUMNS))
         out, report = coalescer.compact_window([make_group(
             1,
             "INSERT INTO t (id, a, b, c) VALUES (7, 1, 2, 3)",

@@ -99,7 +99,7 @@ class TestDbLogChunking:
             "price = price * 1.0001 "
             "WHERE part_ref >= 0 AND part_ref < 3 AND quantity >= 0"
         )
-        rows = [v for _r, v in database.table(store.table_name).scan()]
+        rows = [v for _r, v in database.table("opdelta_log").scan()]
         assert len(rows) >= 2  # statement longer than one chunk
         # Reassembling the chunks yields the original statement.
         rows.sort(key=lambda r: (r[0], r[2]))
@@ -112,7 +112,7 @@ class TestDbLogChunking:
         store = DatabaseLogStore(database)
         OpDeltaCapture(workload.session, store, tables={"parts"}).attach()
         workload.run_insert(30)
-        for _rid, row in database.table(store.table_name).scan():
+        for _rid, row in database.table("opdelta_log").scan():
             assert len(row[5]) <= DB_LOG_CHUNK_CHARS
 
 

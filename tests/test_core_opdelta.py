@@ -16,8 +16,8 @@ from repro.core.opdelta import (
     ParseCache,
 )
 from repro.engine import Database
-from repro.errors import OpDeltaError, SqlError
-from repro.sql.parser import parse
+from repro.errors import OpDeltaError
+from repro.sql.parser import TEMPLATE_CAPACITY, parse
 from repro.workloads import OltpWorkload
 
 
@@ -99,7 +99,7 @@ class TestParseCache:
     """``ParseCache`` is the statement template table: keyed by shape."""
 
     def test_hit_and_miss_counted(self):
-        cache = ParseCache(capacity=4)
+        cache = ParseCache()
         text = "DELETE FROM t WHERE a = 1"
         first = cache.parse(text)
         second = cache.parse(text)
@@ -111,18 +111,20 @@ class TestParseCache:
         assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
 
     def test_lru_eviction(self):
-        cache = ParseCache(capacity=2)
-        texts = [f"DELETE FROM t WHERE a{i} = 1" for i in range(3)]
-        cache.parse(texts[0])
-        cache.parse(texts[1])
+        cache = ParseCache()
+        texts = [
+            f"DELETE FROM t WHERE a{i} = 1" for i in range(TEMPLATE_CAPACITY + 1)
+        ]
+        for text in texts[:-1]:
+            cache.parse(text)
         cache.parse(texts[0])  # refresh: texts[1] is now the LRU entry
-        cache.parse(texts[2])  # evicts texts[1]
-        assert len(cache) == 2
+        cache.parse(texts[-1])  # evicts texts[1]
+        assert len(cache) == TEMPLATE_CAPACITY
         assert cache.lookup(texts[0]) is not None
         assert cache.lookup(texts[1]) is None
 
     def test_seed_avoids_reparse(self, monkeypatch):
-        cache = ParseCache(capacity=4)
+        cache = ParseCache()
         statement = cache.parse("DELETE FROM t WHERE a = 1")
         # The shape is seeded: the grammar must not run for its next text.
         monkeypatch.setattr(
@@ -133,10 +135,6 @@ class TestParseCache:
         other = cache.parse("DELETE FROM t WHERE a = 7")
         assert again == statement and other != statement
         assert cache.misses == 1
-
-    def test_capacity_validated(self):
-        with pytest.raises(SqlError):
-            ParseCache(capacity=0)
 
     def test_opdelta_reads_through_shared_cache(self):
         text = "DELETE FROM t WHERE a = 99887766"
@@ -223,9 +221,9 @@ class TestDatabaseLogStore:
         session = workload.session
         session.execute("BEGIN")
         session.execute("UPDATE parts SET status = 'x' WHERE part_ref < 5")
-        assert database.table(store.table_name).num_rows > 0
+        assert database.table("opdelta_log").num_rows > 0
         session.execute("ROLLBACK")
-        assert database.table(store.table_name).num_rows == 0
+        assert database.table("opdelta_log").num_rows == 0
 
     def test_insert_text_chunked(self, source):
         database, workload = source
@@ -233,7 +231,7 @@ class TestDatabaseLogStore:
         workload.run_insert(50)
         # One chunk row per ~100 chars of statement text: a 50-row insert
         # must need many chunk rows.
-        assert database.table(store.table_name).num_rows > 25
+        assert database.table("opdelta_log").num_rows > 25
 
     def test_drain_truncates_log_table(self, source):
         store, _capture = attach(source, DatabaseLogStore)
@@ -241,7 +239,7 @@ class TestDatabaseLogStore:
         workload.run_update(3)
         groups = store.drain()
         assert len(groups) == 1
-        assert database.table(store.table_name).num_rows == 0
+        assert database.table("opdelta_log").num_rows == 0
 
 
 class TestFileLogStore:

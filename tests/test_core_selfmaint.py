@@ -1,4 +1,4 @@
-"""Tests for self-maintainability analysis and the hybrid policy."""
+"""Tests for self-maintainability analysis and the hybrid policies."""
 
 import pytest
 
@@ -7,23 +7,44 @@ from repro.core import (
     JoinSpec,
     Maintainability,
     OpKind,
-    ViewAwareHybridPolicy,
     ViewDefinition,
     classify_operation,
     classify_static,
-    combined_requirement,
 )
 from repro.core.opdelta import OpDelta
+from repro.engine.schema import Column, TableSchema
+from repro.engine.types import FLOAT, INTEGER, char
 from repro.errors import SelfMaintenanceError
+from repro.semantics import (
+    PlanDrivenCapturePolicy,
+    SchemaCatalog,
+    ViewMaintenancePlanner,
+)
 
 BASE_COLUMNS = ("part_id", "part_ref", "status", "quantity", "price")
+CATALOG = SchemaCatalog([
+    TableSchema("parts", [
+        Column("part_id", INTEGER, nullable=False), Column("part_ref", INTEGER),
+        Column("status", char(10)), Column("quantity", INTEGER),
+        Column("price", FLOAT),
+    ]),
+    TableSchema("suppliers", [
+        Column("supplier_id", INTEGER, nullable=False),
+        Column("supplier_name", char(24)),
+    ]),
+])
 
 
-def view(columns=BASE_COLUMNS, predicate=None, join=None, base=BASE_COLUMNS):
+def view(columns=BASE_COLUMNS, predicate=None, join=None, base=BASE_COLUMNS, name="v"):
     return ViewDefinition(
-        "v", "parts", columns=tuple(columns), predicate=predicate,
+        name, "parts", columns=tuple(columns), predicate=predicate,
         key_column="part_id", join=join, base_columns=tuple(base),
     )
+
+
+def plan_policy(views):
+    """The hybrid policy programs run: the views' compiled plans."""
+    return PlanDrivenCapturePolicy(ViewMaintenancePlanner(CATALOG).plan_catalog(views))
 
 
 def op(sql: str) -> OpDelta:
@@ -141,32 +162,20 @@ class TestStaticAnalysis:
         assert classify_static(v, OpKind.INSERT) is Maintainability.OP_ONLY
 
     def test_combined_requirement_takes_strongest(self):
-        views = [view(), view(columns=("part_id", "status"))]
-        assert (
-            combined_requirement(views, "parts", OpKind.DELETE)
-            is Maintainability.NEEDS_BEFORE_IMAGE
-        )
+        policy = plan_policy([view(), view(columns=("part_id", "status"), name="w")])
+        assert policy.requires_before_image("parts", OpKind.DELETE)
 
     def test_combined_requirement_ignores_other_tables(self):
-        views = [view(columns=("part_id", "status"))]
-        assert (
-            combined_requirement(views, "suppliers", OpKind.DELETE)
-            is Maintainability.OP_ONLY
-        )
+        policy = plan_policy([view(columns=("part_id", "status"))])
+        assert not policy.requires_before_image("suppliers", OpKind.DELETE)
 
 
 class TestHybridPolicies:
     def test_view_aware_policy(self):
-        policy = ViewAwareHybridPolicy([view(predicate="quantity > 5")])
+        policy = plan_policy([view(predicate="quantity > 5")])
         assert policy.requires_before_image("parts", OpKind.UPDATE)
         assert not policy.requires_before_image("parts", OpKind.INSERT)
         assert not policy.requires_before_image("suppliers", OpKind.UPDATE)
-
-    def test_view_aware_policy_caches(self):
-        policy = ViewAwareHybridPolicy([view()])
-        first = policy.requires_before_image("parts", OpKind.DELETE)
-        second = policy.requires_before_image("parts", OpKind.DELETE)
-        assert first == second is False
 
     def test_unmaintainable_view_raises(self):
         spec = JoinSpec(
@@ -176,9 +185,8 @@ class TestHybridPolicies:
             columns=("supplier_name",),
             available_at_warehouse=False,
         )
-        policy = ViewAwareHybridPolicy([view(join=spec)])
-        with pytest.raises(SelfMaintenanceError):
-            policy.requires_before_image("parts", OpKind.DELETE)
+        with pytest.raises(SelfMaintenanceError, match="source query"):
+            plan_policy([view(join=spec)])
 
     def test_always_hybrid(self):
         policy = AlwaysHybridPolicy()

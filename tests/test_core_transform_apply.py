@@ -7,7 +7,6 @@ from repro.core import (
     OpDeltaCapture,
     StatementTransformer,
     TableMapping,
-    identity_mapping,
 )
 from repro.engine import Column, Database, TableSchema
 from repro.engine.table import InsertMode
@@ -25,7 +24,7 @@ class TestTransformer:
 
     def test_table_rename(self):
         transformer = StatementTransformer(
-            {"parts": identity_mapping("parts", "dw_parts")}
+            {"parts": TableMapping("parts", "dw_parts")}
         )
         stmt = transformer.transform(parse("DELETE FROM parts WHERE part_id = 1"))
         assert stmt.table == "dw_parts"

@@ -31,7 +31,7 @@ class TestRecovery:
         target = Database("standby", clock=archived_source.clock)
         clone_schemas(archived_source, target)
         applied = recover_from_archive(
-            target, archived_source.log.archived_segments
+            target, archived_source.log.drain_archive()
         )
         assert applied > 0
         assert sorted(
@@ -41,7 +41,7 @@ class TestRecovery:
     def test_replay_preserves_physical_addresses(self, archived_source):
         target = Database("standby", clock=archived_source.clock)
         clone_schemas(archived_source, target)
-        recover_from_archive(target, archived_source.log.archived_segments)
+        recover_from_archive(target, archived_source.log.drain_archive())
         source_rids = {rid for rid, _v in archived_source.table("parts").scan()}
         target_rids = {rid for rid, _v in target.table("parts").scan()}
         assert source_rids == target_rids
@@ -58,13 +58,13 @@ class TestRecovery:
         database.checkpoint()
         target = Database("standby", clock=database.clock)
         clone_schemas(database, target)
-        recover_from_archive(target, database.log.archived_segments)
+        recover_from_archive(target, database.log.drain_archive())
         assert target.table("parts").num_rows == 50
 
     def test_missing_table_rejected(self, archived_source):
         target = Database("standby", clock=archived_source.clock)
         with pytest.raises(RecoveryError, match="does not exist"):
-            recover_from_archive(target, archived_source.log.archived_segments)
+            recover_from_archive(target, archived_source.log.drain_archive())
 
     def test_cross_product_rejected(self, archived_source):
         target = Database(
@@ -72,12 +72,12 @@ class TestRecovery:
         )
         clone_schemas(archived_source, target)
         with pytest.raises(Exception, match="cross-product"):
-            recover_from_archive(target, archived_source.log.archived_segments)
+            recover_from_archive(target, archived_source.log.drain_archive())
 
     def test_out_of_order_segments_rejected(self, archived_source):
         target = Database("standby", clock=archived_source.clock)
         clone_schemas(archived_source, target)
-        segments = list(archived_source.log.archived_segments)
+        segments = archived_source.log.drain_archive()
         with pytest.raises(RecoveryError, match="out of order"):
             recover_from_archive(target, list(reversed(segments)) + segments)
 
@@ -91,5 +91,5 @@ class TestRecovery:
         # Sanity check for the comparison helper used across the suite.
         target = Database("standby", clock=archived_source.clock)
         clone_schemas(archived_source, target)
-        recover_from_archive(target, archived_source.log.archived_segments)
+        recover_from_archive(target, archived_source.log.drain_archive())
         assert logical_rows(target) == logical_rows(archived_source)

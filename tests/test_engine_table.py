@@ -11,7 +11,7 @@ from repro.engine import (
     clone_schemas,
     recover_from_archive,
 )
-from repro.engine.rows import RowId
+from repro.engine.rows import RowId, encode_row
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INTEGER, char
 from repro.engine.wal import LogRecordKind
@@ -22,6 +22,7 @@ from repro.errors import (
     StorageError,
     TriggerError,
 )
+from repro.workloads import parts_schema
 
 from .conftest import insert_parts
 from .reference_scan import rowwise
@@ -173,8 +174,65 @@ class TestUndo:
         db.abort(txn)
         assert sorted(v for _r, v in items.scan()) == before
 
+    @staticmethod
+    def five_parts():
+        database = Database("undo-parts")
+        database.create_table(parts_schema())
+        insert_parts(database, 5, start_id=1)
+        return database.table("parts"), database.internal_session()
+
+    def test_abort_of_an_update_then_delete_puts_the_row_back_where_it_was(self):
+        # The delete's undo once re-inserted the updated row in the first
+        # free slot, so the update's undo overwrote whatever held the old one.
+        table, session = self.five_parts()
+        before = list(table.scan())
+        session.execute("BEGIN")
+        session.execute("UPDATE parts SET quantity = 9 WHERE part_id = 3")
+        session.execute("DELETE FROM parts WHERE part_id = 1")
+        session.execute("DELETE FROM parts WHERE part_id = 3")
+        session.execute("ROLLBACK")
+        assert list(table.scan()) == before
+        [(quantity,)] = session.execute(
+            "SELECT quantity FROM parts WHERE part_id = 3"
+        ).rows
+        assert quantity == dict((v[0], v[5]) for _r, v in before)[3]
+
+    def test_abort_of_an_insert_then_delete_takes_the_row_out_again(self):
+        table, session = self.five_parts()
+        before = list(table.scan())
+        session.execute("BEGIN")
+        session.execute(
+            "INSERT INTO parts VALUES (100, 100, 'PN-X', 'd', 'new', 1, 1.0, NULL, 1)"
+        )
+        session.execute("DELETE FROM parts WHERE part_id = 1")
+        session.execute("DELETE FROM parts WHERE part_id = 100")
+        session.execute("ROLLBACK")
+        assert list(table.scan()) == before
+        assert table.lookup("part_id", 100) == []
+
+    def test_a_duplicate_key_after_deletes_aborts_with_a_constraint_error(self):
+        # The failed INSERT aborts the transaction, whose undo runs both
+        # deletes' re-inserts before the inserts' removals.
+        database = Database("undo-duplicate")
+        table = database.create_table(parts_schema())
+        session = database.internal_session()
+        session.execute("BEGIN")
+        for key in range(1, 5):
+            session.execute(
+                f"INSERT INTO parts VALUES ({key}, {key}, 'PN', 'd', 'new', 1, "
+                "1.0, NULL, 1)"
+            )
+        session.execute("DELETE FROM parts WHERE part_id = 1")
+        session.execute("DELETE FROM parts WHERE part_id = 2")
+        with pytest.raises(ConstraintError, match="duplicate key 3"):
+            session.execute(
+                "INSERT INTO parts VALUES (3, 3, 'PN', 'd', 'new', 1, 1.0, NULL, 1)"
+            )
+        assert not session.in_transaction
+        assert table.num_rows == 0 and list(table.scan()) == []
+
     def test_unvalidated_overlong_char_raises_and_writes_nothing(self, db):
-        # Undo re-inserts an image without validating it: a value that does
+        # The codec is handed values nothing validated: a value that does
         # not fit must be refused, not cut to the column's width.
         labels = db.create_table(
             TableSchema(
@@ -184,7 +242,7 @@ class TestUndo:
             )
         )
         with pytest.raises(StorageError, match=r"labels\.label"):
-            labels._physical_reinsert((1, "x" * 13))
+            labels.redo_insert(RowId(0, 0), encode_row(labels.schema, (1, "x" * 13)))
         assert labels.num_rows == 0
         assert list(labels.scan()) == []
         assert labels.lookup("id", 1) == []
@@ -701,5 +759,5 @@ class TestBatchEntries:
         database.checkpoint()
         standby = Database("standby", clock=database.clock)
         clone_schemas(database, standby)
-        recover_from_archive(standby, database.log.archived_segments)
+        recover_from_archive(standby, database.log.drain_archive())
         assert list(standby.table("items")._heap.scan()) == list(table._heap.scan())

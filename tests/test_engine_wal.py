@@ -52,13 +52,13 @@ class TestCheckpointAndArchive:
         log.append(LogRecordKind.BEGIN, 1)
         segment = log.checkpoint()
         assert segment is not None
-        assert log.archived_segments == (segment,)
+        assert log.drain_archive() == [segment]
 
     def test_no_archive_recycles(self):
         log = LogManager(VirtualClock(), DEFAULT_COST_MODEL, archive_mode=False)
         log.append(LogRecordKind.BEGIN, 1)
         assert log.checkpoint() is None
-        assert log.archived_segments == ()
+        assert log.drain_archive() == []
 
     def test_checkpoint_closes_active(self, log):
         log.append(LogRecordKind.BEGIN, 1)
@@ -77,15 +77,7 @@ class TestCheckpointAndArchive:
         log.checkpoint()
         shipped = log.drain_archive()
         assert len(shipped) == 1
-        assert log.archived_segments == ()
-
-    def test_drain_partial(self, log):
-        for txn in (1, 2, 3):
-            log.append(LogRecordKind.BEGIN, txn)
-            log.checkpoint()
-        shipped = log.drain_archive(up_to_segment=2)
-        assert [s.segment_id for s in shipped] == [1, 2]
-        assert [s.segment_id for s in log.archived_segments] == [3]
+        assert log.drain_archive() == []
 
     def test_segment_provenance(self, log):
         log.append(LogRecordKind.BEGIN, 1)

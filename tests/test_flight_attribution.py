@@ -13,7 +13,8 @@ from repro.obs.tracing import Tracer
 def traced(builder):
     """Run ``builder(tracer, clock)`` and return the quiesced tracer."""
     clock = VirtualClock()
-    tracer = Tracer(clock=clock)
+    tracer = Tracer()
+    tracer.bind(clock)
     builder(tracer, clock)
     return tracer
 
@@ -108,16 +109,16 @@ class TestConservation:
         assert ledger.total_traced_ns == 0
 
     def test_empty_tracer(self):
-        ledger = CostAttributor().attribute(Tracer(clock=VirtualClock()))
+        ledger = CostAttributor().attribute(Tracer())
         assert ledger.is_conservative()
         assert ledger.span_count == 0
         assert len(ledger) == 0
         assert ledger.rows() == []
 
     def test_open_span_rejected(self):
-        clock = VirtualClock()
-        tracer = Tracer(clock=clock)
-        tracer.span("capture.opdelta.statement", table="t")  # never closed
+        tracer = Tracer()
+        # Never closed:
+        tracer.span("capture.opdelta.statement", clock=VirtualClock(), table="t")
         with pytest.raises(ObservabilityError, match="still open"):
             CostAttributor().attribute(tracer)
 

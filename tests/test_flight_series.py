@@ -35,17 +35,13 @@ class TestRingSeries:
             series.record(9.0, 2.0)
 
     def test_capacity_bound_evicts_oldest(self):
-        series = RingSeries("t.bounded", capacity=3)
-        for at_ms in range(5):
+        series = RingSeries("t.bounded")
+        for at_ms in range(DEFAULT_CAPACITY + 2):
             series.record(float(at_ms), float(at_ms) * 10)
-        assert len(series) == 3
-        assert series.values() == [20.0, 30.0, 40.0]
+        assert len(series) == DEFAULT_CAPACITY
+        assert series.values()[:2] == [20.0, 30.0]
         assert series.dropped == 2
-        assert series.recorded == 5
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ObservabilityError, match="positive capacity"):
-            RingSeries("t.bad", capacity=0)
+        assert series.recorded == DEFAULT_CAPACITY + 2
 
     def test_window_is_half_open_on_the_left(self):
         series = filled([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
@@ -97,14 +93,14 @@ class TestEdgeCaseQueries:
         assert series.percentile(0.0) == 1.0
 
     def test_query_window_older_than_retention(self):
-        series = RingSeries("t.short", capacity=4)
-        for at_ms in range(10):
+        series = RingSeries("t.short")
+        for at_ms in range(DEFAULT_CAPACITY + 6):
             series.record(float(at_ms), float(at_ms))
-        # Ring retains at=6..9; a window reaching back to 0 is truncated.
+        # Ring retains at=6..; a window reaching back to 0 is truncated.
         assert series.dropped == 6
-        assert series.values(since_ms=-1.0) == [6.0, 7.0, 8.0, 9.0]
-        # The windowed answers are still well-defined over what remains.
-        assert series.percentile(0.5, since_ms=-1.0) == 7.0
+        assert series.values(since_ms=-1.0)[:4] == [6.0, 7.0, 8.0, 9.0]
+        # The answers are still well-defined over what remains.
+        assert series.percentile(0.0) == 6.0
 
     def test_covers_true_before_any_eviction(self):
         # Nothing evicted: every sample since any instant is still held.
@@ -128,10 +124,10 @@ class TestTimeSeriesStore:
         assert store.names() == ["a.first", "z.last"]
 
     def test_capacity_propagates(self):
-        store = TimeSeriesStore(capacity=2)
-        for at_ms in range(4):
+        store = TimeSeriesStore()
+        for at_ms in range(DEFAULT_CAPACITY + 2):
             store.record("s.x", float(at_ms), 1.0)
-        assert len(store.get("s.x")) == 2
+        assert len(store.get("s.x")) == DEFAULT_CAPACITY
 
     def test_default_capacity(self):
         assert TimeSeriesStore().series("s.y").capacity == DEFAULT_CAPACITY
@@ -177,7 +173,8 @@ class TestFlightRecorder:
 
     def test_queue_depth_sampled(self):
         pipeline, clock = self.recorder_pair()
-        flight = FlightRecorder(queues=[_FakeQueue(depth=3, in_flight=2)])
+        flight = FlightRecorder()
+        flight.watch_queue(_FakeQueue(depth=3, in_flight=2))
         flight.on_window_shipped(pipeline, 10.0)
         assert flight.store.get("queue.fakeq.depth").values() == [5.0]
 
@@ -198,18 +195,6 @@ class TestFlightRecorder:
         flight.on_window_shipped(pipeline, 2.0)
         series = flight.store.get("metric.engine.rows.read")
         assert series.values() == [7.0, 10.0]
-
-    def test_metric_name_filter(self):
-        metrics = MetricsRegistry()
-        pipeline, clock = self.recorder_pair(metrics=metrics)
-        metrics.counter("engine.rows.read").inc()
-        metrics.counter("engine.rows.written").inc()
-        flight = FlightRecorder(
-            metrics=metrics, metric_names=["engine.rows.read"]
-        )
-        flight.on_window_shipped(pipeline, 1.0)
-        assert "metric.engine.rows.read" in flight.store
-        assert "metric.engine.rows.written" not in flight.store
 
     def test_lag_samples_are_fresh_per_window(self):
         pipeline, clock = self.recorder_pair()

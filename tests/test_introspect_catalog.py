@@ -142,18 +142,18 @@ class TestAdapters:
         assert rows == [(0, 4.0), (1, 6.0)]
 
     def test_evicted_ring_samples_surface_as_an_index_gap(self):
-        from repro.obs.flight.series import RingSeries, TimeSeriesStore
+        from repro.obs.flight.series import DEFAULT_CAPACITY, TimeSeriesStore
 
-        store = TimeSeriesStore(capacity=2)
+        store = TimeSeriesStore()
         ring = store.series("queue.tiny.depth")
-        assert isinstance(ring, RingSeries)
-        for step in range(5):
+        for step in range(DEFAULT_CAPACITY + 3):
             ring.record(float(step), float(step * 10))
         catalog = SystemCatalog(StoreBundle(series=store))
         rows = catalog.query(
-            "SELECT sample_index, value FROM sys.series ORDER BY sample_index ASC"
+            "SELECT sample_index, value FROM sys.series "
+            "WHERE sample_index < 5 ORDER BY sample_index ASC"
         ).rows
-        # Five recorded, two retained: ordinals 3 and 4, gap from zero.
+        # Three more recorded than retained: ordinals from 3, gap from zero.
         assert rows == [(3, 30.0), (4, 40.0)]
 
     def test_cost_rows_come_from_the_ledger(self):

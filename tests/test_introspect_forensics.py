@@ -28,13 +28,16 @@ class FakeGroup:
     committed_at: float | None = None
 
 
-def two_round_recorder(**kwargs) -> PipelineRecorder:
+def two_round_recorder(log_capacity=None) -> PipelineRecorder:
     """Three ops over two apply rounds with hand-picked timestamps.
 
     Round 0 applies ops 1 and 2 (starts at 50); an ACKED event breaks
-    the APPLIED run; round 1 applies op 3 (starts at 80).
+    the APPLIED run; round 1 applies op 3 (starts at 80).  With a
+    ``log_capacity`` the event log keeps only that many of the latest.
     """
-    recorder = PipelineRecorder(**kwargs)
+    recorder = PipelineRecorder()
+    if log_capacity is not None:
+        recorder.log.capacity = log_capacity
     a, b = FakeOp(1, 10.0), FakeOp(2, 11.0)
     recorder.record_captured(a, "src", 10.0)
     recorder.record_captured(b, "src", 11.0)

@@ -1633,13 +1633,90 @@ class TestRepro022ReachedByAProgram:
         )
         assert proc.returncode == 1
         # Then the shipped exemptions, which name nothing in this tree.
-        assert self.flagged(proc.stdout.splitlines())[:3] == [
+        lines = [line for line in proc.stdout.splitlines() if "REPRO022" in line]
+        assert self.flagged(lines)[:3] == [
             "repro.mod.used", "repro.mod.only_tested", "repro.mod.Thing.size",
         ]
 
     def test_the_shipped_exemptions_are_live_and_give_reasons(self):
         assert lint_rules.reach_violations(REPO) == []
         assert all(reason.strip() for reason in lint_rules.REACH_EXEMPTIONS.values())
+
+
+class TestRepro023SetByAProgram:
+    MODULE = (
+        "def build(kind, count=3, tag=None):\n"
+        "    return kind, count, tag\n"
+        "class Thing:\n"
+        "    def __init__(self, size=1, label='x'):\n"
+        "        self.size, self.label = size, label\n"
+        "    @classmethod\n"
+        "    def sized(cls, size):\n"
+        "        return cls(size)  # sets ``size`` by position\n"
+    )
+
+    TEST = "from repro.mod import build\nbuild('a', 4, tag='t')\n"
+
+    @staticmethod
+    def repo(tmp_path, example, test=TEST):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "mod.py").write_text(TestRepro023SetByAProgram.MODULE)
+        for tree, source in (("examples", example), ("tests", test)):
+            (tmp_path / tree).mkdir()
+            (tmp_path / tree / "demo.py").write_text(source)
+        return tmp_path
+
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO023" in v for v in violations)
+        return [v.split(" REPRO023 ")[1].split()[0] for v in violations]
+
+    def test_a_parameter_only_a_test_sets_is_flagged(self, tmp_path):
+        root = self.repo(tmp_path, "from repro.mod import build\nbuild('a')\n")
+        violations = lint_rules.setting_violations(root, exemptions={})
+        assert self.flagged(violations) == [
+            "repro.mod.build(count=)",
+            "repro.mod.build(tag=)",
+            "repro.mod.Thing(label=)",
+        ]
+        assert violations[0].startswith(f"{root / 'src/repro/mod.py'}:1:")
+
+    def test_one_set_by_an_example_by_position_or_through_cls_is_not(self, tmp_path):
+        example = (
+            "from repro.mod import Thing, build\n"
+            "build('a', 4)\n"
+            "build('b', tag='t')\n"
+            "Thing(label='y')\n"
+        )
+        root = self.repo(tmp_path, example)
+        assert lint_rules.setting_violations(root, exemptions={}) == []
+
+    def test_a_stale_exemption_is_flagged(self, tmp_path):
+        root = self.repo(tmp_path, "from repro.mod import build\nbuild('a')\n")
+        exemptions = {
+            "repro.mod.build(count=)": lint_rules.SHRINKS_A_RUN,
+            "repro.mod.Thing(label=)": lint_rules.FAKE_OR_FAULT,
+            "repro.mod.build(tag=)": "it reads nicely",
+            "repro.mod.Thing(size=)": lint_rules.SHRINKS_A_RUN,
+            "repro.mod.gone(x=)": lint_rules.OUTPUT_STREAM,
+        }
+        violations = lint_rules.setting_violations(root, exemptions=exemptions)
+        assert [v.split("stale exemption ")[1] for v in violations] == [
+            "repro.mod.Thing(size=): it is set by a program now; "
+            "fix or remove it in SETTING_EXEMPTIONS",
+            "repro.mod.build(tag=): it gives no reason from SETTING_REASONS; "
+            "fix or remove it in SETTING_EXEMPTIONS",
+            "repro.mod.gone(x=): it no longer exists; "
+            "fix or remove it in SETTING_EXEMPTIONS",
+        ]
+
+    def test_the_shipped_tree_sets_every_setting_or_says_why(self):
+        assert lint_rules.setting_violations(REPO) == []
+        assert set(lint_rules.SETTING_EXEMPTIONS.values()) <= set(
+            lint_rules.SETTING_REASONS
+        )
 
 
 class TestCommandLine:

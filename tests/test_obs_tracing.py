@@ -15,7 +15,9 @@ def clock() -> VirtualClock:
 
 @pytest.fixture
 def tracer(clock) -> Tracer:
-    return Tracer(clock)
+    tracer = Tracer()
+    tracer.bind(clock)
+    return tracer
 
 
 class TestSpans:

@@ -41,7 +41,6 @@ class TestLineageKeys:
 
     def test_unstamped_source_defaults(self):
         assert lineage_source(FakeOp()) == "unstamped"
-        assert lineage_source(FakeOp(), default="x") == "x"
 
 
 class TestLineageEvent:
@@ -89,21 +88,12 @@ class TestEventLog:
         assert log.total(LifecycleKind.APPLIED) == 1
         assert log.total(LifecycleKind.PRUNED) == 0
 
-    def test_events_filters_by_kind(self):
-        log = EventLog()
-        log.append(event(kind=LifecycleKind.CAPTURED))
-        log.append(event(kind=LifecycleKind.SHIPPED))
-        assert [e.kind for e in log.events(LifecycleKind.SHIPPED)] == [
-            LifecycleKind.SHIPPED
-        ]
-        assert len(log.events()) == 2
-
     def test_for_correlation_returns_one_ops_history(self):
         log = EventLog()
         log.append(event(kind=LifecycleKind.CAPTURED, cid="s:1", at=1.0))
         log.append(event(kind=LifecycleKind.CAPTURED, cid="s:2", at=2.0))
         log.append(event(kind=LifecycleKind.APPLIED, cid="s:1", at=3.0))
-        history = [e for e in log.events() if e.correlation_id == "s:1"]
+        history = [e for e in log if e.correlation_id == "s:1"]
         assert [e.kind for e in history] == [
             LifecycleKind.CAPTURED,
             LifecycleKind.APPLIED,

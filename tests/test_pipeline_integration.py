@@ -170,7 +170,9 @@ class TestTransportLineage:
         assert record.enqueued_at is not None
         assert record.redeliveries == 1
         assert record.acked_at is not None
-        [event] = recorder.log.events(LifecycleKind.REDELIVERED)
+        [event] = [
+            e for e in recorder.log if e.kind is LifecycleKind.REDELIVERED
+        ]
         assert event.detail == "attempt=2"
 
     def test_recover_counts_as_redelivery(self):

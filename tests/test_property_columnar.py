@@ -32,11 +32,15 @@ from hypothesis import strategies as st
 
 from repro.analysis import OpDeltaAnalyzer
 from repro.compaction import Coalescer
-from repro.core import FileLogStore, OpDeltaCapture, ViewAwareHybridPolicy
+from repro.core import FileLogStore, OpDeltaCapture
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
 from repro.obs.pipeline.auditor import StateDigest
-from repro.semantics import SchemaCatalog, ViewMaintenancePlanner
+from repro.semantics import (
+    PlanDrivenCapturePolicy,
+    SchemaCatalog,
+    ViewMaintenancePlanner,
+)
 from repro.warehouse import OpDeltaIntegrator, Warehouse
 from repro.workloads import OltpWorkload, parts_schema
 
@@ -263,7 +267,7 @@ def check_configurations_agree(operations, compacted):
         store,
         tables={"parts"},
         analyzer=analyzer,
-        hybrid_policy=ViewAwareHybridPolicy(list(view_defs)),
+        hybrid_policy=PlanDrivenCapturePolicy(plans),
     )
     capture.attach()
     run_source_operations(workload.session, operations)

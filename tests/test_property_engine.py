@@ -119,7 +119,7 @@ def test_recovery_reproduces_random_histories(operations):
 
     standby = Database("prop-standby", clock=database.clock)
     clone_schemas(database, standby)
-    recover_from_archive(standby, database.log.archived_segments)
+    recover_from_archive(standby, database.log.drain_archive())
     assert sorted(v for _r, v in standby.table("t").scan()) == sorted(
         v for _r, v in database.table("t").scan()
     )

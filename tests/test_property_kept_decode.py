@@ -162,16 +162,10 @@ class Twin:
         values[at] = old[at] + 1
         return schema.validate_values(values)
 
-    def row_op(self, txn, t, op, live, deletable=None):
-        """One single-row write; ``live`` (RowId -> values) follows it.
-
-        ``deletable`` (default: every live row) bounds what a delete picks;
-        an update takes the row it writes out of it.
-        """
+    def row_op(self, txn, t, op, live):
+        """One single-row write; ``live`` (RowId -> values) follows it."""
         table = self.tables[t]
         ids = sorted(live)
-        if op[0] == "delete" and deletable is not None:
-            ids = sorted(live.keys() & deletable)
         if op[0] == "insert":
             values = table.schema.validate_values(self.case.layout(t, op[1]))
             live[table.insert(txn, values)] = values
@@ -180,36 +174,27 @@ class Twin:
             values = self.rewritten(t, op[2], live[row_id])
             table.update(txn, row_id, dict(zip(table.schema.column_names, values)))
             live[row_id] = values
-            if deletable is not None:
-                deletable.discard(row_id)
         elif ids and op[0] == "delete":
             row_id = ids[op[1] % len(ids)]
             table.delete(txn, row_id)
             del live[row_id]
 
     def write(self, step, live):
-        """Apply one writing step; returns the table's rows after it, or
-        None when they are known only to a read (an abort moves the rows
-        its undo re-inserts)."""
+        """Apply one writing step; returns the table's rows after it (an
+        abort puts every row back at its own RowId)."""
         kind, t, *rest = step
-        table, live = self.tables[t], dict(live)
+        table, before, live = self.tables[t], live, dict(live)
         ids = sorted(live)
         if kind == "write":
             txn = self.database.begin()
             self.row_op(txn, t, rest[0], live)
             self.database.commit(txn)
         elif kind == "abort":
-            # Deletes only rows the transaction has not written: undo
-            # re-inserts a deleted row wherever the heap puts it, so undoing
-            # an earlier insert or update of that row would look for it in
-            # the wrong slot (an undo hole of the engine's own, not of the
-            # kept decode).
-            before = set(live)
             txn = self.database.begin()
             for op in rest[0]:
-                self.row_op(txn, t, op, live, deletable=before)
+                self.row_op(txn, t, op, live)
             self.database.abort(txn)
-            return None
+            return before
         elif kind == "redo_insert":
             capacity = slots_per_page(table.schema.record_size)
             free = [
@@ -304,17 +289,18 @@ def run(case):
             assert after[0] == after[1], step
             # Every write is followed by a read of its table through each
             # decoder its reads use: what was kept before the write must not
-            # be what is handed out after it.  The full row comes first: an
-            # abort's undo re-inserted rows where the heap put them, and the
-            # model learns where from it.
+            # be what is handed out after it.
             for choice in range(len(case.columns[t])):
                 check = ("scan", t, choice, None)
                 expected = reference.read(check, reference=True)
                 assert repr(kept.read(check, reference=False)) == repr(expected), (
                     step, check,
                 )
-                if after[0] is None:
-                    after[0] = {row_id: v for row_id, v, _at in expected[0]}
+                if choice == 0:  # the full row: the table is what the model says
+                    schema = reference.tables[t].schema
+                    assert {
+                        r: encode_row(schema, v) for r, v, _at in expected[0]
+                    } == {r: encode_row(schema, v) for r, v in after[0].items()}, step
             live[t] = after[0]
         for handed, copy in held:
             assert handed == copy, ("a handed-out list changed", step)

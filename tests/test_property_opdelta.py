@@ -100,7 +100,7 @@ def test_log_recovery_equivalence(operations):
 
     standby = Database("prop-standby", clock=source.clock)
     clone_schemas(source, standby)
-    recover_from_archive(standby, source.log.archived_segments)
+    recover_from_archive(standby, source.log.drain_archive())
     assert sorted(v for _r, v in standby.table("parts").scan()) == sorted(
         v for _r, v in source.table("parts").scan()
     )

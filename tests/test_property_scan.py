@@ -246,7 +246,9 @@ def test_a_filter_that_raises_on_record_k_has_examined_k_records(case, read):
 )
 @settings(max_examples=300)
 def test_advance_each_is_that_many_advances(start, charge, times):
-    one_by_one, at_once = VirtualClock(start), VirtualClock(start)
+    one_by_one, at_once = VirtualClock(), VirtualClock()
+    for clock in (one_by_one, at_once):
+        clock.advance(start)
     for _ in range(times):
         one_by_one.advance(charge)
     assert repr(at_once.advance_each(charge, times)) == repr(one_by_one.now)
@@ -262,7 +264,8 @@ def test_advance_each_is_not_one_addition_of_the_product():
 
 @pytest.mark.parametrize("charge, times", [(-1.0, 3), (1.0, -1), (-0.5, 0)])
 def test_advance_each_rejects_negatives(charge, times):
-    clock = VirtualClock(5.0)
+    clock = VirtualClock()
+    clock.advance(5.0)
     with pytest.raises(ValueError):
         clock.advance_each(charge, times)
     assert clock.now == 5.0

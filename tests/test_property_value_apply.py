@@ -7,12 +7,12 @@ and the per-assignment maker list of a SET list.  Three comparisons:
 * **prepared route ≡ tree route** on random batches — all four
   ``ChangeKind``s, runs of inserts of every length, NULL cells, strings with
   ``'`` and latin-1 bytes, ints in FLOAT columns, values that *equal* slot
-  sentinels (``1 << 60``, ``"\\x001"``), a ``table_map``, records that do not
-  fit the mirror (a duplicate key, a row that is not there): the same
-  ``to_sql()`` statement by statement, the same report, ``clock.now`` equal to
-  the bit, the same mirror and view rows — or the same error, and the same
-  rolled-back state.  Each side runs on its own database built from the same
-  draw, so the two clocks start equal and nothing is shared;
+  sentinels (``1 << 60``, ``"\\x001"``), records that do not fit the mirror
+  (a duplicate key, a row that is not there): the same ``to_sql()``
+  statement by statement, the same report, ``clock.now`` equal to the bit,
+  the same mirror rows — or the same error, and the same rolled-back state.
+  Each side runs on its own database built from the same draw, so the two
+  clocks start equal and nothing is shared;
 * **a VALUES row** — read where it is all literals, one tuple kernel where it
   is not — ≡ the per-cell kernels ≡ the reference interpreter of
   ``tests/test_property_expressions.py``, templated and not;
@@ -26,7 +26,6 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.selfmaint import ViewDefinition
 from repro.engine import Column, Database, TableSchema
 from repro.engine.types import FLOAT, INTEGER, char
 from repro.errors import ReproError, SqlAnalysisError
@@ -42,7 +41,6 @@ from repro.sql.expressions import (
 )
 from repro.sql.templates import StatementTemplate, slot_value
 from repro.warehouse import ValueDeltaIntegrator
-from repro.warehouse.views import MaterializedView
 
 from .reference_value_apply import (
     TreeRouteIntegrator,
@@ -70,10 +68,6 @@ SCHEMA = TableSchema(
         Column("g", FLOAT),
     ],
     primary_key="k",
-)
-VIEW = ViewDefinition(
-    name="v", base_table="t", columns=("k", "s", "g"), predicate="f >= 0",
-    key_column="k",
 )
 
 #: Few keys, so that records meet; two of them are INTEGER slot sentinels.
@@ -121,18 +115,13 @@ def records_of(initial, moves):
             yield DeltaRecord(kind, key, before=with_before, after=after)
 
 
-def applied(integrator_cls, initial, records, target):
+def applied(integrator_cls, initial, records):
     """Everything one route leaves behind, on a database of its own."""
     database = Database("wh")
-    table = database.create_table(
-        TableSchema(target, SCHEMA.columns, primary_key="k")
-    )
-    view = MaterializedView(database, VIEW, SCHEMA)
+    table = database.create_table(SCHEMA)
     txn = database.begin()
-    rows = [(key, *cells) for key, cells in initial]
-    for row in rows:
-        table.insert(txn, row)
-    view.initialize(rows, txn)
+    for key, cells in initial:
+        table.insert(txn, (key, *cells))
     database.commit(txn)
     session = database.internal_session()
     statements = []
@@ -141,7 +130,7 @@ def applied(integrator_cls, initial, records, target):
             (type(statement).__name__, text)
         )
     )
-    integrator = integrator_cls(session, table_map={"t": target}, views=[view])
+    integrator = integrator_cls(session)
     try:
         result = dataclasses.asdict(
             integrator.integrate(DeltaBatch("t", SCHEMA, list(records)))
@@ -153,17 +142,16 @@ def applied(integrator_cls, initial, records, target):
         "result": repr(result),
         "clock": database.clock.now.hex(),
         "mirror": repr(sorted(table.scan_values())),
-        "view": repr(view.rows()),
         "in_transaction": session.in_transaction,
     }
 
 
 @settings(max_examples=200, deadline=None)
-@given(INITIAL, MOVES, st.sampled_from(["t", "t_wh"]))
-def test_prepared_route_is_the_tree_route(initial, moves, target):
+@given(INITIAL, MOVES)
+def test_prepared_route_is_the_tree_route(initial, moves):
     records = list(records_of(initial, moves))
-    prepared = applied(ValueDeltaIntegrator, initial, records, target)
-    by_tree = applied(TreeRouteIntegrator, initial, records, target)
+    prepared = applied(ValueDeltaIntegrator, initial, records)
+    by_tree = applied(TreeRouteIntegrator, initial, records)
     assert prepared == by_tree
 
 

@@ -15,7 +15,6 @@ from repro.core import (
     AlwaysHybridPolicy,
     FileLogStore,
     OpDeltaCapture,
-    ViewAwareHybridPolicy,
     ViewDefinition,
 )
 from repro.core.opdelta import derive_row_images
@@ -23,6 +22,11 @@ from repro.engine import Database
 from repro.extraction import TriggerExtractor
 from repro.extraction.deltas import ChangeKind, DeltaRecord
 from repro.obs.pipeline.auditor import StateDigest
+from repro.semantics import (
+    PlanDrivenCapturePolicy,
+    SchemaCatalog,
+    ViewMaintenancePlanner,
+)
 from repro.warehouse import (
     AggregateSpec,
     AggregateViewDefinition,
@@ -146,7 +150,11 @@ def _maintain(projection, predicate, operations):
     store = FileLogStore(source)
     OpDeltaCapture(
         workload.session, store, tables={"parts"},
-        hybrid_policy=ViewAwareHybridPolicy([definition]),
+        hybrid_policy=PlanDrivenCapturePolicy(
+            ViewMaintenancePlanner(SchemaCatalog([parts_schema()])).plan_catalog(
+                [definition]
+            )
+        ),
     ).attach()
     hybrid_store = FileLogStore(source)
     OpDeltaCapture(

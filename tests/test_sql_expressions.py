@@ -475,7 +475,7 @@ class TestEmittedCode:
     def test_the_context_given_at_compile_time_is_the_default(self):
         bind = RowBinding(["a"])
         expr = parse_expression("a < NOW()")
-        kernel = compile_predicate(expr, bind, {NOW_KEY: 10.0})
+        kernel = compile_expression(expr, bind, {NOW_KEY: 10.0})
         assert kernel((5,)) is True
         assert kernel((5,), {NOW_KEY: 1.0}) is False
         with pytest.raises(SqlAnalysisError, match="volatile"):

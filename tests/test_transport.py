@@ -226,7 +226,7 @@ class TestWindowHandOff:
         assert [d.table for d in decisions if d.use_staging] == ["hot_parts"]
         assert [
             (event.kind.value, event.correlation_id, event.detail.split(" ")[0])
-            for event in recorder.log.events()
+            for event in recorder.log
         ] == [
             ("routed", "switcher:hot_parts", "method=snapshot-diff"),
             ("routed", "switcher:parts", "method=op-delta"),

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import OpDeltaAnalyzer
 from repro.analysis.certify import InterferenceSanitizer
 from repro.analysis.safety import commutes
-from repro.core import FileLogStore, OpDeltaCapture, ViewAwareHybridPolicy
+from repro.core import FileLogStore, OpDeltaCapture
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
@@ -21,7 +21,11 @@ from repro.obs.pipeline import (
     StateDigest,
     observe_pipeline,
 )
-from repro.semantics import SchemaCatalog, ViewMaintenancePlanner
+from repro.semantics import (
+    PlanDrivenCapturePolicy,
+    SchemaCatalog,
+    ViewMaintenancePlanner,
+)
 from repro.sql.parser import parse
 from repro.warehouse import OpDeltaIntegrator, ValueDeltaIntegrator, Warehouse
 from repro.warehouse.aggregates import (
@@ -94,25 +98,16 @@ def define_views(warehouse):
 class TestValueDeltaIntegrator:
     def test_batch_converges_mirror(self, pipeline):
         source, workload, _store, triggers, warehouse = pipeline
-        spj, agg = define_views(warehouse)
-        workload.run_update(30)  # status flips out of the SPJ view
-        workload.run_update(10, assignment="status = 'active'")  # and in
+        workload.run_update(30)
+        workload.run_update(10, assignment="status = 'active'")
         workload.run_update(20, assignment="quantity = quantity + 5")
         workload.run_insert(10)
         workload.run_delete(15, top_up=False)
         batch = triggers.drain_to_batch()
-        integrator = ValueDeltaIntegrator(
-            warehouse.database.internal_session(),
-            views=[spj],
-            aggregate_views=[agg],
-        )
+        integrator = ValueDeltaIntegrator(warehouse.database.internal_session())
         report = integrator.integrate(batch)
         assert report.mode == "value-delta"
         assert logical(warehouse.database) == logical(source)
-        # The same batch maintained both views inside the one transaction.
-        mirror = [v for _r, v in warehouse.database.table("parts").scan()]
-        assert spj.rows() == spj.recompute(mirror)
-        assert agg.groups() == agg.recompute(mirror)
 
     def test_indivisible_batch_is_one_txn(self, pipeline):
         source, workload, _store, triggers, warehouse = pipeline
@@ -140,18 +135,6 @@ class TestValueDeltaIntegrator:
         integrator = ValueDeltaIntegrator(warehouse.database.internal_session())
         report = integrator.integrate(batch)
         assert report.statements_issued == 1
-
-    def test_table_mapping(self, pipeline):
-        source, workload, _store, triggers, warehouse = pipeline
-        warehouse.database.create_table(parts_schema("parts_mapped"))
-        workload.run_insert(5)
-        batch = triggers.drain_to_batch()
-        integrator = ValueDeltaIntegrator(
-            warehouse.database.internal_session(),
-            table_map={"parts": "parts_mapped"},
-        )
-        integrator.integrate(batch)
-        assert warehouse.database.table("parts_mapped").num_rows == 5
 
     def test_requires_primary_key(self, pipeline):
         _source, _workload, _store, _triggers, warehouse = pipeline
@@ -681,14 +664,14 @@ class TestHybridAfterImagesReadTheStatementsOwnTable:
             key_columns={"parts": "part_id"},
             table_columns={"parts": schema.column_names},
         )
-        store = FileLogStore(source)
-        OpDeltaCapture(
-            workload.session, store, tables={"parts"}, analyzer=analyzer,
-            hybrid_policy=ViewAwareHybridPolicy([PRICEY_PARTS]),
-        ).attach()
         plans = ViewMaintenancePlanner(SchemaCatalog([schema])).plan_catalog(
             [PRICEY_PARTS]
         )
+        store = FileLogStore(source)
+        OpDeltaCapture(
+            workload.session, store, tables={"parts"}, analyzer=analyzer,
+            hybrid_policy=PlanDrivenCapturePolicy(plans),
+        ).attach()
         return source, workload.session, store, rows, analyzer, plans
 
     @staticmethod

@@ -6,13 +6,17 @@ from repro.core import (
     FileLogStore,
     JoinSpec,
     OpDeltaCapture,
-    ViewAwareHybridPolicy,
     ViewDefinition,
 )
 from repro.engine import Database
 from repro.engine.table import InsertMode
 from repro.errors import WarehouseError
 from repro.extraction import TriggerExtractor
+from repro.semantics import (
+    PlanDrivenCapturePolicy,
+    SchemaCatalog,
+    ViewMaintenancePlanner,
+)
 from repro.warehouse import Warehouse
 from repro.workloads import (
     OltpWorkload,
@@ -44,7 +48,11 @@ def make_pipeline(view_def):
     store = FileLogStore(source)
     OpDeltaCapture(
         workload.session, store, tables={"parts"},
-        hybrid_policy=ViewAwareHybridPolicy([view_def]),
+        hybrid_policy=PlanDrivenCapturePolicy(
+            ViewMaintenancePlanner(
+                SchemaCatalog([parts_schema(), suppliers_schema()])
+            ).plan_catalog([view_def])
+        ),
     ).attach()
     triggers = TriggerExtractor(source, "parts")
     triggers.install()

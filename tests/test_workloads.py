@@ -11,6 +11,7 @@ from repro.workloads import (
     strip_timestamp,
     suppliers_schema,
 )
+from repro.workloads.records import NUM_SUPPLIERS
 
 
 class TestPartsGenerator:
@@ -39,15 +40,16 @@ class TestPartsGenerator:
 
     def test_supplier_rows_match_schema(self):
         schema = suppliers_schema()
-        rows = list(PartsGenerator(num_suppliers=8).supplier_rows())
-        assert len(rows) == 8
+        rows = list(PartsGenerator().supplier_rows())
+        assert len(rows) == NUM_SUPPLIERS
         for row in rows:
             schema.validate_values(row)
 
     def test_supplier_ids_within_range(self):
-        generator = PartsGenerator(num_suppliers=4)
+        generator = PartsGenerator()
         supplier_index = parts_schema().column_index("supplier_id")
-        assert all(row[supplier_index] < 4 for row in generator.rows(50))
+        rows = list(generator.rows(200))
+        assert {row[supplier_index] for row in rows} == set(range(NUM_SUPPLIERS))
 
 
 class TestOltpWorkload:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Twenty-two disciplines the standard linters cannot express:
+Twenty-three disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -283,6 +283,25 @@ reasons in ``REACH_EXEMPTIONS``; an exemption whose name has since gained a
 caller, or no longer exists, is flagged as stale.  The rule is whole-tree:
 it runs when the linted path is a ``src/repro`` package, against the
 repository around it.
+
+**REPRO023 — a setting in ``src/repro`` is set by a program.**  What REPRO022
+asks of names it asks of parameters: a defaulted parameter of a public
+function, method or constructor of ``src/repro`` that no program passes is a
+constant written as an option, and doubles the configurations every refactor
+has to keep working.  The same programs count, and calls are matched by the
+called name: a keyword argument passes its parameter, a positional argument
+passes the parameter at its index (``self``/``cls`` aside), and a ``*args`` /
+``**kwargs`` spread passes every parameter it could reach.  ``cls(...)`` inside
+a classmethod calls its class, a class without an ``__init__`` of its own is
+constructed through its base's, ``super().__init__(...)`` calls the bases', a
+function handed to a call as its first argument is called with the rest
+(``partial(f, x=...)``, a harness's ``run_experiment(f, x=...)``), and a call
+through a bare name that a keyword of the same module binds to function names
+(the CLI's ``runner(fault=...)`` for ``runner="run_health"``) calls each of
+them.  The exceptions are listed in ``SETTING_EXEMPTIONS``, each with one
+reason from ``SETTING_REASONS``; an exemption whose parameter no longer
+exists, that a program sets now, or whose reason is not on that list is
+flagged as stale.  Whole-tree, like REPRO022.
 
 Usage::
 
@@ -582,6 +601,51 @@ REACH_EXEMPTIONS = {
     "repro.core.stores.FileLogStore.uncommitted_garbage":
         "what file-log recovery leaves behind, which the fault matrix "
         "(ROADMAP item 2) checks after a torn write",
+}
+
+#: REPRO023: why a defaulted parameter no program passes may stay — the
+#: closed list — and ``module.callable(parameter=)`` -> its reason.
+SHRINKS_A_RUN = "it shrinks a run for tier-1"
+FAKE_OR_FAULT = "it substitutes a fake or a planted fault"
+OUTPUT_STREAM = "it is an output-stream seam"
+SCHEMA_TRANSFORMATION = "it is the schema transformation of paper §4.1"
+FAULT_MATRIX = "the fault matrix (ROADMAP item 2) will drive it"
+SETTING_REASONS = (
+    SHRINKS_A_RUN, FAKE_OR_FAULT, OUTPUT_STREAM, SCHEMA_TRANSFORMATION,
+    FAULT_MATRIX,
+)
+SETTING_EXEMPTIONS = {
+    # The experiment knobs the smoke tests shrink.
+    **dict.fromkeys(
+        (
+            "repro.bench.experiments.aggregate_views.run(fractions=)",
+            "repro.bench.experiments.capture_levels.run(op_rows=)",
+            "repro.bench.experiments.fig2.run(sizes=)",
+            "repro.bench.experiments.fig3.run(sizes=)",
+            "repro.bench.experiments.freshness.run(periods=)",
+            "repro.bench.experiments.freshness.run(transactions=)",
+            "repro.bench.experiments.freshness.run(txn_rows=)",
+            "repro.bench.experiments.maintenance_window.run(sizes=)",
+            "repro.bench.experiments.online_maintenance.run(transactions=)",
+            "repro.bench.experiments.online_maintenance.run(txn_rows=)",
+            "repro.bench.experiments.remote_trigger.run(sizes=)",
+            "repro.bench.experiments.semantics.run(transactions=)",
+            "repro.bench.experiments.semantics.run(txn_rows=)",
+            "repro.bench.experiments.sensitivity.run(txn_rows=)",
+            "repro.bench.experiments.snapshot_algorithms.run(churn_rows=)",
+            "repro.bench.experiments.table4.run(sizes=)",
+            "repro.bench.experiments.timestamp_index.run(fractions=)",
+        ),
+        SHRINKS_A_RUN,
+    ),
+    "repro.analysis.verify.verifier.DeltaRuleVerifier(view_factory=)":
+        FAKE_OR_FAULT,
+    "repro.bench.check.run_check(out=)": OUTPUT_STREAM,
+    "repro.warehouse.opdelta_integrator.OpDeltaIntegrator(transformer=)":
+        SCHEMA_TRANSFORMATION,
+    # The fault matrix's "analyzer blind to a view" cell tells an analyzer
+    # of some views, aggregate ones among them, and not of others.
+    "repro.analysis.analyzer.OpDeltaAnalyzer(aggregate_views=)": FAULT_MATRIX,
 }
 
 METRIC_METHODS = ("counter", "gauge", "histogram")
@@ -1305,26 +1369,41 @@ def _public_functions(tree: ast.Module, module: str) -> list[tuple[str, str, int
     return found
 
 
+def _program_trees(root: Path) -> tuple[Path, dict[Path, ast.Module]]:
+    """REPRO022/023: the package under ``root`` and every program's AST."""
+    package = root / "src" / "repro"
+    return package, {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in python_files([package, *(root / t for t in PROGRAM_TREES)])
+    }
+
+
+def _package_modules(
+    package: Path, trees: dict[Path, ast.Module]
+) -> list[tuple[Path, ast.Module, str]]:
+    """``(path, tree, dotted module name)`` of each module of ``package``."""
+    modules = []
+    for path, tree in trees.items():
+        if package in path.parents:
+            parts = path.relative_to(package.parent).with_suffix("").parts
+            modules.append(
+                (path, tree, ".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+            )
+    return modules
+
+
 def reach_violations(
     root: Path, exemptions: dict[str, str] | None = None
 ) -> list[str]:
     """REPRO022: public names of ``root/src/repro`` no program names."""
     exemptions = REACH_EXEMPTIONS if exemptions is None else exemptions
-    package = root / "src" / "repro"
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in python_files([package, *(root / t for t in PROGRAM_TREES)])
-    }
+    package, trees = _program_trees(root)
     reached: set[str] = set()
     for path, tree in trees.items():
         reached |= _referenced_names(tree, package_init=path.name == "__init__.py")
     violations: list[str] = []
     defined: dict[str, str] = {}
-    for path, tree in trees.items():
-        if package not in path.parents:
-            continue
-        parts = path.relative_to(package.parent).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    for path, tree, module in _package_modules(package, trees):
         for qualified, name, lineno in _public_functions(tree, module):
             defined[qualified] = name
             if name not in reached and qualified not in exemptions:
@@ -1343,6 +1422,193 @@ def reach_violations(
         violations.append(
             f"{package}: REPRO022 stale exemption {qualified}: it {why}; "
             "remove it from REACH_EXEMPTIONS"
+        )
+    return violations
+
+
+def _decorators(
+    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef,
+) -> set[str]:
+    return {
+        (dotted_name(d.func if isinstance(d, ast.Call) else d) or "").rpartition(".")[2]
+        for d in node.decorator_list
+    }
+
+
+def _base_names(node: ast.ClassDef) -> list[str]:
+    return [(dotted_name(base) or "").rpartition(".")[2] for base in node.bases]
+
+
+#: REPRO023: what one call site passes — positional arguments before any
+#: ``*args``, whether there is one, the keywords, whether there is a ``**``.
+_Passed = tuple[int, bool, frozenset[str], bool]
+
+
+def _call_sites(tree: ast.Module) -> list[tuple[str, _Passed]]:
+    """REPRO023: ``(called name, what it passes)`` for each call in ``tree``
+    (see the rule's docstring for how a name is resolved)."""
+    bound: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.keyword)
+            and node.arg
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            and node.value.value.isidentifier()
+        ):
+            bound.setdefault(node.arg, set()).add(node.value.value)
+    found: list[tuple[str, _Passed]] = []
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None, classmethod_: bool) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls, classmethod_ = node, False
+        elif isinstance(node, _DEFINITIONS) and cls is not None:
+            classmethod_ = "classmethod" in _decorators(node)
+        if isinstance(node, ast.Call):
+            calls = [(node.func, node.args)]
+            if node.args and isinstance(node.args[0], (ast.Name, ast.Attribute)):
+                calls.append((node.args[0], node.args[1:]))
+            for func, args in calls:
+                names: set[str] = set()
+                if isinstance(func, ast.Name):
+                    if func.id == "cls" and classmethod_ and cls is not None:
+                        names = {cls.name}
+                    else:
+                        names = {func.id, *bound.get(func.id, ())}
+                elif isinstance(func, ast.Attribute):
+                    super_init = (
+                        func.attr == "__init__"
+                        and isinstance(func.value, ast.Call)
+                        and dotted_name(func.value.func) == "super"
+                    )
+                    names = (
+                        set(_base_names(cls)) if super_init and cls else {func.attr}
+                    )
+                positional = next(
+                    (i for i, a in enumerate(args) if isinstance(a, ast.Starred)),
+                    len(args),
+                )
+                passed = (
+                    positional,
+                    positional < len(args),
+                    frozenset(k.arg for k in node.keywords if k.arg),
+                    any(k.arg is None for k in node.keywords),
+                )
+                found.extend((name, passed) for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, classmethod_)
+
+    visit(tree, None, False)
+    return found
+
+
+def _defaulted_parameters(
+    tree: ast.Module, module: str
+) -> list[tuple[str, str, str, int | None, int]]:
+    """REPRO023: ``(qualified callable, called name, parameter, positional
+    index or None, line)`` of each defaulted parameter of a public function,
+    method or constructor; a constructor is called by its class's name."""
+    found: list[tuple[str, str, str, int | None, int]] = []
+
+    def parameters(node: ast.FunctionDef | ast.AsyncFunctionDef, method: bool):
+        arguments = node.args
+        positional = arguments.posonlyargs + arguments.args
+        if method and "staticmethod" not in _decorators(node):
+            positional = positional[1:]
+        first_defaulted = len(positional) - len(arguments.defaults)
+        for index, argument in enumerate(positional):
+            if index >= first_defaulted:
+                yield argument.arg, index
+        for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+            if default is not None:
+                yield argument.arg, None
+
+    def scan(body: list[ast.stmt], prefix: str, cls: ast.ClassDef | None) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                scan(node.body, f"{prefix}{node.name}.", node)
+            elif not isinstance(node, _DEFINITIONS):
+                continue
+            elif cls is not None and node.name == "__init__":
+                for name, index in parameters(node, method=True):
+                    found.append((prefix[:-1], cls.name, name, index, node.lineno))
+            elif not node.name.startswith("_"):
+                for name, index in parameters(node, method=cls is not None):
+                    found.append(
+                        (f"{prefix}{node.name}", node.name, name, index, node.lineno)
+                    )
+
+    scan(tree.body, f"{module}.", None)
+    return found
+
+
+def setting_violations(
+    root: Path, exemptions: dict[str, str] | None = None
+) -> list[str]:
+    """REPRO023: defaulted parameters in ``root/src/repro`` no program sets."""
+    exemptions = SETTING_EXEMPTIONS if exemptions is None else exemptions
+    package, trees = _program_trees(root)
+    calls: dict[str, list[_Passed]] = {}
+    for tree in trees.values():
+        for name, passed in _call_sites(tree):
+            calls.setdefault(name, []).append(passed)
+    # A class with no ``__init__`` of its own is constructed through its
+    # base's, so calls by its name reach the base's parameters.
+    inherits: dict[str, list[str]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ClassDef)
+                and "dataclass" not in _decorators(node)
+                and not any(
+                    isinstance(s, _DEFINITIONS) and s.name == "__init__"
+                    for s in node.body
+                )
+            ):
+                for base in _base_names(node):
+                    inherits.setdefault(base, []).append(node.name)
+
+    def callers(name: str) -> list[_Passed]:
+        sites, seen, pending = [], {name}, [name]
+        while pending:
+            current = pending.pop()
+            sites.extend(calls.get(current, ()))
+            fresh = [c for c in inherits.get(current, ()) if c not in seen]
+            seen.update(fresh)
+            pending.extend(fresh)
+        return sites
+
+    violations: list[str] = []
+    defined: dict[str, bool] = {}
+    for path, tree, module in _package_modules(package, trees):
+        for qualified, name, parameter, index, lineno in _defaulted_parameters(
+            tree, module
+        ):
+            key = f"{qualified}({parameter}=)"
+            defined[key] = any(
+                parameter in keywords
+                or spread
+                or (index is not None and (index < positional or starred))
+                for positional, starred, keywords, spread in callers(name)
+            )
+            if not defined[key] and key not in exemptions:
+                violations.append(
+                    f"{path}:{lineno}: REPRO023 {key} is set by no program "
+                    "(src/repro, examples/, benchmarks/); inline its default, "
+                    "or exempt it with one of SETTING_REASONS"
+                )
+    for key in sorted(exemptions):
+        if key not in defined:
+            why = "no longer exists"
+        elif defined[key]:
+            why = "is set by a program now"
+        elif exemptions[key] not in SETTING_REASONS:
+            why = "gives no reason from SETTING_REASONS"
+        else:
+            continue
+        violations.append(
+            f"{package}: REPRO023 stale exemption {key}: it {why}; "
+            "fix or remove it in SETTING_EXEMPTIONS"
         )
     return violations
 
@@ -1578,6 +1844,7 @@ def main(argv: list[str] | None = None) -> int:
     for target in targets:
         if target.is_dir() and target.parts[-2:] == ("src", "repro"):
             violations.extend(reach_violations(target.parent.parent))
+            violations.extend(setting_violations(target.parent.parent))
     for line in violations:
         print(line)
     print(
