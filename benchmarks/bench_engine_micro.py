@@ -37,6 +37,13 @@ on its own, ``test_scan_after_point_update`` the same read after a one-row
 UPDATE (one page decoded again) and ``test_point_update_write_count`` the
 UPDATE alone: the writer's side, which pays one integer add per page write.
 
+What a scanned row still pays beside its data has three numbers:
+``test_filtered_count`` (a WHERE against a string literal, whose class is
+tested once per statement), ``test_sum_one_column`` (an aggregate's column
+read by slot and admitted by one type-set test) and
+``test_advance_each_one_page`` (one page's clock charge, computed per binade
+of the total instead of one addition at a time).
+
 ``test_parse_template_hit`` / ``test_parse_template_miss`` time ``parse`` on
 PK-point UPDATE texts that differ in their literals, with the statement
 template table warm and cleared before every call (~13 us against ~75 on the
@@ -62,10 +69,12 @@ import itertools
 import pytest
 
 from repro.analysis import OpDeltaAnalyzer
+from repro.clock import VirtualClock
 from repro.columnar import ColumnBatch, ColumnarApplier, compile_predicate
 from repro.core import StatementTransformer, TableMapping
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
+from repro.engine.costs import CostModel
 from repro.engine.page import slots_per_page
 from repro.engine.rows import RowId, decode_row, encode_row
 from repro.extraction.deltas import ChangeKind, DeltaBatch, DeltaRecord
@@ -365,6 +374,35 @@ def test_point_update_write_count(benchmark, populated):
     database, _workload = populated
     _table, update = _point_update(database)
     benchmark.pedantic(update, iterations=50, rounds=100, warmup_rounds=2)
+
+
+def test_filtered_count(benchmark, populated):
+    """A WHERE against a literal over 10,000 rows: the literal's class is
+    tested once per statement, the row's class once per row."""
+    database, _workload = populated
+    session = database.internal_session()
+    sql = "SELECT COUNT(*) FROM parts WHERE status = 'active'"
+    assert benchmark(session.scalar, sql) > 0
+
+
+def test_sum_one_column(benchmark, populated):
+    """An aggregate over 10,000 rows: its column read by slot, its values
+    admitted by one type-set test."""
+    database, _workload = populated
+    session = database.internal_session()
+    assert benchmark(session.scalar, "SELECT SUM(quantity) FROM parts") > 0
+
+
+def test_advance_each_one_page(benchmark):
+    """The scan charge of one 72-record page: one per-binade run of the
+    virtual clock (72 additions one by one would be ~5x this)."""
+    clock = VirtualClock()
+    clock.advance(1_000.0)
+    charge = CostModel().row_scan_cpu
+    benchmark.pedantic(
+        clock.advance_each, (charge, 72), iterations=200, rounds=150, warmup_rounds=2
+    )
+    assert clock.now > 1_000.0
 
 
 def test_group_by_key_kernel(benchmark, populated):

@@ -18,8 +18,10 @@ idiomatic way to measure the cost of a region of code::
 Virtual time is compared **to the bit** (artifacts are ``cmp``-ed), and
 float addition does not distribute: ``n`` charges of ``x`` are ``n``
 additions, never one addition of ``n * x``.  A caller that charges a run of
-records at once uses :meth:`VirtualClock.advance_each`, which performs them
-one after another; that is the only batching of the clock there is.
+records at once uses :meth:`VirtualClock.advance_each`, whose result is
+those additions' to the bit — computed a binade of the total at a time,
+where every addition of ``x`` adds the same rounded step; that is the only
+batching of the clock there is.
 
 When the measurement should be *kept* rather than consumed on the spot,
 use a :class:`repro.obs.Tracer` span instead — spans are stamped from this
@@ -29,7 +31,12 @@ whole experiment's cost breakdown stays attributable after the fact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+#: Runs shorter than this are added one by one: the per-binade computation
+#: costs about what four additions do.
+_RUN = 4
 
 
 class VirtualClock:
@@ -44,6 +51,8 @@ class VirtualClock:
     def __init__(self) -> None:
         self._now = 0.0
         self._timestamp_seq = 0
+        #: ``(x, top, step)`` of the last :meth:`advance_each` binade.
+        self._binade = (math.nan, 0.0, 0.0)
 
     @property
     def now(self) -> float:
@@ -63,15 +72,44 @@ class VirtualClock:
     def advance_each(self, milliseconds: float, times: int) -> float:
         """Charge ``milliseconds`` ``times`` times over; return the new time.
 
-        Bit-equal to ``times`` calls of :meth:`advance`: the additions are
-        performed one after another, never as one addition of the product,
-        because ``n`` additions of ``x`` are not ``n * x`` in floating point
-        and virtual time is compared to the bit.  This is the only way a
-        caller may charge a run of records at once.
+        Bit-equal to ``times`` calls of :meth:`advance` — ``n`` additions of
+        ``x`` are not one addition of ``n * x`` in floating point, and virtual
+        time is compared to the bit — but computed a binade of the total at a
+        time.  In a binade ``[top/2, top)`` every float, the total included,
+        is a multiple of ``u = ulp(total)``, so each addition of ``x`` that
+        ends below ``top`` rounds ``x`` to the same multiple of ``u``:
+        ``step``, what the first addition added.  The exception is a tie
+        (``x mod u == u/2``), where rounding half to even reads the total's
+        last bit: a tie, a zero total and a run shorter than :data:`_RUN`
+        take the plain loop.  So ``k`` additions that end below ``top`` are
+        ``total + k * step``, and both operations are exact: the results are
+        multiples of ``u`` below ``top``.  A run that passes ``top`` is taken
+        up to it (an addition ending exactly at ``top`` is still ``step``:
+        its exact sum lies within ``u/2`` of ``top``, the nearest float on
+        either side), then the addition that passes it is performed as it
+        is, and the next binade begins.  ``(x, top, step)`` is kept for the
+        next call: a scan charges the same ``x`` page after page.  This is
+        the only way a caller may charge a run of records at once.
         """
         if milliseconds < 0 or times < 0:
             raise ValueError(f"cannot advance clock {times} x {milliseconds} ms")
         now = self._now
+        while times >= _RUN and 0.0 < now and now + milliseconds < math.inf:
+            x, top, step = self._binade
+            if x != milliseconds or not top / 2 <= now < top:
+                ulp = math.ulp(now)
+                if milliseconds % ulp == ulp / 2:
+                    break
+                top, step = ulp * 2.0**53, now + milliseconds - now
+                self._binade = (milliseconds, top, step)
+            if now + times * step < top:  # the whole run stays in the binade
+                self._now = now = now + times * step
+                return now
+            # Up to ``top``, then the addition that passes it, as it is.
+            run = min(times - 1, int((top - now) // step))
+            now += run * step
+            now += milliseconds
+            times -= run + 1
         for _ in range(times):
             now += milliseconds
         self._now = now

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..engine.database import Database
@@ -106,6 +107,12 @@ class _Scope(RowBinding):
             if ref.table in (None, alias) and schema.has_column(ref.name):
                 return slots.get(schema.column_index(ref.name))
         return None
+
+
+def _resolved(ref: ast.ColumnRef, scope: _Scope) -> int | str:
+    """What ``ref`` reads: its slot, or its name where it reads none."""
+    slot = scope.slot(ref)
+    return ref.name if slot is None else slot
 
 
 def _columns_read(
@@ -285,7 +292,7 @@ class Executor:
             result, columns = self._project(stmt, rows, scope)
 
         if stmt.order_by:
-            result = self._order(result, columns, stmt)
+            result = self._order(result, columns, stmt, scope)
         if stmt.limit is not None:
             result = result[: stmt.limit]
         return Result(columns=columns, rows=result, plan=" ".join(plan_parts))
@@ -379,18 +386,20 @@ class Executor:
         rows: Iterable[tuple[Any, ...]],
         scope: _Scope,
     ) -> tuple[list[tuple[Any, ...]], list[str]]:
+        # A grouping column is matched by the slot it reads, or by its name
+        # where it reads none (the group key then diagnoses it lazily).
+        grouped = [_resolved(ref, scope) for ref in stmt.group_by]
         for item in stmt.items:
             if not isinstance(item.expr, (ast.Aggregate, ast.ColumnRef)):
                 raise SqlAnalysisError(
                     "aggregate queries may only select aggregates and "
                     "grouping columns"
                 )
-            if isinstance(item.expr, ast.ColumnRef) and item.expr not in stmt.group_by:
-                grouped_names = {ref.name for ref in stmt.group_by}
-                if item.expr.name not in grouped_names:
-                    raise SqlAnalysisError(
-                        f"column {item.expr.name!r} must appear in GROUP BY"
-                    )
+            expr = item.expr
+            if isinstance(expr, ast.ColumnRef) and _resolved(expr, scope) not in grouped:
+                raise SqlAnalysisError(
+                    f"column {expr.to_sql()!r} must appear in GROUP BY"
+                )
         context = self._context
         groups: dict[tuple, list[tuple[Any, ...]]] = {}
         if stmt.group_by:
@@ -400,23 +409,30 @@ class Executor:
         else:
             groups[()] = list(rows)  # global aggregate, over no rows too
         columns = [self._item_name(item) for item in stmt.items]
-        arguments = [
-            compile_expression(item.expr.argument, scope, context)
-            if isinstance(item.expr, ast.Aggregate) and item.expr.argument is not None
-            else None
-            for item in stmt.items
-        ]
+        # Per item, what reads it: a grouping column from the group's key, an
+        # aggregate's argument from each member row (None: COUNT(*)).  The
+        # parser admits only a column there, read by slot; one that reads
+        # none stays a kernel, to raise when a row reaches it.
+        readers: list[Compiled | None] = []
+        reader: Compiled | None
+        for item in stmt.items:
+            expr, reader = item.expr, None
+            if isinstance(expr, ast.ColumnRef):
+                reader = itemgetter(grouped.index(_resolved(expr, scope)))
+            elif isinstance(expr, ast.Aggregate) and expr.argument is not None:
+                slot = scope.slot(expr.argument)
+                reader = itemgetter(slot) if slot is not None else compile_expression(
+                    expr.argument, scope, context
+                )
+            readers.append(reader)
         result = []
         for key, members in groups.items():
             out: list[Any] = []
-            for item, argument in zip(stmt.items, arguments):
+            for item, reader in zip(stmt.items, readers):
                 if isinstance(item.expr, ast.Aggregate):
-                    out.append(self._aggregate_value(item.expr, argument, members))
+                    out.append(self._aggregate_value(item.expr, reader, members))
                 else:
-                    position = [ref.name for ref in stmt.group_by].index(
-                        item.expr.name  # type: ignore[union-attr]
-                    )
-                    out.append(key[position])
+                    out.append(reader(key))  # type: ignore[misc]
             result.append(tuple(out))
         return result, columns
 
@@ -428,18 +444,21 @@ class Executor:
     ) -> Any:
         if argument is None:
             return len(members)
-        values = [argument(row) for row in members]
-        values = [v for v in values if v is not None]
+        values = [v for v in map(argument, members) if v is not None]
         if agg.function == "COUNT":
             return len(values)
         if not values:
             return None
         if agg.function in ("SUM", "AVG"):
-            for value in values:
-                if not isinstance(value, (int, float)):
-                    raise SqlAnalysisError(
-                        f"aggregate {agg.function} requires a number, got {value!r}"
-                    )
+            # One C-level pass admits ints and floats; a bool (a number too)
+            # or a non-number is looked at value by value.
+            if not {int, float}.issuperset(map(type, values)):
+                for value in values:
+                    if not isinstance(value, (int, float)):
+                        raise SqlAnalysisError(
+                            f"aggregate {agg.function} requires a number, "
+                            f"got {value!r}"
+                        )
             return sum(values) if agg.function == "SUM" else sum(values) / len(values)
         if agg.function == "MIN":
             return min(values)
@@ -452,10 +471,19 @@ class Executor:
         rows: list[tuple[Any, ...]],
         columns: list[str],
         stmt: ast.SelectStmt,
+        scope: _Scope,
     ) -> list[tuple[Any, ...]]:
         self._db.clock.advance(self._db.costs.row_scan_cpu * len(rows))
+        # The slot each output column reads (None: it reads none).
+        slots: list[int | None] = []
+        for item in stmt.items:
+            if isinstance(item.expr, ast.Star):
+                slots.extend(range(len(scope.columns())))
+            else:
+                ref = item.expr if isinstance(item.expr, ast.ColumnRef) else None
+                slots.append(None if ref is None else scope.slot(ref))
         for order in reversed(stmt.order_by):
-            position = self._order_position(order.expr, columns)
+            position = self._order_position(order.expr, columns, slots, scope)
             rows.sort(
                 key=lambda row: (row[position] is None, row[position]),
                 reverse=not order.ascending,
@@ -463,11 +491,18 @@ class Executor:
         return rows
 
     @staticmethod
-    def _order_position(expr: ast.Expression, columns: list[str]) -> int:
+    def _order_position(
+        expr: ast.Expression, columns: list[str], slots: list[int | None], scope: _Scope
+    ) -> int:
+        """Which output column ``expr`` sorts by: a qualified column by the
+        slot it reads, a bare name by output name, anything else as written."""
         if isinstance(expr, ast.ColumnRef):
-            name = expr.name
-            if name in columns:
-                return columns.index(name)
+            slot = None if expr.table is None else scope.slot(expr)
+            if slot is not None:
+                if slot in slots:
+                    return slots.index(slot)
+            elif expr.name in columns:
+                return columns.index(expr.name)
         rendered = expr.to_sql()
         if rendered in columns:
             return columns.index(rendered)

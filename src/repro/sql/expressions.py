@@ -20,7 +20,9 @@ differs from an earlier one only in its literals.
 The emitted fast paths are *type tests* (two ints, two strings ...); what
 they do not admit calls the checked helper of the node
 (:func:`check_comparable`, ``_truth``, ``_arithmetic`` ...), which computes
-or raises exactly as a row of that kind always did.
+or raises exactly as a row of that kind always did.  A literal's class is
+known per statement: a comparison tests a row's value against it as a
+hoisted constant, derived from the literal like a LIKE pattern's matcher.
 
 What varies by caller is only the *binding*: the source of the two leaves
 that touch the outside world (column reference, volatile function), the
@@ -61,6 +63,9 @@ Compiled = Callable[..., Any]
 
 #: Hoists a value out of the source: takes the constant, returns its name.
 Hoist = Callable[[Any], str]
+
+#: A comparison's operands: each node, and the name its value goes by.
+Operands = Sequence[tuple[ast.Expression, str]]
 
 #: Session-context keys read by volatile functions.  ``__now__`` is the
 #: statement's virtual start time; ``__random__`` is a zero-argument draw
@@ -460,19 +465,36 @@ class _Emitter:
             return self._bind.fail(f"unknown binary operator {op!r}", self.hoist)
         # Both sides are evaluated before the NULL test.
         left, right = self.value(expr.left), self.value(expr.right)
+        slow = f"{checked}({self.hoist(op)}, {left}, {right})"
+        unknown = f"None if {left} is None or {right} is None"
         if checked == "_compare":
-            admitted = f"{left}.__class__ is {right}.__class__ in _SCALARS"
-        else:
-            nonzero = f" and {right}" if op == "/" else ""
-            admitted = (
-                f"{left}.__class__ in _NUMBERS and {right}.__class__ in _NUMBERS"
-                + nonzero
+            return self._typed(
+                ((expr.left, left), (expr.right, right)),
+                f"{left} {token} {right}", unknown, slow,
             )
-        return (
-            f"(None if {left} is None or {right} is None "
-            f"else {left} {token} {right} if {admitted} "
-            f"else {checked}({self.hoist(op)}, {left}, {right}))"
+        nonzero = f" and {right}" if op == "/" else ""
+        admitted = (
+            f"{left}.__class__ in _NUMBERS and {right}.__class__ in _NUMBERS"
+            + nonzero
         )
+        return f"({unknown} else {left} {token} {right} if {admitted} else {slow})"
+
+    def _typed(self, operands: Operands, fast: str, unknown: str, slow: str) -> str:
+        """A comparison's three branches: ``fast`` where its operands are of
+        one class in ``_SCALARS``, else ``unknown`` where one is NULL, else
+        ``slow``.  Beside an operand that is not a literal, a literal's
+        admitted class is hoisted (:func:`_admitted`: tested once per
+        statement, not per row), and a value of that class is no NULL, so
+        the type test goes first."""
+        literal = [isinstance(node, ast.Literal) for node, _name in operands]
+        if all(literal) or not any(literal):
+            classes = " is ".join(f"{name}.__class__" for _node, name in operands)
+            return f"({unknown} else {fast} if {classes} in _SCALARS else {slow})"
+        classes = " is ".join(
+            self.hoist(node.value, _admitted) if is_literal else f"{name}.__class__"
+            for (node, name), is_literal in zip(operands, literal)
+        )
+        return f"({fast} if {classes} else {unknown} else {slow})"
 
     def _logic(self, expr: ast.BinaryOp, decides: str, other: str, word: str) -> str:
         # ``a AND b AND c`` leans left: walk that spine in a loop, so a long
@@ -540,11 +562,11 @@ class _Emitter:
             self.value(expr.expr), self.value(expr.low), self.value(expr.high)
         )
         negation = "not " if expr.negated else ""
-        return (
-            f"(None if {subject} is None or {low} is None or {high} is None "
-            f"else {negation}({low} <= {subject} <= {high} "
-            f"if {subject}.__class__ is {low}.__class__ is {high}.__class__ "
-            f"in _SCALARS else _between({subject}, {low}, {high})))"
+        return self._typed(
+            ((expr.expr, subject), (expr.low, low), (expr.high, high)),
+            f"{negation}({low} <= {subject} <= {high})",
+            f"None if {subject} is None or {low} is None or {high} is None",
+            f"{negation}_between({subject}, {low}, {high})",
         )
 
     def _like(self, expr: ast.Like) -> str:
@@ -556,6 +578,16 @@ class _Emitter:
             f"if {subject}.__class__ is str "
             f"else _like({match}, {subject}, {bool(expr.negated)}))"
         )
+
+
+class _Unadmitted:
+    """The class no value has: what a NULL or ``bool`` literal admits."""
+
+
+def _admitted(value: Any) -> type:
+    """The class a literal admits to a comparison's fast path: its own if
+    it is one of ``_SCALARS``, else none."""
+    return value.__class__ if value.__class__ in _SCALARS else _Unadmitted
 
 
 def _like_matcher(pattern: str) -> Callable[[str], Any]:

@@ -22,20 +22,34 @@ form keeps and raises for the same row with the same message, ``RANDOM()``
 drawing once per row in row order; and a ``row -> tuple`` kernel
 (``compile_row``: a select list, a GROUP BY key) is the tuple of its items'
 kernels, evaluated in the order written.
+
+A comparison or BETWEEN with a literal operand tests the other operands'
+class against the literal's, hoisted once per statement; drawn with a literal
+of every class on either side, it must agree with the oracle in all three
+forms and call its checked helper for exactly the rows it always did.  And
+``SUM``/``AVG`` over values of every class take ints, floats and bools and
+name the first value that is none of them.
 """
 
 import itertools
 import operator
 import re
 from operator import length_hint
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clock import VirtualClock
 from repro.columnar import ColumnBatch, CompileBarrier
 from repro.columnar.kernels import BatchBinding
+from repro.engine.costs import CostModel
+from repro.engine.schema import Column, TableSchema
+from repro.engine.types import INTEGER
 from repro.errors import SqlAnalysisError
 from repro.sql import ast_nodes as ast
+from repro.sql import expressions as compiler
+from repro.sql.executor import Executor
 from repro.sql.expressions import (
     NOW_KEY,
     RANDOM_KEY,
@@ -49,6 +63,7 @@ from repro.sql.expressions import (
     referenced_columns,
     referenced_functions,
 )
+from repro.sql.parser import parse
 
 COMPARE = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -372,6 +387,140 @@ def test_the_loop_form_of_a_predicate_is_its_per_row_form(expr, rows, session):
         # The rows are taken one at a time: what is left says who raised.
         by_loop = type(exc), str(exc), len(rows) - length_hint(pending) - 1
     assert by_loop == expected
+
+
+LITERALS = st.sampled_from([None, *INTS, *FLOATS, *STRINGS, *BOOLS]).map(ast.Literal)
+#: Columns holding one class each, NULL always, and anything.
+ANY_COLUMN = st.sampled_from([ast.ColumnRef(name) for name in "ifsbn"] + [ast.ColumnRef("q", "t")])
+
+
+@st.composite
+def literal_comparisons(draw):
+    """A comparison with a literal of any class on either side, or a BETWEEN
+    with one in any of its three places, against columns of every class."""
+    if draw(st.booleans()):
+        sides = [draw(LITERALS), draw(ANY_COLUMN)]
+        if draw(st.booleans()):
+            sides.reverse()
+        return ast.BinaryOp(draw(st.sampled_from(list(COMPARE))), *sides)
+    parts = [draw(st.one_of(LITERALS, ANY_COLUMN)) for _ in range(3)]
+    parts[draw(st.integers(0, 2))] = draw(LITERALS)
+    return ast.Between(*parts, draw(NEGATED))
+
+
+def fast(operands):
+    """Whether ``operands`` are what a comparison's fast path admits: of
+    one class, and that class ``int``, ``float`` or ``str``."""
+    classes = {type(value) for value in operands}
+    return len(classes) == 1 and classes <= {int, float, str}
+
+
+def assert_as_before_the_hoist(expr, columns, rows):
+    """The row, batch and loop forms of a comparison or BETWEEN over
+    ``rows`` (laid out as ``columns``) against the oracle — value, or error
+    type and message, and in the loop form the row it is raised on — and its
+    checked helper (``_compare`` / ``_between``) called for exactly the rows
+    whose operands are non-NULL and not of one admitted class, as before a
+    literal's class was hoisted."""
+    operands = [expr.left, expr.right] if isinstance(expr, ast.BinaryOp) else [
+        expr.expr, expr.low, expr.high
+    ]
+    helper = "_compare" if isinstance(expr, ast.BinaryOp) else "_between"
+    bind = RowBinding(columns)
+    per_row = compile_expression(expr, bind)
+    batch = ColumnBatch.from_rows([name.rpartition(".")[2] for name in columns], rows)
+    by_batch = compile_expression(expr, BatchBinding(batch.layout, frozenset({"t"})))
+    with mock.patch.object(
+        compiler, helper, wraps=getattr(compiler, helper)
+    ) as checked:
+        for at, row in enumerate(rows):
+            env = dict(zip(columns, row))
+            values = [reference(operand, env) for operand in operands]
+            expected = outcome(lambda: reference(expr, env))
+            for kernel in (lambda: per_row(row), lambda: by_batch(batch.columns, at)):
+                checked.reset_mock()
+                assert outcome(kernel) == expected, (expr, row)
+                assert checked.called == (None not in values and not fast(values)), (
+                    expr, row
+                )
+
+    expected = rows_outcome(rows, lambda row: reference(expr, dict(zip(columns, row))))
+    pending = iter(rows)
+    try:
+        by_loop = compile_page_filter(expr, bind)(pending)
+    except SqlAnalysisError as exc:
+        by_loop = type(exc), str(exc), len(rows) - length_hint(pending) - 1
+    assert by_loop == expected, expr
+
+
+@settings(max_examples=400, deadline=None)
+@given(literal_comparisons(), st.lists(ROWS, min_size=1, max_size=6))
+def test_a_literal_admits_to_the_fast_path_only_its_own_class(expr, rows):
+    assert_as_before_the_hoist(expr, COLUMNS, rows)
+
+
+#: One value of each class a literal or a column value can have.
+ONE_OF_EACH = [None, 3, 1.5, "ab", True]
+
+
+def test_a_literal_of_each_class_meets_a_value_of_each_class():
+    # Every class of literal, in every place, against every class of value
+    # in every other place: no draw has to find the one pairing that matters.
+    x, y = ast.ColumnRef("x"), ast.ColumnRef("y")
+    literals = [ast.Literal(value) for value in ONE_OF_EACH]
+    rows = list(itertools.product(ONE_OF_EACH, repeat=2))
+    for op, literal in itertools.product(COMPARE, literals):
+        assert_as_before_the_hoist(ast.BinaryOp(op, x, literal), ("x", "y"), rows)
+        assert_as_before_the_hoist(ast.BinaryOp(op, literal, x), ("x", "y"), rows)
+    for parts in itertools.product([x, y, *literals], repeat=3):
+        if any(part in literals for part in parts):
+            for negated in (False, True):
+                between = ast.Between(*parts, negated)
+                assert_as_before_the_hoist(between, ("x", "y"), rows)
+
+
+class ValuesSource:
+    """One column ``x`` holding any values, read through the contract of
+    :mod:`repro.sql.source`: the executor's aggregates over values no typed
+    engine column would store."""
+
+    name = "v"
+    schema = TableSchema("v", [Column("x", INTEGER)])
+
+    def __init__(self, values):
+        self.clock, self.costs = VirtualClock(), CostModel()
+        self.rows = [(value,) for value in values]
+
+    def table(self, name):
+        return self
+
+    def scan_values(self, columns, keep=None):
+        return self.rows if keep is None else [self.rows[at] for at in keep(self.rows)]
+
+    def index_on(self, column):
+        return None
+
+
+def aggregate_reference(function, values):
+    values = [value for value in values if value is not None]
+    if not values:
+        return None
+    for value in values:
+        if not number(value):
+            fail(f"aggregate {function} requires a number, got {value!r}")
+    return sum(values) if function == "SUM" else sum(values) / len(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["SUM", "AVG"]),
+    st.lists(st.sampled_from([None, *INTS, *FLOATS, *STRINGS, *BOOLS]), max_size=8),
+)
+def test_sum_and_avg_take_numbers_and_name_the_first_that_is_not(function, values):
+    expected = outcome(lambda: aggregate_reference(function, values))
+    statement = parse(f"SELECT {function}(x) FROM v")
+    got = outcome(lambda: Executor(ValuesSource(values)).execute(statement, None).scalar())
+    assert repr(got) == repr(expected)
 
 
 @settings(max_examples=400, deadline=None)

@@ -12,6 +12,7 @@ draw, so the two clocks start equal and nothing is shared.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -239,20 +240,121 @@ def test_a_filter_that_raises_on_record_k_has_examined_k_records(case, read):
         assert seen == expected
 
 
-@given(
+#: Totals where the per-binade computation of ``advance_each`` has an edge:
+#: anywhere, zero, subnormal or in the lowest binades, and a few ulps short
+#: of a power of two (so that a run crosses into the next binade).
+_STARTS = st.one_of(
     st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-    st.integers(min_value=0, max_value=400),
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.0**-1022, 2.0**-1021, 2.0**-1020]),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.builds(
+        lambda exponent, short: 2.0**exponent - short * math.ulp(2.0**exponent),
+        st.integers(-40, 50),
+        st.integers(1, 200),
+    ),
 )
-@settings(max_examples=300)
-def test_advance_each_is_that_many_advances(start, charge, times):
+
+
+@st.composite
+def _charge_for(draw, start):
+    """A charge aimed at ``start``'s ulp: any, a tie ``(m + 1/2) ulp``, below
+    half an ulp, or a fraction of an ulp off a multiple of it (whose last
+    addition before a binade edge rounds differently on either side)."""
+    ulp = math.ulp(start)
+    off_a_multiple = st.builds(
+        lambda m, f: (m + f) * ulp,
+        st.integers(0, 64),
+        st.sampled_from([0.125, 0.25, 0.375, 0.625, 0.75, 0.875]),
+    )
+    return draw(st.one_of(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        st.integers(0, 16).map(lambda m: (m + 0.5) * ulp),
+        st.floats(min_value=0.0, max_value=0.499).map(lambda f: f * ulp),
+        off_a_multiple,
+        off_a_multiple,
+    ))
+
+
+@st.composite
+def _runs(draw):
+    """A start, a charge and a run length: any, up to 10^5, or the length
+    whose last addition (give or take one) passes the next power of two."""
+    start = draw(_STARTS)
+    charge = draw(_charge_for(start))
+    # How many additions reach the next power of two (if 10^5 or fewer do).
+    edge, total, top = 0, start, 2.0 ** math.frexp(start)[1]
+    while total < top and edge <= 100_000 and charge > 0:
+        total += charge
+        edge += 1
+    times = st.one_of(st.integers(0, 400), st.integers(0, 100_000))
+    if total >= top:
+        aimed = st.integers(max(0, edge - 1), edge + 1)
+        times = st.one_of(aimed, aimed, times)
+    return start, charge, draw(times)
+
+
+def _advances(clock, charge, times):
+    """``times`` calls of ``advance``: what ``advance_each`` must equal."""
+    for _ in range(times):
+        clock.advance(charge)
+    return clock.now
+
+
+@given(_runs())
+@settings(max_examples=300, deadline=None)
+def test_advance_each_is_that_many_advances(run):
+    start, charge, times = run
     one_by_one, at_once = VirtualClock(), VirtualClock()
     for clock in (one_by_one, at_once):
         clock.advance(start)
-    for _ in range(times):
-        one_by_one.advance(charge)
-    assert repr(at_once.advance_each(charge, times)) == repr(one_by_one.now)
-    assert repr(at_once.now) == repr(one_by_one.now)
+    expected = _advances(one_by_one, charge, times)
+    assert repr(at_once.advance_each(charge, times)) == repr(expected)
+    assert repr(at_once.now) == repr(expected)
+
+
+def test_advance_each_across_a_binade_edge():
+    # Every run that ends one addition short of, at, or one past the first
+    # addition reaching a power of two, from a few ulps below it, with a
+    # charge a fraction of an ulp off a multiple: where the last addition
+    # rounds on the coarser grid above the edge.  A draw finds few of these.
+    top = 1024.0
+    for short, m, f in itertools.product(
+        range(1, 40), range(1, 12), (0.125, 0.25, 0.375, 0.625, 0.75, 0.875)
+    ):
+        start = top - short * math.ulp(top)
+        charge = (m + f) * math.ulp(start)
+        edge, total = 0, start
+        while total < top:
+            total += charge
+            edge += 1
+        for times in (edge - 1, edge, edge + 1):
+            one_by_one, at_once = VirtualClock(), VirtualClock()
+            for clock in (one_by_one, at_once):
+                clock.advance(start)
+            expected = _advances(one_by_one, charge, times)
+            assert repr(at_once.advance_each(charge, times)) == repr(expected), (
+                short, m, f, times
+            )
+
+
+@given(
+    _STARTS,
+    st.lists(
+        st.floats(min_value=0.0, max_value=1e-2, allow_nan=False), min_size=1, max_size=3
+    ),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3_000)), max_size=25),
+)
+@settings(max_examples=200, deadline=None)
+def test_advance_each_on_one_clock_is_that_many_advances(start, charges, runs):
+    # One clock, charges repeated and interleaved: the kept (x, top, step)
+    # is met again after the total has left its binade, and under another x.
+    one_by_one, at_once = VirtualClock(), VirtualClock()
+    for clock in (one_by_one, at_once):
+        clock.advance(start)
+    for which, times in runs:
+        charge = charges[which % len(charges)]
+        expected = _advances(one_by_one, charge, times)
+        assert repr(at_once.advance_each(charge, times)) == repr(expected)
 
 
 def test_advance_each_is_not_one_addition_of_the_product():

@@ -502,6 +502,45 @@ class TestRowLayoutAndLazyDiagnostics:
             "SELECT l.v FROM l JOIN r ON l.id = r.id WHERE v = 222"
         ) == [(20,)]
 
+    @staticmethod
+    def _fact_and_dimension(session):
+        """``f`` and ``d`` share the bare name ``name``; returns their join."""
+        session.execute(
+            "CREATE TABLE f (id INTEGER PRIMARY KEY, name CHAR(8), sid INTEGER, "
+            "q INTEGER)"
+        )
+        session.execute("CREATE TABLE d (sid INTEGER PRIMARY KEY, name CHAR(8))")
+        session.execute(
+            "INSERT INTO f VALUES (1, 'a', 1, 5), (2, 'b', 2, 7), (3, 'c', 1, 9)"
+        )
+        session.execute("INSERT INTO d VALUES (1, 'y'), (2, 'x')")
+        return "FROM f JOIN d ON f.sid = d.sid"
+
+    def test_a_qualified_grouping_column_is_the_column_it_names(self, session):
+        # Matched by bare name, GROUP BY f.name used to answer under d.name.
+        join = self._fact_and_dimension(session)
+        with pytest.raises(SqlAnalysisError, match="'d.name' must appear in GROUP BY"):
+            session.query(f"SELECT d.name, COUNT(*) {join} GROUP BY f.name")
+        assert session.query(
+            f"SELECT d.name, f.name, COUNT(*), SUM(q) {join} GROUP BY f.name, d.name"
+        ) == [("y", "a", 1, 5), ("x", "b", 1, 7), ("y", "c", 1, 9)]
+        assert session.query(f"SELECT name, COUNT(*) {join} GROUP BY d.name") == [
+            ("y", 2), ("x", 1)
+        ]
+
+    def test_a_qualified_sort_column_is_the_column_it_names(self, session):
+        # Matched by bare name, ORDER BY d.name used to sort by f.name.
+        join = self._fact_and_dimension(session)
+        assert session.query(f"SELECT f.name, d.name {join} ORDER BY d.name") == [
+            ("b", "x"), ("a", "y"), ("c", "y")
+        ]
+        assert session.query(f"SELECT f.name, d.name {join} ORDER BY f.name DESC") == [
+            ("c", "y"), ("b", "x"), ("a", "y")
+        ]
+        assert session.query(
+            f"SELECT d.name, COUNT(*) {join} GROUP BY d.name ORDER BY d.name"
+        ) == [("x", 1), ("y", 2)]
+
     def test_star_over_a_join_is_base_columns_then_joined_columns(self, session):
         result = session.execute(
             "SELECT * FROM parts p JOIN suppliers s "
