@@ -34,12 +34,13 @@ from .certify import (
     InterferenceSanitizer,
     LaneSchedule,
     RaceFinding,
-    ScheduleCertifier,
     lpt_schedule,
     plant_lane_swap,
     single_lane_schedule,
+    verify_compaction,
 )
 from .conflict import (
+    CommutationRecord,
     ConflictGraph,
     build_conflict_graph,
     parallel_order,
@@ -82,12 +83,13 @@ __all__ = [
     "InterferenceSanitizer",
     "LaneSchedule",
     "RaceFinding",
-    "ScheduleCertifier",
     "lpt_schedule",
     "plant_lane_swap",
     "single_lane_schedule",
+    "verify_compaction",
     "op_footprint",
     "pin_time_functions",
+    "CommutationRecord",
     "ConflictGraph",
     "build_conflict_graph",
     "parallel_order",

@@ -13,7 +13,8 @@ answers the three questions the downstream layers ask:
   the integrator skips the statement.)
 * *Does this transaction conflict with that one?*  (:meth:`OpDeltaAnalyzer.
   conflict_graph`: one :func:`~repro.analysis.safety.commutes` verdict per
-  op pair of the window, under this analyzer's catalogs.)
+  op pair of the window, under this analyzer's catalogs; every other judge
+  of op reordering reads an :meth:`OpDeltaAnalyzer.record` of its own.)
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..obs.metrics import NULL_REGISTRY, MetricsLike
 from ..scope import Scope
 from ..sql import ast_nodes as ast
 from ..sql.templates import shaped
-from .conflict import ConflictGraph, build_conflict_graph
+from .conflict import CommutationRecord, ConflictGraph, build_conflict_graph
 from .relevance import RelevanceVerdict, settle_relevance, shape_relevance
 from .rwsets import StatementFootprint, extract_footprint
 from .safety import Determinism, is_idempotent
@@ -155,14 +156,22 @@ class OpDeltaAnalyzer:
         return self.analyze_statement(op.statement)
 
     # -------------------------------------------------------------- actions
+    def record(self) -> CommutationRecord:
+        """A fresh commutation record proving under this analyzer's catalogs.
+
+        Every judge of op reordering reads one per window it judges (see
+        :class:`~repro.analysis.conflict.CommutationRecord`).
+        """
+        return CommutationRecord(self, structural=True)
+
     def conflict_graph(
-        self, groups: Sequence[OpDeltaTransaction]
+        self, groups: Sequence[OpDeltaTransaction], structural: bool = True
     ) -> ConflictGraph:
-        """The conflict graph of a drained batch (see :mod:`.conflict`)."""
+        """The conflict graph of a drained batch (see :mod:`.conflict`).
+
+        ``structural=False`` proves without the structural widening, which
+        is how the certify pass measures the parallelism the widening buys.
+        """
         return build_conflict_graph(
-            groups,
-            table_columns=self.table_columns or None,
-            key_columns=self.key_columns or None,
-            views=self.views,
-            metrics=self.metrics,
+            groups, CommutationRecord(self, structural=structural)
         )

@@ -1,8 +1,8 @@
 """Static serializability proofs for proposed parallel schedules.
 
-The certifier takes a window of captured transactions, the conflict graph
-that scheduling was based on, and a proposed :class:`LaneSchedule`.  It
-reads every pairwise verdict from the graph's
+:func:`certify` takes a window of captured transactions, the conflict
+graph that scheduling was based on, and a proposed :class:`LaneSchedule`.
+It reads every pairwise verdict from the graph's
 :class:`~repro.analysis.conflict.CommutationRecord` — the one ``commutes``
 proof per op pair the graph's edges were drawn from, proved there on first
 read when the graph never asked — and never reads the graph's edges or
@@ -30,11 +30,9 @@ differs from the serial order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from ...core.opdelta import OpDelta, OpDeltaTransaction
-from ...obs.context import ambient_metrics
-from ...obs.metrics import NULL_REGISTRY, MetricsLike
 from ..conflict import CommutationRecord, ConflictGraph
 from ..safety import Determinism, statement_determinism
 from .schedule import LaneSchedule
@@ -136,428 +134,391 @@ def _is_barrier(op: OpDelta) -> bool:
     return statement_determinism(op.statement) is not Determinism.DETERMINISTIC
 
 
-class ScheduleCertifier:
-    """Prove a proposed lane assignment serializable — or refute it.
+def certify(
+    groups: Sequence[OpDeltaTransaction],
+    graph: ConflictGraph,
+    schedule: LaneSchedule,
+) -> Certificate:
+    """Statically prove ``schedule`` equivalent to the serial order.
 
-    :meth:`certify` judges under the catalogs and ``structural`` setting
-    the conflict graph was built with: it reads the graph's record.  The
-    catalogs given here are what :meth:`verify_compaction` builds its own
-    record with, and must match the graph's (:meth:`for_analyzer` copies
-    them off an ``OpDeltaAnalyzer``): a certifier running *blinder* than
-    the scheduler would reject safe reorderings it merely cannot see the
-    safety of.  It needs no view catalog: an obligation that passes the
-    barrier check moves no op with a before image, and an op without one
-    is rewritten onto every view it reaches (or fails to apply in any
-    order), so no view tells two such DELETEs apart.
+    Every verdict is read from ``graph.record``, under the catalogs and
+    the ``structural`` setting the graph was built with; the graph's
+    edges and components are never read.
     """
-
-    def __init__(
-        self,
-        *,
-        key_columns: Mapping[str, str] | None = None,
-        table_columns: Mapping[str, Sequence[str]] | None = None,
-        metrics: MetricsLike | None = None,
-    ) -> None:
-        self._key_columns = key_columns
-        self._table_columns = table_columns
-        self._metrics = metrics
-
-    @classmethod
-    def for_analyzer(cls, analyzer: Any) -> "ScheduleCertifier":
-        """A certifier sharing the analyzer's catalogs (and metrics)."""
-        return cls(
-            key_columns=analyzer.key_columns or None,
-            table_columns=analyzer.table_columns or None,
-            metrics=analyzer.metrics,
-        )
-
-    def _registry(self) -> MetricsLike:
-        if self._metrics is not None:
-            return self._metrics
-        return ambient_metrics() or NULL_REGISTRY
-
-    # -- certification ------------------------------------------------
-
-    def certify(
-        self,
-        groups: Sequence[OpDeltaTransaction],
-        graph: ConflictGraph,
-        schedule: LaneSchedule,
-    ) -> Certificate:
-        """Statically prove ``schedule`` equivalent to the serial order."""
-        groups = list(groups)
-        record = graph.record
-        findings = self._check_coverage(groups, graph, schedule)
-        pairs_checked = 0
-        conflicting = 0
-        # Source order is the window order: capture commits transactions
-        # in serial order, so groups[i] precedes groups[j] at the source
-        # whenever i < j.
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                pairs_checked += 1
-                witness_pair = record.conflict(groups[i], groups[j])
-                if witness_pair is None:
-                    continue
-                conflicting += 1
-                findings.extend(
-                    self._check_conflicting_pair(
-                        groups[i], groups[j], witness_pair, groups, schedule
-                    )
-                )
-
-        reorder_checks = 0
-        for group in groups:
-            checked, reorder_findings = self._check_group_order(group, record)
-            reorder_checks += checked
-            findings.extend(reorder_findings)
-
-        certificate = Certificate(
-            lanes=schedule.lane_count,
-            transactions=len(groups),
-            operations=sum(len(g.operations) for g in groups),
-            pairs_checked=pairs_checked,
-            conflicting_pairs=conflicting,
-            reorder_checks=reorder_checks,
-            findings=tuple(findings),
-        )
-        registry = self._registry()
-        registry.counter("analysis.certify.schedules_checked").inc()
-        if certificate.findings:
-            registry.counter("analysis.certify.findings_raised").inc(
-                len(certificate.findings)
-            )
-        return certificate
-
-    # -- individual obligations ---------------------------------------
-
-    def _check_coverage(
-        self,
-        groups: Sequence[OpDeltaTransaction],
-        graph: ConflictGraph,
-        schedule: LaneSchedule,
-    ) -> list[RaceFinding]:
-        findings: list[RaceFinding] = []
-        window_ids = [g.txn_id for g in groups]
-        scheduled = list(schedule.transaction_ids)
-        table = groups[0].operations[0].table if groups and groups[0].operations else ""
-
-        def coverage_finding(code: str, txn_id: int, message: str) -> RaceFinding:
-            return RaceFinding(
-                code=code,
-                message=message,
-                table=table or "",
-                txn_a=txn_id,
-                txn_b=txn_id,
-                op_a=f"txn{txn_id}",
-                op_b=f"txn{txn_id}",
-            )
-
-        for txn_id in window_ids:
-            if txn_id not in scheduled:
-                findings.append(
-                    coverage_finding(
-                        "RACE005",
-                        txn_id,
-                        f"transaction {txn_id} is in the window but "
-                        "missing from the schedule",
-                    )
-                )
-        seen: set[int] = set()
-        for txn_id in scheduled:
-            if txn_id in seen:
-                findings.append(
-                    coverage_finding(
-                        "RACE005",
-                        txn_id,
-                        f"transaction {txn_id} is scheduled more than once",
-                    )
-                )
-            seen.add(txn_id)
-            if txn_id not in window_ids:
-                findings.append(
-                    coverage_finding(
-                        "RACE005",
-                        txn_id,
-                        f"scheduled transaction {txn_id} is not in the "
-                        "window",
-                    )
-                )
-            if txn_id not in graph.txn_ids:
-                findings.append(
-                    coverage_finding(
-                        "RACE006",
-                        txn_id,
-                        f"scheduled transaction {txn_id} is outside the "
-                        "conflict graph — its conflicts were never "
-                        "analyzed",
-                    )
-                )
-        return findings
-
-    def _check_conflicting_pair(
-        self,
-        early: OpDeltaTransaction,
-        late: OpDeltaTransaction,
-        witness_pair: tuple[OpDelta, OpDelta],
-        groups: Sequence[OpDeltaTransaction],
-        schedule: LaneSchedule,
-    ) -> list[RaceFinding]:
-        op_a, op_b = witness_pair
-        pos_a = schedule.position_of(early.txn_id)
-        pos_b = schedule.position_of(late.txn_id)
-        if pos_a is None or pos_b is None:
-            return []  # already reported as RACE005
-        lane_a, slot_a = pos_a
-        lane_b, slot_b = pos_b
-        if lane_a != lane_b:
-            witness = self._witness_interleaving(
-                groups, schedule, late, op_b, op_a
-            )
-            return [
-                RaceFinding(
-                    code="RACE001",
-                    message=(
-                        f"conflicting transactions {early.txn_id} and "
-                        f"{late.txn_id} run on different lanes with no "
-                        "ordering between them; the non-commuting pair "
-                        "can execute in inverted source order"
-                    ),
-                    table=op_a.table or "",
-                    txn_a=early.txn_id,
-                    txn_b=late.txn_id,
-                    op_a=correlation_id(op_a),
-                    op_b=correlation_id(op_b),
-                    lane_a=lane_a,
-                    lane_b=lane_b,
-                    witness=witness,
-                )
-            ]
-        if slot_b < slot_a:
-            lane_ops = self._lane_witness(
-                groups, schedule.lanes[lane_a], late.txn_id, early.txn_id
-            )
-            return [
-                RaceFinding(
-                    code="RACE002",
-                    message=(
-                        f"conflicting transactions {early.txn_id} and "
-                        f"{late.txn_id} share lane {lane_a} but in "
-                        "inverted source order"
-                    ),
-                    table=op_a.table or "",
-                    txn_a=early.txn_id,
-                    txn_b=late.txn_id,
-                    op_a=correlation_id(op_a),
-                    op_b=correlation_id(op_b),
-                    lane_a=lane_a,
-                    lane_b=lane_a,
-                    witness=lane_ops,
-                )
-            ]
-        return []
-
-    def _witness_interleaving(
-        self,
-        groups: Sequence[OpDeltaTransaction],
-        schedule: LaneSchedule,
-        late: OpDeltaTransaction,
-        op_late: OpDelta,
-        op_early: OpDelta,
-    ) -> tuple[str, ...]:
-        """An admitted op order executing ``op_late`` before ``op_early``.
-
-        Lanes are unsynchronised, so "run ``late``'s lane up to and
-        including the offending op, then the early op" is always
-        admitted by the schedule — and differs from the serial order.
-        """
-        by_id = {g.txn_id: g for g in groups}
-        lane_index = schedule.lane_of(late.txn_id)
-        ids: list[str] = []
-        if lane_index is not None:
-            for txn_id in schedule.lanes[lane_index]:
-                group = by_id.get(txn_id)
-                if group is None:
-                    continue
-                for op in group.operations:
-                    ids.append(correlation_id(op))
-                    if (
-                        txn_id == late.txn_id
-                        and op.sequence == op_late.sequence
-                    ):
-                        break
-                if txn_id == late.txn_id:
-                    break
-        ids.append(correlation_id(op_early))
-        return tuple(ids)
-
-    def _lane_witness(
-        self,
-        groups: Sequence[OpDeltaTransaction],
-        lane: Sequence[int],
-        first_id: int,
-        second_id: int,
-    ) -> tuple[str, ...]:
-        """The lane's own op order from ``first_id`` through ``second_id``."""
-        by_id = {g.txn_id: g for g in groups}
-        ids: list[str] = []
-        active = False
-        for txn_id in lane:
-            if txn_id == first_id:
-                active = True
-            if active:
-                group = by_id.get(txn_id)
-                if group is not None:
-                    ids.extend(correlation_id(op) for op in group.operations)
-            if txn_id == second_id:
-                break
-        return tuple(ids)
-
-    def _check_group_order(
-        self,
-        group: OpDeltaTransaction,
-        record: CommutationRecord,
-    ) -> tuple[int, list[RaceFinding]]:
-        """Verify in-group op reorderings: proofs present, barriers kept."""
-        findings: list[RaceFinding] = []
-        checked = 0
-        ops = group.operations
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if ops[i].sequence <= ops[j].sequence:
-                    continue  # capture order preserved
-                checked += 1
-                if _is_barrier(ops[i]) or _is_barrier(ops[j]):
-                    findings.append(
-                        RaceFinding(
-                            code="RACE004",
-                            message=(
-                                "a compaction barrier (non-deterministic "
-                                "or hybrid op) was moved relative to "
-                                "its neighbours; barriers must keep "
-                                "exact capture order"
-                            ),
-                            table=ops[i].table or "",
-                            txn_a=group.txn_id,
-                            txn_b=group.txn_id,
-                            op_a=correlation_id(ops[i]),
-                            op_b=correlation_id(ops[j]),
-                        )
-                    )
-                elif not record.commute(ops[i], ops[j]):
-                    findings.append(
-                        RaceFinding(
-                            code="RACE003",
-                            message=(
-                                "in-group operations were reordered "
-                                "against capture sequence without a "
-                                "commutativity proof"
-                            ),
-                            table=ops[i].table or "",
-                            txn_a=group.txn_id,
-                            txn_b=group.txn_id,
-                            op_a=correlation_id(ops[i]),
-                            op_b=correlation_id(ops[j]),
-                        )
-                    )
-        return checked, findings
-
-    # -- compaction obligations ---------------------------------------
-
-    def verify_compaction(
-        self,
-        groups: Sequence[OpDeltaTransaction],
-        obligations: Iterable[Any],
-    ) -> Certificate:
-        """Re-prove every coalescer reordering against the original window.
-
-        ``obligations`` are the ``reorder_obligations`` a
-        :class:`~repro.compaction.report.CompactionReport` collected: each
-        records that a combining statement's effect commuted past an
-        intervening op.  The certifier re-derives each proof from the
-        *uncompacted* groups, in a record of its own over that window; a
-        failed proof means the compactor reordered something it should not
-        have.
-        """
-        groups = list(groups)
-        record = CommutationRecord(
-            key_columns=self._key_columns, table_columns=self._table_columns
-        )
-        ops_by_key: dict[tuple[int, int], OpDelta] = {
-            (group.txn_id, op.sequence): op
-            for group in groups
-            for op in group.operations
-        }
-        findings: list[RaceFinding] = []
-        checked = 0
-        for obligation in obligations:
-            checked += 1
-            moved = ops_by_key.get(
-                (obligation.txn_id, obligation.moved_sequence)
-            )
-            over = ops_by_key.get(
-                (obligation.txn_id, obligation.over_sequence)
-            )
-            if moved is None or over is None:
-                findings.append(
-                    RaceFinding(
-                        code="RACE005",
-                        message=(
-                            "reorder obligation references an op the "
-                            "window does not contain"
-                        ),
-                        table=obligation.table,
-                        txn_a=obligation.txn_id,
-                        txn_b=obligation.txn_id,
-                        op_a=obligation.moved,
-                        op_b=obligation.over,
-                    )
-                )
+    groups = list(groups)
+    record = graph.record
+    findings = _check_coverage(groups, graph, schedule)
+    pairs_checked = 0
+    conflicting = 0
+    # Source order is the window order: capture commits transactions
+    # in serial order, so groups[i] precedes groups[j] at the source
+    # whenever i < j.
+    for i in range(len(groups)):
+        for j in range(i + 1, len(groups)):
+            pairs_checked += 1
+            witness_pair = record.conflict(groups[i], groups[j])
+            if witness_pair is None:
                 continue
-            if _is_barrier(moved) or _is_barrier(over):
+            conflicting += 1
+            findings.extend(
+                _check_conflicting_pair(
+                    groups[i], groups[j], witness_pair, groups, schedule
+                )
+            )
+
+    reorder_checks = 0
+    for group in groups:
+        checked, reorder_findings = _check_group_order(group, record)
+        reorder_checks += checked
+        findings.extend(reorder_findings)
+
+    certificate = Certificate(
+        lanes=schedule.lane_count,
+        transactions=len(groups),
+        operations=sum(len(g.operations) for g in groups),
+        pairs_checked=pairs_checked,
+        conflicting_pairs=conflicting,
+        reorder_checks=reorder_checks,
+        findings=tuple(findings),
+    )
+    registry = record.metrics
+    registry.counter("analysis.certify.schedules_checked").inc()
+    if certificate.findings:
+        registry.counter("analysis.certify.findings_raised").inc(
+            len(certificate.findings)
+        )
+    return certificate
+
+
+# -- individual obligations ---------------------------------------
+
+
+def _check_coverage(
+    groups: Sequence[OpDeltaTransaction],
+    graph: ConflictGraph,
+    schedule: LaneSchedule,
+) -> list[RaceFinding]:
+    findings: list[RaceFinding] = []
+    window_ids = [g.txn_id for g in groups]
+    scheduled = list(schedule.transaction_ids)
+    table = groups[0].operations[0].table if groups and groups[0].operations else ""
+
+    def coverage_finding(code: str, txn_id: int, message: str) -> RaceFinding:
+        return RaceFinding(
+            code=code,
+            message=message,
+            table=table or "",
+            txn_a=txn_id,
+            txn_b=txn_id,
+            op_a=f"txn{txn_id}",
+            op_b=f"txn{txn_id}",
+        )
+
+    for txn_id in window_ids:
+        if txn_id not in scheduled:
+            findings.append(
+                coverage_finding(
+                    "RACE005",
+                    txn_id,
+                    f"transaction {txn_id} is in the window but "
+                    "missing from the schedule",
+                )
+            )
+    seen: set[int] = set()
+    for txn_id in scheduled:
+        if txn_id in seen:
+            findings.append(
+                coverage_finding(
+                    "RACE005",
+                    txn_id,
+                    f"transaction {txn_id} is scheduled more than once",
+                )
+            )
+        seen.add(txn_id)
+        if txn_id not in window_ids:
+            findings.append(
+                coverage_finding(
+                    "RACE005",
+                    txn_id,
+                    f"scheduled transaction {txn_id} is not in the "
+                    "window",
+                )
+            )
+        if txn_id not in graph.txn_ids:
+            findings.append(
+                coverage_finding(
+                    "RACE006",
+                    txn_id,
+                    f"scheduled transaction {txn_id} is outside the "
+                    "conflict graph — its conflicts were never "
+                    "analyzed",
+                )
+            )
+    return findings
+
+
+def _check_conflicting_pair(
+    early: OpDeltaTransaction,
+    late: OpDeltaTransaction,
+    witness_pair: tuple[OpDelta, OpDelta],
+    groups: Sequence[OpDeltaTransaction],
+    schedule: LaneSchedule,
+) -> list[RaceFinding]:
+    op_a, op_b = witness_pair
+    pos_a = schedule.position_of(early.txn_id)
+    pos_b = schedule.position_of(late.txn_id)
+    if pos_a is None or pos_b is None:
+        return []  # already reported as RACE005
+    lane_a, slot_a = pos_a
+    lane_b, slot_b = pos_b
+    if lane_a != lane_b:
+        witness = _witness_interleaving(
+            groups, schedule, late, op_b, op_a
+        )
+        return [
+            RaceFinding(
+                code="RACE001",
+                message=(
+                    f"conflicting transactions {early.txn_id} and "
+                    f"{late.txn_id} run on different lanes with no "
+                    "ordering between them; the non-commuting pair "
+                    "can execute in inverted source order"
+                ),
+                table=op_a.table or "",
+                txn_a=early.txn_id,
+                txn_b=late.txn_id,
+                op_a=correlation_id(op_a),
+                op_b=correlation_id(op_b),
+                lane_a=lane_a,
+                lane_b=lane_b,
+                witness=witness,
+            )
+        ]
+    if slot_b < slot_a:
+        lane_ops = _lane_witness(
+            groups, schedule.lanes[lane_a], late.txn_id, early.txn_id
+        )
+        return [
+            RaceFinding(
+                code="RACE002",
+                message=(
+                    f"conflicting transactions {early.txn_id} and "
+                    f"{late.txn_id} share lane {lane_a} but in "
+                    "inverted source order"
+                ),
+                table=op_a.table or "",
+                txn_a=early.txn_id,
+                txn_b=late.txn_id,
+                op_a=correlation_id(op_a),
+                op_b=correlation_id(op_b),
+                lane_a=lane_a,
+                lane_b=lane_a,
+                witness=lane_ops,
+            )
+        ]
+    return []
+
+
+def _witness_interleaving(
+    groups: Sequence[OpDeltaTransaction],
+    schedule: LaneSchedule,
+    late: OpDeltaTransaction,
+    op_late: OpDelta,
+    op_early: OpDelta,
+) -> tuple[str, ...]:
+    """An admitted op order executing ``op_late`` before ``op_early``.
+
+    Lanes are unsynchronised, so "run ``late``'s lane up to and
+    including the offending op, then the early op" is always
+    admitted by the schedule — and differs from the serial order.
+    """
+    by_id = {g.txn_id: g for g in groups}
+    lane_index = schedule.lane_of(late.txn_id)
+    ids: list[str] = []
+    if lane_index is not None:
+        for txn_id in schedule.lanes[lane_index]:
+            group = by_id.get(txn_id)
+            if group is None:
+                continue
+            for op in group.operations:
+                ids.append(correlation_id(op))
+                if (
+                    txn_id == late.txn_id
+                    and op.sequence == op_late.sequence
+                ):
+                    break
+            if txn_id == late.txn_id:
+                break
+    ids.append(correlation_id(op_early))
+    return tuple(ids)
+
+
+def _lane_witness(
+    groups: Sequence[OpDeltaTransaction],
+    lane: Sequence[int],
+    first_id: int,
+    second_id: int,
+) -> tuple[str, ...]:
+    """The lane's own op order from ``first_id`` through ``second_id``."""
+    by_id = {g.txn_id: g for g in groups}
+    ids: list[str] = []
+    active = False
+    for txn_id in lane:
+        if txn_id == first_id:
+            active = True
+        if active:
+            group = by_id.get(txn_id)
+            if group is not None:
+                ids.extend(correlation_id(op) for op in group.operations)
+        if txn_id == second_id:
+            break
+    return tuple(ids)
+
+
+def _check_group_order(
+    group: OpDeltaTransaction,
+    record: CommutationRecord,
+) -> tuple[int, list[RaceFinding]]:
+    """Verify in-group op reorderings: proofs present, barriers kept."""
+    findings: list[RaceFinding] = []
+    checked = 0
+    ops = group.operations
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            if ops[i].sequence <= ops[j].sequence:
+                continue  # capture order preserved
+            checked += 1
+            if _is_barrier(ops[i]) or _is_barrier(ops[j]):
                 findings.append(
                     RaceFinding(
                         code="RACE004",
                         message=(
-                            "the coalescer moved an effect across a "
-                            "compaction barrier"
+                            "a compaction barrier (non-deterministic "
+                            "or hybrid op) was moved relative to "
+                            "its neighbours; barriers must keep "
+                            "exact capture order"
                         ),
-                        table=obligation.table,
-                        txn_a=obligation.txn_id,
-                        txn_b=obligation.txn_id,
-                        op_a=correlation_id(moved),
-                        op_b=correlation_id(over),
+                        table=ops[i].table or "",
+                        txn_a=group.txn_id,
+                        txn_b=group.txn_id,
+                        op_a=correlation_id(ops[i]),
+                        op_b=correlation_id(ops[j]),
                     )
                 )
-                continue
-            if not record.commute(moved, over):
+            elif not record.commute(ops[i], ops[j]):
                 findings.append(
                     RaceFinding(
                         code="RACE003",
                         message=(
-                            "coalescer reordering is not backed by a "
+                            "in-group operations were reordered "
+                            "against capture sequence without a "
                             "commutativity proof"
                         ),
-                        table=obligation.table,
-                        txn_a=obligation.txn_id,
-                        txn_b=obligation.txn_id,
-                        op_a=correlation_id(moved),
-                        op_b=correlation_id(over),
+                        table=ops[i].table or "",
+                        txn_a=group.txn_id,
+                        txn_b=group.txn_id,
+                        op_a=correlation_id(ops[i]),
+                        op_b=correlation_id(ops[j]),
                     )
                 )
-        certificate = Certificate(
-            lanes=0,
-            transactions=len(groups),
-            operations=len(ops_by_key),
-            pairs_checked=checked,
-            conflicting_pairs=len(findings),
-            reorder_checks=checked,
-            findings=tuple(findings),
+    return checked, findings
+
+
+# -- compaction obligations ---------------------------------------
+
+
+def verify_compaction(
+    groups: Sequence[OpDeltaTransaction],
+    obligations: Iterable[Any],
+    record: CommutationRecord,
+) -> Certificate:
+    """Re-prove every coalescer reordering against the original window.
+
+    ``obligations`` are the ``reorder_obligations`` a
+    :class:`~repro.compaction.report.CompactionReport` collected: each
+    records that a combining statement's effect commuted past an
+    intervening op.  Each proof is re-derived from the *uncompacted*
+    groups, read from ``record`` — one the analyzer made for this window
+    (:meth:`~repro.analysis.analyzer.OpDeltaAnalyzer.record`), not the
+    coalescer's; a failed proof means the compactor reordered something it
+    should not have.
+    """
+    groups = list(groups)
+    ops_by_key: dict[tuple[int, int], OpDelta] = {
+        (group.txn_id, op.sequence): op
+        for group in groups
+        for op in group.operations
+    }
+    findings: list[RaceFinding] = []
+    checked = 0
+    for obligation in obligations:
+        checked += 1
+        moved = ops_by_key.get(
+            (obligation.txn_id, obligation.moved_sequence)
         )
-        registry = self._registry()
-        registry.counter("analysis.certify.obligations_checked").inc(checked)
-        if findings:
-            registry.counter("analysis.certify.findings_raised").inc(
-                len(findings)
+        over = ops_by_key.get(
+            (obligation.txn_id, obligation.over_sequence)
+        )
+        if moved is None or over is None:
+            findings.append(
+                RaceFinding(
+                    code="RACE005",
+                    message=(
+                        "reorder obligation references an op the "
+                        "window does not contain"
+                    ),
+                    table=obligation.table,
+                    txn_a=obligation.txn_id,
+                    txn_b=obligation.txn_id,
+                    op_a=obligation.moved,
+                    op_b=obligation.over,
+                )
             )
-        return certificate
+            continue
+        if _is_barrier(moved) or _is_barrier(over):
+            findings.append(
+                RaceFinding(
+                    code="RACE004",
+                    message=(
+                        "the coalescer moved an effect across a "
+                        "compaction barrier"
+                    ),
+                    table=obligation.table,
+                    txn_a=obligation.txn_id,
+                    txn_b=obligation.txn_id,
+                    op_a=correlation_id(moved),
+                    op_b=correlation_id(over),
+                )
+            )
+            continue
+        if not record.commute(moved, over):
+            findings.append(
+                RaceFinding(
+                    code="RACE003",
+                    message=(
+                        "coalescer reordering is not backed by a "
+                        "commutativity proof"
+                    ),
+                    table=obligation.table,
+                    txn_a=obligation.txn_id,
+                    txn_b=obligation.txn_id,
+                    op_a=correlation_id(moved),
+                    op_b=correlation_id(over),
+                )
+            )
+    certificate = Certificate(
+        lanes=0,
+        transactions=len(groups),
+        operations=len(ops_by_key),
+        pairs_checked=checked,
+        conflicting_pairs=len(findings),
+        reorder_checks=checked,
+        findings=tuple(findings),
+    )
+    registry = record.metrics
+    registry.counter("analysis.certify.obligations_checked").inc(checked)
+    if findings:
+        registry.counter("analysis.certify.findings_raised").inc(
+            len(findings)
+        )
+    return certificate

@@ -24,12 +24,12 @@ sets cannot be proven disjoint are treated as overlapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ...core.opdelta import OpDelta, OpDeltaTransaction
 from ...obs.pipeline.context import ambient_pipeline
+from ..conflict import CommutationRecord
 from ..rwsets import StatementFootprint
-from ..safety import commutes, op_footprint
 from .certifier import RaceFinding, correlation_id
 from .schedule import LaneSchedule
 
@@ -78,29 +78,19 @@ class InterferenceSanitizer:
     in the order the operations actually run.  Accesses on the same lane
     are ordered by the lane; accesses on different lanes are concurrent,
     and conflicting pairs are races.
+
+    Footprints and commutation verdicts come from ``record`` (an
+    :meth:`~repro.analysis.analyzer.OpDeltaAnalyzer.record` of its own),
+    so the sanitizer judges a pair exactly as the static certifier reading
+    the same analyzer's conflict graph does.
     """
 
-    def __init__(
-        self,
-        lanes: int,
-        *,
-        key_columns: Mapping[str, str] | None = None,
-        table_columns: Mapping[str, Sequence[str]] | None = None,
-    ) -> None:
+    def __init__(self, lanes: int, record: CommutationRecord) -> None:
         self._lanes = lanes
-        self._key_columns = key_columns
-        self._table_columns = table_columns
+        self._record = record
         self._accesses: list[_Access] = []
         self._seen_pairs: set[tuple[str, str]] = set()
         self._findings: list[RaceFinding] = []
-
-    @classmethod
-    def for_analyzer(cls, lanes: int, analyzer: object) -> "InterferenceSanitizer":
-        return cls(
-            lanes,
-            key_columns=getattr(analyzer, "key_columns", None) or None,
-            table_columns=getattr(analyzer, "table_columns", None) or None,
-        )
 
     @property
     def findings(self) -> tuple[RaceFinding, ...]:
@@ -116,7 +106,7 @@ class InterferenceSanitizer:
         """Record one applied operation and check it against history."""
         if not 0 <= lane < self._lanes:
             lane = lane % self._lanes if self._lanes else 0
-        footprint = op_footprint(op, self._table_columns)
+        footprint = self._record.footprint(op)
         access = _Access(lane=lane, op=op, footprint=footprint, at_ms=at_ms)
         for prior in self._accesses:
             if prior.lane != lane:  # same-lane accesses are program-ordered
@@ -126,21 +116,23 @@ class InterferenceSanitizer:
     # -- race classification ------------------------------------------
 
     def _check_pair(self, prior: _Access, current: _Access) -> None:
-        fp_a, fp_b = prior.footprint, current.footprint
-        if fp_a.table != fp_b.table:
-            return
         # Unordered accesses that provably commute are not races: the
-        # final state is the same whichever lane wins.  This keeps the
-        # dynamic verdict aligned with the static certifier — a race is
-        # an unordered *conflicting* access.  The prover is the sole
-        # gate: row-disjoint pairs normally commute, and when the prover
-        # still refuses (an INSERT a non-literal UPDATE's predicate
-        # could capture, say) the pair stays a race — column overlap
-        # below only picks the classification.
-        if commutes(fp_a, fp_b, self._key_columns):
+        # final state is the same whichever lane wins.  The record is the
+        # sole gate, asked earlier-captured op first — the orientation the
+        # certifier asks a pair of transactions captured one after the
+        # other in — so the dynamic verdict is the static one: a race is an
+        # unordered *conflicting* access.  Row-disjoint pairs normally commute, and
+        # when the prover still refuses (an INSERT a non-literal UPDATE's
+        # predicate could capture, a volatile statement) the pair stays a
+        # race: column overlap below only picks the classification, and
+        # only within one table.
+        early, late = sorted((prior, current), key=lambda a: a.op.captured_at)
+        if self._record.commute(early.op, late.op):
             return
-        writes_a = _write_columns(fp_a)
-        writes_b = _write_columns(fp_b)
+        fp_a, fp_b = prior.footprint, current.footprint
+        same_table = fp_a.table == fp_b.table
+        writes_a = _write_columns(fp_a) if same_table else frozenset()
+        writes_b = _write_columns(fp_b) if same_table else frozenset()
         write_overlap = _columns_overlap(writes_a, writes_b)
         finding: RaceFinding | None = None
         if write_overlap:
@@ -190,7 +182,7 @@ class InterferenceSanitizer:
                     "with no ordering between the lanes",
                 )
         if finding is not None:
-            self._record(finding, current.at_ms)
+            self._flag(finding, current.at_ms)
 
     @staticmethod
     def _cols(columns: frozenset[str]) -> str:
@@ -211,7 +203,7 @@ class InterferenceSanitizer:
             lane_b=current.lane,
         )
 
-    def _record(self, finding: RaceFinding, at_ms: float) -> None:
+    def _flag(self, finding: RaceFinding, at_ms: float) -> None:
         pair = tuple(sorted((finding.op_a, finding.op_b)))
         key = (pair[0], pair[1])
         if key in self._seen_pairs:

@@ -14,30 +14,40 @@ are mutually independent.
 Each pair is proved once per window.  The graph carries the
 :class:`CommutationRecord` it was built from, and the schedule certifier
 reads its verdicts from there instead of proving the same pairs again.
+This module holds the one ``commutes`` call: every other judge of op
+reordering reads a record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..core.opdelta import OpDelta, OpDeltaTransaction
-from ..core.selfmaint import ViewDefinition
-from ..obs.context import ambient_metrics
-from ..obs.metrics import NULL_REGISTRY, MetricsLike
+from ..obs.metrics import MetricsLike
 from .rwsets import StatementFootprint
 from .safety import commutes, op_footprint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .analyzer import OpDeltaAnalyzer
 
 
 class CommutationRecord:
     """Every commutation verdict of one window, each proved once.
 
+    Made by :meth:`~repro.analysis.analyzer.OpDeltaAnalyzer.record` (or
+    :meth:`~repro.analysis.analyzer.OpDeltaAnalyzer.conflict_graph`) and
+    proving under that analyzer's catalogs: its key columns, column orders
+    and views.  Every judge of op reordering reads one — the conflict graph,
+    the schedule certifier, the interference sanitizer and the coalescer —
+    so they cannot disagree about a pair.
+
     An op's footprint is its replay form (:func:`~repro.analysis.safety.
     op_footprint`), computed on first use.  An op pair's cell holds
     ``commutes``' verdict, proved on first read; a transaction pair's entry
     is its first non-commuting cell.  Whatever nobody asked for yet — a
-    transaction outside the graph, an in-group inversion — is proved by the
-    same code when it is first read.
+    transaction outside the graph, an in-group inversion, the pinned copy
+    an apply observes — is proved by the same code when it is first read.
 
     Ops and transactions are keyed by identity, and the record keeps each
     one it has seen alive, so no identity is reused while its entry stands.
@@ -45,22 +55,21 @@ class CommutationRecord:
     find its proof in one orientation only.
     """
 
-    def __init__(
-        self,
-        *,
-        key_columns: Mapping[str, str] | None = None,
-        table_columns: Mapping[str, Sequence[str]] | None = None,
-        views: Sequence[ViewDefinition] = (),
-        structural: bool = True,
-    ) -> None:
-        self._key_columns = key_columns
-        self._table_columns = table_columns
-        self._views = tuple(views)
+    def __init__(self, analyzer: "OpDeltaAnalyzer", *, structural: bool) -> None:
+        self._analyzer = analyzer
+        self._key_columns = analyzer.key_columns or None
+        self._table_columns = analyzer.table_columns or None
+        self._views = analyzer.views
         self._structural = structural
         self._footprints: dict[int, tuple[OpDelta, StatementFootprint]] = {}
         self._cells: dict[tuple[int, int], bool] = {}
         #: (id early, id late) -> (early, late, first non-commuting op pair)
         self._witnesses: dict[tuple[int, int], tuple[Any, ...]] = {}
+
+    @property
+    def metrics(self) -> MetricsLike:
+        """Where the judges reading this record count: its analyzer's."""
+        return self._analyzer.metrics
 
     def footprint(self, op: OpDelta) -> StatementFootprint:
         if id(op) not in self._footprints:
@@ -115,25 +124,14 @@ class ConflictGraph:
 
 
 def build_conflict_graph(
-    groups: Sequence[OpDeltaTransaction],
-    *,
-    table_columns: Mapping[str, Sequence[str]] | None = None,
-    key_columns: Mapping[str, str] | None = None,
-    views: Sequence[ViewDefinition] = (),
-    metrics: MetricsLike | None = None,
-    structural: bool = True,
+    groups: Sequence[OpDeltaTransaction], record: CommutationRecord
 ) -> ConflictGraph:
     """Build the conflict graph for a batch of captured transactions.
 
-    ``table_columns``/``key_columns`` feed the footprint extractor and the
-    commutativity check, and ``views`` — the warehouse's view catalog —
-    tells two DELETEs a view replays differently apart (see
-    :mod:`repro.analysis.safety`); supplying them sharpens the analysis,
-    omitting the column catalogs only makes it more conservative.
-    ``structural=False`` runs the pre-widening commutativity prover, which
-    is how the certify experiment measures the parallelism delta.
+    Every verdict comes from ``record``, which the graph then carries: the
+    analyzer's catalogs sharpen the proofs, and its views tell two DELETEs
+    a view replays differently apart (see :mod:`repro.analysis.safety`).
     """
-    registry = metrics if metrics is not None else (ambient_metrics() or NULL_REGISTRY)
     # Time-dependent statements are analyzed in their *pinned* form: the
     # integrator replays them with the capture timestamp substituted, so
     # their replay really is deterministic and reordering them is judged on
@@ -141,10 +139,6 @@ def build_conflict_graph(
     # therefore conflict with everything.  Ops captured with before images
     # are marked for image replay, which restricts the commutativity
     # proofs to disjoint-row-set arguments (see ``safety.op_footprint``).
-    record = CommutationRecord(
-        key_columns=key_columns, table_columns=table_columns,
-        views=views, structural=structural,
-    )
     txn_ids = tuple(g.txn_id for g in groups)
     parent = list(range(len(groups)))
 
@@ -169,6 +163,7 @@ def build_conflict_graph(
         tuple(members) for _, members in sorted(by_root.items())
     )
     graph = ConflictGraph(txn_ids, tuple(edges), components, record)
+    registry = record.metrics
     registry.counter("analysis.conflict.edges").inc(len(edges))
     registry.gauge("analysis.conflict.components").set(len(components))
     registry.gauge("analysis.conflict.largest_component").set(

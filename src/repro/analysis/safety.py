@@ -32,11 +32,12 @@ NULL``.  The proof is sound only while the partitioning columns are
 invariant, so the widening additionally requires that neither statement
 assigns any column referenced by the contradicting conjunct pair.
 Passing ``structural=False`` recovers the original, more conservative
-prover.  The setting belongs to a window's conflict graph
-(:func:`~repro.analysis.conflict.build_conflict_graph`): the schedule
-certifier reads the verdicts the graph's record proved under it, and the
-certify bench experiment builds the graph both ways to report the
-parallelism delta.  The sanitizer and the coalescer prove with it on.
+prover.  The setting belongs to a window's commutation record
+(:class:`~repro.analysis.conflict.CommutationRecord`, the one caller of
+``commutes``): the schedule certifier reads the verdicts the graph's record
+proved under it, and the certify bench experiment builds the graph both
+ways to report the parallelism delta.  Every other record — the
+sanitizer's, the coalescer's, ``verify_compaction``'s — proves with it on.
 
 Ops captured with **before images** (hybrid capture) are replayed from
 the image on views that need them, which is *not* plain statement
@@ -134,9 +135,9 @@ def op_footprint(
     marks ops that carry a before image as ``image_replay``: hybrid-view
     maintenance replays those from the image rather than the statement,
     which narrows the commutativity proofs :func:`commutes` may use.
-    Every consumer that reasons about reordering captured ops — the
-    conflict graph's record, the interference sanitizer — must build
-    footprints through this helper so they share one model.
+    Every judge of reordering captured ops reads its footprints from a
+    :class:`~repro.analysis.conflict.CommutationRecord`, which builds them
+    here, so they share one model.
 
     A DELETE also records which of ``views`` replay it from its image
     (``image_views``): the kind :func:`~repro.core.selfmaint.

@@ -5,7 +5,7 @@ transactions only the *widened* commutativity prover can prove disjoint,
 and one genuinely conflicting hot-range pair — then:
 
 * **certifies** the three seed schedules statically
-  (:class:`~repro.analysis.certify.ScheduleCertifier`): the *plain*
+  (:func:`~repro.analysis.certify.certify`): the *plain*
   serial order, the *batched* LPT lane assignment, and the *compacted*
   window (whose coalescer reorder obligations are re-proven against the
   uncompacted groups);
@@ -36,12 +36,13 @@ from typing import Any
 
 from ..analysis.certify import (
     InterferenceSanitizer,
-    ScheduleCertifier,
+    certify,
     lpt_schedule,
     plant_lane_swap,
     single_lane_schedule,
+    verify_compaction,
 )
-from ..analysis.conflict import ConflictGraph, build_conflict_graph
+from ..analysis.conflict import ConflictGraph
 from ..compaction import Coalescer
 from ..errors import WarehouseError
 from ..warehouse.warehouse import Warehouse
@@ -228,14 +229,7 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     report.operations = sum(len(g.operations) for g in groups)
 
     graph_wide = analyzer.conflict_graph(groups)
-    graph_conservative = build_conflict_graph(
-        groups,
-        table_columns=analyzer.table_columns or None,
-        key_columns=analyzer.key_columns or None,
-        views=analyzer.views,
-        structural=False,
-    )
-    certifier = ScheduleCertifier.for_analyzer(analyzer)
+    graph_conservative = analyzer.conflict_graph(groups, structural=False)
 
     # ---- widening delta: what the structural prover buys ----------------
     wide_edges = set(graph_wide.edges)
@@ -250,16 +244,16 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     # ---- the three seed schedules ---------------------------------------
     serial = single_lane_schedule(groups)
     lanes = lpt_schedule(groups, graph_wide, lanes=LANES)
-    report.modes["plain"] = certifier.certify(groups, graph_wide, serial).to_dict()
-    report.modes["batched"] = certifier.certify(groups, graph_wide, lanes).to_dict()
+    report.modes["plain"] = certify(groups, graph_wide, serial).to_dict()
+    report.modes["batched"] = certify(groups, graph_wide, lanes).to_dict()
 
     coalescer = Coalescer(analyzer=analyzer, clock=source.clock)
     compacted, compaction = coalescer.compact_window(groups)
-    obligations = certifier.verify_compaction(
-        groups, compaction.reorder_obligations
+    obligations = verify_compaction(
+        groups, compaction.reorder_obligations, analyzer.record()
     )
     graph_compacted = analyzer.conflict_graph(compacted)
-    compacted_certificate = certifier.certify(
+    compacted_certificate = certify(
         compacted,
         graph_compacted,
         lpt_schedule(compacted, graph_compacted, lanes=LANES),
@@ -282,7 +276,7 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     wh_off, integ_off = build_parts_warehouse(
         "certify-wh-batched-off", source.clock, initial_rows, analyzer
     )
-    sanitizer = InterferenceSanitizer.for_analyzer(LANES, analyzer)
+    sanitizer = InterferenceSanitizer(LANES, analyzer.record())
     wh_on, integ_on = build_parts_warehouse(
         "certify-wh-batched-on", source.clock, initial_rows, analyzer, sanitizer
     )
@@ -314,8 +308,8 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     # ---- the seeded race drill ------------------------------------------
     if fault == "swap-lane-ops":
         planted = plant_lane_swap(lanes, graph_wide)
-        static = certifier.certify(groups, graph_wide, planted)
-        drill_sanitizer = InterferenceSanitizer.for_analyzer(LANES, analyzer)
+        static = certify(groups, graph_wide, planted)
+        drill_sanitizer = InterferenceSanitizer(LANES, analyzer.record())
         dynamic = drill_sanitizer.replay(groups, planted)
         wh_drill, integ_drill = build_parts_warehouse(
             "certify-wh-drill", source.clock, initial_rows, analyzer

@@ -23,7 +23,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from . import report as reports
 from .experiments import REGISTRY
-from .report import render, render_analysis, render_compaction
+from .report import render
 
 
 # --------------------------------------------------------------- report passes
@@ -197,15 +197,6 @@ def main(argv: list[str] | None = None) -> int:
                 help=report_pass.help,
             )
     parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help="run the columnar hot-path smoke pass: shorthand for the "
-        "'columnar' experiment (compiled-kernel batched apply vs "
-        "row-at-a-time, adaptive extraction switching, bit-for-bit state "
-        "digests); composes with --json/--metrics/--trace, and the exit "
-        "code reports the experiment's checks",
-    )
-    parser.add_argument(
         "--fault",
         choices=[p.fault for p in REPORT_PASSES if p.fault is not None],
         help="seed this fault into the flagship pass (drop-queue-message "
@@ -216,24 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="collect engine/extraction/transport/warehouse metrics during "
-        "each experiment and print a cost breakdown after its table",
-    )
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help="collect the static Op-Delta analyzer's accounting during each "
-        "experiment and print it after its table: statement safety classes "
-        "(deterministic / pinnable / volatile), view-relevance pruning, and "
-        "conflict-graph structure",
-    )
-    parser.add_argument(
-        "--compact",
-        action="store_true",
-        help="collect the Op-Delta compaction accounting during each "
-        "experiment and print it after its table: per-rule rewrite counts, "
-        "bytes saved before shipping, batched group-apply and cache "
-        "amortisation",
+        help="collect every subsystem's metrics (engine, extraction, "
+        "analysis, compaction, transport, warehouse) during each experiment "
+        "and print a cost breakdown after its table",
     )
     parser.add_argument(
         "--trace",
@@ -290,9 +266,6 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
         return result.exit_code
 
-    if args.columnar and "columnar" not in args.experiments:
-        args.experiments = [*args.experiments, "columnar"]
-
     if args.list or not args.experiments:
         if not args.list:
             hints = "; ".join(
@@ -325,15 +298,11 @@ def main(argv: list[str] | None = None) -> int:
     # can be piped into jq etc.) and the rendered tables move to stderr.
     report = sys.stderr if "-" in (args.trace, args.json) else sys.stdout
 
-    observing = (
-        args.metrics or args.analyze or args.compact or args.trace is not None
-    )
+    observing = args.metrics or args.trace is not None
     trace_events: list[dict] = []
     results = []
     failed = []
     for position, name in enumerate(wanted, start=1):
-        analysis_text: str | None = None
-        compaction_text: str | None = None
         if observing:
             registry = MetricsRegistry()
             tracer = Tracer()
@@ -341,10 +310,6 @@ def main(argv: list[str] | None = None) -> int:
                 result = REGISTRY[name]()
             if args.metrics:
                 result.metrics = registry.snapshot()
-            if args.analyze:
-                analysis_text = render_analysis(registry.snapshot())
-            if args.compact:
-                compaction_text = render_compaction(registry.snapshot())
             if args.trace is not None:
                 trace_events.extend(
                     tracer.chrome_trace_events(pid=position, process_name=name)
@@ -353,10 +318,6 @@ def main(argv: list[str] | None = None) -> int:
             result = REGISTRY[name]()
         results.append(result)
         print(render(result), file=report)
-        if analysis_text is not None:
-            print(analysis_text, file=report)
-        if compaction_text is not None:
-            print(compaction_text, file=report)
         print(file=report)
         if not result.all_checks_pass:
             failed.append(name)

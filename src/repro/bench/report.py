@@ -182,132 +182,6 @@ def render_cost_breakdown(snapshot: dict[str, Any]) -> str:
     return "\n".join(out)
 
 
-def render_analysis(snapshot: dict[str, Any]) -> str:
-    """Render the static-analyzer accounting from a metrics snapshot.
-
-    Shown by ``repro-bench --analyze``: how the captured statements were
-    classified (safe / pinnable / volatile / idempotent), how many the
-    view-relevance pass pruned, and the shape of the conflict graph the
-    scheduler exploited.
-    """
-    counters: dict[str, float] = snapshot.get("counters", {})
-    gauges: dict[str, dict[str, float]] = snapshot.get("gauges", {})
-
-    def counter(name: str) -> int:
-        return int(counters.get(name, 0))
-
-    def gauge(name: str) -> float:
-        return gauges.get(name, {}).get("value", 0.0)
-
-    out = ["static analysis:"]
-    total = counter("analysis.statement.total")
-    if total == 0:
-        out.append("  (no Op-Delta statements analyzed)")
-        return "\n".join(out)
-    out.append(f"  statements analyzed         {total:>6,}")
-    out.append(
-        f"    deterministic (safe)      "
-        f"{counter('analysis.statement.deterministic'):>6,}"
-    )
-    out.append(
-        f"    time-dependent (pinnable) "
-        f"{counter('analysis.statement.time_dependent'):>6,}"
-    )
-    out.append(
-        f"    volatile (fallback)       "
-        f"{counter('analysis.statement.volatile'):>6,}"
-    )
-    out.append(
-        f"    idempotent                "
-        f"{counter('analysis.statement.idempotent'):>6,}"
-    )
-    out.append(
-        f"    pruned (view-irrelevant)  "
-        f"{counter('analysis.statement.pruned'):>6,}"
-    )
-    components = gauge("analysis.conflict.components")
-    if components:
-        out.append(
-            f"  conflict graph: {int(components)} independent groups, "
-            f"{counter('analysis.conflict.edges')} conflict edges, "
-            f"largest group {int(gauge('analysis.conflict.largest_component'))}"
-        )
-    serial = gauge("warehouse.schedule.serial_ms")
-    parallel = gauge("warehouse.schedule.parallel_ms")
-    if parallel:
-        out.append(
-            f"  conflict-aware apply: {serial:,.0f} ms serial -> "
-            f"{parallel:,.0f} ms on parallel lanes "
-            f"({gauge('warehouse.schedule.speedup'):.2f}x)"
-        )
-    return "\n".join(out)
-
-
-def render_compaction(snapshot: dict[str, Any]) -> str:
-    """Render the compaction/batched-apply accounting from a metrics snapshot.
-
-    Shown by ``repro-bench --compact``: what the window coalescer rewrote
-    (per rewrite rule), the bytes it saved before shipping, and how the
-    batched group-apply amortised rule lookups and parse work.
-    """
-    counters: dict[str, float] = snapshot.get("counters", {})
-
-    def counter(name: str) -> int:
-        return int(counters.get(name, 0))
-
-    out = ["compaction:"]
-    ops_in = counter("compaction.window.ops_in")
-    if ops_in == 0:
-        out.append("  (no Op-Delta windows compacted)")
-        return "\n".join(out)
-    ops_out = counter("compaction.window.ops_out")
-    bytes_in = counter("compaction.window.bytes_in")
-    bytes_out = counter("compaction.window.bytes_out")
-    out.append(
-        f"  windows compacted           "
-        f"{counter('compaction.window.passes'):>6,}"
-    )
-    out.append(f"  operations in -> out        {ops_in:>6,} -> {ops_out:,}")
-    if bytes_in:
-        saved = 100.0 * (bytes_in - bytes_out) / bytes_in
-        out.append(
-            f"  bytes in -> out             {bytes_in:>6,} -> {bytes_out:,} "
-            f"({saved:.0f}% saved)"
-        )
-    out.append(
-        f"    updates folded            "
-        f"{counter('compaction.rule.updates_folded'):>6,}"
-    )
-    out.append(
-        f"    inserts fused             "
-        f"{counter('compaction.rule.inserts_fused'):>6,}"
-    )
-    out.append(
-        f"    pairs annihilated         "
-        f"{counter('compaction.rule.pairs_annihilated'):>6,}"
-    )
-    out.append(
-        f"    updates superseded        "
-        f"{counter('compaction.rule.updates_superseded'):>6,}"
-    )
-    components = counter("warehouse.batched.components")
-    if components:
-        lookups = counter("warehouse.batched.rule_lookups")
-        hits = counter("warehouse.batched.rule_cache_hits")
-        out.append(
-            f"  batched apply: {components} group commits, "
-            f"{lookups} rule lookups ({hits} served from the window memo)"
-        )
-    cache_hits = counter("core.opdelta.parse_cache_hits")
-    cache_misses = counter("core.opdelta.parse_cache_misses")
-    if cache_hits or cache_misses:
-        out.append(
-            f"  parse cache: {cache_hits:,} hits / "
-            f"{cache_misses:,} misses"
-        )
-    return "\n".join(out)
-
-
 def render_health(report: "HealthReport") -> str:
     """Render one audited health pass (``repro-bench --health``).
 

@@ -31,10 +31,11 @@ every one justified by the static analysis layer (:mod:`repro.analysis`):
   assignments touches a DELETE predicate column.
 
 **Safety argument.**  Rules combine only *adjacent* operations; to bring
-a pair together the later operation must provably commute
-(:func:`repro.analysis.safety.commutes`) with everything between them —
-commuting-only reordering, exactly the guarantee the conflict graph is
-built on.  Operations outside the ``DETERMINISTIC`` class of the
+a pair together the later operation must provably commute with everything
+between them — commuting-only reordering, read from a
+:class:`~repro.analysis.conflict.CommutationRecord` the analyzer makes for
+each window, so the coalescer judges a pair exactly as the conflict graph
+and the certifier do.  Operations outside the ``DETERMINISTIC`` class of the
 determinism lattice (``TIME_DEPENDENT``, ``VOLATILE``) and hybrid
 operations carrying before images are never rewritten, never consumed by
 a rule, and act as reordering barriers.  Source transaction boundaries
@@ -49,10 +50,10 @@ import dataclasses
 from typing import Any, Iterable, Sequence, Union
 
 from ..analysis.analyzer import OpDeltaAnalyzer
+from ..analysis.conflict import CommutationRecord
 from ..analysis.rwsets import StatementFootprint, extract_footprint
 from ..analysis.safety import (
     Determinism,
-    commutes,
     conjuncts_imply,
     self_accumulation,
     statement_determinism,
@@ -107,12 +108,11 @@ CombineResult = Union[_Entry, _Outcome, None]
 class Coalescer:
     """Compacts windows of captured Op-Delta transaction groups.
 
-    ``analyzer`` supplies the key/table catalogs that sharpen the
-    commutativity and annihilation proofs, and — when present — re-attaches
-    a fresh :class:`~repro.analysis.AnalysisRecord` to every rewritten
-    operation so downstream pruning/pinning still works.  Without one, the
-    coalescer falls back to bare footprint extraction and attaches no
-    records (omissions only make it more conservative).
+    ``analyzer`` makes the commutation record each window is judged by,
+    supplies the key/table catalogs the annihilation proof reads, and
+    re-analyses every rewritten operation (a fresh
+    :class:`~repro.analysis.AnalysisRecord`) so downstream pruning/pinning
+    still works.
 
     ``clock`` enables the per-pass trace span (virtual time); ``metrics``
     overrides the ambient registry.
@@ -120,17 +120,11 @@ class Coalescer:
 
     def __init__(
         self,
-        analyzer: OpDeltaAnalyzer | None = None,
+        analyzer: OpDeltaAnalyzer,
         clock: VirtualClock | None = None,
         metrics: MetricsLike | None = None,
     ) -> None:
         self._analyzer = analyzer
-        self._key_columns: dict[str, str] = (
-            dict(analyzer.key_columns) if analyzer is not None else {}
-        )
-        self._table_columns: dict[str, tuple[str, ...]] = (
-            dict(analyzer.table_columns) if analyzer is not None else {}
-        )
         self._clock = clock
         self._metrics = metrics
 
@@ -152,24 +146,28 @@ class Coalescer:
         from the window entirely.
         """
         report = CompactionReport()
+        record = self._analyzer.record()
         tracer = ambient_tracer()
         if tracer is not None and self._clock is not None:
             with tracer.span("compaction.window.pass", clock=self._clock):
-                compacted = self._compact(list(groups), report)
+                compacted = self._compact(list(groups), report, record)
         else:
-            compacted = self._compact(list(groups), report)
+            compacted = self._compact(list(groups), report, record)
         self._emit(report)
         return compacted, report
 
     def _compact(
-        self, groups: list[OpDeltaTransaction], report: CompactionReport
+        self,
+        groups: list[OpDeltaTransaction],
+        report: CompactionReport,
+        record: CommutationRecord,
     ) -> list[OpDeltaTransaction]:
         out: list[OpDeltaTransaction] = []
         for group in groups:
             report.transactions_in += 1
             report.ops_in += len(group.operations)
             report.bytes_in += group.size_bytes
-            entries = self._compact_group(group.operations, report)
+            entries = self._compact_group(group.operations, report, record)
             if not entries:
                 continue  # fully annihilated: an empty txn has no effect
             report.transactions_out += 1
@@ -187,18 +185,27 @@ class Coalescer:
 
     # ------------------------------------------------------------------- group
     def _compact_group(
-        self, operations: Sequence[OpDelta], report: CompactionReport
+        self,
+        operations: Sequence[OpDelta],
+        report: CompactionReport,
+        record: CommutationRecord,
     ) -> list[_Entry]:
         entries: list[_Entry] = []
         for op in operations:
             current = self._entry(op)
-            if current.coalescible and self._place(entries, current, report):
+            if current.coalescible and self._place(
+                entries, current, report, record
+            ):
                 continue
             entries.append(current)
         return entries
 
     def _place(
-        self, entries: list[_Entry], current: _Entry, report: CompactionReport
+        self,
+        entries: list[_Entry],
+        current: _Entry,
+        report: CompactionReport,
+        record: CommutationRecord,
     ) -> bool:
         """Try to combine ``current`` with an earlier kept operation.
 
@@ -229,8 +236,8 @@ class Coalescer:
                     entries[i] = outcome
                     self._record_reorders(report, current.op, hops)
                     return True
-            if not candidate.coalescible or not commutes(
-                candidate.footprint, current.footprint, self._key_columns
+            if not candidate.coalescible or not record.commute(
+                candidate.op, current.op
             ):
                 return False
             hops.append(candidate.op)
@@ -390,13 +397,13 @@ class Coalescer:
         if insert.select is not None or delete.where is None:
             return False
         table = cand.footprint.table
-        pk = self._key_columns.get(table)
+        pk = self._analyzer.key_columns.get(table)
         if pk is None:
             return False
         names = (
             insert.columns
             if insert.columns is not None
-            else self._table_columns.get(table)
+            else self._analyzer.table_columns.get(table)
         )
         if names is None or pk not in names:
             return False
@@ -448,7 +455,7 @@ class Coalescer:
             determinism = op.analysis.determinism
         else:
             footprint = extract_footprint(
-                op.statement, self._table_columns or None
+                op.statement, self._analyzer.table_columns or None
             )
             determinism = statement_determinism(op.statement)
         coalescible = (
@@ -463,14 +470,8 @@ class Coalescer:
         op = dataclasses.replace(
             cand.op, statement_text=merged.to_sql(), _parsed=None, analysis=None
         )
-        if self._analyzer is not None:
-            op.analysis = self._analyzer.analyze_statement(op.statement)
-        footprint = (
-            op.analysis.footprint
-            if op.analysis is not None
-            else extract_footprint(op.statement, self._table_columns or None)
-        )
-        return _Entry(op=op, footprint=footprint, coalescible=True)
+        op.analysis = self._analyzer.analyze_statement(op.statement)
+        return _Entry(op=op, footprint=op.analysis.footprint, coalescible=True)
 
     def _emit(self, report: CompactionReport) -> None:
         metrics = self.metrics

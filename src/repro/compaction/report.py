@@ -36,7 +36,7 @@ class ReorderObligation:
     When a combining rewrite fires, the surviving statement's effect
     teleports backwards past every op the scan commuted over; each hop is
     recorded here so the schedule certifier
-    (:meth:`repro.analysis.certify.ScheduleCertifier.verify_compaction`)
+    (:func:`repro.analysis.certify.verify_compaction`)
     can independently re-prove it against the uncompacted window.
     ``moved``/``over`` are lineage keys; the ``(txn_id, sequence)``
     coordinates locate the ops in the original groups.

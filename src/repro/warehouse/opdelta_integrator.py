@@ -35,7 +35,7 @@ from ..analysis.analyzer import AnalysisRecord, OpDeltaAnalyzer
 from ..analysis.certify import (
     InterferenceSanitizer,
     LaneSchedule,
-    ScheduleCertifier,
+    certify,
     single_lane_schedule,
 )
 from ..analysis.conflict import ConflictGraph
@@ -153,14 +153,28 @@ class OpDeltaIntegrator:
         self._columnar = ColumnarApplier(session)
 
     def _require_coverage(self, analyzer: OpDeltaAnalyzer) -> None:
-        """Refuse an analyzer that may prune what a maintained view needs.
+        """Refuse an analyzer that may prune or misjudge what a view needs.
 
         Relevance keeps a statement only for the views, aggregate views and
         mirrored tables the analyzer was told about; a view it has never
         heard of would silently miss every statement pruned on its behalf.
+        An SPJ view must moreover be among ``analyzer.views`` as defined
+        here: the analyzer's commutation record learns from them which
+        DELETEs a view replays from their images, and a view it only knows
+        as a mirrored table it cannot keep apart.  An aggregate view
+        replays every DELETE from its image, so mirroring its base table
+        is enough.
         """
+        for view in self._views:
+            if view.definition not in analyzer.views:
+                raise WarehouseError(
+                    f"view {view.definition.name!r} is maintained by this "
+                    "integrator but not among its analyzer's views as defined "
+                    "here: the conflict graph could not tell apart the "
+                    "DELETEs it replays differently"
+                )
         known = {d.name for d in (*analyzer.views, *analyzer.aggregate_views)}
-        for view in [*self._views, *self._aggregate_views]:
+        for view in self._aggregate_views:
             definition = view.definition
             if (
                 definition.name not in known
@@ -406,8 +420,8 @@ class OpDeltaIntegrator:
 
         The graph must cover the window being applied, and — whenever an
         analyzer is attached — the proposed apply order must be statically
-        proven serializable by the
-        :class:`~repro.analysis.certify.ScheduleCertifier`; a ``REJECTED``
+        proven serializable by :func:`~repro.analysis.certify.certify`,
+        which reads the graph's commutation record; a ``REJECTED``
         certificate raises with the positioned ``RACE*`` findings.
         """
         covered = {txn_id for c in graph.components for txn_id in c}
@@ -419,8 +433,7 @@ class OpDeltaIntegrator:
             )
         if self._analyzer is None:
             return
-        certifier = ScheduleCertifier.for_analyzer(self._analyzer)
-        certificate = certifier.certify(groups, graph, schedule)
+        certificate = certify(groups, graph, schedule)
         report.certificate_verdict = certificate.verdict
         report.race_findings = [f.render() for f in certificate.findings]
         if not certificate.certified:

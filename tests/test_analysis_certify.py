@@ -4,15 +4,16 @@ import dataclasses
 
 import pytest
 
+from repro.analysis import OpDeltaAnalyzer
 from repro.analysis.certify import (
     InterferenceSanitizer,
     LaneSchedule,
-    ScheduleCertifier,
     lpt_schedule,
     plant_lane_swap,
     single_lane_schedule,
+    verify_compaction,
 )
-from repro.analysis.conflict import build_conflict_graph
+from repro.analysis.certify import certify as certify_schedule
 from repro.analysis.rwsets import extract_footprint
 from repro.analysis.safety import (
     commutes,
@@ -21,6 +22,7 @@ from repro.analysis.safety import (
 )
 from repro.compaction.report import ReorderObligation
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
+from repro.core.selfmaint import ViewDefinition
 from repro.errors import AnalysisError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.pipeline.context import observe_pipeline
@@ -28,6 +30,7 @@ from repro.obs.pipeline.recorder import PipelineRecorder
 from repro.sql.parser import parse
 
 KEYS = {"t": "id"}
+ANALYZER = OpDeltaAnalyzer(key_columns=KEYS)
 
 
 def txn(txn_id, *statements):
@@ -72,10 +75,8 @@ def conflicting_groups():
     return [txn(1, CONFLICTING[0]), txn(2, CONFLICTING[1])]
 
 
-def certify(groups, schedule, **kwargs):
-    graph = build_conflict_graph(groups, key_columns=KEYS)
-    certifier = ScheduleCertifier(key_columns=KEYS, **kwargs)
-    return certifier.certify(groups, graph, schedule)
+def certify(groups, schedule):
+    return certify_schedule(groups, ANALYZER.conflict_graph(groups), schedule)
 
 
 class TestLaneSchedule:
@@ -103,7 +104,7 @@ class TestLptSchedule:
             txn(2, CONFLICTING[1]),
             txn(3, "UPDATE t SET a = 3 WHERE id >= 100 AND id < 110"),
         ]
-        return groups, build_conflict_graph(groups, key_columns=KEYS)
+        return groups, ANALYZER.conflict_graph(groups)
 
     def test_components_stay_whole_and_ordered(self):
         groups, graph = self.make()
@@ -120,7 +121,7 @@ class TestLptSchedule:
         # A transaction costs its operation count: txn 3 with three outweighs
         # the component {1, 2} and fills the first lane.
         groups[2] = txn(3, *[groups[2].operations[0].statement_text] * 3)
-        graph = build_conflict_graph(groups, key_columns=KEYS)
+        graph = ANALYZER.conflict_graph(groups)
         first = lpt_schedule(groups, graph, lanes=2)
         assert first.lanes[0] == (3,)
         # Costs only change which lane fills first, never the members.
@@ -136,7 +137,7 @@ class TestLptSchedule:
 class TestPlantLaneSwap:
     def test_moves_one_side_of_a_conflict_edge(self):
         groups = conflicting_groups()
-        graph = build_conflict_graph(groups, key_columns=KEYS)
+        graph = ANALYZER.conflict_graph(groups)
         schedule = LaneSchedule(lanes=((1, 2), ()))
         planted = plant_lane_swap(schedule, graph)
         assert planted.lane_of(1) != planted.lane_of(2)
@@ -145,13 +146,13 @@ class TestPlantLaneSwap:
 
     def test_needs_two_lanes(self):
         groups = conflicting_groups()
-        graph = build_conflict_graph(groups, key_columns=KEYS)
+        graph = ANALYZER.conflict_graph(groups)
         with pytest.raises(AnalysisError):
             plant_lane_swap(single_lane_schedule(groups), graph)
 
     def test_needs_a_conflict_edge(self):
         groups = [txn(1, DISJOINT[0]), txn(2, DISJOINT[1])]
-        graph = build_conflict_graph(groups, key_columns=KEYS)
+        graph = ANALYZER.conflict_graph(groups)
         with pytest.raises(AnalysisError):
             plant_lane_swap(LaneSchedule(lanes=((1,), (2,))), graph)
 
@@ -206,9 +207,8 @@ class TestScheduleCertifier:
 
     def test_unanalyzed_transaction_is_race006(self):
         groups = conflicting_groups()
-        graph = build_conflict_graph(groups[:1], key_columns=KEYS)
-        certifier = ScheduleCertifier(key_columns=KEYS)
-        certificate = certifier.certify(
+        graph = ANALYZER.conflict_graph(groups[:1])
+        certificate = certify_schedule(
             groups, graph, single_lane_schedule(groups)
         )
         assert any(f.code == "RACE006" for f in certificate.findings)
@@ -217,9 +217,9 @@ class TestScheduleCertifier:
         # A graph claiming no conflict at all still cannot smuggle a
         # cross-lane conflict past the certifier: it reads the op pairs.
         groups = conflicting_groups()
-        graph = build_conflict_graph(groups, key_columns=KEYS)
+        graph = ANALYZER.conflict_graph(groups)
         blind = dataclasses.replace(graph, edges=(), components=((1,), (2,)))
-        certificate = ScheduleCertifier(key_columns=KEYS).certify(
+        certificate = certify_schedule(
             groups, blind, LaneSchedule(lanes=((1,), (2,)))
         )
         assert [f.code for f in certificate.findings] == ["RACE001"]
@@ -227,9 +227,10 @@ class TestScheduleCertifier:
     def test_metrics_account_for_checks_and_findings(self):
         registry = MetricsRegistry()
         groups = conflicting_groups()
-        graph = build_conflict_graph(groups, key_columns=KEYS)
-        certifier = ScheduleCertifier(key_columns=KEYS, metrics=registry)
-        certifier.certify(groups, graph, LaneSchedule(lanes=((1,), (2,))))
+        graph = OpDeltaAnalyzer(key_columns=KEYS, metrics=registry).conflict_graph(
+            groups
+        )
+        certify_schedule(groups, graph, LaneSchedule(lanes=((1,), (2,))))
         counters = registry.snapshot()["counters"]
         assert counters["analysis.certify.schedules_checked"] == 1
         assert counters["analysis.certify.findings_raised"] == 1
@@ -256,26 +257,23 @@ class TestVerifyCompaction:
 
     def test_proven_reordering_certifies(self):
         groups = [txn(1, DISJOINT[0], DISJOINT[1])]
-        certifier = ScheduleCertifier(key_columns=KEYS)
-        certificate = certifier.verify_compaction(
-            groups, [self.obligation(1, 0)]
+        certificate = verify_compaction(
+            groups, [self.obligation(1, 0)], ANALYZER.record()
         )
         assert certificate.certified
         assert certificate.reorder_checks == 1
 
     def test_unproven_reordering_is_race003(self):
         groups = [txn(1, CONFLICTING[0], CONFLICTING[1])]
-        certifier = ScheduleCertifier(key_columns=KEYS)
-        certificate = certifier.verify_compaction(
-            groups, [self.obligation(1, 0)]
+        certificate = verify_compaction(
+            groups, [self.obligation(1, 0)], ANALYZER.record()
         )
         assert [f.code for f in certificate.findings] == ["RACE003"]
 
     def test_dangling_obligation_is_race005(self):
         groups = [txn(1, DISJOINT[0], DISJOINT[1])]
-        certifier = ScheduleCertifier(key_columns=KEYS)
-        certificate = certifier.verify_compaction(
-            groups, [self.obligation(99, 0)]
+        certificate = verify_compaction(
+            groups, [self.obligation(99, 0)], ANALYZER.record()
         )
         assert [f.code for f in certificate.findings] == ["RACE005"]
 
@@ -285,9 +283,8 @@ class TestVerifyCompaction:
         object.__setattr__(
             groups[0].operations[0], "before_image", [(1, "x")]
         )
-        certifier = ScheduleCertifier(key_columns=KEYS)
-        certificate = certifier.verify_compaction(
-            groups, [self.obligation(1, 0)]
+        certificate = verify_compaction(
+            groups, [self.obligation(1, 0)], ANALYZER.record()
         )
         assert [f.code for f in certificate.findings] == ["RACE004"]
 
@@ -342,7 +339,7 @@ class TestInterferenceSanitizer:
         return group.operations
 
     def test_unordered_conflicting_writes_are_flagged(self):
-        sanitizer = InterferenceSanitizer(2, key_columns=KEYS)
+        sanitizer = InterferenceSanitizer(2, ANALYZER.record())
         op_a, op_b = self.make_ops(CONFLICTING)
         sanitizer.observe(0, op_a, at_ms=1.0)
         sanitizer.observe(1, op_b, at_ms=2.0)
@@ -352,21 +349,21 @@ class TestInterferenceSanitizer:
         assert (finding.lane_a, finding.lane_b) == (0, 1)
 
     def test_commuting_accesses_are_not_races(self):
-        sanitizer = InterferenceSanitizer(2, key_columns=KEYS)
+        sanitizer = InterferenceSanitizer(2, ANALYZER.record())
         op_a, op_b = self.make_ops(DISJOINT)
         sanitizer.observe(0, op_a, at_ms=1.0)
         sanitizer.observe(1, op_b, at_ms=2.0)
         assert sanitizer.clean
 
     def test_same_lane_accesses_are_program_ordered(self):
-        sanitizer = InterferenceSanitizer(2, key_columns=KEYS)
+        sanitizer = InterferenceSanitizer(2, ANALYZER.record())
         op_a, op_b = self.make_ops(CONFLICTING)
         sanitizer.observe(0, op_a, at_ms=1.0)
         sanitizer.observe(0, op_b, at_ms=2.0)
         assert sanitizer.clean
 
     def test_lost_update_classified_race101(self):
-        sanitizer = InterferenceSanitizer(2, key_columns=KEYS)
+        sanitizer = InterferenceSanitizer(2, ANALYZER.record())
         op_a, op_b = self.make_ops(
             (
                 "UPDATE t SET a = a + 1 WHERE id >= 0 AND id < 10",
@@ -378,7 +375,7 @@ class TestInterferenceSanitizer:
         assert [f.code for f in sanitizer.findings] == ["RACE101"]
 
     def test_read_of_uncommitted_classified_race103(self):
-        sanitizer = InterferenceSanitizer(2, key_columns=KEYS)
+        sanitizer = InterferenceSanitizer(2, ANALYZER.record())
         op_a, op_b = self.make_ops(
             (
                 "UPDATE t SET a = b + 1 WHERE id >= 0 AND id < 10",
@@ -390,7 +387,7 @@ class TestInterferenceSanitizer:
         assert [f.code for f in sanitizer.findings] == ["RACE103"]
 
     def test_findings_deduplicate_per_op_pair(self):
-        sanitizer = InterferenceSanitizer(2, key_columns=KEYS)
+        sanitizer = InterferenceSanitizer(2, ANALYZER.record())
         op_a, op_b = self.make_ops(CONFLICTING)
         sanitizer.observe(0, op_a, at_ms=1.0)
         sanitizer.observe(1, op_b, at_ms=2.0)
@@ -400,7 +397,7 @@ class TestInterferenceSanitizer:
 
     def test_replay_drives_a_planted_schedule(self):
         groups = conflicting_groups()
-        sanitizer = InterferenceSanitizer(2, key_columns=KEYS)
+        sanitizer = InterferenceSanitizer(2, ANALYZER.record())
         findings = sanitizer.replay(
             groups, LaneSchedule(lanes=((1,), (2,)))
         )
@@ -409,12 +406,12 @@ class TestInterferenceSanitizer:
 
     def test_replay_of_the_serial_schedule_is_clean(self):
         groups = conflicting_groups()
-        sanitizer = InterferenceSanitizer(1, key_columns=KEYS)
+        sanitizer = InterferenceSanitizer(1, ANALYZER.record())
         assert sanitizer.replay(groups, single_lane_schedule(groups)) == ()
 
     def test_detections_reach_the_pipeline_recorder(self):
         recorder = PipelineRecorder()
-        sanitizer = InterferenceSanitizer(2, key_columns=KEYS)
+        sanitizer = InterferenceSanitizer(2, ANALYZER.record())
         op_a, op_b = self.make_ops(CONFLICTING)
         with observe_pipeline(recorder):
             sanitizer.observe(0, op_a, at_ms=1.0)
@@ -444,8 +441,51 @@ class TestTransportCertifierSeam:
             moved_sequence=99,
             over_sequence=1,
         )
-        certificate = ScheduleCertifier(key_columns=KEYS).verify_compaction(
-            groups, [*report.reorder_obligations, planted]
+        certificate = verify_compaction(
+            groups, [*report.reorder_obligations, planted], analyzer.record()
         )
         assert not certificate.certified
         assert [f.code for f in certificate.findings] == ["RACE005"]
+
+
+class TestOneJudgeOfReordering:
+    """The sanitizer judges an op pair as the certifier does: both read a
+    record the one analyzer made, its view catalog included."""
+
+    #: Keeps ``part_id`` and ``status``: a DELETE on ``part_id`` is
+    #: rewritten onto it, one on the unprojected ``quantity`` is replayed
+    #: from its before image.
+    NARROW = ViewDefinition(
+        name="narrow",
+        base_table="parts",
+        columns=("part_id", "status"),
+        key_column="part_id",
+    )
+
+    def test_deletes_a_view_replays_differently_race_on_both_judges(self):
+        analyzer = OpDeltaAnalyzer(
+            views=[self.NARROW], key_columns={"parts": "part_id"}
+        )
+        groups = [
+            txn(1, "DELETE FROM parts WHERE part_id = 5"),
+            txn(2, "DELETE FROM parts WHERE quantity > 3"),
+        ]
+        schedule = LaneSchedule(((1,), (2,)))
+        certificate = certify_schedule(
+            groups, analyzer.conflict_graph(groups), schedule
+        )
+        assert certificate.verdict == "REJECTED"
+        assert [f.code for f in certificate.findings] == ["RACE001"]
+        findings = InterferenceSanitizer(2, analyzer.record()).replay(
+            groups, schedule
+        )
+        assert [(f.txn_a, f.txn_b) for f in findings] == [(1, 2)]
+        # Without the view both DELETEs replay alike, and both judges agree
+        # the pair commutes.
+        blind = OpDeltaAnalyzer(key_columns={"parts": "part_id"})
+        assert certify_schedule(
+            groups, blind.conflict_graph(groups), schedule
+        ).certified
+        assert InterferenceSanitizer(2, blind.record()).replay(
+            groups, schedule
+        ) == ()

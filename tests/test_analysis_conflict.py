@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.analysis.conflict import (
-    CommutationRecord,
-    build_conflict_graph,
-    parallel_order,
-)
+from repro.analysis import OpDeltaAnalyzer
+from repro.analysis.conflict import parallel_order
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.core.selfmaint import ViewDefinition
 from repro.errors import SimulationError
@@ -16,6 +13,7 @@ from repro.sql.parser import parse
 from repro.warehouse import run_conflict_schedule
 
 KEYS = {"t": "id"}
+ANALYZER = OpDeltaAnalyzer(key_columns=KEYS)
 
 
 def txn(txn_id, *statements):
@@ -48,7 +46,7 @@ class TestTransactionsConflict:
             "UPDATE t SET a = 2 WHERE id >= 10 AND id < 20",
             "UPDATE t SET a = 3 WHERE id >= 5 AND id < 8",
         )
-        record = CommutationRecord(key_columns=KEYS)
+        record = ANALYZER.record()
         # The witness is the first op pair that does not commute.
         assert record.conflict(a, b) == (a.operations[0], b.operations[1])
         assert record.commute(a.operations[0], b.operations[0])
@@ -56,7 +54,7 @@ class TestTransactionsConflict:
     def test_all_commuting_pairs_no_conflict(self):
         a = txn(1, "UPDATE t SET a = 1 WHERE id >= 0 AND id < 10")
         b = txn(2, "UPDATE t SET a = 2 WHERE id >= 10 AND id < 20")
-        assert CommutationRecord(key_columns=KEYS).conflict(a, b) is None
+        assert ANALYZER.record().conflict(a, b) is None
 
 
 class TestDeletesReplayedDifferently:
@@ -67,6 +65,9 @@ class TestDeletesReplayedDifferently:
     NARROW = ViewDefinition(
         name="narrow", base_table="t", columns=("id", "a"), key_column="id"
     )
+
+    def told(self):
+        return OpDeltaAnalyzer(key_columns=KEYS, views=[self.NARROW])
 
     def window(
         self,
@@ -79,25 +80,19 @@ class TestDeletesReplayedDifferently:
         return groups
 
     def test_a_view_replaying_them_differently_orders_them(self):
-        graph = build_conflict_graph(
-            self.window(), key_columns=KEYS, views=[self.NARROW]
-        )
+        graph = self.told().conflict_graph(self.window())
         assert graph.edges == ((1, 2),)
 
     def test_alike_on_every_view_they_commute(self):
         # No view, or both replayed from their images: no edge.
-        assert build_conflict_graph(self.window(), key_columns=KEYS).edges == ()
+        assert ANALYZER.conflict_graph(self.window()).edges == ()
         both_imaged = self.window(second="DELETE FROM t WHERE c = 5")
-        graph = build_conflict_graph(
-            both_imaged, key_columns=KEYS, views=[self.NARROW]
-        )
+        graph = self.told().conflict_graph(both_imaged)
         assert graph.edges == ()
 
     def test_disjoint_rows_still_commute(self):
         window = self.window(first="DELETE FROM t WHERE id >= 10 AND c = 1")
-        graph = build_conflict_graph(
-            window, key_columns=KEYS, views=[self.NARROW]
-        )
+        graph = self.told().conflict_graph(window)
         assert graph.edges == ()
 
 
@@ -111,7 +106,7 @@ class TestBuildConflictGraph:
         ]
 
     def test_components_and_edges(self):
-        graph = build_conflict_graph(self.make_groups(), key_columns=KEYS)
+        graph = ANALYZER.conflict_graph(self.make_groups())
         # txn 3 overlaps both 1 and 2; txn 4 is independent.
         assert set(graph.edges) == {(1, 3), (2, 3)}
         assert graph.component_count == 2
@@ -120,8 +115,8 @@ class TestBuildConflictGraph:
 
     def test_metrics_emitted(self):
         registry = MetricsRegistry()
-        build_conflict_graph(
-            self.make_groups(), key_columns=KEYS, metrics=registry
+        OpDeltaAnalyzer(key_columns=KEYS, metrics=registry).conflict_graph(
+            self.make_groups()
         )
         snap = registry.snapshot()
         assert snap["counters"]["analysis.conflict.edges"] == 2
@@ -138,7 +133,7 @@ class TestBuildConflictGraph:
             txn(1, "UPDATE t SET a = NOW() WHERE id >= 0 AND id < 10"),
             txn(2, "UPDATE t SET a = 2 WHERE id >= 10 AND id < 20"),
         ]
-        graph = build_conflict_graph(groups, key_columns=KEYS)
+        graph = ANALYZER.conflict_graph(groups)
         assert graph.edges == ()
         assert graph.component_count == 2
 
@@ -147,11 +142,11 @@ class TestBuildConflictGraph:
             txn(1, "UPDATE t SET a = RANDOM() WHERE id >= 0 AND id < 10"),
             txn(2, "UPDATE t SET a = 2 WHERE id >= 10 AND id < 20"),
         ]
-        graph = build_conflict_graph(groups, key_columns=KEYS)
+        graph = ANALYZER.conflict_graph(groups)
         assert graph.edges == ((1, 2),)
 
     def test_empty_batch(self):
-        graph = build_conflict_graph([])
+        graph = OpDeltaAnalyzer().conflict_graph([])
         assert graph.component_count == 0
         assert graph.largest_component == 0
 
@@ -164,7 +159,7 @@ class TestParallelOrder:
             txn(3, "UPDATE t SET a = 3 WHERE id >= 5 AND id < 15"),
             txn(4, "UPDATE t SET a = 4 WHERE id >= 105 AND id < 115"),
         ]
-        graph = build_conflict_graph(groups, key_columns=KEYS)
+        graph = ANALYZER.conflict_graph(groups)
         ordered = parallel_order(groups, graph)
         ids = [g.txn_id for g in ordered]
         assert sorted(ids) == [1, 2, 3, 4]

@@ -132,10 +132,17 @@ class TestBatchedIntegration:
         txn = warehouse.database.begin()
         view.initialize(initial, txn)
         warehouse.database.commit(txn)
+        # The analyzer that judges the window must know the view it maintains.
+        analyzer = OpDeltaAnalyzer(
+            views=[view_def],
+            mirrored_tables={"t"},
+            key_columns={"t": "id"},
+            table_columns={"t": SCHEMA.column_names},
+        )
         integrator = OpDeltaIntegrator(
             warehouse.database.internal_session(),
             views=[view],
-            analyzer=ANALYZER,
+            analyzer=analyzer,
         )
         report = integrator.integrate_batched(groups)
         # One real lookup per distinct (table, kind, view); the rest hit.

@@ -1505,8 +1505,6 @@ class TestRepro020PageStateIsWrittenByThePage:
 
 class TestRepro021OneCommutationVerdictPerPair:
     RECORD = "repro/analysis/conflict.py"
-    SANITIZER = "repro/analysis/certify/sanitizer.py"
-    COALESCER = "repro/compaction/coalescer.py"
     PROOF = "def proved(a, b, keys):\n    return commutes(a, b, keys)\n"
 
     @staticmethod
@@ -1515,10 +1513,11 @@ class TestRepro021OneCommutationVerdictPerPair:
         return [int(v.split(":")[1]) for v in violations]
 
     def test_a_proof_outside_the_record_is_flagged(self, tmp_path):
-        for home in (self.RECORD, self.SANITIZER, self.COALESCER):
-            assert lint_source(tmp_path, self.PROOF, name=home) == []
+        assert lint_source(tmp_path, self.PROOF, name=self.RECORD) == []
         for elsewhere in (
             "repro/analysis/certify/certifier.py",
+            "repro/analysis/certify/sanitizer.py",
+            "repro/compaction/coalescer.py",
             "repro/analysis/analyzer.py",
             "repro/warehouse/opdelta_integrator.py",
         ):
@@ -1528,8 +1527,7 @@ class TestRepro021OneCommutationVerdictPerPair:
 
     def test_budgets_are_per_module(self, tmp_path):
         twice = self.PROOF + "def again(a, b):\n    return safety.commutes(a, b)\n"
-        for home in (self.RECORD, self.SANITIZER, self.COALESCER):
-            assert self.flagged(lint_source(tmp_path, twice, name=home)) == [4]
+        assert self.flagged(lint_source(tmp_path, twice, name=self.RECORD)) == [4]
 
     def test_reading_the_record_is_not_a_proof(self, tmp_path):
         source = (
@@ -1542,7 +1540,7 @@ class TestRepro021OneCommutationVerdictPerPair:
             tmp_path, source, name="repro/analysis/certify/certifier.py"
         ) == []
 
-    def test_shipped_tree_proves_in_three_places(self):
+    def test_shipped_tree_proves_once(self):
         package = REPO / "src" / "repro"
         calls = {}
         for path in sorted(package.rglob("*.py")):
@@ -1552,13 +1550,8 @@ class TestRepro021OneCommutationVerdictPerPair:
             tree = ast.parse(path.read_text(encoding="utf-8"))
             if count := len(lint_rules._calls_to(list(ast.walk(tree)), "commutes")):
                 calls[path.relative_to(package).as_posix()] = count
-        # The budgets are met exactly: the record's cell, the sanitizer's
-        # pinned copies and the coalescer's uncompacted stream.
-        assert calls == {
-            "analysis/conflict.py": 1,
-            "analysis/certify/sanitizer.py": 1,
-            "compaction/coalescer.py": 1,
-        }
+        # The budget is met exactly: the record's cell.
+        assert calls == {"analysis/conflict.py": 1}
 
 
 class TestRepro022ReachedByAProgram:

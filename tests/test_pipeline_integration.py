@@ -9,12 +9,14 @@ from repro.core.stores import FileLogStore
 from repro.engine import Database
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INTEGER, char
+from repro.errors import SemanticError
 from repro.obs.pipeline import (
     LifecycleKind,
     PipelineAuditor,
     PipelineRecorder,
     observe_pipeline,
 )
+from repro.semantics import SchemaCatalog, SemanticChecker
 from repro.transport.network import NetworkModel
 from repro.transport.queue import PersistentQueue
 from repro.transport.shipper import FileShipper, enqueue_op_deltas
@@ -121,6 +123,32 @@ class TestCaptureLineage:
         assert record.terminal == "pruned"
         assert record.pruned_stage == "aborted"
         assert PipelineAuditor(recorder).audit().verdict == "CLEAN"
+
+    def test_a_statement_rejected_at_capture_never_becomes_an_op(self):
+        source, session, _ = seeded_source()
+        recorder = PipelineRecorder(clock=source.clock)
+        with observe_pipeline(recorder):
+            capture = OpDeltaCapture(
+                session,
+                FileLogStore(source),
+                tables={"t"},
+                checker=SemanticChecker(SchemaCatalog.from_database(source)),
+                source="src",
+            )
+            capture.attach()
+            with pytest.raises(SemanticError) as raised:
+                session.execute("UPDATE t SET missing = 0 WHERE id = 1")
+            capture.detach()
+        assert recorder.statements_rejected_at_capture == 1
+        [event] = [e for e in recorder.log if e.kind is LifecycleKind.REJECTED]
+        assert event.correlation_id == "src:<rejected>"
+        codes = [d.code for d in raised.value.diagnostics]
+        assert codes and event.detail == "; ".join(codes)
+        assert all(code.startswith("SEM") for code in codes)
+        # It never became an op, so nothing is owed: conservation closes.
+        assert recorder.lineage == {}
+        audit = PipelineAuditor(recorder).audit()
+        assert audit.conservation_holds
 
 
 class TestTransportLineage:

@@ -20,8 +20,8 @@ fully deterministic.
 import itertools
 import random
 
-from repro.analysis.certify import LaneSchedule, ScheduleCertifier
-from repro.analysis.conflict import build_conflict_graph
+from repro.analysis import OpDeltaAnalyzer
+from repro.analysis.certify import LaneSchedule, certify
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.sql.parser import parse
 
@@ -163,13 +163,13 @@ def divergent_interleaving(schedule, semantics, expected):
 
 def run_trials(statement_factory, seed):
     rng = random.Random(seed)
-    certifier = ScheduleCertifier(key_columns=KEYS)
+    analyzer = OpDeltaAnalyzer(key_columns=KEYS)
     verdicts = {"CERTIFIED": 0, "REJECTED": 0}
     for _ in range(TRIALS):
         groups, semantics = random_window(rng, statement_factory)
         schedule = random_schedule(rng, groups)
-        graph = build_conflict_graph(groups, key_columns=KEYS)
-        certificate = certifier.certify(groups, graph, schedule)
+        graph = analyzer.conflict_graph(groups)
+        certificate = certify(groups, graph, schedule)
         verdicts[certificate.verdict] += 1
         expected = serial_state(groups, semantics)
         witness = divergent_interleaving(schedule, semantics, expected)
@@ -210,9 +210,8 @@ class TestCertifierSoundness:
             OpDeltaTransaction(txn_id=1, operations=[op_mul]),
             OpDeltaTransaction(txn_id=2, operations=[op_add]),
         ]
-        graph = build_conflict_graph(groups, key_columns=KEYS)
-        certifier = ScheduleCertifier(key_columns=KEYS)
-        certificate = certifier.certify(
+        graph = OpDeltaAnalyzer(key_columns=KEYS).conflict_graph(groups)
+        certificate = certify(
             groups, graph, LaneSchedule(lanes=((1,), (2,)))
         )
         assert not certificate.certified

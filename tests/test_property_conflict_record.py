@@ -14,17 +14,24 @@ one :class:`~repro.analysis.conflict.CommutationRecord` must agree with
   that keeps nothing yields, on a first certification and on a second one
   that reads only kept cells;
 * ``verify_compaction``'s certificate equals the one its fresh twin yields.
+
+And the two judges of a schedule agree: on a 2–3 lane schedule of such a
+window, the transaction pairs the interference sanitizer's replay flags are
+the pairs the certifier rejects with ``RACE001``.
 """
 
 import dataclasses
-from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.certify import LaneSchedule, ScheduleCertifier
-from repro.analysis.certify import certifier as certifier_module
-from repro.analysis.conflict import build_conflict_graph
+from repro.analysis import OpDeltaAnalyzer
+from repro.analysis.certify import (
+    InterferenceSanitizer,
+    LaneSchedule,
+    certify,
+    verify_compaction,
+)
 from repro.compaction.report import ReorderObligation
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.core.selfmaint import ViewDefinition
@@ -40,7 +47,7 @@ VIEWS = (
         name="narrow", base_table="t", columns=("id", "a", "b"), key_column="id"
     ),
 )
-CATALOGS = {"key_columns": KEYS, "table_columns": COLUMNS, "views": VIEWS}
+ANALYZER = OpDeltaAnalyzer(views=VIEWS, key_columns=KEYS, table_columns=COLUMNS)
 
 TEMPLATES = (
     "UPDATE t SET a = {v} WHERE id >= {lo} AND id < {hi}",
@@ -48,6 +55,10 @@ TEMPLATES = (
     "UPDATE t SET b = {v} WHERE b = 7 AND id >= {lo} AND id < {hi}",
     "UPDATE t SET a = {v} WHERE b <> 7 AND id >= {lo} AND id < {hi}",
     "UPDATE t SET c = {v} WHERE b = 7 AND id >= {lo} AND id < {hi}",
+    # Two contradicting conjunct pairs, one over the column the first
+    # assigns: only the witness found first in one orientation proves them.
+    "UPDATE t SET b = {v} WHERE c = 1 AND b = 7 AND id >= {lo} AND id < {hi}",
+    "UPDATE t SET a = {v} WHERE b <> 7 AND c <> 1 AND id >= {lo} AND id < {hi}",
     "DELETE FROM t WHERE id = {lo}",
     "DELETE FROM t WHERE c >= {lo} AND c < {hi}",
     "INSERT INTO t (id, a, b, c) VALUES ({key}, {v}, 1, 2)",
@@ -97,10 +108,10 @@ def build_window(spec):
     return groups
 
 
-def build_schedule(groups, lanes):
-    placed = [[] for _ in range(3)]
+def build_schedule(groups, lanes, count=3):
+    placed = [[] for _ in range(count)]
     for group, lane in zip(groups, lanes):
-        placed[lane].append(group.txn_id)
+        placed[lane % count].append(group.txn_id)
     return LaneSchedule(lanes=tuple(tuple(lane) for lane in placed))
 
 
@@ -132,23 +143,54 @@ def test_the_record_proves_what_fresh_proofs_prove(
     # With ``outside`` the last transaction is scheduled but never graphed
     # (RACE006): its pairs are first proved when the certifier reads them.
     graphed = groups[:-1] if outside else groups
-    graph = build_conflict_graph(graphed, structural=structural, **CATALOGS)
+    graph = ANALYZER.conflict_graph(graphed, structural=structural)
     assert (graph.edges, graph.components) == reference_graph(
-        graphed, structural=structural, **CATALOGS
+        graphed,
+        key_columns=KEYS,
+        table_columns=COLUMNS,
+        views=VIEWS,
+        structural=structural,
     )
 
-    certifier = ScheduleCertifier(key_columns=KEYS, table_columns=COLUMNS)
     fresh = dataclasses.replace(
-        graph, record=FreshRecord(structural=structural, **CATALOGS)
+        graph, record=FreshRecord(ANALYZER, structural=structural)
     )
     serial = LaneSchedule(lanes=(tuple(g.txn_id for g in groups),))
     for schedule in (build_schedule(groups, lanes), serial):
-        expected = certifier.certify(groups, fresh, schedule).to_dict()
-        assert certifier.certify(groups, graph, schedule).to_dict() == expected
+        expected = certify(groups, fresh, schedule).to_dict()
+        assert certify(groups, graph, schedule).to_dict() == expected
         # A second reading finds every cell kept and must say the same.
-        assert certifier.certify(groups, graph, schedule).to_dict() == expected
+        assert certify(groups, graph, schedule).to_dict() == expected
 
     proofs = list(obligations(groups, picks))
-    kept = certifier.verify_compaction(groups, proofs).to_dict()
-    with mock.patch.object(certifier_module, "CommutationRecord", FreshRecord):
-        assert kept == certifier.verify_compaction(groups, proofs).to_dict()
+    kept = verify_compaction(groups, proofs, ANALYZER.record()).to_dict()
+    fresh_record = FreshRecord(ANALYZER, structural=True)
+    assert kept == verify_compaction(groups, proofs, fresh_record).to_dict()
+
+
+@given(
+    _window,
+    st.integers(2, 3),
+    st.lists(st.integers(0, 2), min_size=6, max_size=6),
+)
+# The later transaction's lane runs first, and the pair is proved in the
+# other orientation only: the sanitizer must ask as the certifier does.
+@example([([(5, 0, 3, 1, 0)], False), ([(6, 0, 3, 2, 0)], False)], 2, [1, 0] * 3)
+@settings(max_examples=150, deadline=None)
+def test_the_sanitizer_flags_the_pairs_the_certifier_rejects(spec, count, lanes):
+    groups = build_window(spec)
+    schedule = build_schedule(groups, lanes, count)
+    certificate = certify(groups, ANALYZER.conflict_graph(groups), schedule)
+    rejected = {
+        (f.txn_a, f.txn_b) for f in certificate.findings if f.code == "RACE001"
+    }
+    # The sanitizer names a pair in the order its lanes ran it; the
+    # certifier in window order.
+    position = {group.txn_id: i for i, group in enumerate(groups)}
+    flagged = {
+        tuple(sorted((f.txn_a, f.txn_b), key=position.__getitem__))
+        for f in InterferenceSanitizer(count, ANALYZER.record()).replay(
+            groups, schedule
+        )
+    }
+    assert flagged == rejected

@@ -1,5 +1,6 @@
 """Tests for the value-delta and Op-Delta integrators."""
 
+import dataclasses
 import sys
 
 import pytest
@@ -268,16 +269,43 @@ class TestOpDeltaIntegrator:
                 aggregate_views=[agg],
                 analyzer=OpDeltaAnalyzer(views=[ACTIVE_PARTS]),
             )
-        # Naming the view, or mirroring its base table, is what it takes.
+        # Naming the aggregate view, or mirroring its base table, is what
+        # it takes.
         for analyzer in (
             OpDeltaAnalyzer(
                 views=[ACTIVE_PARTS], aggregate_views=[QTY_BY_SUPPLIER]
             ),
-            OpDeltaAnalyzer(mirrored_tables={"parts"}),
+            OpDeltaAnalyzer(views=[ACTIVE_PARTS], mirrored_tables={"parts"}),
         ):
             OpDeltaIntegrator(
                 session, views=[spj], aggregate_views=[agg], analyzer=analyzer
             )
+
+    def test_an_spj_view_known_only_as_a_mirrored_table_is_refused(
+        self, pipeline
+    ):
+        """Relevance keeps every statement on a mirrored table, but the
+        analyzer's conflict graph learns which DELETEs a view replays from
+        its views alone: one it only knows as a mirrored table it cannot
+        keep apart.  Refused, and by definition, not by name."""
+        _source, _workload, _store, _triggers, warehouse = pipeline
+        spj, _agg = define_views(warehouse)
+        session = warehouse.database.internal_session()
+        narrower_twin = dataclasses.replace(ACTIVE_PARTS, columns=("part_id",))
+        for blind in (
+            OpDeltaAnalyzer(views=[], mirrored_tables={"parts"}),
+            OpDeltaAnalyzer(views=[narrower_twin], mirrored_tables={"parts"}),
+        ):
+            with pytest.raises(WarehouseError, match="active_parts"):
+                OpDeltaIntegrator(session, views=[spj], analyzer=blind)
+        OpDeltaIntegrator(
+            session,
+            views=[spj],
+            analyzer=OpDeltaAnalyzer(
+                views=[dataclasses.replace(ACTIVE_PARTS)],
+                mirrored_tables={"parts"},
+            ),
+        )
 
     def test_analyzer_keeps_an_aggregated_input_only_when_told_of_the_view(
         self,
@@ -805,7 +833,7 @@ class TestRecordStage:
                 observed.append((lane, op))
                 super().observe(lane, op, at_ms)
 
-        sanitizer = RecordingSanitizer.for_analyzer(2, ANALYZER)
+        sanitizer = RecordingSanitizer(2, ANALYZER.record())
         report = OpDeltaIntegrator(
             warehouse.database.internal_session(),
             analyzer=ANALYZER,

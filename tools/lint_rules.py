@@ -259,16 +259,17 @@ assignment, subscript store or ``del`` whose target is ``._slots``,
 ``._writes`` or ``._decoded`` (or an item of one) is flagged, with no budget:
 change a page through its methods.
 
-**REPRO021 — one commutation verdict per op pair per window.**  Whether two
-captured ops commute is proved by ``commutes``; a window's proofs are made
-once, by the ``CommutationRecord`` in ``repro/analysis/conflict.py``, which
-the conflict graph fills and the schedule certifier reads.  The certifier
-once re-proved every pair the graph had just proved, with a second copy of
-the footprints — two sets of proofs nobody compared.  So the call sites are
-counted: one in ``analysis/conflict.py`` (the record's cell), one each in
-``analysis/certify/sanitizer.py`` and ``compaction/coalescer.py``, which see
-ops no window record holds (the pinned copies apply runs, a stream before
-compaction); none anywhere else, the certifier included.
+**REPRO021 — one judge of op reordering.**  Whether two captured ops
+commute is proved by ``commutes``, once per pair, by the ``CommutationRecord``
+in ``repro/analysis/conflict.py``: the analyzer makes one per window, under
+its own catalogs, and the conflict graph, the schedule certifier, the
+interference sanitizer and the coalescer each read one.  The certifier once
+re-proved every pair the graph had just proved, and the sanitizer and the
+coalescer proved theirs with catalogs copied by hand — the sanitizer without
+the view catalog, so it passed a schedule the certifier rejected.  A record
+proves any op on first read, the pinned copy an apply observes included.  So
+there is one call site, the record's cell in ``analysis/conflict.py``, and
+none anywhere else.
 
 **REPRO022 — a public name in ``src/repro`` is reached by a program.**  The
 code reproduces the paper only where an experiment or an example reaches
@@ -578,11 +579,7 @@ PAGE_SUFFIX = "repro/engine/page.py"
 
 #: REPRO021: module suffix -> how many ``commutes(`` calls it may make;
 #: every other module may make none.
-COMMUTES_BUDGETS = {
-    "repro/analysis/conflict.py": 1,
-    "repro/analysis/certify/sanitizer.py": 1,
-    "repro/compaction/coalescer.py": 1,
-}
+COMMUTES_BUDGETS = {"repro/analysis/conflict.py": 1}
 
 #: REPRO022: the trees besides the package whose references count, and
 #: qualified name -> why a public name no program reaches stays.
@@ -1293,9 +1290,9 @@ def _commutation_violations(path: Path, tree: ast.AST, normalized: str) -> list[
     )
     calls = sorted(node.lineno for node in _calls_to(list(ast.walk(tree)), "commutes"))
     return [
-        f"{path}:{lineno}: REPRO021 commutes() called outside the window's "
-        "commutation record; read the verdict from ConflictGraph.record "
-        "(CommutationRecord.commute / .conflict)"
+        f"{path}:{lineno}: REPRO021 commutes() called outside the "
+        "commutation record; read the verdict from one the analyzer made "
+        "(analyzer.record() or ConflictGraph.record: .commute / .conflict)"
         for lineno in calls[budget:]
     ]
 

@@ -74,8 +74,8 @@ artifact() {
     step "BENCH_$id.json == baseline" same_as_baseline "BENCH_$id.json"
 }
 
-artifact columnar --columnar
-artifact compaction compaction --compact
+artifact columnar columnar
+artifact compaction compaction
 artifact health --health
 artifact flight --flight
 artifact certify --certify
