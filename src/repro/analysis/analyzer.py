@@ -13,8 +13,9 @@ answers the three questions the downstream layers ask:
   the integrator skips the statement.)
 * *Does this transaction conflict with that one?*  (:meth:`OpDeltaAnalyzer.
   conflict_graph`: one :func:`~repro.analysis.safety.commutes` verdict per
-  op pair of the window, under this analyzer's catalogs; every other judge
-  of op reordering reads an :meth:`OpDeltaAnalyzer.record` of its own.)
+  candidate op pair of the window, under this analyzer's catalogs; every
+  other judge of op reordering reads an :meth:`OpDeltaAnalyzer.record` of
+  its own.)
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 :func:`certify` takes a window of captured transactions, the conflict
 graph that scheduling was based on, and a proposed :class:`LaneSchedule`.
-It reads every pairwise verdict from the graph's
-:class:`~repro.analysis.conflict.CommutationRecord` — the one ``commutes``
-proof per op pair the graph's edges were drawn from, proved there on first
+It reads the window's conflicting transaction pairs, and every other
+verdict, from the graph's
+:class:`~repro.analysis.conflict.CommutationRecord` — the same sweep and
+``commutes`` proofs the graph's edges were drawn from, made there on first
 read when the graph never asked — and never reads the graph's edges or
 components: a schedule is judged against the op pairs themselves, not
 against what the scheduler concluded from them.  A schedule is
@@ -148,23 +149,16 @@ def certify(
     groups = list(groups)
     record = graph.record
     findings = _check_coverage(groups, graph, schedule)
-    pairs_checked = 0
-    conflicting = 0
     # Source order is the window order: capture commits transactions
     # in serial order, so groups[i] precedes groups[j] at the source
     # whenever i < j.
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            pairs_checked += 1
-            witness_pair = record.conflict(groups[i], groups[j])
-            if witness_pair is None:
-                continue
-            conflicting += 1
-            findings.extend(
-                _check_conflicting_pair(
-                    groups[i], groups[j], witness_pair, groups, schedule
-                )
+    conflicts = record.conflicts(groups)
+    for i, j, witness_pair in conflicts:
+        findings.extend(
+            _check_conflicting_pair(
+                groups[i], groups[j], witness_pair, groups, schedule
             )
+        )
 
     reorder_checks = 0
     for group in groups:
@@ -176,8 +170,8 @@ def certify(
         lanes=schedule.lane_count,
         transactions=len(groups),
         operations=sum(len(g.operations) for g in groups),
-        pairs_checked=pairs_checked,
-        conflicting_pairs=conflicting,
+        pairs_checked=len(groups) * (len(groups) - 1) // 2,
+        conflicting_pairs=len(conflicts),
         reorder_checks=reorder_checks,
         findings=tuple(findings),
     )
@@ -198,63 +192,37 @@ def _check_coverage(
     graph: ConflictGraph,
     schedule: LaneSchedule,
 ) -> list[RaceFinding]:
-    findings: list[RaceFinding] = []
     window_ids = [g.txn_id for g in groups]
-    scheduled = list(schedule.transaction_ids)
+    scheduled = schedule.transaction_ids
+    in_window, in_graph, in_schedule = (
+        set(window_ids), set(graph.txn_ids), set(scheduled)
+    )
     table = groups[0].operations[0].table if groups and groups[0].operations else ""
-
-    def coverage_finding(code: str, txn_id: int, message: str) -> RaceFinding:
-        return RaceFinding(
-            code=code,
-            message=message,
-            table=table or "",
-            txn_a=txn_id,
-            txn_b=txn_id,
-            op_a=f"txn{txn_id}",
-            op_b=f"txn{txn_id}",
-        )
-
-    for txn_id in window_ids:
-        if txn_id not in scheduled:
-            findings.append(
-                coverage_finding(
-                    "RACE005",
-                    txn_id,
-                    f"transaction {txn_id} is in the window but "
-                    "missing from the schedule",
-                )
-            )
+    problems = [
+        ("RACE005", txn_id, f"transaction {txn_id} is in the window but "
+         "missing from the schedule")
+        for txn_id in window_ids if txn_id not in in_schedule
+    ]
     seen: set[int] = set()
     for txn_id in scheduled:
         if txn_id in seen:
-            findings.append(
-                coverage_finding(
-                    "RACE005",
-                    txn_id,
-                    f"transaction {txn_id} is scheduled more than once",
-                )
-            )
+            problems.append(("RACE005", txn_id,
+                             f"transaction {txn_id} is scheduled more than once"))
         seen.add(txn_id)
-        if txn_id not in window_ids:
-            findings.append(
-                coverage_finding(
-                    "RACE005",
-                    txn_id,
-                    f"scheduled transaction {txn_id} is not in the "
-                    "window",
-                )
-            )
-        if txn_id not in graph.txn_ids:
-            findings.append(
-                coverage_finding(
-                    "RACE006",
-                    txn_id,
-                    f"scheduled transaction {txn_id} is outside the "
-                    "conflict graph — its conflicts were never "
-                    "analyzed",
-                )
-            )
-    return findings
+        if txn_id not in in_window:
+            problems.append(("RACE005", txn_id, f"scheduled transaction "
+                             f"{txn_id} is not in the window"))
+        if txn_id not in in_graph:
+            problems.append(("RACE006", txn_id, f"scheduled transaction {txn_id} "
+                             "is outside the conflict graph — its conflicts "
+                             "were never analyzed"))
+    return [
+        RaceFinding(
+            code=code, message=message, table=table or "", txn_a=txn_id,
+            txn_b=txn_id, op_a=f"txn{txn_id}", op_b=f"txn{txn_id}",
+        )
+        for code, txn_id, message in problems
+    ]
 
 
 def _check_conflicting_pair(
@@ -388,40 +356,53 @@ def _check_group_order(
             if ops[i].sequence <= ops[j].sequence:
                 continue  # capture order preserved
             checked += 1
-            if _is_barrier(ops[i]) or _is_barrier(ops[j]):
-                findings.append(
-                    RaceFinding(
-                        code="RACE004",
-                        message=(
-                            "a compaction barrier (non-deterministic "
-                            "or hybrid op) was moved relative to "
-                            "its neighbours; barriers must keep "
-                            "exact capture order"
-                        ),
-                        table=ops[i].table or "",
-                        txn_a=group.txn_id,
-                        txn_b=group.txn_id,
-                        op_a=correlation_id(ops[i]),
-                        op_b=correlation_id(ops[j]),
-                    )
+            findings.extend(
+                _reorder_findings(
+                    group.txn_id, ops[i].table or "", ops[i], ops[j], record,
+                    crossed=(
+                        "a compaction barrier (non-deterministic "
+                        "or hybrid op) was moved relative to "
+                        "its neighbours; barriers must keep "
+                        "exact capture order"
+                    ),
+                    unproved=(
+                        "in-group operations were reordered "
+                        "against capture sequence without a "
+                        "commutativity proof"
+                    ),
                 )
-            elif not record.commute(ops[i], ops[j]):
-                findings.append(
-                    RaceFinding(
-                        code="RACE003",
-                        message=(
-                            "in-group operations were reordered "
-                            "against capture sequence without a "
-                            "commutativity proof"
-                        ),
-                        table=ops[i].table or "",
-                        txn_a=group.txn_id,
-                        txn_b=group.txn_id,
-                        op_a=correlation_id(ops[i]),
-                        op_b=correlation_id(ops[j]),
-                    )
-                )
+            )
     return checked, findings
+
+
+def _reorder_findings(
+    txn_id: int,
+    table: str,
+    moved: OpDelta,
+    over: OpDelta,
+    record: CommutationRecord,
+    *,
+    crossed: str,
+    unproved: str,
+) -> list[RaceFinding]:
+    """``RACE004`` when a barrier moved, ``RACE003`` when no proof backs it."""
+    if _is_barrier(moved) or _is_barrier(over):
+        code, message = "RACE004", crossed
+    elif not record.commute(moved, over):
+        code, message = "RACE003", unproved
+    else:
+        return []
+    return [
+        RaceFinding(
+            code=code,
+            message=message,
+            table=table,
+            txn_a=txn_id,
+            txn_b=txn_id,
+            op_a=correlation_id(moved),
+            op_b=correlation_id(over),
+        )
+    ]
 
 
 # -- compaction obligations ---------------------------------------
@@ -475,37 +456,16 @@ def verify_compaction(
                 )
             )
             continue
-        if _is_barrier(moved) or _is_barrier(over):
-            findings.append(
-                RaceFinding(
-                    code="RACE004",
-                    message=(
-                        "the coalescer moved an effect across a "
-                        "compaction barrier"
-                    ),
-                    table=obligation.table,
-                    txn_a=obligation.txn_id,
-                    txn_b=obligation.txn_id,
-                    op_a=correlation_id(moved),
-                    op_b=correlation_id(over),
-                )
+        findings.extend(
+            _reorder_findings(
+                obligation.txn_id, obligation.table, moved, over, record,
+                crossed="the coalescer moved an effect across a compaction barrier",
+                unproved=(
+                    "coalescer reordering is not backed by a "
+                    "commutativity proof"
+                ),
             )
-            continue
-        if not record.commute(moved, over):
-            findings.append(
-                RaceFinding(
-                    code="RACE003",
-                    message=(
-                        "coalescer reordering is not backed by a "
-                        "commutativity proof"
-                    ),
-                    table=obligation.table,
-                    txn_a=obligation.txn_id,
-                    txn_b=obligation.txn_id,
-                    op_a=correlation_id(moved),
-                    op_b=correlation_id(over),
-                )
-            )
+        )
     certificate = Certificate(
         lanes=0,
         transactions=len(groups),

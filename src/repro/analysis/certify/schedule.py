@@ -11,6 +11,7 @@ integrators can be handed, and :func:`plant_lane_swap` derives the seeded
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from ...core.opdelta import OpDeltaTransaction
@@ -38,19 +39,21 @@ class LaneSchedule:
     def transaction_ids(self) -> tuple[int, ...]:
         return tuple(txn_id for lane in self.lanes for txn_id in lane)
 
+    @cached_property
+    def _positions(self) -> dict[int, tuple[int, int]]:
+        positions: dict[int, tuple[int, int]] = {}
+        for lane_index, lane in enumerate(self.lanes):
+            for slot, txn_id in enumerate(lane):
+                positions.setdefault(txn_id, (lane_index, slot))
+        return positions
+
     def lane_of(self, txn_id: int) -> int | None:
-        for index, lane in enumerate(self.lanes):
-            if txn_id in lane:
-                return index
-        return None
+        position = self._positions.get(txn_id)
+        return None if position is None else position[0]
 
     def position_of(self, txn_id: int) -> tuple[int, int] | None:
         """``(lane, slot)`` of a transaction, or ``None`` if unscheduled."""
-        for lane_index, lane in enumerate(self.lanes):
-            for slot, candidate in enumerate(lane):
-                if candidate == txn_id:
-                    return lane_index, slot
-        return None
+        return self._positions.get(txn_id)
 
     def to_dict(self) -> dict[str, object]:
         return {"lanes": [list(lane) for lane in self.lanes]}

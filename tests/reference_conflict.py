@@ -73,9 +73,9 @@ def reference_graph(
 
 
 class FreshRecord(CommutationRecord):
-    """A record that keeps nothing: every read is a fresh proof, as the
-    certifier's own ``_footprint`` / ``_commutes`` / ``_conflict_witness``
-    made them."""
+    """A record that keeps nothing and prunes nothing: every read is a fresh
+    proof, as the certifier's own ``_footprint`` / ``_commutes`` /
+    ``_conflict_witness`` made them over every transaction pair."""
 
     def footprint(self, op: OpDelta) -> StatementFootprint:
         return op_footprint(op, self._table_columns, self._views)
@@ -88,11 +88,22 @@ class FreshRecord(CommutationRecord):
             structural=self._structural,
         )
 
-    def conflict(
-        self, early: OpDeltaTransaction, late: OpDeltaTransaction
-    ) -> tuple[OpDelta, OpDelta] | None:
-        for a in early.operations:
-            for b in late.operations:
-                if not self.commute(a, b):
-                    return a, b
-        return None
+    def conflicts(
+        self, groups: Sequence[OpDeltaTransaction]
+    ) -> list[tuple[int, int, tuple[OpDelta, OpDelta]]]:
+        """Every transaction pair asked, every op pair proved: no sweep."""
+        found = []
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                witness = next(
+                    (
+                        (a, b)
+                        for a in groups[i].operations
+                        for b in groups[j].operations
+                        if not self.commute(a, b)
+                    ),
+                    None,
+                )
+                if witness is not None:
+                    found.append((i, j, witness))
+        return found

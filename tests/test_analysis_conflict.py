@@ -48,13 +48,13 @@ class TestTransactionsConflict:
         )
         record = ANALYZER.record()
         # The witness is the first op pair that does not commute.
-        assert record.conflict(a, b) == (a.operations[0], b.operations[1])
+        assert record.conflicts([a, b]) == [(0, 1, (a.operations[0], b.operations[1]))]
         assert record.commute(a.operations[0], b.operations[0])
 
     def test_all_commuting_pairs_no_conflict(self):
         a = txn(1, "UPDATE t SET a = 1 WHERE id >= 0 AND id < 10")
         b = txn(2, "UPDATE t SET a = 2 WHERE id >= 10 AND id < 20")
-        assert ANALYZER.record().conflict(a, b) is None
+        assert ANALYZER.record().conflicts([a, b]) == []
 
 
 class TestDeletesReplayedDifferently:

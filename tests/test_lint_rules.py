@@ -1,6 +1,7 @@
 """The project-specific AST lint (tools/lint_rules.py)."""
 
 import ast
+import pickle
 import re
 import subprocess
 import sys
@@ -1531,8 +1532,8 @@ class TestRepro021OneCommutationVerdictPerPair:
 
     def test_reading_the_record_is_not_a_proof(self, tmp_path):
         source = (
-            "def certify(record, a, b, early, late):\n"
-            "    return record.commute(a, b), record.conflict(early, late)\n"
+            "def certify(record, a, b, window):\n"
+            "    return record.commute(a, b), record.conflicts(window)\n"
             "def commutes(a, b):\n"
             "    return True\n"
         )
@@ -1742,3 +1743,31 @@ class TestCommandLine:
     def test_repo_source_tree_is_clean(self):
         proc = self.run_cli("src/repro")
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestParseCache:
+    """Each file is parsed once per process and version; rules share it."""
+
+    def test_a_file_is_parsed_once_per_version(self, tmp_path):
+        path = tmp_path / "module.py"
+        path.write_text("x = 1\n", encoding="utf-8")
+        tree = lint_rules.parse_file(path)
+        assert lint_rules.parse_file(path) is tree
+        path.write_text("x = 12\n", encoding="utf-8")
+        assert lint_rules.parse_file(path) is not tree
+        assert ast.dump(lint_rules.parse_file(path)) == ast.dump(ast.parse("x = 12\n"))
+
+    def test_no_rule_mutates_a_cached_tree(self):
+        """Runs every rule over the shipped tree (5–7 s): a rule that
+        changed a kept tree would change what every later rule reads.  A
+        pickle holds every field and attribute of every node."""
+        files = lint_rules.python_files(
+            [REPO / "src" / "repro", *(REPO / t for t in lint_rules.PROGRAM_TREES)]
+        )
+        before = {path: pickle.dumps(lint_rules.parse_file(path)) for path in files}
+        for path in files:
+            lint_rules._lint_file(path)
+        assert lint_rules.reach_violations(REPO) == []
+        assert lint_rules.setting_violations(REPO) == []
+        for path in files:
+            assert pickle.dumps(lint_rules.parse_file(path)) == before[path], path

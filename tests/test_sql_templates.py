@@ -7,7 +7,8 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import OpDeltaAnalyzer
+from repro.analysis import OpDeltaAnalyzer, conflict
+from repro.analysis.safety import commutes
 from repro.analysis.rwsets import extract_footprint
 from repro.columnar import CompileBarrier
 from repro.columnar.kernels import KernelCache
@@ -265,31 +266,38 @@ class TestKernelsAreKeptPerShape:
         )
         return database, view, integrator
 
+    def window(self, database, window, expected):
+        """500 one-UPDATE transactions, ten on each of the 50 keys;
+        ``expected`` (key -> row) follows them."""
+        if not expected:
+            expected.update(
+                (values[0], values)
+                for values in (v for _r, v in database.table("parts").scan())
+            )
+        groups = []
+        for txn_id in range(500):
+            sequence = window * 500 + txn_id + 1
+            part_id, quantity = sequence % 50, 1000 + sequence
+            sql = f"UPDATE parts SET quantity = {quantity} WHERE part_id = {part_id}"
+            row = expected[part_id]
+            expected[part_id] = row[:5] + (quantity,) + row[6:]
+            groups.append(
+                OpDeltaTransaction(
+                    txn_id=window * 500 + txn_id,
+                    operations=[
+                        OpDelta(sql, "parts", OpKind.UPDATE, txn_id, sequence, 0.0)
+                    ],
+                )
+            )
+        return groups
+
     def test_five_thousand_distinct_literals_compile_once(self):
         """The kernel cache used to gain one entry per statement *text*."""
         database, view, integrator = self.integrator()
         TEMPLATES.clear()
-        expected = {
-            values[0]: values
-            for values in (v for _r, v in database.table("parts").scan())
-        }
-        sequence = 0
+        expected = {}
         for window in range(10):
-            groups = []
-            for txn_id in range(500):
-                sequence += 1
-                part_id, quantity = sequence % 50, 1000 + sequence
-                sql = f"UPDATE parts SET quantity = {quantity} WHERE part_id = {part_id}"
-                row = expected[part_id]
-                expected[part_id] = row[:5] + (quantity,) + row[6:]
-                groups.append(
-                    OpDeltaTransaction(
-                        txn_id=window * 500 + txn_id,
-                        operations=[
-                            OpDelta(sql, "parts", OpKind.UPDATE, txn_id, sequence, 0.0)
-                        ],
-                    )
-                )
+            groups = self.window(database, window, expected)
             report = integrator.integrate_batched(groups, columnar=True)
             assert report.columnar_fallbacks == 0
         kernels = integrator._columnar.kernels
@@ -305,6 +313,23 @@ class TestKernelsAreKeptPerShape:
         assert strip_timestamp(schema, view.rows()) == strip_timestamp(
             schema, expected.values()
         )
+
+    def test_a_window_proves_only_the_pairs_on_one_key(self, monkeypatch):
+        """The conflict graph and the certifier together prove the
+        50 x C(10, 2) op pairs that share a key, not all C(500, 2)."""
+        database, _view, integrator = self.integrator()
+        proofs = []
+
+        def counted(*args, **kwargs):
+            proofs.append(args)
+            return commutes(*args, **kwargs)
+
+        monkeypatch.setattr(conflict, "commutes", counted)
+        report = integrator.integrate_batched(
+            self.window(database, 0, {}), columnar=True
+        )
+        assert report.certificate_verdict == "CERTIFIED"
+        assert len(proofs) == 50 * 45 == 2250
 
     def test_a_compile_barrier_is_kept_per_shape(self):
         cache, scope, built = KernelCache(), Scope(), []

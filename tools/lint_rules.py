@@ -1366,11 +1366,44 @@ def _public_functions(tree: ast.Module, module: str) -> list[tuple[str, str, int
     return found
 
 
+#: ``(absolute path, st_mtime_ns, st_size)`` -> the file's AST, or the
+#: ``SyntaxError`` parsing it raised.  Every rule reads its trees here, so a
+#: process parses each file once; no rule may mutate a tree it is given.  A
+#: rewrite that keeps the size within one timestamp tick would go unseen: the
+#: key assumes nothing writes a file while one process lints it.
+_TREES: dict[tuple[Path, int, int], ast.Module | SyntaxError] = {}
+#: ``(path as given, st_mtime_ns, st_size)`` -> what :func:`lint_file` found:
+#: the walks, not the parse, are most of a rule pass.
+_VERDICTS: dict[tuple[str, int, int], list[str]] = {}
+
+
+def _version(path: Path) -> tuple[int, int]:
+    stat = path.stat()
+    return stat.st_mtime_ns, stat.st_size
+
+
+def parse_file(path: Path) -> ast.Module:
+    """``path``'s AST, parsed on first read and kept while the file is
+    unchanged; raises ``SyntaxError`` when it does not parse."""
+    key = (path.absolute(), *_version(path))
+    if key not in _TREES:
+        try:
+            _TREES[key] = ast.parse(
+                path.read_text(encoding="utf-8"), filename=str(path)
+            )
+        except SyntaxError as exc:
+            _TREES[key] = exc
+    tree = _TREES[key]
+    if isinstance(tree, SyntaxError):
+        raise tree
+    return tree
+
+
 def _program_trees(root: Path) -> tuple[Path, dict[Path, ast.Module]]:
     """REPRO022/023: the package under ``root`` and every program's AST."""
     package = root / "src" / "repro"
     return package, {
-        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        path: parse_file(path)
         for path in python_files([package, *(root / t for t in PROGRAM_TREES)])
     }
 
@@ -1611,8 +1644,17 @@ def setting_violations(
 
 
 def lint_file(path: Path) -> list[str]:
+    """Every per-file rule's violations in ``path``, found once per version
+    of the file: the rules read nothing but its tree and its path."""
+    key = (str(path), *_version(path))
+    if key not in _VERDICTS:
+        _VERDICTS[key] = _lint_file(path)
+    return list(_VERDICTS[key])
+
+
+def _lint_file(path: Path) -> list[str]:
     try:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tree = parse_file(path)
     except SyntaxError as exc:
         return [f"{path}:{exc.lineno or 0}: REPRO000 file does not parse: {exc.msg}"]
 
