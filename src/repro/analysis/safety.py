@@ -52,7 +52,7 @@ import enum
 from typing import Any, Mapping, Sequence
 
 from ..core.opdelta import OpDelta, OpKind
-from ..core.selfmaint import Maintainability, ViewDefinition, classify_operation
+from ..core.selfmaint import Maintainability, ViewDefinition, replay_kind
 from ..sql import ast_nodes as ast
 from ..sql.expressions import (
     referenced_columns,
@@ -140,12 +140,9 @@ def op_footprint(
     here, so they share one model.
 
     A DELETE also records which of ``views`` replay it from its image
-    (``image_views``): the kind :func:`~repro.core.selfmaint.
-    classify_operation` decides is the one ``MaterializedView`` applies —
-    a plan's DELETE rule rewrites onto the view only where it answers
-    ``OP_ONLY`` for every statement, and defers to it otherwise — and an
-    aggregate view replays every DELETE from its image, so it never tells
-    two DELETEs apart.
+    (``image_views``), as :func:`~repro.core.selfmaint.replay_kind` decides;
+    an aggregate view replays every DELETE from its image, so it never
+    tells two DELETEs apart.
     """
     footprint = extract_footprint(op.statement, table_columns)
     if footprint.determinism is not Determinism.DETERMINISTIC:
@@ -156,7 +153,7 @@ def op_footprint(
     image_views = frozenset(
         view.name for view in views
         if op.kind is OpKind.DELETE and view.base_table == op.table
-        and classify_operation(view, op) is not Maintainability.OP_ONLY
+        and replay_kind(view, op.statement) is not Maintainability.OP_ONLY
     )
     if op.before_image is not None or image_views:
         footprint = dataclasses.replace(

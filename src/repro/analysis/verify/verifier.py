@@ -3,9 +3,9 @@
 For each (view plan x operation kind) the verifier exhaustively runs the
 small scope enumerated by :mod:`~repro.analysis.verify.domain`: it seeds
 a scratch database with each abstract micro-database, captures the
-operation exactly as the pipeline would (lean when the rule claims
-op-only, with python-evaluated before images when the rule asks for
-them), applies the compiled :class:`~repro.semantics.planner.DeltaRule`
+operation exactly as the pipeline would (lean when the compiled
+:class:`~repro.semantics.planner.DeltaRule` claims op-only, with
+python-evaluated before images when the rule asks for them), applies it
 through the real view maintenance code, recomputes the view from the
 mutated base **via the SQL executor** — an oracle independent of the
 view's own incremental machinery, so a corrupted apply path cannot
@@ -539,13 +539,12 @@ class DeltaRuleVerifier:
             sequence=1,
             captured_at=database.clock.now,
         )
+        # Capture as the rule says; without one (probing a source-query
+        # plan) capture hybrid, so whichever path apply picks has what it
+        # needs.
         wants_image = kind is not OpKind.INSERT and (
-            subject.is_aggregate if rule is None else rule.needs_before_image
+            rule is None or rule.needs_before_image
         )
-        if rule is None and not subject.is_aggregate:
-            # Fallback probing classifies per statement; capture hybrid so
-            # whichever path it picks has what it needs.
-            wants_image = kind is not OpKind.INSERT
         if wants_image:
             image = self._before_image(subject.schema, pre_rows, delta)
             delta = OpDelta(
@@ -571,10 +570,7 @@ class DeltaRuleVerifier:
                 outcome.skipped = True  # the base itself rejects this op
                 return outcome
             try:
-                if subject.is_aggregate:
-                    view.apply_operation(delta, txn)
-                else:
-                    view.apply_operation(delta, txn, rule=rule)
+                view.apply_operation(delta, txn)
             except WarehouseError as exc:
                 self._classify_crash(outcome, str(exc))
             except ReproError as exc:
@@ -596,7 +592,7 @@ class DeltaRuleVerifier:
                 return outcome
             if probe_redelivery:
                 self._probe_redelivery(
-                    subject, view, delta, rule, txn, outcome, expected
+                    subject, view, delta, txn, outcome, expected
                 )
             return outcome
         finally:
@@ -636,17 +632,13 @@ class DeltaRuleVerifier:
         subject: _Subject,
         view: Any,
         delta: OpDelta,
-        rule: "DeltaRule | None",
         txn: Any,
         outcome: _ScenarioOutcome,
         expected: Any,
     ) -> None:
         """Apply the same op again (view only): silent drift is RULE005."""
         try:
-            if subject.is_aggregate:
-                view.apply_operation(delta, txn)
-            else:
-                view.apply_operation(delta, txn, rule=rule)
+            view.apply_operation(delta, txn)
         except ReproError:
             return  # redelivery fails loudly: safe under retries
         redelivered = self._view_state(subject, view)

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from ..core.opdelta import OpKind
+from ..core.selfmaint import Maintainability, replay_kind
 from ..engine.session import Session
 from ..engine.table import Table
 from ..engine.transactions import Transaction
@@ -60,7 +62,6 @@ from .kernels import BatchBinding, CompileBarrier, KernelCache, compile_predicat
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.opdelta import OpDelta
-    from ..semantics.planner import DeltaRule
     from ..warehouse.views import MaterializedView
 
 
@@ -83,18 +84,14 @@ class RowApplier:
         return self._session.execute_statement(statement).rows_affected
 
     def apply_view(
-        self,
-        view: "MaterializedView",
-        op: "OpDelta",
-        txn: Transaction,
-        rule: "DeltaRule | None",
+        self, view: "MaterializedView", op: "OpDelta", txn: Transaction
     ) -> None:
-        """Maintain one SPJ view from an op by its (planned) delta rule."""
-        view.apply_operation(op, txn, rule=rule)
+        """Maintain one SPJ view from an op, by the path its shape takes."""
+        view.apply_operation(op, txn)
 
 
 class ColumnarApplier(RowApplier):
-    """Applies transformed statements and view delta rules from batches."""
+    """Applies transformed statements and view maintenance from batches."""
 
     def __init__(self, session: Session) -> None:
         super().__init__(session)
@@ -280,28 +277,20 @@ class ColumnarApplier(RowApplier):
 
     # -------------------------------------------------------------- view path
     def apply_view(
-        self,
-        view: "MaterializedView",
-        op: "OpDelta",
-        txn: Transaction,
-        rule: "DeltaRule | None",
+        self, view: "MaterializedView", op: "OpDelta", txn: Transaction
     ) -> None:
-        """Maintain one SPJ view from an op through compiled rule kernels.
+        """Maintain one SPJ view from an op through compiled kernels.
 
-        Deterministic OP_ONLY / projected-insert rules run columnar;
-        dynamic rules, before-image paths, joins and anything the
-        compiler barriers on take the original row path unchanged.
+        A statement the view replays from the operation alone runs
+        columnar; before-image paths, joins and anything the compiler
+        barriers on take the original row path unchanged.
         """
         if op.table != view.definition.base_table:
             return
-        from ..core.opdelta import OpKind
-
         stmt = op.statement
-        columnar = not (
-            rule is None
-            or rule.action.value in ("dynamic", "source-query")
-            or rule.needs_before_image
-            or view.definition.join is not None
+        columnar = (
+            view.definition.join is None
+            and replay_kind(view.definition, stmt) is Maintainability.OP_ONLY
         )
         try:
             if (
@@ -320,10 +309,10 @@ class ColumnarApplier(RowApplier):
         if columnar:
             view.note_columnar_refresh()
             return
-        # Hybrid-plan barrier: the row path maintains the view for this op.
+        # Not columnar: the row path maintains the view for this op.
         self.fallbacks += 1
         self._images.pop(view.table.name, None)
-        super().apply_view(view, op, txn, rule)
+        super().apply_view(view, op, txn)
 
     def _view_insert(
         self, view: "MaterializedView", stmt: ast.InsertStmt, txn: Transaction

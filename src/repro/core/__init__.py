@@ -13,8 +13,7 @@ from .selfmaint import (
     JoinSpec,
     Maintainability,
     ViewDefinition,
-    classify_operation,
-    classify_static,
+    replay_kind,
 )
 from .stores import DatabaseLogStore, FileLogStore, OpDeltaStore
 from .transform import StatementTransformer, TableMapping
@@ -33,8 +32,7 @@ __all__ = [
     "ViewDefinition",
     "JoinSpec",
     "Maintainability",
-    "classify_operation",
-    "classify_static",
+    "replay_kind",
     "AlwaysHybridPolicy",
     "StatementTransformer",
     "TableMapping",

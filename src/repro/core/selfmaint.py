@@ -22,6 +22,16 @@ The rules implemented here, for select-project(-join) views:
 * **Join views** — maintainable only when the warehouse holds the joined
   (dimension) table locally; otherwise integration would have to query
   back to the sources, which violates requirement 1 of §2.3.
+
+One function states these rules, ``_replay(view, kind, read, assigned)``,
+and it has two callers.  :func:`replay_kind` asks it once per statement
+shape and view; its answer is the path apply takes, the columnar gate and
+the conflict graph's ``image_views``.  The planner
+(:mod:`repro.semantics.planner`) asks it once per kind, with every base
+column read and assigned.  The ``OP_ONLY`` conditions only tighten as those
+sets grow, so that widening is what capture uses: a kind it answers
+``OP_ONLY`` is ``OP_ONLY`` for every statement, and an image it asks for is
+one some statement of the kind may need.
 """
 
 from __future__ import annotations
@@ -31,14 +41,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import SelfMaintenanceError
+from ..scope import Scope
 from ..sql import ast_nodes as ast
 from ..sql.expressions import referenced_columns, statement_columns
 from ..sql.parser import parse_expression
-from .opdelta import OpDelta, OpKind
+from ..sql.templates import shaped
+from .opdelta import OpKind, classify_statement
 
 
 class Maintainability(enum.Enum):
-    """How much captured information a view needs for one operation kind."""
+    """How much captured information a view needs to replay an operation."""
 
     OP_ONLY = "op-only"
     NEEDS_BEFORE_IMAGE = "needs-before-image"
@@ -72,9 +84,9 @@ class ViewDefinition:
     predicate: str | None = None
     key_column: str | None = None
     join: JoinSpec | None = None
-    #: All columns of the base table, when known.  Static capture-time
-    #: analysis uses this to decide whether the view is a full-width
-    #: mirror; ``None`` means unknown (assume narrower than the base).
+    #: All columns of the base table, when known: every column a statement
+    #: may read, to the planner's per-kind widening.  ``None`` means the
+    #: planner takes them from its schema catalog.
     base_columns: tuple[str, ...] | None = None
 
     @cached_property
@@ -85,6 +97,12 @@ class ViewDefinition:
             return None, frozenset()
         tree = parse_expression(self.predicate)
         return tree, frozenset(referenced_columns(tree))
+
+    @cached_property
+    def _scope(self) -> Scope:
+        """What this definition's per-shape facts are filed under: they
+        read it, and it never changes."""
+        return Scope()
 
     def predicate_ast(self) -> ast.Expression | None:
         return self._predicate[0]
@@ -105,8 +123,46 @@ class ViewDefinition:
         self.predicate_ast()
 
 
-def classify_operation(view: ViewDefinition, op: OpDelta) -> Maintainability:
-    """Per-statement analysis: what does *this* operation need for *this* view?"""
+def replay_kind(view: ViewDefinition, statement: ast.Statement) -> Maintainability:
+    """How ``view`` replays ``statement``: the one judge of the apply path.
+
+    The answer reads the statement's class and the columns it reads and
+    assigns, never a literal, so it is the shape's: worked out once per
+    (shape, view), under the definition's own scope.
+    """
+    return shaped(
+        statement, view._scope, "replay",
+        lambda shape, _slot: _replay(view, *_columns_of(shape)),
+    )[0]
+
+
+def _columns_of(
+    statement: ast.Statement,
+) -> tuple[OpKind, frozenset[str], frozenset[str]]:
+    """A statement's kind, the columns it reads and the columns it assigns."""
+    kind, _table = classify_statement(statement)
+    assigned = (
+        frozenset(a.column for a in statement.assignments)
+        if isinstance(statement, ast.UpdateStmt)
+        else frozenset()
+    )
+    return kind, frozenset(statement_columns(statement)), assigned
+
+
+def _replay(
+    view: ViewDefinition,
+    kind: OpKind,
+    read_columns: frozenset[str],
+    assigned_columns: frozenset[str],
+) -> Maintainability:
+    """What a ``kind`` statement reading ``read_columns`` and assigning
+    ``assigned_columns`` needs for ``view``.
+
+    Every ``OP_ONLY`` condition only gets harder to meet as either column
+    set grows, so asking with every base column read (and, for UPDATE,
+    assigned) answers for every statement of the kind at once — the
+    planner's per-kind rule.
+    """
     if (
         view.join is not None
         and view.join.columns
@@ -116,75 +172,30 @@ def classify_operation(view: ViewDefinition, op: OpDelta) -> Maintainability:
         # source query; a bare key-consistency join with no projected
         # columns never needs the dimension table at integration time.
         return Maintainability.NOT_SELF_MAINTAINABLE
-    if op.kind is OpKind.INSERT:
+    if kind is OpKind.INSERT:
         return Maintainability.OP_ONLY
     # The rewrite-onto-the-view path evaluates everything the statement reads
     # (its WHERE, its assignment inputs) and the view's own selection
     # predicate against view rows, so all of it must be projected.
     projected = set(view.columns)
     visible = (
-        statement_columns(op.statement) <= projected
-        and view.predicate_columns() <= projected
+        read_columns <= projected and view.predicate_columns() <= projected
     )
-    if op.kind is OpKind.DELETE:
+    if kind is OpKind.DELETE:
         if view.key_projected and visible:
             return Maintainability.OP_ONLY
         return Maintainability.NEEDS_BEFORE_IMAGE
-    # UPDATE
-    assert op.kind is OpKind.UPDATE
-    assigned = {a.column for a in op.statement.assignments}  # type: ignore[union-attr]
-    membership_affected = bool(assigned & view.predicate_columns())
+    membership_affected = bool(assigned_columns & view.predicate_columns())
     if (
         view.join is not None
         and view.join.columns
-        and view.join.left_column in assigned
+        and view.join.left_column in assigned_columns
     ):
         # Reassigning the join key invalidates the materialised dimension
         # attributes; re-projection (which needs the before image) is
         # required.  A join projecting no dimension columns materialises
         # nothing that could go stale.
         membership_affected = True
-    if visible and assigned <= projected and not membership_affected:
+    if visible and assigned_columns <= projected and not membership_affected:
         return Maintainability.OP_ONLY
     return Maintainability.NEEDS_BEFORE_IMAGE
-
-
-def classify_static(view: ViewDefinition, kind: OpKind) -> Maintainability:
-    """Capture-time analysis: the statement is unknown, so be conservative.
-
-    This is what the hybrid capture policy evaluates when deciding whether
-    to fetch before images for a table's updates/deletes.
-    """
-    if (
-        view.join is not None
-        and view.join.columns
-        and not view.join.available_at_warehouse
-    ):
-        return Maintainability.NOT_SELF_MAINTAINABLE
-    if kind is OpKind.INSERT:
-        return Maintainability.OP_ONLY
-    if kind is OpKind.DELETE:
-        # Any base column could appear in a future DELETE's WHERE; the view
-        # is safe for every possible statement only if it keeps the key and
-        # projects the full base row.
-        if view.key_projected and _projects_full_row(view):
-            return Maintainability.OP_ONLY
-        return Maintainability.NEEDS_BEFORE_IMAGE
-    # UPDATE: additionally, a future statement could assign one of the
-    # view's selection-predicate columns (moving rows in or out of the
-    # view) or the join key (invalidating materialised dimension columns).
-    if (
-        view.predicate is None
-        and view.join is None
-        and view.key_projected
-        and _projects_full_row(view)
-    ):
-        return Maintainability.OP_ONLY
-    return Maintainability.NEEDS_BEFORE_IMAGE
-
-
-def _projects_full_row(view: ViewDefinition) -> bool:
-    """Whether the view provably projects every base-table column."""
-    if view.base_columns is None:
-        return False
-    return set(view.columns) >= set(view.base_columns)

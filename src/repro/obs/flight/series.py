@@ -22,7 +22,6 @@ from collections import deque
 from typing import Any, Mapping, Protocol
 
 from ...errors import ObservabilityError
-from ..stats import nearest_rank_percentile
 
 #: One recorded point: (virtual ms, value).
 Sample = tuple[float, float]
@@ -86,14 +85,6 @@ class RingSeries:
         self, since_ms: float | None = None, until_ms: float | None = None
     ) -> list[float]:
         return [value for _at, value in self.window(since_ms, until_ms)]
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile of the retained samples (0.0 if empty)."""
-        return nearest_rank_percentile(self.values(), q)
-
-    def mean(self, since_ms: float | None = None) -> float:
-        values = self.values(since_ms)
-        return sum(values) / len(values) if values else 0.0
 
     def max(
         self,

@@ -100,22 +100,16 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Records spans; a default clock is adopted with :meth:`bind`."""
+    """Records spans, each stamped from the clock it is opened with."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self._clock: VirtualClock | None = None
         #: All spans in start order (closed in place as regions exit).
         self.spans: list[Span] = []
         self._stack: list[Span] = []
 
     # ----------------------------------------------------------------- clocks
-    def bind(self, clock: VirtualClock) -> None:
-        """Adopt ``clock`` as the default if none is bound yet."""
-        if self._clock is None:
-            self._clock = clock
-
     def bound(self, clock: VirtualClock) -> BoundTracer:
         """A view of this tracer that stamps spans from ``clock``."""
         return BoundTracer(self, clock)
@@ -124,11 +118,10 @@ class Tracer:
     def span(
         self, name: str, clock: VirtualClock | None = None, **args: Any
     ) -> _OpenSpan:
-        clock = clock if clock is not None else self._clock
         if clock is None:
             raise ObservabilityError(
-                f"cannot open span {name!r}: tracer has no clock bound; "
-                "pass one or use tracer.bound(clock)"
+                f"cannot open span {name!r} without a clock; pass one or use "
+                "tracer.bound(clock)"
             )
         parent = self._stack[-1] if self._stack else None
         span = Span(name, clock.now, len(self._stack), parent, args)

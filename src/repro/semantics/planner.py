@@ -8,24 +8,26 @@ and classified as *self-maintainable* (op-delta alone), *self-maintainable
 hybrid* (op-delta plus captured before images) or *source-query-needed*
 (cannot be maintained without querying the source, violating §2.3 req. 1).
 
-This subsumes :mod:`repro.core.selfmaint`: the planner calls its static
-classification per operation kind, then goes further — it validates the
-view definition against the schema catalog with the semantic checker
-(predicate type errors become plan diagnostics), decides ahead of time
-which apply strategy each operation kind uses, and drives both the hybrid
-capture policy (:class:`PlanDrivenCapturePolicy`) and the integrators'
-apply fast path, replacing recompute-on-apply with rule execution.
+An SPJ plan is the per-kind widening of the one replay judge
+(:mod:`repro.core.selfmaint`): each kind is asked with every base column
+read, and for UPDATE assigned, so a rule that needs no before image holds
+for every statement of its kind.  The planner also validates the view
+definition against the schema catalog with the semantic checker (predicate
+type errors become plan diagnostics).  The plan decides what capture
+fetches (:class:`PlanDrivenCapturePolicy`) and what the verifier certifies;
+apply reads no rule — it asks :func:`~repro.core.selfmaint.replay_kind` per
+statement shape, and a plan that captured too few images fails loudly there
+instead of rewriting wrongly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..core.opdelta import OpKind
-from ..core.selfmaint import Maintainability, ViewDefinition, classify_static
+from ..core.selfmaint import Maintainability, ViewDefinition, _replay
 from ..engine.schema import TableSchema
 from ..errors import SelfMaintenanceError
 from ..sql.parser import parse_expression
@@ -211,14 +213,19 @@ class ViewMaintenancePlanner:
                 )
                 diags.extend(predicate_diags)
             diags.extend(self._check_join(view, schema))
-            # The planner knows the base schema; give the static classifier
-            # the full column list so full-width mirrors classify op-only.
-            if view.base_columns is None:
-                view = dataclasses.replace(
-                    view, base_columns=schema.column_names
-                )
 
-        rules = tuple(self._spj_rule(view, kind) for kind in _DML_KINDS)
+        # Every column a statement may read (and an UPDATE assign): the
+        # definition's own list, else the catalog's.  An unknown table's
+        # columns are unknown, so one no view projects stands for them.
+        if view.base_columns is not None:
+            base_columns = frozenset(view.base_columns)
+        else:
+            base_columns = frozenset(
+                schema.column_names if schema is not None else ("*",)
+            )
+        rules = tuple(
+            self._spj_rule(view, kind, base_columns) for kind in _DML_KINDS
+        )
         return MaintenancePlan(
             view=view.name,
             base_table=view.base_table,
@@ -375,8 +382,13 @@ class ViewMaintenancePlanner:
                 )
         return diags
 
-    def _spj_rule(self, view: ViewDefinition, kind: OpKind) -> DeltaRule:
-        level = classify_static(view, kind)
+    def _spj_rule(
+        self, view: ViewDefinition, kind: OpKind, base_columns: frozenset[str]
+    ) -> DeltaRule:
+        """The per-kind widening of the one replay judge: every statement of
+        ``kind`` replays as this answers or more cheaply."""
+        assigned = base_columns if kind is OpKind.UPDATE else frozenset()
+        level = _replay(view, kind, base_columns, assigned)
         if level is Maintainability.NOT_SELF_MAINTAINABLE:
             return DeltaRule(
                 kind,

@@ -73,12 +73,13 @@ _Skipped = tuple[OpDelta, OpDeltaTransaction, float, bool]
 class OpDeltaIntegrator:
     """Replays Op-Delta transaction groups onto mirrors and views.
 
-    With ``plans`` (a :class:`~repro.semantics.planner.MaintenancePlan`
-    catalog, keyed by view name) the integrator executes the statically
-    compiled delta rule for each operation instead of re-classifying every
-    statement; plans that declare a view not self-maintainable are rejected
-    at construction — attach such views to a source-query refresh path
-    instead of this integrator.
+    Each view takes the path :func:`~repro.core.selfmaint.replay_kind`
+    decides for an operation's statement shape.  ``plans`` (a
+    :class:`~repro.semantics.planner.MaintenancePlan` catalog, keyed by view
+    name) are what capture fetched images by; the integrator counts the
+    operations their static rules cover, and rejects at construction plans
+    that declare a view not self-maintainable — attach such views to a
+    source-query refresh path instead of this integrator.
 
     Supplied plans are additionally put through the delta-rule verifier
     (:class:`~repro.analysis.verify.DeltaRuleVerifier`) as a pre-flight:
@@ -499,7 +500,7 @@ class OpDeltaIntegrator:
     ) -> None:
         """Replay one prepared operation onto the mirror and every view.
 
-        ``executor`` runs the mirror statement and the SPJ view rules —
+        ``executor`` runs the mirror statement and maintains the SPJ views —
         row at a time, or as compiled batch programs that fall back to
         the row path across a compile barrier.
         """
@@ -512,7 +513,7 @@ class OpDeltaIntegrator:
         report.rows_affected += affected
         for view in self._views:
             rule = rule_for(view.definition.name, op)
-            executor.apply_view(view, op, txn, rule)
+            executor.apply_view(view, op, txn)
             if (
                 rule is not None
                 and rule.action is not RuleAction.DYNAMIC

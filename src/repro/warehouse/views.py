@@ -4,7 +4,8 @@ A :class:`MaterializedView` stores a select-project(-join) view of one
 source table inside the warehouse database and can be maintained either
 
 * from **Op-Deltas** (:meth:`MaterializedView.apply_operation`) — using the
-  self-maintainability analysis: operations that are maintainable alone are
+  self-maintainability analysis (:func:`~repro.core.selfmaint.replay_kind`):
+  operations that are maintainable alone are
   rewritten onto the view (once per statement *shape*: the rewrite is filed
   on the operation's template, :func:`repro.sql.templates.reshaped`, so the
   executor meets a statement whose access it already knows); operations
@@ -23,13 +24,10 @@ deltas with the images they carry and by hybrid Op-Deltas with the images
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
 from ..core.opdelta import OpDelta, OpKind, derive_row_images
-from ..core.selfmaint import Maintainability, ViewDefinition, classify_operation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..semantics.planner import DeltaRule
+from ..core.selfmaint import Maintainability, ViewDefinition, replay_kind
 from ..engine.database import Database
 from ..engine.schema import Column, TableSchema
 from ..engine.table import InsertMode, Table
@@ -131,19 +129,13 @@ class MaterializedView:
         return sorted(result)
 
     # -------------------------------------------------------- op-delta path
-    def apply_operation(
-        self, op: OpDelta, txn: Transaction, rule: "DeltaRule | None" = None
-    ) -> Maintainability:
-        """Maintain the view from one Op-Delta; returns the path taken.
-
-        With a compiled :class:`~repro.semantics.planner.DeltaRule` the
-        per-statement classification is skipped wherever the planner
-        decided the strategy ahead of time; only ``DYNAMIC`` rules fall
-        back to classifying the individual statement.
-        """
+    def apply_operation(self, op: OpDelta, txn: Transaction) -> Maintainability:
+        """Maintain the view from one Op-Delta; returns the path taken, the
+        one :func:`~repro.core.selfmaint.replay_kind` decides for the
+        statement's shape."""
         if op.table != self.definition.base_table:
             return Maintainability.OP_ONLY  # not our base table: no-op
-        level = self._resolve_level(op, rule)
+        level = replay_kind(self.definition, op.statement)
         if level is Maintainability.NOT_SELF_MAINTAINABLE:
             raise WarehouseError(
                 f"view {self.definition.name!r} cannot be maintained from "
@@ -158,17 +150,6 @@ class MaterializedView:
                 self._apply_derived_images(op, txn)
         self._m_refresh.inc()
         return level
-
-    def _resolve_level(
-        self, op: OpDelta, rule: "DeltaRule | None"
-    ) -> Maintainability:
-        if rule is None or rule.action.value == "dynamic":
-            return classify_operation(self.definition, op)
-        if rule.action.value == "source-query":
-            return Maintainability.NOT_SELF_MAINTAINABLE
-        if rule.needs_before_image:
-            return Maintainability.NEEDS_BEFORE_IMAGE
-        return Maintainability.OP_ONLY
 
     def rewritten(self, statement: ast.Statement) -> ast.Statement:
         """An UPDATE or DELETE on the base table as the one statement on the

@@ -8,18 +8,22 @@ from repro.core import (
     Maintainability,
     OpKind,
     ViewDefinition,
-    classify_operation,
-    classify_static,
+    replay_kind,
 )
+from repro.core import selfmaint
 from repro.core.opdelta import OpDelta
+from repro.engine import Database
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import FLOAT, INTEGER, char
 from repro.errors import SelfMaintenanceError
 from repro.semantics import (
     PlanDrivenCapturePolicy,
+    RuleAction,
     SchemaCatalog,
     ViewMaintenancePlanner,
 )
+from repro.sql.parser import parse
+from repro.warehouse.views import MaterializedView
 
 BASE_COLUMNS = ("part_id", "part_ref", "status", "quantity", "price")
 CATALOG = SchemaCatalog([
@@ -47,54 +51,50 @@ def plan_policy(views):
     return PlanDrivenCapturePolicy(ViewMaintenancePlanner(CATALOG).plan_catalog(views))
 
 
-def op(sql: str) -> OpDelta:
-    from repro.core.opdelta import classify_statement
-    from repro.sql.parser import parse
-
-    statement = parse(sql)
-    kind, table = classify_statement(statement)
-    return OpDelta(sql, table, kind, 1, 1, 0.0)
+def rule(v, kind):
+    """The planner's per-kind rule for ``v``: the judge's widening."""
+    return ViewMaintenancePlanner(CATALOG).plan_view(v).rule_for(kind)
 
 
 class TestPerStatementAnalysis:
     def test_insert_always_op_only(self):
         v = view(columns=("part_id", "status"), predicate="quantity > 5")
-        result = classify_operation(v, op("INSERT INTO parts VALUES (1)"))
+        result = replay_kind(v, parse("INSERT INTO parts VALUES (1)"))
         assert result is Maintainability.OP_ONLY
 
     def test_delete_with_projected_predicate_op_only(self):
         v = view(columns=("part_id", "status"))
-        result = classify_operation(v, op("DELETE FROM parts WHERE status = 'x'"))
+        result = replay_kind(v, parse("DELETE FROM parts WHERE status = 'x'"))
         assert result is Maintainability.OP_ONLY
 
     def test_delete_with_unprojected_predicate_needs_before(self):
         v = view(columns=("part_id", "status"))
-        result = classify_operation(v, op("DELETE FROM parts WHERE quantity > 5"))
+        result = replay_kind(v, parse("DELETE FROM parts WHERE quantity > 5"))
         assert result is Maintainability.NEEDS_BEFORE_IMAGE
 
     def test_delete_without_key_needs_before(self):
         v = view(columns=("status",))
-        result = classify_operation(v, op("DELETE FROM parts WHERE status = 'x'"))
+        result = replay_kind(v, parse("DELETE FROM parts WHERE status = 'x'"))
         assert result is Maintainability.NEEDS_BEFORE_IMAGE
 
     def test_update_fully_visible_op_only(self):
         v = view(columns=("part_id", "status", "price"))
-        result = classify_operation(
-            v, op("UPDATE parts SET price = price * 2 WHERE status = 'x'")
+        result = replay_kind(
+            v, parse("UPDATE parts SET price = price * 2 WHERE status = 'x'")
         )
         assert result is Maintainability.OP_ONLY
 
     def test_update_touching_view_predicate_needs_before(self):
         v = view(predicate="quantity > 5")
-        result = classify_operation(
-            v, op("UPDATE parts SET quantity = 0 WHERE part_id = 1")
+        result = replay_kind(
+            v, parse("UPDATE parts SET quantity = 0 WHERE part_id = 1")
         )
         assert result is Maintainability.NEEDS_BEFORE_IMAGE
 
     def test_update_reading_unprojected_column_needs_before(self):
         v = view(columns=("part_id", "status"))
-        result = classify_operation(
-            v, op("UPDATE parts SET status = 'x' WHERE quantity > 5")
+        result = replay_kind(
+            v, parse("UPDATE parts SET status = 'x' WHERE quantity > 5")
         )
         assert result is Maintainability.NEEDS_BEFORE_IMAGE
 
@@ -103,8 +103,8 @@ class TestPerStatementAnalysis:
             "suppliers", "part_ref", "supplier_id", columns=("supplier_name",)
         )
         v = view(join=spec)
-        result = classify_operation(
-            v, op("UPDATE parts SET part_ref = 1 WHERE part_id = 1")
+        result = replay_kind(
+            v, parse("UPDATE parts SET part_ref = 1 WHERE part_id = 1")
         )
         assert result is Maintainability.NEEDS_BEFORE_IMAGE
 
@@ -115,8 +115,8 @@ class TestPerStatementAnalysis:
         # conservative answer forced before images nothing consumed).
         spec = JoinSpec("suppliers", "part_ref", "supplier_id")
         v = view(join=spec)
-        result = classify_operation(
-            v, op("UPDATE parts SET part_ref = 1 WHERE part_id = 1")
+        result = replay_kind(
+            v, parse("UPDATE parts SET part_ref = 1 WHERE part_id = 1")
         )
         assert result is Maintainability.OP_ONLY
 
@@ -129,7 +129,7 @@ class TestPerStatementAnalysis:
             available_at_warehouse=False,
         )
         v = view(join=spec)
-        result = classify_operation(v, op("DELETE FROM parts WHERE part_id = 1"))
+        result = replay_kind(v, parse("DELETE FROM parts WHERE part_id = 1"))
         assert result is Maintainability.NOT_SELF_MAINTAINABLE
 
     def test_unavailable_columnless_join_still_maintainable(self):
@@ -139,27 +139,59 @@ class TestPerStatementAnalysis:
             "suppliers", "part_ref", "supplier_id", available_at_warehouse=False
         )
         v = view(join=spec)
-        result = classify_operation(v, op("DELETE FROM parts WHERE part_id = 1"))
+        result = replay_kind(v, parse("DELETE FROM parts WHERE part_id = 1"))
         assert result is Maintainability.OP_ONLY
+
+
+class TestOneJudgementPerShape:
+    def test_same_shape_updates_are_judged_once(self, monkeypatch):
+        # A DYNAMIC view (its predicate rules out a per-kind answer): every
+        # op asks the judge, which runs once per (shape, view).
+        v = view(predicate="quantity > 5")
+        assert rule(v, OpKind.UPDATE).action is RuleAction.DYNAMIC
+        database = Database("one-judgement")
+        materialized = MaterializedView(database, v, CATALOG.schema("parts"))
+        txn = database.begin()
+        materialized.initialize(
+            [(key, key, "x", 10, 1.0) for key in range(50)], txn
+        )
+        database.commit(txn)
+
+        judged = []
+        body = selfmaint._replay
+
+        def counted(*args):
+            judged.append(args)
+            return body(*args)
+
+        monkeypatch.setattr(selfmaint, "_replay", counted)
+        txn = database.begin()
+        for n in range(500):
+            sql = f"UPDATE parts SET price = {n}.5 WHERE part_id = {n % 50}"
+            op = OpDelta(sql, "parts", OpKind.UPDATE, 1, n + 1, 0.0)
+            assert materialized.apply_operation(op, txn) is Maintainability.OP_ONLY
+        database.commit(txn)
+        assert len(judged) == 1
 
 
 class TestStaticAnalysis:
     def test_full_mirror_is_op_only(self):
         v = view()
-        assert classify_static(v, OpKind.DELETE) is Maintainability.OP_ONLY
-        assert classify_static(v, OpKind.UPDATE) is Maintainability.OP_ONLY
+        for kind in (OpKind.DELETE, OpKind.UPDATE):
+            assert rule(v, kind).action is RuleAction.REWRITE_ON_VIEW, kind
+            assert not rule(v, kind).needs_before_image, kind
 
     def test_projection_forces_before_images(self):
         v = view(columns=("part_id", "status"))
-        assert classify_static(v, OpKind.DELETE) is Maintainability.NEEDS_BEFORE_IMAGE
+        assert rule(v, OpKind.DELETE).needs_before_image
 
     def test_selection_forces_before_images_for_updates(self):
         v = view(predicate="quantity > 5")
-        assert classify_static(v, OpKind.UPDATE) is Maintainability.NEEDS_BEFORE_IMAGE
+        assert rule(v, OpKind.UPDATE).needs_before_image
 
     def test_inserts_never_need_before(self):
         v = view(columns=("part_id",), predicate="quantity > 5")
-        assert classify_static(v, OpKind.INSERT) is Maintainability.OP_ONLY
+        assert not rule(v, OpKind.INSERT).needs_before_image
 
     def test_combined_requirement_takes_strongest(self):
         policy = plan_policy([view(), view(columns=("part_id", "status"), name="w")])

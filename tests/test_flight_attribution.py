@@ -14,8 +14,7 @@ def traced(builder):
     """Run ``builder(tracer, clock)`` and return the quiesced tracer."""
     clock = VirtualClock()
     tracer = Tracer()
-    tracer.bind(clock)
-    builder(tracer, clock)
+    builder(tracer.bound(clock), clock)
     return tracer
 
 

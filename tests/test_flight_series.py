@@ -6,6 +6,7 @@ from repro.errors import ObservabilityError
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder, RingSeries, TimeSeriesStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.pipeline import PipelineRecorder
+from repro.obs.stats import nearest_rank_percentile
 from repro.clock import VirtualClock
 
 
@@ -63,9 +64,8 @@ class TestEdgeCaseQueries:
 
     def test_empty_series(self):
         series = RingSeries("t.empty")
-        assert series.percentile(0.5) == 0.0
-        assert series.percentile(0.99) == 0.0
-        assert series.mean() == 0.0
+        assert nearest_rank_percentile(series.values(), 0.5) == 0.0
+        assert nearest_rank_percentile(series.values(), 0.99) == 0.0
         assert series.max() == 0.0
         assert series.values() == []
         assert series.latest is None
@@ -73,24 +73,24 @@ class TestEdgeCaseQueries:
     def test_single_sample(self):
         series = filled([(7.0, 42.0)])
         # Nearest-rank: every percentile of one sample is that sample.
-        assert series.percentile(0.0) == 42.0
-        assert series.percentile(0.5) == 42.0
-        assert series.percentile(1.0) == 42.0
-        assert series.mean() == 42.0
+        assert nearest_rank_percentile(series.values(), 0.0) == 42.0
+        assert nearest_rank_percentile(series.values(), 0.5) == 42.0
+        assert nearest_rank_percentile(series.values(), 1.0) == 42.0
+        assert series.values() == [42.0]
 
     def test_all_equal_samples(self):
         series = filled([(float(i), 5.0) for i in range(10)])
         for q in (0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
-            assert series.percentile(q) == 5.0
-        assert series.mean() == 5.0
+            assert nearest_rank_percentile(series.values(), q) == 5.0
+        assert series.values() == [5.0] * 10
 
     def test_percentile_nearest_rank_positions(self):
         series = filled([(float(i), float(i + 1)) for i in range(10)])
         # values 1..10: nearest-rank p50 is the 5th value, p90 the 9th.
-        assert series.percentile(0.5) == 5.0
-        assert series.percentile(0.9) == 9.0
-        assert series.percentile(1.0) == 10.0
-        assert series.percentile(0.0) == 1.0
+        assert nearest_rank_percentile(series.values(), 0.5) == 5.0
+        assert nearest_rank_percentile(series.values(), 0.9) == 9.0
+        assert nearest_rank_percentile(series.values(), 1.0) == 10.0
+        assert nearest_rank_percentile(series.values(), 0.0) == 1.0
 
     def test_query_window_older_than_retention(self):
         series = RingSeries("t.short")
@@ -100,7 +100,7 @@ class TestEdgeCaseQueries:
         assert series.dropped == 6
         assert series.values(since_ms=-1.0)[:4] == [6.0, 7.0, 8.0, 9.0]
         # The answers are still well-defined over what remains.
-        assert series.percentile(0.0) == 6.0
+        assert nearest_rank_percentile(series.values(), 0.0) == 6.0
 
     def test_covers_true_before_any_eviction(self):
         # Nothing evicted: every sample since any instant is still held.

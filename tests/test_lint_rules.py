@@ -544,7 +544,7 @@ class TestRepro008HotLoopDiscipline:
 
     def test_classify_and_plan_view_flagged(self, tmp_path):
         for call in (
-            "analyzer.classify_operation(op)",
+            "selfmaint.replay_kind(view, op.statement)",
             "planner.plan_view(view)",
         ):
             violations = lint_source(
@@ -1553,6 +1553,88 @@ class TestRepro021OneCommutationVerdictPerPair:
                 calls[path.relative_to(package).as_posix()] = count
         # The budget is met exactly: the record's cell.
         assert calls == {"analysis/conflict.py": 1}
+
+
+class TestRepro024OneReplayJudge:
+    JUDGE = "repro/core/selfmaint.py"
+    WIDENING = "repro/semantics/planner.py"
+    CALL = (
+        "def judge(view, kind, read, assigned):\n"
+        "    return _replay(view, kind, read, assigned)\n"
+    )
+    READ = "def path(rule):\n    return rule.needs_before_image\n"
+
+    @staticmethod
+    def flagged(violations):
+        assert all("REPRO024" in v for v in violations)
+        return [int(v.split(":")[1]) for v in violations]
+
+    def test_a_replay_outside_the_two_callers_is_flagged(self, tmp_path):
+        for home in (self.JUDGE, self.WIDENING):
+            assert lint_source(tmp_path, self.CALL, name=home) == [], home
+        for elsewhere in (
+            "repro/warehouse/views.py",
+            "repro/columnar/apply.py",
+            "repro/analysis/safety.py",
+        ):
+            violations = lint_source(tmp_path, self.CALL, name=elsewhere)
+            assert self.flagged(violations) == [2], elsewhere
+            assert "replay_kind(view, statement)" in violations[0]
+
+    def test_budgets_are_per_module(self, tmp_path):
+        twice = self.CALL + "def again(v, k):\n    return selfmaint._replay(v, k, a, b)\n"
+        assert self.flagged(lint_source(tmp_path, twice, name=self.JUDGE)) == [4]
+
+    def test_apply_reads_no_image_choice(self, tmp_path):
+        for apply_path in ("repro/warehouse/views.py", "repro/columnar/apply.py"):
+            violations = lint_source(tmp_path, self.READ, name=apply_path)
+            assert self.flagged(violations) == [2], apply_path
+        for capture in (self.WIDENING, "repro/analysis/verify/verifier.py"):
+            assert lint_source(tmp_path, self.READ, name=capture) == [], capture
+
+    def test_a_keyword_is_not_a_read(self, tmp_path):
+        source = "def make(build):\n    return build(needs_before_image=False)\n"
+        assert lint_source(tmp_path, source, name="repro/warehouse/views.py") == []
+
+    def test_the_rule_back_in_views_fails_the_command_line(self, tmp_path):
+        views = tmp_path / "repro" / "warehouse" / "views.py"
+        views.parent.mkdir(parents=True)
+        shipped = (REPO / "src" / "repro" / "warehouse" / "views.py").read_text(
+            encoding="utf-8"
+        )
+        views.write_text(shipped, encoding="utf-8")
+        assert lint_rules.main([str(views)]) == 0
+        views.write_text(
+            shipped + "\n\ndef _resolve_level(rule):\n"
+            "    return rule.needs_before_image\n",
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "tools" / "lint_rules.py"), str(views)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "REPRO024" in proc.stdout
+
+    def test_shipped_tree_has_one_replay_judge(self):
+        package = REPO / "src" / "repro"
+        calls, reads = {}, {}
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO024" in v
+            ] == [], path
+            nodes = list(ast.walk(lint_rules.parse_file(path)))
+            name = "repro/" + path.relative_to(package).as_posix()
+            if count := len(lint_rules._calls_to(nodes, "_replay")):
+                calls[name] = count
+            if count := sum(
+                isinstance(n, ast.Attribute) and n.attr == "needs_before_image"
+                for n in nodes
+            ):
+                reads[name] = count
+        # Both budgets are met exactly.
+        assert calls == lint_rules.REPLAY_BUDGETS
+        assert reads == lint_rules.IMAGE_CHOICE_BUDGETS
 
 
 class TestRepro022ReachedByAProgram:

@@ -14,24 +14,28 @@ def clock() -> VirtualClock:
 
 
 @pytest.fixture
-def tracer(clock) -> Tracer:
-    tracer = Tracer()
-    tracer.bind(clock)
-    return tracer
+def tracer() -> Tracer:
+    return Tracer()
+
+
+@pytest.fixture
+def bound(tracer, clock):
+    """The tracer stamping spans from ``clock``."""
+    return tracer.bound(clock)
 
 
 class TestSpans:
-    def test_span_measures_virtual_time(self, tracer, clock):
-        with tracer.span("extract.timestamp.scan"):
+    def test_span_measures_virtual_time(self, tracer, bound, clock):
+        with bound.span("extract.timestamp.scan"):
             clock.advance(25.0)
         (span,) = tracer.spans
         assert span.duration_ms == 25.0
         assert span.start_ms == 0.0
         assert not span.is_open
 
-    def test_nesting_depth_and_parents(self, tracer, clock):
-        with tracer.span("a.b.outer") as outer:
-            with tracer.span("a.b.inner") as inner:
+    def test_nesting_depth_and_parents(self, tracer, bound, clock):
+        with bound.span("a.b.outer") as outer:
+            with bound.span("a.b.inner") as inner:
                 clock.advance(1.0)
             assert inner.parent is outer
         assert outer.depth == 0 and inner.depth == 1
@@ -39,19 +43,19 @@ class TestSpans:
         assert tracer.children(outer) == [inner]
         assert tracer._stack == []
 
-    def test_open_span_has_no_duration(self, tracer):
-        handle = tracer.span("a.b.open")
+    def test_open_span_has_no_duration(self, tracer, bound):
+        handle = bound.span("a.b.open")
         with pytest.raises(ObservabilityError):
             _ = handle.span.duration_ms
 
-    def test_out_of_order_close_rejected(self, tracer, clock):
-        outer = tracer.span("a.b.outer")
-        tracer.span("a.b.inner")
+    def test_out_of_order_close_rejected(self, tracer, bound, clock):
+        outer = bound.span("a.b.outer")
+        bound.span("a.b.inner")
         with pytest.raises(ObservabilityError):
             tracer._close(outer.span, clock)
 
-    def test_span_args_recorded(self, tracer):
-        with tracer.span("a.b.c", table="parts", size=3) as span:
+    def test_span_args_recorded(self, tracer, bound):
+        with bound.span("a.b.c", table="parts", size=3) as span:
             pass
         assert span.args == {"table": "parts", "size": 3}
 
@@ -59,11 +63,11 @@ class TestSpans:
         with pytest.raises(ObservabilityError):
             Tracer().span("a.b.c")
 
-    def test_total_root_ms(self, tracer, clock):
-        with tracer.span("a.b.one"):
+    def test_total_root_ms(self, tracer, bound, clock):
+        with bound.span("a.b.one"):
             clock.advance(10.0)
         clock.advance(5.0)  # outside any span
-        with tracer.span("a.b.two"):
+        with bound.span("a.b.two"):
             clock.advance(20.0)
         roots = [s for s in tracer.spans if s.parent is None]
         assert sum(s.duration_ms for s in roots) == 30.0
@@ -82,20 +86,18 @@ class TestBoundTracer:
         durations = {s.name: s.duration_ms for s in tracer.spans}
         assert durations == {"extract.a.b": 7.0, "warehouse.a.b": 3.0}
 
-    def test_bind_adopts_first_clock_only(self, clock):
-        tracer = Tracer()
-        tracer.bind(clock)
+    def test_a_bound_view_rebinds_to_another_clock(self, tracer, bound, clock):
         other = VirtualClock()
-        tracer.bind(other)  # no-op: already bound
-        with tracer.span("a.b.c"):
-            clock.advance(1.0)
+        with bound.bound(other).span("a.b.c"):
+            clock.advance(5.0)
+            other.advance(1.0)
         assert tracer.spans[0].duration_ms == 1.0
 
 
 class TestChromeExport:
-    def test_events_are_microseconds(self, tracer, clock):
+    def test_events_are_microseconds(self, tracer, bound, clock):
         clock.advance(2.0)
-        with tracer.span("a.b.c", table="t"):
+        with bound.span("a.b.c", table="t"):
             clock.advance(5.0)
         (event,) = tracer.chrome_trace_events()
         assert event["ph"] == "X"
@@ -103,8 +105,8 @@ class TestChromeExport:
         assert event["dur"] == 5000.0
         assert event["args"] == {"table": "t"}
 
-    def test_process_name_metadata(self, tracer, clock):
-        with tracer.span("a.b.c"):
+    def test_process_name_metadata(self, tracer, bound, clock):
+        with bound.span("a.b.c"):
             clock.advance(1.0)
         events = tracer.chrome_trace_events(pid=7, process_name="table2")
         assert events[0] == {
@@ -113,8 +115,8 @@ class TestChromeExport:
         }
         assert all(e["pid"] == 7 for e in events)
 
-    def test_open_spans_skipped(self, tracer, clock):
-        tracer.span("a.b.open")
+    def test_open_spans_skipped(self, tracer, bound, clock):
+        bound.span("a.b.open")
         assert tracer.chrome_trace_events() == []
 
 

@@ -105,8 +105,8 @@ class TestSpjPlans:
 
     def test_base_columns_filled_from_catalog(self):
         # FULL_VIEW is declared without base_columns; only the catalog can
-        # prove it projects the full base row.  classify_static alone would
-        # be conservative — the planner must consult the schema.
+        # prove it projects the full base row.  Without them the widening
+        # would be conservative — the planner must consult the schema.
         assert FULL_VIEW.base_columns is None
         plan = PLANNER.plan_view(FULL_VIEW)
         assert plan.classification is ViewClass.SELF_MAINTAINABLE

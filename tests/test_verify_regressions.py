@@ -18,17 +18,12 @@ against the pre-fix planner/view code, so the bug class cannot return:
 
 from repro.analysis.verify import CertificateCache, DeltaRuleVerifier
 from repro.core.opdelta import OpDelta, OpKind
-from repro.core.selfmaint import (
-    JoinSpec,
-    Maintainability,
-    ViewDefinition,
-    classify_static,
-)
+from repro.core.selfmaint import JoinSpec, ViewDefinition
 from repro.engine.database import Database
 from repro.engine.schema import Column, TableSchema
 from repro.engine.table import InsertMode
 from repro.engine.types import INTEGER, char
-from repro.semantics import SchemaCatalog, ViewMaintenancePlanner
+from repro.semantics import RuleAction, SchemaCatalog, ViewMaintenancePlanner
 from repro.warehouse.views import MaterializedView
 
 SCHEMA = TableSchema(
@@ -68,11 +63,9 @@ class TestHiddenPredicateRewrite:
     def test_delete_and_update_need_before_images(self):
         # Pre-fix: OP_ONLY — the rewrite path then evaluated "c = 'xx'"
         # against view rows that have no column c.
+        plan = planner().plan_view(HIDDEN_PRED_VIEW)
         for kind in (OpKind.DELETE, OpKind.UPDATE):
-            assert (
-                classify_static(HIDDEN_PRED_VIEW, kind)
-                is Maintainability.NEEDS_BEFORE_IMAGE
-            ), kind
+            assert plan.rule_for(kind).needs_before_image, kind
 
     def test_plan_now_verifies(self):
         plan = planner().plan_view(HIDDEN_PRED_VIEW)
@@ -91,7 +84,6 @@ class TestHiddenPredicateRewrite:
         view.initialize([(1, 0, "xx", 1)], txn)
         database.commit(txn)
 
-        plan = planner().plan_view(HIDDEN_PRED_VIEW)
         session = database.internal_session()
         session.begin()
         current = session.current_transaction
@@ -105,7 +97,7 @@ class TestHiddenPredicateRewrite:
             before_image=[(1, 0, "xx", 1)],
         )
         session.execute(sql)
-        view.apply_operation(delta, current, rule=plan.rule_for(kind))
+        view.apply_operation(delta, current)
         rows = view.rows()
         expected = view.recompute(
             [values for _rid, values in table.scan()]
@@ -149,12 +141,9 @@ class TestColumnlessJoin:
     def test_columnless_join_never_forces_source_queries(self):
         # Pre-fix the bare join pushed every UPDATE/DELETE to
         # NOT_SELF_MAINTAINABLE when the dimension was not mirrored.
-        for kind in (OpKind.UPDATE, OpKind.DELETE):
-            assert (
-                classify_static(self.VIEW, kind)
-                is not Maintainability.NOT_SELF_MAINTAINABLE
-            ), kind
         plan = planner().plan_view(self.VIEW)
+        for kind in (OpKind.UPDATE, OpKind.DELETE):
+            assert plan.rule_for(kind).action is not RuleAction.SOURCE_QUERY, kind
         assert plan.self_maintainable
 
 

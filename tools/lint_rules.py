@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Twenty-three disciplines the standard linters cannot express:
+Twenty-four disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -84,7 +84,7 @@ columnar apply path exists to amortise per-statement overheads across a
 batch, so re-introducing a per-row cost inside its loops silently undoes
 the optimisation: reading the clock (``<anything>.now``) or resolving a
 plan/delta rule through an attribute call (``<obj>.rule_for(...)``,
-``<obj>.classify_operation(...)``, ``<obj>.plan_view(...)``) is banned
+``<obj>.replay_kind(...)``, ``<obj>.plan_view(...)``) is banned
 inside **any** loop under ``repro/columnar/``, and inside the
 **per-row** loops (loops nested two deep or more) of the integrators'
 batched-apply paths (``warehouse/opdelta_integrator.py``,
@@ -304,6 +304,18 @@ reason from ``SETTING_REASONS``; an exemption whose parameter no longer
 exists, that a program sets now, or whose reason is not on that list is
 flagged as stale.  Whole-tree, like REPRO022.
 
+**REPRO024 — one replay judge.**  Whether a view replays a captured op by
+rewriting it onto the view, from the op's before image, or not at all is
+decided by one function, ``_replay`` in ``repro/core/selfmaint.py``, with two
+callers: ``replay_kind``, once per statement shape and view, beside it, and
+the planner's per-kind widening in ``repro/semantics/planner.py``.  Apply
+once read the plan's rule first and the per-statement judge second, and a
+static rule that forced a rewrite the judge would have refused crashed
+apply.  So ``_replay(`` is called once in each of those two modules and
+nowhere else, and a rule's ``.needs_before_image`` is read only where a
+capture is decided or a plan is shown (``IMAGE_CHOICE_BUDGETS``): never in
+``repro/warehouse/`` or ``repro/columnar/``, which ask ``replay_kind``.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -421,7 +433,7 @@ BATCH_APPLY_SUFFIXES = (
 #: Attribute-call methods that resolve plans/delta rules (REPRO008).
 #: A bare-name ``rule_for(...)`` call is a memoised closure and legal.
 RESOLUTION_METHODS = frozenset(
-    {"rule_for", "classify_operation", "plan_view", "plan_catalog"}
+    {"rule_for", "replay_kind", "plan_view", "plan_catalog"}
 )
 
 #: Path fragment marking the observability package (REPRO009): inside
@@ -580,6 +592,20 @@ PAGE_SUFFIX = "repro/engine/page.py"
 #: REPRO021: module suffix -> how many ``commutes(`` calls it may make;
 #: every other module may make none.
 COMMUTES_BUDGETS = {"repro/analysis/conflict.py": 1}
+
+#: REPRO024: module suffix -> how many ``_replay(`` calls it may make, and
+#: module suffix -> how many ``.needs_before_image`` reads; every other
+#: module may make none.
+REPLAY_BUDGETS = {"repro/core/selfmaint.py": 1, "repro/semantics/planner.py": 1}
+IMAGE_CHOICE_BUDGETS = {
+    # The rule's own dict, the capture policy, and the plan's class.
+    "repro/semantics/planner.py": 3,
+    # The image a verifier scenario captures.
+    "repro/analysis/verify/verifier.py": 1,
+    # The rule digest a certificate names, and the --check plan dump.
+    "repro/analysis/verify/certificate.py": 1,
+    "repro/bench/check.py": 1,
+}
 
 #: REPRO022: the trees besides the package whose references count, and
 #: qualified name -> why a public name no program reaches stays.
@@ -1297,6 +1323,35 @@ def _commutation_violations(path: Path, tree: ast.AST, normalized: str) -> list[
     ]
 
 
+def _replay_judge_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
+    """REPRO024: ``_replay(`` calls and ``.needs_before_image`` reads past a
+    module's budget."""
+    nodes = list(ast.walk(tree))
+
+    def budget(budgets: dict[str, int]) -> int:
+        return next(
+            (n for suffix, n in budgets.items() if normalized.endswith(suffix)), 0
+        )
+
+    calls = sorted(node.lineno for node in _calls_to(nodes, "_replay"))
+    reads = sorted(
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.Attribute)
+        and node.attr == "needs_before_image"
+        and isinstance(node.ctx, ast.Load)
+    )
+    return [
+        f"{path}:{lineno}: REPRO024 _replay() called outside replay_kind and "
+        "the planner's per-kind widening; ask replay_kind(view, statement)"
+        for lineno in calls[budget(REPLAY_BUDGETS):]
+    ] + [
+        f"{path}:{lineno}: REPRO024 '.needs_before_image' read where no "
+        "capture is decided; the apply path is replay_kind(view, statement)'s"
+        for lineno in reads[budget(IMAGE_CHOICE_BUDGETS):]
+    ]
+
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -1687,6 +1742,7 @@ def _lint_file(path: Path) -> list[str]:
     violations.extend(_node_switch_violations(path, tree, normalized))
     violations.extend(_page_state_violations(path, tree, normalized))
     violations.extend(_commutation_violations(path, tree, normalized))
+    violations.extend(_replay_judge_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
