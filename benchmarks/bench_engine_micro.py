@@ -10,6 +10,9 @@ The record codec and the column-pruned scan have their own numbers:
 per-schema codec on one 112-byte ``parts`` record, and
 ``test_full_scan_all_columns`` / ``test_pruned_scan_one_column`` time the
 same 10,000-row heap scan decoding nine columns and one.
+``test_admit_row`` times what a written row pays before it is stored — one
+admission pass over the same ``parts`` row — against
+``test_validate_then_encode_row``, the checked path admission falls back to.
 
 ``test_scan_filter_no_match`` times the filtering scan end to end — a range
 UPDATE on the unindexed ``part_ref`` that examines all 10,000 records and
@@ -107,6 +110,24 @@ def test_row_decode(benchmark):
     schema = parts_schema()
     record = encode_row(schema, PartsGenerator().row(42, timestamp=123.0))
     assert benchmark(decode_row, schema, record)[0] == 42
+
+
+def test_admit_row(benchmark):
+    schema = parts_schema()
+    row = PartsGenerator().row(42, timestamp=123.0)
+    values, record = benchmark(schema.admit, row)
+    assert values == row and record == encode_row(schema, row)
+
+
+def test_validate_then_encode_row(benchmark):
+    schema = parts_schema()
+    row = PartsGenerator().row(42, timestamp=123.0)
+
+    def checked():
+        validated = schema.validate_values(row)
+        return validated, encode_row(schema, validated)
+
+    assert benchmark(checked) == schema.admit(row)
 
 
 def test_sql_parse_update(benchmark):

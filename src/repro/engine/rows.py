@@ -19,6 +19,13 @@ NULL slots that runs only when the bitmap is non-zero.  A caller that reads
 only some columns asks :meth:`RecordCodec.decoder` for them and gets a
 ``Struct`` in which every other column is pad bytes, skipped in C.
 
+Writes pack a row **canonical as given** — each value of exactly its
+column's canonical class, ``None`` only where NULL is allowed — without
+validating it first (:meth:`RecordCodec.pack_canonical`): the row's tuple of
+value classes picks a packer with the NULL bitmap fixed, each CHAR value is
+encoded to latin-1 once and length-checked, and ``struct`` range-checks the
+integers.  Any other row, or one that does not fit, is left to validation.
+
 Reads work a heap **page** at a time: :meth:`RecordCodec.page_decoder`
 decodes all the records of one page with no Python step per record — the
 records joined into one image, one ``Struct.iter_unpack`` over it with the
@@ -35,6 +42,7 @@ from __future__ import annotations
 import struct
 from functools import total_ordering
 from itertools import repeat
+from types import NoneType
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..errors import SchemaError, StorageError
@@ -47,6 +55,10 @@ Decoder = Callable[[bytes], tuple[Any, ...]]
 
 #: Decodes the records of one page into one value tuple per record.
 PageDecoder = Callable[[Sequence[bytes]], "list[tuple[Any, ...]]"]
+
+#: Packs a row of one canonical class pattern into its record, or returns
+#: ``None`` when a CHAR value is too long for its column.
+Packer = Callable[[tuple[Any, ...]], "bytes | None"]
 
 #: What an unvalidated value raises on its way into a record: ``pack`` on a
 #: wrong type or an out-of-range number, ``str.encode`` on non-latin-1 text,
@@ -142,6 +154,17 @@ class RecordCodec:
         )
         #: Per column, the value that packs to the zero bytes a NULL stores.
         self._null_fill = layout.unpack(bytes(layout.size))[1:]
+        #: Per column, the classes of the values it takes as given: its
+        #: datatype's canonical class, and ``None``'s where NULL is allowed.
+        self._canonical = tuple(
+            frozenset((column.datatype.canonical_class, NoneType))
+            if column.nullable
+            else frozenset((column.datatype.canonical_class,))
+            for column in self._columns
+        )
+        #: The packers compiled so far, by the value classes of the rows they
+        #: pack: one entry per NULL pattern the table's rows arrive in.
+        self._packers: dict[tuple[type, ...], Packer] = {}
         #: Decodes a whole record into the full value tuple.
         self.decode: Decoder = self.decoder(everything)
         #: Decodes one page's records into their full value tuples.
@@ -158,6 +181,60 @@ class RecordCodec:
             for position, column in enumerate(self._columns)
         ]
         return struct.Struct(f">{self.bitmap_bytes}{bitmap}" + "".join(fields))
+
+    # ------------------------------------------------------------------ admit
+    def pack_canonical(self, row: tuple[Any, ...]) -> bytes | None:
+        """The record of ``row`` if ``row`` is canonical as given, else ``None``.
+
+        Canonical as given means validation would return the row as it is:
+        each value is of exactly its column's canonical class (``int``,
+        ``float``, ``str``), or ``None`` where the column is nullable — and
+        it fits, which packing checks on the way: ``struct`` refuses an
+        INTEGER outside 64 bits, and each CHAR value is encoded to latin-1
+        once and its length checked.  The row's tuple of value classes is
+        looked up in a memo of the patterns found canonical, each with its
+        packer (bitmap and NULL slots fixed); a wrong class, a wrong arity or
+        a value that does not fit gives ``None``, and the caller takes the
+        checked path (:meth:`~repro.engine.schema.TableSchema.admit`).
+        """
+        classes = tuple(map(type, row))
+        try:
+            pack = self._packers[classes]
+        except KeyError:
+            if len(classes) != len(self._columns) or not all(
+                map(frozenset.__contains__, self._canonical, classes)
+            ):
+                return None
+            pack = self._packers[classes] = self._packer(classes)
+        try:
+            return pack(row)
+        except (struct.error, UnicodeEncodeError):
+            return None
+
+    def _packer(self, classes: tuple[type, ...]) -> Packer:
+        """The packer of rows whose values are of the canonical ``classes``."""
+        nulls = [slot for slot, cls in enumerate(classes) if cls is NoneType]
+        bitmap = sum(1 << slot for slot in nulls).to_bytes(self.bitmap_bytes, "little")
+        fills = tuple((slot, self._null_fill[slot]) for slot in nulls)
+        text = tuple(
+            (slot, width)
+            for slot, width in self._text
+            if classes[slot] is not NoneType
+        )
+        pack = self._pack
+
+        def pack_row(row: tuple[Any, ...]) -> bytes | None:
+            fields = list(row)
+            for slot, width in text:
+                data = fields[slot].encode("latin-1")
+                if len(data) > width:  # struct would cut it
+                    return None
+                fields[slot] = data.ljust(width)
+            for slot, fill in fills:
+                fields[slot] = fill
+            return pack(bitmap, *fields)
+
+        return pack_row
 
     # ----------------------------------------------------------------- encode
     def encode(self, values: Sequence[Any]) -> bytes:
@@ -201,7 +278,7 @@ class RecordCodec:
                 continue
             try:
                 column.datatype.validate(value)
-            except (SchemaError, OverflowError) as reason:
+            except SchemaError as reason:
                 return StorageError(
                     f"cannot store {value!r} in {self._table}.{column.name}: {reason}"
                 )

@@ -6,6 +6,12 @@ followed by the fixed-width encoded columns, compiled once into a
 :class:`repro.engine.rows.RecordCodec` — which gives every table a constant
 record size: the paper's experiments are all phrased in terms of "100-byte
 records".
+
+It also owns admission, the one step a written row takes before it is
+stored: :meth:`TableSchema.admit` returns the canonical values and the
+record together — in one pass for a row canonical as given, through
+:meth:`TableSchema.validate_values` and the codec's checked encode for any
+other.
 """
 
 from __future__ import annotations
@@ -128,28 +134,54 @@ class TableSchema:
         return self._index_of[self.primary_key]
 
     # --------------------------------------------------------------- validation
-    def validate_values(self, values: Sequence[Any]) -> tuple[Any, ...]:
+    def admit(
+        self, values: Sequence[Any], assigned: Iterable[int] | None = None
+    ) -> tuple[tuple[Any, ...], bytes]:
+        """Admit a row for writing: its canonical value tuple and its record.
+
+        The one admission step of the write path.  A row whose values are
+        canonical as given is packed in one pass
+        (:meth:`RecordCodec.pack_canonical`); any other goes through
+        :meth:`validate_values` and then :meth:`RecordCodec.encode`, so every
+        canonicalisation and every error is theirs.  ``assigned`` names the
+        positions an UPDATE assigned: the rest were decoded from a stored,
+        validated record, and only those are validated (default: all).
+        """
+        row = values if values.__class__ is tuple else tuple(values)
+        record = self.codec.pack_canonical(row)
+        if record is None:
+            row = self.validate_values(row, assigned)
+            record = self.codec.encode(row)
+        return row, record
+
+    def validate_values(
+        self, values: Sequence[Any], positions: Iterable[int] | None = None
+    ) -> tuple[Any, ...]:
         """Validate a positional value tuple against the schema.
 
         Returns the canonicalised tuple (e.g. ints coerced to float for FLOAT
         columns).  Raises :class:`SchemaError` on arity mismatch, type
-        mismatch, or NULL in a NOT NULL column.
+        mismatch, or NULL in a NOT NULL column.  ``positions`` limits the
+        check to those columns (the others are taken as they are); the first
+        error in column order is the one raised either way.
         """
         if len(values) != len(self.columns):
             raise SchemaError(
                 f"table {self.name!r} expects {len(self.columns)} values, "
                 f"got {len(values)}"
             )
-        canonical = []
-        for column, value in zip(self.columns, values):
+        canonical = list(values)
+        if positions is None:
+            positions = range(len(canonical))
+        for position in sorted(positions):
+            column, value = self.columns[position], canonical[position]
             if value is None:
                 if not column.nullable:
                     raise SchemaError(
                         f"column {self.name}.{column.name} is NOT NULL"
                     )
-                canonical.append(None)
             else:
-                canonical.append(column.datatype.validate(value))
+                canonical[position] = column.datatype.validate(value)
         return tuple(canonical)
 
     # ------------------------------------------------------------------ derive

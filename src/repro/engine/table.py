@@ -18,7 +18,12 @@ entries append straight to :meth:`LogManager.append`; the ``*_batch`` entries
 (the columnar apply path) charge the columnar factor and group-append after
 the last row.  Row DML and batch DML are therefore the same mutation by
 construction — validation, unique checks, index maintenance, triggers,
-undo and WAL payloads cannot diverge (lint rule REPRO012).
+undo and WAL payloads cannot diverge (lint rule REPRO012).  A core admits
+its row once (:meth:`TableSchema.admit`: the canonical values and the record
+in one pass — an UPDATE validates only what it assigns, the rest was
+decoded from a stored record) and encodes it again only if the timestamp
+stamp changed it.  Every entry refuses a transaction that is not ACTIVE
+before it charges or changes anything.
 
 Reads work a heap page at a time, on one walk (``Table._pages``): a page's
 records are decoded together (once per write of the page, not per read: the
@@ -46,7 +51,7 @@ from .buffer import BufferPool
 from .costs import CostModel
 from .heap import HeapFile
 from .index import BTreeIndex, HashIndex, Index
-from .rows import RowId, decode_row, encode_row
+from .rows import RowId, decode_row
 from .schema import TableSchema
 from .transactions import Transaction
 from .triggers import TriggerContext, TriggerEvent, TriggerSet, TriggerTiming
@@ -182,6 +187,7 @@ class Table:
         fire_triggers: bool = True,
     ) -> RowId:
         """Insert one row; returns its RowId."""
+        txn.ensure_active()
         row_cpu = self._costs.row_insert_cpu * self._mode_factor(mode)
         return self._insert_row(txn, values, row_cpu, self._log.append, fire_triggers)
 
@@ -206,6 +212,7 @@ class Table:
         fire_triggers: bool = True,
     ) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
         """Apply column assignments to one row; returns (old, new) values."""
+        txn.ensure_active()
         return self._update_row(
             txn, (row_id, assignments), self._costs.row_update_cpu,
             self._log.append, fire_triggers,
@@ -213,6 +220,7 @@ class Table:
 
     def delete(self, txn: Transaction, row_id: RowId) -> tuple[Any, ...]:
         """Delete one row; returns its old values."""
+        txn.ensure_active()
         return self._delete_row(
             txn, row_id, self._costs.row_delete_cpu, self._log.append, True
         )
@@ -255,6 +263,7 @@ class Table:
         their records, and a caller that commits anyway leaves nothing
         that recovery or log-scan extraction cannot see.
         """
+        txn.ensure_active()
         row_cpu *= self._costs.columnar_cpu_factor
         entries: list[tuple[Any, ...]] = []
 
@@ -275,15 +284,14 @@ class Table:
         self, txn: Transaction, values: Sequence[Any], row_cpu: float,
         append: LogSink, fire_triggers: bool,
     ) -> RowId:
-        values = self.schema.validate_values(tuple(values))
-        values = self._stamp(values)
+        values, record = self.schema.admit(values)
+        values, record = self._stamp(values, record)
         self._check_unique(values)
 
         self._clock.advance(row_cpu)
 
         self._fire(fire_triggers, txn, TriggerTiming.BEFORE, None, values)
 
-        record = encode_row(self.schema, values)
         row_id = self._enter(self._heap.insert(record), values)
         append(LogRecordKind.INSERT, txn.txn_id, self.name, row_id, None, record)
         txn.rows_inserted += 1
@@ -302,18 +310,20 @@ class Table:
         old_record = self._heap.read(row_id)
         old_values = decode_row(self.schema, old_record)
         new_list = list(old_values)
+        assigned = []
         for column_name, value in assignments.items():
-            new_list[self.schema.column_index(column_name)] = value
-        new_values = self.schema.validate_values(new_list)
+            position = self.schema.column_index(column_name)
+            new_list[position] = value
+            assigned.append(position)
+        new_values, new_record = self.schema.admit(new_list, assigned)
         if self.auto_timestamp and self.schema.timestamp_column not in assignments:
-            new_values = self._stamp(new_values, force=True)
+            new_values, new_record = self._stamp(new_values, new_record, force=True)
         self._check_unique(new_values, exclude=row_id, changed_from=old_values)
 
         self._clock.advance(row_cpu)
 
         self._fire(fire_triggers, txn, TriggerTiming.BEFORE, old_values, new_values)
 
-        new_record = encode_row(self.schema, new_values)
         self._physical_overwrite(row_id, new_record, old_values, new_values)
         append(
             LogRecordKind.UPDATE, txn.txn_id, self.name, row_id, old_record, new_record
@@ -492,15 +502,20 @@ class Table:
             return self._costs.bulk_internal_cpu_factor
         return 1.0
 
-    def _stamp(self, values: tuple[Any, ...], force: bool = False) -> tuple[Any, ...]:
-        """Fill the timestamp column from the virtual clock when configured."""
+    def _stamp(
+        self, values: tuple[Any, ...], record: bytes, force: bool = False
+    ) -> tuple[tuple[Any, ...], bytes]:
+        """Fill the timestamp column from the virtual clock when configured
+        (a NULL one; any one when ``force``) — the admitted row and its
+        record, re-encoded only if the stamp changed the row."""
         if not self.auto_timestamp or self._ts_index is None:
-            return values
+            return values, record
         if not force and values[self._ts_index] is not None:
-            return values
+            return values, record
         stamped = list(values)
         stamped[self._ts_index] = self._clock.timestamp()
-        return tuple(stamped)
+        values = tuple(stamped)
+        return values, self.schema.codec.encode(values)
 
     def _check_unique(
         self,
@@ -534,8 +549,9 @@ class Table:
             event = TriggerEvent.DELETE
         else:
             event = TriggerEvent.UPDATE
-        context = TriggerContext(txn, self, event, old_values, new_values)
-        self.triggers.fire(timing, context)
+        if self.triggers.armed(event, timing):
+            context = TriggerContext(txn, self, event, old_values, new_values)
+            self.triggers.fire(timing, context)
 
     # Physical mutations — no logging, no triggers — shared by the forward
     # path, redo and undo (compensation).  Each is all or nothing: when an

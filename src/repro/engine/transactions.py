@@ -50,10 +50,12 @@ class Transaction:
 
     def register_undo(self, action: Callable[[], None]) -> None:
         """Record a compensating action to run if the transaction aborts."""
-        self._ensure_active()
+        self.ensure_active()
         self._undo_actions.append(action)
 
-    def _ensure_active(self) -> None:
+    def ensure_active(self) -> None:
+        """Raise :class:`TransactionError` unless the transaction is ACTIVE
+        (checked by every write before it charges or changes anything)."""
         if self.state is not TxnState.ACTIVE:
             raise TransactionError(
                 f"transaction {self.txn_id} is {self.state.value}, not ACTIVE"
@@ -87,7 +89,7 @@ class TransactionManager:
         return txn
 
     def commit(self, txn: Transaction) -> None:
-        txn._ensure_active()
+        txn.ensure_active()
         self._log.append(LogRecordKind.COMMIT, txn.txn_id)
         self._log.force()
         txn.state = TxnState.COMMITTED
@@ -96,7 +98,7 @@ class TransactionManager:
             listener(txn)
 
     def abort(self, txn: Transaction) -> None:
-        txn._ensure_active()
+        txn.ensure_active()
         # Compensate in reverse order; trigger-made changes roll back too
         # because they registered undo actions in the same transaction.
         for action in reversed(txn._undo_actions):

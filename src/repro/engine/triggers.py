@@ -76,17 +76,32 @@ class TriggerSet:
         self._clock = clock
         self._costs = costs
         self._triggers: dict[str, Trigger] = {}
+        #: The triggers of each (event, timing), in definition order: what
+        #: one firing runs, rebuilt when a trigger is added or dropped.
+        self._armed: dict[tuple[TriggerEvent, TriggerTiming], tuple[Trigger, ...]] = {}
         self.firings = 0
 
     def add(self, trigger: Trigger) -> None:
         if trigger.name in self._triggers:
             raise CatalogError(f"trigger {trigger.name!r} already exists")
         self._triggers[trigger.name] = trigger
+        self._rearm()
 
     def drop(self, name: str) -> None:
         if name not in self._triggers:
             raise CatalogError(f"trigger {name!r} does not exist")
         del self._triggers[name]
+        self._rearm()
+
+    def _rearm(self) -> None:
+        armed: dict[tuple[TriggerEvent, TriggerTiming], list[Trigger]] = {}
+        for trigger in self._triggers.values():
+            armed.setdefault((trigger.event, trigger.timing), []).append(trigger)
+        self._armed = {slot: tuple(triggers) for slot, triggers in armed.items()}
+
+    def armed(self, event: TriggerEvent, timing: TriggerTiming) -> bool:
+        """Whether a firing of ``event`` at ``timing`` would run a trigger."""
+        return (event, timing) in self._armed
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._triggers)
@@ -96,9 +111,7 @@ class TriggerSet:
 
     def fire(self, timing: TriggerTiming, context: TriggerContext) -> None:
         """Fire every matching trigger; failures abort the user statement."""
-        for trigger in self._triggers.values():
-            if trigger.event is not context.event or trigger.timing is not timing:
-                continue
+        for trigger in self._armed.get((context.event, timing), ()):
             self.firings += 1
             self._clock.advance(self._costs.trigger_invoke)
             try:

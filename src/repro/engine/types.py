@@ -29,6 +29,10 @@ class DataType(ABC):
     #: Whether the stored value is latin-1 text, which ``struct`` carries as
     #: bytes: the record codec space-pads it going in and decodes it coming out.
     is_text: bool = False
+    #: A value of exactly this class is canonical: :meth:`validate` would
+    #: return it as it is, so the record codec packs it unvalidated (range,
+    #: length and charset are still checked on the way in).
+    canonical_class: type
 
     @abstractmethod
     def validate(self, value: Any) -> Any:
@@ -58,6 +62,7 @@ class IntegerType(DataType):
     name = "INTEGER"
     width = 8
     struct_format = "q"
+    canonical_class = int
     _codec = struct.Struct(">" + struct_format)
 
     def validate(self, value: Any) -> int:
@@ -80,12 +85,16 @@ class FloatType(DataType):
     name = "FLOAT"
     width = 8
     struct_format = "d"
+    canonical_class = float
     _codec = struct.Struct(">" + struct_format)
 
     def validate(self, value: Any) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"FLOAT column cannot store {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise SchemaError(f"FLOAT value out of range: {value}") from None
 
     def encode(self, value: float) -> bytes:
         return self._codec.pack(value)
@@ -110,6 +119,7 @@ class CharType(DataType):
 
     name = "CHAR"
     is_text = True
+    canonical_class = str
 
     def __init__(self, length: int) -> None:
         if length <= 0:

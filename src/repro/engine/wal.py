@@ -128,9 +128,10 @@ class LogManager:
         record = LogRecord(self._next_lsn, kind, txn_id, table, row_id, before, after)
         self._next_lsn += 1
         self._active.append(record)
+        size = record.payload_bytes
         self._m_records.inc()
-        self._m_bytes.inc(record.payload_bytes)
-        self._clock.advance(self._costs.log_append(record.payload_bytes))
+        self._m_bytes.inc(size)
+        self._clock.advance(self._costs.log_append(size))
         return record
 
     def append_batch(

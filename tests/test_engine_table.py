@@ -20,6 +20,7 @@ from repro.errors import (
     ConstraintError,
     SchemaError,
     StorageError,
+    TransactionError,
     TriggerError,
 )
 from repro.workloads import parts_schema
@@ -231,6 +232,18 @@ class TestUndo:
         assert not session.in_transaction
         assert table.num_rows == 0 and list(table.scan()) == []
 
+    def test_an_out_of_range_number_for_a_float_column_is_a_schema_error(self):
+        database = Database("float-range")
+        table = database.create_table(parts_schema())
+        session = database.internal_session()
+        huge = "1" + "0" * 400
+        with pytest.raises(SchemaError, match=f"FLOAT value out of range: {huge}"):
+            session.execute(
+                f"INSERT INTO parts VALUES (1, 1, 'a', 'b', 'new', 5, {huge}, NULL, 3)"
+            )
+        assert not session.in_transaction
+        assert table.num_rows == 0
+
     def test_unvalidated_overlong_char_raises_and_writes_nothing(self, db):
         # The codec is handed values nothing validated: a value that does
         # not fit must be refused, not cut to the column's width.
@@ -329,6 +342,19 @@ class TestAutoTimestamp:
         table.update(txn, rid, {"status": "revised"})
         parts_db.commit(txn)
         assert table.read(rid)[ts_index] > original
+
+    def test_an_update_that_assigns_the_timestamp_is_not_restamped(self, parts_db):
+        insert_parts(parts_db, 2)
+        table = parts_db.table("parts")
+        ts_index = table.schema.column_index("last_modified")
+        (first, _), (second, _) = list(table.scan())
+        txn = parts_db.begin()
+        _old, cleared = table.update(txn, first, {"last_modified": None})
+        _old, pinned = table.update(txn, second, {"last_modified": 5.0})
+        parts_db.commit(txn)
+        # The record written is the row returned: NULL stays NULL, 5.0 stays.
+        assert table.read(first) == cleared and cleared[ts_index] is None
+        assert table.read(second) == pinned and pinned[ts_index] == 5.0
 
     def test_explicit_timestamp_honoured_on_insert(self, parts_db):
         table = parts_db.table("parts")
@@ -658,6 +684,41 @@ def _wal(database):
         (r.kind, r.row_id, r.before, r.after)
         for r in database.log._active
     ]
+
+
+class TestInactiveTransaction:
+    """A write through a committed or aborted transaction raises before it
+    charges the clock or changes the heap, an index, the WAL or a trigger."""
+
+    WRITES = {
+        "insert": lambda table, txn, rid: table.insert(txn, (9, "n9", 9.0)),
+        "update": lambda table, txn, rid: table.update(txn, rid, {"name": "z"}),
+        "delete": lambda table, txn, rid: table.delete(txn, rid),
+        "insert_batch": lambda table, txn, rid: table.insert_batch(
+            txn, [(9, "n9", 9.0)]
+        ),
+        "update_batch": lambda table, txn, rid: table.update_batch(
+            txn, [(rid, {"name": "z"})]
+        ),
+        "delete_batch": lambda table, txn, rid: table.delete_batch(txn, [rid]),
+    }
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    @pytest.mark.parametrize("end", ["commit", "abort"])
+    def test_nothing_is_charged_or_changed(self, small_schema, write, end):
+        database, table, firings = _scripted_table("ended", small_schema)
+        txn = database.begin()
+        rid = table.insert(txn, (1, "n1", 1.0))
+        getattr(database, end)(txn)
+        state, wal, fired = _physical_state(table), _wal(database), list(firings)
+        now = database.clock.now  # reading the state charges a scan
+
+        with pytest.raises(TransactionError, match="not ACTIVE"):
+            self.WRITES[write](table, txn, rid)
+        assert database.clock.now == now
+        assert _physical_state(table) == state
+        assert _wal(database) == wal
+        assert firings == fired
 
 
 class TestBatchEntries:

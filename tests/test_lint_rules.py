@@ -884,6 +884,32 @@ class TestRepro012OneWritePath:
         # The budget is the table module's; other modules name kinds freely.
         assert lint_source(tmp_path, source + copy, name="repro/engine/wal.py") == []
 
+    def test_validate_then_encode_copied_back_flagged(self, tmp_path):
+        source = (
+            "def _insert_row(self, txn, values):\n"
+            "    values, record = self.schema.admit(values)\n"
+            "    values, record = self._stamp(values, record)\n"
+            "def _update_row(self, txn, new_list, assigned):\n"
+            "    return self.schema.admit(new_list, assigned)\n"
+            "def _stamp(self, values, record):\n"
+            "    return values, self.schema.codec.encode(values)\n"
+        )
+        assert lint_source(tmp_path, source, name=self.TABLE) == []
+        copy = (
+            "def insert_batch(self, txn, rows):\n"
+            "    for values in rows:\n"
+            "        values, record = self.schema.admit(values)\n"
+            "        values = self.schema.validate_values(values)\n"
+            "        record = encode_row(self.schema, values)\n"
+            "        record = self.schema.codec.encode(values)\n"
+        )
+        violations = lint_source(tmp_path, source + copy, name=self.TABLE)
+        assert self.flagged(violations) == [10, 11, 12, 13]
+        # Only the table module is budgeted: the Loader validates and encodes.
+        assert lint_source(
+            tmp_path, source + copy, name="repro/engine/utilities.py"
+        ) == []
+
     def test_second_row_image_routine_flagged(self, tmp_path):
         spj = (
             "def _apply_images(self, before, after, txn):\n"
@@ -933,6 +959,8 @@ class TestRepro012OneWritePath:
         for kind in ("INSERT", "UPDATE", "DELETE"):
             assert table.count(f"LogRecordKind.{kind}") == 1
         assert table.count("register_undo(") == 3
+        assert table.count(".admit(") == 2
+        assert "validate_values(" not in table and "encode_row(" not in table
         callers = [
             path.relative_to(package).as_posix()
             for path in sorted(package.rglob("*.py"))

@@ -218,3 +218,166 @@ def test_sql_literal_roundtrip(value):
     rendered = sql_literal(value)
     parsed = evaluate(parse_expression(rendered), {})
     assert parsed == value
+
+
+# --------------------------------------------- admission vs the checked path
+# ``TableSchema.admit`` packs a row canonical as given in one pass and sends
+# anything else through ``validate_values``; either way it must be exactly
+# validate-then-encode: the same tuple and record bytes, or the same error.
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_HOSTILE = st.one_of(
+    st.booleans(),
+    st.sampled_from([2**63, 2**63 - 1, -(2**63), -(2**63) - 1]),
+    st.sampled_from([10**400, -(10**400)]),  # no float holds them
+    st.integers().map(_Int),
+    st.text(max_size=4).map(_Str),
+    # Latin-1 text up to 30 long: often longer than a CHAR(1..24) column.
+    st.text(alphabet=st.characters(max_codepoint=255), min_size=1, max_size=30),
+    st.text(alphabet=st.characters(min_codepoint=256), min_size=1, max_size=3),
+    st.sampled_from([None, 7, 1.5, -0.0, float("nan"), b"bytes", ("tuple",)]),
+)
+
+
+def _near_misses(datatype):
+    """Cells one step off what ``datatype`` stores canonically."""
+    if datatype is INTEGER:
+        edges = [2**63, -(2**63) - 1, 2**63 - 1, -(2**63), 1.0]
+        return st.one_of(
+            st.booleans(), st.sampled_from(edges), st.integers().map(_Int)
+        )
+    if datatype in (FLOAT, TIMESTAMP):
+        return st.one_of(
+            st.booleans(), st.sampled_from([10**400, -(10**400), 2**63, 1, "1.5"])
+        )
+    too_long = st.text(
+        alphabet=st.characters(max_codepoint=255),
+        min_size=datatype.length + 1,
+        max_size=datatype.length + 3,
+    )
+    not_latin1 = st.text(
+        alphabet=st.characters(min_codepoint=256), min_size=1, max_size=2
+    )
+    subclassed = _values_of(datatype).map(_Str)
+    return st.one_of(too_long, not_latin1, st.just(True), subclassed)
+
+
+@st.composite
+def _hostile_rows(draw):
+    """A random layout with NOT NULL columns, and a row of valid cells with
+    up to three hostile ones — sometimes of the wrong arity, sometimes a list."""
+    types = draw(st.lists(_datatypes, min_size=1, max_size=20))
+    nullable = draw(st.lists(st.booleans(), min_size=len(types), max_size=len(types)))
+    schema = TableSchema(
+        "h", [Column(f"c{i}", t, n) for i, (t, n) in enumerate(zip(types, nullable))]
+    )
+    row = [
+        draw(st.one_of(st.none(), _values_of(t)) if null else _values_of(t))
+        for t, null in zip(types, nullable)
+    ]
+    positions = st.integers(min_value=0, max_value=len(types) - 1)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):
+        position = draw(positions)
+        hostile = _near_misses(types[position])
+        if not nullable[position]:
+            hostile = st.one_of(hostile, st.none())
+        row[position] = draw(st.one_of(hostile, hostile, _HOSTILE))
+    arity = draw(st.sampled_from(["same"] * 8 + ["short", "long"]))
+    if arity == "short":
+        row = row[:-1]
+    elif arity == "long":
+        row.append(draw(_HOSTILE))
+    return schema, row if draw(st.booleans()) else tuple(row)
+
+
+_CELLS = [
+    None, True, False, 0, 7, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1,
+    10**400, _Int(7), 1.5, -0.0, float("nan"), float("inf"), "", "abc",
+    "abcd", "é", "€", _Str("ab"), b"ab", ("tuple",),
+]
+#: Each datatype twice, nullable and NOT NULL, and a row canonical as given.
+_WIDE = TableSchema(
+    "w",
+    [
+        Column(f"{name}{suffix}", datatype, null)
+        for name, datatype in zip("iftc", (INTEGER, FLOAT, TIMESTAMP, char(3)))
+        for suffix, null in (("_null", True), ("", False))
+    ],
+)
+_WIDE_ROW = (None, 1, 2.5, -0.0, None, 3.0, "x", "yz")
+
+
+def _outcome(call):
+    """What ``call`` returns, or the class and message of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+
+
+def _checked(schema, values):
+    validated = schema.validate_values(values)
+    return validated, encode_row(schema, validated)
+
+
+@given(_hostile_rows())
+@settings(max_examples=400)
+def test_admission_is_validate_then_encode(case):
+    schema, values = case
+    assert _outcome(lambda: schema.admit(values)) == _outcome(
+        lambda: _checked(schema, values)
+    )
+
+
+def test_every_cell_in_every_column_is_admitted_as_checked():
+    for position in range(len(_WIDE.columns)):
+        for cell in _CELLS:
+            row = list(_WIDE_ROW)
+            row[position] = cell
+            for values in (row, tuple(row), tuple(row[:-1]), (*row, cell)):
+                assert _outcome(lambda: _WIDE.admit(values)) == _outcome(
+                    lambda: _checked(_WIDE, values)
+                ), (position, cell, values)
+
+
+@given(_hostile_rows(), st.data())
+@settings(max_examples=150)
+def test_an_update_validates_like_the_full_row(case, data):
+    """``Table.update`` checks only what it assigns; the row it writes, or
+    the error it raises, is what validating the whole new row gives."""
+    from repro.engine import Database
+
+    schema, _hostile = case
+    stored = tuple(data.draw(_values_of(c.datatype)) for c in schema.columns)
+    assigned = data.draw(
+        st.dictionaries(
+            st.sampled_from(schema.column_names),
+            st.one_of(_HOSTILE, st.integers(), _any_floats),
+            min_size=1,
+        )
+    )
+    database = Database("update")
+    table = database.create_table(schema)
+    txn = database.begin()
+    row_id = table.insert(txn, stored)
+    stored = table.read(row_id)
+    full = [
+        assigned.get(name, value)
+        for name, value in zip(schema.column_names, stored)
+    ]
+
+    expected = _outcome(lambda: schema.validate_values(full))
+    actual = _outcome(lambda: table.update(txn, row_id, assigned)[1])
+    assert actual == expected
+    # A refused update wrote nothing; an admitted one wrote what it returned.
+    assert repr(table.read(row_id)) == (
+        expected if isinstance(expected, str) else repr(stored)
+    )

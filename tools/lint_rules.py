@@ -144,7 +144,10 @@ written once, and a second copy is how they were lost before.  So the
 copies are counted: in ``repro/engine/table.py`` each of
 ``LogRecordKind.INSERT`` / ``UPDATE`` / ``DELETE`` is named once (the
 per-row core of that mutation, which row and batch entries share) and
-``register_undo(`` is called three times (one undo per core); in
+``register_undo(`` is called three times (one undo per core); a row is
+admitted by ``admit(`` in two places (the insert and update cores), with
+no ``validate_values(`` / ``encode_row(`` call and one ``encode(`` (the
+re-encode of a row the timestamp stamp changed); in
 ``repro/warehouse/views.py`` ``_delete_by_key(`` has one call site and in
 ``repro/warehouse/aggregates.py`` ``_remove_row(`` is called from one
 routine (the row-image routine both maintenance paths feed); and
@@ -993,6 +996,21 @@ def _write_path_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
             calls_to("register_undo"), 3,
             "a fourth register_undo(): each mutation registers its undo "
             "once, in its per-row core",
+        )
+        over_budget(
+            calls_to("admit"), 2,
+            "a third admit(): a row is admitted once, in the insert or the "
+            "update core",
+        )
+        over_budget(
+            calls_to("validate_values") + calls_to("encode_row"), 0,
+            "validate-then-encode restated: a written row goes through "
+            "TableSchema.admit(), one pass per row",
+        )
+        over_budget(
+            calls_to("encode"), 1,
+            "a second encode(): only a row the timestamp stamp changed is "
+            "encoded again after admission",
         )
     if normalized.endswith(SPJ_VIEW_SUFFIX):
         over_budget(
