@@ -56,6 +56,9 @@ Decoder = Callable[[bytes], tuple[Any, ...]]
 #: Decodes the records of one page into one value tuple per record.
 PageDecoder = Callable[[Sequence[bytes]], "list[tuple[Any, ...]]"]
 
+#: A FLOAT column's eight bytes in a record.
+_FLOAT = struct.Struct(">d")
+
 #: Packs a row of one canonical class pattern into its record, or returns
 #: ``None`` when a CHAR value is too long for its column.
 Packer = Callable[[tuple[Any, ...]], "bytes | None"]
@@ -154,6 +157,14 @@ class RecordCodec:
         )
         #: Per column, the value that packs to the zero bytes a NULL stores.
         self._null_fill = layout.unpack(bytes(layout.size))[1:]
+        #: Per FLOAT (and TIMESTAMP) column, its byte offset in the record:
+        #: where :meth:`patch` writes a float in place.
+        self._float_offsets: dict[int, int] = {}
+        offset = self.bitmap_bytes
+        for slot, column in enumerate(self._columns):
+            if column.datatype.struct_format == "d":
+                self._float_offsets[slot] = offset
+            offset += column.datatype.width
         #: Per column, the classes of the values it takes as given: its
         #: datatype's canonical class, and ``None``'s where NULL is allowed.
         self._canonical = tuple(
@@ -235,6 +246,23 @@ class RecordCodec:
             return pack(bitmap, *fields)
 
         return pack_row
+
+    def patch(self, record: bytes, values: Sequence[Any], slot: int) -> bytes:
+        """The record of ``values``, which differ from the admitted ``record``'s
+        only in column ``slot``.
+
+        A float into a FLOAT column (the timestamp stamp) is written over its
+        eight bytes and the column's NULL bit cleared; any other change
+        encodes ``values`` anew (:meth:`encode`, with its checks and errors).
+        """
+        value = values[slot]
+        offset = self._float_offsets.get(slot)
+        if offset is None or value.__class__ is not float:
+            return self.encode(values)
+        image = bytearray(record)
+        _FLOAT.pack_into(image, offset, value)
+        image[slot >> 3] &= ~(1 << (slot & 7))
+        return bytes(image)
 
     # ----------------------------------------------------------------- encode
     def encode(self, values: Sequence[Any]) -> bytes:
@@ -448,7 +476,12 @@ def format_ascii(schema: TableSchema, values: Sequence[Any]) -> str:
 
 
 def parse_ascii(schema: TableSchema, line: str) -> tuple[Any, ...]:
-    """Parse one pipe-delimited line back into a validated value tuple."""
+    """Parse one pipe-delimited line back into a value tuple.
+
+    Each field is read as its column's type (``int``, ``float`` or text); the
+    tuple is not validated — the Loader admits it like any written row
+    (:meth:`TableSchema.admit`).
+    """
     raw_fields: list[str] = []
     current: list[str] = []
     escaping = False
@@ -483,7 +516,7 @@ def parse_ascii(schema: TableSchema, line: str) -> tuple[Any, ...]:
             values.append(float(text))
         else:
             values.append(text)
-    return schema.validate_values(values)
+    return tuple(values)
 
 
 def _unescape(raw: str) -> str:

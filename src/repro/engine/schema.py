@@ -134,54 +134,44 @@ class TableSchema:
         return self._index_of[self.primary_key]
 
     # --------------------------------------------------------------- validation
-    def admit(
-        self, values: Sequence[Any], assigned: Iterable[int] | None = None
-    ) -> tuple[tuple[Any, ...], bytes]:
+    def admit(self, values: Sequence[Any]) -> tuple[tuple[Any, ...], bytes]:
         """Admit a row for writing: its canonical value tuple and its record.
 
         The one admission step of the write path.  A row whose values are
         canonical as given is packed in one pass
         (:meth:`RecordCodec.pack_canonical`); any other goes through
         :meth:`validate_values` and then :meth:`RecordCodec.encode`, so every
-        canonicalisation and every error is theirs.  ``assigned`` names the
-        positions an UPDATE assigned: the rest were decoded from a stored,
-        validated record, and only those are validated (default: all).
+        canonicalisation and every error is theirs.
         """
         row = values if values.__class__ is tuple else tuple(values)
         record = self.codec.pack_canonical(row)
         if record is None:
-            row = self.validate_values(row, assigned)
+            row = self.validate_values(row)
             record = self.codec.encode(row)
         return row, record
 
-    def validate_values(
-        self, values: Sequence[Any], positions: Iterable[int] | None = None
-    ) -> tuple[Any, ...]:
+    def validate_values(self, values: Sequence[Any]) -> tuple[Any, ...]:
         """Validate a positional value tuple against the schema.
 
         Returns the canonicalised tuple (e.g. ints coerced to float for FLOAT
         columns).  Raises :class:`SchemaError` on arity mismatch, type
-        mismatch, or NULL in a NOT NULL column.  ``positions`` limits the
-        check to those columns (the others are taken as they are); the first
-        error in column order is the one raised either way.
+        mismatch, or NULL in a NOT NULL column.
         """
         if len(values) != len(self.columns):
             raise SchemaError(
                 f"table {self.name!r} expects {len(self.columns)} values, "
                 f"got {len(values)}"
             )
-        canonical = list(values)
-        if positions is None:
-            positions = range(len(canonical))
-        for position in sorted(positions):
-            column, value = self.columns[position], canonical[position]
+        canonical = []
+        for column, value in zip(self.columns, values):
             if value is None:
                 if not column.nullable:
                     raise SchemaError(
                         f"column {self.name}.{column.name} is NOT NULL"
                     )
+                canonical.append(None)
             else:
-                canonical[position] = column.datatype.validate(value)
+                canonical.append(column.datatype.validate(value))
         return tuple(canonical)
 
     # ------------------------------------------------------------------ derive

@@ -20,10 +20,9 @@ the last row.  Row DML and batch DML are therefore the same mutation by
 construction — validation, unique checks, index maintenance, triggers,
 undo and WAL payloads cannot diverge (lint rule REPRO012).  A core admits
 its row once (:meth:`TableSchema.admit`: the canonical values and the record
-in one pass — an UPDATE validates only what it assigns, the rest was
-decoded from a stored record) and encodes it again only if the timestamp
-stamp changed it.  Every entry refuses a transaction that is not ACTIVE
-before it charges or changes anything.
+in one pass), and the timestamp stamp is written into that record in place
+(:meth:`RecordCodec.patch`), not encoded again.  Every entry refuses a
+transaction that is not ACTIVE before it charges or changes anything.
 
 Reads work a heap page at a time, on one walk (``Table._pages``): a page's
 records are decoded together (once per write of the page, not per read: the
@@ -310,12 +309,9 @@ class Table:
         old_record = self._heap.read(row_id)
         old_values = decode_row(self.schema, old_record)
         new_list = list(old_values)
-        assigned = []
         for column_name, value in assignments.items():
-            position = self.schema.column_index(column_name)
-            new_list[position] = value
-            assigned.append(position)
-        new_values, new_record = self.schema.admit(new_list, assigned)
+            new_list[self.schema.column_index(column_name)] = value
+        new_values, new_record = self.schema.admit(new_list)
         if self.auto_timestamp and self.schema.timestamp_column not in assignments:
             new_values, new_record = self._stamp(new_values, new_record, force=True)
         self._check_unique(new_values, exclude=row_id, changed_from=old_values)
@@ -506,8 +502,8 @@ class Table:
         self, values: tuple[Any, ...], record: bytes, force: bool = False
     ) -> tuple[tuple[Any, ...], bytes]:
         """Fill the timestamp column from the virtual clock when configured
-        (a NULL one; any one when ``force``) — the admitted row and its
-        record, re-encoded only if the stamp changed the row."""
+        (a NULL one; any one when ``force``): the admitted row and its
+        record, the stamp written into the record in place."""
         if not self.auto_timestamp or self._ts_index is None:
             return values, record
         if not force and values[self._ts_index] is not None:
@@ -515,7 +511,7 @@ class Table:
         stamped = list(values)
         stamped[self._ts_index] = self._clock.timestamp()
         values = tuple(stamped)
-        return values, self.schema.codec.encode(values)
+        return values, self.schema.codec.patch(record, values, self._ts_index)
 
     def _check_unique(
         self,

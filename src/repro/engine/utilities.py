@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 from ..errors import UtilityError
 from .database import Database
 from .page import Page, slots_per_page
-from .rows import decode_row, encode_row, format_ascii, parse_ascii
+from .rows import decode_row, format_ascii, parse_ascii
 from .schema import TableSchema, diff_schemas
 from .table import InsertMode, Table
 
@@ -186,9 +186,8 @@ def ascii_load(
     loaded = 0
     for line in ascii_file.lines:
         clock.advance(costs.file_read(len(line) + 1))
-        values = parse_ascii(table.schema, line)
+        values, record = table.schema.admit(parse_ascii(table.schema, line))
         clock.advance(costs.ascii_parse_row + costs.loader_row_cpu)
-        record = encode_row(table.schema, values)
         row_id = table._heap.insert(record)
         for name, index in table._indexes.items():
             index.insert(values[table._key_position[name]], row_id)

@@ -10,7 +10,8 @@ from repro.engine.utilities import (
     export_table,
     import_dump,
 )
-from repro.errors import UtilityError
+from repro.engine.rows import ASCII_NULL
+from repro.errors import SchemaError, UtilityError
 from repro.workloads import parts_schema
 
 from .conftest import insert_parts
@@ -114,6 +115,24 @@ class TestAsciiDumpAndLoader:
         other = Database("other", clock=loaded_db.clock, product="OtherDB")
         other.create_table(parts_schema())
         assert ascii_load(other, "parts", dump) == 200
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [(0, ASCII_NULL, "is NOT NULL"), (2, "x" * 40, "CHAR")],
+        ids=["null-into-not-null", "over-long-char"],
+    )
+    def test_loader_admits_each_line(self, loaded_db, field, value, message):
+        # A line the table cannot hold is refused with validation's error,
+        # before it reaches a block.
+        dump = ascii_dump_table(loaded_db, "parts")
+        fields = dump.lines[0].split("|")
+        fields[field] = value
+        dump.lines[0] = "|".join(fields)
+        target = Database("ascii-dst", clock=loaded_db.clock)
+        target.create_table(parts_schema())
+        with pytest.raises(SchemaError, match=message):
+            ascii_load(target, "parts", dump)
+        assert target.table("parts").num_rows == 0
 
     def test_loader_schema_mismatch(self, loaded_db, small_schema):
         dump = ascii_dump_table(loaded_db, "parts")

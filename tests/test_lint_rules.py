@@ -853,6 +853,7 @@ class TestRepro011OneRecordFormat:
 
 class TestRepro012OneWritePath:
     TABLE = "repro/engine/table.py"
+    LOADER = "repro/engine/utilities.py"
     VIEWS = "repro/warehouse/views.py"
     AGGREGATES = "repro/warehouse/aggregates.py"
 
@@ -889,10 +890,10 @@ class TestRepro012OneWritePath:
             "def _insert_row(self, txn, values):\n"
             "    values, record = self.schema.admit(values)\n"
             "    values, record = self._stamp(values, record)\n"
-            "def _update_row(self, txn, new_list, assigned):\n"
-            "    return self.schema.admit(new_list, assigned)\n"
+            "def _update_row(self, txn, new_list):\n"
+            "    return self.schema.admit(new_list)\n"
             "def _stamp(self, values, record):\n"
-            "    return values, self.schema.codec.encode(values)\n"
+            "    return values, self.schema.codec.patch(record, values, 0)\n"
         )
         assert lint_source(tmp_path, source, name=self.TABLE) == []
         copy = (
@@ -904,10 +905,24 @@ class TestRepro012OneWritePath:
             "        record = self.schema.codec.encode(values)\n"
         )
         violations = lint_source(tmp_path, source + copy, name=self.TABLE)
-        assert self.flagged(violations) == [10, 11, 12, 13]
-        # Only the table module is budgeted: the Loader validates and encodes.
+        assert sorted(self.flagged(violations)) == [10, 11, 12, 13]
+
+    def test_loader_validate_then_encode_flagged(self, tmp_path):
+        loader = (
+            "def ascii_load(database, table, ascii_file):\n"
+            "    for line in ascii_file.lines:\n"
+            "        values, record = table.schema.admit(parse_ascii(table.schema, line))\n"
+        )
+        assert lint_source(tmp_path, loader, name=self.LOADER) == []
+        copy = (
+            "        values = table.schema.validate_values(values)\n"
+            "        record = encode_row(table.schema, values)\n"
+        )
+        violations = lint_source(tmp_path, loader + copy, name=self.LOADER)
+        assert self.flagged(violations) == [4, 5]
+        # Only the table and Loader modules are budgeted.
         assert lint_source(
-            tmp_path, source + copy, name="repro/engine/utilities.py"
+            tmp_path, loader + copy, name="repro/engine/export.py"
         ) == []
 
     def test_second_row_image_routine_flagged(self, tmp_path):
@@ -961,6 +976,9 @@ class TestRepro012OneWritePath:
         assert table.count("register_undo(") == 3
         assert table.count(".admit(") == 2
         assert "validate_values(" not in table and "encode_row(" not in table
+        assert ".encode(" not in table
+        loader = (package / "engine" / "utilities.py").read_text(encoding="utf-8")
+        assert loader.count(".admit(") == 1
         callers = [
             path.relative_to(package).as_posix()
             for path in sorted(package.rglob("*.py"))

@@ -351,8 +351,8 @@ def test_every_cell_in_every_column_is_admitted_as_checked():
 @given(_hostile_rows(), st.data())
 @settings(max_examples=150)
 def test_an_update_validates_like_the_full_row(case, data):
-    """``Table.update`` checks only what it assigns; the row it writes, or
-    the error it raises, is what validating the whole new row gives."""
+    """The row ``Table.update`` writes, or the error it raises, is what
+    validating the whole new row gives."""
     from repro.engine import Database
 
     schema, _hostile = case
@@ -380,4 +380,24 @@ def test_an_update_validates_like_the_full_row(case, data):
     # A refused update wrote nothing; an admitted one wrote what it returned.
     assert repr(table.read(row_id)) == (
         expected if isinstance(expected, str) else repr(stored)
+    )
+
+
+@given(_hostile_rows(), st.data())
+def test_a_patched_record_is_the_encoded_row(case, data):
+    """``RecordCodec.patch`` (how the timestamp stamp reaches an admitted
+    record) gives the record, or the error, of encoding the changed row."""
+    schema, _hostile = case
+    row = [
+        data.draw(st.one_of(st.none(), _values_of(c.datatype)))
+        if c.nullable
+        else data.draw(_values_of(c.datatype))
+        for c in schema.columns
+    ]
+    admitted, record = schema.admit(row)
+    slot = data.draw(st.integers(min_value=0, max_value=len(row) - 1))
+    changed = list(admitted)
+    changed[slot] = data.draw(st.one_of(_any_floats, _HOSTILE))
+    assert _outcome(lambda: schema.codec.patch(record, changed, slot)) == _outcome(
+        lambda: schema.codec.encode(changed)
     )
