@@ -84,6 +84,7 @@ from repro.extraction.deltas import ChangeKind, DeltaBatch, DeltaRecord
 from repro.sql import expressions
 from repro.sql.parser import TemplateTable, parse
 from repro.warehouse import ValueDeltaIntegrator
+from repro.warehouse.value_integrator import delete_by_key, row_insert
 from repro.workloads import OltpWorkload, PartsGenerator, parts_schema
 
 
@@ -572,7 +573,9 @@ def test_point_update_apply_columnar(benchmark, populated):
 # ``ValueDeltaIntegrator.integrate`` (one warehouse transaction), so the
 # numbers are per 100 records.  ``test_insert_row_with_expression`` is the
 # row that does need compiling: one INSERT text whose VALUES hold two
-# expressions beside the literals.
+# expressions beside the literals.  ``test_value_pair_prepared`` /
+# ``test_value_pair_tree`` are one update record's two statements on a
+# 4,000-row mirror, run from their values and through bound trees.
 
 _BATCH_ROWS = 100
 
@@ -639,6 +642,51 @@ def test_array_insert_100_rows(benchmark, mirror):
     )
     integrator.integrate(batches["delete"])
     assert report.statements_issued == 1 and report.rows_affected == _BATCH_ROWS
+
+
+@pytest.fixture
+def value_pair():
+    """A 4,000-row mirror in an open warehouse transaction, the value
+    integrator's two templates, and one of its rows."""
+    database = Database("pair")
+    workload = OltpWorkload(database)
+    workload.create_table(auto_timestamp=False)
+    workload.populate(4_000)
+    schema = database.table("parts").schema
+    row = next(iter(database.table("parts").scan_values()))
+    session = database.internal_session()
+    session.begin()
+    yield session, delete_by_key("parts", "part_id", row[0]), row_insert("parts", schema), row
+    session.commit()
+
+
+def _pair_rounds(benchmark, pair):
+    # A fixed number of rounds: every pair leaves a deleted slot behind.
+    return benchmark.pedantic(pair, rounds=2_000, warmup_rounds=50)
+
+
+def test_value_pair_prepared(benchmark, value_pair):
+    """One update record's DELETE by key and row INSERT, run from their
+    values through ``Session.execute_prepared``: no tree."""
+    session, delete, insert, row = value_pair
+
+    def pair():
+        session.execute_prepared(delete, ((row[0],),))
+        return session.execute_prepared(insert, (row,)).rows_affected
+
+    assert _pair_rounds(benchmark, pair) == 1
+
+
+def test_value_pair_tree(benchmark, value_pair):
+    """The same two statements bound as trees from the same templates and
+    run through ``Session.execute_statement``: the route they replaced."""
+    session, delete, insert, row = value_pair
+
+    def pair():
+        session.execute_statement(delete.bind((row[0],), ()))
+        return session.execute_statement(insert.bind(row, ())).rows_affected
+
+    assert _pair_rounds(benchmark, pair) == 1
 
 
 def test_insert_row_with_expression(benchmark, populated):

@@ -40,6 +40,14 @@ class TableMapping:
             return source_column
         return self.column_map.get(source_column)
 
+    def source_column(self, target_column: str) -> str | None:
+        """The source column mapped onto ``target_column`` (None: none is)."""
+        if not self.column_map:
+            return target_column
+        return next(
+            (s for s, t in self.column_map.items() if t == target_column), None
+        )
+
     def require_target_column(self, source_column: str) -> str:
         target = self.target_column(source_column)
         if target is None:

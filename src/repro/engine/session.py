@@ -13,7 +13,7 @@ implemented by COTS software or by the wrapper approach".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol, Sequence
 
 from ..errors import SqlError, TransactionError
 from ..sql import ast_nodes as ast
@@ -28,6 +28,7 @@ from .transactions import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sql.executor import Result
+    from ..sql.templates import StatementTemplate
 
 
 class CaptureHook(Protocol):
@@ -112,24 +113,52 @@ class Session:
         if isinstance(statement, ast.RollbackStmt):
             self.rollback()
             return sql_executor.Result(plan="rollback")
+        return self._submit(statement, sql_text, None, ())
 
+    def execute_prepared(
+        self, template: StatementTemplate, rows: Sequence[Sequence[Any]]
+    ) -> Result:
+        """Execute a program-built DML statement from its values, as a
+        client statement: ``template`` bound with each of ``rows`` — one row
+        for an UPDATE or DELETE; an INSERT of one row of slots takes any
+        number and runs them as one statement (array binding).
+
+        The same statement as ``execute_statement`` of the bound tree — the
+        same overhead, scoping and executor body — with no tree built unless
+        a capture hook is there to receive it.
+        """
+        return self._submit(None, None, template, rows)
+
+    def _submit(
+        self,
+        statement: ast.Statement | None,
+        sql_text: str | None,
+        template: StatementTemplate | None,
+        rows: Sequence[Sequence[Any]],
+    ) -> Result:
+        """The one client-statement prologue: a tree, or a template and the
+        rows it runs from."""
         self.database.clock.advance(self.database.costs.stmt_overhead)
         self.statements_executed += 1
 
-        autocommit = not self.in_transaction
-        txn = self._txn if self._txn is not None and self._txn.is_active else None
-        if txn is None:
+        txn = self._txn
+        autocommit = txn is None or not txn.is_active
+        if autocommit:
             txn = self.database.begin()
-            if not autocommit:  # pragma: no cover - defensive
-                self._txn = txn
-
+        assert txn is not None
         self._stmt_txn = txn
         try:
-            if ast.is_dml(statement) and self.capture_hooks:
-                text = sql_text if sql_text is not None else statement.to_sql()
-                for hook in self.capture_hooks:
-                    hook(statement, text, self)
-            result = self._executor.execute(statement, txn)
+            if self.capture_hooks:
+                tree = statement if template is None else template.bind_rows(rows)
+                if ast.is_dml(tree):
+                    text = sql_text if sql_text is not None else tree.to_sql()
+                    for hook in self.capture_hooks:
+                        hook(tree, text, self)
+            if template is None:
+                assert statement is not None
+                result = self._executor.execute(statement, txn)
+            else:
+                result = self._executor.execute_prepared(template, rows, txn)
         except Exception:
             if autocommit:
                 self.database.abort(txn)

@@ -203,6 +203,7 @@ TEMPLATES_SCHEMA = TableSchema(
         Column("table_name", TEXT),
         Column("hits", INTEGER, nullable=False),
         Column("binds", INTEGER, nullable=False),
+        Column("runs", INTEGER, nullable=False),
         Column("builds", INTEGER, nullable=False),
     ],
 )
@@ -392,6 +393,7 @@ def _templates_rows(bundle: StoreBundle) -> list[Row]:
             getattr(template.statement, "table", None),
             template.hits,
             template.binds,
+            template.runs,
             template.builds,
         )
         for template in TEMPLATES.templates()

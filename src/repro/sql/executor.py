@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..engine.database import Database
 from ..engine.rows import RowId
@@ -42,7 +42,7 @@ from .expressions import (
 )
 from .planner import AccessPath, Probe, choose_path, probes, settle_path
 from .source import RowSource, SourceDatabase
-from .templates import shaped
+from .templates import StatementTemplate, shaped
 
 
 @dataclass
@@ -174,6 +174,33 @@ class _Access:
         )
 
 
+class _Dml:
+    """What DML statements of one shape do to their table, short of their
+    literals: an INSERT's row maker and its rows per statement, or an UPDATE's
+    or DELETE's :class:`_Access`.  Filed beside it under
+    :attr:`~repro.engine.table.Table.version`; both doors of
+    :class:`Executor` run it (:meth:`Executor._dml`)."""
+
+    __slots__ = ("rows", "width", "direct", "access", "update")
+
+    def __init__(self, table: Table, stmt: ast.Statement, slot: Slot) -> None:
+        self.rows: Callable[[Sequence[Any]], Callable[[Any], Iterator[tuple]]] | None
+        self.update = isinstance(stmt, ast.UpdateStmt)
+        if isinstance(stmt, ast.InsertStmt):
+            columns = table.schema.column_names
+            self.rows = insert_rows_maker(stmt, columns, SqlAnalysisError, CONSTANT, slot)
+            self.width = len(stmt.rows)
+            #: Whether a statement's row *is* its literals: one positional
+            #: row, each cell the shape's next literal, one per column.
+            self.direct = stmt.columns is None and self.width == 1 and [
+                slot(cell.value) if isinstance(cell, ast.Literal) else None
+                for cell in stmt.rows[0]
+            ] == list(range(len(columns)))
+            return
+        self.rows = None
+        self.access = _Access(table, stmt, slot)  # type: ignore[arg-type]
+
+
 class Executor:
     """Executes parsed statements against one database."""
 
@@ -187,28 +214,19 @@ class Executor:
 
     # ------------------------------------------------------------------ entry
     def execute(self, statement: ast.Statement, txn: Transaction | None) -> Result:
-        # Session context for volatile functions, fixed per statement:
-        # NOW() is the statement's virtual start time (SQL semantics).
-        self._context = {
-            NOW_KEY: self._db.clock.now,
-            RANDOM_KEY: self._rng.random,
-            USER_KEY: self._db.name,
-        }
+        self._start()
         if isinstance(statement, ast.SelectStmt):
             return self._select(statement)
-        db = self._db
-        if txn is None or not isinstance(db, Database):
-            raise SqlAnalysisError(
-                f"only SELECT runs over {db.name!r} as given: "
-                f"{type(statement).__name__} needs an engine database and a "
-                "transaction"
+        db = self._engine(type(statement).__name__, txn)
+        assert txn is not None
+        if isinstance(statement, ast.InsertStmt) and statement.select is not None:
+            return self._insert_select(db, statement, txn)
+        if ast.is_dml(statement):
+            table = db.table(statement.table)  # type: ignore[attr-defined]
+            dml, literals = shaped(
+                statement, table.version, "dml", lambda sh, slot: _Dml(table, sh, slot)
             )
-        if isinstance(statement, ast.InsertStmt):
-            return self._insert(db, statement, txn)
-        if isinstance(statement, ast.UpdateStmt):
-            return self._update(db, statement, txn)
-        if isinstance(statement, ast.DeleteStmt):
-            return self._delete(db, statement, txn)
+            return self._dml(table, dml, (literals,), txn)
         if isinstance(statement, ast.CreateTableStmt):
             return self._create_table(db, statement)
         if isinstance(statement, ast.CreateIndexStmt):
@@ -223,6 +241,57 @@ class Executor:
             f"executor cannot handle {type(statement).__name__} "
             "(transaction-control statements are handled by the session)"
         )
+
+    def execute_prepared(
+        self,
+        template: StatementTemplate,
+        rows: Sequence[Sequence[Any]],
+        txn: Transaction | None,
+    ) -> Result:
+        """Run a statement of ``template``'s DML shape from its values, with
+        no tree: ``rows`` holds one vector of cells (its ``binding.values``)
+        per row, one for an UPDATE or DELETE and any number for an INSERT,
+        which then runs as *one* statement of all of their rows — the body,
+        fact and engine calls :meth:`execute` uses for the bound tree."""
+        self._start()
+        statement = template.statement
+        db = self._engine(type(statement).__name__, txn)
+        assert txn is not None
+        if not ast.is_dml(statement) or getattr(statement, "select", None):
+            raise SqlAnalysisError(f"{template.shape!r} does not run from its values")
+        if not rows:
+            raise SqlAnalysisError(f"{template.shape!r} runs from at least one row")
+        width = len(template.kinds)
+        for row in rows:
+            if len(row) != width:
+                raise SqlAnalysisError(
+                    f"{template.shape!r} takes {width} values, not {len(row)}"
+                )
+        table = db.table(statement.table)  # type: ignore[attr-defined]
+        dml = template.fact(
+            table.version, "dml", lambda: _Dml(table, statement, template.slot)
+        )
+        template.runs += 1
+        return self._dml(table, dml, rows, txn)
+
+    def _start(self) -> None:
+        # Session context for volatile functions, fixed per statement:
+        # NOW() is the statement's virtual start time (SQL semantics).
+        self._context = {
+            NOW_KEY: self._db.clock.now,
+            RANDOM_KEY: self._rng.random,
+            USER_KEY: self._db.name,
+        }
+
+    def _engine(self, what: str, txn: Transaction | None) -> Database:
+        """The engine database a non-SELECT statement needs, or the refusal."""
+        db = self._db
+        if txn is None or not isinstance(db, Database):
+            raise SqlAnalysisError(
+                f"only SELECT runs over {db.name!r} as given: "
+                f"{what} needs an engine database and a transaction"
+            )
+        return db
 
     # ----------------------------------------------------------------- SELECT
     def _select(self, stmt: ast.SelectStmt) -> Result:
@@ -320,11 +389,12 @@ class Executor:
         path: AccessPath,
         columns: Sequence[int],
         keep: PageFilter | None,
-    ) -> Iterable[tuple[RowId, tuple[Any, ...]]]:
+    ) -> list[tuple[RowId, tuple[Any, ...]]]:
         """What UPDATE/DELETE read: ``_values`` with each row's id (the scan
-        filters as it goes, an index path's rows are filtered here)."""
+        filters as it goes, an index path's rows are filtered here), every
+        row read before any is changed."""
         if path.row_ids is None:
-            return table.scan(columns, keep)
+            return list(table.scan(columns, keep))
         row_ids = list(path.row_ids)
         rows = [table.read(row_id, columns) for row_id in row_ids]
         kept = range(len(rows)) if keep is None else keep(rows)
@@ -519,63 +589,59 @@ class Executor:
         return item.expr.to_sql()
 
     # -------------------------------------------------------------------- DML
-    def _insert(self, db: Database, stmt: ast.InsertStmt, txn: Transaction) -> Result:
+    def _insert_select(
+        self, db: Database, stmt: ast.InsertStmt, txn: Transaction
+    ) -> Result:
         table = db.table(stmt.table)
-        columns = table.schema.column_names
-        if stmt.select is not None:
-            arrange = insert_arranger(stmt, columns, SqlAnalysisError)
-            selected = self._select(stmt.select)
-            for row in selected.rows:
-                table.insert(txn, arrange(row), mode=InsertMode.BULK_INTERNAL)
-            return Result(rows_affected=len(selected.rows), plan="insert-select")
-        mode = InsertMode.BULK_CLIENT if len(stmt.rows) > 1 else InsertMode.STATEMENT
-        rows, literals = shaped(
-            stmt,
-            table.version,
-            "insert",
-            lambda shape, slot: insert_rows_maker(
-                shape, columns, SqlAnalysisError, CONSTANT, slot  # type: ignore[arg-type]
-            ),
-        )
-        for values in rows(literals)(self._context):
-            table.insert(txn, values, mode=mode)
-        return Result(rows_affected=len(stmt.rows), plan="insert")
+        arrange = insert_arranger(stmt, table.schema.column_names, SqlAnalysisError)
+        selected = self._select(stmt.select)  # type: ignore[arg-type]
+        for row in selected.rows:
+            table.insert(txn, arrange(row), mode=InsertMode.BULK_INTERNAL)
+        return Result(rows_affected=len(selected.rows), plan="insert-select")
 
-    def _matches(
-        self, table: Table, stmt: ast.UpdateStmt | ast.DeleteStmt
-    ) -> tuple[str, _Access, Sequence[Any], list[tuple[RowId, tuple[Any, ...]]]]:
-        """The rows a DML statement touches, read before any is changed.
+    def _dml(
+        self,
+        table: Table,
+        dml: _Dml,
+        bound: Sequence[Sequence[Any]],
+        txn: Transaction,
+    ) -> Result:
+        """The one DML body: a statement of ``dml``'s shape, from the literal
+        values in ``bound`` — one vector, or an INSERT's one per row group.
 
-        Only the columns its WHERE and SET expressions mention are decoded;
-        the returned access holds the layout of those narrow rows, and the
-        statement's literals come with it.
+        An INSERT of more than one row is a bulk client insert however its
+        rows came (a multi-row VALUES, or array-bound vectors).  An UPDATE or
+        DELETE reads every row it touches before it changes any: only the
+        columns its WHERE and SET expressions mention are decoded.
         """
-        access, literals = shaped(
-            stmt,
-            table.version,
-            "dml",
-            lambda shape, slot: _Access(table, shape, slot),  # type: ignore[arg-type]
-        )
+        context = self._context
+        if dml.rows is not None:
+            count = dml.width * len(bound)
+            mode = InsertMode.BULK_CLIENT if count > 1 else InsertMode.STATEMENT
+            for literals in bound:
+                if dml.direct:
+                    table.insert(txn, tuple(literals), mode=mode)
+                    continue
+                for values in dml.rows(literals)(context):
+                    table.insert(txn, values, mode=mode)
+            return Result(rows_affected=count, plan="insert")
+        if len(bound) != 1:
+            raise SqlAnalysisError("only an INSERT binds more than one row")
+        (literals,) = bound
+        access = dml.access
         path = settle_path(access.probes, literals)
-        keep = access.keep(literals, self._context)
-        matches = list(self._candidates(table, path, access.columns, keep))
-        return path.description, access, literals, matches
-
-    def _update(self, db: Database, stmt: ast.UpdateStmt, txn: Transaction) -> Result:
-        table = db.table(stmt.table)
-        description, access, literals, matches = self._matches(table, stmt)
-        columns, maker = access.sets
-        new_values = maker(literals, self._context)
-        for row_id, values in matches:
-            table.update(txn, row_id, dict(zip(columns, new_values(values))))
-        return Result(rows_affected=len(matches), plan=f"update:{description}")
-
-    def _delete(self, db: Database, stmt: ast.DeleteStmt, txn: Transaction) -> Result:
-        table = db.table(stmt.table)
-        description, _access, _literals, matches = self._matches(table, stmt)
-        for row_id, _values in matches:
-            table.delete(txn, row_id)
-        return Result(rows_affected=len(matches), plan=f"delete:{description}")
+        keep = access.keep(literals, context)
+        matches = self._candidates(table, path, access.columns, keep)
+        if dml.update:
+            columns, maker = access.sets
+            new_values = maker(literals, context)
+            for row_id, values in matches:
+                table.update(txn, row_id, dict(zip(columns, new_values(values))))
+        else:
+            for row_id, _values in matches:
+                table.delete(txn, row_id)
+        verb = "update" if dml.update else "delete"
+        return Result(rows_affected=len(matches), plan=f"{verb}:{path.description}")
 
     # -------------------------------------------------------------------- DDL
     def _create_table(self, db: Database, stmt: ast.CreateTableStmt) -> Result:

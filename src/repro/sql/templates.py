@@ -144,8 +144,10 @@ class StatementTemplate:
         #: template was built from.
         self.starts = tuple(starts)
         self.lengths = tuple(lengths)
-        #: Parses served / statements bound / facts built (counts only).
-        self.hits = self.binds = self.builds = 0
+        #: Parses served / trees bound / statements run from their values
+        #: (:meth:`~repro.engine.session.Session.execute_prepared`) / facts
+        #: built (counts only).
+        self.hits = self.binds = self.runs = self.builds = 0
         self._rebuild = self._rebuilder(statement) or (lambda values, shifts: statement)
         self._facts: WeakKeyDictionary[Scope, dict[Hashable, Any]] = (
             WeakKeyDictionary()
@@ -211,6 +213,17 @@ class StatementTemplate:
         statement = self._rebuild(values, shifts)
         object.__setattr__(statement, "binding", Binding(self, values, shifts))
         return statement
+
+    def bind_rows(self, rows: Sequence[Sequence[Any]]) -> ast.Statement:
+        """The tree of a prepared statement run from ``rows`` of cells: one
+        row is bound; several — an INSERT of one row of slots, array-bound —
+        are one INSERT of their VALUES rows in order, a tree of no shape."""
+        first, *more = [self.bind(row, ()) for row in rows]
+        if not more:
+            return first
+        return dataclasses.replace(
+            first, rows=tuple(row for each in (first, *more) for row in each.rows)
+        )
 
     def _rebuilder(self, value: Any, field: str | None = None) -> _Rebuild | None:
         """How ``value`` differs between texts of the shape; None: it does not."""

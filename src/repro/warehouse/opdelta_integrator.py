@@ -612,31 +612,37 @@ class OpDeltaIntegrator:
                 "from the operation alone; capture it with a hybrid policy "
                 "(before images) or route the table through value deltas",
             )
-        # Only the table name is needed here; transforming the volatile
+        # The image holds *source* rows and the DELETE is a source statement
+        # (the transformer carries it onto the warehouse), so the key is read
+        # and named as the source has it.  Transforming the volatile
         # statement itself could fail on the very expressions (RANDOM() etc.)
         # that forced the fallback.
-        target = self._transformer.mapping_for(op.table).target_table
-        schema = self._session.database.table(target).schema
-        key_index = schema.primary_key_index()
-        if schema.primary_key is None or key_index is None:
+        mapping = self._transformer.mapping_for(op.table)
+        schema = self._session.database.table(mapping.target_table).schema
+        key = None if schema.primary_key is None else mapping.source_column(
+            schema.primary_key
+        )
+        # A projection with no source column order locates nothing.
+        columns = mapping.source_columns or (
+            () if mapping.column_map else schema.column_names
+        )
+        if key is None or key not in columns:
             raise self._rejected(
                 op,
                 "volatile DELETE fallback without a primary key",
                 f"volatile DELETE fallback on {op.table!r} needs a primary "
-                "key to address the imaged rows",
+                "key the mapping locates in the imaged rows",
             )
+        key_index = columns.index(key)
         report.fallback_images_applied += 1
         if not op.before_image:
             return None
         keys = [row[key_index] for row in op.before_image]
         if len(keys) == 1:
-            rewritten = delete_by_key(op.table, schema.primary_key, keys[0])
+            rewritten = delete_by_key(op.table, key, keys[0]).bind((keys[0],), ())
         else:  # as many shapes as images: a one-off tree
             rewritten = ast.DeleteStmt(
-                op.table,
-                ast.InList(
-                    ast.ColumnRef(schema.primary_key), tuple(map(ast.Literal, keys))
-                ),
+                op.table, ast.InList(ast.ColumnRef(key), tuple(map(ast.Literal, keys)))
             )
         return dataclasses.replace(
             op, statement_text=rewritten.to_sql(), _parsed=rewritten

@@ -7,7 +7,7 @@ methods ... need to be applied as an indivisible batch."
 
 Concretely, for a batch of value deltas this integrator issues:
 
-* one INSERT statement per insert record,
+* one INSERT statement per run of insert records (all of its rows),
 * one DELETE statement (by key, from the before image) per delete record,
 * one DELETE **plus** one INSERT per update record,
 
@@ -16,24 +16,27 @@ all inside a single warehouse transaction.  The per-statement overhead times
 31.8% / 69.7% longer than Op-Delta's for deletes / updates.
 
 That overhead is the *modelled* one (``stmt_overhead`` on the virtual clock,
-charged per statement as ever).  On the host clock the DELETE by key and the
-single-row INSERT are the integrator's fixed repertoire, so they are **bound
-from prepared templates** (:func:`delete_by_key`, :func:`insert_row`; DESIGN.md
-"Statement templates"): the executor's per-shape work is done once per target
-table, not once per record.  Only the array INSERT of a run — as many shapes
-as runs have lengths — is built as a tree; its literal rows are read, not
-compiled.  A DELETE of a DELETE/UPDATE record must find its row: a before
-image that addresses nothing means the mirror is not the state the delta was
-extracted against, and the batch is refused (UPSERT, whose provenance is
-unknown by definition, stays lenient).
+charged per statement as ever).  The host clock does not pay it a second
+time: the DELETE by key and the row INSERT are the integrator's fixed
+repertoire, resolved once per batch as **prepared templates**
+(:func:`delete_by_key`, :func:`row_insert`; DESIGN.md "Statement templates")
+and run from each record's values through ``Session.execute_prepared`` — no
+tree is built, and the executor's per-shape work is done once per target
+table.  A run of insert records is the row INSERT bound with every row of
+the run: one statement, array-bound.  A DELETE of a DELETE/UPDATE record must
+find its row: a before image that addresses nothing means the mirror is not
+the state the delta was extracted against, and the batch is refused (UPSERT,
+whose provenance is unknown by definition, stays lenient); only then is the
+statement's tree bound, for the message.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
+from ..engine.schema import TableSchema
 from ..engine.session import Session
 from ..engine.transactions import Transaction
 from ..errors import WarehouseError
@@ -41,6 +44,7 @@ from ..extraction.deltas import ChangeKind, DeltaBatch
 from ..obs.pipeline.context import ambient_pipeline
 from ..sql import ast_nodes as ast
 from ..sql.parser import TEMPLATES
+from ..sql.templates import StatementTemplate
 
 
 @dataclass
@@ -152,24 +156,56 @@ class ValueDeltaIntegrator:
                 "key to address warehouse rows"
             )
         key_index = batch.schema.primary_key_index()
+        target = batch.table
+        insert = row_insert(target, batch.schema)
+        deletes: dict[type, StatementTemplate] = {}  # by the class of the key
+        run: list[tuple[Any, ...]] = []
+
+        def issue(template: StatementTemplate, rows: Sequence[Sequence[Any]]) -> int:
+            affected = self._session.execute_prepared(template, rows).rows_affected
+            report.statements_issued += 1
+            report.rows_affected += affected
+            return affected
 
         with transactional_unit(
-            self._session, f"value-delta integration of {batch.table!r}"
+            self._session, f"value-delta integration of {target!r}"
         ):
             with self._session.database.tracer.span(
-                "warehouse.apply.value_batch", table=batch.table
+                "warehouse.apply.value_batch", table=target
             ):
-                for statement, must_find in self._batch_statements(
-                    batch, key_column, key_index
-                ):
-                    result = self._session.execute_statement(statement)
-                    report.statements_issued += 1
-                    report.rows_affected += result.rows_affected
-                    if must_find and not result.rows_affected:
-                        raise WarehouseError(
-                            f"{statement.to_sql()} found no row to delete "
-                            "(mirror state diverged)"
+                # A run of INSERT records is one array INSERT — "each original
+                # insert transaction will be captured as one value delta
+                # record which will be translated into one insert SQL
+                # statement", which is why insert maintenance costs the same
+                # under both delta representations.  Any other record is a
+                # DELETE by key, then (unless the row is gone) an INSERT of
+                # its after image: its transaction context is lost.
+                for record in batch.records:
+                    if record.kind is ChangeKind.INSERT:
+                        run.append(record.after)  # type: ignore[arg-type]
+                        continue
+                    if run:
+                        issue(insert, run)
+                        run = []
+                    # UPDATE replaces its before image.  UPSERT (timestamp
+                    # extraction) has unknown provenance: delete any existing
+                    # image of the final state, then insert it.
+                    known = record.kind is not ChangeKind.UPSERT
+                    key = (record.before if known else record.after)[key_index]  # type: ignore[index]
+                    delete = deletes.get(key.__class__)
+                    if delete is None:
+                        delete = deletes[key.__class__] = delete_by_key(
+                            target, key_column, key
                         )
+                    if not issue(delete, ((key,),)) and known:
+                        raise WarehouseError(
+                            f"{delete.bind((key,), ()).to_sql()} found no row "
+                            "to delete (mirror state diverged)"
+                        )
+                    if record.after is not None:
+                        issue(insert, (record.after,))
+                if run:
+                    issue(insert, run)
         report.transactions = 1
         report.elapsed_ms = clock.now - started
         report.per_transaction_ms.append(report.elapsed_ms)
@@ -196,70 +232,26 @@ class ValueDeltaIntegrator:
         total.elapsed_ms = clock.now - started
         return total
 
-    # --------------------------------------------------------------- internals
-    def _batch_statements(
-        self, batch: DeltaBatch, key_column: str, key_index: int
-    ) -> Iterator[tuple[ast.Statement, bool]]:
-        """``(statement, must find its row)`` for a whole batch.
 
-        Runs of consecutive INSERT records collapse into one array-insert
-        statement — "each original insert transaction will be captured as
-        one value delta record which will be translated into one insert SQL
-        statement", which is why insert maintenance costs the same under
-        both delta representations.  Updates and deletes stay one (or two)
-        statements *per record*: their transaction context is lost.  Those
-        two are the integrator's fixed repertoire and are bound from their
-        prepared templates; the array INSERT has as many shapes as runs have
-        lengths, and is built as the one-off tree it is.
-        """
-        target = batch.table
-        pending_inserts: list[tuple[Any, ...]] = []
-
-        def flush() -> Iterator[tuple[ast.Statement, bool]]:
-            if pending_inserts:
-                rows = tuple(
-                    tuple(ast.Literal(v) for v in row) for row in pending_inserts
-                )
-                pending_inserts.clear()
-                yield ast.InsertStmt(target, None, rows=rows), False
-
-        for record in batch.records:
-            if record.kind is ChangeKind.INSERT:
-                assert record.after is not None
-                pending_inserts.append(record.after)
-                continue
-            yield from flush()
-            # DELETE by key, then (unless the row is gone) INSERT the after
-            # image.  UPDATE replaces its before image.  UPSERT (timestamp
-            # extraction) has unknown provenance: delete any existing image
-            # of the final state, then insert it.
-            known = record.kind is not ChangeKind.UPSERT
-            replaced = record.before if known else record.after
-            assert replaced is not None
-            yield delete_by_key(target, key_column, replaced[key_index]), known
-            if record.after is not None:
-                yield insert_row(target, record.after), False
-        yield from flush()
-
-
-def delete_by_key(table: str, key_column: str, key: Any) -> ast.Statement:
-    """``DELETE FROM table WHERE key_column = key``, bound from its template."""
+def delete_by_key(table: str, key_column: str, key: Any) -> StatementTemplate:
+    """The template of ``DELETE FROM table WHERE key_column = key`` for keys
+    of ``key``'s class."""
     return TEMPLATES.prepared(
         ("delete by key", table, key_column),
         (key,),
         lambda slots: ast.DeleteStmt(
             table, ast.BinaryOp("=", ast.ColumnRef(key_column), ast.Literal(slots[0]))
         ),
-    ).bind((key,), ())
+    )
 
 
-def insert_row(table: str, row: tuple[Any, ...]) -> ast.Statement:
-    """``INSERT INTO table VALUES (row)``, bound from the template of rows
-    whose cells have these classes (a NULL cell is part of the shape)."""
+def row_insert(table: str, schema: TableSchema) -> StatementTemplate:
+    """The template of ``INSERT INTO table VALUES (row)`` for rows of
+    ``schema``: every cell a slot typed by its column, so a NULL is a value
+    bound into one (admission types every row) and one template serves every
+    row — or every run of rows, array-bound."""
     return TEMPLATES.prepared(
         ("insert row", table),
-        row,
-        lambda slots: ast.InsertStmt(
-            table, None, rows=(tuple(map(ast.Literal, slots)),)
-        ),
-    ).bind(row, ())
+        [column.datatype.canonical_class() for column in schema.columns],
+        lambda slots: ast.InsertStmt(table, None, rows=(tuple(map(ast.Literal, slots)),)),
+    )

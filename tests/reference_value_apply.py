@@ -1,15 +1,16 @@
-"""The reference value-delta apply: what prepared templates, literal-row
+"""The reference value-delta apply: what the prepared door, literal-row
 reads and the one tuple kernel replaced, kept as the oracle
 ``tests/test_property_value_apply.py`` compares them with.
 
 Three deleted pieces, as they stood:
 
-* the **tree builders** of ``ValueDeltaIntegrator`` — ``statements_for`` wrote
-  a fresh ``DELETE … WHERE key = k`` / ``INSERT … VALUES (row)`` tree for every
-  record, so the executor ran every per-shape builder for every statement;
-  :class:`TreeRouteIntegrator` is the integrator on that route (it keeps the
-  new "a DELETE of a DELETE/UPDATE record must find its row" rule, which is
-  about the record, not about how its statement is made);
+* the **tree route** of ``ValueDeltaIntegrator`` — ``statements_for`` wrote
+  a ``DELETE … WHERE key = k`` / ``INSERT … VALUES (row)`` tree for every
+  record and ``batch_statements`` one ``ast.Literal`` array INSERT per run of
+  insert records, each issued through ``Session.execute_statement``;
+  :class:`TreeRouteIntegrator` is the integrator on that route, issuing its
+  own trees (it keeps the "a DELETE of a DELETE/UPDATE record must find its
+  row" rule, which is about the record, not about how its statement is made);
 * the **per-cell maker lists** of ``insert_rows_maker`` — one
   ``expression_maker`` per VALUES cell, one kernel call per cell and row;
 * the **per-assignment maker list** of the executor's ``_Access.sets`` — one
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.errors import WarehouseError
 from repro.extraction.deltas import ChangeKind, DeltaBatch
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import (
@@ -30,7 +32,7 @@ from repro.sql.expressions import (
     expression_maker,
     insert_arranger,
 )
-from repro.warehouse import ValueDeltaIntegrator
+from repro.warehouse.value_integrator import IntegrationReport, transactional_unit
 
 
 # ------------------------------------------------------------ tree builders
@@ -89,17 +91,44 @@ def batch_statements(
     yield from flush()
 
 
-class TreeRouteIntegrator(ValueDeltaIntegrator):
+class TreeRouteIntegrator:
     """The value integrator with every statement built as a tree."""
 
-    def _batch_statements(self, batch, key_column, key_index):
-        for statement, record in batch_statements(
-            batch, batch.table, key_column, key_index
+    def __init__(self, session) -> None:
+        self._session = session
+
+    def integrate(self, batch: DeltaBatch) -> IntegrationReport:
+        session = self._session
+        report = IntegrationReport(mode="value-delta", certificate_verdict="CERTIFIED")
+        clock = session.database.clock
+        started = clock.now
+        key_column = batch.schema.primary_key
+        key_index = batch.schema.primary_key_index()
+        with transactional_unit(
+            session, f"value-delta integration of {batch.table!r}"
         ):
-            yield statement, (
-                isinstance(statement, ast.DeleteStmt)
-                and record.kind is not ChangeKind.UPSERT
-            )
+            with session.database.tracer.span(
+                "warehouse.apply.value_batch", table=batch.table
+            ):
+                for statement, record in batch_statements(
+                    batch, batch.table, key_column, key_index
+                ):
+                    result = session.execute_statement(statement)
+                    report.statements_issued += 1
+                    report.rows_affected += result.rows_affected
+                    must_find = (
+                        isinstance(statement, ast.DeleteStmt)
+                        and record.kind is not ChangeKind.UPSERT
+                    )
+                    if must_find and not result.rows_affected:
+                        raise WarehouseError(
+                            f"{statement.to_sql()} found no row to delete "
+                            "(mirror state diverged)"
+                        )
+        report.transactions = 1
+        report.elapsed_ms = clock.now - started
+        report.per_transaction_ms.append(report.elapsed_ms)
+        return report
 
 
 # ------------------------------------------------------ per-cell maker lists

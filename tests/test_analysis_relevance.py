@@ -13,6 +13,7 @@ from repro.analysis.relevance import settle_relevance, shape_relevance
 from repro.core import FileLogStore, OpDeltaCapture
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.core.selfmaint import ViewDefinition
+from repro.core.transform import StatementTransformer, TableMapping
 from repro.engine import Database
 from repro.errors import WarehouseError
 from repro.sql.parser import parse
@@ -312,6 +313,57 @@ class TestIntegratorAnalysisPaths:
             row[0] for _r, row in warehouse.database.table("parts").scan()
         }
         assert not remaining & {row[0] for row in doomed}
+
+    @staticmethod
+    def fallback_through(mapping, image):
+        """A volatile DELETE on ``src`` with before ``image``, applied to a
+        warehouse ``dst`` holding keys 1, 2 and 100 through ``mapping``."""
+        warehouse = Database("rel-dst")
+        session = warehouse.internal_session()
+        key = mapping.column_map["id"]
+        session.execute(f"CREATE TABLE dst ({key} INTEGER PRIMARY KEY, q INTEGER)")
+        session.execute("INSERT INTO dst VALUES (1, 5), (2, 6), (100, 7)")
+        op = _op(1, 0, "DELETE FROM src WHERE q < RANDOM()", before_image=image)
+        integrator = OpDeltaIntegrator(
+            warehouse.internal_session(),
+            transformer=StatementTransformer({"src": mapping}),
+            analyzer=OpDeltaAnalyzer(mirrored_tables=("src",)),
+        )
+        report = integrator.integrate([OpDeltaTransaction(txn_id=1, operations=[op])])
+        return report, sorted(session.query("SELECT * FROM dst"))
+
+    def test_volatile_fallback_reads_the_key_where_the_source_has_it(self):
+        # The image is a source row (code, id, q): its key is the second
+        # cell, not the first — which is the warehouse key's position.
+        mapping = TableMapping(
+            "src", "dst", column_map={"id": "id", "q": "q"},
+            source_columns=("code", "id", "q"),
+        )
+        report, rows = self.fallback_through(mapping, [(100, 1, 5)])
+        assert report.fallback_images_applied == report.rows_affected == 1
+        assert rows == [(2, 6), (100, 7)]
+
+    def test_volatile_fallback_names_the_key_as_the_source_does(self):
+        # The warehouse calls the key ``pid``; the source DELETE says ``id``.
+        mapping = TableMapping(
+            "src", "dst", column_map={"id": "pid", "q": "q"},
+            source_columns=("code", "id", "q"),
+        )
+        report, rows = self.fallback_through(mapping, [(100, 1, 5), (0, 2, 6)])
+        assert report.fallback_images_applied == 1 and report.rows_affected == 2
+        assert rows == [(100, 7)]
+
+    def test_volatile_fallback_refuses_a_key_the_mapping_cannot_locate(self):
+        # The key is projected away, or the source column order is unknown.
+        for mapping in (
+            TableMapping("src", "dst", column_map={"id": "pid", "q": "q"}),
+            TableMapping(
+                "src", "dst", column_map={"q": "q", "id": "id"},
+                source_columns=("code", "q"),
+            ),
+        ):
+            with pytest.raises(WarehouseError, match="mapping locates"):
+                self.fallback_through(mapping, [(100, 1, 5)])
 
     def test_volatile_delete_with_empty_image_is_noop(self, mirror_pair):
         _source, _workload, warehouse = mirror_pair

@@ -429,4 +429,6 @@ class TestTemplatesTable:
 
     def test_reading_it_reports_no_host_time(self):
         columns = SYS_TABLES["sys.templates"].schema.column_names
-        assert columns == ("shape", "kind", "table_name", "hits", "binds", "builds")
+        assert columns == (
+            "shape", "kind", "table_name", "hits", "binds", "runs", "builds"
+        )

@@ -1371,7 +1371,7 @@ class TestRepro018TheWarehouseBindsItsStatements:
             "    return TEMPLATES.prepared(\n"
             "        ('delete by key', table, column), (key,),\n"
             "        lambda slots: ast.DeleteStmt(table, equals(column, slots[0])),\n"
-            "    ).bind((key,), ())\n"
+            "    )\n"
             "class View:\n"
             "    def apply(self, op, txn):\n"
             "        return reshaped(op.statement, self.scope, 'view', self._onto)\n"
@@ -1392,16 +1392,45 @@ class TestRepro018TheWarehouseBindsItsStatements:
             "def flush(target, pending):\n"
             "    return ast.InsertStmt(target, None, rows=tuple(pending))\n"
         )
-        for module in ("value_integrator.py", "opdelta_integrator.py"):
-            name = f"repro/warehouse/{module}"
-            assert lint_source(tmp_path, run, name=name) == []
-            assert self.flagged(
-                lint_source(tmp_path, run + self.TREES, name=name)
-            ) == [4, 5, 6]
+        name = "repro/warehouse/opdelta_integrator.py"
+        assert lint_source(tmp_path, run, name=name) == []
+        assert self.flagged(
+            lint_source(tmp_path, run + self.TREES, name=name)
+        ) == [4, 5, 6]
+        # The value integrator's runs are array-bound: it has no budget.
+        assert self.flagged(
+            lint_source(tmp_path, run, name="repro/warehouse/value_integrator.py")
+        ) == [2]
 
-    def test_the_repository_builds_only_its_two_one_off_statements(self):
+    BINDS = (
+        "def apply(session, delete, insert, key, row):\n"
+        "    if not session.execute_prepared(delete, ((key,),)).rows_affected:\n"
+        "        raise WarehouseError(delete.bind((key,), ()).to_sql())\n"
+        "    return insert.bind(row, ())\n"
+    )
+
+    def test_a_tree_bound_in_the_warehouse_is_budgeted(self, tmp_path):
+        # A module with no budget: both binds are flagged.
+        violations = lint_source(tmp_path, self.BINDS, name="repro/warehouse/olap.py")
+        assert self.flagged(violations) == [3, 4]
+        assert ".bind()" in violations[0] and "execute_prepared" in violations[0]
+        # The value integrator may bind one (its error message), not two.
+        assert self.flagged(lint_source(
+            tmp_path, self.BINDS, name="repro/warehouse/value_integrator.py"
+        )) == [4]
+        # Run from its values, nothing is bound; outside the warehouse the
+        # rule does not look.
+        clean = (
+            "def apply(session, delete, insert, key, row):\n"
+            "    session.execute_prepared(delete, ((key,),))\n"
+            "    session.execute_prepared(insert, (row,))\n"
+        )
+        assert lint_source(tmp_path, clean, name="repro/warehouse/olap.py") == []
+        assert lint_source(tmp_path, self.BINDS, name="repro/sql/olap.py") == []
+
+    def test_the_repository_builds_only_its_one_off_statement(self):
         package = REPO / "src" / "repro" / "warehouse"
-        built = {}
+        built, bound = {}, {}
         for path in sorted(package.rglob("*.py")):
             assert [
                 v for v in lint_rules.lint_file(path) if "REPRO018" in v
@@ -1409,11 +1438,15 @@ class TestRepro018TheWarehouseBindsItsStatements:
             text = path.read_text(encoding="utf-8")
             if count := len(re.findall(r"ast\.(?:Insert|Update|Delete)Stmt\(", text)):
                 built[path.name] = count
-        # The array INSERT of a run and the two prepared builders; the IN-list
-        # DELETE of a multi-row fallback; the view's rewrite onto its storage.
+            if count := len(re.findall(r"\.bind\(", text)):
+                bound[path.name] = count
+        # The two prepared builders; the IN-list DELETE of a multi-row
+        # fallback; the view's rewrite onto its storage.
         assert built == {
-            "opdelta_integrator.py": 1, "value_integrator.py": 3, "views.py": 2,
+            "opdelta_integrator.py": 1, "value_integrator.py": 2, "views.py": 2,
         }
+        # The must-find error and the single-key volatile fallback.
+        assert bound == {"opdelta_integrator.py": 1, "value_integrator.py": 1}
 
 
 class TestRepro019ANodesChildrenAreDeclaredOnce:

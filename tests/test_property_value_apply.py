@@ -5,14 +5,17 @@ value integrator's tree builders, the per-cell maker lists of a VALUES row
 and the per-assignment maker list of a SET list.  Three comparisons:
 
 * **prepared route ≡ tree route** on random batches — all four
-  ``ChangeKind``s, runs of inserts of every length, NULL cells, strings with
-  ``'`` and latin-1 bytes, ints in FLOAT columns, values that *equal* slot
-  sentinels (``1 << 60``, ``"\\x001"``), records that do not fit the mirror
-  (a duplicate key, a row that is not there): the same ``to_sql()``
-  statement by statement, the same report, ``clock.now`` equal to the bit,
-  the same mirror rows — or the same error, and the same rolled-back state.
-  Each side runs on its own database built from the same draw, so the two
-  clocks start equal and nothing is shared;
+  ``ChangeKind``s, runs of inserts of every length whose rows differ in where
+  their NULLs are, strings with ``'`` and latin-1 bytes, ints in FLOAT
+  columns, values that *equal* slot sentinels (``1 << 60``, ``"\\x001"``),
+  records that do not fit the mirror (a duplicate key, a row that is not
+  there): the same report, ``clock.now`` equal to the bit, the same mirror
+  rows, ``statements_executed`` and WAL records — or the same error, and the
+  same rolled-back state.  The prepared route runs twice, with a capture
+  hook (which gets a tree bound on demand: the same ``to_sql()`` statement by
+  statement as the tree route's) and without one (no tree at all).  Each run
+  is on its own database built from the same draw, so the clocks start
+  equal and nothing is shared;
 * **a VALUES row** — read where it is all literals, one tuple kernel where it
   is not — ≡ the per-cell kernels ≡ the reference interpreter of
   ``tests/test_property_expressions.py``, templated and not;
@@ -89,6 +92,8 @@ MOVES = st.lists(
     max_size=12,
 )
 INITIAL = st.lists(st.tuples(KEYS, CELLS), max_size=6, unique_by=lambda r: r[0])
+#: A run of insert records of fresh keys, and where in the batch it goes.
+RUNS = st.tuples(st.integers(0, 12), st.lists(CELLS, max_size=5))
 
 
 def records_of(initial, moves):
@@ -115,7 +120,18 @@ def records_of(initial, moves):
             yield DeltaRecord(kind, key, before=with_before, after=after)
 
 
-def applied(integrator_cls, initial, records):
+def statements_of(records):
+    """How many statements a batch is: one per run of insert records, one
+    DELETE per other record and an INSERT for each with an after image."""
+    count, running = 0, False
+    for record in records:
+        inserting = record.kind is ChangeKind.INSERT
+        count += (not running) if inserting else 1 + (record.after is not None)
+        running = inserting
+    return count
+
+
+def applied(integrator_cls, initial, records, hooked=True):
     """Everything one route leaves behind, on a database of its own."""
     database = Database("wh")
     table = database.create_table(SCHEMA)
@@ -125,11 +141,12 @@ def applied(integrator_cls, initial, records):
     database.commit(txn)
     session = database.internal_session()
     statements = []
-    session.capture_hooks.append(
-        lambda statement, text, _session: statements.append(
-            (type(statement).__name__, text)
+    if hooked:
+        session.capture_hooks.append(
+            lambda statement, text, _session: statements.append(
+                (type(statement).__name__, text)
+            )
         )
-    )
     integrator = integrator_cls(session)
     try:
         result = dataclasses.asdict(
@@ -138,21 +155,33 @@ def applied(integrator_cls, initial, records):
     except ReproError as exc:
         result = type(exc).__name__, str(exc)
     return {
+        "failed": isinstance(result, tuple),
         "statements": statements,
         "result": repr(result),
         "clock": database.clock.now.hex(),
         "mirror": repr(sorted(table.scan_values())),
         "in_transaction": session.in_transaction,
+        "statements_executed": session.statements_executed,
+        "wal": repr(database.log._active),
     }
 
 
 @settings(max_examples=200, deadline=None)
-@given(INITIAL, MOVES)
-def test_prepared_route_is_the_tree_route(initial, moves):
+@given(INITIAL, MOVES, RUNS)
+def test_prepared_route_is_the_tree_route(initial, moves, run):
     records = list(records_of(initial, moves))
-    prepared = applied(ValueDeltaIntegrator, initial, records)
+    at, cells = run
+    records[at:at] = [
+        DeltaRecord(ChangeKind.INSERT, 100 + n, after=(100 + n, *row))
+        for n, row in enumerate(cells)
+    ]
     by_tree = applied(TreeRouteIntegrator, initial, records)
-    assert prepared == by_tree
+    assert applied(ValueDeltaIntegrator, initial, records) == by_tree
+    bare = applied(ValueDeltaIntegrator, initial, records, hooked=False)
+    assert bare == {**by_tree, "statements": []}
+    if not by_tree["failed"]:
+        # A run of inserts is one statement, whatever NULLs its rows hold.
+        assert bare["statements_executed"] == statements_of(records)
 
 
 # ------------------------------------------------------------- a VALUES row

@@ -444,6 +444,19 @@ class TestDml:
         assert session.scalar("SELECT COUNT(*) FROM suppliers") == 20
 
     @pytest.mark.parametrize("templated", [True, False])
+    def test_insert_naming_every_column_in_another_order(self, session, templated):
+        # One row of literals, one per column, in order: only the column
+        # list says which column each goes to.
+        sql = (
+            "INSERT INTO suppliers (region, supplier_name, supplier_id) "
+            "VALUES ('R9', 'reordered', 95)"
+        )
+        assert self._run(session, sql, templated).rows_affected == 1
+        assert session.query(
+            "SELECT supplier_name, region FROM suppliers WHERE supplier_id = 95"
+        ) == [("reordered", "R9")]
+
+    @pytest.mark.parametrize("templated", [True, False])
     def test_update_assigning_a_column_twice_is_refused(self, session, templated):
         sql = "UPDATE suppliers SET region = 'a', region = 'b' WHERE supplier_id = 3"
         for _again in range(2):

@@ -379,9 +379,118 @@ class TestPreparedTemplates:
         with pytest.raises(SqlAnalysisError, match="SQL literals or NULL"):
             table.prepared(("insert row", "items"), (7, True, "x"), build)
 
+    def test_the_prepared_door_runs_what_the_tree_door_runs(self):
+        """``execute_prepared`` is ``execute_statement`` of the bound tree:
+        same result, plan, clock and table — and no tree unless a capture
+        hook is there to receive one (with the tree route's text)."""
+        table = TemplateTable()
+
+        def build(slots):
+            return ast.InsertStmt("items", None, rows=(tuple(map(ast.Literal, slots)),))
+
+        insert = table.prepared(("insert row", "items"), (0, 0, ""), build)
+        delete = table.prepared(
+            ("delete by key", "items", "k"), (0,),
+            lambda slots: ast.DeleteStmt(
+                "items", ast.BinaryOp("=", ast.ColumnRef("k"), ast.Literal(slots[0]))
+            ),
+        )
+        rows = [(30, 1, "a"), (31, None, "it's"), (32, 3, None)]
+        outcomes = []
+        for door in ("tree", "prepared", "hooked"):
+            database = items_db(f"door-{door}")
+            session = database.internal_session()
+            seen = []
+            if door == "hooked":
+                session.capture_hooks.append(lambda st, text, _s: seen.append(text))
+            if door == "tree":
+                results = [
+                    session.execute_statement(ast.InsertStmt(
+                        "items", None,
+                        rows=tuple(tuple(map(ast.Literal, row)) for row in rows),
+                    )),
+                    session.execute_statement(delete.bind((5,), ())),
+                ]
+            else:
+                results = [
+                    session.execute_prepared(insert, rows),
+                    session.execute_prepared(delete, ((5,),)),
+                ]
+            outcomes.append((
+                [(r.rows_affected, r.plan) for r in results],
+                database.clock.now.hex(),
+                sorted(database.table("items").scan_values()),
+                session.statements_executed,
+            ))
+            if door == "hooked":
+                assert seen == [
+                    "INSERT INTO items VALUES (30, 1, 'a'), (31, NULL, 'it''s'), "
+                    "(32, 3, NULL)",
+                    "DELETE FROM items WHERE (k = 5)",
+                ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][0] == [(3, "insert"), (1, "delete:index(pk_items)")]
+        # Trees: one for the tree door's DELETE, one per row and one DELETE
+        # for the hook; four statements ran from their values.
+        assert (insert.binds, delete.binds) == (3, 2)
+        assert (insert.runs, delete.runs) == (2, 2)
+
+    def test_an_array_bound_insert_is_one_bulk_statement(self):
+        """N value rows of a one-row INSERT template are one statement: one
+        ``stmt_overhead``, and every row a bulk client insert iff N > 1 —
+        on the clock, exactly the engine calls and nothing else."""
+        from repro.engine.table import InsertMode
+        from repro.warehouse.value_integrator import row_insert
+
+        for rows in ([(40, 1, "a")], [(40, 1, "a"), (41, None, None), (42, 3, "c")]):
+            prepared, by_hand = items_db("array-prepared"), items_db("array-by-hand")
+            session = prepared.internal_session()
+            insert = row_insert("items", prepared.table("items").schema)
+            session.begin()
+            assert session.execute_prepared(insert, rows).rows_affected == len(rows)
+            session.commit()
+            mode = InsertMode.BULK_CLIENT if len(rows) > 1 else InsertMode.STATEMENT
+            txn = by_hand.begin()
+            by_hand.clock.advance(by_hand.costs.stmt_overhead)
+            for row in rows:
+                by_hand.table("items").insert(txn, row, mode=mode)
+            by_hand.commit(txn)
+            assert session.statements_executed == 1
+            assert prepared.clock.now.hex() == by_hand.clock.now.hex()
+
+    def test_the_prepared_door_refuses_what_it_cannot_run(self):
+        database = items_db("door-refusals")
+        session = database.internal_session()
+        table = TemplateTable()
+        delete = table.prepared(
+            ("delete by key", "items", "k"), (0,),
+            lambda slots: ast.DeleteStmt(
+                "items", ast.BinaryOp("=", ast.ColumnRef("k"), ast.Literal(slots[0]))
+            ),
+        )
+        select = table.prepared(
+            ("select", "items"), (0,),
+            lambda slots: ast.SelectStmt(
+                items=(ast.SelectItem(ast.Star()),), table="items",
+                where=ast.BinaryOp("=", ast.ColumnRef("k"), ast.Literal(slots[0])),
+            ),
+        )
+        with pytest.raises(SqlAnalysisError, match="takes 1 values, not 2"):
+            session.execute_prepared(delete, ((1, 2),))
+        with pytest.raises(SqlAnalysisError, match="only an INSERT binds more"):
+            session.execute_prepared(delete, ((1,), (2,)))
+        with pytest.raises(SqlAnalysisError, match="at least one row"):
+            session.execute_prepared(delete, ())
+        with pytest.raises(SqlAnalysisError, match="does not run from its values"):
+            session.execute_prepared(select, ((1,),))
+        # Each refusal was a statement that failed: nothing changed.
+        assert len(list(database.table("items").scan_values())) == 20
+        assert session.statements_executed == 4 and not session.in_transaction
+
     def test_five_thousand_update_records_bind_two_templates(self):
         """One DELETE by key and one row INSERT per record: the value
-        integrator's whole repertoire, listed by ``sys.templates``."""
+        integrator's whole repertoire, listed by ``sys.templates``, run from
+        the records' values with no tree built."""
         database = items_db("prepared")
         rows = {values[0]: values for values in database.table("items").scan_values()}
         integrator = ValueDeltaIntegrator(database.internal_session())
@@ -390,7 +499,7 @@ class TestPreparedTemplates:
 
         def listed():
             return SystemCatalog(StoreBundle()).query(
-                "SELECT shape, kind, hits, binds, builds FROM sys.templates "
+                "SELECT shape, kind, hits, binds, runs, builds FROM sys.templates "
                 "WHERE table_name = 'items' ORDER BY kind"
             ).rows
 
@@ -409,9 +518,10 @@ class TestPreparedTemplates:
                 after_one_window = len(TEMPLATES)
         assert sorted(database.table("items").scan_values()) == sorted(rows.values())
         # No growth: two shapes after 500 records, two after 5,000; each was
-        # written once and had its one executor fact built once.
+        # written once, looked up once per batch, ran 5,000 statements and
+        # had its one executor fact built once — and no tree was bound.
         assert after_one_window == len(TEMPLATES) == 2
         assert listed() == [
-            ("DELETE FROM items WHERE (k = INTEGER)", "DELETE", 4999, 5000, 1),
-            ("INSERT INTO items VALUES (INTEGER, INTEGER, STRING)", "INSERT", 4999, 5000, 1),
+            ("DELETE FROM items WHERE (k = INTEGER)", "DELETE", 9, 0, 5000, 1),
+            ("INSERT INTO items VALUES (INTEGER, INTEGER, STRING)", "INSERT", 9, 0, 5000, 1),
         ]

@@ -236,9 +236,13 @@ for one it rewrites.  So under ``repro/warehouse/`` an ``InsertStmt(`` /
 inside such a builder — a ``lambda`` or a function of the module passed to
 ``prepared(`` / ``reshaped(`` / ``rewritten(`` — except, counted per module,
 for the statement that has as many shapes as its input has lengths: the
-array INSERT of a run of insert records (``value_integrator.py``) and the
 ``IN``-list DELETE of a multi-row volatile fallback
-(``opdelta_integrator.py``), one each.
+(``opdelta_integrator.py``), one.  And a prepared statement *runs* from its
+values (``Session.execute_prepared``): binding its tree (``.bind(``) is paid
+per statement, so it is counted too — the "found no row to delete" error
+of ``value_integrator.py`` and the single-key volatile fallback of
+``opdelta_integrator.py``, one each, and none anywhere else in the
+warehouse, so that a per-record tree cannot come back unnoticed.
 
 **REPRO019 — a node's children are declared once.**  What lies below an
 expression node is derived from the node dataclasses' own field types in
@@ -561,7 +565,10 @@ DISCARDED_ROW_ID_BUDGETS = {
 #: as one-off trees (as many shapes as the input has lengths).
 DML_NODE_CLASSES = ("InsertStmt", "UpdateStmt", "DeleteStmt")
 TEMPLATE_BUILDER_CALLS = ("prepared", "reshaped", "rewritten")
-ONE_OFF_STATEMENT_BUDGETS = {
+ONE_OFF_STATEMENT_BUDGETS = {"repro/warehouse/opdelta_integrator.py": 1}
+#: REPRO018: module suffix -> how many ``.bind(`` calls (a tree bound from a
+#: template) it may make under ``repro/warehouse/``; every other, none.
+BIND_BUDGETS = {
     "repro/warehouse/value_integrator.py": 1,
     "repro/warehouse/opdelta_integrator.py": 1,
 }
@@ -1247,10 +1254,22 @@ def _unprepared_statement_violations(
         for call in calls
         if last_name(call.func) in DML_NODE_CLASSES and id(call) not in inside
     )
+    binds = sorted(
+        call.lineno
+        for call in calls
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "bind"
+    )
+    bind_budget = next(
+        (n for suffix, n in BIND_BUDGETS.items() if normalized.endswith(suffix)), 0
+    )
     return [
         f"{path}:{lineno}: REPRO018 {name}() built outside a template builder; "
         "bind it from TEMPLATES.prepared(...) or rewrite it through reshaped(...)"
         for lineno, name in found[budget:]
+    ] + [
+        f"{path}:{lineno}: REPRO018 .bind() builds a tree per statement; run the "
+        "template from its values with Session.execute_prepared(template, rows)"
+        for lineno in binds[bind_budget:]
     ]
 
 
