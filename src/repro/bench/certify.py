@@ -125,6 +125,25 @@ class CertifyReport:
             return 0 if self.fault_detected else 1
         return 0 if self.clean else 1
 
+    def located_findings(self) -> list[tuple[str, dict[str, Any]]]:
+        """Every finding, at its schedule or at the race drill's detector."""
+        located = [
+            (mode, finding)
+            for mode, summary in self.modes.items()
+            for key in ("findings", "obligation_findings")
+            for finding in summary.get(key, ())
+        ]
+        if self.drill is not None:
+            located += [
+                ("drill.static", finding)
+                for finding in self.drill["static"]["findings"]
+            ]
+            located += [
+                ("drill.sanitizer", finding)
+                for finding in self.drill["dynamic_findings"]
+            ]
+        return located
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,

@@ -21,9 +21,8 @@ from ..errors import ReproError
 from ..obs.context import observe
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from . import report as reports
 from .experiments import REGISTRY
-from .report import render
+from .report import render, render_query_result, render_report
 
 
 # --------------------------------------------------------------- report passes
@@ -47,8 +46,9 @@ class ReportPass:
     #: (``to_dict``/``exit_code``); imported only when the pass runs.
     module: str
     runner: str
-    #: The :mod:`.report` function that renders it.
-    renderer: str
+    #: Header of the pass's text (:func:`.report.render_report`); ``None``
+    #: for a value-taking pass, which prints its query's answer instead.
+    title: str | None
     #: The ``--fault`` choice that requires this pass, if any.
     fault: str | None = None
     #: argparse metavar for value-taking flags; ``None`` = store_true.
@@ -66,14 +66,15 @@ class ReportPass:
         """Run the pass with the CLI values it declares; report and text."""
         module = importlib.import_module(f".{self.module}", __package__)
         runner = getattr(module, self.runner)
-        renderer = getattr(reports, self.renderer)
-        if self.metavar is not None:
+        if self.title is None:
             # A value-taking pass (``--sql``) renders the answer to its
             # value, not the drill that produced it.
             result = runner(getattr(args, self.dest))
-            return result, renderer(result.query)
+            return result, render_query_result(result.query)
         result = runner() if self.fault is None else runner(fault=args.fault)
-        return result, renderer(result)
+        return result, render_report(
+            self.title, result.to_dict(), result.located_findings()
+        )
 
 
 REPORT_PASSES: tuple[ReportPass, ...] = (
@@ -83,10 +84,11 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         help="run the audited pipeline-health pass instead of experiments: "
         "capture the seed workload through the plain, batched and compacted "
         "pipelines, audit lineage conservation, ordering and state digests, "
-        "and print per-view freshness, per-stage lag and the auditor verdict",
+        "and print the auditor verdict and its findings; --json writes the "
+        "per-view freshness, per-stage lag and conservation counts",
         module="health",
         runner="run_health",
-        renderer="render_health",
+        title="pipeline health",
         fault="drop-queue-message",
     ),
     ReportPass(
@@ -96,10 +98,11 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "statically prove the seed plain/batched/compacted schedules "
         "serializable, measure the widened commutativity prover's "
         "parallelism delta, and verify state parity and zero sanitizer "
-        "overhead",
+        "overhead; prints the verdict and every finding, and --json writes "
+        "the certificates",
         module="certify",
         runner="run_certify",
-        renderer="render_certify",
+        title="schedule certification",
         fault="swap-lane-ops",
     ),
     ReportPass(
@@ -109,10 +112,11 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "model-check every compiled view-maintenance plan in the seed "
         "catalog over exhaustive small-scope micro-databases, prove the "
         "certificate cache is pay-once, and drive a captured workload "
-        "through the integrator's certificate-gated pre-flight",
+        "through the integrator's certificate-gated pre-flight; prints the "
+        "verdict and every finding, and --json writes the certificates",
         module="verify",
         runner="run_verify",
-        renderer="render_verify",
+        title="delta-rule verification",
         fault="corrupt-delta-rule",
     ),
     ReportPass(
@@ -120,12 +124,13 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         summary="flight-recorded pipeline pass",
         help="run the flight-recorded pipeline pass instead of experiments: "
         "drive the seed workload with a seeded load spike under the full "
-        "time-series/cost-attribution/SLO stack, and print the window "
-        "timeline, the top-K cost profile and every burn-rate alert; the "
-        "exit code reports whether the spike alert fired and cleared",
+        "time-series/cost-attribution/SLO stack, and print the verdict and "
+        "every burn-rate alert; --json writes the window timeline and the "
+        "cost ledger; the exit code reports whether the spike alert fired "
+        "and cleared",
         module="flight",
         runner="run_flight",
-        renderer="render_flight",
+        title="flight recorder",
     ),
     ReportPass(
         flag="--forensics",
@@ -134,12 +139,12 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "drive a steady workload with a seeded queue stall under the full "
         "observability stack, assemble sys.critical_path, check lifecycle "
         "conservation via SQL against the pipeline auditor, refresh the "
-        "incremental monitoring views, and print per-window/per-view stage "
-        "blame; the exit code is 0 only when the queue stage is blamed for "
-        "the p99 end-to-end lag",
+        "incremental monitoring views, and print the verdict; --json writes "
+        "the per-window/per-view stage blame; the exit code is 0 only when "
+        "the queue stage is blamed for the p99 end-to-end lag",
         module="introspect",
         runner="run_forensics",
-        renderer="render_forensics",
+        title="system catalog forensics",
     ),
     ReportPass(
         flag="--sql",
@@ -153,7 +158,7 @@ REPORT_PASSES: tuple[ReportPass, ...] = (
         "diagnostic",
         module="introspect",
         runner="run_sql",
-        renderer="render_query_result",
+        title=None,
         metavar="QUERY",
     ),
 )
@@ -225,15 +230,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.check:
-        from .check import run_check
-
-        return run_check(args.experiments)
-
     active = [p for p in REPORT_PASSES if p.active(args)]
     if len(active) > 1:
         flags = " and ".join(p.flag for p in active)
         print(f"{flags} are mutually exclusive", file=sys.stderr)
+        return 2
+    # A report pass runs alone: refuse what it would silently drop.
+    ignored = [
+        flag
+        for flag, given in (
+            ("experiment ids", args.experiments),
+            ("--list", args.list),
+            ("--check", args.check),
+            ("--metrics", args.metrics),
+            ("--trace", args.trace is not None),
+        )
+        if given
+    ]
+    if active and ignored:
+        print(
+            f"{active[0].flag} cannot be combined with {', '.join(ignored)}",
+            file=sys.stderr,
+        )
         return 2
     for report_pass in REPORT_PASSES:
         if (
@@ -246,6 +264,11 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
+
+    if args.check:
+        from .check import run_check
+
+        return run_check(args.experiments)
 
     if active:
         try:

@@ -97,14 +97,6 @@ class FlightReport:
     ledger: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def fired(self) -> list[dict[str, Any]]:
-        return [f for f in self.findings if f["severity"] == "error"]
-
-    @property
-    def cleared(self) -> list[dict[str, Any]]:
-        return [f for f in self.findings if f["code"] in ("SLO002", "SLO004")]
-
-    @property
     def spike_detected(self) -> bool:
         """Did a freshness alert fire and later clear?"""
         fired = [f["at_ms"] for f in self.findings if f["code"] == "SLO001"]
@@ -130,9 +122,20 @@ class FlightReport:
         healthy = self.spike_detected and self.all_clear and self.conservative
         return 0 if healthy else 1
 
-    def top(self, k: int = 8) -> list[dict[str, Any]]:
+    def top(self, k: int) -> list[dict[str, Any]]:
         """The k most expensive cost-ledger rows."""
         return list(self.ledger.get("rows", ()))[:k]
+
+    def located_findings(self) -> list[tuple[str, dict[str, Any]]]:
+        """Each SLO transition once, at the window that observed it.
+
+        ``findings`` and ``slo["findings"]`` hold the same transitions.
+        """
+        return [
+            (f"window {window['window']}", finding)
+            for window in self.windows
+            for finding in window["findings"]
+        ]
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -105,6 +105,14 @@ class HealthReport:
             return 0 if self.fault_detected else 1
         return 0 if self.verdict == "CLEAN" else 1
 
+    def located_findings(self) -> list[tuple[str, dict[str, Any]]]:
+        """Every audit finding, at the pipeline that raised it."""
+        return [
+            (mode, finding)
+            for mode, snap in self.modes.items()
+            for finding in snap.findings
+        ]
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,

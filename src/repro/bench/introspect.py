@@ -136,6 +136,10 @@ class ForensicsReport:
         )
         return 0 if healthy else 1
 
+    def located_findings(self) -> list[tuple[str, dict[str, Any]]]:
+        """None: the drill's verdict is its flags, not findings."""
+        return []
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,

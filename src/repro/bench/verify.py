@@ -146,6 +146,21 @@ class VerifyReport:
             return 0 if self.fault_detected else 1
         return 0 if self.clean else 1
 
+    def located_findings(self) -> list[tuple[str, dict[str, Any]]]:
+        """Every plan finding at its view and operation kind, then the
+        corruption drill's refuting error codes."""
+        located = [
+            (f"{name} [{finding['kind']}]", finding)
+            for name, plan in self.plans.items()
+            for finding in [*plan["errors"], *plan["warnings"]]
+        ]
+        if self.drill is not None:
+            located += [
+                (f"drill.{self.drill['view']}", {"code": code, "severity": "error"})
+                for code in self.drill["error_codes"]
+            ]
+        return located
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,

@@ -11,7 +11,8 @@ from repro.bench.certify import (
     run_certify,
 )
 from repro.bench.cli import main
-from repro.bench.report import render_certify
+
+from .report_text import pass_text
 
 #: The committed --certify --json document layout: changing any of these
 #: (or the nested shapes pinned below) requires a SCHEMA_VERSION bump.
@@ -149,18 +150,46 @@ class TestSchemaPins:
 
 
 class TestRendering:
+    """The text is the title, the verdict lines and one grid row per
+    finding; what the pass measured beside them is read from its document."""
+
     def test_render_shows_grid_widening_and_parity(self, clean):
-        text = render_certify(clean)
-        assert "schedule certification" in text
-        assert "CERTIFIED" in text
-        assert "conflict edges" in text
-        assert "bit-identical" in text
+        head, grid = pass_text("--certify", clean)
+        assert head == [
+            "== schedule certification ==",
+            "verdict: CERTIFIED",
+            f"lanes: {LANES}",
+            f"transactions: {clean.transactions}",
+            f"operations: {clean.operations}",
+        ]
+        assert grid == [("at", "code", "severity", "message")]
+        document = clean.to_dict()
+        assert document["verdict"] == "CERTIFIED"
+        assert document["widening"]["conservative"]["edges"] == 9
+        assert document["widening"]["widened"]["edges"] == 7
+        assert document["parity"]["bit_identical"]
 
     def test_render_shows_the_drill(self, drilled):
-        text = render_certify(drilled)
-        assert "DETECTED" in text
-        assert "RACE001" in text
-        assert "REFUSED" in text
+        head, grid = pass_text("--certify", drilled)
+        assert head[:4] == [
+            "== schedule certification ==",
+            "fault: swap-lane-ops",
+            "verdict: CERTIFIED",
+            "fault_detected: True",
+        ]
+        assert grid[0] == ("at", "code", "severity", "message")
+        document = drilled.to_dict()
+        drill = document["drill"]
+        assert [row[:3] for row in grid[1:]] == [
+            *(("drill.static", "RACE001", "-") for _ in drill["static"]["findings"]),
+            *(
+                ("drill.sanitizer", finding["code"], "-")
+                for finding in drill["dynamic_findings"]
+            ),
+        ]
+        assert len(drill["static"]["findings"]) == 3
+        assert document["fault_detected"] is True
+        assert drill["integrator_rejected"]
 
 
 class TestCommandLine:
@@ -184,7 +213,7 @@ class TestCommandLine:
 
     def test_drill_exit_zero_means_detected(self, capsys):
         assert main(["--certify", "--fault", "swap-lane-ops"]) == 0
-        assert "DETECTED" in capsys.readouterr().out
+        assert "fault_detected: True" in capsys.readouterr().out
 
     def test_swap_lane_ops_requires_certify(self, capsys):
         assert main(["--health", "--fault", "swap-lane-ops"]) == 2

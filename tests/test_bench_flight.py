@@ -13,7 +13,8 @@ from repro.bench.flight import (
 )
 from repro.bench.health import SCHEMA_VERSION as HEALTH_SCHEMA_VERSION
 from repro.bench.health import run_health
-from repro.bench.report import render_flight
+
+from .report_text import pass_text
 
 #: The committed --flight --json document layout: changing any of these
 #: (or the nested shapes pinned below) requires a SCHEMA_VERSION bump.
@@ -165,17 +166,42 @@ class TestSchemaPins:
 
 
 class TestRendering:
+    """The text is the title, the verdict lines and one grid row per
+    finding; what the pass measured beside them is read from its document."""
+
     def test_render_shows_timeline_costs_and_findings(self, sampled):
-        text = render_flight(sampled)
-        assert "flight recorder" in text
-        assert "window timeline" in text
-        assert "where did the time go" in text
-        assert "SLO001" in text and "SLO002" in text
-        assert "SPIKE" in text
+        head, grid = pass_text("--flight", sampled)
+        assert head == [
+            "== flight recorder ==",
+            "sampled: True",
+            "exit_code: 0",
+            "spike_detected: True",
+            "all_clear: True",
+            "conservative: True",
+            f"final_virtual_ms: {sampled.final_virtual_ms}",
+        ]
+        assert grid[0] == ("at", "code", "severity", "message")
+        # Each SLO transition once: ``slo.findings`` and the windows'
+        # findings repeat the top-level list, and print no extra row.
+        assert [row[:3] for row in grid[1:]] == [
+            ("window 3", "SLO001", "error"),
+            ("window 3", "SLO003", "error"),
+            ("window 10", "SLO002", "info"),
+            ("window 11", "SLO004", "info"),
+        ]
+        document = sampled.to_dict()
+        assert len(document["findings"]) == len(grid) - 1
+        assert {"SLO001", "SLO002"} <= {f["code"] for f in document["findings"]}
+        assert [w["window"] for w in document["windows"] if w["spike"]] == list(
+            SPIKE_WINDOWS
+        )
+        assert document["ledger"]["rows"]
 
     def test_render_unsampled(self, unsampled):
-        text = render_flight(unsampled)
-        assert "flight recorder" in text
+        head, grid = pass_text("--flight", unsampled)
+        assert head[0] == "== flight recorder =="
+        assert "sampled: False" in head
+        assert grid == [("at", "code", "severity", "message")]
 
 
 class TestExperiment:

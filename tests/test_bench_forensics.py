@@ -14,7 +14,9 @@ from repro.bench.introspect import (
     run_forensics,
     run_sql,
 )
-from repro.bench.report import render_forensics, render_query_result
+from repro.bench.report import render_query_result
+
+from .report_text import pass_text
 
 #: The committed --forensics --json document layout: changing any of
 #: these requires a SCHEMA_VERSION bump.
@@ -181,13 +183,24 @@ class TestSql:
 
 
 class TestRendering:
+    """The text is the title, the verdict lines and one grid row per
+    finding; what the pass measured beside them is read from its document."""
+
     def test_render_forensics_shows_the_verdict_and_blame(self, drill):
-        text = render_forensics(drill)
-        assert "STALL BLAMED" in text
-        assert "p99 critical path" in text
-        assert "stage blame by window" in text
-        assert "conservation (match)" in text
-        assert "STALLED" in text
+        head, grid = pass_text("--forensics", drill)
+        assert head[:4] == [
+            "== system catalog forensics ==",
+            "exit_code: 0",
+            "stall_blamed: True",
+            "p99_stage: queue",
+        ]
+        assert "conservation_matches: True" in head
+        assert grid == [("at", "code", "severity", "message")]
+        document = drill.to_dict()
+        assert document["forensics"]["p99"]["critical_stage"] == "queue"
+        assert document["forensics"]["windows"]
+        assert document["conservation_sql"] == document["conservation_auditor"]
+        assert any(window["stalled"] for window in document["windows"])
 
     def test_render_query_result_tabulates_rows(self):
         text = render_query_result(

@@ -6,7 +6,8 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.health import HealthReport, run_health
-from repro.bench.report import render_health
+
+from .report_text import pass_text
 
 
 @pytest.fixture(scope="module")
@@ -56,18 +57,43 @@ class TestHealthReport:
 
 
 class TestRendering:
+    """The text is the title, the verdict lines and one grid row per
+    finding; what the pass measured beside them is read from its document."""
+
     def test_render_shows_conservation_and_freshness(self, healthy):
-        text = render_health(healthy)
-        assert "verdict: CLEAN" in text
-        assert "conserved" in text
-        assert "parts_catalog" in text
-        assert "end_to_end" in text
-        assert "MATCH" in text
+        head, grid = pass_text("--health", healthy)
+        assert head == ["== pipeline health ==", "verdict: CLEAN"]
+        assert grid == [("at", "code", "severity", "message")]
+        document = healthy.to_dict()
+        for mode, snapshot in document["modes"].items():
+            c = snapshot["conservation"]
+            assert c["captured"] == (
+                c["applied"] + c["pruned"] + c["absorbed"] + c["rejected"]
+            ), mode
+            assert c["in_flight"] == 0, mode
+        flagship = document["modes"]["compacted"]
+        assert "parts_catalog" in {view["view"] for view in flagship["views"]}
+        assert "end_to_end" in flagship["stage_lags"]
+        assert flagship["digest_checks"]
+        assert all(flagship["digest_checks"].values())
 
     def test_render_reports_fault_detection(self, faulted):
-        text = render_health(faulted)
-        assert "DETECTED" in text
-        assert "drop-queue-message" in text
+        head, grid = pass_text("--health", faulted)
+        assert head == [
+            "== pipeline health ==",
+            "fault: drop-queue-message",
+            "verdict: FINDINGS",
+            "fault_detected: True",
+        ]
+        assert grid[0] == ("at", "code", "severity", "message")
+        assert [row[:3] for row in grid[1:]] == [
+            ("compacted", "AUD001", "error"),
+            ("compacted", "AUD006", "error"),
+            ("compacted", "AUD004", "error"),
+        ]
+        document = faulted.to_dict()
+        assert document["fault"] == "drop-queue-message"
+        assert document["fault_detected"] is True
 
 
 class TestCli:
@@ -79,7 +105,7 @@ class TestCli:
 
     def test_health_with_fault_exits_zero_on_detection(self, capsys):
         assert main(["--health", "--fault", "drop-queue-message"]) == 0
-        assert "DETECTED" in capsys.readouterr().out
+        assert "fault_detected: True" in capsys.readouterr().out
 
     def test_health_json_export(self, tmp_path, capsys):
         target = tmp_path / "health.json"

@@ -7,6 +7,7 @@ from repro.bench.report import (
     mean,
     non_decreasing,
     render,
+    render_report,
     roughly_constant,
     series_ratios,
     strictly_increasing,
@@ -64,6 +65,31 @@ class TestRender:
     def test_duration_formatting(self, result):
         text = render(result)
         assert "1.0 s" in text or "1000 ms" in text
+
+
+class TestRenderReport:
+    def test_title_scalars_then_one_row_per_finding(self):
+        document = {
+            "schema_version": 1,
+            "fault": None,
+            "verdict": "FINDINGS",
+            "fault_detected": True,
+            "modes": {"a": {"findings": []}},
+            "windows": [{"findings": []}],
+        }
+        findings = [
+            ("a", {"code": "X001", "severity": "error", "message": "lost"}),
+            ("b", {"code": "X002", "severity": None}),
+        ]
+        assert render_report("drill", document, findings).splitlines() == [
+            "== drill ==",
+            "verdict: FINDINGS",
+            "fault_detected: True",
+            "at  code  severity  message",
+            "--  ----  --------  -------",
+            "a   X001     error     lost",
+            "b   X002         -        -",
+        ]
 
 
 class TestHelpers:
@@ -137,3 +163,31 @@ class TestCli:
         assert main(["snapshot_algorithms"]) == 0
         out = capsys.readouterr().out
         assert "snapshot_algorithms" in out
+
+
+class TestReportPassesRunAlone:
+    """A report pass refuses the experiment flags it would silently drop."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--health", "--metrics"], "--metrics"),
+            (["table4", "--health"], "experiment ids"),
+            (["--list", "--flight"], "--list"),
+            (["--check", "--health"], "--check"),
+        ],
+    )
+    def test_refused(self, argv, named, capsys):
+        from repro.bench.cli import main
+
+        assert main(argv) == 2
+        assert f"cannot be combined with {named}" in capsys.readouterr().err
+
+    def test_trace_is_refused_and_writes_nothing(self, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        trace = tmp_path / "t.json"
+        assert main(["--certify", "--trace", str(trace), "--metrics"]) == 2
+        err = capsys.readouterr().err
+        assert "--certify cannot be combined with --metrics, --trace" in err
+        assert not trace.exists()

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.bench.cli import main
-from repro.bench.report import render_verify
 from repro.bench.verify import (
     AGG_VIEW,
     FAULTS,
@@ -15,6 +14,8 @@ from repro.bench.verify import (
     SPJ_VIEW,
     run_verify,
 )
+
+from .report_text import pass_text
 
 #: The committed --verify-plans --json document layout: changing any of
 #: these (or the nested shapes pinned below) needs a SCHEMA_VERSION bump.
@@ -160,20 +161,46 @@ class TestSchemaPins:
             assert document["verdict"] == "VERIFIED"
 
 
+#: The seed catalog's four RULE005 idempotency warnings, where they sit.
+RULE005_ROWS = [
+    ("parts_mirror_lite [UPDATE]", "RULE005", "warning"),
+    ("qty_by_supplier [INSERT]", "RULE005", "warning"),
+    ("qty_by_supplier [UPDATE]", "RULE005", "warning"),
+    ("qty_by_supplier [DELETE]", "RULE005", "warning"),
+]
+
+
 class TestRendering:
+    """The text is the title, the verdict lines and one grid row per
+    finding; what the pass measured beside them is read from its document."""
+
     def test_render_shows_grid_cache_and_parity(self, clean):
-        text = render_verify(clean)
-        assert "delta-rule verification" in text
-        for name in SEED_VIEWS:
-            assert name in text
-        assert "pay-once" in text
-        assert "state parity" in text
+        head, grid = pass_text("--verify-plans", clean)
+        assert head == ["== delta-rule verification ==", "verdict: VERIFIED"]
+        assert grid[0] == ("at", "code", "severity", "message")
+        assert [row[:3] for row in grid[1:]] == RULE005_ROWS
+        document = clean.to_dict()
+        assert tuple(document["plans"]) == SEED_VIEWS
+        assert document["cache"]["pay_once"]
+        assert document["integration"]["parity"]
 
     def test_render_shows_the_drill(self, drilled):
-        text = render_verify(drilled)
-        assert "corrupt-delta-rule -> DETECTED" in text
-        assert "RULE001" in text
-        assert "REFUSED" in text
+        head, grid = pass_text("--verify-plans", drilled)
+        assert head == [
+            "== delta-rule verification ==",
+            "fault: corrupt-delta-rule",
+            "verdict: VERIFIED",
+            "fault_detected: True",
+        ]
+        assert [row[:3] for row in grid[1:]] == [
+            *RULE005_ROWS,
+            (f"drill.{AGG_VIEW.name}", "RULE001", "error"),
+        ]
+        document = drilled.to_dict()
+        assert document["fault"] == "corrupt-delta-rule"
+        assert document["fault_detected"] is True
+        assert document["drill"]["error_codes"] == ["RULE001"]
+        assert document["drill"]["integrator_rejected"]
 
 
 class TestCommandLine:
@@ -196,7 +223,7 @@ class TestCommandLine:
 
     def test_drill_exit_zero_means_detected(self, capsys):
         assert main(["--verify-plans", "--fault", "corrupt-delta-rule"]) == 0
-        assert "DETECTED" in capsys.readouterr().out
+        assert "fault_detected: True" in capsys.readouterr().out
 
     def test_corrupt_delta_rule_requires_verify_plans(self, capsys):
         assert main(["--fault", "corrupt-delta-rule"]) == 2

@@ -1,5 +1,7 @@
 """Property-based tests: row codec, ASCII format, SQL literal round trips."""
 
+import functools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +64,9 @@ _any_floats = st.one_of(
 )
 
 
+# The per-datatype strategies below are built once each: hypothesis then
+# spends an example's time drawing, not constructing strategies.
+@functools.cache
 def _values_of(datatype):
     if datatype is INTEGER:
         return _integers
@@ -73,6 +78,12 @@ def _values_of(datatype):
         alphabet=st.characters(min_codepoint=0, max_codepoint=255),
         max_size=datatype.length,
     )
+
+
+@functools.cache
+def _maybe_null(datatype):
+    """A cell of a nullable ``datatype`` column."""
+    return st.one_of(st.none(), _values_of(datatype))
 
 
 _datatypes = st.one_of(
@@ -247,6 +258,7 @@ _HOSTILE = st.one_of(
 )
 
 
+@functools.cache
 def _near_misses(datatype):
     """Cells one step off what ``datatype`` stores canonically."""
     if datatype is INTEGER:
@@ -270,6 +282,25 @@ def _near_misses(datatype):
     return st.one_of(too_long, not_latin1, st.just(True), subclassed)
 
 
+@functools.cache
+def _hostile_cells(datatype, nullable):
+    """A near miss for the column (NULL too when it is NOT NULL) or any
+    hostile cell."""
+    hostile = _near_misses(datatype)
+    if not nullable:
+        hostile = st.one_of(hostile, st.none())
+    return st.one_of(hostile, hostile, _HOSTILE)
+
+
+@functools.cache
+def _positions(width):
+    return st.integers(min_value=0, max_value=width - 1)
+
+
+_HOSTILE_COUNTS = st.sampled_from([0, 1, 1, 1, 2, 3])
+_ARITIES = st.sampled_from(["same"] * 8 + ["short", "long"])
+
+
 @st.composite
 def _hostile_rows(draw):
     """A random layout with NOT NULL columns, and a row of valid cells with
@@ -280,17 +311,13 @@ def _hostile_rows(draw):
         "h", [Column(f"c{i}", t, n) for i, (t, n) in enumerate(zip(types, nullable))]
     )
     row = [
-        draw(st.one_of(st.none(), _values_of(t)) if null else _values_of(t))
+        draw(_maybe_null(t) if null else _values_of(t))
         for t, null in zip(types, nullable)
     ]
-    positions = st.integers(min_value=0, max_value=len(types) - 1)
-    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):
-        position = draw(positions)
-        hostile = _near_misses(types[position])
-        if not nullable[position]:
-            hostile = st.one_of(hostile, st.none())
-        row[position] = draw(st.one_of(hostile, hostile, _HOSTILE))
-    arity = draw(st.sampled_from(["same"] * 8 + ["short", "long"]))
+    for _ in range(draw(_HOSTILE_COUNTS)):
+        position = draw(_positions(len(types)))
+        row[position] = draw(_hostile_cells(types[position], nullable[position]))
+    arity = draw(_ARITIES)
     if arity == "short":
         row = row[:-1]
     elif arity == "long":
@@ -389,7 +416,7 @@ def test_a_patched_record_is_the_encoded_row(case, data):
     record) gives the record, or the error, of encoding the changed row."""
     schema, _hostile = case
     row = [
-        data.draw(st.one_of(st.none(), _values_of(c.datatype)))
+        data.draw(_maybe_null(c.datatype))
         if c.nullable
         else data.draw(_values_of(c.datatype))
         for c in schema.columns
