@@ -17,11 +17,15 @@ idiomatic way to measure the cost of a region of code::
 
 Virtual time is compared **to the bit** (artifacts are ``cmp``-ed), and
 float addition does not distribute: ``n`` charges of ``x`` are ``n``
-additions, never one addition of ``n * x``.  A caller that charges a run of
-records at once uses :meth:`VirtualClock.advance_each`, whose result is
-those additions' to the bit — computed a binade of the total at a time,
-where every addition of ``x`` adds the same rounded step; that is the only
-batching of the clock there is.
+additions, never one addition of ``n * x``.  There are two batchings of
+the clock, and both perform exactly the additions they stand for, in order:
+
+* :meth:`VirtualClock.advance_each` charges a run of records of one
+  constant — computed a binade of the total at a time, where every addition
+  of ``x`` adds the same rounded step;
+* :meth:`VirtualClock.advance_cycle` charges a run of records that each pay
+  a fixed *sequence* of charges (a dump pays the scan, then the file write)
+  — a plain loop over a local total, no method call per charge.
 
 When the measurement should be *kept* rather than consumed on the spot,
 use a :class:`repro.obs.Tracer` span instead — spans are stamped from this
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 #: Runs shorter than this are added one by one: the per-binade computation
 #: costs about what four additions do.
@@ -88,8 +93,9 @@ class VirtualClock:
         its exact sum lies within ``u/2`` of ``top``, the nearest float on
         either side), then the addition that passes it is performed as it
         is, and the next binade begins.  ``(x, top, step)`` is kept for the
-        next call: a scan charges the same ``x`` page after page.  This is
-        the only way a caller may charge a run of records at once.
+        next call: a scan charges the same ``x`` page after page.  Beside
+        :meth:`advance_cycle`, this is the only way a caller may charge a run
+        of records at once.
         """
         if milliseconds < 0 or times < 0:
             raise ValueError(f"cannot advance clock {times} x {milliseconds} ms")
@@ -112,6 +118,26 @@ class VirtualClock:
             times -= run + 1
         for _ in range(times):
             now += milliseconds
+        self._now = now
+        return now
+
+    def advance_cycle(self, charges: Sequence[float], times: int) -> float:
+        """Charge the sequence ``charges`` ``times`` times over; return the
+        new time.
+
+        Bit-equal to ``times`` rounds of one :meth:`advance` per charge, in
+        order: every addition is performed as it is, on a local total, so
+        nothing is merged or reordered — only the method calls are saved.
+        A cycle of one charge is :meth:`advance_each`'s run.
+        """
+        if times < 0 or min(charges, default=0.0) < 0:
+            raise ValueError(f"cannot advance clock {times} x {charges} ms")
+        if len(charges) == 1:
+            return self.advance_each(charges[0], times)
+        now = self._now
+        for _ in range(times):
+            for charge in charges:
+                now += charge
         self._now = now
         return now
 

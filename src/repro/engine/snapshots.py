@@ -10,17 +10,20 @@ paper calls the method "prohibitively resource intensive".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Any
 
 from ..errors import SnapshotError
 from .database import Database
 from .page import slots_per_page
 from .schema import TableSchema
+from .utilities import charge_paged_output
 
 
 @dataclass
 class Snapshot:
-    """A point-in-time copy of one table's rows."""
+    """A point-in-time copy of one table's rows (not changed once taken)."""
 
     table_name: str
     schema: TableSchema
@@ -35,19 +38,27 @@ class Snapshot:
     def size_bytes(self) -> int:
         return len(self.rows) * self.schema.record_size
 
-    def key_of(self, row: tuple[Any, ...]) -> Any:
-        """The primary-key value of a row (snapshot diffing is key-based)."""
+    @cached_property
+    def rows_by_key(self) -> list[tuple[Any, ...]]:
+        """The rows sorted by primary key (snapshot diffing is key-based),
+        sorted once per snapshot: the new side of one differential is the
+        old side of the next."""
         position = self.schema.primary_key_index()
         if position is None:
             raise SnapshotError(
                 f"snapshot of {self.table_name!r} has no primary key; "
                 "differential snapshots need one to match rows"
             )
-        return row[position]
+        return sorted(self.rows, key=itemgetter(position))
 
 
 def take_snapshot(database: Database, table_name: str) -> Snapshot:
-    """Dump a table into a snapshot, paying full sequential-dump costs."""
+    """Dump a table into a snapshot, paying full sequential-dump costs.
+
+    Per record the scan and the file write, and per full output page a
+    sequential page write: charged a heap page (and output page) segment at
+    a time, the same additions in the same order as record by record.
+    """
     table = database.table(table_name)
     clock, costs = database.clock, database.costs
     clock.advance(costs.file_open)
@@ -58,15 +69,12 @@ def take_snapshot(database: Database, table_name: str) -> Snapshot:
     )
     record_size = table.schema.record_size
     per_page = slots_per_page(record_size)
-    rows_in_output_page = 0
-    for _row_id, values in table.scan():
-        snapshot.rows.append(values)
-        clock.advance(costs.file_write(record_size))
-        rows_in_output_page += 1
-        if rows_in_output_page >= per_page:
-            clock.advance(costs.seq_page_write)
-            rows_in_output_page = 0
-    if rows_in_output_page:
+    cycle = (costs.row_scan_cpu, costs.file_write(record_size))
+    filled = 0
+    for rows in table.scan_pages():
+        snapshot.rows.extend(rows)
+        filled = charge_paged_output(database, cycle, len(rows), filled, per_page)
+    if filled:
         clock.advance(costs.seq_page_write)
     clock.advance(costs.file_sync)
     return snapshot

@@ -31,8 +31,11 @@ scan CPU is charged in runs of records — the same additions, in the same
 order relative to every other charge, as one ``advance`` per record.
 :meth:`Table.scan` yields ``(RowId, values)`` with the clock exact at every
 row, for consumers that charge between rows, stop early or need the ids
-(DML, ``take_snapshot``); :meth:`Table.scan_values` is the values-only read
-of everyone else (SELECT, the hash-join build side, state comparisons).
+(DML); :meth:`Table.scan_values` is the values-only read of everyone else
+(SELECT, the hash-join build side, state comparisons); and
+:meth:`Table.scan_pages` hands a dump each page's rows uncharged, for it to
+charge every record's scan inside its own cycle of charges
+(``take_snapshot``, ``ascii_dump_table``).
 """
 
 from __future__ import annotations
@@ -414,6 +417,20 @@ class Table:
         for _page_no, _slots, rows, kept in self._pages(columns, keep):
             self._charge(len(rows))
             yield rows if keep is None else [rows[at] for at in kept]
+
+    def scan_pages(self) -> Iterator[list[tuple[Any, ...]]]:
+        """Every page's rows in physical order, one list per page: counted
+        in ``rows_scanned``, *not* charged.
+
+        The consumer charges ``row_scan_cpu`` once per record itself, as the
+        first charge of the cycle each record pays
+        (:meth:`~repro.clock.VirtualClock.advance_cycle`): a dump writes every
+        record it scans, so its scan and write charges interleave record by
+        record.  The lists are the page's kept decode; they are not changed.
+        """
+        for _page_no, _slots, rows, _kept in self._pages(None, None):
+            self._m_rows_scanned.inc(len(rows))
+            yield rows
 
     def _charge(self, records: int) -> None:
         """Charge and count a run of records examined, one by one."""

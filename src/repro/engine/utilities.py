@@ -33,6 +33,34 @@ from .table import InsertMode, Table
 EXPORT_FORMAT_VERSION = "2.1"
 
 
+def charge_paged_output(
+    database: Database,
+    cycle: Sequence[float],
+    records: int,
+    filled: int,
+    per_page: int,
+) -> int:
+    """Charge ``records`` records written to a sequential output file.
+
+    Each record pays ``cycle`` (in order), and after every ``per_page``-th
+    record of the file the full output page pays ``seq_page_write``.
+    ``filled`` is how many records the file's current output page already
+    holds; the count after these is returned (a non-zero rest is the
+    caller's last, partial page).  The additions are those of the
+    record-at-a-time loop, charged a page segment at a time.
+    """
+    clock, page_write = database.clock, database.costs.seq_page_write
+    while records:
+        run = min(records, per_page - filled)
+        clock.advance_cycle(cycle, run)
+        records -= run
+        filled += run
+        if filled == per_page:
+            clock.advance(page_write)
+            filled = 0
+    return filled
+
+
 @dataclass
 class ExportDump:
     """A proprietary export of one table: raw record images + provenance."""
@@ -80,19 +108,15 @@ def export_table(database: Database, table_name: str) -> ExportDump:
         schema=table.schema,
     )
     per_page = slots_per_page(table.schema.record_size)
-    rows_in_output_page = 0
+    cycle = (costs.export_row_cpu,)
+    filled = 0
     for page_no in table._heap.page_numbers:
         database.buffer_pool.flush_page(page_no)
         data = database.disk.read_page(page_no, sequential=True)
-        page = Page.from_bytes(data)
-        for record in page.records()[1]:
-            clock.advance(costs.export_row_cpu)
-            dump.records.append(record)
-            rows_in_output_page += 1
-            if rows_in_output_page >= per_page:
-                clock.advance(costs.seq_page_write)
-                rows_in_output_page = 0
-    if rows_in_output_page:
+        records = Page.from_bytes(data).records()[1]
+        dump.records.extend(records)
+        filled = charge_paged_output(database, cycle, len(records), filled, per_page)
+    if filled:
         clock.advance(costs.seq_page_write)
     return dump
 
@@ -146,26 +170,42 @@ def import_dump(
 
 
 def ascii_dump_rows(
-    database: Database, schema: TableSchema, rows: Iterable[Sequence[Any]]
+    database: Database, schema: TableSchema, rows: Sequence[Sequence[Any]]
 ) -> AsciiFile:
     """Write rows to a flat file, charging format CPU and file I/O."""
-    clock, costs = database.clock, database.costs
-    clock.advance(costs.file_open)
-    output = AsciiFile(schema=schema)
-    for row in rows:
-        line = format_ascii(schema, row)
-        clock.advance(costs.ascii_format_row + costs.file_write(len(line) + 1))
-        output.lines.append(line)
-    clock.advance(costs.file_sync)
-    return output
+    return _ascii_dump(database, schema, (rows,), ())
 
 
 def ascii_dump_table(database: Database, table_name: str) -> AsciiFile:
     """Dump an entire table to a flat file (scan + format + write)."""
     table = database.table(table_name)
-    return ascii_dump_rows(
-        database, table.schema, (values for _rid, values in table.scan())
+    return _ascii_dump(
+        database, table.schema, table.scan_pages(), (database.costs.row_scan_cpu,)
     )
+
+
+def _ascii_dump(
+    database: Database,
+    schema: TableSchema,
+    pages: Iterable[Sequence[Sequence[Any]]],
+    scan: Sequence[float],
+) -> AsciiFile:
+    """The one dump loop: per row its ``scan`` charges, then the format and
+    the line's file write — one cycle of charges per page of rows."""
+    clock, costs = database.clock, database.costs
+    clock.advance(costs.file_open)
+    output = AsciiFile(schema=schema)
+    format_row, write = costs.ascii_format_row, costs.file_write
+    for rows in pages:
+        lines = [format_ascii(schema, row) for row in rows]
+        charges = [
+            charge for line in lines
+            for charge in (*scan, format_row + write(len(line) + 1))
+        ]
+        clock.advance_cycle(charges, 1)
+        output.lines.extend(lines)
+    clock.advance(costs.file_sync)
+    return output
 
 
 def ascii_load(

@@ -82,32 +82,36 @@ def diff_naive(database: Database, old: Snapshot, new: Snapshot) -> DeltaBatch:
 def _diff_naive(
     database: Database, key_index: int, old: Snapshot, new: Snapshot
 ) -> DeltaBatch:
-    clock, costs = database.clock, database.costs
+    """The nested loop's output and its charge: an old row is compared with
+    the new rows up to its key's first one (all of them on a miss), then
+    every new row is visited once more — one ``row_scan_cpu`` per comparison
+    and visit, charged as one run, since nothing else is charged between."""
     batch = DeltaBatch(old.table_name, old.schema)
+    first_at: dict[Any, int] = {}
+    for position, new_row in enumerate(new.rows):
+        first_at.setdefault(new_row[key_index], position)
+    compared = len(new.rows)
     matched_new: set[int] = set()
     for old_row in old.rows:
         old_key = old_row[key_index]
-        found = None
-        for position, new_row in enumerate(new.rows):
-            clock.advance(costs.row_scan_cpu)
-            if new_row[key_index] == old_key:
-                found = (position, new_row)
-                break
-        if found is None:
+        position = first_at.get(old_key)
+        if position is None:
+            compared += len(new.rows)
             batch.append(DeltaRecord(ChangeKind.DELETE, old_key, before=old_row))
-        else:
-            position, new_row = found
-            matched_new.add(position)
-            if new_row != old_row:
-                batch.append(
-                    DeltaRecord(ChangeKind.UPDATE, old_key, before=old_row, after=new_row)
-                )
+            continue
+        compared += position + 1
+        matched_new.add(position)
+        new_row = new.rows[position]
+        if new_row != old_row:
+            batch.append(
+                DeltaRecord(ChangeKind.UPDATE, old_key, before=old_row, after=new_row)
+            )
     for position, new_row in enumerate(new.rows):
-        clock.advance(costs.row_scan_cpu)
         if position not in matched_new:
             batch.append(
                 DeltaRecord(ChangeKind.INSERT, new_row[key_index], after=new_row)
             )
+    database.clock.advance_each(database.costs.row_scan_cpu, compared)
     return batch
 
 
@@ -122,48 +126,42 @@ def diff_sort_merge(database: Database, old: Snapshot, new: Snapshot) -> DeltaBa
 def _diff_sort_merge(
     database: Database, key_index: int, old: Snapshot, new: Snapshot
 ) -> DeltaBatch:
-    clock, costs = database.clock, database.costs
-
-    def sort_cost(rows: list) -> None:
+    clock, scan_cpu = database.clock, database.costs.row_scan_cpu
+    old_sorted, new_sorted = old.rows_by_key, new.rows_by_key
+    # The modelled sort of each file is charged on every diff, even though
+    # a snapshot keeps its sorted rows for the next one.
+    for rows in (old_sorted, new_sorted):
         n = len(rows)
         if n > 1:
             comparisons = n * max(1, n.bit_length())  # ~ n log2 n
-            clock.advance(costs.row_scan_cpu * comparisons)
-
-    old_sorted = sorted(old.rows, key=lambda row: row[key_index])
-    sort_cost(old_sorted)
-    new_sorted = sorted(new.rows, key=lambda row: row[key_index])
-    sort_cost(new_sorted)
+            clock.advance(scan_cpu * comparisons)
 
     batch = DeltaBatch(old.table_name, old.schema)
-    i = j = 0
-    while i < len(old_sorted) or j < len(new_sorted):
-        clock.advance(costs.row_scan_cpu)
-        if j >= len(new_sorted):
-            row = old_sorted[i]
-            batch.append(DeltaRecord(ChangeKind.DELETE, row[key_index], before=row))
+    append = batch.append
+    n_old, n_new = len(old_sorted), len(new_sorted)
+    i = j = pairs = 0
+    while i < n_old and j < n_new:
+        old_row, new_row = old_sorted[i], new_sorted[j]
+        old_key, new_key = old_row[key_index], new_row[key_index]
+        if old_key == new_key:
+            if old_row != new_row:
+                append(DeltaRecord(ChangeKind.UPDATE, old_key,
+                                   before=old_row, after=new_row))
             i += 1
-        elif i >= len(old_sorted):
-            row = new_sorted[j]
-            batch.append(DeltaRecord(ChangeKind.INSERT, row[key_index], after=row))
             j += 1
+            pairs += 1
+        elif old_key < new_key:
+            append(DeltaRecord(ChangeKind.DELETE, old_key, before=old_row))
+            i += 1
         else:
-            old_row, new_row = old_sorted[i], new_sorted[j]
-            old_key, new_key = old_row[key_index], new_row[key_index]
-            if old_key == new_key:
-                if old_row != new_row:
-                    batch.append(
-                        DeltaRecord(ChangeKind.UPDATE, old_key,
-                                    before=old_row, after=new_row)
-                    )
-                i += 1
-                j += 1
-            elif old_key < new_key:
-                batch.append(DeltaRecord(ChangeKind.DELETE, old_key, before=old_row))
-                i += 1
-            else:
-                batch.append(DeltaRecord(ChangeKind.INSERT, new_key, after=new_row))
-                j += 1
+            append(DeltaRecord(ChangeKind.INSERT, new_key, after=new_row))
+            j += 1
+    for row in old_sorted[i:]:
+        append(DeltaRecord(ChangeKind.DELETE, row[key_index], before=row))
+    for row in new_sorted[j:]:
+        append(DeltaRecord(ChangeKind.INSERT, row[key_index], after=row))
+    # One merge step per row, a matched pair sharing one.
+    clock.advance_each(scan_cpu, n_old + n_new - pairs)
     return batch
 
 
@@ -188,7 +186,6 @@ def diff_window(
 def _diff_window(
     database: Database, key_index: int, old: Snapshot, new: Snapshot, window: int
 ) -> DeltaBatch:
-    clock, costs = database.clock, database.costs
     batch = DeltaBatch(old.table_name, old.schema)
 
     old_buffer: OrderedDict[Any, tuple[Any, ...]] = OrderedDict()
@@ -207,7 +204,6 @@ def _diff_window(
         if i < len(old.rows):
             row = old.rows[i]
             i += 1
-            clock.advance(costs.row_scan_cpu)
             key = row[key_index]
             match = new_buffer.pop(key, None)
             if match is not None:
@@ -221,7 +217,6 @@ def _diff_window(
         if j < len(new.rows):
             row = new.rows[j]
             j += 1
-            clock.advance(costs.row_scan_cpu)
             key = row[key_index]
             match = old_buffer.pop(key, None)
             if match is not None:
@@ -236,6 +231,10 @@ def _diff_window(
         batch.append(DeltaRecord(ChangeKind.DELETE, key, before=row))
     for key, row in new_buffer.items():
         batch.append(DeltaRecord(ChangeKind.INSERT, key, after=row))
+    # Every row of both files is visited once; nothing else is charged.
+    database.clock.advance_each(
+        database.costs.row_scan_cpu, len(old.rows) + len(new.rows)
+    )
     return batch
 
 

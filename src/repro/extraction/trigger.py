@@ -154,8 +154,19 @@ class TriggerExtractor:
 
     # ------------------------------------------------------------------ drain
     def drain_rows(self) -> list[tuple[Any, ...]]:
-        """Read and clear the local delta table's rows."""
+        """Read and clear the local delta table's rows.
+
+        Refused while a source transaction that wrote rows to the delta table
+        is still open: its rows are not committed, and its rollback undoes
+        them in the delta table — which a drain would have emptied.
+        """
         writer = self._require_local()
+        if open_writers := writer.open_writers():
+            raise ExtractionError(
+                f"cannot drain {self.delta_table_name!r}: it holds rows of "
+                f"open transactions {open_writers}; commit or roll them back "
+                "first"
+            )
         with self._database.tracer.span(
             "extract.trigger.drain", table=self.table_name
         ):

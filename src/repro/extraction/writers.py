@@ -70,6 +70,8 @@ class DeltaTableWriter:
         else:
             self._table = database.create_table(schema)
         self._next_seq = 1
+        #: The transactions that wrote rows since the last truncate.
+        self._writers: dict[int, Transaction] = {}
 
     @property
     def table(self) -> Table:
@@ -101,10 +103,17 @@ class DeltaTableWriter:
         values = (seq, op, img, txn.txn_id) + tuple(row)
         self._table.insert(txn, values, mode=InsertMode.STATEMENT,
                            fire_triggers=False)
+        self._writers[txn.txn_id] = txn
 
     # ------------------------------------------------------------------- reads
+    def open_writers(self) -> list[int]:
+        """The ids of the still-active transactions with rows in the table:
+        their rows are not committed, and their undo expects them there."""
+        return sorted(t.txn_id for t in self._writers.values() if t.is_active)
+
     def truncate(self) -> int:
         """Empty the delta table after it has been drained."""
+        self._writers.clear()
         return self._table.truncate()
 
 

@@ -41,6 +41,51 @@ class TestExtraction:
         assert outcome.batches.get("parts") is None or len(outcome.batches["parts"]) == 0
         assert outcome.uncommitted_skipped == 5
 
+    def test_a_transaction_open_across_a_pass_is_decoded_when_it_commits(
+        self, source
+    ):
+        database, workload = source
+        extractor = LogExtractor(database, tables={"parts"})
+        session = workload.session
+        session.execute("BEGIN")
+        session.execute("UPDATE parts SET status = 'x' WHERE part_ref < 2")
+        first = extractor.extract()
+        assert first.uncommitted_skipped == 2
+        assert first.batches.get("parts") is None
+        session.execute("UPDATE parts SET status = 'y' WHERE part_ref = 7")
+        session.execute("COMMIT")
+        workload.run_insert(1)
+        second = extractor.extract()
+        records = second.batches["parts"].records
+        # The held changes first, in LSN order, then the rest of the pass.
+        assert [r.kind for r in records] == [ChangeKind.UPDATE] * 3 + [
+            ChangeKind.INSERT
+        ]
+        assert [r.sequence for r in records] == sorted(r.sequence for r in records)
+        assert [r.key for r in records[:3]] == [0, 1, 7]
+        assert second.uncommitted_skipped == 0
+        # Held records were read (and charged) by the first pass only.
+        assert second.records_scanned == len(
+            [r for s in second.segments for r in s.records]
+        )
+        assert extractor.extract().batches == {}
+
+    def test_a_transaction_open_across_a_pass_is_dropped_when_it_aborts(
+        self, source
+    ):
+        database, workload = source
+        extractor = LogExtractor(database, tables={"parts"})
+        session = workload.session
+        session.execute("BEGIN")
+        session.execute("UPDATE parts SET status = 'x' WHERE part_ref < 2")
+        assert extractor.extract().uncommitted_skipped == 2
+        session.execute("ROLLBACK")
+        workload.run_update(1)
+        second = extractor.extract()
+        assert second.uncommitted_skipped == 2
+        assert len(second.batches["parts"]) == 1
+        assert extractor.extract().uncommitted_skipped == 0
+
     def test_captures_every_state_change(self, source):
         database, workload = source
         workload.run_update(4, assignment="status = 'a'")

@@ -93,6 +93,40 @@ class TestCapture:
         assert len(extractor.drain_to_batch()) == 3
         assert len(extractor.drain_to_batch()) == 0
 
+    def test_drain_refused_while_a_capturing_transaction_is_open(self, source):
+        # The open transaction's rows are not committed, and its rollback
+        # undoes them in the delta table: a drain that emptied the table
+        # made that rollback fail on a truncated page.
+        database, workload = source
+        extractor = TriggerExtractor(database, "parts")
+        extractor.install()
+        workload.run_insert(2)
+        session = workload.session
+        session.execute("BEGIN")
+        session.execute("UPDATE parts SET status = 'x' WHERE part_ref < 3")
+        delta = database.table("parts_cdc")
+        held = delta.num_rows
+        with pytest.raises(ExtractionError, match="open transactions"):
+            extractor.drain_to_batch()
+        assert delta.num_rows == held
+        session.execute("ROLLBACK")
+        batch = extractor.drain_to_batch()
+        assert [r.kind for r in batch] == [ChangeKind.INSERT] * 2
+        assert delta.num_rows == 0
+
+    def test_drain_after_the_open_transaction_commits(self, source):
+        database, workload = source
+        extractor = TriggerExtractor(database, "parts")
+        extractor.install()
+        session = workload.session
+        session.execute("BEGIN")
+        session.execute("UPDATE parts SET status = 'x' WHERE part_ref < 3")
+        with pytest.raises(ExtractionError):
+            extractor.drain_rows()
+        session.execute("COMMIT")
+        batch = extractor.drain_to_batch()
+        assert [r.kind for r in batch] == [ChangeKind.UPDATE] * 3
+
     def test_txn_ids_recorded(self, source):
         database, workload = source
         extractor = TriggerExtractor(database, "parts")

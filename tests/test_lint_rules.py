@@ -1309,17 +1309,20 @@ class TestRepro017RowIdsAreAskedForToBeUsed:
         assert lint_source(tmp_path, source, name="repro/warehouse/views.py") == []
 
     def test_a_consumer_that_charges_between_rows_has_its_budget(self, tmp_path):
-        dump = (
-            "def ascii_dump_table(database, table):\n"
-            "    return ascii_dump_rows(\n"
-            "        database, (values for _rid, values in table.scan())\n"
+        load = (
+            "def load(warehouse, table):\n"
+            "    return warehouse.load(\n"
+            "        'parts', (values for _rid, values in table.scan())\n"
             "    )\n"
         )
-        assert lint_source(tmp_path, dump, name="repro/engine/utilities.py") == []
-        again = dump + "def more(table):\n    return [v for _r, v in table.scan()]\n"
+        module = "repro/bench/experiments/aggregate_views.py"
+        assert lint_source(tmp_path, load, name=module) == []
+        again = load + "def more(table):\n    return [v for _r, v in table.scan()]\n"
+        assert self.flagged(lint_source(tmp_path, again, name=module)) == [6]
+        # A dump charges per record scanned from ``scan_pages``: no budget.
         assert self.flagged(
-            lint_source(tmp_path, again, name="repro/engine/utilities.py")
-        ) == [6]
+            lint_source(tmp_path, load, name="repro/engine/utilities.py")
+        ) == [3]
 
     def test_shipped_tree_discards_a_row_id_only_where_it_must(self):
         package = REPO / "src" / "repro"
@@ -1331,14 +1334,11 @@ class TestRepro017RowIdsAreAskedForToBeUsed:
             text = path.read_text(encoding="utf-8")
             if count := len(re.findall(r"for _\w*, \w+ in [^\n]*\.scan\(", text)):
                 discarded[path.relative_to(package).as_posix()] = count
-        # The comprehension budgets are met exactly; the two ``for``
-        # statements charge the clock (take_snapshot) or stop at the first
-        # match (the dimension look-up) between rows.
+        # The comprehension budgets are met exactly; the one ``for``
+        # statement stops at the first match (the dimension look-up).
         assert discarded == {
             "bench/experiments/aggregate_views.py": 1,
             "bench/experiments/freshness.py": 2,
-            "engine/snapshots.py": 1,
-            "engine/utilities.py": 1,
             "warehouse/views.py": 1,
         }
 

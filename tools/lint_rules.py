@@ -216,12 +216,13 @@ expression that binds the row id to an underscore name
 values-only read, ``Table.scan_values``, charges a page at a time and builds
 no row id.  So every such clause over a ``.scan(`` call is flagged — except,
 counted per module, where what consumes the generator charges the *same*
-clock between two rows (``ascii_dump_table`` feeding ``ascii_dump_rows``,
-the initial loads of the ``freshness`` and ``aggregate_views`` experiments
-into a warehouse on the source's clock): page-granular charging would
-reorder those additions, and virtual time is compared to the bit.  A
-``for`` statement is where such a consumer writes its loop
-(``take_snapshot``) and is not flagged.
+clock between two rows (the initial loads of the ``freshness`` and
+``aggregate_views`` experiments into a warehouse on the source's clock):
+page-granular charging would reorder those additions, and virtual time is
+compared to the bit.  A ``for`` statement is where such a consumer writes
+its loop and is not flagged.  A dump that charges per record scanned
+(``take_snapshot``, ``ascii_dump_table``) reads ``Table.scan_pages`` and
+charges its cycle a page at a time.
 
 **REPRO018 — the warehouse binds its statements, it does not build them.**
 A statement built as a tree has no template, so the executor runs every
@@ -555,7 +556,6 @@ EMITTER_SUFFIX = "repro/sql/expressions.py"
 #: the row id of a ``.scan(``: the consumer charges the scanned table's
 #: clock between rows, so the charge must stay row-granular.
 DISCARDED_ROW_ID_BUDGETS = {
-    "repro/engine/utilities.py": 1,
     "repro/bench/experiments/freshness.py": 2,
     "repro/bench/experiments/aggregate_views.py": 1,
 }
