@@ -22,8 +22,8 @@ warehouses reload it via
 :meth:`~repro.warehouse.Warehouse.staging_refresh`.
 
 A second window with the same statement shapes replays through the same
-integrators, so the cross-window rule memo and the kernel cache start
-warm — the amortisation the persistent plan-certificate keying buys.
+integrators, so its kernels are already filed on the statement templates
+window 1 compiled them for.
 
 Validation is strict: the columnar mirror and view states must be
 **bit-for-bit** the row-at-a-time states (raw row equality against the
@@ -386,10 +386,8 @@ def run(table_rows: int = DEFAULT_TABLE_ROWS) -> ExperimentResult:
         and recorder.routing_decisions == len(switcher.decisions),
     )
     result.check(
-        "window 2 starts with a warm cross-window rule memo and reuses "
-        "compiled kernels",
-        col_reports[1].rule_memo_preloaded > 0
-        and col_reports[1].kernel_cache_hits > 0,
+        "window 2 reuses compiled kernels",
+        col_reports[1].kernel_cache_hits > 0,
     )
     result.check(
         "both schedule certifications passed and the columnar mode reports "
@@ -406,8 +404,7 @@ def run(table_rows: int = DEFAULT_TABLE_ROWS) -> ExperimentResult:
         f"Columnar: {col_columnar} compiled statements, "
         f"{col_fallbacks} row-path fallbacks, "
         f"{sum(r.kernel_compiles for r in col_reports)} kernel compiles, "
-        f"{sum(r.kernel_cache_hits for r in col_reports)} cache hits "
-        f"(memo preloaded {col_reports[1].rule_memo_preloaded} at window 2)."
+        f"{sum(r.kernel_cache_hits for r in col_reports)} cache hits."
     )
     if routed:
         decision = routed[0]

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..analysis.verify import CertificateCache, DeltaRuleVerifier
-from ..core.opdelta import PARSE_CACHE
 from ..obs.flight import CostAttributor
 from ..obs.introspect import (
     PROCESS_TABLES,
@@ -44,6 +43,7 @@ from ..obs.introspect import (
     StoreBundle,
     SystemCatalog,
 )
+from ..sql.parser import TEMPLATES
 from .flight import WindowedPipeline
 
 #: Version of the ``--forensics --json`` document layout.  Bump on any
@@ -219,7 +219,7 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
     # the cost ledger and the sampled series.  Reset the parse cache and
     # give the observatory a private certificate cache so every run pays
     # identical work and the report is byte-reproducible.
-    PARSE_CACHE.clear()
+    TEMPLATES.clear()
     verifier = DeltaRuleVerifier(cache=CertificateCache())
 
     with WindowedPipeline("forensics", TABLE_ROWS) as pipeline:

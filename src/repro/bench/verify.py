@@ -412,7 +412,6 @@ def run_verify(fault: str | None = None) -> VerifyReport:
         "preflight_cache_hits": preflight_hits,
         "preflight_virtual_ms": preflight_ms,
         "transactions": apply_report.transactions,
-        "plan_rules_applied": apply_report.plan_rules_applied,
         "apply_virtual_ms": apply_report.elapsed_ms,
         "view_parity": view_parity,
         "aggregate_parity": agg_parity,

@@ -8,8 +8,8 @@ the table per statement; this package executes them per **batch**:
   scan or from shippable Op-Delta windows;
 * :mod:`~repro.columnar.kernels` — the column-batch binding of the one
   SQL compiler (:mod:`repro.sql.expressions`): ``(columns, position) ->
-  value`` kernels, cached once per ``(plan fingerprint, table, kind,
-  view)``;
+  value`` kernels, built once per statement shape and filed on its
+  template (:class:`KernelCache` counts them);
 * :mod:`~repro.columnar.apply` — :class:`ColumnarApplier`, the columnar
   statement executor of the op-delta integrator's apply loop, with
   fallback barriers onto :class:`RowApplier` (the row-path executor it

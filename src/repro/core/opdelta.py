@@ -18,9 +18,10 @@ objects:
 
 What ships is the statement **text**; the parsed statement a record carries is
 a process-local convenience.  A record that has only its text reads it through
-the statement template table (:data:`PARSE_CACHE`, keyed by statement shape):
-the grammar runs once per shape, and the bound statement brings its shape's
-footprint, plan and kernels with it (:mod:`repro.sql.templates`).
+the statement template table (:data:`repro.sql.parser.TEMPLATES`, keyed by
+statement shape): the grammar runs once per shape, and the bound statement
+brings its shape's footprint, plan and kernels with it
+(:mod:`repro.sql.templates`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ..errors import OpDeltaError, WarehouseError
 from ..obs.context import ambient_metrics
 from ..sql import ast_nodes as ast
 from ..sql.expressions import NO_SESSION, compile_after_image, compile_insert_rows
-from ..sql.parser import TEMPLATES, TemplateTable
+from ..sql.parser import TEMPLATES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analysis.analyzer import AnalysisRecord
@@ -51,16 +52,6 @@ class OpKind(enum.Enum):
 #: the shipment epoch) + table reference (2, an id into the shipped table
 #: catalog) + kind/flags (2) = 24 bytes.
 OPDELTA_HEADER_BYTES = 24
-
-
-#: The statement template table under the names Op-Delta code has always
-#: used for it.  There is one table (:data:`repro.sql.parser.TEMPLATES`),
-#: keyed by statement *shape*: an :class:`OpDelta` whose text differs from an
-#: earlier one only in its literals is bound from that one's template —
-#: after the record crosses the wire, and in any analysis pass that only has
-#: the text — without the parser running again.
-ParseCache = TemplateTable
-PARSE_CACHE = TEMPLATES
 
 
 @dataclass
@@ -92,15 +83,18 @@ class OpDelta:
         """The parsed statement (lazily, through the template table).
 
         Workload statements repeat a small set of shapes, so the parse goes
-        through the process-wide :data:`PARSE_CACHE`: the grammar runs once
-        per shape no matter how many :class:`OpDelta` instances carry it.
+        through the process-wide :data:`~repro.sql.parser.TEMPLATES`: the
+        grammar runs once per shape no matter how many :class:`OpDelta`
+        instances carry it — a text that differs from an earlier one only in
+        its literals is bound from that one's template, after the record
+        crosses the wire and in any analysis pass that only has the text.
         """
         if self._parsed is None:
-            hits = PARSE_CACHE.hits
-            self._parsed = PARSE_CACHE.parse(self.statement_text)
+            hits = TEMPLATES.hits
+            self._parsed = TEMPLATES.parse(self.statement_text)
             registry = ambient_metrics()
             if registry is not None:
-                if PARSE_CACHE.hits > hits:
+                if TEMPLATES.hits > hits:
                     registry.counter("core.opdelta.parse_cache_hits").inc()
                 else:
                     registry.counter("core.opdelta.parse_cache_misses").inc()

@@ -130,41 +130,6 @@ class MaintenancePlan:
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }
 
-    def fingerprint(self) -> str:
-        """Stable content hash of the compiled plan.
-
-        Two plans with identical rules, classification and diagnostics
-        fingerprint identically across processes — the key the batched
-        integrator's persistent rule memo and the columnar kernel cache
-        are partitioned by, so repeated windows over an unchanged plan
-        set reuse resolved rules and compiled closures.
-        """
-        import hashlib
-        import json
-
-        payload = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def plan_set_fingerprint(
-    plans: Mapping[str, "MaintenancePlan"],
-    certificates: Mapping[str, str] | None = None,
-) -> str:
-    """Combined fingerprint of a plan catalog plus verifier certificates.
-
-    This is the plan-certificate hash the batched integrator keys its
-    per-window memo on: it changes whenever any plan's rules *or* its
-    verification certificate change, and nothing else.
-    """
-    import hashlib
-
-    certificates = certificates or {}
-    parts = [
-        f"{name}:{plans[name].fingerprint()}:{certificates.get(name, '')}"
-        for name in sorted(plans)
-    ]
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
-
 
 class ViewMaintenancePlanner:
     """Compiles view definitions into :class:`MaintenancePlan` objects."""

@@ -10,7 +10,7 @@ per-transaction timings this integrator reports.
 Every apply configuration — serial (:meth:`OpDeltaIntegrator.integrate`),
 row-batched and columnar (:meth:`OpDeltaIntegrator.integrate_batched`) —
 runs the same staged loop with one commit site; the entries only choose
-the transactional units, the rule lookup and the statement executor.
+the transactional units and the statement executor.
 
 When an :class:`~repro.analysis.OpDeltaAnalyzer` is supplied (or the
 capture pipeline already attached analysis records to the operations), the
@@ -29,7 +29,7 @@ integrator additionally:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..analysis.analyzer import AnalysisRecord, OpDeltaAnalyzer
 from ..analysis.certify import (
@@ -49,20 +49,11 @@ from ..errors import WarehouseError
 from ..obs.context import ambient_metrics
 from ..obs.pipeline.context import ambient_pipeline
 from ..obs.pipeline.recorder import PipelineRecorder
-from ..semantics.planner import (
-    DeltaRule,
-    MaintenancePlan,
-    RuleAction,
-    plan_set_fingerprint,
-)
+from ..semantics.planner import MaintenancePlan
 from ..sql import ast_nodes as ast
 from .aggregates import MaterializedAggregateView
 from .value_integrator import IntegrationReport, delete_by_key, transactional_unit
 from .views import MaterializedView
-
-#: Resolves the delta rule for (view name, operation) — either the plain
-#: plan-catalog walk or the batched mode's per-window memo around it.
-RuleLookup = Callable[[str, OpDelta], "DeltaRule | None"]
 
 #: An op settled without a replay — (op, its source transaction, virtual
 #: time of the decision, pruned?) — held back for the post-commit record
@@ -76,10 +67,10 @@ class OpDeltaIntegrator:
     Each view takes the path :func:`~repro.core.selfmaint.replay_kind`
     decides for an operation's statement shape.  ``plans`` (a
     :class:`~repro.semantics.planner.MaintenancePlan` catalog, keyed by view
-    name) are what capture fetched images by; the integrator counts the
-    operations their static rules cover, and rejects at construction plans
-    that declare a view not self-maintainable — attach such views to a
-    source-query refresh path instead of this integrator.
+    name) are what capture fetched images by; apply reads no rule from
+    them.  The integrator rejects at construction plans that declare a view
+    not self-maintainable — attach such views to a source-query refresh
+    path instead of this integrator.
 
     Supplied plans are additionally put through the delta-rule verifier
     (:class:`~repro.analysis.verify.DeltaRuleVerifier`) as a pre-flight:
@@ -140,14 +131,6 @@ class OpDeltaIntegrator:
         self._plan_certificates: dict[str, str] = {}
         if self._plans:
             self._verify_plans(verifier)
-        #: Plan-certificate hash: names the persistent rule memo, so repeated
-        #: windows over the same certified plan set reuse resolutions.
-        self._plan_fingerprint = plan_set_fingerprint(
-            self._plans, self._plan_certificates
-        )
-        #: (table, kind, view) -> rule for this certified plan set; it
-        #: survives across integrate_batched calls (windows).
-        self._rule_memo: dict[tuple[str, OpKind, str], DeltaRule | None] = {}
         #: The two statement executors: the row path, and the columnar
         #: engine whose kernel cache survives across windows.
         self._rows = RowApplier(session)
@@ -227,11 +210,11 @@ class OpDeltaIntegrator:
         """Apply each source transaction as its own warehouse transaction.
 
         The serial configuration of :meth:`_run`: one unit per source
-        transaction, all on a single lane, rules resolved by the plain
-        plan-catalog walk, statements replayed on the row path.  When an
-        analyzer is attached the given order is first certified as a
-        single-lane schedule — out-of-order windows are rejected before
-        any statement runs (pure computation, no virtual time).
+        transaction, all on a single lane, statements replayed on the row
+        path.  When an analyzer is attached the given order is first
+        certified as a single-lane schedule — out-of-order windows are
+        rejected before any statement runs (pure computation, no virtual
+        time).
         """
         groups = list(groups)
         report = IntegrationReport(mode="op-delta")
@@ -246,7 +229,7 @@ class OpDeltaIntegrator:
         ]
         report.per_transaction_ms = self._run(
             groups, graph, single_lane_schedule(groups), units, report,
-            self._rule_for, self._rows,
+            self._rows,
         )
         return report
 
@@ -262,9 +245,8 @@ class OpDeltaIntegrator:
 
         The per-source-transaction mode of :meth:`integrate` buys maximum
         interleaving with OLAP queries at the price of one warehouse
-        begin/commit — and one plan/rule resolution per view — *per
-        captured transaction*.  For a compacted shippable window
-        (:mod:`repro.compaction`) that overhead dominates, so this
+        begin/commit *per captured transaction*.  For a compacted shippable
+        window (:mod:`repro.compaction`) that overhead dominates, so this
         configuration of :meth:`_run`:
 
         * makes each conflict-graph component **one** unit (capture order
@@ -272,12 +254,6 @@ class OpDeltaIntegrator:
           independent, so warehouse state is identical to the
           per-transaction replay — boundaries are merged, never
           reordered);
-        * memoizes rule resolution per ``(table, kind, view)`` in a memo
-          keyed on the plan-certificate hash that **survives across
-          windows** — a repeated window over the same certified plan set
-          starts with every resolution already cached
-          (``report.rule_lookups`` / ``rule_cache_hits`` /
-          ``rule_memo_preloaded``);
         * reports per-component apply times (``report.per_component_ms``)
           that :func:`repro.warehouse.scheduler.run_conflict_schedule`
           packs onto parallel worker lanes.
@@ -323,26 +299,10 @@ class OpDeltaIntegrator:
             schedule = LaneSchedule(
                 lanes=(tuple(t for c in graph.components for t in c),)
             )
-
-        memo = self._rule_memo
-        report.rule_memo_key = self._plan_fingerprint
-        report.rule_memo_preloaded = len(memo)
-
-        def memoized_rule(view_name: str, op: OpDelta) -> DeltaRule | None:
-            report.rule_lookups += 1
-            key = (op.table, op.kind, view_name)
-            if key in memo:
-                report.rule_cache_hits += 1
-                return memo[key]
-            rule = self._rule_for(view_name, op)
-            memo[key] = rule
-            return rule
-
         applier = self._columnar if columnar else None
         before = applier.counters() if applier is not None else ()
         report.per_component_ms = self._run(
-            groups, graph, schedule, units, report, memoized_rule,
-            applier or self._rows,
+            groups, graph, schedule, units, report, applier or self._rows
         )
         report.components = len(report.per_component_ms)
         if applier is not None:
@@ -356,10 +316,6 @@ class OpDeltaIntegrator:
         metrics = ambient_metrics()
         if metrics is not None:
             metrics.counter("warehouse.batched.components").inc(report.components)
-            metrics.counter("warehouse.batched.rule_lookups").inc(report.rule_lookups)
-            metrics.counter("warehouse.batched.rule_cache_hits").inc(
-                report.rule_cache_hits
-            )
         return report
 
     def _run(
@@ -369,7 +325,6 @@ class OpDeltaIntegrator:
         schedule: LaneSchedule,
         units: Sequence[tuple[str, Sequence[OpDeltaTransaction]]],
         report: IntegrationReport,
-        rule_for: RuleLookup,
         executor: RowApplier,
     ) -> list[float]:
         """The one apply pipeline every configuration runs.
@@ -380,8 +335,8 @@ class OpDeltaIntegrator:
         :meth:`_apply_op`) → *commit* → *record* lineage and sanitizer
         observations → *time* the unit.  The public entries only choose
         ``units`` (which transactions commit together, and how a failure
-        is described), ``rule_for`` and ``executor``.  Returns each
-        unit's virtual apply time and stamps ``report.elapsed_ms``.
+        is described) and ``executor``.  Returns each unit's virtual apply
+        time and stamps ``report.elapsed_ms``.
         """
         clock = self._session.database.clock
         started = clock.now
@@ -400,9 +355,7 @@ class OpDeltaIntegrator:
                         prepared = self._prepare(op, group, report, skipped)
                         if prepared is not None:
                             settled.append(prepared)
-                            self._apply_op(
-                                prepared, txn, report, rule_for, executor
-                            )
+                            self._apply_op(prepared, txn, report, executor)
                     applied.append((group, settled))
             self._record(skipped, applied, schedule)
             report.transactions += len(members)
@@ -436,12 +389,11 @@ class OpDeltaIntegrator:
             return
         certificate = certify(groups, graph, schedule)
         report.certificate_verdict = certificate.verdict
-        report.race_findings = [f.render() for f in certificate.findings]
         if not certificate.certified:
+            findings = [f.render() for f in certificate.findings]
             raise WarehouseError(
                 "schedule certification rejected the proposed apply order "
-                f"({len(certificate.findings)} finding(s)): "
-                + "; ".join(report.race_findings)
+                f"({len(findings)} finding(s)): " + "; ".join(findings)
             )
 
     def _record(
@@ -495,7 +447,6 @@ class OpDeltaIntegrator:
         op: OpDelta,
         txn: Transaction,
         report: IntegrationReport,
-        rule_for: RuleLookup,
         executor: RowApplier,
     ) -> None:
         """Replay one prepared operation onto the mirror and every view.
@@ -512,31 +463,10 @@ class OpDeltaIntegrator:
         report.statements_issued += 1
         report.rows_affected += affected
         for view in self._views:
-            rule = rule_for(view.definition.name, op)
             executor.apply_view(view, op, txn)
-            if (
-                rule is not None
-                and rule.action is not RuleAction.DYNAMIC
-                and op.table == view.definition.base_table
-            ):
-                report.plan_rules_applied += 1
         for agg in self._aggregate_views:
-            if op.table != agg.definition.base_table:
-                continue
-            agg.apply_operation(op, txn)
-            rule = rule_for(agg.definition.name, op)
-            if rule is not None and rule.action is not RuleAction.DYNAMIC:
-                report.plan_rules_applied += 1
-
-    def _rule_for(self, view_name: str, op: OpDelta) -> DeltaRule | None:
-        """The planned delta rule for this view/op, if a plan exists."""
-        plan = self._plans.get(view_name)
-        if plan is None:
-            return None
-        try:
-            return plan.rule_for(op.kind)
-        except KeyError:
-            return None
+            if op.table == agg.definition.base_table:
+                agg.apply_operation(op, txn)
 
     # ------------------------------------------------------- analyzer-driven
     def _prepare(

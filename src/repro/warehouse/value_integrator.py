@@ -65,19 +65,14 @@ class IntegrationReport:
     #: Volatile statements replayed from their captured before image
     #: instead of by re-execution (op-delta mode only).
     fallback_images_applied: int = 0
-    #: View maintenance steps resolved by a static planner rule instead of
-    #: per-statement classification (op-delta mode with a plan catalog).
-    plan_rules_applied: int = 0
     #: Conflict components applied as single warehouse transactions
     #: (op-delta batched mode only; 0 for per-transaction application).
     components: int = 0
     #: Virtual apply time of each conflict component, in schedule order
     #: (op-delta batched mode only) — these feed the parallel-lane replay.
     per_component_ms: list[float] = field(default_factory=list)
-    #: Delta-rule resolutions requested / served from the per-window memo
-    #: (op-delta batched mode only): hits are lookups that skipped the
-    #: plan-catalog walk because the same (table, kind, view) was already
-    #: resolved in this window.
+    #: Always 0: apply resolves no delta rule.  Kept only because the host
+    #: benchmark (``benchmarks/host/scenarios.py``) still tallies both.
     rule_lookups: int = 0
     rule_cache_hits: int = 0
     #: Schedule-certification verdict stamped by the pre-flight check
@@ -85,18 +80,10 @@ class IntegrationReport:
     #: value-delta path stamps ``CERTIFIED`` trivially: one indivisible
     #: batch per warehouse transaction is already a serial schedule.
     certificate_verdict: str = ""
-    #: Rendered ``RACE*`` findings from a rejected certification, kept on
-    #: the report for post-mortem inspection (rejection also raises).
-    race_findings: list[str] = field(default_factory=list)
     #: Delta-rule verification stamps (view name -> "hash12:VERDICT")
     #: copied from the op-delta integrator's plan pre-flight; empty when
     #: no plans were supplied or verification was opted out.
     plan_certificates: dict[str, str] = field(default_factory=dict)
-    #: The plan-certificate hash the batched rule memo was keyed on, and
-    #: how many (table, kind, view) resolutions that memo already held
-    #: at window start (>0 means a repeated window reused prior work).
-    rule_memo_key: str = ""
-    rule_memo_preloaded: int = 0
     #: Columnar-mode accounting (op-delta columnar mode only): statements
     #: dispatched as compiled batch programs, rows they touched, kernel
     #: compilations vs cache hits, and row-path fallback barriers.

@@ -9,15 +9,10 @@ from repro.core import (
     OpKind,
     classify_statement,
 )
-from repro.core.opdelta import (
-    OPDELTA_HEADER_BYTES,
-    PARSE_CACHE,
-    OpDelta,
-    ParseCache,
-)
+from repro.core.opdelta import OPDELTA_HEADER_BYTES, OpDelta
 from repro.engine import Database
 from repro.errors import OpDeltaError
-from repro.sql.parser import TEMPLATE_CAPACITY, parse
+from repro.sql.parser import parse
 from repro.workloads import OltpWorkload
 
 
@@ -93,68 +88,6 @@ class TestOpDeltaRecord:
             analysis=object(), _parsed=parse(text),
         )
         assert annotated.size_bytes == baseline
-
-
-class TestParseCache:
-    """``ParseCache`` is the statement template table: keyed by shape."""
-
-    def test_hit_and_miss_counted(self):
-        cache = ParseCache()
-        text = "DELETE FROM t WHERE a = 1"
-        first = cache.parse(text)
-        second = cache.parse(text)
-        assert first == second
-        assert (cache.hits, cache.misses) == (1, 1)
-        # Another literal is the same shape: a hit, bound without the parser.
-        third = cache.parse("DELETE FROM t WHERE a = 22")
-        assert third.where.right.value == 22
-        assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
-
-    def test_lru_eviction(self):
-        cache = ParseCache()
-        texts = [
-            f"DELETE FROM t WHERE a{i} = 1" for i in range(TEMPLATE_CAPACITY + 1)
-        ]
-        for text in texts[:-1]:
-            cache.parse(text)
-        cache.parse(texts[0])  # refresh: texts[1] is now the LRU entry
-        cache.parse(texts[-1])  # evicts texts[1]
-        assert len(cache) == TEMPLATE_CAPACITY
-        assert cache.lookup(texts[0]) is not None
-        assert cache.lookup(texts[1]) is None
-
-    def test_seed_avoids_reparse(self, monkeypatch):
-        cache = ParseCache()
-        statement = cache.parse("DELETE FROM t WHERE a = 1")
-        # The shape is seeded: the grammar must not run for its next text.
-        monkeypatch.setattr(
-            "repro.sql.parser._Parser.parse_statement",
-            lambda self: pytest.fail("a seeded shape was parsed again"),
-        )
-        again = cache.parse("DELETE FROM t WHERE a = 1")
-        other = cache.parse("DELETE FROM t WHERE a = 7")
-        assert again == statement and other != statement
-        assert cache.misses == 1
-
-    def test_opdelta_reads_through_shared_cache(self):
-        text = "DELETE FROM t WHERE a = 99887766"
-        parse(text)
-        hits = PARSE_CACHE.hits
-        op = OpDelta(text, "t", OpKind.DELETE, 1, 1, 0.0)
-        op.statement
-        assert PARSE_CACHE.hits == hits + 1
-
-    def test_capture_seeds_shared_cache(self, source):
-        database, workload = source
-        store, capture = attach(source, FileLogStore)
-        workload.session.execute("DELETE FROM parts WHERE part_ref = 123454321")
-        capture.detach()
-        (group,) = store.drain()
-        (op,) = group.operations
-        lookups = PARSE_CACHE.hits + PARSE_CACHE.misses
-        assert op.statement.table == "parts"
-        # The captured statement rides along: the table is not asked again.
-        assert PARSE_CACHE.hits + PARSE_CACHE.misses == lookups
 
 
 class TestCaptureLifecycle:

@@ -538,8 +538,9 @@ class TestRepro008HotLoopDiscipline:
             "        rule = plan.rule_for(op.kind)\n",
             name=self.COLUMNAR,
         )
+        # REPRO024 bans the lookup there outright as well.
+        violations = [v for v in violations if "REPRO008" in v]
         assert len(violations) == 1
-        assert "REPRO008" in violations[0]
         assert ".rule_for()" in violations[0]
 
     def test_classify_and_plan_view_flagged(self, tmp_path):
@@ -597,7 +598,7 @@ class TestRepro008HotLoopDiscipline:
             "        self.run(rule)\n",
             name=self.COLUMNAR,
         )
-        assert violations == []
+        assert not [v for v in violations if "REPRO008" in v]
 
     def test_integrator_outer_loop_clock_allowed(self, tmp_path):
         # Per-component timing in the batched integrator is depth 1.
@@ -1671,6 +1672,22 @@ class TestRepro024OneReplayJudge:
         for capture in (self.WIDENING, "repro/analysis/verify/verifier.py"):
             assert lint_source(tmp_path, self.READ, name=capture) == [], capture
 
+    def test_apply_looks_up_no_rule(self, tmp_path):
+        lookup = "def maintain(plan, kind):\n    return plan.rule_for(kind)\n"
+        for apply_path in (
+            "repro/warehouse/opdelta_integrator.py",
+            "repro/columnar/apply.py",
+        ):
+            violations = lint_source(tmp_path, lookup, name=apply_path)
+            assert self.flagged(violations) == [2], apply_path
+            assert "looked up on the apply path" in violations[0]
+        for home in (
+            self.WIDENING,
+            "repro/analysis/verify/verifier.py",
+            "repro/bench/check.py",
+        ):
+            assert lint_source(tmp_path, lookup, name=home) == [], home
+
     def test_a_keyword_is_not_a_read(self, tmp_path):
         source = "def make(build):\n    return build(needs_before_image=False)\n"
         assert lint_source(tmp_path, source, name="repro/warehouse/views.py") == []
@@ -1697,7 +1714,7 @@ class TestRepro024OneReplayJudge:
 
     def test_shipped_tree_has_one_replay_judge(self):
         package = REPO / "src" / "repro"
-        calls, reads = {}, {}
+        calls, lookups, reads = {}, {}, {}
         for path in sorted(package.rglob("*.py")):
             assert [
                 v for v in lint_rules.lint_file(path) if "REPRO024" in v
@@ -1706,13 +1723,20 @@ class TestRepro024OneReplayJudge:
             name = "repro/" + path.relative_to(package).as_posix()
             if count := len(lint_rules._calls_to(nodes, "_replay")):
                 calls[name] = count
+            if count := len(lint_rules._calls_to(nodes, "rule_for")):
+                lookups[name] = count
             if count := sum(
                 isinstance(n, ast.Attribute) and n.attr == "needs_before_image"
                 for n in nodes
             ):
                 reads[name] = count
-        # Both budgets are met exactly.
+        # Every budget is met exactly; rules are looked up by the capture
+        # policy and the verifier alone.
         assert calls == lint_rules.REPLAY_BUDGETS
+        assert lookups == {
+            "repro/semantics/planner.py": 1,
+            "repro/analysis/verify/verifier.py": 1,
+        }
         assert reads == lint_rules.IMAGE_CHOICE_BUDGETS
 
 

@@ -129,7 +129,8 @@ class Case:
             at = next(examined)
             if raising and at == self.raises_on:
                 raise ValueError(f"refused record {at}: {values!r}")
-            return self.keeps[at - 1]
+            # Past the drawn verdicts (see _consume): keep the record.
+            return at > len(self.keeps) or self.keeps[at - 1]
 
         return keep
 
@@ -142,10 +143,16 @@ def _scanned(database):
 
 
 def _consume(case, database, table, live, scan):
-    """Drive ``scan`` as the drawn consumer does; everything observable."""
+    """Drive ``scan`` as the drawn consumer does; everything observable.
+
+    A copy of row 0 inserted into free space on a page the scan has still to
+    reach is handed over too, so the scan can yield more rows than were
+    drawn; those rows past the drawn lists take no charge and no mutation.
+    """
     clock = database.clock
     seen, closed = [], False
     live = dict(live)
+    charges = case.charges or ()
     txn = database.begin()
     for step, (row_id, values) in enumerate(scan):
         seen.append((row_id, values, clock.now))
@@ -153,9 +160,9 @@ def _consume(case, database, table, live, scan):
             scan.close()
             closed = True
             break
-        if case.charges is not None:
-            clock.advance(case.charges[step])
-        action = case.mutations[step]
+        if step < len(charges):
+            clock.advance(charges[step])
+        action = case.mutations[step] if step < len(case.mutations) else None
         if action == "insert":
             table.insert(txn, case.rows[0])
         elif isinstance(action, int) and action in live:
@@ -181,6 +188,34 @@ def test_scan_is_the_record_at_a_time_loop(case):
     # Floats compare by ``repr``: -0.0 is not 0.0 here, and a clock reading
     # equal to the bit prints the same.
     assert repr(actual) == repr(expected)
+
+
+def test_rows_inserted_ahead_of_the_scan_run_past_the_drawn_lists():
+    """Three wide records fill a page, so the fourth row leaves two free
+    slots on the last page; the consumer's first two copies of row 0 land
+    there, and the scan hands both over after the drawn rows."""
+    case = Case.__new__(Case)
+    case.schema = TableSchema("r", [Column("c0", char(2500))])
+    case.rows = [("a",), ("b",), ("c",), ("d",)]
+    case.holes, case.columns, case.raises_on, case.close_after = set(), None, None, None
+    case.keeps = [True, False, True, True]
+    case.charges = [0.5] * 4
+    case.mutations = ["insert"] * 4
+    outcomes = []
+    for read in ("reference", "scan"):
+        keep = case.row_filter()
+        database, table, live = case.build()
+        rows = (
+            reference_scan.scan(table, case.columns, keep)
+            if read == "reference"
+            else table.scan(case.columns, rowwise(keep))
+        )
+        outcomes.append(_consume(case, database, table, live, rows))
+    seen = outcomes[0][0]
+    assert [values for _rid, values, _at in seen] == [
+        ("a",), ("c",), ("d",), ("a",), ("a",)
+    ]
+    assert repr(outcomes[1]) == repr(outcomes[0])
 
 
 @given(_cases, st.booleans())

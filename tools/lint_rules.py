@@ -89,10 +89,10 @@ inside **any** loop under ``repro/columnar/``, and inside the
 **per-row** loops (loops nested two deep or more) of the integrators'
 batched-apply paths (``warehouse/opdelta_integrator.py``,
 ``warehouse/value_integrator.py``).  Hoist the read before the loop —
-``now = clock.now`` once per batch, or a memoised closure for rule
-lookups (a bare ``rule_for(...)`` name call is the memo and stays
-legal).  Outer per-component/per-transaction loops may still read the
-clock: per-group timing is part of the reporting contract.
+``now = clock.now`` once per batch, or a closure bound before the loop
+(a bare-name call is not flagged).  Outer per-component/per-transaction
+loops may still read the clock: per-group timing is part of the reporting
+contract.
 
 **REPRO009 — observability state is read through the system catalog.**
 The ``sys.*`` system catalog (:mod:`repro.obs.introspect`) is the
@@ -324,7 +324,10 @@ static rule that forced a rewrite the judge would have refused crashed
 apply.  So ``_replay(`` is called once in each of those two modules and
 nowhere else, and a rule's ``.needs_before_image`` is read only where a
 capture is decided or a plan is shown (``IMAGE_CHOICE_BUDGETS``): never in
-``repro/warehouse/`` or ``repro/columnar/``, which ask ``replay_kind``.
+``repro/warehouse/`` or ``repro/columnar/``, which ask ``replay_kind``.  Nor
+do those two look a rule up: no ``.rule_for(`` call under them
+(``RULE_FREE_TREES``) — apply once resolved a rule per (view, op) and did
+nothing with it but count.
 
 Usage::
 
@@ -441,7 +444,7 @@ BATCH_APPLY_SUFFIXES = (
 )
 
 #: Attribute-call methods that resolve plans/delta rules (REPRO008).
-#: A bare-name ``rule_for(...)`` call is a memoised closure and legal.
+#: A bare-name call is a closure bound before the loop and legal.
 RESOLUTION_METHODS = frozenset(
     {"rule_for", "replay_kind", "plan_view", "plan_catalog"}
 )
@@ -608,8 +611,10 @@ COMMUTES_BUDGETS = {"repro/analysis/conflict.py": 1}
 
 #: REPRO024: module suffix -> how many ``_replay(`` calls it may make, and
 #: module suffix -> how many ``.needs_before_image`` reads; every other
-#: module may make none.
+#: module may make none.  No module under a ``RULE_FREE_TREES`` path calls
+#: ``.rule_for(``.
 REPLAY_BUDGETS = {"repro/core/selfmaint.py": 1, "repro/semantics/planner.py": 1}
+RULE_FREE_TREES = ("repro/warehouse/", "repro/columnar/")
 IMAGE_CHOICE_BUDGETS = {
     # The rule's own dict, the capture policy, and the plan's class.
     "repro/semantics/planner.py": 3,
@@ -1365,8 +1370,8 @@ def _commutation_violations(path: Path, tree: ast.AST, normalized: str) -> list[
 
 
 def _replay_judge_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
-    """REPRO024: ``_replay(`` calls and ``.needs_before_image`` reads past a
-    module's budget."""
+    """REPRO024: ``_replay(`` calls, ``.rule_for(`` calls and
+    ``.needs_before_image`` reads past a module's budget."""
     nodes = list(ast.walk(tree))
 
     def budget(budgets: dict[str, int]) -> int:
@@ -1375,6 +1380,17 @@ def _replay_judge_violations(path: Path, tree: ast.AST, normalized: str) -> list
         )
 
     calls = sorted(node.lineno for node in _calls_to(nodes, "_replay"))
+    lookups = (
+        sorted(
+            node.lineno
+            for node in nodes
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "rule_for"
+        )
+        if any(tree in normalized for tree in RULE_FREE_TREES)
+        else []
+    )
     reads = sorted(
         node.lineno
         for node in nodes
@@ -1386,6 +1402,10 @@ def _replay_judge_violations(path: Path, tree: ast.AST, normalized: str) -> list
         f"{path}:{lineno}: REPRO024 _replay() called outside replay_kind and "
         "the planner's per-kind widening; ask replay_kind(view, statement)"
         for lineno in calls[budget(REPLAY_BUDGETS):]
+    ] + [
+        f"{path}:{lineno}: REPRO024 delta rule looked up on the apply path; "
+        "apply asks replay_kind(view, statement)"
+        for lineno in lookups
     ] + [
         f"{path}:{lineno}: REPRO024 '.needs_before_image' read where no "
         "capture is decided; the apply path is replay_kind(view, statement)'s"
