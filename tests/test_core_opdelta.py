@@ -12,7 +12,7 @@ from repro.core import (
 from repro.core.opdelta import OPDELTA_HEADER_BYTES, OpDelta
 from repro.engine import Database
 from repro.errors import OpDeltaError
-from repro.sql.parser import parse
+from repro.sql.parser import TEMPLATE_CAPACITY, TEMPLATES, TemplateTable, parse
 from repro.workloads import OltpWorkload
 
 
@@ -88,6 +88,69 @@ class TestOpDeltaRecord:
             analysis=object(), _parsed=parse(text),
         )
         assert annotated.size_bytes == baseline
+
+
+class TestParseCache:
+    """The statement template table is keyed by shape: a text that differs
+    from a known one only in its literals is bound, not parsed."""
+
+    def test_hit_and_miss_counted(self):
+        table = TemplateTable()
+        text = "DELETE FROM t WHERE a = 1"
+        first = table.parse(text)
+        second = table.parse(text)
+        assert first == second
+        assert (table.hits, table.misses) == (1, 1)
+        # Another literal is the same shape: a hit, bound without the parser.
+        third = table.parse("DELETE FROM t WHERE a = 22")
+        assert third.where.right.value == 22
+        assert (table.hits, table.misses, len(table)) == (2, 1, 1)
+
+    def test_lru_eviction(self):
+        table = TemplateTable()
+        texts = [
+            f"DELETE FROM t WHERE a{i} = 1" for i in range(TEMPLATE_CAPACITY + 1)
+        ]
+        for text in texts[:-1]:
+            table.parse(text)
+        table.parse(texts[0])  # refresh: texts[1] is now the LRU entry
+        table.parse(texts[-1])  # evicts texts[1]
+        assert len(table) == TEMPLATE_CAPACITY
+        assert table.lookup(texts[0]) is not None
+        assert table.lookup(texts[1]) is None
+
+    def test_seed_avoids_reparse(self, monkeypatch):
+        table = TemplateTable()
+        statement = table.parse("DELETE FROM t WHERE a = 1")
+        # The shape is seeded: the grammar must not run for its next text.
+        monkeypatch.setattr(
+            "repro.sql.parser._Parser.parse_statement",
+            lambda self: pytest.fail("a seeded shape was parsed again"),
+        )
+        again = table.parse("DELETE FROM t WHERE a = 1")
+        other = table.parse("DELETE FROM t WHERE a = 7")
+        assert again == statement and other != statement
+        assert table.misses == 1
+
+    def test_opdelta_reads_through_shared_cache(self):
+        text = "DELETE FROM t WHERE a = 99887766"
+        parse(text)
+        hits = TEMPLATES.hits
+        op = OpDelta(text, "t", OpKind.DELETE, 1, 1, 0.0)
+        op.statement
+        assert TEMPLATES.hits == hits + 1
+
+    def test_capture_seeds_shared_cache(self, source):
+        database, workload = source
+        store, capture = attach(source, FileLogStore)
+        workload.session.execute("DELETE FROM parts WHERE part_ref = 123454321")
+        capture.detach()
+        (group,) = store.drain()
+        (op,) = group.operations
+        lookups = TEMPLATES.hits + TEMPLATES.misses
+        assert op.statement.table == "parts"
+        # The captured statement rides along: the table is not asked again.
+        assert TEMPLATES.hits + TEMPLATES.misses == lookups
 
 
 class TestCaptureLifecycle:

@@ -12,7 +12,6 @@ from repro.analysis.safety import commutes
 from repro.analysis.rwsets import extract_footprint
 from repro.columnar import CompileBarrier
 from repro.columnar.kernels import KernelCache
-from repro.core import FileLogStore, OpDeltaCapture
 from repro.core.opdelta import OpDelta, OpDeltaTransaction, OpKind
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Column, Database, TableSchema
@@ -23,14 +22,9 @@ from repro.obs.introspect import StoreBundle, SystemCatalog
 from repro.scope import Scope
 from repro.semantics import SchemaCatalog, SemanticChecker, ViewMaintenancePlanner
 from repro.sql import ast_nodes as ast
-from repro.sql.parser import TEMPLATE_CAPACITY, TEMPLATES, TemplateTable, parse
+from repro.sql.parser import TEMPLATES, TemplateTable, parse
 from repro.warehouse import OpDeltaIntegrator, ValueDeltaIntegrator, Warehouse
-from repro.workloads import (
-    OltpWorkload,
-    PartsGenerator,
-    parts_schema,
-    strip_timestamp,
-)
+from repro.workloads import PartsGenerator, parts_schema, strip_timestamp
 
 
 def items_schema(*column_names: str) -> TableSchema:
@@ -125,73 +119,6 @@ class TestBinding:
             )
             assert derived.binding.template is not statement.binding.template
         assert len(calls) == 1
-
-
-class TestTemplateTable:
-    """The template table is keyed by statement shape: a text that differs
-    from a known one only in its literals is bound, not parsed."""
-
-    def test_hit_and_miss_counted(self):
-        table = TemplateTable()
-        text = "DELETE FROM t WHERE a = 1"
-        first = table.parse(text)
-        second = table.parse(text)
-        assert first == second
-        assert (table.hits, table.misses) == (1, 1)
-        # Another literal is the same shape: a hit, bound without the parser.
-        third = table.parse("DELETE FROM t WHERE a = 22")
-        assert third.where.right.value == 22
-        assert (table.hits, table.misses, len(table)) == (2, 1, 1)
-
-    def test_lru_eviction(self):
-        table = TemplateTable()
-        texts = [
-            f"DELETE FROM t WHERE a{i} = 1" for i in range(TEMPLATE_CAPACITY + 1)
-        ]
-        for text in texts[:-1]:
-            table.parse(text)
-        table.parse(texts[0])  # refresh: texts[1] is now the LRU entry
-        table.parse(texts[-1])  # evicts texts[1]
-        assert len(table) == TEMPLATE_CAPACITY
-        assert table.lookup(texts[0]) is not None
-        assert table.lookup(texts[1]) is None
-
-    def test_a_known_shape_is_not_parsed_again(self, monkeypatch):
-        table = TemplateTable()
-        statement = table.parse("DELETE FROM t WHERE a = 1")
-        monkeypatch.setattr(
-            "repro.sql.parser._Parser.parse_statement",
-            lambda self: pytest.fail("a known shape was parsed again"),
-        )
-        again = table.parse("DELETE FROM t WHERE a = 1")
-        other = table.parse("DELETE FROM t WHERE a = 7")
-        assert again == statement and other != statement
-        assert table.misses == 1
-
-    def test_an_opdelta_reads_through_the_shared_table(self):
-        text = "DELETE FROM t WHERE a = 99887766"
-        parse(text)
-        hits = TEMPLATES.hits
-        op = OpDelta(text, "t", OpKind.DELETE, 1, 1, 0.0)
-        op.statement
-        assert TEMPLATES.hits == hits + 1
-
-    def test_a_captured_op_carries_its_statement(self):
-        database = Database("templates-capture")
-        workload = OltpWorkload(database)
-        workload.create_table()
-        workload.populate(20)
-        store = FileLogStore(database)
-        capture = OpDeltaCapture(workload.session, store, tables={"parts"})
-        capture.attach()
-        workload.session.execute("DELETE FROM parts WHERE part_ref = 123454321")
-        capture.detach()
-        (group,) = store.drain()
-        (op,) = group.operations
-        lookups = TEMPLATES.hits + TEMPLATES.misses
-        assert op.statement.table == "parts"
-        # The captured statement rides along: the table is not asked again.
-        assert TEMPLATES.hits + TEMPLATES.misses == lookups
 
 
 class TestShapeFacts:
