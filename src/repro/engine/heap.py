@@ -18,6 +18,7 @@ from typing import Any, Iterator
 
 from ..errors import StorageError
 from .buffer import BufferPool
+from .page import Page
 from .rows import PageDecoder, RowId
 
 
@@ -130,20 +131,23 @@ class HeapFile:
 
     def decoded_pages(
         self, decode: PageDecoder
-    ) -> Iterator[tuple[int, list[int], list[tuple[Any, ...]]]]:
+    ) -> Iterator[tuple[int, Page, list[int], list[tuple[Any, ...]]]]:
         """:meth:`pages` with each page's records decoded by ``decode``:
-        ``(page_no, live slot numbers, their rows)``, the same fetches and
-        the same snapshots.
+        ``(page_no, page, live slot numbers, their rows)``, the same fetches
+        and the same snapshots.
 
         The pair is :meth:`Page.decoded <repro.engine.page.Page.decoded>`'s:
         a page not written since its last read through ``decode`` is not
-        decoded again, and the lists are never changed once handed out.
-        This is the walk :class:`Table <repro.engine.table.Table>` filters
-        and charges per step.
+        decoded again, and the lists are never changed once handed out.  The
+        page itself comes along for what else it keeps of the decode
+        (:meth:`Page.column_values <repro.engine.page.Page.column_values>`),
+        so that is not a second fetch.  This is the walk :class:`Table
+        <repro.engine.table.Table>` filters and charges per step.
         """
         fetch = self._pool.fetch
         for page_no in list(self._page_nos):
-            yield page_no, *fetch(page_no).decoded(decode)
+            page = fetch(page_no)
+            yield page_no, page, *page.decoded(decode)
 
     def scan(self) -> Iterator[tuple[RowId, bytes]]:
         """Every live ``(RowId, record)`` in page/slot order."""

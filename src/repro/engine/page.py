@@ -19,6 +19,9 @@ made of them until the page is next written: every mutator bumps a write
 count (all a writer pays), and a reader whose kept entry carries an older
 count decodes afresh.  The entries live on this object only, so a page
 evicted and read back (:meth:`Page.from_bytes`) starts with none.
+Beside a kept decode, :meth:`Page.column_values` keeps one of its columns
+sorted, stamped and replaced the same way: what a scan asks before it runs
+its filter over the page (:meth:`repro.engine.table.Table.scan`).
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class Page:
         self._writes = 0
         #: Page decoder -> (write count, live slots, rows) of its last read.
         self._decoded: dict[PageDecoder, tuple[int, list[int], list[Any]]] = {}
+        #: (page decoder, position) -> (write count, sorted values).
+        self._sorted: dict[tuple[PageDecoder, int], tuple[int, list[Any]]] = {}
 
     # ----------------------------------------------------------------- status
     @property
@@ -149,6 +154,24 @@ class Page:
         rows = decode(records)
         self._decoded[decode] = (self._writes, slots, rows)
         return slots, rows
+
+    def column_values(self, decode: PageDecoder, at: int) -> list[Any]:
+        """The values at position ``at`` of :meth:`decoded`'s rows, ascending,
+        without NULL and NaN (which satisfy no comparison), kept.
+
+        Kept per ``(decode, at)`` and stamped with the write count like the
+        decoded pair, so it is sorted once per write of the page; it is never
+        changed once handed out.
+        """
+        key = (decode, at)
+        kept = self._sorted.get(key)
+        if kept is not None and kept[0] == self._writes:
+            return kept[1]
+        rows = self.decoded(decode)[1]
+        values = [v for row in rows if (v := row[at]) is not None and v == v]
+        values.sort()
+        self._sorted[key] = (self._writes, values)
+        return values
 
     # ------------------------------------------------------------ serialization
     def to_bytes(self) -> bytes:

@@ -202,11 +202,13 @@ class RecordCodec:
         ``float``, ``str``), or ``None`` where the column is nullable — and
         it fits, which packing checks on the way: ``struct`` refuses an
         INTEGER outside 64 bits, and each CHAR value is encoded to latin-1
-        once and its length checked.  The row's tuple of value classes is
-        looked up in a memo of the patterns found canonical, each with its
-        packer (bitmap and NULL slots fixed); a wrong class, a wrong arity or
-        a value that does not fit gives ``None``, and the caller takes the
-        checked path (:meth:`~repro.engine.schema.TableSchema.admit`).
+        once and its length checked — and its last character, since a value
+        that ends in the pad is not the one its record reads back.  The row's
+        tuple of value classes is looked up in a memo of the patterns found
+        canonical, each with its packer (bitmap and NULL slots fixed); a wrong
+        class, a wrong arity, a padded value or a value that does not fit
+        gives ``None``, and the caller takes the checked path
+        (:meth:`~repro.engine.schema.TableSchema.admit`).
         """
         classes = tuple(map(type, row))
         try:
@@ -238,7 +240,8 @@ class RecordCodec:
             fields = list(row)
             for slot, width in text:
                 data = fields[slot].encode("latin-1")
-                if len(data) > width:  # struct would cut it
+                # struct would cut it; validation would strip the pad
+                if len(data) > width or data[-1:] == b" ":
                     return None
                 fields[slot] = data.ljust(width)
             for slot, fill in fills:

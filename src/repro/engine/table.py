@@ -26,7 +26,8 @@ transaction that is not ACTIVE before it charges or changes anything.
 
 Reads work a heap page at a time, on one walk (``Table._pages``): a page's
 records are decoded together (once per write of the page, not per read: the
-page keeps the decode), the statement's filter runs once over them, and the
+page keeps the decode), the statement's filter runs once over them — or not
+at all, when the statement's page bounds show it keeps none of them — and the
 scan CPU is charged in runs of records — the same additions, in the same
 order relative to every other charge, as one ``advance`` per record.
 :meth:`Table.scan` yields ``(RowId, values)`` with the clock exact at every
@@ -41,6 +42,7 @@ charge every record's scan inside its own cycle of charges
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import length_hint
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -53,7 +55,8 @@ from .buffer import BufferPool
 from .costs import CostModel
 from .heap import HeapFile
 from .index import BTreeIndex, HashIndex, Index
-from .rows import RowId, decode_row
+from .page import Page
+from .rows import PageDecoder, RowId, decode_row
 from .schema import TableSchema
 from .transactions import Transaction
 from .triggers import TriggerContext, TriggerEvent, TriggerSet, TriggerTiming
@@ -65,9 +68,30 @@ from .wal import LogManager, LogRecordKind
 #: that raises says which record it raised on.
 PageFilter = Callable[[Iterable[tuple[Any, ...]]], Sequence[int]]
 
+#: A scan's page bound: ``(at, low, low_inclusive, high, high_inclusive)``
+#: — every row the scan's filter keeps has, at position ``at`` of its values,
+#: a value inside this interval (``None``: that side is open).  A page with
+#: no such value keeps nothing, so the filter is not run over it.
+PageBound = tuple[int, Any, bool, Any, bool]
+
 #: Where a mutation's WAL record goes: called with the positional arguments
 #: of :meth:`LogManager.append` (kind, txn id, table, row id, before, after).
 LogSink = Callable[..., Any]
+
+
+def _excluded(page: Page, decode: PageDecoder, bounds: Sequence[PageBound]) -> bool:
+    """Whether one of ``bounds`` has none of the page's values inside it."""
+    for at, low, low_inclusive, high, high_inclusive in bounds:
+        values = page.column_values(decode, at)
+        start = 0
+        if low is not None:
+            start = (bisect_left if low_inclusive else bisect_right)(values, low)
+        if start == len(values):
+            return True
+        first = values[start]
+        if high is not None and not (first < high or high_inclusive and first == high):
+            return True
+    return False
 
 
 def _revert(undo: list[tuple[Any, ...]]) -> None:
@@ -372,6 +396,7 @@ class Table:
         self,
         columns: Sequence[int] | None = None,
         keep: PageFilter | None = None,
+        bounds: Sequence[PageBound] = (),
     ) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
         """Full scan in physical order, charging per-row scan CPU.
 
@@ -385,9 +410,17 @@ class Table:
         :meth:`~repro.clock.VirtualClock.advance_each` run when the second is
         reached.  So a consumer may read or charge the clock between rows.
         A :class:`RowId` is built only for a kept row.
+
+        ``bounds`` are what the caller knows of every row ``keep`` accepts
+        (:data:`PageBound`).  A page none of whose values lies inside one of
+        them is fetched, counted and charged like any other, but ``keep`` is
+        not run over it: the bounds must hold of ``keep``, and ``keep`` must
+        not raise on any stored row, for that to change nothing.  Which
+        records the host evaluates is not part of the cost model; every
+        fetch and every per-record charge is.
         """
         charge = self._charge
-        for page_no, slots, rows, kept in self._pages(columns, keep):
+        for page_no, slots, rows, kept in self._pages(columns, keep, bounds):
             charged = 0
             for at in kept:
                 charge(at + 1 - charged)
@@ -414,7 +447,7 @@ class Table:
     def _page_values(
         self, columns: Sequence[int] | None, keep: PageFilter | None
     ) -> Iterator[list[tuple[Any, ...]]]:
-        for _page_no, _slots, rows, kept in self._pages(columns, keep):
+        for _page_no, _slots, rows, kept in self._pages(columns, keep, ()):
             self._charge(len(rows))
             yield rows if keep is None else [rows[at] for at in kept]
 
@@ -428,7 +461,7 @@ class Table:
         record it scans, so its scan and write charges interleave record by
         record.  The lists are the page's kept decode; they are not changed.
         """
-        for _page_no, _slots, rows, _kept in self._pages(None, None):
+        for _page_no, _slots, rows, _kept in self._pages(None, None, ()):
             self._m_rows_scanned.inc(len(rows))
             yield rows
 
@@ -438,7 +471,8 @@ class Table:
         self._m_rows_scanned.inc(records)
 
     def _pages(
-        self, columns: Sequence[int] | None, keep: PageFilter | None
+        self, columns: Sequence[int] | None, keep: PageFilter | None,
+        bounds: Sequence[PageBound],
     ) -> Iterator[tuple[int, list[int], list[tuple[Any, ...]], Sequence[int]]]:
         """The one walk over the heap's records: per page, ``(page_no, slot
         numbers, decoded rows, positions kept)``, nothing charged.
@@ -446,17 +480,23 @@ class Table:
         The slot numbers and rows are the page's kept decode
         (:meth:`HeapFile.decoded_pages`): shared with every later read of an
         unwritten page, so neither this walk nor its consumers change them.
-        ``keep`` gets an iterator over the page's rows.  When it raises on
-        the k-th of them, exactly k records of the page were examined — the
-        iterator's length hint says how many were not — and they are charged
-        and counted here, as the record-at-a-time loop had by then.
+        A page with no value inside one of ``bounds`` (its kept, sorted
+        :meth:`~repro.engine.page.Page.column_values`) keeps no row, and
+        ``keep`` is not called.  Otherwise ``keep`` gets an iterator over the
+        page's rows.  When it raises on the k-th of them, exactly k records
+        of the page were examined — the iterator's length hint says how many
+        were not — and they are charged and counted here, as the
+        record-at-a-time loop had by then.
         """
         decode = self.schema.codec.decode_page
         if columns is not None:
             decode = self.schema.codec.page_decoder(tuple(columns))
-        for page_no, slots, rows in self._heap.decoded_pages(decode):
+        for page_no, page, slots, rows in self._heap.decoded_pages(decode):
             if keep is None:
                 yield page_no, slots, rows, range(len(rows))
+                continue
+            if bounds and _excluded(page, decode, bounds):
+                yield page_no, slots, rows, ()
                 continue
             pending = iter(rows)
             try:

@@ -140,7 +140,9 @@ class CharType(DataType):
             value.encode("latin-1")
         except UnicodeEncodeError as exc:
             raise SchemaError(f"{self.name} only stores latin-1 text: {value!r}") from exc
-        return value
+        # The pad is not part of the value: what is stored reads back without
+        # trailing spaces, and so is what the write path indexes and fires.
+        return value.rstrip(" ")
 
     def encode(self, value: str) -> bytes:
         return value.encode("latin-1").ljust(self.length, b" ")

@@ -40,7 +40,9 @@ from .expressions import (
     set_list_maker,
     walk,
 )
-from .planner import AccessPath, Probe, choose_path, probes, settle_path
+from .planner import (
+    AccessPath, Bound, Probe, bounds, choose_path, probes, settle_bounds, settle_path,
+)
 from .source import RowSource, SourceDatabase
 from .templates import StatementTemplate, shaped
 
@@ -148,14 +150,14 @@ class _Access:
     """How UPDATEs or DELETEs of one shape read and rewrite their table.
 
     Everything here is decided without a literal's value — the columns
-    decoded, the conjuncts an index could answer, the emitted WHERE and SET
-    kernels short of their constants — so it is built once per shape and per
-    version of the table's catalog entry
+    decoded, the conjuncts an index could answer, the conjuncts that bound a
+    scan, the emitted WHERE and SET kernels short of their constants — so it
+    is built once per shape and per version of the table's catalog entry
     (:attr:`repro.engine.table.Table.version`); a statement adds its
     literals and the session context.
     """
 
-    __slots__ = ("columns", "probes", "keep", "sets")
+    __slots__ = ("columns", "probes", "bounds", "keep", "sets")
 
     def __init__(
         self, table: Table, stmt: ast.UpdateStmt | ast.DeleteStmt, slot: Slot
@@ -166,6 +168,7 @@ class _Access:
         scope = _Scope()
         scope.add(table.schema, table.name, self.columns)
         self.probes: list[Probe] = probes(table, table.name, stmt.where, slot)
+        self.bounds: list[Bound] = bounds(table, stmt.where, self.columns, slot)
         #: The WHERE as a filter of the narrow rows, a page of them at a time.
         self.keep: Maker = page_filter_maker(stmt.where, scope, slot)
         #: The columns an UPDATE assigns, and their new values as one kernel.
@@ -389,12 +392,15 @@ class Executor:
         path: AccessPath,
         columns: Sequence[int],
         keep: PageFilter | None,
+        found: Sequence[Bound],
+        literals: Sequence[Any],
     ) -> list[tuple[RowId, tuple[Any, ...]]]:
         """What UPDATE/DELETE read: ``_values`` with each row's id (the scan
-        filters as it goes, an index path's rows are filtered here), every
-        row read before any is changed."""
+        filters as it goes, bounded by ``found`` with these literals; an
+        index path's rows are filtered here), every row read before any is
+        changed."""
         if path.row_ids is None:
-            return list(table.scan(columns, keep))
+            return list(table.scan(columns, keep, settle_bounds(found, literals)))
         row_ids = list(path.row_ids)
         rows = [table.read(row_id, columns) for row_id in row_ids]
         kept = range(len(rows)) if keep is None else keep(rows)
@@ -631,7 +637,9 @@ class Executor:
         access = dml.access
         path = settle_path(access.probes, literals)
         keep = access.keep(literals, context)
-        matches = self._candidates(table, path, access.columns, keep)
+        matches = self._candidates(
+            table, path, access.columns, keep, access.bounds, literals
+        )
         if dml.update:
             columns, maker = access.sets
             new_values = maker(literals, context)

@@ -14,12 +14,20 @@ the caller still runs the whole predicate over the rows it names, so what a
 predicate means — three-valued logic, typed diagnostics — stays with the
 evaluator.  A literal the evaluator would not compare with the column
 (NULL, or a string against a number) therefore never reaches an index.
+
+The same rule bounds an UPDATE's or DELETE's table scan (:func:`bounds`):
+when *every* conjunct of its WHERE is such a ``column OP literal``, the
+filter cannot raise on a stored row, and a row it keeps has each column's
+value inside the interval the conjuncts on that column leave
+(:func:`settle_bounds`).  The scan then skips evaluating a page that holds no
+such value (:meth:`repro.engine.table.Table.scan`); it still fetches and
+charges it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence, cast
 
 from ..errors import SqlAnalysisError
 from . import ast_nodes as ast
@@ -28,13 +36,15 @@ from .expressions import Slot, check_comparable, no_slot, split_conjuncts
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.index import Index
     from ..engine.rows import RowId
+    from ..engine.table import PageBound
     from .source import RowSource
 
 #: Ranges matching more than this fraction of the table fall back to a scan.
 INDEX_SELECTIVITY_THRESHOLD = 0.05
 
-_RANGE_OPS = {"<": ("high", False), "<=": ("high", True),
-              ">": ("low", False), ">=": ("low", True)}
+#: Per range operator, the side of an interval ``[low, low_inclusive, high,
+#: high_inclusive]`` it bounds (0: low, 2: high) and whether inclusively.
+_RANGE_OPS = {"<": (2, False), "<=": (2, True), ">": (0, False), ">=": (0, True)}
 
 
 @dataclass
@@ -54,6 +64,17 @@ class Probe(NamedTuple):
     """
 
     index: "Index"
+    op: str
+    value: Any
+    slot: int | None
+
+
+class Bound(NamedTuple):
+    """A conjunct ``column OP literal`` of a WHERE that bounds a scan:
+    ``at`` is the column's position in the rows the scan decodes, ``slot``
+    and ``value`` name the literal as a :class:`Probe`'s do."""
+
+    at: int
     op: str
     value: Any
     slot: int | None
@@ -84,6 +105,52 @@ def probes(
     return found
 
 
+def bounds(
+    table: "RowSource", where: ast.Expression | None, columns: Sequence[int],
+    slot: Slot,
+) -> list[Bound]:
+    """The conjuncts of ``where``, each a :class:`Bound` over rows of the
+    ``columns`` (ascending positions, each column ``where`` reads among
+    them) — or none at all, unless every conjunct is one."""
+    found = []
+    for conjunct in split_conjuncts(where):
+        simple = _column_vs_literal(conjunct, table, table.name)
+        if simple is None:
+            return []
+        column, op, value = simple
+        at = columns.index(table.schema.column_index(column))
+        found.append(Bound(at, op, value, slot(value)))
+    return found
+
+
+def settle_bounds(
+    found: Sequence[Bound], values: Sequence[Any]
+) -> list["PageBound"]:
+    """Per column of ``found``, the interval its conjuncts leave for a
+    statement with these literals, as a scan takes it
+    (:data:`repro.engine.table.PageBound`).
+
+    Each side is the tightest of its conjuncts' (equality is both sides).
+    A NaN literal, which no value satisfies, takes its side for good and
+    exclusively: no value is inside an interval with a NaN end.
+    """
+    spans: dict[int, list[Any]] = {}
+    for at, op, value, slot in found:
+        if slot is not None:
+            value = values[slot]
+        span = spans.setdefault(at, [None, True, None, True])
+        sides = ((0, True), (2, True)) if op == "=" else (_RANGE_OPS[op],)
+        for side, inclusive in sides:
+            current = span[side]
+            if current is None or value != value or (
+                value > current if side == 0 else value < current
+            ):
+                span[side : side + 2] = value, inclusive and value == value
+            elif value == current:
+                span[side + 1] = span[side + 1] and inclusive
+    return [cast("PageBound", (at, *span)) for at, span in spans.items()]
+
+
 def settle_path(found: Sequence[Probe], values: Sequence[Any]) -> AccessPath:
     """The first probe worth taking, for a statement with these literals."""
     for index, op, value, slot in found:
@@ -91,11 +158,11 @@ def settle_path(found: Sequence[Probe], values: Sequence[Any]) -> AccessPath:
             value = values[slot]
         if op == "=":
             return AccessPath(f"index({index.name})", index.lookup(value))
-        bound, inclusive = _RANGE_OPS[op]
+        side, inclusive = _RANGE_OPS[op]
         # One-sided: the open side is None, and its flag is not read.
         span = (
             (value, None, inclusive, True)
-            if bound == "low"
+            if side == 0
             else (None, value, True, inclusive)
         )
         total = max(1, index.num_entries)  # one entry per row of the table

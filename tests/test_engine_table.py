@@ -13,7 +13,7 @@ from repro.engine import (
 )
 from repro.engine.rows import RowId, encode_row
 from repro.engine.schema import Column, TableSchema
-from repro.engine.types import INTEGER, char
+from repro.engine.types import FLOAT, INTEGER, char
 from repro.engine.wal import LogRecordKind
 from repro.errors import (
     CatalogError,
@@ -419,6 +419,68 @@ class TestScanAndIndexes:
         txn = db.begin()
         items.insert(txn, (1, "a", 1.0))
         db.commit(txn)
+
+
+class TestCharValuesAreIndexedAsTheyReadBack:
+    """A CHAR value is stored space padded and read back without trailing
+    spaces, so what is indexed, checked for uniqueness and handed to a
+    trigger must be that value too — on the one-pass and the checked path."""
+
+    @staticmethod
+    def _padded(unique=False):
+        db = Database("char")
+        session = db.connect()
+        session.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, c CHAR(5))")
+        unique = "UNIQUE " if unique else ""
+        session.execute(f"CREATE {unique}INDEX ux ON u (c)")
+        return db, session
+
+    def test_an_index_finds_what_a_scan_finds(self):
+        _db, session = self._padded()
+        session.execute("INSERT INTO u VALUES (1, 'ab ')")
+        session.execute("INSERT INTO u VALUES (2, 'ab')")
+        through_index = session.execute("SELECT id FROM u WHERE c = 'ab'")
+        assert "index(ux)" in through_index.plan
+        assert sorted(through_index.rows) == [(1,), (2,)]
+        assert sorted(session.query("SELECT id FROM u WHERE c >= 'ab'")) == [(1,), (2,)]
+
+    def test_a_padded_row_deletes_and_updates(self):
+        db, session = self._padded()
+        session.execute("INSERT INTO u VALUES (1, 'ab ')")
+        session.execute("INSERT INTO u VALUES (2, 'ab')")
+        session.execute("UPDATE u SET c = 'cd  ' WHERE id = 2")
+        assert session.execute("DELETE FROM u WHERE id = 1").rows_affected == 1
+        assert session.query("SELECT id, c FROM u WHERE c = 'cd'") == [(2, "cd")]
+        assert db.table("u").index("ux").num_entries == 1
+
+    def test_a_unique_index_refuses_the_padded_twin(self):
+        _db, session = self._padded(unique=True)
+        session.execute("INSERT INTO u VALUES (1, 'ab ')")
+        with pytest.raises(ConstraintError):
+            session.execute("INSERT INTO u VALUES (2, 'ab')")
+
+    def test_both_admission_paths_strip_the_pad(self):
+        schema = TableSchema(
+            "u", [Column("i", INTEGER), Column("c", char(5)), Column("x", FLOAT)]
+        )
+        one_pass, record = schema.admit((1, "ab  ", 1.0))  # declined: padded
+        assert one_pass == (1, "ab", 1.0) == schema.codec.decode(record)
+        checked, record = schema.admit((2, "  ", 3))  # an int for a FLOAT
+        assert checked == (2, "", 3.0) == schema.codec.decode(record)
+
+    def test_a_trigger_sees_the_stored_value(self, db, small_schema):
+        table = db.create_table(small_schema)
+        seen = []
+        table.triggers.add(
+            Trigger(
+                "t", TriggerEvent.INSERT, TriggerTiming.AFTER,
+                lambda context: seen.append(context.new_values),
+            )
+        )
+        txn = db.begin()
+        row_id = table.insert(txn, (1, "ab ", 1.0))
+        db.commit(txn)
+        assert seen == [table.read(row_id)] == [(1, "ab", 1.0)]
 
 
 class TestIndexMaintenanceIsAllOrNothing:

@@ -144,3 +144,43 @@ def test_run_benchmark_reads_the_contract_line(tmp_path, monkeypatch):
         str(host_pairs.RUN), "--workload", "value_delta", "--seed", "7",
         "--trace", "0", "--reps", "1", "--out-dir", seen["command"][-1],
     ]
+
+
+def test_repeated_workloads_run_in_order_with_a_line_each(capsys, monkeypatch):
+    monkeypatch.setattr(host_pairs, "export_revision", lambda revision, into: into)
+    monkeypatch.setattr(host_pairs, "export_working_tree", lambda into: into)
+    calls = []
+
+    def runner(checkout, workload, seed):
+        calls.append((checkout.name, workload, seed))
+        faster = checkout.name == "work" and workload == "opdelta_scan"
+        return contract(8.0 if faster else 10.0, 100.0)
+
+    status = host_pairs.main(
+        ["--base", "HEAD", "--workload", "opdelta_scan", "--workload", "olap_mostly",
+         "--seed", "1", "--seed", "7", "--pairs", "2"],
+        runner,
+    )
+    assert status == 0
+    # Workload by workload, seed by seed, each in alternated pairs.
+    assert [(w, s) for _side, w, s in calls[::4]] == [
+        ("opdelta_scan", 1), ("opdelta_scan", 7), ("olap_mostly", 1), ("olap_mostly", 7),
+    ]
+    assert len(calls) == 16
+    out = capsys.readouterr().out.strip().splitlines()
+    summary = out[out.index("== summary ==") + 1:]
+    assert [line.split(" vs ")[0] for line in summary] == [
+        "host_pairs opdelta_scan seed 1", "host_pairs opdelta_scan seed 7",
+        "host_pairs olap_mostly seed 1", "host_pairs olap_mostly seed 7",
+    ]
+    assert "freshness_p50_ms 10 -> 8 ms (-20.0%, 2/2)" in summary[0]
+    assert "freshness_p50_ms 10 -> 10 ms (+0.0%, 0/2)" in summary[3]
+
+
+def test_an_unknown_workload_among_several_is_a_usage_error():
+    with pytest.raises(SystemExit) as exit_info:
+        host_pairs.main(
+            ["--base", "HEAD", "--workload", "opdelta_scan", "--workload", "nope"],
+            lambda *a: {},
+        )
+    assert exit_info.value.code == 2

@@ -262,7 +262,10 @@ class Twin:
                 (page_no, slots, decode(records))
                 for page_no, slots, records in table._heap.pages()
             ]
-        return list(table._heap.decoded_pages(decode))
+        return [
+            (page_no, slots, rows)
+            for page_no, _page, slots, rows in table._heap.decoded_pages(decode)
+        ]
 
 
 def run(case):

@@ -13,10 +13,14 @@ that goes first alternating from pair to pair, and reads each run's last
 stdout line (the ``BENCHMARK.json`` contract JSON).  For every end-to-end
 metric it prints q1 / median / q3 per side and how many pairs the working
 tree won (by the metric's ``better`` direction), then one summary line per
-seed to quote in CHANGES.md.  Usage::
+(workload, seed) to quote in CHANGES.md.  ``--workload`` and ``--seed``
+repeat, so one invocation covers a claim and the no-regression sweep over
+the other workloads.  Usage::
 
     python3 tools/host_pairs.py --base HEAD~1 --workload value_delta \\
         --seed 1 --seed 7 --pairs 10
+    python3 tools/host_pairs.py --base HEAD~1 --workload opdelta_batched \\
+        --workload value_delta --workload olap_mostly --pairs 4
 
 Both sides run from fresh copies of the same shape in one temporary
 directory, removed afterwards: the base revision exported with ``git
@@ -211,7 +215,10 @@ def _change(row: dict[str, Any]) -> str:
 def main(argv: list[str] | None = None, runner: Runner = run_benchmark) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="base revision (git rev)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, action="append",
+        help="workload to measure; repeat for several, run in the order given",
+    )
     parser.add_argument(
         "--seed", type=int, action="append",
         help="input seed; repeat for several (default: 1)",
@@ -221,8 +228,10 @@ def main(argv: list[str] | None = None, runner: Runner = run_benchmark) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     contract = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.workload not in {w["name"] for w in contract["workloads"]}:
-        parser.error(f"unknown workload {args.workload!r}")
+    known = {w["name"] for w in contract["workloads"]}
+    for workload in args.workload:
+        if workload not in known:
+            parser.error(f"unknown workload {workload!r}")
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
     label = subprocess.run(
         ["git", "rev-parse", "--short", args.base],
@@ -232,11 +241,16 @@ def main(argv: list[str] | None = None, runner: Runner = run_benchmark) -> int:
     with tempfile.TemporaryDirectory(prefix="host_pairs_") as scratch:
         base = export_revision(args.base, Path(scratch) / "base")
         work = export_working_tree(Path(scratch) / "work")
-        for seed in args.seed or [1]:
-            runs = run_pairs(runner, base, work, args.workload, seed, args.pairs)
-            summary = summarise(runs, better)
-            print(render(summary, args.workload, seed, label), flush=True)
-            ok = ok and summary["correct"] and summary["same_virtual"]
+        lines = []
+        for workload in args.workload:
+            for seed in args.seed or [1]:
+                runs = run_pairs(runner, base, work, workload, seed, args.pairs)
+                summary = summarise(runs, better)
+                print(render(summary, workload, seed, label), flush=True)
+                lines.append(summary_line(summary, workload, seed, label))
+                ok = ok and summary["correct"] and summary["same_virtual"]
+    if len(lines) > 1:
+        print("== summary ==", *lines, sep="\n")
     return 0 if ok else 1
 
 
