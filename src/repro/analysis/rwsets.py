@@ -30,6 +30,7 @@ from ..core.opdelta import OpKind, classify_statement
 from ..errors import AnalysisError
 from ..sql import ast_nodes as ast
 from ..sql.expressions import (
+    column_vs_literal,
     referenced_columns,
     split_conjuncts,
     statement_columns,
@@ -56,10 +57,6 @@ class Interval:
     high: Any = None
     include_low: bool = True
     include_high: bool = True
-
-    @classmethod
-    def point(cls, value: Any) -> "Interval":
-        return cls(low=value, high=value)
 
     @property
     def is_point(self) -> bool:
@@ -230,37 +227,27 @@ def range_from_predicate(where: ast.Expression | None) -> PredicateRange:
     return PredicateRange(constraints)
 
 
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-
-
 def _constraint_from_conjunct(
     expr: ast.Expression,
 ) -> tuple[str, ColumnConstraint] | None:
     """``(column, constraint)`` for one recognised conjunct, else ``None``."""
-    if isinstance(expr, ast.BinaryOp) and expr.op in _FLIP:
-        sides = [(expr.left, expr.op, expr.right),
-                 (expr.right, _FLIP[expr.op], expr.left)]
-        for column_side, op, value_side in sides:
-            if not isinstance(column_side, ast.ColumnRef):
-                continue
-            if not isinstance(value_side, ast.Literal):
-                continue
-            value = value_side.value
-            if value is None:
-                # ``col = NULL`` is never true: unsatisfiable.
-                return column_side.name, ColumnConstraint(intervals=())
-            if op == "=":
-                return column_side.name, ColumnConstraint.points([value])
-            if op == "<":
-                interval = Interval(high=value, include_high=False)
-            elif op == "<=":
-                interval = Interval(high=value)
-            elif op == ">":
-                interval = Interval(low=value, include_low=False)
-            else:  # >=
-                interval = Interval(low=value)
-            return column_side.name, ColumnConstraint(intervals=(interval,))
-        return None
+    compared = column_vs_literal(expr)
+    if compared is not None:
+        column, op, value = compared
+        if value is None:
+            # ``col = NULL`` is never true: unsatisfiable.
+            return column.name, ColumnConstraint(intervals=())
+        if op == "=":
+            return column.name, ColumnConstraint.points([value])
+        if op == "<":
+            interval = Interval(high=value, include_high=False)
+        elif op == "<=":
+            interval = Interval(high=value)
+        elif op == ">":
+            interval = Interval(low=value, include_low=False)
+        else:  # >=
+            interval = Interval(low=value)
+        return column.name, ColumnConstraint(intervals=(interval,))
     if isinstance(expr, ast.InList) and not expr.negated:
         if not isinstance(expr.expr, ast.ColumnRef):
             return None

@@ -55,7 +55,7 @@ from ..sql.expressions import (
     predicate_maker,
     set_list_maker,
 )
-from ..sql.planner import probes, settle_path
+from ..sql.planner import sargs, settle_path
 from ..sql.templates import shaped
 from .batch import ColumnBatch
 from .kernels import BatchBinding, CompileBarrier, KernelCache, compile_predicate
@@ -157,12 +157,11 @@ class ColumnarApplier(RowApplier):
 
         The component's resident image when there is one (it already holds
         the component's writes).  Otherwise whatever the access-path chooser
-        says — which conjuncts an index could answer is the shape's, the
-        literal probed with the statement's: the rows an index reaches,
-        gathered into a throwaway batch — a candidate filter only, the
-        statement's kernels still run over it — or, with no index path, the
-        whole table as the image that stays resident for the rest of the
-        component.
+        says — the WHERE's sargs are the shape's, the literal probed with
+        the statement's: the rows an index reaches, gathered into a
+        throwaway batch — a candidate filter only, the statement's kernels
+        still run over it — or, with no index path, the whole table as the
+        image that stays resident for the rest of the component.
         """
         image = self._images.get(table.name)
         if image is None:
@@ -170,7 +169,7 @@ class ColumnarApplier(RowApplier):
                 stmt,
                 table.version,
                 "reach",
-                lambda shape, slot: probes(table, stmt.table, shape.where, slot),
+                lambda shape, slot: sargs(table, stmt.table, shape.where, slot)[0],
             )
             reached = settle_path(found, literals).row_ids
             if reached is not None:

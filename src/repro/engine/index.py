@@ -15,15 +15,28 @@ it against a value.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from abc import ABC, abstractmethod
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from ..clock import VirtualClock
 from ..errors import ConstraintError, StorageError
 from ..obs.metrics import MetricsLike, MetricsRegistry
 from .costs import CostModel
 from .rows import RowId
+
+
+def span(
+    keys: Sequence[Any], low: Any, high: Any, include_low: bool, include_high: bool
+) -> range:
+    """The positions of the sorted ``keys`` inside the interval from ``low``
+    to ``high`` (``None``: that side is open; a flag says whether its side
+    is closed), found by bisection — the one range search of the B-tree's
+    estimate and scan and of a scan's page bounds."""
+    start = 0 if low is None else (bisect_left if include_low else bisect_right)(keys, low)
+    if high is None:
+        return range(start, len(keys))
+    return range(start, (bisect_right if include_high else bisect_left)(keys, high))
 
 
 class Index(ABC):
@@ -169,12 +182,12 @@ class BTreeIndex(Index):
         self._row_ids: list[RowId] = []
 
     def _insert(self, key: Any, row_id: RowId) -> None:
-        position = bisect.bisect_right(self._keys, key)
+        position = bisect_right(self._keys, key)
         self._keys.insert(position, key)
         self._row_ids.insert(position, row_id)
 
     def _delete(self, key: Any, row_id: RowId) -> None:
-        position = bisect.bisect_left(self._keys, key)
+        position = bisect_left(self._keys, key)
         while position < len(self._keys) and self._keys[position] == key:
             if self._row_ids[position] == row_id:
                 del self._keys[position]
@@ -184,12 +197,12 @@ class BTreeIndex(Index):
         raise StorageError(f"index {self.name!r}: entry ({key!r}, {row_id}) not found")
 
     def _lookup(self, key: Any) -> list[RowId]:
-        low = bisect.bisect_left(self._keys, key)
-        high = bisect.bisect_right(self._keys, key)
+        low = bisect_left(self._keys, key)
+        high = bisect_right(self._keys, key)
         return self._row_ids[low:high]
 
     def _contains_key(self, key: Any) -> bool:
-        position = bisect.bisect_left(self._keys, key)
+        position = bisect_left(self._keys, key)
         return position < len(self._keys) and self._keys[position] == key
 
     def estimate_range(self, low: Any, high: Any,
@@ -201,36 +214,12 @@ class BTreeIndex(Index):
         the paper's "indices may not be used by the query optimizer if the
         deltas form a significant portion of the table" behaviour (§3.1.1).
         """
-        if low is None:
-            start = 0
-        else:
-            start = (bisect.bisect_left if include_low else bisect.bisect_right)(
-                self._keys, low
-            )
-        if high is None:
-            stop = len(self._keys)
-        else:
-            stop = (bisect.bisect_right if include_high else bisect.bisect_left)(
-                self._keys, high
-            )
-        return max(0, stop - start)
+        return len(span(self._keys, low, high, include_low, include_high))
 
     def range_scan(self, low: Any, high: Any,
                    include_low: bool = True, include_high: bool = True) -> Iterator[RowId]:
-        if low is None:
-            start = 0
-        else:
-            start = (bisect.bisect_left if include_low else bisect.bisect_right)(
-                self._keys, low
-            )
-        if high is None:
-            stop = len(self._keys)
-        else:
-            stop = (bisect.bisect_right if include_high else bisect.bisect_left)(
-                self._keys, high
-            )
-        count = max(0, stop - start)
+        positions = span(self._keys, low, high, include_low, include_high)
         self._m_probes.inc()
-        self._clock.advance(self._costs.index_lookup * max(1, count))
-        for position in range(start, stop):
+        self._clock.advance(self._costs.index_lookup * max(1, len(positions)))
+        for position in positions:
             yield self._row_ids[position]

@@ -42,7 +42,6 @@ charge every record's scan inside its own cycle of charges
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import length_hint
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -54,7 +53,7 @@ from ..scope import Scope
 from .buffer import BufferPool
 from .costs import CostModel
 from .heap import HeapFile
-from .index import BTreeIndex, HashIndex, Index
+from .index import BTreeIndex, HashIndex, Index, span
 from .page import Page
 from .rows import PageDecoder, RowId, decode_row
 from .schema import TableSchema
@@ -68,11 +67,12 @@ from .wal import LogManager, LogRecordKind
 #: that raises says which record it raised on.
 PageFilter = Callable[[Iterable[tuple[Any, ...]]], Sequence[int]]
 
-#: A scan's page bound: ``(at, low, low_inclusive, high, high_inclusive)``
-#: — every row the scan's filter keeps has, at position ``at`` of its values,
-#: a value inside this interval (``None``: that side is open).  A page with
-#: no such value keeps nothing, so the filter is not run over it.
-PageBound = tuple[int, Any, bool, Any, bool]
+#: A scan's page bound: ``(at, low, high, include_low, include_high)`` —
+#: every row the scan's filter keeps has, at column ``at`` of the table, a
+#: value inside this interval (``None``: that side is open; the index's
+#: order, :func:`~repro.engine.index.span`).  A page with no such value
+#: keeps nothing, so the filter is not run over it.
+PageBound = tuple[int, Any, Any, bool, bool]
 
 #: Where a mutation's WAL record goes: called with the positional arguments
 #: of :meth:`LogManager.append` (kind, txn id, table, row id, before, after).
@@ -80,16 +80,11 @@ LogSink = Callable[..., Any]
 
 
 def _excluded(page: Page, decode: PageDecoder, bounds: Sequence[PageBound]) -> bool:
-    """Whether one of ``bounds`` has none of the page's values inside it."""
-    for at, low, low_inclusive, high, high_inclusive in bounds:
+    """Whether one of ``bounds`` (``at`` a position of the decoded rows) has
+    none of the page's values inside it."""
+    for at, low, high, include_low, include_high in bounds:
         values = page.column_values(decode, at)
-        start = 0
-        if low is not None:
-            start = (bisect_left if low_inclusive else bisect_right)(values, low)
-        if start == len(values):
-            return True
-        first = values[start]
-        if high is not None and not (first < high or high_inclusive and first == high):
+        if not span(values, low, high, include_low, include_high):
             return True
     return False
 
@@ -412,12 +407,13 @@ class Table:
         A :class:`RowId` is built only for a kept row.
 
         ``bounds`` are what the caller knows of every row ``keep`` accepts
-        (:data:`PageBound`).  A page none of whose values lies inside one of
-        them is fetched, counted and charged like any other, but ``keep`` is
-        not run over it: the bounds must hold of ``keep``, and ``keep`` must
-        not raise on any stored row, for that to change nothing.  Which
-        records the host evaluates is not part of the cost model; every
-        fetch and every per-record charge is.
+        (:data:`PageBound`, ``at`` a column of the table, which must be among
+        ``columns``).  A page none of whose values lies inside one of them is
+        fetched, counted and charged like any other, but ``keep`` is not run
+        over it: the bounds must hold of ``keep``, and ``keep`` must not
+        raise on any stored row, for that to change nothing.  Which records
+        the host evaluates is not part of the cost model; every fetch and
+        every per-record charge is.
         """
         charge = self._charge
         for page_no, slots, rows, kept in self._pages(columns, keep, bounds):
@@ -480,17 +476,19 @@ class Table:
         The slot numbers and rows are the page's kept decode
         (:meth:`HeapFile.decoded_pages`): shared with every later read of an
         unwritten page, so neither this walk nor its consumers change them.
-        A page with no value inside one of ``bounds`` (its kept, sorted
-        :meth:`~repro.engine.page.Page.column_values`) keeps no row, and
-        ``keep`` is not called.  Otherwise ``keep`` gets an iterator over the
-        page's rows.  When it raises on the k-th of them, exactly k records
-        of the page were examined — the iterator's length hint says how many
-        were not — and they are charged and counted here, as the
-        record-at-a-time loop had by then.
+        ``bounds`` name table columns; each is mapped once, here, to its
+        position among ``columns``.  A page with no value inside one of them
+        (its kept, sorted :meth:`~repro.engine.page.Page.column_values`)
+        keeps no row, and ``keep`` is not called.  Otherwise ``keep`` gets
+        an iterator over the page's rows.  When it raises on the k-th of
+        them, exactly k records of the page were examined — the iterator's
+        length hint says how many were not — and they are charged and
+        counted here, as the record-at-a-time loop had by then.
         """
         decode = self.schema.codec.decode_page
         if columns is not None:
             decode = self.schema.codec.page_decoder(tuple(columns))
+            bounds = [(columns.index(at), *interval) for at, *interval in bounds]
         for page_no, page, slots, rows in self._heap.decoded_pages(decode):
             if keep is None:
                 yield page_no, slots, rows, range(len(rows))

@@ -193,10 +193,6 @@ class SLOEngine:
         self._firing[objective.key] = False
 
     # -------------------------------------------------------------- evaluation
-    @property
-    def firing(self) -> list[str]:
-        return sorted(key for key, lit in self._firing.items() if lit)
-
     def evaluate(self, now_ms: float) -> list[SLOFinding]:
         """Evaluate every objective at ``now_ms``; return new findings only.
 

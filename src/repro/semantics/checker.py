@@ -107,10 +107,6 @@ class CheckResult:
     def errors(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity is Severity.ERROR)
 
-    @property
-    def warnings(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity is Severity.WARNING)
-
     def raise_if_errors(self, sql_text: str | None = None) -> None:
         """Raise :class:`SemanticError` when any ERROR diagnostic is present."""
         errors = self.errors

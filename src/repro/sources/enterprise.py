@@ -74,20 +74,6 @@ class IntegratedEnterprise:
             partition.system.load_parts(count, start_id=partition.low)
 
     # ------------------------------------------------------ business processes
-    def transfer_quantity(
-        self, from_part: int, to_part: int, amount: int
-    ) -> None:
-        """Move stock between two parts — possibly across systems.
-
-        Executed as *two local transactions* (decrement, then increment)
-        because the middleware provides no global atomicity.  A crash or an
-        interleaving between the halves is globally visible.
-        """
-        self.global_transactions += 1
-        self._notify("transfer_quantity", (from_part, to_part, amount))
-        self._adjust(from_part, -amount)
-        self._adjust(to_part, amount)
-
     def _adjust(self, part_id: int, delta: int) -> None:
         system = self.system_for(part_id)
         session = system.wrapper_session

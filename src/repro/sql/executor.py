@@ -41,7 +41,7 @@ from .expressions import (
     walk,
 )
 from .planner import (
-    AccessPath, Bound, Probe, bounds, choose_path, probes, settle_bounds, settle_path,
+    AccessPath, Sarg, choose_path, sargs, settle_bounds, settle_path,
 )
 from .source import RowSource, SourceDatabase
 from .templates import StatementTemplate, shaped
@@ -150,14 +150,15 @@ class _Access:
     """How UPDATEs or DELETEs of one shape read and rewrite their table.
 
     Everything here is decided without a literal's value — the columns
-    decoded, the conjuncts an index could answer, the conjuncts that bound a
-    scan, the emitted WHERE and SET kernels short of their constants — so it
-    is built once per shape and per version of the table's catalog entry
+    decoded, the WHERE's sargs (which an index could answer, and whether
+    they are the whole WHERE, so bound a scan), the emitted WHERE and SET
+    kernels short of their constants — so it is built once per shape and
+    per version of the table's catalog entry
     (:attr:`repro.engine.table.Table.version`); a statement adds its
     literals and the session context.
     """
 
-    __slots__ = ("columns", "probes", "bounds", "keep", "sets")
+    __slots__ = ("columns", "sargs", "whole", "keep", "sets")
 
     def __init__(
         self, table: Table, stmt: ast.UpdateStmt | ast.DeleteStmt, slot: Slot
@@ -167,8 +168,7 @@ class _Access:
         )
         scope = _Scope()
         scope.add(table.schema, table.name, self.columns)
-        self.probes: list[Probe] = probes(table, table.name, stmt.where, slot)
-        self.bounds: list[Bound] = bounds(table, stmt.where, self.columns, slot)
+        self.sargs, self.whole = sargs(table, table.name, stmt.where, slot)
         #: The WHERE as a filter of the narrow rows, a page of them at a time.
         self.keep: Maker = page_filter_maker(stmt.where, scope, slot)
         #: The columns an UPDATE assigns, and their new values as one kernel.
@@ -392,7 +392,7 @@ class Executor:
         path: AccessPath,
         columns: Sequence[int],
         keep: PageFilter | None,
-        found: Sequence[Bound],
+        found: Sequence[Sarg],
         literals: Sequence[Any],
     ) -> list[tuple[RowId, tuple[Any, ...]]]:
         """What UPDATE/DELETE read: ``_values`` with each row's id (the scan
@@ -635,11 +635,10 @@ class Executor:
             raise SqlAnalysisError("only an INSERT binds more than one row")
         (literals,) = bound
         access = dml.access
-        path = settle_path(access.probes, literals)
+        path = settle_path(access.sargs, literals)
         keep = access.keep(literals, context)
-        matches = self._candidates(
-            table, path, access.columns, keep, access.bounds, literals
-        )
+        bounds = access.sargs if access.whole else ()
+        matches = self._candidates(table, path, access.columns, keep, bounds, literals)
         if dml.update:
             columns, maker = access.sets
             new_values = maker(literals, context)

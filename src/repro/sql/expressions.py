@@ -878,3 +878,19 @@ def split_conjuncts(expr: ast.Expression | None) -> list[ast.Expression]:
     if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
         return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
+
+
+#: Each comparison with its operands swapped: ``5 < k`` is ``k > 5``.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+
+
+def column_vs_literal(expr: ast.Expression) -> tuple[ast.ColumnRef, str, Any] | None:
+    """``expr`` as ``(column, op, value)`` when it compares a column with a
+    literal, written in either order, else ``None``."""
+    if isinstance(expr, ast.BinaryOp) and expr.op in _FLIPPED:
+        left, right = expr.left, expr.right
+        if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
+            return left, expr.op, right.value
+        if isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
+            return right, _FLIPPED[expr.op], left.value
+    return None

@@ -15,13 +15,16 @@ predicate means — three-valued logic, typed diagnostics — stays with the
 evaluator.  A literal the evaluator would not compare with the column
 (NULL, or a string against a number) therefore never reaches an index.
 
-The same rule bounds an UPDATE's or DELETE's table scan (:func:`bounds`):
-when *every* conjunct of its WHERE is such a ``column OP literal``, the
-filter cannot raise on a stored row, and a row it keeps has each column's
-value inside the interval the conjuncts on that column leave
-(:func:`settle_bounds`).  The scan then skips evaluating a page that holds no
-such value (:meth:`repro.engine.table.Table.scan`); it still fetches and
-charges it.
+A WHERE is read once per shape, into its :class:`Sarg` list
+(:func:`sargs`): each conjunct ``column OP literal`` of that kind, with the
+index that could answer it, and whether the list is the whole WHERE.  Two
+settles read the list with a statement's literals.  :func:`settle_path`
+takes the first indexed sarg worth taking.  :func:`settle_bounds` bounds an
+UPDATE's or DELETE's table scan when the list is the whole WHERE: the
+filter then cannot raise on a stored row, and a row it keeps has each
+column's value inside the interval the sargs on that column leave.  The
+scan skips evaluating a page that holds no such value
+(:meth:`repro.engine.table.Table.scan`); it still fetches and charges it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence, cast
 
 from ..errors import SqlAnalysisError
 from . import ast_nodes as ast
-from .expressions import Slot, check_comparable, no_slot, split_conjuncts
+from .expressions import (
+    Slot, check_comparable, column_vs_literal, no_slot, split_conjuncts,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.index import Index
@@ -42,9 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Ranges matching more than this fraction of the table fall back to a scan.
 INDEX_SELECTIVITY_THRESHOLD = 0.05
 
-#: Per range operator, the side of an interval ``[low, low_inclusive, high,
-#: high_inclusive]`` it bounds (0: low, 2: high) and whether inclusively.
-_RANGE_OPS = {"<": (2, False), "<=": (2, True), ">": (0, False), ">=": (0, True)}
+#: Per range operator, the side of an interval ``(low, high, include_low,
+#: include_high)`` it bounds (0: low, 1: high; its flag is two further on)
+#: and whether inclusively.
+_RANGE_OPS = {"<": (1, False), "<=": (1, True), ">": (0, False), ">=": (0, True)}
 
 
 @dataclass
@@ -55,26 +61,19 @@ class AccessPath:
     row_ids: Iterable["RowId"] | None  # None means full scan
 
 
-class Probe(NamedTuple):
-    """A sargable conjunct on an indexed column: ``column OP literal``.
+class Sarg(NamedTuple):
+    """A conjunct ``column OP literal`` of a WHERE whose literal the
+    evaluator compares with the column's values: ``at`` is the column's
+    position in the table, ``index`` the index that can answer ``op`` on it
+    (``None``: none can).
 
-    Which conjuncts are probes is a fact of the statement's shape and the
+    Which conjuncts are sargs is a fact of the statement's shape and the
     table's index list; the literal is the statement's own — ``slot`` says
     which one, ``value`` is it when the statement has no template.
     """
 
-    index: "Index"
-    op: str
-    value: Any
-    slot: int | None
-
-
-class Bound(NamedTuple):
-    """A conjunct ``column OP literal`` of a WHERE that bounds a scan:
-    ``at`` is the column's position in the rows the scan decodes, ``slot``
-    and ``value`` name the literal as a :class:`Probe`'s do."""
-
     at: int
+    index: "Index | None"
     op: str
     value: Any
     slot: int | None
@@ -84,124 +83,95 @@ def choose_path(
     table: "RowSource", alias: str, where: ast.Expression | None
 ) -> AccessPath:
     """Pick index lookup, index range scan, or full scan."""
-    return settle_path(probes(table, alias, where), ())
+    return settle_path(sargs(table, alias, where, no_slot)[0], ())
 
 
-def probes(
-    table: "RowSource", alias: str, where: ast.Expression | None,
-    slot: Slot = no_slot,
-) -> list[Probe]:
-    """The conjuncts of ``where`` an index of ``table`` could answer, in the
-    order written."""
+def sargs(
+    table: "RowSource", alias: str, where: ast.Expression | None, slot: Slot
+) -> tuple[list[Sarg], bool]:
+    """The sargs of ``where`` on ``table``, in the order written, and
+    whether every conjunct is one."""
+    conjuncts = split_conjuncts(where)
     found = []
-    for conjunct in split_conjuncts(where):
-        simple = _column_vs_literal(conjunct, table, alias)
-        if simple is None:
+    for conjunct in conjuncts:
+        compared = column_vs_literal(conjunct)
+        if compared is None or not _sargable(table, alias, *compared):
             continue
-        column, op, value = simple
-        index = table.index_on(column)
-        if index is not None and (op == "=" or index.supports_range):
-            found.append(Probe(index, op, value, slot(value)))
-    return found
-
-
-def bounds(
-    table: "RowSource", where: ast.Expression | None, columns: Sequence[int],
-    slot: Slot,
-) -> list[Bound]:
-    """The conjuncts of ``where``, each a :class:`Bound` over rows of the
-    ``columns`` (ascending positions, each column ``where`` reads among
-    them) — or none at all, unless every conjunct is one."""
-    found = []
-    for conjunct in split_conjuncts(where):
-        simple = _column_vs_literal(conjunct, table, table.name)
-        if simple is None:
-            return []
-        column, op, value = simple
-        at = columns.index(table.schema.column_index(column))
-        found.append(Bound(at, op, value, slot(value)))
-    return found
+        column, op, value = compared
+        index = table.index_on(column.name)
+        if index is not None and op != "=" and not index.supports_range:
+            index = None
+        at = table.schema.column_index(column.name)
+        found.append(Sarg(at, index, op, value, slot(value)))
+    return found, len(found) == len(conjuncts)
 
 
 def settle_bounds(
-    found: Sequence[Bound], values: Sequence[Any]
+    found: Sequence[Sarg], values: Sequence[Any]
 ) -> list["PageBound"]:
-    """Per column of ``found``, the interval its conjuncts leave for a
-    statement with these literals, as a scan takes it
+    """Per column of ``found``, the interval its sargs leave for a statement
+    with these literals, as a scan takes it
     (:data:`repro.engine.table.PageBound`).
 
-    Each side is the tightest of its conjuncts' (equality is both sides).
-    A NaN literal, which no value satisfies, takes its side for good and
+    Each side is the tightest of its sargs' (equality is both sides).  A NaN
+    literal, which no value satisfies, takes its side for good and
     exclusively: no value is inside an interval with a NaN end.
     """
-    spans: dict[int, list[Any]] = {}
-    for at, op, value, slot in found:
+    intervals: dict[int, list[Any]] = {}
+    for at, _index, op, value, slot in found:
         if slot is not None:
             value = values[slot]
-        span = spans.setdefault(at, [None, True, None, True])
-        sides = ((0, True), (2, True)) if op == "=" else (_RANGE_OPS[op],)
+        interval = intervals.setdefault(at, [None, None, True, True])
+        sides = ((0, True), (1, True)) if op == "=" else (_RANGE_OPS[op],)
         for side, inclusive in sides:
-            current = span[side]
+            current = interval[side]
             if current is None or value != value or (
                 value > current if side == 0 else value < current
             ):
-                span[side : side + 2] = value, inclusive and value == value
+                interval[side] = value
+                interval[side + 2] = inclusive and value == value
             elif value == current:
-                span[side + 1] = span[side + 1] and inclusive
-    return [cast("PageBound", (at, *span)) for at, span in spans.items()]
+                interval[side + 2] = interval[side + 2] and inclusive
+    return [cast("PageBound", (at, *interval)) for at, interval in intervals.items()]
 
 
-def settle_path(found: Sequence[Probe], values: Sequence[Any]) -> AccessPath:
-    """The first probe worth taking, for a statement with these literals."""
-    for index, op, value, slot in found:
+def settle_path(found: Sequence[Sarg], values: Sequence[Any]) -> AccessPath:
+    """The first indexed sarg worth taking, for a statement with these
+    literals."""
+    for _at, index, op, value, slot in found:
+        if index is None:
+            continue
         if slot is not None:
             value = values[slot]
         if op == "=":
             return AccessPath(f"index({index.name})", index.lookup(value))
         side, inclusive = _RANGE_OPS[op]
         # One-sided: the open side is None, and its flag is not read.
-        span = (
+        interval = (
             (value, None, inclusive, True)
             if side == 0
             else (None, value, True, inclusive)
         )
         total = max(1, index.num_entries)  # one entry per row of the table
-        if index.estimate_range(*span) / total <= INDEX_SELECTIVITY_THRESHOLD:
-            return AccessPath(f"index-range({index.name})", index.range_scan(*span))
+        if index.estimate_range(*interval) / total <= INDEX_SELECTIVITY_THRESHOLD:
+            return AccessPath(f"index-range({index.name})", index.range_scan(*interval))
     return AccessPath("scan", None)
 
 
-def _column_vs_literal(
-    expr: ast.Expression, table: "RowSource", alias: str
-) -> tuple[str, str, Any] | None:
-    """Match ``column OP literal`` (either operand order) on this table.
-
-    Only a literal an index can be probed with matches: not NULL (the
-    comparison is UNKNOWN for every row) and comparable with the column's
-    values by the evaluator's own rule.
-    """
-    if not isinstance(expr, ast.BinaryOp):
-        return None
-    if expr.op not in ("=", "<", "<=", ">", ">="):
-        return None
-    flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-    candidates = [
-        (expr.left, expr.op, expr.right),
-        (expr.right, flip[expr.op], expr.left),
-    ]
-    for column_side, op, value_side in candidates:
-        if not isinstance(column_side, ast.ColumnRef):
-            continue
-        if column_side.table not in (None, alias, table.name):
-            continue
-        if not isinstance(value_side, ast.Literal) or value_side.value is None:
-            continue
-        if not table.schema.has_column(column_side.name):
-            continue
-        stored = table.schema.column(column_side.name).datatype
-        try:
-            check_comparable("" if stored.is_text else 0, value_side.value, op)
-        except SqlAnalysisError:
-            continue
-        return column_side.name, op, value_side.value
-    return None
+def _sargable(
+    table: "RowSource", alias: str, column: ast.ColumnRef, op: str, value: Any
+) -> bool:
+    """Whether an index of ``table`` could be probed for ``column OP value``:
+    the column is the table's, and the value is one the evaluator compares
+    with the column's values (not NULL, which is UNKNOWN for every row;
+    not a string against a number), by the evaluator's own rule."""
+    if column.table not in (None, alias, table.name) or value is None:
+        return False
+    if not table.schema.has_column(column.name):
+        return False
+    stored = table.schema.column(column.name).datatype
+    try:
+        check_comparable("" if stored.is_text else 0, value, op)
+    except SqlAnalysisError:
+        return False
+    return True

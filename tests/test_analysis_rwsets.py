@@ -21,7 +21,7 @@ def rng(text):
 
 class TestInterval:
     def test_point_contains(self):
-        p = Interval.point(5)
+        p = Interval(5, 5)
         assert p.is_point
         assert p.contains(5)
         assert not p.contains(4)

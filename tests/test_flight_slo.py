@@ -104,7 +104,7 @@ class TestEngineTransitions:
         assert findings[0].severity == "error"
         assert findings[0].at_ms == 400.0
         assert findings[0].entity == "v"
-        assert engine.firing == [slo.key]
+        assert engine._firing == {slo.key: True}
 
     def test_short_blip_does_not_fire(self):
         # One bad sample among many good in both windows: long-window
@@ -112,7 +112,7 @@ class TestEngineTransitions:
         points = [(i * 50.0, 50.0) for i in range(8)] + [(400.0, 500.0)]
         engine, slo = self.engine(points, budget=0.5)
         assert engine.evaluate(400.0) == []
-        assert slo.key not in engine.firing
+        assert not engine._firing[slo.key]
 
     def test_steady_firing_state_stays_quiet(self):
         points = [(i * 50.0, 500.0) for i in range(9)]
@@ -133,7 +133,7 @@ class TestEngineTransitions:
         findings = engine.evaluate(550.0)
         assert [f.code for f in findings] == ["SLO002"]
         assert findings[0].severity == "info"
-        assert slo.key not in engine.firing
+        assert not engine._firing[slo.key]
 
     def test_latency_objective_uses_003_004(self):
         slo = LatencySLO(
@@ -165,7 +165,7 @@ class TestEngineTransitions:
         # must not read as recovery.
         engine.store = TimeSeriesStore()
         assert engine.evaluate(500.0) == []
-        assert slo.key in engine.firing
+        assert engine._firing[slo.key]
 
     def test_finding_render_and_dict(self):
         points = [(i * 50.0, 500.0) for i in range(9)]

@@ -1790,6 +1790,22 @@ class TestRepro022ReachedByAProgram:
         root = self.repo(tmp_path, example)
         assert lint_rules.reach_violations(root, exemptions={}) == []
 
+    def test_only_a_string_a_program_resolves_counts(self, tmp_path):
+        # A message or an event named like a function reaches nothing ...
+        named = "from repro.mod import used\nused()\nlog('only_tested', 'size')\n"
+        root = self.repo(tmp_path / "named", named)
+        violations = lint_rules.reach_violations(root, exemptions={})
+        assert self.flagged(violations) == ["repro.mod.only_tested", "repro.mod.Thing.size"]
+        # ... the name getattr( resolves, or a report pass's runner=, does.
+        resolved = (
+            "from repro import mod\n"
+            "mod.used()\n"
+            "PASSES = (ReportPass(flag='--x', runner='only_tested'),)\n"
+            "print(getattr(mod.Thing(), 'size', None))\n"
+        )
+        root = self.repo(tmp_path / "resolved", resolved)
+        assert lint_rules.reach_violations(root, exemptions={}) == []
+
     def test_a_stale_exemption_is_flagged(self, tmp_path):
         root = self.repo(tmp_path, "from repro.mod import Thing, used\nused()\n")
         exemptions = {

@@ -1,10 +1,10 @@
 """Property: a scan bounded by its WHERE's page bounds is the unbounded scan.
 
 An UPDATE or DELETE whose WHERE is made only of ``column OP literal``
-conjuncts the evaluator compares without error carries page bounds
-(``repro.sql.planner.bounds``), and its scan does not run the filter over a
-page whose sorted column values (``Page.column_values``) hold none inside
-them.  Here every statement runs on two databases built alike, one with the
+conjuncts the evaluator compares without error carries page bounds (its
+``repro.sql.planner.sargs`` are the whole WHERE), and its scan does not run
+the filter over a page whose sorted column values (``Page.column_values``)
+hold none inside them.  Here every statement runs on two databases built alike, one with the
 bounds and one with them taken away, through the text door or from its
 values (``Session.execute_prepared``, which is also how literals no SQL
 text writes — negatives, -0.0, NaN, infinities — reach a statement).  Both
@@ -40,7 +40,7 @@ from repro.engine.types import FLOAT, INTEGER, char
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import executor as executor_module
 from repro.sql.parser import parse
-from repro.sql.planner import Bound, settle_bounds
+from repro.sql.planner import Sarg, settle_bounds
 from repro.workloads.records import PartsGenerator, parts_schema
 
 _INTS = st.integers(-4, 4)
@@ -310,20 +310,20 @@ def test_a_range_of_ten_rows_runs_its_filter_on_two_pages():
 
 def test_settled_bounds_keep_the_tightest_side():
     found = [
-        Bound(0, ">=", 3, None), Bound(0, ">", 3.0, None),  # a tie: exclusive
-        Bound(0, "<=", 9, None), Bound(0, "<", 7, 1),  # the literal's slot
-        Bound(2, "=", "ab", None), Bound(2, ">=", "ab", None),
-        Bound(3, ">", 5, None), Bound(3, "<", 2, None),  # empty
+        Sarg(0, None, ">=", 3, None), Sarg(0, None, ">", 3.0, None),  # a tie: exclusive
+        Sarg(0, None, "<=", 9, None), Sarg(0, None, "<", 7, 1),  # the literal's slot
+        Sarg(2, None, "=", "ab", None), Sarg(2, None, ">=", "ab", None),
+        Sarg(3, None, ">", 5, None), Sarg(3, None, "<", 2, None),  # empty
     ]
     assert settle_bounds(found, ("-", 7)) == [
-        (0, 3, False, 7, False), (2, "ab", True, "ab", True), (3, 5, False, 2, False),
+        (0, 3, 7, False, False), (2, "ab", "ab", True, True), (3, 5, 2, False, False),
     ]
 
 
 def test_a_nan_literal_leaves_no_value_inside():
     for op in ("=", "<", "<=", ">", ">="):
         bounds = settle_bounds(
-            [Bound(0, "<=", 2.0, None), Bound(0, op, math.nan, None)], ()
+            [Sarg(0, None, "<=", 2.0, None), Sarg(0, None, op, math.nan, None)], ()
         )
         assert _excluded(_Listed([-1.0, 0.0, 2.0]), None, bounds), op
 

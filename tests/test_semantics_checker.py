@@ -240,7 +240,8 @@ class TestCheckResult:
         )
         assert not result.ok
         assert {d.code for d in result.errors} == {TYPE_MISMATCH}
-        assert {d.code for d in result.warnings} == {IMPLICIT_COERCION}
+        warnings = {d.code for d in result.diagnostics if d.severity is Severity.WARNING}
+        assert warnings == {IMPLICIT_COERCION}
 
     def test_diagnostic_render_and_dict(self):
         (diag,) = CHECKER.check_sql("DELETE FROM partz").diagnostics

@@ -131,9 +131,10 @@ class TestEnterprise:
 
     def test_cross_system_transfer_conserves_quantity(self):
         enterprise = self.make_enterprise()
-        before = enterprise.total_quantity([0, 1_000])
-        enterprise.transfer_quantity(0, 1_000, 7)
-        assert enterprise.total_quantity([0, 1_000]) == before
+        before = [enterprise.total_quantity([part]) for part in (0, 1_000)]
+        enterprise.interleaved_transfers(0, 1_000, 7, 0)  # 7 across, none back
+        after = [enterprise.total_quantity([part]) for part in (0, 1_000)]
+        assert after == [before[0] - 7, before[1] + 7]
 
     def test_interleaved_transfers_conserve_but_interleave(self):
         enterprise = self.make_enterprise()

@@ -47,12 +47,10 @@ class TestCapture:
     def test_integration_layer_calls_captured(self, enterprise):
         capture = MiddlewareCapture()
         capture.tap_enterprise(enterprise)
-        enterprise.transfer_quantity(0, 1_000, 5)
+        enterprise.interleaved_transfers(0, 1_000, 5, 3)
         deltas = capture.drain()
-        assert len(deltas) == 1
-        assert deltas[0].level == "integration-layer"
-        assert deltas[0].system is None
-        assert deltas[0].arguments == (0, 1_000, 5)
+        assert [(d.level, d.system) for d in deltas] == [("integration-layer", None)] * 2
+        assert [d.arguments for d in deltas] == [(0, 1_000, 5), (1_000, 0, 3)]
 
     def test_interleaved_transfers_captured_as_two_calls(self, enterprise):
         capture = MiddlewareCapture()
@@ -186,13 +184,14 @@ class TestMapperAndApplier:
         )
         capture = MiddlewareCapture()
         capture.tap_enterprise(enterprise)
-        enterprise.transfer_quantity(0, 1_000, 7)
+        enterprise.interleaved_transfers(0, 1_000, 7, 2)
         applier = MethodDeltaApplier(
             warehouse.database.internal_session(), mapper
         )
         applier.apply(capture.drain())
-        # One captured global txn -> ONE warehouse txn: the boundary that
-        # no per-system extraction method could reconstruct (§2.1).
+        # One captured global txn -> ONE warehouse txn each: the boundary
+        # that no per-system extraction method could reconstruct (§2.1).
+        assert applier.calls_applied == 2
         session = warehouse.database.internal_session()
         quantities = dict(
             session.query("SELECT part_id, quantity FROM parts "

@@ -569,6 +569,18 @@ class TestKeyAddressedColumnarApply:
             assert table.lookup("part_id", 9) == []
             assert table.num_rows == self.ROWS - 1
 
+    def test_an_unindexed_sarg_ahead_of_the_key_still_probes(self, keyed):
+        database, view, integrator = keyed
+        report, scanned, probes = self.apply_component(
+            database,
+            integrator,
+            "UPDATE parts SET status = 'hit' WHERE part_ref >= 0 AND part_id = 7",
+        )
+        assert (scanned, probes) == (0, 2)  # one key probe per table
+        assert report.rows_affected == 1
+        for table in (database.table("parts"), view.table):
+            assert self.row(table, 7)[4] == "hit"
+
     def test_range_images_each_table_once_and_serves_what_follows(self, keyed):
         database, view, integrator = keyed
         quantity = self.row(database.table("parts"), 7)[5]

@@ -287,11 +287,13 @@ it; a function only a test calls is surface every refactor carries and no
 result depends on.  So every public function, method and property of
 ``src/repro`` must be named by a *program*: the package itself, ``examples/``
 or ``benchmarks/``.  A module names an identifier through a ``Name``, an
-``Attribute``, an import alias or an identifier-shaped string; docstrings,
-``__all__`` lists, the import re-exports of an ``__init__.py`` and a
-function's references to itself do not count.  The exceptions are listed with their
-reasons in ``REACH_EXEMPTIONS``; an exemption whose name has since gained a
-caller, or no longer exists, is flagged as stale.  The rule is whole-tree:
+``Attribute``, an import alias, or a string a program resolves as a name:
+the name ``getattr(`` is given, or a ``ReportPass``'s ``runner=``.  Any other
+string (a docstring, a message, an event name), ``__all__`` lists, the
+import re-exports of an ``__init__.py`` and a function's references to
+itself do not count.  The exceptions are listed with their reasons in
+``REACH_EXEMPTIONS``; an exemption whose name has since gained a caller, or
+no longer exists, is flagged as stale.  The rule is whole-tree:
 it runs when the linted path is a ``src/repro`` package, against the
 repository around it.
 
@@ -1416,21 +1418,23 @@ def _replay_judge_violations(path: Path, tree: ast.AST, normalized: str) -> list
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _docstrings(tree: ast.AST) -> set[int]:
-    """``id``s of the docstring constants in ``tree``."""
-    return {
-        id(node.body[0].value)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Module, ast.ClassDef, *_DEFINITIONS))
-        and node.body
-        and isinstance(node.body[0], ast.Expr)
-        and isinstance(node.body[0].value, ast.Constant)
-    }
+def _resolved_string(call: ast.Call) -> str:
+    """REPRO022: the name a call resolves from a string literal —
+    ``getattr(obj, "name")``'s, or ``ReportPass(runner="name")``'s — else
+    the empty string."""
+    callee = dotted_name(call.func)
+    argument: ast.expr | None = None
+    if callee == "getattr" and len(call.args) > 1:
+        argument = call.args[1]
+    elif callee == "ReportPass":
+        argument = next((k.value for k in call.keywords if k.arg == "runner"), None)
+    if isinstance(argument, ast.Constant) and isinstance(argument.value, str):
+        return argument.value
+    return ""
 
 
 def _referenced_names(tree: ast.Module, package_init: bool) -> set[str]:
     """REPRO022: the identifiers a module names (see the rule's docstring)."""
-    docstrings = _docstrings(tree)
     found: set[str] = set()
 
     def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
@@ -1442,12 +1446,8 @@ def _referenced_names(tree: ast.Module, package_init: bool) -> set[str]:
             name = node.attr
         elif isinstance(node, ast.alias):
             name = node.name.rpartition(".")[2]
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
-        ):
-            name = node.value
+        elif isinstance(node, ast.Call):
+            name = _resolved_string(node)
         else:
             name = ""
         if name.isidentifier() and name not in enclosing:
