@@ -111,9 +111,7 @@ class Database:
             auto_timestamp=auto_timestamp, metrics=self._scoped_metrics,
         )
         if schema.primary_key is not None:
-            table.create_index(
-                f"pk_{schema.name}", schema.primary_key, unique=True, kind="btree"
-            )
+            table.create_index(f"pk_{schema.name}", schema.primary_key, unique=True)
         self._tables[schema.name] = table
         return table
 

@@ -53,7 +53,7 @@ from ..scope import Scope
 from .buffer import BufferPool
 from .costs import CostModel
 from .heap import HeapFile
-from .index import BTreeIndex, HashIndex, Index, span
+from .index import BTreeIndex, span
 from .page import Page
 from .rows import PageDecoder, RowId, decode_row
 from .schema import TableSchema
@@ -132,7 +132,7 @@ class Table:
         self._metrics = metrics
         self._m_rows_scanned = metrics.counter("engine.table.rows_scanned")
         self._heap = HeapFile(buffer_pool, schema.record_size)
-        self._indexes: dict[str, Index] = {}
+        self._indexes: dict[str, BTreeIndex] = {}
         #: Stands for the current index list (and its index objects): what
         #: a statement's shape decided about reading this table is filed
         #: under it, and CREATE INDEX and TRUNCATE replace it.
@@ -159,21 +159,18 @@ class Table:
     # ----------------------------------------------------------------- indexes
     def create_index(
         self, name: str, column: str, unique: bool = False, kind: str = "btree"
-    ) -> Index:
-        """Create an index and build it from the existing rows."""
+    ) -> BTreeIndex:
+        """Create an index and build it from the existing rows.
+
+        The B-tree is the one index kind.  ``kind`` names it and nothing
+        else: the host benchmark's scenarios pass ``kind="btree"``, so the
+        parameter stays until they stop; any other value is refused."""
         if name in self._indexes:
             raise CatalogError(f"index {name!r} already exists on {self.name!r}")
-        position = self.schema.column_index(column)  # raises on unknown column
-        if kind == "btree":
-            index: Index = BTreeIndex(
-                name, column, self._clock, self._costs, unique, self._metrics
-            )
-        elif kind == "hash":
-            index = HashIndex(
-                name, column, self._clock, self._costs, unique, self._metrics
-            )
-        else:
+        if kind != "btree":
             raise CatalogError(f"unknown index kind {kind!r}")
+        position = self.schema.column_index(column)  # raises on unknown column
+        index = BTreeIndex(name, column, self._clock, self._costs, unique, self._metrics)
         keys_of = self.schema.codec.page_decoder((position,))
         for page_no, slots, records in self._heap.pages():
             for slot_no, (key,) in zip(slots, keys_of(records)):
@@ -183,13 +180,13 @@ class Table:
         self.version = Scope()
         return index
 
-    def index(self, name: str) -> Index:
+    def index(self, name: str) -> BTreeIndex:
         try:
             return self._indexes[name]
         except KeyError:
             raise CatalogError(f"index {name!r} does not exist on {self.name!r}") from None
 
-    def index_on(self, column: str) -> Index | None:
+    def index_on(self, column: str) -> BTreeIndex | None:
         """The first index over ``column``, if any (planner hook)."""
         for index in self._indexes.values():
             if index.column == column:
@@ -505,7 +502,11 @@ class Table:
             yield page_no, slots, rows, kept
 
     def lookup(self, column: str, key: Any) -> list[tuple[RowId, tuple[Any, ...]]]:
-        """Equality lookup through an index on ``column`` (must exist)."""
+        """Equality lookup through an index on ``column`` (must exist).
+
+        No program reads a table this way — they ask the access-path
+        chooser — but the host benchmark's ``engine.index.lookup_ns`` probe
+        times this call."""
         index = self.index_on(column)
         if index is None:
             raise CatalogError(f"no index on {self.name}.{column}")
@@ -537,7 +538,7 @@ class Table:
         """Remove all rows (minimal logging, like the real utility)."""
         removed = self._heap.truncate()
         for name, index in list(self._indexes.items()):
-            rebuilt = type(index)(
+            rebuilt = BTreeIndex(
                 index.name, index.column, self._clock, self._costs,
                 index.unique, self._metrics,
             )

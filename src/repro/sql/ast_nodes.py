@@ -366,12 +366,10 @@ class CreateIndexStmt(Statement):
     table: str
     column: str
     unique: bool = False
-    kind: str = "btree"
 
     def to_sql(self) -> str:
         unique = "UNIQUE " if self.unique else ""
-        using = f" USING {self.kind.upper()}" if self.kind != "btree" else ""
-        return f"CREATE {unique}INDEX {self.name} ON {self.table} ({self.column}){using}"
+        return f"CREATE {unique}INDEX {self.name} ON {self.table} ({self.column})"
 
 
 @dataclass(frozen=True)

@@ -670,5 +670,5 @@ class Executor:
 
     def _create_index(self, db: Database, stmt: ast.CreateIndexStmt) -> Result:
         table = db.table(stmt.table)
-        table.create_index(stmt.name, stmt.column, unique=stmt.unique, kind=stmt.kind)
+        table.create_index(stmt.name, stmt.column, unique=stmt.unique)
         return Result(plan="create-index")

@@ -428,11 +428,7 @@ class _Parser:
         self._expect(TokenKind.SYMBOL, "(")
         column = self._identifier()
         self._expect(TokenKind.SYMBOL, ")")
-        kind = "btree"
-        if self._accept(TokenKind.KEYWORD, "USING"):
-            kind_token = self._advance()
-            kind = kind_token.text.lower()
-        return ast.CreateIndexStmt(name, table, column, unique, kind)
+        return ast.CreateIndexStmt(name, table, column, unique)
 
     def _create_table_body(self) -> ast.CreateTableStmt:
         table = self._identifier()

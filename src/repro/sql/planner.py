@@ -39,7 +39,7 @@ from .expressions import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.index import Index
+    from ..engine.index import BTreeIndex
     from ..engine.rows import RowId
     from ..engine.table import PageBound
     from .source import RowSource
@@ -64,8 +64,8 @@ class AccessPath:
 class Sarg(NamedTuple):
     """A conjunct ``column OP literal`` of a WHERE whose literal the
     evaluator compares with the column's values: ``at`` is the column's
-    position in the table, ``index`` the index that can answer ``op`` on it
-    (``None``: none can).
+    position in the table, ``index`` the index on it (``None``: there is
+    none).
 
     Which conjuncts are sargs is a fact of the statement's shape and the
     table's index list; the literal is the statement's own — ``slot`` says
@@ -73,7 +73,7 @@ class Sarg(NamedTuple):
     """
 
     at: int
-    index: "Index | None"
+    index: "BTreeIndex | None"
     op: str
     value: Any
     slot: int | None
@@ -98,11 +98,8 @@ def sargs(
         if compared is None or not _sargable(table, alias, *compared):
             continue
         column, op, value = compared
-        index = table.index_on(column.name)
-        if index is not None and op != "=" and not index.supports_range:
-            index = None
         at = table.schema.column_index(column.name)
-        found.append(Sarg(at, index, op, value, slot(value)))
+        found.append(Sarg(at, table.index_on(column.name), op, value, slot(value)))
     return found, len(found) == len(conjuncts)
 
 
@@ -114,8 +111,8 @@ def settle_bounds(
     (:data:`repro.engine.table.PageBound`).
 
     Each side is the tightest of its sargs' (equality is both sides).  A NaN
-    literal, which no value satisfies, takes its side for good and
-    exclusively: no value is inside an interval with a NaN end.
+    literal, which no value satisfies, takes its side for good: no value is
+    inside an interval with a NaN end (:func:`repro.engine.index.span`).
     """
     intervals: dict[int, list[Any]] = {}
     for at, _index, op, value, slot in found:
@@ -129,7 +126,7 @@ def settle_bounds(
                 value > current if side == 0 else value < current
             ):
                 interval[side] = value
-                interval[side + 2] = inclusive and value == value
+                interval[side + 2] = inclusive
             elif value == current:
                 interval[side + 2] = interval[side + 2] and inclusive
     return [cast("PageBound", (at, *interval)) for at, interval in intervals.items()]

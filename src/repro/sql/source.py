@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..clock import VirtualClock
     from ..engine.costs import CostModel
-    from ..engine.index import Index
+    from ..engine.index import BTreeIndex
     from ..engine.schema import TableSchema
     from ..engine.table import PageFilter
 
@@ -60,7 +60,7 @@ class RowSource(Protocol):
     def read(self, row_id: Any, columns: Sequence[int]) -> tuple[Any, ...]:
         """One row's values at the ascending ``columns`` positions."""
 
-    def index_on(self, column: str) -> Index | None:
+    def index_on(self, column: str) -> BTreeIndex | None:
         """An index over ``column``, or ``None``: the chooser then scans."""
 
 

@@ -29,6 +29,7 @@ from typing import Any, Iterable
 from ..core.opdelta import OpDelta, OpKind, derive_row_images
 from ..core.selfmaint import Maintainability, ViewDefinition, replay_kind
 from ..engine.database import Database
+from ..engine.rows import RowId
 from ..engine.schema import Column, TableSchema
 from ..engine.table import InsertMode, Table
 from ..engine.transactions import Transaction
@@ -36,6 +37,7 @@ from ..errors import WarehouseError
 from ..sql import ast_nodes as ast
 from ..sql.executor import Executor
 from ..sql.expressions import NO_SESSION, RowBinding, compile_predicate
+from ..sql.planner import choose_path
 from ..sql.templates import reshaped
 
 
@@ -296,10 +298,11 @@ class MaterializedView:
         join = self.definition.join
         assert join is not None
         dim = self._db.table(join.table)
-        index = dim.index_on(join.right_column)
-        if index is not None:
-            matches = index.lookup(key)
-            return dim.read(matches[0]) if matches else None
+        row_ids = _keyed(dim, join.right_column, key)
+        if row_ids is not None:
+            for row_id in row_ids:
+                return dim.read(row_id)
+            return None
         position = dim.schema.column_index(join.right_column)
         for _rid, values in dim.scan():
             if values[position] == key:
@@ -323,11 +326,21 @@ class MaterializedView:
             )
         key_value = base_row[self.base_schema.column_index(self._key)]
         # A projected key is the storage table's primary key (__init__), so
-        # the table has had its unique B-tree since it was created.
-        index = self.table.index_on(self._key)
-        assert index is not None
-        matches = index.lookup(key_value)
-        if not matches:
-            return False
-        self.table.delete(txn, matches[0])
-        return True
+        # the chooser finds its rows through the table's unique B-tree.
+        row_ids = _keyed(self.table, self._key, key_value)
+        assert row_ids is not None
+        for row_id in row_ids:
+            self.table.delete(txn, row_id)
+            return True
+        return False
+
+
+def _keyed(table: Table, column: str, key: Any) -> Iterable[RowId] | None:
+    """The rows of ``table`` whose ``column`` is ``key``, as the access-path
+    chooser reads them: their RowIds through an index, ``None`` when it
+    scans.  A NULL key equals no value, so it names no row and probes
+    nothing."""
+    if key is None:
+        return ()
+    where = ast.BinaryOp("=", ast.ColumnRef(column), ast.Literal(key))
+    return choose_path(table, table.name, where).row_ids

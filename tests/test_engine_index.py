@@ -1,19 +1,17 @@
-"""Tests for hash and B-tree indexes."""
+"""Tests for the B-tree index, the engine's one index kind."""
 
 import pytest
 
 from repro.clock import VirtualClock
 from repro.engine.costs import DEFAULT_COST_MODEL
-from repro.engine.index import BTreeIndex, HashIndex
+from repro.engine.index import BTreeIndex
 from repro.engine.rows import RowId
 from repro.errors import ConstraintError, StorageError
 
 
-@pytest.fixture(params=["hash", "btree"])
+@pytest.fixture(params=["btree"])
 def index(request):
-    clock = VirtualClock()
-    cls = HashIndex if request.param == "hash" else BTreeIndex
-    return cls("ix", "col", clock, DEFAULT_COST_MODEL)
+    return BTreeIndex("ix", "col", VirtualClock(), DEFAULT_COST_MODEL)
 
 
 class TestCommonBehaviour:
@@ -81,7 +79,7 @@ class TestNullKeys:
         assert btree.estimate_range(2, None) == 2
         assert list(btree.range_scan(None, 4)) == [RowId(0, 2), RowId(0, 0)]
 
-    @pytest.mark.parametrize("cls", [HashIndex, BTreeIndex])
+    @pytest.mark.parametrize("cls", [BTreeIndex])
     def test_nulls_do_not_collide_in_a_unique_index(self, cls):
         unique = cls("ix", "col", VirtualClock(), DEFAULT_COST_MODEL, unique=True)
         unique.insert(None, RowId(0, 0))
@@ -102,14 +100,14 @@ class TestNullKeys:
 
 
 class TestUniqueIndexes:
-    @pytest.mark.parametrize("cls", [HashIndex, BTreeIndex])
+    @pytest.mark.parametrize("cls", [BTreeIndex])
     def test_unique_violation(self, cls):
         index = cls("u", "col", VirtualClock(), DEFAULT_COST_MODEL, unique=True)
         index.insert(5, RowId(0, 0))
         with pytest.raises(ConstraintError):
             index.insert(5, RowId(0, 1))
 
-    @pytest.mark.parametrize("cls", [HashIndex, BTreeIndex])
+    @pytest.mark.parametrize("cls", [BTreeIndex])
     def test_reinsert_after_delete(self, cls):
         index = cls("u", "col", VirtualClock(), DEFAULT_COST_MODEL, unique=True)
         index.insert(5, RowId(0, 0))
@@ -143,22 +141,6 @@ class TestBTreeRange:
         assert btree.estimate_range(3, 6) == 4
         assert btree.estimate_range(None, None) == 10
         assert btree.estimate_range(100, None) == 0
-
-    def test_hash_has_no_range_support(self):
-        index = HashIndex("h", "col", VirtualClock(), DEFAULT_COST_MODEL)
-        assert not index.supports_range
-        with pytest.raises(StorageError):
-            list(index.range_scan(1, 2))
-
-    def test_hash_refuses_the_estimate_as_it_refuses_the_scan(self):
-        # Both are declared on ``Index`` (the planner calls them on whatever
-        # ``index_on`` returned); only the B-tree answers.
-        index = HashIndex("h", "col", VirtualClock(), DEFAULT_COST_MODEL)
-        index.insert(1, RowId(0, 0))
-        with pytest.raises(StorageError, match="'h' does not support range scans"):
-            index.estimate_range(1, 2)
-        with pytest.raises(StorageError, match="'h' does not support range scans"):
-            list(index.range_scan(1, 2))
 
     def test_duplicates_in_range(self):
         index = BTreeIndex("b", "col", VirtualClock(), DEFAULT_COST_MODEL)

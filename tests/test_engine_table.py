@@ -406,8 +406,13 @@ class TestScanAndIndexes:
         for i in range(10):
             items.insert(txn, (i, f"n{i % 3}", float(i)))
         db.commit(txn)
-        items.create_index("by_name", "name", kind="hash")
+        items.create_index("by_name", "name")
         assert len(items.lookup("name", "n0")) == 4
+
+    def test_the_b_tree_is_the_one_index_kind(self, items):
+        with pytest.raises(CatalogError, match="unknown index kind 'hash'"):
+            items.create_index("by_name", "name", kind="hash")
+        assert items.create_index("by_name", "name", kind="btree").column == "name"
 
     def test_truncate_resets_indexes(self, db, items):
         txn = db.begin()
@@ -506,10 +511,9 @@ class TestIndexMaintenanceIsAllOrNothing:
         }
         return list(table._heap.scan()), indexes, table.num_rows
 
-    @pytest.mark.parametrize("kind", ["btree", "hash"])
-    def test_a_null_key_is_indexed_like_any_other(self, kind):
+    def test_a_null_key_is_indexed_like_any_other(self):
         session = self._session()
-        session.execute(f"CREATE INDEX ib ON t (b) USING {kind}")
+        session.execute("CREATE INDEX ib ON t (b)")
         # The B-tree raised a bare TypeError from bisect here, and left the
         # row of the failed statement in the heap and in pk_t.
         session.execute("INSERT INTO t VALUES (2, NULL)")
@@ -525,20 +529,20 @@ class TestIndexMaintenanceIsAllOrNothing:
         assert index.num_entries == 2
         assert index.lookup(20) == [RowId(0, 1)] and index.lookup(10) == []
 
-    @pytest.fixture(params=["btree", "hash"])
-    def refusing(self, request, monkeypatch):
+    @pytest.fixture(params=["btree"])
+    def refusing(self, monkeypatch):
         """A table whose second index refuses the key 30."""
         session = self._session()
         table = session.database.table("t")
-        index = table.create_index("ib", "b", kind=request.param)
-        placed = index._insert
+        index = table.create_index("ib", "b")
+        placed = index.insert
 
         def refuse_thirty(key, row_id):
             if key == 30:
                 raise RuntimeError("refused")
             placed(key, row_id)
 
-        monkeypatch.setattr(index, "_insert", refuse_thirty)
+        monkeypatch.setattr(index, "insert", refuse_thirty)
         return session, table
 
     def test_a_refused_insert_leaves_no_row(self, refusing):
@@ -685,7 +689,7 @@ def _scripted_table(name, small_schema):
     """A fresh table with a unique, a secondary index and row triggers."""
     database = Database(name)
     table = database.create_table(small_schema)
-    table.create_index("by_name", "name", kind="hash")
+    table.create_index("by_name", "name")
     firings = []
     for event in TriggerEvent:
         for timing in TriggerTiming:

@@ -1001,7 +1001,7 @@ class TestRepro013OneAccessPathChooser:
 
     def test_index_probe_outside_the_chooser_flagged(self, tmp_path):
         probe = "def path(table, column):\n    return table.index_on(column)\n"
-        for home in (self.PLANNER, self.TABLE, self.VIEWS):
+        for home in (self.PLANNER, self.TABLE):
             assert lint_source(tmp_path, probe, name=home) == []
         for elsewhere in (
             "repro/sql/executor.py",
@@ -1020,10 +1020,17 @@ class TestRepro013OneAccessPathChooser:
             "    return table.index_on(column)\n"
         )
         assert self.flagged(lint_source(tmp_path, second, name=self.PLANNER)) == [4]
-        # The two view look-ups (view key, dimension key) and no third.
-        assert lint_source(tmp_path, second, name=self.VIEWS) == []
-        third = second + "def more(table):\n    return table.index_on('k')\n"
-        assert self.flagged(lint_source(tmp_path, third, name=self.VIEWS)) == [6]
+        assert self.flagged(lint_source(tmp_path, second, name=self.TABLE)) == [4]
+
+    def test_a_view_look_up_asks_the_chooser(self, tmp_path):
+        # The view-key and dimension-key look-ups read through choose_path.
+        probe = (
+            "def _dim_lookup(dim, column, key):\n"
+            "    return dim.index_on(column).lookup(key)\n"
+        )
+        violations = lint_source(tmp_path, probe, name=self.VIEWS)
+        assert self.flagged(violations) == [2]
+        assert "choose_path" in violations[0]
 
     def test_table_image_has_one_call_site(self, tmp_path):
         image = "def image(table):\n    return ColumnBatch.from_table(table)\n"
@@ -1056,13 +1063,9 @@ class TestRepro013OneAccessPathChooser:
                 probes[name] = count
             if count := len(re.findall(r"\bColumnBatch\.from_table\(", text)):
                 images[name] = count
-        # The budgets are met exactly: the chooser, Table.lookup, the view-key
-        # and dimension-key look-ups; and the applier's one table image.
-        assert probes == {
-            "engine/table.py": 1,
-            "sql/planner.py": 1,
-            "warehouse/views.py": 2,
-        }
+        # The budgets are met exactly: the chooser and Table.lookup; and the
+        # applier's one table image.
+        assert probes == {"engine/table.py": 1, "sql/planner.py": 1}
         assert images == {"columnar/apply.py": 1}
 
 

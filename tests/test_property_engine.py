@@ -37,7 +37,7 @@ _ops = st.lists(
 def apply_ops(database: Database, operations) -> dict[int, tuple]:
     """Drive the engine and a Python oracle side by side."""
     table = database.table("t")
-    table.create_index("by_v", "v", kind="hash")
+    table.create_index("by_v", "v")
     oracle: dict[int, tuple] = {}
     for kind, key, value in operations:
         txn = database.begin()

@@ -106,9 +106,7 @@ class Case:
                     st.tuples(st.just("redo_insert"), tables, picks, rows),
                     st.tuples(st.just("redo_update"), tables, picks, rows),
                     st.tuples(st.just("redo_delete"), tables, picks),
-                    st.tuples(
-                        st.just("index"), tables, st.sampled_from(["btree", "hash"])
-                    ),
+                    st.tuples(st.just("index"), tables),
                     st.tuples(st.just("truncate"), tables),
                 ),
                 min_size=12,
@@ -221,7 +219,7 @@ class Twin:
             table.truncate()
             live.clear()
         elif kind == "index" and "ix_k" not in table._indexes:
-            table.create_index("ix_k", "k", kind=rest[0])
+            table.create_index("ix_k", "k")
         return live
 
     # -------------------------------------------------------------- reads

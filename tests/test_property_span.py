@@ -9,11 +9,8 @@ open, and ends of either numeric kind.  ``span`` must name exactly the
 positions whose key satisfies both sides when compared in Python, and the
 three readers must agree with it.
 
-A NaN end satisfies no comparison, so no key lies inside it; bisection
-gives that only for an exclusive NaN side, which is the only kind
-``settle_bounds`` makes.  An inclusive NaN side is the planner's one-sided
-estimate of ``k >= NaN`` / ``k <= NaN``, pinned by its plans in
-``tests/test_sql_planner.py``.
+A NaN end satisfies no comparison, so no key lies inside it, whether the
+side is closed or open.
 """
 
 import math
@@ -42,7 +39,7 @@ def _side(draw):
     if draw(st.booleans()):
         return None, draw(st.booleans())
     if draw(st.integers(0, 9)) == 0:
-        return math.nan, False
+        return math.nan, draw(st.booleans())
     return draw(_VALUES), draw(st.booleans())
 
 

@@ -190,7 +190,7 @@ class Rig:
     def __init__(self) -> None:
         self.database = Database("twin")
         table = self.database.create_table(SCHEMA)
-        table.create_index("ix_b", "b", kind="btree")
+        table.create_index("ix_b", "b")
         self.session = self.database.internal_session()
         txn = self.database.begin()
         for values in ROWS:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.engine import Database
-from repro.errors import SqlAnalysisError
+from repro.errors import SqlAnalysisError, SqlSyntaxError
 from repro.sql.executor import Executor
 from repro.sql.parser import parse
 
@@ -481,8 +481,10 @@ class TestDdl:
         assert session.scalar("SELECT COUNT(*) FROM suppliers") == 0
 
     def test_create_index_statement(self, session):
-        session.execute("CREATE INDEX by_status ON parts (status) USING HASH")
+        session.execute("CREATE INDEX by_status ON parts (status)")
         assert session.database.table("parts").index("by_status").column == "status"
+        with pytest.raises(SqlSyntaxError, match="'USING' at position 39"):
+            session.execute("CREATE INDEX by_kind ON parts (status) USING HASH")
 
 
 class TestRowLayoutAndLazyDiagnostics:

@@ -119,8 +119,11 @@ class TestDdlAndTxn:
         assert stmt.columns[1].not_null and stmt.columns[1].type_arg == 8
 
     def test_create_index(self):
-        stmt = parse("CREATE UNIQUE INDEX ix ON t (col) USING HASH")
-        assert stmt.unique and stmt.kind == "hash"
+        stmt = parse("CREATE UNIQUE INDEX ix ON t (col)")
+        assert stmt == ast.CreateIndexStmt("ix", "t", "col", unique=True)
+        # The B-tree is the one index kind: there is no USING clause.
+        with pytest.raises(SqlSyntaxError, match="'USING' at position 34"):
+            parse("CREATE UNIQUE INDEX ix ON t (col) USING HASH")
 
     def test_drop_and_truncate(self):
         assert isinstance(parse("DROP TABLE t"), ast.DropTableStmt)

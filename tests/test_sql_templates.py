@@ -181,7 +181,7 @@ class TestInvalidation:
     def test_two_databases_with_different_layouts_share_nothing_they_read(self):
         narrow = items_db("narrow", ("k", "n", "s"))
         wide = items_db("wide", ("s", "f", "k", "n"))
-        wide.table("items").create_index("ix_n", "n", kind="btree")
+        wide.table("items").create_index("ix_n", "n")
         a, b = narrow.internal_session(), wide.internal_session()
         for key in (3, 8, 13):
             in_narrow = a.execute(f"SELECT s, n FROM items WHERE n = 3 AND k = {key}")

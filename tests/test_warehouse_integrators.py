@@ -660,7 +660,7 @@ class TestKeyAddressedColumnarApply:
         _source, _workload, _store, _triggers, warehouse = pipeline
         database = warehouse.database
         mirror = database.table("parts")
-        mirror.create_index("ix_parts_supplier", "supplier_id", kind="hash")
+        mirror.create_index("ix_parts_supplier", "supplier_id")
         supplied = [v[0] for _r, v in mirror.scan() if v[8] == 3]
         assert len(supplied) > 1
         report, scanned, probes = self.apply_component(

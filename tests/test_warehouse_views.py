@@ -8,8 +8,9 @@ from repro.core import (
     OpDeltaCapture,
     ViewDefinition,
 )
-from repro.engine import Database
+from repro.engine import Column, Database, TableSchema
 from repro.engine.table import InsertMode
+from repro.engine.types import INTEGER, char
 from repro.errors import WarehouseError
 from repro.extraction import TriggerExtractor
 from repro.semantics import (
@@ -223,3 +224,37 @@ class TestViewValidation:
                 for op in group.operations:
                     view.apply_operation(op, txn)
         warehouse.database.abort(txn)
+
+
+class TestDimensionLookup:
+    """A join view reads each fact row's dimension row by its join key."""
+
+    FACT = TableSchema(
+        "facts", [Column("id", INTEGER, nullable=False), Column("k", INTEGER)],
+        primary_key="id",
+    )
+    VIEW = ViewDefinition(
+        "labelled", "facts", columns=("id", "k"), key_column="id",
+        join=JoinSpec("dims", "k", "k", columns=("label",)),
+        base_columns=("id", "k"),
+    )
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+    def test_a_null_join_key_joins_no_dimension_row(self, indexed):
+        warehouse = Warehouse()
+        database = warehouse.database
+        dims = database.create_table(
+            TableSchema("dims", [Column("k", INTEGER), Column("label", char(4))])
+        )
+        txn = database.begin()
+        for row in ((None, "nul"), (1, "one")):
+            dims.insert(txn, row)
+        database.commit(txn)
+        index = dims.create_index("ix_dims_k", "k") if indexed else None
+        view = warehouse.define_view(self.VIEW, self.FACT)
+        # NULL equals nothing, a NULL-keyed dimension row included.
+        assert view.recompute([(1, None), (2, 1)]) == [
+            (1, None, None), (2, 1, "one"),
+        ]
+        # Only the key 1 probed the index: a NULL key probes nothing.
+        assert index is None or index.probes == 1

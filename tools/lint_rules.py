@@ -164,12 +164,13 @@ through an index or by scanning it is decided in one place,
 columnar applier alike; a module that probes ``index_on(`` on its own, or
 transposes a table with ``ColumnBatch.from_table(`` on its own, is a second
 chooser whose plans, costs and diagnostics nobody compares with the first.
-So the call sites are counted: ``index_on(`` is called once by the chooser,
-once by ``repro/engine/table.py`` (``Table.lookup``) and twice by
-``repro/warehouse/views.py`` (the view-key and dimension-key look-ups),
-and ``from_table(`` is called once, by ``repro/columnar/apply.py`` (the
-image a statement without an index path needs); anywhere else, and past
-those budgets, the call is flagged.
+So the call sites are counted: ``index_on(`` is called once by the chooser
+and once by ``repro/engine/table.py`` (``Table.lookup``, which the host
+benchmark's per-layer probe times); the warehouse's view-key and
+dimension-key look-ups ask the chooser like any other reader.
+``from_table(`` is called once, by ``repro/columnar/apply.py`` (the image a
+statement without an index path needs).  Anywhere else, and past those
+budgets, the call is flagged.
 
 **REPRO014 — ``sys.*`` is read where it lives.**  A catalog query reads the
 observability stores in place, through the read contract of
@@ -521,11 +522,7 @@ AFTER_IMAGE_SUFFIXES = ("repro/sql/expressions.py", "repro/core/opdelta.py")
 
 #: REPRO013: module suffix -> how many ``index_on(`` / ``from_table(``
 #: calls it may make; every other module may make none.
-INDEX_PROBE_BUDGETS = {
-    "repro/sql/planner.py": 1,
-    TABLE_SUFFIX: 1,
-    SPJ_VIEW_SUFFIX: 2,
-}
+INDEX_PROBE_BUDGETS = {"repro/sql/planner.py": 1, TABLE_SUFFIX: 1}
 TABLE_IMAGE_BUDGETS = {"repro/columnar/apply.py": 1}
 
 #: REPRO014: the one module under ``repro/obs/`` that may construct an
