@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from ...core.opdelta import OpDelta, OpDeltaTransaction
+from ...plain import Record, plain
 from ..conflict import CommutationRecord, ConflictGraph
 from ..safety import Determinism, statement_determinism
 from .schedule import LaneSchedule
@@ -47,7 +48,7 @@ def correlation_id(op: OpDelta) -> str:
 
 
 @dataclass(frozen=True)
-class RaceFinding:
+class RaceFinding(Record):
     """One violated serializability obligation, positioned on an op pair."""
 
     code: str
@@ -74,20 +75,6 @@ class RaceFinding:
         if self.witness:
             line += f"\n  witness interleaving: {' -> '.join(self.witness)}"
         return line
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "code": self.code,
-            "message": self.message,
-            "table": self.table,
-            "txn_a": self.txn_a,
-            "txn_b": self.txn_b,
-            "op_a": self.op_a,
-            "op_b": self.op_b,
-            "lane_a": self.lane_a,
-            "lane_b": self.lane_b,
-            "witness": list(self.witness),
-        }
 
 
 @dataclass
@@ -124,7 +111,7 @@ class Certificate:
             "conflicting_pairs": self.conflicting_pairs,
             "commuting_pairs": self.commuting_pairs,
             "reorder_checks": self.reorder_checks,
-            "findings": [finding.to_dict() for finding in self.findings],
+            "findings": plain(self.findings),
         }
 
 

@@ -16,11 +16,12 @@ from typing import Sequence
 
 from ...core.opdelta import OpDeltaTransaction
 from ...errors import AnalysisError
+from ...plain import Record
 from ..conflict import ConflictGraph
 
 
 @dataclass(frozen=True)
-class LaneSchedule:
+class LaneSchedule(Record):
     """A proposed parallel application order: transaction ids per lane.
 
     Lanes run concurrently; inside one lane transactions run serially in
@@ -54,9 +55,6 @@ class LaneSchedule:
     def position_of(self, txn_id: int) -> tuple[int, int] | None:
         """``(lane, slot)`` of a transaction, or ``None`` if unscheduled."""
         return self._positions.get(txn_id)
-
-    def to_dict(self) -> dict[str, object]:
-        return {"lanes": [list(lane) for lane in self.lanes]}
 
 
 def single_lane_schedule(

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ...engine.schema import TableSchema
+from ...plain import plain
 from .domain import ScopeConfig
 from .findings import VerifyFinding, refuting
 
@@ -150,13 +151,8 @@ class PlanCertificate:
             "scenarios_by_kind": dict(self.scenarios_by_kind),
             "databases": self.databases,
             "truncated": dict(self.truncated),
-            "scope": {
-                "max_rows": self.scope.max_rows,
-                "max_databases": self.scope.max_databases,
-                "max_ops_per_kind": self.scope.max_ops_per_kind,
-                "redelivery_probes": self.scope.redelivery_probes,
-            },
-            "findings": [finding.to_dict() for finding in self.findings],
+            "scope": plain(self.scope),
+            "findings": plain(self.findings),
         }
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ...engine.schema import TableSchema
+from ...plain import Record
 from ...sql import ast_nodes as ast
 from ...sql.ast_nodes import sql_literal
 
@@ -45,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass(frozen=True)
-class ScopeConfig:
+class ScopeConfig(Record):
     """Bounds of the small scope; part of the certificate fingerprint."""
 
     #: Rows per micro-database (0..max_rows).

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ...plain import Record
 from ...semantics.diagnostics import Severity
 
 #: Stable finding codes (catalogue: docs/semantic-analysis.md).
@@ -41,7 +42,7 @@ ERROR_CODES = frozenset({RULE_DIVERGENCE, RULE_READS_BASE, RULE_AGG_RETRACT})
 
 
 @dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """One concrete scenario that exhibits a finding.
 
     ``rows`` is the micro-database the base table was seeded with (full
@@ -62,22 +63,6 @@ class Counterexample:
     expected: str = ""
     error: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rows": [list(row) for row in self.rows],
-            "op_sql": self.op_sql,
-            "op_kind": self.op_kind,
-            "before_image": (
-                [list(row) for row in self.before_image]
-                if self.before_image is not None
-                else None
-            ),
-            "dim_rows": [list(row) for row in self.dim_rows],
-            "observed": self.observed,
-            "expected": self.expected,
-            "error": self.error,
-        }
-
     def render(self) -> str:
         lines = [f"db={list(self.rows)!r} op={self.op_sql!r}"]
         if self.before_image is not None:
@@ -91,7 +76,7 @@ class Counterexample:
 
 
 @dataclass(frozen=True)
-class VerifyFinding:
+class VerifyFinding(Record):
     """One verification finding: code, severity, kind, counterexample."""
 
     code: str
@@ -116,20 +101,6 @@ class VerifyFinding:
             "    " + line for line in self.counterexample.render().splitlines()
         )
         return head + "\n" + body
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "code": self.code,
-            "severity": self.severity.value,
-            "view": self.view,
-            "kind": self.kind,
-            "message": self.message,
-            "counterexample": (
-                self.counterexample.to_dict()
-                if self.counterexample is not None
-                else None
-            ),
-        }
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()

@@ -43,6 +43,7 @@ from ..obs.pipeline import (
     build_snapshot,
     observe_pipeline,
 )
+from ..plain import plain
 from ..transport.network import NetworkModel
 from ..transport.queue import PersistentQueue
 from ..transport.shipper import FileShipper, enqueue_op_deltas
@@ -119,7 +120,7 @@ class HealthReport:
             "fault": self.fault,
             "verdict": self.verdict,
             "fault_detected": self.fault_detected if self.fault else None,
-            "modes": {name: snap.to_dict() for name, snap in self.modes.items()},
+            "modes": plain(self.modes),
         }
 
 

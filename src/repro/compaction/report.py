@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..plain import Record, plain
+
 
 @dataclass(frozen=True)
-class AbsorbedEdge:
+class AbsorbedEdge(Record):
     """One op rewritten away, attributed to its surviving absorber.
 
     ``absorbed_by`` is the lineage key of the statement that now carries
@@ -21,16 +23,9 @@ class AbsorbedEdge:
     absorbed_by: str | None
     rule: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "absorbed": self.absorbed,
-            "absorbed_by": self.absorbed_by,
-            "rule": self.rule,
-        }
-
 
 @dataclass(frozen=True)
-class ReorderObligation:
+class ReorderObligation(Record):
     """One commutativity proof the coalescer relied on to move an effect.
 
     When a combining rewrite fires, the surviving statement's effect
@@ -48,16 +43,6 @@ class ReorderObligation:
     txn_id: int
     moved_sequence: int
     over_sequence: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "moved": self.moved,
-            "over": self.over,
-            "table": self.table,
-            "txn_id": self.txn_id,
-            "moved_sequence": self.moved_sequence,
-            "over_sequence": self.over_sequence,
-        }
 
 
 @dataclass
@@ -120,9 +105,6 @@ class CompactionReport:
             "inserts_fused": self.inserts_fused,
             "pairs_annihilated": self.pairs_annihilated,
             "updates_superseded": self.updates_superseded,
-            "absorbed": [edge.to_dict() for edge in self.absorbed],
-            "reorder_obligations": [
-                obligation.to_dict()
-                for obligation in self.reorder_obligations
-            ],
+            "absorbed": plain(self.absorbed),
+            "reorder_obligations": plain(self.reorder_obligations),
         }

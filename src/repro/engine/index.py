@@ -6,11 +6,11 @@ the experiments need (logarithmic probes, ordered range scans) without the
 node machinery.  Maintenance and probe costs are charged to the virtual
 clock here, so any code path that touches an index pays for it.
 
-A NULL key is an entry like any other for maintenance (it is charged,
-counted and found again by ``delete``) but lives outside the keyed
-structure: NULL satisfies neither ``=`` nor a range, so no probe returns it,
-it never collides in a unique index, and the sorted array never has to order
-it against a value.
+A NULL or NaN key is an entry like any other for maintenance (it is
+charged, counted and found again by ``delete``) but lives outside the keyed
+structure: it satisfies neither ``=`` nor a range (NaN = NaN is not true),
+so no probe returns it, it never collides in a unique index, and the sorted
+array never has to order it against a value.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class BTreeIndex:
         self._costs = costs
         self._keys: list[Any] = []
         self._row_ids: list[RowId] = []
-        #: The rows whose key is NULL: entries no probe returns.
+        #: The rows whose key is NULL or NaN: entries no probe returns.
         self._null_keyed: list[RowId] = []
         if metrics is None:
             metrics = MetricsRegistry()
@@ -81,7 +81,7 @@ class BTreeIndex:
     # ----------------------------------------------------------- maintenance
     def insert(self, key: Any, row_id: RowId) -> None:
         self._clock.advance(self._costs.index_insert)
-        if key is None:
+        if key is None or key != key:
             self._null_keyed.append(row_id)
             return
         position = bisect_right(self._keys, key)
@@ -94,7 +94,7 @@ class BTreeIndex:
 
     def delete(self, key: Any, row_id: RowId) -> None:
         self._clock.advance(self._costs.index_delete)
-        if key is None:
+        if key is None or key != key:
             if row_id in self._null_keyed:
                 self._null_keyed.remove(row_id)
                 return
@@ -108,8 +108,8 @@ class BTreeIndex:
 
     # ----------------------------------------------------------------- probes
     def lookup(self, key: Any) -> list[RowId]:
-        """Return the RowIds for ``key`` (empty list if absent, or NULL)."""
-        matches = [] if key is None else self._row_ids[
+        """Return the RowIds for ``key`` (empty list if absent, NULL or NaN)."""
+        matches = [] if key is None or key != key else self._row_ids[
             bisect_left(self._keys, key):bisect_right(self._keys, key)
         ]
         self._m_probes.inc()

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
 
 from ...errors import ObservabilityError
+from ...plain import plain
 
 #: Span-name prefixes to ledger stages, first match wins — ordered so the
 #: more specific prefix (``capture.check``) shadows the general one
@@ -177,7 +178,7 @@ class CostLedger:
             "total_traced_ms": self.total_traced_ms,
             "span_count": self.span_count,
             "conservative": self.is_conservative(),
-            "rows": [row.to_dict() for row in self.rows()],
+            "rows": plain(self.rows()),
         }
 
 

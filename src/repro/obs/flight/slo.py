@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ...errors import ObservabilityError
+from ...plain import Record, plain
 from .series import RingSeries, TimeSeriesStore
 
 SEVERITIES = ("error", "warning", "info")
@@ -115,7 +116,7 @@ Objective = FreshnessSLO | LatencySLO
 
 
 @dataclass(frozen=True)
-class SLOFinding:
+class SLOFinding(Record):
     """One positioned alert-state transition (auditor-finding style)."""
 
     code: str
@@ -132,18 +133,6 @@ class SLOFinding:
             f"[{self.code}] {self.severity.upper()} @{self.at_ms:g}ms "
             f"{self.objective}: {self.message}"
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "at_ms": self.at_ms,
-            "objective": self.objective,
-            "entity": self.entity,
-            "message": self.message,
-            "short_burn": self.short_burn,
-            "long_burn": self.long_burn,
-        }
 
 
 def burn_rate(series: RingSeries, since_ms: float, until_ms: float,
@@ -305,5 +294,5 @@ class SLOEngine:
                 }
                 for objective in self.objectives
             ],
-            "findings": [finding.to_dict() for finding in self.history],
+            "findings": plain(self.history),
         }

@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from ...plain import Record, plain
 from ..pipeline.events import LifecycleKind
 from ..pipeline.recorder import OpLineage, PipelineRecorder
 
@@ -66,7 +67,7 @@ def critical_stage(segments: Mapping[str, float]) -> str:
 
 
 @dataclass(frozen=True)
-class CriticalPathRow:
+class CriticalPathRow(Record):
     """One applied op's latency decomposition — a ``sys.critical_path`` row."""
 
     correlation_id: str
@@ -79,6 +80,8 @@ class CriticalPathRow:
     queue_ms: float
     apply_ms: float
     end_to_end_ms: float
+
+    derived = ("critical_stage",)
 
     @property
     def segments(self) -> dict[str, float]:
@@ -93,24 +96,9 @@ class CriticalPathRow:
     def critical_stage(self) -> str:
         return critical_stage(self.segments)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "correlation_id": self.correlation_id,
-            "source": self.source,
-            "table": self.table,
-            "window_index": self.window_index,
-            "views": list(self.views),
-            "check_ms": self.check_ms,
-            "ship_ms": self.ship_ms,
-            "queue_ms": self.queue_ms,
-            "apply_ms": self.apply_ms,
-            "end_to_end_ms": self.end_to_end_ms,
-            "critical_stage": self.critical_stage,
-        }
-
 
 @dataclass(frozen=True)
-class StageBlame:
+class StageBlame(Record):
     """Summed segments over one group of ops plus the stage they indict."""
 
     label: str
@@ -118,18 +106,11 @@ class StageBlame:
     segments: Mapping[str, float]
     total_ms: float
 
+    derived = ("critical_stage",)
+
     @property
     def critical_stage(self) -> str:
         return critical_stage(self.segments)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "ops": self.ops,
-            "segments": dict(self.segments),
-            "total_ms": self.total_ms,
-            "critical_stage": self.critical_stage,
-        }
 
 
 def _sum_blame(label: str, rows: Iterable[CriticalPathRow]) -> StageBlame:
@@ -270,10 +251,9 @@ class CriticalPathAnalyzer:
         return rows[rank - 1]
 
     def to_dict(self) -> dict[str, Any]:
-        p99 = self.p99_blame()
         return {
             "ops": len(self.rows()),
-            "windows": [blame.to_dict() for blame in self.window_blame()],
-            "views": [blame.to_dict() for blame in self.view_blame()],
-            "p99": None if p99 is None else p99.to_dict(),
+            "windows": plain(self.window_blame()),
+            "views": plain(self.view_blame()),
+            "p99": plain(self.p99_blame()),
         }

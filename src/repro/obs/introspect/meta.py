@@ -39,13 +39,14 @@ pipeline zero virtual time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from ...clock import VirtualClock
 from ...engine.database import Database
 from ...engine.schema import Column, TableSchema
 from ...engine.types import FLOAT, INTEGER, char
 from ...errors import ObservabilityError
+from ...plain import Record, plain
 from ...semantics.checker import SchemaCatalog, SemanticChecker
 from ...semantics.planner import PlanDrivenCapturePolicy, ViewMaintenancePlanner
 from ...sql.ast_nodes import sql_literal
@@ -100,7 +101,7 @@ _SCHEMAS = (BACKLOG_SCHEMA, STALENESS_SCHEMA, SLO_STATE_SCHEMA)
 
 
 @dataclass
-class TableDelta:
+class TableDelta(Record):
     """Row-level changes one refresh shipped for one base table."""
 
     table: str
@@ -111,14 +112,6 @@ class TableDelta:
     @property
     def total(self) -> int:
         return self.inserted + self.updated + self.deleted
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "table": self.table,
-            "inserted": self.inserted,
-            "updated": self.updated,
-            "deleted": self.deleted,
-        }
 
 
 @dataclass
@@ -140,7 +133,7 @@ class MetaRefreshReport:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "deltas": [delta.to_dict() for delta in self.deltas],
+            "deltas": plain(self.deltas),
             "rows_changed": self.rows_changed,
             "ops_captured": self.ops_captured,
             "ops_applied": self.ops_applied,

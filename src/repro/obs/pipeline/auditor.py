@@ -21,6 +21,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from ...plain import Record, plain
 from .recorder import OpLineage, PipelineRecorder
 
 #: Finding severities, in decreasing order of alarm.
@@ -28,7 +29,7 @@ SEVERITIES = ("error", "warning", "info")
 
 
 @dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(Record):
     """One positioned audit violation (or notable observation)."""
 
     code: str
@@ -45,18 +46,6 @@ class AuditFinding:
         position = self.correlation_id or "<pipeline>"
         where = f" at stage '{self.stage}'" if self.stage else ""
         return f"{self.code} [{self.severity}] {position}{where}: {self.message}"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-            "correlation_id": self.correlation_id,
-            "source": self.source,
-            "table": self.table,
-            "sequence": self.sequence,
-            "stage": self.stage,
-        }
 
 
 @dataclass
@@ -93,7 +82,7 @@ class AuditReport:
             "conservation": self.conservation,
             "conservation_holds": self.conservation_holds,
             "digest_checks": self.digest_checks,
-            "findings": [f.to_dict() for f in self.findings],
+            "findings": plain(self.findings),
         }
 
 

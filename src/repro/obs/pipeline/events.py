@@ -25,6 +25,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from ...plain import Record
+
 
 class LifecycleKind(enum.Enum):
     """The pipeline stages an Op-Delta can be observed at."""
@@ -87,7 +89,7 @@ def lineage_source(op: Any) -> str:
 
 
 @dataclass(frozen=True)
-class LineageEvent:
+class LineageEvent(Record):
     """One stage observation of one correlated operation."""
 
     kind: LifecycleKind
@@ -107,18 +109,6 @@ class LineageEvent:
             f"{self.at_ms:10.3f}ms {self.kind.value:<14} "
             f"{self.correlation_id} (txn {self.txn_id}, {self.table}){extra}"
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind.value,
-            "correlation_id": self.correlation_id,
-            "at_ms": self.at_ms,
-            "source": self.source,
-            "table": self.table,
-            "txn_id": self.txn_id,
-            "sequence": self.sequence,
-            "detail": self.detail,
-        }
 
 
 @dataclass

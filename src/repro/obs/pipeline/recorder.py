@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol, Sequence
 
 from ...clock import VirtualClock
+from ...plain import Record
 from ..context import ambient_metrics
 from ..metrics import NULL_REGISTRY, MetricsLike
 from .events import (
@@ -114,7 +115,7 @@ class OpLineage:
 
 
 @dataclass(frozen=True)
-class RaceRecord:
+class RaceRecord(Record):
     """One interference-sanitizer detection, kept for audit correlation.
 
     ``op_a``/``op_b`` are the correlation ids of the unordered
@@ -130,16 +131,6 @@ class RaceRecord:
     table: str
     at_ms: float
     detail: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "code": self.code,
-            "op_a": self.op_a,
-            "op_b": self.op_b,
-            "table": self.table,
-            "at_ms": self.at_ms,
-            "detail": self.detail,
-        }
 
 
 class PipelineRecorder:

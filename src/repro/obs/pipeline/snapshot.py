@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ...plain import Record
 from .auditor import AuditReport
 from .recorder import PipelineRecorder
 
 
 @dataclass
-class PipelineSnapshot:
+class PipelineSnapshot(Record):
     """Everything ``repro-bench --health`` shows, as plain data."""
 
     #: Virtual ms at snapshot time (the recorder's clock, or the highest
@@ -40,22 +41,6 @@ class PipelineSnapshot:
     digest_checks: dict[str, bool] = field(default_factory=dict)
     #: Caller extensions (e.g. the health runner's per-pipeline accounting).
     extras: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "generated_at_ms": self.generated_at_ms,
-            "sources": self.sources,
-            "tables": self.tables,
-            "views": self.views,
-            "stage_lags": self.stage_lags,
-            "events": self.events,
-            "events_dropped": self.events_dropped,
-            "conservation": self.conservation,
-            "verdict": self.verdict,
-            "findings": self.findings,
-            "digest_checks": self.digest_checks,
-            "extras": self.extras,
-        }
 
 
 def build_snapshot(

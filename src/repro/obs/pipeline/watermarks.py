@@ -23,24 +23,26 @@ regression values are exact across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
+from ...plain import Record
 from ..stats import nearest_rank_percentile
 
 
 @dataclass
-class SourceWatermark:
+class SourceWatermark(Record):
     """Low/high sequence watermarks of one capture source."""
 
     source: str
-    #: Newest captured sequence number (0 before the first capture).
-    high_seq: int = 0
     #: Every sequence <= this has settled (applied/pruned/absorbed/rejected).
     low_seq: int = 0
+    #: Newest captured sequence number (0 before the first capture).
+    high_seq: int = 0
     captured: int = 0
     settled: int = 0
     #: Captured-but-unsettled sequences, for low-watermark advancement.
     _pending: set[int] = field(default_factory=set, repr=False)
+
+    derived = ("in_flight",)
 
     @property
     def in_flight(self) -> int:
@@ -64,19 +66,9 @@ class SourceWatermark:
         # with nothing pending it catches up to the high watermark.
         self.low_seq = min(self._pending) - 1 if self._pending else self.high_seq
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "source": self.source,
-            "low_seq": self.low_seq,
-            "high_seq": self.high_seq,
-            "captured": self.captured,
-            "settled": self.settled,
-            "in_flight": self.in_flight,
-        }
-
 
 @dataclass
-class TableWatermark:
+class TableWatermark(Record):
     """Commit-time freshness of one (source, table) mirror stream."""
 
     source: str
@@ -88,6 +80,8 @@ class TableWatermark:
     #: Newest source commit timestamp applied at the warehouse.
     applied_through_ms: float | None = None
 
+    derived = ("lag_ms",)
+
     @property
     def lag_ms(self) -> float:
         """Virtual ms of captured-but-unapplied commit history."""
@@ -97,20 +91,9 @@ class TableWatermark:
             return self.captured_through_ms
         return max(0.0, self.captured_through_ms - self.applied_through_ms)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "source": self.source,
-            "table": self.table,
-            "captured_ops": self.captured_ops,
-            "applied_ops": self.applied_ops,
-            "captured_through_ms": self.captured_through_ms,
-            "applied_through_ms": self.applied_through_ms,
-            "lag_ms": self.lag_ms,
-        }
-
 
 @dataclass
-class ViewFreshness:
+class ViewFreshness(Record):
     """How current one materialized view is, in source-commit time."""
 
     view: str
@@ -127,14 +110,6 @@ class ViewFreshness:
         if self.applied_through_ms is None:
             return source_high_ms
         return max(0.0, source_high_ms - self.applied_through_ms)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "view": self.view,
-            "ops_applied": self.ops_applied,
-            "applied_through_ms": self.applied_through_ms,
-            "last_applied_at_ms": self.last_applied_at_ms,
-        }
 
 
 @dataclass

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+
+from ..plain import Record
 
 #: Stable diagnostic codes (the catalogue lives in docs/semantic-analysis.md).
 UNKNOWN_TABLE = "SEM001"
@@ -32,7 +33,7 @@ class Severity(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One finding: code, severity, message and source position."""
 
     code: str
@@ -45,14 +46,6 @@ class Diagnostic:
     def render(self) -> str:
         where = f" at {self.position}" if self.position is not None else ""
         return f"{self.code}{where}: {self.severity.value}: {self.message}"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "code": self.code,
-            "severity": self.severity.value,
-            "message": self.message,
-            "position": self.position,
-        }
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..core.opdelta import OpKind
 from ..core.selfmaint import Maintainability, ViewDefinition, _replay
 from ..engine.schema import TableSchema
 from ..errors import SelfMaintenanceError
+from ..plain import Record
 from ..sql.parser import parse_expression
 from . import diagnostics as diag
 from .checker import SchemaCatalog, SemanticChecker
@@ -74,7 +75,7 @@ class RuleAction(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DeltaRule:
+class DeltaRule(Record):
     """Per-operation-kind delta propagation rule."""
 
     kind: OpKind
@@ -82,17 +83,9 @@ class DeltaRule:
     needs_before_image: bool
     reason: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind.value,
-            "action": self.action.value,
-            "needs_before_image": self.needs_before_image,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
-class MaintenancePlan:
+class MaintenancePlan(Record):
     """The compiled maintenance strategy for one view."""
 
     view: str
@@ -119,16 +112,6 @@ class MaintenancePlan:
 
     def requires_before_image(self, kind: OpKind) -> bool:
         return self.rule_for(kind).needs_before_image
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "view": self.view,
-            "base_table": self.base_table,
-            "view_kind": self.view_kind,
-            "classification": self.classification.value,
-            "rules": [rule.to_dict() for rule in self.rules],
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-        }
 
 
 class ViewMaintenancePlanner:

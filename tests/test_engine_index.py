@@ -1,11 +1,16 @@
 """Tests for the B-tree index, the engine's one index kind."""
 
+import math
+
 import pytest
 
 from repro.clock import VirtualClock
+from repro.engine import Database
 from repro.engine.costs import DEFAULT_COST_MODEL
 from repro.engine.index import BTreeIndex
 from repro.engine.rows import RowId
+from repro.engine.schema import Column, TableSchema
+from repro.engine.types import FLOAT, INTEGER
 from repro.errors import ConstraintError, StorageError
 
 
@@ -97,6 +102,57 @@ class TestNullKeys:
             index.delete(key, RowId(0, 0))
             twin.delete(other, RowId(0, 0))
         assert index._clock.now == twin._clock.now > 0
+
+
+class TestNaNKeys:
+    """A NaN key is kept beside the NULL keys: NaN = NaN is not true, so no
+    probe returns it, and a NaN in the sorted array broke its order."""
+
+    @pytest.fixture
+    def table(self):
+        db = Database("nan")
+        table = db.create_table(TableSchema(
+            "t", [Column("id", INTEGER, nullable=False), Column("f", FLOAT)],
+            primary_key="id",
+        ))
+        table.create_index("ixf", "f")
+        txn = db.begin()
+        for row in ((1, math.nan), (2, 1.0), (3, 0.5)):
+            table.insert(txn, row)
+        db.commit(txn)
+        return db, table
+
+    def test_probes_leave_the_nan_row_out(self, table):
+        _, t = table
+        index = t.index("ixf")
+        assert index.num_entries == 3
+        assert index.lookup(0.5) == [RowId(0, 2)]
+        assert index.lookup(math.nan) == []
+        assert list(index.range_scan(None, None)) == [RowId(0, 2), RowId(0, 1)]
+        assert index.estimate_range(0.0, 2.0) == 2
+
+    def test_the_nan_row_can_be_updated_and_deleted(self, table):
+        db, t = table
+        index = t.index("ixf")
+        txn = db.begin()
+        t.update(txn, RowId(0, 0), {"f": 0.25})
+        db.commit(txn)
+        assert list(index.range_scan(None, None)) == [
+            RowId(0, 0), RowId(0, 2), RowId(0, 1)
+        ]
+        txn = db.begin()
+        t.update(txn, RowId(0, 0), {"f": math.nan})
+        t.delete(txn, RowId(0, 0))
+        db.commit(txn)
+        assert index.num_entries == 2 and t.num_rows == 2
+
+    def test_nans_do_not_collide_in_a_unique_index(self):
+        unique = BTreeIndex("ix", "col", VirtualClock(), DEFAULT_COST_MODEL, unique=True)
+        unique.insert(1.0, RowId(0, 0))
+        unique.insert(math.nan, RowId(0, 1))
+        unique.insert(math.nan, RowId(0, 2))
+        unique.delete(math.nan, RowId(0, 1))
+        assert unique.num_entries == 2 and unique.lookup(1.0) == [RowId(0, 0)]
 
 
 class TestUniqueIndexes:

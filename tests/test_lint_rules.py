@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
@@ -1741,6 +1743,51 @@ class TestRepro024OneReplayJudge:
             "repro/analysis/verify/verifier.py": 1,
         }
         assert reads == lint_rules.IMAGE_CHOICE_BUDGETS
+
+
+class TestRepro025OneRecordShape:
+    RESTATED = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Finding:\n"
+        "    code: str\n"
+        "    severity: Severity\n"
+        "    _memo: int = 0\n"
+        "    @property\n"
+        "    def loud(self):\n"
+        "        return True\n"
+        "    def to_dict(self):\n"
+        "        return {\n"
+        "            'code': self.code,\n"
+        "            'severity': self.severity.value,\n"
+        "            'loud': self.loud,\n"
+        "        }\n"
+    )
+
+    def test_a_restated_record_is_flagged(self, tmp_path):
+        violations = lint_source(tmp_path, self.RESTATED)
+        assert [int(v.split(":")[1]) for v in violations] == [10]
+        assert "REPRO025 Finding.to_dict restates its fields" in violations[0]
+
+    @pytest.mark.parametrize("edit", [
+        ("'code': self.code,\n            'severity'",
+         "'severity': self.severity.value,\n            'code'"),
+        ("'code': self.code", "'id': self.code"),
+        ("'code': self.code", "'code': str(self.code)"),
+        ("'loud': self.loud", "'loud': self.loud, 'n': len(self.code)"),
+        ("@dataclass(frozen=True)\n", ""),
+    ], ids=["reordered", "renamed", "converted", "computed", "not-a-dataclass"])
+    def test_a_record_with_its_own_shape_is_clean(self, tmp_path, edit):
+        source = self.RESTATED.replace(*edit)
+        assert source != self.RESTATED
+        assert lint_source(tmp_path, source) == []
+
+    def test_shipped_tree_restates_no_record(self):
+        package = REPO / "src" / "repro"
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO025" in v
+            ] == [], path
 
 
 class TestRepro022ReachedByAProgram:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Twenty-four disciplines the standard linters cannot express:
+Twenty-five disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -332,6 +332,16 @@ do those two look a rule up: no ``.rule_for(`` call under them
 (``RULE_FREE_TREES``) — apply once resolved a rule per (view, op) and did
 nothing with it but count.
 
+**REPRO025 — one record shape.**  A dataclass whose JSON is its fields
+inherits ``to_dict`` from ``repro.plain.Record``: public fields in
+declaration order, then the properties it names in ``derived``.  A
+hand-written ``to_dict`` that returns a dict literal restating the class's
+public fields in order, each value ``self.<f>`` or ``self.<f>.value``, and
+then at most ``"<p>": self.<p>`` entries, says the same thing again and
+drops a field added later without a word; it is flagged.  A ``to_dict``
+whose keys are reordered, renamed or interleaved with derived values is
+its own shape and is left alone.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -615,8 +625,8 @@ COMMUTES_BUDGETS = {"repro/analysis/conflict.py": 1}
 REPLAY_BUDGETS = {"repro/core/selfmaint.py": 1, "repro/semantics/planner.py": 1}
 RULE_FREE_TREES = ("repro/warehouse/", "repro/columnar/")
 IMAGE_CHOICE_BUDGETS = {
-    # The rule's own dict, the capture policy, and the plan's class.
-    "repro/semantics/planner.py": 3,
+    # The capture policy and the plan's class.
+    "repro/semantics/planner.py": 2,
     # The image a verifier scenario captures.
     "repro/analysis/verify/verifier.py": 1,
     # The rule digest a certificate names, and the --check plan dump.
@@ -1412,6 +1422,69 @@ def _replay_judge_violations(path: Path, tree: ast.AST, normalized: str) -> list
     ]
 
 
+def _self_attribute(node: ast.expr) -> str | None:
+    """``f`` when ``node`` is ``self.f``, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _restated_record_violations(path: Path, tree: ast.AST) -> list[str]:
+    """REPRO025: a dataclass ``to_dict`` that restates its public fields."""
+    violations = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or "dataclass" not in _decorators(cls):
+            continue
+        fields = [
+            item.target.id
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and not item.target.id.startswith("_")
+            and "ClassVar" not in ast.unparse(item.annotation)
+        ]
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name == "to_dict"):
+                continue
+            body = method.body[1:] if ast.get_docstring(method) else method.body
+            if not (
+                len(body) == 1
+                and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Dict)
+            ):
+                continue
+            literal = body[0].value
+            keys = [
+                key.value if isinstance(key, ast.Constant) else None
+                for key in literal.keys
+            ]
+            if keys[: len(fields)] != fields:
+                continue
+            restated = all(
+                _self_attribute(value) == name
+                or (
+                    isinstance(value, ast.Attribute)
+                    and value.attr == "value"
+                    and _self_attribute(value.value) == name
+                )
+                for name, value in zip(fields, literal.values)
+            ) and all(
+                _self_attribute(value) == name
+                for name, value in zip(keys[len(fields):], literal.values[len(fields):])
+            )
+            if restated:
+                violations.append(
+                    f"{path}:{method.lineno}: REPRO025 {cls.name}.to_dict "
+                    "restates its fields; inherit repro.plain.Record's and name "
+                    "trailing properties in 'derived'"
+                )
+    return violations
+
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -1801,6 +1874,7 @@ def _lint_file(path: Path) -> list[str]:
     violations.extend(_page_state_violations(path, tree, normalized))
     violations.extend(_commutation_violations(path, tree, normalized))
     violations.extend(_replay_judge_violations(path, tree, normalized))
+    violations.extend(_restated_record_violations(path, tree))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
