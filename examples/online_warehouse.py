@@ -34,6 +34,13 @@ TABLE_ROWS = 20_000
 TRANSACTIONS = 50
 TXN_ROWS = 20
 
+HOT_PARTS = ViewDefinition(
+    "hot_parts", "parts",
+    columns=("part_id", "part_no", "status", "quantity", "price"),
+    predicate="quantity > 500", key_column="part_id",
+    base_columns=parts_schema().column_names,
+)
+
 
 def main() -> None:
     source = Database("source")
@@ -41,14 +48,8 @@ def main() -> None:
     workload.create_table()
     workload.populate(TABLE_ROWS)
 
-    view_def = ViewDefinition(
-        "hot_parts", "parts",
-        columns=("part_id", "part_no", "status", "quantity", "price"),
-        predicate="quantity > 500", key_column="part_id",
-        base_columns=parts_schema().column_names,
-    )
     plans = ViewMaintenancePlanner(SchemaCatalog([parts_schema()])).plan_catalog(
-        [view_def]
+        [HOT_PARTS]
     )
     store = FileLogStore(source)
     OpDeltaCapture(
@@ -65,7 +66,7 @@ def main() -> None:
         wh.create_mirror(parts_schema())
         wh.initial_load_rows("parts", initial)
         wh.database.table("parts").create_index("idx_part_ref", "part_ref")
-    view = wh_op.define_view(view_def, parts_schema())
+    view = wh_op.define_view(HOT_PARTS, parts_schema())
     txn = wh_op.database.begin()
     view.initialize(initial, txn)
     wh_op.database.commit(txn)

@@ -14,12 +14,11 @@ mirrored base table).  Anything the extractor cannot bound stays relevant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core.opdelta import OpKind
 from ..core.selfmaint import ViewDefinition
 from ..sql import ast_nodes as ast
-from ..sql.expressions import referenced_columns
 from .rwsets import (
     PredicateRange,
     StatementFootprint,
@@ -68,9 +67,7 @@ def shape_relevance(
         (view.name, view_range)
         for view in aggregate_views
         if footprint.table == view.base_table
-        for view_range in _candidate_base(
-            view, _aggregate_interest_columns, footprint
-        )
+        for view_range in _candidate_base(view, footprint)
     ]
     return footprint.table in set(mirrored_tables), tuple(candidates)
 
@@ -90,21 +87,11 @@ def settle_relevance(
     )
 
 
-def _view_interest_columns(view: ViewDefinition) -> set[str]:
-    """Base-table columns whose values the view's content depends on."""
-    interest = set(view.columns) | view.predicate_columns()
-    if view.key_column is not None:
-        interest.add(view.key_column)
-    if view.join is not None:
-        interest.add(view.join.left_column)
-    return interest
-
-
 def _candidate_view(
     view: ViewDefinition, footprint: StatementFootprint
 ) -> list[PredicateRange | None]:
     if footprint.table == view.base_table:
-        return _candidate_base(view, _view_interest_columns, footprint)
+        return _candidate_base(view, footprint)
     if view.join is not None and footprint.table == view.join.table:
         # Changing the dimension table can rewrite the view's joined
         # columns; bounding that would need join-key tracking, so stay
@@ -113,34 +100,21 @@ def _candidate_view(
     return []
 
 
-def _aggregate_interest_columns(view: "AggregateViewDefinition") -> set[str]:
-    """Base-table columns an aggregate view's group rows depend on: a
-    grouping value, an aggregated input, or the selection predicate."""
-    interest = set(view.group_by)
-    for spec in view.aggregates:
-        if spec.argument is not None:
-            interest.add(spec.argument)
-    predicate = view.predicate_ast()
-    if predicate is not None:
-        interest |= referenced_columns(predicate)
-    return interest
-
-
 def _candidate_base(
-    view: "ViewDefinition | AggregateViewDefinition",
-    interest_columns: Callable[[Any], set[str]],
-    footprint: StatementFootprint,
+    view: "ViewDefinition | AggregateViewDefinition", footprint: StatementFootprint
 ) -> list[PredicateRange | None]:
     """The view's selection range, if a statement of this shape on its base
     table could change its content; nothing when the shape rules it out.
 
-    The one judgement for both view kinds; ``interest_columns(view)`` — the
-    base-table columns the content depends on — is all they differ in, and
-    only an UPDATE asks for it: one that assigns only columns the view does
-    not depend on cannot change the view's content.
+    The one judgement for both view kinds.  Only an UPDATE asks which base
+    columns the content depends on — the base-qualified column references of
+    the view's SELECT: one that assigns none of them cannot change it.
     """
-    if footprint.kind is OpKind.UPDATE and not (
-        footprint.writes & interest_columns(view)
+    if footprint.kind is OpKind.UPDATE and footprint.writes.isdisjoint(
+        node.name
+        for expr in ast.expressions(view.select)
+        for node in ast.walk(expr)
+        if isinstance(node, ast.ColumnRef) and node.table == view.base_table
     ):
         return []
     return [range_from_predicate(view.predicate_ast())]

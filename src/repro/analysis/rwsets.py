@@ -206,10 +206,6 @@ class PredicateRange:
         return f"PredicateRange({inner})"
 
 
-#: A range with no constraints at all (matches every row).
-UNCONSTRAINED = PredicateRange({})
-
-
 def range_from_predicate(where: ast.Expression | None) -> PredicateRange:
     """Extract per-column constraints from a WHERE clause (sound superset)."""
     constraints: dict[str, ColumnConstraint] = {}

@@ -34,10 +34,11 @@ RULE_AGG_RETRACT = "RULE004"
 #: transport: re-applying the same op silently lands on a different state.
 RULE_NOT_IDEMPOTENT = "RULE005"
 
-#: Codes that refute a plan (ERROR severity).  RULE003/RULE005 are
-#: warnings: an over-conservative plan and a rule that relies on
-#: exactly-once delivery are both *sound* under the integrator's
-#: per-transaction apply, just worth surfacing.
+#: Codes that refute a plan: the verifier emits these as ERROR and every
+#: other code as WARNING.  RULE003/RULE005 are warnings: an
+#: over-conservative plan and a rule that relies on exactly-once delivery
+#: are both *sound* under the integrator's per-transaction apply, just
+#: worth surfacing.
 ERROR_CODES = frozenset({RULE_DIVERGENCE, RULE_READS_BASE, RULE_AGG_RETRACT})
 
 

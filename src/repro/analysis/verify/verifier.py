@@ -7,8 +7,9 @@ operation exactly as the pipeline would (lean when the compiled
 :class:`~repro.semantics.planner.DeltaRule` claims op-only, with
 python-evaluated before images when the rule asks for them), applies it
 through the real view maintenance code, recomputes the view from the
-mutated base **via the SQL executor** — an oracle independent of the
-view's own incremental machinery, so a corrupted apply path cannot
+mutated base **via the SQL executor** — it runs the SELECT the view
+stands for (``definition.select``), an oracle independent of the view's
+own incremental machinery, so a corrupted apply path cannot
 vouch for itself — and compares states.
 
 Soundness of the verdict is scoped, not absolute: ``VERIFIED`` means *no
@@ -27,6 +28,7 @@ cache amortising it away).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -39,7 +41,6 @@ from ...errors import AnalysisError, ReproError, WarehouseError
 from ...semantics.diagnostics import Severity
 from ...sql.executor import Executor
 from ...sql.expressions import NO_SESSION, RowBinding, compile_predicate
-from ...sql.parser import parse
 from .certificate import (
     DEFAULT_CERTIFICATE_CACHE,
     CertificateCache,
@@ -57,6 +58,7 @@ from .domain import (
     spj_shape,
 )
 from .findings import (
+    ERROR_CODES,
     RULE_AGG_RETRACT,
     RULE_DIVERGENCE,
     RULE_NOT_IDEMPOTENT,
@@ -341,7 +343,6 @@ class DeltaRuleVerifier:
             kind: str,
             message: str,
             example: Counterexample | None,
-            severity: Severity,
         ) -> None:
             if (code, kind) in emitted:
                 return
@@ -349,7 +350,9 @@ class DeltaRuleVerifier:
             findings.append(
                 VerifyFinding(
                     code=code,
-                    severity=severity,
+                    severity=(
+                        Severity.ERROR if code in ERROR_CODES else Severity.WARNING
+                    ),
                     view=subject.plan.view,
                     kind=kind,
                     message=message,
@@ -385,7 +388,6 @@ class DeltaRuleVerifier:
                                 rows=rows, op_sql="", op_kind="*",
                                 error=str(exc),
                             ),
-                            Severity.ERROR,
                         )
                         return findings, counts, databases_run
                     outcome = self._run_scenario(
@@ -424,7 +426,6 @@ class DeltaRuleVerifier:
                             "operation alone, but the rule demanded "
                             "captured base state (before images)",
                             example,
-                            Severity.ERROR,
                         )
                         dead_kinds.add(kind)
                     elif outcome.crashed or outcome.diverged:
@@ -449,7 +450,6 @@ class DeltaRuleVerifier:
                                 else ""
                             ),
                             example,
-                            Severity.ERROR,
                         )
                         dead_kinds.add(kind)
                     elif outcome.redelivery_diverged:
@@ -461,7 +461,6 @@ class DeltaRuleVerifier:
                             "redelivery relies on the integrator's "
                             "per-transaction dedup",
                             example,
-                            Severity.WARNING,
                         )
 
         if (
@@ -477,7 +476,6 @@ class DeltaRuleVerifier:
                 "in-scope scenario applied from captured information "
                 "alone; the classification is over-conservative",
                 None,
-                Severity.WARNING,
             )
         return findings, counts, databases_run
 
@@ -690,52 +688,43 @@ class DeltaRuleVerifier:
         txn: Any,
     ) -> list[tuple[Any, ...]]:
         definition = subject.definition
-        columns = list(definition.columns)
-        join = definition.join
-        if join is not None and join.columns:
-            if join.left_column not in columns:
-                columns.append(join.left_column)
-        select = f"SELECT {', '.join(columns)} FROM {subject.schema.name}"
-        if definition.predicate:
-            select += f" WHERE {definition.predicate}"
-        rows = executor.execute(parse(select), txn).rows
-        if join is not None and join.columns:
-            assert subject.dim_schema is not None
-            dim_by_key = {
-                row[subject.dim_schema.column_index(join.right_column)]: row
-                for row in context["database"].table(join.table).scan_values()
-            }
-            width = len(definition.columns)
-            left_at = columns.index(join.left_column)
-            joined = []
-            for row in rows:
-                dim = dim_by_key.get(row[left_at])
-                extras = tuple(
-                    dim[subject.dim_schema.column_index(name)]
-                    if dim is not None
-                    else None
-                    for name in join.columns
-                )
-                joined.append(tuple(row[:width]) + extras)
-            rows = joined
-        return sorted((tuple(row) for row in rows), key=_sort_key)
+        select, join = definition.select, definition.join
+        dimension = () if join is None else join.columns
+        if join is not None:
+            # The view keeps a base row no dimension row matches, which the
+            # executor's inner join would drop: the base rows are read
+            # without the join and its items, and joined here.
+            items = select.items[: len(select.items) - len(dimension)]
+            select = dataclasses.replace(select, items=items, joins=())
+        rows = executor.execute(select, txn).rows
+        width = len(definition.columns)
+        if not dimension:
+            return sorted((tuple(row[:width]) for row in rows), key=_sort_key)
+        assert subject.dim_schema is not None
+        dim_by_key = {
+            row[subject.dim_schema.column_index(join.right_column)]: row
+            for row in context["database"].table(join.table).scan_values()
+        }
+        left_at = [item.expr.name for item in select.items].index(join.left_column)
+        joined = []
+        for row in rows:
+            dim = dim_by_key.get(row[left_at])
+            extras = tuple(
+                dim[subject.dim_schema.column_index(name)]
+                if dim is not None
+                else None
+                for name in dimension
+            )
+            joined.append(tuple(row[:width]) + extras)
+        return sorted(joined, key=_sort_key)
 
     def _oracle_aggregate(
         self, subject: _Subject, executor: Executor, txn: Any
     ) -> dict[tuple, dict[str, Any]]:
         definition = subject.definition
-        group_by = ", ".join(definition.group_by)
-        items = [group_by, "COUNT(*)"]
-        for spec in definition.aggregates:
-            argument = spec.argument if spec.argument is not None else "*"
-            items.append(f"{spec.function}({argument})")
-        select = f"SELECT {', '.join(items)} FROM {subject.schema.name}"
-        if definition.predicate:
-            select += f" WHERE {definition.predicate}"
-        select += f" GROUP BY {group_by}"
         width = len(definition.group_by)
         out: dict[tuple, dict[str, Any]] = {}
-        for row in executor.execute(parse(select), txn).rows:
+        for row in executor.execute(definition.select, txn).rows:
             key = tuple(row[:width])
             entry: dict[str, Any] = {"count": row[width]}
             for position, spec in enumerate(definition.aggregates):

@@ -104,6 +104,40 @@ class ViewDefinition:
         read it, and it never changes."""
         return Scope()
 
+    @cached_property
+    def select(self) -> ast.SelectStmt:
+        """The SELECT this view stands for, built once: the projected columns,
+        then the key column and the join's left column where the view keeps
+        them without projecting them, then the dimension's projected columns,
+        ``FROM base JOIN dim ON base.left = dim.right WHERE predicate``.
+        Every base column reference is qualified by the base table, the
+        predicate's too, so a column both tables have is the base table's."""
+        base, join = self.base_table, self.join
+        names = list(self.columns)
+        if self.key_column is not None and self.key_column not in names:
+            names.append(self.key_column)
+        items = [ast.ColumnRef(name, base) for name in names]
+        joins: tuple[ast.Join, ...] = ()
+        if join is not None:
+            if join.columns and join.left_column not in names:
+                items.append(ast.ColumnRef(join.left_column, base))
+            items.extend(ast.ColumnRef(name, join.table) for name in join.columns)
+            joins = (
+                ast.Join(
+                    join.table,
+                    None,
+                    ast.ColumnRef(join.left_column, base),
+                    ast.ColumnRef(join.right_column, join.table),
+                ),
+            )
+        predicate = self.predicate_ast()
+        return ast.SelectStmt(
+            tuple(ast.SelectItem(item) for item in items),
+            base,
+            joins=joins,
+            where=None if predicate is None else ast.qualified(predicate, base),
+        )
+
     def predicate_ast(self) -> ast.Expression | None:
         return self._predicate[0]
 

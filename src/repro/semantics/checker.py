@@ -253,21 +253,6 @@ class SemanticChecker:
         # catalog layer validates them and they are never Op-Delta payload.
         return CheckResult(statement, tuple(diags))
 
-    def check_predicate(
-        self, expr: ast.Expression, schema: TableSchema
-    ) -> tuple[ast.Expression, tuple[Diagnostic, ...]]:
-        """Check a freestanding boolean predicate over one table's columns.
-
-        Used by the view-maintenance planner to validate view predicates at
-        plan time.  Returns the folded predicate and its diagnostics.
-        """
-        diags: list[Diagnostic] = []
-        scope = _Scope()
-        scope.add_table(schema)
-        expr = self._fold(expr, diags)
-        self._check_condition(expr, scope, diags, context="view predicate")
-        return expr, tuple(diags)
-
     # -------------------------------------------------------------- statements
     def _lookup_table(
         self, name: str, pos: int | None, diags: list[Diagnostic]
@@ -482,26 +467,17 @@ class SemanticChecker:
         if where is None:
             return None
         where = self._fold(where, diags)
-        self._check_condition(where, scope, diags, context="WHERE")
-        return where
-
-    def _check_condition(
-        self,
-        expr: ast.Expression,
-        scope: _Scope,
-        diags: list[Diagnostic],
-        context: str,
-    ) -> None:
-        result = self._infer(expr, scope, diags)
+        result = self._infer(where, scope, diags)
         if result not in (SqlType.BOOLEAN, SqlType.NULL, SqlType.UNKNOWN):
             diags.append(
                 Diagnostic(
                     diag.NON_BOOLEAN_PREDICATE,
                     Severity.ERROR,
-                    f"{context} needs a boolean condition, got {result.value}",
-                    ast.node_pos(expr),
+                    f"WHERE needs a boolean condition, got {result.value}",
+                    ast.node_pos(where),
                 )
             )
+        return where
 
     def _check_fit(
         self,

@@ -11,10 +11,11 @@ hybrid* (op-delta plus captured before images) or *source-query-needed*
 An SPJ plan is the per-kind widening of the one replay judge
 (:mod:`repro.core.selfmaint`): each kind is asked with every base column
 read, and for UPDATE assigned, so a rule that needs no before image holds
-for every statement of its kind.  The planner also validates the view
-definition against the schema catalog with the semantic checker (predicate
-type errors become plan diagnostics).  The plan decides what capture
-fetches (:class:`PlanDrivenCapturePolicy`) and what the verifier certifies;
+for every statement of its kind.  A plan's diagnostics are the semantic
+checker's for the SELECT the view stands for (``view.select``): the names,
+the join and the types of a definition are resolved where every SELECT's
+are.  The plan decides what capture fetches
+(:class:`PlanDrivenCapturePolicy`) and what the verifier certifies;
 apply reads no rule — it asks :func:`~repro.core.selfmaint.replay_kind` per
 statement shape, and a plan that captured too few images fails loudly there
 instead of rewriting wrongly.
@@ -28,14 +29,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..core.opdelta import OpKind
 from ..core.selfmaint import Maintainability, ViewDefinition, _replay
-from ..engine.schema import TableSchema
 from ..errors import SelfMaintenanceError
 from ..plain import Record
-from ..sql.parser import parse_expression
-from . import diagnostics as diag
 from .checker import SchemaCatalog, SemanticChecker
-from .diagnostics import Diagnostic, Severity, has_errors
-from .sqltypes import from_datatype
+from .diagnostics import Diagnostic, has_errors
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..warehouse.aggregates import AggregateViewDefinition
@@ -124,44 +121,8 @@ class ViewMaintenancePlanner:
     # ---------------------------------------------------------------- planning
     def plan_view(self, view: ViewDefinition) -> MaintenancePlan:
         """Compile one SPJ view."""
-        diags: list[Diagnostic] = []
+        diags = self._checker.check_statement(view.select).diagnostics
         schema = self.catalog.schema(view.base_table)
-        if schema is None:
-            diags.append(
-                Diagnostic(
-                    diag.UNKNOWN_TABLE,
-                    Severity.ERROR,
-                    f"view {view.name!r} is over unknown table "
-                    f"{view.base_table!r}",
-                )
-            )
-        else:
-            for column in view.columns:
-                if not schema.has_column(column):
-                    diags.append(
-                        Diagnostic(
-                            diag.UNKNOWN_COLUMN,
-                            Severity.ERROR,
-                            f"view {view.name!r} projects unknown column "
-                            f"{view.base_table}.{column}",
-                        )
-                    )
-            if view.key_column is not None and not schema.has_column(view.key_column):
-                diags.append(
-                    Diagnostic(
-                        diag.UNKNOWN_COLUMN,
-                        Severity.ERROR,
-                        f"view {view.name!r} keys on unknown column "
-                        f"{view.base_table}.{view.key_column}",
-                    )
-                )
-            if view.predicate:
-                _folded, predicate_diags = self._checker.check_predicate(
-                    parse_expression(view.predicate), schema
-                )
-                diags.extend(predicate_diags)
-            diags.extend(self._check_join(view, schema))
-
         # Every column a statement may read (and an UPDATE assign): the
         # definition's own list, else the catalog's.  An unknown table's
         # columns are unknown, so one no view projects stands for them.
@@ -180,64 +141,12 @@ class ViewMaintenancePlanner:
             view_kind="spj",
             classification=_classify(rules, diags),
             rules=rules,
-            diagnostics=tuple(diags),
+            diagnostics=diags,
         )
 
     def plan_aggregate(self, view: "AggregateViewDefinition") -> MaintenancePlan:
         """Compile one GROUP BY aggregate view."""
-        diags: list[Diagnostic] = []
-        schema = self.catalog.schema(view.base_table)
-        if schema is None:
-            diags.append(
-                Diagnostic(
-                    diag.UNKNOWN_TABLE,
-                    Severity.ERROR,
-                    f"aggregate view {view.name!r} is over unknown table "
-                    f"{view.base_table!r}",
-                )
-            )
-        else:
-            for column in view.group_by:
-                if not schema.has_column(column):
-                    diags.append(
-                        Diagnostic(
-                            diag.UNKNOWN_COLUMN,
-                            Severity.ERROR,
-                            f"aggregate view {view.name!r} groups by unknown "
-                            f"column {view.base_table}.{column}",
-                        )
-                    )
-            for spec in view.aggregates:
-                if spec.argument is None:
-                    continue
-                if not schema.has_column(spec.argument):
-                    diags.append(
-                        Diagnostic(
-                            diag.UNKNOWN_COLUMN,
-                            Severity.ERROR,
-                            f"{spec.function}({spec.argument}): unknown column "
-                            f"{view.base_table}.{spec.argument}",
-                        )
-                    )
-                elif spec.function in ("SUM", "AVG"):
-                    argument_type = from_datatype(
-                        schema.column(spec.argument).datatype
-                    )
-                    if not argument_type.is_numeric:
-                        diags.append(
-                            Diagnostic(
-                                diag.TYPE_MISMATCH,
-                                Severity.ERROR,
-                                f"{spec.function}({spec.argument}) needs a "
-                                f"numeric column, got {argument_type.value}",
-                            )
-                        )
-            if view.predicate:
-                _folded, predicate_diags = self._checker.check_predicate(
-                    parse_expression(view.predicate), schema
-                )
-                diags.extend(predicate_diags)
-
+        diags = self._checker.check_statement(view.select).diagnostics
         # COUNT/SUM/AVG are all distributive over insert/delete given the
         # (sum, count) decomposition, so aggregate views always plan to the
         # same rule set: inserts apply op-only (the statement carries the
@@ -275,7 +184,7 @@ class ViewMaintenancePlanner:
             view_kind="aggregate",
             classification=_classify(rules, diags),
             rules=rules,
-            diagnostics=tuple(diags),
+            diagnostics=diags,
         )
 
     def plan_catalog(
@@ -292,44 +201,6 @@ class ViewMaintenancePlanner:
         return plans
 
     # --------------------------------------------------------------- internals
-    def _check_join(
-        self, view: ViewDefinition, base_schema: TableSchema
-    ) -> list[Diagnostic]:
-        if view.join is None:
-            return []
-        diags: list[Diagnostic] = []
-        if not base_schema.has_column(view.join.left_column):
-            diags.append(
-                Diagnostic(
-                    diag.UNKNOWN_COLUMN,
-                    Severity.ERROR,
-                    f"join of view {view.name!r} uses unknown column "
-                    f"{view.base_table}.{view.join.left_column}",
-                )
-            )
-        join_schema = self.catalog.schema(view.join.table)
-        if join_schema is None:
-            diags.append(
-                Diagnostic(
-                    diag.UNKNOWN_TABLE,
-                    Severity.ERROR,
-                    f"view {view.name!r} joins unknown table "
-                    f"{view.join.table!r}",
-                )
-            )
-            return diags
-        for column in (view.join.right_column, *view.join.columns):
-            if not join_schema.has_column(column):
-                diags.append(
-                    Diagnostic(
-                        diag.UNKNOWN_COLUMN,
-                        Severity.ERROR,
-                        f"join of view {view.name!r} uses unknown column "
-                        f"{view.join.table}.{column}",
-                    )
-                )
-        return diags
-
     def _spj_rule(
         self, view: ViewDefinition, kind: OpKind, base_columns: frozenset[str]
     ) -> DeltaRule:
@@ -379,7 +250,7 @@ class ViewMaintenancePlanner:
 
 
 def _classify(
-    rules: tuple[DeltaRule, ...], diags: list[Diagnostic]
+    rules: tuple[DeltaRule, ...], diags: tuple[Diagnostic, ...]
 ) -> ViewClass:
     if has_errors(diags) or any(
         rule.action is RuleAction.SOURCE_QUERY for rule in rules

@@ -143,6 +143,7 @@ class IsNull(Expression):
         return f"({self.expr.to_sql()} {suffix})"
 
 
+#: The function names the parser reads as an :class:`Aggregate`.
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
 #: Functions whose value depends on hidden session state rather than on
@@ -556,6 +557,17 @@ def rewrite(expr: Expression, fn: Callable[[Expression], Expression]) -> Express
     for node in reversed(order):
         done[id(node)] = fn(map_expressions(node, rewritten))
     return done[id(expr)]
+
+
+def qualified(expr: Expression, table: str) -> Expression:
+    """``expr`` with every bare column reference qualified by ``table``."""
+
+    def qualify(node: Expression) -> Expression:
+        if isinstance(node, ColumnRef) and node.table is None:
+            return dataclasses.replace(node, table=table)
+        return node
+
+    return rewrite(expr, qualify)
 
 
 def node_pos(expr: Expression | None) -> int | None:

@@ -38,7 +38,6 @@ _TYPE_KEYWORDS = (
     "CHAR", "VARCHAR", "INTEGER", "INT", "BIGINT",
     "FLOAT", "DOUBLE", "REAL", "TIMESTAMP",
 )
-_AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 _LITERALS = (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.STRING)
 
 #: How many shapes a template table keeps (least recently used out).
@@ -585,7 +584,7 @@ class _Parser:
         if token.kind is TokenKind.KEYWORD and token.text == "NULL":
             self._advance()
             return ast.Literal(None, pos=token.position)
-        if token.kind is TokenKind.KEYWORD and token.text in _AGGREGATES:
+        if token.kind is TokenKind.KEYWORD and token.text in ast.AGGREGATE_FUNCTIONS:
             function = self._advance().text
             self._expect(TokenKind.SYMBOL, "(")
             if self._accept(TokenKind.SYMBOL, "*"):

@@ -94,6 +94,28 @@ class AggregateViewDefinition:
         """The predicate text parsed: once per (frozen) definition."""
         return parse_expression(self.predicate) if self.predicate else None
 
+    @cached_property
+    def select(self) -> ast.SelectStmt:
+        """The SELECT this view stands for, built once: ``SELECT <group_by>,
+        COUNT(*), <aggregates> FROM base WHERE <predicate> GROUP BY
+        <group_by>``, every column reference qualified by the base table."""
+        base, predicate = self.base_table, self._predicate
+        group_by = tuple(ast.ColumnRef(name, base) for name in self.group_by)
+        aggregates = [
+            ast.Aggregate(
+                spec.function,
+                None if spec.argument is None else ast.ColumnRef(spec.argument, base),
+            )
+            for spec in self.aggregates
+        ]
+        items = (*group_by, ast.Aggregate("COUNT", None), *aggregates)
+        return ast.SelectStmt(
+            tuple(ast.SelectItem(item) for item in items),
+            base,
+            where=None if predicate is None else ast.qualified(predicate, base),
+            group_by=group_by,
+        )
+
     def predicate_ast(self) -> ast.Expression | None:
         return self._predicate
 

@@ -1,6 +1,7 @@
 """The host-benchmark pair runner (tools/host_pairs.py), on a stub runner."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -110,10 +111,31 @@ def test_summary_line_and_verdict(capsys, monkeypatch):
     assert base.parent == work.parent and len(base.name) == len(work.name)
 
 
-def test_the_working_tree_copy_holds_its_files(tmp_path):
+def test_the_working_tree_copy_holds_its_files(tmp_path, monkeypatch):
+    # A checkout of its own, so the test holds in a copy that is not one.
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    (repo / "tools" / "tracked.py").write_text("tracked\n")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    git("add", "tools/tracked.py", ".gitignore")
+    git("commit", "-q", "-m", "one file")
+    (repo / "untracked.py").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    monkeypatch.setattr(host_pairs, "REPO", repo)
+
     work = host_pairs.export_working_tree(tmp_path / "work")
-    for name in ("tools/host_pairs.py", "tests/test_host_pairs.py", "BENCHMARK.json"):
-        assert (work / name).read_bytes() == (REPO / name).read_bytes()
+    for name in ("tools/tracked.py", "untracked.py", ".gitignore"):
+        assert (work / name).read_bytes() == (repo / name).read_bytes()
+    assert not (work / "ignored.txt").exists()
     assert not (work / ".git").exists()
 
 

@@ -1790,6 +1790,50 @@ class TestRepro025OneRecordShape:
             ] == [], path
 
 
+class TestRepro026OneNameResolver:
+    RESOLVER = (
+        "from repro.semantics import diagnostics as diag\n"
+        "def check(view, schema):\n"
+        "    if not schema.has_column(view.key_column):\n"
+        "        return [diag.Diagnostic(diag.UNKNOWN_COLUMN, ERROR, 'no key')]\n"
+        "    return [Diagnostic(diag.UNKNOWN_TABLE, ERROR, 'no table')]\n"
+    )
+    REPORTER = (
+        "def plan(checker, view):\n"
+        "    return checker.check_statement(view.select).diagnostics\n"
+        "class Diagnostic:\n"
+        "    pass\n"
+    )
+
+    def test_a_diagnostic_built_outside_the_checker_is_flagged(self, tmp_path):
+        violations = lint_source(
+            tmp_path, self.RESOLVER, name="repro/semantics/planner.py"
+        )
+        assert [int(v.split(":")[1]) for v in violations] == [4, 5]
+        assert all("REPRO026" in v for v in violations)
+        assert "SemanticChecker" in violations[0]
+
+    def test_the_checker_builds_them_and_others_report_them(self, tmp_path):
+        assert lint_source(
+            tmp_path, self.RESOLVER, name=lint_rules.DIAGNOSTIC_HOME
+        ) == []
+        assert lint_source(
+            tmp_path, self.REPORTER, name="repro/semantics/planner.py"
+        ) == []
+
+    def test_shipped_tree_has_one_name_resolver(self):
+        package = REPO / "src" / "repro"
+        builders = set()
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO026" in v
+            ] == [], path
+            nodes = list(ast.walk(lint_rules.parse_file(path)))
+            if lint_rules._calls_to(nodes, "Diagnostic"):
+                builders.add("repro/" + path.relative_to(package).as_posix())
+        assert builders == {lint_rules.DIAGNOSTIC_HOME}
+
+
 class TestRepro022ReachedByAProgram:
     MODULE = (
         '"""Names ``only_tested`` in a docstring, which does not count."""\n'

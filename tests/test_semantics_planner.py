@@ -238,3 +238,188 @@ class TestIntegratorValidation:
         OpDeltaIntegrator(
             warehouse.database.internal_session(), views=[view], plans={}
         )
+
+
+def _joined(**changes):
+    """A parts ⋈ suppliers view with one part of its definition changed."""
+    join = {
+        "table": "suppliers",
+        "left_column": "supplier_id",
+        "right_column": "supplier_id",
+        "columns": ("supplier_name",),
+    }
+    join.update(changes.pop("join", {}))
+    spec = {
+        "name": "v",
+        "base_table": "parts",
+        "columns": ("part_id", "status"),
+        "key_column": "part_id",
+        "join": JoinSpec(**join),
+    }
+    spec.update(changes)
+    return ViewDefinition(**spec)
+
+
+class TestBrokenViewCodes:
+    """Each broken part of a definition draws the one code it always drew."""
+
+    @pytest.mark.parametrize(
+        "view, code",
+        [
+            (_joined(join={"table": "supplierz"}), UNKNOWN_TABLE),
+            (_joined(join={"columns": ("no_such",)}), UNKNOWN_COLUMN),
+            (_joined(join={"left_column": "no_such"}), UNKNOWN_COLUMN),
+            (_joined(join={"right_column": "no_such"}), UNKNOWN_COLUMN),
+            (_joined(key_column="no_such"), UNKNOWN_COLUMN),
+            (_joined(predicate="supplier_name = 'acme'"), UNKNOWN_COLUMN),
+        ],
+        ids=[
+            "unknown-dimension-table",
+            "unknown-dimension-column",
+            "unknown-join-left-column",
+            "unknown-join-right-column",
+            "unknown-key-column",
+            "predicate-names-dimension-column",
+        ],
+    )
+    def test_broken_view_code(self, view, code):
+        plan = PLANNER.plan_view(view)
+        assert not plan.valid
+        assert {d.code for d in plan.diagnostics} == {code}
+
+    def test_a_column_both_tables_have_is_not_ambiguous(self):
+        # parts and suppliers both have supplier_id; the view reads the
+        # base table's, in its items and in its predicate.
+        plan = PLANNER.plan_view(_joined(
+            columns=("part_id", "supplier_id"), predicate="supplier_id > 0"
+        ))
+        assert plan.diagnostics == ()
+
+
+def _program_views():
+    """Every view definition a program of this repository builds, with the
+    schemas it is planned against."""
+    import importlib.util
+    from pathlib import Path
+
+    from repro.bench import check, verify
+    from repro.bench.experiments import (
+        aggregate_views,
+        analysis,
+        columnar,
+        compaction,
+        semantics,
+    )
+    from repro.obs.introspect import meta
+
+    example_path = (
+        Path(__file__).resolve().parents[1] / "examples" / "online_warehouse.py"
+    )
+    spec = importlib.util.spec_from_file_location("online_warehouse", example_path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+
+    parts = [parts_schema(), suppliers_schema()]
+    return [
+        *((view, check.seed_catalog()) for view in check.SEED_VIEWS),
+        *((view, check.seed_catalog()) for view in check.SEED_AGGREGATE_VIEWS),
+        (verify.MIRROR_VIEW, SchemaCatalog(parts)),
+        (verify.JOIN_VIEW, SchemaCatalog(parts)),
+        (semantics.SPJ_VIEW, SchemaCatalog(parts)),
+        (semantics.AGG_VIEW, SchemaCatalog(parts)),
+        (aggregate_views.DEFINITION, SchemaCatalog(parts)),
+        *(
+            (view, SchemaCatalog(parts))
+            for module in (analysis, columnar, compaction)
+            for view in module.build_analyzer().views
+        ),
+        *((view, SchemaCatalog(meta._SCHEMAS)) for view in meta._view_definitions()),
+        (example.HOT_PARTS, SchemaCatalog(parts)),
+    ]
+
+
+class TestProgramViewsPlanClean:
+    def test_the_join_view_plans_with_no_diagnostics(self):
+        from repro.bench.verify import JOIN_VIEW
+
+        plan = PLANNER.plan_view(JOIN_VIEW)
+        assert plan.diagnostics == ()
+
+    def test_every_program_view_plans_with_no_diagnostics(self):
+        planned = 0
+        for view, catalog in _program_views():
+            planner = ViewMaintenancePlanner(catalog)
+            if isinstance(view, AggregateViewDefinition):
+                plan = planner.plan_aggregate(view)
+            else:
+                plan = planner.plan_view(view)
+            assert plan.diagnostics == (), view.name
+            planned += 1
+        assert planned == 14
+
+
+def _interest_by_hand(view):
+    """The base columns an UPDATE must assign to change ``view``, as
+    relevance once worked them out from the definition's parts."""
+    from repro.sql.expressions import referenced_columns
+
+    if isinstance(view, AggregateViewDefinition):
+        interest = set(view.group_by)
+        interest.update(s.argument for s in view.aggregates if s.argument)
+    else:
+        interest = set(view.columns)
+        if view.key_column is not None:
+            interest.add(view.key_column)
+        if view.join is not None:
+            interest.add(view.join.left_column)
+    if view.predicate_ast() is not None:
+        interest |= referenced_columns(view.predicate_ast())
+    return interest
+
+
+class TestTheSelectAViewStandsFor:
+    def test_an_spj_view_with_a_join(self):
+        view = _joined(predicate="quantity > 5")
+        assert view.select.to_sql() == (
+            "SELECT parts.part_id, parts.status, parts.supplier_id, "
+            "suppliers.supplier_name FROM parts "
+            "JOIN suppliers ON parts.supplier_id = suppliers.supplier_id "
+            "WHERE (parts.quantity > 5)"
+        )
+        assert view.select is view.select
+
+    def test_the_key_comes_before_the_join_column(self):
+        view = _joined(columns=("status",))
+        assert [item.expr.to_sql() for item in view.select.items] == [
+            "parts.status", "parts.part_id", "parts.supplier_id",
+            "suppliers.supplier_name",
+        ]
+
+    def test_an_aggregate_view(self):
+        view = AggregateViewDefinition(
+            "v", "parts", group_by=("supplier_id",),
+            aggregates=(AggregateSpec("COUNT"), AggregateSpec("AVG", "price")),
+            predicate="status = 'active'",
+        )
+        assert view.select.to_sql() == (
+            "SELECT parts.supplier_id, COUNT(*), COUNT(*), AVG(parts.price) "
+            "FROM parts WHERE (parts.status = 'active') "
+            "GROUP BY parts.supplier_id"
+        )
+
+    def test_its_base_columns_are_what_relevance_worked_out_by_hand(self):
+        from repro.sql import ast_nodes as ast
+
+        views = [view for view, _catalog in _program_views()] + [
+            FULL_VIEW, ACTIVE_VIEW, KEYLESS_VIEW, REMOTE_JOIN_VIEW, AGG_VIEW,
+            _joined(columns=("status",), predicate="quantity > 5"),
+            _joined(join={"columns": ()}),
+        ]
+        for view in views:
+            base = {
+                node.name
+                for expr in ast.expressions(view.select)
+                for node in ast.walk(expr)
+                if isinstance(node, ast.ColumnRef) and node.table == view.base_table
+            }
+            assert base == _interest_by_hand(view), view.name

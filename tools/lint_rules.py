@@ -342,6 +342,14 @@ drops a field added later without a word; it is flagged.  A ``to_dict``
 whose keys are reordered, renamed or interleaved with derived values is
 its own shape and is left alone.
 
+**REPRO026 — one name resolver.**  Whether a statement's tables, columns,
+join and types check out is the semantic checker's to say, and a view is
+checked as the SELECT it stands for.  The planner once ran a second
+resolver over view definitions, ``has_column`` test by test, and wrote
+its own messages for what the checker already diagnosed.  So
+``Diagnostic(`` is called only in ``repro/semantics/checker.py``
+(``DIAGNOSTIC_HOME``); everything else reports the checker's diagnostics.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -633,6 +641,9 @@ IMAGE_CHOICE_BUDGETS = {
     "repro/analysis/verify/certificate.py": 1,
     "repro/bench/check.py": 1,
 }
+
+#: REPRO026: the one module that may construct a ``Diagnostic``.
+DIAGNOSTIC_HOME = "repro/semantics/checker.py"
 
 #: REPRO022: the trees besides the package whose references count, and
 #: qualified name -> why a public name no program reaches stays.
@@ -1422,6 +1433,20 @@ def _replay_judge_violations(path: Path, tree: ast.AST, normalized: str) -> list
     ]
 
 
+def _diagnostic_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
+    """REPRO026: a ``Diagnostic(`` call outside the semantic checker."""
+    if normalized.endswith(DIAGNOSTIC_HOME):
+        return []
+    return [
+        f"{path}:{node.lineno}: REPRO026 Diagnostic built outside the semantic "
+        "checker; check the statement (a view's .select) with SemanticChecker "
+        "and report its diagnostics"
+        for node in sorted(
+            _calls_to(list(ast.walk(tree)), "Diagnostic"), key=lambda n: n.lineno
+        )
+    ]
+
+
 def _self_attribute(node: ast.expr) -> str | None:
     """``f`` when ``node`` is ``self.f``, else ``None``."""
     if (
@@ -1875,6 +1900,7 @@ def _lint_file(path: Path) -> list[str]:
     violations.extend(_commutation_violations(path, tree, normalized))
     violations.extend(_replay_judge_violations(path, tree, normalized))
     violations.extend(_restated_record_violations(path, tree))
+    violations.extend(_diagnostic_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
