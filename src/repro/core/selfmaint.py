@@ -116,11 +116,11 @@ class ViewDefinition:
         names = list(self.columns)
         if self.key_column is not None and self.key_column not in names:
             names.append(self.key_column)
+        if join is not None and join.columns and join.left_column not in names:
+            names.append(join.left_column)
         items = [ast.ColumnRef(name, base) for name in names]
         joins: tuple[ast.Join, ...] = ()
         if join is not None:
-            if join.columns and join.left_column not in names:
-                items.append(ast.ColumnRef(join.left_column, base))
             items.extend(ast.ColumnRef(name, join.table) for name in join.columns)
             joins = (
                 ast.Join(
