@@ -110,17 +110,19 @@ class ViewDefinition:
         then the key column and the join's left column where the view keeps
         them without projecting them, then the dimension's projected columns,
         ``FROM base JOIN dim ON base.left = dim.right WHERE predicate``.
+        A join projecting no dimension column reads nothing from the
+        dimension, so it has no JOIN clause; its left column stays an item.
         Every base column reference is qualified by the base table, the
         predicate's too, so a column both tables have is the base table's."""
         base, join = self.base_table, self.join
         names = list(self.columns)
         if self.key_column is not None and self.key_column not in names:
             names.append(self.key_column)
-        if join is not None and join.columns and join.left_column not in names:
+        if join is not None and join.left_column not in names:
             names.append(join.left_column)
         items = [ast.ColumnRef(name, base) for name in names]
         joins: tuple[ast.Join, ...] = ()
-        if join is not None:
+        if join is not None and join.columns:
             items.extend(ast.ColumnRef(name, join.table) for name in join.columns)
             joins = (
                 ast.Join(

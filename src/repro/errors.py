@@ -69,8 +69,9 @@ class SemanticError(SqlAnalysisError):
     """The schema-aware semantic checker rejected a statement.
 
     Raised at Op-Delta capture time (the wrapper seam) so malformed
-    statements never reach the store or the warehouse apply path.  Carries
-    the individual :class:`repro.semantics.Diagnostic` records.
+    statements never reach the store or the warehouse apply path, and when
+    a view is materialised from a definition whose SELECT does not check.
+    Carries the individual :class:`repro.semantics.Diagnostic` records.
     """
 
     def __init__(self, message: str, diagnostics: tuple = ()) -> None:

@@ -23,7 +23,10 @@ The checker performs, per statement:
 
 One unresolved name yields exactly one diagnostic: the affected
 subexpressions type as UNKNOWN, which unifies with everything, so a
-misspelled table does not cascade into a wall of secondary errors.
+misspelled table does not cascade into a wall of secondary errors — the
+references that may be its columns type as UNKNOWN, and those qualified by
+a known table are still checked.  A diagnostic's severity is its code's
+(:data:`~repro.semantics.diagnostics.WARNINGS`).
 """
 
 from __future__ import annotations
@@ -122,19 +125,27 @@ class CheckResult:
 class _Scope:
     """Visible columns during one statement's resolution.
 
-    ``permissive`` scopes (after an unknown table) resolve every name to
-    UNKNOWN without emitting further diagnostics.
+    ``_unknown`` holds the names and aliases of tables the catalog lacks.  A
+    reference qualified by one of them, or any unqualified reference while
+    there is one (it may be that table's), resolves quietly to UNKNOWN; a
+    reference qualified by a known table is checked as ever.
     """
 
-    def __init__(self, permissive: bool = False) -> None:
-        self.permissive = permissive
+    def __init__(self) -> None:
+        self._unknown: set[str] = set()
         self._by_name: dict[str, list[tuple[str, Column]]] = {}
         self._qualified: dict[str, dict[str, Column]] = {}
 
-    def add_table(self, schema: TableSchema, alias: str | None = None) -> None:
-        names = {alias} if alias else {schema.name}
-        names.add(schema.name)
-        for qualifier in names:
+    def add_table(
+        self, name: str, schema: TableSchema | None, alias: str | None = None
+    ) -> None:
+        """Make table ``name``'s columns visible under its name and alias;
+        ``schema`` is None when the catalog lacks the table."""
+        qualifiers = {name} if alias is None else {name, alias}
+        if schema is None:
+            self._unknown |= qualifiers
+            return
+        for qualifier in qualifiers:
             bucket = self._qualified.setdefault(qualifier, {})
             for column in schema.columns:
                 bucket[column.name] = column
@@ -142,13 +153,18 @@ class _Scope:
             self._by_name.setdefault(column.name, []).append((schema.name, column))
 
     def resolve(self, ref: ast.ColumnRef) -> tuple[Column | None, str | None]:
-        """Resolve a reference: (column, problem) where problem is a code."""
+        """Resolve a reference: (column, problem) where problem is a code;
+        neither when the reference may name an unknown table's column."""
         if ref.table is not None:
+            if ref.table in self._unknown:
+                return None, None
             bucket = self._qualified.get(ref.table)
             if bucket is None:
                 return None, diag.UNKNOWN_COLUMN
             column = bucket.get(ref.name)
             return (column, None) if column else (None, diag.UNKNOWN_COLUMN)
+        if self._unknown:
+            return None, None
         candidates = self._by_name.get(ref.name, [])
         if not candidates:
             return None, diag.UNKNOWN_COLUMN
@@ -217,9 +233,7 @@ class SemanticChecker:
                     entry.column.datatype.validate(binding.values[entry.slot])
                     found = entry.then
                 except SchemaError as exc:
-                    found = Diagnostic(
-                        diag.TYPE_MISMATCH, Severity.ERROR, str(exc), entry.position
-                    )
+                    found = _diagnostic(diag.TYPE_MISMATCH, str(exc), entry.position)
             if found is not None:
                 position = binding.position(found.position)
                 if position != found.position:
@@ -259,14 +273,9 @@ class SemanticChecker:
     ) -> TableSchema | None:
         schema = self.catalog.schema(name)
         if schema is None:
-            diags.append(
-                Diagnostic(
-                    diag.UNKNOWN_TABLE,
-                    Severity.ERROR,
-                    f"unknown table {name!r}",
-                    pos,
-                )
-            )
+            diags.append(_diagnostic(
+                diag.UNKNOWN_TABLE, f"unknown table {name!r}", pos
+            ))
         return schema
 
     def _check_insert(
@@ -280,39 +289,30 @@ class SemanticChecker:
                 seen: set[str] = set()
                 for name in stmt.columns:
                     if name in seen:
-                        diags.append(
-                            Diagnostic(
-                                diag.ARITY_MISMATCH,
-                                Severity.ERROR,
-                                f"column {name!r} listed twice in INSERT",
-                                stmt.table_pos,
-                            )
-                        )
+                        diags.append(_diagnostic(
+                            diag.ARITY_MISMATCH,
+                            f"column {name!r} listed twice in INSERT",
+                            stmt.table_pos,
+                        ))
                     seen.add(name)
                     if schema.has_column(name):
                         target_columns.append(schema.column(name))
                     else:
-                        diags.append(
-                            Diagnostic(
-                                diag.UNKNOWN_COLUMN,
-                                Severity.ERROR,
-                                f"table {stmt.table!r} has no column {name!r}",
-                                stmt.table_pos,
-                            )
-                        )
+                        diags.append(_diagnostic(
+                            diag.UNKNOWN_COLUMN,
+                            f"table {stmt.table!r} has no column {name!r}",
+                            stmt.table_pos,
+                        ))
                         target_columns.append(Column(name, _UNKNOWN_DATATYPE))
                 # Omitted NOT NULL columns become NULL on apply: reject now.
                 for column in schema.columns:
                     if not column.nullable and column.name not in seen:
-                        diags.append(
-                            Diagnostic(
-                                diag.NOT_NULL_VIOLATION,
-                                Severity.ERROR,
-                                f"INSERT omits NOT NULL column "
-                                f"{stmt.table}.{column.name}",
-                                stmt.table_pos,
-                            )
-                        )
+                        diags.append(_diagnostic(
+                            diag.NOT_NULL_VIOLATION,
+                            f"INSERT omits NOT NULL column "
+                            f"{stmt.table}.{column.name}",
+                            stmt.table_pos,
+                        ))
             else:
                 target_columns = list(schema.columns)
 
@@ -324,15 +324,12 @@ class SemanticChecker:
                 and width is not None
                 and width != len(target_columns)
             ):
-                diags.append(
-                    Diagnostic(
-                        diag.ARITY_MISMATCH,
-                        Severity.ERROR,
-                        f"INSERT target has {len(target_columns)} columns but "
-                        f"the SELECT produces {width}",
-                        stmt.table_pos,
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.ARITY_MISMATCH,
+                    f"INSERT target has {len(target_columns)} columns but "
+                    f"the SELECT produces {width}",
+                    stmt.table_pos,
+                ))
             return dataclasses.replace(stmt, select=select)
 
         # VALUES rows: fold, then fit each value against its target column.
@@ -342,15 +339,12 @@ class SemanticChecker:
             folded = tuple(self._fold(expr, diags) for expr in row)
             folded_rows.append(folded)
             if target_columns is not None and len(folded) != len(target_columns):
-                diags.append(
-                    Diagnostic(
-                        diag.ARITY_MISMATCH,
-                        Severity.ERROR,
-                        f"INSERT row has {len(folded)} values but "
-                        f"{len(target_columns)} columns are expected",
-                        ast.node_pos(folded[0]) if folded else stmt.table_pos,
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.ARITY_MISMATCH,
+                    f"INSERT row has {len(folded)} values but "
+                    f"{len(target_columns)} columns are expected",
+                    ast.node_pos(folded[0]) if folded else stmt.table_pos,
+                ))
                 continue
             for position, expr in enumerate(folded):
                 expr_type = self._infer(expr, scope, diags)
@@ -364,36 +358,29 @@ class SemanticChecker:
         self, stmt: ast.UpdateStmt, diags: list[Diagnostic]
     ) -> ast.UpdateStmt:
         schema = self._lookup_table(stmt.table, stmt.table_pos, diags)
-        scope = _Scope(permissive=schema is None)
-        if schema is not None:
-            scope.add_table(schema)
+        scope = _Scope()
+        scope.add_table(stmt.table, schema)
         assigned: set[str] = set()
         folded_assignments: list[ast.Assignment] = []
         for assignment in stmt.assignments:
             if assignment.column in assigned:
-                diags.append(
-                    Diagnostic(
-                        diag.ARITY_MISMATCH,
-                        Severity.ERROR,
-                        f"column {assignment.column!r} assigned twice",
-                        assignment.pos,
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.ARITY_MISMATCH,
+                    f"column {assignment.column!r} assigned twice",
+                    assignment.pos,
+                ))
             assigned.add(assignment.column)
             column: Column | None = None
             if schema is not None:
                 if schema.has_column(assignment.column):
                     column = schema.column(assignment.column)
                 else:
-                    diags.append(
-                        Diagnostic(
-                            diag.UNKNOWN_COLUMN,
-                            Severity.ERROR,
-                            f"table {stmt.table!r} has no column "
-                            f"{assignment.column!r}",
-                            assignment.pos,
-                        )
-                    )
+                    diags.append(_diagnostic(
+                        diag.UNKNOWN_COLUMN,
+                        f"table {stmt.table!r} has no column "
+                        f"{assignment.column!r}",
+                        assignment.pos,
+                    ))
             expr = self._fold(assignment.expr, diags)
             folded_assignments.append(dataclasses.replace(assignment, expr=expr))
             expr_type = self._infer(expr, scope, diags)
@@ -407,10 +394,10 @@ class SemanticChecker:
     def _check_delete(
         self, stmt: ast.DeleteStmt, diags: list[Diagnostic]
     ) -> ast.DeleteStmt:
-        schema = self._lookup_table(stmt.table, stmt.table_pos, diags)
-        scope = _Scope(permissive=schema is None)
-        if schema is not None:
-            scope.add_table(schema)
+        scope = _Scope()
+        scope.add_table(
+            stmt.table, self._lookup_table(stmt.table, stmt.table_pos, diags)
+        )
         where = self._check_where(stmt.where, scope, diags)
         return dataclasses.replace(stmt, where=where)
 
@@ -420,28 +407,19 @@ class SemanticChecker:
         scope = _Scope()
         if stmt.table is not None:
             schema = self._lookup_table(stmt.table, stmt.table_pos, diags)
-            if schema is None:
-                scope.permissive = True
-            else:
-                scope.add_table(schema, stmt.alias)
+            scope.add_table(stmt.table, schema, stmt.alias)
         for join in stmt.joins:
-            join_schema = self._lookup_table(join.table, None, diags)
-            if join_schema is None:
-                scope.permissive = True
-            else:
-                scope.add_table(join_schema, join.alias)
+            schema = self._lookup_table(join.table, None, diags)
+            scope.add_table(join.table, schema, join.alias)
         for join in stmt.joins:
             left = self._infer(join.left, scope, diags)
             right = self._infer(join.right, scope, diags)
             if not sqltypes.comparable(left, right):
-                diags.append(
-                    Diagnostic(
-                        diag.TYPE_MISMATCH,
-                        Severity.ERROR,
-                        f"join condition compares {left.value} with {right.value}",
-                        join.left.pos,
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.TYPE_MISMATCH,
+                    f"join condition compares {left.value} with {right.value}",
+                    join.left.pos,
+                ))
         items: list[ast.SelectItem] = []
         for item in stmt.items:
             if isinstance(item.expr, ast.Star):
@@ -469,14 +447,11 @@ class SemanticChecker:
         where = self._fold(where, diags)
         result = self._infer(where, scope, diags)
         if result not in (SqlType.BOOLEAN, SqlType.NULL, SqlType.UNKNOWN):
-            diags.append(
-                Diagnostic(
-                    diag.NON_BOOLEAN_PREDICATE,
-                    Severity.ERROR,
-                    f"WHERE needs a boolean condition, got {result.value}",
-                    ast.node_pos(where),
-                )
-            )
+            diags.append(_diagnostic(
+                diag.NON_BOOLEAN_PREDICATE,
+                f"WHERE needs a boolean condition, got {result.value}",
+                ast.node_pos(where),
+            ))
         return where
 
     def _check_fit(
@@ -498,14 +473,11 @@ class SemanticChecker:
             # into NOT NULL — whatever validate_values would reject.
             if expr.value is None:
                 if not column.nullable:
-                    diags.append(
-                        Diagnostic(
-                            diag.NOT_NULL_VIOLATION,
-                            Severity.ERROR,
-                            f"column {table}.{column.name} is NOT NULL",
-                            pos,
-                        )
-                    )
+                    diags.append(_diagnostic(
+                        diag.NOT_NULL_VIOLATION,
+                        f"column {table}.{column.name} is NOT NULL",
+                        pos,
+                    ))
                 return
             slot = self._slot(expr.value)
             if slot is None:
@@ -513,7 +485,7 @@ class SemanticChecker:
                     column.datatype.validate(expr.value)
                 except SchemaError as exc:
                     diags.append(
-                        Diagnostic(diag.TYPE_MISMATCH, Severity.ERROR, str(exc), pos)
+                        _diagnostic(diag.TYPE_MISMATCH, str(exc), pos)
                     )
                     return
         # What the value's *type* settles; for a literal of a shape, what
@@ -522,25 +494,19 @@ class SemanticChecker:
         column_type = sqltypes.from_datatype(column.datatype)
         fit = sqltypes.assignment_fit(expr_type, column_type)
         if fit is Fit.ERROR and not isinstance(expr, ast.Literal):
-            diags.append(
-                Diagnostic(
-                    diag.TYPE_MISMATCH,
-                    Severity.ERROR,
-                    f"cannot store a {expr_type.value} value in "
-                    f"{table}.{column.name} ({column.datatype.name})",
-                    pos,
-                )
-            )
+            diags.append(_diagnostic(
+                diag.TYPE_MISMATCH,
+                f"cannot store a {expr_type.value} value in "
+                f"{table}.{column.name} ({column.datatype.name})",
+                pos,
+            ))
         elif fit is Fit.COERCE:
-            diags.append(
-                Diagnostic(
-                    diag.IMPLICIT_COERCION,
-                    Severity.WARNING,
-                    f"implicit {expr_type.value} → {column_type.value} coercion "
-                    f"storing into {table}.{column.name}",
-                    pos,
-                )
-            )
+            diags.append(_diagnostic(
+                diag.IMPLICIT_COERCION,
+                f"implicit {expr_type.value} → {column_type.value} coercion "
+                f"storing into {table}.{column.name}",
+                pos,
+            ))
         if slot is not None:
             diags[typed:] = [_Fit(slot, column, pos, *diags[typed:])]  # type: ignore[list-item]
 
@@ -561,24 +527,18 @@ class SemanticChecker:
             operand = self._infer(expr.operand, scope, diags)
             if expr.op == "NOT":
                 if operand not in (SqlType.BOOLEAN, SqlType.NULL, SqlType.UNKNOWN):
-                    diags.append(
-                        Diagnostic(
-                            diag.NON_BOOLEAN_PREDICATE,
-                            Severity.ERROR,
-                            f"NOT needs a boolean operand, got {operand.value}",
-                            ast.node_pos(expr),
-                        )
-                    )
+                    diags.append(_diagnostic(
+                        diag.NON_BOOLEAN_PREDICATE,
+                        f"NOT needs a boolean operand, got {operand.value}",
+                        ast.node_pos(expr),
+                    ))
                 return SqlType.BOOLEAN
             if not operand.is_numeric and not operand.lenient:
-                diags.append(
-                    Diagnostic(
-                        diag.TYPE_MISMATCH,
-                        Severity.ERROR,
-                        f"unary minus needs a number, got {operand.value}",
-                        ast.node_pos(expr),
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.TYPE_MISMATCH,
+                    f"unary minus needs a number, got {operand.value}",
+                    ast.node_pos(expr),
+                ))
                 return SqlType.UNKNOWN
             return operand
         if isinstance(expr, ast.InList):
@@ -586,41 +546,32 @@ class SemanticChecker:
             for item in expr.items:
                 item_type = self._infer(item, scope, diags)
                 if not sqltypes.comparable(value, item_type):
-                    diags.append(
-                        Diagnostic(
-                            diag.TYPE_MISMATCH,
-                            Severity.ERROR,
-                            f"IN list mixes {value.value} with {item_type.value}",
-                            ast.node_pos(item),
-                        )
-                    )
+                    diags.append(_diagnostic(
+                        diag.TYPE_MISMATCH,
+                        f"IN list mixes {value.value} with {item_type.value}",
+                        ast.node_pos(item),
+                    ))
             return SqlType.BOOLEAN
         if isinstance(expr, ast.Between):
             value = self._infer(expr.expr, scope, diags)
             for bound in (expr.low, expr.high):
                 bound_type = self._infer(bound, scope, diags)
                 if not sqltypes.comparable(value, bound_type):
-                    diags.append(
-                        Diagnostic(
-                            diag.TYPE_MISMATCH,
-                            Severity.ERROR,
-                            f"BETWEEN compares {value.value} with "
-                            f"{bound_type.value}",
-                            ast.node_pos(bound),
-                        )
-                    )
+                    diags.append(_diagnostic(
+                        diag.TYPE_MISMATCH,
+                        f"BETWEEN compares {value.value} with "
+                        f"{bound_type.value}",
+                        ast.node_pos(bound),
+                    ))
             return SqlType.BOOLEAN
         if isinstance(expr, ast.Like):
             value = self._infer(expr.expr, scope, diags)
             if value is not SqlType.STRING and not value.lenient:
-                diags.append(
-                    Diagnostic(
-                        diag.TYPE_MISMATCH,
-                        Severity.ERROR,
-                        f"LIKE needs a string, got {value.value}",
-                        ast.node_pos(expr),
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.TYPE_MISMATCH,
+                    f"LIKE needs a string, got {value.value}",
+                    ast.node_pos(expr),
+                ))
             return SqlType.BOOLEAN
         if isinstance(expr, ast.IsNull):
             self._infer(expr.expr, scope, diags)
@@ -630,43 +581,24 @@ class SemanticChecker:
         if isinstance(expr, ast.Aggregate):
             return self._infer_aggregate(expr, scope, diags, aggregates_ok)
         if isinstance(expr, ast.Star):
-            diags.append(
-                Diagnostic(
-                    diag.ARITY_MISMATCH,
-                    Severity.ERROR,
-                    "'*' is only valid directly in a select list",
-                    None,
-                )
-            )
+            diags.append(_diagnostic(
+                diag.ARITY_MISMATCH, "'*' is only valid directly in a select list", None
+            ))
         return SqlType.UNKNOWN
 
     def _infer_column(
         self, ref: ast.ColumnRef, scope: _Scope, diags: list[Diagnostic]
     ) -> SqlType:
-        if scope.permissive:
-            return SqlType.UNKNOWN
         column, problem = scope.resolve(ref)
         if column is not None:
             return sqltypes.from_datatype(column.datatype)
         spelled = f"{ref.table}.{ref.name}" if ref.table else ref.name
         if problem == diag.AMBIGUOUS_COLUMN:
-            diags.append(
-                Diagnostic(
-                    diag.AMBIGUOUS_COLUMN,
-                    Severity.ERROR,
-                    f"column {spelled!r} is ambiguous (qualify it)",
-                    ref.pos,
-                )
-            )
-        else:
-            diags.append(
-                Diagnostic(
-                    diag.UNKNOWN_COLUMN,
-                    Severity.ERROR,
-                    f"unknown column {spelled!r}",
-                    ref.pos,
-                )
-            )
+            diags.append(_diagnostic(
+                problem, f"column {spelled!r} is ambiguous (qualify it)", ref.pos
+            ))
+        elif problem is not None:
+            diags.append(_diagnostic(problem, f"unknown column {spelled!r}", ref.pos))
         return SqlType.UNKNOWN
 
     def _infer_binary(
@@ -676,42 +608,33 @@ class SemanticChecker:
             for side in (expr.left, expr.right):
                 side_type = self._infer(side, scope, diags)
                 if side_type not in (SqlType.BOOLEAN, SqlType.NULL, SqlType.UNKNOWN):
-                    diags.append(
-                        Diagnostic(
-                            diag.NON_BOOLEAN_PREDICATE,
-                            Severity.ERROR,
-                            f"{expr.op} needs boolean operands, got "
-                            f"{side_type.value}",
-                            ast.node_pos(side),
-                        )
-                    )
+                    diags.append(_diagnostic(
+                        diag.NON_BOOLEAN_PREDICATE,
+                        f"{expr.op} needs boolean operands, got "
+                        f"{side_type.value}",
+                        ast.node_pos(side),
+                    ))
             return SqlType.BOOLEAN
         left = self._infer(expr.left, scope, diags)
         right = self._infer(expr.right, scope, diags)
         if expr.op in ("=", "<>", "<", "<=", ">", ">="):
             if not sqltypes.comparable(left, right):
-                diags.append(
-                    Diagnostic(
-                        diag.TYPE_MISMATCH,
-                        Severity.ERROR,
-                        f"cannot compare {left.value} with {right.value} "
-                        f"using {expr.op!r}",
-                        ast.node_pos(expr),
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.TYPE_MISMATCH,
+                    f"cannot compare {left.value} with {right.value} "
+                    f"using {expr.op!r}",
+                    ast.node_pos(expr),
+                ))
             return SqlType.BOOLEAN
         # Arithmetic.
         for side, side_type in ((expr.left, left), (expr.right, right)):
             if not side_type.is_numeric and not side_type.lenient:
-                diags.append(
-                    Diagnostic(
-                        diag.TYPE_MISMATCH,
-                        Severity.ERROR,
-                        f"arithmetic {expr.op!r} needs numbers, got "
-                        f"{side_type.value}",
-                        ast.node_pos(side),
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.TYPE_MISMATCH,
+                    f"arithmetic {expr.op!r} needs numbers, got "
+                    f"{side_type.value}",
+                    ast.node_pos(side),
+                ))
                 return SqlType.UNKNOWN
         return sqltypes.arithmetic_result(expr.op, left, right)
 
@@ -721,25 +644,19 @@ class SemanticChecker:
         arity = _FUNCTION_ARITY.get(expr.function)
         if isinstance(arity, tuple):
             if len(expr.args) < arity[0]:
-                diags.append(
-                    Diagnostic(
-                        diag.ARITY_MISMATCH,
-                        Severity.ERROR,
-                        f"{expr.function} needs at least {arity[0]} argument(s), "
-                        f"got {len(expr.args)}",
-                        expr.pos,
-                    )
-                )
-        elif arity is not None and len(expr.args) != arity:
-            diags.append(
-                Diagnostic(
+                diags.append(_diagnostic(
                     diag.ARITY_MISMATCH,
-                    Severity.ERROR,
-                    f"{expr.function} takes exactly {arity} argument(s), "
+                    f"{expr.function} needs at least {arity[0]} argument(s), "
                     f"got {len(expr.args)}",
                     expr.pos,
-                )
-            )
+                ))
+        elif arity is not None and len(expr.args) != arity:
+            diags.append(_diagnostic(
+                diag.ARITY_MISMATCH,
+                f"{expr.function} takes exactly {arity} argument(s), "
+                f"got {len(expr.args)}",
+                expr.pos,
+            ))
         arg_types = [self._infer(arg, scope, diags) for arg in expr.args]
         if expr.function in ast.TIME_FUNCTIONS:
             return SqlType.TIMESTAMP
@@ -759,26 +676,20 @@ class SemanticChecker:
         first = arg_types[0] if arg_types else SqlType.UNKNOWN
         if expr.function in ("ABS", "ROUND"):
             if not first.is_numeric and not first.lenient:
-                diags.append(
-                    Diagnostic(
-                        diag.TYPE_MISMATCH,
-                        Severity.ERROR,
-                        f"{expr.function} needs a number, got {first.value}",
-                        expr.pos,
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.TYPE_MISMATCH,
+                    f"{expr.function} needs a number, got {first.value}",
+                    expr.pos,
+                ))
                 return SqlType.UNKNOWN
             return SqlType.INTEGER if expr.function == "ROUND" else first
         # UPPER / LOWER / LENGTH.
         if first is not SqlType.STRING and not first.lenient:
-            diags.append(
-                Diagnostic(
-                    diag.TYPE_MISMATCH,
-                    Severity.ERROR,
-                    f"{expr.function} needs a string, got {first.value}",
-                    expr.pos,
-                )
-            )
+            diags.append(_diagnostic(
+                diag.TYPE_MISMATCH,
+                f"{expr.function} needs a string, got {first.value}",
+                expr.pos,
+            ))
             return SqlType.UNKNOWN
         return SqlType.INTEGER if expr.function == "LENGTH" else SqlType.STRING
 
@@ -790,14 +701,11 @@ class SemanticChecker:
         aggregates_ok: bool,
     ) -> SqlType:
         if not aggregates_ok:
-            diags.append(
-                Diagnostic(
-                    diag.ARITY_MISMATCH,
-                    Severity.ERROR,
-                    f"aggregate {expr.function} is only valid in a select list",
-                    expr.pos,
-                )
-            )
+            diags.append(_diagnostic(
+                diag.ARITY_MISMATCH,
+                f"aggregate {expr.function} is only valid in a select list",
+                expr.pos,
+            ))
         if expr.argument is None:
             return SqlType.INTEGER  # COUNT(*)
         arg_type = self._infer(expr.argument, scope, diags)
@@ -805,15 +713,12 @@ class SemanticChecker:
             return SqlType.INTEGER
         if expr.function in ("SUM", "AVG"):
             if not arg_type.is_numeric and not arg_type.lenient:
-                diags.append(
-                    Diagnostic(
-                        diag.TYPE_MISMATCH,
-                        Severity.ERROR,
-                        f"{expr.function} needs a numeric column, got "
-                        f"{arg_type.value}",
-                        expr.pos,
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.TYPE_MISMATCH,
+                    f"{expr.function} needs a numeric column, got "
+                    f"{arg_type.value}",
+                    expr.pos,
+                ))
             return SqlType.FLOAT
         return arg_type  # MIN/MAX keep their argument's type
 
@@ -846,14 +751,11 @@ class SemanticChecker:
             value = evaluate(expr, {})
         except SqlAnalysisError as exc:
             if "division by zero" in str(exc):
-                diags.append(
-                    Diagnostic(
-                        diag.CONSTANT_FAILURE,
-                        Severity.ERROR,
-                        "constant expression always fails: division by zero",
-                        ast.node_pos(expr),
-                    )
-                )
+                diags.append(_diagnostic(
+                    diag.CONSTANT_FAILURE,
+                    "constant expression always fails: division by zero",
+                    ast.node_pos(expr),
+                ))
             # Type errors in constants surface through inference instead.
             return expr
         if value is None or isinstance(value, (int, float, str)):
@@ -861,6 +763,12 @@ class SemanticChecker:
                 return expr
             return ast.Literal(value, pos=ast.node_pos(expr))
         return expr
+
+
+def _diagnostic(code: str, message: str, position: int | None) -> Diagnostic:
+    """A finding of ``code``, at the severity its code has."""
+    severity = Severity.WARNING if code in diag.WARNINGS else Severity.ERROR
+    return Diagnostic(code, severity, message, position)
 
 
 def _produces_value(node: ast.Expression) -> bool:

@@ -24,6 +24,10 @@ NOT_NULL_VIOLATION = "SEM007"
 NON_BOOLEAN_PREDICATE = "SEM008"
 CONSTANT_FAILURE = "SEM009"
 
+#: The codes that annotate a statement without rejecting it; every other
+#: code is an error.
+WARNINGS = frozenset({IMPLICIT_COERCION})
+
 
 class Severity(enum.Enum):
     """Whether a diagnostic rejects the statement or merely annotates it."""

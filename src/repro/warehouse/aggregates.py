@@ -38,6 +38,7 @@ from ..extraction.deltas import ChangeKind, DeltaRecord
 from ..sql import ast_nodes as ast
 from ..sql.expressions import NO_SESSION, RowBinding, compile_predicate
 from ..sql.parser import parse_expression
+from .views import check_definition
 
 #: Aggregate functions that are self-maintainable under insert+delete.
 SELF_MAINTAINABLE_FUNCTIONS = ("COUNT", "SUM", "AVG")
@@ -134,27 +135,13 @@ class MaterializedAggregateView:
         definition: AggregateViewDefinition,
         base_schema: TableSchema,
     ) -> None:
-        if definition.base_table != base_schema.name:
-            raise WarehouseError(
-                f"aggregate view {definition.name!r} is over "
-                f"{definition.base_table!r}, got schema of {base_schema.name!r}"
-            )
+        check_definition(warehouse_db, definition, base_schema)
         self.definition = definition
         self.base_schema = base_schema
         self._base_columns = base_schema.column_names
         self._qualifies = compile_predicate(
             definition.predicate_ast(), RowBinding(self._base_columns)
         )
-        for name in definition.group_by:
-            base_schema.column(name)  # validates
-        for spec in definition.aggregates:
-            if spec.argument is not None:
-                column = base_schema.column(spec.argument)
-                if column.datatype.name not in ("INTEGER", "FLOAT", "TIMESTAMP"):
-                    raise SelfMaintenanceError(
-                        f"{spec.function}({spec.argument}) needs a numeric "
-                        f"column, got {column.datatype.name}"
-                    )
 
         columns: list[Column] = [
             base_schema.column(name) for name in definition.group_by

@@ -19,12 +19,16 @@ images are involved they are one path: :meth:`MaterializedView._apply_images`
 turns a ``(before, after)`` pair into storage operations, fed by value
 deltas with the images they carry and by hybrid Op-Deltas with the images
 :func:`~repro.core.opdelta.derive_row_images` derives from the operation.
+
+A view of either class materialises only when the semantic checker passes
+the SELECT its definition stands for (:func:`check_definition`): the
+constructors test no name or type themselves.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.opdelta import OpDelta, OpKind, derive_row_images
 from ..core.selfmaint import Maintainability, ViewDefinition, replay_kind
@@ -34,11 +38,37 @@ from ..engine.schema import Column, TableSchema
 from ..engine.table import InsertMode, Table
 from ..engine.transactions import Transaction
 from ..errors import WarehouseError
+from ..semantics.checker import SchemaCatalog, SemanticChecker
 from ..sql import ast_nodes as ast
 from ..sql.executor import Executor
 from ..sql.expressions import NO_SESSION, RowBinding, compile_predicate
 from ..sql.planner import choose_path
 from ..sql.templates import reshaped
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .aggregates import AggregateViewDefinition
+
+
+def check_definition(
+    warehouse_db: Database,
+    definition: "ViewDefinition | AggregateViewDefinition",
+    base_schema: TableSchema,
+) -> None:
+    """Refuse a definition whose SELECT the semantic checker rejects.
+
+    The catalog is ``base_schema`` — not the warehouse's mirror of the base
+    table, so a schema of the wrong table is an unknown table — and the
+    warehouse's table for each JOIN, where it has one.  Raises
+    :class:`~repro.errors.SemanticError` carrying the checker's diagnostics.
+    """
+    select = definition.select
+    dimensions = [
+        warehouse_db.table(join.table).schema
+        for join in select.joins
+        if warehouse_db.has_table(join.table)
+    ]
+    checker = SemanticChecker(SchemaCatalog([base_schema, *dimensions]))
+    checker.check_statement(select).raise_if_errors(select.to_sql())
 
 
 class MaterializedView:
@@ -50,16 +80,7 @@ class MaterializedView:
         definition: ViewDefinition,
         base_schema: TableSchema,
     ) -> None:
-        if definition.base_table != base_schema.name:
-            raise WarehouseError(
-                f"view {definition.name!r} is over {definition.base_table!r} "
-                f"but was given the schema of {base_schema.name!r}"
-            )
-        unknown = set(definition.columns) - set(base_schema.column_names)
-        if unknown:
-            raise WarehouseError(
-                f"view {definition.name!r} projects unknown columns: {sorted(unknown)}"
-            )
+        check_definition(warehouse_db, definition, base_schema)
         self._db = warehouse_db
         self._executor = Executor(warehouse_db)
         self.definition = definition
@@ -73,21 +94,12 @@ class MaterializedView:
             self._predicate, RowBinding(self._base_columns)
         )
         self._key = definition.key_column
-        if self._key is not None and self._key not in base_schema.column_names:
-            raise WarehouseError(
-                f"view key {self._key!r} is not a column of {base_schema.name!r}"
-            )
 
         columns = [base_schema.column(name) for name in definition.columns]
         join = definition.join
         if join is not None and join.columns:
             # A join projecting no dimension columns needs no local copy:
             # there is nothing to look up at maintenance time.
-            if not warehouse_db.has_table(join.table):
-                raise WarehouseError(
-                    f"view {definition.name!r} joins {join.table!r}, which is "
-                    "not mirrored at the warehouse"
-                )
             dim_schema = warehouse_db.table(join.table).schema
             for name in join.columns:
                 # Dimension columns are nullable in the view even when NOT

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import settings
+from hypothesis.internal.charmap import charmap, intervals_from_codec
 
 from repro.engine import Column, Database, TableSchema
 from repro.engine.types import FLOAT, INTEGER, TIMESTAMP, char
@@ -14,6 +15,19 @@ from repro.workloads import OltpWorkload, PartsGenerator, parts_schema
 # (hypothesis's own random profile) overrides the profile loaded here.
 settings.register_profile("tier1", derandomize=True)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def unicode_tables() -> None:
+    """Hypothesis's unicode tables, built before any test draws a character.
+
+    A fresh checkout has no ``.hypothesis/unicode_data/``: the first draw of
+    a non-ASCII character would build the tables inside that test's
+    generation budget and fail the ``too_slow`` health check.  (Built here,
+    not at import, where Hypothesis warns about the side effect.)
+    """
+    charmap()
+    intervals_from_codec("utf-8")
 
 
 @pytest.fixture

@@ -41,5 +41,11 @@ DELETE FROM parts WHERE part_id + 1;
 -- expect: SEM004, SEM009
 UPDATE parts SET quantity = 1 / 0 WHERE part_id = 1;
 
+-- An unknown table silences only the references that may be its columns:
+-- those qualified by the known table are still checked.
+-- expect: SEM001, SEM002, SEM004
+SELECT p.no_such FROM parts p
+  JOIN supplierz s ON p.supplier_id = s.x WHERE p.status > 5;
+
 -- A well-formed statement: must produce no diagnostics at all.
 UPDATE parts SET status = 'revised' WHERE part_ref >= 0 AND part_ref < 10;

@@ -1798,6 +1798,10 @@ class TestRepro026OneNameResolver:
         "        return [diag.Diagnostic(diag.UNKNOWN_COLUMN, ERROR, 'no key')]\n"
         "    return [Diagnostic(diag.UNKNOWN_TABLE, ERROR, 'no table')]\n"
     )
+    HELPER = (
+        "def _diagnostic(code, message, position):\n"
+        "    return Diagnostic(code, severity_of(code), message, position)\n"
+    )
     REPORTER = (
         "def plan(checker, view):\n"
         "    return checker.check_statement(view.select).diagnostics\n"
@@ -1815,23 +1819,30 @@ class TestRepro026OneNameResolver:
 
     def test_the_checker_builds_them_and_others_report_them(self, tmp_path):
         assert lint_source(
-            tmp_path, self.RESOLVER, name=lint_rules.DIAGNOSTIC_HOME
+            tmp_path, self.HELPER, name=lint_rules.DIAGNOSTIC_HOME
         ) == []
         assert lint_source(
             tmp_path, self.REPORTER, name="repro/semantics/planner.py"
         ) == []
 
+    def test_the_checker_builds_them_in_one_place(self, tmp_path):
+        violations = lint_source(
+            tmp_path, self.RESOLVER, name=lint_rules.DIAGNOSTIC_HOME
+        )
+        assert [int(v.split(":")[1]) for v in violations] == [5]
+        assert "REPRO026" in violations[0] and "helper" in violations[0]
+
     def test_shipped_tree_has_one_name_resolver(self):
         package = REPO / "src" / "repro"
-        builders = set()
+        builders = []
         for path in sorted(package.rglob("*.py")):
             assert [
                 v for v in lint_rules.lint_file(path) if "REPRO026" in v
             ] == [], path
             nodes = list(ast.walk(lint_rules.parse_file(path)))
-            if lint_rules._calls_to(nodes, "Diagnostic"):
-                builders.add("repro/" + path.relative_to(package).as_posix())
-        assert builders == {lint_rules.DIAGNOSTIC_HOME}
+            for _call in lint_rules._calls_to(nodes, "Diagnostic"):
+                builders.append("repro/" + path.relative_to(package).as_posix())
+        assert builders == [lint_rules.DIAGNOSTIC_HOME]
 
 
 class TestRepro022ReachedByAProgram:

@@ -1,5 +1,8 @@
 """The schema-aware semantic checker (repro.semantics.checker)."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro.engine  # noqa: F401  (resolves the engine<->sql import cycle)
@@ -19,6 +22,7 @@ from repro.semantics import (
     SemanticChecker,
     Severity,
 )
+from repro.semantics import diagnostics
 from repro.sql import ast_nodes as ast
 from repro.workloads import parts_schema
 from repro.workloads.records import suppliers_schema
@@ -82,10 +86,27 @@ class TestNameResolution:
         assert diag.position == len("DELETE FROM ")
 
     def test_unknown_table_suppresses_column_errors(self):
-        # Permissive scope: no SEM002 cascade behind the unknown table.
+        # No SEM002 cascade behind the unknown table.
         assert codes("UPDATE partz SET whatever = 1 WHERE nothing = 2") == [
             UNKNOWN_TABLE
         ]
+
+    def test_unknown_table_silences_only_the_names_it_could_own(self):
+        # A reference qualified by the known table is still checked; one
+        # qualified by the unknown table's alias, or unqualified, is quiet.
+        sql = (
+            "SELECT p.no_such, s.anything, whatever FROM parts p "
+            "JOIN supplierz s ON p.supplier_id = s.x WHERE p.status > 5"
+        )
+        result = CHECKER.check_sql(sql)
+        assert [d.code for d in result.diagnostics] == [
+            UNKNOWN_TABLE, UNKNOWN_COLUMN, TYPE_MISMATCH
+        ]
+        assert result.diagnostics[1].position == sql.index("p.no_such")
+        assert codes(
+            "SELECT partz.x FROM partz JOIN suppliers "
+            "ON partz.k = suppliers.nope"
+        ) == [UNKNOWN_TABLE, UNKNOWN_COLUMN]
 
     def test_unknown_column_in_assignment(self):
         result = CHECKER.check_sql("UPDATE parts SET quantty = 0")
@@ -247,3 +268,33 @@ class TestCheckResult:
         (diag,) = CHECKER.check_sql("DELETE FROM partz").diagnostics
         assert diag.render().startswith("SEM001 at 12: error:")
         assert diag.to_dict()["position"] == 12
+
+
+class TestSeverityIsTheCodes:
+    def test_catalogue_severities_are_the_declared_ones(self):
+        # docs/semantic-analysis.md's catalogue table: | `SEMnnn` | severity |
+        catalogue = (
+            Path(__file__).resolve().parents[1] / "docs" / "semantic-analysis.md"
+        ).read_text()
+        rows = re.findall(r"^\| `(SEM\d{3})` \| (\w+) \|", catalogue, re.M)
+        assert [code for code, _ in rows] == [f"SEM00{n}" for n in range(1, 10)]
+        assert {code for code, severity in rows if severity == "warning"} == (
+            diagnostics.WARNINGS
+        )
+        assert {severity for _, severity in rows} == {"warning", "error"}
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "UPDATE parts SET price = NOW(), quantity = 'lots'",
+            "INSERT INTO parts (part_id) VALUES (1.5)",
+            "UPDATE parts SET quantity = 1 / 0, price = ABS(1, 2)",
+            "DELETE FROM parts WHERE part_id + 1",
+        ],
+    )
+    def test_every_finding_has_its_codes_severity(self, sql):
+        found = CHECKER.check_sql(sql).diagnostics
+        assert found
+        for diag in found:
+            warning = diag.code in diagnostics.WARNINGS
+            assert diag.severity is (Severity.WARNING if warning else Severity.ERROR)

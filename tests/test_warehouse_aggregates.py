@@ -4,8 +4,9 @@ import pytest
 
 from repro.core import AlwaysHybridPolicy, FileLogStore, OpDeltaCapture
 from repro.engine import Database
-from repro.errors import SelfMaintenanceError, WarehouseError
+from repro.errors import SelfMaintenanceError, SemanticError, WarehouseError
 from repro.extraction import TriggerExtractor
+from repro.semantics import TYPE_MISMATCH
 from repro.warehouse import (
     AggregateSpec,
     AggregateViewDefinition,
@@ -85,8 +86,9 @@ class TestDefinitionValidation:
             "v", "parts", group_by=("supplier_id",),
             aggregates=(AggregateSpec("SUM", "status"),),
         )
-        with pytest.raises(SelfMaintenanceError, match="numeric"):
+        with pytest.raises(SemanticError, match="numeric") as caught:
             MaterializedAggregateView(Database("x"), definition, parts_schema())
+        assert [d.code for d in caught.value.diagnostics] == [TYPE_MISMATCH]
 
 
 class TestInitializeAndRead:

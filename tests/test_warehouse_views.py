@@ -11,9 +11,11 @@ from repro.core import (
 from repro.engine import Column, Database, TableSchema
 from repro.engine.table import InsertMode
 from repro.engine.types import INTEGER, char
-from repro.errors import WarehouseError
+from repro.errors import SemanticError, WarehouseError
 from repro.extraction import TriggerExtractor
 from repro.semantics import (
+    UNKNOWN_COLUMN,
+    UNKNOWN_TABLE,
     PlanDrivenCapturePolicy,
     SchemaCatalog,
     ViewMaintenancePlanner,
@@ -186,21 +188,28 @@ class TestValueDeltaMaintenance:
 
 
 class TestViewValidation:
+    # The checker's verdict on the view's SELECT refuses a definition:
+    # SemanticError carrying its diagnostics, the one code each case has.
     def test_unknown_projection_rejected(self):
         warehouse = Warehouse()
         bad = ViewDefinition("v", "parts", columns=("nope",), base_columns=BASE)
-        with pytest.raises(WarehouseError, match="unknown"):
+        with pytest.raises(SemanticError, match="unknown") as caught:
             warehouse.define_view(bad, parts_schema())
+        assert [d.code for d in caught.value.diagnostics] == [UNKNOWN_COLUMN]
+        assert "parts.nope" in str(caught.value)
 
     def test_join_requires_mirrored_dimension(self):
         warehouse = Warehouse()
-        with pytest.raises(WarehouseError, match="not mirrored"):
+        with pytest.raises(SemanticError, match="suppliers") as caught:
             warehouse.define_view(JOIN_VIEW, parts_schema())
+        assert [d.code for d in caught.value.diagnostics] == [UNKNOWN_TABLE]
+        assert not warehouse.views
 
     def test_wrong_base_schema_rejected(self, small_schema):
         warehouse = Warehouse()
-        with pytest.raises(WarehouseError):
+        with pytest.raises(SemanticError, match="'parts'") as caught:
             warehouse.define_view(SELECTION_VIEW, small_schema)
+        assert [d.code for d in caught.value.diagnostics] == [UNKNOWN_TABLE]
 
     def test_duplicate_view_name(self):
         warehouse = Warehouse()

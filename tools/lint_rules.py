@@ -349,6 +349,9 @@ resolver over view definitions, ``has_column`` test by test, and wrote
 its own messages for what the checker already diagnosed.  So
 ``Diagnostic(`` is called only in ``repro/semantics/checker.py``
 (``DIAGNOSTIC_HOME``); everything else reports the checker's diagnostics.
+There it is called once, in the one helper that gives a finding the
+severity its code has: a second call could restate a severity the code
+already fixes.
 
 Usage::
 
@@ -1434,16 +1437,23 @@ def _replay_judge_violations(path: Path, tree: ast.AST, normalized: str) -> list
 
 
 def _diagnostic_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
-    """REPRO026: a ``Diagnostic(`` call outside the semantic checker."""
+    """REPRO026: a ``Diagnostic(`` call outside the semantic checker, or a
+    second one inside it."""
+    calls = sorted(
+        node.lineno for node in _calls_to(list(ast.walk(tree)), "Diagnostic")
+    )
     if normalized.endswith(DIAGNOSTIC_HOME):
-        return []
+        return [
+            f"{path}:{lineno}: REPRO026 second Diagnostic built in the checker; "
+            "build every finding through its one helper, which takes the "
+            "severity from the code"
+            for lineno in calls[1:]
+        ]
     return [
-        f"{path}:{node.lineno}: REPRO026 Diagnostic built outside the semantic "
+        f"{path}:{lineno}: REPRO026 Diagnostic built outside the semantic "
         "checker; check the statement (a view's .select) with SemanticChecker "
         "and report its diagnostics"
-        for node in sorted(
-            _calls_to(list(ast.walk(tree)), "Diagnostic"), key=lambda n: n.lineno
-        )
+        for lineno in calls
     ]
 
 
