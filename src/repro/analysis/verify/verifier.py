@@ -8,9 +8,9 @@ operation exactly as the pipeline would (lean when the compiled
 python-evaluated before images when the rule asks for them), applies it
 through the real view maintenance code, recomputes the view from the
 mutated base **via the SQL executor** — it runs the SELECT the view
-stands for (``definition.select``), an oracle independent of the view's
-own incremental machinery, so a corrupted apply path cannot
-vouch for itself — and compares states.
+stands for (:func:`~repro.warehouse.views.contents`), an oracle
+independent of the view's own incremental machinery, so a corrupted apply
+path cannot vouch for itself — and compares states.
 
 Soundness of the verdict is scoped, not absolute: ``VERIFIED`` means *no
 divergence exists within the enumerated scope* (every predicate
@@ -28,8 +28,7 @@ cache amortising it away).
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ...clock import VirtualClock
@@ -39,8 +38,9 @@ from ...engine.schema import TableSchema
 from ...engine.table import InsertMode
 from ...errors import AnalysisError, ReproError, WarehouseError
 from ...semantics.diagnostics import Severity
-from ...sql.executor import Executor
 from ...sql.expressions import NO_SESSION, RowBinding, compile_predicate
+from ...warehouse.aggregates import MaterializedAggregateView
+from ...warehouse.views import MaterializedView, contents, norm_number, row_order
 from .certificate import (
     DEFAULT_CERTIFICATE_CACHE,
     CertificateCache,
@@ -81,41 +81,6 @@ VERIFIER_VERSION = 1
 #: hooks.  The defaults build the production view classes; the bench's
 #: corrupt-delta-rule drill swaps in a deliberately broken subclass.
 ViewFactory = Callable[[Database, Any, TableSchema], Any]
-
-
-def _default_view_factory(
-    database: Database, definition: Any, schema: TableSchema
-) -> Any:
-    from ...warehouse.views import MaterializedView
-
-    return MaterializedView(database, definition, schema)
-
-
-def _default_aggregate_factory(
-    database: Database, definition: Any, schema: TableSchema
-) -> Any:
-    from ...warehouse.aggregates import MaterializedAggregateView
-
-    return MaterializedAggregateView(database, definition, schema)
-
-
-def _sort_key(row: tuple) -> tuple:
-    """Total order over heterogeneous rows (None/number/str mix)."""
-    key = []
-    for value in row:
-        if value is None:
-            key.append((2, 0.0, ""))
-        elif isinstance(value, (int, float)):
-            key.append((0, float(value), ""))
-        else:
-            key.append((1, 0.0, str(value)))
-    return tuple(key)
-
-
-def _norm_number(value: Any) -> Any:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return round(float(value), 9)
-    return value
 
 
 @dataclass
@@ -194,13 +159,13 @@ class DeltaRuleVerifier:
         self._scope = ScopeConfig()
         self.cache = cache if cache is not None else DEFAULT_CERTIFICATE_CACHE
         self._clock = clock
-        self._view_factory = (
-            view_factory if view_factory is not None else _default_view_factory
+        self._view_factory: ViewFactory = (
+            view_factory if view_factory is not None else MaterializedView
         )
-        self._aggregate_factory = (
+        self._aggregate_factory: ViewFactory = (
             aggregate_factory
             if aggregate_factory is not None
-            else _default_aggregate_factory
+            else MaterializedAggregateView
         )
 
     # ------------------------------------------------------------ certifying
@@ -510,7 +475,6 @@ class DeltaRuleVerifier:
             "table": table,
             "view": view,
             "session": database.internal_session(),
-            "executor": Executor(database),
         }
 
     def _run_scenario(
@@ -579,9 +543,7 @@ class DeltaRuleVerifier:
                     subject, outcome, pre_keys, post_keys=None
                 )
                 return outcome
-            observed, expected, post_keys = self._compare(
-                subject, context, txn
-            )
+            observed, expected, post_keys = self._compare(subject, context)
             if observed != expected:
                 outcome.diverged = True
                 outcome.observed = repr(observed)
@@ -660,74 +622,46 @@ class DeltaRuleVerifier:
         if subject.is_aggregate:
             return {
                 key: {
-                    label: _norm_number(value)
+                    label: norm_number(value)
                     for label, value in entry.items()
                 }
                 for key, entry in view.groups().items()
             }
         rows = list(view.table.scan_values())
-        return sorted(rows, key=_sort_key)
+        return sorted(rows, key=row_order)
 
     def _compare(
-        self, subject: _Subject, context: dict[str, Any], txn: Any
+        self, subject: _Subject, context: dict[str, Any]
     ) -> tuple[Any, Any, set | None]:
-        """(view state, executor-recomputed state, post-op group keys)."""
+        """(view state, the view's SELECT run over the mutated micro-database,
+        post-op group keys)."""
         observed = self._view_state(subject, context["view"])
-        executor: Executor = context["executor"]
-        if subject.is_aggregate:
-            expected = self._oracle_aggregate(subject, executor, txn)
-            return observed, expected, set(expected.keys())
-        expected = self._oracle_spj(subject, context, executor, txn)
-        return observed, expected, None
+        expected = self._oracle(subject, context["database"])
+        if not subject.is_aggregate:
+            return observed, expected, None
+        return observed, expected, set(expected.keys())
 
-    def _oracle_spj(
-        self,
-        subject: _Subject,
-        context: dict[str, Any],
-        executor: Executor,
-        txn: Any,
-    ) -> list[tuple[Any, ...]]:
-        definition = subject.definition
-        select, join = definition.select, definition.join
-        dimension = () if join is None else join.columns
-        if join is not None:
-            # The view keeps a base row no dimension row matches, which the
-            # executor's inner join would drop: the base rows are read
-            # without the join and its items, and joined here.
-            items = select.items[: len(select.items) - len(dimension)]
-            select = dataclasses.replace(select, items=items, joins=())
-        rows = executor.execute(select, txn).rows
-        width = len(definition.columns)
-        if not dimension:
-            return sorted((tuple(row[:width]) for row in rows), key=_sort_key)
-        assert subject.dim_schema is not None
-        dim_by_key = {
-            row[subject.dim_schema.column_index(join.right_column)]: row
-            for row in context["database"].table(join.table).scan_values()
+    def _oracle(self, subject: _Subject, database: Database) -> Any:
+        """What the view should hold: :func:`~repro.warehouse.views.contents`
+        over the tables its SELECT reads, each read with ``scan_values()``
+        (the SELECT itself runs on a clock of its own).  An aggregate's
+        values are compared at :func:`~repro.warehouse.views.norm_number`'s
+        precision; its group count is exact."""
+        select = subject.definition.select
+        tables = [
+            database.table(name)
+            for name in (select.table, *(join.table for join in select.joins))
+        ]
+        expected = contents(
+            subject.definition,
+            [(table.schema, table.scan_values()) for table in tables],
+        )
+        if isinstance(expected, list):
+            return expected
+        return {
+            key: {
+                label: value if label == "count" else norm_number(value)
+                for label, value in entry.items()
+            }
+            for key, entry in expected.items()
         }
-        left_at = [item.expr.name for item in select.items].index(join.left_column)
-        joined = []
-        for row in rows:
-            dim = dim_by_key.get(row[left_at])
-            extras = tuple(
-                dim[subject.dim_schema.column_index(name)]
-                if dim is not None
-                else None
-                for name in dimension
-            )
-            joined.append(tuple(row[:width]) + extras)
-        return sorted(joined, key=_sort_key)
-
-    def _oracle_aggregate(
-        self, subject: _Subject, executor: Executor, txn: Any
-    ) -> dict[tuple, dict[str, Any]]:
-        definition = subject.definition
-        width = len(definition.group_by)
-        out: dict[tuple, dict[str, Any]] = {}
-        for row in executor.execute(definition.select, txn).rows:
-            key = tuple(row[:width])
-            entry: dict[str, Any] = {"count": row[width]}
-            for position, spec in enumerate(definition.aggregates):
-                entry[spec.label] = _norm_number(row[width + 1 + position])
-            out[key] = entry
-        return out

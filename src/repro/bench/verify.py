@@ -49,6 +49,7 @@ from ..semantics import (
 )
 from ..warehouse.aggregates import MaterializedAggregateView
 from ..warehouse.opdelta_integrator import OpDeltaIntegrator
+from ..warehouse.views import contents, norm_number
 from ..warehouse.warehouse import Warehouse
 from ..workloads.records import (
     PartsGenerator,
@@ -207,22 +208,6 @@ def _plan_summary(plan, certificate: PlanCertificate) -> dict[str, Any]:
             for finding in certificate.findings
             if finding.refutes
         ],
-    }
-
-
-def _norm_groups(groups: dict[tuple, dict[str, Any]]) -> dict[tuple, dict]:
-    """Round float aggregates so running totals compare to recomputation.
-
-    Incremental SUM/AVG maintenance accumulates in a different order than
-    a fresh recompute; both are correct to ~1e-12 relative error, so the
-    parity check compares at the verifier's 9-decimal precision.
-    """
-    return {
-        key: {
-            label: round(value, 9) if isinstance(value, float) else value
-            for label, value in labels.items()
-        }
-        for key, labels in groups.items()
     }
 
 
@@ -397,11 +382,19 @@ def run_verify(fault: str | None = None) -> VerifyReport:
 
     mirror_rows = list(wh.database.table("parts").scan_values())
     final_rows = list(source.table("parts").scan_values())
+    tables = [
+        (parts_schema(), mirror_rows),
+        (suppliers_schema(), list(wh.database.table("suppliers").scan_values())),
+    ]
     view_parity = all(
-        view.rows() == view.recompute(mirror_rows) for view in spj_views
+        view.rows() == contents(view.definition, tables) for view in spj_views
     )
-    agg_parity = _norm_groups(agg.groups()) == _norm_groups(
-        agg.recompute(mirror_rows)
+    # Running SUM/AVG totals and fresh ones add in different orders.
+    observed, expected = agg.groups(), contents(AGG_VIEW, tables)
+    agg_parity = observed.keys() == expected.keys() and all(
+        norm_number(value) == norm_number(expected[key][label])
+        for key, entry in observed.items()
+        for label, value in entry.items()
     )
     mirror_parity = strip_timestamp(
         parts_schema(), mirror_rows

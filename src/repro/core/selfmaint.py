@@ -109,7 +109,8 @@ class ViewDefinition:
         """The SELECT this view stands for, built once: the projected columns,
         then the key column and the join's left column where the view keeps
         them without projecting them, then the dimension's projected columns,
-        ``FROM base JOIN dim ON base.left = dim.right WHERE predicate``.
+        ``FROM base LEFT JOIN dim ON base.left = dim.right WHERE predicate``:
+        a base row no dimension row matches stays, its dimension items NULL.
         A join projecting no dimension column reads nothing from the
         dimension, so it has no JOIN clause; its left column stays an item.
         Every base column reference is qualified by the base table, the
@@ -130,6 +131,7 @@ class ViewDefinition:
                     None,
                     ast.ColumnRef(join.left_column, base),
                     ast.ColumnRef(join.right_column, join.table),
+                    outer=True,
                 ),
             )
         predicate = self.predicate_ast()

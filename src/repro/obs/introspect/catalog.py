@@ -23,66 +23,13 @@ Two invariants the catalog enforces:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from ...clock import VirtualClock
-from ...engine.costs import DEFAULT_COST_MODEL
-from ...engine.table import PageFilter
 from ...errors import ObservabilityError
 from ...semantics.checker import SchemaCatalog, SemanticChecker
 from ...sql import ast_nodes as ast
 from ...sql.executor import Executor, Result
 from ...sql.parser import parse
-from .tables import SYS_TABLES, Row, StoreBundle, SysTable
-
-
-class _SysSource:
-    """One ``sys.*`` table as one query reads it: the adapter's rows, in place.
-
-    A row's position is its id.  There is no index, so the access-path
-    chooser always plans ``scan``.
-    """
-
-    def __init__(self, table: SysTable, bundle: StoreBundle) -> None:
-        self.name = table.name
-        self.schema = table.schema
-        self._rows = table.rows(bundle)
-
-    def read(self, row_id: int, columns: Sequence[int]) -> Row:
-        row = self._rows[row_id]
-        return tuple(row[c] for c in columns)
-
-    def scan_values(
-        self, columns: Sequence[int], keep: PageFilter | None = None
-    ) -> list[Row]:
-        rows = [self.read(row_id, columns) for row_id in range(len(self._rows))]
-        return rows if keep is None else [rows[at] for at in keep(rows)]
-
-    def index_on(self, column: str) -> None:
-        return None
-
-
-class _QuerySnapshot:
-    """What one query reads of a :class:`StoreBundle`.
-
-    A table's adapter runs on the query's first reference to it and the
-    rows are kept for the rest of the query, so a self-join sees one
-    snapshot; the next query starts over.  The CPU the executor charges
-    for join probes and sorts lands on a clock private to the query.
-    """
-
-    name = "sys"
-    costs = DEFAULT_COST_MODEL
-
-    def __init__(self, bundle: StoreBundle) -> None:
-        self._bundle = bundle
-        self._sources: dict[str, _SysSource] = {}
-        self.clock = VirtualClock()
-
-    def table(self, name: str) -> _SysSource:
-        if name not in self._sources:
-            self._sources[name] = _SysSource(SYS_TABLES[name], self._bundle)
-        return self._sources[name]
+from ...sql.source import ListDatabase, ListSource
+from .tables import SYS_TABLES, StoreBundle
 
 
 class SystemCatalog:
@@ -125,4 +72,10 @@ class SystemCatalog:
         return self._execute(checked)
 
     def _execute(self, statement: ast.SelectStmt) -> Result:
-        return Executor(_QuerySnapshot(self._bundle)).execute(statement, txn=None)
+        bundle = self._bundle
+
+        def load(name: str) -> ListSource:
+            table = SYS_TABLES[name]
+            return ListSource(table.schema, table.rows(bundle))
+
+        return Executor(ListDatabase("sys", load)).execute(statement, txn=None)

@@ -124,7 +124,7 @@ class MetaRefreshReport:
     #: The observed recorder's event total did not move during refresh —
     #: the meta-observation guard held.
     guard_ok: bool = True
-    #: Every monitoring view digest-matches a from-scratch recompute.
+    #: Every monitoring view digest-matches its SELECT run over the source.
     digests_ok: bool = True
 
     @property
@@ -408,18 +408,22 @@ class MetaObservatory:
 
     # ---------------------------------------------------------------- checks
     def digests_equal(self) -> bool:
-        """Every view digest-matches recomputation from its base table."""
+        """Every view digest-matches its SELECT run over its base table."""
         return not self.digest_mismatches()
 
     def digest_mismatches(self) -> list[str]:
         """Names of monitoring views whose incremental state has drifted."""
+        from ...warehouse.views import contents
+
         mismatched = []
         for view in self.views:
             base_rows = list(
                 self._source.table(view.definition.base_table).scan_values()
             )
             incremental = StateDigest.from_rows(view.rows())
-            recomputed = StateDigest.from_rows(view.recompute(base_rows))
+            recomputed = StateDigest.from_rows(
+                contents(view.definition, [(view.base_schema, base_rows)])
+            )
             if incremental.value != recomputed.value:
                 mismatched.append(view.definition.name)
         return mismatched

@@ -233,10 +233,17 @@ class Join:
     alias: str | None
     left: ColumnRef
     right: ColumnRef
+    #: A LEFT JOIN: a row no joined row matches is kept, the joined
+    #: table's columns NULL.
+    outer: bool = False
 
     def to_sql(self) -> str:
         alias = f" {self.alias}" if self.alias else ""
-        return f"JOIN {self.table}{alias} ON {self.left.to_sql()} = {self.right.to_sql()}"
+        kind = "LEFT JOIN" if self.outer else "JOIN"
+        return (
+            f"{kind} {self.table}{alias} ON {self.left.to_sql()} = "
+            f"{self.right.to_sql()}"
+        )
 
 
 @dataclass(frozen=True)

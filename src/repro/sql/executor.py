@@ -343,8 +343,11 @@ class Executor:
             # joined table's names come into scope.
             probe = compile_expression(left_key, scope, context)
             build_key = right_read.index(right.schema.column_index(right_key.name))
+            # What a probe that matches nothing joins: no row, or for a LEFT
+            # JOIN one row of NULLs.
+            miss = ((None,) * len(right_read),) if join.outer else ()
             rows = self._hash_join(
-                rows, probe, right.scan_values(right_read), build_key
+                rows, probe, right.scan_values(right_read), build_key, miss
             )
             scope.add(right.schema, right_alias, right_read)
             plan_parts.append(f"join({join.table}:hash)")
@@ -412,6 +415,7 @@ class Executor:
         probe: Compiled,
         right_rows: Iterable[tuple[Any, ...]],
         build_key: int,
+        miss: tuple[tuple[Any, ...], ...],
     ) -> Iterator[tuple[Any, ...]]:
         # NULL = NULL is UNKNOWN, in ON as in WHERE: a NULL key is left out
         # of the build side, so a NULL probe finds nothing either.
@@ -423,7 +427,7 @@ class Executor:
         clock = self._db.clock
         for row in left_rows:
             clock.advance(probe_cpu)
-            for values in build.get(probe(row), ()):
+            for values in build.get(probe(row), miss):
                 yield row + values
 
     @staticmethod

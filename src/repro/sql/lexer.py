@@ -37,7 +37,7 @@ KEYWORDS = {
     "DESC", "LIMIT", "AS", "IN", "BETWEEN", "LIKE", "IS", "NULL", "COUNT",
     "SUM", "AVG", "MIN", "MAX", "BEGIN", "COMMIT", "ROLLBACK", "TRUNCATE",
     "CHAR", "VARCHAR", "INTEGER", "INT", "BIGINT", "FLOAT", "DOUBLE", "REAL",
-    "TIMESTAMP", "DISTINCT",
+    "TIMESTAMP", "DISTINCT", "LEFT", "OUTER",
 }
 
 SYMBOLS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", "*", "+",

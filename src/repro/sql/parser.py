@@ -6,7 +6,7 @@ Grammar (informal)::
                  | create_index | drop_table | truncate | begin | commit | rollback
     select      := SELECT select_items [FROM ident [alias] join* [WHERE expr]
                    [GROUP BY columns] [ORDER BY order_items] [LIMIT int]]
-    join        := [INNER] JOIN ident [alias] ON column = column
+    join        := [INNER | LEFT [OUTER]] JOIN ident [alias] ON column = column
     insert      := INSERT INTO ident [(cols)] (VALUES rows | select)
     update      := UPDATE ident SET assignment (, assignment)* [WHERE expr]
     delete      := DELETE FROM ident [WHERE expr]
@@ -284,10 +284,12 @@ class _Parser:
             table = table_token.text
             table_pos = table_token.position
             alias = self._optional_alias()
-            while self._check(TokenKind.KEYWORD, "JOIN") or self._check(
-                TokenKind.KEYWORD, "INNER"
+            while any(
+                self._check(TokenKind.KEYWORD, word)
+                for word in ("JOIN", "INNER", "LEFT")
             ):
-                self._accept(TokenKind.KEYWORD, "INNER")
+                outer = self._accept(TokenKind.KEYWORD, "LEFT") is not None
+                self._accept(TokenKind.KEYWORD, "OUTER" if outer else "INNER")
                 self._expect(TokenKind.KEYWORD, "JOIN")
                 join_table = self._table_name().text
                 join_alias = self._optional_alias()
@@ -295,7 +297,7 @@ class _Parser:
                 left = self._column_ref()
                 self._expect(TokenKind.SYMBOL, "=")
                 right = self._column_ref()
-                joins.append(ast.Join(join_table, join_alias, left, right))
+                joins.append(ast.Join(join_table, join_alias, left, right, outer))
             if self._accept(TokenKind.KEYWORD, "WHERE"):
                 where = self._expression()
             if self._accept(TokenKind.KEYWORD, "GROUP"):

@@ -5,10 +5,14 @@ The read side of the executor (``_select``, ``_values``, ``_hash_join``,
 (:func:`repro.sql.planner.choose_path`) use five things of a table and three
 of a database, plus its ``name`` for ``USER``.  They are stated here, once.
 :class:`repro.engine.table.Table` and :class:`repro.engine.database.Database`
-satisfy them as they are, so there is no adapter around either; anything
-else that does — the ``sys.*`` catalog's per-query view of the observability
-stores (:mod:`repro.obs.introspect.catalog`) — is read by the same executor,
-planned by the same chooser, with no copy into an engine table.
+satisfy them as they are, so there is no adapter around either.  The one
+other source is a list of rows, :class:`ListSource`, in a
+:class:`ListDatabase` on a clock of its own: the ``sys.*`` catalog's
+per-query view of the observability stores
+(:mod:`repro.obs.introspect.catalog`) and a view's contents recomputed from
+given rows (:func:`repro.warehouse.views.contents`) are read that way — by
+the same executor, planned by the same chooser, with no copy into an engine
+table and no charge to anyone's clock.
 
 Row ids are the source's own currency: what its indexes hand out, ``read``
 takes back.  A source without indexes answers ``index_on`` with ``None``, is
@@ -32,10 +36,12 @@ anything else.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
+
+from ..clock import VirtualClock
+from ..engine.costs import DEFAULT_COST_MODEL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..clock import VirtualClock
     from ..engine.costs import CostModel
     from ..engine.index import BTreeIndex
     from ..engine.schema import TableSchema
@@ -75,3 +81,52 @@ class SourceDatabase(Protocol):
 
     def table(self, name: str) -> RowSource:
         """The source a FROM or JOIN clause names."""
+
+
+class ListSource:
+    """A table held as a list of rows, read in place.
+
+    A row's position is its id.  There is no index, so the access-path
+    chooser always plans ``scan``.
+    """
+
+    def __init__(self, schema: TableSchema, rows: Sequence[tuple[Any, ...]]) -> None:
+        self.name = schema.name
+        self.schema = schema
+        self._rows = rows
+
+    def read(self, row_id: int, columns: Sequence[int]) -> tuple[Any, ...]:
+        row = self._rows[row_id]
+        return tuple(row[c] for c in columns)
+
+    def scan_values(
+        self, columns: Sequence[int], keep: PageFilter | None = None
+    ) -> list[tuple[Any, ...]]:
+        rows = [self.read(row_id, columns) for row_id in range(len(self._rows))]
+        return rows if keep is None else [rows[at] for at in keep(rows)]
+
+    def index_on(self, column: str) -> None:
+        return None
+
+
+class ListDatabase:
+    """List-held tables as one query reads them.
+
+    ``load`` makes a table's :class:`ListSource` on the query's first
+    reference to it, and that source is kept for the rest of the query, so
+    a self-join sees one snapshot.  The CPU the executor charges for join
+    probes and sorts lands on a clock private to the query.
+    """
+
+    costs = DEFAULT_COST_MODEL
+
+    def __init__(self, name: str, load: Callable[[str], ListSource]) -> None:
+        self.name = name
+        self.clock = VirtualClock()
+        self._load = load
+        self._sources: dict[str, ListSource] = {}
+
+    def table(self, name: str) -> ListSource:
+        if name not in self._sources:
+            self._sources[name] = self._load(name)
+        return self._sources[name]

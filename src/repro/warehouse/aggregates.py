@@ -180,33 +180,6 @@ class MaterializedAggregateView:
             return total if count else None
         return total / count if count else None  # AVG
 
-    def recompute(self, base_rows: Iterable[Sequence[Any]]) -> dict[tuple, dict]:
-        """Pure recomputation oracle (no storage)."""
-        groups: dict[tuple, list[Sequence[Any]]] = {}
-        for row in base_rows:
-            if not self._qualifies(row, NO_SESSION):
-                continue
-            key = tuple(
-                row[self.base_schema.column_index(name)]
-                for name in self.definition.group_by
-            )
-            groups.setdefault(key, []).append(row)
-        out = {}
-        for key, rows in groups.items():
-            entry: dict[str, Any] = {"count": len(rows)}
-            for spec in self.definition.aggregates:
-                total, count = 0.0, 0
-                for row in rows:
-                    contribution = self._contribution(spec, row)
-                    if contribution is not None:
-                        total += contribution
-                        count += 1
-                    elif spec.function == "COUNT" and spec.argument is None:
-                        count += 1
-                entry[spec.label] = self._finalise(spec, total, count)
-            out[key] = entry
-        return out
-
     # ------------------------------------------------------------ maintenance
     def initialize(self, base_rows: Iterable[Sequence[Any]], txn: Transaction) -> int:
         count = 0

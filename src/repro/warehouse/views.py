@@ -13,8 +13,11 @@ source table inside the warehouse database and can be maintained either
 * from **value deltas** (:meth:`MaterializedView.apply_value_delta`) — the
   classic per-row image path.
 
-Both paths must produce the same state as recomputing the view from the
-base table — the equivalence the property tests check.  Wherever row
+Both paths must produce the same state as the SELECT the view stands for,
+executed over the base table (and the dimension it joins):
+:func:`contents` runs it, the one oracle of what a view holds — the
+equivalence the property tests, the delta-rule verifier and the runtime
+digest checks compare against.  Wherever row
 images are involved they are one path: :meth:`MaterializedView._apply_images`
 turns a ``(before, after)`` pair into storage operations, fed by value
 deltas with the images they carry and by hybrid Op-Deltas with the images
@@ -22,7 +25,10 @@ deltas with the images they carry and by hybrid Op-Deltas with the images
 
 A view of either class materialises only when the semantic checker passes
 the SELECT its definition stands for (:func:`check_definition`): the
-constructors test no name or type themselves.
+constructors test no name or type themselves.  A join that projects
+dimension columns must join on the dimension's primary key, so a base row
+matches at most one dimension row (a ``LEFT JOIN`` on any other column is
+valid SQL, but not a view this module maintains).
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from ..sql import ast_nodes as ast
 from ..sql.executor import Executor
 from ..sql.expressions import NO_SESSION, RowBinding, compile_predicate
 from ..sql.planner import choose_path
+from ..sql.source import ListDatabase, ListSource
 from ..sql.templates import reshaped
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,7 +75,75 @@ def check_definition(
         if warehouse_db.has_table(join.table)
     ]
     checker = SemanticChecker(SchemaCatalog([base_schema, *dimensions]))
-    checker.check_statement(select).raise_if_errors(select.to_sql())
+    check = checker.check_statement(select)
+    # A position indexes the predicate's text, the one part of the SELECT
+    # that is written rather than built: quote that text where one is given.
+    positioned = any(d.position is not None for d in check.errors)
+    check.raise_if_errors(definition.predicate if positioned else select.to_sql())
+
+
+def contents(
+    definition: "ViewDefinition | AggregateViewDefinition",
+    tables: Iterable[tuple[TableSchema, Iterable[tuple[Any, ...]]]],
+) -> list[tuple[Any, ...]] | dict[tuple, dict[str, Any]]:
+    """What ``definition`` holds over ``tables``: its SELECT, run by the
+    executor — the one oracle of a view's contents.
+
+    ``tables`` are ``(schema, rows)`` pairs, the base table's and the joined
+    dimension's.  The rows are read where they are, on a clock of the
+    query's own, so the answer charges no one.  It is shaped as the view
+    reads: an SPJ view's projected and dimension columns, sorted
+    (:meth:`MaterializedView.rows`), or an aggregate view's
+    ``{key: {"count": n, label: value}}`` (``groups()``).
+    """
+    held = {schema.name: ListSource(schema, list(rows)) for schema, rows in tables}
+    database = ListDatabase(definition.name, held.__getitem__)
+    rows = Executor(database).execute(definition.select, None).rows
+    if isinstance(definition, ViewDefinition):
+        # The key and the join's left column, where kept without being
+        # projected, sit between the projected and the dimension columns.
+        width, join = len(definition.columns), definition.join
+        dimension = 0 if join is None else len(join.columns)
+        return sorted(
+            (row[:width] + row[len(row) - dimension:] for row in rows),
+            key=row_order,
+        )
+    width = len(definition.group_by)
+    return {
+        row[:width]: {
+            "count": row[width],
+            **{
+                spec.label: value
+                for spec, value in zip(definition.aggregates, row[width + 1:])
+            },
+        }
+        for row in rows
+    }
+
+
+def row_order(row: tuple[Any, ...]) -> tuple:
+    """A total order over rows that mix NULLs, numbers and text."""
+    key = []
+    for value in row:
+        if value is None:
+            key.append((2, 0.0, ""))
+        elif isinstance(value, (int, float)):
+            key.append((0, float(value), ""))
+        else:
+            key.append((1, 0.0, str(value)))
+    return tuple(key)
+
+
+def norm_number(value: Any) -> Any:
+    """A number as a float rounded to 9 places; anything else as it is.
+
+    A running SUM or AVG and one computed afresh add in different orders,
+    both correct to ~1e-12 relative error, so aggregates are compared at
+    this precision.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return round(float(value), 9)
+    return value
 
 
 class MaterializedView:
@@ -101,6 +176,12 @@ class MaterializedView:
             # A join projecting no dimension columns needs no local copy:
             # there is nothing to look up at maintenance time.
             dim_schema = warehouse_db.table(join.table).schema
+            if dim_schema.primary_key != join.right_column:
+                raise WarehouseError(
+                    f"view {definition.name!r} joins {join.table!r} on "
+                    f"{join.right_column!r}, which is not its primary key: "
+                    "a base row must match at most one dimension row"
+                )
             for name in join.columns:
                 # Dimension columns are nullable in the view even when NOT
                 # NULL at the dimension: a fact row whose join key has no
@@ -132,15 +213,6 @@ class MaterializedView:
                 self.table.insert(txn, projected, mode=InsertMode.BULK_INTERNAL)
                 count += 1
         return count
-
-    def recompute(self, base_rows: Iterable[tuple[Any, ...]]) -> list[tuple[Any, ...]]:
-        """Pure recomputation (no storage, no costs) — the testing oracle."""
-        result = []
-        for row in base_rows:
-            projected = self._qualify_and_project(row)
-            if projected is not None:
-                result.append(projected)
-        return sorted(result)
 
     # -------------------------------------------------------- op-delta path
     def apply_operation(self, op: OpDelta, txn: Transaction) -> Maintainability:
@@ -310,15 +382,12 @@ class MaterializedView:
         join = self.definition.join
         assert join is not None
         dim = self._db.table(join.table)
+        # The join column is the dimension's primary key (__init__), so the
+        # chooser finds its one row through the key's unique B-tree.
         row_ids = _keyed(dim, join.right_column, key)
-        if row_ids is not None:
-            for row_id in row_ids:
-                return dim.read(row_id)
-            return None
-        position = dim.schema.column_index(join.right_column)
-        for _rid, values in dim.scan():
-            if values[position] == key:
-                return values
+        assert row_ids is not None
+        for row_id in row_ids:
+            return dim.read(row_id)
         return None
 
     def _delete_by_key(self, base_row: tuple[Any, ...], txn: Transaction) -> None:

@@ -16,6 +16,7 @@ from repro.transport.network import NetworkModel
 from repro.transport.queue import PersistentQueue
 from repro.transport.shipper import FileShipper, enqueue_op_deltas
 from repro.warehouse import OpDeltaIntegrator, Warehouse, run_conflict_schedule
+from repro.warehouse.views import contents
 
 SCHEMA = TableSchema(
     "t",
@@ -146,8 +147,8 @@ class TestBatchedIntegration:
         )
         report = integrator.integrate_batched(groups)
         assert report.components > 0
-        mirror = [v for _r, v in warehouse.database.table("t").scan()]
-        assert sorted(view.rows()) == sorted(view.recompute(mirror))
+        mirror = warehouse.database.table("t").scan_values()
+        assert view.rows() == contents(view_def, [(SCHEMA, mirror)])
         assert (report.rule_lookups, report.rule_cache_hits) == (0, 0)
 
 

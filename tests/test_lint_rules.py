@@ -1340,12 +1340,10 @@ class TestRepro017RowIdsAreAskedForToBeUsed:
             text = path.read_text(encoding="utf-8")
             if count := len(re.findall(r"for _\w*, \w+ in [^\n]*\.scan\(", text)):
                 discarded[path.relative_to(package).as_posix()] = count
-        # The comprehension budgets are met exactly; the one ``for``
-        # statement stops at the first match (the dimension look-up).
+        # The comprehension budgets are met exactly.
         assert discarded == {
             "bench/experiments/aggregate_views.py": 1,
             "bench/experiments/freshness.py": 2,
-            "warehouse/views.py": 1,
         }
 
 
@@ -1843,6 +1841,43 @@ class TestRepro026OneNameResolver:
             for _call in lint_rules._calls_to(nodes, "Diagnostic"):
                 builders.append("repro/" + path.relative_to(package).as_posix())
         assert builders == [lint_rules.DIAGNOSTIC_HOME]
+
+
+class TestRepro027OneViewOracle:
+    ORACLE = (
+        "def oracle(database, view, txn):\n"
+        "    rows = Executor(database).execute(view.definition.select, txn).rows\n"
+        "    return sorted(executor.execute(view.select, None).rows)\n"
+    )
+    OTHERS = (
+        "def run(executor, stmt, select, txn):\n"
+        "    executor.execute(select, txn)\n"
+        "    executor.execute(stmt.where, txn)\n"
+        "    return executor._select(stmt.select)\n"
+    )
+
+    def test_a_view_select_executed_elsewhere_is_flagged(self, tmp_path):
+        violations = lint_source(
+            tmp_path, self.ORACLE, name="repro/analysis/verify/verifier.py"
+        )
+        assert [int(v.split(":")[1]) for v in violations] == [2, 3]
+        assert all("REPRO027" in v for v in violations)
+        assert "contents(definition, tables)" in violations[0]
+
+    def test_the_views_module_runs_it_and_other_executes_pass(self, tmp_path):
+        assert lint_source(
+            tmp_path, self.ORACLE, name=lint_rules.VIEW_SELECT_HOME
+        ) == []
+        assert lint_source(
+            tmp_path, self.OTHERS, name="repro/sql/executor.py"
+        ) == []
+
+    def test_shipped_tree_has_one_view_oracle(self):
+        package = REPO / "src" / "repro"
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO027" in v
+            ] == [], path
 
 
 class TestRepro022ReachedByAProgram:

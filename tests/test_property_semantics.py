@@ -24,6 +24,7 @@ from repro.warehouse import (
     Warehouse,
 )
 from repro.warehouse.opdelta_integrator import OpDeltaIntegrator
+from repro.warehouse.views import contents
 from repro.workloads import OltpWorkload, parts_schema
 
 BASE = parts_schema().column_names
@@ -110,8 +111,8 @@ def test_plan_driven_apply_equals_recompute(projection, predicate, operations):
     )
     integrator.integrate(store.drain())
 
-    base_rows = [v for _r, v in source.table("parts").scan()]
-    expected = view.recompute(base_rows)
+    tables = [(parts_schema(), list(source.table("parts").scan_values()))]
+    expected = contents(definition, tables)
 
     def normalise(rows):
         if "last_modified" not in projection:
@@ -122,4 +123,4 @@ def test_plan_driven_apply_equals_recompute(projection, predicate, operations):
         )
 
     assert normalise(view.rows()) == normalise(expected)
-    assert agg.groups() == agg.recompute(base_rows)
+    assert agg.groups() == contents(AGG_VIEW, tables)

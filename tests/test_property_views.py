@@ -33,6 +33,7 @@ from repro.warehouse import (
     MaterializedAggregateView,
     Warehouse,
 )
+from repro.warehouse.views import contents
 from repro.workloads import OltpWorkload, parts_schema
 
 BASE = parts_schema().column_names
@@ -191,10 +192,10 @@ def _maintain(projection, predicate, operations):
         from_records.apply_value_delta(derived, txn)
     warehouse.database.commit(txn)
 
-    base_rows = [v for _r, v in source.table("parts").scan()]
+    base_rows = source.table("parts").scan_values()
     return (
         op_view, value_view, spj_pair, aggregate_pair,
-        op_view.recompute(base_rows),
+        contents(op_view.definition, [(parts_schema(), base_rows)]),
     )
 
 

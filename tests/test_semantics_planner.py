@@ -15,6 +15,7 @@ from repro.semantics import (
     ViewClass,
     ViewMaintenancePlanner,
 )
+from repro.sql.parser import parse
 from repro.warehouse import (
     AggregateSpec,
     AggregateViewDefinition,
@@ -383,10 +384,13 @@ class TestTheSelectAViewStandsFor:
         assert view.select.to_sql() == (
             "SELECT parts.part_id, parts.status, parts.supplier_id, "
             "suppliers.supplier_name FROM parts "
-            "JOIN suppliers ON parts.supplier_id = suppliers.supplier_id "
+            "LEFT JOIN suppliers ON parts.supplier_id = suppliers.supplier_id "
             "WHERE (parts.quantity > 5)"
         )
         assert view.select is view.select
+        # The text parses back to the statement it renders.
+        assert parse(view.select.to_sql()).to_sql() == view.select.to_sql()
+        assert parse(view.select.to_sql()).joins[0].outer
 
     def test_the_key_comes_before_the_join_column(self):
         view = _joined(columns=("status",))

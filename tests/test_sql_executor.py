@@ -355,6 +355,28 @@ class TestNullKeysAndTypedAggregates:
         assert nullable.query(join + " WHERE a.x = b.y") == [(2, 20)]
         assert nullable.query("SELECT a.id, b.id FROM b JOIN a ON a.x = b.y") == [(2, 20)]
 
+    def test_a_left_join_pads_a_null_and_an_unmatched_key(self, nullable):
+        # a(1) has the NULL key, which equals nothing; a(2)'s 5 finds b(20).
+        nullable.execute("INSERT INTO a VALUES (3, 6, 'r')")  # no b.y = 6
+        assert nullable.query(
+            "SELECT a.id, b.id, b.y FROM a LEFT JOIN b ON a.x = b.y"
+        ) == [(1, None, None), (2, 20, 5), (3, None, None)]
+        # The inner join over the same rows keeps only the match.
+        assert nullable.query(
+            "SELECT a.id, b.id, b.y FROM a JOIN b ON a.x = b.y"
+        ) == [(2, 20, 5)]
+
+    def test_a_left_join_filters_its_padded_rows_above_the_join(self, nullable):
+        assert nullable.query(
+            "SELECT a.id FROM a LEFT OUTER JOIN b ON a.x = b.y WHERE b.id IS NULL"
+        ) == [(1,)]
+
+    def test_a_left_join_charges_as_the_inner_join_does(self, nullable):
+        inner = _nullable()
+        inner.query("SELECT a.id FROM a JOIN b ON a.x = b.y")
+        nullable.query("SELECT a.id FROM a LEFT JOIN b ON a.x = b.y")
+        assert nullable.database.clock.now == inner.database.clock.now
+
     def test_a_null_probe_key_is_still_charged_for(self, nullable):
         # Modelled time is that of the same join over keys that do match.
         matching = _nullable(key="7")

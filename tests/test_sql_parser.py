@@ -41,6 +41,18 @@ class TestSelect:
         join = stmt.joins[0]
         assert join.table == "suppliers" and join.alias == "s"
         assert join.left.table == "p"
+        assert not join.outer
+
+    @pytest.mark.parametrize("spelling", ["LEFT JOIN", "LEFT OUTER JOIN", "left outer join"])
+    def test_left_join(self, spelling):
+        stmt = parse(f"SELECT * FROM a {spelling} b ON a.x = b.y")
+        (join,) = stmt.joins
+        assert join.outer and join.table == "b" and stmt.alias is None
+        assert stmt.to_sql() == "SELECT * FROM a LEFT JOIN b ON a.x = b.y"
+
+    def test_outer_alone_is_no_join(self):
+        with pytest.raises(SqlSyntaxError):
+            parse("SELECT * FROM a OUTER JOIN b ON a.x = b.y")
 
     def test_group_order_limit(self):
         stmt = parse(
@@ -178,6 +190,8 @@ class TestToSqlRoundTrip:
             "UPDATE parts SET status = 'revised' WHERE last_modified > 11.5",
             "DELETE FROM parts WHERE part_ref >= 10 AND part_ref < 20",
             "SELECT * FROM a JOIN b ON a.x = b.y WHERE a.z IN (1, 2, 3)",
+            "SELECT a.x, b.y FROM a LEFT JOIN b ON a.x = b.y WHERE a.z > 1",
+            "SELECT * FROM a x LEFT OUTER JOIN b y ON x.k = y.k JOIN c ON x.k = c.k",
             "SELECT * FROM t WHERE name LIKE '%x_' AND v BETWEEN 1 AND 2",
         ],
     )

@@ -82,8 +82,13 @@ def assert_refused(materialise, definition, schema, code):
     warehouse = Warehouse()
     with pytest.raises(SemanticError) as caught:
         materialise(warehouse, definition, schema)
-    assert {d.code for d in caught.value.diagnostics} == {code}
-    assert definition.select.to_sql() in str(caught.value)
+    diagnostics = caught.value.diagnostics
+    assert {d.code for d in diagnostics} == {code}
+    # The message quotes the text the diagnostics' positions index: the
+    # predicate's, or the SELECT's where none has a position.
+    positioned = any(d.position is not None for d in diagnostics)
+    quoted = definition.predicate if positioned else definition.select.to_sql()
+    assert f"in {quoted!r}: " in str(caught.value)
     assert not warehouse.views
     assert not warehouse.database.has_table(definition.name)
 
@@ -119,6 +124,15 @@ def test_a_predicate_error_is_positioned_in_the_predicate():
         MaterializedView(Database("definition-check"), definition, parts_schema())
     (found,) = caught.value.diagnostics
     assert found.position == definition.predicate.index("nope")
+
+
+def test_the_message_quotes_the_text_its_positions_index():
+    definition = spj(predicate="quantity > 1 AND nope = 2")
+    with pytest.raises(SemanticError) as caught:
+        MaterializedView(Database("definition-check"), definition, parts_schema())
+    message = str(caught.value)
+    assert "in 'quantity > 1 AND nope = 2': SEM002 at 17" in message
+    assert definition.predicate[17:].startswith("nope")
 
 
 def test_sound_definitions_materialise():

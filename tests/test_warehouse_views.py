@@ -20,7 +20,9 @@ from repro.semantics import (
     SchemaCatalog,
     ViewMaintenancePlanner,
 )
+from repro.sql.executor import Executor
 from repro.warehouse import Warehouse
+from repro.warehouse.views import contents
 from repro.workloads import (
     OltpWorkload,
     PartsGenerator,
@@ -63,7 +65,10 @@ def make_pipeline(view_def):
 
 
 def check_equivalence(source, view):
-    expected = view.recompute([v for _r, v in source.table("parts").scan()])
+    expected = contents(view.definition, [
+        (parts_schema(), source.table("parts").scan_values()),
+        (suppliers_schema(), PartsGenerator().supplier_rows()),
+    ])
     actual = view.rows()
     if "last_modified" in view.definition.columns:
         # Timestamps are stamped by the source's clock; Op-Delta replay
@@ -248,22 +253,82 @@ class TestDimensionLookup:
         base_columns=("id", "k"),
     )
 
-    @pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
-    def test_a_null_join_key_joins_no_dimension_row(self, indexed):
+    DIMS = TableSchema(
+        "dims",
+        [Column("k", INTEGER, nullable=False), Column("label", char(4))],
+        primary_key="k",
+    )
+
+    def _warehouse(self, dims_schema):
         warehouse = Warehouse()
         database = warehouse.database
-        dims = database.create_table(
-            TableSchema("dims", [Column("k", INTEGER), Column("label", char(4))])
-        )
+        dims = database.create_table(dims_schema)
         txn = database.begin()
-        for row in ((None, "nul"), (1, "one")):
+        for row in ((1, "one"), (2, "two")):
             dims.insert(txn, row)
         database.commit(txn)
-        index = dims.create_index("ix_dims_k", "k") if indexed else None
+        return warehouse, dims
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+    def test_a_null_join_key_joins_no_dimension_row(self, indexed):
+        # The maintained view looks the dimension up by its key's index; the
+        # view's SELECT, run by the executor over the rows, scans them.
+        # Both keep every fact row.
+        warehouse, dims = self._warehouse(self.DIMS)
         view = warehouse.define_view(self.VIEW, self.FACT)
-        # NULL equals nothing, a NULL-keyed dimension row included.
-        assert view.recompute([(1, None), (2, 1)]) == [
-            (1, None, None), (2, 1, "one"),
-        ]
-        # Only the key 1 probed the index: a NULL key probes nothing.
-        assert index is None or index.probes == 1
+        facts = [(1, None), (2, 1), (3, 7)]
+        index = dims.index_on("k")
+        probes = index.probes
+        if indexed:
+            txn = warehouse.database.begin()
+            view.initialize(facts, txn)
+            warehouse.database.commit(txn)
+            rows = view.rows()
+            # The probe counter is the database's: each row stored probes
+            # the view's key, and the keys 1 and 7 the dimension's; NULL
+            # probes none.
+            assert index.probes - probes == len(facts) + 2
+        else:
+            rows = contents(
+                self.VIEW, [(self.FACT, facts), (self.DIMS, dims.scan_values())]
+            )
+            assert index.probes == probes
+        # NULL equals nothing, and no dimension row has the key 7: both
+        # fact rows stay, their dimension columns NULL.
+        assert rows == [(1, None, None), (2, 1, "one"), (3, 7, None)]
+
+    def test_the_view_is_its_select_run_by_the_executor(self):
+        # Supplier 0 is not mirrored: its parts stay in the view with NULL
+        # supplier columns, as the SELECT's LEFT JOIN keeps them.
+        warehouse = Warehouse()
+        warehouse.create_mirror(parts_schema())
+        warehouse.create_mirror(suppliers_schema())
+        parts = list(PartsGenerator().rows(60))
+        warehouse.initial_load_rows("parts", parts)
+        warehouse.initial_load_rows(
+            "suppliers", [row for row in PartsGenerator().supplier_rows() if row[0]]
+        )
+        view = warehouse.define_view(JOIN_VIEW, parts_schema())
+        txn = warehouse.database.begin()
+        view.initialize(parts, txn)
+        warehouse.database.commit(txn)
+        unmatched = [row for row in view.rows() if row[2] == 0]
+        assert unmatched and all(row[3:] == (None, None) for row in unmatched)
+        selected = Executor(warehouse.database).execute(
+            view.definition.select, None
+        )
+        assert sorted(selected.rows) == view.rows()
+
+    def test_a_join_off_the_dimension_key_is_refused(self):
+        keyless = TableSchema(
+            "dims", [Column("k", INTEGER), Column("label", char(4))]
+        )
+        warehouse, _dims = self._warehouse(keyless)
+        with pytest.raises(WarehouseError) as caught:
+            warehouse.define_view(self.VIEW, self.FACT)
+        message = str(caught.value)
+        assert "'labelled'" in message and "'dims'" in message
+        assert "'k'" in message and "primary key" in message
+        # Refused before any storage was made.
+        assert not warehouse.database.has_table("labelled")
+        assert not warehouse.views

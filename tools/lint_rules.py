@@ -353,6 +353,15 @@ There it is called once, in the one helper that gives a finding the
 severity its code has: a second call could restate a severity the code
 already fixes.
 
+**REPRO027 — one oracle for what a view holds.**  A view is the SELECT its
+definition stands for, and what it should hold is that SELECT run by the
+executor: ``contents`` in ``repro/warehouse/views.py``
+(``VIEW_SELECT_HOME``).  The views once carried two Python recompute loops
+beside it, and the verifier executed the SELECT with its join stripped and
+re-joined in Python, three answers to one question.  So a view
+definition's ``.select`` is handed to an ``execute(`` call only in that
+module; everything else asks ``contents``.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -647,6 +656,9 @@ IMAGE_CHOICE_BUDGETS = {
 
 #: REPRO026: the one module that may construct a ``Diagnostic``.
 DIAGNOSTIC_HOME = "repro/semantics/checker.py"
+
+#: REPRO027: the one module that may execute a view definition's SELECT.
+VIEW_SELECT_HOME = "repro/warehouse/views.py"
 
 #: REPRO022: the trees besides the package whose references count, and
 #: qualified name -> why a public name no program reaches stays.
@@ -1457,6 +1469,25 @@ def _diagnostic_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
     ]
 
 
+def _view_select_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
+    """REPRO027: ``<x>.execute(<y>.select, ...)`` outside the module of
+    ``contents``."""
+    if normalized.endswith(VIEW_SELECT_HOME):
+        return []
+    return [
+        f"{path}:{node.lineno}: REPRO027 a view's SELECT executed outside "
+        f"{VIEW_SELECT_HOME}; ask contents(definition, tables) what the view "
+        "holds"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "execute"
+        and node.args
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "select"
+    ]
+
+
 def _self_attribute(node: ast.expr) -> str | None:
     """``f`` when ``node`` is ``self.f``, else ``None``."""
     if (
@@ -1911,6 +1942,7 @@ def _lint_file(path: Path) -> list[str]:
     violations.extend(_replay_judge_violations(path, tree, normalized))
     violations.extend(_restated_record_violations(path, tree))
     violations.extend(_diagnostic_violations(path, tree, normalized))
+    violations.extend(_view_select_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
