@@ -67,12 +67,10 @@ class BTreeIndex:
         if metrics is None:
             metrics = MetricsRegistry()
         self._metrics = metrics
+        #: The database's probe count, every index's probes together.
         self._m_probes = metrics.counter("engine.index.probe")
-
-    @property
-    def probes(self) -> int:
-        """How many times this index was probed (lookups + range scans)."""
-        return int(self._m_probes.value)
+        #: How many times this index was probed (lookups + range scans).
+        self.probes = 0
 
     @property
     def num_entries(self) -> int:
@@ -112,6 +110,7 @@ class BTreeIndex:
         matches = [] if key is None or key != key else self._row_ids[
             bisect_left(self._keys, key):bisect_right(self._keys, key)
         ]
+        self.probes += 1
         self._m_probes.inc()
         self._clock.advance(self._costs.index_lookup * max(1, len(matches)))
         return matches
@@ -131,6 +130,7 @@ class BTreeIndex:
                    include_low: bool = True, include_high: bool = True) -> Iterator[RowId]:
         """Ordered scan of the keys in the interval (:func:`span`)."""
         positions = span(self._keys, low, high, include_low, include_high)
+        self.probes += 1
         self._m_probes.inc()
         self._clock.advance(self._costs.index_lookup * max(1, len(positions)))
         for position in positions:

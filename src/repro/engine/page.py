@@ -14,27 +14,34 @@ round-trip the on-disk image exactly.
 A page is the unit reads work on: :meth:`Page.records` hands over the live
 slot numbers and their records as two parallel lists, which is what the
 page decoder (:meth:`repro.engine.rows.RecordCodec.page_decoder`) and the
-scan's filter take whole.  :meth:`Page.decoded` keeps what a page decoder
-made of them until the page is next written: every mutator bumps a write
-count (all a writer pays), and a reader whose kept entry carries an older
-count decodes afresh.  The entries live on this object only, so a page
-evicted and read back (:meth:`Page.from_bytes`) starts with none.
-Beside a kept decode, :meth:`Page.column_values` keeps one of its columns
-sorted, stamped and replaced the same way: what a scan asks before it runs
-its filter over the page (:meth:`repro.engine.table.Table.scan`).
+scan's filter take whole.  What is derived from the records is kept until
+the page is next written, by one memo (:meth:`Page.kept`): every mutator
+bumps a write count (all a writer pays), and a reader whose kept entry
+carries an older count derives afresh.  The entries live on this object
+only, so a page evicted and read back (:meth:`Page.from_bytes`) starts with
+none.  Three things are kept that way: what a page decoder made of the
+records (:meth:`Page.decoded`), one of those columns sorted
+(:meth:`Page.column_values`: what a scan asks before it runs its filter over
+the page, :meth:`repro.engine.table.Table.scan`), and an aggregate
+statement's partial over the page's rows
+(:meth:`repro.engine.table.Table.scan_partials`).
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import compress
-from typing import Any
+from typing import Any, Callable, Hashable, TypeVar
 
 from ..errors import StorageError
 from .disk import PAGE_SIZE
 from .rows import PageDecoder
 
 _HEADER = struct.Struct(">HH")
+
+A = TypeVar("A")
+K = TypeVar("K", bound=Hashable)
+T = TypeVar("T")
 
 
 def slots_per_page(record_size: int) -> int:
@@ -62,12 +69,10 @@ class Page:
         self._slots: list[bytes | None] = [None] * self.capacity
         self._used = 0
         self._free_hint = 0
-        #: Bumped by every mutator; what a kept decode is stamped with.
+        #: Bumped by every mutator; what everything kept is stamped with.
         self._writes = 0
-        #: Page decoder -> (write count, live slots, rows) of its last read.
-        self._decoded: dict[PageDecoder, tuple[int, list[int], list[Any]]] = {}
-        #: (page decoder, position) -> (write count, sorted values).
-        self._sorted: dict[tuple[PageDecoder, int], tuple[int, list[Any]]] = {}
+        #: Key -> (write count, tag, value) of what :meth:`kept` derived.
+        self._kept: dict[Hashable, tuple[int, Any, Any]] = {}
 
     # ----------------------------------------------------------------- status
     @property
@@ -138,40 +143,44 @@ class Page:
         slots = self._slots
         return list(compress(range(self.capacity), slots)), list(filter(None, slots))
 
-    def decoded(self, decode: PageDecoder) -> tuple[list[int], list[tuple[Any, ...]]]:
-        """The live slot numbers and ``decode`` of their records, kept.
+    def kept(
+        self, key: K, tag: Any, derive: Callable[[K, A], T], argument: A
+    ) -> T:
+        """``derive(key, argument)``, a value derived from this page's
+        records, kept under ``key`` until the page is next written.
 
-        The pair is kept per decoder, stamped with the page's write count,
-        and handed out again until a mutator bumps the count; the first read
-        after that decodes afresh and replaces it.  Neither list is changed
-        once handed out — by the page or by the caller — so the caller may
-        change the page while it works on them, as with :meth:`records`.
+        The value is stamped with the write count and with ``tag``, and handed
+        out again while both are unchanged; the first read after a write, or
+        with another tag, derives afresh and replaces it, so a key holds one
+        value at a time.  ``derive`` must read nothing but the records (and
+        what the key, the tag and ``argument`` fix), and nobody may change
+        what it returns.  This is the one place the write count is compared
+        (lint rule REPRO028).
         """
-        kept = self._decoded.get(decode)
-        if kept is not None and kept[0] == self._writes:
-            return kept[1], kept[2]
-        slots, records = self.records()
-        rows = decode(records)
-        self._decoded[decode] = (self._writes, slots, rows)
-        return slots, rows
+        entry = self._kept.get(key)
+        if entry is not None and entry[0] == self._writes and entry[1] == tag:
+            return entry[2]
+        writes = self._writes
+        value = derive(key, argument)
+        self._kept[key] = (writes, tag, value)
+        return value
+
+    def decoded(self, decode: PageDecoder) -> tuple[list[int], list[tuple[Any, ...]]]:
+        """The live slot numbers and ``decode`` of their records, kept per
+        decoder (:meth:`kept`).
+
+        Neither list is changed once handed out — by the page or by the
+        caller — so the caller may change the page while it works on them,
+        as with :meth:`records`.
+        """
+        return self.kept(decode, None, _decode, self)
 
     def column_values(self, decode: PageDecoder, at: int) -> list[Any]:
         """The values at position ``at`` of :meth:`decoded`'s rows, ascending,
-        without NULL and NaN (which satisfy no comparison), kept.
-
-        Kept per ``(decode, at)`` and stamped with the write count like the
-        decoded pair, so it is sorted once per write of the page; it is never
-        changed once handed out.
+        without NULL and NaN (which satisfy no comparison), kept per
+        ``(decode, at)`` (:meth:`kept`), so sorted once per write of the page.
         """
-        key = (decode, at)
-        kept = self._sorted.get(key)
-        if kept is not None and kept[0] == self._writes:
-            return kept[1]
-        rows = self.decoded(decode)[1]
-        values = [v for row in rows if (v := row[at]) is not None and v == v]
-        values.sort()
-        self._sorted[key] = (self._writes, values)
-        return values
+        return self.kept((decode, at), None, _sorted, self)
 
     # ------------------------------------------------------------ serialization
     def to_bytes(self) -> bytes:
@@ -226,3 +235,19 @@ class Page:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Page(record_size={self.record_size}, used={self._used}/{self.capacity})"
+
+
+# What a page keeps (:meth:`Page.kept`), each derived from the page given.
+def _decode(
+    decode: PageDecoder, page: Page
+) -> tuple[list[int], list[tuple[Any, ...]]]:
+    slots, records = page.records()
+    return slots, decode(records)
+
+
+def _sorted(key: tuple[PageDecoder, int], page: Page) -> list[Any]:
+    decode, at = key
+    rows = page.decoded(decode)[1]
+    values = [v for row in rows if (v := row[at]) is not None and v == v]
+    values.sort()
+    return values

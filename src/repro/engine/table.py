@@ -33,7 +33,9 @@ order relative to every other charge, as one ``advance`` per record.
 :meth:`Table.scan` yields ``(RowId, values)`` with the clock exact at every
 row, for consumers that charge between rows, stop early or need the ids
 (DML); :meth:`Table.scan_values` is the values-only read of everyone else
-(SELECT, the hash-join build side, state comparisons); and
+(SELECT, the hash-join build side, state comparisons);
+:meth:`Table.scan_partials` is that read for a scan aggregate, one partial per
+page, kept on the page until it is next written; and
 :meth:`Table.scan_pages` hands a dump each page's rows uncharged, for it to
 charge every record's scan inside its own cycle of charges
 (``take_snapshot``, ``ascii_dump_table``).
@@ -44,7 +46,9 @@ from __future__ import annotations
 import enum
 from itertools import chain
 from operator import length_hint
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar,
+)
 
 from ..clock import VirtualClock
 from ..errors import CatalogError, ConstraintError, SchemaError
@@ -60,6 +64,8 @@ from .schema import TableSchema
 from .transactions import Transaction
 from .triggers import TriggerContext, TriggerEvent, TriggerSet, TriggerTiming
 from .wal import LogManager, LogRecordKind
+
+T = TypeVar("T")
 
 #: A scan's filter: called with an iterable over one page's rows (the narrow
 #: value tuples, in slot order), returns the ascending positions it keeps.
@@ -463,6 +469,55 @@ class Table:
         self._clock.advance_each(self._costs.row_scan_cpu, records)
         self._m_rows_scanned.inc(records)
 
+    def scan_partials(
+        self,
+        columns: Sequence[int],
+        keep: PageFilter | None,
+        partial: Callable[[list[tuple[Any, ...]]], T],
+        memo: tuple[Hashable, Any] | None,
+    ) -> Iterator[T]:
+        """``partial`` of each page's rows that ``keep`` accepts, page by
+        page, charged as :meth:`scan_values` charges: every record of a page
+        once the page is done, and when ``keep`` raises, the records it
+        examined.
+
+        With a ``memo`` — ``(shape, tag)``: what fixes ``keep`` and
+        ``partial`` short of some values, and those values — each page keeps
+        its partial (:meth:`Page.kept <repro.engine.page.Page.kept>`, under
+        the page decoder and ``shape``, tagged), and a page not written since
+        hands it back without running either: the caller must know that the
+        two read nothing but the rows.  ``partial`` must not raise, and
+        nobody may change what it returns.
+        """
+        decode = self._decoder(columns)
+        charge = self._charge
+
+        def derive(_key: Any, rows: list[tuple[Any, ...]]) -> T:
+            if keep is None:
+                return partial(rows)
+            pending = iter(rows)  # charged as ``_pages`` charges a raise
+            try:
+                kept = keep(pending)
+            except BaseException:
+                charge(len(rows) - length_hint(pending))
+                raise
+            return partial([rows[at] for at in kept])
+
+        key, tag = (None, None) if memo is None else ((decode, memo[0]), memo[1])
+        for _page_no, page, _slots, rows in self._heap.decoded_pages(decode):
+            if key is None:
+                made = derive(key, rows)
+            else:
+                made = page.kept(key, tag, derive, rows)
+            charge(len(rows))
+            yield made
+
+    def _decoder(self, columns: Sequence[int] | None) -> PageDecoder:
+        """The page decoder of ``columns`` (ascending positions; all: None)."""
+        if columns is None:
+            return self.schema.codec.decode_page
+        return self.schema.codec.page_decoder(tuple(columns))
+
     def _pages(
         self, columns: Sequence[int] | None, keep: PageFilter | None,
         bounds: Sequence[PageBound],
@@ -482,9 +537,8 @@ class Table:
         length hint says how many were not — and they are charged and
         counted here, as the record-at-a-time loop had by then.
         """
-        decode = self.schema.codec.decode_page
+        decode = self._decoder(columns)
         if columns is not None:
-            decode = self.schema.codec.page_decoder(tuple(columns))
             bounds = [(columns.index(at), *interval) for at, *interval in bounds]
         for page_no, page, slots, rows in self._heap.decoded_pages(decode):
             if keep is None:

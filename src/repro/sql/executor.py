@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..engine.database import Database
@@ -37,6 +36,7 @@ from .expressions import (
     insert_arranger,
     insert_rows_maker,
     page_filter_maker,
+    referenced_functions,
     set_list_maker,
     walk,
 )
@@ -44,7 +44,7 @@ from .planner import (
     AccessPath, Sarg, choose_path, sargs, settle_bounds, settle_path,
 )
 from .source import RowSource, SourceDatabase
-from .templates import StatementTemplate, shaped
+from .templates import SHAPE, StatementTemplate, shaped
 
 
 @dataclass
@@ -144,6 +144,81 @@ def _columns_read(
             if not resolved and isinstance(node, (ast.ColumnRef, ast.Star)):
                 return [tuple(range(len(schema.columns))) for _alias, schema in tables]
     return [tuple(sorted(positions)) for positions in read]
+
+
+#: What an aggregation keeps of a group: its row count, whether every value
+#: below is an int or a float, then per argument slot read the non-NULL
+#: values there, in row order.
+_Entry = list[Any]
+#: Group key -> entry, in first-seen row order: a partial aggregation.
+_Groups = dict[tuple, _Entry]
+#: Makes the partial of some rows.
+_Partial = Callable[[Iterable[tuple[Any, ...]]], _Groups]
+
+
+#: The classes a SUM or AVG takes without looking at a value.
+_NUMBERS = frozenset({int, float})
+
+
+def _entry(rows: list[tuple[Any, ...]], kept: Sequence[int]) -> _Entry:
+    """One group's entry over its ``rows``: the count, whether every value
+    is a number, then the non-NULL values at each slot of ``kept``."""
+    values = [[v for row in rows if (v := row[at]) is not None] for at in kept]
+    numeric = all(_NUMBERS.issuperset(map(type, each)) for each in values)
+    return [len(rows), numeric, *values]
+
+
+def _memo(stmt: ast.SelectStmt) -> tuple[str, Any] | None:
+    """What a page keeps a scan aggregate's partial under: its shape, tagged
+    with its template and literal values — so a statement of another
+    template or other literals replaces it.  None, so nothing kept, for a
+    statement without a template and for one whose WHERE reads a session
+    value (:data:`~repro.sql.ast_nodes.VOLATILE_FUNCTIONS`), which rows
+    alone do not fix."""
+    binding = stmt.binding
+    if binding is None:
+        return None
+    template = binding.template
+    volatile = template.fact(
+        SHAPE, "select.volatile_where",
+        lambda: not referenced_functions(template.statement.where).isdisjoint(
+            ast.VOLATILE_FUNCTIONS
+        ),
+    )
+    if volatile:
+        return None
+    return template.shape, (template, tuple(binding.values))
+
+
+def _aggregate_value(
+    agg: ast.Aggregate, count: int, values: list[Any] | None, numeric: bool
+) -> Any:
+    """``agg`` of a group of ``count`` rows whose argument has the non-NULL
+    ``values`` (None: COUNT(*)); ``numeric`` when they are all ints and
+    floats, as the group's entry knows."""
+    if values is None:
+        return count
+    if agg.function == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if agg.function in ("SUM", "AVG"):
+        # Ints and floats are admitted by the entry's one pass at each
+        # partial; a bool (a number too) or a non-number is looked at
+        # value by value.
+        if not numeric and not _NUMBERS.issuperset(map(type, values)):
+            for value in values:
+                if not isinstance(value, (int, float)):
+                    raise SqlAnalysisError(
+                        f"aggregate {agg.function} requires a number, "
+                        f"got {value!r}"
+                    )
+        return sum(values) if agg.function == "SUM" else sum(values) / len(values)
+    if agg.function == "MIN":
+        return min(values)
+    if agg.function == "MAX":
+        return max(values)
+    raise SqlAnalysisError(f"unknown aggregate {agg.function!r}")
 
 
 class _Access:
@@ -330,10 +405,28 @@ class Executor:
         # With one it stays above the join: it may read joined columns, and
         # the probe charges for every base row it is handed.
         pushed = None if stmt.joins else stmt.where
-        rows = self._values(
-            base, path, base_read, compile_page_filter(pushed, scope, context)
-        )
+        keep = compile_page_filter(pushed, scope, context)
         plan_parts = [f"{stmt.table}:{path.description}"]
+        aggregated = any(
+            isinstance(item.expr, ast.Aggregate) for item in stmt.items
+        ) or bool(stmt.group_by)
+        if (
+            aggregated and not stmt.joins and path.row_ids is None
+            and isinstance(base, Table)
+            and all(scope.slot(ref) is not None for ref in stmt.group_by)
+        ):
+            # A full scan aggregates a page at a time, and each page keeps
+            # its partial for the next statement of the shape (``_memo``).
+            # A partial made of slots alone cannot raise, as kept ones must
+            # not: a GROUP BY column that reads none is read below, from
+            # the rows, and diagnosed when the first one reaches it.
+            memo = _memo(stmt)
+            result, columns = self._aggregate(
+                stmt, scope,
+                lambda partial: base.scan_partials(base_read, keep, partial, memo),
+            )
+            return self._finish(stmt, scope, result, columns, plan_parts)
+        rows = self._values(base, path, base_read, keep)
 
         for join, (right, right_alias), right_read in zip(
             stmt.joins, joined, joined_read
@@ -358,14 +451,23 @@ class Executor:
             joined_rows = list(rows)
             rows = [joined_rows[at] for at in keep(joined_rows)]
 
-        aggregated = any(
-            isinstance(item.expr, ast.Aggregate) for item in stmt.items
-        ) or bool(stmt.group_by)
         if aggregated:
-            result, columns = self._aggregate(stmt, rows, scope)
+            result, columns = self._aggregate(
+                stmt, scope, lambda partial: (partial(rows),)
+            )
         else:
             result, columns = self._project(stmt, rows, scope)
+        return self._finish(stmt, scope, result, columns, plan_parts)
 
+    def _finish(
+        self,
+        stmt: ast.SelectStmt,
+        scope: _Scope,
+        result: list[tuple[Any, ...]],
+        columns: list[str],
+        plan_parts: list[str],
+    ) -> Result:
+        """A SELECT's rows ordered and limited, as its result."""
         if stmt.order_by:
             result = self._order(result, columns, stmt, scope)
         if stmt.limit is not None:
@@ -463,9 +565,21 @@ class Executor:
     def _aggregate(
         self,
         stmt: ast.SelectStmt,
-        rows: Iterable[tuple[Any, ...]],
         scope: _Scope,
+        partials: Callable[[_Partial], Iterable[_Groups]],
     ) -> tuple[list[tuple[Any, ...]], list[str]]:
+        """The one aggregation: ``partials(partial)`` applies ``partial`` to
+        the rows read — a page of them at a time, or all at once — and the
+        partials are merged in the order they come.
+
+        A partial maps each group key, in first-seen row order, to its entry:
+        the group's row count, whether its values are all numbers, then per
+        aggregate argument its non-NULL values in row order (:func:`_entry`).
+        Merging adds the counts and extends the lists, so a merged entry is
+        the one all the rows in read order make: SUM and AVG add the same
+        numbers in the same order however the rows were cut, and the groups
+        come in first-seen order.
+        """
         # A grouping column is matched by the slot it reads, or by its name
         # where it reads none (the group key then diagnoses it lazily).
         grouped = [_resolved(ref, scope) for ref in stmt.group_by]
@@ -481,70 +595,68 @@ class Executor:
                     f"column {expr.to_sql()!r} must appear in GROUP BY"
                 )
         context = self._context
-        groups: dict[tuple, list[tuple[Any, ...]]] = {}
-        if stmt.group_by:
-            group_key = compile_row(stmt.group_by, scope, context)
-            for row in rows:
-                groups.setdefault(group_key(row), []).append(row)
-        else:
-            groups[()] = list(rows)  # global aggregate, over no rows too
-        columns = [self._item_name(item) for item in stmt.items]
-        # Per item, what reads it: a grouping column from the group's key, an
-        # aggregate's argument from each member row (None: COUNT(*)).  The
-        # parser admits only a column there, read by slot; one that reads
-        # none stays a kernel, to raise when a row reaches it.
-        readers: list[Compiled | None] = []
-        reader: Compiled | None
+        # Per item, what reads it: a grouping column its place in the key;
+        # an aggregate's argument its place in an entry, past the count and
+        # the flag (None: COUNT(*)).  The parser admits only a column there,
+        # read by slot, and an entry keeps one list per slot read.  One that
+        # reads none stays a kernel: it raises for whatever row reaches it,
+        # so it is asked once per member at the end, as it was of each row.
+        kept: list[int] = []
+        readers: list[int | Compiled | None] = []
+        reader: int | Compiled | None
         for item in stmt.items:
             expr, reader = item.expr, None
             if isinstance(expr, ast.ColumnRef):
-                reader = itemgetter(grouped.index(_resolved(expr, scope)))
+                reader = grouped.index(_resolved(expr, scope))
             elif isinstance(expr, ast.Aggregate) and expr.argument is not None:
                 slot = scope.slot(expr.argument)
-                reader = itemgetter(slot) if slot is not None else compile_expression(
-                    expr.argument, scope, context
-                )
+                if slot is None:
+                    reader = compile_expression(expr.argument, scope, context)
+                else:
+                    if slot not in kept:
+                        kept.append(slot)
+                    reader = 2 + kept.index(slot)
             readers.append(reader)
+        group_key = compile_row(stmt.group_by, scope, context) if grouped else None
+
+        def partial(rows: Iterable[tuple[Any, ...]]) -> _Groups:
+            if group_key is None:
+                return {(): _entry(list(rows), kept)}
+            members: dict[tuple, list[tuple[Any, ...]]] = {}
+            for row in rows:
+                members.setdefault(group_key(row), []).append(row)
+            return {key: _entry(group, kept) for key, group in members.items()}
+
+        merged: _Groups = {}
+        for part in partials(partial):
+            for key, entry in part.items():
+                into = merged.get(key)
+                if into is None:
+                    # Copied: a page's partial may be kept, and is not changed.
+                    merged[key] = [entry[0], entry[1], *map(list, entry[2:])]
+                    continue
+                into[0] += entry[0]
+                into[1] = into[1] and entry[1]
+                for at in range(2, len(entry)):
+                    into[at] += entry[at]
+        if group_key is None and not merged:
+            merged[()] = _entry([], kept)  # a global aggregate over no pages
         result = []
-        for key, members in groups.items():
+        for key, entry in merged.items():
             out: list[Any] = []
             for item, reader in zip(stmt.items, readers):
-                if isinstance(item.expr, ast.Aggregate):
-                    out.append(self._aggregate_value(item.expr, reader, members))
-                else:
-                    out.append(reader(key))  # type: ignore[misc]
+                expr = item.expr
+                if not isinstance(expr, ast.Aggregate):
+                    out.append(key[reader])  # type: ignore[index]
+                    continue
+                count, numeric, values = entry[0], entry[1], None
+                if isinstance(reader, int):
+                    values = entry[reader]
+                elif reader is not None:
+                    values = [v for _ in range(count) if (v := reader(())) is not None]
+                out.append(_aggregate_value(expr, count, values, numeric))
             result.append(tuple(out))
-        return result, columns
-
-    @staticmethod
-    def _aggregate_value(
-        agg: ast.Aggregate,
-        argument: Compiled | None,
-        members: list[tuple[Any, ...]],
-    ) -> Any:
-        if argument is None:
-            return len(members)
-        values = [v for v in map(argument, members) if v is not None]
-        if agg.function == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if agg.function in ("SUM", "AVG"):
-            # One C-level pass admits ints and floats; a bool (a number too)
-            # or a non-number is looked at value by value.
-            if not {int, float}.issuperset(map(type, values)):
-                for value in values:
-                    if not isinstance(value, (int, float)):
-                        raise SqlAnalysisError(
-                            f"aggregate {agg.function} requires a number, "
-                            f"got {value!r}"
-                        )
-            return sum(values) if agg.function == "SUM" else sum(values) / len(values)
-        if agg.function == "MIN":
-            return min(values)
-        if agg.function == "MAX":
-            return max(values)
-        raise SqlAnalysisError(f"unknown aggregate {agg.function!r}")
+        return result, [self._item_name(item) for item in stmt.items]
 
     def _order(
         self,

@@ -204,3 +204,25 @@ class TestBTreeRange:
         index.insert(1, RowId(0, 1))
         index.insert(2, RowId(0, 2))
         assert len(list(index.range_scan(1, 1))) == 2
+
+
+class TestProbeCounts:
+    """``probes`` counts one index's probes; the database's
+    ``engine.index.probe`` counter counts every index's together."""
+
+    def test_two_indexes_on_one_database_count_their_own_probes(self):
+        database = Database("probes")
+        table = database.create_table(
+            TableSchema("t", [Column("a", INTEGER), Column("b", INTEGER)])
+        )
+        by_a = table.create_index("ix_a", "a")
+        by_b = table.create_index("ix_b", "b")
+        txn = database.begin()
+        for row in ((1, 10), (2, 20), (3, 30)):
+            table.insert(txn, row)
+        database.commit(txn)
+        by_a.lookup(1)
+        by_a.lookup(9)
+        assert list(by_b.range_scan(10, 20)) and by_b.probes == 1
+        assert by_a.probes == 2
+        assert database.metrics.value("engine.index.probe", db="probes") == 3

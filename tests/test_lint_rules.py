@@ -1542,10 +1542,10 @@ class TestRepro020PageStateIsWrittenByThePage:
         "def tamper(page, heap, slot, record):\n"
         "    page._slots[slot] = record\n"
         "    page._writes += 1\n"
-        "    del page._decoded[heap.decode]\n"
-        "    heap.frame._decoded = {}\n"
+        "    del page._kept[heap.decode]\n"
+        "    heap.frame._kept = {}\n"
         "    first, page._slots = page._slots, []\n"
-        "    page._decoded[heap.decode][1][0] = record\n"
+        "    page._kept[heap.decode][2][0] = record\n"
         "    other._writes: int = 0\n"
         "    del page._slots\n"
     )
@@ -1554,7 +1554,7 @@ class TestRepro020PageStateIsWrittenByThePage:
         violations = lint_source(tmp_path, self.WRITES, name="repro/engine/heap.py")
         assert self.flagged(violations) == [2, 3, 4, 5, 6, 7, 8, 9]
         assert "'._slots' written outside" in violations[0]
-        assert "'._writes'" in violations[1] and "'._decoded'" in violations[2]
+        assert "'._writes'" in violations[1] and "'._kept'" in violations[2]
         # No budget anywhere else either.
         for name in ("repro/engine/table.py", "repro/engine/buffer.py", "tests/x.py"):
             assert len(lint_source(tmp_path, self.WRITES, name=name)) == 8
@@ -1567,7 +1567,7 @@ class TestRepro020PageStateIsWrittenByThePage:
             "def look(page, decode, rows, store):\n"
             "    slots = page._slots\n"
             "    live = [s for s in page._slots if s]\n"
-            "    kept = page._decoded.get(decode)\n"
+            "    kept = page._kept.get(decode)\n"
             "    rows[page._writes] = kept\n"
             "    store._slot = 1\n"
             "    page.slots = []\n"
@@ -1585,6 +1585,46 @@ class TestRepro020PageStateIsWrittenByThePage:
         page = (package / "engine" / "page.py").read_text(encoding="utf-8")
         for attr in lint_rules.PAGE_STATE_ATTRS:
             assert f"self.{attr}" in page, attr
+
+
+class TestRepro028OneStampedMemoOnAPage:
+    STAMPS = (
+        "class Page:\n"
+        "    def kept(self, key, tag, derive):\n"
+        "        entry = self._kept.get(key)\n"
+        "        if entry is not None and entry[0] == self._writes:\n"
+        "            return entry[2]\n"
+        "    def decoded(self, decode):\n"
+        "        kept = self._decoded.get(decode)\n"
+        "        if kept is not None and kept[0] == self._writes:\n"
+        "            return kept[1]\n"
+        "        return self._writes != 0 or 1 < page._writes <= 3\n"
+    )
+
+    def test_a_stamp_compare_outside_the_memo_is_flagged(self, tmp_path):
+        violations = lint_source(tmp_path, self.STAMPS, name="repro/engine/page.py")
+        assert [int(v.split(":")[1]) for v in violations] == [8, 10, 10]
+        assert all("REPRO028" in v for v in violations)
+        assert "page.kept(key, tag, derive" in violations[0]
+        # Elsewhere even the memo's own compare is flagged.
+        assert len(lint_source(tmp_path, self.STAMPS, name="repro/engine/heap.py")) == 4
+
+    def test_reading_the_count_and_other_compares_pass(self, tmp_path):
+        source = (
+            "def look(page, disk):\n"
+            "    writes = page._writes\n"
+            "    return disk._m_writes == writes.value, page.writes > 1\n"
+        )
+        assert lint_source(tmp_path, source, name="repro/engine/table.py") == []
+
+    def test_the_repository_compares_the_stamp_once(self):
+        package = REPO / "src" / "repro"
+        for path in sorted(package.rglob("*.py")):
+            assert [
+                v for v in lint_rules.lint_file(path) if "REPRO028" in v
+            ] == [], path
+        page = (package / "engine" / "page.py").read_text(encoding="utf-8")
+        assert page.count("== self._writes") == 1
 
 
 class TestRepro021OneCommutationVerdictPerPair:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Twenty-five disciplines the standard linters cannot express:
+Twenty-six disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -260,15 +260,16 @@ reasons in ``SEMANTIC_SWITCHES``: what a node evaluates to, what type it
 has, what it constrains.  A traversal never needs more than the one or two
 classes it acts on.
 
-**REPRO020 — page state is written by the page.**  A heap page keeps the
-rows each page decoder made of it, stamped with its write count, and hands
-them out again until the count moves (``Page.decoded``); every ``Page``
-mutator bumps the count.  A write to the slot array, the count or the kept
-decode from anywhere else would leave a stale decode that every later read
-is handed.  So outside ``repro/engine/page.py`` an assignment, augmented
-assignment, subscript store or ``del`` whose target is ``._slots``,
-``._writes`` or ``._decoded`` (or an item of one) is flagged, with no budget:
-change a page through its methods.
+**REPRO020 — page state is written by the page.**  A heap page keeps what
+is derived from its records — each page decoder's rows, a sorted column, an
+aggregate's partial — stamped with its write count, and hands it out again
+until the count moves (``Page.kept``); every ``Page`` mutator bumps the
+count.  A write to the slot array, the count or the kept entries from
+anywhere else would leave a stale value that every later read is handed.  So
+outside ``repro/engine/page.py`` an assignment, augmented assignment,
+subscript store or ``del`` whose target is ``._slots``, ``._writes`` or
+``._kept`` (or an item of one) is flagged, with no budget: change a page
+through its methods.
 
 **REPRO021 — one judge of op reordering.**  Whether two captured ops
 commute is proved by ``commutes``, once per pair, by the ``CommutationRecord``
@@ -361,6 +362,15 @@ beside it, and the verifier executed the SELECT with its join stripped and
 re-joined in Python, three answers to one question.  So a view
 definition's ``.select`` is handed to an ``execute(`` call only in that
 module; everything else asks ``contents``.
+
+**REPRO028 — one stamped memo on a page.**  What a page keeps of its
+records is checked against its write count in one place, ``Page.kept`` in
+``repro/engine/page.py`` (``PAGE_MEMO``): the kept decode, the sorted column
+lists and an aggregate's per-page partials all go through it.  Each used to
+carry its own dict and its own stamp compare, and a second memo written the
+same way is one forgotten compare away from handing out a stale value.  So
+a comparison with ``._writes`` as an operand anywhere but that method is
+flagged.
 
 Usage::
 
@@ -629,10 +639,13 @@ SEMANTIC_SWITCHES = {
         "the tree and widening it would change every certified domain",
 }
 
-#: REPRO020: the page's state behind its kept decode — slot array, write
+#: REPRO020: the page's state behind what it keeps — slot array, write
 #: count, kept entries — and the one module that may write it.
-PAGE_STATE_ATTRS = ("_slots", "_writes", "_decoded")
+PAGE_STATE_ATTRS = ("_slots", "_writes", "_kept")
 PAGE_SUFFIX = "repro/engine/page.py"
+
+#: REPRO028: the one method that compares the page's write count.
+PAGE_MEMO = (PAGE_SUFFIX, "Page.kept")
 
 #: REPRO021: module suffix -> how many ``commutes(`` calls it may make;
 #: every other module may make none.
@@ -1377,7 +1390,7 @@ def _page_state_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
     found = []
     for target in (single for group in targets for single in _stored(group)):
         base = target
-        while isinstance(base, ast.Subscript):  # page._slots[i], page._decoded[k]
+        while isinstance(base, ast.Subscript):  # page._slots[i], page._kept[k]
             base = base.value
         if isinstance(base, ast.Attribute) and base.attr in PAGE_STATE_ATTRS:
             found.append((target.lineno, base.attr))
@@ -1386,6 +1399,34 @@ def _page_state_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
         "repro/engine/page.py; change a page through its own methods, which "
         "bump the write count its kept decode is checked against"
         for lineno, attr in sorted(found)
+    ]
+
+
+def _stamp_compare_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
+    """REPRO028: a comparison with ``._writes`` outside ``Page.kept``."""
+    suffix, memo = PAGE_MEMO
+    allowed: set[int] = set()
+    if normalized.endswith(suffix) and isinstance(tree, ast.Module):
+        owner, _dot, method = memo.partition(".")
+        allowed = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == owner
+            for function in cls.body
+            if isinstance(function, ast.FunctionDef) and function.name == method
+            for node in ast.walk(function)
+        }
+    return [
+        f"{path}:{node.lineno}: REPRO028 page write count compared outside "
+        "Page.kept; keep what is derived from a page's records with "
+        "page.kept(key, tag, derive, ...)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and id(node) not in allowed
+        and any(
+            isinstance(operand, ast.Attribute) and operand.attr == "_writes"
+            for operand in (node.left, *node.comparators)
+        )
     ]
 
 
@@ -1938,6 +1979,7 @@ def _lint_file(path: Path) -> list[str]:
     violations.extend(_unprepared_statement_violations(path, tree, normalized))
     violations.extend(_node_switch_violations(path, tree, normalized))
     violations.extend(_page_state_violations(path, tree, normalized))
+    violations.extend(_stamp_compare_violations(path, tree, normalized))
     violations.extend(_commutation_violations(path, tree, normalized))
     violations.extend(_replay_judge_violations(path, tree, normalized))
     violations.extend(_restated_record_violations(path, tree))
