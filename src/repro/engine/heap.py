@@ -5,10 +5,12 @@ list.  All access goes through the buffer pool so the cost of every
 operation emerges from hit/miss/write-back accounting.
 
 Reading the whole file is one walk, a page at a time: each step is one
-buffer-pool fetch and hands over that page's live slot numbers and, as
-lists, their records (:meth:`HeapFile.pages`: an index build,
-:meth:`HeapFile.scan`) or their decoded rows, kept on the page until it is
-next written (:meth:`HeapFile.decoded_pages`: the table's scans).
+buffer-pool fetch (:meth:`HeapFile.fetched`), which hands over the page —
+for what it keeps, as a scan aggregate's partials — or that page's live
+slot numbers and, as lists, their records (:meth:`HeapFile.pages`: an index
+build, :meth:`HeapFile.scan`) or their decoded rows, kept on the page and
+patched when it is written (:meth:`HeapFile.decoded_pages`: the table's
+scans).
 """
 
 from __future__ import annotations
@@ -114,39 +116,49 @@ class HeapFile:
             self._pages_with_space.remove(page_no)
         self._num_records += 1
 
+    def fetched(self) -> Iterator[tuple[int, Page]]:
+        """``(page_no, page)`` page by page, one fetch per page: the one walk
+        over the file, which reads nothing of a page itself.
+
+        The page list is snapshotted when this is called, so a concurrent
+        append (e.g. a statement inserting into the table it reads, as
+        INSERT..SELECT does) does not revisit its own output; each page is
+        fetched when the walk reaches it, and what a consumer takes of a
+        page, it takes then.
+        """
+        page_nos = list(self._page_nos)
+        # Built of iterators alone, so a walk on it resumes no frame of its own.
+        return zip(page_nos, map(self._pool.fetch, page_nos))
+
     def pages(self) -> Iterator[tuple[int, list[int], list[bytes]]]:
         """Yield ``(page_no, live slot numbers, their records)`` page by
-        page, one fetch per page.
+        page, on :meth:`fetched`'s walk, each page's slots snapshotted when
+        the page is reached.
 
-        The page list is snapshotted up front, and each page's slots when the
-        page is reached, so a concurrent append (e.g. a statement inserting
-        into the table it reads, as INSERT..SELECT does) does not revisit its
-        own output.  The raw records, read afresh: an index build and
-        :meth:`scan` take these; the table's scans take
-        :meth:`decoded_pages`.
+        The raw records, read afresh: an index build and :meth:`scan` take
+        these; the table's scans take :meth:`decoded_pages`.
         """
-        fetch = self._pool.fetch
-        for page_no in list(self._page_nos):
-            yield page_no, *fetch(page_no).records()
+        for page_no, page in self.fetched():
+            yield page_no, *page.records()
 
     def decoded_pages(
         self, decode: PageDecoder
     ) -> Iterator[tuple[int, Page, list[int], list[tuple[Any, ...]]]]:
         """:meth:`pages` with each page's records decoded by ``decode``:
-        ``(page_no, page, live slot numbers, their rows)``, the same fetches
-        and the same snapshots.
+        ``(page_no, page, live slot numbers, their rows)``, the same walk and
+        the same snapshots.
 
         The pair is :meth:`Page.decoded <repro.engine.page.Page.decoded>`'s:
         a page not written since its last read through ``decode`` is not
-        decoded again, and the lists are never changed once handed out.  The
-        page itself comes along for what else it keeps of the decode
-        (:meth:`Page.column_values <repro.engine.page.Page.column_values>`),
-        so that is not a second fetch.  This is the walk :class:`Table
-        <repro.engine.table.Table>` filters and charges per step.
+        decoded again, one written since has only the records written
+        decoded and spliced into copies, and the lists are never changed
+        once handed out.  The page itself comes along for what else it keeps
+        of the decode (:meth:`Page.column_values
+        <repro.engine.page.Page.column_values>`), so that is not a second
+        fetch.  This is the walk :class:`Table <repro.engine.table.Table>`
+        filters and charges per step.
         """
-        fetch = self._pool.fetch
-        for page_no in list(self._page_nos):
-            page = fetch(page_no)
+        for page_no, page in self.fetched():
             yield page_no, page, *page.decoded(decode)
 
     def scan(self) -> Iterator[tuple[RowId, bytes]]:

@@ -16,11 +16,13 @@ slot numbers and their records as two parallel lists, which is what the
 page decoder (:meth:`repro.engine.rows.RecordCodec.page_decoder`) and the
 scan's filter take whole.  What is derived from the records is kept until
 the page is next written, by one memo (:meth:`Page.kept`): every mutator
-bumps a write count (all a writer pays), and a reader whose kept entry
-carries an older count derives afresh.  The entries live on this object
-only, so a page evicted and read back (:meth:`Page.from_bytes`) starts with
-none.  Three things are kept that way: what a page decoder made of the
-records (:meth:`Page.decoded`), one of those columns sorted
+bumps a write count and stamps the slot it wrote with it (all a writer
+pays), and a reader whose kept entry carries an older count derives afresh
+— or, for the decode, patches it: only the records of the slots stamped
+since go through the decoder.  The entries live on this object only, so a
+page evicted and read back (:meth:`Page.from_bytes`) starts with none.
+Three things are kept that way: what a page decoder made of the records
+(:meth:`Page.decoded`), one of those columns sorted
 (:meth:`Page.column_values`: what a scan asks before it runs its filter over
 the page, :meth:`repro.engine.table.Table.scan`), and an aggregate
 statement's partial over the page's rows
@@ -30,6 +32,7 @@ statement's partial over the page's rows
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from itertools import compress
 from typing import Any, Callable, Hashable, TypeVar
 
@@ -71,8 +74,11 @@ class Page:
         self._free_hint = 0
         #: Bumped by every mutator; what everything kept is stamped with.
         self._writes = 0
-        #: Key -> (write count, tag, value) of what :meth:`kept` derived.
-        self._kept: dict[Hashable, tuple[int, Any, Any]] = {}
+        #: Per slot, the write count of its last write.
+        self._stamps = [0] * self.capacity
+        #: Key -> (write count, tag, value, record count) of what
+        #: :meth:`kept` derived.
+        self._kept: dict[Hashable, tuple[int, Any, Any, int]] = {}
 
     # ----------------------------------------------------------------- status
     @property
@@ -89,12 +95,14 @@ class Page:
         for slot_no in range(self._free_hint, self.capacity):
             if self._slots[slot_no] is None:
                 self._slots[slot_no] = record
+                self._stamps[slot_no] = self._writes
                 self._used += 1
                 self._free_hint = slot_no + 1
                 return slot_no
         for slot_no in range(self._free_hint):
             if self._slots[slot_no] is None:
                 self._slots[slot_no] = record
+                self._stamps[slot_no] = self._writes
                 self._used += 1
                 self._free_hint = slot_no + 1
                 return slot_no
@@ -108,6 +116,7 @@ class Page:
         if self._slots[slot_no] is not None:
             raise StorageError(f"slot {slot_no} is already occupied")
         self._writes += 1
+        self._stamps[slot_no] = self._writes
         self._slots[slot_no] = record
         self._used += 1
 
@@ -119,12 +128,14 @@ class Page:
         self._check_record(record)
         self._slot_or_raise(slot_no)
         self._writes += 1
+        self._stamps[slot_no] = self._writes
         self._slots[slot_no] = record
 
     def delete(self, slot_no: int) -> bytes:
         """Free a slot; returns the old record (for undo/before images)."""
         record = self._slot_or_raise(slot_no)
         self._writes += 1
+        self._stamps[slot_no] = self._writes
         self._slots[slot_no] = None
         self._used -= 1
         if slot_no < self._free_hint:
@@ -144,7 +155,12 @@ class Page:
         return list(compress(range(self.capacity), slots)), list(filter(None, slots))
 
     def kept(
-        self, key: K, tag: Any, derive: Callable[[K, A], T], argument: A
+        self,
+        key: K,
+        tag: Any,
+        derive: Callable[[K, A], T],
+        argument: A,
+        patch: Callable[[K, A, T, list[int]], T] | None = None,
     ) -> T:
         """``derive(key, argument)``, a value derived from this page's
         records, kept under ``key`` until the page is next written.
@@ -154,26 +170,52 @@ class Page:
         with another tag, derives afresh and replaces it, so a key holds one
         value at a time.  ``derive`` must read nothing but the records (and
         what the key, the tag and ``argument`` fix), and nobody may change
-        what it returns.  This is the one place the write count is compared
-        (lint rule REPRO028).
+        what it returns.  This is the one place the write count and the
+        slots' stamps are compared (lint rule REPRO028).
+
+        With ``patch``, a value of the same tag that is stale is patched
+        rather than derived afresh, unless the writes since it was stamped
+        number more than one in eight of the records it was derived from
+        (each write writes one slot; a slot written twice counts twice):
+        ``patch(key, argument, old, written)`` is handed the slots written
+        since, ascending, and returns the new value without changing
+        ``old``.  Past one in eight the patch costs more than it saves: a
+        write of a 100-row range rewrites most of a page.  The writes are
+        counted, not the slots they wrote, so that a page decoded whole is
+        not first searched for what was written.
         """
         entry = self._kept.get(key)
-        if entry is not None and entry[0] == self._writes and entry[1] == tag:
-            return entry[2]
+        if entry is not None and entry[1] == tag:
+            if entry[0] == self._writes:
+                return entry[2]
+            if patch is not None and 8 * (self._writes - entry[0]) <= entry[3]:
+                # Each write since wrote one slot, so they bound the rows
+                # written; a slot is found by its write's count, unless a
+                # later write took it over.
+                since, stamps = entry[0], self._stamps
+                written = sorted(
+                    stamps.index(count)
+                    for count in range(since + 1, self._writes + 1)
+                    if count in stamps
+                )
+                value = patch(key, argument, entry[2], written)
+                self._kept[key] = (self._writes, tag, value, self._used)
+                return value
         writes = self._writes
         value = derive(key, argument)
-        self._kept[key] = (writes, tag, value)
+        self._kept[key] = (writes, tag, value, self._used)
         return value
 
     def decoded(self, decode: PageDecoder) -> tuple[list[int], list[tuple[Any, ...]]]:
         """The live slot numbers and ``decode`` of their records, kept per
-        decoder (:meth:`kept`).
+        decoder (:meth:`kept`), and after a write patched: only the records
+        written since go through ``decode``, in one call.
 
         Neither list is changed once handed out — by the page or by the
         caller — so the caller may change the page while it works on them,
-        as with :meth:`records`.
+        as with :meth:`records`: a patch splices into copies.
         """
-        return self.kept(decode, None, _decode, self)
+        return self.kept(decode, None, _decode, self, _patch)
 
     def column_values(self, decode: PageDecoder, at: int) -> list[Any]:
         """The values at position ``at`` of :meth:`decoded`'s rows, ascending,
@@ -243,6 +285,36 @@ def _decode(
 ) -> tuple[list[int], list[tuple[Any, ...]]]:
     slots, records = page.records()
     return slots, decode(records)
+
+
+def _patch(
+    decode: PageDecoder,
+    page: Page,
+    old: tuple[list[int], list[tuple[Any, ...]]],
+    written: list[int],
+) -> tuple[list[int], list[tuple[Any, ...]]]:
+    """``old``, the page's decode before the ``written`` slots were written,
+    made its decode now: the live records among them decoded in one call, and
+    each spliced into copies of the lists at its slot's place — replacing
+    the slot's row, or joining the lists where the slot was free; a slot
+    freed since leaves them."""
+    slots, rows = list(old[0]), list(old[1])
+    records = page._slots
+    live = [slot for slot in written if records[slot] is not None]
+    fresh = dict(zip(live, decode([records[slot] for slot in live])))
+    for slot in written:
+        at = bisect_left(slots, slot)
+        held = at < len(slots) and slots[at] == slot
+        row = fresh.get(slot)
+        if row is None:
+            if held:
+                del slots[at], rows[at]
+        elif held:
+            rows[at] = row
+        else:
+            slots.insert(at, slot)
+            rows.insert(at, row)
+    return slots, rows
 
 
 def _sorted(key: tuple[PageDecoder, int], page: Page) -> list[Any]:

@@ -25,8 +25,9 @@ in one pass), and the timestamp stamp is written into that record in place
 transaction that is not ACTIVE before it charges or changes anything.
 
 Reads work a heap page at a time, on one walk (``Table._pages``): a page's
-records are decoded together (once per write of the page, not per read: the
-page keeps the decode), the statement's filter runs once over them — or not
+records are decoded together (once, not per read: the page keeps the decode,
+and after a write decodes only the records written), the statement's filter
+runs once over them — or not
 at all, when the statement's page bounds show it keeps none of them — and the
 scan CPU is charged in runs of records — the same additions, in the same
 order relative to every other charge, as one ``advance`` per record.
@@ -35,7 +36,9 @@ row, for consumers that charge between rows, stop early or need the ids
 (DML); :meth:`Table.scan_values` is the values-only read of everyone else
 (SELECT, the hash-join build side, state comparisons);
 :meth:`Table.scan_partials` is that read for a scan aggregate, one partial per
-page, kept on the page until it is next written; and
+page, kept on the page until it is next written, beside the page's record
+count, so a page that hands its partial back is charged without its decode
+being read; and
 :meth:`Table.scan_pages` hands a dump each page's rows uncharged, for it to
 charge every record's scan inside its own cycle of charges
 (``take_snapshot``, ``ascii_dump_table``).
@@ -486,30 +489,36 @@ class Table:
         its partial (:meth:`Page.kept <repro.engine.page.Page.kept>`, under
         the page decoder and ``shape``, tagged), and a page not written since
         hands it back without running either: the caller must know that the
-        two read nothing but the rows.  ``partial`` must not raise, and
-        nobody may change what it returns.
+        two read nothing but the rows.  The partial is kept beside the page's
+        record count, which is what a hit is charged, so a hit reads nothing
+        of the page's decode; only a miss reads it (:meth:`Page.decoded
+        <repro.engine.page.Page.decoded>`, patched if the page was written
+        since).  The pages come from the heap's fetch-only walk
+        (:meth:`HeapFile.fetched`).  ``partial`` must not raise, and nobody
+        may change what it returns.
         """
         decode = self._decoder(columns)
         charge = self._charge
 
-        def derive(_key: Any, rows: list[tuple[Any, ...]]) -> T:
+        def derive(_key: Any, page: Page) -> tuple[int, T]:
+            rows = page.decoded(decode)[1]
             if keep is None:
-                return partial(rows)
+                return len(rows), partial(rows)
             pending = iter(rows)  # charged as ``_pages`` charges a raise
             try:
                 kept = keep(pending)
             except BaseException:
                 charge(len(rows) - length_hint(pending))
                 raise
-            return partial([rows[at] for at in kept])
+            return len(rows), partial([rows[at] for at in kept])
 
         key, tag = (None, None) if memo is None else ((decode, memo[0]), memo[1])
-        for _page_no, page, _slots, rows in self._heap.decoded_pages(decode):
+        for _page_no, page in self._heap.fetched():
             if key is None:
-                made = derive(key, rows)
+                records, made = derive(key, page)
             else:
-                made = page.kept(key, tag, derive, rows)
-            charge(len(rows))
+                records, made = page.kept(key, tag, derive, page)
+            charge(records)
             yield made
 
     def _decoder(self, columns: Sequence[int] | None) -> PageDecoder:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..engine.database import Database
@@ -575,10 +576,12 @@ class Executor:
         A partial maps each group key, in first-seen row order, to its entry:
         the group's row count, whether its values are all numbers, then per
         aggregate argument its non-NULL values in row order (:func:`_entry`).
-        Merging adds the counts and extends the lists, so a merged entry is
-        the one all the rows in read order make: SUM and AVG add the same
-        numbers in the same order however the rows were cut, and the groups
-        come in first-seen order.
+        Merging adds the counts and holds each partial's value lists by
+        reference, in the order they come — a page's partial may be kept,
+        so its lists are never changed — and each group's lists are joined
+        once, at the end, into the ones all the rows in read order make: SUM
+        and AVG add the same numbers in the same order however the rows were
+        cut, and the groups come in first-seen order.
         """
         # A grouping column is matched by the slot it reads, or by its name
         # where it reads none (the group key then diagnoses it lazily).
@@ -627,22 +630,24 @@ class Executor:
                 members.setdefault(group_key(row), []).append(row)
             return {key: _entry(group, kept) for key, group in members.items()}
 
-        merged: _Groups = {}
+        # Group key -> its row count, whether its values are all numbers,
+        # then per slot of ``kept`` the partials' lists of its values.
+        merged: dict[tuple, list[Any]] = {}
         for part in partials(partial):
             for key, entry in part.items():
                 into = merged.get(key)
                 if into is None:
-                    # Copied: a page's partial may be kept, and is not changed.
-                    merged[key] = [entry[0], entry[1], *map(list, entry[2:])]
+                    merged[key] = [entry[0], entry[1], *([each] for each in entry[2:])]
                     continue
                 into[0] += entry[0]
                 into[1] = into[1] and entry[1]
                 for at in range(2, len(entry)):
-                    into[at] += entry[at]
+                    into[at].append(entry[at])
         if group_key is None and not merged:
             merged[()] = _entry([], kept)  # a global aggregate over no pages
         result = []
         for key, entry in merged.items():
+            joined = [list(chain.from_iterable(parts)) for parts in entry[2:]]
             out: list[Any] = []
             for item, reader in zip(stmt.items, readers):
                 expr = item.expr
@@ -651,7 +656,7 @@ class Executor:
                     continue
                 count, numeric, values = entry[0], entry[1], None
                 if isinstance(reader, int):
-                    values = entry[reader]
+                    values = joined[reader - 2]
                 elif reader is not None:
                     values = [v for _ in range(count) if (v := reader(())) is not None]
                 out.append(_aggregate_value(expr, count, values, numeric))

@@ -1548,16 +1548,19 @@ class TestRepro020PageStateIsWrittenByThePage:
         "    page._kept[heap.decode][2][0] = record\n"
         "    other._writes: int = 0\n"
         "    del page._slots\n"
+        "    page._stamps[slot] = page._writes\n"
+        "    heap.frame._stamps = [0] * 8\n"
     )
 
     def test_a_write_outside_the_page_is_flagged(self, tmp_path):
         violations = lint_source(tmp_path, self.WRITES, name="repro/engine/heap.py")
-        assert self.flagged(violations) == [2, 3, 4, 5, 6, 7, 8, 9]
+        assert self.flagged(violations) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
         assert "'._slots' written outside" in violations[0]
         assert "'._writes'" in violations[1] and "'._kept'" in violations[2]
+        assert "'._stamps'" in violations[8] and "'._stamps'" in violations[9]
         # No budget anywhere else either.
         for name in ("repro/engine/table.py", "repro/engine/buffer.py", "tests/x.py"):
-            assert len(lint_source(tmp_path, self.WRITES, name=name)) == 8
+            assert len(lint_source(tmp_path, self.WRITES, name=name)) == 10
 
     def test_the_page_writes_its_own_state(self, tmp_path):
         assert lint_source(tmp_path, self.WRITES, name="repro/engine/page.py") == []
@@ -1617,6 +1620,55 @@ class TestRepro028OneStampedMemoOnAPage:
         )
         assert lint_source(tmp_path, source, name="repro/engine/table.py") == []
 
+    #: The slots' stamps read — compared, or handed to what compares them —
+    #: outside the memo, beside the stores a mutator makes.
+    SLOT_STAMPS = (
+        "class Page:\n"
+        "    def kept(self, since):\n"
+        "        return [s for s, at in enumerate(self._stamps) if at > since]\n"
+        "    def overwrite(self, slot, record):\n"
+        "        self._writes += 1\n"
+        "        self._stamps[slot] = self._writes\n"
+        "        self._stamps = [0] * 4\n"
+        "        del self._stamps[slot]\n"
+        "    def stale(self, slot, since):\n"
+        "        return self._stamps[slot] > since\n"
+        "    def written(self, since):\n"
+        "        return list(map(since.__lt__, self._stamps))\n"
+        "def fresh(page, slot):\n"
+        "    return page._stamps[slot] == page._writes\n"
+    )
+
+    def test_a_stamp_read_outside_the_memo_is_flagged(self, tmp_path):
+        violations = lint_source(
+            tmp_path, self.SLOT_STAMPS, name="repro/engine/page.py"
+        )
+        assert [int(v.split(":")[1]) for v in violations] == [10, 12, 14, 14]
+        assert all("REPRO028" in v for v in violations)
+        assert "page slot stamps read outside Page.kept" in violations[0]
+        assert "page write count compared" in violations[3]
+        # Elsewhere the memo's own read is flagged too.
+        assert [
+            int(v.split(":")[1])
+            for v in lint_source(
+                tmp_path, self.SLOT_STAMPS, name="repro/engine/heap.py"
+            )
+            if "REPRO028" in v
+        ] == [3, 10, 12, 14, 14]
+
+    def test_storing_the_stamps_is_not_a_compare(self, tmp_path):
+        source = (
+            "class Page:\n"
+            "    def __init__(self, capacity):\n"
+            "        self._stamps = [0] * capacity\n"
+            "    def delete(self, slot):\n"
+            "        self._writes += 1\n"
+            "        self._stamps[slot] = self._writes\n"
+            "    def kept(self, since):\n"
+            "        return [s for s, at in enumerate(self._stamps) if at > since]\n"
+        )
+        assert lint_source(tmp_path, source, name="repro/engine/page.py") == []
+
     def test_the_repository_compares_the_stamp_once(self):
         package = REPO / "src" / "repro"
         for path in sorted(package.rglob("*.py")):
@@ -1625,6 +1677,9 @@ class TestRepro028OneStampedMemoOnAPage:
             ] == [], path
         page = (package / "engine" / "page.py").read_text(encoding="utf-8")
         assert page.count("== self._writes") == 1
+        # Every mutator stamps the slot it writes; only the memo reads them.
+        assert page.count("self._stamps[slot_no] = self._writes") == 5
+        assert "stamps = entry[0], self._stamps" in page
 
 
 class TestRepro021OneCommutationVerdictPerPair:

@@ -285,3 +285,70 @@ _SPREAD = [
 ))
 def test_a_kept_partial_aggregates_as_a_fresh_scan(case):
     run(case)
+
+
+def _kept_partials(table) -> dict:
+    """Page number -> the partials its page keeps, by key."""
+    pool = table._pool
+    return {
+        page_no: {
+            key: entry[2]
+            for key, entry in page._kept.items()
+            if isinstance(key, tuple) and isinstance(key[1], str)  # (decoder, shape)
+        }
+        for page_no in table._heap.page_numbers
+        if (page := pool._frames.get(page_no)) is not None
+    }
+
+
+def test_the_merge_leaves_every_kept_partial_as_it_was():
+    """A FLOAT SUM and AVG over three pages, again after the middle page is
+    written: bit-equal to the sum of the rows in scan order, and each
+    page's kept value lists are the same lists with the same values after
+    both merges."""
+    database = Database("test", buffer_pages=8)
+    table = database.create_table(SCHEMA)
+    floats = [1e16, 0.1, -1e16, 0.3, 2.5, -0.0, 1.0, 0.7]
+    rows = [
+        (k, "a", 0, None, floats[k % len(floats)] * (1 + k), None, "p")
+        for k in range(3 * _PER_PAGE)
+    ]
+    txn = database.begin()
+    ids = [table.insert(txn, row) for row in rows]
+    database.commit(txn)
+    assert len(table._heap.page_numbers) == 3
+    executor = Executor(database)
+
+    def check():
+        aggregate = parse("SELECT SUM(f), AVG(f) FROM t")
+        [(total, mean)] = executor.execute(aggregate, None).rows
+        values = [f for (f,) in executor.execute(parse("SELECT f FROM t"), None).rows]
+        assert total.hex() == sum(values).hex()
+        assert mean.hex() == (sum(values) / len(values)).hex()
+        on_page = {
+            page_no: [row[4] for row in page_rows if row[4] is not None]
+            for page_no, _page, _slots, page_rows in table._heap.decoded_pages(
+                SCHEMA.codec.decode_page
+            )
+        }
+        held = {}
+        for page_no, partials in _kept_partials(table).items():
+            ((_count, groups),) = partials.values()
+            lists = groups[()][2:]
+            assert lists == [on_page[page_no]], page_no  # SUM(f) and AVG(f) share one
+            held[page_no] = [(lst, list(lst)) for lst in lists]
+        assert len(held) == 3
+        return held
+
+    first = check()
+    middle = table._heap.page_numbers[1]
+    write = database.begin()
+    table.update(write, ids[_PER_PAGE + 1], {"f": 3.25})
+    database.commit(write)
+    second = check()
+    for page_no, lists in first.items():
+        for kept, contents in lists:
+            assert kept == contents, page_no  # no merge changed a kept list
+        if page_no != middle:  # handed back by the second merge, unchanged
+            assert [id(k) for k, _c in second[page_no]] == [id(k) for k, _c in lists]
+    assert [c for _k, c in second[middle]] != [c for _k, c in first[middle]]

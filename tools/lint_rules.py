@@ -264,12 +264,13 @@ classes it acts on.
 is derived from its records — each page decoder's rows, a sorted column, an
 aggregate's partial — stamped with its write count, and hands it out again
 until the count moves (``Page.kept``); every ``Page`` mutator bumps the
-count.  A write to the slot array, the count or the kept entries from
-anywhere else would leave a stale value that every later read is handed.  So
-outside ``repro/engine/page.py`` an assignment, augmented assignment,
-subscript store or ``del`` whose target is ``._slots``, ``._writes`` or
-``._kept`` (or an item of one) is flagged, with no budget: change a page
-through its methods.
+count and stamps the slot it wrote with it, which is how a stale decode
+knows which records to decode again.  A write to the slot array, the count,
+the slot stamps or the kept entries from anywhere else would leave a stale
+value that every later read is handed.  So outside ``repro/engine/page.py``
+an assignment, augmented assignment, subscript store or ``del`` whose
+target is ``._slots``, ``._writes``, ``._stamps`` or ``._kept`` (or an item
+of one) is flagged, with no budget: change a page through its methods.
 
 **REPRO021 — one judge of op reordering.**  Whether two captured ops
 commute is proved by ``commutes``, once per pair, by the ``CommutationRecord``
@@ -370,7 +371,11 @@ lists and an aggregate's per-page partials all go through it.  Each used to
 carry its own dict and its own stamp compare, and a second memo written the
 same way is one forgotten compare away from handing out a stale value.  So
 a comparison with ``._writes`` as an operand anywhere but that method is
-flagged.
+flagged.  The slots' stamps (``._stamps``: the write count of each slot's
+last write, which tells a stale decode what to patch) exist only to be
+compared there, so anywhere else they may be stored by a mutator — a
+subscript assignment or a fresh list — and never read: a read of
+``._stamps``, in a comparison or handed to anything, is flagged.
 
 Usage::
 
@@ -640,11 +645,12 @@ SEMANTIC_SWITCHES = {
 }
 
 #: REPRO020: the page's state behind what it keeps — slot array, write
-#: count, kept entries — and the one module that may write it.
-PAGE_STATE_ATTRS = ("_slots", "_writes", "_kept")
+#: count, slot stamps, kept entries — and the one module that may write it.
+PAGE_STATE_ATTRS = ("_slots", "_writes", "_stamps", "_kept")
 PAGE_SUFFIX = "repro/engine/page.py"
 
-#: REPRO028: the one method that compares the page's write count.
+#: REPRO028: the one method that compares the page's write count and its
+#: slots' stamps.
 PAGE_MEMO = (PAGE_SUFFIX, "Page.kept")
 
 #: REPRO021: module suffix -> how many ``commutes(`` calls it may make;
@@ -1403,7 +1409,8 @@ def _page_state_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
 
 
 def _stamp_compare_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
-    """REPRO028: a comparison with ``._writes`` outside ``Page.kept``."""
+    """REPRO028: a comparison with ``._writes``, or a read of ``._stamps``,
+    outside ``Page.kept``."""
     suffix, memo = PAGE_MEMO
     allowed: set[int] = set()
     if normalized.endswith(suffix) and isinstance(tree, ast.Module):
@@ -1416,18 +1423,39 @@ def _stamp_compare_violations(path: Path, tree: ast.AST, normalized: str) -> lis
             if isinstance(function, ast.FunctionDef) and function.name == method
             for node in ast.walk(function)
         }
-    return [
-        f"{path}:{node.lineno}: REPRO028 page write count compared outside "
-        "Page.kept; keep what is derived from a page's records with "
-        "page.kept(key, tag, derive, ...)"
+    # ``page._stamps[slot] = count`` stores a stamp: the subscript is
+    # stored, though the attribute under it is loaded.
+    exempt = allowed | {
+        id(node.value)
         for node in ast.walk(tree)
-        if isinstance(node, ast.Compare)
-        and id(node) not in allowed
-        and any(
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "_stamps"
+            and isinstance(node.ctx, ast.Load)
+        ):
+            found.append((
+                node.lineno,
+                "page slot stamps read outside Page.kept; they are compared "
+                "there only, when a kept decode is patched",
+            ))
+        elif isinstance(node, ast.Compare) and any(
             isinstance(operand, ast.Attribute) and operand.attr == "_writes"
             for operand in (node.left, *node.comparators)
-        )
-    ]
+        ):
+            found.append((
+                node.lineno,
+                "page write count compared outside Page.kept; keep what is "
+                "derived from a page's records with page.kept(key, tag, "
+                "derive, ...)",
+            ))
+    return [f"{path}:{lineno}: REPRO028 {message}" for lineno, message in sorted(found)]
 
 
 def _commutation_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
