@@ -187,7 +187,8 @@ _FIVE_CONJUNCTS = (
 
 def test_walk_predicate(benchmark):
     """Every node of a five-conjunct WHERE: what the executor's
-    ``_columns_read`` pays per SELECT before anything is read."""
+    ``_columns_read`` pays once per statement shape, when the shape is
+    planned."""
     where = parse(f"DELETE FROM parts WHERE {_FIVE_CONJUNCTS}").where
     nodes = benchmark.pedantic(
         expressions.walk, (where,), iterations=200, rounds=150, warmup_rounds=2
@@ -334,7 +335,9 @@ def test_scan_page_filter_no_match(benchmark, populated):
     where = parse(
         "DELETE FROM parts WHERE part_ref >= 90000000 AND part_ref < 90000100"
     ).where
-    keep = expressions.compile_page_filter(where, expressions.RowBinding(["part_ref"]))
+    keep = expressions.page_filter_maker(
+        where, expressions.RowBinding(["part_ref"]), expressions.no_slot
+    )((), expressions.NO_SESSION)
     assert benchmark(lambda: list(table.scan(part_ref, keep))) == []
 
 
@@ -431,9 +434,10 @@ def test_group_by_key_kernel(benchmark, populated):
     database, _workload = populated
     rows = list(database.table("parts").scan_values())
     bind = expressions.RowBinding(parts_schema().column_names)
-    key = expressions.compile_row(
-        parse("SELECT COUNT(*) FROM parts GROUP BY status").group_by, bind
-    )
+    key = expressions.row_maker(
+        parse("SELECT COUNT(*) FROM parts GROUP BY status").group_by, bind,
+        expressions.no_slot,
+    )((), expressions.NO_SESSION)
 
     def group():
         groups = {}

@@ -11,8 +11,24 @@ is gone with it.  Nothing is ever *told* to invalidate.
 
 from __future__ import annotations
 
+from weakref import WeakKeyDictionary
+
 
 class Scope:
     """One state of whatever a per-shape fact read besides the shape."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_joints")
+
+    def __init__(self) -> None:
+        self._joints: WeakKeyDictionary[Scope, Scope] | None = None
+
+    def joint(self, other: Scope) -> Scope:
+        """The scope of a fact that read both this state and ``other``'s: the
+        same one for the same two, gone as soon as either is."""
+        joints = self._joints
+        if joints is None:
+            joints = self._joints = WeakKeyDictionary()
+        found = joints.get(other)
+        if found is None:
+            found = joints[other] = Scope()
+        return found

@@ -1,16 +1,21 @@
 """The statement executor.
 
 How each table is read — index lookup, index range scan or full scan — is
-decided by the one access-path chooser, :func:`repro.sql.planner.choose_path`.
-SELECT reads through the contract of :mod:`repro.sql.source` only, so it runs
-over anything that satisfies it; every other statement needs an engine
-:class:`Database` and a transaction.
+decided by the one access-path chooser (:mod:`repro.sql.planner`): a WHERE's
+sargs are listed once per shape and settled per statement.  Everything else
+a statement's shape decides is decided once as well, and filed under the
+catalog versions of the tables it reads (:func:`repro.sql.templates.shaped`):
+DML as :class:`_Dml`, SELECT as :class:`_Select`.  A statement supplies its
+literals and its session context.  SELECT reads through the contract of
+:mod:`repro.sql.source` only, so it runs over anything that satisfies it;
+every other statement needs an engine :class:`Database` and a transaction.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -19,11 +24,13 @@ from ..engine.rows import RowId
 from ..engine.schema import Column, TableSchema
 from ..engine.table import InsertMode, PageFilter, Table
 from ..engine.transactions import Transaction
-from ..engine.types import type_from_sql
+from ..engine.types import IntegerType, type_from_sql
 from ..errors import SqlAnalysisError
+from ..scope import Scope
 from . import ast_nodes as ast
 from .expressions import (
     CONSTANT,
+    NO_SESSION,
     NOW_KEY,
     RANDOM_KEY,
     USER_KEY,
@@ -31,19 +38,17 @@ from .expressions import (
     Maker,
     RowBinding,
     Slot,
-    compile_expression,
-    compile_page_filter,
-    compile_row,
+    expression_maker,
     insert_arranger,
     insert_rows_maker,
+    no_slot,
     page_filter_maker,
     referenced_functions,
+    row_maker,
     set_list_maker,
     walk,
 )
-from .planner import (
-    AccessPath, Sarg, choose_path, sargs, settle_bounds, settle_path,
-)
+from .planner import AccessPath, Sarg, sargs, settle_bounds, settle_path
 from .source import RowSource, SourceDatabase
 from .templates import SHAPE, StatementTemplate, shaped
 
@@ -111,6 +116,15 @@ class _Scope(RowBinding):
                 return slots.get(schema.column_index(ref.name))
         return None
 
+    def column_at(self, slot: int) -> tuple[int, Column]:
+        """The table ``slot`` reads, by its place in join order, and the
+        column of it."""
+        for number, (_alias, schema, slots) in enumerate(self._tables):
+            for position, at in slots.items():
+                if at == slot:
+                    return number, schema.columns[position]
+        raise KeyError(slot)
+
 
 def _resolved(ref: ast.ColumnRef, scope: _Scope) -> int | str:
     """What ``ref`` reads: its slot, or its name where it reads none."""
@@ -148,78 +162,138 @@ def _columns_read(
 
 
 #: What an aggregation keeps of a group: its row count, whether every value
-#: below is an int or a float, then per argument slot read the non-NULL
-#: values there, in row order.
+#: listed below is an int or a float, then per argument slot read the
+#: non-NULL values there in row order — or, for an INTEGER column of an
+#: engine table, their fold (:data:`_Fold`).
 _Entry = list[Any]
 #: Group key -> entry, in first-seen row order: a partial aggregation.
 _Groups = dict[tuple, _Entry]
 #: Makes the partial of some rows.
 _Partial = Callable[[Iterable[tuple[Any, ...]]], _Groups]
+#: An INTEGER argument's non-NULL values as (count, sum, min, max).
+_Fold = tuple[int, int, Any, Any]
+#: The fold of no value: MIN and MAX of it are NULL.
+_NO_VALUES: _Fold = (0, 0, None, None)
 
 
 #: The classes a SUM or AVG takes without looking at a value.
 _NUMBERS = frozenset({int, float})
 
 
-def _entry(rows: list[tuple[Any, ...]], kept: Sequence[int]) -> _Entry:
+def _fold(values: list[int]) -> _Fold:
+    """The fold of ``values``, each an ``int``."""
+    if not values:
+        return _NO_VALUES
+    return len(values), sum(values), min(values), max(values)
+
+
+def _folded(folds: Iterable[_Fold]) -> _Fold:
+    """The fold of the values of all ``folds``: exact, as integer addition
+    is, in whatever order they come."""
+    counted = [fold for fold in folds if fold[0]]
+    if not counted:
+        return _NO_VALUES
+    counts, totals, lows, highs = zip(*counted)
+    return sum(counts), sum(totals), min(lows), max(highs)
+
+
+def _entry(
+    rows: list[tuple[Any, ...]], kept: Sequence[int], folds: Sequence[bool]
+) -> _Entry:
     """One group's entry over its ``rows``: the count, whether every value
-    is a number, then the non-NULL values at each slot of ``kept``."""
+    listed is a number, then the non-NULL values at each slot of ``kept``,
+    folded where ``folds`` says so."""
     values = [[v for row in rows if (v := row[at]) is not None] for at in kept]
-    numeric = all(_NUMBERS.issuperset(map(type, each)) for each in values)
-    return [len(rows), numeric, *values]
-
-
-def _memo(stmt: ast.SelectStmt) -> tuple[str, Any] | None:
-    """What a page keeps a scan aggregate's partial under: its shape, tagged
-    with its template and literal values — so a statement of another
-    template or other literals replaces it.  None, so nothing kept, for a
-    statement without a template and for one whose WHERE reads a session
-    value (:data:`~repro.sql.ast_nodes.VOLATILE_FUNCTIONS`), which rows
-    alone do not fix."""
-    binding = stmt.binding
-    if binding is None:
-        return None
-    template = binding.template
-    volatile = template.fact(
-        SHAPE, "select.volatile_where",
-        lambda: not referenced_functions(template.statement.where).isdisjoint(
-            ast.VOLATILE_FUNCTIONS
-        ),
+    numeric = all(
+        _NUMBERS.issuperset(map(type, each))
+        for each, fold in zip(values, folds)
+        if not fold
     )
-    if volatile:
-        return None
-    return template.shape, (template, tuple(binding.values))
+    return [
+        len(rows),
+        numeric,
+        *(_fold(each) if fold else each for each, fold in zip(values, folds)),
+    ]
 
 
 def _aggregate_value(
-    agg: ast.Aggregate, count: int, values: list[Any] | None, numeric: bool
+    agg: ast.Aggregate, count: int, values: list[Any] | _Fold | None, numeric: bool
 ) -> Any:
     """``agg`` of a group of ``count`` rows whose argument has the non-NULL
-    ``values`` (None: COUNT(*)); ``numeric`` when they are all ints and
-    floats, as the group's entry knows."""
+    ``values``, or their fold (None: COUNT(*)); ``numeric`` when the values
+    listed are all ints and floats, as the group's entry knows."""
     if values is None:
         return count
+    folded = isinstance(values, tuple)
+    number = values[0] if folded else len(values)
     if agg.function == "COUNT":
-        return len(values)
-    if not values:
+        return number
+    if not number:
         return None
     if agg.function in ("SUM", "AVG"):
-        # Ints and floats are admitted by the entry's one pass at each
-        # partial; a bool (a number too) or a non-number is looked at
-        # value by value.
-        if not numeric and not _NUMBERS.issuperset(map(type, values)):
-            for value in values:
-                if not isinstance(value, (int, float)):
-                    raise SqlAnalysisError(
-                        f"aggregate {agg.function} requires a number, "
-                        f"got {value!r}"
-                    )
-        return sum(values) if agg.function == "SUM" else sum(values) / len(values)
+        if folded:
+            total = values[1]
+        else:
+            # Ints and floats are admitted by the entry's one pass at each
+            # partial; a bool (a number too) or a non-number is looked at
+            # value by value.
+            if not numeric and not _NUMBERS.issuperset(map(type, values)):
+                for value in values:
+                    if not isinstance(value, (int, float)):
+                        raise SqlAnalysisError(
+                            f"aggregate {agg.function} requires a number, "
+                            f"got {value!r}"
+                        )
+            total = sum(values)
+        return total if agg.function == "SUM" else total / number
     if agg.function == "MIN":
-        return min(values)
+        return values[2] if folded else min(values)
     if agg.function == "MAX":
-        return max(values)
+        return values[3] if folded else max(values)
     raise SqlAnalysisError(f"unknown aggregate {agg.function!r}")
+
+
+def _item_name(item: ast.SelectItem) -> str:
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ast.ColumnRef):
+        return item.expr.name
+    return item.expr.to_sql()
+
+
+def _join_sides(join: ast.Join, right_alias: str) -> tuple[ast.ColumnRef, ast.ColumnRef]:
+    """Split the ON equality into (probe-side ref, build-side ref)."""
+    left, right = join.left, join.right
+    if left.table == right_alias and right.table != right_alias:
+        left, right = right, left
+    if right.table not in (None, right_alias):
+        raise SqlAnalysisError(
+            f"join condition must reference the joined table {right_alias!r}"
+        )
+    return left, right
+
+
+def _sort_key(at: int) -> Callable[[tuple[Any, ...]], tuple[bool, Any]]:
+    """What rows sort by to order them by their value at ``at``: NULL last
+    (first, reversed)."""
+    return lambda row: (row[at] is None, row[at])
+
+
+def _order_position(
+    expr: ast.Expression, columns: list[str], slots: list[int | None], scope: _Scope
+) -> int | None:
+    """Which output column ``expr`` sorts by: a qualified column by the
+    slot it reads, a bare name by output name, anything else as written;
+    None if none."""
+    if isinstance(expr, ast.ColumnRef):
+        slot = None if expr.table is None else scope.slot(expr)
+        if slot is not None:
+            if slot in slots:
+                return slots.index(slot)
+        elif expr.name in columns:
+            return columns.index(expr.name)
+    rendered = expr.to_sql()
+    return columns.index(rendered) if rendered in columns else None
 
 
 class _Access:
@@ -278,6 +352,195 @@ class _Dml:
             return
         self.rows = None
         self.access = _Access(table, stmt, slot)  # type: ignore[arg-type]
+
+
+class _Select:
+    """What SELECTs of one shape do, short of their literals.
+
+    Read off the shape and the schemas and index lists of the tables it
+    names, never off a literal's value: the columns read of each table and
+    the row layout they make (:class:`_Scope`), the WHERE's sargs, the WHERE
+    as a page filter (where the base table is read, or above the joins),
+    each join's probe, the projection or the aggregation's group key,
+    readers and folds, the output names and ORDER BY positions, and whether
+    a page may keep the aggregation's partial.  Built once per shape and
+    filed under the catalog versions of every table read
+    (:meth:`Executor._select`); a statement adds its literals and its
+    session context.  What may differ between statements of the shape is
+    read off the statement itself: the name of a scalar expression, an ORDER
+    BY expression written with a literal, and LIMIT.
+    """
+
+    __slots__ = (
+        "table", "joined", "scope", "reads", "sargs", "keep", "joins", "above",
+        "aggregated", "project", "constants", "refusal", "readers", "folds",
+        "partial", "paged", "memo", "columns", "renamed", "slots", "order",
+    )
+
+    def __init__(
+        self, tables: Sequence[RowSource], stmt: ast.Statement, slot: Slot
+    ) -> None:
+        assert isinstance(stmt, ast.SelectStmt)
+        self.table = stmt.table
+        self.joined = "".join(f" join({join.table}:hash)" for join in stmt.joins)
+        aliases = [stmt.alias or stmt.table, *(j.alias or j.table for j in stmt.joins)]
+        scope = self.scope = _Scope()
+        self.reads = _columns_read(
+            [(alias, table.schema) for table, alias in zip(tables, aliases)],
+            [
+                stmt.where,
+                *(item.expr for item in stmt.items),
+                *stmt.group_by,
+                *(side for join in stmt.joins for side in (join.left, join.right)),
+            ],
+        )
+        self.sargs: list[Sarg] = []
+        if tables:
+            self.sargs = sargs(tables[0], aliases[0], stmt.where, slot)[0]
+            scope.add(tables[0].schema, aliases[0], self.reads[0])
+        # Without a join the WHERE is applied where the base table is read.
+        # With one it stays above the join: it may read joined columns, and
+        # the probe charges for every base row it is handed.
+        self.keep = page_filter_maker(
+            None if stmt.joins else stmt.where, scope, slot
+        )
+        #: Per join: the joined table's columns read, the probe, the build
+        #: key's place among those columns, and what a probe that matches
+        #: nothing joins (no row, or for a LEFT JOIN one row of NULLs).
+        self.joins: list[tuple[tuple[int, ...], Compiled, int, tuple]] = []
+        for join, right, alias, read in zip(
+            stmt.joins, tables[1:], aliases[1:], self.reads[1:]
+        ):
+            left_key, right_key = _join_sides(join, alias)
+            # The probe key reads the left side only: compile it before the
+            # joined table's names come into scope.  A column reads no
+            # literal and no session value, so one kernel serves the shape.
+            probe = expression_maker(left_key, scope, slot)((), NO_SESSION)
+            build_key = read.index(right.schema.column_index(right_key.name))
+            miss = ((None,) * len(read),) if join.outer else ()
+            self.joins.append((read, probe, build_key, miss))
+            scope.add(right.schema, alias, read)
+        self.above = page_filter_maker(stmt.where if stmt.joins else None, scope, slot)
+        # A constant SELECT (no FROM) is one projected row.
+        self.aggregated = bool(tables) and (
+            any(isinstance(item.expr, ast.Aggregate) for item in stmt.items)
+            or bool(stmt.group_by)
+        )
+        self.project = row_maker(
+            [item.expr for item in stmt.items], scope, slot
+        ) if tables and not self.aggregated else None
+        #: A constant SELECT's items, each on its own: no row for a ``*``.
+        self.constants: list[Maker] = [] if tables else [
+            expression_maker(item.expr, scope, slot) for item in stmt.items
+        ]
+        self.refusal = self._aggregation(tables, stmt, slot) if self.aggregated else None
+        # A full scan aggregates a page at a time, and each page keeps its
+        # partial for the next statement of the shape and literals.  A
+        # partial made of slots alone cannot raise, as kept ones must not: a
+        # GROUP BY column that reads none is read by the rows path, and
+        # diagnosed when the first row reaches it.
+        self.paged = (
+            self.aggregated and not stmt.joins and isinstance(tables[0], Table)
+            and all(scope.slot(ref) is not None for ref in stmt.group_by)
+        )
+        # Kept only for a statement of a template, and not when the WHERE
+        # reads a session value (:data:`~repro.sql.ast_nodes.VOLATILE_FUNCTIONS`),
+        # which rows alone do not fix.
+        self.memo = slot is not no_slot and referenced_functions(
+            stmt.where
+        ).isdisjoint(ast.VOLATILE_FUNCTIONS)
+        #: The output names; (column, item) where a name is the statement's
+        #: own: a scalar expression is named as written, literals and all.
+        #: Per output column, the slot it reads (None: it reads none).
+        self.columns: list[str] = []
+        self.renamed: list[tuple[int, int]] = []
+        self.slots: list[int | None] = []
+        for at, item in enumerate(stmt.items):
+            if isinstance(item.expr, ast.Star):
+                self.columns.extend(scope.columns())
+                self.slots.extend(range(len(scope.columns())))
+                continue
+            named = isinstance(item.expr, (ast.ColumnRef, ast.Aggregate))
+            if not item.alias and not named:
+                self.renamed.append((len(self.columns), at))
+            self.columns.append(_item_name(item))
+            ref = item.expr if isinstance(item.expr, ast.ColumnRef) else None
+            self.slots.append(None if ref is None else scope.slot(ref))
+        #: Per ORDER BY item, the output column it sorts by, or None: then the
+        #: statement's own item and names say, when its rows are sorted.  An
+        #: item written with a literal is None here, as each literal of the
+        #: shape is a sentinel of its own that no output name holds.
+        self.order = [
+            _order_position(order.expr, self.columns, self.slots, scope)
+            for order in stmt.order_by
+        ]
+
+    def _aggregation(
+        self, tables: Sequence[RowSource], stmt: ast.SelectStmt, slot: Slot
+    ) -> str | None:
+        """Plan the aggregation, or say why a statement of it is refused."""
+        scope = self.scope
+        # A grouping column is matched by the slot it reads, or by its name
+        # where it reads none (the group key then diagnoses it lazily).
+        grouped = [_resolved(ref, scope) for ref in stmt.group_by]
+        for item in stmt.items:
+            expr = item.expr
+            if not isinstance(expr, (ast.Aggregate, ast.ColumnRef)):
+                return "aggregate queries may only select aggregates and grouping columns"
+            if isinstance(expr, ast.ColumnRef) and _resolved(expr, scope) not in grouped:
+                return f"column {expr.to_sql()!r} must appear in GROUP BY"
+        # Per item, what reads it: a grouping column its place in the key;
+        # an aggregate's argument its place in an entry, past the count and
+        # the flag (None: COUNT(*)).  The parser admits only a column there,
+        # read by slot, and an entry keeps one list per slot read — or, for
+        # an INTEGER column of an engine table, whose values admission made
+        # ints, their fold.  One that reads none stays a kernel: it raises
+        # for whatever row reaches it, so it is asked once per member at the
+        # end, as it was of each row.  No column reads a literal or a
+        # session value, so each kernel here serves the shape.
+        kept: list[int] = []
+        self.folds: list[bool] = []
+        self.readers: list[tuple[ast.Aggregate | None, int | Compiled | None]] = []
+        for item in stmt.items:
+            expr, reader = item.expr, None
+            if isinstance(expr, ast.ColumnRef):
+                self.readers.append((None, grouped.index(_resolved(expr, scope))))
+                continue
+            assert isinstance(expr, ast.Aggregate)
+            if expr.argument is not None:
+                at = scope.slot(expr.argument)
+                if at is None:
+                    reader = expression_maker(expr.argument, scope, slot)((), NO_SESSION)
+                else:
+                    if at not in kept:
+                        kept.append(at)
+                        number, column = scope.column_at(at)
+                        self.folds.append(
+                            isinstance(tables[number], Table)
+                            and isinstance(column.datatype, IntegerType)
+                        )
+                    reader = 2 + kept.index(at)
+            self.readers.append((expr, reader))
+        folds = self.folds
+        group_key = row_maker(stmt.group_by, scope, slot)((), NO_SESSION)
+
+        def partial(rows: Iterable[tuple[Any, ...]]) -> _Groups:
+            if not grouped:
+                return {(): _entry(list(rows), kept, folds)}
+            members: dict[tuple, list[tuple[Any, ...]]] = {}
+            for row in rows:
+                members.setdefault(group_key(row), []).append(row)
+            return {key: _entry(group, kept, folds) for key, group in members.items()}
+
+        self.partial: _Partial = partial
+        return None
+
+    def names(self, stmt: ast.SelectStmt) -> list[str]:
+        """The output names of ``stmt``, a statement of this shape."""
+        columns = list(self.columns)
+        for at, item in self.renamed:
+            columns[at] = _item_name(stmt.items[item])
+        return columns
 
 
 class Executor:
@@ -375,105 +638,73 @@ class Executor:
     # ----------------------------------------------------------------- SELECT
     def _select(self, stmt: ast.SelectStmt) -> Result:
         context = self._context
-        if stmt.table is None:
-            # Constant SELECT (e.g. SELECT 1 + 1): no row columns in scope.
-            row = tuple(
-                compile_expression(item.expr, CONSTANT, context)(())
-                for item in stmt.items
-            )
-            columns = [self._item_name(item) for item in stmt.items]
-            return Result(columns=columns, rows=[row], plan="const")
-
-        base = self._db.table(stmt.table)
-        base_alias = stmt.alias or stmt.table
-        joined = [
-            (self._db.table(join.table), join.alias or join.table)
-            for join in stmt.joins
+        tables = [] if stmt.table is None else [
+            self._db.table(name) for name in (stmt.table, *(j.table for j in stmt.joins))
         ]
-        base_read, *joined_read = _columns_read(
-            [(alias, table.schema) for table, alias in [(base, base_alias), *joined]],
-            [
-                stmt.where,
-                *(item.expr for item in stmt.items),
-                *stmt.group_by,
-                *(side for join in stmt.joins for side in (join.left, join.right)),
-            ],
-        )
-        path = choose_path(base, base_alias, stmt.where)
-        scope = _Scope()
-        scope.add(base.schema, base_alias, base_read)
-        # Without a join the WHERE is applied where the base table is read.
-        # With one it stays above the join: it may read joined columns, and
-        # the probe charges for every base row it is handed.
-        pushed = None if stmt.joins else stmt.where
-        keep = compile_page_filter(pushed, scope, context)
-        plan_parts = [f"{stmt.table}:{path.description}"]
-        aggregated = any(
-            isinstance(item.expr, ast.Aggregate) for item in stmt.items
-        ) or bool(stmt.group_by)
-        if (
-            aggregated and not stmt.joins and path.row_ids is None
-            and isinstance(base, Table)
-            and all(scope.slot(ref) is not None for ref in stmt.group_by)
-        ):
-            # A full scan aggregates a page at a time, and each page keeps
-            # its partial for the next statement of the shape (``_memo``).
-            # A partial made of slots alone cannot raise, as kept ones must
-            # not: a GROUP BY column that reads none is read below, from
-            # the rows, and diagnosed when the first one reaches it.
-            memo = _memo(stmt)
-            result, columns = self._aggregate(
-                stmt, scope,
-                lambda partial: base.scan_partials(base_read, keep, partial, memo),
-            )
-            return self._finish(stmt, scope, result, columns, plan_parts)
-        rows = self._values(base, path, base_read, keep)
-
-        for join, (right, right_alias), right_read in zip(
-            stmt.joins, joined, joined_read
-        ):
-            left_key, right_key = self._join_sides(join, right_alias)
-            # The probe key reads the left side only: compile it before the
-            # joined table's names come into scope.
-            probe = compile_expression(left_key, scope, context)
-            build_key = right_read.index(right.schema.column_index(right_key.name))
-            # What a probe that matches nothing joins: no row, or for a LEFT
-            # JOIN one row of NULLs.
-            miss = ((None,) * len(right_read),) if join.outer else ()
-            rows = self._hash_join(
-                rows, probe, right.scan_values(right_read), build_key, miss
-            )
-            scope.add(right.schema, right_alias, right_read)
-            plan_parts.append(f"join({join.table}:hash)")
-
-        above = stmt.where if stmt.joins else None
-        keep = compile_page_filter(above, scope, context)
-        if keep is not None:
-            joined_rows = list(rows)
-            rows = [joined_rows[at] for at in keep(joined_rows)]
-
-        if aggregated:
-            result, columns = self._aggregate(
-                stmt, scope, lambda partial: (partial(rows),)
-            )
+        # The plan is kept per shape under the catalog versions of the tables
+        # read; a source that has none is planned for each statement.
+        versions = [getattr(table, "version", None) for table in tables]
+        plan: _Select
+        literals: Sequence[Any]
+        if None in versions:
+            plan, literals = _Select(tables, stmt, no_slot), ()
         else:
-            result, columns = self._project(stmt, rows, scope)
-        return self._finish(stmt, scope, result, columns, plan_parts)
+            plan, literals = shaped(
+                stmt, reduce(Scope.joint, versions) if versions else SHAPE,
+                "select", lambda shape, slot: _Select(tables, shape, slot),
+            )
+        if not tables:
+            # Constant SELECT (e.g. SELECT 1 + 1): no row columns in scope.
+            row = tuple(item(literals, context)(()) for item in plan.constants)
+            return Result(columns=plan.names(stmt), rows=[row], plan="const")
+        base = tables[0]
+        path = settle_path(plan.sargs, literals)
+        keep = plan.keep(literals, context)
+        if plan.paged and path.row_ids is None:
+            memo = None
+            if plan.memo:
+                # Under its shape, tagged with its template and literal
+                # values: a statement of another template or other literals
+                # replaces it.
+                template = stmt.binding.template
+                memo = (template.shape, (template, tuple(literals)))
+            read = plan.reads[0]
+            assert isinstance(base, Table)
+            result = self._aggregate(
+                plan, lambda partial: base.scan_partials(read, keep, partial, memo)
+            )
+            return self._finish(stmt, plan, result, path)
+        rows = self._values(base, path, plan.reads[0], keep)
+        for right, (read, probe, build_key, miss) in zip(tables[1:], plan.joins):
+            rows = self._hash_join(rows, probe, right.scan_values(read), build_key, miss)
+        above = plan.above(literals, context)
+        if above is not None:
+            joined_rows = list(rows)
+            rows = [joined_rows[at] for at in above(joined_rows)]
+        if plan.aggregated:
+            result = self._aggregate(plan, lambda partial: (partial(rows),))
+        else:
+            assert plan.project is not None
+            result = list(map(plan.project(literals, context), rows))
+        return self._finish(stmt, plan, result, path)
 
     def _finish(
         self,
         stmt: ast.SelectStmt,
-        scope: _Scope,
+        plan: _Select,
         result: list[tuple[Any, ...]],
-        columns: list[str],
-        plan_parts: list[str],
+        path: AccessPath,
     ) -> Result:
         """A SELECT's rows ordered and limited, as its result."""
+        columns = plan.names(stmt)
         if stmt.order_by:
-            result = self._order(result, columns, stmt, scope)
+            result = self._order(result, columns, stmt, plan)
         if stmt.limit is not None:
             result = result[: stmt.limit]
-        return Result(columns=columns, rows=result, plan=" ".join(plan_parts))
+        return Result(
+            columns=columns, rows=result,
+            plan=f"{plan.table}:{path.description}{plan.joined}",
+        )
 
     @staticmethod
     def _values(
@@ -534,186 +765,80 @@ class Executor:
                 yield row + values
 
     @staticmethod
-    def _join_sides(join: ast.Join, right_alias: str) -> tuple[ast.ColumnRef, ast.ColumnRef]:
-        """Split the ON equality into (probe-side ref, build-side ref)."""
-        left, right = join.left, join.right
-        if left.table == right_alias and right.table != right_alias:
-            left, right = right, left
-        if right.table not in (None, right_alias):
-            raise SqlAnalysisError(
-                f"join condition must reference the joined table {right_alias!r}"
-            )
-        return left, right
-
-    def _project(
-        self,
-        stmt: ast.SelectStmt,
-        rows: Iterable[tuple[Any, ...]],
-        scope: _Scope,
-    ) -> tuple[list[tuple[Any, ...]], list[str]]:
-        columns: list[str] = []
-        for item in stmt.items:
-            if isinstance(item.expr, ast.Star):
-                columns.extend(scope.columns())
-            else:
-                columns.append(self._item_name(item))
-        project = compile_row(
-            [item.expr for item in stmt.items], scope, self._context
-        )
-        projected = list(map(project, rows))
-        return projected, columns
-
     def _aggregate(
-        self,
-        stmt: ast.SelectStmt,
-        scope: _Scope,
-        partials: Callable[[_Partial], Iterable[_Groups]],
-    ) -> tuple[list[tuple[Any, ...]], list[str]]:
-        """The one aggregation: ``partials(partial)`` applies ``partial`` to
-        the rows read — a page of them at a time, or all at once — and the
-        partials are merged in the order they come.
+        plan: _Select, partials: Callable[[_Partial], Iterable[_Groups]]
+    ) -> list[tuple[Any, ...]]:
+        """The one aggregation: ``partials(partial)`` applies the plan's
+        ``partial`` to the rows read — a page of them at a time, or all at
+        once — and the partials are merged in the order they come.
 
         A partial maps each group key, in first-seen row order, to its entry:
-        the group's row count, whether its values are all numbers, then per
-        aggregate argument its non-NULL values in row order (:func:`_entry`).
-        Merging adds the counts and holds each partial's value lists by
-        reference, in the order they come — a page's partial may be kept,
-        so its lists are never changed — and each group's lists are joined
-        once, at the end, into the ones all the rows in read order make: SUM
-        and AVG add the same numbers in the same order however the rows were
-        cut, and the groups come in first-seen order.
+        the group's row count, whether its listed values are all numbers,
+        then per aggregate argument its non-NULL values in row order, or
+        their fold (:func:`_entry`).  Merging holds each group's entries by
+        reference, in the order they come — a page's partial may be kept, so
+        none is ever changed — and at the end adds each group's counts and
+        joins its lists once into the ones all the rows in read order make:
+        SUM and AVG add the same numbers in the same order however the rows
+        were cut, and the groups come in first-seen order.  Its folds are
+        added up then, exactly.
         """
-        # A grouping column is matched by the slot it reads, or by its name
-        # where it reads none (the group key then diagnoses it lazily).
-        grouped = [_resolved(ref, scope) for ref in stmt.group_by]
-        for item in stmt.items:
-            if not isinstance(item.expr, (ast.Aggregate, ast.ColumnRef)):
-                raise SqlAnalysisError(
-                    "aggregate queries may only select aggregates and "
-                    "grouping columns"
-                )
-            expr = item.expr
-            if isinstance(expr, ast.ColumnRef) and _resolved(expr, scope) not in grouped:
-                raise SqlAnalysisError(
-                    f"column {expr.to_sql()!r} must appear in GROUP BY"
-                )
-        context = self._context
-        # Per item, what reads it: a grouping column its place in the key;
-        # an aggregate's argument its place in an entry, past the count and
-        # the flag (None: COUNT(*)).  The parser admits only a column there,
-        # read by slot, and an entry keeps one list per slot read.  One that
-        # reads none stays a kernel: it raises for whatever row reaches it,
-        # so it is asked once per member at the end, as it was of each row.
-        kept: list[int] = []
-        readers: list[int | Compiled | None] = []
-        reader: int | Compiled | None
-        for item in stmt.items:
-            expr, reader = item.expr, None
-            if isinstance(expr, ast.ColumnRef):
-                reader = grouped.index(_resolved(expr, scope))
-            elif isinstance(expr, ast.Aggregate) and expr.argument is not None:
-                slot = scope.slot(expr.argument)
-                if slot is None:
-                    reader = compile_expression(expr.argument, scope, context)
-                else:
-                    if slot not in kept:
-                        kept.append(slot)
-                    reader = 2 + kept.index(slot)
-            readers.append(reader)
-        group_key = compile_row(stmt.group_by, scope, context) if grouped else None
-
-        def partial(rows: Iterable[tuple[Any, ...]]) -> _Groups:
-            if group_key is None:
-                return {(): _entry(list(rows), kept)}
-            members: dict[tuple, list[tuple[Any, ...]]] = {}
-            for row in rows:
-                members.setdefault(group_key(row), []).append(row)
-            return {key: _entry(group, kept) for key, group in members.items()}
-
-        # Group key -> its row count, whether its values are all numbers,
-        # then per slot of ``kept`` the partials' lists of its values.
-        merged: dict[tuple, list[Any]] = {}
-        for part in partials(partial):
+        if plan.refusal is not None:
+            raise SqlAnalysisError(plan.refusal)
+        # Group key -> its entries, one per partial that has the group.
+        merged: dict[tuple, list[_Entry]] = {}
+        for part in partials(plan.partial):
             for key, entry in part.items():
-                into = merged.get(key)
-                if into is None:
-                    merged[key] = [entry[0], entry[1], *([each] for each in entry[2:])]
-                    continue
-                into[0] += entry[0]
-                into[1] = into[1] and entry[1]
-                for at in range(2, len(entry)):
-                    into[at].append(entry[at])
-        if group_key is None and not merged:
-            merged[()] = _entry([], kept)  # a global aggregate over no pages
+                entries = merged.get(key)
+                if entries is None:
+                    merged[key] = [entry]
+                else:
+                    entries.append(entry)
+        if not merged:  # no pages: a global aggregate still has its group
+            merged = {key: [entry] for key, entry in plan.partial([]).items()}
+        folds = plan.folds
         result = []
-        for key, entry in merged.items():
-            joined = [list(chain.from_iterable(parts)) for parts in entry[2:]]
+        for key, entries in merged.items():
+            # Per place in an entry, the partials' counts, flags, then per
+            # argument slot their lists or folds.
+            counts, flags, *slots = zip(*entries)
+            count, numeric = sum(counts), all(flags)
+            joined: list[list[Any] | _Fold] = [
+                _folded(parts) if fold else list(chain.from_iterable(parts))
+                for parts, fold in zip(slots, folds)
+            ]
             out: list[Any] = []
-            for item, reader in zip(stmt.items, readers):
-                expr = item.expr
-                if not isinstance(expr, ast.Aggregate):
+            for agg, reader in plan.readers:
+                if agg is None:
                     out.append(key[reader])  # type: ignore[index]
                     continue
-                count, numeric, values = entry[0], entry[1], None
+                values: list[Any] | _Fold | None = None
                 if isinstance(reader, int):
                     values = joined[reader - 2]
                 elif reader is not None:
                     values = [v for _ in range(count) if (v := reader(())) is not None]
-                out.append(_aggregate_value(expr, count, values, numeric))
+                out.append(_aggregate_value(agg, count, values, numeric))
             result.append(tuple(out))
-        return result, [self._item_name(item) for item in stmt.items]
+        return result
 
     def _order(
         self,
         rows: list[tuple[Any, ...]],
         columns: list[str],
         stmt: ast.SelectStmt,
-        scope: _Scope,
+        plan: _Select,
     ) -> list[tuple[Any, ...]]:
         self._db.clock.advance(self._db.costs.row_scan_cpu * len(rows))
-        # The slot each output column reads (None: it reads none).
-        slots: list[int | None] = []
-        for item in stmt.items:
-            if isinstance(item.expr, ast.Star):
-                slots.extend(range(len(scope.columns())))
-            else:
-                ref = item.expr if isinstance(item.expr, ast.ColumnRef) else None
-                slots.append(None if ref is None else scope.slot(ref))
-        for order in reversed(stmt.order_by):
-            position = self._order_position(order.expr, columns, slots, scope)
-            rows.sort(
-                key=lambda row: (row[position] is None, row[position]),
-                reverse=not order.ascending,
-            )
+        for order, position in zip(reversed(stmt.order_by), reversed(plan.order)):
+            if position is None:
+                position = _order_position(order.expr, columns, plan.slots, plan.scope)
+            if position is None:
+                raise SqlAnalysisError(
+                    f"ORDER BY expression {order.expr.to_sql()!r} is not in the "
+                    "select list"
+                )
+            rows.sort(key=_sort_key(position), reverse=not order.ascending)
         return rows
-
-    @staticmethod
-    def _order_position(
-        expr: ast.Expression, columns: list[str], slots: list[int | None], scope: _Scope
-    ) -> int:
-        """Which output column ``expr`` sorts by: a qualified column by the
-        slot it reads, a bare name by output name, anything else as written."""
-        if isinstance(expr, ast.ColumnRef):
-            slot = None if expr.table is None else scope.slot(expr)
-            if slot is not None:
-                if slot in slots:
-                    return slots.index(slot)
-            elif expr.name in columns:
-                return columns.index(expr.name)
-        rendered = expr.to_sql()
-        if rendered in columns:
-            return columns.index(rendered)
-        raise SqlAnalysisError(
-            f"ORDER BY expression {rendered!r} is not in the select list"
-        )
-
-    @staticmethod
-    def _item_name(item: ast.SelectItem) -> str:
-        if item.alias:
-            return item.alias
-        if isinstance(item.expr, ast.ColumnRef):
-            return item.expr.name
-        return item.expr.to_sql()
 
     # -------------------------------------------------------------------- DML
     def _insert_select(

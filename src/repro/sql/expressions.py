@@ -166,14 +166,10 @@ def no_slot(value: Any) -> None:
     return None
 
 
-def compile_expression(
-    expr: ast.Expression, bind: Binding, context: Mapping[str, Any] = NO_SESSION
-) -> Compiled:
-    """Compile ``expr`` to one function over whatever ``bind`` reads from.
-
-    ``context`` is the session context of a call that passes none.
-    """
-    return expression_maker(expr, bind, no_slot)((), context)
+def compile_expression(expr: ast.Expression, bind: Binding) -> Compiled:
+    """Compile ``expr`` to one function over whatever ``bind`` reads from; a
+    call that passes no session context has none."""
+    return expression_maker(expr, bind, no_slot)((), NO_SESSION)
 
 
 def compile_predicate(
@@ -228,22 +224,6 @@ def page_filter_maker(where: ast.Expression | None, bind: Binding, slot: Slot) -
         return lambda values, context: None  # type: ignore[return-value]
     emitter = _Emitter(bind, loop=True)
     return emitter.maker(f"{emitter.emit(where)} is True", slot)
-
-
-def compile_page_filter(
-    where: ast.Expression | None, bind: Binding, context: Mapping[str, Any] = NO_SESSION
-) -> Compiled | None:
-    """:func:`page_filter_maker` for one statement with no template."""
-    return page_filter_maker(where, bind, no_slot)((), context)
-
-
-def compile_row(
-    items: Sequence[ast.Expression],
-    bind: Binding,
-    context: Mapping[str, Any] = NO_SESSION,
-) -> Compiled:
-    """:func:`row_maker` for one statement with no template."""
-    return row_maker(items, bind, no_slot)((), context)
 
 
 def row_maker(items: Sequence[ast.Expression], bind: Binding, slot: Slot) -> Maker:

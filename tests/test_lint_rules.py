@@ -1975,6 +1975,78 @@ class TestRepro027OneViewOracle:
             ] == [], path
 
 
+
+class TestRepro029CompiledPerShape:
+    #: Kernels emitted per statement: in the executor's SELECT body, through
+    #: a module alias, and in a module-level helper.
+    PER_STATEMENT = (
+        "from . import expressions\n"
+        "class Executor:\n"
+        "    def _select(self, stmt, scope, slot, context):\n"
+        "        keep = page_filter_maker(stmt.where, scope, slot)((), context)\n"
+        "        rows = expressions.row_maker(stmt.items, scope, slot)\n"
+        "        return compile_expression(stmt.where, scope), keep, rows\n"
+        "def assignments(stmt, scope, slot):\n"
+        "    return set_list_maker(stmt.assignments, scope, slot)\n"
+    )
+    #: The same compilers called in the per-shape builders, and a statement
+    #: calling the makers they keep.
+    PER_SHAPE = (
+        "class _Select:\n"
+        "    def __init__(self, stmt, scope, slot):\n"
+        "        self.keep = page_filter_maker(stmt.where, scope, slot)\n"
+        "        self.project = row_maker(stmt.items, scope, slot)\n"
+        "    def _aggregation(self, stmt, scope, slot):\n"
+        "        return expression_maker(stmt.where, scope, slot)\n"
+        "class _Dml:\n"
+        "    def __init__(self, stmt, columns, slot):\n"
+        "        self.rows = insert_rows_maker(stmt, columns, slot)\n"
+        "class _Access:\n"
+        "    def __init__(self, stmt, scope, slot):\n"
+        "        self.sets = set_list_maker(stmt.assignments, scope, slot)\n"
+        "class Executor:\n"
+        "    def _select(self, plan, literals, context):\n"
+        "        return plan.keep(literals, context), plan.project(literals, context)\n"
+    )
+
+    def test_a_compile_outside_the_builders_is_flagged(self, tmp_path):
+        violations = [
+            v
+            for v in lint_source(
+                tmp_path, self.PER_STATEMENT, name=lint_rules.EXECUTOR_SUFFIX
+            )
+            if "REPRO029" in v
+        ]
+        assert [int(v.split(":")[1]) for v in violations] == [4, 5, 6, 8]
+        assert "page_filter_maker() called in the executor" in violations[0]
+        assert "_Access, _Dml, _Select" in violations[0]
+
+    def test_the_builders_compile_and_other_modules_are_not_held(self, tmp_path):
+        assert lint_source(
+            tmp_path, self.PER_SHAPE, name=lint_rules.EXECUTOR_SUFFIX
+        ) == []
+        assert [
+            v
+            for v in lint_source(
+                tmp_path, self.PER_STATEMENT, name="repro/columnar/apply.py"
+            )
+            if "REPRO029" in v
+        ] == []
+
+    def test_shipped_executor_compiles_only_in_its_builders(self):
+        path = REPO / "src" / lint_rules.EXECUTOR_SUFFIX
+        assert [v for v in lint_rules.lint_file(path) if "REPRO029" in v] == []
+        tree = lint_rules.parse_file(path)
+        compiling = {
+            cls.name
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for name in lint_rules.EXPRESSION_COMPILERS
+            if lint_rules._calls_to(list(ast.walk(cls)), name)
+        }
+        assert compiling == set(lint_rules.SHAPE_BUILDERS)
+
+
 class TestRepro022ReachedByAProgram:
     MODULE = (
         '"""Names ``only_tested`` in a docstring, which does not count."""\n'

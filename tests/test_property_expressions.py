@@ -16,11 +16,11 @@ an IN item after the first match) or skipped one it should have evaluated
 shows up as a different value.
 
 The two kernels built on the per-row form are held to it the same way: the
-*loop form* of a predicate (``compile_page_filter``: rows in, positions kept
+*loop form* of a predicate (``page_filter_maker``: rows in, positions kept
 out — the form a WHERE crosses into a scan in) keeps the rows the per-row
 form keeps and raises for the same row with the same message, ``RANDOM()``
 drawing once per row in row order; and a ``row -> tuple`` kernel
-(``compile_row``: a select list, a GROUP BY key) is the tuple of its items'
+(``row_maker``: a select list, a GROUP BY key) is the tuple of its items'
 kernels, evaluated in the order written.
 
 A comparison or BETWEEN with a literal operand tests the other operands'
@@ -55,13 +55,15 @@ from repro.sql.expressions import (
     RANDOM_KEY,
     USER_KEY,
     RowBinding,
+    NO_SESSION,
     compile_expression,
-    compile_page_filter,
     compile_predicate,
-    compile_row,
     evaluate,
+    no_slot,
+    page_filter_maker,
     referenced_columns,
     referenced_functions,
+    row_maker,
 )
 from repro.sql.parser import parse
 
@@ -382,7 +384,7 @@ def test_the_loop_form_of_a_predicate_is_its_per_row_form(expr, rows, session):
     context = environment((), session)
     pending = iter(rows)
     try:
-        by_loop = compile_page_filter(expr, bind)(pending, context)
+        by_loop = page_filter_maker(expr, bind, no_slot)((), NO_SESSION)(pending, context)
     except SqlAnalysisError as exc:
         # The rows are taken one at a time: what is left says who raised.
         by_loop = type(exc), str(exc), len(rows) - length_hint(pending) - 1
@@ -447,7 +449,7 @@ def assert_as_before_the_hoist(expr, columns, rows):
     expected = rows_outcome(rows, lambda row: reference(expr, dict(zip(columns, row))))
     pending = iter(rows)
     try:
-        by_loop = compile_page_filter(expr, bind)(pending)
+        by_loop = page_filter_maker(expr, bind, no_slot)((), NO_SESSION)(pending)
     except SqlAnalysisError as exc:
         by_loop = type(exc), str(exc), len(rows) - length_hint(pending) - 1
     assert by_loop == expected, expr
@@ -552,5 +554,5 @@ def test_a_row_kernel_is_the_tuple_of_its_items_kernels(items, row, session):
     )) == repr(expected)
 
     context = environment((), session)
-    kernel = compile_row(items, bind)
+    kernel = row_maker(items, bind, no_slot)((), NO_SESSION)
     assert repr(outcome(lambda: kernel(row, context))) == repr(expected)

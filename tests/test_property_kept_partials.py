@@ -352,3 +352,54 @@ def test_the_merge_leaves_every_kept_partial_as_it_was():
         if page_no != middle:  # handed back by the second merge, unchanged
             assert [id(k) for k, _c in second[page_no]] == [id(k) for k, _c in lists]
     assert [c for _k, c in second[middle]] != [c for _k, c in first[middle]]
+
+
+def test_an_integer_argument_keeps_a_fold_and_a_float_its_values():
+    """Per page, a kept partial folds an INTEGER argument into (non-NULL
+    count, sum, min, max) and keeps a FLOAT argument's values, in row order.
+    Which is decided per shape, from the column's type: a page whose ``f``
+    are all NULL keeps an empty list, not a fold, and a page whose ``i``
+    are all NULL keeps the fold of no value, whose MIN and MAX are NULL and
+    which adds no value to the merge."""
+    database = Database("test", buffer_pages=8)
+    table = database.create_table(SCHEMA)
+    rows = []
+    for k in range(3 * _PER_PAGE):
+        page = k // _PER_PAGE
+        i = [None, (k % 17) - 5, None if k % 2 else k][page]
+        f = None if page == 1 else k * 0.1
+        rows.append((k, "ab"[k % 2], 0, i, f, None, "p"))
+    txn = database.begin()
+    for row in rows:
+        table.insert(txn, row)
+    database.commit(txn)
+    assert len(table._heap.page_numbers) == 3
+    executor = Executor(database)
+    over_rows = ListDatabase("test", lambda _name: ListSource(SCHEMA, rows))
+    queries = [
+        "SELECT COUNT(i), SUM(i), MIN(i), MAX(i), AVG(i), SUM(f), MIN(f) FROM t",
+        "SELECT g, MIN(i), MAX(i), SUM(i), AVG(f) FROM t GROUP BY g",
+        f"SELECT COUNT(i), SUM(i), MIN(i), MAX(i), AVG(i) FROM t WHERE k < {_PER_PAGE}",
+    ]
+    for sql in queries:
+        expected = Executor(over_rows).execute(parse(sql), None).rows
+        for _again in range(2):  # made, then handed back by every page
+            assert repr(executor.execute(parse(sql), None).rows) == repr(expected), sql
+    assert executor.execute(parse(queries[2]), None).rows == [(0, None, None, None, None)]
+
+    first = parse(queries[0]).binding.template.shape
+    partials = _kept_partials(table)
+    assert len(partials) == 3
+    for number, page_no in enumerate(table._heap.page_numbers):
+        (_count, groups), = [
+            partial for key, partial in partials[page_no].items() if key[1] == first
+        ]
+        fold, values = groups[()][2:]
+        on_page = rows[number * _PER_PAGE:(number + 1) * _PER_PAGE]
+        ints = [row[3] for row in on_page if row[3] is not None]
+        assert fold == (
+            (len(ints), sum(ints), min(ints), max(ints)) if ints else (0, 0, None, None)
+        ), number
+        assert type(fold) is tuple and all(type(v) is int for v in fold[:2])
+        assert type(values) is list
+        assert values == [row[4] for row in on_page if row[4] is not None], number

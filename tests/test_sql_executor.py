@@ -615,6 +615,101 @@ class TestRowLayoutAndLazyDiagnostics:
         assert len(set(session.query("SELECT at FROM log"))) == 1
 
 
+
+class TestAShapeIsPlannedOnce:
+    """A SELECT shape is planned once, and its plan holds nothing of the
+    statement it was planned from: a second statement of the shape, with
+    other literals, gets its own output names, ORDER BY refusal, LIMIT and
+    session values."""
+
+    @staticmethod
+    def _one_shape(*texts):
+        templates = {parse(text).binding.template for text in texts}
+        assert len(templates) == 1, texts
+
+    def test_output_names_are_the_statements_own(self, session):
+        texts = [
+            f"SELECT part_id, price * {factor} FROM parts WHERE part_id < {n}"
+            for factor, n in (("2.5", 2), ("3.5", 3))
+        ]
+        self._one_shape(*texts)
+        first, second = map(session.execute, texts)
+        assert first.columns == ["part_id", "(price * 2.5)"]
+        assert second.columns == ["part_id", "(price * 3.5)"]
+        assert [price for _id, price in second.rows] == [
+            price * 3.5 for (price,) in session.query(
+                "SELECT price FROM parts WHERE part_id < 3"
+            )
+        ]
+
+    def test_an_order_by_matches_and_refuses_with_the_statements_literals(
+        self, session
+    ):
+        texts = [
+            f"SELECT part_id, price + {a} FROM parts ORDER BY price + {b} LIMIT 2"
+            for a, b in ((1, 1), (1, 2), (2, 2))
+        ]
+        self._one_shape(*texts)
+        assert session.execute(texts[0]).columns == ["part_id", "(price + 1)"]
+        with pytest.raises(
+            SqlAnalysisError, match=r"'\(price \+ 2\)' is not in the select list"
+        ):
+            session.execute(texts[1])
+        assert session.execute(texts[2]).columns == ["part_id", "(price + 2)"]
+        refusal = "SELECT part_id FROM parts ORDER BY price + {}"
+        self._one_shape(refusal.format(1), refusal.format(2))
+        for n in (1, 2):
+            with pytest.raises(
+                SqlAnalysisError, match=rf"'\(price \+ {n}\)' is not in the select list"
+            ):
+                session.execute(refusal.format(n))
+
+    def test_a_limit_is_the_statements_own(self, session):
+        texts = [f"SELECT part_id FROM parts ORDER BY part_id LIMIT {n}" for n in (3, 5)]
+        self._one_shape(*texts)
+        assert [len(session.query(text)) for text in texts] == [3, 5]
+
+    def test_session_values_are_the_statements_own(self, session):
+        clock = session.database.clock
+        texts = [f"SELECT NOW(), RANDOM() FROM parts WHERE part_id < {n}" for n in (2, 3)]
+        self._one_shape(*texts)
+        seen = []
+        for text in texts:
+            first = session.query(text)
+            now, _draw = first[0]
+            assert {at for at, _draw in first} == {now} and now < clock.now
+            seen.append(first)
+        (now1, draw1), _ = seen[0]
+        (now2, draw2), _, _ = seen[1]
+        assert now2 > now1
+        draws = [draw for rows in seen for _now, draw in rows]
+        assert len(set(draws)) == len(draws) == 5
+
+    def test_a_plan_is_dropped_with_a_table_it_read(self, session):
+        join = (
+            "SELECT p.part_id, s.region FROM parts p JOIN suppliers s "
+            "ON p.supplier_id = s.supplier_id WHERE p.part_id = {}"
+        )
+        rows = session.query(join.format(3))
+        supplier = session.scalar("SELECT supplier_id FROM parts WHERE part_id = 3")
+        assert rows == [(3, f"R{supplier % 4}")]
+        # The dimension again, its columns in another order: the plan read
+        # the old one's positions.
+        session.execute("DROP TABLE suppliers")
+        session.execute(
+            "CREATE TABLE suppliers (region CHAR(12) NOT NULL, "
+            "supplier_id INTEGER PRIMARY KEY, supplier_name CHAR(24) NOT NULL)"
+        )
+        for i in range(20):
+            session.execute(f"INSERT INTO suppliers VALUES ('Q{i}', {i}, 'S{i}')")
+        assert session.query(join.format(3)) == [(3, f"Q{supplier}")]
+        # An index made since is taken by the next statement of the shape.
+        point = "SELECT part_id FROM parts WHERE part_ref = {}"
+        assert session.execute(point.format(5)).plan == "parts:scan"
+        session.execute("CREATE INDEX by_ref ON parts (part_ref)")
+        assert session.execute(point.format(6)).plan == "parts:index(by_ref)"
+
+
 class TestColumnPrunedScans:
     """A statement decodes only the columns it reads; nothing else changes."""
 

@@ -30,6 +30,8 @@ from repro.sql.expressions import (
     compile_predicate,
     emitted_source,
     evaluate,
+    expression_maker,
+    no_slot,
     referenced_columns,
     referenced_functions,
     split_conjuncts,
@@ -475,7 +477,7 @@ class TestEmittedCode:
     def test_the_context_given_at_compile_time_is_the_default(self):
         bind = RowBinding(["a"])
         expr = parse_expression("a < NOW()")
-        kernel = compile_expression(expr, bind, {NOW_KEY: 10.0})
+        kernel = expression_maker(expr, bind, no_slot)((), {NOW_KEY: 10.0})
         assert kernel((5,)) is True
         assert kernel((5,), {NOW_KEY: 1.0}) is False
         with pytest.raises(SqlAnalysisError, match="volatile"):

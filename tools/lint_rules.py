@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules for the ``repro`` package.
 
-Twenty-six disciplines the standard linters cannot express:
+Twenty-nine disciplines the standard linters cannot express:
 
 **REPRO001 — virtual-clock discipline.**  All timing inside ``src/repro``
 is deterministic virtual time (:mod:`repro.clock`); wall-clock reads and
@@ -377,6 +377,17 @@ compared there, so anywhere else they may be stored by a mutator — a
 subscript assignment or a fresh list — and never read: a read of
 ``._stamps``, in a comparison or handed to anything, is flagged.
 
+**REPRO029 — the executor compiles per shape.**  A statement's shape fixes
+everything its kernels do short of its literals and session context, so
+``repro/sql/executor.py`` emits each kernel once per shape, in the per-shape
+builders filed on the statement's template (``SHAPE_BUILDERS``: ``_Access``,
+``_Dml``, ``_Select``), and a statement only calls the maker with its
+literals.  SELECT once re-emitted its page filter, projection and group key
+for every statement beside DML that did not.  So in that module a call to an
+expression compiler (``EXPRESSION_COMPILERS``: ``compile_expression``,
+``page_filter_maker``, ``row_maker``, ``set_list_maker``,
+``insert_rows_maker`` and their kin) outside those classes is flagged.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/repro
@@ -678,6 +689,23 @@ DIAGNOSTIC_HOME = "repro/semantics/checker.py"
 
 #: REPRO027: the one module that may execute a view definition's SELECT.
 VIEW_SELECT_HOME = "repro/warehouse/views.py"
+
+#: REPRO029: the executor, the expression compilers, and the per-shape
+#: builders that alone may call one there.
+EXECUTOR_SUFFIX = "repro/sql/executor.py"
+EXPRESSION_COMPILERS = (
+    "compile_expression",
+    "compile_predicate",
+    "compile_insert_rows",
+    "compile_after_image",
+    "expression_maker",
+    "predicate_maker",
+    "page_filter_maker",
+    "row_maker",
+    "set_list_maker",
+    "insert_rows_maker",
+)
+SHAPE_BUILDERS = ("_Access", "_Dml", "_Select")
 
 #: REPRO022: the trees besides the package whose references count, and
 #: qualified name -> why a public name no program reaches stays.
@@ -1557,6 +1585,34 @@ def _view_select_violations(path: Path, tree: ast.AST, normalized: str) -> list[
     ]
 
 
+def _per_statement_compile_violations(
+    path: Path, tree: ast.AST, normalized: str
+) -> list[str]:
+    """REPRO029: an expression compiler called in the executor outside the
+    per-shape builders."""
+    if not normalized.endswith(EXECUTOR_SUFFIX):
+        return []
+    built = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in SHAPE_BUILDERS
+        for node in ast.walk(cls)
+    }
+    nodes = [node for node in ast.walk(tree) if id(node) not in built]
+    found = sorted(
+        (node.lineno, name)
+        for name in EXPRESSION_COMPILERS
+        for node in _calls_to(nodes, name)
+    )
+    return [
+        f"{path}:{lineno}: REPRO029 {name}() called in the executor outside "
+        f"the per-shape builders ({', '.join(SHAPE_BUILDERS)}); emit the "
+        "kernel there, once per shape, and call its maker with a statement's "
+        "literals and context"
+        for lineno, name in found
+    ]
+
+
 def _self_attribute(node: ast.expr) -> str | None:
     """``f`` when ``node`` is ``self.f``, else ``None``."""
     if (
@@ -2013,6 +2069,7 @@ def _lint_file(path: Path) -> list[str]:
     violations.extend(_restated_record_violations(path, tree))
     violations.extend(_diagnostic_violations(path, tree, normalized))
     violations.extend(_view_select_violations(path, tree, normalized))
+    violations.extend(_per_statement_compile_violations(path, tree, normalized))
 
     #: Calls inside the one transactional-unit function (REPRO006); None
     #: outside the integrator modules, where the rule does not apply.
