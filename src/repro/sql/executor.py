@@ -281,10 +281,9 @@ def _sort_key(at: int) -> Callable[[tuple[Any, ...]], tuple[bool, Any]]:
 
 def _order_position(
     expr: ast.Expression, columns: list[str], slots: list[int | None], scope: _Scope
-) -> int | None:
+) -> int:
     """Which output column ``expr`` sorts by: a qualified column by the
-    slot it reads, a bare name by output name, anything else as written;
-    None if none."""
+    slot it reads, a bare name by output name, anything else as written."""
     if isinstance(expr, ast.ColumnRef):
         slot = None if expr.table is None else scope.slot(expr)
         if slot is not None:
@@ -293,7 +292,11 @@ def _order_position(
         elif expr.name in columns:
             return columns.index(expr.name)
     rendered = expr.to_sql()
-    return columns.index(rendered) if rendered in columns else None
+    if rendered in columns:
+        return columns.index(rendered)
+    raise SqlAnalysisError(
+        f"ORDER BY expression {rendered!r} is not in the select list"
+    )
 
 
 class _Access:
@@ -362,19 +365,19 @@ class _Select:
     the row layout they make (:class:`_Scope`), the WHERE's sargs, the WHERE
     as a page filter (where the base table is read, or above the joins),
     each join's probe, the projection or the aggregation's group key,
-    readers and folds, the output names and ORDER BY positions, and whether
-    a page may keep the aggregation's partial.  Built once per shape and
-    filed under the catalog versions of every table read
+    readers and folds, the slot each output column reads, and whether a page
+    may keep the aggregation's partial.  Built once per shape and filed
+    under the catalog versions of every table read
     (:meth:`Executor._select`); a statement adds its literals and its
-    session context.  What may differ between statements of the shape is
-    read off the statement itself: the name of a scalar expression, an ORDER
-    BY expression written with a literal, and LIMIT.
+    session context.  The output names, ORDER BY and LIMIT are read off the
+    statement itself: a scalar expression is named as written, literals and
+    all.
     """
 
     __slots__ = (
         "table", "joined", "scope", "reads", "sargs", "keep", "joins", "above",
         "aggregated", "project", "constants", "refusal", "readers", "folds",
-        "partial", "paged", "memo", "columns", "renamed", "slots", "order",
+        "partial", "paged", "memo", "slots",
     )
 
     def __init__(
@@ -449,31 +452,14 @@ class _Select:
         self.memo = slot is not no_slot and referenced_functions(
             stmt.where
         ).isdisjoint(ast.VOLATILE_FUNCTIONS)
-        #: The output names; (column, item) where a name is the statement's
-        #: own: a scalar expression is named as written, literals and all.
         #: Per output column, the slot it reads (None: it reads none).
-        self.columns: list[str] = []
-        self.renamed: list[tuple[int, int]] = []
         self.slots: list[int | None] = []
-        for at, item in enumerate(stmt.items):
+        for item in stmt.items:
             if isinstance(item.expr, ast.Star):
-                self.columns.extend(scope.columns())
                 self.slots.extend(range(len(scope.columns())))
-                continue
-            named = isinstance(item.expr, (ast.ColumnRef, ast.Aggregate))
-            if not item.alias and not named:
-                self.renamed.append((len(self.columns), at))
-            self.columns.append(_item_name(item))
-            ref = item.expr if isinstance(item.expr, ast.ColumnRef) else None
-            self.slots.append(None if ref is None else scope.slot(ref))
-        #: Per ORDER BY item, the output column it sorts by, or None: then the
-        #: statement's own item and names say, when its rows are sorted.  An
-        #: item written with a literal is None here, as each literal of the
-        #: shape is a sentinel of its own that no output name holds.
-        self.order = [
-            _order_position(order.expr, self.columns, self.slots, scope)
-            for order in stmt.order_by
-        ]
+            else:
+                ref = item.expr if isinstance(item.expr, ast.ColumnRef) else None
+                self.slots.append(None if ref is None else scope.slot(ref))
 
     def _aggregation(
         self, tables: Sequence[RowSource], stmt: ast.SelectStmt, slot: Slot
@@ -537,9 +523,12 @@ class _Select:
 
     def names(self, stmt: ast.SelectStmt) -> list[str]:
         """The output names of ``stmt``, a statement of this shape."""
-        columns = list(self.columns)
-        for at, item in self.renamed:
-            columns[at] = _item_name(stmt.items[item])
+        columns: list[str] = []
+        for item in stmt.items:
+            if isinstance(item.expr, ast.Star):
+                columns.extend(self.scope.columns())
+            else:
+                columns.append(_item_name(item))
         return columns
 
 
@@ -829,14 +818,8 @@ class Executor:
         plan: _Select,
     ) -> list[tuple[Any, ...]]:
         self._db.clock.advance(self._db.costs.row_scan_cpu * len(rows))
-        for order, position in zip(reversed(stmt.order_by), reversed(plan.order)):
-            if position is None:
-                position = _order_position(order.expr, columns, plan.slots, plan.scope)
-            if position is None:
-                raise SqlAnalysisError(
-                    f"ORDER BY expression {order.expr.to_sql()!r} is not in the "
-                    "select list"
-                )
+        for order in reversed(stmt.order_by):
+            position = _order_position(order.expr, columns, plan.slots, plan.scope)
             rows.sort(key=_sort_key(position), reverse=not order.ascending)
         return rows
 
