@@ -380,20 +380,19 @@ def extract_footprint(
     if binding is None:
         return _footprint(statement, kind, table, layout)
     template = binding.template
-
-    def bound() -> StatementFootprint:
-        shape = template.fact(
-            SHAPE,
-            ("footprint", layout),
-            lambda: _footprint(template.statement, kind, table, layout),
-        )
-        return StatementFootprint(
-            shape.table, shape.kind, shape.reads, shape.reads_all_columns,
-            shape.writes, shape.writes_all_columns, shape.where_columns,
-            row_range=_row_range(statement, layout), statement=statement,
-        )
-
-    return binding.fact(("footprint", layout), bound)
+    shape = template.fact(
+        SHAPE,
+        ("footprint", layout),
+        lambda: _footprint(template.statement, kind, table, layout),
+    )
+    return StatementFootprint(
+        shape.table, shape.kind, shape.reads, shape.reads_all_columns,
+        shape.writes, shape.writes_all_columns, shape.where_columns,
+        row_range=binding.fact(
+            ("row_range", layout), lambda: _row_range(statement, layout)
+        ),
+        statement=statement,
+    )
 
 
 def _row_range(

@@ -6,22 +6,21 @@ operation emerges from hit/miss/write-back accounting.
 
 Reading the whole file is one walk, a page at a time: each step is one
 buffer-pool fetch (:meth:`HeapFile.fetched`), which hands over the page —
-for what it keeps, as a scan aggregate's partials — or that page's live
-slot numbers and, as lists, their records (:meth:`HeapFile.pages`: an index
-build, :meth:`HeapFile.scan`) or their decoded rows, kept on the page and
-patched when it is written (:meth:`HeapFile.decoded_pages`: the table's
-scans).
+for what it keeps: the table's scans take its decoded rows, kept on the page
+and patched when it is written, and a scan aggregate's partials — or that
+page's live slot numbers and, as lists, their records
+(:meth:`HeapFile.pages`: an index build, :meth:`HeapFile.scan`).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Iterator
+from typing import Iterator
 
 from ..errors import StorageError
 from .buffer import BufferPool
 from .page import Page
-from .rows import PageDecoder, RowId
+from .rows import RowId
 
 
 class HeapFile:
@@ -136,30 +135,12 @@ class HeapFile:
         the page is reached.
 
         The raw records, read afresh: an index build and :meth:`scan` take
-        these; the table's scans take :meth:`decoded_pages`.
+        these; the table's scans take each page's kept decode from
+        :meth:`fetched` (:meth:`Page.decoded
+        <repro.engine.page.Page.decoded>`).
         """
         for page_no, page in self.fetched():
             yield page_no, *page.records()
-
-    def decoded_pages(
-        self, decode: PageDecoder
-    ) -> Iterator[tuple[int, Page, list[int], list[tuple[Any, ...]]]]:
-        """:meth:`pages` with each page's records decoded by ``decode``:
-        ``(page_no, page, live slot numbers, their rows)``, the same walk and
-        the same snapshots.
-
-        The pair is :meth:`Page.decoded <repro.engine.page.Page.decoded>`'s:
-        a page not written since its last read through ``decode`` is not
-        decoded again, one written since has only the records written
-        decoded and spliced into copies, and the lists are never changed
-        once handed out.  The page itself comes along for what else it keeps
-        of the decode (:meth:`Page.column_values
-        <repro.engine.page.Page.column_values>`), so that is not a second
-        fetch.  This is the walk :class:`Table <repro.engine.table.Table>`
-        filters and charges per step.
-        """
-        for page_no, page in self.fetched():
-            yield page_no, page, *page.decoded(decode)
 
     def scan(self) -> Iterator[tuple[RowId, bytes]]:
         """Every live ``(RowId, record)`` in page/slot order."""

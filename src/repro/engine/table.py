@@ -24,21 +24,22 @@ in one pass), and the timestamp stamp is written into that record in place
 (:meth:`RecordCodec.patch`), not encoded again.  Every entry refuses a
 transaction that is not ACTIVE before it charges or changes anything.
 
-Reads work a heap page at a time, on one walk (``Table._pages``): a page's
-records are decoded together (once, not per read: the page keeps the decode,
-and after a write decodes only the records written), the statement's filter
-runs once over them — or not
-at all, when the statement's page bounds show it keeps none of them — and the
-scan CPU is charged in runs of records — the same additions, in the same
-order relative to every other charge, as one ``advance`` per record.
+Reads work a heap page at a time, each page through one step
+(``Table._read``): the page's records are decoded together (once, not per
+read: the page keeps the decode, and after a write decodes only the records
+written), the statement's filter runs once over them — or not at all, when
+the statement's page bounds show it keeps none of them — and a filter that
+raises has the records it examined charged there.  The reads differ only in
+how they charge the rest, in runs of records — the same additions, in the
+same order relative to every other charge, as one ``advance`` per record.
 :meth:`Table.scan` yields ``(RowId, values)`` with the clock exact at every
 row, for consumers that charge between rows, stop early or need the ids
-(DML); :meth:`Table.scan_values` is the values-only read of everyone else
-(SELECT, the hash-join build side, state comparisons);
-:meth:`Table.scan_partials` is that read for a scan aggregate, one partial per
-page, kept on the page until it is next written, beside the page's record
-count, so a page that hands its partial back is charged without its decode
-being read; and
+(DML); :meth:`Table.scan_partials` charges a page at a time and hands over
+one partial per page — for a scan aggregate kept on the page until it is
+next written, beside the page's record count, so a page that hands its
+partial back is charged without its decode being read;
+:meth:`Table.scan_values` is its rows as they are, the values-only read of
+everyone else (SELECT, the hash-join build side, state comparisons); and
 :meth:`Table.scan_pages` hands a dump each page's rows uncharged, for it to
 charge every record's scan inside its own cycle of charges
 (``take_snapshot``, ``ascii_dump_table``).
@@ -96,6 +97,11 @@ def _excluded(page: Page, decode: PageDecoder, bounds: Sequence[PageBound]) -> b
         if not span(values, low, high, include_low, include_high):
             return True
     return False
+
+
+def _given(rows: list[tuple[Any, ...]]) -> list[tuple[Any, ...]]:
+    """The rows, as they are (:meth:`Table.scan_values`'s partial)."""
+    return rows
 
 
 def _revert(undo: list[tuple[Any, ...]]) -> None:
@@ -421,8 +427,12 @@ class Table:
         the host evaluates is not part of the cost model; every fetch and
         every per-record charge is.
         """
+        decode = self._decoder(columns)
+        if columns is not None:
+            bounds = [(columns.index(at), *interval) for at, *interval in bounds]
         charge = self._charge
-        for page_no, slots, rows, kept in self._pages(columns, keep, bounds):
+        for page_no, page in self._heap.fetched():
+            slots, rows, kept = self._read(page, decode, keep, bounds)
             charged = 0
             for at in kept:
                 charge(at + 1 - charged)
@@ -433,8 +443,8 @@ class Table:
     def scan_values(
         self, columns: Sequence[int] | None = None, keep: PageFilter | None = None
     ) -> Iterator[tuple[Any, ...]]:
-        """The values :meth:`scan` yields, without the row ids, charged a
-        page at a time.
+        """The values :meth:`scan` yields, without the row ids: the rows of
+        :meth:`scan_partials`, as each page hands them over.
 
         Every record of a page is charged (one ``advance_each`` run) before
         the first kept row of the page is handed over, and no generator
@@ -444,14 +454,7 @@ class Table:
         charges only the scan's own constant, as the join probe does:
         additions of one constant commute with each other.
         """
-        return chain.from_iterable(self._page_values(columns, keep))
-
-    def _page_values(
-        self, columns: Sequence[int] | None, keep: PageFilter | None
-    ) -> Iterator[list[tuple[Any, ...]]]:
-        for _page_no, _slots, rows, kept in self._pages(columns, keep, ()):
-            self._charge(len(rows))
-            yield rows if keep is None else [rows[at] for at in kept]
+        return chain.from_iterable(self.scan_partials(columns, keep, _given, None))
 
     def scan_pages(self) -> Iterator[list[tuple[Any, ...]]]:
         """Every page's rows in physical order, one list per page: counted
@@ -463,7 +466,9 @@ class Table:
         record it scans, so its scan and write charges interleave record by
         record.  The lists are the page's kept decode; they are not changed.
         """
-        for _page_no, _slots, rows, _kept in self._pages(None, None, ()):
+        decode = self._decoder(None)
+        for _page_no, page in self._heap.fetched():
+            rows = self._read(page, decode, None, ())[1]
             self._m_rows_scanned.inc(len(rows))
             yield rows
 
@@ -474,15 +479,14 @@ class Table:
 
     def scan_partials(
         self,
-        columns: Sequence[int],
+        columns: Sequence[int] | None,
         keep: PageFilter | None,
         partial: Callable[[list[tuple[Any, ...]]], T],
         memo: tuple[Hashable, Any] | None,
     ) -> Iterator[T]:
         """``partial`` of each page's rows that ``keep`` accepts, page by
-        page, charged as :meth:`scan_values` charges: every record of a page
-        once the page is done, and when ``keep`` raises, the records it
-        examined.
+        page: every record of a page is charged once the page is done, and
+        when ``keep`` raises, the records it examined (:meth:`_read`).
 
         With a ``memo`` — ``(shape, tag)``: what fixes ``keep`` and
         ``partial`` short of some values, and those values — each page keeps
@@ -491,26 +495,15 @@ class Table:
         hands it back without running either: the caller must know that the
         two read nothing but the rows.  The partial is kept beside the page's
         record count, which is what a hit is charged, so a hit reads nothing
-        of the page's decode; only a miss reads it (:meth:`Page.decoded
-        <repro.engine.page.Page.decoded>`, patched if the page was written
-        since).  The pages come from the heap's fetch-only walk
-        (:meth:`HeapFile.fetched`).  ``partial`` must not raise, and nobody
-        may change what it returns.
+        of the page's decode; only a miss reads it.  ``partial`` must not
+        raise, and nobody may change what it returns.
         """
         decode = self._decoder(columns)
-        charge = self._charge
 
         def derive(_key: Any, page: Page) -> tuple[int, T]:
-            rows = page.decoded(decode)[1]
-            if keep is None:
-                return len(rows), partial(rows)
-            pending = iter(rows)  # charged as ``_pages`` charges a raise
-            try:
-                kept = keep(pending)
-            except BaseException:
-                charge(len(rows) - length_hint(pending))
-                raise
-            return len(rows), partial([rows[at] for at in kept])
+            _slots, rows, kept = self._read(page, decode, keep, ())
+            given = rows if keep is None else [rows[at] for at in kept]
+            return len(rows), partial(given)
 
         key, tag = (None, None) if memo is None else ((decode, memo[0]), memo[1])
         for _page_no, page in self._heap.fetched():
@@ -518,7 +511,7 @@ class Table:
                 records, made = derive(key, page)
             else:
                 records, made = page.kept(key, tag, derive, page)
-            charge(records)
+            self._charge(records)
             yield made
 
     def _decoder(self, columns: Sequence[int] | None) -> PageDecoder:
@@ -527,42 +520,36 @@ class Table:
             return self.schema.codec.decode_page
         return self.schema.codec.page_decoder(tuple(columns))
 
-    def _pages(
-        self, columns: Sequence[int] | None, keep: PageFilter | None,
+    def _read(
+        self, page: Page, decode: PageDecoder, keep: PageFilter | None,
         bounds: Sequence[PageBound],
-    ) -> Iterator[tuple[int, list[int], list[tuple[Any, ...]], Sequence[int]]]:
-        """The one walk over the heap's records: per page, ``(page_no, slot
-        numbers, decoded rows, positions kept)``, nothing charged.
+    ) -> tuple[list[int], list[tuple[Any, ...]], Sequence[int]]:
+        """The one step of every read of a page: ``(live slot numbers,
+        decoded rows, positions kept)``, nothing charged but a raise.
 
         The slot numbers and rows are the page's kept decode
-        (:meth:`HeapFile.decoded_pages`): shared with every later read of an
-        unwritten page, so neither this walk nor its consumers change them.
-        ``bounds`` name table columns; each is mapped once, here, to its
-        position among ``columns``.  A page with no value inside one of them
-        (its kept, sorted :meth:`~repro.engine.page.Page.column_values`)
-        keeps no row, and ``keep`` is not called.  Otherwise ``keep`` gets
-        an iterator over the page's rows.  When it raises on the k-th of
-        them, exactly k records of the page were examined — the iterator's
-        length hint says how many were not — and they are charged and
-        counted here, as the record-at-a-time loop had by then.
+        (:meth:`Page.decoded <repro.engine.page.Page.decoded>`): shared with
+        every later read of an unwritten page, so no read changes them.
+        A page with no value inside one of ``bounds`` (``at`` a position of
+        the decoded rows; its kept, sorted
+        :meth:`~repro.engine.page.Page.column_values`) keeps no row, and
+        ``keep`` is not called.  Otherwise ``keep`` gets an iterator over the
+        page's rows.  When it raises on the k-th of them, exactly k records
+        of the page were examined — the iterator's length hint says how many
+        were not — and they are charged and counted here, as the
+        record-at-a-time loop had by then.
         """
-        decode = self._decoder(columns)
-        if columns is not None:
-            bounds = [(columns.index(at), *interval) for at, *interval in bounds]
-        for page_no, page, slots, rows in self._heap.decoded_pages(decode):
-            if keep is None:
-                yield page_no, slots, rows, range(len(rows))
-                continue
-            if bounds and _excluded(page, decode, bounds):
-                yield page_no, slots, rows, ()
-                continue
-            pending = iter(rows)
-            try:
-                kept = keep(pending)
-            except BaseException:
-                self._charge(len(rows) - length_hint(pending))
-                raise
-            yield page_no, slots, rows, kept
+        slots, rows = page.decoded(decode)
+        if keep is None:
+            return slots, rows, range(len(rows))
+        if bounds and _excluded(page, decode, bounds):
+            return slots, rows, ()
+        pending = iter(rows)
+        try:
+            return slots, rows, keep(pending)
+        except BaseException:
+            self._charge(len(rows) - length_hint(pending))
+            raise
 
     def lookup(self, column: str, key: Any) -> list[tuple[RowId, tuple[Any, ...]]]:
         """Equality lookup through an index on ``column`` (must exist).

@@ -161,10 +161,9 @@ def _columns_read(
     return [tuple(sorted(positions)) for positions in read]
 
 
-#: What an aggregation keeps of a group: its row count, whether every value
-#: listed below is an int or a float, then per argument slot read the
-#: non-NULL values there in row order — or, for an INTEGER column of an
-#: engine table, their fold (:data:`_Fold`).
+#: What an aggregation keeps of a group: its row count, then per argument
+#: slot read the non-NULL values there in row order — or, for an INTEGER
+#: column of an engine table, their fold (:data:`_Fold`).
 _Entry = list[Any]
 #: Group key -> entry, in first-seen row order: a partial aggregation.
 _Groups = dict[tuple, _Entry]
@@ -200,28 +199,21 @@ def _folded(folds: Iterable[_Fold]) -> _Fold:
 def _entry(
     rows: list[tuple[Any, ...]], kept: Sequence[int], folds: Sequence[bool]
 ) -> _Entry:
-    """One group's entry over its ``rows``: the count, whether every value
-    listed is a number, then the non-NULL values at each slot of ``kept``,
-    folded where ``folds`` says so."""
+    """One group's entry over its ``rows``: the count, then the non-NULL
+    values at each slot of ``kept``, folded where ``folds`` says so."""
     values = [[v for row in rows if (v := row[at]) is not None] for at in kept]
-    numeric = all(
-        _NUMBERS.issuperset(map(type, each))
-        for each, fold in zip(values, folds)
-        if not fold
-    )
     return [
         len(rows),
-        numeric,
         *(_fold(each) if fold else each for each, fold in zip(values, folds)),
     ]
 
 
 def _aggregate_value(
-    agg: ast.Aggregate, count: int, values: list[Any] | _Fold | None, numeric: bool
+    agg: ast.Aggregate, count: int, values: list[Any] | _Fold | None, checked: bool
 ) -> Any:
     """``agg`` of a group of ``count`` rows whose argument has the non-NULL
-    ``values``, or their fold (None: COUNT(*)); ``numeric`` when the values
-    listed are all ints and floats, as the group's entry knows."""
+    ``values``, or their fold (None: COUNT(*)); ``checked`` when a SUM or
+    AVG must look at what class those values are."""
     if values is None:
         return count
     folded = isinstance(values, tuple)
@@ -234,10 +226,9 @@ def _aggregate_value(
         if folded:
             total = values[1]
         else:
-            # Ints and floats are admitted by the entry's one pass at each
-            # partial; a bool (a number too) or a non-number is looked at
-            # value by value.
-            if not numeric and not _NUMBERS.issuperset(map(type, values)):
+            # Ints and floats pass in one look at the classes; a bool (a
+            # number too) or a non-number is looked at value by value.
+            if checked and not _NUMBERS.issuperset(map(type, values)):
                 for value in values:
                     if not isinstance(value, (int, float)):
                         raise SqlAnalysisError(
@@ -476,21 +467,26 @@ class _Select:
             if isinstance(expr, ast.ColumnRef) and _resolved(expr, scope) not in grouped:
                 return f"column {expr.to_sql()!r} must appear in GROUP BY"
         # Per item, what reads it: a grouping column its place in the key;
-        # an aggregate's argument its place in an entry, past the count and
-        # the flag (None: COUNT(*)).  The parser admits only a column there,
-        # read by slot, and an entry keeps one list per slot read — or, for
-        # an INTEGER column of an engine table, whose values admission made
+        # an aggregate's argument its place in an entry, past the count
+        # (None: COUNT(*)).  The parser admits only a column there, read by
+        # slot, and an entry keeps one list per slot read — or, for an
+        # INTEGER column of an engine table, whose values admission made
         # ints, their fold.  One that reads none stays a kernel: it raises
         # for whatever row reaches it, so it is asked once per member at the
         # end, as it was of each row.  No column reads a literal or a
-        # session value, so each kernel here serves the shape.
+        # session value, so each kernel here serves the shape.  An argument
+        # is ``checked`` — a SUM or AVG looks at what its values are — unless
+        # an engine table's admission made them numbers (not CHAR).
         kept: list[int] = []
         self.folds: list[bool] = []
-        self.readers: list[tuple[ast.Aggregate | None, int | Compiled | None]] = []
+        self.readers: list[
+            tuple[ast.Aggregate | None, int | Compiled | None, bool]
+        ] = []
         for item in stmt.items:
-            expr, reader = item.expr, None
+            expr, reader, checked = item.expr, None, True
             if isinstance(expr, ast.ColumnRef):
-                self.readers.append((None, grouped.index(_resolved(expr, scope))))
+                key_at = grouped.index(_resolved(expr, scope))
+                self.readers.append((None, key_at, checked))
                 continue
             assert isinstance(expr, ast.Aggregate)
             if expr.argument is not None:
@@ -498,15 +494,17 @@ class _Select:
                 if at is None:
                     reader = expression_maker(expr.argument, scope, slot)((), NO_SESSION)
                 else:
+                    number, column = scope.column_at(at)
+                    engine = isinstance(tables[number], Table)
+                    admitted = column.datatype.canonical_class
+                    checked = not (engine and admitted in _NUMBERS)
                     if at not in kept:
                         kept.append(at)
-                        number, column = scope.column_at(at)
                         self.folds.append(
-                            isinstance(tables[number], Table)
-                            and isinstance(column.datatype, IntegerType)
+                            engine and isinstance(column.datatype, IntegerType)
                         )
-                    reader = 2 + kept.index(at)
-            self.readers.append((expr, reader))
+                    reader = 1 + kept.index(at)
+            self.readers.append((expr, reader, checked))
         folds = self.folds
         group_key = row_maker(stmt.group_by, scope, slot)((), NO_SESSION)
 
@@ -762,15 +760,14 @@ class Executor:
         once — and the partials are merged in the order they come.
 
         A partial maps each group key, in first-seen row order, to its entry:
-        the group's row count, whether its listed values are all numbers,
-        then per aggregate argument its non-NULL values in row order, or
-        their fold (:func:`_entry`).  Merging holds each group's entries by
-        reference, in the order they come — a page's partial may be kept, so
-        none is ever changed — and at the end adds each group's counts and
-        joins its lists once into the ones all the rows in read order make:
-        SUM and AVG add the same numbers in the same order however the rows
-        were cut, and the groups come in first-seen order.  Its folds are
-        added up then, exactly.
+        the group's row count, then per aggregate argument its non-NULL values
+        in row order, or their fold (:func:`_entry`).  Merging holds each
+        group's entries by reference, in the order they come — a page's
+        partial may be kept, so none is ever changed — and at the end adds
+        each group's counts and joins its lists once into the ones all the
+        rows in read order make: SUM and AVG add the same numbers in the same
+        order however the rows were cut, and the groups come in first-seen
+        order.  Its folds are added up then, exactly.
         """
         if plan.refusal is not None:
             raise SqlAnalysisError(plan.refusal)
@@ -788,25 +785,25 @@ class Executor:
         folds = plan.folds
         result = []
         for key, entries in merged.items():
-            # Per place in an entry, the partials' counts, flags, then per
-            # argument slot their lists or folds.
-            counts, flags, *slots = zip(*entries)
-            count, numeric = sum(counts), all(flags)
+            # Per place in an entry, the partials' counts, then per argument
+            # slot their lists or folds.
+            counts, *slots = zip(*entries)
+            count = sum(counts)
             joined: list[list[Any] | _Fold] = [
                 _folded(parts) if fold else list(chain.from_iterable(parts))
                 for parts, fold in zip(slots, folds)
             ]
             out: list[Any] = []
-            for agg, reader in plan.readers:
+            for agg, reader, checked in plan.readers:
                 if agg is None:
                     out.append(key[reader])  # type: ignore[index]
                     continue
                 values: list[Any] | _Fold | None = None
                 if isinstance(reader, int):
-                    values = joined[reader - 2]
+                    values = joined[reader - 1]
                 elif reader is not None:
                     values = [v for _ in range(count) if (v := reader(())) is not None]
-                out.append(_aggregate_value(agg, count, values, numeric))
+                out.append(_aggregate_value(agg, count, values, checked))
             result.append(tuple(out))
         return result
 

@@ -1,8 +1,8 @@
 """The read contract: what SELECT uses of a table and of a database.
 
-The read side of the executor (``_select``, ``_values``, ``_hash_join``,
-``_project``, ``_aggregate``, ``_order``) and the access-path chooser
-(:func:`repro.sql.planner.choose_path`) use five things of a table and three
+The read side of the executor (a SELECT shape's plan, ``_Select``, and
+``_select``, ``_values``, ``_hash_join``, ``_aggregate``, ``_order``) and the
+access-path chooser (:func:`repro.sql.planner.choose_path`) use five things of a table and three
 of a database, plus its ``name`` for ``USER``.  They are stated here, once.
 :class:`repro.engine.table.Table` and :class:`repro.engine.database.Database`
 satisfy them as they are, so there is no adapter around either.  The one

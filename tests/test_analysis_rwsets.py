@@ -1,7 +1,11 @@
 """Read/write-set and predicate-range extraction."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.analysis import OpDeltaAnalyzer
 from repro.errors import AnalysisError, OpDeltaError
 from repro.analysis.rwsets import (
     ColumnConstraint,
@@ -186,3 +190,24 @@ class TestExtractFootprint:
     def test_non_dml_rejected(self):
         with pytest.raises((AnalysisError, OpDeltaError)):
             extract_footprint(parse("SELECT 1"))
+
+    @pytest.mark.parametrize("text", [
+        "UPDATE t SET a = 1 WHERE k = 3",
+        "INSERT INTO t VALUES (1, 'x')",
+    ])
+    def test_an_analysed_statement_goes_with_its_last_reference(self, text):
+        """What the analysis keeps of a statement refers nothing back to it,
+        so reference counting alone frees it: no cycle waits for the
+        cyclic collector."""
+        statement = parse(text)
+        OpDeltaAnalyzer(table_columns={"t": ("k", "a")}).analyze_statement(statement)
+        extract_footprint(statement)
+        alive = weakref.ref(statement)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            del statement
+            assert alive() is None
+        finally:
+            if collecting:
+                gc.enable()

@@ -261,8 +261,8 @@ class Twin:
                 for page_no, slots, records in table._heap.pages()
             ]
         return [
-            (page_no, slots, rows)
-            for page_no, _page, slots, rows in table._heap.decoded_pages(decode)
+            (page_no, *page.decoded(decode))
+            for page_no, page in table._heap.fetched()
         ]
 
 

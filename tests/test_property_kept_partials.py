@@ -325,16 +325,15 @@ def test_the_merge_leaves_every_kept_partial_as_it_was():
         values = [f for (f,) in executor.execute(parse("SELECT f FROM t"), None).rows]
         assert total.hex() == sum(values).hex()
         assert mean.hex() == (sum(values) / len(values)).hex()
+        decode = SCHEMA.codec.decode_page
         on_page = {
-            page_no: [row[4] for row in page_rows if row[4] is not None]
-            for page_no, _page, _slots, page_rows in table._heap.decoded_pages(
-                SCHEMA.codec.decode_page
-            )
+            page_no: [row[4] for row in page.decoded(decode)[1] if row[4] is not None]
+            for page_no, page in table._heap.fetched()
         }
         held = {}
         for page_no, partials in _kept_partials(table).items():
             ((_count, groups),) = partials.values()
-            lists = groups[()][2:]
+            lists = groups[()][1:]
             assert lists == [on_page[page_no]], page_no  # SUM(f) and AVG(f) share one
             held[page_no] = [(lst, list(lst)) for lst in lists]
         assert len(held) == 3
@@ -394,7 +393,7 @@ def test_an_integer_argument_keeps_a_fold_and_a_float_its_values():
         (_count, groups), = [
             partial for key, partial in partials[page_no].items() if key[1] == first
         ]
-        fold, values = groups[()][2:]
+        fold, values = groups[()][1:]
         on_page = rows[number * _PER_PAGE:(number + 1) * _PER_PAGE]
         ints = [row[3] for row in on_page if row[3] is not None]
         assert fold == (

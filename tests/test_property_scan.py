@@ -5,7 +5,8 @@ layouts, holes, NULLs, column subsets and filters it is compared with
 ``Table.scan`` and ``Table.scan_values`` — the same pairs, ``clock.now`` equal
 **to the bit at every yield and at the end**, the same ``rows_scanned`` —
 under consumers that charge the clock between rows, change the table they
-scan, stop early, and under a filter that raises on record k.
+scan, stop early, and — ``Table.scan_partials`` too — under a filter that
+raises on record k.
 
 Every comparison runs each side on its own database built from the same
 draw, so the two clocks start equal and nothing is shared.
@@ -243,21 +244,30 @@ def test_the_values_only_read_is_the_scan_without_row_ids(case, probing):
     assert repr(outcomes[1]) == repr(outcomes[0])
 
 
-@given(_cases, st.sampled_from(["scan", "scan_values"]))
+@given(
+    _cases,
+    st.sampled_from(["scan", "scan_values", "scan_partials", "kept scan_partials"]),
+)
 @settings(max_examples=300, deadline=None)
 def test_a_filter_that_raises_on_record_k_has_examined_k_records(case, read):
     """The same record raises, with the clock and the count where the loop
     had them.  A page is filtered before its first row is handed over, so
-    the rows kept on the raising page before record k are not delivered."""
+    the rows kept on the raising page before record k are not delivered.
+    The page-wise reads are sampled alike; ``scan_partials`` hands over each
+    page's rows as its partial, with a memo (kept on the page) or without."""
     outcomes = []
     for side in ("reference", read):
         keep = case.row_filter(raising=True)
         database, table, _live = case.build()
+        page_filter = None if keep is None else rowwise(keep)
         if side == "reference":
             rows = reference_scan.scan(table, case.columns, keep)
+        elif read in ("scan", "scan_values"):
+            rows = getattr(table, read)(case.columns, page_filter)
         else:
-            rows = getattr(table, read)(
-                case.columns, None if keep is None else rowwise(keep)
+            memo = ("rows", None) if read.startswith("kept") else None
+            rows = itertools.chain.from_iterable(
+                table.scan_partials(case.columns, page_filter, list, memo)
             )
         seen, refused = [], None
         try:
@@ -268,7 +278,7 @@ def test_a_filter_that_raises_on_record_k_has_examined_k_records(case, read):
         outcomes.append((seen, refused, database.clock.now, _scanned(database)))
     (expected, *loop), (seen, *paged) = outcomes
     assert repr(paged) == repr(loop)
-    if read == "scan_values":
+    if read != "scan":
         expected = [values for _row_id, values in expected]
     assert seen == expected[: len(seen)]
     if loop[0] is None:
