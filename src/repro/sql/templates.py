@@ -107,7 +107,9 @@ class Binding:
     def fact(self, key: Hashable, build: Callable[[], T]) -> T:
         """A per-statement fact, worked out once for as long as the
         statement lives: every stage a captured statement passes through
-        asks for the same ones."""
+        asks for the same ones.  A fact holds nothing of the statement
+        itself, which holds this binding: that would be a reference cycle,
+        freed only by the cyclic collector."""
         facts = self._facts
         if facts is None:
             facts = self._facts = {}
