@@ -17,15 +17,20 @@ idiomatic way to measure the cost of a region of code::
 
 Virtual time is compared **to the bit** (artifacts are ``cmp``-ed), and
 float addition does not distribute: ``n`` charges of ``x`` are ``n``
-additions, never one addition of ``n * x``.  There are two batchings of
-the clock, and both perform exactly the additions they stand for, in order:
+additions, never one addition of ``n * x``.  There are three batchings of
+the clock, and all perform exactly the additions they stand for, in order:
 
 * :meth:`VirtualClock.advance_each` charges a run of records of one
   constant — computed a binade of the total at a time, where every addition
   of ``x`` adds the same rounded step;
 * :meth:`VirtualClock.advance_cycle` charges a run of records that each pay
   a fixed *sequence* of charges (a dump pays the scan, then the file write)
-  — a plain loop over a local total, no method call per charge.
+  — a plain loop over a local total, no method call per charge;
+* :meth:`VirtualClock.advance_runs` charges a run of pages that each pay one
+  constant and then another per record (a buffer hit, then its records'
+  scan) — in one step when the whole run ends in the binade it starts in,
+  where each of the two constants adds its own same rounded step, and
+  otherwise page by page.
 
 When the measurement should be *kept* rather than consumed on the spot,
 use a :class:`repro.obs.Tracer` span instead — spans are stamped from this
@@ -94,8 +99,8 @@ class VirtualClock:
         either side), then the addition that passes it is performed as it
         is, and the next binade begins.  ``(x, top, step)`` is kept for the
         next call: a scan charges the same ``x`` page after page.  Beside
-        :meth:`advance_cycle`, this is the only way a caller may charge a run
-        of records at once.
+        :meth:`advance_cycle` and :meth:`advance_runs`, this is the only way a
+        caller may charge a run of records at once.
         """
         if milliseconds < 0 or times < 0:
             raise ValueError(f"cannot advance clock {times} x {milliseconds} ms")
@@ -140,6 +145,38 @@ class VirtualClock:
                 now += charge
         self._now = now
         return now
+
+    def advance_runs(self, head: float, each: float, counts: Sequence[int]) -> float:
+        """Per count ``n`` of ``counts``, charge ``head`` once and then
+        ``each`` ``n`` times over; return the new time.
+
+        Bit-equal to, per count, :meth:`advance` of ``head`` followed by
+        :meth:`advance_each` of ``(each, n)``.  In the binade ``[top/2,
+        top)`` of the total, every addition of ``head`` that ends below
+        ``top`` adds the same rounded step and so does every addition of
+        ``each`` (:meth:`advance_each`, ties and a zero total excepted), so a
+        run that ends below ``top`` is the total plus the pages times the
+        one step and the records times the other — exact, the results being
+        multiples of the total's ulp below ``top``.  A run that does not is
+        charged page by page.
+        """
+        if head < 0 or each < 0 or min(counts, default=0) < 0:
+            raise ValueError(f"cannot advance clock {counts} x ({head}, {each}) ms")
+        now = self._now
+        if 0.0 < now:
+            ulp = math.ulp(now)
+            if head % ulp != ulp / 2 and each % ulp != ulp / 2:
+                end = (
+                    now + len(counts) * (now + head - now)
+                    + sum(counts) * (now + each - now)
+                )
+                if end < ulp * 2.0**53:
+                    self._now = end
+                    return end
+        for times in counts:
+            self._now += head
+            self.advance_each(each, times)
+        return self._now
 
     def timestamp(self) -> float:
         """Return a unique, strictly increasing virtual timestamp.

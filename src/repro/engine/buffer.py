@@ -73,6 +73,25 @@ class BufferPool:
         self._admit(page_no, page)
         return page
 
+    def reused(self, page_no: int) -> bool:
+        """Whether the page is in a frame, made the most recently used as a
+        fetch makes it, its hit owed: counted and charged only when the
+        caller hands the run of such pages to :meth:`charge_hits` — before
+        anything else charges the clock."""
+        try:
+            self._frames.move_to_end(page_no)
+        except KeyError:
+            return False
+        return True
+
+    def charge_hits(self, records: list[int], each: float) -> None:
+        """Count a hit per entry of ``records`` (pages :meth:`reused`), and
+        charge each page's hit followed by ``each`` per record of it:
+        bit-equal to a :meth:`fetch` hit and ``advance_each(each, n)`` per
+        page (:meth:`~repro.clock.VirtualClock.advance_runs`)."""
+        self._m_hits.inc(len(records))
+        self._clock.advance_runs(self._costs.page_read_hit, each, records)
+
     def create(self, record_size: int) -> tuple[int, Page]:
         """Allocate a brand-new formatted page and cache it dirty."""
         page_no = self._disk.allocate_page()

@@ -7,9 +7,18 @@ operation emerges from hit/miss/write-back accounting.
 Reading the whole file is one walk, a page at a time: each step is one
 buffer-pool fetch (:meth:`HeapFile.fetched`), which hands over the page —
 for what it keeps: the table's scans take its decoded rows, kept on the page
-and patched when it is written, and a scan aggregate's partials — or that
-page's live slot numbers and, as lists, their records
+and patched when it is written — or that page's live slot numbers and, as
+lists, their records
 (:meth:`HeapFile.pages`: an index build, :meth:`HeapFile.scan`).
+
+The file also keeps a **write stamp**: a count every page write bumps, and
+per page the count of its last write — one increment and one dict store per
+write, all a writer pays (a truncate forgets the pages it drops).  What a reader derived of a page's records while
+the count stood at some mark still holds if the page was not written since
+(:meth:`HeapFile.written_since`, the one place the stamps are compared):
+a scan aggregate's plan keeps its per-page partials that way
+(:class:`repro.engine.table.PagePartials`), and they outlive the page's
+eviction, since a page read back holds the records it was written out with.
 """
 
 from __future__ import annotations
@@ -32,6 +41,10 @@ class HeapFile:
         self._page_nos: list[int] = []
         self._pages_with_space: list[int] = []
         self._num_records = 0
+        #: Bumped by every page write: what a reader's mark is a count of.
+        self._stamp = 0
+        #: Page number -> the stamp of its last write.
+        self._written: dict[int, int] = {}
 
     # ----------------------------------------------------------------- status
     @property
@@ -42,6 +55,17 @@ class HeapFile:
     def page_numbers(self) -> tuple[int, ...]:
         return tuple(self._page_nos)
 
+    @property
+    def stamp(self) -> int:
+        """The write stamp now: a mark no page is written since."""
+        return self._stamp
+
+    def written_since(self, mark: int) -> set[int]:
+        """The pages written after the write stamp stood at ``mark``
+        (:attr:`stamp`).  The one place a page's stamp is compared (lint
+        rule REPRO028)."""
+        return {page_no for page_no, stamp in self._written.items() if mark < stamp}
+
     # -------------------------------------------------------------------- DML
     def insert(self, record: bytes) -> RowId:
         """Append a record, reusing freed slots before growing the file."""
@@ -50,6 +74,8 @@ class HeapFile:
             page = self._pool.fetch(page_no)
             if page.has_space:
                 slot_no = page.insert(record)
+                self._stamp += 1
+                self._written[page_no] = self._stamp
                 self._pool.mark_dirty(page_no)
                 if not page.has_space:
                     self._pages_with_space.pop()
@@ -59,6 +85,8 @@ class HeapFile:
         page_no, page = self._pool.create(self.record_size)
         self._page_nos.append(page_no)
         slot_no = page.insert(record)
+        self._stamp += 1
+        self._written[page_no] = self._stamp
         if page.has_space:
             self._pages_with_space.append(page_no)
         self._num_records += 1
@@ -73,6 +101,8 @@ class HeapFile:
         page = self._pool.fetch(row_id.page_no)
         before = page.read(row_id.slot_no)
         page.overwrite(row_id.slot_no, record)
+        self._stamp += 1
+        self._written[row_id.page_no] = self._stamp
         self._pool.mark_dirty(row_id.page_no)
         return before
 
@@ -81,6 +111,8 @@ class HeapFile:
         page = self._pool.fetch(row_id.page_no)
         had_space = page.has_space
         before = page.delete(row_id.slot_no)
+        self._stamp += 1
+        self._written[row_id.page_no] = self._stamp
         self._pool.mark_dirty(row_id.page_no)
         if not had_space:
             self._pages_with_space.append(row_id.page_no)
@@ -110,6 +142,8 @@ class HeapFile:
             self._pages_with_space.append(allocated_no)
         page = self._pool.fetch(page_no)
         page.insert_at(row_id.slot_no, record)
+        self._stamp += 1
+        self._written[page_no] = self._stamp
         self._pool.mark_dirty(page_no)
         if not page.has_space and page_no in self._pages_with_space:
             self._pages_with_space.remove(page_no)
@@ -152,6 +186,9 @@ class HeapFile:
         removed = self._num_records
         for page_no in self._page_nos:
             self._pool.drop(page_no)
+        # No page dropped is walked again, and a page number the disk hands
+        # out again would be stamped by the insert that fills it.
+        self._written = {}
         self._page_nos.clear()
         self._pages_with_space.clear()
         self._num_records = 0

@@ -21,12 +21,13 @@ pays), and a reader whose kept entry carries an older count derives afresh
 — or, for the decode, patches it: only the records of the slots stamped
 since go through the decoder.  The entries live on this object only, so a
 page evicted and read back (:meth:`Page.from_bytes`) starts with none.
-Three things are kept that way: what a page decoder made of the records
-(:meth:`Page.decoded`), one of those columns sorted
+Two things are kept that way: what a page decoder made of the records
+(:meth:`Page.decoded`), and one of those columns sorted
 (:meth:`Page.column_values`: what a scan asks before it runs its filter over
-the page, :meth:`repro.engine.table.Table.scan`), and an aggregate
-statement's partial over the page's rows
-(:meth:`repro.engine.table.Table.scan_partials`).
+the page, :meth:`repro.engine.table.Table.scan`).  A scan aggregate's
+per-page partials are kept by its plan instead, against the heap's write
+stamp (:class:`repro.engine.table.PagePartials`), so that they go with the
+plan and a page that hands its partial back is not read at all.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class Page:
         self._writes = 0
         #: Per slot, the write count of its last write.
         self._stamps = [0] * self.capacity
-        #: Key -> (write count, tag, value, record count) of what
-        #: :meth:`kept` derived.
-        self._kept: dict[Hashable, tuple[int, Any, Any, int]] = {}
+        #: Key -> (write count, value, record count) of what :meth:`kept`
+        #: derived.
+        self._kept: dict[Hashable, tuple[int, Any, int]] = {}
 
     # ----------------------------------------------------------------- status
     @property
@@ -157,7 +158,6 @@ class Page:
     def kept(
         self,
         key: K,
-        tag: Any,
         derive: Callable[[K, A], T],
         argument: A,
         patch: Callable[[K, A, T, list[int]], T] | None = None,
@@ -165,15 +165,15 @@ class Page:
         """``derive(key, argument)``, a value derived from this page's
         records, kept under ``key`` until the page is next written.
 
-        The value is stamped with the write count and with ``tag``, and handed
-        out again while both are unchanged; the first read after a write, or
-        with another tag, derives afresh and replaces it, so a key holds one
-        value at a time.  ``derive`` must read nothing but the records (and
-        what the key, the tag and ``argument`` fix), and nobody may change
-        what it returns.  This is the one place the write count and the
-        slots' stamps are compared (lint rule REPRO028).
+        The value is stamped with the write count, and handed out again while
+        it is unchanged; the first read after a write derives afresh and
+        replaces it, so a key holds one value at a time.  ``derive`` must
+        read nothing but the records (and what the key and ``argument``
+        fix), and nobody may change what it returns.  This is the one place
+        the write count and the slots' stamps are compared (lint rule
+        REPRO028).
 
-        With ``patch``, a value of the same tag that is stale is patched
+        With ``patch``, a value that is stale is patched
         rather than derived afresh, unless the writes since it was stamped
         number more than one in eight of the records it was derived from
         (each write writes one slot; a slot written twice counts twice):
@@ -185,10 +185,10 @@ class Page:
         not first searched for what was written.
         """
         entry = self._kept.get(key)
-        if entry is not None and entry[1] == tag:
+        if entry is not None:
             if entry[0] == self._writes:
-                return entry[2]
-            if patch is not None and 8 * (self._writes - entry[0]) <= entry[3]:
+                return entry[1]
+            if patch is not None and 8 * (self._writes - entry[0]) <= entry[2]:
                 # Each write since wrote one slot, so they bound the rows
                 # written; a slot is found by its write's count, unless a
                 # later write took it over.
@@ -198,12 +198,12 @@ class Page:
                     for count in range(since + 1, self._writes + 1)
                     if count in stamps
                 )
-                value = patch(key, argument, entry[2], written)
-                self._kept[key] = (self._writes, tag, value, self._used)
+                value = patch(key, argument, entry[1], written)
+                self._kept[key] = (self._writes, value, self._used)
                 return value
         writes = self._writes
         value = derive(key, argument)
-        self._kept[key] = (writes, tag, value, self._used)
+        self._kept[key] = (writes, value, self._used)
         return value
 
     def decoded(self, decode: PageDecoder) -> tuple[list[int], list[tuple[Any, ...]]]:
@@ -215,14 +215,14 @@ class Page:
         caller — so the caller may change the page while it works on them,
         as with :meth:`records`: a patch splices into copies.
         """
-        return self.kept(decode, None, _decode, self, _patch)
+        return self.kept(decode, _decode, self, _patch)
 
     def column_values(self, decode: PageDecoder, at: int) -> list[Any]:
         """The values at position ``at`` of :meth:`decoded`'s rows, ascending,
         without NULL and NaN (which satisfy no comparison), kept per
         ``(decode, at)`` (:meth:`kept`), so sorted once per write of the page.
         """
-        return self.kept((decode, at), None, _sorted, self)
+        return self.kept((decode, at), _sorted, self)
 
     # ------------------------------------------------------------ serialization
     def to_bytes(self) -> bytes:

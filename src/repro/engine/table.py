@@ -35,9 +35,11 @@ same order relative to every other charge, as one ``advance`` per record.
 :meth:`Table.scan` yields ``(RowId, values)`` with the clock exact at every
 row, for consumers that charge between rows, stop early or need the ids
 (DML); :meth:`Table.scan_partials` charges a page at a time and hands over
-one partial per page — for a scan aggregate kept on the page until it is
-next written, beside the page's record count, so a page that hands its
-partial back is charged without its decode being read;
+one partial per page — for a scan aggregate, whose plan keeps them
+(:class:`PagePartials`), a list made by a walk that derives only the pages
+written since the plan's last one, reads no other page's decode, and
+charges the run of pages between two derived ones at once, so the clock is
+exact when the list is returned;
 :meth:`Table.scan_values` is its rows as they are, the values-only read of
 everyone else (SELECT, the hash-join build side, state comparisons); and
 :meth:`Table.scan_pages` hands a dump each page's rows uncharged, for it to
@@ -108,6 +110,26 @@ def _revert(undo: list[tuple[Any, ...]]) -> None:
     """Run the ``(step, *arguments)`` of a failed mutation, last first."""
     for step, *arguments in reversed(undo):
         step(*arguments)
+
+
+class PagePartials:
+    """A scan aggregate's per-page partials, held by the plan of its shape
+    for one set of literal values at a time (:meth:`Table.scan_partials`).
+
+    ``pages`` maps a page number to ``(record count, partial)``, derived of
+    the page's records while the table's heap stood at write stamp ``mark``
+    or later, for the values ``tag``.  Another tag empties it.  The plan is
+    filed under the table's version, so its store serves one heap, and it is
+    gone with the plan: with its template when the template table evicts
+    it, or when the table's version is replaced.
+    """
+
+    __slots__ = ("tag", "mark", "pages")
+
+    def __init__(self) -> None:
+        self.tag: Hashable = None
+        self.mark = 0
+        self.pages: dict[int, tuple[int, Any]] = {}
 
 
 class InsertMode(enum.Enum):
@@ -482,37 +504,90 @@ class Table:
         columns: Sequence[int] | None,
         keep: PageFilter | None,
         partial: Callable[[list[tuple[Any, ...]]], T],
-        memo: tuple[Hashable, Any] | None,
-    ) -> Iterator[T]:
-        """``partial`` of each page's rows that ``keep`` accepts, page by
-        page: every record of a page is charged once the page is done, and
+        memo: tuple[PagePartials, Hashable] | None,
+    ) -> Iterable[T]:
+        """``partial`` of each page's rows that ``keep`` accepts, in page
+        order: every record of a page is charged once the page is done, and
         when ``keep`` raises, the records it examined (:meth:`_read`).
 
-        With a ``memo`` — ``(shape, tag)``: what fixes ``keep`` and
-        ``partial`` short of some values, and those values — each page keeps
-        its partial (:meth:`Page.kept <repro.engine.page.Page.kept>`, under
-        the page decoder and ``shape``, tagged), and a page not written since
-        hands it back without running either: the caller must know that the
-        two read nothing but the rows.  The partial is kept beside the page's
-        record count, which is what a hit is charged, so a hit reads nothing
-        of the page's decode; only a miss reads it.  ``partial`` must not
-        raise, and nobody may change what it returns.
+        Without a memo the pages are read one by one, as the result is
+        iterated.  With one — ``(store, tag)``: the :class:`PagePartials` of
+        the plan that fixes ``keep`` and ``partial`` short of some values,
+        and those values — the walk is done before this returns, as a list,
+        and the clock and counts are exact then.  A page the store holds an
+        entry of, and not written since its mark
+        (:meth:`HeapFile.written_since
+        <repro.engine.heap.HeapFile.written_since>`), hands the entry back
+        without ``keep`` or ``partial`` run: the caller must know that the
+        two read nothing but the rows.  Every page is fetched or — when it is
+        in a frame — :meth:`~repro.engine.buffer.BufferPool.reused`, and the
+        reused pages' hits and records are charged in one run, before
+        anything else charges the clock: a fetch of a page not in a frame,
+        which may read and write the disk, a page derived afresh, whose
+        ``keep`` may raise, and the walk's end.  ``partial`` must not raise,
+        and nobody may change what it returns.
         """
         decode = self._decoder(columns)
+        if memo is None:
+            return self._partials(decode, keep, partial)
+        store, tag = memo
+        if store.tag != tag:
+            store.tag, store.pages = tag, {}
+        heap, pool, pages = self._heap, self._pool, store.pages
+        mark, written = heap.stamp, heap.written_since(store.mark)
+        reused = pool.reused
+        made: list[T] = []
+        owed: list[int] = []  # the records of each reused page, its hit owed
+        for page_no in heap.page_numbers:
+            entry = pages.get(page_no)
+            fresh = entry is not None and page_no not in written
+            if fresh and reused(page_no):
+                owed.append(entry[0])
+                made.append(entry[1])
+                continue
+            if owed:
+                self._charge_hits(owed)
+                owed = []
+            page = pool.fetch(page_no)
+            if not fresh:
+                entry = pages[page_no] = self._derived(page, decode, keep, partial)
+            self._charge(entry[0])
+            made.append(entry[1])
+        if owed:
+            self._charge_hits(owed)
+        store.mark = mark
+        return made
 
-        def derive(_key: Any, page: Page) -> tuple[int, T]:
-            _slots, rows, kept = self._read(page, decode, keep, ())
-            given = rows if keep is None else [rows[at] for at in kept]
-            return len(rows), partial(given)
-
-        key, tag = (None, None) if memo is None else ((decode, memo[0]), memo[1])
+    def _partials(
+        self,
+        decode: PageDecoder,
+        keep: PageFilter | None,
+        partial: Callable[[list[tuple[Any, ...]]], T],
+    ) -> Iterator[T]:
+        """:meth:`scan_partials` without a memo: page by page, each charged
+        before its partial is handed over."""
         for _page_no, page in self._heap.fetched():
-            if key is None:
-                records, made = derive(key, page)
-            else:
-                records, made = page.kept(key, tag, derive, page)
+            records, made = self._derived(page, decode, keep, partial)
             self._charge(records)
             yield made
+
+    def _derived(
+        self,
+        page: Page,
+        decode: PageDecoder,
+        keep: PageFilter | None,
+        partial: Callable[[list[tuple[Any, ...]]], T],
+    ) -> tuple[int, T]:
+        """The page's record count and ``partial`` of its rows ``keep``
+        accepts, nothing charged but a raise (:meth:`_read`)."""
+        _slots, rows, kept = self._read(page, decode, keep, ())
+        return len(rows), partial(rows if keep is None else [rows[at] for at in kept])
+
+    def _charge_hits(self, records: list[int]) -> None:
+        """Charge and count a run of pages reused from their frames, each
+        followed by its records examined."""
+        self._pool.charge_hits(records, self._costs.row_scan_cpu)
+        self._m_rows_scanned.inc(sum(records))
 
     def _decoder(self, columns: Sequence[int] | None) -> PageDecoder:
         """The page decoder of ``columns`` (ascending positions; all: None)."""

@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from ..engine.database import Database
 from ..engine.rows import RowId
 from ..engine.schema import Column, TableSchema
-from ..engine.table import InsertMode, PageFilter, Table
+from ..engine.table import InsertMode, PageFilter, PagePartials, Table
 from ..engine.transactions import Transaction
 from ..engine.types import IntegerType, type_from_sql
 from ..errors import SqlAnalysisError
@@ -169,8 +169,9 @@ _Entry = list[Any]
 _Groups = dict[tuple, _Entry]
 #: Makes the partial of some rows.
 _Partial = Callable[[Iterable[tuple[Any, ...]]], _Groups]
-#: An INTEGER argument's non-NULL values as (count, sum, min, max).
-_Fold = tuple[int, int, Any, Any]
+#: An INTEGER argument's non-NULL values as (count, sum, min, max), or as
+#: (count, sum) where no MIN or MAX reads them.
+_Fold = tuple[Any, ...]
 #: The fold of no value: MIN and MAX of it are NULL.
 _NO_VALUES: _Fold = (0, 0, None, None)
 
@@ -186,25 +187,41 @@ def _fold(values: list[int]) -> _Fold:
     return len(values), sum(values), min(values), max(values)
 
 
+def _tally(values: list[int]) -> _Fold:
+    """The fold of ``values`` short of their least and greatest."""
+    if not values:
+        return _NO_VALUES
+    return len(values), sum(values)
+
+
 def _folded(folds: Iterable[_Fold]) -> _Fold:
-    """The fold of the values of all ``folds``: exact, as integer addition
-    is, in whatever order they come."""
+    """The fold of the values of all ``folds``, made alike: exact, as
+    integer addition is, in whatever order they come."""
     counted = [fold for fold in folds if fold[0]]
     if not counted:
         return _NO_VALUES
-    counts, totals, lows, highs = zip(*counted)
+    counts, totals, *extremes = zip(*counted)
+    if not extremes:
+        return sum(counts), sum(totals)
+    lows, highs = extremes
     return sum(counts), sum(totals), min(lows), max(highs)
 
 
+#: Folds an argument's non-NULL values: :func:`_fold` or :func:`_tally`.
+_Folder = Callable[[list[int]], _Fold]
+
+
 def _entry(
-    rows: list[tuple[Any, ...]], kept: Sequence[int], folds: Sequence[bool]
+    rows: list[tuple[Any, ...]],
+    kept: Sequence[int],
+    folds: Sequence[_Folder | None],
 ) -> _Entry:
     """One group's entry over its ``rows``: the count, then the non-NULL
-    values at each slot of ``kept``, folded where ``folds`` says so."""
+    values at each slot of ``kept``, folded where ``folds`` has a folder."""
     values = [[v for row in rows if (v := row[at]) is not None] for at in kept]
     return [
         len(rows),
-        *(_fold(each) if fold else each for each, fold in zip(values, folds)),
+        *(each if fold is None else fold(each) for each, fold in zip(values, folds)),
     ]
 
 
@@ -356,8 +373,10 @@ class _Select:
     the row layout they make (:class:`_Scope`), the WHERE's sargs, the WHERE
     as a page filter (where the base table is read, or above the joins),
     each join's probe, the projection or the aggregation's group key,
-    readers and folds, the slot each output column reads, and whether a page
-    may keep the aggregation's partial.  Built once per shape and filed
+    readers and folds, the slot each output column reads, and — where it may
+    keep them — the scan aggregate's per-page partials, for one set of
+    literal values at a time (:class:`~repro.engine.table.PagePartials`),
+    which go with the plan.  Built once per shape and filed
     under the catalog versions of every table read
     (:meth:`Executor._select`); a statement adds its literals and its
     session context.  The output names, ORDER BY and LIMIT are read off the
@@ -367,8 +386,8 @@ class _Select:
 
     __slots__ = (
         "table", "joined", "scope", "reads", "sargs", "keep", "joins", "above",
-        "aggregated", "project", "constants", "refusal", "readers", "folds",
-        "partial", "paged", "memo", "slots",
+        "aggregated", "project", "constants", "refusal", "grouped", "readers",
+        "folds", "partial", "paged", "kept", "slots",
     )
 
     def __init__(
@@ -428,11 +447,11 @@ class _Select:
             expression_maker(item.expr, scope, slot) for item in stmt.items
         ]
         self.refusal = self._aggregation(tables, stmt, slot) if self.aggregated else None
-        # A full scan aggregates a page at a time, and each page keeps its
-        # partial for the next statement of the shape and literals.  A
-        # partial made of slots alone cannot raise, as kept ones must not: a
-        # GROUP BY column that reads none is read by the rows path, and
-        # diagnosed when the first row reaches it.
+        # A full scan aggregates a page at a time, and this plan keeps each
+        # page's partial for the next statement of its literals.  A partial
+        # made of slots alone cannot raise, as kept ones must not: a GROUP BY
+        # column that reads none is read by the rows path, and diagnosed
+        # when the first row reaches it.
         self.paged = (
             self.aggregated and not stmt.joins and isinstance(tables[0], Table)
             and all(scope.slot(ref) is not None for ref in stmt.group_by)
@@ -440,9 +459,9 @@ class _Select:
         # Kept only for a statement of a template, and not when the WHERE
         # reads a session value (:data:`~repro.sql.ast_nodes.VOLATILE_FUNCTIONS`),
         # which rows alone do not fix.
-        self.memo = slot is not no_slot and referenced_functions(
-            stmt.where
-        ).isdisjoint(ast.VOLATILE_FUNCTIONS)
+        self.kept = PagePartials() if self.paged and slot is not no_slot and (
+            referenced_functions(stmt.where).isdisjoint(ast.VOLATILE_FUNCTIONS)
+        ) else None
         #: Per output column, the slot it reads (None: it reads none).
         self.slots: list[int | None] = []
         for item in stmt.items:
@@ -477,8 +496,17 @@ class _Select:
         # session value, so each kernel here serves the shape.  An argument
         # is ``checked`` — a SUM or AVG looks at what its values are — unless
         # an engine table's admission made them numbers (not CHAR).
+        # A MIN or MAX folds its argument's least and greatest value too.
+        ranged = {
+            scope.slot(item.expr.argument)
+            for item in stmt.items
+            if isinstance(item.expr, ast.Aggregate)
+            and item.expr.function in ("MIN", "MAX")
+            and item.expr.argument is not None
+        }
         kept: list[int] = []
-        self.folds: list[bool] = []
+        self.grouped = bool(grouped)
+        self.folds: list[_Folder | None] = []
         self.readers: list[
             tuple[ast.Aggregate | None, int | Compiled | None, bool]
         ] = []
@@ -500,8 +528,9 @@ class _Select:
                     checked = not (engine and admitted in _NUMBERS)
                     if at not in kept:
                         kept.append(at)
+                        integer = engine and isinstance(column.datatype, IntegerType)
                         self.folds.append(
-                            engine and isinstance(column.datatype, IntegerType)
+                            (_fold if at in ranged else _tally) if integer else None
                         )
                     reader = 1 + kept.index(at)
             self.readers.append((expr, reader, checked))
@@ -648,13 +677,8 @@ class Executor:
         path = settle_path(plan.sargs, literals)
         keep = plan.keep(literals, context)
         if plan.paged and path.row_ids is None:
-            memo = None
-            if plan.memo:
-                # Under its shape, tagged with its template and literal
-                # values: a statement of another template or other literals
-                # replaces it.
-                template = stmt.binding.template
-                memo = (template.shape, (template, tuple(literals)))
+            # Other literals replace what the plan keeps.
+            memo = None if plan.kept is None else (plan.kept, tuple(literals))
             read = plan.reads[0]
             assert isinstance(base, Table)
             result = self._aggregate(
@@ -771,17 +795,21 @@ class Executor:
         """
         if plan.refusal is not None:
             raise SqlAnalysisError(plan.refusal)
+        made = partials(plan.partial)
         # Group key -> its entries, one per partial that has the group.
         merged: dict[tuple, list[_Entry]] = {}
-        for part in partials(plan.partial):
-            for key, entry in part.items():
-                entries = merged.get(key)
-                if entries is None:
-                    merged[key] = [entry]
-                else:
-                    entries.append(entry)
-        if not merged:  # no pages: a global aggregate still has its group
-            merged = {key: [entry] for key, entry in plan.partial([]).items()}
+        if plan.grouped:
+            for part in made:
+                for key, entry in part.items():
+                    entries = merged.get(key)
+                    if entries is None:
+                        merged[key] = [entry]
+                    else:
+                        entries.append(entry)
+        else:
+            # The one group is in every partial, and a global aggregate of
+            # no rows (no partial) still has it.
+            merged[()] = [part[()] for part in made] or [plan.partial([])[()]]
         folds = plan.folds
         result = []
         for key, entries in merged.items():
@@ -790,7 +818,7 @@ class Executor:
             counts, *slots = zip(*entries)
             count = sum(counts)
             joined: list[list[Any] | _Fold] = [
-                _folded(parts) if fold else list(chain.from_iterable(parts))
+                list(chain.from_iterable(parts)) if fold is None else _folded(parts)
                 for parts, fold in zip(slots, folds)
             ]
             out: list[Any] = []

@@ -852,12 +852,17 @@ def referenced_functions(expr: ast.Expression | None) -> set[str]:
 
 
 def split_conjuncts(expr: ast.Expression | None) -> list[ast.Expression]:
-    """Flatten a predicate into its top-level AND conjuncts."""
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
+    """Flatten a predicate into its top-level AND conjuncts, in order — a
+    node at a time, as a chain of them is as deep as it is long."""
+    found: list[ast.Expression] = []
+    pending = [] if expr is None else [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.BinaryOp) and node.op == "AND":
+            pending += (node.right, node.left)
+        else:
+            found.append(node)
+    return found
 
 
 #: Each comparison with its operands swapped: ``5 < k`` is ``k > 5``.

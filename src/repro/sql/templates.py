@@ -238,6 +238,8 @@ class StatementTemplate:
             if behind == 0:
                 return lambda values, shifts: ast.Literal(values[index], pos)
             return lambda values, by: ast.Literal(values[index], pos + by[behind])
+        if isinstance(value, ast.BinaryOp):
+            return self._chain(value)
         if dataclasses.is_dataclass(value) and not isinstance(value, type):
             names = [f.name for f in dataclasses.fields(value) if f.init]
             return self._composite(
@@ -256,6 +258,41 @@ class StatementTemplate:
         if index is None:
             return None
         return lambda values, shifts: values[index]
+
+    def _chain(self, top: ast.BinaryOp) -> _Rebuild | None:
+        """How a chain of binary operators differs between texts: ``a AND b
+        AND c`` nests down its left operands, as deep as it is long, so the
+        chain is followed down them in a loop and rebuilt from the bottom up
+        in one — a WHERE of a thousand conjuncts recurses no deeper than one
+        of its operands."""
+        spine: list[ast.BinaryOp] = []
+        node: ast.Expression = top
+        while isinstance(node, ast.BinaryOp):
+            spine.append(node)
+            node = node.left
+        # Per operator, from the bottom up: it, and how its right operand
+        # differs.
+        steps = [(op, self._rebuilder(op.right)) for op in reversed(spine)]
+        leaf = self._rebuilder(node)
+        seed: ast.Expression = node
+        if leaf is None:
+            # Below the first operator whose right operand varies nothing
+            # does: the template's own node stands there.
+            varying = [at for at, (_op, right) in enumerate(steps) if right is not None]
+            if not varying:
+                return None
+            steps = steps[varying[0]:]
+            seed = steps[0][0].left
+
+        def rebuild_chain(values: Sequence[Any], shifts: Sequence[int]) -> Any:
+            built = seed if leaf is None else leaf(values, shifts)
+            for op, right in steps:
+                built = ast.BinaryOp(
+                    op.op, built, op.right if right is None else right(values, shifts)
+                )
+            return built
+
+        return rebuild_chain
 
     def _composite(
         self, build: Callable[..., Any], members: list[tuple[Any, str | None]]

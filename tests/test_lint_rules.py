@@ -1608,7 +1608,7 @@ class TestRepro028OneStampedMemoOnAPage:
         violations = lint_source(tmp_path, self.STAMPS, name="repro/engine/page.py")
         assert [int(v.split(":")[1]) for v in violations] == [8, 10, 10]
         assert all("REPRO028" in v for v in violations)
-        assert "page.kept(key, tag, derive" in violations[0]
+        assert "page.kept(key, derive" in violations[0]
         # Elsewhere even the memo's own compare is flagged.
         assert len(lint_source(tmp_path, self.STAMPS, name="repro/engine/heap.py")) == 4
 
@@ -1680,6 +1680,50 @@ class TestRepro028OneStampedMemoOnAPage:
         # Every mutator stamps the slot it writes; only the memo reads them.
         assert page.count("self._stamps[slot_no] = self._writes") == 5
         assert "stamps = entry[0], self._stamps" in page
+        # Every heap page write (insert on either of its two paths,
+        # overwrite, delete, place) stamps the page it writes; only the one
+        # method compares.
+        heap = (package / "engine" / "heap.py").read_text(encoding="utf-8")
+        assert heap.count("self._stamp += 1") == 5
+        assert heap.count("] = self._stamp\n") == 5
+        assert heap.count("mark < stamp") == 1
+
+    #: The heap's write stamp compared, and its pages' stamps read, outside
+    #: its one method — beside the stores its mutators make.
+    HEAP_STAMPS = (
+        "class HeapFile:\n"
+        "    def written_since(self, mark):\n"
+        "        return {p for p, s in self._written.items() if mark < s}\n"
+        "    def overwrite(self, page_no):\n"
+        "        self._stamp += 1\n"
+        "        self._written[page_no] = self._stamp\n"
+        "    def stale(self, page_no, mark):\n"
+        "        return self._written.get(page_no, 0) > mark\n"
+        "    def moved(self, mark):\n"
+        "        return self._stamp != mark\n"
+        "def fresh(heap, page, entry):\n"
+        "    return entry[0] == page._writes and heap._stamp <= entry[1]\n"
+    )
+
+    def test_a_heap_stamp_read_outside_its_method_is_flagged(self, tmp_path):
+        violations = lint_source(
+            tmp_path, self.HEAP_STAMPS, name="repro/engine/heap.py"
+        )
+        assert [int(v.split(":")[1]) for v in violations] == [8, 10, 12, 12]
+        assert all("REPRO028" in v for v in violations)
+        assert "heap page stamps read outside HeapFile.written_since" in violations[0]
+        assert "heap write stamp compared outside" in violations[1]
+        # Both memos at once: the page's count compared, beside the heap's.
+        assert sorted(v.split(": REPRO028 ")[1][:4] for v in violations[2:]) == [
+            "heap", "page",
+        ]
+        # Elsewhere the method's own read is flagged too.
+        assert [
+            int(v.split(":")[1])
+            for v in lint_source(
+                tmp_path, self.HEAP_STAMPS, name="repro/engine/table.py"
+            )
+        ] == [3, 8, 10, 12, 12]
 
 
 class TestRepro021OneCommutationVerdictPerPair:

@@ -1,9 +1,10 @@
-"""Property: a page's kept aggregate partial is the aggregate of its rows now.
+"""Property: a kept aggregate partial is the aggregate of its page's rows now.
 
-A full-scan aggregate SELECT (no join) is a merge of per-page partials, and a
-page keeps its partial for the next statement of the same shape and literal
-values until the page is next written (``Table.scan_partials``,
-``Page.kept``).  Here random runs of every way a page changes — committed
+A full-scan aggregate SELECT (no join) is a merge of per-page partials, and
+the plan of its shape keeps each page's partial for the next statement of the
+same literal values until the page is next written (``Table.scan_partials``,
+``PagePartials``, ``HeapFile.written_since``).  Here random runs of every way
+a page changes — committed
 inserts, updates and deletes, aborted transactions (undo), TRUNCATE, and
 eviction through a pool of two to four pages — are interleaved with
 aggregate SELECTs: ``COUNT(*)``, ``COUNT(col)``, SUM and AVG over INTEGER
@@ -18,13 +19,19 @@ same WHERE — a plain scan, which keeps no partial — and the rows it returns
 are aggregated again through :class:`~repro.sql.source.ListDatabase`, one
 partial over all of them.  The two must give the same result — by ``repr``,
 so floats are bit-equal and groups in the same order — or the same error;
-and ``clock.now.hex()`` and ``rows_scanned`` must be equal after every step.
-A SELECT whose WHERE reads ``RANDOM()`` must leave no partial on any page.
+and after every step the two must stand alike: ``clock.now.hex()``,
+``rows_scanned``, the buffer pool's hits, misses and evictions, the disk's
+reads and writes, and the order of the pool's frames (a kept partial's page
+is reused in its frame, and its hit charged in a run, by the walk that a
+page not in a frame or a dirty victim interrupts).  A SELECT whose WHERE
+reads ``RANDOM()`` must leave no partial on its plan.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,8 +42,9 @@ from repro.engine.schema import Column, TableSchema
 from repro.engine.types import FLOAT, INTEGER, char
 from repro.errors import ReproError
 from repro.sql.executor import Executor
-from repro.sql.parser import parse
+from repro.sql.parser import TEMPLATE_CAPACITY, TemplateTable, parse
 from repro.sql.source import ListDatabase, ListSource
+from repro.workloads import parts_schema
 
 #: ``k`` keys the rows; ``g``/``h`` group them; ``i``/``f`` are the numbers
 #: and ``s`` the text an aggregate reads; ``pad`` makes a page hold few rows.
@@ -182,10 +190,17 @@ class Twin:
         return self.executor.execute(parse(sql), None).rows
 
     def observed(self):
-        scanned = self.database.metrics.counter(
-            "engine.table.rows_scanned", db="test"
-        ).value
-        return self.database.clock.now.hex(), scanned
+        """The clock, the counts and the pool's frames, in LRU order."""
+        counted = [
+            self.database.metrics.counter(name, db="test").value
+            for name in (
+                "engine.table.rows_scanned", "engine.buffer.hit",
+                "engine.buffer.miss", "engine.buffer.eviction",
+                "engine.disk.read", "engine.disk.write",
+            )
+        ]
+        frames = list(self.database.buffer_pool._frames)
+        return self.database.clock.now.hex(), counted, frames
 
 
 def _outcome(run):
@@ -195,17 +210,10 @@ def _outcome(run):
         return "error", type(exc).__name__, str(exc)
 
 
-def _kept_volatile(table) -> list:
-    """The partials kept on the table's resident pages for a statement that
-    reads RANDOM() (filed under the page decoder and the statement's shape)."""
-    pool = table._pool
-    return [
-        key
-        for page_no in table._heap.page_numbers
-        if (page := pool._frames.get(page_no)) is not None
-        for key in page._kept
-        if isinstance(key, tuple) and "RANDOM(" in str(key[1])
-    ]
+def _plan(table, statement):
+    """The plan SELECTs of ``statement``'s shape run on over ``table``
+    (None: not made yet), filed under the table's version."""
+    return statement.binding.template._facts.get(table.version, {}).get("select")
 
 
 def run(case: Case) -> None:
@@ -239,7 +247,7 @@ def run(case: Case) -> None:
         )
         assert repr(got) == repr(expected), aggregate
         if where is not None and where.startswith("RANDOM"):
-            assert _kept_volatile(kept.table) == [], aggregate
+            assert _plan(kept.table, parse(aggregate)).kept is None, aggregate
 
 
 #: Two pages of floats whose sum in row order is 1.0, and the sum of the
@@ -283,21 +291,26 @@ _SPREAD = [
     shapes=[("COUNT(*)", "", "i / {n} > 0")],
     steps=[("select", 0, (0, 0.5)), ("select", 0, (0, 0.5))],
 ))
+#: Kept partials handed back, their hits owed, and then a page written
+#: since raises: the owed run is charged before the raise.
+@example(Case(
+    pool=4, rows=[(k, "a", 0, None, 0.5, None, "p") for k in range(3 * _PER_PAGE)],
+    shapes=[("COUNT(*)", "", "i / {n} > 0")],
+    steps=[
+        ("select", 0, (0, 0.5)),
+        ("write", ("update", 2 * _PER_PAGE, (0, "a", 0, 7, 0.5, None, "p"))),
+        ("select", 0, (0, 0.5)),
+    ],
+))
 def test_a_kept_partial_aggregates_as_a_fresh_scan(case):
     run(case)
 
 
-def _kept_partials(table) -> dict:
-    """Page number -> the partials its page keeps, by key."""
-    pool = table._pool
+def _kept_partials(table, sql: str) -> dict:
+    """Page number -> the partial the plan of ``sql``'s shape keeps of it."""
     return {
-        page_no: {
-            key: entry[2]
-            for key, entry in page._kept.items()
-            if isinstance(key, tuple) and isinstance(key[1], str)  # (decoder, shape)
-        }
-        for page_no in table._heap.page_numbers
-        if (page := pool._frames.get(page_no)) is not None
+        page_no: partial
+        for page_no, (_count, partial) in _plan(table, parse(sql)).kept.pages.items()
     }
 
 
@@ -320,7 +333,8 @@ def test_the_merge_leaves_every_kept_partial_as_it_was():
     executor = Executor(database)
 
     def check():
-        aggregate = parse("SELECT SUM(f), AVG(f) FROM t")
+        sql = "SELECT SUM(f), AVG(f) FROM t"
+        aggregate = parse(sql)
         [(total, mean)] = executor.execute(aggregate, None).rows
         values = [f for (f,) in executor.execute(parse("SELECT f FROM t"), None).rows]
         assert total.hex() == sum(values).hex()
@@ -331,8 +345,7 @@ def test_the_merge_leaves_every_kept_partial_as_it_was():
             for page_no, page in table._heap.fetched()
         }
         held = {}
-        for page_no, partials in _kept_partials(table).items():
-            ((_count, groups),) = partials.values()
+        for page_no, groups in _kept_partials(table, sql).items():
             lists = groups[()][1:]
             assert lists == [on_page[page_no]], page_no  # SUM(f) and AVG(f) share one
             held[page_no] = [(lst, list(lst)) for lst in lists]
@@ -355,11 +368,12 @@ def test_the_merge_leaves_every_kept_partial_as_it_was():
 
 def test_an_integer_argument_keeps_a_fold_and_a_float_its_values():
     """Per page, a kept partial folds an INTEGER argument into (non-NULL
-    count, sum, min, max) and keeps a FLOAT argument's values, in row order.
-    Which is decided per shape, from the column's type: a page whose ``f``
-    are all NULL keeps an empty list, not a fold, and a page whose ``i``
-    are all NULL keeps the fold of no value, whose MIN and MAX are NULL and
-    which adds no value to the merge."""
+    count, sum, min, max) — (count, sum) where no MIN or MAX reads it — and
+    keeps a FLOAT argument's values, in row order.  Which is decided per
+    shape, from the column's type and the aggregates over it: a page whose
+    ``f`` are all NULL keeps an empty list, not a fold, and a page whose
+    ``i`` are all NULL keeps the fold of no value, whose MIN and MAX are
+    NULL and which adds no value to the merge."""
     database = Database("test", buffer_pages=8)
     table = database.create_table(SCHEMA)
     rows = []
@@ -379,6 +393,7 @@ def test_an_integer_argument_keeps_a_fold_and_a_float_its_values():
         "SELECT COUNT(i), SUM(i), MIN(i), MAX(i), AVG(i), SUM(f), MIN(f) FROM t",
         "SELECT g, MIN(i), MAX(i), SUM(i), AVG(f) FROM t GROUP BY g",
         f"SELECT COUNT(i), SUM(i), MIN(i), MAX(i), AVG(i) FROM t WHERE k < {_PER_PAGE}",
+        "SELECT g, COUNT(i), SUM(i), AVG(i) FROM t GROUP BY g",
     ]
     for sql in queries:
         expected = Executor(over_rows).execute(parse(sql), None).rows
@@ -386,14 +401,10 @@ def test_an_integer_argument_keeps_a_fold_and_a_float_its_values():
             assert repr(executor.execute(parse(sql), None).rows) == repr(expected), sql
     assert executor.execute(parse(queries[2]), None).rows == [(0, None, None, None, None)]
 
-    first = parse(queries[0]).binding.template.shape
-    partials = _kept_partials(table)
+    partials = _kept_partials(table, queries[0])
     assert len(partials) == 3
     for number, page_no in enumerate(table._heap.page_numbers):
-        (_count, groups), = [
-            partial for key, partial in partials[page_no].items() if key[1] == first
-        ]
-        fold, values = groups[()][1:]
+        fold, values = partials[page_no][()][1:]
         on_page = rows[number * _PER_PAGE:(number + 1) * _PER_PAGE]
         ints = [row[3] for row in on_page if row[3] is not None]
         assert fold == (
@@ -402,3 +413,74 @@ def test_an_integer_argument_keeps_a_fold_and_a_float_its_values():
         assert type(fold) is tuple and all(type(v) is int for v in fold[:2])
         assert type(values) is list
         assert values == [row[4] for row in on_page if row[4] is not None], number
+        # No MIN or MAX reads ``i`` here: each group's fold stops at the sum.
+        for group, (_count, tally) in _kept_partials(table, queries[3])[page_no].items():
+            ints = [
+                row[3] for row in on_page if row[1] == group[0] and row[3] is not None
+            ]
+            assert tally == ((len(ints), sum(ints)) if ints else (0, 0, None, None))
+
+
+def test_an_unwritten_page_hands_back_its_partial_and_a_written_one_is_made_again():
+    """Per page, the plan's partial is the same object statement after
+    statement until the page is written — also for the page written last
+    before a statement — and a write makes that page's alone again."""
+    database = Database("test", buffer_pages=8)
+    table = database.create_table(SCHEMA)
+    rows = [(k, "ab"[k % 2], 0, k, None, None, "p") for k in range(3 * _PER_PAGE)]
+    txn = database.begin()
+    ids = [table.insert(txn, row) for row in rows]
+    database.commit(txn)
+    executor = Executor(database)
+    sql = "SELECT COUNT(*), SUM(i) FROM t"
+
+    def partials():
+        executor.execute(parse(sql), None)
+        kept = _kept_partials(table, sql)
+        return {page: id(partial) for page, partial in kept.items()}
+
+    first = partials()
+    assert partials() == first
+    middle = table._heap.page_numbers[1]
+    write = database.begin()
+    table.update(write, ids[_PER_PAGE + 2], {"i": -1})
+    database.commit(write)
+    second = partials()
+    assert [page for page in first if second[page] != first[page]] == [middle]
+    assert partials() == second  # the last page written is not made again
+    total = sum(range(len(rows))) - (_PER_PAGE + 2) - 1
+    assert executor.execute(parse(sql), None).rows == [(len(rows), total)]
+
+
+def test_kept_state_goes_with_its_template():
+    """Past ``TEMPLATE_CAPACITY`` distinct shapes, each page keeps only its
+    decodes and sorted columns — no statement's partial — and the first
+    shape's template, with its plan and what the plan keeps, is freed once
+    the template table evicts it."""
+    database = Database("test", buffer_pages=64)
+    schema = parts_schema()
+    table = database.create_table(schema)
+    txn = database.begin()
+    for k in range(500):
+        table.insert(txn, (k, k, f"P{k:08d}", "d", "new", k % 7, 1.5, None, k % 60))
+    database.commit(txn)
+    executor, templates = Executor(database), TemplateTable()
+    shapes = [
+        f"SELECT part_id, COUNT(*) AS c{k} FROM parts GROUP BY part_id"
+        for k in range(TEMPLATE_CAPACITY + 8)
+    ]
+    statement = templates.parse(shapes[0])
+    first = weakref.ref(statement.binding.template)
+    assert len(executor.execute(statement, None).rows) == 500
+    del statement
+    for sql in shapes[1:]:
+        executor.execute(templates.parse(sql), None)
+    decoders = (schema.codec.decode_page, schema.codec.page_decoder((0,)))
+    for page_no in table._heap.page_numbers:
+        for key in database.buffer_pool._frames[page_no]._kept:
+            decoder = key[0] if isinstance(key, tuple) else key
+            assert decoder in decoders, key
+            assert not isinstance(key, tuple) or isinstance(key[1], int), key
+    gc.collect()
+    assert first() is None
+

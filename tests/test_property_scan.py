@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.clock import VirtualClock
 from repro.engine import Database
 from repro.engine.schema import Column, TableSchema
+from repro.engine.table import PagePartials
 from repro.engine.types import char
 
 from . import reference_scan
@@ -254,7 +255,8 @@ def test_a_filter_that_raises_on_record_k_has_examined_k_records(case, read):
     had them.  A page is filtered before its first row is handed over, so
     the rows kept on the raising page before record k are not delivered.
     The page-wise reads are sampled alike; ``scan_partials`` hands over each
-    page's rows as its partial, with a memo (kept on the page) or without."""
+    page's rows as its partial, with a memo (a store the walk fills) or
+    without."""
     outcomes = []
     for side in ("reference", read):
         keep = case.row_filter(raising=True)
@@ -265,9 +267,14 @@ def test_a_filter_that_raises_on_record_k_has_examined_k_records(case, read):
         elif read in ("scan", "scan_values"):
             rows = getattr(table, read)(case.columns, page_filter)
         else:
-            memo = ("rows", None) if read.startswith("kept") else None
-            rows = itertools.chain.from_iterable(
-                table.scan_partials(case.columns, page_filter, list, memo)
+            memo = (PagePartials(), None) if read.startswith("kept") else None
+            # Called as the rows are first asked for: with a memo the walk
+            # is done, or raises, in the call.
+            rows = (
+                row
+                for _call in range(1)
+                for part in table.scan_partials(case.columns, page_filter, list, memo)
+                for row in part
             )
         seen, refused = [], None
         try:
@@ -415,4 +422,79 @@ def test_advance_each_rejects_negatives(charge, times):
     clock.advance(5.0)
     with pytest.raises(ValueError):
         clock.advance_each(charge, times)
+    assert clock.now == 5.0
+
+
+@st.composite
+def _page_runs(draw):
+    """A start, a page's charge and a record's, and the pages' record
+    counts: short pages or long ones, zero counts, no page at all, and runs
+    whose pages and records cross the next power of two or several."""
+    start = draw(st.one_of(_STARTS, st.floats(min_value=1e12, max_value=1e300)))
+    head, each = draw(_charge_for(start)), draw(_charge_for(start))
+    counts = draw(st.one_of(
+        st.lists(st.integers(0, 100), max_size=80),
+        st.lists(st.integers(0, 3_000), max_size=6),
+        st.lists(st.just(0), max_size=20),
+        st.just([]),
+    ))
+    return start, head, each, counts
+
+
+def _page_advances(clock, head, each, counts):
+    """Per count, ``advance(head)`` and then ``count`` of ``advance(each)``:
+    what ``advance_runs`` must equal."""
+    for count in counts:
+        clock.advance(head)
+        _advances(clock, each, count)
+    return clock.now
+
+
+@given(_page_runs())
+@settings(max_examples=200, deadline=None)
+def test_advance_runs_is_a_hit_and_its_records_per_page(run):
+    start, head, each, counts = run
+    one_by_one, at_once = VirtualClock(), VirtualClock()
+    for clock in (one_by_one, at_once):
+        clock.advance(start)
+    expected = _page_advances(one_by_one, head, each, counts)
+    assert at_once.advance_runs(head, each, counts).hex() == expected.hex()
+    assert at_once.now.hex() == expected.hex()
+
+
+def test_advance_runs_across_binade_edges():
+    # From a few ulps below a power of two, runs that end just short of it,
+    # at it, just past it, and — with charges of hundreds — several binades
+    # on; charges a fraction of an ulp off a multiple of it (rounding
+    # differently above the edge) and ties.
+    top = 1024.0
+    for short, m, f in itertools.product(
+        range(1, 30, 7), range(0, 9, 4), (0.125, 0.5, 0.625, 0.875)
+    ):
+        start = top - short * math.ulp(top)
+        ulp = math.ulp(start)
+        for head, each in (
+            ((m + f) * ulp, (1 + f) * ulp), ((m + 1) * ulp, f * ulp), (700.0 + f, 0.3)
+        ):
+            for counts in (
+                [short - 1], [short], [short + 1], [0] * (short + 1), [1, 0, 2] * short,
+                [3_000, 2], [7] * 12,
+            ):
+                one_by_one, at_once = VirtualClock(), VirtualClock()
+                for clock in (one_by_one, at_once):
+                    clock.advance(start)
+                expected = _page_advances(one_by_one, head, each, counts)
+                assert at_once.advance_runs(head, each, counts).hex() == (
+                    expected.hex()
+                ), (short, m, f, head, each, counts)
+
+
+@pytest.mark.parametrize(
+    "head, each, counts", [(-1.0, 1.0, [1]), (1.0, -1.0, [1]), (1.0, 1.0, [2, -1])]
+)
+def test_advance_runs_rejects_negatives(head, each, counts):
+    clock = VirtualClock()
+    clock.advance(5.0)
+    with pytest.raises(ValueError):
+        clock.advance_runs(head, each, counts)
     assert clock.now == 5.0

@@ -22,6 +22,8 @@ from repro.obs.introspect import StoreBundle, SystemCatalog
 from repro.scope import Scope
 from repro.semantics import SchemaCatalog, SemanticChecker, ViewMaintenancePlanner
 from repro.sql import ast_nodes as ast
+from repro.sql.executor import Executor
+from repro.sql.expressions import split_conjuncts
 from repro.sql.parser import TEMPLATES, TemplateTable, parse
 from repro.warehouse import OpDeltaIntegrator, ValueDeltaIntegrator, Warehouse
 from repro.workloads import PartsGenerator, parts_schema, strip_timestamp
@@ -91,6 +93,29 @@ class TestBinding:
                 table.parse("UPDATE items SET WHERE k = 1")
             assert "position 17" in str(caught.value)
         assert len(table) == 0
+
+    @pytest.mark.parametrize("conjuncts", [330, 1_000])
+    def test_a_where_of_many_conjuncts_binds_and_runs(self, conjuncts):
+        # ANDed conjuncts nest down their left operands, one level each:
+        # about 330 once overflowed the stack while the template was built.
+        table, database = TemplateTable(), items_db()
+
+        def text(bounds):
+            where = " AND ".join(f"n >= {bound}" for bound in bounds)
+            return f"SELECT COUNT(*) FROM items WHERE k < 12 AND {where}"
+
+        first = table.parse(text([0] * conjuncts))
+        given = text([3] + [1] * (conjuncts - 1))
+        bound = table.parse(given)
+        assert (table.hits, table.misses) == (1, 1)
+        conjunct = split_conjuncts(bound.where)
+        assert len(conjunct) == conjuncts + 1
+        assert [c.right.value for c in conjunct[:4]] == [12, 3, 1, 1]
+        # Positions are those of the text given.
+        assert conjunct[-1].right.pos == len(given) - 1
+        assert conjunct[2].left.pos == given.index("n >= 1 ")
+        assert bound.binding.template is first.binding.template
+        assert Executor(database).execute(bound, None).rows == [(4,)]
 
     def test_a_rewritten_statement_has_no_template(self):
         statement = parse("DELETE FROM items WHERE k = 5")

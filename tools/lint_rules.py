@@ -364,18 +364,22 @@ re-joined in Python, three answers to one question.  So a view
 definition's ``.select`` is handed to an ``execute(`` call only in that
 module; everything else asks ``contents``.
 
-**REPRO028 — one stamped memo on a page.**  What a page keeps of its
+**REPRO028 — one compare per stamped memo.**  What a page keeps of its
 records is checked against its write count in one place, ``Page.kept`` in
-``repro/engine/page.py`` (``PAGE_MEMO``): the kept decode, the sorted column
-lists and an aggregate's per-page partials all go through it.  Each used to
-carry its own dict and its own stamp compare, and a second memo written the
-same way is one forgotten compare away from handing out a stale value.  So
-a comparison with ``._writes`` as an operand anywhere but that method is
-flagged.  The slots' stamps (``._stamps``: the write count of each slot's
-last write, which tells a stale decode what to patch) exist only to be
-compared there, so anywhere else they may be stored by a mutator — a
-subscript assignment or a fresh list — and never read: a read of
-``._stamps``, in a comparison or handed to anything, is flagged.
+``repro/engine/page.py``: the kept decode and the sorted column lists go
+through it.  Each used to carry its own dict and its own stamp compare, and
+a second memo written the same way is one forgotten compare away from
+handing out a stale value.  So a comparison with ``._writes`` as an operand
+anywhere but that method is flagged.  The slots' stamps (``._stamps``: the
+write count of each slot's last write, which tells a stale decode what to
+patch) exist only to be compared there, so anywhere else they may be stored
+by a mutator — a subscript assignment or a fresh list — and never read: a
+read of ``._stamps``, in a comparison or handed to anything, is flagged.
+A scan aggregate's per-page partials are kept by its plan against the heap
+file's write stamp instead, and the same holds there (``STAMPED_MEMOS``): a
+comparison with the heap's count (``._stamp``), or a read of its pages'
+stamps (``._written``), anywhere but ``HeapFile.written_since`` in
+``repro/engine/heap.py`` is flagged.
 
 **REPRO029 — the executor compiles per shape.**  A statement's shape fixes
 everything its kernels do short of its literals and session context, so
@@ -660,9 +664,25 @@ SEMANTIC_SWITCHES = {
 PAGE_STATE_ATTRS = ("_slots", "_writes", "_stamps", "_kept")
 PAGE_SUFFIX = "repro/engine/page.py"
 
-#: REPRO028: the one method that compares the page's write count and its
-#: slots' stamps.
-PAGE_MEMO = (PAGE_SUFFIX, "Page.kept")
+#: REPRO028: per stamped memo, ``(module suffix, the one method that
+#: compares, write count attribute, stamps attribute, what a read of the
+#: stamps is told, what a compare of the count is told)``.
+STAMPED_MEMOS = (
+    (
+        PAGE_SUFFIX, "Page.kept", "_writes", "_stamps",
+        "page slot stamps read outside Page.kept; they are compared there "
+        "only, when a kept decode is patched",
+        "page write count compared outside Page.kept; keep what is derived "
+        "from a page's records with page.kept(key, derive, ...)",
+    ),
+    (
+        "repro/engine/heap.py", "HeapFile.written_since", "_stamp", "_written",
+        "heap page stamps read outside HeapFile.written_since; a page's "
+        "stamp is compared there only",
+        "heap write stamp compared outside HeapFile.written_since; ask it "
+        "which pages were written since a mark",
+    ),
+)
 
 #: REPRO021: module suffix -> how many ``commutes(`` calls it may make;
 #: every other module may make none.
@@ -1437,52 +1457,43 @@ def _page_state_violations(path: Path, tree: ast.AST, normalized: str) -> list[s
 
 
 def _stamp_compare_violations(path: Path, tree: ast.AST, normalized: str) -> list[str]:
-    """REPRO028: a comparison with ``._writes``, or a read of ``._stamps``,
-    outside ``Page.kept``."""
-    suffix, memo = PAGE_MEMO
-    allowed: set[int] = set()
-    if normalized.endswith(suffix) and isinstance(tree, ast.Module):
-        owner, _dot, method = memo.partition(".")
-        allowed = {
-            id(node)
-            for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and cls.name == owner
-            for function in cls.body
-            if isinstance(function, ast.FunctionDef) and function.name == method
-            for node in ast.walk(function)
-        }
+    """REPRO028: per stamped memo, a comparison with its write count, or a
+    read of its stamps, outside its one method."""
     # ``page._stamps[slot] = count`` stores a stamp: the subscript is
     # stored, though the attribute under it is loaded.
-    exempt = allowed | {
+    stored = {
         id(node.value)
         for node in ast.walk(tree)
         if isinstance(node, ast.Subscript)
         and isinstance(node.ctx, (ast.Store, ast.Del))
     }
     found = []
-    for node in ast.walk(tree):
-        if id(node) in exempt:
-            continue
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "_stamps"
-            and isinstance(node.ctx, ast.Load)
-        ):
-            found.append((
-                node.lineno,
-                "page slot stamps read outside Page.kept; they are compared "
-                "there only, when a kept decode is patched",
-            ))
-        elif isinstance(node, ast.Compare) and any(
-            isinstance(operand, ast.Attribute) and operand.attr == "_writes"
-            for operand in (node.left, *node.comparators)
-        ):
-            found.append((
-                node.lineno,
-                "page write count compared outside Page.kept; keep what is "
-                "derived from a page's records with page.kept(key, tag, "
-                "derive, ...)",
-            ))
+    for suffix, memo, count, stamps, read, compared in STAMPED_MEMOS:
+        allowed: set[int] = set()
+        if normalized.endswith(suffix) and isinstance(tree, ast.Module):
+            owner, _dot, method = memo.partition(".")
+            allowed = {
+                id(node)
+                for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == owner
+                for function in cls.body
+                if isinstance(function, ast.FunctionDef) and function.name == method
+                for node in ast.walk(function)
+            }
+        for node in ast.walk(tree):
+            if id(node) in allowed or id(node) in stored:
+                continue
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == stamps
+                and isinstance(node.ctx, ast.Load)
+            ):
+                found.append((node.lineno, read))
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(operand, ast.Attribute) and operand.attr == count
+                for operand in (node.left, *node.comparators)
+            ):
+                found.append((node.lineno, compared))
     return [f"{path}:{lineno}: REPRO028 {message}" for lineno, message in sorted(found)]
 
 
