@@ -39,6 +39,12 @@ kept decodes after its first round.  ``test_scan_kept_pages`` is that read
 on its own, ``test_scan_after_point_update`` the same read after a one-row
 UPDATE (one page decoded again) and ``test_point_update_write_count`` the
 UPDATE alone: the writer's side, which pays one integer add per page write.
+What the written page costs a reader has three more:
+``test_page_decode_one_record`` (the one record a one-slot patch decodes),
+``test_page_patch_one_slot`` (the patch itself: a page's kept decode after
+one of its slots is overwritten) and ``test_kept_aggregate_after_point_update``
+(a kept ``COUNT(*), SUM(quantity)`` after a one-row UPDATE: the written
+page's partial adjusted by the row that changed).
 
 What a scanned row still pays beside its data has three numbers:
 ``test_filtered_count`` (a WHERE against a string literal, whose class is
@@ -78,7 +84,7 @@ from repro.core import StatementTransformer, TableMapping
 from repro.core.selfmaint import ViewDefinition
 from repro.engine import Database
 from repro.engine.costs import CostModel
-from repro.engine.page import slots_per_page
+from repro.engine.page import Page, slots_per_page
 from repro.engine.rows import RowId, decode_row, encode_row
 from repro.extraction.deltas import ChangeKind, DeltaBatch, DeltaRecord
 from repro.sql import expressions
@@ -328,6 +334,33 @@ def test_page_decode_text(benchmark):
     assert rows[42] == decode_row(schema, records[42])
 
 
+def test_page_decode_one_record(benchmark):
+    """What a written slot's patch decodes: one record, handed to the
+    single-record decoder rather than through a page's join and unpack."""
+    schema, records = _parts_page()
+    rows = benchmark(schema.codec.decode_page, records[42:43])
+    assert rows == [decode_row(schema, records[42])]
+
+
+def test_page_patch_one_slot(benchmark):
+    """One slot of a full page overwritten, then the page's kept decode of
+    one column asked for: the written record decoded and spliced into a
+    copy of the rows, the slot list shared."""
+    schema, records = _parts_page()
+    page = Page(schema.record_size)
+    for record in records:
+        page.insert(record)
+    decode = schema.codec.page_decoder((schema.column_index("quantity"),))
+    slots_before = page.decoded(decode)[0]
+
+    def write_then_decode():
+        page.overwrite(42, records[42])
+        return page.decoded(decode)
+
+    slots, rows = benchmark(write_then_decode)
+    assert slots is slots_before and len(rows) == len(records)
+
+
 def test_scan_page_filter_no_match(benchmark, populated):
     database, _workload = populated
     table = database.table("parts")
@@ -391,6 +424,23 @@ def test_scan_after_point_update(benchmark, populated):
         return scan()
 
     assert benchmark(update_then_scan) >= 10_000
+
+
+def test_kept_aggregate_after_point_update(benchmark, populated):
+    """A point update, then ``COUNT(*), SUM(quantity)`` of a plan that keeps
+    its partials: the written page's adjusted by the one row that changed,
+    every other page's handed back, the kept total read."""
+    database, _workload = populated
+    _table, update = _point_update(database)
+    session = database.internal_session()
+    sql = "SELECT COUNT(*), SUM(quantity) FROM parts"
+
+    def update_then_aggregate():
+        update()
+        return session.execute(sql).rows
+
+    [(count, _total)] = benchmark(update_then_aggregate)
+    assert count >= 10_000
 
 
 def test_point_update_write_count(benchmark, populated):

@@ -10,6 +10,7 @@ random disk read).  Experiments configure ``capacity`` accordingly.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Sequence
 
 from ..clock import VirtualClock
 from ..obs.metrics import MetricsLike, MetricsRegistry
@@ -84,7 +85,12 @@ class BufferPool:
             return False
         return True
 
-    def charge_hits(self, records: list[int], each: float) -> None:
+    def framed(self, page_no: int) -> Page | None:
+        """The page if it is in a frame, else None: nothing moved, counted
+        or charged (a caller that reads it owes what :meth:`reused` owes)."""
+        return self._frames.get(page_no)
+
+    def charge_hits(self, records: Sequence[int], each: float) -> None:
         """Count a hit per entry of ``records`` (pages :meth:`reused`), and
         charge each page's hit followed by ``each`` per record of it:
         bit-equal to a :meth:`fetch` hit and ``advance_each(each, n)`` per

@@ -393,6 +393,8 @@ class RecordCodec:
         """The decoder of one page's records, reading the columns at
         ``positions`` (as for :meth:`decoder`): a list of records in, the
         list of their value tuples out.  Compiled on first use and kept.
+        A single record — what a one-slot patch decodes — goes straight to
+        the single-record decoder, skipping the page path's fixed cost.
         """
         try:
             return self._page_decoders[positions]
@@ -414,6 +416,8 @@ class RecordCodec:
                 masks.append((offset, bytes(bits & wanted for bits in range(256))))
 
         def decode_page(records: Sequence[bytes]) -> list[tuple[Any, ...]]:
+            if len(records) == 1:  # a written slot's patch: no page's setup
+                return [decode_one(records[0])]
             image = b"".join(records)
             if len(image) != len(records) * record_size:
                 wrong = next(r for r in records if len(r) != record_size)

@@ -36,10 +36,12 @@ same order relative to every other charge, as one ``advance`` per record.
 row, for consumers that charge between rows, stop early or need the ids
 (DML); :meth:`Table.scan_partials` charges a page at a time and hands over
 one partial per page — for a scan aggregate, whose plan keeps them
-(:class:`PagePartials`), a list made by a walk that derives only the pages
-written since the plan's last one, reads no other page's decode, and
-charges the run of pages between two derived ones at once, so the clock is
-exact when the list is returned;
+(:class:`PagePartials`), a list made by a walk that makes again only the
+pages written since the plan's last one — adjusting a page's partial by the
+rows that changed where its partial is counts and sums, and then handing
+back the store's kept total — reads no other page's decode, and charges
+every page in a frame in one run, so the clock is exact when the list is
+returned;
 :meth:`Table.scan_values` is its rows as they are, the values-only read of
 everyone else (SELECT, the hash-join build side, state comparisons); and
 :meth:`Table.scan_pages` hands a dump each page's rows uncharged, for it to
@@ -50,8 +52,8 @@ charge every record's scan inside its own cycle of charges
 from __future__ import annotations
 
 import enum
-from itertools import chain
-from operator import length_hint
+from itertools import chain, compress
+from operator import is_not, length_hint
 from typing import (
     Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar,
 )
@@ -90,6 +92,10 @@ PageBound = tuple[int, Any, Any, bool, bool]
 #: of :meth:`LogManager.append` (kind, txn id, table, row id, before, after).
 LogSink = Callable[..., Any]
 
+#: A page's kept decode: its live slot numbers and their rows, in slot order
+#: (:meth:`Page.decoded <repro.engine.page.Page.decoded>`).
+Decoded = tuple[list[int], list[tuple[Any, ...]]]
+
 
 def _excluded(page: Page, decode: PageDecoder, bounds: Sequence[PageBound]) -> bool:
     """Whether one of ``bounds`` (``at`` a position of the decoded rows) has
@@ -116,20 +122,79 @@ class PagePartials:
     """A scan aggregate's per-page partials, held by the plan of its shape
     for one set of literal values at a time (:meth:`Table.scan_partials`).
 
-    ``pages`` maps a page number to ``(record count, partial)``, derived of
-    the page's records while the table's heap stood at write stamp ``mark``
-    or later, for the values ``tag``.  Another tag empties it.  The plan is
-    filed under the table's version, so its store serves one heap, and it is
-    gone with the plan: with its template when the template table evicts
-    it, or when the table's version is replaced.
+    ``pages`` maps a page number to ``(record count, partial, decode)``,
+    derived of the page's records while the table's heap stood at write
+    stamp ``mark`` or later, for the values ``tag``; ``decode`` is the
+    page's kept ``(slots, rows)`` the partial was made of — the page's own
+    lists, not a copy — or None once the walk has had to fetch the page
+    from disk, so the store keeps alive only the decodes of pages evicted
+    since the walk before.  Another tag empties it.  The plan is filed
+    under the table's version, so its store serves one heap, and it is gone
+    with the plan: with its template when the template table evicts it, or
+    when the table's version is replaced.
+
+    ``adjust`` and ``retally``, given by the plan where its partials take
+    a change differentially (None: they do not), are how:
+    ``adjust(partial, gone, came)`` is the partial of the rows ``partial``
+    was made of, without the rows ``gone`` and with the rows ``came``, and
+    ``retally(partial, less, more)`` the same with the rows of the partials
+    ``less`` and ``more``; neither changes what it is handed.  With them a
+    written page's partial is adjusted by the rows that changed
+    (:meth:`Table._remade`), and the store keeps ``total``, the partial of
+    every page's rows: retallied as a page's partial is made afresh
+    (:meth:`file`), adjusted once per walk by the rows that changed on the
+    pages adjusted in it (:meth:`adjusted`, :meth:`settle`).  ``nothing``
+    is the partial of no rows.
     """
 
-    __slots__ = ("tag", "mark", "pages")
+    __slots__ = (
+        "adjust", "retally", "tag", "mark", "pages", "nothing", "total", "gone", "came",
+    )
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        adjust: Callable[[Any, list, list], Any] | None,
+        retally: Callable[[Any, Any, Any], Any] | None,
+    ) -> None:
+        self.adjust = adjust
+        self.retally = retally
         self.tag: Hashable = None
         self.mark = 0
-        self.pages: dict[int, tuple[int, Any]] = {}
+        self.pages: dict[int, tuple[int, Any, Decoded | None]] = {}
+        self.nothing: Any = None
+        self.total: Any = None
+        #: The rows that left and joined the pages adjusted since the total
+        #: was last settled.
+        self.gone: list[tuple[Any, ...]] = []
+        self.came: list[tuple[Any, ...]] = []
+
+    def file(self, page_no: int, entry: tuple[int, Any, Decoded | None]) -> None:
+        """Keep ``entry``, made afresh, for the page — its decode only where
+        a partial can be adjusted — and retally the total by the page's
+        partial before and after."""
+        if self.retally is None:
+            self.pages[page_no] = (entry[0], entry[1], None)
+            return
+        held = self.pages.get(page_no)
+        less = self.nothing if held is None else held[1]
+        self.total = self.retally(self.total, less, entry[1])
+        self.pages[page_no] = entry
+
+    def adjusted(
+        self, page_no: int, entry: tuple[int, Any, Decoded], gone: list, came: list
+    ) -> None:
+        """Keep ``entry``, the page's adjusted by the rows ``gone`` and
+        ``came``: the total owes the same adjustment until :meth:`settle`."""
+        self.pages[page_no] = entry
+        self.gone += gone
+        self.came += came
+
+    def settle(self) -> None:
+        """Adjust the total by the rows every page adjusted since owes."""
+        if self.gone or self.came:
+            assert self.adjust is not None
+            self.total = self.adjust(self.total, self.gone, self.came)
+            self.gone, self.came = [], []
 
 
 class InsertMode(enum.Enum):
@@ -454,7 +519,7 @@ class Table:
             bounds = [(columns.index(at), *interval) for at, *interval in bounds]
         charge = self._charge
         for page_no, page in self._heap.fetched():
-            slots, rows, kept = self._read(page, decode, keep, bounds)
+            slots, rows, kept = self._read(page, decode, keep, bounds, ())
             charged = 0
             for at in kept:
                 charge(at + 1 - charged)
@@ -490,7 +555,7 @@ class Table:
         """
         decode = self._decoder(None)
         for _page_no, page in self._heap.fetched():
-            rows = self._read(page, decode, None, ())[1]
+            rows = self._read(page, decode, None, (), ())[1]
             self._m_rows_scanned.inc(len(rows))
             yield rows
 
@@ -519,13 +584,18 @@ class Table:
         (:meth:`HeapFile.written_since
         <repro.engine.heap.HeapFile.written_since>`), hands the entry back
         without ``keep`` or ``partial`` run: the caller must know that the
-        two read nothing but the rows.  Every page is fetched or — when it is
-        in a frame — :meth:`~repro.engine.buffer.BufferPool.reused`, and the
-        reused pages' hits and records are charged in one run, before
-        anything else charges the clock: a fetch of a page not in a frame,
-        which may read and write the disk, a page derived afresh, whose
-        ``keep`` may raise, and the walk's end.  ``partial`` must not raise,
-        and nobody may change what it returns.
+        two read nothing but the rows.  A page written since is made again
+        (:meth:`_remade`) — adjusted by the rows that changed, where the
+        store's ``adjust`` and the page allow it, else derived afresh.
+
+        Every page is fetched or — when it is in a frame —
+        :meth:`~repro.engine.buffer.BufferPool.reused`, and the reused
+        pages' hits and records are charged in one run, whether their
+        entries were handed back or made again, before anything else charges
+        the clock: a fetch of a page not in a frame, which may read and
+        write the disk, a ``keep`` that raises (the run, then the records it
+        examined), and the walk's end.  ``partial`` must not raise, and
+        nobody may change what it returns.
         """
         decode = self._decoder(columns)
         if memo is None:
@@ -533,30 +603,48 @@ class Table:
         store, tag = memo
         if store.tag != tag:
             store.tag, store.pages = tag, {}
+            store.nothing = store.total = partial([])
         heap, pool, pages = self._heap, self._pool, store.pages
         mark, written = heap.stamp, heap.written_since(store.mark)
-        reused = pool.reused
+        reused, framed = pool.reused, pool.framed
         made: list[T] = []
         owed: list[int] = []  # the records of each reused page, its hit owed
-        for page_no in heap.page_numbers:
-            entry = pages.get(page_no)
-            fresh = entry is not None and page_no not in written
-            if fresh and reused(page_no):
-                owed.append(entry[0])
+        try:
+            for page_no in heap.page_numbers:
+                entry = pages.get(page_no)
+                fresh = entry is not None and page_no not in written
+                if fresh and reused(page_no):
+                    owed.append(entry[0])
+                    made.append(entry[1])
+                    continue
+                page = None if fresh else framed(page_no)
+                if page is not None:
+                    reused(page_no)
+                    owed.append(0)  # its hit, owed while it is made again
+                    entry = self._remade(page, page_no, decode, keep, partial, store, owed)
+                    owed[-1] = entry[0]
+                    made.append(entry[1])
+                    continue
+                # Not in a frame: its entry is handed back, or made again.
+                if owed:
+                    self._charge_hits(owed)
+                    owed = []
+                page = pool.fetch(page_no)
+                if not fresh:
+                    entry = self._derived(page, decode, keep, partial, ())
+                    store.file(page_no, entry)
+                elif entry[2] is not None:
+                    # Read back from disk: the decode the entry holds is the
+                    # evicted page's, which nothing else keeps alive.
+                    entry = pages[page_no] = (entry[0], entry[1], None)
+                self._charge(entry[0])
                 made.append(entry[1])
-                continue
-            if owed:
-                self._charge_hits(owed)
-                owed = []
-            page = pool.fetch(page_no)
-            if not fresh:
-                entry = pages[page_no] = self._derived(page, decode, keep, partial)
-            self._charge(entry[0])
-            made.append(entry[1])
+        finally:
+            store.settle()
         if owed:
             self._charge_hits(owed)
         store.mark = mark
-        return made
+        return made if store.retally is None else [store.total]
 
     def _partials(
         self,
@@ -567,7 +655,7 @@ class Table:
         """:meth:`scan_partials` without a memo: page by page, each charged
         before its partial is handed over."""
         for _page_no, page in self._heap.fetched():
-            records, made = self._derived(page, decode, keep, partial)
+            records, made, _decoded = self._derived(page, decode, keep, partial, ())
             self._charge(records)
             yield made
 
@@ -577,13 +665,64 @@ class Table:
         decode: PageDecoder,
         keep: PageFilter | None,
         partial: Callable[[list[tuple[Any, ...]]], T],
-    ) -> tuple[int, T]:
-        """The page's record count and ``partial`` of its rows ``keep``
-        accepts, nothing charged but a raise (:meth:`_read`)."""
-        _slots, rows, kept = self._read(page, decode, keep, ())
-        return len(rows), partial(rows if keep is None else [rows[at] for at in kept])
+        owed: Sequence[int],
+    ) -> tuple[int, T, Decoded]:
+        """The page's record count, ``partial`` of its rows ``keep`` accepts
+        and the decode they were read from, nothing charged but a raise
+        (:meth:`_read`, ``owed`` flushed first)."""
+        slots, rows, kept = self._read(page, decode, keep, (), owed)
+        made = partial(rows if keep is None else [rows[at] for at in kept])
+        return len(rows), made, (slots, rows)
 
-    def _charge_hits(self, records: list[int]) -> None:
+    def _remade(
+        self,
+        page: Page,
+        page_no: int,
+        decode: PageDecoder,
+        keep: PageFilter | None,
+        partial: Callable[[list[tuple[Any, ...]]], T],
+        store: PagePartials,
+        owed: Sequence[int],
+    ) -> tuple[int, T, Decoded]:
+        """The entry of a page in a frame that has none in ``store`` or was
+        written since its entry was made, made as :meth:`_derived` makes it
+        and filed in ``store``.
+
+        Where the store can ``adjust`` a partial, the entry holds the decode
+        it was made of, the page's slot list is what that decode's was, and
+        at most one in eight of its rows changed — found by identity: a
+        patched decode shares every unwritten row (:meth:`Page.decoded
+        <repro.engine.page.Page.decoded>`) — the partial is adjusted
+        instead: ``keep`` runs over the changed rows alone, new and old (an
+        old row was kept or not when the entry was made, without a raise),
+        and the old kept ones leave the partial as the new kept ones join
+        it.  A ``keep`` that raises on a new row is derived afresh, which
+        raises it again with ``owed`` and the page's records examined
+        charged.
+        """
+        entry = store.pages.get(page_no)
+        decoded = page.decoded(decode)
+        held = None if store.adjust is None or entry is None else entry[2]
+        if held is not None and held[0] is decoded[0]:
+            old, new = held[1], decoded[1]
+            changed = list(compress(range(len(new)), map(is_not, old, new)))
+            if 8 * len(changed) <= len(new):
+                came = [new[at] for at in changed]
+                gone = [old[at] for at in changed]
+                if keep is not None:
+                    try:
+                        came = [came[at] for at in keep(came)]
+                    except Exception:
+                        return self._derived(page, decode, keep, partial, owed)
+                    gone = [gone[at] for at in keep(gone)]
+                entry = len(new), store.adjust(entry[1], gone, came), decoded
+                store.adjusted(page_no, entry, gone, came)
+                return entry
+        entry = self._derived(page, decode, keep, partial, owed)
+        store.file(page_no, entry)
+        return entry
+
+    def _charge_hits(self, records: Sequence[int]) -> None:
         """Charge and count a run of pages reused from their frames, each
         followed by its records examined."""
         self._pool.charge_hits(records, self._costs.row_scan_cpu)
@@ -597,7 +736,7 @@ class Table:
 
     def _read(
         self, page: Page, decode: PageDecoder, keep: PageFilter | None,
-        bounds: Sequence[PageBound],
+        bounds: Sequence[PageBound], owed: Sequence[int],
     ) -> tuple[list[int], list[tuple[Any, ...]], Sequence[int]]:
         """The one step of every read of a page: ``(live slot numbers,
         decoded rows, positions kept)``, nothing charged but a raise.
@@ -612,7 +751,9 @@ class Table:
         page's rows.  When it raises on the k-th of them, exactly k records
         of the page were examined — the iterator's length hint says how many
         were not — and they are charged and counted here, as the
-        record-at-a-time loop had by then.
+        record-at-a-time loop had by then: after the run of reused pages
+        whose hits are ``owed`` (:meth:`_charge_hits`; this page's last,
+        when its own hit is owed too).
         """
         slots, rows = page.decoded(decode)
         if keep is None:
@@ -623,6 +764,8 @@ class Table:
         try:
             return slots, rows, keep(pending)
         except BaseException:
+            if owed:
+                self._charge_hits(owed)
             self._charge(len(rows) - length_hint(pending))
             raise
 

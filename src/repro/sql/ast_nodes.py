@@ -81,7 +81,21 @@ class BinaryOp(Expression):
     right: Expression
 
     def to_sql(self) -> str:
-        return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
+        # ``a AND b AND c`` nests down its left operands, as deep as it is
+        # long: followed down them in a loop, a chain of a thousand
+        # conjuncts recurses no deeper than one of its right operands.
+        spine = list(_left_spine(self))
+        parts = ["(" * len(spine), spine[-1].left.to_sql()]
+        for node in reversed(spine):
+            parts.append(f" {node.op} {node.right.to_sql()})")
+        return "".join(parts)
+
+
+def _left_spine(node: BinaryOp) -> Iterator[BinaryOp]:
+    """``node`` and the binary operators down its left operands, in turn."""
+    while isinstance(node, BinaryOp):
+        yield node
+        node = node.left  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)

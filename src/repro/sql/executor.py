@@ -194,6 +194,23 @@ def _tally(values: list[int]) -> _Fold:
     return len(values), sum(values)
 
 
+def _retallied(fold: _Fold, less: _Fold, more: _Fold) -> _Fold:
+    """``fold``, a :func:`_tally`, with the values ``less`` tallies taken
+    out and those ``more`` tallies put in: exact, as integer addition is."""
+    count = fold[0] - less[0] + more[0]
+    return (count, fold[1] - less[1] + more[1]) if count else _NO_VALUES
+
+
+def _retally(held: _Groups, less: _Groups, more: _Groups) -> _Groups:
+    """The partial of one group ``held``, with the rows of ``less`` taken
+    out and those of ``more`` put in: its count and every tallied
+    argument's, retallied (:class:`~repro.engine.table.PagePartials`)."""
+    old, gone, came = held[()], less[()], more[()]
+    return {(): [
+        old[0] - gone[0] + came[0], *map(_retallied, old[1:], gone[1:], came[1:])
+    ]}
+
+
 def _folded(folds: Iterable[_Fold]) -> _Fold:
     """The fold of the values of all ``folds``, made alike: exact, as
     integer addition is, in whatever order they come."""
@@ -387,7 +404,7 @@ class _Select:
     __slots__ = (
         "table", "joined", "scope", "reads", "sargs", "keep", "joins", "above",
         "aggregated", "project", "constants", "refusal", "grouped", "readers",
-        "folds", "partial", "paged", "kept", "slots",
+        "folds", "partial", "adjust", "retally", "paged", "kept", "slots",
     )
 
     def __init__(
@@ -459,7 +476,7 @@ class _Select:
         # Kept only for a statement of a template, and not when the WHERE
         # reads a session value (:data:`~repro.sql.ast_nodes.VOLATILE_FUNCTIONS`),
         # which rows alone do not fix.
-        self.kept = PagePartials() if self.paged and slot is not no_slot and (
+        self.kept = PagePartials(self.adjust, self.retally) if self.paged and slot is not no_slot and (
             referenced_functions(stmt.where).isdisjoint(ast.VOLATILE_FUNCTIONS)
         ) else None
         #: Per output column, the slot it reads (None: it reads none).
@@ -476,6 +493,8 @@ class _Select:
     ) -> str | None:
         """Plan the aggregation, or say why a statement of it is refused."""
         scope = self.scope
+        self.adjust: Callable[[_Groups, list, list], _Groups] | None = None
+        self.retally: Callable[[_Groups, _Groups, _Groups], _Groups] | None = None
         # A grouping column is matched by the slot it reads, or by its name
         # where it reads none (the group key then diagnoses it lazily).
         grouped = [_resolved(ref, scope) for ref in stmt.group_by]
@@ -546,6 +565,27 @@ class _Select:
             return {key: _entry(group, kept, folds) for key, group in members.items()}
 
         self.partial: _Partial = partial
+        # Partials of one group whose every argument is tallied take a
+        # change differentially — counts and sums do; the least and
+        # greatest value, a FLOAT's value list and a grouping's first-seen
+        # order do not — so the plan's store adjusts a written page's by
+        # the rows that changed, and keeps their total.
+        if not grouped and all(fold is _tally for fold in folds):
+
+            def adjust(held: _Groups, gone: list, came: list) -> _Groups:
+                old = held[()]
+                entry: _Entry = [old[0] - len(gone) + len(came)]
+                for at, (count, total, *_extremes) in zip(kept, old[1:]):
+                    for row in gone:
+                        if (value := row[at]) is not None:
+                            count, total = count - 1, total - value
+                    for row in came:
+                        if (value := row[at]) is not None:
+                            count, total = count + 1, total + value
+                    entry.append((count, total) if count else _NO_VALUES)
+                return {(): entry}
+
+            self.adjust, self.retally = adjust, _retally
         return None
 
     def names(self, stmt: ast.SelectStmt) -> list[str]:

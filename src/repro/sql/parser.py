@@ -173,16 +173,31 @@ def parse(sql: str) -> ast.Statement:
 def parse_expression(sql: str) -> ast.Expression:
     """Parse a bare expression (used by tests and view predicates)."""
     parser = _Parser(tokenize(sql), sql)
-    expr = parser._expression()
+    try:
+        expr = parser._expression()
+    except RecursionError:
+        raise parser._too_deep() from None
     parser._expect_eof()
     return expr
 
 
 class _Parser:
+    """The grammar, one method per rule.  It recurses once per level of
+    nesting — a parenthesis goes down every precedence level — so Python's
+    stack bounds how deep a text may nest: past it, the parse is refused as
+    a syntax error at the token it had reached, like any other."""
+
     def __init__(self, tokens: list[Token], sql: str) -> None:
         self._tokens = tokens
         self._sql = sql
         self._pos = 0
+
+    def _too_deep(self) -> SqlSyntaxError:
+        token = self._peek()
+        return SqlSyntaxError(
+            f"expression nested too deeply at position {token.position} "
+            f"in: {self._sql!r}"
+        )
 
     # ---------------------------------------------------------------- plumbing
     def _peek(self) -> Token:
@@ -265,7 +280,10 @@ class _Parser:
         handler = dispatch.get(token.text)
         if handler is None:
             raise SqlSyntaxError(f"unsupported statement keyword {token.text!r}")
-        statement = handler()
+        try:
+            statement = handler()
+        except RecursionError:
+            raise self._too_deep() from None
         self._expect_eof()
         return statement
 

@@ -11,7 +11,11 @@ aggregate SELECTs: ``COUNT(*)``, ``COUNT(col)``, SUM and AVG over INTEGER
 and FLOAT columns with NULLs, MIN and MAX, grouped by nothing, one or two
 columns, under WHERE clauses whose literals vary (so a kept partial is
 handed back, replaced, or stale), one that raises part-way through a page,
-and one that draws ``RANDOM()``.
+and one that draws ``RANDOM()``.  A written page whose slot list held still
+and of whose rows few changed has its partial adjusted by them where the
+partial is counts and sums; the rest are made again.  The schema comes in two
+widths: eight rows to a page, and 214 (no ``pad``), so that two or three rows
+of a page change between two reads of it.
 
 Every step runs on two databases built alike.  The first runs the aggregate
 SELECT, and with it the memo.  The second runs ``SELECT * ... WHERE`` with the
@@ -31,8 +35,10 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import weakref
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +66,8 @@ SCHEMA = TableSchema(
         Column("pad", char(900)),
     ],
 )
+#: The same columns but ``pad``: 214 rows to a page.
+DENSE = TableSchema("t", SCHEMA.columns[:-1])
 
 #: Floats whose sums depend on the order they are added in.
 _floats = st.one_of(
@@ -105,6 +113,22 @@ def _shape(draw) -> tuple[str, str, str | None]:
     return items, group_by, draw(st.sampled_from(WHERES))
 
 
+#: What a partial of counts and sums is made of: a written page's is
+#: adjusted by the rows that changed.
+TALLIES = ["COUNT(*)", "COUNT(i)", "SUM(i)", "AVG(i)"]
+
+
+def _tally_shape(draw) -> tuple[str, str, str | None]:
+    """An ungrouped SELECT of counts and sums alone, as :func:`_shape`."""
+    aggregates = draw(st.lists(st.sampled_from(TALLIES), min_size=1, max_size=3))
+    return ", ".join(aggregates), "", draw(st.sampled_from(WHERES))
+
+
+_shapes = st.lists(
+    st.one_of(st.composite(_shape)(), st.composite(_tally_shape)()),
+    min_size=1, max_size=3,
+)
+
 _ops = st.one_of(
     st.tuples(st.just("insert"), _rows),
     st.tuples(st.just("update"), st.integers(0, 99), _rows),
@@ -127,14 +151,55 @@ class Case:
     #: Few shapes, so that a statement often repeats an earlier one's shape.
     shapes: list[tuple[str, str, str | None]]
     steps: list[tuple]
+    schema: TableSchema = dataclasses.field(default_factory=lambda: SCHEMA)
 
 
 _cases = st.builds(
     Case,
     pool=st.integers(2, 4),
     rows=st.lists(_rows, min_size=4, max_size=24),
-    shapes=st.lists(st.composite(_shape)(), min_size=1, max_size=3),
+    shapes=_shapes,
     steps=st.lists(_steps, min_size=10, max_size=24),
+)
+
+
+#: Writes spread over every row of a dense table, updates most of them.
+_dense_update = st.tuples(st.just("update"), st.integers(0, 999), _rows)
+_dense_ops = st.one_of(
+    _dense_update, _dense_update, _dense_update,
+    st.tuples(st.just("insert"), _rows),
+    st.tuples(st.just("delete"), st.integers(0, 999)),
+)
+#: Two or three pages of the dense schema — each row drawn stands ten
+#: times, so that a case stays quick to draw — written more often than
+#: read, with literals that mostly repeat, so that a page read again has
+#: had a few of its rows written since.
+_dense_cases = st.builds(
+    Case,
+    pool=st.integers(2, 4),
+    rows=st.lists(_rows, min_size=22, max_size=48).map(
+        lambda rows: [row for row in rows for _copy in range(10)]
+    ),
+    shapes=st.lists(
+        st.one_of(
+            st.composite(_tally_shape)(), st.composite(_tally_shape)(),
+            st.composite(_shape)(),
+        ),
+        min_size=1, max_size=3,
+    ),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("select"), st.integers(0, 2),
+                st.sampled_from([(1, 0.5), (1, 0.5), (0, 1.0)]),
+            ),
+            st.tuples(st.just("write"), _dense_ops),
+            st.tuples(st.just("write"), _dense_ops),
+            st.tuples(st.just("abort"), st.lists(_dense_ops, min_size=1, max_size=3)),
+        ),
+        min_size=10, max_size=30,
+    ),
+    schema=st.just(DENSE),
 )
 
 
@@ -142,8 +207,9 @@ class Twin:
     """One of the two databases a case runs on."""
 
     def __init__(self, case: Case) -> None:
+        self.schema = case.schema
         self.database = Database("test", buffer_pages=case.pool)
-        self.table = self.database.create_table(SCHEMA)
+        self.table = self.database.create_table(self.schema)
         #: SELECTs run straight through the executor: a session would add
         #: a transaction, committed or aborted as the statement ends.
         self.executor = Executor(self.database)
@@ -158,15 +224,18 @@ class Twin:
         """One single-row write; ``live`` follows it.  ``among``: the rows
         it may pick (default: every live one)."""
         ids = sorted(live if among is None else among)
+        width = len(self.schema.columns)
         if op[0] == "insert":
-            live[self.table.insert(txn, op[1])] = op[1]
+            live[self.table.insert(txn, op[1][:width])] = op[1][:width]
         elif ids and op[0] in ("update", "delete"):
             row_id = ids[op[1] % len(ids)]
             if among is not None:
                 among.discard(row_id)  # an aborted write touches a row once
             if op[0] == "update":
-                self.table.update(txn, row_id, dict(zip(SCHEMA.column_names, op[2])))
-                live[row_id] = op[2]
+                self.table.update(
+                    txn, row_id, dict(zip(self.schema.column_names, op[2]))
+                )
+                live[row_id] = op[2][:width]
             else:
                 self.table.delete(txn, row_id)
                 del live[row_id]
@@ -239,7 +308,7 @@ def run(case: Case) -> None:
             assert got == read, aggregate
             continue
         rows = read[1]
-        over_rows = ListDatabase("test", lambda _name: ListSource(SCHEMA, rows))
+        over_rows = ListDatabase("test", lambda _name: ListSource(case.schema, rows))
         expected = _outcome(
             lambda: Executor(over_rows).execute(
                 parse(f"SELECT {items} FROM t{group_by}"), None
@@ -302,15 +371,53 @@ _SPREAD = [
         ("select", 0, (0, 0.5)),
     ],
 ))
+#: A page adjusted (page 0), one handed back (page 1), their hits owed, and
+#: a row written since on page 2 on which the WHERE raises; then that row
+#: written again, and the pages read once more.
+@example(Case(
+    pool=4, rows=[(k, "a", 0, None, 0.5, None, "p") for k in range(3 * _PER_PAGE)],
+    shapes=[("COUNT(*), SUM(i)", "", "i / {n} > 0")],
+    steps=[
+        ("select", 0, (0, 0.5)),
+        ("write", ("update", 1, (1, "b", 0, None, 0.25, None, "p"))),
+        ("write", ("update", 2 * _PER_PAGE + 3, (0, "a", 0, 7, 0.5, None, "p"))),
+        ("select", 0, (0, 0.5)),
+        ("write", ("update", 2 * _PER_PAGE + 3, (0, "a", 0, None, 0.5, None, "p"))),
+        ("select", 0, (0, 0.5)),
+    ],
+))
+#: Page 1 adjusted, then evicted by the pages inserts add and read back —
+#: unwritten, then written — while its partial is kept.
+@example(Case(
+    pool=4, rows=[(k, "a", 0, k, 0.5, "x", "p") for k in range(3 * _PER_PAGE)],
+    shapes=[("COUNT(*), SUM(i), AVG(i)", "", "i > {n}")],
+    steps=[
+        ("select", 0, (1, 0.5)),
+        ("write", ("update", _PER_PAGE + 1, (9, "a", 0, 42, 0.5, "x", "p"))),
+        ("select", 0, (1, 0.5)),
+        *[("write", ("insert", (k, "b", 1, k, 0.5, None, "p"))) for k in range(17)],
+        ("select", 0, (1, 0.5)),
+        ("write", ("update", _PER_PAGE + 2, (9, "a", 0, -3, 0.5, "x", "p"))),
+        ("select", 0, (1, 0.5)),
+        ("select", 0, (1, 0.5)),
+    ],
+))
 def test_a_kept_partial_aggregates_as_a_fresh_scan(case):
     run(case)
 
 
+@given(_dense_cases)
+@settings(max_examples=40, deadline=None)
+def test_a_kept_partial_of_a_dense_page_aggregates_as_a_fresh_scan(case):
+    run(case)
+
+
 def _kept_partials(table, sql: str) -> dict:
-    """Page number -> the partial the plan of ``sql``'s shape keeps of it."""
+    """Page number -> the partial the plan of ``sql``'s shape keeps of it
+    (an entry is ``(record count, partial, decode)``)."""
     return {
         page_no: partial
-        for page_no, (_count, partial) in _plan(table, parse(sql)).kept.pages.items()
+        for page_no, (_count, partial, _decode) in _plan(table, parse(sql)).kept.pages.items()
     }
 
 
@@ -484,3 +591,184 @@ def test_kept_state_goes_with_its_template():
     gc.collect()
     assert first() is None
 
+
+
+# ------------------------------------------------------------- the adjust
+_DENSE_PER_PAGE = slots_per_page(DENSE.record_size)
+
+
+def _dense_rows(count: int) -> list[tuple]:
+    return [
+        (k, "ab"[k % 2], k % 3, k, k * 0.5, "xy"[k % 2] if k % 5 else None)
+        for k in range(count)
+    ]
+
+
+def _dense_table(pages: int, pool: int = 16, rows=None):
+    """A table of the dense schema, ``pages`` pages full unless ``rows``
+    are given; returns the database, the table, the rows and their ids."""
+    database = Database("test", buffer_pages=pool)
+    table = database.create_table(DENSE)
+    if rows is None:
+        rows = _dense_rows(pages * _DENSE_PER_PAGE)
+    txn = database.begin()
+    ids = [table.insert(txn, row) for row in rows]
+    database.commit(txn)
+    assert len(table._heap.page_numbers) == pages
+    return database, table, list(rows), ids
+
+
+def _over(rows, sql: str) -> list[tuple]:
+    """``sql`` run over ``rows`` as they are: one partial of all of them."""
+    over_rows = ListDatabase("test", lambda _name: ListSource(DENSE, rows))
+    return Executor(over_rows).execute(parse(sql), None).rows
+
+
+def _spied(plan) -> list[int]:
+    """The row counts the plan's ``partial`` is called with from now on."""
+    calls: list[int] = []
+    partial = plan.partial
+
+    def spy(rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return partial(rows)
+
+    plan.partial = spy
+    return calls
+
+
+def _write(database, table, rows, ids, at, assignments) -> None:
+    """One committed UPDATE of row ``at``; ``rows`` follows it."""
+    txn = database.begin()
+    table.update(txn, ids[at], assignments)
+    database.commit(txn)
+    row = list(rows[at])
+    for name, value in assignments.items():
+        row[DENSE.column_index(name)] = value
+    rows[at] = tuple(row)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT COUNT(*), SUM(i) FROM t",
+    "SELECT COUNT(*) FROM t WHERE s = 'x'",
+])
+def test_a_one_slot_update_adjusts_a_partial_of_counts_and_sums(sql):
+    """The written page's partial is the one it kept, adjusted by the row
+    that changed: the plan's ``partial`` is not called, the result is a
+    fresh scan's, and the entry holds the page's decode now."""
+    database, table, rows, ids = _dense_table(3)
+    executor = Executor(database)
+    executor.execute(parse(sql), None)
+    plan = _plan(table, parse(sql))
+    assert plan.kept.adjust is not None
+    calls = _spied(plan)
+    at = _DENSE_PER_PAGE + 11  # on the middle page: s 'y' before
+    _write(database, table, rows, ids, at, {"i": -400, "s": "x"})
+    assert executor.execute(parse(sql), None).rows == _over(rows, sql)
+    assert calls == []
+    middle = table._heap.page_numbers[1]
+    _count, _partial, held = plan.kept.pages[middle]
+    page = database.buffer_pool._frames[middle]
+    decoded = page.decoded(DENSE.codec.page_decoder(tuple(plan.reads[0])))
+    assert held[0] is decoded[0] and held[1] is decoded[1]
+
+
+@pytest.mark.parametrize("sql, write", [
+    ("SELECT g, COUNT(*) FROM t GROUP BY g", {"i": -400}),
+    ("SELECT SUM(f) FROM t", {"f": -0.25}),
+    ("SELECT MIN(i) FROM t", {"i": -400}),
+    ("SELECT COUNT(*), SUM(i) FROM t", "delete"),
+    ("SELECT COUNT(*), SUM(i) FROM t", "insert"),
+])
+def test_what_a_change_does_not_adjust_is_made_again(sql, write):
+    """A grouping, a FLOAT's value list and a least value are made again
+    from the written page's rows, and so is any partial of a page whose
+    slot list changed: a row near its end deleted, or one inserted after
+    its last."""
+    database, table, rows, ids = _dense_table(
+        3, rows=_dense_rows(3 * _DENSE_PER_PAGE - 100)
+    )
+    executor = Executor(database)
+    executor.execute(parse(sql), None)
+    plan = _plan(table, parse(sql))
+    assert (plan.kept.adjust is None) == isinstance(write, dict)
+    calls = _spied(plan)
+    last = 2 * _DENSE_PER_PAGE
+    if write == "delete":
+        txn = database.begin()
+        table.delete(txn, ids[-3])
+        database.commit(txn)
+        del rows[-3]
+    elif write == "insert":
+        row = (-1, "c", 0, 1_000, 0.75, "x")
+        txn = database.begin()
+        assert table.insert(txn, row).page_no == table._heap.page_numbers[-1]
+        database.commit(txn)
+        rows.append(row)
+    else:
+        _write(database, table, rows, ids, last + 11, write)
+    assert repr(executor.execute(parse(sql), None).rows) == repr(_over(rows, sql))
+    assert calls == [len(rows) - last]
+
+
+def test_a_page_read_back_from_disk_holds_no_decode():
+    """Three pages through a pool of two: every walk after the first reads
+    every page back from disk, and its entry lets go of the decode it was
+    made of — the evicted page's, which nothing else keeps alive."""
+    database, table, rows, _ids = _dense_table(3, pool=2)
+    executor = Executor(database)
+    sql = "SELECT COUNT(*), SUM(i) FROM t"
+    assert executor.execute(parse(sql), None).rows == _over(rows, sql)
+    store = _plan(table, parse(sql)).kept
+    assert all(held is not None for _c, _p, held in store.pages.values())
+    assert executor.execute(parse(sql), None).rows == _over(rows, sql)
+    assert [held for _c, _p, held in store.pages.values()] == [None] * 3
+
+
+def test_a_walk_that_raises_leaves_its_total_settled():
+    """A walk adjusts page 0, hands page 1 back and raises on a row written
+    since on page 2: the total keeps page 0's change — for the literals it
+    was read with, and not for others — so once page 2 no longer raises
+    the statement reads as a fresh scan does."""
+    rows = [(k, "a", 0, 8, 0.5, "x") for k in range(3 * _DENSE_PER_PAGE)]
+    database, table, rows, ids = _dense_table(3, rows=rows)
+    executor = Executor(database)
+    sql = "SELECT COUNT(*), SUM(i) FROM t WHERE 10 / (i - {n}) > 0"
+    raising = 2 * _DENSE_PER_PAGE + 5
+    assert executor.execute(parse(sql.format(n=7)), None).rows == _over(rows, sql.format(n=7))
+    _write(database, table, rows, ids, 5, {"i": 9})
+    _write(database, table, rows, ids, raising, {"i": 7})
+    with pytest.raises(ReproError, match="division by zero"):
+        executor.execute(parse(sql.format(n=7)), None)
+    _write(database, table, rows, ids, raising, {"i": 6})
+    for n in (6 - 1, 7):  # 10 / (6 - 5) and 10 / (6 - 7): no raise
+        assert executor.execute(parse(sql.format(n=n)), None).rows == _over(
+            rows, sql.format(n=n)
+        )
+
+
+def test_a_raise_charges_the_owed_run_before_what_it_examined():
+    """Across a binade of the clock, where the order of additions shows:
+    a walk that raises on a row written since charges the pages handed
+    back before it (each hit, then its records), the raising page's hit,
+    then the records its WHERE examined — as one advance each would."""
+    rows = [(k, "a", 0, 8, 0.5, "x") for k in range(3 * _DENSE_PER_PAGE)]
+    database, table, rows, ids = _dense_table(3, rows=rows)
+    executor = Executor(database)
+    sql = "SELECT COUNT(*) FROM t WHERE 10 / (i - 7) > 0"
+    executor.execute(parse(sql), None)
+    _write(database, table, rows, ids, 2 * _DENSE_PER_PAGE + 5, {"i": 7})
+    clock, costs = database.clock, database.costs
+    # Just short of the next power of two: the charges below cross it.
+    clock.advance(2.0 ** math.ceil(math.log2(clock.now + 1)) - clock.now - 0.01)
+    expected = clock.now
+    for records in (_DENSE_PER_PAGE, _DENSE_PER_PAGE, 0):
+        expected += costs.page_read_hit
+        for _record in range(records):
+            expected += costs.row_scan_cpu
+    for _record in range(5 + 1):
+        expected += costs.row_scan_cpu
+    with pytest.raises(ReproError, match="division by zero"):
+        executor.execute(parse(sql), None)
+    assert clock.now.hex() == expected.hex()

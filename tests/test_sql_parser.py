@@ -1,5 +1,7 @@
 """Tests for the SQL parser and AST round-tripping."""
 
+import re
+
 import pytest
 
 from repro.errors import SqlSyntaxError
@@ -171,6 +173,31 @@ class TestErrors:
 
     def test_trailing_semicolon_ok(self):
         assert isinstance(parse("SELECT 1;"), ast.SelectStmt)
+
+
+class TestNesting:
+    """The grammar recurses once per level of nesting, so Python's stack
+    bounds how deep a text may nest; past it the text is refused as a
+    syntax error at the token the parse had reached."""
+
+    @pytest.mark.parametrize("depth", [150, 400])
+    def test_deep_parentheses_are_a_positioned_syntax_error(self, depth):
+        sql = "SELECT a FROM t WHERE " + "(" * depth + "a = 1" + ")" * depth
+        with pytest.raises(SqlSyntaxError, match="nested too deeply") as caught:
+            parse(sql)
+        position = int(re.search(r"at position (\d+) in", str(caught.value))[1])
+        assert sql.index("(") < position < sql.index("a = 1")
+
+    def test_a_deep_bare_expression_is_a_positioned_syntax_error(self):
+        with pytest.raises(SqlSyntaxError, match=r"nested too deeply at position \d+"):
+            parse_expression("(" * 400 + "1" + ")" * 400)
+
+    @pytest.mark.parametrize("depth", [1, 25, 60])
+    def test_nesting_the_stack_allows_still_parses(self, depth):
+        sql = "SELECT a FROM t WHERE " + "(" * depth + "a = 1" + ")" * depth
+        assert parse(sql).where == ast.BinaryOp(
+            "=", ast.ColumnRef("a"), ast.Literal(1)
+        )
 
 
 class TestToSqlRoundTrip:

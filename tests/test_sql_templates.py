@@ -117,6 +117,17 @@ class TestBinding:
         assert bound.binding.template is first.binding.template
         assert Executor(database).execute(bound, None).rows == [(4,)]
 
+    def test_a_where_of_many_conjuncts_renders(self):
+        # The chain nests down its left operands, a thousand levels deep:
+        # rendered in a loop down them, as the template binds it.
+        where = " AND ".join(f"n >= {bound}" for bound in range(1_000))
+        statement = TemplateTable().parse(f"SELECT COUNT(*) FROM items WHERE {where}")
+        rendered = "(" * 999 + "(n >= 0)" + "".join(
+            f" AND (n >= {bound}))" for bound in range(1, 1_000)
+        )
+        assert statement.where.to_sql() == rendered
+        assert statement.to_sql() == f"SELECT COUNT(*) FROM items WHERE {rendered}"
+
     def test_a_rewritten_statement_has_no_template(self):
         statement = parse("DELETE FROM items WHERE k = 5")
         assert statement.binding is not None
