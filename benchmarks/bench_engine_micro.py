@@ -44,7 +44,7 @@ What the written page costs a reader has three more:
 ``test_page_patch_one_slot`` (the patch itself: a page's kept decode after
 one of its slots is overwritten) and ``test_kept_aggregate_after_point_update``
 (a kept ``COUNT(*), SUM(quantity)`` after a one-row UPDATE: the written
-page's partial adjusted by the row that changed).
+page's partial derived again and the plan's kept total retallied by it).
 
 What a scanned row still pays beside its data has three numbers:
 ``test_filtered_count`` (a WHERE against a string literal, whose class is
@@ -344,8 +344,8 @@ def test_page_decode_one_record(benchmark):
 
 def test_page_patch_one_slot(benchmark):
     """One slot of a full page overwritten, then the page's kept decode of
-    one column asked for: the written record decoded and spliced into a
-    copy of the rows, the slot list shared."""
+    one column asked for: the written record decoded and spliced into
+    copies of the lists."""
     schema, records = _parts_page()
     page = Page(schema.record_size)
     for record in records:
@@ -358,7 +358,7 @@ def test_page_patch_one_slot(benchmark):
         return page.decoded(decode)
 
     slots, rows = benchmark(write_then_decode)
-    assert slots is slots_before and len(rows) == len(records)
+    assert slots == slots_before and len(rows) == len(records)
 
 
 def test_scan_page_filter_no_match(benchmark, populated):
@@ -428,8 +428,8 @@ def test_scan_after_point_update(benchmark, populated):
 
 def test_kept_aggregate_after_point_update(benchmark, populated):
     """A point update, then ``COUNT(*), SUM(quantity)`` of a plan that keeps
-    its partials: the written page's adjusted by the one row that changed,
-    every other page's handed back, the kept total read."""
+    its partials: the written page's derived again and the kept total
+    retallied by it, every other page's handed back."""
     database, _workload = populated
     _table, update = _point_update(database)
     session = database.internal_session()

@@ -213,10 +213,7 @@ class Page:
 
         Neither list is changed once handed out — by the page or by the
         caller — so the caller may change the page while it works on them,
-        as with :meth:`records`: a patch splices into a copy of the rows,
-        and of the slot list only when a slot joined or left it — else the
-        slot list is the one handed out before, and every unwritten row the
-        same object (what a kept partial's adjust finds changes by).
+        as with :meth:`records`: a patch splices into copies.
         """
         return self.kept(decode, _decode, self, _patch)
 
@@ -298,27 +295,22 @@ def _patch(
 ) -> tuple[list[int], list[tuple[Any, ...]]]:
     """``old``, the page's decode before the ``written`` slots were written,
     made its decode now: the live records among them decoded in one call, and
-    each spliced into a copy of the rows at its slot's place — replacing the
-    slot's row, or joining the lists where the slot was free; a slot freed
-    since leaves them.  The slot list is copied only when a slot joins or
-    leaves it: else it is ``old``'s own, which nobody changes."""
-    slots, rows = old[0], list(old[1])
+    each spliced into copies of the lists at its slot's place — replacing
+    the slot's row, or joining the lists where the slot was free; a slot
+    freed since leaves them."""
+    slots, rows = list(old[0]), list(old[1])
     records = page._slots
     live = [slot for slot in written if records[slot] is not None]
     fresh = dict(zip(live, decode([records[slot] for slot in live])))
-    shared = True
     for slot in written:
         at = bisect_left(slots, slot)
         held = at < len(slots) and slots[at] == slot
         row = fresh.get(slot)
-        if held and row is not None:
-            rows[at] = row
-            continue
-        if shared:
-            slots, shared = list(slots), False
         if row is None:
             if held:
                 del slots[at], rows[at]
+        elif held:
+            rows[at] = row
         else:
             slots.insert(at, slot)
             rows.insert(at, row)

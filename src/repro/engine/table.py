@@ -36,12 +36,11 @@ same order relative to every other charge, as one ``advance`` per record.
 row, for consumers that charge between rows, stop early or need the ids
 (DML); :meth:`Table.scan_partials` charges a page at a time and hands over
 one partial per page — for a scan aggregate, whose plan keeps them
-(:class:`PagePartials`), a list made by a walk that makes again only the
-pages written since the plan's last one — adjusting a page's partial by the
-rows that changed where its partial is counts and sums, and then handing
-back the store's kept total — reads no other page's decode, and charges
-every page in a frame in one run, so the clock is exact when the list is
-returned;
+(:class:`PagePartials`), a list made by a walk that derives again only the
+pages written since the plan's last one — a list of one partial, the
+store's kept total, where its partials are counts and sums — reads no
+other page's decode, and charges every page in a frame in one run, so the
+clock is exact when the list is returned;
 :meth:`Table.scan_values` is its rows as they are, the values-only read of
 everyone else (SELECT, the hash-join build side, state comparisons); and
 :meth:`Table.scan_pages` hands a dump each page's rows uncharged, for it to
@@ -52,8 +51,8 @@ charge every record's scan inside its own cycle of charges
 from __future__ import annotations
 
 import enum
-from itertools import chain, compress
-from operator import is_not, length_hint
+from itertools import chain
+from operator import length_hint
 from typing import (
     Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar,
 )
@@ -92,10 +91,6 @@ PageBound = tuple[int, Any, Any, bool, bool]
 #: of :meth:`LogManager.append` (kind, txn id, table, row id, before, after).
 LogSink = Callable[..., Any]
 
-#: A page's kept decode: its live slot numbers and their rows, in slot order
-#: (:meth:`Page.decoded <repro.engine.page.Page.decoded>`).
-Decoded = tuple[list[int], list[tuple[Any, ...]]]
-
 
 def _excluded(page: Page, decode: PageDecoder, bounds: Sequence[PageBound]) -> bool:
     """Whether one of ``bounds`` (``at`` a position of the decoded rows) has
@@ -122,79 +117,41 @@ class PagePartials:
     """A scan aggregate's per-page partials, held by the plan of its shape
     for one set of literal values at a time (:meth:`Table.scan_partials`).
 
-    ``pages`` maps a page number to ``(record count, partial, decode)``,
-    derived of the page's records while the table's heap stood at write
-    stamp ``mark`` or later, for the values ``tag``; ``decode`` is the
-    page's kept ``(slots, rows)`` the partial was made of — the page's own
-    lists, not a copy — or None once the walk has had to fetch the page
-    from disk, so the store keeps alive only the decodes of pages evicted
-    since the walk before.  Another tag empties it.  The plan is filed
-    under the table's version, so its store serves one heap, and it is gone
-    with the plan: with its template when the template table evicts it, or
-    when the table's version is replaced.
+    ``pages`` maps a page number to ``(record count, partial)``, derived of
+    the page's records while the table's heap stood at write stamp ``mark``
+    or later, for the values ``tag``.  Another tag empties it.  The plan is
+    filed under the table's version, so its store serves one heap, and it is
+    gone with the plan: with its template when the template table evicts
+    it, or when the table's version is replaced.
 
-    ``adjust`` and ``retally``, given by the plan where its partials take
-    a change differentially (None: they do not), are how:
-    ``adjust(partial, gone, came)`` is the partial of the rows ``partial``
-    was made of, without the rows ``gone`` and with the rows ``came``, and
-    ``retally(partial, less, more)`` the same with the rows of the partials
-    ``less`` and ``more``; neither changes what it is handed.  With them a
-    written page's partial is adjusted by the rows that changed
-    (:meth:`Table._remade`), and the store keeps ``total``, the partial of
-    every page's rows: retallied as a page's partial is made afresh
-    (:meth:`file`), adjusted once per walk by the rows that changed on the
-    pages adjusted in it (:meth:`adjusted`, :meth:`settle`).  ``nothing``
-    is the partial of no rows.
+    ``retally``, given by the plan where its partials take a change
+    differentially (None: they do not), is how: ``retally(partial, less,
+    more)`` is the partial of the rows ``partial`` was made of, without the
+    rows of the partial ``less`` and with those of ``more``, and changes
+    none of them.  With it the store keeps ``total``, the partial of every
+    page's rows, retallied as each page's partial is made afresh
+    (:meth:`file`), so the total is exact whenever the walk stops.
+    ``nothing`` is the partial of no rows.
     """
 
-    __slots__ = (
-        "adjust", "retally", "tag", "mark", "pages", "nothing", "total", "gone", "came",
-    )
+    __slots__ = ("retally", "tag", "mark", "pages", "nothing", "total")
 
-    def __init__(
-        self,
-        adjust: Callable[[Any, list, list], Any] | None,
-        retally: Callable[[Any, Any, Any], Any] | None,
-    ) -> None:
-        self.adjust = adjust
+    def __init__(self, retally: Callable[[Any, Any, Any], Any] | None = None) -> None:
         self.retally = retally
         self.tag: Hashable = None
         self.mark = 0
-        self.pages: dict[int, tuple[int, Any, Decoded | None]] = {}
+        self.pages: dict[int, tuple[int, Any]] = {}
         self.nothing: Any = None
         self.total: Any = None
-        #: The rows that left and joined the pages adjusted since the total
-        #: was last settled.
-        self.gone: list[tuple[Any, ...]] = []
-        self.came: list[tuple[Any, ...]] = []
 
-    def file(self, page_no: int, entry: tuple[int, Any, Decoded | None]) -> None:
-        """Keep ``entry``, made afresh, for the page — its decode only where
-        a partial can be adjusted — and retally the total by the page's
-        partial before and after."""
-        if self.retally is None:
-            self.pages[page_no] = (entry[0], entry[1], None)
-            return
-        held = self.pages.get(page_no)
-        less = self.nothing if held is None else held[1]
-        self.total = self.retally(self.total, less, entry[1])
+    def file(self, page_no: int, entry: tuple[int, Any]) -> None:
+        """Keep ``entry``, made afresh, for the page, and retally the total
+        by the page's partial before and after."""
+        if self.retally is not None:
+            held = self.pages.get(page_no)
+            less = self.nothing if held is None else held[1]
+            self.total = self.retally(self.total, less, entry[1])
         self.pages[page_no] = entry
-
-    def adjusted(
-        self, page_no: int, entry: tuple[int, Any, Decoded], gone: list, came: list
-    ) -> None:
-        """Keep ``entry``, the page's adjusted by the rows ``gone`` and
-        ``came``: the total owes the same adjustment until :meth:`settle`."""
-        self.pages[page_no] = entry
-        self.gone += gone
-        self.came += came
-
-    def settle(self) -> None:
-        """Adjust the total by the rows every page adjusted since owes."""
-        if self.gone or self.came:
-            assert self.adjust is not None
-            self.total = self.adjust(self.total, self.gone, self.came)
-            self.gone, self.came = [], []
 
 
 class InsertMode(enum.Enum):
@@ -584,14 +541,14 @@ class Table:
         (:meth:`HeapFile.written_since
         <repro.engine.heap.HeapFile.written_since>`), hands the entry back
         without ``keep`` or ``partial`` run: the caller must know that the
-        two read nothing but the rows.  A page written since is made again
-        (:meth:`_remade`) — adjusted by the rows that changed, where the
-        store's ``adjust`` and the page allow it, else derived afresh.
+        two read nothing but the rows.  A page written since is derived
+        afresh.  Where the store keeps a ``total``, the list is that one
+        partial, else each page's in page order.
 
         Every page is fetched or — when it is in a frame —
         :meth:`~repro.engine.buffer.BufferPool.reused`, and the reused
         pages' hits and records are charged in one run, whether their
-        entries were handed back or made again, before anything else charges
+        entries were handed back or derived afresh, before anything else charges
         the clock: a fetch of a page not in a frame, which may read and
         write the disk, a ``keep`` that raises (the run, then the records it
         examined), and the walk's end.  ``partial`` must not raise, and
@@ -607,44 +564,36 @@ class Table:
         heap, pool, pages = self._heap, self._pool, store.pages
         mark, written = heap.stamp, heap.written_since(store.mark)
         reused, framed = pool.reused, pool.framed
-        made: list[T] = []
         owed: list[int] = []  # the records of each reused page, its hit owed
-        try:
-            for page_no in heap.page_numbers:
-                entry = pages.get(page_no)
-                fresh = entry is not None and page_no not in written
-                if fresh and reused(page_no):
-                    owed.append(entry[0])
-                    made.append(entry[1])
-                    continue
-                page = None if fresh else framed(page_no)
-                if page is not None:
-                    reused(page_no)
-                    owed.append(0)  # its hit, owed while it is made again
-                    entry = self._remade(page, page_no, decode, keep, partial, store, owed)
-                    owed[-1] = entry[0]
-                    made.append(entry[1])
-                    continue
-                # Not in a frame: its entry is handed back, or made again.
-                if owed:
-                    self._charge_hits(owed)
-                    owed = []
-                page = pool.fetch(page_no)
-                if not fresh:
-                    entry = self._derived(page, decode, keep, partial, ())
-                    store.file(page_no, entry)
-                elif entry[2] is not None:
-                    # Read back from disk: the decode the entry holds is the
-                    # evicted page's, which nothing else keeps alive.
-                    entry = pages[page_no] = (entry[0], entry[1], None)
-                self._charge(entry[0])
-                made.append(entry[1])
-        finally:
-            store.settle()
+        for page_no in heap.page_numbers:
+            entry = pages.get(page_no)
+            fresh = entry is not None and page_no not in written
+            if fresh and reused(page_no):
+                owed.append(entry[0])
+                continue
+            page = None if fresh else framed(page_no)
+            if page is not None:
+                reused(page_no)
+                owed.append(0)  # its hit, owed while it is derived afresh
+                entry = self._derived(page, decode, keep, partial, owed)
+                owed[-1] = entry[0]
+                store.file(page_no, entry)
+                continue
+            # Not in a frame: its entry is handed back, or derived afresh.
+            if owed:
+                self._charge_hits(owed)
+                owed = []
+            page = pool.fetch(page_no)
+            if not fresh:
+                entry = self._derived(page, decode, keep, partial, ())
+                store.file(page_no, entry)
+            self._charge(entry[0])
         if owed:
             self._charge_hits(owed)
         store.mark = mark
-        return made if store.retally is None else [store.total]
+        if store.retally is not None:
+            return [store.total]
+        return [pages[page_no][1] for page_no in heap.page_numbers]
 
     def _partials(
         self,
@@ -655,7 +604,7 @@ class Table:
         """:meth:`scan_partials` without a memo: page by page, each charged
         before its partial is handed over."""
         for _page_no, page in self._heap.fetched():
-            records, made, _decoded = self._derived(page, decode, keep, partial, ())
+            records, made = self._derived(page, decode, keep, partial, ())
             self._charge(records)
             yield made
 
@@ -666,61 +615,12 @@ class Table:
         keep: PageFilter | None,
         partial: Callable[[list[tuple[Any, ...]]], T],
         owed: Sequence[int],
-    ) -> tuple[int, T, Decoded]:
-        """The page's record count, ``partial`` of its rows ``keep`` accepts
-        and the decode they were read from, nothing charged but a raise
-        (:meth:`_read`, ``owed`` flushed first)."""
-        slots, rows, kept = self._read(page, decode, keep, (), owed)
-        made = partial(rows if keep is None else [rows[at] for at in kept])
-        return len(rows), made, (slots, rows)
-
-    def _remade(
-        self,
-        page: Page,
-        page_no: int,
-        decode: PageDecoder,
-        keep: PageFilter | None,
-        partial: Callable[[list[tuple[Any, ...]]], T],
-        store: PagePartials,
-        owed: Sequence[int],
-    ) -> tuple[int, T, Decoded]:
-        """The entry of a page in a frame that has none in ``store`` or was
-        written since its entry was made, made as :meth:`_derived` makes it
-        and filed in ``store``.
-
-        Where the store can ``adjust`` a partial, the entry holds the decode
-        it was made of, the page's slot list is what that decode's was, and
-        at most one in eight of its rows changed — found by identity: a
-        patched decode shares every unwritten row (:meth:`Page.decoded
-        <repro.engine.page.Page.decoded>`) — the partial is adjusted
-        instead: ``keep`` runs over the changed rows alone, new and old (an
-        old row was kept or not when the entry was made, without a raise),
-        and the old kept ones leave the partial as the new kept ones join
-        it.  A ``keep`` that raises on a new row is derived afresh, which
-        raises it again with ``owed`` and the page's records examined
-        charged.
-        """
-        entry = store.pages.get(page_no)
-        decoded = page.decoded(decode)
-        held = None if store.adjust is None or entry is None else entry[2]
-        if held is not None and held[0] is decoded[0]:
-            old, new = held[1], decoded[1]
-            changed = list(compress(range(len(new)), map(is_not, old, new)))
-            if 8 * len(changed) <= len(new):
-                came = [new[at] for at in changed]
-                gone = [old[at] for at in changed]
-                if keep is not None:
-                    try:
-                        came = [came[at] for at in keep(came)]
-                    except Exception:
-                        return self._derived(page, decode, keep, partial, owed)
-                    gone = [gone[at] for at in keep(gone)]
-                entry = len(new), store.adjust(entry[1], gone, came), decoded
-                store.adjusted(page_no, entry, gone, came)
-                return entry
-        entry = self._derived(page, decode, keep, partial, owed)
-        store.file(page_no, entry)
-        return entry
+    ) -> tuple[int, T]:
+        """The page's record count and ``partial`` of its rows ``keep``
+        accepts, nothing charged but a raise (:meth:`_read`, ``owed``
+        flushed first)."""
+        _slots, rows, kept = self._read(page, decode, keep, (), owed)
+        return len(rows), partial(rows if keep is None else [rows[at] for at in kept])
 
     def _charge_hits(self, records: Sequence[int]) -> None:
         """Charge and count a run of pages reused from their frames, each

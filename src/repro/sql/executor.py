@@ -404,7 +404,7 @@ class _Select:
     __slots__ = (
         "table", "joined", "scope", "reads", "sargs", "keep", "joins", "above",
         "aggregated", "project", "constants", "refusal", "grouped", "readers",
-        "folds", "partial", "adjust", "retally", "paged", "kept", "slots",
+        "folds", "partial", "retally", "paged", "kept", "slots",
     )
 
     def __init__(
@@ -476,7 +476,7 @@ class _Select:
         # Kept only for a statement of a template, and not when the WHERE
         # reads a session value (:data:`~repro.sql.ast_nodes.VOLATILE_FUNCTIONS`),
         # which rows alone do not fix.
-        self.kept = PagePartials(self.adjust, self.retally) if self.paged and slot is not no_slot and (
+        self.kept = PagePartials(self.retally) if self.paged and slot is not no_slot and (
             referenced_functions(stmt.where).isdisjoint(ast.VOLATILE_FUNCTIONS)
         ) else None
         #: Per output column, the slot it reads (None: it reads none).
@@ -493,7 +493,6 @@ class _Select:
     ) -> str | None:
         """Plan the aggregation, or say why a statement of it is refused."""
         scope = self.scope
-        self.adjust: Callable[[_Groups, list, list], _Groups] | None = None
         self.retally: Callable[[_Groups, _Groups, _Groups], _Groups] | None = None
         # A grouping column is matched by the slot it reads, or by its name
         # where it reads none (the group key then diagnoses it lazily).
@@ -568,24 +567,10 @@ class _Select:
         # Partials of one group whose every argument is tallied take a
         # change differentially — counts and sums do; the least and
         # greatest value, a FLOAT's value list and a grouping's first-seen
-        # order do not — so the plan's store adjusts a written page's by
-        # the rows that changed, and keeps their total.
+        # order do not — so the plan's store keeps their total, retallied
+        # by each page's partial as it is made again.
         if not grouped and all(fold is _tally for fold in folds):
-
-            def adjust(held: _Groups, gone: list, came: list) -> _Groups:
-                old = held[()]
-                entry: _Entry = [old[0] - len(gone) + len(came)]
-                for at, (count, total, *_extremes) in zip(kept, old[1:]):
-                    for row in gone:
-                        if (value := row[at]) is not None:
-                            count, total = count - 1, total - value
-                    for row in came:
-                        if (value := row[at]) is not None:
-                            count, total = count + 1, total + value
-                    entry.append((count, total) if count else _NO_VALUES)
-                return {(): entry}
-
-            self.adjust, self.retally = adjust, _retally
+            self.retally = _retally
         return None
 
     def names(self, stmt: ast.SelectStmt) -> list[str]:

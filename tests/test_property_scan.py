@@ -267,7 +267,7 @@ def test_a_filter_that_raises_on_record_k_has_examined_k_records(case, read):
         elif read in ("scan", "scan_values"):
             rows = getattr(table, read)(case.columns, page_filter)
         else:
-            memo = (PagePartials(None, None), None) if read.startswith("kept") else None
+            memo = (PagePartials(), None) if read.startswith("kept") else None
             # Called as the rows are first asked for: with a memo the walk
             # is done, or raises, in the call.
             rows = (
